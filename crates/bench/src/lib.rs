@@ -41,7 +41,7 @@ impl BfvFixture {
     }
 
     /// A decryptor over this fixture.
-    pub fn decryptor(&self) -> Decryptor<'_> {
+    pub fn decryptor(&self) -> Decryptor {
         Decryptor::new(&self.ctx, self.sk.clone())
     }
 

@@ -6,7 +6,7 @@
 //! scales by `t/q`; relinearization and Galois rotation use gadget-
 //! decomposed key switching.
 
-use cm_hemath::{gaussian_poly, ternary_poly, Poly};
+use cm_hemath::{gaussian_poly, kernels, ternary_poly, Modulus, Poly, PreparedPoly};
 use rand::Rng;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
@@ -14,16 +14,27 @@ use crate::keys::{GaloisKeys, KeySwitchKey, PublicKey, RelinKey, SecretKey};
 use crate::params::BfvContext;
 
 /// Encrypts plaintexts under a public key.
+///
+/// Both key polynomials are transformed once at construction, and an
+/// encryption transforms its mask `u` once for both products: one
+/// forward and two inverse NTTs where `rq.mul(pk0, u)` + `rq.mul(pk1, u)`
+/// paid four and two.
 #[derive(Debug)]
 pub struct Encryptor<'a> {
     ctx: &'a BfvContext,
-    pk: PublicKey,
+    pk0: PreparedPoly,
+    pk1: PreparedPoly,
 }
 
 impl<'a> Encryptor<'a> {
     /// Creates an encryptor.
     pub fn new(ctx: &'a BfvContext, pk: PublicKey) -> Self {
-        Self { ctx, pk }
+        let rq = ctx.rq();
+        Self {
+            ctx,
+            pk0: rq.prepare(pk.pk0),
+            pk1: rq.prepare(pk.pk1),
+        }
     }
 
     /// Encrypts a plaintext: `(pk0 u + e1 + Δ m, pk1 u + e2)` (paper
@@ -41,13 +52,21 @@ impl<'a> Encryptor<'a> {
             pt.coeffs().iter().all(|&c| c < params.t),
             "plaintext coefficients must be reduced mod t"
         );
-        let u = ternary_poly(rq, rng);
-        let e1 = gaussian_poly(rq, params.sigma, rng);
+        let q = rq.modulus();
+        let u = rq.prepare(ternary_poly(rq, rng));
+        let mut e1 = gaussian_poly(rq, params.sigma, rng).into_coeffs();
         let e2 = gaussian_poly(rq, params.sigma, rng);
-        let scaled = rq.scalar_mul(pt.poly(), params.delta());
-        let c0 = rq.add(&rq.add(&rq.mul(&self.pk.pk0, &u), &e1), &scaled);
-        let c1 = rq.add(&rq.mul(&self.pk.pk1, &u), &e2);
-        Ciphertext::from_parts(vec![c0, c1])
+        let mut c0 = vec![0u64; params.n];
+        rq.mul_prepared_pair(&u, &self.pk0, &mut c0);
+        kernels::add_assign_slices(q, &mut c0, &e1);
+        // `e1` is spent: its buffer carries the scaled message `Δ m`,
+        // then becomes `c1`.
+        kernels::scalar_mul_slice(q, pt.coeffs(), params.delta(), &mut e1);
+        kernels::add_assign_slices(q, &mut c0, &e1);
+        let mut c1 = e1;
+        rq.mul_prepared_pair(&u, &self.pk1, &mut c1);
+        kernels::add_assign_slices(q, &mut c1, e2.coeffs());
+        Ciphertext::from_parts(vec![Poly::from_coeffs(c0), Poly::from_coeffs(c1)])
     }
 
     /// Encrypts the zero plaintext (useful for padding and benchmarks).
@@ -150,10 +169,17 @@ impl SeededCiphertext {
 }
 
 /// Decrypts ciphertexts and measures noise budgets.
-#[derive(Debug)]
-pub struct Decryptor<'a> {
-    ctx: &'a BfvContext,
+///
+/// Owns its context handle and keeps the secret key prepared for
+/// multiplication ([`cm_hemath::RingContext::prepare`]), so one
+/// decryptor built at key-provisioning time serves every later query: a
+/// fresh two-component decryption is one forward and one inverse NTT,
+/// one vector and no integer division.
+#[derive(Debug, Clone)]
+pub struct Decryptor {
+    ctx: BfvContext,
     sk: SecretKey,
+    s_prepared: PreparedPoly,
 }
 
 /// Rounds `a / b` to the nearest integer (half away from zero-ish: half up),
@@ -164,10 +190,64 @@ fn div_round(a: i128, b: i128) -> i128 {
     (a + b / 2).div_euclid(b)
 }
 
-impl<'a> Decryptor<'a> {
+/// `round(t·x/q) mod t` for the centred lift `x ∈ (-q/2, q/2]` of a
+/// reduced `c`, without signed or hardware division. For `x ≥ 0` it is
+/// `⌊(t·c + ⌊q/2⌋)/q⌋`; for `x = c − q < 0` that same quotient is exactly
+/// `t` too large, which vanishes mod `t` — so one exact Barrett quotient
+/// of the *unsigned* `t·c + ⌊q/2⌋` (at most `t`) and one conditional
+/// subtraction reproduce `div_round(t·x, q).rem_euclid(t)` bit for bit.
+/// The numerator fits one word whenever `t·q` does (the CM-SW presets).
+#[inline]
+fn round_to_t(q: &Modulus, t: u64, c: u64) -> u64 {
+    let half = q.value() / 2;
+    let y = match t.checked_mul(c).and_then(|z| z.checked_add(half)) {
+        Some(z) => q.div_rem_u64(z).0,
+        None => q.div_rem_u128(t as u128 * c as u128 + half as u128).0 as u64,
+    };
+    if y >= t {
+        y - t
+    } else {
+        y
+    }
+}
+
+impl Decryptor {
     /// Creates a decryptor.
-    pub fn new(ctx: &'a BfvContext, sk: SecretKey) -> Self {
-        Self { ctx, sk }
+    pub fn new(ctx: &BfvContext, sk: SecretKey) -> Self {
+        Self {
+            ctx: ctx.clone(),
+            s_prepared: ctx.rq().prepare(sk.s.clone()),
+            sk,
+        }
+    }
+
+    /// `out = c1 · s` in `R_q`: the one key multiplication of a fresh
+    /// decryption, exposed so a caller decrypting a *sum table* (every
+    /// entry `b_v + a_j`) can multiply once per row and once per column
+    /// instead of once per entry — `s · (b + a) = s·b + s·a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice length differs from the ring degree.
+    pub fn key_product_into(&self, c1: &[u64], out: &mut [u64]) {
+        self.ctx.rq().mul_prepared(c1, &self.s_prepared, out);
+    }
+
+    /// `out[i] = round(t · (c0[i] + x[i] + y[i] mod q) / q) mod t`: the
+    /// rounding step of decryption applied to a phase assembled from
+    /// [`Self::key_product_into`] outputs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths differ.
+    pub fn round_phase_into(&self, c0: &[u64], x: &[u64], y: &[u64], out: &mut [u64]) {
+        let q = *self.ctx.rq().modulus();
+        let t = self.ctx.params().t;
+        kernels::add_slices(&q, c0, x, out);
+        kernels::add_assign_slices(&q, out, y);
+        for o in out.iter_mut() {
+            *o = round_to_t(&q, t, *o);
+        }
     }
 
     /// Computes `v = c0 + c1 s + c2 s^2 + ...` in `R_q`.
@@ -181,39 +261,34 @@ impl<'a> Decryptor<'a> {
     /// materializing a [`Ciphertext`] per entry.
     fn inner_product_slices(&self, parts: &[&[u64]]) -> Poly {
         let rq = self.ctx.rq();
-        let mut acc = Poly::from_coeffs(parts[0].to_vec());
+        let mut acc = vec![0u64; rq.n()];
+        self.key_product_into(parts[1], &mut acc);
+        kernels::add_assign_slices(rq.modulus(), &mut acc, parts[0]);
+        let mut acc = Poly::from_coeffs(acc);
+        // Components past the second only exist between a multiplication
+        // and its relinearization; they take the plain ring product.
         let mut s_pow = self.sk.s.clone();
-        for (i, part) in parts.iter().enumerate().skip(1) {
+        for part in &parts[2..] {
+            s_pow = rq.mul(&s_pow, &self.sk.s);
             let prod = Poly::from_coeffs(rq.mul_slices(part, s_pow.coeffs()));
             rq.add_assign(&mut acc, &prod);
-            if i + 1 < parts.len() {
-                s_pow = rq.mul(&s_pow, &self.sk.s);
-            }
         }
         acc
     }
 
-    /// Rounds `v` to the plaintext ring: `m = round(t v / q) mod t`.
-    fn round_to_plaintext(&self, v: &Poly) -> Plaintext {
-        let params = self.ctx.params();
-        let q = params.q as i128;
-        let t = params.t as i128;
-        let m = self.ctx.rq().modulus();
-        let coeffs = v
-            .coeffs()
-            .iter()
-            .map(|&c| {
-                let x = m.center(c) as i128;
-                let y = div_round(t * x, q).rem_euclid(t);
-                y as u64
-            })
-            .collect();
-        Plaintext::from_poly(Poly::from_coeffs(coeffs))
+    /// Rounds `v` to the plaintext ring in place: `m = round(t v / q) mod t`.
+    fn round_to_plaintext(&self, mut v: Poly) -> Plaintext {
+        let q = *self.ctx.rq().modulus();
+        let t = self.ctx.params().t;
+        for c in v.coeffs_mut() {
+            *c = round_to_t(&q, t, *c);
+        }
+        Plaintext::from_poly(v)
     }
 
     /// Decrypts a ciphertext of any size: `m = round(t v / q) mod t`.
     pub fn decrypt(&self, ct: &Ciphertext) -> Plaintext {
-        self.round_to_plaintext(&self.inner_product(ct))
+        self.round_to_plaintext(self.inner_product(ct))
     }
 
     /// Decrypts a ciphertext given as borrowed coefficient slices, one
@@ -225,7 +300,7 @@ impl<'a> Decryptor<'a> {
     /// differs from the ring degree.
     pub fn decrypt_slices(&self, parts: &[&[u64]]) -> Plaintext {
         assert!(parts.len() >= 2, "a ciphertext has at least two parts");
-        self.round_to_plaintext(&self.inner_product_slices(parts))
+        self.round_to_plaintext(self.inner_product_slices(parts))
     }
 
     /// Invariant-noise budget in bits, à la SEAL: bits of headroom between
@@ -235,7 +310,7 @@ impl<'a> Decryptor<'a> {
         let params = self.ctx.params();
         let rq = self.ctx.rq();
         let v = self.inner_product(ct);
-        let m = self.decrypt(ct);
+        let m = self.round_to_plaintext(v.clone());
         // w = v - Δ m, centered: the absolute noise.
         let scaled = rq.scalar_mul(m.poly(), params.delta());
         let w = rq.sub(&v, &scaled);
@@ -560,6 +635,84 @@ mod tests {
         let ct = enc.encrypt(&pt, &mut rng);
         assert_eq!(dec.decrypt(&ct), pt);
         assert!(dec.invariant_noise_budget(&ct) > 1.0);
+    }
+
+    #[test]
+    fn cached_key_transforms_leave_ciphertexts_bit_identical() {
+        // The prepared-key encryption against the textbook formula on the
+        // same RNG stream, with NTT tables and on the schoolbook ring.
+        for params in [
+            BfvParams::ciphermatch_1024(),
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
+        ] {
+            let (ctx, _sk, pk) = setup(params, 31);
+            let rq = ctx.rq();
+            let pt = pt_from(&ctx, &[9, 0, 255, 1, 77]);
+            let mut rng = StdRng::seed_from_u64(32);
+            let got = Encryptor::new(&ctx, pk.clone()).encrypt(&pt, &mut rng);
+
+            let mut rng = StdRng::seed_from_u64(32);
+            let u = ternary_poly(rq, &mut rng);
+            let e1 = gaussian_poly(rq, ctx.params().sigma, &mut rng);
+            let e2 = gaussian_poly(rq, ctx.params().sigma, &mut rng);
+            let scaled = rq.scalar_mul(pt.poly(), ctx.params().delta());
+            let c0 = rq.add(&rq.add(&rq.mul(&pk.pk0, &u), &e1), &scaled);
+            let c1 = rq.add(&rq.mul(&pk.pk1, &u), &e2);
+            let name = ctx.params().name;
+            assert_eq!(got, Ciphertext::from_parts(vec![c0, c1]), "{name}");
+        }
+    }
+
+    #[test]
+    fn fast_rounding_equals_signed_division() {
+        use rand::Rng;
+        for params in [
+            BfvParams::ciphermatch_1024(),
+            BfvParams::ciphermatch_ifp_1024(),
+            BfvParams::arithmetic_2048(),
+            BfvParams::batching_1024(),
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
+            BfvParams::insecure_test_mul(),
+            BfvParams::insecure_test_batch(),
+        ] {
+            let (q, t) = (params.q, params.t);
+            let m = Modulus::new(q);
+            let mut rng = StdRng::seed_from_u64(q ^ t);
+            let edges = [0, 1, q / 2 - 1, q / 2, q / 2 + 1, q - 1];
+            let random = (0..4096).map(|_| rng.gen_range(0..q)).collect::<Vec<_>>();
+            for c in edges.into_iter().chain(random) {
+                let x = m.center(c) as i128;
+                let want = div_round(t as i128 * x, q as i128).rem_euclid(t as i128) as u64;
+                assert_eq!(round_to_t(&m, t, c), want, "{} c={c}", params.name);
+            }
+        }
+    }
+
+    #[test]
+    fn key_products_and_phase_rounding_compose_to_decrypt() {
+        // s·(b + a) = s·b + s·a: decrypting the Hom-Add of two
+        // ciphertexts from their separate key products.
+        for params in [
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
+        ] {
+            let (ctx, sk, pk) = setup(params, 41);
+            let mut rng = StdRng::seed_from_u64(42);
+            let enc = Encryptor::new(&ctx, pk);
+            let dec = Decryptor::new(&ctx, sk);
+            let ev = Evaluator::new(&ctx);
+            let n = ctx.params().n;
+            let a = enc.encrypt(&pt_from(&ctx, &[200, 3]), &mut rng);
+            let b = enc.encrypt(&pt_from(&ctx, &[100, 4]), &mut rng);
+            let sum = ev.add(&a, &b);
+            let (mut x, mut y, mut out) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+            dec.key_product_into(a.part(1).coeffs(), &mut x);
+            dec.key_product_into(b.part(1).coeffs(), &mut y);
+            dec.round_phase_into(sum.part(0).coeffs(), &x, &y, &mut out);
+            assert_eq!(out, dec.decrypt(&sum).coeffs());
+        }
     }
 
     #[test]

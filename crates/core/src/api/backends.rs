@@ -30,6 +30,8 @@ struct BfvKeys {
     ctx: BfvContext,
     sk: SecretKey,
     pk: PublicKey,
+    /// Prepared once with the keys; every query decrypts through it.
+    dec: Decryptor,
     q_bits: u32,
 }
 
@@ -41,6 +43,7 @@ impl BfvKeys {
         let pk = kg.public_key(rng);
         let q_bits = 64 - ctx.params().q.leading_zeros();
         Self {
+            dec: Decryptor::new(&ctx, sk.clone()),
             ctx,
             sk,
             pk,
@@ -52,8 +55,8 @@ impl BfvKeys {
         Encryptor::new(&self.ctx, self.pk.clone())
     }
 
-    fn decryptor(&self) -> Decryptor<'_> {
-        Decryptor::new(&self.ctx, self.sk.clone())
+    fn decryptor(&self) -> &Decryptor {
+        &self.dec
     }
 }
 
@@ -139,9 +142,7 @@ impl SecureMatcher for CiphermatchMatcher {
         } else {
             self.engine.search(db, query)
         };
-        Ok(self
-            .engine
-            .generate_indices(&self.keys.decryptor(), &result))
+        Ok(self.engine.generate_indices(self.keys.decryptor(), &result))
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
@@ -269,7 +270,7 @@ impl SecureMatcher for YasudaMatcher {
         self.extra.bytes_moved += query.byte_size(self.keys.q_bits) as u64;
         Ok(self
             .engine
-            .search_prepared(&self.keys.decryptor(), db, query, 0)
+            .search_prepared(self.keys.decryptor(), db, query, 0)
             .into_iter()
             .map(|(offset, _)| offset)
             .collect())
@@ -397,7 +398,7 @@ impl SecureMatcher for BatchedMatcher {
         let dec = self.keys.decryptor();
         Ok(self
             .engine
-            .find_all(&enc, &dec, &self.rk, &self.gk, db, query, rng))
+            .find_all(&enc, dec, &self.rk, &self.gk, db, query, rng))
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {

@@ -1,49 +1,127 @@
 //! Index generation (paper §4.2.2, "Index Generation"; Algorithm 1 line 12).
 //!
 //! After `Hom-Add`, a match shows as an all-ones "match polynomial" value
-//! in the affected coefficients. This module turns a table of (decrypted)
-//! result coefficients into the list of matching bit offsets. It is shared
-//! by the software matcher (`CM-SW`) and the SSD controller's index
+//! in the affected coefficients. This module turns the (decrypted) result
+//! coefficients into the list of matching bit offsets. It is shared by
+//! the software matcher (`CM-SW`) and the SSD controller's index
 //! generation unit (`CM-IFP`), which both see the same sum values.
-
-use std::collections::HashMap;
 
 use crate::query::{segment_matches, AlignmentClass};
 
-/// Result sums for every `(r, phase)` query variant: one `Vec<u64>` of
-/// coefficient sums per database polynomial.
+/// The result sums of every `(r, phase)` query variant and database
+/// polynomial, reduced to what index generation reads from them: one
+/// bit per sum, set when the sum is all ones under its don't-care mask.
+///
+/// Variant `(r, phase)` replicates negated-query segment
+/// `(c − phase) mod s_r` at coefficient `c`, so the mask a sum is tested
+/// under is a function of where it is stored — the test can run as the
+/// sums arrive ([`Self::store`]) and the sums need not be kept. The
+/// table is flat and variant-major: variant `(r, phase)` occupies the
+/// dense slot `Σ_{r' < r} s_{r'} + phase`, and its `n` bits for
+/// polynomial `j` are the `⌈n/64⌉` words of window `slot * polys + j`.
+/// It is sized once per query shape with [`Self::reset`] and rewritten in
+/// place from then on.
 #[derive(Debug, Clone, Default)]
-pub struct SumTable {
-    by_variant: HashMap<(usize, usize), Vec<Vec<u64>>>,
+pub struct MatchTable {
+    /// First slot of class `r` (`len = classes + 1`); class `r` has
+    /// `class_base[r + 1] − class_base[r]` window segments.
+    class_base: Vec<usize>,
+    /// Don't-care masks of every class, flattened: window segment `i` of
+    /// class `r` at `class_base[r] + i`.
+    masks: Vec<u64>,
+    seg_bits: usize,
+    polys: usize,
+    n: usize,
+    bits: Vec<u64>,
 }
 
-impl SumTable {
+impl MatchTable {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Stores the per-polynomial sums of variant `(r, phase)`.
-    pub fn insert(&mut self, r: usize, phase: usize, sums: Vec<Vec<u64>>) {
-        self.by_variant.insert((r, phase), sums);
+    /// Sizes the table for the variants of `classes` (segments of
+    /// `seg_bits` bits) over `polys` polynomials of `n` coefficients and
+    /// clears every bit. Allocates only when the shape outgrows a
+    /// previous one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a class carries fewer masks than window segments.
+    pub fn reset(&mut self, classes: &[AlignmentClass], seg_bits: usize, polys: usize, n: usize) {
+        self.class_base.clear();
+        self.masks.clear();
+        for class in classes {
+            self.class_base.push(self.masks.len());
+            self.masks
+                .extend_from_slice(&class.masks[..class.window_segs]);
+        }
+        self.class_base.push(self.masks.len());
+        self.seg_bits = seg_bits;
+        self.polys = polys;
+        self.n = n;
+        self.bits.clear();
+        self.bits
+            .resize(self.masks.len() * polys * n.div_ceil(64), 0);
     }
 
-    /// Looks up the sum at `(r, phase, poly, coeff)`.
-    fn sum(&self, r: usize, phase: usize, poly: usize, coeff: usize) -> Option<u64> {
-        self.by_variant
-            .get(&(r, phase))
-            .and_then(|polys| polys.get(poly))
-            .and_then(|cs| cs.get(coeff))
-            .copied()
+    /// Slot range of class `r`: one slot per phase (and per mask).
+    #[inline]
+    fn class(&self, r: usize) -> Option<std::ops::Range<usize>> {
+        Some(*self.class_base.get(r)?..*self.class_base.get(r + 1)?)
     }
 
-    /// Number of stored variants.
-    pub fn variant_count(&self) -> usize {
-        self.by_variant.len()
+    /// First word of slot `slot`'s window for polynomial `poly`.
+    #[inline]
+    fn window(&self, slot: usize, poly: usize) -> usize {
+        (slot * self.polys + poly) * self.n.div_ceil(64)
+    }
+
+    /// Records the `n` result sums of variant `(r, phase)` against
+    /// polynomial `poly`, overwriting what the window held. Returns
+    /// `false` (and stores nothing) when the table was not sized for that
+    /// variant or polynomial — such a window can never be looked up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sums.len() != n`.
+    pub fn store(&mut self, r: usize, phase: usize, poly: usize, sums: &[u64]) -> bool {
+        assert_eq!(sums.len(), self.n, "one sum per coefficient");
+        let Some(class) = self
+            .class(r)
+            .filter(|c| phase < c.len() && poly < self.polys)
+        else {
+            return false;
+        };
+        let window = self.window(class.start + phase, poly);
+        let masks = &self.masks[class];
+        // Coefficient 0 carries window segment `(0 − phase) mod s`.
+        let mut i = (masks.len() - phase) % masks.len();
+        for (word, chunk) in self.bits[window..].iter_mut().zip(sums.chunks(64)) {
+            *word = 0;
+            for (bit, &sum) in chunk.iter().enumerate() {
+                *word |= u64::from(segment_matches(sum, masks[i], self.seg_bits)) << bit;
+                i += 1;
+                if i == masks.len() {
+                    i = 0;
+                }
+            }
+        }
+        true
+    }
+
+    /// Whether the sum of slot `slot` at `(poly, coeff)` was stored and
+    /// matched. `slot` and `coeff` must be in range; `poly` need not be.
+    #[inline]
+    fn hit(&self, slot: usize, poly: usize, coeff: usize) -> bool {
+        poly < self.polys
+            && self.bits[self.window(slot, poly) + coeff / 64] >> (coeff % 64) & 1 == 1
     }
 }
 
-/// Scans the sum table for all matching bit offsets.
+/// Scans the match table for all matching bit offsets of a `k`-bit query
+/// in a `total_bits`-bit database, in ascending order.
 ///
 /// Geometry: bit offset `o = seg_bits * G + r` maps to window segments
 /// `G .. G + s_r`; window segment `i` lives in polynomial
@@ -51,37 +129,54 @@ impl SumTable {
 /// `(r, phase)` with `phase = coeff - i mod s_r` (the phase whose
 /// replicated pattern placed negated-query segment `i` at that
 /// coefficient).
-pub fn generate_indices(
-    classes: &[AlignmentClass],
-    sums: &SumTable,
-    n: usize,
-    seg_bits: usize,
-    total_bits: usize,
-    k: usize,
-) -> Vec<usize> {
+pub fn generate_indices(table: &MatchTable, total_bits: usize, k: usize) -> Vec<usize> {
     let mut matches = Vec::new();
-    if k == 0 || k > total_bits {
+    let (n, seg_bits) = (table.n, table.seg_bits);
+    if k == 0 || k > total_bits || n == 0 || seg_bits == 0 {
         return matches;
     }
-    for o in 0..=(total_bits - k) {
-        let g = o / seg_bits;
-        let r = o % seg_bits;
-        let class = &classes[r];
-        let s = class.window_segs;
-        let ok = (0..s).all(|i| {
-            let global = g + i;
-            let poly = global / n;
-            let coeff = global % n;
-            let phase = (coeff + s - (i % s)) % s;
-            match sums.sum(r, phase, poly, coeff) {
-                Some(sum) => segment_matches(sum, class.masks[i], seg_bits),
-                None => false,
+    let last = total_bits - k;
+    let classes = table.class_base.len() - 1;
+    for r in 0..classes.min(seg_bits).min(last + 1) {
+        let base = table.class_base[r];
+        let s = table.class_base[r + 1] - base;
+        if s == 0 {
+            continue; // a class without window segments tests nothing
+        }
+        // Walk the offsets of class `r` segment by segment, carrying
+        // `(G / n, G % n, G % n mod s)` along: nothing is divided per
+        // offset, and away from a polynomial seam every window segment
+        // reads the same variant, `coeff mod s`.
+        let (mut poly, mut coeff, mut phase) = (0usize, 0usize, 0usize);
+        for g in 0..=(last - r) / seg_bits {
+            let seg = |i: usize| {
+                let (mut p, mut c, mut variant) = (poly, coeff + i, phase);
+                if c >= n {
+                    // Segment `G + i` lies past a polynomial seam.
+                    while c >= n {
+                        c -= n;
+                        p += 1;
+                    }
+                    variant = (c + s - i) % s;
+                }
+                table.hit(base + variant, p, c)
+            };
+            // The middle segment first: the query covers it fully whenever
+            // `s >= 3`, so it turns almost every offset away on a branch
+            // the predictor gets right, where an edge segment with a few
+            // covered bits passes half the time.
+            if seg(s / 2) && (0..s).all(seg) {
+                matches.push(g * seg_bits + r);
             }
-        });
-        if ok {
-            matches.push(o);
+            (coeff, phase) = (coeff + 1, phase + 1);
+            if coeff == n {
+                (poly, coeff, phase) = (poly + 1, 0, 0);
+            } else if phase == s {
+                phase = 0;
+            }
         }
     }
+    matches.sort_unstable();
     matches
 }
 
@@ -93,19 +188,14 @@ mod tests {
 
     /// Computes the plaintext sum table the way the server would (segment
     /// value + negated query segment, mod 2^seg_bits), without encryption.
-    fn plain_sum_table(
-        db: &BitString,
-        query: &BitString,
-        n: usize,
-        seg_bits: usize,
-    ) -> (Vec<AlignmentClass>, SumTable) {
+    fn plain_sum_table(db: &BitString, query: &BitString, n: usize, seg_bits: usize) -> MatchTable {
         let classes = alignment_classes(query, seg_bits);
         let variants = build_variants(&classes, n);
         let polys = db.segment_count(seg_bits).div_ceil(n).max(1);
         let modulus = 1u64 << seg_bits;
-        let mut table = SumTable::new();
+        let mut table = MatchTable::new();
+        table.reset(&classes, seg_bits, polys, n);
         for v in &variants {
-            let mut all = Vec::with_capacity(polys);
             for j in 0..polys {
                 let sums: Vec<u64> = (0..n)
                     .map(|c| {
@@ -113,16 +203,15 @@ mod tests {
                         (d + v.plaintext.coeffs()[c]) % modulus
                     })
                     .collect();
-                all.push(sums);
+                assert!(table.store(v.r, v.phase, j, &sums));
             }
-            table.insert(v.r, v.phase, all);
         }
-        (classes, table)
+        table
     }
 
     fn check(db: &BitString, query: &BitString, n: usize, seg_bits: usize) {
-        let (classes, table) = plain_sum_table(db, query, n, seg_bits);
-        let got = generate_indices(&classes, &table, n, seg_bits, db.len(), query.len());
+        let table = plain_sum_table(db, query, n, seg_bits);
+        let got = generate_indices(&table, db.len(), query.len());
         let expect = db.find_all(query);
         assert_eq!(got, expect, "db len {} query len {}", db.len(), query.len());
     }
@@ -143,8 +232,8 @@ mod tests {
                 break;
             }
             let query = db.slice(off, 11);
-            let (classes, table) = plain_sum_table(&db, &query, 4, 16);
-            let got = generate_indices(&classes, &table, 4, 16, db.len(), query.len());
+            let table = plain_sum_table(&db, &query, 4, 16);
+            let got = generate_indices(&table, db.len(), query.len());
             assert!(got.contains(&off), "offset {off} missing: {got:?}");
             assert_eq!(got, db.find_all(&query), "offset {off}");
         }
@@ -189,8 +278,15 @@ mod tests {
     fn empty_and_oversized_queries_yield_nothing() {
         let db = BitString::from_bytes(&[0xFF; 4]);
         let classes = alignment_classes(&BitString::from_bits(&[true]), 16);
-        let table = SumTable::new();
-        assert!(generate_indices(&classes, &table, 4, 16, db.len(), 0).is_empty());
-        assert!(generate_indices(&classes, &table, 4, 16, db.len(), 999).is_empty());
+        let mut table = MatchTable::new();
+        table.reset(&classes, 16, 1, 4);
+        assert!(generate_indices(&table, db.len(), 0).is_empty());
+        assert!(generate_indices(&table, db.len(), 999).is_empty());
+        // A sized table with no window stored matches nothing either,
+        // and a window it was not sized for is refused.
+        assert!(generate_indices(&table, db.len(), 1).is_empty());
+        assert!(!table.store(0, 1, 0, &[0xFFFF; 4]));
+        assert!(!table.store(0, 0, 1, &[0xFFFF; 4]));
+        assert!(table.store(0, 0, 0, &[0xFFFF; 4]));
     }
 }

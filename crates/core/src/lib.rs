@@ -66,11 +66,11 @@ pub use exec::{
     fan_out, join_all, wait_all, CompletionHandle, ExecOutcome, MatcherGuard, MatcherPool,
     PoolMetrics, WorkerPool,
 };
-pub use index_gen::{generate_indices, SumTable};
+pub use index_gen::{generate_indices, MatchTable};
 pub use matchers::batched::{BatchedDatabase, BatchedEngine};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, SearchResult, VariantSums,
+    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, SearchResult, VariantSums,
 };
 pub use matchers::plain::bitwise_find_all;
 pub use matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};

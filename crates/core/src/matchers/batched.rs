@@ -198,7 +198,7 @@ impl BatchedEngine {
     pub fn find_all<R: Rng + ?Sized>(
         &mut self,
         _enc: &Encryptor<'_>,
-        dec: &Decryptor<'_>,
+        dec: &Decryptor,
         rk: &RelinKey,
         gk: &GaloisKeys,
         db: &BatchedDatabase,

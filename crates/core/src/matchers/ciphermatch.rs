@@ -14,7 +14,7 @@ use rand::Rng;
 
 use crate::api::{MatchError, MatchStats};
 use crate::bits::BitString;
-use crate::index_gen::{generate_indices, SumTable};
+use crate::index_gen::{generate_indices, MatchTable};
 use crate::packing::DensePacking;
 use crate::query::{alignment_classes, build_variants, AlignmentClass};
 
@@ -497,6 +497,11 @@ impl VariantSums {
         self.key
     }
 
+    /// Component `p` of result ciphertext `j`.
+    fn part(&self, j: usize, p: usize) -> &[u64] {
+        &self.arena[(j * self.ct_size + p) * self.n..][..self.n]
+    }
+
     /// Number of result ciphertexts held in the arena.
     pub fn ciphertext_count(&self) -> usize {
         self.arena
@@ -509,7 +514,9 @@ impl VariantSums {
 /// The server's raw search output: one result ciphertext per
 /// (variant, database polynomial) pair (Algorithm 1 lines 10–11),
 /// held as one flat coefficient arena per variant ([`VariantSums`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The default value is the empty result [`CiphermatchEngine::search_into`]
+/// grows on first use.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SearchResult {
     pub(crate) per_variant: Vec<VariantSums>,
     pub(crate) total_bits: usize,
@@ -544,6 +551,36 @@ impl SearchResult {
             k,
             classes,
         }
+    }
+}
+
+/// Reusable working memory of index generation
+/// ([`CiphermatchEngine::generate_indices_with`]): the match table plus
+/// the row and column key products of the batched path. It is capacity,
+/// not a cache: every buffer is rewritten before it is read, so nothing
+/// computed for one result is reused for the next.
+#[derive(Debug, Default)]
+pub struct IndexScratch {
+    table: MatchTable,
+    /// `s·c1[v][0]` per variant.
+    rows: Vec<u64>,
+    /// `s·(c1[0][j] − c1[0][0])` per polynomial.
+    cols: Vec<u64>,
+    /// `c1[0][j] − c1[0][0]` per polynomial, the additivity reference.
+    deltas: Vec<u64>,
+    /// One polynomial of working space: the additivity check, then the
+    /// decrypted sums on their way into the table.
+    line: Vec<u64>,
+    key_muls: u64,
+}
+
+impl IndexScratch {
+    /// Secret-key multiplications the last index generation performed:
+    /// `V + P − 1` on the batched path, one per ciphertext component past
+    /// the first on the per-ciphertext path (plus the batched attempt's,
+    /// when a table failed the additivity check midway).
+    pub fn key_muls(&self) -> u64 {
+        self.key_muls
     }
 }
 
@@ -635,12 +672,7 @@ impl CiphermatchEngine {
     /// allocations per Hom-Add, and the vectorized slice kernels run over
     /// long contiguous spans.
     pub fn search(&mut self, db: &EncryptedDatabase, query: &EncryptedQuery) -> SearchResult {
-        let mut out = SearchResult {
-            per_variant: Vec::new(),
-            total_bits: 0,
-            k: 0,
-            classes: Vec::new(),
-        };
+        let mut out = SearchResult::default();
         self.search_into(db, query, &mut out);
         out
     }
@@ -844,41 +876,159 @@ impl CiphermatchEngine {
     /// Index generation with a decryption capability (the paper's
     /// trusted-controller model, or the client after receiving results):
     /// decrypt sums, compare against the match polynomial under masks, and
-    /// emit matching bit offsets. Decrypts straight out of the flat arenas
-    /// via [`Decryptor::decrypt_slices`] — no ciphertext reassembly.
-    pub fn generate_indices(&self, dec: &Decryptor<'_>, result: &SearchResult) -> Vec<usize> {
-        let mut table = SumTable::new();
+    /// emit matching bit offsets. See [`Self::generate_indices_with`].
+    pub fn generate_indices(&self, dec: &Decryptor, result: &SearchResult) -> Vec<usize> {
+        self.generate_indices_with(dec, result, &mut IndexScratch::default())
+    }
+
+    /// [`Self::generate_indices`] on caller-owned working memory: with a
+    /// scratch that has served a result of the same shape, the returned
+    /// index list is the only allocation.
+    ///
+    /// A CM-SW result table is an outer sum — entry `(v, j)` is
+    /// `query variant v + database polynomial j` — and `s · c1` is linear,
+    /// so `s·c1[v][j] = s·c1[v][0] + s·(c1[0][j] − c1[0][0])`: `V + P − 1`
+    /// key multiplications decrypt all `V × P` entries, each of the rest
+    /// costing two vector additions and a rounding. That path is taken
+    /// only when the table itself proves the structure (every ciphertext
+    /// fresh two-component, every `c1` the sum of its row and column —
+    /// checked as `c1` streams by); anything else decrypts ciphertext by
+    /// ciphertext as [`Self::generate_indices_reference`] does. Nothing
+    /// here outlives the call except `scratch`'s buffers.
+    pub fn generate_indices_with(
+        &self,
+        dec: &Decryptor,
+        result: &SearchResult,
+        scratch: &mut IndexScratch,
+    ) -> Vec<usize> {
+        self.reset_scratch(result, scratch);
+        if !self.fill_table_batched(dec, result, scratch) {
+            Self::fill_table_per_ciphertext(dec, result, scratch);
+        }
+        Self::scan(result, scratch)
+    }
+
+    /// Index generation that decrypts every result ciphertext on its own:
+    /// the fallback of [`Self::generate_indices_with`] for tables that are
+    /// not a two-component outer sum, and the oracle the batched path is
+    /// tested against. One key multiplication per ciphertext component
+    /// past the first — do not optimize.
+    pub fn generate_indices_reference(&self, dec: &Decryptor, result: &SearchResult) -> Vec<usize> {
+        let mut scratch = IndexScratch::default();
+        self.reset_scratch(result, &mut scratch);
+        Self::fill_table_per_ciphertext(dec, result, &mut scratch);
+        Self::scan(result, &scratch)
+    }
+
+    fn reset_scratch(&self, result: &SearchResult, scratch: &mut IndexScratch) {
+        let polys = result
+            .per_variant
+            .iter()
+            .map(VariantSums::ciphertext_count)
+            .max()
+            .unwrap_or(0);
+        scratch.table.reset(
+            &result.classes,
+            self.packing.seg_bits(),
+            polys,
+            self.ctx.params().n,
+        );
+        scratch.key_muls = 0;
+    }
+
+    fn scan(result: &SearchResult, scratch: &IndexScratch) -> Vec<usize> {
+        generate_indices(&scratch.table, result.total_bits, result.k)
+    }
+
+    /// Decrypts the whole table with one key multiplication per row and
+    /// per column. Returns `false` — possibly after partial work — when
+    /// the table is not a two-component outer sum over this ring.
+    fn fill_table_batched(
+        &self,
+        dec: &Decryptor,
+        result: &SearchResult,
+        scratch: &mut IndexScratch,
+    ) -> bool {
+        let n = self.ctx.params().n;
+        let q = self.ctx.rq().modulus();
+        let variants = &result.per_variant;
+        let Some(first) = variants.first() else {
+            return false;
+        };
+        let polys = first.ciphertext_count();
+        let fresh = |v: &VariantSums| v.ct_size == 2 && v.n == n && v.arena.len() == polys * 2 * n;
+        if polys == 0 || !variants.iter().all(fresh) {
+            return false;
+        }
+
+        let IndexScratch {
+            table,
+            rows,
+            cols,
+            deltas,
+            line,
+            key_muls,
+        } = scratch;
+        rows.resize(variants.len() * n, 0);
+        cols.resize(polys * n, 0);
+        deltas.resize(polys * n, 0);
+        line.resize(n, 0);
+        // Rows: s·c1[v][0]. Columns, relative to ciphertext (0, 0):
+        // s·(c1[0][j] − c1[0][0]), zero for j = 0.
+        for (v, row) in variants.iter().zip(rows.chunks_exact_mut(n)) {
+            dec.key_product_into(v.part(0, 1), row);
+        }
+        cols[..n].fill(0);
+        for j in 1..polys {
+            let delta = &mut deltas[j * n..][..n];
+            kernels::sub_slices(q, first.part(j, 1), first.part(0, 1), delta);
+            dec.key_product_into(delta, &mut cols[j * n..][..n]);
+        }
+        *key_muls += (variants.len() + polys - 1) as u64;
+
+        for (i, (v, row)) in variants.iter().zip(rows.chunks_exact(n)).enumerate() {
+            for j in 0..polys {
+                // Row 0 and column 0 define the decomposition; every
+                // other c1 must equal its row plus its column.
+                if i > 0 && j > 0 {
+                    kernels::add_slices(q, v.part(0, 1), &deltas[j * n..][..n], line);
+                    if line[..] != *v.part(j, 1) {
+                        return false;
+                    }
+                }
+                dec.round_phase_into(v.part(j, 0), row, &cols[j * n..][..n], line);
+                table.store(v.key.0, v.key.1, j, line);
+            }
+        }
+        true
+    }
+
+    /// Decrypts every stored result ciphertext on its own, straight out
+    /// of the flat arenas via [`Decryptor::decrypt_slices`].
+    fn fill_table_per_ciphertext(
+        dec: &Decryptor,
+        result: &SearchResult,
+        scratch: &mut IndexScratch,
+    ) {
         for v in &result.per_variant {
             let stride = v.ct_size * v.n;
             if stride == 0 {
-                table.insert(v.key.0, v.key.1, Vec::new());
                 continue;
             }
-            let sums: Vec<Vec<u64>> = v
-                .arena
-                .chunks_exact(stride)
-                .map(|ct| {
-                    let parts: Vec<&[u64]> = ct.chunks_exact(v.n).collect();
-                    dec.decrypt_slices(&parts).coeffs().to_vec()
-                })
-                .collect();
-            table.insert(v.key.0, v.key.1, sums);
+            for (j, ct) in v.arena.chunks_exact(stride).enumerate() {
+                let parts: Vec<&[u64]> = ct.chunks_exact(v.n).collect();
+                let sums = dec.decrypt_slices(&parts);
+                scratch.key_muls += (v.ct_size - 1) as u64;
+                scratch.table.store(v.key.0, v.key.1, j, sums.coeffs());
+            }
         }
-        generate_indices(
-            &result.classes,
-            &table,
-            self.ctx.params().n,
-            self.packing.seg_bits(),
-            result.total_bits,
-            result.k,
-        )
     }
 
     /// Convenience end-to-end search (encrypt query → search → index gen).
     pub fn find_all<R: Rng + ?Sized>(
         &mut self,
         enc: &Encryptor<'_>,
-        dec: &Decryptor<'_>,
+        dec: &Decryptor,
         db: &EncryptedDatabase,
         query: &BitString,
         rng: &mut R,

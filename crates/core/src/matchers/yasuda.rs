@@ -178,7 +178,7 @@ impl YasudaEngine {
     pub fn find_all<R: Rng + ?Sized>(
         &mut self,
         enc: &Encryptor<'_>,
-        dec: &Decryptor<'_>,
+        dec: &Decryptor,
         db: &YasudaDatabase,
         query: &BitString,
         rng: &mut R,
@@ -203,7 +203,7 @@ impl YasudaEngine {
     pub fn find_within_distance<R: Rng + ?Sized>(
         &mut self,
         enc: &Encryptor<'_>,
-        dec: &Decryptor<'_>,
+        dec: &Decryptor,
         db: &YasudaDatabase,
         query: &BitString,
         max_distance: u64,
@@ -230,7 +230,7 @@ impl YasudaEngine {
     /// `max_distance` is not representable below the plaintext modulus.
     pub fn search_prepared(
         &mut self,
-        dec: &Decryptor<'_>,
+        dec: &Decryptor,
         db: &YasudaDatabase,
         q: &YasudaQuery,
         max_distance: u64,

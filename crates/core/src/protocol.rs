@@ -20,7 +20,7 @@ use crate::api::{Backend, ErasedMatcher, MatchError, MatchStats, MatcherConfig};
 use crate::bits::BitString;
 use crate::exec::{wait_all, WorkerPool};
 use crate::matchers::ciphermatch::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, SearchResult,
+    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, SearchResult,
 };
 
 /// Where index generation happens.
@@ -101,26 +101,25 @@ impl Client {
     /// Hands a decryption capability to a trusted controller (the paper's
     /// implicit trust model for in-storage index generation).
     pub fn delegate_index_generation(&self) -> TrustedIndexGenerator {
-        TrustedIndexGenerator {
-            ctx: self.ctx.clone(),
-            sk: self.sk.clone(),
-        }
+        TrustedIndexGenerator::from_secret(&self.ctx, self.sk.clone())
     }
 }
 
 /// The trusted index-generation capability living next to the data
-/// (the SSD controller in CM-IFP). Cloneable so a sharded server can give
-/// every shard worker its own copy.
+/// (the SSD controller in CM-IFP): an engine and a decryptor prepared
+/// once when the key is provisioned, not per query. Cloneable so a
+/// sharded server can give every shard worker its own copy.
 #[derive(Clone)]
 pub struct TrustedIndexGenerator {
-    ctx: BfvContext,
-    sk: SecretKey,
+    params: &'static str,
+    engine: CiphermatchEngine,
+    dec: Decryptor,
 }
 
 impl std::fmt::Debug for TrustedIndexGenerator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TrustedIndexGenerator")
-            .field("params", &self.ctx.params().name)
+            .field("params", &self.params)
             .finish()
     }
 }
@@ -130,16 +129,23 @@ impl TrustedIndexGenerator {
     /// key was provisioned to the controller out of band).
     pub fn from_secret(ctx: &BfvContext, sk: SecretKey) -> Self {
         Self {
-            ctx: ctx.clone(),
-            sk,
+            params: ctx.params().name,
+            engine: CiphermatchEngine::new(ctx),
+            dec: Decryptor::new(ctx, sk),
         }
     }
 
     /// Runs index generation on a search result, returning matching bit
     /// offsets.
     pub fn generate(&self, result: &SearchResult) -> Vec<usize> {
-        let dec = Decryptor::new(&self.ctx, self.sk.clone());
-        CiphermatchEngine::new(&self.ctx).generate_indices(&dec, result)
+        self.engine.generate_indices(&self.dec, result)
+    }
+
+    /// [`Self::generate`] on caller-owned working memory (see
+    /// [`CiphermatchEngine::generate_indices_with`]).
+    pub fn generate_with(&self, result: &SearchResult, scratch: &mut IndexScratch) -> Vec<usize> {
+        self.engine
+            .generate_indices_with(&self.dec, result, scratch)
     }
 }
 

@@ -18,7 +18,7 @@ use crate::bits::BitString;
 
 /// One bit-offset class `r`: the negated query segments and their
 /// don't-care masks for windows starting at `r` within a segment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct AlignmentClass {
     /// Bit offset within a segment (`0 <= r < seg_bits`).
     pub r: usize,
@@ -28,6 +28,26 @@ pub struct AlignmentClass {
     pub neg_segments: Vec<u64>,
     /// Don't-care mask per window segment (1 = not covered by the query).
     pub masks: Vec<u64>,
+}
+
+impl Clone for AlignmentClass {
+    fn clone(&self) -> Self {
+        Self {
+            r: self.r,
+            window_segs: self.window_segs,
+            neg_segments: self.neg_segments.clone(),
+            masks: self.masks.clone(),
+        }
+    }
+
+    /// Field-wise, so a reused search result keeps its segment buffers
+    /// (the derived `clone_from` would reallocate both per class).
+    fn clone_from(&mut self, source: &Self) {
+        self.r = source.r;
+        self.window_segs = source.window_segs;
+        self.neg_segments.clone_from(&source.neg_segments);
+        self.masks.clone_from(&source.masks);
+    }
 }
 
 /// Returns the `seg_bits` alignment classes of a query.

@@ -7,7 +7,7 @@
 use cm_bfv::{BfvContext, BfvParams};
 use cm_core::{
     alignment_classes, bitwise_find_all, build_variants, generate_indices, segment_matches,
-    BitString, DensePacking, MatchError, SumTable, WorkerPool,
+    BitString, DensePacking, MatchError, MatchTable, WorkerPool,
 };
 use proptest::prelude::*;
 
@@ -88,21 +88,20 @@ proptest! {
         let classes = alignment_classes(&q, seg_bits);
         let variants = build_variants(&classes, n);
         let polys = db.segment_count(seg_bits).div_ceil(n).max(1);
-        let mut table = SumTable::new();
+        let mut table = MatchTable::new();
+        table.reset(&classes, seg_bits, polys, n);
         for v in &variants {
-            let sums: Vec<Vec<u64>> = (0..polys)
-                .map(|j| {
-                    (0..n)
-                        .map(|c| {
-                            let d = db.segment_value(j * n + c, seg_bits);
-                            (d + v.plaintext.coeffs()[c]) % (1 << seg_bits)
-                        })
-                        .collect()
-                })
-                .collect();
-            table.insert(v.r, v.phase, sums);
+            for j in 0..polys {
+                let sums: Vec<u64> = (0..n)
+                    .map(|c| {
+                        let d = db.segment_value(j * n + c, seg_bits);
+                        (d + v.plaintext.coeffs()[c]) % (1 << seg_bits)
+                    })
+                    .collect();
+                prop_assert!(table.store(v.r, v.phase, j, &sums));
+            }
         }
-        let got = generate_indices(&classes, &table, n, seg_bits, db.len(), q.len());
+        let got = generate_indices(&table, db.len(), q.len());
         prop_assert_eq!(got, db.find_all(&q));
     }
 }

@@ -72,6 +72,30 @@ impl Modulus {
     /// Reduces an arbitrary `u128` into `[0, q)` using Barrett reduction.
     #[inline]
     pub fn reduce_u128(&self, a: u128) -> u64 {
+        self.div_rem_u128(a).1
+    }
+
+    /// Exact `(floor(a / q), a mod q)` of a `u64` by single-word Barrett
+    /// reduction: `floor(2^64 / q)` under-estimates the quotient by at
+    /// most one — two multiplications and no hardware division.
+    #[inline]
+    pub fn div_rem_u64(&self, a: u64) -> (u64, u64) {
+        // `barrett_hi` is the high word of floor(2^128 / q) = floor(2^64 / q).
+        let quot = ((a as u128 * self.barrett_hi as u128) >> 64) as u64;
+        let r = a - quot * self.value;
+        if r >= self.value {
+            (quot + 1, r - self.value)
+        } else {
+            (quot, r)
+        }
+    }
+
+    /// Exact `(floor(a / q), a mod q)` of an arbitrary `u128` by Barrett
+    /// reduction: the precomputed ratio under-estimates the quotient by
+    /// at most two, and the remainder correction that fixes one fixes
+    /// the other — no hardware division.
+    #[inline]
+    pub fn div_rem_u128(&self, a: u128) -> (u128, u64) {
         // Barrett: approximate quotient via the precomputed 128-bit ratio.
         let lo = a as u64;
         let hi = (a >> 64) as u64;
@@ -87,12 +111,13 @@ impl Modulus {
         let hh = a_hi * r_hi;
         let mid = (ll >> 64) + (lh & 0xFFFF_FFFF_FFFF_FFFF) + (hl & 0xFFFF_FFFF_FFFF_FFFF);
         let top = hh + (lh >> 64) + (hl >> 64) + (mid >> 64);
-        let quot = top;
+        let mut quot = top;
         let mut r = (a.wrapping_sub(quot.wrapping_mul(self.value as u128))) as u64;
         while r >= self.value {
             r -= self.value;
+            quot += 1;
         }
-        r
+        (quot, r)
     }
 
     /// Modular addition of two reduced values.
@@ -391,6 +416,18 @@ mod tests {
         let q = Modulus::new(0xFFF0_0001);
         for a in [0u128, 1, 2, 96, 1 << 64, u128::MAX / 2, u128::MAX] {
             assert_eq!(q.reduce_u128(a), (a % q.value() as u128) as u64, "a={a}");
+            assert_eq!(q.div_rem_u128(a).0, a / q.value() as u128, "a={a}");
+        }
+        for a in [
+            0u64,
+            1,
+            0xFFF0_0000,
+            0xFFF0_0001,
+            0xFFF0_0002,
+            1 << 63,
+            u64::MAX,
+        ] {
+            assert_eq!(q.div_rem_u64(a), (a / q.value(), a % q.value()), "a={a}");
         }
     }
 
@@ -399,6 +436,9 @@ mod tests {
         let q = Modulus::new((1u64 << 62) + 1 + 134);
         for a in [u128::MAX, (1u128 << 125) + 12345, 1u128 << 64] {
             assert_eq!(q.reduce_u128(a), (a % q.value() as u128) as u64);
+        }
+        for a in [q.value() - 1, q.value(), 2 * q.value() - 1, u64::MAX] {
+            assert_eq!(q.div_rem_u64(a), (a / q.value(), a % q.value()), "a={a}");
         }
     }
 
@@ -460,5 +500,7 @@ mod tests {
         let q = Modulus::new(1u64 << 32);
         assert_eq!(q.reduce_u128((1u128 << 64) + 5), 5);
         assert_eq!(q.reduce_u128(u128::MAX), (u128::MAX % (1u128 << 32)) as u64);
+        assert_eq!(q.div_rem_u128((7u128 << 32) + 5), (7, 5));
+        assert_eq!(q.div_rem_u64(u64::MAX), (u64::MAX >> 32, 0xFFFF_FFFF));
     }
 }

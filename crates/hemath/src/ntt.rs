@@ -278,35 +278,66 @@ impl NttTable {
 
     /// Full negacyclic product of two coefficient-domain polynomials.
     pub fn negacyclic_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut fa = a.to_vec();
         let mut fb = b.to_vec();
-        let mut out = vec![0u64; self.n];
-        if self.lazy {
-            // Skip the full-reduction tail of both forwards: the
-            // Barrett point-wise product takes the lazy `[0, 4q)`
-            // values straight back to `[0, q)` (the u128 product of two
-            // sub-`2^64` words cannot overflow).
-            self.forward_lazy(&mut fa);
-            self.forward_lazy(&mut fb);
-            for ((&x, &y), o) in fa.iter().zip(&fb).zip(&mut out) {
-                *o = self.modulus.reduce_u128(x as u128 * y as u128);
-            }
-        } else {
-            self.forward(&mut fa);
-            self.forward(&mut fb);
-            self.pointwise(&fa, &fb, &mut out);
-        }
-        self.inverse(&mut out);
+        self.forward(&mut fb);
+        let mut out = a.to_vec();
+        self.negacyclic_mul_prepared(&mut out, &fb);
         out
+    }
+
+    /// In-place negacyclic product against a pre-transformed operand:
+    /// `a ← a · b`, where `a` is in the coefficient domain and `b_ntt` is
+    /// the [`Self::forward`] transform of `b`. One forward and one
+    /// inverse transform, no allocation — the form to use when the same
+    /// `b` (a key) multiplies many polynomials.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either slice length differs from `n`.
+    pub fn negacyclic_mul_prepared(&self, a: &mut [u64], b_ntt: &[u64]) {
+        assert_eq!(a.len(), self.n, "input length must equal ring degree");
+        assert_eq!(b_ntt.len(), self.n, "operand length must equal ring degree");
+        if self.lazy {
+            // Skip the full-reduction tail of the forward: the Barrett
+            // point-wise product takes the lazy `[0, 4q)` values straight
+            // back to `[0, q)` (the u128 product of two sub-`2^64` words
+            // cannot overflow).
+            self.forward_lazy(a);
+        } else {
+            self.forward_exact(a);
+        }
+        for (x, &y) in a.iter_mut().zip(b_ntt) {
+            *x = self.modulus.reduce_u128(*x as u128 * y as u128);
+        }
+        self.inverse(a);
     }
 }
 
 /// Reference O(n^2) negacyclic multiplication, used to validate the NTT and
 /// as a fallback for non-NTT-friendly moduli.
 pub fn schoolbook_negacyclic_mul(modulus: &Modulus, a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = vec![0u64; a.len()];
+    schoolbook_negacyclic_mul_into(modulus, a, b, &mut out);
+    out
+}
+
+/// [`schoolbook_negacyclic_mul`] into a caller-owned buffer. Zero
+/// coefficients of `a` cost nothing, so pass the sparser operand (a
+/// ternary key) first.
+///
+/// # Panics
+///
+/// Panics if the three lengths differ.
+pub(crate) fn schoolbook_negacyclic_mul_into(
+    modulus: &Modulus,
+    a: &[u64],
+    b: &[u64],
+    out: &mut [u64],
+) {
     let n = a.len();
     assert_eq!(b.len(), n);
-    let mut out = vec![0u64; n];
+    assert_eq!(out.len(), n);
+    out.fill(0);
     for (i, &ai) in a.iter().enumerate() {
         if ai == 0 {
             continue;
@@ -321,7 +352,6 @@ pub fn schoolbook_negacyclic_mul(modulus: &Modulus, a: &[u64], b: &[u64]) -> Vec
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -420,6 +450,26 @@ mod tests {
                 schoolbook_negacyclic_mul(&q, &orig, &b),
                 "negacyclic product (bits={bits})"
             );
+        }
+    }
+
+    #[test]
+    fn prepared_multiply_matches_negacyclic_mul() {
+        // Lazy (30/56-bit) and exact (63-bit) butterflies, in place.
+        let n = 64usize;
+        for bits in [30u32, 56, 63] {
+            let q = Modulus::new(find_ntt_prime(bits, n));
+            let t = NttTable::new(q, n);
+            let a: Vec<u64> = (0..n as u64)
+                .map(|i| (i * 0x51ED + 9) % q.value())
+                .collect();
+            let b: Vec<u64> = (0..n as u64).map(|i| (i * i * 7 + 1) % q.value()).collect();
+            let mut b_ntt = b.clone();
+            t.forward(&mut b_ntt);
+            let mut got = a.clone();
+            t.negacyclic_mul_prepared(&mut got, &b_ntt);
+            assert_eq!(got, t.negacyclic_mul(&a, &b), "bits={bits}");
+            assert_eq!(got, schoolbook_negacyclic_mul(&q, &a, &b), "bits={bits}");
         }
     }
 

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use crate::kernels;
 use crate::modulus::Modulus;
-use crate::ntt::{schoolbook_negacyclic_mul, NttTable};
+use crate::ntt::{schoolbook_negacyclic_mul, schoolbook_negacyclic_mul_into, NttTable};
 
 /// Shared ring description: degree, modulus, and optional NTT tables.
 #[derive(Debug, Clone)]
@@ -25,6 +25,13 @@ pub struct RingContext {
 pub struct Poly {
     coeffs: Vec<u64>,
 }
+
+/// A fixed multiplicand (a key) prepared once by
+/// [`RingContext::prepare`] for many products: its forward NTT when the
+/// ring has tables, its plain coefficients otherwise. Only meaningful to
+/// the ring that prepared it.
+#[derive(Debug, Clone)]
+pub struct PreparedPoly(Vec<u64>);
 
 impl Poly {
     /// Wraps a coefficient vector. Coefficients must already be reduced.
@@ -187,6 +194,54 @@ impl RingContext {
         }
     }
 
+    /// Prepares `b` as the fixed operand of [`Self::mul_prepared`] /
+    /// [`Self::mul_prepared_pair`], transforming it in place.
+    pub fn prepare(&self, b: Poly) -> PreparedPoly {
+        self.check(&b);
+        let mut coeffs = b.into_coeffs();
+        if let Some(t) = &self.ntt {
+            t.forward(&mut coeffs);
+        }
+        PreparedPoly(coeffs)
+    }
+
+    /// `out = a * b` against a prepared `b`: one forward and one inverse
+    /// transform and no allocation, where [`Self::mul_slices`] pays two
+    /// forwards, one inverse and three vectors. Without NTT tables the
+    /// product is schoolbook with `b` as the outer (zero-skipping)
+    /// operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a length differs from the ring degree.
+    pub fn mul_prepared(&self, a: &[u64], b: &PreparedPoly, out: &mut [u64]) {
+        match &self.ntt {
+            Some(t) => {
+                out.copy_from_slice(a);
+                t.negacyclic_mul_prepared(out, &b.0);
+            }
+            None => schoolbook_negacyclic_mul_into(&self.modulus, &b.0, a, out),
+        }
+    }
+
+    /// `out = a * b` of two prepared operands: a point-wise product and
+    /// one inverse transform — what several products sharing the same
+    /// `a` should use, so `a` is transformed once. Without NTT tables
+    /// `a` is the outer (zero-skipping) schoolbook operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a length differs from the ring degree.
+    pub fn mul_prepared_pair(&self, a: &PreparedPoly, b: &PreparedPoly, out: &mut [u64]) {
+        match &self.ntt {
+            Some(t) => {
+                t.pointwise(&a.0, &b.0, out);
+                t.inverse(out);
+            }
+            None => schoolbook_negacyclic_mul_into(&self.modulus, &a.0, &b.0, out),
+        }
+    }
+
     /// Applies the Galois automorphism `x -> x^g` for odd `g`.
     ///
     /// # Panics
@@ -307,6 +362,24 @@ mod tests {
         let a = r.constant(3);
         let b = r.constant(5);
         assert_eq!(r.mul(&a, &b).coeffs()[0], 15);
+    }
+
+    #[test]
+    fn prepared_products_match_ring_mul() {
+        // With NTT tables and on the schoolbook fallback (q = 2^16).
+        for r in [ctx(32), RingContext::new(Modulus::new(1 << 16), 32)] {
+            let q = r.modulus().value();
+            let a = Poly::from_coeffs((0..32u64).map(|i| (i * 977 + 5) % q).collect());
+            let b = Poly::from_coeffs((0..32u64).map(|i| (i * i * 31 + 2) % q).collect());
+            let want = r.mul(&a, &b);
+            let b_prep = r.prepare(b.clone());
+            let mut out = vec![0u64; 32];
+            r.mul_prepared(a.coeffs(), &b_prep, &mut out);
+            assert_eq!(out, want.coeffs());
+            out.fill(7); // stale contents must not leak into the product
+            r.mul_prepared_pair(&r.prepare(a.clone()), &b_prep, &mut out);
+            assert_eq!(out, want.coeffs());
+        }
     }
 
     #[test]

@@ -144,6 +144,13 @@ proptest! {
             let fast = table.negacyclic_mul(&a, &b);
             let slow = schoolbook_negacyclic_mul(&modulus, &a, &b);
             prop_assert_eq!(&fast, &slow, "negacyclic mul, q = {}", q);
+            // The in-place product against a pre-transformed operand is
+            // the same function, on the lazy and the exact butterflies.
+            let mut b_ntt = b.clone();
+            table.forward(&mut b_ntt);
+            let mut prepared = a.clone();
+            table.negacyclic_mul_prepared(&mut prepared, &b_ntt);
+            prop_assert_eq!(&prepared, &fast, "prepared mul, q = {}", q);
         }
     }
 }

@@ -4,25 +4,85 @@
 //! One [`WorkerPool`] with as many long-lived workers as the loaded
 //! database has shards serves *every* search (and, because clones of a
 //! [`crate::ShardedCmMatcher`] share their executor, every pool member of
-//! a tenant). A search submits one job per shard; each job builds a
-//! CM-SW engine over its [`std::sync::Arc`]-shared shard (no ciphertext
-//! copy), runs the `Hom-Add` sweep over *that shard only*, generates
-//! indices with the shared trusted index-generation capability, and
-//! reports them — together with the job's exact [`MatchStats`] — through
-//! its [`cm_core::CompletionHandle`]. The bespoke thread/queue/handle
-//! machinery this module used to carry lives in `cm_core::exec` now,
-//! where sessions, tenants, and the TCP front-end share it.
+//! a tenant). A search submits one job per shard; each job checks a
+//! [`ShardScratch`] out of the executor's free list, runs the `Hom-Add`
+//! sweep over *that shard only* into the scratch's result arenas
+//! ([`CiphermatchEngine::search_into`]), generates indices with the
+//! shared trusted index-generation capability on the scratch's tables,
+//! and reports them — together with the job's exact [`MatchStats`] —
+//! through its [`cm_core::CompletionHandle`]. Once every scratch has
+//! seen the query shape, a job allocates nothing but its index list.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use cm_bfv::BfvContext;
 use cm_core::exec::{CompletionHandle, WorkerPool};
 use cm_core::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, MatchError, MatchStats,
-    TrustedIndexGenerator,
+    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, MatchError, MatchStats,
+    SearchResult, TrustedIndexGenerator,
 };
 
 use crate::shard::ShardedDatabase;
+
+/// Everything one shard job works in, kept between jobs: the engine, the
+/// result arenas of the sweep and the tables of index generation.
+#[derive(Debug)]
+pub struct ShardScratch {
+    engine: CiphermatchEngine,
+    result: SearchResult,
+    index: IndexScratch,
+}
+
+impl ShardScratch {
+    /// An empty scratch; its buffers grow to the first shapes it serves.
+    pub fn new(ctx: &BfvContext) -> Self {
+        Self {
+            engine: CiphermatchEngine::new(ctx),
+            result: SearchResult::default(),
+            index: IndexScratch::default(),
+        }
+    }
+
+    /// One shard job: sweep `shard` with `query`, then generate the
+    /// shard-local indices. The returned statistics are this job's alone.
+    pub fn run(
+        &mut self,
+        shard: &EncryptedDatabase,
+        query: &EncryptedQuery,
+        index_gen: &TrustedIndexGenerator,
+    ) -> (Vec<usize>, MatchStats) {
+        self.engine.reset_stats();
+        self.engine.search_into(shard, query, &mut self.result);
+        let indices = index_gen.generate_with(&self.result, &mut self.index);
+        (indices, self.engine.stats())
+    }
+}
+
+/// What every job of one executor shares: the index-generation
+/// capability and the free list of scratches. A job pops a scratch (or
+/// builds the first one a worker ever needs) and pushes it back when
+/// done, so the list never holds more scratches than the pool has
+/// workers; a job that panics drops its scratch instead.
+struct Shared {
+    ctx: BfvContext,
+    index_gen: TrustedIndexGenerator,
+    free: Mutex<Vec<ShardScratch>>,
+}
+
+impl Shared {
+    fn checkout(&self) -> ShardScratch {
+        // A poisoned list (a panic between lock and unlock, which the
+        // two one-line critical sections cannot cause) only costs reuse.
+        let reused = self.free.lock().ok().and_then(|mut free| free.pop());
+        reused.unwrap_or_else(|| ShardScratch::new(&self.ctx))
+    }
+
+    fn checkin(&self, scratch: ShardScratch) {
+        if let Ok(mut free) = self.free.lock() {
+            free.push(scratch);
+        }
+    }
+}
 
 /// One shard's contribution to a search.
 #[derive(Debug, Clone)]
@@ -59,9 +119,8 @@ impl SearchHandle {
 /// The shard fan-out for one loaded database: `Arc`-shared shards plus a
 /// [`WorkerPool`] sized to the shard count.
 pub struct ShardExecutor {
-    ctx: BfvContext,
     shards: Vec<Arc<EncryptedDatabase>>,
-    index_gen: Arc<TrustedIndexGenerator>,
+    shared: Arc<Shared>,
     pool: WorkerPool,
 }
 
@@ -89,9 +148,12 @@ impl ShardExecutor {
         index_gen: &TrustedIndexGenerator,
     ) -> Result<Self, MatchError> {
         Ok(Self {
-            ctx: ctx.clone(),
             shards: db.shards().to_vec(),
-            index_gen: Arc::new(index_gen.clone()),
+            shared: Arc::new(Shared {
+                ctx: ctx.clone(),
+                index_gen: index_gen.clone(),
+                free: Mutex::new(Vec::new()),
+            }),
             pool: WorkerPool::new(db.shard_count())?,
         })
     }
@@ -99,6 +161,12 @@ impl ShardExecutor {
     /// Number of shards (and pool workers).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Scratches currently parked in the free list — at most one per
+    /// pool worker, however many searches have overlapped.
+    pub fn idle_scratches(&self) -> usize {
+        self.shared.free.lock().map_or(0, |free| free.len())
     }
 
     /// Submits one job per shard for `query`, returning a handle that
@@ -112,17 +180,15 @@ impl ShardExecutor {
             .map(|(i, shard)| {
                 let shard = Arc::clone(shard);
                 let query = Arc::clone(&query);
-                let ctx = self.ctx.clone();
-                let index_gen = Arc::clone(&self.index_gen);
+                let shared = Arc::clone(&self.shared);
                 self.pool.submit(move || {
-                    // A fresh engine per job: its counters start at zero,
-                    // so `stats()` is this job's exact delta.
-                    let mut engine = CiphermatchEngine::new(&ctx);
-                    let result = engine.search(&shard, &query);
+                    let mut scratch = shared.checkout();
+                    let (indices, stats) = scratch.run(&shard, &query, &shared.index_gen);
+                    shared.checkin(scratch);
                     ShardOutcome {
                         shard: i,
-                        indices: index_gen.generate(&result),
-                        stats: engine.stats(),
+                        indices,
+                        stats,
                     }
                 })
             })

@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator, PublicKey, SecretKey};
+use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator, PublicKey};
 use cm_core::{
     Backend, BitString, CiphermatchEngine, EncryptedDatabase, EncryptedQuery, MatchError,
     MatchStats, SecureMatcher,
@@ -52,7 +52,9 @@ impl std::fmt::Debug for IfpDatabase {
 #[derive(Clone)]
 pub struct IfpMatcher {
     ctx: BfvContext,
-    sk: SecretKey,
+    /// Engine and decryptor are prepared once with the keys.
+    engine: CiphermatchEngine,
+    dec: Decryptor,
     pk: PublicKey,
     q_bits: u32,
     geometry: FlashGeometry,
@@ -97,12 +99,13 @@ impl IfpMatcher {
         }
         let ctx = BfvContext::new(params);
         let kg = KeyGenerator::new(&ctx, rng);
-        let sk = kg.secret_key();
+        let dec = Decryptor::new(&ctx, kg.secret_key());
         let pk = kg.public_key(rng);
         let q_bits = 64 - ctx.params().q.leading_zeros();
         Ok(Self {
+            engine: CiphermatchEngine::new(&ctx),
+            dec,
             ctx,
-            sk,
             pk,
             q_bits,
             geometry,
@@ -134,10 +137,6 @@ impl IfpMatcher {
     pub fn query_kit(&self) -> QueryKit {
         QueryKit::new(self.ctx.clone(), self.pk.clone())
     }
-
-    fn engine(&self) -> CiphermatchEngine {
-        CiphermatchEngine::new(&self.ctx)
-    }
 }
 
 impl SecureMatcher for IfpMatcher {
@@ -158,7 +157,7 @@ impl SecureMatcher for IfpMatcher {
             return Err(MatchError::InvalidConfig("cannot serve an empty database"));
         }
         let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        let db = self.engine().encrypt_database(&enc, data, rng);
+        let db = self.engine.encrypt_database(&enc, data, rng);
         let bytes = db.byte_size(self.q_bits) as u64;
         let server = CmIfpServer::new(&self.ctx, self.geometry.clone(), self.mode, &db);
         Ok(IfpDatabase {
@@ -178,14 +177,14 @@ impl SecureMatcher for IfpMatcher {
             return Err(MatchError::EmptyQuery);
         }
         let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        Ok(self.engine().prepare_query(&enc, query, rng))
+        Ok(self.engine.prepare_query(&enc, query, rng))
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
         Ok(EncryptedQuery::decode_validated(
             encoded,
             self.ctx.params().n,
-            self.engine().packing().seg_bits(),
+            self.engine.packing().seg_bits(),
             self.ctx.params().q,
         )?)
     }
@@ -205,8 +204,7 @@ impl SecureMatcher for IfpMatcher {
         // the same count CM-SW's software sweep reports.
         self.stats.hom_adds += (reports.len() * db.poly_count) as u64;
         self.stats.flash_wear += reports.iter().map(|r| r.ledger.wear()).sum::<u64>();
-        let dec = Decryptor::new(&self.ctx, self.sk.clone());
-        Ok(self.engine().generate_indices(&dec, &result))
+        Ok(self.engine.generate_indices(&self.dec, &result))
     }
 
     fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
@@ -222,7 +220,7 @@ impl SecureMatcher for IfpMatcher {
         db.validate(
             self.ctx.params().n,
             self.ctx.params().q,
-            self.engine().packing().bits_per_poly(),
+            self.engine.packing().bits_per_poly(),
         )?;
         if db.total_bits() == 0 {
             return Err(MatchError::InvalidConfig("cannot serve an empty database"));
@@ -356,7 +354,7 @@ mod tests {
             .unwrap();
         let small = EncryptedDatabase::decode(&seeded.export_database().unwrap()).unwrap();
         let cts = vec![small.ciphertexts()[0].clone(); polys];
-        let bits_per_poly = matcher.engine().packing().bits_per_poly();
+        let bits_per_poly = matcher.engine.packing().bits_per_poly();
         let big = EncryptedDatabase::from_ciphertexts(cts, polys * bits_per_poly);
         let encoded = big.encode(matcher.q_bits);
         assert!(matches!(

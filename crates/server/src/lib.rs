@@ -97,7 +97,7 @@ pub mod wire;
 mod telemetry;
 
 pub use client::{MatchClient, MatchReply, TenantAccess};
-pub use executor::{SearchHandle, ShardExecutor, ShardOutcome};
+pub use executor::{SearchHandle, ShardExecutor, ShardOutcome, ShardScratch};
 pub use ifp::{IfpDatabase, IfpMatcher};
 pub use kit::QueryKit;
 pub use secrecy::{keys_match, tags_match};
