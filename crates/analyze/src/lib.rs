@@ -326,7 +326,7 @@ fn rule_exec_threads(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<V
                 rule: RULE_EXEC_THREADS,
                 message: format!(
                     "raw `std::thread::{}` outside `cm_core::exec` — route concurrency \
-                     through the shared work-pool runtime (`WorkerPool`, `fan_out`, `join_all`)",
+                     through the shared work-pool runtime (`WorkerPool`, `compute_pool`, `fan_out`)",
                     tokens[i + 2].text
                 ),
                 waived: None,

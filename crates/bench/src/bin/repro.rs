@@ -614,7 +614,7 @@ fn case_studies() {
     let config = MatcherConfig::new(Backend::Ciphermatch)
         .bfv_params(BfvParams::ciphermatch_1024())
         .seed(72)
-        .threads(4);
+        .threads(4); // the session's batch width; each worker searches serially
     let mut session = MatchSession::new(&config).expect("valid config");
     session.load_database(&bits).expect("database encrypts");
     let keys = kv.sample_queries(100, &mut rng);

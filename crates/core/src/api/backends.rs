@@ -19,9 +19,10 @@ use crate::api::{Backend, MatchError, MatchStats, SecureMatcher};
 use crate::bits::BitString;
 use crate::matchers::batched::{BatchedDatabase, BatchedEngine};
 use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
-use crate::matchers::ciphermatch::{CiphermatchEngine, EncryptedDatabase, EncryptedQuery};
+use crate::matchers::ciphermatch::{EncryptedDatabase, EncryptedQuery, ShardScratch};
 use crate::matchers::plain::bitwise_find_all;
 use crate::matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
+use crate::protocol::TrustedIndexGenerator;
 
 /// The BFV key bundle shared by the three BFV-based adapters: context,
 /// key pair, and the modulus width used for footprint accounting.
@@ -69,32 +70,28 @@ fn merged(engine_stats: MatchStats, extra: &MatchStats) -> MatchStats {
 
 /// CM-SW behind the unified API: dense packing, `Hom-Add`-only search,
 /// arbitrary query lengths and bit offsets (the paper's contribution).
+///
+/// A query runs the served CM-SW job ([`ShardScratch::run_pooled`]) over
+/// the whole database, inline on the calling thread; intra-query
+/// parallelism is what polynomial-range shards are for
+/// (`cm_server::ShardedCmMatcher`).
 #[derive(Debug, Clone)]
 pub struct CiphermatchMatcher {
     keys: BfvKeys,
-    engine: CiphermatchEngine,
-    threads: usize,
-    extra: MatchStats,
+    /// The engine and the prepared decryptor, as the served job takes them.
+    index_gen: TrustedIndexGenerator,
+    stats: MatchStats,
 }
 
 impl CiphermatchMatcher {
-    /// Generates keys and an engine for `params`; `threads > 1` runs the
-    /// `Hom-Add` sweep on that many scoped worker threads.
-    pub fn new<R: Rng + ?Sized>(
-        params: BfvParams,
-        threads: usize,
-        rng: &mut R,
-    ) -> Result<Self, MatchError> {
-        if threads == 0 {
-            return Err(MatchError::InvalidConfig("threads must be positive"));
-        }
+    /// Generates keys and an engine for `params`.
+    pub fn new<R: Rng + ?Sized>(params: BfvParams, rng: &mut R) -> Self {
         let keys = BfvKeys::generate(params, rng);
-        Ok(Self {
-            engine: CiphermatchEngine::new(&keys.ctx),
+        Self {
+            index_gen: TrustedIndexGenerator::from_secret(&keys.ctx, keys.sk.clone()),
             keys,
-            threads,
-            extra: MatchStats::default(),
-        })
+            stats: MatchStats::default(),
+        }
     }
 }
 
@@ -113,7 +110,8 @@ impl SecureMatcher for CiphermatchMatcher {
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
         Ok(self
-            .engine
+            .index_gen
+            .engine()
             .encrypt_database(&self.keys.encryptor(), data, rng))
     }
 
@@ -126,7 +124,8 @@ impl SecureMatcher for CiphermatchMatcher {
             return Err(MatchError::EmptyQuery);
         }
         Ok(self
-            .engine
+            .index_gen
+            .engine()
             .prepare_query(&self.keys.encryptor(), query, rng))
     }
 
@@ -136,20 +135,17 @@ impl SecureMatcher for CiphermatchMatcher {
         query: &Self::Query,
         _rng: &mut R,
     ) -> Result<Vec<usize>, MatchError> {
-        self.extra.bytes_moved += query.byte_size(self.keys.q_bits) as u64;
-        let result = if self.threads > 1 {
-            self.engine.search_parallel(db, query, self.threads)?
-        } else {
-            self.engine.search(db, query)
-        };
-        Ok(self.engine.generate_indices(self.keys.decryptor(), &result))
+        self.stats.bytes_moved += query.byte_size(self.keys.q_bits) as u64;
+        let (indices, swept) = ShardScratch::run_pooled(db, query, &self.index_gen);
+        self.stats.merge(&swept);
+        Ok(indices)
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
         Ok(EncryptedQuery::decode_validated(
             encoded,
             self.keys.ctx.params().n,
-            self.engine.packing().seg_bits(),
+            self.index_gen.engine().packing().seg_bits(),
             self.keys.ctx.params().q,
         )?)
     }
@@ -163,7 +159,7 @@ impl SecureMatcher for CiphermatchMatcher {
         db.validate(
             self.keys.ctx.params().n,
             self.keys.ctx.params().q,
-            self.engine.packing().bits_per_poly(),
+            self.index_gen.engine().packing().bits_per_poly(),
         )?;
         Ok(db)
     }
@@ -173,12 +169,11 @@ impl SecureMatcher for CiphermatchMatcher {
     }
 
     fn stats(&self) -> MatchStats {
-        merged(self.engine.stats(), &self.extra)
+        self.stats
     }
 
     fn reset_stats(&mut self) {
-        self.engine.reset_stats();
-        self.extra = MatchStats::default();
+        self.stats = MatchStats::default();
     }
 }
 

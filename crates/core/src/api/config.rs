@@ -163,13 +163,16 @@ impl MatcherConfig {
         self
     }
 
-    /// Number of scoped worker threads used for one search when the
-    /// matcher is built directly via [`Self::build`] (CM-SW's parallel
-    /// `Hom-Add` sweep, Boolean window fan-out).
-    /// [`crate::MatchSession::new`] instead spends this same budget on
-    /// per-query fan-out — its workers search serially — so the total
-    /// number of concurrent search threads is always bounded by this one
-    /// value.
+    /// Thread budget, read by two things only: a directly built
+    /// ([`Self::build`]) Boolean matcher fans one search's TFHE windows
+    /// out over this many scoped threads, and [`crate::MatchSession::new`]
+    /// instead spends the same budget on per-query fan-out (its workers
+    /// search serially), so concurrent search threads are bounded by this
+    /// one value either way. No other backend reads it. In particular it
+    /// does not apply to CM-SW: a hosted Ciphermatch query runs inline on
+    /// the calling thread, and CM-SW's one intra-query parallel mechanism
+    /// is polynomial-range shards on the process-wide
+    /// [`crate::exec::compute_pool`], sized to the machine.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -246,9 +249,8 @@ impl MatcherConfig {
             Backend::Ciphermatch => erase(
                 CiphermatchMatcher::new(
                     bfv(BfvParams::ciphermatch_1024, BfvParams::insecure_test_add),
-                    self.threads,
                     &mut rng,
-                )?,
+                ),
                 self.seed,
             ),
             Backend::Yasuda => erase(

@@ -9,6 +9,9 @@
 //!
 //! * [`WorkerPool`] — N long-lived worker threads behind one mpsc job
 //!   queue, graceful drain-then-join shutdown on drop;
+//! * [`compute_pool`] — the one process-wide pool, one worker per core,
+//!   that every CM-SW shard job of every loaded database runs on, so a
+//!   process's thread count does not grow with its tenants;
 //! * [`CompletionHandle`] — a future-without-async for one submitted job:
 //!   block on [`CompletionHandle::wait`], poll with
 //!   [`CompletionHandle::is_finished`], or drop it to detach the job;
@@ -25,7 +28,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -178,11 +181,13 @@ pub fn wait_all<T>(handles: Vec<CompletionHandle<T>>) -> Result<Vec<T>, MatchErr
 /// `f` on each chunk concurrently, returning the per-chunk results in
 /// chunk order.
 ///
-/// This is the runtime's primitive for data-parallel sweeps over
-/// *borrowed* state (an encrypted database, an evaluator, key material):
+/// This is the runtime's primitive for compute-bound fan-out over
+/// *borrowed* state (the Boolean backend's TFHE windows, its only user):
 /// such jobs cannot ride the `'static` [`WorkerPool`] queue, so this is
 /// the one blessed home for scoped threads — every other module submits
-/// to a pool or calls this.
+/// to a pool or calls this. CM-SW does not come here: its Hom-Add sweep
+/// is memory-bound and parallelises by polynomial-range shards on the
+/// [`compute_pool`].
 ///
 /// `workers == 1` (or a single chunk) runs inline on the caller's
 /// thread.
@@ -212,28 +217,6 @@ pub fn fan_out<I: Sync, T: Send>(
             .chunks(chunk)
             .map(|part| scope.spawn(move || f(part)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| MatchError::WorkerPanicked))
-            .collect()
-    })
-}
-
-/// Runs a batch of heterogeneous borrowed closures concurrently and
-/// returns their results in submission order — the scoped sibling of
-/// [`wait_all`] for one-shot fan-outs whose tasks capture non-`'static`
-/// state and do different things (e.g. an example driving several
-/// tenants at once).
-///
-/// # Errors
-///
-/// [`MatchError::WorkerPanicked`] if any task panicked (the rest still
-/// run to completion).
-pub fn join_all<'env, T: Send>(
-    tasks: Vec<Box<dyn FnOnce() -> T + Send + 'env>>,
-) -> Result<Vec<T>, MatchError> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks.into_iter().map(|task| scope.spawn(task)).collect();
         handles
             .into_iter()
             .map(|h| h.join().map_err(|_| MatchError::WorkerPanicked))
@@ -436,6 +419,28 @@ fn worker_loop(queue: &Queue) {
         };
         job(); // panics are caught inside the job wrapper
     }
+}
+
+// ---------------------------------------------------------------------------
+// The compute pool
+// ---------------------------------------------------------------------------
+
+/// Worker count of the [`compute_pool`]: the machine's available
+/// parallelism, read once. There is no option to set it — CM-SW's
+/// Hom-Add stream is memory-bound, so more workers than cores buy
+/// nothing.
+pub(crate) fn compute_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The process-wide compute pool, started on first use and alive until
+/// the process exits: every sharded CM-SW search of every loaded database
+/// submits its per-shard jobs here, so loading a database spawns no
+/// threads. Jobs must not wait on other jobs of this pool.
+pub fn compute_pool() -> &'static WorkerPool {
+    static POOL: OnceLock<WorkerPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkerPool::new(compute_workers()).expect("available parallelism >= 1"))
 }
 
 // ---------------------------------------------------------------------------

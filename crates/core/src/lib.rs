@@ -63,14 +63,15 @@ pub use api::{
 };
 pub use bits::BitString;
 pub use exec::{
-    fan_out, join_all, wait_all, CompletionHandle, ExecOutcome, MatcherGuard, MatcherPool,
+    compute_pool, fan_out, wait_all, CompletionHandle, ExecOutcome, MatcherGuard, MatcherPool,
     PoolMetrics, WorkerPool,
 };
 pub use index_gen::{generate_indices, MatchTable};
 pub use matchers::batched::{BatchedDatabase, BatchedEngine};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, SearchResult, VariantSums,
+    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, SearchResult, ShardScratch,
+    VariantSums,
 };
 pub use matchers::plain::bitwise_find_all;
 pub use matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};

@@ -9,13 +9,14 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use cm_bfv::{BfvContext, Ciphertext, Decryptor, Encryptor, Evaluator};
-use cm_hemath::{kernels, Poly};
+use cm_hemath::kernels;
 use rand::Rng;
 
-use crate::api::{MatchError, MatchStats};
+use crate::api::MatchStats;
 use crate::bits::BitString;
 use crate::index_gen::{generate_indices, MatchTable};
 use crate::packing::DensePacking;
+use crate::protocol::TrustedIndexGenerator;
 use crate::query::{alignment_classes, build_variants, AlignmentClass};
 
 /// The encrypted, densely packed database stored on the server
@@ -457,8 +458,7 @@ impl<'a> Cursor<'a> {
 /// `arena[j * ct_size * n .. (j + 1) * ct_size * n]`, with component
 /// `p` at offset `p * n` inside that window. The flat layout is what
 /// lets the search sweep write every Hom-Add straight into one
-/// allocation and split the arena into disjoint chunks for the
-/// (variant × polynomial-chunk) parallel sweep.
+/// allocation that the next query of the same shape rewrites in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VariantSums {
     /// The variant's `(r, phase)` alignment key.
@@ -667,28 +667,42 @@ impl CiphermatchEngine {
     /// Server-side secure search: one `Hom-Add` per (variant, polynomial).
     /// No multiplications, no rotations — the paper's core claim.
     ///
-    /// The whole sweep for a variant writes into one flat coefficient
-    /// arena ([`VariantSums`]) via [`Evaluator::add_into`]: zero heap
-    /// allocations per Hom-Add, and the vectorized slice kernels run over
-    /// long contiguous spans.
+    /// The allocating one-shot convenience over [`Self::search_into`] for
+    /// library callers and measurements; every serving path runs
+    /// [`ShardScratch::run`] on reused arenas instead.
     pub fn search(&mut self, db: &EncryptedDatabase, query: &EncryptedQuery) -> SearchResult {
         let mut out = SearchResult::default();
         self.search_into(db, query, &mut out);
         out
     }
 
-    /// [`Self::search`] into a caller-owned result: when `out` comes from
-    /// a previous search of the same shape, its arenas are rewritten in
-    /// place and the sweep performs **zero** heap allocations — the
-    /// steady-state serving mode, where a per-query multi-megabyte
-    /// allocate/zero/fault/free cycle would otherwise rival the Hom-Add
-    /// work itself.
+    /// The one CM-SW sweep, into a caller-owned result: the whole sweep
+    /// for a variant writes into one flat coefficient arena
+    /// ([`VariantSums`]) via [`Evaluator::add_into`], so the vectorized
+    /// slice kernels run over long contiguous spans, and when `out` comes
+    /// from a previous search of the same shape its arenas are rewritten
+    /// in place with **zero** heap allocations — a per-query
+    /// multi-megabyte allocate/zero/fault/free cycle would otherwise
+    /// rival the Hom-Add work itself.
     pub fn search_into(
         &mut self,
         db: &EncryptedDatabase,
         query: &EncryptedQuery,
         out: &mut SearchResult,
     ) {
+        let swept = self.sweep(db, query, out);
+        self.stats.merge(&swept);
+    }
+
+    /// [`Self::search_into`] without the engine's counters: returns the
+    /// statistics of this one sweep, so a shared engine can serve it.
+    fn sweep(
+        &self,
+        db: &EncryptedDatabase,
+        query: &EncryptedQuery,
+        out: &mut SearchResult,
+    ) -> MatchStats {
+        let mut stats = MatchStats::default();
         let n = self.ctx.params().n;
         let db_size = db.cts.iter().map(Ciphertext::size).max().unwrap_or(0);
         out.per_variant
@@ -717,160 +731,13 @@ impl CiphermatchEngine {
                 // zero even when the arena is being reused.
                 slot[pair..].fill(0);
             }
-            self.stats.add_time += t0.elapsed();
-            self.stats.hom_adds += db.cts.len() as u64;
+            stats.add_time += t0.elapsed();
+            stats.hom_adds += db.cts.len() as u64;
         }
         out.total_bits = db.total_bits;
         out.k = query.k;
         out.classes.clone_from(&query.classes);
-    }
-
-    /// Parallel variant of [`Self::search`]: the `Hom-Add` sweep is
-    /// embarrassingly parallel (one independent addition per
-    /// (variant, polynomial) pair), which is how CM-SW exploits the SIMD /
-    /// multicore resources the paper's Table 1 credits it with.
-    ///
-    /// Work is split over (variant × polynomial-chunk) tasks — each task
-    /// owns a disjoint window of a variant's result arena — so a single
-    /// wide variant sweep still spreads across every worker instead of
-    /// serializing on the variant axis. Worker panics surface as
-    /// [`MatchError::WorkerPanicked`] instead of tearing down the caller.
-    pub fn search_parallel(
-        &mut self,
-        db: &EncryptedDatabase,
-        query: &EncryptedQuery,
-        threads: usize,
-    ) -> Result<SearchResult, MatchError> {
-        if threads == 0 {
-            return Err(MatchError::InvalidConfig(
-                "at least one search thread required",
-            ));
-        }
-        if db.cts.is_empty() || query.variants.is_empty() {
-            // Nothing to sweep; produce the empty arenas directly.
-            return Ok(self.search(db, query));
-        }
-        let n = self.ctx.params().n;
-        let db_size = db.cts.iter().map(Ciphertext::size).max().unwrap_or(0);
-
-        // Pre-size one arena per variant, then slice each arena into
-        // contiguous polynomial chunks. Aim for ~4 tasks per worker so
-        // uneven chunk costs still balance.
-        let strides: Vec<usize> = query
-            .variants
-            .iter()
-            .map(|v| db_size.max(v.ct.size()) * n)
-            .collect();
-        let mut arenas: Vec<Vec<u64>> = strides
-            .iter()
-            .map(|stride| vec![0u64; db.cts.len() * stride])
-            .collect();
-        let tasks_per_variant = (threads * 4)
-            .div_ceil(query.variants.len())
-            .clamp(1, db.cts.len());
-        let chunk_polys = db.cts.len().div_ceil(tasks_per_variant);
-
-        struct SweepTask<'a> {
-            variant: &'a EncryptedVariant,
-            stride: usize,
-            db_start: usize,
-            out: Mutex<&'a mut [u64]>,
-        }
-
-        let mut tasks = Vec::with_capacity(query.variants.len() * tasks_per_variant);
-        for ((v, arena), &stride) in query.variants.iter().zip(&mut arenas).zip(&strides) {
-            for (c, window) in arena.chunks_mut(chunk_polys * stride).enumerate() {
-                tasks.push(SweepTask {
-                    variant: v,
-                    stride,
-                    db_start: c * chunk_polys,
-                    out: Mutex::new(window),
-                });
-            }
-        }
-
-        let evaluator = &self.evaluator;
-        let t0 = Instant::now();
-        crate::exec::fan_out(&tasks, threads, |chunk| {
-            for task in chunk {
-                let mut out = task
-                    .out
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let dbcts = &db.cts[task.db_start..];
-                for (dbct, slot) in dbcts.iter().zip(out.chunks_exact_mut(task.stride)) {
-                    let pair = dbct.size().max(task.variant.ct.size()) * n;
-                    evaluator.add_into(dbct, &task.variant.ct, &mut slot[..pair]);
-                }
-            }
-        })?;
-        drop(tasks);
-        self.stats.add_time += t0.elapsed();
-        self.stats.hom_adds += (query.variants.len() * db.cts.len()) as u64;
-
-        let per_variant = query
-            .variants
-            .iter()
-            .zip(arenas)
-            .zip(strides)
-            .map(|((v, arena), stride)| VariantSums {
-                key: (v.r, v.phase),
-                arena,
-                ct_size: stride / n,
-                n,
-            })
-            .collect();
-        Ok(SearchResult {
-            per_variant,
-            total_bits: db.total_bits,
-            k: query.k,
-            classes: query.classes.clone(),
-        })
-    }
-
-    /// The scalar-reference search sweep: the pre-vectorization baseline
-    /// kept alive so the `hot_path` benchmark can measure both paths in
-    /// the same run. One fresh heap allocation per (variant, polynomial,
-    /// component) and one branchy [`cm_hemath::Modulus`] reduction per
-    /// coefficient — deliberately boring; do not optimize.
-    pub fn search_reference(
-        &mut self,
-        db: &EncryptedDatabase,
-        query: &EncryptedQuery,
-    ) -> SearchResult {
-        let n = self.ctx.params().n;
-        let modulus = *self.ctx.rq().modulus();
-        let mut per_variant = Vec::with_capacity(query.variants.len());
-        for v in &query.variants {
-            let t0 = Instant::now();
-            let results: Vec<Ciphertext> = db
-                .cts
-                .iter()
-                .map(|dbct| {
-                    let size = dbct.size().max(v.ct.size());
-                    let zero = vec![0u64; n];
-                    let parts: Vec<Poly> = (0..size)
-                        .map(|p| {
-                            let a = dbct.parts().get(p).map_or(&zero[..], |x| x.coeffs());
-                            let b = v.ct.parts().get(p).map_or(&zero[..], |x| x.coeffs());
-                            let mut out = vec![0u64; n];
-                            kernels::scalar_ref::add_slices(&modulus, a, b, &mut out);
-                            Poly::from_coeffs(out)
-                        })
-                        .collect();
-                    Ciphertext::from_parts(parts)
-                })
-                .collect();
-            self.stats.add_time += t0.elapsed();
-            self.stats.hom_adds += db.cts.len() as u64;
-            per_variant.push(VariantSums::from_cts((v.r, v.phase), &results));
-        }
-        SearchResult {
-            per_variant,
-            total_bits: db.total_bits,
-            k: query.k,
-            classes: query.classes.clone(),
-        }
+        stats
     }
 
     /// Index generation with a decryption capability (the paper's
@@ -1039,10 +906,72 @@ impl CiphermatchEngine {
     }
 }
 
+/// Everything one served CM-SW job works in, kept between jobs: the
+/// result arenas of the sweep and the tables of index generation. It is
+/// capacity, not state — every buffer is rewritten before it is read —
+/// so a scratch that served one parameter set is safe for any other.
+#[derive(Debug, Default)]
+pub struct ShardScratch {
+    result: SearchResult,
+    index: IndexScratch,
+}
+
+/// Scratches parked between jobs, process-wide: at most one per
+/// worker of [`crate::exec::compute_pool`], so retained
+/// memory is bounded by cores, not by tenants, pool members or
+/// executors.
+static FREE_SCRATCHES: Mutex<Vec<ShardScratch>> = Mutex::new(Vec::new());
+
+impl ShardScratch {
+    /// The way a CM-SW query executes on every serving path: sweep
+    /// `shard` (a whole database, or one polynomial-range shard of it)
+    /// with `query`, then generate the shard-local indices with
+    /// `index_gen`. The returned statistics are this job's alone. Once
+    /// the scratch has seen the shape, the index list is the only
+    /// allocation.
+    pub fn run(
+        &mut self,
+        shard: &EncryptedDatabase,
+        query: &EncryptedQuery,
+        index_gen: &TrustedIndexGenerator,
+    ) -> (Vec<usize>, MatchStats) {
+        let stats = index_gen.engine().sweep(shard, query, &mut self.result);
+        let indices = index_gen.generate_with(&self.result, &mut self.index);
+        (indices, stats)
+    }
+
+    /// [`Self::run`] on a scratch from the process-wide free list (or a
+    /// fresh one when none is parked), checked back in afterwards unless
+    /// the list is full. A job that panics drops its scratch instead.
+    pub fn run_pooled(
+        shard: &EncryptedDatabase,
+        query: &EncryptedQuery,
+        index_gen: &TrustedIndexGenerator,
+    ) -> (Vec<usize>, MatchStats) {
+        // A poisoned list (a panic inside a one-line critical section,
+        // which neither can cause) only costs reuse.
+        let parked = FREE_SCRATCHES.lock().ok().and_then(|mut free| free.pop());
+        let mut scratch = parked.unwrap_or_default();
+        let out = scratch.run(shard, query, index_gen);
+        if let Ok(mut free) = FREE_SCRATCHES.lock() {
+            if free.len() < crate::exec::compute_workers() {
+                free.push(scratch);
+            }
+        }
+        out
+    }
+
+    /// Scratches currently parked in the process-wide free list.
+    pub fn parked() -> usize {
+        FREE_SCRATCHES.lock().map_or(0, |free| free.len())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use cm_bfv::{BfvParams, KeyGenerator};
+    use cm_hemath::Poly;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1101,40 +1030,49 @@ mod tests {
         // server loop ran adds exactly once per (variant, polynomial).
     }
 
-    #[test]
-    fn parallel_search_equals_serial() {
-        let f = Fixture::new();
-        let mut rng = StdRng::seed_from_u64(888);
-        let (sk, pk) = {
-            let kg = KeyGenerator::new(&f.ctx, &mut rng);
-            (kg.secret_key(), kg.public_key(&mut rng))
-        };
-        let enc = Encryptor::new(&f.ctx, pk);
-        let dec = Decryptor::new(&f.ctx, sk);
-        let mut engine = CiphermatchEngine::new(&f.ctx);
-        let data = BitString::from_ascii("parallel additions across worker threads");
-        let db = engine.encrypt_database(&enc, &data, &mut rng);
-        let pattern = BitString::from_ascii("worker");
-        let query = engine.prepare_query(&enc, &pattern, &mut rng);
-        let serial = engine.search(&db, &query);
-        for threads in [1usize, 2, 4, 7] {
-            let mut parallel = engine
-                .search_parallel(&db, &query, threads)
-                .expect("parallel search");
-            // Thread interleaving may permute variant order; normalize.
-            parallel.per_variant.sort_by_key(|v| v.key);
-            let mut expect = serial.clone();
-            expect.per_variant.sort_by_key(|v| v.key);
-            assert_eq!(parallel, expect, "threads = {threads}");
-            assert_eq!(
-                engine.generate_indices(&dec, &parallel),
-                data.find_all(&pattern)
-            );
+    /// The scalar-reference search sweep: the pre-vectorization baseline
+    /// kept as the oracle of `reference_sweep_equals_vectorized_sweep`.
+    /// One fresh heap allocation per (variant, polynomial, component) and
+    /// one branchy [`cm_hemath::Modulus`] reduction per coefficient —
+    /// deliberately boring; do not optimize.
+    fn search_reference(
+        engine: &CiphermatchEngine,
+        db: &EncryptedDatabase,
+        query: &EncryptedQuery,
+    ) -> SearchResult {
+        let n = engine.ctx.params().n;
+        let modulus = *engine.ctx.rq().modulus();
+        let zero = vec![0u64; n];
+        let per_variant = query
+            .variants
+            .iter()
+            .map(|v| {
+                let results: Vec<Ciphertext> = db
+                    .cts
+                    .iter()
+                    .map(|dbct| {
+                        let size = dbct.size().max(v.ct.size());
+                        let parts: Vec<Poly> = (0..size)
+                            .map(|p| {
+                                let a = dbct.parts().get(p).map_or(&zero[..], |x| x.coeffs());
+                                let b = v.ct.parts().get(p).map_or(&zero[..], |x| x.coeffs());
+                                let mut out = vec![0u64; n];
+                                kernels::scalar_ref::add_slices(&modulus, a, b, &mut out);
+                                Poly::from_coeffs(out)
+                            })
+                            .collect();
+                        Ciphertext::from_parts(parts)
+                    })
+                    .collect();
+                VariantSums::from_cts((v.r, v.phase), &results)
+            })
+            .collect();
+        SearchResult {
+            per_variant,
+            total_bits: db.total_bits,
+            k: query.k,
+            classes: query.classes.clone(),
         }
-        assert!(matches!(
-            engine.search_parallel(&db, &query, 0),
-            Err(MatchError::InvalidConfig(_))
-        ));
     }
 
     #[test]
@@ -1151,7 +1089,7 @@ mod tests {
         let db = engine.encrypt_database(&enc, &data, &mut rng);
         let query = engine.prepare_query(&enc, &BitString::from_ascii("fast"), &mut rng);
         let fast = engine.search(&db, &query);
-        let slow = engine.search_reference(&db, &query);
+        let slow = search_reference(&engine, &db, &query);
         assert_eq!(fast, slow);
     }
 

@@ -107,8 +107,8 @@ impl Client {
 
 /// The trusted index-generation capability living next to the data
 /// (the SSD controller in CM-IFP): an engine and a decryptor prepared
-/// once when the key is provisioned, not per query. Cloneable so a
-/// sharded server can give every shard worker its own copy.
+/// once when the key is provisioned, not per query. Cloneable so every
+/// pool member of a hosted tenant carries its own copy.
 #[derive(Clone)]
 pub struct TrustedIndexGenerator {
     params: &'static str,
@@ -133,6 +133,12 @@ impl TrustedIndexGenerator {
             engine: CiphermatchEngine::new(ctx),
             dec: Decryptor::new(ctx, sk),
         }
+    }
+
+    /// The engine of the capability's parameter set (it runs the sweep of
+    /// a served job, see [`crate::ShardScratch::run`]).
+    pub(crate) fn engine(&self) -> &CiphermatchEngine {
+        &self.engine
     }
 
     /// Runs index generation on a search result, returning matching bit

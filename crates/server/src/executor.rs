@@ -1,88 +1,27 @@
-//! The shard executor: a thin sharding adapter over the shared
-//! [`cm_core::exec`] work-pool runtime.
+//! The shard executor: a planner over the process-wide compute pool.
 //!
-//! One [`WorkerPool`] with as many long-lived workers as the loaded
-//! database has shards serves *every* search (and, because clones of a
-//! [`crate::ShardedCmMatcher`] share their executor, every pool member of
-//! a tenant). A search submits one job per shard; each job checks a
-//! [`ShardScratch`] out of the executor's free list, runs the `Hom-Add`
-//! sweep over *that shard only* into the scratch's result arenas
-//! ([`CiphermatchEngine::search_into`]), generates indices with the
-//! shared trusted index-generation capability on the scratch's tables,
-//! and reports them — together with the job's exact [`MatchStats`] —
-//! through its [`cm_core::CompletionHandle`]. Once every scratch has
-//! seen the query shape, a job allocates nothing but its index list.
+//! A served CM-SW Match crosses three stages and spawns nothing: a frame
+//! worker decodes it, checks a matcher out of the tenant's pool, and —
+//! through this planner — submits one job per polynomial-range shard to
+//! [`cm_core::compute_pool`], the one pool (one worker per core) shared
+//! by every loaded database. Each job is [`ShardScratch::run_pooled`]:
+//! the `Hom-Add` sweep over *that shard only* into reused result arenas,
+//! then index generation with the shared trusted capability on reused
+//! tables, reported — with the job's exact [`MatchStats`] — through its
+//! [`cm_core::CompletionHandle`]. Shards are where a query's parallelism
+//! comes from: they split sweep *and* index generation, and once the
+//! parked scratches have seen the query shape a job allocates nothing
+//! but its index list. The executor owns no threads, so loading a
+//! database does not change the process's thread count.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use cm_bfv::BfvContext;
-use cm_core::exec::{CompletionHandle, WorkerPool};
+use cm_core::exec::CompletionHandle;
 use cm_core::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, MatchError, MatchStats,
-    SearchResult, TrustedIndexGenerator,
+    EncryptedDatabase, EncryptedQuery, MatchError, MatchStats, ShardScratch, TrustedIndexGenerator,
 };
 
 use crate::shard::ShardedDatabase;
-
-/// Everything one shard job works in, kept between jobs: the engine, the
-/// result arenas of the sweep and the tables of index generation.
-#[derive(Debug)]
-pub struct ShardScratch {
-    engine: CiphermatchEngine,
-    result: SearchResult,
-    index: IndexScratch,
-}
-
-impl ShardScratch {
-    /// An empty scratch; its buffers grow to the first shapes it serves.
-    pub fn new(ctx: &BfvContext) -> Self {
-        Self {
-            engine: CiphermatchEngine::new(ctx),
-            result: SearchResult::default(),
-            index: IndexScratch::default(),
-        }
-    }
-
-    /// One shard job: sweep `shard` with `query`, then generate the
-    /// shard-local indices. The returned statistics are this job's alone.
-    pub fn run(
-        &mut self,
-        shard: &EncryptedDatabase,
-        query: &EncryptedQuery,
-        index_gen: &TrustedIndexGenerator,
-    ) -> (Vec<usize>, MatchStats) {
-        self.engine.reset_stats();
-        self.engine.search_into(shard, query, &mut self.result);
-        let indices = index_gen.generate_with(&self.result, &mut self.index);
-        (indices, self.engine.stats())
-    }
-}
-
-/// What every job of one executor shares: the index-generation
-/// capability and the free list of scratches. A job pops a scratch (or
-/// builds the first one a worker ever needs) and pushes it back when
-/// done, so the list never holds more scratches than the pool has
-/// workers; a job that panics drops its scratch instead.
-struct Shared {
-    ctx: BfvContext,
-    index_gen: TrustedIndexGenerator,
-    free: Mutex<Vec<ShardScratch>>,
-}
-
-impl Shared {
-    fn checkout(&self) -> ShardScratch {
-        // A poisoned list (a panic between lock and unlock, which the
-        // two one-line critical sections cannot cause) only costs reuse.
-        let reused = self.free.lock().ok().and_then(|mut free| free.pop());
-        reused.unwrap_or_else(|| ShardScratch::new(&self.ctx))
-    }
-
-    fn checkin(&self, scratch: ShardScratch) {
-        if let Ok(mut free) = self.free.lock() {
-            free.push(scratch);
-        }
-    }
-}
 
 /// One shard's contribution to a search.
 #[derive(Debug, Clone)]
@@ -116,63 +55,36 @@ impl SearchHandle {
     }
 }
 
-/// The shard fan-out for one loaded database: `Arc`-shared shards plus a
-/// [`WorkerPool`] sized to the shard count.
+/// The shard fan-out for one loaded database: its `Arc`-shared shards
+/// and the index-generation capability every shard job uses.
+#[derive(Debug)]
 pub struct ShardExecutor {
     shards: Vec<Arc<EncryptedDatabase>>,
-    shared: Arc<Shared>,
-    pool: WorkerPool,
-}
-
-impl std::fmt::Debug for ShardExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardExecutor")
-            .field("shards", &self.shards.len())
-            .finish()
-    }
+    index_gen: Arc<TrustedIndexGenerator>,
 }
 
 impl ShardExecutor {
-    /// Builds an executor over `db`'s shards: one pool worker per shard,
-    /// so a single search can saturate every shard at once. Jobs share
-    /// the shards and the index-generation capability by reference
-    /// count — nothing is copied per search.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatchError::InvalidConfig`] for a database with no
-    /// shards (unreachable through [`ShardedDatabase::split`]).
-    pub fn new(
-        ctx: &BfvContext,
-        db: &ShardedDatabase,
-        index_gen: &TrustedIndexGenerator,
-    ) -> Result<Self, MatchError> {
-        Ok(Self {
+    /// Plans searches over `db`'s shards. Jobs share the shards and the
+    /// index-generation capability by reference count — nothing is
+    /// copied per search.
+    pub fn new(db: &ShardedDatabase, index_gen: &TrustedIndexGenerator) -> Self {
+        Self {
             shards: db.shards().to_vec(),
-            shared: Arc::new(Shared {
-                ctx: ctx.clone(),
-                index_gen: index_gen.clone(),
-                free: Mutex::new(Vec::new()),
-            }),
-            pool: WorkerPool::new(db.shard_count())?,
-        })
+            index_gen: Arc::new(index_gen.clone()),
+        }
     }
 
-    /// Number of shards (and pool workers).
+    /// Number of shards, i.e. compute-pool jobs per search.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
-    /// Scratches currently parked in the free list — at most one per
-    /// pool worker, however many searches have overlapped.
-    pub fn idle_scratches(&self) -> usize {
-        self.shared.free.lock().map_or(0, |free| free.len())
-    }
-
-    /// Submits one job per shard for `query`, returning a handle that
-    /// gathers the per-shard outcomes. The query is reference-counted, so
-    /// the fan-out ships pointers, not ciphertext copies.
+    /// Submits one compute-pool job per shard for `query`, returning a
+    /// handle that gathers the per-shard outcomes. The query is
+    /// reference-counted, so the fan-out ships pointers, not ciphertext
+    /// copies.
     pub fn submit(&self, query: Arc<EncryptedQuery>) -> SearchHandle {
+        let pool = cm_core::compute_pool();
         let handles = self
             .shards
             .iter()
@@ -180,11 +92,9 @@ impl ShardExecutor {
             .map(|(i, shard)| {
                 let shard = Arc::clone(shard);
                 let query = Arc::clone(&query);
-                let shared = Arc::clone(&self.shared);
-                self.pool.submit(move || {
-                    let mut scratch = shared.checkout();
-                    let (indices, stats) = scratch.run(&shard, &query, &shared.index_gen);
-                    shared.checkin(scratch);
+                let index_gen = Arc::clone(&self.index_gen);
+                pool.submit(move || {
+                    let (indices, stats) = ShardScratch::run_pooled(&shard, &query, &index_gen);
                     ShardOutcome {
                         shard: i,
                         indices,
@@ -200,8 +110,8 @@ impl ShardExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_bfv::{BfvParams, Encryptor, KeyGenerator};
-    use cm_core::BitString;
+    use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
+    use cm_core::{BitString, CiphermatchEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -223,7 +133,7 @@ mod tests {
         let db = engine.encrypt_database(&enc, &data, &mut rng);
         let sharded = ShardedDatabase::split(&db, bpp, 3, 1).unwrap();
         let index_gen = TrustedIndexGenerator::from_secret(&ctx, sk);
-        let executor = ShardExecutor::new(&ctx, &sharded, &index_gen).unwrap();
+        let executor = ShardExecutor::new(&sharded, &index_gen);
         assert_eq!(executor.shard_count(), 3);
 
         let pattern = data.slice(bpp - 9, 20); // straddles shards 0 and 1

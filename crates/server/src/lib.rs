@@ -9,7 +9,8 @@
 //!
 //! The match-serving subsystem: one process answering encrypted
 //! string-matching queries for many key owners — CM-SW sharded across
-//! worker threads on the host, CM-IFP inside the (simulated) SSD — which
+//! one per-core compute pool on the host, CM-IFP inside the (simulated)
+//! SSD — which
 //! is the deployment the paper's Figure 6 sketches and the ROADMAP's
 //! production north star asks for.
 //!
@@ -19,14 +20,15 @@
 //! * [`ShardPlan`] / [`ShardedDatabase`] — splits one encrypted database
 //!   into [`std::sync::Arc`]-shared polynomial shards with a shard→global
 //!   index remap (overlap tails make boundary-straddling windows exact);
-//! * [`ShardExecutor`] — a [`cm_core::exec::WorkerPool`] with one
-//!   long-lived worker per shard; a search submits one job per shard and
-//!   a [`SearchHandle`] gathers the per-shard [`ShardOutcome`]s;
+//! * [`ShardExecutor`] — a planner that owns no threads: a search
+//!   submits one job per shard to the process-wide
+//!   [`cm_core::compute_pool`] and a [`SearchHandle`] gathers the
+//!   per-shard [`ShardOutcome`]s;
 //! * [`ShardedCmMatcher`] — CM-SW over the executor, implementing
 //!   [`cm_core::ErasedMatcher`] so sharded serving drops into any
 //!   registry, with per-shard [`cm_core::MatchStats`] that sum to the
-//!   matcher total; clones share the executor, so a tenant pool of K
-//!   clones costs K key copies, not K×shards threads;
+//!   matcher total; loading a database spawns nothing, so the process's
+//!   thread count is independent of how many tenants it hosts;
 //! * [`IfpMatcher`] — the paper's in-flash engine
 //!   ([`cm_ssd::CmIfpServer`]) behind [`cm_core::SecureMatcher`],
 //!   registered *from this crate* so the `cm_core`↔`cm_ssd` dependency
@@ -97,7 +99,7 @@ pub mod wire;
 mod telemetry;
 
 pub use client::{MatchClient, MatchReply, TenantAccess};
-pub use executor::{SearchHandle, ShardExecutor, ShardOutcome, ShardScratch};
+pub use executor::{SearchHandle, ShardExecutor, ShardOutcome};
 pub use ifp::{IfpDatabase, IfpMatcher};
 pub use kit::QueryKit;
 pub use secrecy::{keys_match, tags_match};

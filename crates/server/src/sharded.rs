@@ -3,12 +3,13 @@
 //! [`ShardedCmMatcher`] is the serving-grade version of
 //! [`cm_core::CiphermatchMatcher`]: loading a database splits it into
 //! [`Arc`]-shared polynomial shards ([`crate::ShardedDatabase`]) and
-//! builds a [`crate::ShardExecutor`] — a [`cm_core::exec::WorkerPool`]
-//! with one long-lived worker per shard, shared by every clone of this
-//! matcher. A search submits one job per shard and merges the remapped
-//! per-shard index lists, so one query's `Hom-Add` sweep runs on all
-//! shards in parallel and per-shard [`MatchStats`] stay separately
-//! attributable (their field-wise sum is the matcher total).
+//! plans them with a [`crate::ShardExecutor`], shared by every clone of
+//! this matcher. A search submits one job per shard to the process-wide
+//! [`cm_core::compute_pool`] and merges the remapped per-shard index
+//! lists, so one query's `Hom-Add` sweep *and* index generation run on
+//! all shards in parallel — shards are CM-SW's one intra-query parallel
+//! mechanism — and per-shard [`MatchStats`] stay separately attributable
+//! (their field-wise sum is the matcher total).
 
 use std::sync::Arc;
 
@@ -26,17 +27,16 @@ use crate::shard::ShardedDatabase;
 
 /// A loaded database: the shard split, its executor, and bookkeeping.
 /// The executor is reference-counted so [`ErasedMatcher::boxed_clone`]
-/// shares one worker pool (and its threads) across every clone — a
-/// tenant's matcher pool of K clones costs K key copies, not K×shards
-/// threads.
+/// shares the shards and the index-generation capability across every
+/// clone — a tenant's matcher pool of K clones costs K key copies.
 struct Loaded {
     db: ShardedDatabase,
     executor: Arc<ShardExecutor>,
     bytes: u64,
 }
 
-/// CM-SW with a sharded, thread-per-shard execution engine, implementing
-/// [`ErasedMatcher`] directly so it drops into any registry or
+/// CM-SW with sharded execution on the process-wide compute pool,
+/// implementing [`ErasedMatcher`] directly so it drops into any registry or
 /// [`cm_core::MatchSession`].
 pub struct ShardedCmMatcher {
     ctx: BfvContext,
@@ -62,7 +62,7 @@ impl std::fmt::Debug for ShardedCmMatcher {
 
 impl ShardedCmMatcher {
     /// Generates keys and configures the shard layout: at most `shards`
-    /// workers, each holding one polynomial of overlap (supporting queries
+    /// shards, each holding one polynomial of overlap (supporting queries
     /// up to one polynomial's worth of bits; widen with
     /// [`Self::with_overlap`]).
     ///
@@ -170,7 +170,7 @@ impl ErasedMatcher for ShardedCmMatcher {
             self.overlap_polys,
         )?;
         let index_gen = TrustedIndexGenerator::from_secret(&self.ctx, self.sk.clone());
-        let executor = Arc::new(ShardExecutor::new(&self.ctx, &sharded, &index_gen)?);
+        let executor = Arc::new(ShardExecutor::new(&sharded, &index_gen));
         self.per_shard = vec![MatchStats::default(); sharded.shard_count()];
         self.loaded = Some(Loaded {
             db: sharded,
@@ -243,9 +243,9 @@ impl ErasedMatcher for ShardedCmMatcher {
     }
 
     fn boxed_clone(&self) -> Box<dyn ErasedMatcher> {
-        // Clones share the Arc'd shards *and* the executor's worker pool:
-        // concurrent searches from many clones interleave their per-shard
-        // jobs on one set of long-lived shard workers.
+        // Clones share the Arc'd shards and the executor: concurrent
+        // searches from many clones interleave their per-shard jobs on
+        // the compute pool.
         let loaded = self.loaded.as_ref().map(|l| Loaded {
             db: l.db.clone(),
             executor: Arc::clone(&l.executor),

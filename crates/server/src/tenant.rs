@@ -13,6 +13,16 @@
 //! [`cm_core::ExecOutcome`] instead of a racy reset/read delta on one
 //! shared matcher behind a mutex.
 //!
+//! That checkout is the middle of a Match's three stages: a frame-pool
+//! worker (`crate::server`) decodes the request and blocks here for a
+//! matcher; the matcher then either runs the query inline on that same
+//! thread (every hosted backend, CM-SW's [`cm_core::CiphermatchMatcher`]
+//! included) or — [`crate::ShardedCmMatcher`] — submits one job per
+//! polynomial-range shard to the process-wide [`cm_core::compute_pool`].
+//! Nothing is spawned per query and no tenant owns threads: the
+//! registry's only pool of its own is the two-worker `builders` pool,
+//! which bounds concurrent rebuilds and never runs a query.
+//!
 //! ## The two tiers and the memory budget
 //!
 //! The registry accounts every tenant database against a configurable
@@ -689,10 +699,8 @@ impl TenantRegistry {
         if id.is_empty() || id.len() > crate::wire::MAX_TENANT_ID {
             return Err(MatchError::InvalidConfig("tenant id length out of range"));
         }
-        if spec.workers == 0 || spec.workers > crate::wire::MAX_TENANT_WORKERS {
-            return Err(MatchError::InvalidConfig(
-                "tenant worker count out of range",
-            ));
+        if let Some(why) = spec.out_of_range() {
+            return Err(MatchError::InvalidConfig(why));
         }
         // Full authorization at the commit boundary: the tag must bind
         // exactly these bytes' length, this spec, and this payload

@@ -376,7 +376,10 @@ pub struct TenantSpec {
     pub seed: u64,
     /// Query window in bits (window-bound backends).
     pub window: u32,
-    /// Per-search worker threads.
+    /// [`cm_core::MatcherConfig::threads`]: the Boolean backend's
+    /// per-search window fan-out, in `1..=`[`MAX_TENANT_WORKERS`]. It
+    /// does not apply to CM-SW, whose intra-query parallelism is
+    /// polynomial-range shards on the compute pool.
     pub threads: u32,
     /// Whether the insecure test parameter sets are selected.
     pub insecure: bool,
@@ -401,6 +404,20 @@ impl TenantSpec {
             threads: config.thread_count() as u32,
             insecure: config.is_insecure_test(),
             workers,
+        }
+    }
+
+    /// Names the count, if any, outside `1..=`[`MAX_TENANT_WORKERS`]:
+    /// the one bound both entry points of a spec — the wire decoder and
+    /// `TenantRegistry::register_remote` — refuse it by.
+    pub(crate) fn out_of_range(&self) -> Option<&'static str> {
+        let in_range = |count: u32| (1..=MAX_TENANT_WORKERS).contains(&count);
+        if !in_range(self.workers) {
+            Some("tenant worker count out of range")
+        } else if !in_range(self.threads) {
+            Some("tenant thread count out of range")
+        } else {
+            None
         }
     }
 
@@ -789,17 +806,18 @@ fn read_spec(r: &mut Reader<'_>) -> Result<TenantSpec, MatchError> {
     let threads = r.u32()?;
     let insecure = r.bool()?;
     let workers = r.u32()?;
-    if workers == 0 || workers > MAX_TENANT_WORKERS {
-        return Err(MatchError::Frame("tenant worker count out of range"));
-    }
-    Ok(TenantSpec {
+    let spec = TenantSpec {
         backend,
         seed,
         window,
         threads,
         insecure,
         workers,
-    })
+    };
+    match spec.out_of_range() {
+        Some(why) => Err(MatchError::Frame(why)),
+        None => Ok(spec),
+    }
 }
 
 /// Bounds-checked message reader; every failure is a typed

@@ -658,6 +658,52 @@ fn replayed_upload_nonces_are_unauthorized() {
         .unwrap();
 }
 
+/// `TenantSpec.threads` comes off the wire and used to reach the search
+/// fan-out unbounded. An authorized upload asking for `u32::MAX` (or
+/// zero) threads is refused before any build job is submitted: it binds
+/// nothing, consumes no nonce and accounts no bytes.
+#[test]
+fn out_of_range_thread_counts_are_refused_and_leave_state_untouched() {
+    let registry = TenantRegistry::new();
+    let config = MatcherConfig::new(Backend::Ciphermatch).insecure_test();
+    let mut owner = config.build().unwrap();
+    owner
+        .load_database(&BitString::from_ascii("bounded like workers"))
+        .unwrap();
+    let encoded = owner.export_database().unwrap();
+    let good = TenantSpec::from_config(&config, 1);
+
+    for threads in [u32::MAX, cm_server::MAX_TENANT_WORKERS + 1, 0] {
+        let hostile = TenantSpec {
+            threads,
+            ..good.clone()
+        };
+        // The tag authorizes exactly this spec: only the bound refuses it.
+        let auth = remote_auth(&KEY_A, "t", &hostile, &encoded, 1);
+        assert_eq!(
+            registry
+                .register_remote("t", &hostile, encoded.clone(), &auth)
+                .unwrap_err(),
+            MatchError::InvalidConfig("tenant thread count out of range"),
+            "threads = {threads}"
+        );
+        assert!(registry.is_empty());
+        assert_eq!(registry.hot_bytes(), 0);
+    }
+
+    // No binding and no consumed nonce: a different key claims the id
+    // with the very nonce the refused uploads carried.
+    registry
+        .register_remote(
+            "t",
+            &good,
+            encoded.clone(),
+            &remote_auth(&KEY_B, "t", &good, &encoded, 1),
+        )
+        .unwrap();
+    assert_eq!(registry.hot_bytes(), encoded.len() as u64);
+}
+
 #[test]
 fn evict_by_non_owner_is_unauthorized_and_bindings_survive_eviction() {
     let registry = TenantRegistry::new();

@@ -355,19 +355,29 @@ proptest! {
     /// A `Begin` lying about its declared size (past the database cap) or
     /// chunk shape must be rejected at decode time — before any upload
     /// buffer could exist, so a hostile header can never drive an
-    /// allocation.
+    /// allocation — and so must one whose spec asks for zero or more than
+    /// `MAX_TENANT_WORKERS` per-search threads (up to `u32::MAX`), before
+    /// any matcher could be built from it.
     #[test]
-    fn oversized_upload_declarations_are_typed_errors(
+    fn out_of_range_upload_declarations_are_typed_errors(
         seed in 0u64..u64::MAX,
         excess in 1u64..(1 << 30),
-        bad_chunks in proptest::arbitrary::any::<bool>(),
+        lie in 0u8..3,
     ) {
         let tenant = tenant_name(seed, 8);
         let key = key_from(seed);
-        let (total_bytes, chunk_count) = if bad_chunks {
-            (seed % MAX_DATABASE_BYTES, MAX_UPLOAD_CHUNKS + (excess % u64::from(u32::MAX - MAX_UPLOAD_CHUNKS)) as u32 + 1)
-        } else {
-            (MAX_DATABASE_BYTES + excess, 1)
+        let mut spec = spec_from(seed);
+        let (total_bytes, chunk_count) = match lie {
+            0 => (seed % MAX_DATABASE_BYTES, MAX_UPLOAD_CHUNKS + (excess % u64::from(u32::MAX - MAX_UPLOAD_CHUNKS)) as u32 + 1),
+            1 => (MAX_DATABASE_BYTES + excess, 1),
+            _ => {
+                spec.threads = match seed % 3 {
+                    0 => 0,
+                    1 => u32::MAX,
+                    _ => MAX_TENANT_WORKERS + (excess % u64::from(u32::MAX - MAX_TENANT_WORKERS)) as u32 + 1,
+                };
+                (seed % MAX_DATABASE_BYTES, 1)
+            }
         };
         let req = Request::LoadDatabase {
             tenant: tenant.clone(),
@@ -378,7 +388,7 @@ proptest! {
                     content: content_digest(&key, b"payload"),
                     tag: auth_tag(&key, OP_UPLOAD, &tenant, total_bytes, seed, &[]),
                 },
-                spec: spec_from(seed),
+                spec,
                 total_bytes,
                 chunk_count,
             },

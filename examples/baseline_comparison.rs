@@ -5,7 +5,7 @@
 //! comparison path contains no per-engine calls, only
 //! `MatcherConfig::build` + `ErasedMatcher::find_all`.
 //!
-//! * CM-SW (Hom-Add only, this paper) — paper parameters, 4 threads;
+//! * CM-SW (Hom-Add only, this paper) — paper parameters;
 //! * Yasuda et al. [27] — paper parameters, fixed 48-bit window;
 //! * Kim/Bonte-style SIMD batched — bit-granular adapter, rotations +
 //!   squarings;
@@ -40,10 +40,10 @@ fn main() {
 
     for backend in Backend::ALL {
         let config = match backend {
+            // Only Boolean reads `threads` (its TFHE window fan-out).
             Backend::Boolean => MatcherConfig::new(backend).insecure_test().threads(4),
             _ => MatcherConfig::new(backend)
                 .window(needle_bits.len())
-                .threads(4)
                 .seed(1),
         };
         let mut matcher = config.build().expect("valid configuration");

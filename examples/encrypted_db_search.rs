@@ -3,7 +3,8 @@
 //!
 //! A key-value store is flattened, packed and encrypted; point queries
 //! for keys are submitted as one batch, which the session fans out across
-//! scoped worker threads and answers with per-query bit offsets plus
+//! its worker pool (`threads` is the session's batch width; each worker
+//! searches serially) and answers with per-query bit offsets plus
 //! aggregated statistics. Mirrors the paper's 1000-query setup at laptop
 //! scale.
 //!

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use cm_bfv::BfvParams;
-use cm_core::{Backend, BitString, MatcherConfig};
+use cm_core::{wait_all, Backend, BitString, MatcherConfig, WorkerPool};
 use cm_flash::FlashGeometry;
 use cm_server::{
     IfpMatcher, MatchClient, MatchServer, ServerConfig, ShardedCmMatcher, TenantAccess,
@@ -33,17 +33,18 @@ const CARLA_KEY: [u8; 32] = [0xCA; 32];
 
 fn main() {
     // --- Offline provisioning: two tenants, two key domains ----------
-    let alice_data = {
+    let alice_data = Arc::new({
         let bytes: Vec<u8> = (0..1500usize).map(|i| (i * 41 % 249) as u8).collect();
         BitString::from_bytes(&bytes)
-    };
-    let bob_data = BitString::from_ascii(
+    });
+    let bob_data = Arc::new(BitString::from_ascii(
         "bob keeps his genome fragments in the drive and the drive does the matching",
-    );
+    ));
 
-    // Alice: CM-SW sharded across 4 worker threads. (The insecure test
-    // parameter set keeps the demo fast; swap in
-    // BfvParams::ciphermatch_1024() for the paper's set.)
+    // Alice: CM-SW split into 4 polynomial-range shards, whose jobs run
+    // on the process-wide compute pool. (The insecure test parameter set
+    // keeps the demo fast; swap in BfvParams::ciphermatch_1024() for the
+    // paper's set.)
     let alice = ShardedCmMatcher::new(BfvParams::insecure_test_add(), 4, 11).unwrap();
     let alice_kit = alice.query_kit();
 
@@ -94,9 +95,9 @@ fn main() {
     // database under her own keys, and ships only the serialized
     // ciphertexts; the server rebuilds the matcher from the seed-exact
     // spec and accounts every byte against its memory budget.
-    let carla_data = BitString::from_ascii(
+    let carla_data = Arc::new(BitString::from_ascii(
         "carla provisions her encrypted database over the wire and can retire it the same way",
-    );
+    ));
     let carla_config = MatcherConfig::new(Backend::Ciphermatch)
         .insecure_test()
         .seed(33);
@@ -127,15 +128,17 @@ fn main() {
     }
 
     // --- Concurrent clients -------------------------------------------
-    // All three tenants' queries fan out together on the shared exec
-    // runtime (`cm_core::exec::join_all`), not on ad-hoc scoped threads.
+    // All three tenants' queries are in flight together, one client per
+    // worker of a shared-runtime pool, not on ad-hoc scoped threads.
     let alice_kit = Arc::new(alice_kit);
     let bob_kit = Arc::new(bob_kit);
-    let mut clients: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
+    let carla = Arc::new(carla);
+    let clients = WorkerPool::new(7).unwrap();
+    let mut handles = Vec::new();
     let alice_slices = [(24usize, 32usize), (8192 - 13, 40), (6000, 16)];
     for (i, (start, len)) in alice_slices.into_iter().enumerate() {
-        let (kit, data) = (Arc::clone(&alice_kit), &alice_data);
-        clients.push(Box::new(move || {
+        let (kit, data) = (Arc::clone(&alice_kit), Arc::clone(&alice_data));
+        handles.push(clients.submit(move || {
             let mut rng = StdRng::seed_from_u64(100 + i as u64);
             let pattern = data.slice(start, len);
             let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
@@ -153,8 +156,8 @@ fn main() {
         }));
     }
     for (i, pattern) in ["drive", "genome fragments"].into_iter().enumerate() {
-        let (kit, data) = (Arc::clone(&bob_kit), &bob_data);
-        clients.push(Box::new(move || {
+        let (kit, data) = (Arc::clone(&bob_kit), Arc::clone(&bob_data));
+        handles.push(clients.submit(move || {
             let mut rng = StdRng::seed_from_u64(200 + i as u64);
             let pattern = BitString::from_ascii(pattern);
             let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
@@ -175,12 +178,11 @@ fn main() {
         }));
     }
     for pattern in ["over the wire", "retire"] {
-        let data = &carla_data;
-        let carla = &carla;
-        clients.push(Box::new(move || {
+        let (carla, data) = (Arc::clone(&carla), Arc::clone(&carla_data));
+        handles.push(clients.submit(move || {
             let pattern = BitString::from_ascii(pattern);
             let mut client = MatchClient::connect(addr).unwrap();
-            let reply = client.search_bits(carla, &pattern).unwrap();
+            let reply = client.search_bits(&carla, &pattern).unwrap();
             assert_eq!(reply.indices, data.find_all(&pattern));
             println!(
                 "carla: {:2}-bit query (uploaded) -> {} match(es)",
@@ -189,7 +191,7 @@ fn main() {
             );
         }));
     }
-    cm_core::exec::join_all(clients).unwrap();
+    wait_all(handles).unwrap();
 
     // --- Lifetime accounting ------------------------------------------
     let mut probe = MatchClient::connect(addr).unwrap();

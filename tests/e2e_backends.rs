@@ -47,7 +47,7 @@ fn check_backend_agrees(backend: Backend) {
         let mut matcher = MatcherConfig::new(backend)
             .insecure_test()
             .window(q.len())
-            .threads(2) // exercises the threaded search paths too
+            .threads(2) // Boolean fans its windows out; every other backend ignores it
             .seed(2025)
             .build()
             .expect("valid configuration");
