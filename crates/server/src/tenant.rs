@@ -23,39 +23,31 @@
 //! registry's only pool of its own is the two-worker `builders` pool,
 //! which bounds concurrent rebuilds and never runs a query.
 //!
-//! ## The two tiers and the memory budget
+//! ## The four states and the memory budget
 //!
 //! The registry accounts every tenant database against a configurable
-//! **host memory budget** (`ServerConfig::memory_budget`). A tenant is
-//! either **hot** — a live [`MatcherPool`] holds its working state in
-//! host memory, alongside the serialized upload bytes — or **cold** —
-//! the serialized form has been written, page by page, into the
-//! registry's [`cm_ssd::ColdStore`] (a simulated SSD's conventional
-//! region) and the host-RAM copy dropped: after demotion the *only*
-//! copy of the database is flash pages behind the FTL, which is the
-//! paper's division of labor (the accelerator owns the data; the host
-//! manages placement). Demotion charges `flash_wear` (one program per
-//! page) and `bytes_moved` into the tenant's lifetime stats; promotion
-//! reads the pages back (wear-free) with the same `bytes_moved` charge.
+//! **host memory budget** (`ServerConfig::memory_budget`). A registered
+//! tenant is in exactly one of four states (`Tier`); *resident* means
+//! the database is charged to the budget (`hot_bytes`), and every other
+//! database is pages in the registry's [`cm_ssd::ColdStore`] (a simulated
+//! SSD's conventional region, `cold_bytes`) — the paper's division of
+//! labor: flash owns the data, the host only decides placement.
 //!
-//! Admitting a database past the budget demotes the least-recently-used
-//! unpinned *remote* tenant (one registered from a serialized upload;
-//! in-process tenants carry live key material that cannot be rebuilt
-//! from bytes and are never demoted). A query for a cold tenant
-//! transparently **re-materializes** its matcher pool through the shared
-//! [`cm_core::exec`] runtime; in-flight queries on a demoted tenant
-//! finish on their own `Arc` clone unharmed. Each re-materialization
-//! seals replies under a fresh nonce prefix, so demotion cycles never
-//! reuse an AES-CTR keystream.
+//! | state | in host RAM | in `ColdStore` | answers a Match | leaves by |
+//! |---|---|---|---|---|
+//! | **in-process** (`register*`) | live pool with its key material; charged the matcher's `database_bytes` | nothing | its pool | evict only — live keys cannot be rebuilt from bytes, so it is never demoted |
+//! | **hot** (`register_remote`) | live pool plus the serialized upload; charged the serialized length | nothing | its pool | **demote** (budget pressure, LRU-first among unpinned) → cold, or → parked for `ifp`: one program per page to `flash_wear`, the length to `bytes_moved`, both charged to the victim; re-upload or evict: free |
+//! | **cold** | nothing — the flash pages are the only copy | the master copy | nobody: a Match promotes first | **promote** → hot: pages read back and the pool rebuilt on the build pool; reads are wear-free (`flash_wear` + 0), the length to `bytes_moved`, charged once at install; re-upload or evict: pages released, no charge |
+//! | **parked** (`ifp` only) | the parked pool — small key material and the SSD device handle, not charged | the master copy | the parked pool, straight from its device (a *cold hit*: no rebuild, no promotion) | [`TenantRegistry::get`] promotes like cold but reuses the parked pool, so its nonce counter stays monotone; re-upload or evict as cold |
 //!
-//! [`Backend::Ifp`] tenants are **flash-native**: their database already
-//! lives in a simulated SSD's CIPHERMATCH region, so demotion *parks*
-//! the matcher pool (small key material plus the device handle) instead
-//! of destroying it, and [`TenantRegistry::run_query`] answers Match
-//! queries for a cold `ifp` tenant straight from the parked device —
-//! no re-materialization, no host-memory rebuild, no promotion. Cold is
-//! IFP's native tier, not a penalty; the parked tenant's monotone nonce
-//! counter keeps sealing safe across the demotion.
+//! Admitting a database past the budget demotes least-recently-used
+//! unpinned hot tenants until it fits. In-flight queries on a demoted
+//! tenant finish on their own `Arc` clone unharmed, and each rebuilt
+//! pool seals replies under a fresh nonce prefix, so demotion cycles
+//! never reuse an AES-CTR keystream. [`Backend::Ifp`] tenants are
+//! **flash-native** — their database already lives in a simulated SSD's
+//! CIPHERMATCH region — which is why demotion parks their pool instead
+//! of dropping it: cold is IFP's native tier, not a penalty.
 //!
 //! ## Authorization
 //!
@@ -185,15 +177,15 @@ impl Tenant {
         pool: MatcherPool,
         channel_key: &[u8; 32],
         totals: Arc<StatsAccumulator>,
-    ) -> Self {
-        Self {
+    ) -> Arc<Self> {
+        Arc::new(Self {
             id: id.to_string(),
             backend,
             pool,
             channel: SecureIndexChannel::new(channel_key),
             next_nonce: AtomicU64::new(nonce_prefix() | 1),
             totals,
-        }
+        })
     }
 
     /// The tenant id.
@@ -263,40 +255,141 @@ struct AuthRecord {
     last_nonce: u64,
 }
 
+/// A hot remote tenant: its live pool, the spec to rebuild it from, and
+/// the serialized upload staged for a demotion.
+struct HotRemote {
+    tenant: Arc<Tenant>,
+    spec: TenantSpec,
+    encoded: Arc<Vec<u8>>,
+}
+
+impl HotRemote {
+    /// The tier this tenant demotes to once `slot` holds its bytes: a
+    /// flash-native pool is parked, any other is dropped (in-flight
+    /// queries finish on their own `Arc` clone).
+    fn demoted(&self, slot: ColdSlot) -> Tier {
+        let spec = self.spec.clone();
+        if self.tenant.backend() == Backend::Ifp {
+            let tenant = Arc::clone(&self.tenant);
+            Tier::Parked { tenant, spec, slot }
+        } else {
+            Tier::Cold { spec, slot }
+        }
+    }
+}
+
+/// Where a registered database lives and who answers for it — the four
+/// states of the module docs' table. An in-process tenant cannot carry a
+/// slot, a cold one cannot carry host bytes, and only
+/// [`HotRemote::demoted`] produces `Parked`.
+enum Tier {
+    /// Registered in process with live key material; `bytes` is the
+    /// matcher's own `database_bytes`.
+    InProcess { tenant: Arc<Tenant>, bytes: u64 },
+    /// A remote upload, resident.
+    Hot(HotRemote),
+    /// Demoted: `slot` names the flash pages holding the only copy.
+    Cold { spec: TenantSpec, slot: ColdSlot },
+    /// A demoted `ifp` tenant: as `Cold`, plus the parked pool that
+    /// keeps answering from its device.
+    Parked {
+        tenant: Arc<Tenant>,
+        spec: TenantSpec,
+        slot: ColdSlot,
+    },
+}
+
+impl Tier {
+    /// The live tenant while the database is charged to the host budget.
+    fn resident(&self) -> Option<&Arc<Tenant>> {
+        match self {
+            Self::InProcess { tenant, .. } | Self::Hot(HotRemote { tenant, .. }) => Some(tenant),
+            Self::Cold { .. } | Self::Parked { .. } => None,
+        }
+    }
+
+    /// The one state a demotion can start from.
+    fn demotable(&self) -> Option<&HotRemote> {
+        match self {
+            Self::Hot(hot) => Some(hot),
+            _ => None,
+        }
+    }
+
+    /// The accounting charge in bytes, whichever tier holds it.
+    fn bytes(&self) -> u64 {
+        match self {
+            Self::InProcess { bytes, .. } => *bytes,
+            Self::Hot(hot) => hot.encoded.len() as u64,
+            Self::Cold { slot, .. } | Self::Parked { slot, .. } => slot.len() as u64,
+        }
+    }
+
+    /// The share of [`Self::bytes`] charged to the host budget.
+    fn hot_charge(&self) -> u64 {
+        self.resident().map_or(0, |_| self.bytes())
+    }
+
+    /// Where the serving copy physically lives: `ifp` databases are in a
+    /// simulated SSD's CIPHERMATCH region whether hot or parked, and any
+    /// demoted database is pages in the cold store — only a resident
+    /// non-ifp database is actually in DRAM.
+    fn medium(&self) -> &'static str {
+        match self.resident() {
+            Some(tenant) if tenant.backend() != Backend::Ifp => "dram",
+            _ => "flash",
+        }
+    }
+
+    /// Matcher-pool size K (of the pool a promotion would rebuild, while
+    /// cold).
+    fn workers(&self) -> usize {
+        match self {
+            Self::InProcess { tenant, .. } => tenant.workers(),
+            Self::Hot(HotRemote { spec, .. })
+            | Self::Cold { spec, .. }
+            | Self::Parked { spec, .. } => spec.workers as usize,
+        }
+    }
+}
+
 /// One registered tenant's registry-side state.
 struct TenantEntry {
     backend: Backend,
-    channel_key: [u8; 32],
-    workers: usize,
     pinned: bool,
-    /// Bumped every time the entry is (re-)inserted, so an off-lock
-    /// re-materialization can detect that the tenant it rebuilt was
-    /// replaced in the meantime and must not be installed.
+    /// Stamped by [`Inner::transition`] on every tier change, so an
+    /// off-lock re-materialization can detect that the tier its ticket
+    /// was cut from is no longer in place and must not be installed.
     generation: u64,
-    /// LRU stamp: bumped on every lookup.
+    /// LRU stamp: bumped on every lookup and tier change.
     last_used: u64,
-    /// The accounting charge while hot, in bytes.
-    charge: u64,
-    /// Lifetime stats, shared with the hot [`Tenant`] (survives
-    /// demotion).
+    /// Lifetime stats, shared with the live [`Tenant`] (survives
+    /// demotion and re-upload).
     totals: Arc<StatsAccumulator>,
-    /// For remote tenants: how to rebuild the matcher. `None` marks an
-    /// in-process tenant, which can never be demoted.
-    spec: Option<TenantSpec>,
-    /// For remote tenants while **hot**: the serialized upload bytes
-    /// (kept so demotion can write the master copy to flash without an
-    /// export pass). `None` while cold — demotion moves the bytes into
-    /// the cold store and drops this host-RAM copy.
-    encoded: Option<Arc<Vec<u8>>>,
-    /// While **cold**: where in the registry's flash-backed cold store
-    /// the serialized master copy lives.
-    cold: Option<ColdSlot>,
-    /// The live tenant while hot; `None` while demoted to the cold tier.
-    hot: Option<Arc<Tenant>>,
-    /// For demoted [`Backend::Ifp`] tenants: the parked pool (keys plus
-    /// the shared SSD device) that serves Match queries straight from
-    /// flash while cold. `None` for every other state.
-    parked: Option<Arc<Tenant>>,
+    tier: Tier,
+}
+
+impl TenantEntry {
+    /// An entry on its way into [`Inner::transition`], which stamps it.
+    fn new(backend: Backend, pinned: bool, totals: Arc<StatsAccumulator>, tier: Tier) -> Self {
+        Self {
+            backend,
+            pinned,
+            generation: 0,
+            last_used: 0,
+            totals,
+            tier,
+        }
+    }
+
+    /// This entry moved to `tier`, everything else kept.
+    fn with_tier(&self, tier: Tier) -> Self {
+        Self {
+            totals: Arc::clone(&self.totals),
+            tier,
+            ..*self
+        }
+    }
 }
 
 /// Telemetry handles for the registry's hot/cold lifecycle. Defaults to
@@ -312,12 +405,26 @@ struct RegistryMetrics {
     hot_bytes: Gauge,
     /// Mirror of [`Inner::budget`] (`-1` when unbounded).
     budget: Gauge,
-    /// Mirror of [`Inner::cold_bytes`].
+    /// Mirror of [`ColdStore::stored_bytes`].
     cold_bytes: Gauge,
     /// Flash program/erase cycles spent on cold-tier lifecycle traffic.
     flash_wear: Counter,
     /// Match queries served from the cold tier by a parked `ifp` tenant.
     cold_hits: Counter,
+}
+
+impl RegistryMetrics {
+    /// Books one flash transfer made on a tenant's behalf — a demotion's
+    /// write or a promotion's read — to its lifetime stats and to the
+    /// server-wide wear counter.
+    fn charge_flash(&self, totals: &StatsAccumulator, flash_wear: u64, bytes_moved: u64) {
+        totals.charge(&MatchStats {
+            flash_wear,
+            bytes_moved,
+            ..MatchStats::default()
+        });
+        self.flash_wear.add(flash_wear);
+    }
 }
 
 /// The budget gauge's encoding of "unbounded" (a `u64::MAX` budget
@@ -332,20 +439,18 @@ fn budget_gauge_value(budget: u64) -> i64 {
 
 struct Inner {
     tenants: HashMap<String, TenantEntry>,
+    /// Bindings outlive their tenants, so every registered id has one.
     auth: HashMap<String, AuthRecord>,
-    /// Sum of the charges of every hot tenant.
+    /// Sum of the charges of every resident tenant. The cold tier's
+    /// counterpart is [`ColdStore::stored_bytes`].
     hot_bytes: u64,
-    /// Sum of the byte lengths of every demoted database's flash-resident
-    /// master copy.
-    cold_bytes: u64,
     /// Host memory budget in bytes; `u64::MAX` means unbounded.
     budget: u64,
-    /// Monotonic LRU clock.
+    /// Monotonic clock for LRU stamps and generations.
     clock: u64,
     /// Lifecycle telemetry (no-ops until installed). Lives inside
-    /// `Inner` so every `hot_bytes` mutation site — including the
-    /// static [`TenantRegistry::ensure_capacity`] — can keep the gauge
-    /// in lock-step under the same lock.
+    /// `Inner` so [`Self::transition`] keeps the gauges in lock-step
+    /// under the same lock.
     metrics: RegistryMetrics,
 }
 
@@ -355,15 +460,58 @@ impl Inner {
         self.clock
     }
 
-    /// Mirrors `hot_bytes` into its gauge; call after every mutation.
-    fn sync_hot_bytes(&self) {
-        self.metrics.hot_bytes.set(self.hot_bytes as i64);
+    /// The id's binding, created with a zero high-water mark on first
+    /// contact.
+    fn binding(&mut self, id: &str, channel_key: &[u8; 32]) -> &mut AuthRecord {
+        let fresh = AuthRecord {
+            channel_key: *channel_key,
+            last_nonce: 0,
+        };
+        self.auth.entry(id.to_string()).or_insert(fresh)
     }
 
-    /// Mirrors `cold_bytes` into its gauge; call after every mutation.
-    fn sync_cold_bytes(&self) {
-        self.metrics.cold_bytes.set(self.cold_bytes as i64);
+    /// The one tier transition: `id`'s entry becomes `new` (`None`
+    /// unregisters it), the outgoing entry's flash pages — if it had any
+    /// — are released, and the host bytes it gave up are returned.
+    /// Registration, re-upload, demotion, promotion and eviction all end
+    /// here and nothing else writes `hot_bytes` or the two byte gauges,
+    /// so `hot_bytes` == Σ charge of resident entries and gauge ==
+    /// counter hold by construction. Lock order: `inner` (held by the
+    /// caller) → `cold`.
+    fn transition(&mut self, cold: &Mutex<ColdStore>, id: &str, new: Option<TenantEntry>) -> u64 {
+        let clock = self.tick();
+        let entering = new.as_ref().map_or(0, |e| e.tier.hot_charge());
+        let old = match new {
+            Some(entry) => self.tenants.insert(
+                id.to_string(),
+                TenantEntry {
+                    generation: clock,
+                    last_used: clock,
+                    ..entry
+                },
+            ),
+            None => self.tenants.remove(id),
+        };
+        let leaving = old.as_ref().map_or(0, |e| e.tier.hot_charge());
+        self.hot_bytes = self.hot_bytes - leaving + entering;
+        let mut store = lock_unpoisoned(cold);
+        if let Some(Tier::Cold { slot, .. } | Tier::Parked { slot, .. }) = old.map(|e| e.tier) {
+            store.remove(slot);
+        }
+        self.metrics.hot_bytes.set(self.hot_bytes as i64);
+        self.metrics.cold_bytes.set(store.stored_bytes() as i64);
+        leaving
     }
+}
+
+fn unknown(id: &str) -> MatchError {
+    MatchError::UnknownTenant(id.to_string())
+}
+
+fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The tenant id → tenant map a serving process is built around, with
@@ -401,6 +549,36 @@ impl Default for TenantRegistry {
     }
 }
 
+/// What [`TenantRegistry::lookup`] found under the lock.
+enum Lookup {
+    /// A live tenant to run the query on.
+    Serve(Arc<Tenant>),
+    /// The database is in flash only: rebuild it off-lock from this.
+    Rebuild(Ticket),
+}
+
+/// Everything an off-lock re-materialization needs, copied out of a cold
+/// or parked entry.
+struct Ticket {
+    spec: TenantSpec,
+    slot: ColdSlot,
+    /// The parked pool, which a promotion reuses instead of rebuilding.
+    parked: Option<Arc<Tenant>>,
+    /// The entry's generation when the ticket was cut.
+    generation: u64,
+    channel_key: [u8; 32],
+    totals: Arc<StatsAccumulator>,
+}
+
+/// A cold database read back and made servable, not yet installed.
+struct Rebuilt {
+    tenant: Arc<Tenant>,
+    encoded: Arc<Vec<u8>>,
+    /// Flash cost of the read-back, charged at install.
+    flash_wear: u64,
+    bytes_moved: u64,
+}
+
 impl TenantRegistry {
     /// An empty registry with an unbounded memory budget.
     pub fn new() -> Self {
@@ -413,7 +591,6 @@ impl TenantRegistry {
                 tenants: HashMap::new(),
                 auth: HashMap::new(),
                 hot_bytes: 0,
-                cold_bytes: 0,
                 budget: u64::MAX,
                 clock: 0,
                 metrics: RegistryMetrics::default(),
@@ -424,15 +601,17 @@ impl TenantRegistry {
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock_unpoisoned(&self.inner)
     }
 
     fn lock_cold(&self) -> MutexGuard<'_, ColdStore> {
-        self.cold
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        lock_unpoisoned(&self.cold)
+    }
+
+    /// Reads one registered tenant's entry under the lock.
+    fn with_entry<T>(&self, id: &str, f: impl FnOnce(&TenantEntry) -> T) -> Result<T, MatchError> {
+        let inner = self.lock();
+        inner.tenants.get(id).map(f).ok_or_else(|| unknown(id))
     }
 
     /// Sets the host memory budget in bytes (`None` = unbounded). Hot
@@ -461,9 +640,13 @@ impl TenantRegistry {
             flash_wear: metrics.register_counter(metric_names::REGISTRY_FLASH_WEAR, &[]),
             cold_hits: metrics.register_counter(metric_names::REGISTRY_COLD_HITS, &[]),
         };
+        // Tenants registered before this call are already on the books:
+        // the new gauges start from them, and `Inner::transition` keeps
+        // them in step from here on.
         inner.metrics.budget.set(budget_gauge_value(inner.budget));
-        inner.sync_hot_bytes();
-        inner.sync_cold_bytes();
+        inner.metrics.hot_bytes.set(inner.hot_bytes as i64);
+        let cold_bytes = self.lock_cold().stored_bytes();
+        inner.metrics.cold_bytes.set(cold_bytes as i64);
     }
 
     /// The configured host memory budget (`None` = unbounded).
@@ -479,7 +662,7 @@ impl TenantRegistry {
 
     /// Bytes of demoted databases resident in the cold tier's flash.
     pub fn cold_bytes(&self) -> u64 {
-        self.lock().cold_bytes
+        self.lock_cold().stored_bytes()
     }
 
     /// Cumulative program/erase cycles of the cold store's device — the
@@ -498,12 +681,10 @@ impl TenantRegistry {
     ///
     /// [`MatchError::UnknownTenant`] if no such tenant is registered.
     pub fn host_copy_bytes(&self, id: &str) -> Result<u64, MatchError> {
-        let inner = self.lock();
-        inner
-            .tenants
-            .get(id)
-            .map(|e| e.encoded.as_ref().map_or(0, |enc| enc.len() as u64))
-            .ok_or_else(|| MatchError::UnknownTenant(id.to_string()))
+        self.with_entry(id, |e| {
+            let hot = e.tier.demotable();
+            hot.map_or(0, |hot| hot.encoded.len() as u64)
+        })
     }
 
     /// Registers a tenant with [`DEFAULT_TENANT_WORKERS`] pool members:
@@ -557,53 +738,20 @@ impl TenantRegistry {
         }
         matcher.load_database(database)?;
         let backend = matcher.backend();
-        let charge = matcher.database_bytes().unwrap_or(0);
+        let bytes = matcher.database_bytes().unwrap_or(0);
         let pool = MatcherPool::new(matcher, workers, tenant_seed(id))?;
         let totals = Arc::new(StatsAccumulator::new());
-        let tenant = Arc::new(Tenant::assemble(
-            id,
-            backend,
-            pool,
-            channel_key,
-            Arc::clone(&totals),
-        ));
+        let tenant = Tenant::assemble(id, backend, pool, channel_key, Arc::clone(&totals));
+        // `&mut self`: nothing can have registered `id` since the check.
         let mut inner = self.lock();
-        if inner.tenants.contains_key(id) {
-            return Err(MatchError::InvalidConfig("duplicate tenant id"));
-        }
-        Self::ensure_capacity(&mut inner, &self.cold, charge, id)?;
-        let clock = inner.tick();
-        inner.tenants.insert(
-            id.to_string(),
-            TenantEntry {
-                backend,
-                channel_key: *channel_key,
-                workers,
-                pinned: true,
-                generation: clock,
-                last_used: clock,
-                charge,
-                totals,
-                spec: None,
-                encoded: None,
-                cold: None,
-                hot: Some(tenant),
-                parked: None,
-            },
-        );
-        inner.hot_bytes += charge;
-        inner.sync_hot_bytes();
+        Self::ensure_capacity(&mut inner, &self.cold, bytes, id)?;
+        let tier = Tier::InProcess { tenant, bytes };
+        let entry = TenantEntry::new(backend, true, totals, tier);
+        inner.transition(&self.cold, id, Some(entry));
         // The operator binds (or re-binds) the id to this channel key.
         // The nonce high-water mark is preserved: re-provisioning an id
         // must never resurrect previously captured upload/evict tags.
-        inner
-            .auth
-            .entry(id.to_string())
-            .and_modify(|record| record.channel_key = *channel_key)
-            .or_insert_with(|| AuthRecord {
-                channel_key: *channel_key,
-                last_nonce: 0,
-            });
+        inner.binding(id, channel_key).channel_key = *channel_key;
         Ok(())
     }
 
@@ -713,86 +861,33 @@ impl TenantRegistry {
         }
         let channel_key = &auth.channel_key;
         let encoded = Arc::new(encoded);
-        let charge = encoded.len() as u64;
-        let matcher = self.build_remote(spec, Arc::clone(&encoded))?;
-        let backend = matcher.backend();
-        let pool = MatcherPool::new(matcher, spec.workers as usize, tenant_seed(id))?;
+        let bytes = encoded.len() as u64;
+        let (backend, pool) = self.build_remote(id, spec, Arc::clone(&encoded))?;
 
         let mut inner = self.lock();
         // Re-check under the final lock (the build ran unlocked): the
         // binding may have appeared or advanced concurrently.
         Self::check_binding(&inner, id, channel_key, auth.nonce)?;
-        // Replacing an existing hot database frees its charge first, so
-        // a re-upload is not double-counted while both copies exist.
-        let replaced_hot_charge = inner
-            .tenants
-            .get(id)
-            .filter(|e| e.hot.is_some())
-            .map_or(0, |e| e.charge);
-        inner.hot_bytes -= replaced_hot_charge;
-        let demoted = match Self::ensure_capacity(&mut inner, &self.cold, charge, id) {
-            Ok(demoted) => demoted,
-            Err(e) => {
-                inner.hot_bytes += replaced_hot_charge;
-                inner.sync_hot_bytes();
-                return Err(e);
-            }
-        };
+        let demoted = Self::ensure_capacity(&mut inner, &self.cold, bytes, id)?;
         // Success is now certain: consume the nonce and (on first
         // contact) bind the id to the key.
-        inner
-            .auth
-            .entry(id.to_string())
-            .and_modify(|record| record.last_nonce = auth.nonce)
-            .or_insert_with(|| AuthRecord {
-                channel_key: *channel_key,
-                last_nonce: auth.nonce,
-            });
-        let mut replaced = inner.tenants.remove(id);
-        // A replaced *cold* database frees its flash pages: the re-upload
-        // supersedes the old master copy.
-        if let Some(slot) = replaced.as_mut().and_then(|old| old.cold.take()) {
-            inner.cold_bytes -= self.lock_cold().remove(slot);
-            inner.sync_cold_bytes();
-        }
-        // An operator-set pin survives the owner's re-upload; wire
-        // admissions themselves never create one.
-        let pinned = replaced.as_ref().is_some_and(|old| old.pinned);
-        let totals = replaced
-            .map(|old| old.totals)
-            .unwrap_or_else(|| Arc::new(StatsAccumulator::new()));
-        let tenant = Arc::new(Tenant::assemble(
-            id,
-            backend,
-            pool,
-            channel_key,
-            Arc::clone(&totals),
-        ));
-        let clock = inner.tick();
-        inner.tenants.insert(
-            id.to_string(),
-            TenantEntry {
-                backend,
-                channel_key: *channel_key,
-                workers: spec.workers as usize,
-                pinned,
-                generation: clock,
-                last_used: clock,
-                charge,
-                totals,
-                spec: Some(spec.clone()),
-                encoded: Some(encoded),
-                cold: None,
-                hot: Some(tenant),
-                parked: None,
-            },
-        );
-        inner.hot_bytes += charge;
-        inner.sync_hot_bytes();
-        Ok(RemoteLoad {
-            bytes: charge,
-            demoted,
-        })
+        inner.binding(id, channel_key).last_nonce = auth.nonce;
+        // An operator-set pin and the lifetime stats survive the owner's
+        // re-upload; wire admissions themselves never create a pin.
+        let (pinned, totals) = match inner.tenants.get(id) {
+            Some(old) => (old.pinned, Arc::clone(&old.totals)),
+            None => (false, Arc::new(StatsAccumulator::new())),
+        };
+        let tenant = Tenant::assemble(id, backend, pool, channel_key, Arc::clone(&totals));
+        let spec = spec.clone();
+        let hot = Tier::Hot(HotRemote {
+            tenant,
+            spec,
+            encoded,
+        });
+        let entry = TenantEntry::new(backend, pinned, totals, hot);
+        inner.transition(&self.cold, id, Some(entry));
+        Ok(RemoteLoad { bytes, demoted })
     }
 
     /// Retires a tenant entirely — hot tier, cold tier, and accounting —
@@ -809,13 +904,10 @@ impl TenantRegistry {
     /// both leave the registry untouched.
     pub fn evict(&self, id: &str, auth: &EvictAuth) -> Result<u64, MatchError> {
         let mut inner = self.lock();
-        if !inner.tenants.contains_key(id) {
-            return Err(MatchError::UnknownTenant(id.to_string()));
-        }
-        let Some(record) = inner.auth.get_mut(id) else {
-            return Err(MatchError::Internal(
-                "registered tenant lost its auth record",
-            ));
+        // Bindings outlive tenants, so "registered but unbound" does not
+        // exist and both misses are the same answer.
+        let (true, Some(record)) = (inner.tenants.contains_key(id), inner.auth.get_mut(id)) else {
+            return Err(unknown(id));
         };
         let expected = auth_tag(&record.channel_key, OP_EVICT, id, 0, auth.nonce, &[]);
         if !tags_match(&expected, &auth.tag) {
@@ -825,19 +917,7 @@ impl TenantRegistry {
             return Err(MatchError::Unauthorized("replayed evict nonce"));
         }
         record.last_nonce = auth.nonce;
-        let Some(mut entry) = inner.tenants.remove(id) else {
-            return Err(MatchError::Internal("tenant entry vanished under the lock"));
-        };
-        let freed = if entry.hot.is_some() { entry.charge } else { 0 };
-        inner.hot_bytes -= freed;
-        inner.sync_hot_bytes();
-        // A cold database's flash pages are released too: eviction must
-        // return both tiers' accounting to zero.
-        if let Some(slot) = entry.cold.take() {
-            inner.cold_bytes -= self.lock_cold().remove(slot);
-            inner.sync_cold_bytes();
-        }
-        Ok(freed)
+        Ok(inner.transition(&self.cold, id, None))
     }
 
     /// Pins or unpins a tenant: pinned tenants are exempt from
@@ -848,11 +928,7 @@ impl TenantRegistry {
     /// [`MatchError::UnknownTenant`] if no such tenant is registered.
     pub fn set_pinned(&self, id: &str, pinned: bool) -> Result<(), MatchError> {
         let mut inner = self.lock();
-        let entry = inner
-            .tenants
-            .get_mut(id)
-            .ok_or_else(|| MatchError::UnknownTenant(id.to_string()))?;
-        entry.pinned = pinned;
+        inner.tenants.get_mut(id).ok_or_else(|| unknown(id))?.pinned = pinned;
         Ok(())
     }
 
@@ -863,12 +939,7 @@ impl TenantRegistry {
     ///
     /// [`MatchError::UnknownTenant`] if no such tenant is registered.
     pub fn is_resident(&self, id: &str) -> Result<bool, MatchError> {
-        let inner = self.lock();
-        inner
-            .tenants
-            .get(id)
-            .map(|e| e.hot.is_some())
-            .ok_or_else(|| MatchError::UnknownTenant(id.to_string()))
+        self.with_entry(id, |e| e.tier.resident().is_some())
     }
 
     /// A tenant database's lifecycle state (tier, accounting charge,
@@ -878,28 +949,14 @@ impl TenantRegistry {
     ///
     /// [`MatchError::UnknownTenant`] if no such tenant is registered.
     pub fn info(&self, id: &str) -> Result<DatabaseInfoReply, MatchError> {
-        let inner = self.lock();
-        let entry = inner
-            .tenants
-            .get(id)
-            .ok_or_else(|| MatchError::UnknownTenant(id.to_string()))?;
-        // Where the serving copy physically lives: `ifp` databases are in
-        // a simulated SSD's CIPHERMATCH region whether hot or parked, and
-        // any demoted database is pages in the cold store — only a hot
-        // non-ifp database is actually DRAM-resident.
-        let tier = if entry.backend == Backend::Ifp || entry.hot.is_none() {
-            "flash"
-        } else {
-            "dram"
-        };
-        Ok(DatabaseInfoReply {
-            backend: entry.backend.name().to_string(),
-            resident: entry.hot.is_some(),
-            pinned: entry.pinned,
-            tier: tier.to_string(),
-            bytes: entry.charge,
-            workers: entry.workers as u32,
-            queries: entry.totals.snapshot().1,
+        self.with_entry(id, |e| DatabaseInfoReply {
+            backend: e.backend.name().to_string(),
+            resident: e.tier.resident().is_some(),
+            pinned: e.pinned,
+            tier: e.tier.medium().to_string(),
+            bytes: e.tier.bytes(),
+            workers: e.tier.workers() as u32,
+            queries: e.totals.snapshot().1,
         })
     }
 
@@ -910,12 +967,7 @@ impl TenantRegistry {
     ///
     /// [`MatchError::UnknownTenant`] if no such tenant is registered.
     pub fn totals_of(&self, id: &str) -> Result<(MatchStats, u64), MatchError> {
-        let inner = self.lock();
-        inner
-            .tenants
-            .get(id)
-            .map(|e| e.totals.snapshot())
-            .ok_or_else(|| MatchError::UnknownTenant(id.to_string()))
+        self.with_entry(id, |e| e.totals.snapshot())
     }
 
     /// Looks a tenant up by id, transparently re-materializing a
@@ -932,165 +984,153 @@ impl TenantRegistry {
     /// [`MatchError::QuotaExceeded`] when a cold tenant cannot be brought
     /// back within the budget.
     pub fn get(&self, id: &str) -> Result<Arc<Tenant>, MatchError> {
-        loop {
-            let (spec, slot, parked, workers, channel_key, totals, charge, backend, generation) = {
-                let mut inner = self.lock();
-                let clock = inner.tick();
-                let entry = inner
-                    .tenants
-                    .get_mut(id)
-                    .ok_or_else(|| MatchError::UnknownTenant(id.to_string()))?;
-                entry.last_used = clock;
-                if let Some(tenant) = &entry.hot {
-                    return Ok(Arc::clone(tenant));
-                }
-                // Feasibility before the expensive rebuild: if the
-                // budget minus the undemotable (pinned or in-process)
-                // hot bytes cannot hold this database, fail now instead
-                // of building a matcher pool only to discard it — a
-                // repeated query for an unplaceable cold tenant must not
-                // clog the build pool.
-                let charge = entry.charge;
-                let undemotable: u64 = inner
-                    .tenants
-                    .iter()
-                    .filter(|(tid, e)| {
-                        e.hot.is_some()
-                            && (e.pinned || e.spec.is_none() || e.encoded.is_none())
-                            && tid.as_str() != id
-                    })
-                    .map(|(_, e)| e.charge)
-                    .sum();
-                if charge.saturating_add(undemotable) > inner.budget {
-                    return Err(MatchError::QuotaExceeded {
-                        budget: inner.budget,
-                        required: charge,
-                    });
-                }
-                let Some(entry) = inner.tenants.get_mut(id) else {
-                    return Err(MatchError::Internal("tenant entry vanished under the lock"));
-                };
-                let Some(spec) = entry.spec.clone() else {
-                    return Err(MatchError::Internal(
-                        "cold entry is missing its rebuild spec",
-                    ));
-                };
-                let Some(slot) = entry.cold.clone() else {
-                    return Err(MatchError::Internal("cold entry is missing its flash slot"));
-                };
-                (
-                    spec,
-                    slot,
-                    entry.parked.clone(),
-                    entry.workers,
-                    entry.channel_key,
-                    Arc::clone(&entry.totals),
-                    entry.charge,
-                    entry.backend,
-                    entry.generation,
-                )
-            };
-            // Read the master copy back out of flash, off the registry
-            // lock. Non-destructive: the slot stays live until the
-            // install commits, so a lost race just retries.
-            let read = self.lock_cold().get(&slot)?;
-            let (read_wear, read_moved) = (read.flash_wear, read.bytes_moved);
-            let bytes = Arc::new(read.bytes);
-            let tenant = if let Some(parked) = parked {
-                // Flash-native: the parked pool already holds the device;
-                // promotion is pure accounting, no host-memory rebuild.
-                // Reusing the tenant keeps its nonce counter monotone.
-                parked
-            } else {
-                // Re-materialize off the registry lock, on the shared
-                // runtime.
-                let matcher = self.build_remote(&spec, Arc::clone(&bytes))?;
-                let pool = MatcherPool::new(matcher, workers, tenant_seed(id))?;
-                Arc::new(Tenant::assemble(id, backend, pool, &channel_key, totals))
-            };
-
-            let mut inner = self.lock();
-            match inner.tenants.get(id) {
-                None => return Err(MatchError::UnknownTenant(id.to_string())),
-                Some(entry) => {
-                    // Another thread re-materialized while we built; use
-                    // the established copy.
-                    if let Some(hot) = &entry.hot {
-                        return Ok(Arc::clone(hot));
-                    }
-                    // A concurrent re-upload replaced the entry (different
-                    // database, different charge): the tenant we built is
-                    // stale — throw it away and rebuild from current state.
-                    if entry.generation != generation {
-                        continue;
-                    }
-                }
-            }
-            Self::ensure_capacity(&mut inner, &self.cold, charge, id)?;
-            let clock = inner.tick();
-            let slot_taken;
-            {
-                let Some(entry) = inner.tenants.get_mut(id) else {
-                    return Err(MatchError::Internal("tenant entry vanished under the lock"));
-                };
-                entry.hot = Some(Arc::clone(&tenant));
-                entry.parked = None;
-                entry.encoded = Some(bytes);
-                slot_taken = entry.cold.take();
-                entry.last_used = clock;
-                // The promotion's flash cost lands exactly once, at
-                // install — a retried race charges nothing.
-                entry.totals.charge(&MatchStats {
-                    flash_wear: read_wear,
-                    bytes_moved: read_moved,
-                    ..MatchStats::default()
-                });
-            }
-            inner.hot_bytes += charge;
-            inner.metrics.flash_wear.add(read_wear);
-            inner.metrics.rematerializations.inc();
-            inner.sync_hot_bytes();
-            if let Some(slot) = slot_taken {
-                inner.cold_bytes -= self.lock_cold().remove(slot);
-                inner.sync_cold_bytes();
-            }
-            return Ok(tenant);
-        }
+        self.checkout(id, false)
     }
 
     /// Runs one Match query with tier-aware routing: a hot tenant serves
     /// from its pool; a cold flash-native (`ifp`) tenant serves straight
     /// from its parked device — no re-materialization, no promotion, no
     /// host-memory rebuild (cold is IFP's native tier); any other cold
-    /// tenant re-materializes first via [`Self::get`].
+    /// tenant re-materializes first, as in [`Self::get`].
     ///
     /// # Errors
     ///
     /// [`MatchError::UnknownTenant`] if no such tenant is registered,
     /// plus whatever [`Tenant::run`] or the re-materialization reports.
     pub fn run_query(&self, id: &str, query: &QueryPayload) -> Result<MatchedReply, MatchError> {
-        let servant = {
-            let mut inner = self.lock();
-            let clock = inner.tick();
-            let entry = inner
-                .tenants
-                .get_mut(id)
-                .ok_or_else(|| MatchError::UnknownTenant(id.to_string()))?;
-            entry.last_used = clock;
-            if let Some(hot) = &entry.hot {
-                Some(Arc::clone(hot))
-            } else if let Some(parked) = &entry.parked {
-                let parked = Arc::clone(parked);
+        self.checkout(id, true)?.run(query)
+    }
+
+    /// The tenant to serve `id` from, promoting it first if the database
+    /// is in flash only: [`Self::lookup`] under the lock,
+    /// [`Self::rebuild`] off it, [`Self::install`] under it again — and
+    /// around again whenever the ticket went stale in between.
+    fn checkout(&self, id: &str, serve_parked: bool) -> Result<Arc<Tenant>, MatchError> {
+        loop {
+            let ticket = match self.lookup(id, serve_parked)? {
+                Lookup::Serve(tenant) => return Ok(tenant),
+                Lookup::Rebuild(ticket) => ticket,
+            };
+            let rebuilt = self.rebuild(id, &ticket);
+            if let Some(tenant) = self.install(id, ticket, rebuilt)? {
+                return Ok(tenant);
+            }
+        }
+    }
+
+    /// The locked lookup: bumps the LRU stamp and returns the live tenant
+    /// — hot, in-process, or (for a Match, `serve_parked`) parked, which
+    /// counts as a cold hit — or else a rebuild ticket.
+    fn lookup(&self, id: &str, serve_parked: bool) -> Result<Lookup, MatchError> {
+        let mut guard = self.lock();
+        let clock = guard.tick();
+        let inner = &mut *guard;
+        let entry = inner.tenants.get_mut(id).ok_or_else(|| unknown(id))?;
+        entry.last_used = clock;
+        let (spec, slot, parked) = match &entry.tier {
+            Tier::InProcess { tenant, .. } | Tier::Hot(HotRemote { tenant, .. }) => {
+                return Ok(Lookup::Serve(Arc::clone(tenant)));
+            }
+            Tier::Parked { tenant, .. } if serve_parked => {
                 inner.metrics.cold_hits.inc();
-                Some(parked)
-            } else {
-                None
+                return Ok(Lookup::Serve(Arc::clone(tenant)));
+            }
+            Tier::Parked { tenant, spec, slot } => (spec, slot, Some(Arc::clone(tenant))),
+            Tier::Cold { spec, slot } => (spec, slot, None),
+        };
+        // Bindings outlive tenants: see `evict`.
+        let record = inner.auth.get(id).ok_or_else(|| unknown(id))?;
+        let ticket = Ticket {
+            spec: spec.clone(),
+            slot: slot.clone(),
+            parked,
+            generation: entry.generation,
+            channel_key: record.channel_key,
+            totals: Arc::clone(&entry.totals),
+        };
+        // Feasibility before the expensive rebuild: if the budget minus
+        // the undemotable (pinned or in-process) resident bytes cannot
+        // hold this database, fail now instead of building a matcher
+        // pool only to discard it — a repeated query for an unplaceable
+        // cold tenant must not clog the build pool.
+        let required = ticket.slot.len() as u64;
+        let undemotable: u64 = inner
+            .tenants
+            .iter()
+            .filter(|(other, e)| other.as_str() != id && (e.pinned || e.tier.demotable().is_none()))
+            .map(|(_, e)| e.tier.hot_charge())
+            .sum();
+        if required.saturating_add(undemotable) > inner.budget {
+            return Err(MatchError::QuotaExceeded {
+                budget: inner.budget,
+                required,
+            });
+        }
+        Ok(Lookup::Rebuild(ticket))
+    }
+
+    /// Off the registry lock: reads the ticket's master copy back out of
+    /// flash (non-destructive — the slot stays live until the install
+    /// commits, so a lost race just retries) and makes it servable. A
+    /// parked pool already holds its device, so it is reused as is, which
+    /// also keeps its nonce counter monotone; anything else is rebuilt on
+    /// the build pool. A stale ticket may read pages that now hold
+    /// another tenant's bytes; [`Self::install`] judges the result.
+    fn rebuild(&self, id: &str, ticket: &Ticket) -> Result<Rebuilt, MatchError> {
+        let read = self.lock_cold().get(&ticket.slot)?;
+        let encoded = Arc::new(read.bytes);
+        let tenant = match &ticket.parked {
+            Some(parked) => Arc::clone(parked),
+            None => {
+                let (backend, pool) = self.build_remote(id, &ticket.spec, Arc::clone(&encoded))?;
+                let totals = Arc::clone(&ticket.totals);
+                Tenant::assemble(id, backend, pool, &ticket.channel_key, totals)
             }
         };
-        match servant {
-            Some(tenant) => tenant.run(query),
-            None => self.get(id)?.run(query),
+        Ok(Rebuilt {
+            tenant,
+            encoded,
+            flash_wear: read.flash_wear,
+            bytes_moved: read.bytes_moved,
+        })
+    }
+
+    /// The locked install: promotes `id` to hot with what
+    /// [`Self::rebuild`] produced, and returns the tenant to serve from —
+    /// or `None` when the ticket went stale (the entry changed tier since
+    /// the lookup, so the rebuild read a slot that is no longer its own)
+    /// and the caller must start over. Only a *current* ticket's rebuild
+    /// error is the tenant's own and surfaces.
+    fn install(
+        &self,
+        id: &str,
+        ticket: Ticket,
+        rebuilt: Result<Rebuilt, MatchError>,
+    ) -> Result<Option<Arc<Tenant>>, MatchError> {
+        let mut inner = self.lock();
+        let entry = inner.tenants.get(id).ok_or_else(|| unknown(id))?;
+        // Another thread promoted it, or the owner re-uploaded, while we
+        // built: use the established copy.
+        if let Some(tenant) = entry.tier.resident() {
+            return Ok(Some(Arc::clone(tenant)));
         }
+        if entry.generation != ticket.generation {
+            return Ok(None);
+        }
+        let rebuilt = rebuilt?;
+        let promoted = entry.with_tier(Tier::Hot(HotRemote {
+            tenant: Arc::clone(&rebuilt.tenant),
+            spec: ticket.spec,
+            encoded: rebuilt.encoded,
+        }));
+        Self::ensure_capacity(&mut inner, &self.cold, promoted.tier.bytes(), id)?;
+        // The promotion's flash cost lands exactly once, at install — a
+        // retried race charges nothing.
+        let (wear, moved) = (rebuilt.flash_wear, rebuilt.bytes_moved);
+        inner.metrics.charge_flash(&promoted.totals, wear, moved);
+        inner.metrics.rematerializations.inc();
+        inner.transition(&self.cold, id, Some(promoted));
+        Ok(Some(rebuilt.tenant))
     }
 
     /// Lists the registered tenants (hot and cold), sorted by id.
@@ -1118,55 +1158,55 @@ impl TenantRegistry {
         self.lock().tenants.is_empty()
     }
 
-    /// Rebuilds a remote tenant's matcher from its spec and serialized
-    /// database, as a job on the registry's build pool (the shared
-    /// `cm_core::exec` runtime). `ifp` specs build through
+    /// Rebuilds a remote tenant's matcher pool from its spec and
+    /// serialized database, as a job on the registry's build pool (the
+    /// shared `cm_core::exec` runtime). `ifp` specs build through
     /// [`IfpMatcher::for_spec`] (the backend `MatcherConfig` cannot
     /// construct — it needs an SSD device), which re-creates the flash
     /// array and writes the database into its CIPHERMATCH region.
     fn build_remote(
         &self,
+        id: &str,
         spec: &TenantSpec,
         encoded: Arc<Vec<u8>>,
-    ) -> Result<Box<dyn ErasedMatcher>, MatchError> {
-        if Backend::parse(&spec.backend)? == Backend::Ifp {
-            let (seed, insecure) = (spec.seed, spec.insecure);
-            return self
-                .builders
-                .submit(move || {
-                    let mut matcher = cm_core::erase(IfpMatcher::for_spec(seed, insecure)?, seed);
-                    matcher.load_database_wire(&encoded)?;
-                    Ok::<_, MatchError>(matcher)
-                })
-                .wait()?;
-        }
+    ) -> Result<(Backend, MatcherPool), MatchError> {
         let config = spec.to_config()?;
-        self.builders
+        let ifp = Backend::parse(&spec.backend)? == Backend::Ifp;
+        let (seed, insecure) = (spec.seed, spec.insecure);
+        let matcher = self
+            .builders
             .submit(move || {
-                let mut matcher = config.build()?;
+                let mut matcher = if ifp {
+                    cm_core::erase(IfpMatcher::for_spec(seed, insecure)?, seed)
+                } else {
+                    config.build()?
+                };
                 matcher.load_database_wire(&encoded)?;
                 Ok::<_, MatchError>(matcher)
             })
-            .wait()?
+            .wait()??;
+        let backend = matcher.backend();
+        let pool = MatcherPool::new(matcher, spec.workers as usize, tenant_seed(id))?;
+        Ok((backend, pool))
     }
 
-    /// Demotes least-recently-used unpinned remote tenants until `needed`
-    /// more bytes fit the budget. `admitting` is the id being admitted
-    /// (never chosen as a victim).
+    /// Demotes least-recently-used unpinned hot tenants until `needed`
+    /// more bytes fit the budget. `admitting` is the id being admitted:
+    /// never chosen as a victim, and if it is resident already (a
+    /// re-upload) its old charge does not count — installing the new
+    /// database releases it.
     ///
     /// Demotion writes each victim's serialized database into the
     /// flash-backed cold store (the new master copy) and *then* drops the
     /// host-RAM copy — the `flash_wear`/`bytes_moved` cost of the write
-    /// lands in the victim's own [`StatsAccumulator`]. A flash-native
-    /// (`ifp`) victim parks its live pool instead of dropping it, so cold
-    /// Match queries keep serving straight from the device.
+    /// lands in the victim's own [`StatsAccumulator`].
     ///
     /// # Errors
     ///
     /// [`MatchError::QuotaExceeded`] when the bytes cannot fit even with
     /// every demotable tenant cold, or when the cold store itself is full
-    /// (the victim's host copy is restored first). Demotions performed
-    /// before the failure stay demoted (they re-materialize on demand).
+    /// (that victim stays hot). Demotions performed before the failure
+    /// stay demoted (they re-materialize on demand).
     fn ensure_capacity(
         inner: &mut Inner,
         cold: &Mutex<ColdStore>,
@@ -1174,90 +1214,43 @@ impl TenantRegistry {
         admitting: &str,
     ) -> Result<Vec<String>, MatchError> {
         let budget = inner.budget;
+        let quota_exceeded = || MatchError::QuotaExceeded {
+            budget,
+            required: needed,
+        };
         if needed > budget {
-            return Err(MatchError::QuotaExceeded {
-                budget,
-                required: needed,
-            });
+            return Err(quota_exceeded());
         }
+        let replaced = inner
+            .tenants
+            .get(admitting)
+            .map_or(0, |e| e.tier.hot_charge());
         let mut demoted = Vec::new();
-        while inner.hot_bytes.saturating_add(needed) > budget {
+        while (inner.hot_bytes - replaced).saturating_add(needed) > budget {
             let victim = inner
                 .tenants
                 .iter()
-                .filter(|(id, e)| {
-                    e.hot.is_some()
-                        && !e.pinned
-                        && e.spec.is_some()
-                        && e.encoded.is_some()
-                        && id.as_str() != admitting
-                })
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(id, _)| id.clone());
-            let Some(victim) = victim else {
-                return Err(MatchError::QuotaExceeded {
-                    budget,
-                    required: needed,
-                });
+                .filter(|(id, e)| id.as_str() != admitting && !e.pinned)
+                .filter_map(|(id, e)| Some((id, e, e.tier.demotable()?)))
+                .min_by_key(|(_, e, _)| e.last_used);
+            let Some((id, entry, hot)) = victim else {
+                return Err(quota_exceeded());
             };
-            let victim_charge;
-            let write_wear;
-            {
-                let Some(entry) = inner.tenants.get_mut(&victim) else {
-                    return Err(MatchError::Internal(
-                        "demotion victim vanished under the lock",
-                    ));
-                };
-                let Some(encoded) = entry.encoded.take() else {
-                    return Err(MatchError::Internal(
-                        "demotion victim lost its staged bytes under the lock",
-                    ));
-                };
-                // The master copy moves to flash BEFORE the host copy is
-                // released; a full cold store fails the admission with the
-                // victim left intact. Lock order: `inner` (held by the
-                // caller) → `cold`, never the reverse.
-                let write = {
-                    let mut store = cold
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    match store.put(&encoded) {
-                        Ok(write) => write,
-                        Err(err) => {
-                            entry.encoded = Some(encoded);
-                            return Err(err);
-                        }
-                    }
-                };
-                // From here the flash pages are the only copy of the
-                // serialized database: dropping `encoded` releases the
-                // last host-RAM bytes.
-                drop(encoded);
-                entry.cold = Some(write.slot);
-                if entry.backend == Backend::Ifp {
-                    // Flash-native: park the live pool so cold Match
-                    // queries serve from the device with no rebuild.
-                    entry.parked = entry.hot.take();
-                } else {
-                    // In-flight queries holding the Arc finish on their
-                    // clone; the registry just stops handing it out.
-                    entry.hot = None;
-                }
-                entry.totals.charge(&MatchStats {
-                    flash_wear: write.flash_wear,
-                    bytes_moved: write.bytes_moved,
-                    ..MatchStats::default()
-                });
-                victim_charge = entry.charge;
-                write_wear = write.flash_wear;
-            }
-            inner.hot_bytes -= victim_charge;
-            inner.cold_bytes += victim_charge;
-            inner.metrics.flash_wear.add(write_wear);
+            // The master copy moves to flash BEFORE the host copy is
+            // released: a full cold store fails the admission here, with
+            // the victim intact. Lock order: `inner` (held by the caller)
+            // → `cold`, never the reverse.
+            let write = lock_unpoisoned(cold).put(&hot.encoded)?;
+            inner
+                .metrics
+                .charge_flash(&entry.totals, write.flash_wear, write.bytes_moved);
             inner.metrics.demotions.inc();
-            inner.sync_hot_bytes();
-            inner.sync_cold_bytes();
-            demoted.push(victim);
+            let id = id.clone();
+            let entry = entry.with_tier(hot.demoted(write.slot));
+            // Replacing the hot tier drops `encoded`: from here the flash
+            // pages are the only copy of the serialized database.
+            inner.transition(cold, &id, Some(entry));
+            demoted.push(id);
         }
         Ok(demoted)
     }
@@ -1344,6 +1337,117 @@ mod tests {
         assert_eq!(
             tenant.run(&QueryPayload::CmWire(vec![1, 2, 3])).err(),
             Some(MatchError::WireQueryUnsupported(Backend::Plain))
+        );
+    }
+
+    /// Uploads `text` as a plain-backend remote tenant.
+    fn upload_plain(registry: &TenantRegistry, id: &str, text: &str, nonce: u64) -> BitString {
+        let data = BitString::from_ascii(text);
+        let config = MatcherConfig::new(Backend::Plain);
+        let mut owner = config.build().unwrap();
+        owner.load_database(&data).unwrap();
+        let encoded = owner.export_database().unwrap();
+        let spec = TenantSpec::from_config(&config, 1);
+        let key = [id.as_bytes()[0]; 32];
+        let content = content_digest(&key, &encoded);
+        let auth = UploadAuth {
+            nonce,
+            channel_key: key,
+            content,
+            tag: upload_tag(&key, id, nonce, encoded.len() as u64, &spec, &content),
+        };
+        registry.register_remote(id, &spec, encoded, &auth).unwrap();
+        data
+    }
+
+    fn cold_ticket(registry: &TenantRegistry, id: &str) -> Ticket {
+        match registry.lookup(id, true).unwrap() {
+            Lookup::Rebuild(ticket) => ticket,
+            Lookup::Serve(_) => panic!("{id} should be cold"),
+        }
+    }
+
+    fn answers(registry: &TenantRegistry, tenant: &Tenant, needle: &str) -> Vec<usize> {
+        let pattern = BitString::from_ascii(needle);
+        let reply = tenant.run(&QueryPayload::Bits(pattern)).unwrap();
+        assert!(registry.is_resident(tenant.id()).unwrap());
+        SecureIndexChannel::new(&[tenant.id().as_bytes()[0]; 32])
+            .open(&reply.sealed_indices, reply.nonce)
+    }
+
+    /// The failure path of a re-materialization must re-check the ticket
+    /// before it lets an error out. The three private steps are driven
+    /// in the racing order: ticket cut → same-id re-upload frees the slot
+    /// → a third tenant's demotion reuses those pages → the stale rebuild
+    /// reads a stranger's bytes and fails to decode them. That error is
+    /// not the tenant's: the Match must answer from the new database.
+    #[test]
+    fn a_stale_ticket_that_fails_to_rebuild_still_serves_the_current_database() {
+        let registry = TenantRegistry::new();
+        upload_plain(&registry, "x", &"old needle ".repeat(180), 1); // 1 988 B: 2 pages
+        upload_plain(&registry, "w", &"stranger ".repeat(160), 1); // 1 448 B: 2 pages
+        let hot = registry.hot_bytes();
+        registry.set_memory_budget(Some(hot));
+        upload_plain(&registry, "y", &"y".repeat(1000), 1); // demotes the LRU, `x`
+        assert!(!registry.is_resident("x").unwrap());
+        let ticket = cold_ticket(&registry, "x");
+
+        // The owner re-uploads: the ticket's slot is released ...
+        registry.set_memory_budget(None);
+        let current = upload_plain(&registry, "x", &"new needle ".repeat(180), 2);
+        // ... and the next demotion, of the LRU `w`, lands in its pages.
+        registry.set_memory_budget(Some(registry.hot_bytes() - 1));
+        upload_plain(&registry, "v", "v", 1);
+        assert!(!registry.is_resident("w").unwrap());
+
+        let rebuilt = registry.rebuild("x", &ticket);
+        assert!(
+            rebuilt.is_err(),
+            "the race was not constructed: the stale slot still decodes"
+        );
+        let tenant = registry
+            .install("x", ticket, rebuilt)
+            .expect("a stale ticket's error must not escape")
+            .expect("the re-uploaded database is resident");
+        assert_eq!(
+            answers(&registry, &tenant, "new needle"),
+            current.find_all(&BitString::from_ascii("new needle"))
+        );
+        // The whole loop agrees.
+        assert_eq!(registry.get("x").unwrap().totals().1, 1);
+    }
+
+    /// A ticket is cut from one tier; a promote → demote cycle in between
+    /// puts the same registration in a *different* slot while the old
+    /// pages go to another tenant. The stale rebuild then decodes cleanly
+    /// — to the wrong database — so the install must refuse it by the
+    /// entry's generation, which every tier change bumps.
+    #[test]
+    fn a_ticket_from_before_a_promote_demote_cycle_is_refused() {
+        let registry = TenantRegistry::new();
+        let text = |word: &str| format!("{word:>8}").repeat(125); // one flash page each
+        let x = upload_plain(&registry, "x", &text("needle"), 1);
+        upload_plain(&registry, "y", &text("yarn"), 1);
+        registry.set_memory_budget(Some(registry.hot_bytes())); // two fit
+        upload_plain(&registry, "z", &text("needle z"), 1); // x → page 0
+        let ticket = cold_ticket(&registry, "x");
+
+        registry.get("x").unwrap(); // y → page 1; page 0 freed
+        registry.get("y").unwrap(); // z → page 0; page 1 freed
+        registry.get("z").unwrap(); // x → page 1: cold again, elsewhere
+        assert!(!registry.is_resident("x").unwrap());
+
+        // Page 0 still holds z's bytes, a valid database of x's size.
+        let rebuilt = registry.rebuild("x", &ticket);
+        assert!(rebuilt.is_ok(), "{:?}", rebuilt.err());
+        assert!(
+            registry.install("x", ticket, rebuilt).unwrap().is_none(),
+            "a ticket older than the entry's tier must be refused"
+        );
+        let tenant = registry.get("x").unwrap();
+        assert_eq!(
+            answers(&registry, &tenant, "needle"),
+            x.find_all(&BitString::from_ascii("needle"))
         );
     }
 

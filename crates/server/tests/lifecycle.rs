@@ -959,3 +959,310 @@ fn server_hangup_mid_upload_is_a_typed_connection_closed() {
     assert_eq!(err, MatchError::ConnectionClosed, "typed, not raw io");
     script.join().unwrap();
 }
+
+// ---------------------------------------------------------------------------
+// The books balance under random operation sequences
+// ---------------------------------------------------------------------------
+
+/// What the reference model knows about one registered tenant. `bytes`
+/// and `pinned` are predicted; `resident` is read back (the model does
+/// not replay the LRU policy) but only ever allowed to flip the legal
+/// way; `wear` is predicted from those flips — one program per page per
+/// demotion, nothing else.
+#[derive(Debug)]
+struct ModelTenant {
+    bytes: u64,
+    resident: bool,
+    pinned: bool,
+    in_process: bool,
+    wear: u64,
+    data: BitString,
+    /// The last reply nonce of the current upload (checked for `ifp`,
+    /// whose one pool lives through demote → cold-serve → promote).
+    last_nonce: Option<u64>,
+}
+
+/// Prints the seed and every operation so far when a check panics — the
+/// `proptest` shim does not shrink, so the log is the reproduction.
+struct OpLog {
+    seed: u64,
+    ops: Vec<String>,
+}
+
+impl Drop for OpLog {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("seed {} failed after {} steps:", self.seed, self.ops.len());
+            for (step, op) in self.ops.iter().enumerate() {
+                eprintln!("  {step:>3}: {op}");
+            }
+        }
+    }
+}
+
+const REMOTE_IDS: [&str; 6] = ["plain-a", "plain-b", "cm-a", "cm-b", "ifp-a", "ifp-b"];
+const LOCAL_ID: &str = "local";
+const WORDS: [&str; 4] = ["needle", "hay", "cold tier ", "flash"];
+
+fn key_of(id: &str) -> [u8; 32] {
+    let mut key = [0x5Au8; 32];
+    key[..id.len()].copy_from_slice(id.as_bytes());
+    key
+}
+
+/// A remote payload whose backend follows from the id's prefix.
+fn payload_for(id: &str, seed: u64, text: &str) -> (TenantSpec, Vec<u8>, BitString) {
+    if id.starts_with("ifp") {
+        return ifp_payload(seed, text);
+    }
+    let config = if id.starts_with("cm") {
+        MatcherConfig::new(Backend::Ciphermatch)
+            .insecure_test()
+            .seed(seed)
+    } else {
+        MatcherConfig::new(Backend::Plain)
+    };
+    let data = BitString::from_ascii(text);
+    let mut owner = config.build().unwrap();
+    owner.load_database(&data).unwrap();
+    let encoded = owner.export_database().unwrap();
+    (TenantSpec::from_config(&config, 1), encoded, data)
+}
+
+fn run_random_sequence(seed: u64, steps: usize) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut log = OpLog {
+        seed,
+        ops: Vec::new(),
+    };
+    let mut registry = TenantRegistry::new();
+    let metrics = cm_telemetry::MetricsRegistry::new();
+    registry.install_telemetry(&metrics);
+
+    let mut model: BTreeMap<String, ModelTenant> = BTreeMap::new();
+    let mut banked_wear = 0u64;
+    let mut next_auth_nonce = 0u64;
+
+    // The in-process tenant: live keys, never demoted, pinned or not.
+    let local_data = BitString::from_ascii("a needle the local tenant keeps in process");
+    let matcher = MatcherConfig::new(Backend::Plain).build().unwrap();
+    registry
+        .register(LOCAL_ID, matcher, &key_of(LOCAL_ID), &local_data)
+        .unwrap();
+    model.insert(
+        LOCAL_ID.to_string(),
+        ModelTenant {
+            bytes: registry.info(LOCAL_ID).unwrap().bytes,
+            resident: true,
+            pinned: true,
+            in_process: true,
+            wear: 0,
+            data: local_data,
+            last_nonce: None,
+        },
+    );
+
+    for _ in 0..steps {
+        let remote = REMOTE_IDS[rng.gen_range(0..REMOTE_IDS.len())];
+        let any = if rng.gen_bool(0.15) { LOCAL_ID } else { remote };
+        let hot_before = registry.hot_bytes();
+        match rng.gen_range(0..100u32) {
+            // Upload or re-upload: fresh text, fresh HE keys (the seed), next nonce.
+            0..=21 => {
+                // Kilobytes either way: one or two ciphertext polynomials,
+                // or a plain database long enough to weigh as much.
+                let repeats = match &remote[..2] {
+                    "pl" => rng.gen_range(50..400usize),
+                    "cm" => rng.gen_range(5..40),
+                    // One polynomial: in-flash Matches are slow in debug.
+                    _ => rng.gen_range(1..6),
+                };
+                let text = WORDS[rng.gen_range(0..WORDS.len())].repeat(repeats);
+                let (spec, encoded, data) = payload_for(remote, rng.gen(), &text);
+                next_auth_nonce += 1;
+                let auth = remote_auth(&key_of(remote), remote, &spec, &encoded, next_auth_nonce);
+                let bytes = encoded.len() as u64;
+                let outcome = registry.register_remote(remote, &spec, encoded, &auth);
+                log.ops
+                    .push(format!("upload {remote} {bytes} B -> {outcome:?}"));
+                match outcome {
+                    Ok(load) => {
+                        assert_eq!(load.bytes, bytes);
+                        let old = model.remove(remote);
+                        model.insert(
+                            remote.to_string(),
+                            ModelTenant {
+                                bytes,
+                                resident: true,
+                                // A pin and the lifetime stats survive a re-upload.
+                                pinned: old.as_ref().is_some_and(|m| m.pinned),
+                                in_process: false,
+                                wear: old.map_or(0, |m| m.wear),
+                                data,
+                                last_nonce: None,
+                            },
+                        );
+                    }
+                    Err(MatchError::QuotaExceeded { .. }) => {}
+                    Err(other) => panic!("upload failed with {other:?}"),
+                }
+            }
+            // Match through the tier-aware path; `get` promotes instead.
+            22..=66 => {
+                let via_get = rng.gen_bool(0.25);
+                let word = WORDS[rng.gen_range(0..WORDS.len())];
+                // In-flash Matches cost ~50 ms per pattern byte in debug.
+                let word = if any.starts_with("ifp") {
+                    &word[..1]
+                } else {
+                    word.trim_end()
+                };
+                let pattern = BitString::from_ascii(word);
+                let query = QueryPayload::Bits(pattern.clone());
+                let outcome = if via_get {
+                    registry.get(any).and_then(|tenant| tenant.run(&query))
+                } else {
+                    registry.run_query(any, &query)
+                };
+                let verb = if via_get { "get+run" } else { "match" };
+                log.ops.push(format!(
+                    "{verb} {any} {word:?} -> {:?}",
+                    outcome.as_ref().map(|reply| reply.nonce)
+                ));
+                match (outcome, model.get_mut(any)) {
+                    (Ok(reply), Some(m)) => {
+                        let opened = SecureIndexChannel::new(&key_of(any))
+                            .open(&reply.sealed_indices, reply.nonce);
+                        assert_eq!(opened, m.data.find_all(&pattern), "{any} {word:?}");
+                        if any.starts_with("ifp") {
+                            assert!(
+                                m.last_nonce < Some(reply.nonce),
+                                "ifp nonces strictly increase"
+                            );
+                            m.last_nonce = Some(reply.nonce);
+                        }
+                        if via_get {
+                            assert!(registry.is_resident(any).unwrap(), "`get` promotes");
+                        }
+                    }
+                    (Err(MatchError::UnknownTenant(_)), None) => {}
+                    // A cold tenant the budget cannot place stays cold.
+                    (Err(MatchError::QuotaExceeded { .. }), Some(m)) => assert!(!m.resident),
+                    (outcome, m) => panic!("{outcome:?} for {m:?}"),
+                }
+            }
+            67..=76 => {
+                next_auth_nonce += 1;
+                let wear = registry
+                    .totals_of(remote)
+                    .map(|(stats, _)| stats.flash_wear);
+                let outcome = registry.evict(
+                    remote,
+                    &evict_auth(&key_of(remote), remote, next_auth_nonce),
+                );
+                log.ops.push(format!("evict {remote} -> {outcome:?}"));
+                match (outcome, model.remove(remote)) {
+                    (Ok(freed), Some(m)) => {
+                        assert_eq!(freed, if m.resident { m.bytes } else { 0 });
+                        assert_eq!(wear, Ok(m.wear));
+                        banked_wear += m.wear;
+                    }
+                    (Err(MatchError::UnknownTenant(_)), None) => {}
+                    (outcome, m) => panic!("{outcome:?} for {m:?}"),
+                }
+            }
+            77..=86 => {
+                let pinned = rng.gen_bool(0.5);
+                let outcome = registry.set_pinned(any, pinned);
+                log.ops.push(format!("pin {any} {pinned} -> {outcome:?}"));
+                match (outcome, model.get_mut(any)) {
+                    (Ok(()), Some(m)) => m.pinned = pinned,
+                    (Err(MatchError::UnknownTenant(_)), None) => {}
+                    (outcome, m) => panic!("{outcome:?} for {m:?}"),
+                }
+            }
+            _ => {
+                // Six remote tenants weigh ~15 KB together: most budgets
+                // hold a few of them, some hold none.
+                let budget = match rng.gen_range(0..6u32) {
+                    0 => None,
+                    _ => Some(rng.gen_range(1_500..16_000u64)),
+                };
+                registry.set_memory_budget(budget);
+                log.ops.push(format!("budget {budget:?}"));
+                assert_eq!(registry.memory_budget(), budget);
+            }
+        }
+
+        // The books, after every step.
+        let (mut hot, mut cold, mut wear) = (0u64, 0u64, banked_wear);
+        for (id, m) in model.iter_mut() {
+            let info = registry.info(id).unwrap();
+            assert_eq!((info.bytes, info.pinned), (m.bytes, m.pinned), "{id}");
+            assert_eq!(registry.is_resident(id).unwrap(), info.resident, "{id}");
+            if m.resident && !info.resident {
+                assert!(!m.in_process && !m.pinned, "{id} may not be demoted");
+                m.wear += m.bytes.div_ceil(1024); // one program per cold-store page
+            }
+            m.resident = info.resident;
+            *(if info.resident { &mut hot } else { &mut cold }) += info.bytes;
+            let host_copy = registry.host_copy_bytes(id).unwrap();
+            let hot_remote = info.resident && !m.in_process;
+            assert_eq!(host_copy, if hot_remote { m.bytes } else { 0 }, "{id}");
+            assert_eq!(registry.totals_of(id).unwrap().0.flash_wear, m.wear, "{id}");
+            wear += m.wear;
+        }
+        assert_eq!(registry.len(), model.len());
+        assert_eq!(registry.hot_bytes(), hot);
+        assert_eq!(registry.cold_bytes(), cold);
+        assert_eq!(registry.cold_store_wear(), wear);
+        let gauges = metrics.snapshot();
+        let gauge = |name| gauges.gauge(name, &[]);
+        assert_eq!(
+            gauge(cm_telemetry::metric_names::REGISTRY_HOT_BYTES),
+            Some(hot as i64)
+        );
+        assert_eq!(
+            gauge(cm_telemetry::metric_names::REGISTRY_COLD_BYTES),
+            Some(cold as i64)
+        );
+        // An admission — and only an admission — brings the hot tier
+        // back inside a budget that was lowered under it.
+        if hot > hot_before {
+            assert!(registry.memory_budget().is_none_or(|budget| hot <= budget));
+        }
+    }
+
+    // Evicting everything returns both tiers to zero.
+    for id in model.keys() {
+        next_auth_nonce += 1;
+        registry
+            .evict(id, &evict_auth(&key_of(id), id, next_auth_nonce))
+            .unwrap();
+    }
+    assert!(registry.is_empty());
+    assert_eq!((registry.hot_bytes(), registry.cold_bytes()), (0, 0));
+    let gauges = metrics.snapshot();
+    for name in [
+        cm_telemetry::metric_names::REGISTRY_HOT_BYTES,
+        cm_telemetry::metric_names::REGISTRY_COLD_BYTES,
+    ] {
+        assert_eq!(gauges.gauge(name, &[]), Some(0), "{name}");
+    }
+}
+
+/// The first slice of model-based testing for the registry: random
+/// upload / re-upload / Match / `get` / evict / pin / budget sequences
+/// over plain, CIPHERMATCH and in-flash tenants plus one in-process
+/// tenant, with the byte books, the wear ledger, the gauges, every
+/// answer and the `ifp` nonce order checked after every step.
+#[test]
+fn books_balance_under_random_operation_sequences() {
+    for seed in [2, 3, 0xC1F4E2] {
+        run_random_sequence(seed, 320);
+    }
+}
