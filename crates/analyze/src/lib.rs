@@ -8,8 +8,9 @@
 //! only through the shared `cm_core::exec` runtime, constant-time
 //! comparison of secret material, no panics on serving paths, a
 //! duplicate-free and fully-used wire-tag registry, no lock guards held
-//! across work-pool submission, and manifests that resolve shimmed
-//! crates to the in-tree shims.
+//! across work-pool submission, sockets and frame writers that cannot
+//! stall on a delayed ACK, and manifests that resolve shimmed crates to
+//! the in-tree shims.
 //!
 //! Run it as `cargo run -p cm_analyze` (from anywhere in the workspace):
 //! it walks `crates/`, `src/`, `examples/`, and `tests/` under the
@@ -63,6 +64,13 @@ pub const RULE_SHIM_HYGIENE: &str = "shim-hygiene";
 /// outside it passes a raw string literal as the metric name.
 pub const RULE_METRIC_NAMES: &str = "metric-names";
 
+/// Rule: no delayed-ACK stalls. Under `crates/*/src`, a function that
+/// obtains a `TcpStream` (`TcpStream::connect*` or `.accept()`) sets
+/// `TCP_NODELAY` on it in the same function, and no function issues two
+/// `write_all`s on one sink — header-then-payload is one buffer and one
+/// write (`wire::begin_frame` / `finish_frame`), or one `write_vectored`.
+pub const RULE_SOCKET_STALL: &str = "socket-stall";
+
 /// Every rule this analyzer evaluates.
 pub const RULES: &[&str] = &[
     RULE_EXEC_THREADS,
@@ -72,6 +80,7 @@ pub const RULES: &[&str] = &[
     RULE_LOCK_ACROSS_SUBMIT,
     RULE_SHIM_HYGIENE,
     RULE_METRIC_NAMES,
+    RULE_SOCKET_STALL,
 ];
 
 /// The one module allowed to touch raw scoped/spawned threads.
@@ -274,6 +283,9 @@ pub fn analyze_rust_source(rel_path: &str, source: &str) -> Vec<Violation> {
         rule_lock_across_submit(rel_path, &tokens, &mask, &mut out);
         if rel_path != METRIC_NAMES_FILE {
             rule_metric_names_adhoc(rel_path, &tokens, &mask, &mut out);
+        }
+        if rel_path.starts_with("crates/") && rel_path.contains("/src/") {
+            rule_socket_stall(rel_path, &tokens, &mask, &mut out);
         }
     }
     if rel_path == WIRE_FILE {
@@ -717,6 +729,98 @@ fn rule_metric_names_adhoc(rel: &str, tokens: &[Token], mask: &[bool], out: &mut
 }
 
 // ---------------------------------------------------------------------
+// Rule: socket-stall
+// ---------------------------------------------------------------------
+
+/// The braced bodies of the non-test `fn` items in `tokens`, as
+/// `(open, close)` token indices of the braces. A bodiless declaration
+/// (`fn f();` in a trait) yields nothing; a nested `fn` yields its own
+/// range as well as lying inside its parent's.
+fn fn_bodies(tokens: &[Token], mask: &[bool]) -> Vec<(usize, usize)> {
+    let mut bodies = Vec::new();
+    for i in 0..tokens.len().saturating_sub(1) {
+        if !(is_ident(&tokens[i], "fn") && tokens[i + 1].kind == TokenKind::Ident && !mask[i]) {
+            continue;
+        }
+        let Some(open) = (i + 2..tokens.len())
+            .find(|&j| is_punct(&tokens[j], "{") || is_punct(&tokens[j], ";"))
+            .filter(|&j| is_punct(&tokens[j], "{"))
+        else {
+            continue;
+        };
+        let mut depth = 0usize;
+        for (j, t) in tokens.iter().enumerate().skip(open) {
+            if is_punct(t, "{") {
+                depth += 1;
+            } else if is_punct(t, "}") {
+                depth -= 1;
+                if depth == 0 {
+                    bodies.push((open, j));
+                    break;
+                }
+            }
+        }
+    }
+    bodies
+}
+
+fn rule_socket_stall(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violation>) {
+    for (open, close) in fn_bodies(tokens, mask) {
+        let body = &tokens[open..close];
+        // Where the function gets a stream from the network.
+        let obtained = body.windows(3).find(|w| {
+            (is_ident(&w[0], "TcpStream")
+                && is_punct(&w[1], "::")
+                && w[2].kind == TokenKind::Ident
+                && w[2].text.starts_with("connect"))
+                || (is_punct(&w[0], ".") && is_ident(&w[1], "accept") && is_punct(&w[2], "("))
+        });
+        if let Some(site) = obtained {
+            if !body.iter().any(|t| is_ident(t, "set_nodelay")) {
+                out.push(Violation {
+                    file: rel.to_string(),
+                    line: site[1].line,
+                    rule: RULE_SOCKET_STALL,
+                    message: "a `TcpStream` is obtained here but `set_nodelay` is never called \
+                              in this function — a request/response socket under Nagle's \
+                              algorithm waits out the peer's delayed ACK (≈ 40 ms per call)"
+                        .to_string(),
+                    waived: None,
+                });
+            }
+        }
+        // `sink.write_all(..)` twice on one sink: the second write of a
+        // header-then-payload pair is what the delayed ACK holds back.
+        let mut sinks: Vec<&str> = Vec::new();
+        for w in body.windows(4) {
+            if !(w[0].kind == TokenKind::Ident
+                && is_punct(&w[1], ".")
+                && is_ident(&w[2], "write_all")
+                && is_punct(&w[3], "("))
+            {
+                continue;
+            }
+            if sinks.contains(&w[0].text.as_str()) {
+                out.push(Violation {
+                    file: rel.to_string(),
+                    line: w[2].line,
+                    rule: RULE_SOCKET_STALL,
+                    message: format!(
+                        "second `write_all` on `{}` in one function — encode header and \
+                         payload into one buffer (`wire::begin_frame` / `finish_frame`) and \
+                         write it once, or use one `write_vectored`",
+                        w[0].text
+                    ),
+                    waived: None,
+                });
+            } else {
+                sinks.push(&w[0].text);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Rule: lock-across-submit
 // ---------------------------------------------------------------------
 
@@ -1015,6 +1119,61 @@ mod tests {
         // The lock inside the submitted closure itself is fine.
         let inside = "fn f() { pool.submit(|| { let g = m.lock().unwrap(); }); }";
         assert!(analyze_rust_source("crates/core/src/x.rs", inside).is_empty());
+    }
+
+    #[test]
+    fn socket_stall_wants_nodelay_where_a_stream_is_obtained() {
+        let bare = "fn dial(a: &str) -> TcpStream { TcpStream::connect(a).unwrap() }";
+        assert_eq!(
+            rules_fired(&analyze_rust_source("crates/server/src/x.rs", bare)),
+            [RULE_NO_PANIC, RULE_SOCKET_STALL]
+        );
+        let accepted = "fn next(l: &TcpListener) { if let Ok((s, _)) = l.accept() { admit(s); } }";
+        assert_eq!(
+            rules_fired(&analyze_rust_source("crates/core/src/x.rs", accepted)),
+            [RULE_SOCKET_STALL]
+        );
+        let timeout = "fn dial(a: &SocketAddr) { let _ = TcpStream::connect_timeout(a, T); }";
+        assert_eq!(
+            rules_fired(&analyze_rust_source("crates/core/src/x.rs", timeout)),
+            [RULE_SOCKET_STALL]
+        );
+        // Set in the same function: clean. Set in another one: not.
+        let set = "fn dial(a: &str) { let s = TcpStream::connect(a)?; s.set_nodelay(true)?; }";
+        assert!(analyze_rust_source("crates/core/src/x.rs", set).is_empty());
+        let elsewhere = "fn dial(a: &str) { tune(TcpStream::connect(a)?); }\n\
+                         fn tune(s: TcpStream) { let _ = s.set_nodelay(true); }";
+        assert_eq!(
+            rules_fired(&analyze_rust_source("crates/core/src/x.rs", elsewhere)),
+            [RULE_SOCKET_STALL]
+        );
+        // Only `crates/*/src`, and never test code.
+        assert!(analyze_rust_source("examples/x.rs", accepted).is_empty());
+        assert!(analyze_rust_source("crates/core/tests/x.rs", accepted).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{ {accepted} }}");
+        assert!(analyze_rust_source("crates/core/src/x.rs", &gated).is_empty());
+        // A trait declaration has no body to hold against it.
+        let declared =
+            "trait Dial { fn dial(&self); }\nfn f(s: TcpStream) { s.set_nodelay(true); }";
+        assert!(analyze_rust_source("crates/core/src/x.rs", declared).is_empty());
+    }
+
+    #[test]
+    fn socket_stall_flags_header_then_payload_writes() {
+        let split = "fn send(w: &mut W, h: &[u8], p: &[u8]) { w.write_all(h)?; w.write_all(p)?; }";
+        let found = analyze_rust_source("crates/core/src/x.rs", split);
+        assert_eq!(rules_fired(&found), [RULE_SOCKET_STALL]);
+        assert!(found[0].message.contains("second `write_all` on `w`"));
+        // One write of one buffer, and writes to different sinks, are fine;
+        // so are single writes in two functions.
+        let joined = "fn send(w: &mut W, frame: &[u8]) { w.write_all(frame)?; w.flush()?; }";
+        assert!(analyze_rust_source("crates/core/src/x.rs", joined).is_empty());
+        let two_sinks =
+            "fn tee(a: &mut W, b: &mut W, p: &[u8]) { a.write_all(p)?; b.write_all(p)?; }";
+        assert!(analyze_rust_source("crates/core/src/x.rs", two_sinks).is_empty());
+        let two_fns =
+            "fn f(w: &mut W) { w.write_all(b\"a\")?; }\nfn g(w: &mut W) { w.write_all(b\"b\")?; }";
+        assert!(analyze_rust_source("crates/core/src/x.rs", two_fns).is_empty());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 
 use cm_analyze::{
     analyze_root, Report, RULES, RULE_CT_SECRECY, RULE_EXEC_THREADS, RULE_LOCK_ACROSS_SUBMIT,
-    RULE_METRIC_NAMES, RULE_NO_PANIC, RULE_SHIM_HYGIENE, RULE_WIRE_TAGS,
+    RULE_METRIC_NAMES, RULE_NO_PANIC, RULE_SHIM_HYGIENE, RULE_SOCKET_STALL, RULE_WIRE_TAGS,
 };
 
 fn fixtures_root() -> PathBuf {
@@ -74,6 +74,18 @@ fn fixture_violations_carry_file_and_line() {
     ));
     // …and the ad-hoc string literal outside it.
     assert!(has(RULE_METRIC_NAMES, "crates/server/src/metrics_adhoc.rs"));
+    // All three stalls — the untuned dial, the untuned accept, the
+    // header-then-payload writer — and none in the clean twin.
+    let stalls = report
+        .unwaived()
+        .iter()
+        .filter(|v| v.rule == RULE_SOCKET_STALL && v.file == "crates/server/src/stall.rs")
+        .count();
+    assert_eq!(stalls, 3);
+    assert!(!report
+        .violations
+        .iter()
+        .any(|v| v.file == "crates/server/src/no_stall.rs"));
 }
 
 #[test]

@@ -36,7 +36,8 @@ fn bench_bfv_ops(c: &mut Criterion) {
         b.iter(|| ev.add(black_box(&x), black_box(&y)))
     });
     c.bench_function("encrypt_1024_q32", |b| {
-        b.iter(|| f.encryptor().encrypt(&coder.encode(&[7]), &mut rng))
+        let enc = f.encryptor();
+        b.iter(|| enc.encrypt(&coder.encode(&[7]), &mut rng))
     });
     c.bench_function("decrypt_1024_q32", |b| {
         let dec = f.decryptor();

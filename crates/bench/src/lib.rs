@@ -36,7 +36,7 @@ impl BfvFixture {
     }
 
     /// An encryptor over this fixture.
-    pub fn encryptor(&self) -> Encryptor<'_> {
+    pub fn encryptor(&self) -> Encryptor {
         Encryptor::new(&self.ctx, self.pk.clone())
     }
 

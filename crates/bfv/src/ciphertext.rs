@@ -63,6 +63,17 @@ impl Ciphertext {
         Self { parts }
     }
 
+    /// The all-zero ciphertext of `size` components over ring degree `n`
+    /// — a buffer for [`crate::Encryptor::encrypt_into`], and a
+    /// (transparent) encryption of zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size < 2`.
+    pub fn zero(size: usize, n: usize) -> Self {
+        Self::from_parts(vec![Poly::zero(n); size])
+    }
+
     /// Number of polynomial components (2 for fresh, 3 after multiply).
     #[inline]
     pub fn size(&self) -> usize {

@@ -103,7 +103,7 @@ impl<'a> KeyGenerator<'a> {
     pub fn public_key<R: Rng + ?Sized>(&self, rng: &mut R) -> PublicKey {
         let rq = self.ctx.rq();
         let a = uniform_poly(rq, rng);
-        let e = gaussian_poly(rq, self.ctx.params().sigma, rng);
+        let e = gaussian_poly(rq, self.ctx.error_sampler(), rng);
         let pk0 = rq.neg(&rq.add(&rq.mul(&a, &self.sk.s), &e));
         PublicKey { pk0, pk1: a }
     }
@@ -116,7 +116,7 @@ impl<'a> KeyGenerator<'a> {
         let levels = (0..params.decomp_levels())
             .map(|i| {
                 let a = uniform_poly(rq, rng);
-                let e = gaussian_poly(rq, params.sigma, rng);
+                let e = gaussian_poly(rq, self.ctx.error_sampler(), rng);
                 // w^i mod q (shift may exceed 64 bits of w^i before reduction,
                 // so reduce via repeated modular multiplication).
                 let wi = {

@@ -45,6 +45,8 @@ mod serialize;
 pub use ciphertext::{Ciphertext, Plaintext};
 pub use encoding::{BatchEncoder, CoefficientEncoder};
 pub use keys::{GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, RelinKey, SecretKey};
-pub use ops::{Decryptor, Encryptor, Evaluator, SeededCiphertext, SymmetricEncryptor};
+pub use ops::{
+    Decryptor, EncryptScratch, Encryptor, Evaluator, SeededCiphertext, SymmetricEncryptor,
+};
 pub use params::{BfvContext, BfvParams};
-pub use serialize::{decode_ciphertext, encode_ciphertext, DecodeError};
+pub use serialize::{decode_ciphertext, encode_ciphertext, encode_ciphertext_into, DecodeError};

@@ -6,7 +6,7 @@
 //! scales by `t/q`; relinearization and Galois rotation use gadget-
 //! decomposed key switching.
 
-use cm_hemath::{gaussian_poly, kernels, ternary_poly, Modulus, Poly, PreparedPoly};
+use cm_hemath::{gaussian_poly, kernels, Modulus, Poly, PreparedPoly};
 use rand::Rng;
 
 use crate::ciphertext::{Ciphertext, Plaintext};
@@ -15,26 +15,42 @@ use crate::params::BfvContext;
 
 /// Encrypts plaintexts under a public key.
 ///
-/// Both key polynomials are transformed once at construction, and an
-/// encryption transforms its mask `u` once for both products: one
-/// forward and two inverse NTTs where `rq.mul(pk0, u)` + `rq.mul(pk1, u)`
-/// paid four and two.
-#[derive(Debug)]
-pub struct Encryptor<'a> {
-    ctx: &'a BfvContext,
+/// Owns its context handle and keeps both key polynomials prepared for
+/// multiplication ([`cm_hemath::RingContext::prepare`]), so one encryptor
+/// built at key-provisioning time serves every later query. An
+/// encryption transforms its mask `u` once for both products (one
+/// forward and two inverse NTTs) and adds the error terms and the scaled
+/// message where they land instead of materialising them as polynomials.
+#[derive(Debug, Clone)]
+pub struct Encryptor {
+    ctx: BfvContext,
     pk0: PreparedPoly,
     pk1: PreparedPoly,
 }
 
-impl<'a> Encryptor<'a> {
+/// Working memory of [`Encryptor::encrypt_into`]: the buffer the mask `u`
+/// is sampled and transformed in. Capacity only — it is overwritten
+/// before it is read, so one scratch serves any sequence of encryptions
+/// under any keys.
+#[derive(Debug, Default)]
+pub struct EncryptScratch {
+    u: Vec<u64>,
+}
+
+impl Encryptor {
     /// Creates an encryptor.
-    pub fn new(ctx: &'a BfvContext, pk: PublicKey) -> Self {
+    pub fn new(ctx: &BfvContext, pk: PublicKey) -> Self {
         let rq = ctx.rq();
         Self {
-            ctx,
+            ctx: ctx.clone(),
             pk0: rq.prepare(pk.pk0),
             pk1: rq.prepare(pk.pk1),
         }
+    }
+
+    /// The context the encryptor was built for.
+    pub fn context(&self) -> &BfvContext {
+        &self.ctx
     }
 
     /// Encrypts a plaintext: `(pk0 u + e1 + Δ m, pk1 u + e2)` (paper
@@ -45,28 +61,55 @@ impl<'a> Encryptor<'a> {
     /// Panics if the plaintext degree does not match the ring, or a
     /// coefficient is not reduced mod `t`.
     pub fn encrypt<R: Rng + ?Sized>(&self, pt: &Plaintext, rng: &mut R) -> Ciphertext {
+        let mut ct = Ciphertext::zero(2, self.ctx.params().n);
+        self.encrypt_into(pt, rng, &mut EncryptScratch::default(), &mut ct);
+        ct
+    }
+
+    /// [`Self::encrypt`] into a caller-owned ciphertext on caller-owned
+    /// working memory: with a `scratch` that has served this ring and an
+    /// `out` of two components it allocates nothing. Whatever `out` held
+    /// is overwritten; the mask `u` and both error polynomials are drawn
+    /// fresh from `rng`, in that order, on every call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plaintext degree does not match the ring, or a
+    /// coefficient is not reduced mod `t`.
+    pub fn encrypt_into<R: Rng + ?Sized>(
+        &self,
+        pt: &Plaintext,
+        rng: &mut R,
+        scratch: &mut EncryptScratch,
+        out: &mut Ciphertext,
+    ) {
         let rq = self.ctx.rq();
         let params = self.ctx.params();
+        let errors = self.ctx.error_sampler();
+        let (q, delta) = (rq.modulus(), params.delta());
         assert_eq!(pt.poly().len(), params.n, "plaintext degree mismatch");
         assert!(
             pt.coeffs().iter().all(|&c| c < params.t),
             "plaintext coefficients must be reduced mod t"
         );
-        let q = rq.modulus();
-        let u = rq.prepare(ternary_poly(rq, rng));
-        let mut e1 = gaussian_poly(rq, params.sigma, rng).into_coeffs();
-        let e2 = gaussian_poly(rq, params.sigma, rng);
-        let mut c0 = vec![0u64; params.n];
-        rq.mul_prepared_pair(&u, &self.pk0, &mut c0);
-        kernels::add_assign_slices(q, &mut c0, &e1);
-        // `e1` is spent: its buffer carries the scaled message `Δ m`,
-        // then becomes `c1`.
-        kernels::scalar_mul_slice(q, pt.coeffs(), params.delta(), &mut e1);
-        kernels::add_assign_slices(q, &mut c0, &e1);
-        let mut c1 = e1;
-        rq.mul_prepared_pair(&u, &self.pk1, &mut c1);
-        kernels::add_assign_slices(q, &mut c1, e2.coeffs());
-        Ciphertext::from_parts(vec![Poly::from_coeffs(c0), Poly::from_coeffs(c1)])
+        if out.size() != 2 || out.parts().iter().any(|p| p.len() != params.n) {
+            *out = Ciphertext::zero(2, params.n);
+        }
+        let mut u = std::mem::take(&mut scratch.u);
+        u.resize(params.n, 0);
+        cm_hemath::fill_ternary(q, &mut u, rng);
+        let u = rq.prepare(Poly::from_coeffs(u));
+        let (c0, c1) = out.parts_mut().split_at_mut(1);
+        let (c0, c1) = (c0[0].coeffs_mut(), c1[0].coeffs_mut());
+        rq.mul_prepared_pair(&u, &self.pk0, c0);
+        errors.add_assign(q, c0, rng);
+        // `Δ·m < q` for every reduced `m` (`Δ = ⌊q/t⌋`): no reduction.
+        for (c, &m) in c0.iter_mut().zip(pt.coeffs()) {
+            *c = q.add(*c, delta * m);
+        }
+        rq.mul_prepared_pair(&u, &self.pk1, c1);
+        errors.add_assign(q, c1, rng);
+        scratch.u = u.into_coeffs();
     }
 
     /// Encrypts the zero plaintext (useful for padding and benchmarks).
@@ -137,7 +180,7 @@ impl<'a> SymmetricEncryptor<'a> {
             pt.coeffs().iter().all(|&c| c < params.t),
             "plaintext coefficients must be reduced mod t"
         );
-        let e = gaussian_poly(rq, params.sigma, rng);
+        let e = gaussian_poly(rq, self.ctx.error_sampler(), rng);
         let scaled = rq.scalar_mul(pt.poly(), params.delta());
         let c0 = rq.add(&rq.neg(&rq.add(&rq.mul(&a, &self.sk.s), &e)), &scaled);
         Ciphertext::from_parts(vec![c0, a])
@@ -653,9 +696,9 @@ mod tests {
             let got = Encryptor::new(&ctx, pk.clone()).encrypt(&pt, &mut rng);
 
             let mut rng = StdRng::seed_from_u64(32);
-            let u = ternary_poly(rq, &mut rng);
-            let e1 = gaussian_poly(rq, ctx.params().sigma, &mut rng);
-            let e2 = gaussian_poly(rq, ctx.params().sigma, &mut rng);
+            let u = cm_hemath::ternary_poly(rq, &mut rng);
+            let e1 = gaussian_poly(rq, ctx.error_sampler(), &mut rng);
+            let e2 = gaussian_poly(rq, ctx.error_sampler(), &mut rng);
             let scaled = rq.scalar_mul(pt.poly(), ctx.params().delta());
             let c0 = rq.add(&rq.add(&rq.mul(&pk.pk0, &u), &e1), &scaled);
             let c1 = rq.add(&rq.mul(&pk.pk1, &u), &e2);
@@ -664,10 +707,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast_rounding_equals_signed_division() {
-        use rand::Rng;
-        for params in [
+    fn all_presets() -> [BfvParams; 8] {
+        [
             BfvParams::ciphermatch_1024(),
             BfvParams::ciphermatch_ifp_1024(),
             BfvParams::arithmetic_2048(),
@@ -676,7 +717,75 @@ mod tests {
             BfvParams::insecure_test_pow2(),
             BfvParams::insecure_test_mul(),
             BfvParams::insecure_test_batch(),
+        ]
+    }
+
+    #[test]
+    fn encrypt_into_on_dirty_buffers_equals_encrypt() {
+        // NTT rings and the schoolbook (power-of-two q) ring; the scratch
+        // and the output arrive holding another encryption's leftovers,
+        // and once a ciphertext of the wrong shape.
+        for params in [
+            BfvParams::ciphermatch_1024(),
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
         ] {
+            let (ctx, _sk, pk) = setup(params, 51);
+            let enc = Encryptor::new(&ctx, pk);
+            let first = pt_from(&ctx, &[255, 254, 253, 1]);
+            let pt = pt_from(&ctx, &[7, 0, 200, 13, 99]);
+            let want = enc.encrypt(&pt, &mut StdRng::seed_from_u64(52));
+
+            let mut scratch = EncryptScratch::default();
+            let mut out = Ciphertext::zero(3, 8);
+            enc.encrypt_into(
+                &first,
+                &mut StdRng::seed_from_u64(1),
+                &mut scratch,
+                &mut out,
+            );
+            enc.encrypt_into(&pt, &mut StdRng::seed_from_u64(52), &mut scratch, &mut out);
+            assert_eq!(out, want, "{}", ctx.params().name);
+        }
+    }
+
+    #[test]
+    fn every_preset_decrypts_its_encryptions_with_budget_to_spare() {
+        for params in all_presets() {
+            let (ctx, sk, pk) = setup(params, 61);
+            let mut rng = StdRng::seed_from_u64(62);
+            let enc = Encryptor::new(&ctx, pk);
+            let dec = Decryptor::new(&ctx, sk);
+            let t = ctx.params().t;
+            let pt = pt_from(&ctx, &[0, 1, t - 1, t / 2, 12345]);
+            let a = enc.encrypt(&pt, &mut rng);
+            let b = enc.encrypt(&pt, &mut rng);
+            let name = ctx.params().name;
+            assert_ne!(a, b, "{name}: fresh randomness per ciphertext");
+            assert_eq!(dec.decrypt(&a), pt, "{name}");
+            assert_eq!(dec.decrypt(&b), pt, "{name}");
+            assert!(dec.invariant_noise_budget(&a) > 2.0, "{name}");
+            // Fresh noise is u·e + e1 + e2·s with ternary u, s and |e| at
+            // most the tail cut: far below 2·n·cut.
+            let cut = ctx.error_sampler().max_magnitude();
+            let rq = ctx.rq();
+            let phase = rq.add(a.part(0), &rq.mul(a.part(1), sk_poly(&dec)));
+            let noise = rq.sub(&phase, &rq.scalar_mul(pt.poly(), ctx.params().delta()));
+            assert!(
+                rq.inf_norm(&noise) <= 2 * ctx.params().n as u64 * cut + cut,
+                "{name}"
+            );
+        }
+    }
+
+    fn sk_poly(dec: &Decryptor) -> &Poly {
+        dec.sk.poly()
+    }
+
+    #[test]
+    fn fast_rounding_equals_signed_division() {
+        use rand::Rng;
+        for params in all_presets() {
             let (q, t) = (params.q, params.t);
             let m = Modulus::new(q);
             let mut rng = StdRng::seed_from_u64(q ^ t);

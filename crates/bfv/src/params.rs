@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use cm_hemath::{find_prime_1_mod, Modulus, RingContext, WideMultiplier};
+use cm_hemath::{find_prime_1_mod, GaussianSampler, Modulus, RingContext, WideMultiplier};
 
 /// Static parameters of a BFV instantiation.
 #[derive(Debug, Clone)]
@@ -171,6 +171,8 @@ pub struct BfvContext {
     params: BfvParams,
     rq: Arc<RingContext>,
     wide: Arc<WideMultiplier>,
+    /// The error distribution `D_σ`, tabulated once for `params.sigma`.
+    errors: Arc<GaussianSampler>,
 }
 
 impl BfvContext {
@@ -198,6 +200,7 @@ impl BfvContext {
             "exact tensoring range too small for q"
         );
         Self {
+            errors: Arc::new(GaussianSampler::new(params.sigma)),
             params,
             rq: Arc::new(rq),
             wide: Arc::new(wide),
@@ -220,6 +223,14 @@ impl BfvContext {
     #[inline]
     pub fn wide(&self) -> &WideMultiplier {
         &self.wide
+    }
+
+    /// The sampler of the error distribution: the discrete Gaussian of
+    /// standard deviation [`BfvParams::sigma`], cut where the remaining
+    /// mass falls below 2⁻⁶⁴ (see [`GaussianSampler`]).
+    #[inline]
+    pub fn error_sampler(&self) -> &GaussianSampler {
+        &self.errors
     }
 
     /// Plaintext modulus as a [`Modulus`].

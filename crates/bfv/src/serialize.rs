@@ -5,7 +5,7 @@
 //! packed at `ceil(q_bits / 8)` bytes each with a small self-describing
 //! header. The same packing defines the footprints reported in Fig. 2a.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use cm_hemath::Poly;
 
 use crate::ciphertext::Ciphertext;
@@ -54,27 +54,59 @@ fn coeff_bytes(q_bits: u32) -> usize {
 /// Panics if any coefficient does not fit in `q_bits` bits (the caller
 /// controls the modulus and must pass a consistent width).
 pub fn encode_ciphertext(ct: &Ciphertext, q_bits: u32) -> Bytes {
+    let mut buf = Vec::new();
+    encode_ciphertext_into(ct, q_bits, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Appends [`encode_ciphertext`]'s bytes to `out` — for callers that
+/// assemble many ciphertexts into one message and should not allocate
+/// (and copy) one buffer per ciphertext on the way.
+///
+/// # Panics
+///
+/// Panics if any coefficient does not fit in `q_bits` bits.
+pub fn encode_ciphertext_into(ct: &Ciphertext, q_bits: u32, out: &mut Vec<u8>) {
     assert!((1..=64).contains(&q_bits), "q_bits must be in 1..=64");
     let n = ct.part(0).len();
     let cb = coeff_bytes(q_bits);
-    let mut buf = BytesMut::with_capacity(16 + ct.size() * n * cb);
-    buf.put_u32(MAGIC);
-    buf.put_u8(ct.size() as u8);
-    buf.put_u8(q_bits as u8);
-    buf.put_u16(0); // reserved
-    buf.put_u32(n as u32);
+    let body = ct.size() * n * cb;
+    out.reserve(12 + body);
+    out.put_u32(MAGIC);
+    out.put_u8(ct.size() as u8);
+    out.put_u8(q_bits as u8);
+    out.put_u16(0); // reserved
+    out.put_u32(n as u32);
     let limit = if q_bits == 64 {
         u64::MAX
     } else {
         (1u64 << q_bits) - 1
     };
-    for part in ct.parts() {
-        for &c in part.coeffs() {
-            assert!(c <= limit, "coefficient wider than q_bits");
-            buf.put_slice(&c.to_le_bytes()[..cb]);
+    let start = out.len();
+    out.resize(start + body, 0);
+    for (part, dst) in ct.parts().iter().zip(out[start..].chunks_exact_mut(n * cb)) {
+        let coeffs = part.coeffs();
+        // A constant width per loop: the copy is a store, not a call.
+        match cb {
+            1 => pack_coeffs::<1>(coeffs, limit, dst),
+            2 => pack_coeffs::<2>(coeffs, limit, dst),
+            3 => pack_coeffs::<3>(coeffs, limit, dst),
+            4 => pack_coeffs::<4>(coeffs, limit, dst),
+            5 => pack_coeffs::<5>(coeffs, limit, dst),
+            6 => pack_coeffs::<6>(coeffs, limit, dst),
+            7 => pack_coeffs::<7>(coeffs, limit, dst),
+            _ => pack_coeffs::<8>(coeffs, limit, dst),
         }
     }
-    buf.freeze()
+}
+
+/// Writes the low `CB` little-endian bytes of every coefficient to `dst`
+/// (`coeffs.len() * CB` bytes).
+fn pack_coeffs<const CB: usize>(coeffs: &[u64], limit: u64, dst: &mut [u8]) {
+    for (&c, bytes) in coeffs.iter().zip(dst.chunks_exact_mut(CB)) {
+        assert!(c <= limit, "coefficient wider than q_bits");
+        bytes.copy_from_slice(&c.to_le_bytes()[..CB]);
+    }
 }
 
 /// Decodes a ciphertext produced by [`encode_ciphertext`].

@@ -9,8 +9,7 @@
 use std::sync::Arc;
 
 use cm_bfv::{
-    BfvContext, BfvParams, Decryptor, Encryptor, GaloisKeys, KeyGenerator, PublicKey, RelinKey,
-    SecretKey,
+    BfvContext, BfvParams, Decryptor, Encryptor, GaloisKeys, KeyGenerator, RelinKey, SecretKey,
 };
 use cm_tfhe::{BitCiphertext, ClientKey, ServerKey, TfheParams};
 use rand::Rng;
@@ -20,18 +19,20 @@ use crate::bits::BitString;
 use crate::matchers::batched::{BatchedDatabase, BatchedEngine};
 use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 use crate::matchers::ciphermatch::{EncryptedDatabase, EncryptedQuery, ShardScratch};
-use crate::matchers::plain::bitwise_find_all;
+use crate::matchers::plain::PackedBits;
 use crate::matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
 use crate::protocol::TrustedIndexGenerator;
 
 /// The BFV key bundle shared by the three BFV-based adapters: context,
-/// key pair, and the modulus width used for footprint accounting.
+/// secret key, the two prepared key holders, and the modulus width used
+/// for footprint accounting.
 #[derive(Debug, Clone)]
 struct BfvKeys {
     ctx: BfvContext,
     sk: SecretKey,
-    pk: PublicKey,
-    /// Prepared once with the keys; every query decrypts through it.
+    /// Prepared once with the keys; every query encrypts through it …
+    enc: Encryptor,
+    /// … and decrypts through this.
     dec: Decryptor,
     q_bits: u32,
 }
@@ -44,16 +45,16 @@ impl BfvKeys {
         let pk = kg.public_key(rng);
         let q_bits = 64 - ctx.params().q.leading_zeros();
         Self {
+            enc: Encryptor::new(&ctx, pk),
             dec: Decryptor::new(&ctx, sk.clone()),
             ctx,
             sk,
-            pk,
             q_bits,
         }
     }
 
-    fn encryptor(&self) -> Encryptor<'_> {
-        Encryptor::new(&self.ctx, self.pk.clone())
+    fn encryptor(&self) -> &Encryptor {
+        &self.enc
     }
 
     fn decryptor(&self) -> &Decryptor {
@@ -112,7 +113,7 @@ impl SecureMatcher for CiphermatchMatcher {
         Ok(self
             .index_gen
             .engine()
-            .encrypt_database(&self.keys.encryptor(), data, rng))
+            .encrypt_database(self.keys.encryptor(), data, rng))
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -126,7 +127,7 @@ impl SecureMatcher for CiphermatchMatcher {
         Ok(self
             .index_gen
             .engine()
-            .prepare_query(&self.keys.encryptor(), query, rng))
+            .prepare_query(self.keys.encryptor(), query, rng))
     }
 
     fn find_all<R: Rng + ?Sized>(
@@ -228,7 +229,7 @@ impl SecureMatcher for YasudaMatcher {
     ) -> Result<Self::Database, MatchError> {
         Ok(self
             .engine
-            .encrypt_database(&self.keys.encryptor(), data, self.window, rng))
+            .encrypt_database(self.keys.encryptor(), data, self.window, rng))
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -245,9 +246,7 @@ impl SecureMatcher for YasudaMatcher {
                 got: query.len(),
             });
         }
-        Ok(self
-            .engine
-            .prepare_query(&self.keys.encryptor(), query, rng))
+        Ok(self.engine.prepare_query(self.keys.encryptor(), query, rng))
     }
 
     fn find_all<R: Rng + ?Sized>(
@@ -352,7 +351,7 @@ impl SecureMatcher for BatchedMatcher {
         let symbols: Vec<u64> = data.bits().iter().map(|&b| b as u64).collect();
         Ok(self
             .engine
-            .encrypt_database(&self.keys.encryptor(), &symbols, self.window, rng))
+            .encrypt_database(self.keys.encryptor(), &symbols, self.window, rng))
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -393,7 +392,7 @@ impl SecureMatcher for BatchedMatcher {
         let dec = self.keys.decryptor();
         Ok(self
             .engine
-            .find_all(&enc, dec, &self.rk, &self.gk, db, query, rng))
+            .find_all(enc, dec, &self.rk, &self.gk, db, query, rng))
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {
@@ -544,7 +543,8 @@ impl PlainMatcher {
 }
 
 impl SecureMatcher for PlainMatcher {
-    type Database = BitString;
+    /// Packed once here, scanned by every query.
+    type Database = PackedBits;
     type Query = BitString;
     type Stats = MatchStats;
 
@@ -557,7 +557,7 @@ impl SecureMatcher for PlainMatcher {
         data: &BitString,
         _rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
-        Ok(data.clone())
+        Ok(PackedBits::from_bits(data))
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -578,7 +578,7 @@ impl SecureMatcher for PlainMatcher {
         _rng: &mut R,
     ) -> Result<Vec<usize>, MatchError> {
         self.stats.bytes_moved += db.len().div_ceil(8) as u64;
-        Ok(bitwise_find_all(db, query))
+        Ok(db.find_all(query))
     }
 
     fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
@@ -588,13 +588,7 @@ impl SecureMatcher for PlainMatcher {
         // database format.
         let mut out = Vec::with_capacity(8 + db.len().div_ceil(8));
         out.extend_from_slice(&(db.len() as u64).to_le_bytes());
-        let mut packed = vec![0u8; db.len().div_ceil(8)];
-        for (i, &bit) in db.bits().iter().enumerate() {
-            if bit {
-                packed[i / 8] |= 1 << (7 - i % 8);
-            }
-        }
-        out.extend_from_slice(&packed);
+        out.extend_from_slice(&db.to_bytes());
         Ok(out)
     }
 
@@ -604,20 +598,14 @@ impl SecureMatcher for PlainMatcher {
             .get(..8)
             .and_then(|h| h.try_into().ok())
             .ok_or(MatchError::Decode(DecodeError::Truncated))?;
-        let bit_len = u64::from_le_bytes(header) as usize;
-        // Check the length *before* trusting the header for an
-        // allocation: a lying bit count must not balloon memory.
-        if encoded.len() - 8 != bit_len.div_ceil(8) {
-            return Err(MatchError::Decode(DecodeError::BadHeader(
+        // The length is checked against the payload *before* anything is
+        // sized by it: a lying bit count must not balloon memory.
+        usize::try_from(u64::from_le_bytes(header))
+            .ok()
+            .and_then(|bit_len| PackedBits::from_bytes(&encoded[8..], bit_len))
+            .ok_or(MatchError::Decode(DecodeError::BadHeader(
                 "bit count vs payload length",
-            )));
-        }
-        let packed = &encoded[8..];
-        let mut bits = Vec::with_capacity(bit_len);
-        for i in 0..bit_len {
-            bits.push(packed[i / 8] >> (7 - i % 8) & 1 == 1);
-        }
-        Ok(BitString::from_bits(&bits))
+            )))
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {

@@ -184,7 +184,7 @@ pub fn generate_indices(table: &MatchTable, total_bits: usize, k: usize) -> Vec<
 mod tests {
     use super::*;
     use crate::bits::BitString;
-    use crate::query::{alignment_classes, build_variants};
+    use crate::query::{alignment_classes, alignment_geometry, build_variants};
 
     /// Computes the plaintext sum table the way the server would (segment
     /// value + negated query segment, mod 2^seg_bits), without encryption.
@@ -194,7 +194,12 @@ mod tests {
         let polys = db.segment_count(seg_bits).div_ceil(n).max(1);
         let modulus = 1u64 << seg_bits;
         let mut table = MatchTable::new();
-        table.reset(&classes, seg_bits, polys, n);
+        table.reset(
+            &alignment_geometry(query.len(), seg_bits),
+            seg_bits,
+            polys,
+            n,
+        );
         for v in &variants {
             for j in 0..polys {
                 let sums: Vec<u64> = (0..n)
@@ -277,9 +282,8 @@ mod tests {
     #[test]
     fn empty_and_oversized_queries_yield_nothing() {
         let db = BitString::from_bytes(&[0xFF; 4]);
-        let classes = alignment_classes(&BitString::from_bits(&[true]), 16);
         let mut table = MatchTable::new();
-        table.reset(&classes, 16, 1, 4);
+        table.reset(&alignment_geometry(1, 16), 16, 1, 4);
         assert!(generate_indices(&table, db.len(), 0).is_empty());
         assert!(generate_indices(&table, db.len(), 999).is_empty());
         // A sized table with no window stored matches nothing either,

@@ -73,11 +73,12 @@ pub use matchers::ciphermatch::{
     CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, SearchResult, ShardScratch,
     VariantSums,
 };
-pub use matchers::plain::bitwise_find_all;
+pub use matchers::plain::{bitwise_find_all, PackedBits};
 pub use matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
 pub use matchers::{table1_profiles, ApproachProfile, CostClass};
 pub use packing::{DensePacking, SingleBitPacking};
 pub use protocol::{BatchReport, Client, IndexMode, MatchSession, Server, TrustedIndexGenerator};
 pub use query::{
-    alignment_classes, build_variants, segment_matches, variant_count, AlignmentClass, QueryVariant,
+    alignment_classes, alignment_geometry, build_variants, segment_matches, stream_variants,
+    variant_count, AlignmentClass, NegatedClass, QueryVariant,
 };

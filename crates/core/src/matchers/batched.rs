@@ -102,7 +102,7 @@ impl BatchedEngine {
     /// symbol exceeds the plaintext modulus.
     pub fn encrypt_database<R: Rng + ?Sized>(
         &self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         symbols: &[u64],
         max_query: usize,
         rng: &mut R,
@@ -197,7 +197,7 @@ impl BatchedEngine {
     #[allow(clippy::too_many_arguments)]
     pub fn find_all<R: Rng + ?Sized>(
         &mut self,
-        _enc: &Encryptor<'_>,
+        _enc: &Encryptor,
         dec: &Decryptor,
         rk: &RelinKey,
         gk: &GaloisKeys,

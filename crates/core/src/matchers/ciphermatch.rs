@@ -8,7 +8,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use cm_bfv::{BfvContext, Ciphertext, Decryptor, Encryptor, Evaluator};
+use cm_bfv::{BfvContext, Ciphertext, Decryptor, EncryptScratch, Encryptor, Evaluator};
 use cm_hemath::kernels;
 use rand::Rng;
 
@@ -17,7 +17,9 @@ use crate::bits::BitString;
 use crate::index_gen::{generate_indices, MatchTable};
 use crate::packing::DensePacking;
 use crate::protocol::TrustedIndexGenerator;
-use crate::query::{alignment_classes, build_variants, AlignmentClass};
+use crate::query::{
+    alignment_classes, alignment_geometry, stream_variants, variant_count, AlignmentClass,
+};
 
 /// The encrypted, densely packed database stored on the server
 /// (Algorithm 1 lines 1–3).
@@ -64,9 +66,7 @@ impl EncryptedDatabase {
         out.extend_from_slice(&(self.total_bits as u64).to_le_bytes());
         out.extend_from_slice(&(self.cts.len() as u32).to_le_bytes());
         for ct in &self.cts {
-            let bytes = cm_bfv::encode_ciphertext(ct, q_bits);
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            put_ciphertext(&mut out, ct, q_bits);
         }
         debug_assert_eq!(out.len(), self.encoded_len(q_bits));
         out
@@ -193,6 +193,10 @@ impl EncryptedDatabase {
 
 /// The encrypted query: all shifted/replicated variants
 /// (Algorithm 1 lines 4–9).
+///
+/// Besides the ciphertexts it holds the query *length* `k` and the
+/// alignment geometry that follows from it ([`alignment_geometry`]) —
+/// nothing else about the pattern exists outside the ciphertexts.
 #[derive(Debug, Clone)]
 pub struct EncryptedQuery {
     pub(crate) variants: Vec<EncryptedVariant>,
@@ -205,6 +209,30 @@ pub(crate) struct EncryptedVariant {
     pub r: usize,
     pub phase: usize,
     pub ct: Ciphertext,
+}
+
+/// Appends the wire header of a `k`-bit query with `variants` variants.
+fn put_query_header(out: &mut Vec<u8>, k: usize, variants: usize) {
+    out.extend_from_slice(&QUERY_MAGIC.to_be_bytes());
+    out.extend_from_slice(&(k as u64).to_le_bytes());
+    out.extend_from_slice(&(variants as u32).to_le_bytes());
+}
+
+/// Appends one length-prefixed ciphertext in the compact `cm-bfv`
+/// format, serialized in place (the prefix is patched in afterwards).
+fn put_ciphertext(out: &mut Vec<u8>, ct: &Ciphertext, q_bits: u32) {
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    cm_bfv::encode_ciphertext_into(ct, q_bits, out);
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends one variant: its `(r, phase)` key, then its ciphertext.
+fn put_query_variant(out: &mut Vec<u8>, r: usize, phase: usize, ct: &Ciphertext, q_bits: u32) {
+    out.extend_from_slice(&(r as u16).to_le_bytes());
+    out.extend_from_slice(&(phase as u16).to_le_bytes());
+    put_ciphertext(out, ct, q_bits);
 }
 
 impl EncryptedQuery {
@@ -229,40 +257,32 @@ impl EncryptedQuery {
         self.variants.iter().map(|v| (v.r, v.phase, &v.ct))
     }
 
-    /// The alignment classes of this query (needed to rebuild a
+    /// The alignment geometry of this query's length (needed to rebuild a
     /// [`SearchResult`] from externally computed sums).
     pub fn classes(&self) -> &[AlignmentClass] {
         &self.classes
     }
 
-    /// Serializes the query for the wire: a header, the alignment classes,
+    /// Serializes the query for the wire: the magic, the query length `k`,
     /// and every variant ciphertext in the compact `cm-bfv` format. This
-    /// is what a remote key owner ships to a `cm_server` tenant.
+    /// is what a remote key owner ships to a `cm_server` tenant. Outside
+    /// the ciphertext bodies every byte is a function of `k` and the
+    /// parameter set: the alignment geometry is not sent — the receiver
+    /// derives it from `k` — and the negated pattern segments the
+    /// variants were built from never leave [`CiphermatchEngine`]'s
+    /// query preparation.
     pub fn encode(&self, q_bits: u32) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&QUERY_MAGIC.to_be_bytes());
-        out.extend_from_slice(&(self.k as u64).to_le_bytes());
-        out.extend_from_slice(&(self.classes.len() as u16).to_le_bytes());
-        for class in &self.classes {
-            out.extend_from_slice(&(class.r as u16).to_le_bytes());
-            out.extend_from_slice(&(class.window_segs as u16).to_le_bytes());
-            for (&neg, &mask) in class.neg_segments.iter().zip(&class.masks) {
-                out.extend_from_slice(&neg.to_le_bytes());
-                out.extend_from_slice(&mask.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.variants.len() as u32).to_le_bytes());
+        put_query_header(&mut out, self.k, self.variants.len());
         for v in &self.variants {
-            out.extend_from_slice(&(v.r as u16).to_le_bytes());
-            out.extend_from_slice(&(v.phase as u16).to_le_bytes());
-            let ct = cm_bfv::encode_ciphertext(&v.ct, q_bits);
-            out.extend_from_slice(&(ct.len() as u32).to_le_bytes());
-            out.extend_from_slice(&ct);
+            put_query_variant(&mut out, v.r, v.phase, &v.ct, q_bits);
         }
         out
     }
 
-    /// Decodes a query serialized with [`Self::encode`].
+    /// Decodes a query serialized with [`Self::encode`] for segments of
+    /// `seg_bits` bits, rebuilding the alignment geometry from the encoded
+    /// length.
     ///
     /// Decoding alone does not prove the query fits a particular parameter
     /// set — run [`Self::validate`] against the server's context before
@@ -270,58 +290,48 @@ impl EncryptedQuery {
     ///
     /// # Errors
     ///
-    /// Returns a [`cm_bfv::DecodeError`] on malformed input; never panics.
-    pub fn decode(data: &[u8]) -> Result<Self, cm_bfv::DecodeError> {
+    /// Returns a [`cm_bfv::DecodeError`] on malformed input (including the
+    /// retired `CMQ1` format, which is [`cm_bfv::DecodeError::BadMagic`]);
+    /// never panics.
+    pub fn decode(data: &[u8], seg_bits: usize) -> Result<Self, cm_bfv::DecodeError> {
         use cm_bfv::DecodeError;
+        // A segment is a coefficient of at most 63 bits.
+        if !(1..=63).contains(&seg_bits) {
+            return Err(DecodeError::BadHeader("segment width"));
+        }
         let mut cur = Cursor { data, pos: 0 };
         if cur.u32_be()? != QUERY_MAGIC {
             return Err(DecodeError::BadMagic);
         }
-        let k = cur.u64()? as usize;
-        let class_count = cur.u16()? as usize;
-        // Classes are indexed by bit offset within a segment, so there can
-        // never be more than 64 of them (a segment fits in a u64 word).
-        if class_count == 0 || class_count > 64 {
-            return Err(DecodeError::BadHeader("alignment class count"));
+        let k = usize::try_from(cur.u64()?).map_err(|_| DecodeError::BadHeader("query length"))?;
+        if k == 0 {
+            return Err(DecodeError::BadHeader("empty query"));
         }
-        let mut classes = Vec::with_capacity(class_count);
-        for _ in 0..class_count {
-            let r = cur.u16()? as usize;
-            let window_segs = cur.u16()? as usize;
-            // Each window segment costs 16 encoded bytes; a count the
-            // remaining buffer cannot hold is a lie told by the header.
-            if window_segs == 0 || window_segs > cur.remaining() / 16 {
-                return Err(DecodeError::BadHeader("window segment count"));
-            }
-            let mut neg_segments = Vec::with_capacity(window_segs);
-            let mut masks = Vec::with_capacity(window_segs);
-            for _ in 0..window_segs {
-                neg_segments.push(cur.u64()?);
-                masks.push(cur.u64()?);
-            }
-            classes.push(AlignmentClass {
-                r,
-                window_segs,
-                neg_segments,
-                masks,
-            });
-        }
-        let variant_count = cur.u32()? as usize;
-        // Each variant costs at least its 8-byte preamble.
-        if variant_count > cur.remaining() / 8 {
+        let count = cur.u32()? as usize;
+        // Each variant costs at least its 8-byte preamble, and a `k`-bit
+        // query has at least `k` variants: a count the buffer cannot hold,
+        // or a length the count does not fit, is a lie told by the header
+        // — rejected before either sizes an allocation.
+        if count > cur.remaining() / 8 {
             return Err(DecodeError::BadHeader("variant count"));
         }
-        let mut variants = Vec::with_capacity(variant_count);
-        for _ in 0..variant_count {
+        if k > count || variant_count(k, seg_bits) != count {
+            return Err(DecodeError::BadHeader("variant count vs query length"));
+        }
+        let mut variants = Vec::with_capacity(count);
+        for _ in 0..count {
             let r = cur.u16()? as usize;
             let phase = cur.u16()? as usize;
             let len = cur.u32()? as usize;
             let ct = cm_bfv::decode_ciphertext(cur.take(len)?)?;
             variants.push(EncryptedVariant { r, phase, ct });
         }
+        if cur.remaining() != 0 {
+            return Err(DecodeError::BadHeader("trailing bytes after the variants"));
+        }
         Ok(Self {
             variants,
-            classes,
+            classes: alignment_geometry(k, seg_bits),
             k,
         })
     }
@@ -339,7 +349,7 @@ impl EncryptedQuery {
         seg_bits: usize,
         q: u64,
     ) -> Result<Self, cm_bfv::DecodeError> {
-        let query = Self::decode(data)?;
+        let query = Self::decode(data, seg_bits)?;
         query.validate(n, seg_bits, q)?;
         Ok(query)
     }
@@ -368,15 +378,11 @@ impl EncryptedQuery {
             if class.r != r || class.window_segs != (r + self.k).div_ceil(seg_bits) {
                 return Err(DecodeError::BadHeader("alignment class geometry"));
             }
-            if class.neg_segments.len() != class.window_segs
-                || class.masks.len() != class.window_segs
-            {
+            if class.masks.len() != class.window_segs {
                 return Err(DecodeError::BadHeader("alignment class lengths"));
             }
-            for (&neg, &mask) in class.neg_segments.iter().zip(&class.masks) {
-                if neg > full || mask > full || neg & mask != 0 {
-                    return Err(DecodeError::BadHeader("alignment class segments"));
-                }
+            if class.masks.iter().any(|&mask| mask > full) {
+                return Err(DecodeError::BadHeader("alignment class segments"));
             }
         }
         let expected: usize = self.classes.iter().map(|c| c.window_segs).sum();
@@ -409,8 +415,10 @@ impl EncryptedQuery {
     }
 }
 
-/// Magic bytes identifying the serialized-query format ("CMQ1").
-const QUERY_MAGIC: u32 = 0x434D_5131;
+/// Magic bytes identifying the serialized-query format ("CMQ2"). `CMQ1`
+/// carried the alignment classes — the negated pattern included — in the
+/// clear next to the ciphertexts; it is refused.
+const QUERY_MAGIC: u32 = 0x434D_5132;
 
 /// Minimal bounds-checked reader over a byte slice (decode helper).
 struct Cursor<'a> {
@@ -625,7 +633,7 @@ impl CiphermatchEngine {
     /// Packs and encrypts a database (client side, done once).
     pub fn encrypt_database<R: Rng + ?Sized>(
         &self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         data: &BitString,
         rng: &mut R,
     ) -> EncryptedDatabase {
@@ -641,27 +649,66 @@ impl CiphermatchEngine {
         }
     }
 
-    /// Prepares and encrypts all query variants (client side, per query).
+    /// Prepares and encrypts all query variants (client side, per query):
+    /// one plaintext buffer refilled per `(r, phase)`, one fresh
+    /// ciphertext — fresh `u`, `e1`, `e2` — per variant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query is empty.
     pub fn prepare_query<R: Rng + ?Sized>(
         &self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         query: &BitString,
         rng: &mut R,
     ) -> EncryptedQuery {
-        let classes = alignment_classes(query, self.packing.seg_bits());
-        let variants = build_variants(&classes, self.ctx.params().n)
-            .into_iter()
-            .map(|v| EncryptedVariant {
-                r: v.r,
-                phase: v.phase,
-                ct: enc.encrypt(&v.plaintext, rng),
-            })
-            .collect();
+        let n = self.ctx.params().n;
+        let seg_bits = self.packing.seg_bits();
+        let mut variants = Vec::with_capacity(variant_count(query.len(), seg_bits));
+        let mut scratch = EncryptScratch::default();
+        stream_variants(&alignment_classes(query, seg_bits), n, |r, phase, pt| {
+            let mut ct = Ciphertext::zero(2, n);
+            enc.encrypt_into(pt, rng, &mut scratch, &mut ct);
+            variants.push(EncryptedVariant { r, phase, ct });
+        });
         EncryptedQuery {
             variants,
-            classes,
+            classes: alignment_geometry(query.len(), seg_bits),
             k: query.len(),
         }
+    }
+
+    /// [`Self::prepare_query`] followed by [`EncryptedQuery::encode`],
+    /// byte for byte on the same `rng` stream, without the query in
+    /// between: every variant is encrypted into one reused ciphertext and
+    /// serialized straight into the output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query is empty.
+    pub fn prepare_query_encoded<R: Rng + ?Sized>(
+        &self,
+        enc: &Encryptor,
+        query: &BitString,
+        rng: &mut R,
+    ) -> Vec<u8> {
+        let params = self.ctx.params();
+        let q_bits = 64 - params.q.leading_zeros();
+        let seg_bits = self.packing.seg_bits();
+        let count = variant_count(query.len(), seg_bits);
+        let mut ct = Ciphertext::zero(2, params.n);
+        let mut out = Vec::with_capacity(16 + count * (20 + ct.byte_size(q_bits)));
+        put_query_header(&mut out, query.len(), count);
+        let mut scratch = EncryptScratch::default();
+        stream_variants(
+            &alignment_classes(query, seg_bits),
+            params.n,
+            |r, phase, pt| {
+                enc.encrypt_into(pt, rng, &mut scratch, &mut ct);
+                put_query_variant(&mut out, r, phase, &ct, q_bits);
+            },
+        );
+        out
     }
 
     /// Server-side secure search: one `Hom-Add` per (variant, polynomial).
@@ -894,7 +941,7 @@ impl CiphermatchEngine {
     /// Convenience end-to-end search (encrypt query → search → index gen).
     pub fn find_all<R: Rng + ?Sized>(
         &mut self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         dec: &Decryptor,
         db: &EncryptedDatabase,
         query: &BitString,
@@ -1177,12 +1224,16 @@ mod tests {
         let seg_bits = engine.packing().seg_bits();
 
         let bytes = query.encode(q_bits);
-        let restored = EncryptedQuery::decode(&bytes).expect("roundtrip");
+        let restored = EncryptedQuery::decode(&bytes, seg_bits).expect("roundtrip");
         restored
             .validate(n, seg_bits, f.ctx.params().q)
             .expect("well-formed");
         assert_eq!(restored.k(), query.k());
         assert_eq!(restored.classes(), query.classes());
+        assert_eq!(
+            restored.classes(),
+            alignment_geometry(pattern.len(), seg_bits)
+        );
         assert_eq!(restored.variant_count(), query.variant_count());
 
         // The restored query searches identically.
@@ -1195,14 +1246,14 @@ mod tests {
         // Every truncation fails cleanly; garbage never panics.
         for cut in 0..bytes.len() {
             assert!(
-                EncryptedQuery::decode(&bytes[..cut]).is_err(),
+                EncryptedQuery::decode(&bytes[..cut], seg_bits).is_err(),
                 "prefix of {cut} bytes must not decode"
             );
         }
         for i in (0..bytes.len()).step_by(11) {
             let mut flipped = bytes.clone();
             flipped[i] ^= 0x5A;
-            if let Ok(q) = EncryptedQuery::decode(&flipped) {
+            if let Ok(q) = EncryptedQuery::decode(&flipped, seg_bits) {
                 // A decodable flip must still be caught by validation or
                 // search safely (validation bounds everything index
                 // generation touches).
@@ -1219,6 +1270,157 @@ mod tests {
             .validate(n, seg_bits + 1, f.ctx.params().q)
             .is_err());
         assert!(restored.validate(n, seg_bits, 2).is_err());
+    }
+
+    /// Everything of an encoded query outside the ciphertext bodies: the
+    /// header, and each variant's key, length prefix and 12-byte
+    /// ciphertext header.
+    fn outside_ciphertext_bodies(bytes: &[u8]) -> Vec<u8> {
+        let mut kept = bytes[..16].to_vec();
+        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+        let mut at = 16;
+        for _ in 0..count {
+            let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+            kept.extend_from_slice(&bytes[at..at + 8 + 12]);
+            at += 8 + len;
+        }
+        assert_eq!(at, bytes.len(), "the walk covers the whole encoding");
+        kept
+    }
+
+    #[test]
+    fn nothing_outside_the_ciphertexts_depends_on_the_pattern() {
+        let f = Fixture::new();
+        let mut rng = StdRng::seed_from_u64(8181);
+        let pk = KeyGenerator::new(&f.ctx, &mut rng).public_key(&mut rng);
+        let enc = Encryptor::new(&f.ctx, pk);
+        let engine = CiphermatchEngine::new(&f.ctx);
+        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let seg_bits = engine.packing().seg_bits();
+        for k in [1usize, 7, 8, 9, 29, 64] {
+            let mut clear = Vec::new();
+            for trial in 0..4u64 {
+                let bits: Vec<bool> = (0..k).map(|_| rng.gen()).collect();
+                let pattern = BitString::from_bits(&bits);
+                let query = engine.prepare_query(&enc, &pattern, &mut rng);
+                let bytes = query.encode(q_bits);
+                // What decode hands the server is the geometry of k.
+                let restored = EncryptedQuery::decode(&bytes, seg_bits).unwrap();
+                assert_eq!(restored.classes(), alignment_geometry(k, seg_bits));
+                assert_eq!(restored.classes(), query.classes());
+                clear.push(outside_ciphertext_bodies(&bytes));
+                assert_eq!(clear[0], clear[trial as usize], "k={k}");
+                // The ciphertext bodies are all the rest of the message.
+                let bodies = bytes.len() - clear[0].len();
+                assert_eq!(bodies, query.byte_size(q_bits));
+            }
+        }
+    }
+
+    #[test]
+    fn retired_and_lying_query_headers_are_refused() {
+        use cm_bfv::DecodeError;
+        let f = Fixture::new();
+        let mut rng = StdRng::seed_from_u64(8282);
+        let pk = KeyGenerator::new(&f.ctx, &mut rng).public_key(&mut rng);
+        let enc = Encryptor::new(&f.ctx, pk);
+        let engine = CiphermatchEngine::new(&f.ctx);
+        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let seg_bits = engine.packing().seg_bits();
+        let pattern = BitString::from_ascii("ab");
+        let good = engine
+            .prepare_query(&enc, &pattern, &mut rng)
+            .encode(q_bits);
+        assert!(EncryptedQuery::decode(&good, seg_bits).is_ok());
+
+        // The format that carried the negated pattern in the clear.
+        let mut retired = good.clone();
+        retired[..4].copy_from_slice(b"CMQ1");
+        assert_eq!(
+            EncryptedQuery::decode(&retired, seg_bits).unwrap_err(),
+            DecodeError::BadMagic
+        );
+        // A length the variant count does not fit — including ones whose
+        // geometry would be astronomically large — is refused before any
+        // geometry is built.
+        for k in [0u64, 15, 17, 1 << 40, u64::MAX] {
+            let mut lying = good.clone();
+            lying[4..12].copy_from_slice(&k.to_le_bytes());
+            assert!(
+                matches!(
+                    EncryptedQuery::decode(&lying, seg_bits),
+                    Err(DecodeError::BadHeader(_))
+                ),
+                "k={k}"
+            );
+        }
+        let mut lying = good.clone();
+        lying[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(EncryptedQuery::decode(&lying, seg_bits).is_err());
+        // Bytes past the last variant, and a segment width no
+        // coefficient can have.
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(EncryptedQuery::decode(&trailing, seg_bits).is_err());
+        assert!(EncryptedQuery::decode(&good, 0).is_err());
+        assert!(EncryptedQuery::decode(&good, 64).is_err());
+        // Decoded for another segment width, the same bytes describe a
+        // different variant set.
+        assert!(EncryptedQuery::decode(&good, seg_bits * 2).is_err());
+    }
+
+    #[test]
+    fn streamed_preparation_encrypts_the_listed_variants() {
+        // Decrypting what `prepare_query` streams gives back, plaintext
+        // for plaintext, the variant list of the reference construction.
+        let f = Fixture::new();
+        let mut rng = StdRng::seed_from_u64(8383);
+        let (sk, pk) = {
+            let kg = KeyGenerator::new(&f.ctx, &mut rng);
+            (kg.secret_key(), kg.public_key(&mut rng))
+        };
+        let enc = Encryptor::new(&f.ctx, pk);
+        let dec = Decryptor::new(&f.ctx, sk);
+        let engine = CiphermatchEngine::new(&f.ctx);
+        let (n, seg_bits) = (f.ctx.params().n, engine.packing().seg_bits());
+        for k in [1usize, 15, 16, 17, 32, 257] {
+            let bits: Vec<bool> = (0..k).map(|_| rng.gen()).collect();
+            let pattern = BitString::from_bits(&bits);
+            let query = engine.prepare_query(&enc, &pattern, &mut rng);
+            let listed = crate::query::build_variants(&alignment_classes(&pattern, seg_bits), n);
+            assert_eq!(query.variant_count(), listed.len(), "k={k}");
+            for (want, (r, phase, ct)) in listed.iter().zip(query.variant_cts()) {
+                assert_eq!((want.r, want.phase), (r, phase), "k={k}");
+                assert_eq!(dec.decrypt(ct), want.plaintext, "k={k} r={r} phase={phase}");
+            }
+        }
+    }
+
+    #[test]
+    fn encoding_while_encrypting_equals_encrypt_then_encode() {
+        for params in [
+            BfvParams::insecure_test_add(),
+            BfvParams::ciphermatch_1024(),
+        ] {
+            let ctx = BfvContext::new(params);
+            let mut rng = StdRng::seed_from_u64(8484);
+            let pk = KeyGenerator::new(&ctx, &mut rng).public_key(&mut rng);
+            let enc = Encryptor::new(&ctx, pk);
+            let engine = CiphermatchEngine::new(&ctx);
+            let q_bits = 64 - ctx.params().q.leading_zeros();
+            for k in [1usize, 16, 32, 45] {
+                let pattern = BitString::from_bits(&vec![true; k]);
+                let listed = engine
+                    .prepare_query(&enc, &pattern, &mut StdRng::seed_from_u64(k as u64))
+                    .encode(q_bits);
+                let streamed = engine.prepare_query_encoded(
+                    &enc,
+                    &pattern,
+                    &mut StdRng::seed_from_u64(k as u64),
+                );
+                assert_eq!(streamed, listed, "{} k={k}", ctx.params().name);
+            }
+        }
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl YasudaEngine {
     /// Panics if `k` is zero or exceeds the ring degree.
     pub fn encrypt_database<R: Rng + ?Sized>(
         &self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         data: &BitString,
         k: usize,
         rng: &mut R,
@@ -128,7 +128,7 @@ impl YasudaEngine {
     /// for the windowed Hamming weight).
     pub fn prepare_query<R: Rng + ?Sized>(
         &self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         query: &BitString,
         rng: &mut R,
     ) -> YasudaQuery {
@@ -177,7 +177,7 @@ impl YasudaEngine {
     /// the HD polynomial and report zero-distance alignments.
     pub fn find_all<R: Rng + ?Sized>(
         &mut self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         dec: &Decryptor,
         db: &YasudaDatabase,
         query: &BitString,
@@ -202,7 +202,7 @@ impl YasudaEngine {
     /// `max_distance` is not representable below the plaintext modulus.
     pub fn find_within_distance<R: Rng + ?Sized>(
         &mut self,
-        enc: &Encryptor<'_>,
+        enc: &Encryptor,
         dec: &Decryptor,
         db: &YasudaDatabase,
         query: &BitString,

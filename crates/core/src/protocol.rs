@@ -13,7 +13,7 @@
 //! server returns result ciphertexts for the client to decrypt (the
 //! communication-heavy behaviour the paper criticizes in \[27\]).
 
-use cm_bfv::{BfvContext, Decryptor, Encryptor, KeyGenerator, PublicKey, SecretKey};
+use cm_bfv::{BfvContext, Decryptor, Encryptor, KeyGenerator, SecretKey};
 use rand::Rng;
 
 use crate::api::{Backend, ErasedMatcher, MatchError, MatchStats, MatcherConfig};
@@ -36,10 +36,13 @@ pub enum IndexMode {
 }
 
 /// The client: owns the secret key, prepares queries, reads results.
+/// Engine, encryptor and decryptor are prepared once with the keys.
 pub struct Client {
     ctx: BfvContext,
     sk: SecretKey,
-    pk: PublicKey,
+    engine: CiphermatchEngine,
+    enc: Encryptor,
+    dec: Decryptor,
 }
 
 impl std::fmt::Debug for Client {
@@ -58,8 +61,10 @@ impl Client {
         let pk = kg.public_key(rng);
         Self {
             ctx: ctx.clone(),
+            engine: CiphermatchEngine::new(ctx),
+            enc: Encryptor::new(ctx, pk),
+            dec: Decryptor::new(ctx, sk.clone()),
             sk,
-            pk,
         }
     }
 
@@ -70,8 +75,7 @@ impl Client {
         data: &BitString,
         rng: &mut R,
     ) -> EncryptedDatabase {
-        let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        CiphermatchEngine::new(&self.ctx).encrypt_database(&enc, data, rng)
+        self.engine.encrypt_database(&self.enc, data, rng)
     }
 
     /// Prepares an encrypted query (Algorithm 1 lines 4–9).
@@ -88,14 +92,12 @@ impl Client {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        Ok(CiphermatchEngine::new(&self.ctx).prepare_query(&enc, query, rng))
+        Ok(self.engine.prepare_query(&self.enc, query, rng))
     }
 
     /// Decrypts a full search response (ClientSide mode).
     pub fn decrypt_matches(&self, result: &SearchResult) -> Vec<usize> {
-        let dec = Decryptor::new(&self.ctx, self.sk.clone());
-        CiphermatchEngine::new(&self.ctx).generate_indices(&dec, result)
+        self.engine.generate_indices(&self.dec, result)
     }
 
     /// Hands a decryption capability to a trusted controller (the paper's

@@ -16,16 +16,16 @@ use cm_hemath::Poly;
 
 use crate::bits::BitString;
 
-/// One bit-offset class `r`: the negated query segments and their
-/// don't-care masks for windows starting at `r` within a segment.
+/// The geometry of one bit-offset class `r`: how many segments a window
+/// starting at `r` spans and which of their bits the query does not
+/// cover. A function of the query *length* and the segment width alone —
+/// this is all a server ever needs, or learns, about a query's shape.
 #[derive(Debug, PartialEq, Eq)]
 pub struct AlignmentClass {
     /// Bit offset within a segment (`0 <= r < seg_bits`).
     pub r: usize,
     /// Window width in segments, `s_r = ceil((r + k) / seg_bits)`.
     pub window_segs: usize,
-    /// Negated query value per window segment (don't-care bits are 0).
-    pub neg_segments: Vec<u64>,
     /// Don't-care mask per window segment (1 = not covered by the query).
     pub masks: Vec<u64>,
 }
@@ -35,60 +35,88 @@ impl Clone for AlignmentClass {
         Self {
             r: self.r,
             window_segs: self.window_segs,
-            neg_segments: self.neg_segments.clone(),
             masks: self.masks.clone(),
         }
     }
 
-    /// Field-wise, so a reused search result keeps its segment buffers
-    /// (the derived `clone_from` would reallocate both per class).
+    /// Field-wise, so a reused search result keeps its mask buffers (the
+    /// derived `clone_from` would reallocate one per class).
     fn clone_from(&mut self, source: &Self) {
         self.r = source.r;
         self.window_segs = source.window_segs;
-        self.neg_segments.clone_from(&source.neg_segments);
         self.masks.clone_from(&source.masks);
     }
 }
 
-/// Returns the `seg_bits` alignment classes of a query.
+/// One bit-offset class of a *particular* query: the negated pattern cut
+/// into the window segments of class `r`. It is the pattern in another
+/// layout, so it exists only where the pattern does — on the side that
+/// encrypts — and is never serialized.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NegatedClass {
+    /// Bit offset within a segment (`0 <= r < seg_bits`).
+    pub r: usize,
+    /// Window width in segments, `s_r = ceil((r + k) / seg_bits)`.
+    pub window_segs: usize,
+    /// Negated query value per window segment (don't-care bits are 0).
+    pub neg_segments: Vec<u64>,
+}
+
+/// Window bit `x` of class `r`, as `(segment, bit value in that segment)`
+/// in the MSB-first layout.
+#[inline]
+fn window_bit(x: usize, seg_bits: usize) -> (usize, u64) {
+    (x / seg_bits, 1 << (seg_bits - 1 - x % seg_bits))
+}
+
+/// Returns the `seg_bits` alignment-class geometries of every query of
+/// `k` bits: class `r` spans `ceil((r + k) / seg_bits)` segments and
+/// covers window bits `r..r + k`; every other bit is don't-care.
 ///
 /// # Panics
 ///
-/// Panics if the query is empty.
-pub fn alignment_classes(query: &BitString, seg_bits: usize) -> Vec<AlignmentClass> {
-    assert!(!query.is_empty(), "query must not be empty");
-    let k = query.len();
-    let full = (1u64 << seg_bits) - 1;
+/// Panics if `k` is zero.
+pub fn alignment_geometry(k: usize, seg_bits: usize) -> Vec<AlignmentClass> {
+    assert!(k > 0, "query must not be empty");
     (0..seg_bits)
         .map(|r| {
             let window_segs = (r + k).div_ceil(seg_bits);
-            let mut neg_segments = Vec::with_capacity(window_segs);
-            let mut masks = Vec::with_capacity(window_segs);
-            for i in 0..window_segs {
-                let mut value = 0u64;
-                let mut mask = 0u64;
-                for b in 0..seg_bits {
-                    let x = i * seg_bits + b; // bit position within the window
-                    let shift = seg_bits - 1 - b; // MSB-first layout
-                    if x >= r && x < r + k {
-                        // Covered: negated query bit.
-                        if !query.get(x - r) {
-                            value |= 1 << shift;
-                        }
-                    } else {
-                        mask |= 1 << shift;
-                    }
-                }
-                debug_assert_eq!(value & mask, 0);
-                debug_assert!(value <= full && mask <= full);
-                neg_segments.push(value);
-                masks.push(mask);
+            let mut masks = vec![0u64; window_segs];
+            for x in (0..r).chain(r + k..window_segs * seg_bits) {
+                let (segment, bit) = window_bit(x, seg_bits);
+                masks[segment] |= bit;
             }
             AlignmentClass {
                 r,
                 window_segs,
-                neg_segments,
                 masks,
+            }
+        })
+        .collect()
+}
+
+/// Returns the `seg_bits` alignment classes of a query: per class, the
+/// negated query bits at window positions `r..r + k` and zero on every
+/// don't-care bit (see [`alignment_geometry`] for those).
+///
+/// # Panics
+///
+/// Panics if the query is empty.
+pub fn alignment_classes(query: &BitString, seg_bits: usize) -> Vec<NegatedClass> {
+    assert!(!query.is_empty(), "query must not be empty");
+    let k = query.len();
+    (0..seg_bits)
+        .map(|r| {
+            let window_segs = (r + k).div_ceil(seg_bits);
+            let mut neg_segments = vec![0u64; window_segs];
+            for j in (0..k).filter(|&j| !query.get(j)) {
+                let (segment, bit) = window_bit(r + j, seg_bits);
+                neg_segments[segment] |= bit;
+            }
+            NegatedClass {
+                r,
+                window_segs,
+                neg_segments,
             }
         })
         .collect()
@@ -116,13 +144,19 @@ pub struct QueryVariant {
     pub plaintext: Plaintext,
 }
 
-/// Builds all `sum_r s_r` query variants for ring degree `n`.
+/// Builds all `sum_r s_r` query variants for ring degree `n` as a list.
 ///
 /// Variant `(r, p)` stores negated-query segment `(c - p) mod s_r` at every
 /// coefficient `c`, so the server's single `Hom-Add` against a database
 /// polynomial evaluates all coefficient positions whose window phase is
 /// compatible with `p`.
-pub fn build_variants(classes: &[AlignmentClass], n: usize) -> Vec<QueryVariant> {
+///
+/// This is the reference construction — the definition
+/// [`stream_variants`] is tested against, and what a test takes single
+/// variants from. Query preparation streams instead: the list is
+/// `n · Σ s_r` words of plaintext (376 KiB at `k = 32`, `n = 1024`) that
+/// nothing needs at once.
+pub fn build_variants(classes: &[NegatedClass], n: usize) -> Vec<QueryVariant> {
     let mut variants = Vec::new();
     for class in classes {
         let s = class.window_segs;
@@ -142,6 +176,29 @@ pub fn build_variants(classes: &[AlignmentClass], n: usize) -> Vec<QueryVariant>
         }
     }
     variants
+}
+
+/// Hands every query variant of [`build_variants`], in the same order, to
+/// `sink` as `(r, phase, plaintext)` — through one degree-`n` plaintext
+/// refilled per variant.
+pub fn stream_variants(
+    classes: &[NegatedClass],
+    n: usize,
+    mut sink: impl FnMut(usize, usize, &Plaintext),
+) {
+    let mut plaintext = Plaintext::zero(n);
+    for class in classes {
+        let s = class.window_segs;
+        for phase in 0..s {
+            // Coefficient c holds segment (c − phase) mod s: the segment
+            // index starts at (−phase) mod s and cycles.
+            let segments = class.neg_segments.iter().cycle().skip((s - phase) % s);
+            for (c, &segment) in plaintext.poly_mut().coeffs_mut().iter_mut().zip(segments) {
+                *c = segment;
+            }
+            sink(class.r, phase, &plaintext);
+        }
+    }
 }
 
 /// Total number of variants a query needs: `sum_{r} ceil((r + k)/seg_bits)`.
@@ -170,10 +227,9 @@ mod tests {
     #[test]
     fn aligned_class_has_no_mask() {
         let q = BitString::from_bytes(&[0xAB, 0xCD]);
-        let classes = alignment_classes(&q, 16);
-        let c0 = &classes[0];
-        assert_eq!(c0.masks, vec![0]);
+        assert_eq!(alignment_geometry(q.len(), 16)[0].masks, vec![0]);
         // Negated query: !0xABCD
+        let c0 = &alignment_classes(&q, 16)[0];
         assert_eq!(c0.neg_segments, vec![!0xABCDu64 & 0xFFFF]);
     }
 
@@ -181,18 +237,20 @@ mod tests {
     fn offset_class_masks_cover_uncovered_bits() {
         let q = BitString::from_bytes(&[0xFF]); // k = 8
         let classes = alignment_classes(&q, 16);
+        let geometry = alignment_geometry(q.len(), 16);
         // r = 4: query covers window bits [4, 12) -> high nibble and low
         // nibble are don't-care.
-        let c = &classes[4];
+        let c = &geometry[4];
         assert_eq!(c.window_segs, 1);
         assert_eq!(c.masks[0], 0xF00F);
         // Negated 0xFF is 0x00, so covered bits contribute 0.
-        assert_eq!(c.neg_segments[0], 0x0000);
+        assert_eq!(classes[4].neg_segments[0], 0x0000);
         // r = 12: query covers bits [12, 20) -> spans two segments.
-        let c = &classes[12];
+        let c = &geometry[12];
         assert_eq!(c.window_segs, 2);
         assert_eq!(c.masks[0], 0xFFF0);
         assert_eq!(c.masks[1], 0x0FFF);
+        assert_eq!(classes[12].window_segs, 2);
     }
 
     #[test]
@@ -202,11 +260,12 @@ mod tests {
         // test equals bit equality on covered bits (carry soundness).
         let q = BitString::from_bytes(&[0x5A]); // k = 8
         let classes = alignment_classes(&q, seg_bits);
+        let geometry = alignment_geometry(q.len(), seg_bits);
         for (r, class) in classes.iter().enumerate().take(seg_bits - 8) {
             for trial in 0..2000u64 {
                 let data = trial.wrapping_mul(0x9E37_79B9_7F4A_7C15) & 0xFFFF;
                 let sum = (data + class.neg_segments[0]) & 0xFFFF;
-                let matches = segment_matches(sum, class.masks[0], seg_bits);
+                let matches = segment_matches(sum, geometry[r].masks[0], seg_bits);
                 // Ground truth: covered bits of data equal the query bits.
                 let covered: bool = (0..8).all(|j| {
                     let shift = seg_bits - 1 - (r + j);
@@ -230,6 +289,54 @@ mod tests {
         assert_eq!(v.plaintext.coeffs()[0], c.neg_segments[1]);
         assert_eq!(v.plaintext.coeffs()[1], c.neg_segments[0]);
         assert_eq!(v.plaintext.coeffs()[2], c.neg_segments[1]);
+    }
+
+    #[test]
+    fn geometry_depends_on_length_only_and_never_overlaps_the_pattern() {
+        for k in [1usize, 7, 15, 16, 17, 32, 33, 257] {
+            let geometry = alignment_geometry(k, 16);
+            assert_eq!(geometry.len(), 16);
+            for pattern in [vec![true; k], vec![false; k]] {
+                let classes = alignment_classes(&BitString::from_bits(&pattern), 16);
+                for (class, shape) in classes.iter().zip(&geometry) {
+                    assert_eq!((class.r, class.window_segs), (shape.r, shape.window_segs));
+                    assert_eq!(shape.masks.len(), shape.window_segs);
+                    let covered: u32 = shape.masks.iter().map(|m| 16 - m.count_ones()).sum();
+                    assert_eq!(covered as usize, k, "k={k} r={}", shape.r);
+                    for (&neg, &mask) in class.neg_segments.iter().zip(&shape.masks) {
+                        assert_eq!(neg & mask, 0, "don't-care bits of the query are zero");
+                        assert!(neg <= 0xFFFF && mask <= 0xFFFF);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_variants_equal_the_variant_list() {
+        for (k, seg_bits, n) in [
+            (1usize, 16usize, 8usize),
+            (15, 16, 8),
+            (16, 16, 64),
+            (17, 16, 64),
+            (32, 16, 1024),
+            (257, 16, 32),
+            (13, 8, 256),
+        ] {
+            let bits: Vec<bool> = (0..k).map(|i| (i * 7 + i / 3) % 5 < 2).collect();
+            let classes = alignment_classes(&BitString::from_bits(&bits), seg_bits);
+            let listed = build_variants(&classes, n);
+            assert_eq!(listed.len(), variant_count(k, seg_bits));
+            let mut streamed = Vec::new();
+            stream_variants(&classes, n, |r, phase, pt| {
+                streamed.push((r, phase, pt.clone()))
+            });
+            assert_eq!(streamed.len(), listed.len(), "k={k}");
+            for (want, (r, phase, pt)) in listed.iter().zip(&streamed) {
+                assert_eq!((want.r, want.phase), (*r, *phase), "k={k}");
+                assert_eq!(&want.plaintext, pt, "k={k} r={r} phase={phase}");
+            }
+        }
     }
 
     #[test]

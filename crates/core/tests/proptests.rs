@@ -6,8 +6,8 @@
 
 use cm_bfv::{BfvContext, BfvParams};
 use cm_core::{
-    alignment_classes, bitwise_find_all, build_variants, generate_indices, segment_matches,
-    BitString, DensePacking, MatchError, MatchTable, WorkerPool,
+    alignment_classes, alignment_geometry, bitwise_find_all, build_variants, generate_indices,
+    segment_matches, BitString, DensePacking, MatchError, MatchTable, WorkerPool,
 };
 use proptest::prelude::*;
 
@@ -39,10 +39,11 @@ proptest! {
     #[test]
     fn alignment_masks_partition_window_bits(qbits in arb_bits(80)) {
         let q = BitString::from_bits(&qbits);
-        for class in alignment_classes(&q, 16) {
+        let geometry = alignment_geometry(q.len(), 16);
+        for (class, shape) in alignment_classes(&q, 16).iter().zip(&geometry) {
             // Covered + masked bits = the full window; they never overlap.
             let mut covered = 0usize;
-            for (i, &mask) in class.masks.iter().enumerate() {
+            for (i, &mask) in shape.masks.iter().enumerate() {
                 let dontcare = mask.count_ones() as usize;
                 covered += 16 - dontcare;
                 prop_assert_eq!(class.neg_segments[i] & mask, 0, "segment {} overlaps", i);
@@ -63,7 +64,7 @@ proptest! {
         let class = &alignment_classes(&q, 16)[r];
         prop_assume!(class.window_segs == 1);
         let sum = (data + class.neg_segments[0]) & 0xFFFF;
-        let got = segment_matches(sum, class.masks[0], 16);
+        let got = segment_matches(sum, alignment_geometry(q.len(), 16)[r].masks[0], 16);
         let expect = (0..8).all(|j| {
             let dbit = (data >> (15 - (r + j))) & 1 == 1;
             dbit == qbits[j]
@@ -89,7 +90,7 @@ proptest! {
         let variants = build_variants(&classes, n);
         let polys = db.segment_count(seg_bits).div_ceil(n).max(1);
         let mut table = MatchTable::new();
-        table.reset(&classes, seg_bits, polys, n);
+        table.reset(&alignment_geometry(q.len(), seg_bits), seg_bits, polys, n);
         for v in &variants {
             for j in 0..polys {
                 let sums: Vec<u64> = (0..n)

@@ -32,5 +32,7 @@ mod widemul;
 pub use modulus::{find_ntt_prime, find_prime_1_mod, is_prime, primitive_2n_root, Modulus};
 pub use ntt::{bit_reverse, schoolbook_negacyclic_mul, NttTable};
 pub use poly::{Poly, PreparedPoly, RingContext};
-pub use sampler::{gaussian_poly, gaussian_vec, ternary_poly, ternary_vec, uniform_poly};
+pub use sampler::{
+    fill_ternary, gaussian_poly, ternary_poly, ternary_vec, uniform_poly, GaussianSampler,
+};
 pub use widemul::{schoolbook_exact_negacyclic, WideMultiplier};

@@ -33,6 +33,16 @@ pub struct Poly {
 #[derive(Debug, Clone)]
 pub struct PreparedPoly(Vec<u64>);
 
+impl PreparedPoly {
+    /// Gives the buffer back once the products are done, so a caller that
+    /// prepares a fresh operand per use (an encryption's mask) can refill
+    /// it instead of allocating. The contents are ring-specific and no
+    /// longer meaningful as coefficients.
+    pub fn into_coeffs(self) -> Vec<u64> {
+        self.0
+    }
+}
+
 impl Poly {
     /// Wraps a coefficient vector. Coefficients must already be reduced.
     pub fn from_coeffs(coeffs: Vec<u64>) -> Self {

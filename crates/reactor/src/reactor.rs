@@ -578,7 +578,12 @@ impl<E: Events> Driver<E> {
     fn accept_ready(&mut self) -> bool {
         loop {
             match self.listener.accept() {
-                Ok((stream, _)) => self.admit(stream),
+                Ok((stream, _)) => {
+                    // Replies are whole frames in one write; nothing to
+                    // coalesce, and Nagle would only delay them.
+                    let _ = stream.set_nodelay(true);
+                    self.admit(stream);
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 // Transient (ECONNABORTED) or resource (EMFILE)
@@ -603,7 +608,6 @@ impl<E: Events> Driver<E> {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let _ = stream.set_nodelay(true);
         let token = self.next_token;
         let conn = ConnId(token);
         if self.epoll.add(stream.as_raw_fd(), EPOLLIN, token).is_err() {

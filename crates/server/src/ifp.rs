@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator, PublicKey};
+use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator};
 use cm_core::{
     Backend, BitString, CiphermatchEngine, EncryptedDatabase, EncryptedQuery, MatchError,
     MatchStats, SecureMatcher,
@@ -52,10 +52,10 @@ impl std::fmt::Debug for IfpDatabase {
 #[derive(Clone)]
 pub struct IfpMatcher {
     ctx: BfvContext,
-    /// Engine and decryptor are prepared once with the keys.
+    /// Engine, encryptor and decryptor are prepared once with the keys.
     engine: CiphermatchEngine,
+    enc: Encryptor,
     dec: Decryptor,
-    pk: PublicKey,
     q_bits: u32,
     geometry: FlashGeometry,
     mode: TransposeMode,
@@ -104,9 +104,9 @@ impl IfpMatcher {
         let q_bits = 64 - ctx.params().q.leading_zeros();
         Ok(Self {
             engine: CiphermatchEngine::new(&ctx),
+            enc: Encryptor::new(&ctx, pk),
             dec,
             ctx,
-            pk,
             q_bits,
             geometry,
             mode,
@@ -135,7 +135,7 @@ impl IfpMatcher {
     /// The public query-encryption material a remote client needs to ship
     /// wire queries to this matcher.
     pub fn query_kit(&self) -> QueryKit {
-        QueryKit::new(self.ctx.clone(), self.pk.clone())
+        QueryKit::new(self.engine.clone(), self.enc.clone())
     }
 }
 
@@ -156,8 +156,7 @@ impl SecureMatcher for IfpMatcher {
         if data.is_empty() {
             return Err(MatchError::InvalidConfig("cannot serve an empty database"));
         }
-        let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        let db = self.engine.encrypt_database(&enc, data, rng);
+        let db = self.engine.encrypt_database(&self.enc, data, rng);
         let bytes = db.byte_size(self.q_bits) as u64;
         let server = CmIfpServer::new(&self.ctx, self.geometry.clone(), self.mode, &db);
         Ok(IfpDatabase {
@@ -176,8 +175,7 @@ impl SecureMatcher for IfpMatcher {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        Ok(self.engine.prepare_query(&enc, query, rng))
+        Ok(self.engine.prepare_query(&self.enc, query, rng))
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {

@@ -6,37 +6,44 @@
 //! capability and an AES channel key, and keeps (or distributes) this kit
 //! so query encryption can happen *away* from the serving process. The
 //! kit holds only public material — context parameters and the public
-//! key.
+//! key, the latter already prepared for encryption.
+//!
+//! What [`QueryKit::encode_query`] produces, and so what travels in a
+//! client-key Match, is the query's length `k` and one ciphertext per
+//! shifted variant ([`cm_core::EncryptedQuery::encode`]). The alignment
+//! geometry the server needs is a function of `k` and is rebuilt there;
+//! the negated pattern segments the variants are made of exist only
+//! inside the call, on this side.
 
-use cm_bfv::{BfvContext, Encryptor, PublicKey};
+use cm_bfv::Encryptor;
 use cm_core::{BitString, CiphermatchEngine, MatchError};
 use rand::Rng;
 
-/// Public query-encryption material for one tenant.
+/// Public query-encryption material for one tenant: the engine and the
+/// encryptor, both built once when the kit is.
 #[derive(Clone)]
 pub struct QueryKit {
-    ctx: BfvContext,
-    pk: PublicKey,
-    q_bits: u32,
+    engine: CiphermatchEngine,
+    enc: Encryptor,
 }
 
 impl std::fmt::Debug for QueryKit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryKit")
-            .field("params", &self.ctx.params().name)
+            .field("params", &self.enc.context().params().name)
             .finish()
     }
 }
 
 impl QueryKit {
-    pub(crate) fn new(ctx: BfvContext, pk: PublicKey) -> Self {
-        let q_bits = 64 - ctx.params().q.leading_zeros();
-        Self { ctx, pk, q_bits }
+    pub(crate) fn new(engine: CiphermatchEngine, enc: Encryptor) -> Self {
+        Self { engine, enc }
     }
 
     /// Encrypts `query` and serializes it into the CIPHERMATCH wire format
     /// ([`cm_core::EncryptedQuery::encode`]) ready for
-    /// [`crate::MatchClient::search_encoded`].
+    /// [`crate::MatchClient::search_encoded`] — each variant encrypted
+    /// straight into the output bytes.
     ///
     /// # Errors
     ///
@@ -49,8 +56,6 @@ impl QueryKit {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        let encrypted = CiphermatchEngine::new(&self.ctx).prepare_query(&enc, query, rng);
-        Ok(encrypted.encode(self.q_bits))
+        Ok(self.engine.prepare_query_encoded(&self.enc, query, rng))
     }
 }

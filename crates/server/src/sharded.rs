@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator, PublicKey, SecretKey};
+use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator, SecretKey};
 use cm_core::{
     Backend, BitString, CiphermatchEngine, EncryptedQuery, ErasedMatcher, MatchError, MatchStats,
     TrustedIndexGenerator,
@@ -41,9 +41,10 @@ struct Loaded {
 pub struct ShardedCmMatcher {
     ctx: BfvContext,
     sk: SecretKey,
-    pk: PublicKey,
     q_bits: u32,
+    /// Engine and encryptor are prepared once with the keys.
     engine: CiphermatchEngine,
+    enc: Encryptor,
     shards: usize,
     overlap_polys: usize,
     rng: StdRng,
@@ -87,9 +88,9 @@ impl ShardedCmMatcher {
         let q_bits = 64 - ctx.params().q.leading_zeros();
         Ok(Self {
             engine: CiphermatchEngine::new(&ctx),
+            enc: Encryptor::new(&ctx, pk),
             ctx,
             sk,
-            pk,
             q_bits,
             shards,
             overlap_polys: 1,
@@ -117,7 +118,7 @@ impl ShardedCmMatcher {
     /// The public query-encryption material a remote client needs to ship
     /// wire queries to this matcher.
     pub fn query_kit(&self) -> QueryKit {
-        QueryKit::new(self.ctx.clone(), self.pk.clone())
+        QueryKit::new(self.engine.clone(), self.enc.clone())
     }
 
     /// The shard plan of the loaded database, if one is loaded.
@@ -160,8 +161,7 @@ impl ErasedMatcher for ShardedCmMatcher {
         if data.is_empty() {
             return Err(MatchError::InvalidConfig("cannot serve an empty database"));
         }
-        let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        let db = self.engine.encrypt_database(&enc, data, &mut self.rng);
+        let db = self.engine.encrypt_database(&self.enc, data, &mut self.rng);
         let bytes = db.byte_size(self.q_bits) as u64;
         let sharded = ShardedDatabase::split(
             &db,
@@ -195,8 +195,7 @@ impl ErasedMatcher for ShardedCmMatcher {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        let enc = Encryptor::new(&self.ctx, self.pk.clone());
-        let encrypted = self.engine.prepare_query(&enc, query, &mut self.rng);
+        let encrypted = self.engine.prepare_query(&self.enc, query, &mut self.rng);
         self.run(encrypted)
     }
 
@@ -254,9 +253,9 @@ impl ErasedMatcher for ShardedCmMatcher {
         Box::new(Self {
             ctx: self.ctx.clone(),
             sk: self.sk.clone(),
-            pk: self.pk.clone(),
             q_bits: self.q_bits,
             engine: self.engine.clone(),
+            enc: self.enc.clone(),
             shards: self.shards,
             overlap_polys: self.overlap_polys,
             rng: self.rng.clone(),

@@ -2,10 +2,15 @@
 //!
 //! Framing: every message travels as `magic("CMS1") | len:u32-le |
 //! payload`, with `len` capped at [`MAX_FRAME_BYTES`] so a lying header
-//! can never drive an allocation. Payloads are tag-discriminated
+//! can never drive an allocation. A frame is built in one buffer —
+//! [`begin_frame`] reserves the eight header bytes, the message encodes
+//! itself behind them, [`finish_frame`] patches magic and length in — and
+//! leaves in one write, so a small request is one TCP segment and never
+//! waits on the peer's delayed ACK. Payloads are tag-discriminated
 //! [`Request`]/[`Response`] messages encoded with fixed-width
 //! little-endian integers; encrypted queries ride in the `cm-bfv`-backed
-//! [`cm_core::EncryptedQuery::encode`] format and match results return as
+//! [`cm_core::EncryptedQuery::encode`] format (the query length and the
+//! variant ciphertexts, nothing else) and match results return as
 //! AES-sealed index lists ([`cm_ssd::SecureIndexChannel`]), so neither
 //! queries nor results cross the socket in the clear for
 //! CIPHERMATCH-family tenants.
@@ -470,8 +475,10 @@ pub enum QueryPayload {
     /// [`Backend`] supports this mode).
     Bits(BitString),
     /// An already-encrypted query in the CIPHERMATCH wire format
-    /// ([`cm_core::EncryptedQuery::encode`]), for client-key tenants:
-    /// the server never sees the pattern (`ciphermatch` and `ifp`).
+    /// ([`cm_core::EncryptedQuery::encode`]: the query length and the
+    /// variant ciphertexts), for client-key tenants: the server learns
+    /// the pattern's length and nothing else about it (`ciphermatch` and
+    /// `ifp`).
     CmWire(Vec<u8>),
 }
 
@@ -558,25 +565,54 @@ fn io_err(what: &str, e: std::io::Error) -> MatchError {
     MatchError::Transport(format!("{what}: {e}"))
 }
 
-/// Writes one frame.
+/// Bytes of the frame header: magic, then the payload length.
+const FRAME_HEADER_BYTES: usize = 8;
+
+/// Starts a frame in `buf`, dropping whatever it held: reserves the
+/// header, which [`finish_frame`] fills in once the payload has been
+/// appended behind it.
+pub fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; FRAME_HEADER_BYTES]);
+}
+
+/// Completes the frame [`begin_frame`] started in `buf`: everything past
+/// the reserved header is the payload, and magic and length are patched
+/// in front of it.
+///
+/// # Errors
+///
+/// [`MatchError::Frame`] if the payload exceeds [`MAX_FRAME_BYTES`] (or
+/// `buf` is shorter than a header, i.e. no frame was begun).
+pub fn finish_frame(buf: &mut [u8]) -> Result<(), MatchError> {
+    let payload = buf
+        .len()
+        .checked_sub(FRAME_HEADER_BYTES)
+        .ok_or(MatchError::Frame("frame buffer holds no header"))?;
+    if payload > MAX_FRAME_BYTES {
+        return Err(MatchError::Frame("payload exceeds the frame size cap"));
+    }
+    buf[..4].copy_from_slice(&FRAME_MAGIC);
+    buf[4..FRAME_HEADER_BYTES].copy_from_slice(&(payload as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Writes one frame as a single `write_all` of header and payload
+/// together (see [`frame_bytes`]); callers that encode their own messages
+/// build the frame in place instead and pay no copy.
 ///
 /// # Errors
 ///
 /// [`MatchError::Frame`] if the payload exceeds [`MAX_FRAME_BYTES`];
 /// [`MatchError::Transport`] on socket failure.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), MatchError> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(MatchError::Frame("payload exceeds the frame size cap"));
-    }
-    let mut header = [0u8; 8];
-    header[..4].copy_from_slice(&FRAME_MAGIC);
-    header[4..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)
-        .map_err(|e| io_err("write frame header", e))?;
-    w.write_all(payload)
-        .map_err(|e| io_err("write frame payload", e))?;
-    w.flush().map_err(|e| io_err("flush frame", e))?;
-    Ok(())
+    write_framed(w, &frame_bytes(payload)?)
+}
+
+/// Sends a finished frame: one `write_all`, then a flush.
+pub(crate) fn write_framed<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), MatchError> {
+    w.write_all(frame).map_err(|e| io_err("write frame", e))?;
+    w.flush().map_err(|e| io_err("flush frame", e))
 }
 
 /// Reads exactly `buf.len()` bytes; `Ok(false)` means the peer closed the
@@ -590,6 +626,17 @@ fn read_fully<R: Read>(r: &mut R, buf: &mut [u8], eof_ok: bool) -> Result<bool, 
             Ok(0) => return Err(MatchError::Transport("unexpected end of stream".into())),
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            // The peer dropped the connection with our bytes still unread
+            // (a reset, where a drained socket would have read as EOF):
+            // a hangup, typed as one.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                return Err(MatchError::ConnectionClosed)
+            }
             Err(e) => return Err(io_err("read", e)),
         }
     }
@@ -602,11 +649,25 @@ fn read_fully<R: Read>(r: &mut R, buf: &mut [u8], eof_ok: bool) -> Result<bool, 
 /// # Errors
 ///
 /// [`MatchError::Frame`] on bad magic or an oversized length prefix,
-/// [`MatchError::Transport`] on socket failure or mid-frame EOF.
+/// [`MatchError::ConnectionClosed`] if the peer reset the connection,
+/// [`MatchError::Transport`] on any other socket failure or mid-frame
+/// EOF.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, MatchError> {
-    let mut header = [0u8; 8];
+    let mut payload = Vec::new();
+    Ok(read_frame_into(r, &mut payload)?.then_some(payload))
+}
+
+/// [`read_frame`] into a caller-owned buffer, which then holds exactly
+/// the payload; `Ok(false)` is a clean end of stream at a frame boundary
+/// (and leaves `payload` empty).
+pub(crate) fn read_frame_into<R: Read>(
+    r: &mut R,
+    payload: &mut Vec<u8>,
+) -> Result<bool, MatchError> {
+    payload.clear();
+    let mut header = [0u8; FRAME_HEADER_BYTES];
     if !read_fully(r, &mut header, true)? {
-        return Ok(None);
+        return Ok(false);
     }
     if header[..4] != FRAME_MAGIC {
         return Err(MatchError::Frame("bad frame magic"));
@@ -615,9 +676,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, MatchError> {
     if len > MAX_FRAME_BYTES {
         return Err(MatchError::Frame("frame length exceeds the size cap"));
     }
-    let mut payload = vec![0u8; len];
-    read_fully(r, &mut payload, false)?;
-    Ok(Some(payload))
+    payload.resize(len, 0);
+    read_fully(r, payload, false)?;
+    Ok(true)
 }
 
 /// Encodes one frame (header + payload) into an owned buffer, for
@@ -631,10 +692,10 @@ pub fn frame_bytes(payload: &[u8]) -> Result<Vec<u8>, MatchError> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(MatchError::Frame("payload exceeds the frame size cap"));
     }
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    begin_frame(&mut out);
     out.extend_from_slice(payload);
+    finish_frame(&mut out)?;
     Ok(out)
 }
 
@@ -763,13 +824,13 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn put_bits(out: &mut Vec<u8>, bits: &BitString) {
     put_u64(out, bits.len() as u64);
-    let mut packed = vec![0u8; bits.len().div_ceil(8)];
+    let start = out.len();
+    out.resize(start + bits.len().div_ceil(8), 0);
     for (i, &b) in bits.bits().iter().enumerate() {
         if b {
-            packed[i / 8] |= 1 << (7 - i % 8);
+            out[start + i / 8] |= 1 << (7 - i % 8);
         }
     }
-    out.extend_from_slice(&packed);
 }
 
 fn put_stats(out: &mut Vec<u8>, s: &MatchStats) {
@@ -1176,71 +1237,93 @@ fn read_error(r: &mut Reader<'_>) -> Result<MatchError, MatchError> {
 // Request / Response codecs
 // ---------------------------------------------------------------------------
 
+/// Appends a [`Request::Match`] carrying [`QueryPayload::Bits`], from
+/// borrowed parts.
+pub(crate) fn put_match_bits(out: &mut Vec<u8>, tenant: &str, bits: &BitString) {
+    out.push(tags::REQ_MATCH);
+    put_str(out, tenant);
+    out.push(tags::QUERY_BITS);
+    put_bits(out, bits);
+}
+
+/// Appends a [`Request::Match`] carrying [`QueryPayload::CmWire`], from
+/// borrowed parts.
+pub(crate) fn put_match_wire(out: &mut Vec<u8>, tenant: &str, encoded_query: &[u8]) {
+    out.push(tags::REQ_MATCH);
+    put_str(out, tenant);
+    out.push(tags::QUERY_CM_WIRE);
+    put_bytes(out, encoded_query);
+}
+
+/// Appends the part every [`Request::LoadDatabase`] starts with: request
+/// tag, tenant, phase tag.
+fn put_upload_phase(out: &mut Vec<u8>, tenant: &str, phase_tag: u8) {
+    out.push(tags::REQ_LOAD_DATABASE);
+    put_str(out, tenant);
+    out.push(phase_tag);
+}
+
+/// Appends a [`Request::LoadDatabase`] in [`UploadPhase::Chunk`], from
+/// borrowed parts.
+pub(crate) fn put_upload_chunk(out: &mut Vec<u8>, tenant: &str, index: u32, data: &[u8]) {
+    put_upload_phase(out, tenant, tags::PHASE_CHUNK);
+    out.extend_from_slice(&index.to_le_bytes());
+    put_bytes(out, data);
+}
+
 impl Request {
     /// Serializes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends [`Self::encode`]'s bytes to `out` (behind a reserved frame
+    /// header, typically).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Ping => out.push(tags::REQ_PING),
             Request::ListTenants => out.push(tags::REQ_LIST_TENANTS),
-            Request::Match { tenant, query } => {
-                out.push(tags::REQ_MATCH);
-                put_str(&mut out, tenant);
-                match query {
-                    QueryPayload::Bits(bits) => {
-                        out.push(tags::QUERY_BITS);
-                        put_bits(&mut out, bits);
-                    }
-                    QueryPayload::CmWire(bytes) => {
-                        out.push(tags::QUERY_CM_WIRE);
-                        put_bytes(&mut out, bytes);
-                    }
-                }
-            }
+            Request::Match { tenant, query } => match query {
+                QueryPayload::Bits(bits) => put_match_bits(out, tenant, bits),
+                QueryPayload::CmWire(bytes) => put_match_wire(out, tenant, bytes),
+            },
             Request::TenantStats { tenant } => {
                 out.push(tags::REQ_TENANT_STATS);
-                put_str(&mut out, tenant);
+                put_str(out, tenant);
             }
-            Request::LoadDatabase { tenant, phase } => {
-                out.push(tags::REQ_LOAD_DATABASE);
-                put_str(&mut out, tenant);
-                match phase {
-                    UploadPhase::Begin {
-                        auth,
-                        spec,
-                        total_bytes,
-                        chunk_count,
-                    } => {
-                        out.push(tags::PHASE_BEGIN);
-                        put_u64(&mut out, auth.nonce);
-                        out.extend_from_slice(&auth.channel_key);
-                        out.extend_from_slice(&auth.content);
-                        out.extend_from_slice(&auth.tag);
-                        put_spec(&mut out, spec);
-                        put_u64(&mut out, *total_bytes);
-                        out.extend_from_slice(&chunk_count.to_le_bytes());
-                    }
-                    UploadPhase::Chunk { index, data } => {
-                        out.push(tags::PHASE_CHUNK);
-                        out.extend_from_slice(&index.to_le_bytes());
-                        put_bytes(&mut out, data);
-                    }
-                    UploadPhase::Commit => out.push(tags::PHASE_COMMIT),
+            Request::LoadDatabase { tenant, phase } => match phase {
+                UploadPhase::Begin {
+                    auth,
+                    spec,
+                    total_bytes,
+                    chunk_count,
+                } => {
+                    put_upload_phase(out, tenant, tags::PHASE_BEGIN);
+                    put_u64(out, auth.nonce);
+                    out.extend_from_slice(&auth.channel_key);
+                    out.extend_from_slice(&auth.content);
+                    out.extend_from_slice(&auth.tag);
+                    put_spec(out, spec);
+                    put_u64(out, *total_bytes);
+                    out.extend_from_slice(&chunk_count.to_le_bytes());
                 }
-            }
+                UploadPhase::Chunk { index, data } => put_upload_chunk(out, tenant, *index, data),
+                UploadPhase::Commit => put_upload_phase(out, tenant, tags::PHASE_COMMIT),
+            },
             Request::EvictDatabase { tenant, auth } => {
                 out.push(tags::REQ_EVICT_DATABASE);
-                put_str(&mut out, tenant);
-                put_u64(&mut out, auth.nonce);
+                put_str(out, tenant);
+                put_u64(out, auth.nonce);
                 out.extend_from_slice(&auth.tag);
             }
             Request::DatabaseInfo { tenant } => {
                 out.push(tags::REQ_DATABASE_INFO);
-                put_str(&mut out, tenant);
+                put_str(out, tenant);
             }
             Request::Metrics => out.push(tags::REQ_METRICS),
         }
-        out
     }
 
     /// Decodes a frame payload.
@@ -1539,6 +1622,116 @@ mod tests {
         let mut cursor = &buf[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), Some(payload));
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    /// A sink that takes at most `limit` bytes per `write` and counts the
+    /// calls.
+    struct CountingSink {
+        limit: usize,
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let take = buf.len().min(self.limit);
+            self.writes += 1;
+            self.bytes.extend_from_slice(&buf[..take]);
+            Ok(take)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        for len in [0usize, 1, 1_400, 1_048_576] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+            let mut sink = CountingSink {
+                limit: usize::MAX,
+                writes: 0,
+                bytes: Vec::new(),
+            };
+            write_frame(&mut sink, &payload).unwrap();
+            assert_eq!(sink.writes, 1, "{len}-byte payload");
+            assert_eq!(sink.bytes, frame_bytes(&payload).unwrap());
+            assert_eq!(
+                read_frame(&mut &sink.bytes[..]).unwrap(),
+                Some(payload.clone())
+            );
+            // A sink that takes 1 000 bytes at a time still ends up with
+            // the whole frame, byte for byte.
+            let mut slow = CountingSink {
+                limit: 1_000,
+                writes: 0,
+                bytes: Vec::new(),
+            };
+            write_frame(&mut slow, &payload).unwrap();
+            assert_eq!(slow.writes, (len + 8).div_ceil(1_000));
+            assert_eq!(slow.bytes, sink.bytes);
+        }
+        // The cap is enforced before anything is written.
+        let mut sink = CountingSink {
+            limit: usize::MAX,
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        let oversized = vec![0u8; MAX_FRAME_BYTES + 1];
+        assert!(matches!(
+            write_frame(&mut sink, &oversized),
+            Err(MatchError::Frame(_))
+        ));
+        assert_eq!(sink.writes, 0);
+        let mut unbegun = vec![0u8; 3];
+        assert!(finish_frame(&mut unbegun).is_err());
+    }
+
+    #[test]
+    fn borrowed_encoders_equal_the_owned_requests() {
+        let framed = |encode: &dyn Fn(&mut Vec<u8>)| {
+            let mut buf = vec![0xEE; 5]; // stale contents are dropped
+            begin_frame(&mut buf);
+            encode(&mut buf);
+            finish_frame(&mut buf).unwrap();
+            buf
+        };
+        let owned = |request: Request| frame_bytes(&request.encode()).unwrap();
+        let bits = BitString::from_ascii("needle!");
+        let wire: Vec<u8> = (0..=255u8).cycle().take(3_000).collect();
+        for bits in [BitString::new(), bits.slice(0, 13), bits] {
+            assert_eq!(
+                framed(&|out| put_match_bits(out, "alice", &bits)),
+                owned(Request::Match {
+                    tenant: "alice".into(),
+                    query: QueryPayload::Bits(bits.clone()),
+                })
+            );
+        }
+        for wire in [&wire[..0], &wire[..1], &wire[..]] {
+            assert_eq!(
+                framed(&|out| put_match_wire(out, "bob", wire)),
+                owned(Request::Match {
+                    tenant: "bob".into(),
+                    query: QueryPayload::CmWire(wire.to_vec()),
+                })
+            );
+            assert_eq!(
+                framed(&|out| put_upload_chunk(out, "carol", 7, wire)),
+                owned(Request::LoadDatabase {
+                    tenant: "carol".into(),
+                    phase: UploadPhase::Chunk {
+                        index: 7,
+                        data: wire.to_vec(),
+                    },
+                })
+            );
+        }
+        assert_eq!(
+            framed(&|out| Request::Ping.encode_into(out)),
+            owned(Request::Ping)
+        );
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub use cold::{ColdRead, ColdSlot, ColdStore, ColdWrite};
 pub use commands::{submit, HostCommand, HostResponse};
 pub use ftl::{Ftl, GroupAddr, GROUP_WORDLINES};
 pub use pipeline::CmIfpServer;
-pub use secure_index::{SecureIndexChannel, AES_AREA_MM2, AES_BLOCK_LATENCY};
+pub use secure_index::{MalformedIndexList, SecureIndexChannel, AES_AREA_MM2, AES_BLOCK_LATENCY};
 pub use ssd::{ControllerModel, IfpReport, Ssd};
 pub use transpose::{TransposeMode, TranspositionUnit};

@@ -45,18 +45,61 @@ impl SecureIndexChannel {
     ///
     /// # Panics
     ///
-    /// Panics on malformed input.
+    /// Panics on malformed input; use [`Self::try_open`] for a list that
+    /// came from a peer.
     pub fn open(&self, sealed: &[u8], nonce: u64) -> Vec<usize> {
-        let mut bytes = sealed.to_vec();
-        self.aes.ctr_apply(nonce, &mut bytes);
-        assert!(bytes.len() >= 8, "sealed index list too short");
-        let count = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
-        assert!(bytes.len() >= 8 + count * 8, "sealed index list truncated");
-        (0..count)
-            .map(|i| u64::from_le_bytes(bytes[8 + i * 8..16 + i * 8].try_into().unwrap()) as usize)
-            .collect()
+        match self.try_open(&mut sealed.to_vec(), nonce) {
+            Ok(indices) => indices,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`Self::open`] for untrusted input: decrypts `sealed` in place —
+    /// the caller's buffer holds the plaintext list afterwards, whatever
+    /// the outcome — and returns the indices only if the buffer is exactly
+    /// one count word and that many index words.
+    ///
+    /// # Errors
+    ///
+    /// [`MalformedIndexList`] if the buffer is shorter than the count
+    /// word, or its length is not exactly what the decrypted count
+    /// declares (a count no buffer could hold included).
+    pub fn try_open(
+        &self,
+        sealed: &mut [u8],
+        nonce: u64,
+    ) -> Result<Vec<usize>, MalformedIndexList> {
+        self.aes.ctr_apply(nonce, sealed);
+        let (count, words) = sealed
+            .split_first_chunk::<8>()
+            .ok_or(MalformedIndexList("sealed index list too short"))?;
+        let declared = usize::try_from(u64::from_le_bytes(*count))
+            .ok()
+            .and_then(|count| count.checked_mul(8));
+        if declared != Some(words.len()) {
+            return Err(MalformedIndexList(
+                "sealed index list length does not match its count",
+            ));
+        }
+        Ok(words
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]) as usize)
+            .collect())
     }
 }
+
+/// A sealed index list that does not decrypt to `count | count × index`
+/// (wrong key or nonce, truncation, or a hostile peer).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MalformedIndexList(&'static str);
+
+impl std::fmt::Display for MalformedIndexList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for MalformedIndexList {}
 
 #[cfg(test)]
 mod tests {
@@ -90,6 +133,55 @@ mod tests {
         if let Ok(got) = result {
             assert_ne!(got, indices);
         }
+    }
+
+    /// Seals raw plaintext bytes the way `seal` would: CTR is its own
+    /// inverse.
+    fn sealed(chan: &SecureIndexChannel, nonce: u64, plain: &[u8]) -> Vec<u8> {
+        let mut bytes = plain.to_vec();
+        chan.aes.ctr_apply(nonce, &mut bytes);
+        bytes
+    }
+
+    #[test]
+    fn malformed_lists_are_typed_errors_not_panics() {
+        let chan = SecureIndexChannel::new(&[4; 32]);
+        let list = |count: u64, words: usize| {
+            let mut plain = count.to_le_bytes().to_vec();
+            plain.extend_from_slice(&vec![0xAB; words * 8]);
+            plain
+        };
+        let cases: Vec<Vec<u8>> = vec![
+            Vec::new(),             // empty
+            vec![0; 7],             // shorter than the count word
+            list(3, 2),             // truncated: three declared, two present
+            list(2, 3),             // trailing word past the declared list
+            list(u64::MAX, 1),      // count · 8 overflows
+            list((1 << 61) + 1, 1), // 8 + count · 8 wraps to 16 in release
+            list(1 << 61, 0),       // count · 8 wraps to 0
+        ];
+        for plain in cases {
+            let mut bytes = sealed(&chan, 9, &plain);
+            assert!(chan.try_open(&mut bytes, 9).is_err(), "{plain:?}");
+            // The caller's buffer was decrypted in place.
+            assert_eq!(bytes, plain);
+        }
+        // Exact lists open, the empty one included.
+        assert_eq!(
+            chan.try_open(&mut sealed(&chan, 9, &list(0, 0)), 9),
+            Ok(vec![])
+        );
+        let (mut good, _) = chan.seal(&[7, 1 << 40], 11);
+        assert_eq!(chan.try_open(&mut good, 11), Ok(vec![7, 1 << 40]));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match its count")]
+    fn open_still_panics_on_a_truncated_list() {
+        let chan = SecureIndexChannel::new(&[5; 32]);
+        let (mut sealed, _) = chan.seal(&[1, 2, 3], 1);
+        sealed.truncate(sealed.len() - 8);
+        chan.open(&sealed, 1);
     }
 
     #[test]

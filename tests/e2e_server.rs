@@ -21,7 +21,10 @@
 //!   per-tenant matcher pool, not a per-tenant mutex;
 //! * connections past the configured `max_open_sockets` cap receive a
 //!   typed `ServerBusy` rejection instead of an unbounded thread spawn,
-//!   and a freed slot readmits new connections.
+//!   and a freed slot readmits new connections;
+//! * a small request is one write on a `TCP_NODELAY` socket: 200
+//!   sequential round trips take milliseconds, not 200 delayed-ACK
+//!   timeouts.
 
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -582,5 +585,29 @@ fn wrong_channel_key_fails_closed() {
         Ok(reply) => assert_ne!(reply.indices, truth),
         Err(e) => assert!(matches!(e, MatchError::Frame(_))),
     }
+    server.shutdown();
+}
+
+#[test]
+fn small_round_trips_do_not_wait_out_delayed_acks() {
+    // A request written as header-then-payload on a socket without
+    // `TCP_NODELAY` holds the payload until the peer's delayed ACK
+    // (≈ 40 ms on Linux): 200 pings then take ≈ 8.8 s. In one write on a
+    // no-delay socket they take ≈ 10 ms — the 2 s bound sits two orders
+    // of magnitude from both.
+    let server = MatchServer::new(TenantRegistry::new())
+        .spawn("127.0.0.1:0")
+        .unwrap();
+    let mut client = MatchClient::connect(server.addr()).unwrap();
+    client.ping().unwrap();
+    let start = std::time::Instant::now();
+    for _ in 0..200 {
+        client.ping().unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(2),
+        "200 pings took {elapsed:?}"
+    );
     server.shutdown();
 }
