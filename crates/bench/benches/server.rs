@@ -1,5 +1,5 @@
-//! Serving-layer micro-benchmarks: shard planning + splitting, wire-frame
-//! codec throughput, sharded vs. unsharded search, and single-tenant
+//! Serving-layer micro-benchmarks: wire-frame codec throughput, one CM-SW
+//! search on 1, 2 and 4 polynomial ranges, and single-tenant
 //! saturation (1 vs K matcher-pool workers under concurrent queries —
 //! the per-tenant throughput the shared exec runtime unlocked).
 //!
@@ -7,42 +7,17 @@
 //! (`cargo bench --no-run`).
 
 use cm_bench::random_bits;
-use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
+use cm_bfv::BfvParams;
 use cm_core::WorkerPool;
-use cm_core::{Backend, BitString, CiphermatchEngine, ErasedMatcher, MatchStats, MatcherConfig};
+use cm_core::{Backend, BitString, ErasedMatcher, MatchStats, MatcherConfig};
 use cm_server::wire::{auth_tag, content_digest, upload_tag, Request, Response, OP_EVICT};
 use cm_server::{
-    EvictAuth, QueryPayload, ShardedCmMatcher, ShardedDatabase, TenantRegistry, TenantSpec,
-    UploadAuth,
+    EvictAuth, QueryPayload, ShardedCmMatcher, TenantRegistry, TenantSpec, UploadAuth,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn bench_shard_split(c: &mut Criterion) {
-    let ctx = BfvContext::new(BfvParams::insecure_test_add());
-    let mut rng = StdRng::seed_from_u64(5);
-    let kg = KeyGenerator::new(&ctx, &mut rng);
-    let pk = kg.public_key(&mut rng);
-    let enc = Encryptor::new(&ctx, pk);
-    let engine = CiphermatchEngine::new(&ctx);
-    let bpp = engine.packing().bits_per_poly();
-    let data = random_bits(bpp * 8, 13); // eight polynomials
-    let db = engine.encrypt_database(&enc, &data, &mut rng);
-
-    let mut group = c.benchmark_group("shard");
-    group.sample_size(10);
-    for shards in [2usize, 4, 8] {
-        group.bench_function(
-            format!("split_{}polys_into_{shards}", db.poly_count()),
-            |b| b.iter(|| ShardedDatabase::split(black_box(&db), bpp, shards, 1).unwrap()),
-        );
-    }
-    group.finish();
-}
 
 fn bench_sharded_search(c: &mut Criterion) {
     // Four polynomials under the insecure test parameters.
@@ -214,7 +189,6 @@ fn bench_database_lifecycle(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_shard_split,
     bench_sharded_search,
     bench_single_tenant_saturation,
     bench_wire_codec,

@@ -5,6 +5,9 @@
 //! API over interchangeable ciphertext backends), normalizes every input
 //! and output to *bit* strings and *bit* offsets, and converts the
 //! engine-specific failure modes into [`MatchError`] values.
+//! One adapter per engine: [`CiphermatchMatcher`] is the only CM-SW
+//! matcher, on one polynomial range for hosted tenants and on several
+//! (`cm_server::ShardedCmMatcher`, the same type) for in-process ones.
 
 use std::sync::Arc;
 
@@ -16,12 +19,15 @@ use rand::Rng;
 
 use crate::api::{Backend, MatchError, MatchStats, SecureMatcher};
 use crate::bits::BitString;
+use crate::exec::{compute_pool, wait_all};
+use crate::kit::QueryKit;
 use crate::matchers::batched::{BatchedDatabase, BatchedEngine};
 use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 use crate::matchers::ciphermatch::{EncryptedDatabase, EncryptedQuery, ShardScratch};
 use crate::matchers::plain::PackedBits;
 use crate::matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
 use crate::protocol::TrustedIndexGenerator;
+use crate::shard::ShardPlan;
 
 /// The BFV key bundle shared by the three BFV-based adapters: context,
 /// secret key, the two prepared key holders, and the modulus width used
@@ -70,35 +76,93 @@ fn merged(engine_stats: MatchStats, extra: &MatchStats) -> MatchStats {
 }
 
 /// CM-SW behind the unified API: dense packing, `Hom-Add`-only search,
-/// arbitrary query lengths and bit offsets (the paper's contribution).
+/// arbitrary query lengths and bit offsets (the paper's contribution) —
+/// the one CM-SW matcher, hosted or sharded.
 ///
-/// A query runs the served CM-SW job ([`ShardScratch::run_pooled`]) over
-/// the whole database, inline on the calling thread; intra-query
-/// parallelism is what polynomial-range shards are for
-/// (`cm_server::ShardedCmMatcher`).
+/// A search plans the database into at most `shards` contiguous
+/// polynomial ranges ([`ShardPlan`], one polynomial of overlap) and runs
+/// the served job ([`ShardScratch::run_pooled`]) once per range, each
+/// over a view of the one ciphertext allocation
+/// ([`EncryptedDatabase::subrange`]): a one-range plan — all
+/// [`crate::MatcherConfig::build`] makes — inline on the calling thread,
+/// more as one job each on the process-wide [`compute_pool`], CM-SW's
+/// one intra-query parallel mechanism. Statistics are kept per range.
 #[derive(Debug, Clone)]
 pub struct CiphermatchMatcher {
     keys: BfvKeys,
-    /// The engine and the prepared decryptor, as the served job takes them.
-    index_gen: TrustedIndexGenerator,
-    stats: MatchStats,
+    /// The engine and the prepared decryptor, as the served job takes
+    /// them; shared with the range jobs in flight and with every clone.
+    index_gen: Arc<TrustedIndexGenerator>,
+    shards: usize,
+    /// One entry per range searched so far, never empty.
+    per_range: Vec<MatchStats>,
 }
 
 impl CiphermatchMatcher {
-    /// Generates keys and an engine for `params`.
-    pub fn new<R: Rng + ?Sized>(params: BfvParams, rng: &mut R) -> Self {
-        let keys = BfvKeys::generate(params, rng);
-        Self {
-            index_gen: TrustedIndexGenerator::from_secret(&keys.ctx, keys.sk.clone()),
-            keys,
-            stats: MatchStats::default(),
+    /// Generates keys and an engine for `params`; a search runs on at
+    /// most `shards` polynomial ranges. With more than one, a window must
+    /// end inside the polynomial of overlap a range holds past those it
+    /// owns, so queries are limited to one polynomial's worth of bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatchError::InvalidConfig`] for a zero shard count or a
+    /// parameter set dense packing cannot use (non-power-of-two `t`).
+    pub fn new<R: Rng + ?Sized>(
+        params: BfvParams,
+        shards: usize,
+        rng: &mut R,
+    ) -> Result<Self, MatchError> {
+        if shards == 0 {
+            return Err(MatchError::InvalidConfig("shard count must be positive"));
         }
+        if !params.t.is_power_of_two() {
+            return Err(MatchError::InvalidConfig(
+                "dense packing requires a power-of-two plaintext modulus",
+            ));
+        }
+        let keys = BfvKeys::generate(params, rng);
+        let index_gen = TrustedIndexGenerator::from_secret(&keys.ctx, keys.sk.clone());
+        Ok(Self {
+            index_gen: Arc::new(index_gen),
+            keys,
+            shards,
+            per_range: vec![MatchStats::default()],
+        })
+    }
+
+    /// The public query-encryption material a remote client needs to ship
+    /// wire queries to this matcher.
+    pub fn query_kit(&self) -> QueryKit {
+        QueryKit::new(self.index_gen.engine().clone(), self.keys.enc.clone())
+    }
+
+    fn bits_per_poly(&self) -> usize {
+        self.index_gen.engine().packing().bits_per_poly()
+    }
+
+    /// How a search cuts `db` into ranges; an empty database has no plan
+    /// ([`MatchError::InvalidConfig`]) and is refused when it is loaded.
+    pub fn plan(&self, db: &EncryptedDatabase) -> Result<ShardPlan, MatchError> {
+        let bpp = self.bits_per_poly();
+        ShardPlan::new(db.poly_count(), db.total_bits(), bpp, self.shards, 1)
+    }
+
+    /// Books one range job: its own counters plus the query broadcast to
+    /// it (every range receives the encrypted variants).
+    fn record(&mut self, range: usize, query_bytes: u64, swept: &MatchStats) {
+        if self.per_range.len() <= range {
+            self.per_range.resize(range + 1, MatchStats::default());
+        }
+        self.per_range[range].bytes_moved += query_bytes;
+        self.per_range[range].merge(swept);
     }
 }
 
 impl SecureMatcher for CiphermatchMatcher {
     type Database = EncryptedDatabase;
-    type Query = EncryptedQuery;
+    /// Shared, so every range job of a search holds the one query.
+    type Query = Arc<EncryptedQuery>;
     type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
@@ -110,10 +174,13 @@ impl SecureMatcher for CiphermatchMatcher {
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
-        Ok(self
+        let db = self
             .index_gen
             .engine()
-            .encrypt_database(self.keys.encryptor(), data, rng))
+            .encrypt_database(self.keys.encryptor(), data, rng);
+        // An empty database is refused here, not at every search.
+        self.plan(&db)?;
+        Ok(db)
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -124,10 +191,17 @@ impl SecureMatcher for CiphermatchMatcher {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        Ok(self
-            .index_gen
-            .engine()
-            .prepare_query(self.keys.encryptor(), query, rng))
+        // Refused before any variant is encrypted; `find_all` holds wire
+        // queries to the same limit through the plan.
+        let (max, got) = (self.bits_per_poly(), query.len());
+        if self.shards > 1 && got > max {
+            return Err(MatchError::QueryTooLong { max, got });
+        }
+        Ok(Arc::new(self.index_gen.engine().prepare_query(
+            self.keys.encryptor(),
+            query,
+            rng,
+        )))
     }
 
     fn find_all<R: Rng + ?Sized>(
@@ -136,19 +210,40 @@ impl SecureMatcher for CiphermatchMatcher {
         query: &Self::Query,
         _rng: &mut R,
     ) -> Result<Vec<usize>, MatchError> {
-        self.stats.bytes_moved += query.byte_size(self.keys.q_bits) as u64;
-        let (indices, swept) = ShardScratch::run_pooled(db, query, &self.index_gen);
-        self.stats.merge(&swept);
-        Ok(indices)
+        let plan = self.plan(db)?;
+        let query_bytes = query.byte_size(self.keys.q_bits) as u64;
+        let job = |shard: EncryptedDatabase| {
+            let (query, index_gen) = (Arc::clone(query), Arc::clone(&self.index_gen));
+            move || ShardScratch::run_pooled(&shard, &query, &index_gen)
+        };
+        if plan.shard_count() == 1 {
+            let (indices, swept) = job(db.clone())();
+            self.record(0, query_bytes, &swept);
+            return Ok(indices);
+        }
+        let (max, got, bpp) = (plan.max_query_bits(), query.k(), self.bits_per_poly());
+        if got > max {
+            return Err(MatchError::QueryTooLong { max, got });
+        }
+        let handles = plan
+            .ranges()
+            .map(|r| compute_pool().submit(job(db.subrange(r.held, bpp))))
+            .collect();
+        let mut per_range = Vec::with_capacity(plan.shard_count());
+        for (range, (indices, swept)) in wait_all(handles)?.into_iter().enumerate() {
+            self.record(range, query_bytes, &swept);
+            per_range.push(indices);
+        }
+        Ok(plan.merge_indices(&per_range))
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
-        Ok(EncryptedQuery::decode_validated(
+        Ok(Arc::new(EncryptedQuery::decode_validated(
             encoded,
             self.keys.ctx.params().n,
             self.index_gen.engine().packing().seg_bits(),
             self.keys.ctx.params().q,
-        )?)
+        )?))
     }
 
     fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
@@ -160,8 +255,9 @@ impl SecureMatcher for CiphermatchMatcher {
         db.validate(
             self.keys.ctx.params().n,
             self.keys.ctx.params().q,
-            self.index_gen.engine().packing().bits_per_poly(),
+            self.bits_per_poly(),
         )?;
+        self.plan(&db)?;
         Ok(db)
     }
 
@@ -170,11 +266,19 @@ impl SecureMatcher for CiphermatchMatcher {
     }
 
     fn stats(&self) -> MatchStats {
-        self.stats
+        let mut total = MatchStats::default();
+        for s in &self.per_range {
+            total.merge(s);
+        }
+        total
+    }
+
+    fn shard_stats(&self) -> Vec<MatchStats> {
+        self.per_range.clone()
     }
 
     fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
+        self.per_range.fill(MatchStats::default());
     }
 }
 

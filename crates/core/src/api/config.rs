@@ -15,6 +15,7 @@ use crate::api::backends::{
 };
 use crate::api::{MatchError, MatchStats, SecureMatcher};
 use crate::bits::BitString;
+use crate::kit::QueryKit;
 
 /// The implemented secure-matching approaches (the rows of Table 1 that
 /// this repository reproduces, plus the unencrypted reference).
@@ -249,8 +250,9 @@ impl MatcherConfig {
             Backend::Ciphermatch => erase(
                 CiphermatchMatcher::new(
                     bfv(BfvParams::ciphermatch_1024, BfvParams::insecure_test_add),
+                    1,
                     &mut rng,
-                ),
+                )?,
                 self.seed,
             ),
             Backend::Yasuda => erase(
@@ -388,18 +390,57 @@ where
     M: SecureMatcher<Stats = MatchStats> + Clone + Send + 'static,
     M::Database: Send + Sync,
 {
-    Box::new(Erased {
-        matcher,
-        db: None,
-        rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
-    })
+    Box::new(Erased::wrap(matcher, seed))
 }
 
-/// The concrete adapter behind [`erase`].
-struct Erased<M: SecureMatcher> {
+/// A [`SecureMatcher`] with its loaded database and its randomness: the
+/// concrete [`ErasedMatcher`] behind [`erase`].
+pub struct Erased<M: SecureMatcher> {
     matcher: M,
     db: Option<Arc<M::Database>>,
     rng: StdRng,
+}
+
+impl<M: SecureMatcher> Erased<M> {
+    fn wrap(matcher: M, seed: u64) -> Self {
+        Self {
+            matcher,
+            db: None,
+            rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
+        }
+    }
+}
+
+/// CM-SW as an in-process serving tenant is provisioned (the type
+/// `cm_server` names `ShardedCmMatcher`).
+impl Erased<CiphermatchMatcher> {
+    /// [`CiphermatchMatcher::new`] with keys from `seed`, as
+    /// [`MatcherConfig::build`] derives them: the same seed and
+    /// parameters give the same keys, so a database exported here loads
+    /// there.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatchError::InvalidConfig`] for a zero shard count or a
+    /// parameter set dense packing cannot use (non-power-of-two `t`).
+    pub fn new(params: BfvParams, shards: usize, seed: u64) -> Result<Self, MatchError> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let matcher = CiphermatchMatcher::new(params, shards, &mut rng)?;
+        Ok(Self::wrap(matcher, seed))
+    }
+
+    /// The public query-encryption material a remote client needs to ship
+    /// wire queries to this matcher.
+    pub fn query_kit(&self) -> QueryKit {
+        self.matcher.query_kit()
+    }
+
+    /// How many ranges a search of the loaded database runs, if one is
+    /// loaded.
+    pub fn shard_count(&self) -> Option<usize> {
+        let plan = self.matcher.plan(self.db.as_deref()?).ok()?;
+        Some(plan.shard_count())
+    }
 }
 
 impl<M> ErasedMatcher for Erased<M>
@@ -457,6 +498,10 @@ where
 
     fn stats(&self) -> MatchStats {
         self.matcher.stats()
+    }
+
+    fn shard_stats(&self) -> Vec<MatchStats> {
+        self.matcher.shard_stats()
     }
 
     fn reset_stats(&mut self) {
@@ -643,23 +688,39 @@ mod tests {
         // The remote-lifecycle primitive: a key owner encrypts locally,
         // exports the bytes, and a matcher rebuilt from the same seed
         // loads them *without re-encrypting* — searches agree exactly.
-        for backend in [Backend::Ciphermatch, Backend::Plain] {
-            let config = MatcherConfig::new(backend).insecure_test().seed(41);
-            let mut owner = config.build().unwrap();
+        let hosted = |backend| MatcherConfig::new(backend).insecure_test().seed(41);
+        // The third owner is an in-process CM-SW tenant as an operator
+        // provisions it, three ranges per search: same seed and
+        // parameters, so same keys, and its export is the same format.
+        let sharded =
+            Erased::<CiphermatchMatcher>::new(BfvParams::insecure_test_add(), 3, 41).unwrap();
+        let owners: [(Backend, Box<dyn ErasedMatcher>); 3] = [
+            (
+                Backend::Ciphermatch,
+                hosted(Backend::Ciphermatch).build().unwrap(),
+            ),
+            (Backend::Plain, hosted(Backend::Plain).build().unwrap()),
+            (Backend::Ciphermatch, Box::new(sharded)),
+        ];
+        // Four polynomials under the test parameters.
+        let data = BitString::from_ascii(&"export, ship, reload, search. ".repeat(30));
+        for (backend, mut owner) in owners {
+            assert_eq!(owner.backend(), backend);
             assert_eq!(
                 owner.export_database().err(),
                 Some(MatchError::NoDatabase),
                 "{backend}: nothing to export before load"
             );
-            let data = BitString::from_ascii("export, ship, reload, search");
             owner.load_database(&data).unwrap();
             let encoded = owner.export_database().unwrap();
 
-            let mut host = config.build().unwrap();
+            let mut host = hosted(backend).build().unwrap();
             host.load_database_wire(&encoded).unwrap();
             assert!(host.has_database());
-            let q = BitString::from_ascii("reload");
-            assert_eq!(host.find_all(&q).unwrap(), data.find_all(&q), "{backend}");
+            for q in [BitString::from_ascii("reload"), data.slice(2040, 24)] {
+                assert_eq!(host.find_all(&q).unwrap(), data.find_all(&q), "{backend}");
+                assert_eq!(owner.find_all(&q).unwrap(), data.find_all(&q), "{backend}");
+            }
             // Re-export round-trips byte-exact: the registry's accounting
             // charge is stable across reloads.
             assert_eq!(host.export_database().unwrap(), encoded, "{backend}");

@@ -41,7 +41,7 @@ mod stats;
 pub use backends::{
     BatchedMatcher, BooleanMatcher, CiphermatchMatcher, PlainMatcher, YasudaMatcher,
 };
-pub use config::{erase, Backend, ErasedMatcher, MatcherConfig};
+pub use config::{erase, Backend, Erased, ErasedMatcher, MatcherConfig};
 pub use error::MatchError;
 pub use stats::{MatchStats, StatsAccumulator};
 
@@ -130,6 +130,13 @@ pub trait SecureMatcher {
 
     /// Statistics accumulated since construction or the last reset.
     fn stats(&self) -> Self::Stats;
+
+    /// Per-shard statistics, for matchers that split a search across
+    /// execution units: one entry per unit, summing field-wise to
+    /// [`Self::stats`]. Everything else reports that total as one entry.
+    fn shard_stats(&self) -> Vec<MatchStats> {
+        vec![self.stats().into()]
+    }
 
     /// Resets the statistics counters.
     fn reset_stats(&mut self);

@@ -56,7 +56,7 @@ pub struct PoolMetrics {
 
 impl PoolMetrics {
     /// Registers the pool's four metrics in `registry`, labeling each
-    /// with `pool` so several pools (frame pump, shard executors, bench
+    /// with `pool` so several pools (frame pump, compute pool, bench
     /// clients) stay distinguishable in one exposition.
     pub fn register(registry: &MetricsRegistry, pool: &str) -> Self {
         let labels = [("pool", pool)];

@@ -10,14 +10,17 @@
 //!
 //! What [`QueryKit::encode_query`] produces, and so what travels in a
 //! client-key Match, is the query's length `k` and one ciphertext per
-//! shifted variant ([`cm_core::EncryptedQuery::encode`]). The alignment
+//! shifted variant ([`crate::EncryptedQuery::encode`]). The alignment
 //! geometry the server needs is a function of `k` and is rebuilt there;
 //! the negated pattern segments the variants are made of exist only
 //! inside the call, on this side.
 
 use cm_bfv::Encryptor;
-use cm_core::{BitString, CiphermatchEngine, MatchError};
 use rand::Rng;
+
+use crate::api::MatchError;
+use crate::bits::BitString;
+use crate::matchers::ciphermatch::CiphermatchEngine;
 
 /// Public query-encryption material for one tenant: the engine and the
 /// encryptor, both built once when the kit is.
@@ -36,13 +39,14 @@ impl std::fmt::Debug for QueryKit {
 }
 
 impl QueryKit {
-    pub(crate) fn new(engine: CiphermatchEngine, enc: Encryptor) -> Self {
+    /// What a key-holding matcher's `query_kit()` hands out.
+    pub fn new(engine: CiphermatchEngine, enc: Encryptor) -> Self {
         Self { engine, enc }
     }
 
     /// Encrypts `query` and serializes it into the CIPHERMATCH wire format
-    /// ([`cm_core::EncryptedQuery::encode`]) ready for
-    /// [`crate::MatchClient::search_encoded`] — each variant encrypted
+    /// ([`crate::EncryptedQuery::encode`]) ready for
+    /// `cm_server::MatchClient::search_encoded` — each variant encrypted
     /// straight into the output bytes.
     ///
     /// # Errors

@@ -44,7 +44,7 @@
 //! Multi-query traffic goes through [`MatchSession`], which fans a batch
 //! out across a session-owned [`exec::WorkerPool`] — the shared work-pool
 //! runtime ([`exec`]) that every concurrent layer of the stack (sessions,
-//! tenant matcher pools, shard executors, connection handling) runs on;
+//! tenant matcher pools, CM-SW range jobs, connection handling) runs on;
 //! the explicit [`Client`]/[`Server`] protocol roles of Algorithm 1
 //! remain available for the single-backend CM-SW flow.
 
@@ -52,14 +52,17 @@ pub mod api;
 mod bits;
 pub mod exec;
 mod index_gen;
+mod kit;
 pub mod matchers;
 mod packing;
 mod protocol;
 mod query;
+mod shard;
 
 pub use api::{
-    erase, Backend, BatchedMatcher, BooleanMatcher, CiphermatchMatcher, ErasedMatcher, MatchError,
-    MatchStats, MatcherConfig, PlainMatcher, SecureMatcher, StatsAccumulator, YasudaMatcher,
+    erase, Backend, BatchedMatcher, BooleanMatcher, CiphermatchMatcher, Erased, ErasedMatcher,
+    MatchError, MatchStats, MatcherConfig, PlainMatcher, SecureMatcher, StatsAccumulator,
+    YasudaMatcher,
 };
 pub use bits::BitString;
 pub use exec::{
@@ -67,6 +70,7 @@ pub use exec::{
     PoolMetrics, WorkerPool,
 };
 pub use index_gen::{generate_indices, MatchTable};
+pub use kit::QueryKit;
 pub use matchers::batched::{BatchedDatabase, BatchedEngine};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
@@ -82,3 +86,4 @@ pub use query::{
     alignment_classes, alignment_geometry, build_variants, segment_matches, stream_variants,
     variant_count, AlignmentClass, NegatedClass, QueryVariant,
 };
+pub use shard::{ShardPlan, ShardRange};

@@ -5,7 +5,8 @@
 //! and index generation compares result coefficients against the all-ones
 //! match value under the alignment masks.
 
-use std::sync::Mutex;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cm_bfv::{BfvContext, Ciphertext, Decryptor, EncryptScratch, Encryptor, Evaluator};
@@ -23,9 +24,17 @@ use crate::query::{
 
 /// The encrypted, densely packed database stored on the server
 /// (Algorithm 1 lines 1–3).
+///
+/// A value is a *view*: a contiguous polynomial range of one shared,
+/// immutable ciphertext allocation. [`Clone`] and [`Self::subrange`] hand
+/// out further views — no ciphertext is copied — and a view owns its
+/// share of the allocation, so a pool job can hold one.
 #[derive(Debug, Clone)]
 pub struct EncryptedDatabase {
-    pub(crate) cts: Vec<Ciphertext>,
+    /// The allocation every view cut from this database shares.
+    cts: Arc<[Ciphertext]>,
+    /// The polynomials of `cts` this view covers.
+    polys: Range<usize>,
     pub(crate) total_bits: usize,
 }
 
@@ -34,12 +43,16 @@ impl EncryptedDatabase {
     /// coefficient-stream flattening the SSD pipeline performs, so an
     /// in-flash copy can be read back as the canonical representation.
     pub fn from_ciphertexts(cts: Vec<Ciphertext>, total_bits: usize) -> Self {
-        Self { cts, total_bits }
+        Self {
+            polys: 0..cts.len(),
+            cts: cts.into(),
+            total_bits,
+        }
     }
 
     /// Number of ciphertexts.
     pub fn poly_count(&self) -> usize {
-        self.cts.len()
+        self.polys.len()
     }
 
     /// Database length in bits.
@@ -49,13 +62,14 @@ impl EncryptedDatabase {
 
     /// Total encrypted footprint in bytes (Fig. 2a's y-axis).
     pub fn byte_size(&self, q_bits: u32) -> usize {
-        self.cts.iter().map(|ct| ct.byte_size(q_bits)).sum()
+        let cts = self.ciphertexts();
+        cts.iter().map(|ct| ct.byte_size(q_bits)).sum()
     }
 
     /// The database ciphertexts in storage order (used by the SSD pipeline
     /// to lay the coefficient stream out in flash).
     pub fn ciphertexts(&self) -> &[Ciphertext] {
-        &self.cts
+        &self.cts[self.polys.clone()]
     }
 
     /// Serializes the database for upload/storage: a small header plus
@@ -64,8 +78,8 @@ impl EncryptedDatabase {
     pub fn encode(&self, q_bits: u32) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len(q_bits));
         out.extend_from_slice(&(self.total_bits as u64).to_le_bytes());
-        out.extend_from_slice(&(self.cts.len() as u32).to_le_bytes());
-        for ct in &self.cts {
+        out.extend_from_slice(&(self.poly_count() as u32).to_le_bytes());
+        for ct in self.ciphertexts() {
             put_ciphertext(&mut out, ct, q_bits);
         }
         debug_assert_eq!(out.len(), self.encoded_len(q_bits));
@@ -79,7 +93,7 @@ impl EncryptedDatabase {
     /// coefficients).
     pub fn encoded_len(&self, q_bits: u32) -> usize {
         12 + self
-            .cts
+            .ciphertexts()
             .iter()
             .map(|ct| 16 + ct.byte_size(q_bits))
             .sum::<usize>()
@@ -102,23 +116,24 @@ impl EncryptedDatabase {
         bits_per_poly: usize,
     ) -> Result<(), cm_bfv::DecodeError> {
         use cm_bfv::DecodeError;
-        if self.cts.is_empty() {
+        let cts = self.ciphertexts();
+        if cts.is_empty() {
             return if self.total_bits == 0 {
                 Ok(())
             } else {
                 Err(DecodeError::BadHeader("bit count without ciphertexts"))
             };
         }
-        let max_bits = self.cts.len().saturating_mul(bits_per_poly);
-        let min_bits = (self.cts.len() - 1).saturating_mul(bits_per_poly);
+        let max_bits = cts.len().saturating_mul(bits_per_poly);
+        let min_bits = (cts.len() - 1).saturating_mul(bits_per_poly);
         // The packer emits one (possibly empty) polynomial even for zero
         // bits, so a single ciphertext may carry any count up to the
         // packing density; beyond one, every non-final polynomial must be
         // full.
-        if self.total_bits > max_bits || (self.cts.len() > 1 && self.total_bits <= min_bits) {
+        if self.total_bits > max_bits || (cts.len() > 1 && self.total_bits <= min_bits) {
             return Err(DecodeError::BadHeader("bit count vs ciphertext count"));
         }
-        for ct in &self.cts {
+        for ct in cts {
             if ct.size() != 2 {
                 return Err(DecodeError::BadHeader("database ciphertext size"));
             }
@@ -134,8 +149,9 @@ impl EncryptedDatabase {
         Ok(())
     }
 
-    /// Extracts the contiguous polynomial sub-range `polys` as a
-    /// standalone database — the shard primitive of the serving layer.
+    /// The contiguous polynomial sub-range `polys` as a database of its
+    /// own — the shard primitive of the serving layer. The result is a
+    /// view of this database's allocation, not a copy of it.
     ///
     /// `bits_per_poly` is the packing density
     /// ([`crate::DensePacking::bits_per_poly`]); the shard's bit count is
@@ -149,9 +165,9 @@ impl EncryptedDatabase {
     /// database's bit length (programmer error in the shard planner).
     pub fn subrange(&self, polys: std::ops::Range<usize>, bits_per_poly: usize) -> Self {
         assert!(
-            !polys.is_empty() && polys.end <= self.cts.len(),
+            !polys.is_empty() && polys.end <= self.poly_count(),
             "shard polynomial range {polys:?} outside 0..{}",
-            self.cts.len()
+            self.poly_count()
         );
         let start_bit = polys.start * bits_per_poly;
         assert!(
@@ -161,7 +177,8 @@ impl EncryptedDatabase {
         );
         let span = polys.len() * bits_per_poly;
         Self {
-            cts: self.cts[polys].to_vec(),
+            cts: Arc::clone(&self.cts),
+            polys: self.polys.start + polys.start..self.polys.start + polys.end,
             total_bits: span.min(self.total_bits - start_bit),
         }
     }
@@ -187,7 +204,7 @@ impl EncryptedDatabase {
             let len = cur.u32()? as usize;
             cts.push(cm_bfv::decode_ciphertext(cur.take(len)?)?);
         }
-        Ok(Self { cts, total_bits })
+        Ok(Self::from_ciphertexts(cts, total_bits))
     }
 }
 
@@ -643,10 +660,7 @@ impl CiphermatchEngine {
             .iter()
             .map(|pt| enc.encrypt(pt, rng))
             .collect();
-        EncryptedDatabase {
-            cts,
-            total_bits: data.len(),
-        }
+        EncryptedDatabase::from_ciphertexts(cts, data.len())
     }
 
     /// Prepares and encrypts all query variants (client side, per query):
@@ -751,7 +765,8 @@ impl CiphermatchEngine {
     ) -> MatchStats {
         let mut stats = MatchStats::default();
         let n = self.ctx.params().n;
-        let db_size = db.cts.iter().map(Ciphertext::size).max().unwrap_or(0);
+        let db_cts = db.ciphertexts();
+        let db_size = db_cts.iter().map(Ciphertext::size).max().unwrap_or(0);
         out.per_variant
             .resize_with(query.variants.len(), || VariantSums {
                 key: (0, 0),
@@ -766,9 +781,8 @@ impl CiphermatchEngine {
             sums.key = (v.r, v.phase);
             sums.ct_size = ct_size;
             sums.n = n;
-            sums.arena.resize(db.cts.len() * stride, 0);
-            for (dbct, slot) in db
-                .cts
+            sums.arena.resize(db_cts.len() * stride, 0);
+            for (dbct, slot) in db_cts
                 .iter()
                 .zip(sums.arena.chunks_exact_mut(stride.max(1)))
             {
@@ -779,7 +793,7 @@ impl CiphermatchEngine {
                 slot[pair..].fill(0);
             }
             stats.add_time += t0.elapsed();
-            stats.hom_adds += db.cts.len() as u64;
+            stats.hom_adds += db_cts.len() as u64;
         }
         out.total_bits = db.total_bits;
         out.k = query.k;
@@ -966,7 +980,7 @@ pub struct ShardScratch {
 /// Scratches parked between jobs, process-wide: at most one per
 /// worker of [`crate::exec::compute_pool`], so retained
 /// memory is bounded by cores, not by tenants, pool members or
-/// executors.
+/// ranges.
 static FREE_SCRATCHES: Mutex<Vec<ShardScratch>> = Mutex::new(Vec::new());
 
 impl ShardScratch {
@@ -1095,7 +1109,7 @@ mod tests {
             .iter()
             .map(|v| {
                 let results: Vec<Ciphertext> = db
-                    .cts
+                    .ciphertexts()
                     .iter()
                     .map(|dbct| {
                         let size = dbct.size().max(v.ct.size());

@@ -109,8 +109,8 @@ impl Client {
 
 /// The trusted index-generation capability living next to the data
 /// (the SSD controller in CM-IFP): an engine and a decryptor prepared
-/// once when the key is provisioned, not per query. Cloneable so every
-/// pool member of a hosted tenant carries its own copy.
+/// once when the key is provisioned, not per query; the pool members of a
+/// hosted tenant and their range jobs share one.
 #[derive(Clone)]
 pub struct TrustedIndexGenerator {
     params: &'static str,

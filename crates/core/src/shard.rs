@@ -1,5 +1,5 @@
-//! Database sharding: splitting one encrypted database into per-worker
-//! shards with a shard→global index remap.
+//! Shard geometry: how one encrypted database is cut into polynomial
+//! ranges, and how range-local results map back to global bit offsets.
 //!
 //! The unit of sharding is the ciphertext polynomial: CIPHERMATCH's
 //! `Hom-Add` sweep is independent per (variant, polynomial) pair, so a
@@ -10,16 +10,13 @@
 //! starts in a shard's owned range ends inside the polynomials that shard
 //! holds, so the union of per-shard results (after remapping and
 //! de-duplication) equals the unsharded result — the invariant the module
-//! tests pin down.
-//!
-//! Shards are reference-counted ([`Arc`]): executors, sessions, and
-//! clones all share one ciphertext allocation per shard instead of the
-//! whole-database deep copy the ROADMAP flagged.
+//! tests pin down. A plan is arithmetic only: the ranges it names are cut
+//! with `EncryptedDatabase::subrange`, as views of the one ciphertext
+//! allocation, so overlap tails cost no memory either.
 
 use std::ops::Range;
-use std::sync::Arc;
 
-use cm_core::{EncryptedDatabase, MatchError};
+use crate::api::MatchError;
 
 /// The geometry of one shard within the global database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,12 +33,13 @@ pub struct ShardRange {
 }
 
 /// How a database of `poly_count` polynomials is split into shards.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ShardPlan {
-    bits_per_poly: usize,
+    poly_count: usize,
     total_bits: usize,
+    bits_per_poly: usize,
     overlap_polys: usize,
-    ranges: Vec<ShardRange>,
+    shards: usize,
 }
 
 impl ShardPlan {
@@ -71,48 +69,34 @@ impl ShardPlan {
         if poly_count == 0 || total_bits == 0 || bits_per_poly == 0 {
             return Err(MatchError::InvalidConfig("cannot shard an empty database"));
         }
-        let shards = shards.min(poly_count);
-        let base = poly_count / shards;
-        let rem = poly_count % shards;
-        let mut ranges = Vec::with_capacity(shards);
-        let mut start = 0usize;
-        for s in 0..shards {
-            let len = base + usize::from(s < rem);
-            let owned = start..start + len;
-            let held = start..(owned.end + overlap_polys).min(poly_count);
-            ranges.push(ShardRange {
-                start_bit: start * bits_per_poly,
-                owned,
-                held,
-            });
-            start += len;
-        }
         Ok(Self {
-            bits_per_poly,
+            poly_count,
             total_bits,
+            bits_per_poly,
             overlap_polys,
-            ranges,
+            shards: shards.min(poly_count),
         })
     }
 
     /// Number of shards actually planned (≤ the requested count).
     pub fn shard_count(&self) -> usize {
-        self.ranges.len()
+        self.shards
     }
 
-    /// The per-shard geometry.
-    pub fn ranges(&self) -> &[ShardRange] {
-        &self.ranges
-    }
-
-    /// Bits per polynomial the plan was computed for.
-    pub fn bits_per_poly(&self) -> usize {
-        self.bits_per_poly
-    }
-
-    /// Bit length of the global database.
-    pub fn total_bits(&self) -> usize {
-        self.total_bits
+    /// The per-shard geometry, in shard order: the first
+    /// `poly_count % shards` shards own one polynomial more than the rest.
+    pub fn ranges(&self) -> impl Iterator<Item = ShardRange> + '_ {
+        let base = self.poly_count / self.shards;
+        let rem = self.poly_count % self.shards;
+        (0..self.shards).map(move |s| {
+            let start = s * base + s.min(rem);
+            let owned = start..start + base + usize::from(s < rem);
+            ShardRange {
+                start_bit: start * self.bits_per_poly,
+                held: start..(owned.end + self.overlap_polys).min(self.poly_count),
+                owned,
+            }
+        })
     }
 
     /// The longest query (in bits) sharded execution supports: a window
@@ -120,66 +104,11 @@ impl ShardPlan {
     /// it holds. A single-shard plan holds everything, so it has no limit
     /// beyond the database itself.
     pub fn max_query_bits(&self) -> usize {
-        if self.ranges.len() == 1 {
+        if self.shards == 1 {
             self.total_bits
         } else {
             self.overlap_polys * self.bits_per_poly
         }
-    }
-}
-
-/// An encrypted database split into [`Arc`]-shared shards plus the plan
-/// that maps shard-local results back to global bit offsets.
-#[derive(Debug, Clone)]
-pub struct ShardedDatabase {
-    plan: ShardPlan,
-    shards: Vec<Arc<EncryptedDatabase>>,
-}
-
-impl ShardedDatabase {
-    /// Splits `db` into at most `shards` shards of whole polynomials with
-    /// `overlap_polys` polynomials of overlap (see [`ShardPlan::new`]).
-    /// The split clones each ciphertext once (plus the overlap tails);
-    /// from then on every consumer shares the shard allocations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatchError::InvalidConfig`] for a zero shard count /
-    /// overlap or an empty database.
-    pub fn split(
-        db: &EncryptedDatabase,
-        bits_per_poly: usize,
-        shards: usize,
-        overlap_polys: usize,
-    ) -> Result<Self, MatchError> {
-        let plan = ShardPlan::new(
-            db.poly_count(),
-            db.total_bits(),
-            bits_per_poly,
-            shards,
-            overlap_polys,
-        )?;
-        let shards = plan
-            .ranges()
-            .iter()
-            .map(|r| Arc::new(db.subrange(r.held.clone(), bits_per_poly)))
-            .collect();
-        Ok(Self { plan, shards })
-    }
-
-    /// The plan behind this split.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// The shard databases, [`Arc`]-shared with every executor worker.
-    pub fn shards(&self) -> &[Arc<EncryptedDatabase>] {
-        &self.shards
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Remaps per-shard local match offsets to global bit offsets and
@@ -193,12 +122,12 @@ impl ShardedDatabase {
     pub fn merge_indices(&self, per_shard: &[Vec<usize>]) -> Vec<usize> {
         assert_eq!(
             per_shard.len(),
-            self.shards.len(),
+            self.shards,
             "one result list per shard required"
         );
         let mut all: Vec<usize> = per_shard
             .iter()
-            .zip(self.plan.ranges())
+            .zip(self.ranges())
             .flat_map(|(hits, range)| hits.iter().map(move |&h| h + range.start_bit))
             .collect();
         all.sort_unstable();
@@ -210,8 +139,9 @@ impl ShardedDatabase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
-    use cm_core::{BitString, CiphermatchEngine};
+    use crate::api::{CiphermatchMatcher, SecureMatcher};
+    use crate::bits::BitString;
+    use cm_bfv::BfvParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -220,15 +150,18 @@ mod tests {
         for (polys, shards, overlap) in [(7usize, 3usize, 1usize), (4, 4, 2), (9, 2, 1), (3, 8, 1)]
         {
             let plan = ShardPlan::new(polys, polys * 64, 64, shards, overlap).unwrap();
-            assert!(plan.shard_count() <= shards.min(polys));
+            assert_eq!(plan.shard_count(), shards.min(polys));
+            assert_eq!(plan.ranges().count(), plan.shard_count());
             let mut covered = 0;
-            for (i, r) in plan.ranges().iter().enumerate() {
+            for (i, r) in plan.ranges().enumerate() {
                 assert_eq!(
                     r.owned.start, covered,
                     "shard {i} owned range is contiguous"
                 );
+                assert!(!r.owned.is_empty(), "shard {i} owns something");
+                assert_eq!(r.start_bit, r.held.start * 64);
                 assert!(r.held.start == r.owned.start && r.held.end >= r.owned.end);
-                assert!(r.held.end <= polys);
+                assert_eq!(r.held.end, (r.owned.end + overlap).min(polys));
                 covered = r.owned.end;
             }
             assert_eq!(covered, polys, "every polynomial is owned exactly once");
@@ -242,26 +175,19 @@ mod tests {
         assert!(ShardPlan::new(0, 0, 64, 2, 1).is_err());
     }
 
-    #[test]
-    fn sharded_search_equals_unsharded_search() {
-        let ctx = BfvContext::new(BfvParams::insecure_test_add());
-        let mut rng = StdRng::seed_from_u64(31337);
-        let (sk, pk) = {
-            let kg = KeyGenerator::new(&ctx, &mut rng);
-            (kg.secret_key(), kg.public_key(&mut rng))
-        };
-        let enc = Encryptor::new(&ctx, pk);
-        let dec = cm_bfv::Decryptor::new(&ctx, sk);
-        let mut engine = CiphermatchEngine::new(&ctx);
-        let bpp = engine.packing().bits_per_poly();
-
-        // Four-and-a-bit polynomials of pseudo-random data.
+    /// Four-and-a-bit polynomials of pseudo-random data under the test
+    /// parameters, and their bits per polynomial.
+    fn seam_data() -> (BitString, usize) {
+        let bpp = 2048;
         let bytes: Vec<u8> = (0..(bpp / 8) * 4 + 57)
             .map(|i| (i * 131 % 251) as u8)
             .collect();
-        let data = BitString::from_bytes(&bytes);
-        let db = engine.encrypt_database(&enc, &data, &mut rng);
+        (BitString::from_bytes(&bytes), bpp)
+    }
 
+    #[test]
+    fn sharded_search_equals_unsharded_search() {
+        let (data, bpp) = seam_data();
         // Patterns that land inside shards and straddle shard boundaries.
         let patterns = [
             data.slice(10, 24),
@@ -270,44 +196,57 @@ mod tests {
             data.slice(data.len() - 40, 33),
         ];
         for shards in [1usize, 2, 3, 5] {
-            let sharded = ShardedDatabase::split(&db, bpp, shards, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(31337);
+            let mut matcher =
+                CiphermatchMatcher::new(BfvParams::insecure_test_add(), shards, &mut rng).unwrap();
+            let db = matcher.encrypt_database(&data, &mut rng).unwrap();
+            assert_eq!(db.poly_count(), 5);
+            assert_eq!(matcher.plan(&db).unwrap().shard_count(), shards);
             for pattern in &patterns {
-                let query = engine.prepare_query(&enc, pattern, &mut rng);
-                let per_shard: Vec<Vec<usize>> = sharded
-                    .shards()
-                    .iter()
-                    .map(|shard| {
-                        let result = engine.search(shard, &query);
-                        engine.generate_indices(&dec, &result)
-                    })
-                    .collect();
-                let merged = sharded.merge_indices(&per_shard);
+                let query = matcher.prepare_query(pattern, &mut rng).unwrap();
                 assert_eq!(
-                    merged,
+                    matcher.find_all(&db, &query, &mut rng).unwrap(),
                     data.find_all(pattern),
                     "shards = {shards}, pattern of {} bits",
                     pattern.len()
                 );
             }
+            assert_eq!(matcher.shard_stats().len(), shards);
         }
     }
 
     #[test]
     fn shards_share_allocations_not_copies() {
-        let ctx = BfvContext::new(BfvParams::insecure_test_add());
+        let (data, bpp) = seam_data();
         let mut rng = StdRng::seed_from_u64(99);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let pk = kg.public_key(&mut rng);
-        let enc = Encryptor::new(&ctx, pk);
-        let engine = CiphermatchEngine::new(&ctx);
-        let bpp = engine.packing().bits_per_poly();
-        let data = BitString::from_bytes(&vec![0xA5u8; (bpp / 8) * 3]);
-        let db = engine.encrypt_database(&enc, &data, &mut rng);
+        let mut matcher =
+            CiphermatchMatcher::new(BfvParams::insecure_test_add(), 1, &mut rng).unwrap();
+        let db = matcher.encrypt_database(&data, &mut rng).unwrap();
+        let whole = db.ciphertexts().as_ptr_range();
 
-        let sharded = ShardedDatabase::split(&db, bpp, 3, 1).unwrap();
-        let clone = sharded.clone();
-        for (a, b) in sharded.shards().iter().zip(clone.shards()) {
-            assert!(Arc::ptr_eq(a, b), "cloning a ShardedDatabase shares shards");
+        // Every range of every plan — overlap tails included — is a slice
+        // of the database's own allocation, at the polynomials it names.
+        for shards in [1usize, 2, 3, 5] {
+            let plan = ShardPlan::new(db.poly_count(), db.total_bits(), bpp, shards, 1).unwrap();
+            for range in plan.ranges() {
+                let shard = db.subrange(range.held.clone(), bpp);
+                assert_eq!(shard.poly_count(), range.held.len());
+                assert!(
+                    std::ptr::eq(
+                        shard.ciphertexts().as_ptr(),
+                        &db.ciphertexts()[range.held.start]
+                    ),
+                    "shards = {shards}, range {range:?} is a view, not a copy"
+                );
+                assert!(shard.ciphertexts().as_ptr_range().end <= whole.end);
+                // A range of a range is still the same allocation.
+                let last = shard.subrange(shard.poly_count() - 1..shard.poly_count(), bpp);
+                assert!(std::ptr::eq(
+                    last.ciphertexts().as_ptr(),
+                    &db.ciphertexts()[range.held.end - 1]
+                ));
+            }
         }
+        assert_eq!(db.clone().ciphertexts().as_ptr_range(), whole);
     }
 }

@@ -329,7 +329,7 @@ impl MatchClient {
 
     /// Reads the server's full telemetry snapshot — every counter,
     /// gauge, and histogram from the reactor event loop down to the
-    /// shard executor (see `cm_telemetry::metric_names` for the
+    /// compute pool (see `cm_telemetry::metric_names` for the
     /// catalog). Render it with
     /// [`cm_telemetry::MetricsSnapshot::render_text`] or query single
     /// series with its `counter`/`gauge`/`histogram` accessors.

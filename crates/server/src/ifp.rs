@@ -19,14 +19,12 @@ use std::sync::{Arc, Mutex};
 use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator};
 use cm_core::{
     Backend, BitString, CiphermatchEngine, EncryptedDatabase, EncryptedQuery, MatchError,
-    MatchStats, SecureMatcher,
+    MatchStats, QueryKit, SecureMatcher,
 };
 use cm_flash::FlashGeometry;
 use cm_ssd::{CmIfpServer, Ssd, TransposeMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::kit::QueryKit;
 
 /// An encrypted database resident in a simulated SSD's CIPHERMATCH
 /// region. Clones share the device (the flash array holds one copy of the

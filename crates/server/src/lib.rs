@@ -17,18 +17,19 @@
 //! Every concurrent layer runs on the shared [`cm_core::exec`] work-pool
 //! runtime — no per-layer threading schemes. The layers, bottom up:
 //!
-//! * [`ShardPlan`] / [`ShardedDatabase`] — splits one encrypted database
-//!   into [`std::sync::Arc`]-shared polynomial shards with a shard→global
-//!   index remap (overlap tails make boundary-straddling windows exact);
-//! * [`ShardExecutor`] — a planner that owns no threads: a search
-//!   submits one job per shard to the process-wide
-//!   [`cm_core::compute_pool`] and a [`SearchHandle`] gathers the
-//!   per-shard [`ShardOutcome`]s;
-//! * [`ShardedCmMatcher`] — CM-SW over the executor, implementing
-//!   [`cm_core::ErasedMatcher`] so sharded serving drops into any
-//!   registry, with per-shard [`cm_core::MatchStats`] that sum to the
-//!   matcher total; loading a database spawns nothing, so the process's
-//!   thread count is independent of how many tenants it hosts;
+//! * [`cm_core::CiphermatchMatcher`] — the one CM-SW matcher: a search
+//!   plans the database into contiguous polynomial ranges
+//!   ([`cm_core::ShardPlan`]: overlap tails make boundary-straddling
+//!   windows exact, a range→global remap merges the results), cuts each
+//!   as a view of the one ciphertext allocation — sharding copies
+//!   nothing — and runs one [`cm_core::ShardScratch::run_pooled`] job per
+//!   range, a one-range plan inline, more on the process-wide
+//!   [`cm_core::compute_pool`]; per-range [`cm_core::MatchStats`] sum to
+//!   the total, and loading a database spawns nothing;
+//! * [`ShardedCmMatcher`] — that matcher behind
+//!   [`cm_core::ErasedMatcher`] under its serving name, built with a
+//!   shard count: what an operator registers in-process. Uploaded
+//!   tenants get the same type with one range;
 //! * [`IfpMatcher`] — the paper's in-flash engine
 //!   ([`cm_ssd::CmIfpServer`]) behind [`cm_core::SecureMatcher`],
 //!   registered *from this crate* so the `cm_core`↔`cm_ssd` dependency
@@ -94,24 +95,19 @@
 //! ```
 
 pub mod client;
-pub mod executor;
 pub mod ifp;
-pub mod kit;
 pub mod secrecy;
 pub mod server;
-pub mod shard;
 pub mod tenant;
 pub mod wire;
 
 mod telemetry;
 
 pub use client::{MatchClient, MatchReply, TenantAccess};
-pub use executor::{SearchHandle, ShardExecutor, ShardOutcome};
+pub use cm_core::QueryKit;
 pub use ifp::{IfpDatabase, IfpMatcher};
-pub use kit::QueryKit;
 pub use secrecy::{keys_match, tags_match};
 pub use server::{MatchServer, RunningServer, ServerConfig};
-pub use shard::{ShardPlan, ShardRange, ShardedDatabase};
 pub use sharded::ShardedCmMatcher;
 pub use tenant::{MatchedReply, Tenant, TenantRegistry, DEFAULT_TENANT_WORKERS};
 pub use wire::{

@@ -5,10 +5,11 @@
 //! connections, reassembles length-prefixed frames incrementally
 //! ([`crate::wire::FrameBuffer`]), and submits each *complete request
 //! frame* as a job on a [`WorkerPool`] of `max_inflight_frames` workers
-//! (the same `cm_core::exec` runtime the sessions, tenant pools, and
-//! shard executors run on). Reply frames travel back over the reactor's
-//! command queue + wakeup pipe ([`cm_reactor::ReactorHandle::send`]),
-//! with per-connection write backpressure.
+//! (the same `cm_core::exec` runtime the sessions, the registry's
+//! builders and CM-SW's range jobs run on). Reply frames travel back
+//! over the reactor's command queue + wakeup pipe
+//! ([`cm_reactor::ReactorHandle::send`]), with per-connection write
+//! backpressure.
 //!
 //! Admission is split in two, because sockets and work cost differently:
 //!
@@ -73,9 +74,9 @@ pub struct ServerConfig {
     pub slow_query_micros: Option<u64>,
     /// Whether the server records telemetry (the default). With `false`
     /// every metric handle is a no-op, [`Request::Metrics`] answers with
-    /// an empty snapshot, and the serving path pays only dead atomics —
-    /// the configuration the `telemetry_overhead` bench compares
-    /// against.
+    /// an empty snapshot, and the serving path pays only dead atomics.
+    /// What the enabled path costs a traced Match is `benchmark/`'s
+    /// `trace.overhead_pct`.
     pub telemetry: bool,
 }
 

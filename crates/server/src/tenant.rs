@@ -15,10 +15,12 @@
 //!
 //! That checkout is the middle of a Match's three stages: a frame-pool
 //! worker (`crate::server`) decodes the request and blocks here for a
-//! matcher; the matcher then either runs the query inline on that same
-//! thread (every hosted backend, CM-SW's [`cm_core::CiphermatchMatcher`]
-//! included) or — [`crate::ShardedCmMatcher`] — submits one job per
-//! polynomial-range shard to the process-wide [`cm_core::compute_pool`].
+//! matcher; the matcher then runs the query inline on that same thread
+//! (every backend; CM-SW's one matcher, [`cm_core::CiphermatchMatcher`],
+//! when its plan is one polynomial range, as every uploaded tenant's is)
+//! or — CM-SW built with a shard count, [`crate::ShardedCmMatcher`] —
+//! submits one job per range, each over a view of the one ciphertext
+//! allocation, to the process-wide [`cm_core::compute_pool`].
 //! Nothing is spawned per query and no tenant owns threads: the
 //! registry's only pool of its own is the two-worker `builders` pool,
 //! which bounds concurrent rebuilds and never runs a query.

@@ -103,7 +103,7 @@ pub enum Request {
     },
     /// Reads the server's full telemetry snapshot — every counter,
     /// gauge, and histogram the process has registered, from the
-    /// reactor event loop down to the shard executor; answered by
+    /// reactor event loop down to the compute pool; answered by
     /// [`Response::Metrics`].
     Metrics,
 }

@@ -10,8 +10,8 @@
 //!   [`Histogram`]) are cheap clones that can be stashed in every layer.
 //! * **Disabled means free.** [`MetricsRegistry::disabled`] hands out
 //!   handles backed by nothing; `inc`/`record` compile to a branch on a
-//!   `None`. The `telemetry_overhead` bench holds the enabled path to
-//!   within 2% of this floor.
+//!   `None`. What the enabled path costs on top of this floor is
+//!   measured end to end, as `benchmark/`'s `trace.overhead_pct`.
 //! * **No dependencies.** Only `std`; the crate sits below `cm_core`,
 //!   `cm_reactor`, and `cm_server` in the workspace graph.
 //!

@@ -61,7 +61,7 @@ fn main() {
     let bob_kit = bob.query_kit();
 
     // Alice gets a matcher pool of 2 (two of her queries run at once,
-    // sharing one shard executor and one encrypted database); bob keeps
+    // sharing one encrypted database and the compute pool); bob keeps
     // the default pool size.
     let mut registry = TenantRegistry::new();
     registry
