@@ -19,8 +19,10 @@ use crate::params::BfvContext;
 /// multiplication ([`cm_hemath::RingContext::prepare`]), so one encryptor
 /// built at key-provisioning time serves every later query. An
 /// encryption transforms its mask `u` once for both products (one
-/// forward and two inverse NTTs) and adds the error terms and the scaled
-/// message where they land instead of materialising them as polynomials.
+/// forward and two inverse NTTs; twice that, under the context's two
+/// auxiliary primes, when `q` has no NTT of its own) and adds the error
+/// terms and the scaled message where they land instead of materialising
+/// them as polynomials.
 #[derive(Debug, Clone)]
 pub struct Encryptor {
     ctx: BfvContext,
@@ -683,7 +685,8 @@ mod tests {
     #[test]
     fn cached_key_transforms_leave_ciphertexts_bit_identical() {
         // The prepared-key encryption against the textbook formula on the
-        // same RNG stream, with NTT tables and on the schoolbook ring.
+        // same RNG stream, on rings with an NTT and on the power-of-two
+        // ring that multiplies through the auxiliary primes.
         for params in [
             BfvParams::ciphermatch_1024(),
             BfvParams::insecure_test_add(),
@@ -707,6 +710,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn pow2_encryption_equals_the_textbook_formula_on_schoolbook_products() {
+        // The test above runs both sides through `rq.mul`; here the
+        // expected products come from the O(n²) oracle, so a wrong exact
+        // product on the q = 2^32 ring cannot hide on both sides.
+        let (ctx, _sk, pk) = setup(BfvParams::insecure_test_pow2(), 41);
+        let rq = ctx.rq();
+        let q = rq.modulus();
+        let pt = pt_from(&ctx, &[200, 0, 255, 3, 18]);
+        let mut rng = StdRng::seed_from_u64(42);
+        let got = Encryptor::new(&ctx, pk.clone()).encrypt(&pt, &mut rng);
+
+        let mut rng = StdRng::seed_from_u64(42);
+        let u = cm_hemath::ternary_poly(rq, &mut rng);
+        let e1 = gaussian_poly(rq, ctx.error_sampler(), &mut rng);
+        let e2 = gaussian_poly(rq, ctx.error_sampler(), &mut rng);
+        let product = |key: &Poly| {
+            Poly::from_coeffs(cm_hemath::schoolbook_negacyclic_mul(
+                q,
+                key.coeffs(),
+                u.coeffs(),
+            ))
+        };
+        let scaled = rq.scalar_mul(pt.poly(), ctx.params().delta());
+        let c0 = rq.add(&rq.add(&product(&pk.pk0), &e1), &scaled);
+        let c1 = rq.add(&product(&pk.pk1), &e2);
+        assert_eq!(got, Ciphertext::from_parts(vec![c0, c1]));
+    }
+
     fn all_presets() -> [BfvParams; 8] {
         [
             BfvParams::ciphermatch_1024(),
@@ -722,7 +754,7 @@ mod tests {
 
     #[test]
     fn encrypt_into_on_dirty_buffers_equals_encrypt() {
-        // NTT rings and the schoolbook (power-of-two q) ring; the scratch
+        // NTT rings and the power-of-two q ring; the scratch
         // and the output arrive holding another encryption's leftovers,
         // and once a ciphertext of the wrong shape.
         for params in [

@@ -75,8 +75,10 @@ impl BfvParams {
     /// exactly, so coefficient-wise addition modulo `q` is plain wrapping
     /// 32-bit addition — bit-for-bit what the in-flash bit-serial adder
     /// computes (§4.3.1). Power-of-two moduli are valid for ring-LWE;
-    /// there is no NTT, so encryption falls back to schoolbook
-    /// multiplication (only `Hom-Add` is ever needed server-side).
+    /// there is no NTT modulo `q`, so key generation, encryption and
+    /// decryption multiply exactly through the context's two auxiliary
+    /// NTT primes and reduce mod `q` (only `Hom-Add` is ever needed
+    /// server-side).
     pub fn ciphermatch_ifp_1024() -> Self {
         Self {
             n: 1024,
@@ -180,8 +182,8 @@ impl BfvContext {
     ///
     /// # Panics
     ///
-    /// Panics if `q` is not an NTT-friendly prime for `n` (all presets are),
-    /// or if `t >= q`.
+    /// Panics if `t >= q`, if `q mod t > 1`, or if `q` is too wide for the
+    /// exact products (no preset is).
     pub fn new(params: BfvParams) -> Self {
         assert!(params.t < params.q, "plaintext modulus must be below q");
         assert!(
@@ -189,21 +191,20 @@ impl BfvContext {
             "q mod t must be <= 1 so the BFV rounding residue r_t(q) stays \
              negligible; pick q = 1 mod lcm(2n, t) (see find_prime_1_mod)"
         );
-        let rq = RingContext::new(Modulus::new(params.q), params.n);
-        // NTT-friendly prime moduli get fast encryption/multiplication;
-        // power-of-two moduli (the IFP-compatible presets) fall back to
-        // schoolbook ring multiplication, which only affects encryption
-        // speed — Hom-Add never multiplies.
-        let wide = WideMultiplier::new(params.n);
+        let wide = Arc::new(WideMultiplier::new(params.n));
         assert!(
             wide.max_input_magnitude() >= params.q / 2,
             "exact tensoring range too small for q"
         );
+        // One set of auxiliary-prime tables: the tensor product uses them
+        // for every q, and the ring multiplies through them when q has no
+        // NTT of its own (the power-of-two, IFP-compatible presets).
+        let rq = RingContext::with_wide(Modulus::new(params.q), params.n, &wide);
         Self {
             errors: Arc::new(GaussianSampler::new(params.sigma)),
             params,
             rq: Arc::new(rq),
-            wide: Arc::new(wide),
+            wide,
         }
     }
 

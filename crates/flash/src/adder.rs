@@ -13,6 +13,19 @@
 //! Addition is modulo `2^width`, which equals BFV `Hom-Add` exactly when
 //! the ciphertext modulus is `2^width` (see
 //! `cm_bfv::BfvParams::ciphermatch_ifp_1024`).
+//!
+//! ## How the host transposes
+//!
+//! Moving between coefficients and bit-planes is a bit-matrix transpose,
+//! and the host does it a word at a time: 32 coefficients form a 32×32
+//! bit matrix that [`transpose32`] flips with five rounds of masked
+//! swaps, and two such blocks fill one 64-bit word of each of the 32
+//! plane pages. The cost is proportional to the words moved, not to the
+//! bits, for any page width (a partial last block is padded with zero
+//! coefficients, so no bit is set past a page's length). This is the
+//! speed of the *simulator*; what the transposition costs the modelled
+//! controller is booked separately by `cm_ssd::TranspositionUnit` and
+//! does not depend on it.
 
 use crate::bitbuf::BitBuf;
 use crate::chip::FlashArray;
@@ -34,8 +47,7 @@ pub fn store_words_vertical(
 ) {
     let bits = fa.geometry().page_bits();
     assert_eq!(words.len(), bits, "one coefficient per bitline required");
-    for b in 0..32 {
-        let page = BitBuf::from_bits(&words.iter().map(|&w| (w >> b) & 1 == 1).collect::<Vec<_>>());
+    for (b, page) in words_to_bitplanes(words, 32).into_iter().enumerate() {
         fa.program_page(
             PageAddr {
                 plane,
@@ -47,29 +59,101 @@ pub fn store_words_vertical(
     }
 }
 
+/// Transposes a 32×32 bit matrix in place (row `r`, column `c` is bit `c`
+/// of `a[r]`): five rounds of masked swaps between rows `k` and `k + j`
+/// for `j` = 16, 8, 4, 2, 1, each exchanging the off-diagonal `j × j`
+/// blocks. Its own inverse.
+#[inline]
+fn transpose32(a: &mut [u32; 32]) {
+    let mut j = 16;
+    let mut mask = 0x0000_ffffu32;
+    while j != 0 {
+        for base in (0..32).step_by(2 * j) {
+            for k in base..base + j {
+                let t = ((a[k] >> j) ^ a[k + j]) & mask;
+                a[k] ^= t << j;
+                a[k + j] ^= t;
+            }
+        }
+        j >>= 1;
+        mask ^= mask << j;
+    }
+}
+
+/// The 32 coefficients starting at `start`, transposed: entry `b` holds
+/// bit `b` of each of them. Coefficients past the end read as zero.
+#[inline]
+fn transposed_block(words: &[u32], start: usize) -> [u32; 32] {
+    let mut block = [0u32; 32];
+    let tail = words.get(start..).unwrap_or(&[]);
+    let take = tail.len().min(32);
+    block[..take].copy_from_slice(&tail[..take]);
+    transpose32(&mut block);
+    block
+}
+
+/// Makes `pages` hold `count` pages of `bits` bitlines, keeping the
+/// buffers that already have that width.
+fn reshape(pages: &mut Vec<BitBuf>, count: usize, bits: usize) {
+    pages.retain(|p| p.len() == bits);
+    pages.resize_with(count, || BitBuf::zeros(bits));
+}
+
 /// Splits `u32` words into `width` bit-plane pages (bit 0 first) of
 /// `words.len()` bitlines.
 pub fn words_to_bitplanes(words: &[u32], width: usize) -> Vec<BitBuf> {
+    let mut planes = Vec::new();
+    words_to_bitplanes_into(words, width, &mut planes);
+    planes
+}
+
+/// [`words_to_bitplanes`] into caller-owned pages: `planes` is reshaped to
+/// `width` pages of `words.len()` bitlines (allocating only when the shape
+/// changes) and every word of every page is overwritten.
+pub fn words_to_bitplanes_into(words: &[u32], width: usize, planes: &mut Vec<BitBuf>) {
     assert!(width <= 32);
-    (0..width)
-        .map(|b| BitBuf::from_bits(&words.iter().map(|&w| (w >> b) & 1 == 1).collect::<Vec<_>>()))
-        .collect()
+    let n = words.len();
+    reshape(planes, width, n);
+    // One page word covers 64 bitlines: two 32-coefficient blocks.
+    for w in 0..n.div_ceil(64) {
+        let lo = transposed_block(words, 64 * w);
+        let hi = transposed_block(words, 64 * w + 32);
+        for (b, plane) in planes.iter_mut().enumerate() {
+            plane.words_mut()[w] = u64::from(lo[b]) | u64::from(hi[b]) << 32;
+        }
+    }
 }
 
 /// Reassembles bit-plane pages (bit 0 first) into `u32` words.
 pub fn bitplanes_to_words(planes: &[BitBuf]) -> Vec<u32> {
+    let mut out = Vec::new();
+    bitplanes_to_words_into(planes, &mut out);
+    out
+}
+
+/// [`bitplanes_to_words`] into a caller-owned vector, resized to one word
+/// per bitline and overwritten.
+pub fn bitplanes_to_words_into(planes: &[BitBuf], out: &mut Vec<u32>) {
     assert!(!planes.is_empty() && planes.len() <= 32);
     let n = planes[0].len();
-    let mut out = vec![0u32; n];
-    for (b, plane) in planes.iter().enumerate() {
+    for plane in planes {
         assert_eq!(plane.len(), n, "bit-plane width mismatch");
-        for (l, w) in out.iter_mut().enumerate() {
-            if plane.get(l) {
-                *w |= 1 << b;
-            }
-        }
     }
-    out
+    out.clear();
+    out.resize(n, 0);
+    for (w, chunk) in out.chunks_mut(64).enumerate() {
+        let (mut lo, mut hi) = ([0u32; 32], [0u32; 32]);
+        for (b, plane) in planes.iter().enumerate() {
+            let word = plane.words()[w];
+            lo[b] = word as u32;
+            hi[b] = (word >> 32) as u32;
+        }
+        transpose32(&mut lo);
+        transpose32(&mut hi);
+        let (first, second) = chunk.split_at_mut(chunk.len().min(32));
+        first.copy_from_slice(&lo[..first.len()]);
+        second.copy_from_slice(&hi[..second.len()]);
+    }
 }
 
 /// Executes `bop_add`: adds streamed operand `B` (as bit-planes, LSB
@@ -90,14 +174,34 @@ pub fn bop_add(
     wl_base: usize,
     b_planes: &[BitBuf],
 ) -> Vec<BitBuf> {
+    let mut sums = Vec::new();
+    bop_add_into(fa, plane, block, wl_base, b_planes, &mut sums);
+    sums
+}
+
+/// [`bop_add`] with the sum bit-planes shipped into caller-owned pages:
+/// `sums` is reshaped to one page per operand bit-plane (allocating only
+/// when the shape changes) and overwritten.
+///
+/// # Panics
+///
+/// As [`bop_add`].
+pub fn bop_add_into(
+    fa: &mut FlashArray,
+    plane: PlaneAddr,
+    block: usize,
+    wl_base: usize,
+    b_planes: &[BitBuf],
+    sums: &mut Vec<BitBuf>,
+) {
     assert!(
         !b_planes.is_empty() && b_planes.len() <= 32,
         "width must be 1..=32"
     );
+    reshape(sums, b_planes.len(), fa.geometry().page_bits());
     // Carry-in = 0.
     fa.reset_dlatch(plane, 2);
-    let mut sums = Vec::with_capacity(b_planes.len());
-    for (i, b_i) in b_planes.iter().enumerate() {
+    for (i, (b_i, sum_i)) in b_planes.iter().zip(sums.iter_mut()).enumerate() {
         // ① stream B_i from the controller into the S-latch.
         fa.io_load_slatch(plane, b_i);
         // ② copy it to D-latch 1.
@@ -128,9 +232,8 @@ pub fn bop_add(
         // ⑫ OR into D2: carry-out = (B⊕C)·A + B·C.
         fa.or_slatch_into_dlatch(plane, 2);
         // ⑬ ship the sum bit-plane to the controller.
-        sums.push(fa.io_read_dlatch(plane, 1));
+        sum_i.copy_from(fa.io_read_dlatch(plane, 1));
     }
-    sums
 }
 
 #[cfg(test)]
@@ -241,6 +344,95 @@ mod tests {
         // Narrow widths truncate high bits.
         let low = bitplanes_to_words(&words_to_bitplanes(&words, 8));
         assert!(low.iter().zip(&words).all(|(&l, &w)| l == w & 0xFF));
+    }
+
+    /// The per-bit transposition the word-parallel one replaced.
+    fn words_to_bitplanes_oracle(words: &[u32], width: usize) -> Vec<BitBuf> {
+        (0..width)
+            .map(|b| {
+                BitBuf::from_bits(&words.iter().map(|&w| (w >> b) & 1 == 1).collect::<Vec<_>>())
+            })
+            .collect()
+    }
+
+    /// The per-bit reassembly the word-parallel one replaced.
+    fn bitplanes_to_words_oracle(planes: &[BitBuf]) -> Vec<u32> {
+        let mut out = vec![0u32; planes[0].len()];
+        for (b, plane) in planes.iter().enumerate() {
+            for (l, w) in out.iter_mut().enumerate() {
+                if plane.get(l) {
+                    *w |= 1 << b;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn transposition_equals_the_per_bit_oracle_at_every_width_and_length() {
+        let mut rng = StdRng::seed_from_u64(2032);
+        // Reused across shapes, so stale pages of another shape are covered.
+        let (mut planes, mut words_back) = (Vec::new(), Vec::new());
+        for bitlines in [1usize, 31, 32, 33, 63, 64, 65, 100, 512, 4096 * 8] {
+            let words: Vec<u32> = (0..bitlines).map(|_| rng.gen()).collect();
+            // The widest page is only worth one narrow and one full pass.
+            let widths: Vec<usize> = if bitlines > 512 {
+                vec![7, 32]
+            } else {
+                (1..=32).collect()
+            };
+            for width in widths {
+                let want = words_to_bitplanes_oracle(&words, width);
+                words_to_bitplanes_into(&words, width, &mut planes);
+                assert_eq!(planes, want, "bitlines={bitlines} width={width}");
+                for plane in &planes {
+                    assert_eq!(plane.len(), bitlines);
+                    let tail = bitlines % 64;
+                    if tail != 0 {
+                        let last = plane.words()[bitlines / 64];
+                        assert_eq!(last >> tail, 0, "bits set past len");
+                    }
+                }
+                let mask = u32::MAX >> (32 - width);
+                let low: Vec<u32> = words.iter().map(|&w| w & mask).collect();
+                assert_eq!(bitplanes_to_words_oracle(&planes), low);
+                bitplanes_to_words_into(&planes, &mut words_back);
+                assert_eq!(words_back, low, "bitlines={bitlines} width={width}");
+            }
+        }
+    }
+
+    #[test]
+    fn bop_add_matches_wrapping_add_off_the_word_grid() {
+        // 13-byte pages: 104 bitlines, one full page word and a 40-bit tail.
+        let geometry = FlashGeometry {
+            page_bytes: 13,
+            ..FlashGeometry::tiny_test()
+        };
+        let mut fa = FlashArray::new(geometry);
+        let plane = PlaneAddr {
+            channel: 1,
+            die: 0,
+            plane: 1,
+        };
+        let bits = fa.geometry().page_bits();
+        let mut rng = StdRng::seed_from_u64(104);
+        let mut sums = Vec::new();
+        for round in 0..8 {
+            let a: Vec<u32> = (0..bits).map(|_| rng.gen()).collect();
+            let b: Vec<u32> = (0..bits).map(|_| rng.gen()).collect();
+            store_words_vertical(&mut fa, plane, 2, 32, &a);
+            bop_add_into(
+                &mut fa,
+                plane,
+                2,
+                32,
+                &words_to_bitplanes(&b, 32),
+                &mut sums,
+            );
+            let expect: Vec<u32> = a.iter().zip(&b).map(|(&x, &y)| x.wrapping_add(y)).collect();
+            assert_eq!(bitplanes_to_words(&sums), expect, "round {round}");
+        }
     }
 
     #[test]

@@ -25,10 +25,7 @@ impl BitBuf {
     /// All-one buffer of `len` bits.
     pub fn ones(len: usize) -> Self {
         let mut b = Self::zeros(len);
-        for w in &mut b.words {
-            *w = !0;
-        }
-        b.mask_tail();
+        b.fill_ones();
         b
     }
 
@@ -128,9 +125,13 @@ impl BitBuf {
 
     /// Sets every bit to zero.
     pub fn clear(&mut self) {
-        for w in &mut self.words {
-            *w = 0;
-        }
+        self.words.fill(0);
+    }
+
+    /// Sets every bit to one.
+    pub fn fill_ones(&mut self) {
+        self.words.fill(!0);
+        self.mask_tail();
     }
 
     /// Copies from another buffer.
@@ -151,6 +152,13 @@ impl BitBuf {
     /// Raw word access (for fast transposition).
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// Mutable raw word access, for writers that fill a page a word at a
+    /// time. Bits past [`Self::len`] in the last word must be left zero:
+    /// `Eq` compares whole words.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
     }
 }
 

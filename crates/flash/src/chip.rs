@@ -25,7 +25,7 @@ use crate::timing::FlashLedger;
 pub const D_LATCHES: usize = 3;
 
 /// One plane's latch set.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LatchSet {
     s: BitBuf,
     d: [BitBuf; D_LATCHES],
@@ -49,17 +49,50 @@ impl LatchSet {
 pub struct FlashArray {
     geometry: FlashGeometry,
     pages: HashMap<PageAddr, BitBuf>,
-    latches: HashMap<PlaneAddr, LatchSet>,
+    /// One slot per plane in canonical (channel, die, plane) order, filled
+    /// when the plane's latches are first touched.
+    latches: Vec<Option<LatchSet>>,
     ledger: FlashLedger,
+}
+
+/// Panics unless `addr` lies inside `geometry`.
+fn check_page(geometry: &FlashGeometry, addr: &PageAddr) {
+    assert!(
+        geometry.check_page(addr),
+        "page address out of geometry: {addr:?}"
+    );
+}
+
+/// The latch set of `plane`, created all-zero on first use. A free
+/// function over the two fields it needs, so callers can hold it beside a
+/// borrow of the page store.
+///
+/// # Panics
+///
+/// Panics if the plane is outside the geometry.
+fn latch<'a>(
+    latches: &'a mut [Option<LatchSet>],
+    geometry: &FlashGeometry,
+    plane: PlaneAddr,
+) -> &'a mut LatchSet {
+    assert!(
+        plane.channel < geometry.channels
+            && plane.die < geometry.dies_per_channel
+            && plane.plane < geometry.planes_per_die,
+        "plane address out of geometry: {plane:?}"
+    );
+    let index = (plane.channel * geometry.dies_per_channel + plane.die) * geometry.planes_per_die
+        + plane.plane;
+    latches[index].get_or_insert_with(|| LatchSet::new(geometry.page_bits()))
 }
 
 impl FlashArray {
     /// Creates an empty array.
     pub fn new(geometry: FlashGeometry) -> Self {
         Self {
+            latches: (0..geometry.total_planes()).map(|_| None).collect(),
             geometry,
             pages: HashMap::new(),
-            latches: HashMap::new(),
             ledger: FlashLedger::default(),
         }
     }
@@ -80,17 +113,11 @@ impl FlashArray {
     }
 
     fn latch(&mut self, plane: PlaneAddr) -> &mut LatchSet {
-        let bits = self.geometry.page_bits();
-        self.latches
-            .entry(plane)
-            .or_insert_with(|| LatchSet::new(bits))
+        latch(&mut self.latches, &self.geometry, plane)
     }
 
     fn check(&self, addr: &PageAddr) {
-        assert!(
-            self.geometry.check_page(addr),
-            "page address out of geometry: {addr:?}"
-        );
+        check_page(&self.geometry, addr);
     }
 
     /// Programs a page (SLC write) — data load path, costs P/E wear.
@@ -130,13 +157,11 @@ impl FlashArray {
     pub fn read_to_slatch(&mut self, addr: PageAddr) {
         self.check(&addr);
         self.ledger.reads += 1;
-        let bits = self.geometry.page_bits();
-        let data = self
-            .pages
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| BitBuf::zeros(bits));
-        self.latch(addr.plane).s.copy_from(&data);
+        let set = latch(&mut self.latches, &self.geometry, addr.plane);
+        match self.pages.get(&addr) {
+            Some(page) => set.s.copy_from(page),
+            None => set.s.clear(),
+        }
     }
 
     /// Copies the S-latch into D-latch `d` (Fig. 4 step ②③: reset then
@@ -144,18 +169,16 @@ impl FlashArray {
     pub fn slatch_to_dlatch(&mut self, plane: PlaneAddr, d: usize) {
         assert!(d < D_LATCHES);
         self.ledger.latch_transfers += 1;
-        let set = self.latch(plane);
-        let s = set.s.clone();
-        set.d[d].copy_from(&s);
+        let LatchSet { s, d: dl } = self.latch(plane);
+        dl[d].copy_from(s);
     }
 
     /// Copies D-latch `d` into the S-latch (reverse path via M7/M8).
     pub fn dlatch_to_slatch(&mut self, plane: PlaneAddr, d: usize) {
         assert!(d < D_LATCHES);
         self.ledger.latch_transfers += 1;
-        let set = self.latch(plane);
-        let v = set.d[d].clone();
-        set.s.copy_from(&v);
+        let LatchSet { s, d: dl } = self.latch(plane);
+        s.copy_from(&dl[d]);
     }
 
     /// Bitwise AND of the S-latch with D-latch `d`, result in the S-latch
@@ -163,27 +186,24 @@ impl FlashArray {
     pub fn and_dlatch_into_slatch(&mut self, plane: PlaneAddr, d: usize) {
         assert!(d < D_LATCHES);
         self.ledger.and_or_ops += 1;
-        let set = self.latch(plane);
-        let v = set.d[d].clone();
-        set.s.and_assign(&v);
+        let LatchSet { s, d: dl } = self.latch(plane);
+        s.and_assign(&dl[d]);
     }
 
     /// Bitwise OR of the S-latch into D-latch `d` (transfer without reset).
     pub fn or_slatch_into_dlatch(&mut self, plane: PlaneAddr, d: usize) {
         assert!(d < D_LATCHES);
         self.ledger.and_or_ops += 1;
-        let set = self.latch(plane);
-        let s = set.s.clone();
-        set.d[d].or_assign(&s);
+        let LatchSet { s, d: dl } = self.latch(plane);
+        dl[d].or_assign(s);
     }
 
     /// XOR between D-latch 1 and D-latch 2, result in D-latch 1 (the
     /// on-chip randomizer circuit, §4.3.1 item 4).
     pub fn xor_d1_d2_into_d1(&mut self, plane: PlaneAddr) {
         self.ledger.xor_ops += 1;
-        let set = self.latch(plane);
-        let d2 = set.d[2].clone();
-        set.d[1].xor_assign(&d2);
+        let [_, d1, d2] = &mut self.latch(plane).d;
+        d1.xor_assign(d2);
     }
 
     /// Resets D-latch `d` to all zeros.
@@ -204,11 +224,12 @@ impl FlashArray {
         self.latch(plane).s.copy_from(data);
     }
 
-    /// DMA: reads D-latch `d` out to the channel.
-    pub fn io_read_dlatch(&mut self, plane: PlaneAddr, d: usize) -> BitBuf {
+    /// DMA: reads D-latch `d` out to the channel. The page on the wire is
+    /// a view of the latch; the receiver copies it into its own buffer.
+    pub fn io_read_dlatch(&mut self, plane: PlaneAddr, d: usize) -> &BitBuf {
         assert!(d < D_LATCHES);
         self.ledger.dmas += 1;
-        self.latch(plane).d[d].clone()
+        &self.latch(plane).d[d]
     }
 
     /// Multi-wordline sensing within one block (Flash-Cosmos \[60\], used
@@ -228,23 +249,20 @@ impl FlashArray {
     ) {
         assert!(!wordlines.is_empty(), "at least one wordline required");
         self.ledger.reads += 1; // one sensing operation regardless of count
-        let bits = self.geometry.page_bits();
-        let mut acc = BitBuf::ones(bits);
-        for &wl in wordlines {
+        let s = &mut latch(&mut self.latches, &self.geometry, plane).s;
+        s.fill_ones();
+        for &wordline in wordlines {
             let addr = PageAddr {
                 plane,
                 block,
-                wordline: wl,
+                wordline,
             };
-            self.check(&addr);
-            let page = self
-                .pages
-                .get(&addr)
-                .cloned()
-                .unwrap_or_else(|| BitBuf::zeros(bits));
-            acc.and_assign(&page);
+            check_page(&self.geometry, &addr);
+            match self.pages.get(&addr) {
+                Some(page) => s.and_assign(page),
+                None => s.clear(),
+            }
         }
-        self.latch(plane).s.copy_from(&acc);
     }
 
     /// Multi-block sensing across blocks of one plane (Flash-Cosmos):
@@ -258,36 +276,38 @@ impl FlashArray {
     pub fn read_or_multi_to_slatch(&mut self, plane: PlaneAddr, blocks: &[usize], wordline: usize) {
         assert!(!blocks.is_empty(), "at least one block required");
         self.ledger.reads += 1;
-        let bits = self.geometry.page_bits();
-        let mut acc = BitBuf::zeros(bits);
+        let s = &mut latch(&mut self.latches, &self.geometry, plane).s;
+        s.clear();
         for &block in blocks {
             let addr = PageAddr {
                 plane,
                 block,
                 wordline,
             };
-            self.check(&addr);
+            check_page(&self.geometry, &addr);
             if let Some(page) = self.pages.get(&addr) {
-                acc.or_assign(page);
+                s.or_assign(page);
             }
         }
-        self.latch(plane).s.copy_from(&acc);
     }
 
-    /// Direct page read (conventional I/O path: read + DMA).
-    pub fn read_page(&mut self, addr: PageAddr) -> BitBuf {
+    /// Direct page read (conventional I/O path: read + DMA). The page on
+    /// the wire is a view of the S-latch.
+    pub fn read_page(&mut self, addr: PageAddr) -> &BitBuf {
         self.read_to_slatch(addr);
         self.ledger.dmas += 1;
-        self.latches[&addr.plane].s.clone()
+        &self.latch(addr.plane).s
     }
 
-    /// Test/debug accessor for the S-latch contents.
-    pub fn peek_slatch(&mut self, plane: PlaneAddr) -> BitBuf {
+    /// Test accessor for the S-latch contents.
+    #[cfg(test)]
+    pub(crate) fn peek_slatch(&mut self, plane: PlaneAddr) -> BitBuf {
         self.latch(plane).s.clone()
     }
 
-    /// Test/debug accessor for a D-latch's contents.
-    pub fn peek_dlatch(&mut self, plane: PlaneAddr, d: usize) -> BitBuf {
+    /// Test accessor for a D-latch's contents.
+    #[cfg(test)]
+    pub(crate) fn peek_dlatch(&mut self, plane: PlaneAddr, d: usize) -> BitBuf {
         assert!(d < D_LATCHES);
         self.latch(plane).d[d].clone()
     }

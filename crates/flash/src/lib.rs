@@ -36,7 +36,10 @@ mod chip;
 mod geometry;
 mod timing;
 
-pub use adder::{bitplanes_to_words, bop_add, store_words_vertical, words_to_bitplanes};
+pub use adder::{
+    bitplanes_to_words, bitplanes_to_words_into, bop_add, bop_add_into, store_words_vertical,
+    words_to_bitplanes, words_to_bitplanes_into,
+};
 pub use bitbuf::BitBuf;
 pub use chip::{FlashArray, D_LATCHES};
 pub use geometry::{FlashGeometry, PageAddr, PlaneAddr};

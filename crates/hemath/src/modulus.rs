@@ -256,12 +256,10 @@ impl Modulus {
     /// Reduces a signed `i128` value into `[0, q)`.
     #[inline]
     pub fn from_signed_i128(&self, a: i128) -> u64 {
-        let q = self.value as i128;
-        let r = a % q;
-        if r < 0 {
-            (r + q) as u64
-        } else {
-            r as u64
+        // Barrett on the magnitude, then the sign: no 128-bit division.
+        match self.reduce_u128(a.unsigned_abs()) {
+            r if a < 0 && r != 0 => self.value - r,
+            r => r,
         }
     }
 }
@@ -460,6 +458,26 @@ mod tests {
         }
         assert_eq!(q.center(51), -50);
         assert_eq!(q.center(50), 50);
+        // The wide form agrees with Euclidean remainder, at the edges of
+        // the i128 range and on exact multiples, for odd and 2^k moduli.
+        for q in [q, Modulus::new(1 << 32), Modulus::new((1 << 63) - 1)] {
+            let m = q.value() as i128;
+            for a in [
+                0,
+                1,
+                -1,
+                m,
+                -m,
+                m + 1,
+                -m - 1,
+                7 * m,
+                -7 * m,
+                i128::MAX,
+                i128::MIN,
+            ] {
+                assert_eq!(q.from_signed_i128(a), a.rem_euclid(m) as u64, "a={a}");
+            }
+        }
     }
 
     #[test]

@@ -313,31 +313,16 @@ impl NttTable {
     }
 }
 
-/// Reference O(n^2) negacyclic multiplication, used to validate the NTT and
-/// as a fallback for non-NTT-friendly moduli.
-pub fn schoolbook_negacyclic_mul(modulus: &Modulus, a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = vec![0u64; a.len()];
-    schoolbook_negacyclic_mul_into(modulus, a, b, &mut out);
-    out
-}
-
-/// [`schoolbook_negacyclic_mul`] into a caller-owned buffer. Zero
-/// coefficients of `a` cost nothing, so pass the sparser operand (a
-/// ternary key) first.
+/// Reference O(n^2) negacyclic multiplication: the oracle the NTT and
+/// the CRT ring products are tested against, never a production path.
 ///
 /// # Panics
 ///
-/// Panics if the three lengths differ.
-pub(crate) fn schoolbook_negacyclic_mul_into(
-    modulus: &Modulus,
-    a: &[u64],
-    b: &[u64],
-    out: &mut [u64],
-) {
+/// Panics if the lengths differ.
+pub fn schoolbook_negacyclic_mul(modulus: &Modulus, a: &[u64], b: &[u64]) -> Vec<u64> {
     let n = a.len();
     assert_eq!(b.len(), n);
-    assert_eq!(out.len(), n);
-    out.fill(0);
+    let mut out = vec![0u64; n];
     for (i, &ai) in a.iter().enumerate() {
         if ai == 0 {
             continue;
@@ -352,6 +337,7 @@ pub(crate) fn schoolbook_negacyclic_mul_into(
             }
         }
     }
+    out
 }
 
 #[cfg(test)]

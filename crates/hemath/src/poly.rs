@@ -1,22 +1,53 @@
 //! Polynomial ring `R_q = Z_q[x]/(x^n + 1)`.
 //!
-//! [`RingContext`] owns the modulus and (when the modulus permits) the NTT
-//! tables for a fixed ring degree; [`Poly`] is a plain coefficient vector.
-//! All operations are exposed as context methods so a single set of tables
-//! is shared by every polynomial in a scheme.
+//! [`RingContext`] owns the modulus and the transform tables for a fixed
+//! ring degree — the modulus's own NTT when it has one, two auxiliary NTT
+//! primes otherwise; [`Poly`] is a plain coefficient vector. All
+//! operations are exposed as context methods so a single set of tables is
+//! shared by every polynomial in a scheme.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::kernels;
 use crate::modulus::Modulus;
-use crate::ntt::{schoolbook_negacyclic_mul, schoolbook_negacyclic_mul_into, NttTable};
+use crate::ntt::NttTable;
+use crate::widemul::WideMultiplier;
 
-/// Shared ring description: degree, modulus, and optional NTT tables.
+/// Shared ring description: degree, modulus, and the tables products run
+/// on.
 #[derive(Debug, Clone)]
 pub struct RingContext {
     n: usize,
     modulus: Modulus,
-    ntt: Option<Arc<NttTable>>,
+    tables: Tables,
+}
+
+/// How a ring multiplies.
+#[derive(Debug, Clone)]
+enum Tables {
+    /// `q` is an NTT-friendly prime: transform, point-wise product and
+    /// inverse transform modulo `q` itself.
+    Ntt(Arc<NttTable>),
+    /// Any other `q` (a power of two, a small prime): the exact integer
+    /// product of the unsigned representatives through two auxiliary NTT
+    /// primes, reduced modulo `q` afterwards.
+    Crt(Arc<WideMultiplier>),
+}
+
+thread_local! {
+    /// Working memory of the [`Tables::Crt`] products (up to `3n` words:
+    /// one operand's residue transforms and the second residue of the
+    /// result), so a warmed thread multiplies without allocating.
+    static CRT_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The first `len` words of the scratch, grown if it is shorter.
+fn crt_scratch(scratch: &mut Vec<u64>, len: usize) -> &mut [u64] {
+    if scratch.len() < len {
+        scratch.resize(len, 0);
+    }
+    &mut scratch[..len]
 }
 
 /// A polynomial in `R_q`, stored as `n` reduced coefficients
@@ -28,8 +59,8 @@ pub struct Poly {
 
 /// A fixed multiplicand (a key) prepared once by
 /// [`RingContext::prepare`] for many products: its forward NTT when the
-/// ring has tables, its plain coefficients otherwise. Only meaningful to
-/// the ring that prepared it.
+/// modulus has one, its transforms under both auxiliary primes (`2n`
+/// words) otherwise. Only meaningful to the ring that prepared it.
 #[derive(Debug, Clone)]
 pub struct PreparedPoly(Vec<u64>);
 
@@ -90,26 +121,50 @@ impl Poly {
 }
 
 impl RingContext {
-    /// Creates a ring context. NTT tables are built when the modulus is an
-    /// NTT-friendly prime (`q ≡ 1 mod 2n`); otherwise multiplication falls
-    /// back to schoolbook convolution.
+    /// Creates a ring context. Products run on the modulus's own NTT
+    /// tables when it is an NTT-friendly prime (`q ≡ 1 mod 2n`), and
+    /// exactly through two auxiliary NTT primes otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two at least 2.
+    /// Panics if `n` is not a power of two at least 2, or if the modulus
+    /// has no NTT and is too wide for the auxiliary primes' exact range.
     pub fn new(modulus: Modulus, n: usize) -> Self {
+        Self::build(modulus, n, || Arc::new(WideMultiplier::new(n)))
+    }
+
+    /// [`Self::new`] sharing an existing multiplier's auxiliary tables
+    /// instead of building its own, should the modulus need them.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::new`], or if `wide` was built for another degree.
+    pub fn with_wide(modulus: Modulus, n: usize, wide: &Arc<WideMultiplier>) -> Self {
+        Self::build(modulus, n, || Arc::clone(wide))
+    }
+
+    fn build(modulus: Modulus, n: usize, wide: impl FnOnce() -> Arc<WideMultiplier>) -> Self {
         assert!(
             n.is_power_of_two() && n >= 2,
             "ring degree must be a power of two >= 2"
         );
-        let ntt = if (modulus.value() - 1).is_multiple_of(2 * n as u64)
+        let tables = if (modulus.value() - 1).is_multiple_of(2 * n as u64)
             && crate::modulus::is_prime(modulus.value())
         {
-            Some(Arc::new(NttTable::new(modulus, n)))
+            Tables::Ntt(Arc::new(NttTable::new(modulus, n)))
         } else {
-            None
+            let wide = wide();
+            assert_eq!(wide.n(), n, "wide multiplier built for another degree");
+            // Negacyclic sums of n products of operands in [0, q) must
+            // stay inside the centered CRT range.
+            assert!(
+                modulus.value() - 1 <= wide.max_input_magnitude(),
+                "modulus {} has no NTT for n = {n} and is too wide for the exact CRT product",
+                modulus.value()
+            );
+            Tables::Crt(wide)
         };
-        Self { n, modulus, ntt }
+        Self { n, modulus, tables }
     }
 
     /// Ring degree `n`.
@@ -124,10 +179,13 @@ impl RingContext {
         &self.modulus
     }
 
-    /// NTT tables, if the modulus supports them.
+    /// NTT tables modulo `q`, if the modulus supports them.
     #[inline]
     pub fn ntt(&self) -> Option<&NttTable> {
-        self.ntt.as_deref()
+        match &self.tables {
+            Tables::Ntt(t) => Some(t),
+            Tables::Crt(_) => None,
+        }
     }
 
     /// Validates that `p` belongs to this ring.
@@ -198,57 +256,77 @@ impl RingContext {
     pub fn mul_slices(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
         assert_eq!(a.len(), self.n, "polynomial degree does not match ring");
         assert_eq!(b.len(), self.n, "polynomial degree does not match ring");
-        match &self.ntt {
-            Some(t) => t.negacyclic_mul(a, b),
-            None => schoolbook_negacyclic_mul(&self.modulus, a, b),
+        match &self.tables {
+            Tables::Ntt(t) => t.negacyclic_mul(a, b),
+            Tables::Crt(_) => {
+                let b = self.prepare(Poly::from_coeffs(b.to_vec()));
+                let mut out = vec![0u64; self.n];
+                self.mul_prepared(a, &b, &mut out);
+                out
+            }
         }
     }
 
     /// Prepares `b` as the fixed operand of [`Self::mul_prepared`] /
-    /// [`Self::mul_prepared_pair`], transforming it in place.
+    /// [`Self::mul_prepared_pair`], transforming it in place (a buffer
+    /// with room for `2n` words is not reallocated on either kind of
+    /// ring).
     pub fn prepare(&self, b: Poly) -> PreparedPoly {
         self.check(&b);
         let mut coeffs = b.into_coeffs();
-        if let Some(t) = &self.ntt {
-            t.forward(&mut coeffs);
+        match &self.tables {
+            Tables::Ntt(t) => t.forward(&mut coeffs),
+            Tables::Crt(w) => {
+                coeffs.resize(2 * self.n, 0);
+                w.forward_residues(&mut coeffs);
+            }
         }
         PreparedPoly(coeffs)
     }
 
-    /// `out = a * b` against a prepared `b`: one forward and one inverse
-    /// transform and no allocation, where [`Self::mul_slices`] pays two
-    /// forwards, one inverse and three vectors. Without NTT tables the
-    /// product is schoolbook with `b` as the outer (zero-skipping)
-    /// operand.
+    /// `out = a * b` against a prepared `b`: `a` is transformed, the
+    /// product taken point-wise and transformed back, with no allocation
+    /// (on a thread that has multiplied before), where
+    /// [`Self::mul_slices`] also transforms `b` and allocates.
     ///
     /// # Panics
     ///
     /// Panics if a length differs from the ring degree.
     pub fn mul_prepared(&self, a: &[u64], b: &PreparedPoly, out: &mut [u64]) {
-        match &self.ntt {
-            Some(t) => {
+        match &self.tables {
+            Tables::Ntt(t) => {
                 out.copy_from_slice(a);
                 t.negacyclic_mul_prepared(out, &b.0);
             }
-            None => schoolbook_negacyclic_mul_into(&self.modulus, &b.0, a, out),
+            Tables::Crt(w) => {
+                assert_eq!(a.len(), self.n, "polynomial degree does not match ring");
+                CRT_SCRATCH.with_borrow_mut(|scratch| {
+                    let (fa, tmp) = crt_scratch(scratch, 3 * self.n).split_at_mut(2 * self.n);
+                    fa[..self.n].copy_from_slice(a);
+                    w.forward_residues(fa);
+                    w.mul_transformed_mod(fa, &b.0, &self.modulus, out, tmp);
+                });
+            }
         }
     }
 
-    /// `out = a * b` of two prepared operands: a point-wise product and
-    /// one inverse transform — what several products sharing the same
-    /// `a` should use, so `a` is transformed once. Without NTT tables
-    /// `a` is the outer (zero-skipping) schoolbook operand.
+    /// `out = a * b` of two prepared operands: point-wise products and
+    /// inverse transforms only — what several products sharing the same
+    /// `a` should use, so `a` is transformed once.
     ///
     /// # Panics
     ///
     /// Panics if a length differs from the ring degree.
     pub fn mul_prepared_pair(&self, a: &PreparedPoly, b: &PreparedPoly, out: &mut [u64]) {
-        match &self.ntt {
-            Some(t) => {
+        match &self.tables {
+            Tables::Ntt(t) => {
                 t.pointwise(&a.0, &b.0, out);
                 t.inverse(out);
             }
-            None => schoolbook_negacyclic_mul_into(&self.modulus, &a.0, &b.0, out),
+            Tables::Crt(w) => CRT_SCRATCH.with_borrow_mut(|scratch| {
+                let tmp = crt_scratch(scratch, self.n);
+                w.mul_transformed_mod(&a.0, &b.0, &self.modulus, out, tmp);
+            }),
         }
     }
 
@@ -337,6 +415,7 @@ impl RingContext {
 mod tests {
     use super::*;
     use crate::modulus::find_ntt_prime;
+    use crate::ntt::schoolbook_negacyclic_mul;
 
     fn ctx(n: usize) -> RingContext {
         RingContext::new(Modulus::new(find_ntt_prime(30, n)), n)
@@ -365,30 +444,55 @@ mod tests {
     }
 
     #[test]
-    fn schoolbook_fallback_for_unfriendly_modulus() {
+    fn unfriendly_modulus_multiplies_through_auxiliary_primes() {
         // 101 is prime but 101 - 1 = 100 is not divisible by 2 * 16 = 32.
         let r = RingContext::new(Modulus::new(101), 16);
         assert!(r.ntt().is_none());
         let a = r.constant(3);
         let b = r.constant(5);
         assert_eq!(r.mul(&a, &b).coeffs()[0], 15);
+        // x^15 * x = x^16 = -1: the wrap-around sign survives the CRT lift.
+        let mut top = Poly::zero(16);
+        top.coeffs_mut()[15] = 1;
+        let mut x = Poly::zero(16);
+        x.coeffs_mut()[1] = 1;
+        assert_eq!(r.mul(&top, &x), r.constant(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "too wide for the exact CRT product")]
+    fn modulus_beyond_the_crt_range_fails_at_construction() {
+        // Not prime, so no NTT; 2^62 operands at n = 1024 overflow p1·p2/2.
+        let _ = RingContext::new(Modulus::new(1 << 62), 1024);
+    }
+
+    #[test]
+    fn shared_wide_multiplier_is_used_only_when_needed() {
+        let wide = Arc::new(WideMultiplier::new(32));
+        let pow2 = RingContext::with_wide(Modulus::new(1 << 32), 32, &wide);
+        assert_eq!(Arc::strong_count(&wide), 2);
+        let prime = RingContext::with_wide(Modulus::new(find_ntt_prime(30, 32)), 32, &wide);
+        assert_eq!(Arc::strong_count(&wide), 2, "an NTT ring holds no share");
+        assert!(pow2.ntt().is_none() && prime.ntt().is_some());
     }
 
     #[test]
     fn prepared_products_match_ring_mul() {
-        // With NTT tables and on the schoolbook fallback (q = 2^16).
+        // With NTT tables of its own and through the auxiliary primes
+        // (q = 2^16).
         for r in [ctx(32), RingContext::new(Modulus::new(1 << 16), 32)] {
             let q = r.modulus().value();
             let a = Poly::from_coeffs((0..32u64).map(|i| (i * 977 + 5) % q).collect());
             let b = Poly::from_coeffs((0..32u64).map(|i| (i * i * 31 + 2) % q).collect());
-            let want = r.mul(&a, &b);
+            let want = schoolbook_negacyclic_mul(r.modulus(), a.coeffs(), b.coeffs());
+            assert_eq!(r.mul(&a, &b).coeffs(), want);
             let b_prep = r.prepare(b.clone());
             let mut out = vec![0u64; 32];
             r.mul_prepared(a.coeffs(), &b_prep, &mut out);
-            assert_eq!(out, want.coeffs());
+            assert_eq!(out, want);
             out.fill(7); // stale contents must not leak into the product
             r.mul_prepared_pair(&r.prepare(a.clone()), &b_prep, &mut out);
-            assert_eq!(out, want.coeffs());
+            assert_eq!(out, want);
         }
     }
 

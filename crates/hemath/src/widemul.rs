@@ -98,24 +98,78 @@ impl WideMultiplier {
         let r2 = self
             .ntt2
             .negacyclic_mul(&residues(&self.p2, a), &residues(&self.p2, b));
-
-        let half = self.big_modulus / 2;
         r1.iter()
             .zip(&r2)
-            .map(|(&x1, &x2)| {
-                // Garner: v = x1 + p1 * ((x2 - x1) * p1^{-1} mod p2)
-                let diff = self
-                    .p2
-                    .sub(self.p2.reduce(x2), self.p2.reduce(x1 % self.p2.value()));
-                let t = self.p2.mul(diff, self.p1_inv_mod_p2);
-                let v = x1 as u128 + self.p1.value() as u128 * t as u128;
-                if v > half {
-                    v as i128 - self.big_modulus as i128
-                } else {
-                    v as i128
-                }
-            })
+            .map(|(&x1, &x2)| self.lift(x1, x2))
             .collect()
+    }
+
+    /// Garner reconstruction of the centered integer with residues `x1`
+    /// mod `p1` and `x2` mod `p2`: `v = x1 + p1 · ((x2 − x1) · p1⁻¹ mod p2)`,
+    /// taken in `(−p1p2/2, p1p2/2]`.
+    #[inline]
+    fn lift(&self, x1: u64, x2: u64) -> i128 {
+        let diff = self.p2.sub(x2, self.p2.reduce(x1));
+        let t = self.p2.mul(diff, self.p1_inv_mod_p2);
+        let v = x1 as u128 + self.p1.value() as u128 * t as u128;
+        if v > self.big_modulus / 2 {
+            v as i128 - self.big_modulus as i128
+        } else {
+            v as i128
+        }
+    }
+
+    /// Transforms the `n` coefficients in `buf[..n]` modulo both primes, in
+    /// place: `buf[..n]` under the first, `buf[n..]` under the second — the
+    /// operand form [`Self::mul_transformed_mod`] takes.
+    ///
+    /// The coefficients are read as unsigned integers and must not exceed
+    /// [`Self::max_input_magnitude`] (which is below both primes, so they
+    /// are their own residues).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buf.len() != 2n`.
+    pub fn forward_residues(&self, buf: &mut [u64]) {
+        assert_eq!(buf.len(), 2 * self.n, "two residue transforms required");
+        let (r1, r2) = buf.split_at_mut(self.n);
+        debug_assert!(
+            r1.iter().all(|&c| c <= self.max_input_magnitude()),
+            "input magnitude exceeds exact CRT range"
+        );
+        r2.copy_from_slice(r1);
+        self.ntt1.forward(r1);
+        self.ntt2.forward(r2);
+    }
+
+    /// `out = a · b mod (x^n + 1, q)` from the [`Self::forward_residues`]
+    /// forms of `a` and `b`: the exact integer product — point-wise under
+    /// each prime, two inverse transforms, Garner — reduced once by `q`.
+    /// `tmp` is working memory for the second residue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fa` or `fb` is not `2n` long, or `out` or `tmp` not `n`.
+    pub fn mul_transformed_mod(
+        &self,
+        fa: &[u64],
+        fb: &[u64],
+        q: &Modulus,
+        out: &mut [u64],
+        tmp: &mut [u64],
+    ) {
+        let n = self.n;
+        assert!(
+            fa.len() == 2 * n && fb.len() == 2 * n,
+            "operands not in residue form"
+        );
+        self.ntt1.pointwise(&fa[..n], &fb[..n], out);
+        self.ntt1.inverse(out);
+        self.ntt2.pointwise(&fa[n..], &fb[n..], tmp);
+        self.ntt2.inverse(tmp);
+        for (x1, &x2) in out.iter_mut().zip(tmp.iter()) {
+            *x1 = q.from_signed_i128(self.lift(*x1, x2));
+        }
     }
 }
 

@@ -1,5 +1,7 @@
 //! Property tests pinning the vectorized slice kernels to the scalar
-//! reference, and the lazy-reduction NTT to its algebraic definition.
+//! reference, the lazy-reduction NTT to its algebraic definition, and the
+//! ring product of a modulus without an NTT (exact through two auxiliary
+//! primes) to the schoolbook convolution.
 //!
 //! The vectorized kernels in `cm_hemath::kernels` are the Hom-Add hot
 //! path; the `scalar_ref` module is the boring per-word oracle. Any
@@ -8,7 +10,7 @@
 //! moduli — is a correctness bug, not a performance trade.
 
 use cm_hemath::kernels::{self, scalar_ref};
-use cm_hemath::{find_ntt_prime, schoolbook_negacyclic_mul, Modulus, NttTable};
+use cm_hemath::{find_ntt_prime, schoolbook_negacyclic_mul, Modulus, NttTable, Poly, RingContext};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,6 +153,45 @@ proptest! {
             let mut prepared = a.clone();
             table.negacyclic_mul_prepared(&mut prepared, &b_ntt);
             prop_assert_eq!(&prepared, &fast, "prepared mul, q = {}", q);
+        }
+    }
+}
+
+/// A ring whose modulus has no NTT multiplies exactly through auxiliary
+/// primes: every entry point equals the schoolbook oracle, on random
+/// operands and on the extreme ones that bound the CRT range (all
+/// coefficients `q − 1`: sums of magnitude `n·(q − 1)²`) and the shape
+/// encryption multiplies (a ternary operand).
+#[test]
+fn ring_product_without_an_ntt_matches_schoolbook() {
+    let mut rng = StdRng::seed_from_u64(0xC127);
+    for q in [1u64 << 16, 1 << 32, 101] {
+        for n in [8usize, 64, 256, 1024] {
+            let ring = RingContext::new(Modulus::new(q), n);
+            assert!(ring.ntt().is_none(), "q = {q} must not have an NTT");
+            let max = vec![q - 1; n];
+            let ternary: Vec<u64> = (0..n)
+                .map(|_| [0, 1, q - 1][rng.gen_range(0..3usize)])
+                .collect();
+            let cases = [
+                (edgy_slice(&mut rng, q, n), edgy_slice(&mut rng, q, n)),
+                (max.clone(), max.clone()),
+                (ternary.clone(), max),
+                (edgy_slice(&mut rng, q, n), ternary),
+            ];
+            for (case, (a, b)) in cases.into_iter().enumerate() {
+                let want = schoolbook_negacyclic_mul(ring.modulus(), &a, &b);
+                let (pa, pb) = (Poly::from_coeffs(a), Poly::from_coeffs(b));
+                let tag = format!("q = {q}, n = {n}, case {case}");
+                assert_eq!(ring.mul(&pa, &pb).coeffs(), want, "mul, {tag}");
+                let b_prep = ring.prepare(pb);
+                let mut out = vec![u64::MAX; n]; // stale contents must not leak
+                ring.mul_prepared(pa.coeffs(), &b_prep, &mut out);
+                assert_eq!(out, want, "mul_prepared, {tag}");
+                out.fill(u64::MAX);
+                ring.mul_prepared_pair(&ring.prepare(pa), &b_prep, &mut out);
+                assert_eq!(out, want, "mul_prepared_pair, {tag}");
+            }
         }
     }
 }

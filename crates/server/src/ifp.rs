@@ -21,7 +21,7 @@ use cm_core::{
     Backend, BitString, CiphermatchEngine, EncryptedDatabase, EncryptedQuery, MatchError,
     MatchStats, QueryKit, SecureMatcher,
 };
-use cm_flash::FlashGeometry;
+use cm_flash::{FlashGeometry, FlashLedger};
 use cm_ssd::{CmIfpServer, Ssd, TransposeMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,6 +43,21 @@ impl std::fmt::Debug for IfpDatabase {
             .field("total_bits", &self.total_bits)
             .field("polys", &self.poly_count)
             .finish()
+    }
+}
+
+impl IfpDatabase {
+    /// Lifetime primitive-op ledger of the simulated device holding this
+    /// database: the programs that loaded it, and every read, latch
+    /// operation and DMA its searches have cost since.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatchError::WorkerPanicked`] if a search panicked while
+    /// holding the device.
+    pub fn ledger(&self) -> Result<FlashLedger, MatchError> {
+        let server = self.server.lock().map_err(|_| MatchError::WorkerPanicked)?;
+        Ok(server.ssd().ledger())
     }
 }
 

@@ -7,7 +7,8 @@
 //! sums to the index-generation unit).
 
 use cm_flash::{
-    bop_add, FlashArray, FlashEnergy, FlashGeometry, FlashLedger, FlashTimings, PageAddr,
+    bop_add_into, BitBuf, FlashArray, FlashEnergy, FlashGeometry, FlashLedger, FlashTimings,
+    PageAddr,
 };
 
 use crate::ftl::{Ftl, GroupAddr, GROUP_WORDLINES};
@@ -77,6 +78,20 @@ impl IfpReport {
     }
 }
 
+/// Controller buffers reused by every group of every `CM-search` and
+/// `CM-read`: capacity only, overwritten before they are read.
+#[derive(Debug, Default)]
+struct GroupBuffers {
+    /// One group's worth of the query stream, horizontal.
+    window: Vec<u32>,
+    /// The same window as bit-plane pages, streamed into the latches.
+    query_planes: Vec<BitBuf>,
+    /// Bit-plane pages coming back from the array (sums, or a read group).
+    array_planes: Vec<BitBuf>,
+    /// `array_planes` transposed back to coefficients.
+    words: Vec<u32>,
+}
+
 /// The SSD device.
 #[derive(Debug)]
 pub struct Ssd {
@@ -87,6 +102,30 @@ pub struct Ssd {
     energy: FlashEnergy,
     controller: ControllerModel,
     stored_words: usize,
+    buffers: GroupBuffers,
+}
+
+/// A horizontal page: byte `i` of `data` occupies bitlines `8i..8i + 8`,
+/// most significant bit first; bytes past `data` read as zero.
+fn page_from_bytes(data: &[u8], page_bytes: usize) -> BitBuf {
+    let mut page = BitBuf::zeros(page_bytes * 8);
+    for (word, chunk) in page.words_mut().iter_mut().zip(data.chunks(8)) {
+        let mut bytes = [0u8; 8];
+        bytes[..chunk.len()].copy_from_slice(chunk);
+        // Bitline `k` of a page word is bit `k` of it: the first byte
+        // goes lowest, each byte bit-reversed.
+        *word = u64::from_be_bytes(bytes).reverse_bits();
+    }
+    page
+}
+
+/// Inverse of [`page_from_bytes`] over the whole page.
+fn page_to_bytes(page: &BitBuf) -> Vec<u8> {
+    let mut out = vec![0u8; page.len() / 8];
+    for (chunk, &word) in out.chunks_mut(8).zip(page.words()) {
+        chunk.copy_from_slice(&word.reverse_bits().to_be_bytes()[..chunk.len()]);
+    }
+    out
 }
 
 impl Ssd {
@@ -103,6 +142,7 @@ impl Ssd {
             energy: FlashEnergy::paper_default(),
             controller: ControllerModel::paper_default(),
             stored_words: 0,
+            buffers: GroupBuffers::default(),
         }
     }
 
@@ -162,14 +202,8 @@ impl Ssd {
         let page_bytes = self.ftl.geometry().page_bytes;
         assert!(data.len() <= page_bytes, "data exceeds page size");
         let addr = self.ftl.map_conventional(lpn);
-        let mut bits = vec![false; page_bytes * 8];
-        for (i, &byte) in data.iter().enumerate() {
-            for b in 0..8 {
-                bits[i * 8 + b] = (byte >> (7 - b)) & 1 == 1;
-            }
-        }
         self.flash
-            .program_page(addr, cm_flash::BitBuf::from_bits(&bits));
+            .program_page(addr, page_from_bytes(data, page_bytes));
     }
 
     /// Conventional read.
@@ -182,16 +216,7 @@ impl Ssd {
             .ftl
             .lookup_conventional(lpn)
             .expect("unmapped logical page");
-        let buf = self.flash.read_page(addr);
-        let mut out = vec![0u8; buf.len() / 8];
-        for (i, byte) in out.iter_mut().enumerate() {
-            for b in 0..8 {
-                if buf.get(i * 8 + b) {
-                    *byte |= 1 << (7 - b);
-                }
-            }
-        }
-        out
+        page_to_bytes(self.flash.read_page(addr))
     }
 
     /// `CM-write`: appends `u32` coefficients to the CIPHERMATCH region in
@@ -230,16 +255,19 @@ impl Ssd {
     /// fault path of §4.3.2 — 32 wordline reads + reverse transposition).
     pub fn cm_read_group(&mut self, idx: usize) -> Vec<u32> {
         let group = self.ftl.groups()[idx];
-        let planes: Vec<_> = (0..GROUP_WORDLINES)
-            .map(|b| {
-                self.flash.read_page(PageAddr {
-                    plane: group.plane,
-                    block: group.block,
-                    wordline: group.wl_base + b,
-                })
-            })
-            .collect();
-        self.transpose.to_horizontal(&planes)
+        let bitlines = self.ftl.geometry().page_bits();
+        // A device's page width never changes, so whatever the buffer
+        // holds already fits.
+        let planes = &mut self.buffers.array_planes;
+        planes.resize_with(GROUP_WORDLINES, || BitBuf::zeros(bitlines));
+        for (b, plane) in planes.iter_mut().enumerate() {
+            plane.copy_from(self.flash.read_page(PageAddr {
+                plane: group.plane,
+                block: group.block,
+                wordline: group.wl_base + b,
+            }));
+        }
+        self.transpose.to_horizontal(planes)
     }
 
     /// Number of `u32` coefficients stored in the CIPHERMATCH region.
@@ -310,28 +338,39 @@ impl Ssd {
         let transpose_before = self.transpose.busy_time();
         let qlen = query_words.len();
 
-        let groups: Vec<GroupAddr> = self.ftl.groups().to_vec();
+        let GroupBuffers {
+            window,
+            query_planes,
+            array_planes,
+            words,
+        } = &mut self.buffers;
+        window.resize(bitlines, 0);
         let mut sums = Vec::with_capacity(self.stored_words);
         let mut bop_adds = 0u64;
-        for (g, group) in groups.iter().enumerate() {
-            // Build the query bit-planes for this group's bitline window.
+        for (g, group) in self.ftl.groups().iter().enumerate() {
             let offset = g * bitlines;
             if offset >= self.stored_words {
                 break;
             }
-            let window: Vec<u32> = (0..bitlines)
-                .map(|l| query_words[(offset + l) % qlen])
-                .collect();
-            let b_planes = self.transpose.to_vertical(&window, GROUP_WORDLINES);
-            let sum_planes = bop_add(
+            // This group's bitline window of the periodic query stream.
+            let (mut at, mut rest) = (offset % qlen, window.as_mut_slice());
+            while !rest.is_empty() {
+                let (run, tail) = rest.split_at_mut((qlen - at).min(rest.len()));
+                run.copy_from_slice(&query_words[at..at + run.len()]);
+                (at, rest) = (0, tail);
+            }
+            self.transpose
+                .to_vertical_into(window, GROUP_WORDLINES, query_planes);
+            bop_add_into(
                 &mut self.flash,
                 group.plane,
                 group.block,
                 group.wl_base,
-                &b_planes,
+                query_planes,
+                array_planes,
             );
             bop_adds += 1;
-            let words = self.transpose.to_horizontal(&sum_planes);
+            self.transpose.to_horizontal_into(array_planes, words);
             let take = bitlines.min(self.stored_words - offset);
             sums.extend_from_slice(&words[..take]);
         }
@@ -384,6 +423,96 @@ mod tests {
         let data: Vec<u8> = (0..64u8).collect();
         s.write_page(3, &data);
         assert_eq!(s.read_page(3), data);
+    }
+
+    #[test]
+    fn conventional_pages_roundtrip_random_and_partial_data() {
+        let mut s = ssd();
+        let page_bytes = s.geometry().page_bytes;
+        let mut rng = StdRng::seed_from_u64(13);
+        let full: Vec<u8> = (0..page_bytes).map(|_| rng.gen()).collect();
+        s.write_page(0, &full);
+        assert_eq!(s.read_page(0), full);
+        // A short page reads back zero-padded to the page size, whether or
+        // not it ends on a page-word boundary.
+        for len in [0, 1, 7, 8, 9, 29, page_bytes - 1] {
+            let lpn = 1 + len as u64;
+            s.write_page(lpn, &full[..len]);
+            let mut want = full[..len].to_vec();
+            want.resize(page_bytes, 0);
+            assert_eq!(s.read_page(lpn), want, "len {len}");
+        }
+        // Bit order within a byte: most significant bit on the lowest
+        // bitline, so stored pages keep their pre-packing layout.
+        assert!(page_from_bytes(&[0x80], page_bytes).get(0));
+        assert!(page_from_bytes(&[0x00, 0x01], page_bytes).get(15));
+        // Page sizes off the 8-byte grid keep the tail bits clear.
+        let odd = page_from_bytes(&[0xff; 13], 13);
+        assert_eq!(odd, BitBuf::ones(104));
+        assert_eq!(page_to_bytes(&odd), [0xff; 13]);
+    }
+
+    /// The simulated device's ledger, transposition accounting and cost
+    /// report for one fixed search, as literals recorded before the host
+    /// path was made word-parallel: host speed must not leak into the
+    /// model.
+    #[test]
+    fn the_model_does_not_see_the_host() {
+        use crate::pipeline::CmIfpServer;
+        use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
+        use cm_core::{BitString, CiphermatchEngine};
+
+        let ctx = BfvContext::new(BfvParams::insecure_test_pow2());
+        let mut rng = StdRng::seed_from_u64(20);
+        let pk = KeyGenerator::new(&ctx, &mut rng).public_key(&mut rng);
+        let enc = Encryptor::new(&ctx, pk);
+        let engine = CiphermatchEngine::new(&ctx);
+        let data: Vec<u8> = (0..600).map(|_| rng.gen()).collect();
+        let db = engine.encrypt_database(&enc, &BitString::from_bytes(&data), &mut rng);
+        let query = engine.prepare_query(&enc, &BitString::from_ascii("flash"), &mut rng);
+        let geom = FlashGeometry::tiny_test();
+        let mut server = CmIfpServer::new(&ctx, geom.clone(), TransposeMode::Software, &db);
+        assert_eq!(db.poly_count(), 3);
+
+        let loaded = server.ssd().ledger();
+        assert_eq!((loaded.programs, loaded.reads, loaded.dmas), (96, 0, 0));
+        assert_eq!(server.ssd().transpose.busy_time(), 2.04e-5);
+        assert_eq!(server.ssd().transpose.bytes_transposed(), 6144);
+
+        let (_, reports) = server.search(&query);
+        assert_eq!(reports.len(), 47);
+        let total = server.ssd().ledger();
+        let want_total = FlashLedger {
+            reads: 4512,
+            latch_transfers: 27213,
+            and_or_ops: 13536,
+            xor_ops: 9024,
+            dmas: 9024,
+            programs: 96,
+            erases: 0,
+        };
+        assert_eq!(total, want_total);
+        assert_eq!(server.ssd().transpose.busy_time(), 0.0019379999999999892);
+        assert_eq!(server.ssd().transpose.bytes_transposed(), 6144 + 577536);
+
+        let (t, e) = (FlashTimings::paper_default(), FlashEnergy::paper_default());
+        let per_variant = FlashLedger {
+            reads: 96,
+            latch_transfers: 579,
+            and_or_ops: 288,
+            xor_ops: 192,
+            dmas: 192,
+            programs: 0,
+            erases: 0,
+        };
+        for report in &reports {
+            assert_eq!(report.ledger, per_variant);
+            assert_eq!(report.bop_adds, 3);
+            assert_eq!(report.time_eq9(&geom, &t), 0.00093888);
+            assert_eq!(report.time_with_channel_contention(&geom, &t), 0.0008448);
+            assert_eq!(report.energy(&geom, &e), 0.003456013875);
+        }
+        assert_eq!(reports[0].transpose_time, 4.080000000000001e-5);
     }
 
     #[test]

@@ -5,8 +5,15 @@
 //! wordline). The SSD controller transposes at 4 KiB granularity —
 //! 13.6 µs in software on the controller cores (hidden under the 22.5 µs
 //! flash read), or 158 ns with the dedicated hardware unit of §7.1.
+//!
+//! Those two figures are the *modelled* controller: [`TranspositionUnit`]
+//! books them per byte in its ledger, whatever the host running the
+//! simulation spends. The host's own transposition is
+//! `cm_flash::words_to_bitplanes` / `bitplanes_to_words` — 32×32
+//! bit-matrix transposes over page words — and its speed shows up only in
+//! wall-clock time, never in `busy_time`.
 
-use cm_flash::{bitplanes_to_words, words_to_bitplanes, BitBuf};
+use cm_flash::{bitplanes_to_words_into, words_to_bitplanes_into, BitBuf};
 
 /// Transposition implementation choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,15 +84,30 @@ impl TranspositionUnit {
     /// Horizontal → vertical: splits `u32` coefficients into `width`
     /// bit-plane pages.
     pub fn to_vertical(&mut self, words: &[u32], width: usize) -> Vec<BitBuf> {
+        let mut planes = Vec::new();
+        self.to_vertical_into(words, width, &mut planes);
+        planes
+    }
+
+    /// [`Self::to_vertical`] into caller-owned pages (reshaped as needed,
+    /// then overwritten).
+    pub fn to_vertical_into(&mut self, words: &[u32], width: usize, planes: &mut Vec<BitBuf>) {
         self.account(words.len() * 4);
-        words_to_bitplanes(words, width)
+        words_to_bitplanes_into(words, width, planes);
     }
 
     /// Vertical → horizontal: reassembles bit-planes into coefficients.
     pub fn to_horizontal(&mut self, planes: &[BitBuf]) -> Vec<u32> {
-        let words = bitplanes_to_words(planes);
-        self.account(words.len() * 4);
+        let mut words = Vec::new();
+        self.to_horizontal_into(planes, &mut words);
         words
+    }
+
+    /// [`Self::to_horizontal`] into a caller-owned vector (resized to one
+    /// word per bitline, then overwritten).
+    pub fn to_horizontal_into(&mut self, planes: &[BitBuf], words: &mut Vec<u32>) {
+        bitplanes_to_words_into(planes, words);
+        self.account(words.len() * 4);
     }
 }
 

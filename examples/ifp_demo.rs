@@ -6,6 +6,11 @@
 //! shows the result is bit-identical to software Hom-Add, wears the flash
 //! by zero program/erase cycles, and returns AES-sealed indices (§7.2).
 //!
+//! It ends with one query at the paper's parameters (`n = 1024`,
+//! `q = 2^32`, Table 3 geometry), printing what the *host* spent simulating
+//! it beside what the *modelled device* would have spent executing it —
+//! two clocks that have nothing to do with each other.
+//!
 //! Run with: `cargo run --release --example ifp_demo`
 
 use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator};
@@ -14,6 +19,7 @@ use cm_flash::{FlashGeometry, FlashTimings};
 use cm_ssd::{CmIfpServer, SecureIndexChannel, TransposeMode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 fn main() {
     // q = 2^32: in-flash wrapping addition IS Hom-Add (see DESIGN.md).
@@ -81,4 +87,55 @@ fn main() {
     );
     assert_eq!(channel.open(&sealed, 7), indices);
     println!("client unsealed the same indices — CM-IFP pipeline complete");
+
+    paper_parameter_query();
+}
+
+/// One 32-bit query over one polynomial at `ciphermatch_ifp_1024` on the
+/// Table 3 geometry: host milliseconds beside simulated device
+/// microseconds.
+fn paper_parameter_query() {
+    let ctx = BfvContext::new(BfvParams::ciphermatch_ifp_1024());
+    let mut rng = StdRng::seed_from_u64(4321);
+    let (sk, pk) = {
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        (kg.secret_key(), kg.public_key(&mut rng))
+    };
+    let enc = Encryptor::new(&ctx, pk);
+    let dec = Decryptor::new(&ctx, sk);
+    let engine = CiphermatchEngine::new(&ctx);
+    let geometry = FlashGeometry::paper_default();
+
+    let data = BitString::from_ascii("one polynomial of the paper's parameter set, in flash");
+    let pattern = BitString::from_ascii("flas");
+    let db = engine.encrypt_database(&enc, &data, &mut rng);
+    let mut server = CmIfpServer::new(&ctx, geometry.clone(), TransposeMode::Software, &db);
+
+    let ms = |since: Instant| since.elapsed().as_secs_f64() * 1e3;
+    let start = Instant::now();
+    let query = engine.prepare_query(&enc, &pattern, &mut rng);
+    let encrypt_ms = ms(start);
+    let start = Instant::now();
+    let (result, reports) = server.search(&query);
+    let search_ms = ms(start);
+    let start = Instant::now();
+    let indices = engine.generate_indices(&dec, &result);
+    let index_ms = ms(start);
+    assert_eq!(indices, data.find_all(&pattern));
+
+    let t = FlashTimings::paper_default();
+    let device_us: f64 = reports
+        .iter()
+        .map(|r| r.time_eq9(&geometry, &t))
+        .sum::<f64>()
+        * 1e6;
+    println!(
+        "paper parameters ({}, {} variants x {} polynomial): host {:.2} ms \
+         (encrypt {encrypt_ms:.2} + in-flash search {search_ms:.2} + index generation \
+         {index_ms:.2}); simulated device {device_us:.1} us (Eq. 9)",
+        ctx.params().name,
+        reports.len(),
+        db.poly_count(),
+        encrypt_ms + search_ms + index_ms,
+    );
 }

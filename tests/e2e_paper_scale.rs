@@ -4,12 +4,13 @@
 //! data size.
 
 use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator};
-use cm_core::{BitString, CiphermatchEngine};
+use cm_core::{BitString, CiphermatchEngine, SecureMatcher};
 use cm_flash::FlashGeometry;
+use cm_server::IfpMatcher;
 use cm_ssd::{CmIfpServer, TransposeMode};
 use cm_workloads::KvDatabase;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 #[test]
 fn ifp_on_full_paper_geometry() {
@@ -41,6 +42,54 @@ fn ifp_on_full_paper_geometry() {
     assert!(reports.iter().all(|r| r.ledger.wear() == 0));
     let expect_group_reads = 32; // one group -> 32 wordline reads per variant
     assert!(reports.iter().all(|r| r.ledger.reads == expect_group_reads));
+}
+
+#[test]
+fn served_ifp_at_paper_parameters_finds_patterns_across_polynomial_seams() {
+    // The matcher a remote `TenantSpec { backend: "ifp", insecure: false }`
+    // describes: `ciphermatch_ifp_1024` on the Table 3 geometry, queried
+    // the way a remote client does — public kit, wire-encoded query.
+    let mut matcher = IfpMatcher::for_spec(3004, false).unwrap();
+    let kit = matcher.query_kit();
+    let mut rng = StdRng::seed_from_u64(3005);
+
+    // 16 plaintext bits per coefficient: 2048 bytes fill a polynomial.
+    // Two full ones and a partial third.
+    let poly_bits = 1024 * 16;
+    let bytes: Vec<u8> = (0..2 * 2048 + 700).map(|_| rng.gen()).collect();
+    let data = BitString::from_bytes(&bytes);
+    let db = matcher.encrypt_database(&data, &mut rng).unwrap();
+    let loaded = db.ledger().unwrap();
+    // 3 ciphertexts = 6144 coefficients: one 32768-bitline group.
+    let groups = 1;
+    assert_eq!(loaded.programs, 32 * groups);
+
+    let starts = [
+        0,                  // first bit of the database
+        data.len() - 32,    // ending on its last bit
+        poly_bits - 13,     // straddling the first polynomial seam
+        2 * poly_bits - 20, // and the second
+    ];
+    for start in starts {
+        let pattern = data.slice(start, 32);
+        let expect = data.find_all(&pattern);
+        assert!(expect.contains(&start));
+
+        let before = (matcher.stats(), db.ledger().unwrap());
+        let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
+        let query = matcher.decode_query(&encoded).unwrap();
+        let got = matcher.find_all(&db, &query, &mut rng).unwrap();
+        assert_eq!(got, expect, "pattern at bit {start}");
+
+        let (stats, ledger) = (matcher.stats(), db.ledger().unwrap());
+        assert_eq!(stats.flash_wear, 0, "searching must not wear the flash");
+        assert_eq!(ledger.wear(), loaded.wear());
+        // One in-flash addition per variant and polynomial; every variant
+        // senses each of the group's 32 wordlines once.
+        let variants = (stats.hom_adds - before.0.hom_adds) / 3;
+        assert!(variants > 0);
+        assert_eq!(ledger.reads - before.1.reads, variants * 32 * groups);
+    }
 }
 
 #[test]
