@@ -54,10 +54,11 @@ pub const RULE_NO_PANIC: &str = "no-panic";
 /// raw integer tags.
 pub const RULE_WIRE_TAGS: &str = "wire-tags";
 /// Rule: no `.lock()` / `lock_unpoisoned` guard lexically live across a
-/// `submit` / `submit_measured` / `run_batch` call.
+/// `submit` call.
 pub const RULE_LOCK_ACROSS_SUBMIT: &str = "lock-across-submit";
 /// Rule: manifests must resolve crates shadowed by `shims/` as
-/// path/workspace dependencies, never by crates.io version.
+/// path/workspace dependencies, never by crates.io version, and every
+/// `shims/<name>` has at least one manifest depending on it.
 pub const RULE_SHIM_HYGIENE: &str = "shim-hygiene";
 /// Rule: the `metric_names` table in `cm_telemetry` is duplicate-free,
 /// and no `register_counter`/`register_gauge`/`register_histogram` call
@@ -203,6 +204,7 @@ pub fn analyze_root(root: &Path) -> io::Result<Report> {
     }
     files.sort();
     let mut violations = Vec::new();
+    let mut depended_on = Vec::new();
     for path in files {
         let rel = relative_path(root, &path);
         let source = fs::read_to_string(&path)?;
@@ -210,7 +212,26 @@ pub fn analyze_root(root: &Path) -> io::Result<Report> {
             violations.extend(analyze_rust_source(&rel, &source));
         } else {
             violations.extend(analyze_manifest(&rel, &source, &shimmed));
+            depended_on.extend(manifest_dependencies(&source));
         }
+    }
+    // One shim may exist for another (`proptest` draws from `rand`).
+    for name in &shimmed {
+        if let Ok(source) = fs::read_to_string(root.join("shims").join(name).join("Cargo.toml")) {
+            depended_on.extend(manifest_dependencies(&source));
+        }
+    }
+    for name in shimmed.iter().filter(|name| !depended_on.contains(name)) {
+        violations.push(Violation {
+            file: format!("shims/{name}/Cargo.toml"),
+            line: 1,
+            rule: RULE_SHIM_HYGIENE,
+            message: format!(
+                "no manifest depends on `{name}` — delete `shims/{name}` and its \
+                 `[workspace.dependencies]` entry rather than carry a shim without a user"
+            ),
+            waived: None,
+        });
     }
     Ok(Report { violations })
 }
@@ -825,7 +846,7 @@ fn rule_socket_stall(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<V
 // ---------------------------------------------------------------------
 
 /// Pool-submission entry points a lock guard must not be held across.
-const SUBMIT_CALLS: &[&str] = &["submit", "submit_measured", "run_batch"];
+const SUBMIT_CALLS: &[&str] = &["submit"];
 
 fn rule_lock_across_submit(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violation>) {
     struct Binding {
@@ -942,13 +963,10 @@ pub fn analyze_manifest(rel_path: &str, source: &str, shimmed: &[String]) -> Vec
     };
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.starts_with('[') {
+        let line = manifest_line(raw);
+        if let Some(header) = section_header(line) {
             flush(&mut open_table, &mut out);
-            section = line
-                .trim_matches(|c| c == '[' || c == ']')
-                .trim()
-                .to_string();
+            section = header.to_string();
             if let Some((kind, name)) = section.rsplit_once('.') {
                 if is_dep_section(kind) && shimmed.iter().any(|s| s == name) {
                     open_table = Some((name.to_string(), line_no, false));
@@ -985,6 +1003,44 @@ pub fn analyze_manifest(rel_path: &str, source: &str, shimmed: &[String]) -> Vec
     }
     flush(&mut open_table, &mut out);
     out
+}
+
+/// The crate names one manifest depends on: every key of its
+/// `[dependencies]`-family sections and every
+/// `[dependencies.<name>]`-style table. `[workspace.dependencies]` only
+/// declares where a name resolves, so it is not a dependency.
+pub fn manifest_dependencies(source: &str) -> Vec<String> {
+    let uses = |section: &str| is_dep_section(section) && !section.starts_with("workspace.");
+    let mut names = Vec::new();
+    let mut section = String::new();
+    for raw in source.lines() {
+        let line = manifest_line(raw);
+        if let Some(header) = section_header(line) {
+            section = header.to_string();
+            if let Some((kind, name)) = section.rsplit_once('.') {
+                if uses(kind) {
+                    names.push(name.to_string());
+                }
+            }
+        } else if uses(&section) {
+            if let Some((key, _)) = line.split_once('=') {
+                let key = key.trim().trim_matches('"');
+                names.push(key.split('.').next().unwrap_or(key).to_string());
+            }
+        }
+    }
+    names
+}
+
+/// One manifest line without its comment and surrounding whitespace.
+fn manifest_line(raw: &str) -> &str {
+    raw.split('#').next().unwrap_or("").trim()
+}
+
+/// The section a `[name]` / `[[name]]` header line opens.
+fn section_header(line: &str) -> Option<&str> {
+    line.starts_with('[')
+        .then(|| line.trim_matches(|c| c == '[' || c == ']').trim())
 }
 
 fn is_dep_section(name: &str) -> bool {
@@ -1285,6 +1341,14 @@ pub const C: &str = \"cm_x_total\";
         // Non-shimmed crates are not the rule's business.
         let other = "[dependencies]\nlibc = \"0.2\"\n";
         assert!(analyze_manifest("crates/x/Cargo.toml", other, &shimmed).is_empty());
+    }
+
+    #[test]
+    fn manifest_dependencies_are_uses_not_workspace_declarations() {
+        let root = "[workspace.dependencies]\ncriterion = { path = \"shims/criterion\" }\n\
+                    [dependencies]\nrand.workspace = true\n\
+                    [dev-dependencies.proptest]\nworkspace = true\n";
+        assert_eq!(manifest_dependencies(root), ["rand", "proptest"]);
     }
 
     #[test]

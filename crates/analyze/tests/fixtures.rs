@@ -67,6 +67,9 @@ fn fixture_violations_carry_file_and_line() {
         "crates/core/src/lock_submit.rs"
     ));
     assert!(has(RULE_SHIM_HYGIENE, "crates/server/Cargo.toml"));
+    // A shim without a user fires; the one that manifest names does not.
+    assert!(has(RULE_SHIM_HYGIENE, "shims/orphan/Cargo.toml"));
+    assert!(!has(RULE_SHIM_HYGIENE, "shims/rand/Cargo.toml"));
     // Both halves of the metric-names rule: the duplicate in the table…
     assert!(has(
         RULE_METRIC_NAMES,

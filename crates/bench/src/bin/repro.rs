@@ -13,9 +13,7 @@
 
 use cm_bench::{fmt_bytes, fmt_time, random_bits, time_per_iter, BfvFixture};
 use cm_bfv::BfvParams;
-use cm_core::{
-    table1_profiles, Backend, BooleanGateCount, CiphermatchEngine, MatchSession, MatcherConfig,
-};
+use cm_core::{table1_profiles, Backend, BooleanGateCount, CiphermatchEngine, MatcherConfig};
 use cm_sim::{
     area_overheads, fig10, fig11, fig12, fig3, fig7, fig8, fig9, storage_overheads,
     CalibrationProfile, HostProfile, SystemConstants,
@@ -569,7 +567,7 @@ fn sensitivity() {
 }
 
 /// The two case studies of §5.3 at laptop scale, run for real through
-/// the unified backend API (case study 2 through the batch session).
+/// the unified backend API.
 fn case_studies() {
     use cm_workloads::{DnaGenome, KvDatabase};
     let mut rng = StdRng::seed_from_u64(77);
@@ -608,37 +606,31 @@ fn case_studies() {
     }
 
     // --- Case study 2: encrypted database search -------------------------
-    println!("--- encrypted KV search (256 records, 100 point queries, 4 workers) ---");
+    println!("--- encrypted KV search (256 records, 100 point queries) ---");
     let kv = KvDatabase::random(256, 8, 8, &mut rng);
     let bits = cm_core::BitString::from_ascii(&kv.flatten());
-    let config = MatcherConfig::new(Backend::Ciphermatch)
+    let mut matcher = MatcherConfig::new(Backend::Ciphermatch)
         .bfv_params(BfvParams::ciphermatch_1024())
         .seed(72)
-        .threads(4); // the session's batch width; each worker searches serially
-    let mut session = MatchSession::new(&config).expect("valid config");
-    session.load_database(&bits).expect("database encrypts");
+        .build()
+        .expect("valid config");
+    matcher.load_database(&bits).expect("database encrypts");
     let keys = kv.sample_queries(100, &mut rng);
-    let queries: Vec<cm_core::BitString> = keys
-        .iter()
-        .map(|k| cm_core::BitString::from_ascii(k))
-        .collect();
     let t0 = std::time::Instant::now();
-    let report = session.run_batch(&queries).expect("batch runs");
-    let dt = t0.elapsed().as_secs_f64();
     let resolved = keys
         .iter()
-        .zip(&report.per_query)
-        .filter(|(key, got)| {
-            got.as_ref()
-                .map(|g| g.contains(&(kv.find_record(key).unwrap() * 8)))
-                .unwrap_or(false)
+        .filter(|key| {
+            matcher
+                .find_all(&cm_core::BitString::from_ascii(key))
+                .is_ok_and(|got| got.contains(&(kv.find_record(key).unwrap() * 8)))
         })
         .count();
+    let dt = t0.elapsed().as_secs_f64();
     println!(
         "resolved {resolved}/100 queries in {} ({} per query, {} Hom-Adds total)",
         fmt_time(dt),
         fmt_time(dt / 100.0),
-        report.stats.hom_adds
+        matcher.stats().hom_adds
     );
     assert_eq!(resolved, 100);
 }

@@ -2,9 +2,10 @@
 
 //! # cm-bench
 //!
-//! The benchmark harness: shared measurement helpers used by the `repro`
-//! binary (one target per paper table/figure) and the Criterion
-//! micro-benchmarks in `benches/`.
+//! Shared measurement helpers for the `repro` binary (one target per
+//! paper table/figure; `repro calibrate` measures this repository's
+//! per-operation costs). Serving-path numbers come from the one
+//! benchmark system, `benchmark/` (see `BENCHMARK.json`).
 
 use std::time::Instant;
 

@@ -23,10 +23,11 @@ use crate::exec::{compute_pool, wait_all};
 use crate::kit::QueryKit;
 use crate::matchers::batched::{BatchedDatabase, BatchedEngine};
 use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
-use crate::matchers::ciphermatch::{EncryptedDatabase, EncryptedQuery, ShardScratch};
+use crate::matchers::ciphermatch::{
+    EncryptedDatabase, EncryptedQuery, ShardScratch, TrustedIndexGenerator,
+};
 use crate::matchers::plain::PackedBits;
 use crate::matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
-use crate::protocol::TrustedIndexGenerator;
 use crate::shard::ShardPlan;
 
 /// The BFV key bundle shared by the three BFV-based adapters: context,

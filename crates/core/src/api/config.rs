@@ -1,7 +1,7 @@
 //! Dynamic backend selection: the [`Backend`] enum, the [`MatcherConfig`]
 //! builder, and the object-safe [`ErasedMatcher`] wrapper that lets
 //! heterogeneous matchers live in one registry (`Vec<Box<dyn
-//! ErasedMatcher>>`) or behind a [`crate::MatchSession`].
+//! ErasedMatcher>>`) or a [`crate::exec::MatcherPool`].
 
 use std::sync::Arc;
 
@@ -164,15 +164,12 @@ impl MatcherConfig {
         self
     }
 
-    /// Thread budget, read by two things only: a directly built
-    /// ([`Self::build`]) Boolean matcher fans one search's TFHE windows
-    /// out over this many scoped threads, and [`crate::MatchSession::new`]
-    /// instead spends the same budget on per-query fan-out (its workers
-    /// search serially), so concurrent search threads are bounded by this
-    /// one value either way. No other backend reads it. In particular it
-    /// does not apply to CM-SW: a hosted Ciphermatch query runs inline on
-    /// the calling thread, and CM-SW's one intra-query parallel mechanism
-    /// is polynomial-range shards on the process-wide
+    /// Thread budget of the Boolean backend's window fan-out, and of
+    /// nothing else: a Boolean matcher fans one search's TFHE windows out
+    /// over this many scoped threads. No other backend reads it. In
+    /// particular it does not apply to CM-SW: a hosted Ciphermatch query
+    /// runs inline on the calling thread, and CM-SW's one intra-query
+    /// parallel mechanism is polynomial-range shards on the process-wide
     /// [`crate::exec::compute_pool`], sized to the machine.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -294,7 +291,7 @@ impl MatcherConfig {
 
 /// The object-safe face of a [`SecureMatcher`]: database and query types
 /// erased, randomness owned, so heterogeneous backends can share a
-/// registry or a [`crate::MatchSession`].
+/// registry or a [`crate::exec::MatcherPool`].
 pub trait ErasedMatcher: Send {
     /// Which backend this matcher is.
     fn backend(&self) -> Backend;
@@ -360,8 +357,8 @@ pub trait ErasedMatcher: Send {
     /// An opaque identity token for the loaded database *allocation*
     /// (`None` when no database is loaded or the matcher does not share
     /// its database). Two matchers reporting the same token share one
-    /// database in memory — the property the session layer relies on to
-    /// fan out workers without deep-copying ciphertexts.
+    /// database in memory — the property a [`crate::exec::MatcherPool`]
+    /// relies on to hold K members without K ciphertext copies.
     fn database_fingerprint(&self) -> Option<usize> {
         None
     }

@@ -1,6 +1,6 @@
 //! The typed error surface of the matching protocol.
 //!
-//! Every failure a client, server, or session can hit on the protocol path
+//! Every failure a client or server can hit on the protocol path
 //! is a [`MatchError`] variant — panics are reserved for programmer errors
 //! inside the engines (violated internal invariants), never for malformed
 //! input or misconfiguration.
@@ -12,10 +12,13 @@ use crate::api::Backend;
 /// Everything that can go wrong on the secure-matching protocol path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatchError {
-    /// TrustedController-mode index generation was requested but no
-    /// [`crate::TrustedIndexGenerator`] was installed on the server.
+    /// Reserved: server-side index generation was requested where no
+    /// [`crate::TrustedIndexGenerator`] was installed. Nothing in the
+    /// workspace returns it any more (every matcher is built with its
+    /// generator); the variant keeps its wire tag so the code is never
+    /// reused.
     NoIndexGenerator,
-    /// No database has been loaded into the matcher/session yet.
+    /// No database has been loaded into the matcher yet.
     NoDatabase,
     /// A serialized database or ciphertext failed to decode.
     Decode(DecodeError),

@@ -18,8 +18,8 @@
 //!   panics on malformed input or misconfiguration);
 //! * [`MatchStats`] — one statistics shape for every backend.
 //!
-//! The multi-query service layer on top of this trait is
-//! [`crate::MatchSession`] in the protocol module.
+//! Concurrent queries over one loaded database go through
+//! [`crate::exec::MatcherPool`], as the serving stack does.
 //!
 //! ```
 //! use cm_core::{Backend, BitString, MatcherConfig};

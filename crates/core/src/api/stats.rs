@@ -56,7 +56,7 @@ impl MatchStats {
     }
 
     /// Accumulates `other` into `self` field-wise (used when aggregating
-    /// per-worker statistics into a session total).
+    /// per-shard or per-query statistics into a total).
     pub fn merge(&mut self, other: &MatchStats) {
         self.hom_adds += other.hom_adds;
         self.hom_muls += other.hom_muls;

@@ -294,11 +294,6 @@ impl WorkerPool {
         self.workers.len()
     }
 
-    /// Jobs submitted but not yet picked up by a worker.
-    pub fn queued_jobs(&self) -> usize {
-        lock_unpoisoned(&self.queue.jobs).0.len()
-    }
-
     /// Submits a job, returning the handle that will carry its result.
     /// A panic inside `job` is caught on the worker and surfaces as
     /// [`MatchError::WorkerPanicked`] from [`CompletionHandle::wait`].
@@ -370,24 +365,6 @@ impl WorkerPool {
         }
         self.queue.cv.notify_one();
     }
-
-    /// Submits a stats-producing job, timing it on the worker and bundling
-    /// the result into an [`ExecOutcome`].
-    pub fn submit_measured<T, F>(&self, job: F) -> CompletionHandle<ExecOutcome<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> (T, MatchStats) + Send + 'static,
-    {
-        self.submit(move || {
-            let start = Instant::now();
-            let (result, stats) = job();
-            ExecOutcome {
-                result,
-                stats,
-                elapsed: start.elapsed(),
-            }
-        })
-    }
 }
 
 impl Drop for WorkerPool {
@@ -452,8 +429,8 @@ pub fn compute_pool() -> &'static WorkerPool {
 /// Clones share the encrypted database (an `Arc` — see
 /// [`ErasedMatcher::database_fingerprint`]), so a pool costs K copies of
 /// the *key material and engine state only*, not K ciphertext copies.
-/// [`MatcherPool::run`] checks a matcher out (blocking while all K are
-/// busy), runs the query on the calling thread, and returns the exact
+/// [`MatcherPool::try_run`] checks a matcher out (blocking while all K
+/// are busy), runs the query on the calling thread, and returns the exact
 /// per-query [`MatchStats`] as an [`ExecOutcome`] — the matcher is
 /// exclusively held, so the stats delta cannot race.
 pub struct MatcherPool {
@@ -526,21 +503,8 @@ impl MatcherPool {
 
     /// Checks a matcher out, zeroes its counters, runs `f` on it, and
     /// returns `f`'s result with the exact stats and wall time of this one
-    /// call.
-    pub fn run<T>(&self, f: impl FnOnce(&mut dyn ErasedMatcher) -> T) -> ExecOutcome<T> {
-        let mut guard = self.checkout();
-        guard.reset_stats();
-        let start = Instant::now();
-        let result = f(&mut *guard);
-        ExecOutcome {
-            result,
-            stats: guard.stats(),
-            elapsed: start.elapsed(),
-        }
-    }
-
-    /// Like [`Self::run`], but a panic inside `f` is caught and surfaced
-    /// as [`MatchError::WorkerPanicked`] instead of unwinding through the
+    /// call. A panic inside `f` is caught and surfaced as
+    /// [`MatchError::WorkerPanicked`] instead of unwinding through the
     /// caller — the serving path's guarantee that a hostile query can
     /// kill neither its connection worker nor the tenant's pool. The
     /// checked-out matcher is returned to the pool either way.
@@ -689,25 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn measured_jobs_report_stats_and_elapsed() {
-        let pool = WorkerPool::new(2).unwrap();
-        let stats = MatchStats {
-            hom_adds: 5,
-            ..MatchStats::default()
-        };
-        let outcome = pool
-            .submit_measured(move || {
-                std::thread::sleep(Duration::from_millis(2));
-                ("done", stats)
-            })
-            .wait()
-            .unwrap();
-        assert_eq!(outcome.result, "done");
-        assert_eq!(outcome.stats.hom_adds, 5);
-        assert!(outcome.elapsed >= Duration::from_millis(2));
-    }
-
-    #[test]
     fn pool_metrics_count_jobs_waits_and_panics() {
         let registry = MetricsRegistry::new();
         let mut pool = WorkerPool::new(1).unwrap();
@@ -791,8 +736,8 @@ mod tests {
         template.load_database(&data).unwrap();
         let pool = MatcherPool::new(template, 2, 9).unwrap();
         let q = BitString::from_ascii("query");
-        let first = pool.run(|m| m.find_all(&q).unwrap());
-        let second = pool.run(|m| m.find_all(&q).unwrap());
+        let first = pool.try_run(|m| m.find_all(&q).unwrap()).unwrap();
+        let second = pool.try_run(|m| m.find_all(&q).unwrap()).unwrap();
         assert_eq!(first.result, data.find_all(&q));
         assert_eq!(second.result, data.find_all(&q));
         // Same query, zeroed counters each time: identical exact stats,

@@ -5,8 +5,7 @@
 //! The CIPHERMATCH algorithm (Kabra et al., ASPLOS 2025): a
 //! memory-efficient BFV data packing scheme and a secure exact string
 //! matching algorithm that uses **only homomorphic addition**, plus the
-//! paper's Boolean and arithmetic baselines and the client–server protocol
-//! of Algorithm 1.
+//! paper's Boolean and arithmetic baselines.
 //!
 //! ## The idea in one paragraph
 //!
@@ -41,12 +40,15 @@
 //! assert_eq!(stats.hom_muls + stats.rotations + stats.bootstraps, 0);
 //! ```
 //!
-//! Multi-query traffic goes through [`MatchSession`], which fans a batch
-//! out across a session-owned [`exec::WorkerPool`] — the shared work-pool
-//! runtime ([`exec`]) that every concurrent layer of the stack (sessions,
-//! tenant matcher pools, CM-SW range jobs, connection handling) runs on;
-//! the explicit [`Client`]/[`Server`] protocol roles of Algorithm 1
-//! remain available for the single-backend CM-SW flow.
+//! The client/server split of Algorithm 1 is [`QueryKit`] (the client
+//! half: [`Erased::query_kit`] hands out the public key material,
+//! [`QueryKit::encode_query`] packs and encrypts a query) and
+//! [`ErasedMatcher::find_all_wire`] (the server half: sweep, then index
+//! generation by the [`TrustedIndexGenerator`] next to the data).
+//! Concurrent queries on one database check matchers out of an
+//! [`exec::MatcherPool`]; [`exec`] is the work-pool runtime every
+//! concurrent layer of the stack (tenant matcher pools, CM-SW range jobs,
+//! connection handling) runs on.
 
 pub mod api;
 mod bits;
@@ -55,7 +57,6 @@ mod index_gen;
 mod kit;
 pub mod matchers;
 mod packing;
-mod protocol;
 mod query;
 mod shard;
 
@@ -75,13 +76,12 @@ pub use matchers::batched::{BatchedDatabase, BatchedEngine};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
     CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, SearchResult, ShardScratch,
-    VariantSums,
+    TrustedIndexGenerator, VariantSums,
 };
 pub use matchers::plain::{bitwise_find_all, PackedBits};
 pub use matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
 pub use matchers::{table1_profiles, ApproachProfile, CostClass};
 pub use packing::{DensePacking, SingleBitPacking};
-pub use protocol::{BatchReport, Client, IndexMode, MatchSession, Server, TrustedIndexGenerator};
 pub use query::{
     alignment_classes, alignment_geometry, build_variants, segment_matches, stream_variants,
     variant_count, AlignmentClass, NegatedClass, QueryVariant,

@@ -9,7 +9,7 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use cm_bfv::{BfvContext, Ciphertext, Decryptor, EncryptScratch, Encryptor, Evaluator};
+use cm_bfv::{BfvContext, Ciphertext, Decryptor, EncryptScratch, Encryptor, Evaluator, SecretKey};
 use cm_hemath::kernels;
 use rand::Rng;
 
@@ -17,7 +17,6 @@ use crate::api::MatchStats;
 use crate::bits::BitString;
 use crate::index_gen::{generate_indices, MatchTable};
 use crate::packing::DensePacking;
-use crate::protocol::TrustedIndexGenerator;
 use crate::query::{
     alignment_classes, alignment_geometry, stream_variants, variant_count, AlignmentClass,
 };
@@ -964,6 +963,65 @@ impl CiphermatchEngine {
         let q = self.prepare_query(enc, query, rng);
         let result = self.search(db, &q);
         self.generate_indices(dec, &result)
+    }
+}
+
+/// The trusted index-generation capability living next to the data
+/// (the SSD controller in CM-IFP): an engine and a decryptor prepared
+/// once when the key is provisioned, not per query; the pool members of a
+/// hosted tenant and their range jobs share one.
+///
+/// Index generation requires seeing whether result coefficients equal the
+/// match polynomial, which randomized HE ciphertexts do not reveal. The
+/// paper implicitly performs this inside the SSD controller; this type is
+/// that trust model. The cryptographically conservative alternative —
+/// every result ciphertext travels back and the key holder decrypts, the
+/// communication-heavy behaviour the paper criticizes in \[27\] — is
+/// [`CiphermatchEngine::search`] followed by
+/// [`CiphermatchEngine::generate_indices`].
+#[derive(Clone)]
+pub struct TrustedIndexGenerator {
+    params: &'static str,
+    engine: CiphermatchEngine,
+    dec: Decryptor,
+}
+
+impl std::fmt::Debug for TrustedIndexGenerator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TrustedIndexGenerator")
+            .field("params", &self.params)
+            .finish()
+    }
+}
+
+impl TrustedIndexGenerator {
+    /// Builds the capability directly from a secret key (used when the
+    /// key was provisioned to the controller out of band).
+    pub fn from_secret(ctx: &BfvContext, sk: SecretKey) -> Self {
+        Self {
+            params: ctx.params().name,
+            engine: CiphermatchEngine::new(ctx),
+            dec: Decryptor::new(ctx, sk),
+        }
+    }
+
+    /// The engine of the capability's parameter set (it runs the sweep of
+    /// a served job, see [`ShardScratch::run`]).
+    pub(crate) fn engine(&self) -> &CiphermatchEngine {
+        &self.engine
+    }
+
+    /// Runs index generation on a search result, returning matching bit
+    /// offsets.
+    pub fn generate(&self, result: &SearchResult) -> Vec<usize> {
+        self.engine.generate_indices(&self.dec, result)
+    }
+
+    /// [`Self::generate`] on caller-owned working memory (see
+    /// [`CiphermatchEngine::generate_indices_with`]).
+    pub fn generate_with(&self, result: &SearchResult, scratch: &mut IndexScratch) -> Vec<usize> {
+        self.engine
+            .generate_indices_with(&self.dec, result, scratch)
     }
 }
 

@@ -10,9 +10,7 @@
 //! The match-serving subsystem: one process answering encrypted
 //! string-matching queries for many key owners — CM-SW sharded across
 //! one per-core compute pool on the host, CM-IFP inside the (simulated)
-//! SSD — which
-//! is the deployment the paper's Figure 6 sketches and the ROADMAP's
-//! production north star asks for.
+//! SSD — which is the deployment the paper's Figure 6 sketches.
 //!
 //! Every concurrent layer runs on the shared [`cm_core::exec`] work-pool
 //! runtime — no per-layer threading schemes. The layers, bottom up:

@@ -1428,14 +1428,27 @@ impl Response {
                     put_str(&mut out, b);
                 }
             }
-            Response::Tenants(tenants) => {
-                out.push(tags::RESP_TENANTS);
-                out.extend_from_slice(&(tenants.len() as u16).to_le_bytes());
-                for t in tenants {
-                    put_str(&mut out, &t.id);
-                    put_str(&mut out, &t.backend);
+            // The registry has no tenant cap, so the list can outgrow
+            // the wire's u16 count; like `DatabaseLoaded` below, such a
+            // reply degrades to a typed Frame error instead of a wrapped
+            // count the decoder would desync on.
+            Response::Tenants(tenants) => match u16::try_from(tenants.len()) {
+                Ok(count) => {
+                    out.push(tags::RESP_TENANTS);
+                    out.extend_from_slice(&count.to_le_bytes());
+                    for t in tenants {
+                        put_str(&mut out, &t.id);
+                        put_str(&mut out, &t.backend);
+                    }
                 }
-            }
+                Err(_) => {
+                    out.push(tags::RESP_ERROR);
+                    put_error(
+                        &mut out,
+                        &MatchError::Frame("tenant count exceeds the wire u16"),
+                    );
+                }
+            },
             Response::Matched {
                 nonce,
                 sealed_indices,
@@ -1999,6 +2012,28 @@ mod tests {
         assert!(matches!(
             demoted_count(overflowing),
             Err(MatchError::Frame(_))
+        ));
+    }
+
+    #[test]
+    fn tenant_lists_past_u16_become_frame_errors_not_truncation() {
+        let list = |n: usize| {
+            Response::Tenants(
+                (0..n)
+                    .map(|i| TenantInfo {
+                        id: format!("t{i}"),
+                        backend: "plain".into(),
+                    })
+                    .collect(),
+            )
+        };
+        let full = list(u16::MAX as usize);
+        assert_eq!(Response::decode(&full.encode()).unwrap(), full);
+        // One more must refuse, not wrap the count to 0 and leave every
+        // entry behind as trailing bytes.
+        assert!(matches!(
+            Response::decode(&list(u16::MAX as usize + 1).encode()),
+            Ok(Response::Error(MatchError::Frame(_)))
         ));
     }
 

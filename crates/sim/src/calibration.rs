@@ -56,8 +56,10 @@ pub struct CalibrationProfile {
 }
 
 impl CalibrationProfile {
-    /// Defaults measured with `cargo bench -p cm-bench` on the development
-    /// machine (order-of-magnitude stable across x86-64 hosts).
+    /// Defaults measured with `repro calibrate`
+    /// (`cargo run --release -p cm_bench --bin repro -- calibrate`) on the
+    /// development machine (order-of-magnitude stable across x86-64
+    /// hosts).
     pub fn default_measured() -> Self {
         Self {
             t_hom_add_1024: 3.0e-6,

@@ -1,7 +1,8 @@
 //! System constants from Tables 2–3 and §3.2.
 
 use cm_flash::{FlashEnergy, FlashGeometry, FlashTimings};
-use cm_pum::PumConfig;
+
+use crate::pum::PumConfig;
 
 /// Byte count helpers.
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;

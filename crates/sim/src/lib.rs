@@ -33,6 +33,7 @@ mod datamove;
 mod figures;
 mod hw_models;
 mod overheads;
+pub mod pum;
 mod sensitivity;
 mod sw_models;
 

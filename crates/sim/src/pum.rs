@@ -1,7 +1,3 @@
-#![warn(missing_docs)]
-
-//! # cm-pum
-//!
 //! A SIMDRAM-style processing-using-memory model (paper §5.2): bulk
 //! bitwise operations over DRAM rows implement bit-serial addition for the
 //! CM-PuM (external DDR4) and CM-PuM-SSD (SSD-internal LPDDR4)
@@ -11,12 +7,10 @@
 //! The functional model mirrors the flash adder: vertical layout, one
 //! bit-plane row per operand bit, AND/OR/XOR bulk operations; a 32-bit
 //! addition costs a fixed number of bbops per bit. The analytical methods
-//! feed `cm-sim`'s Figures 10–12.
-
-use serde::{Deserialize, Serialize};
+//! feed Figures 10–12.
 
 /// DRAM organization for a PuM configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PumConfig {
     /// Independent channels.
     pub channels: usize,

@@ -1,20 +1,24 @@
-//! Case study 2 (paper §5.3): encrypted database search, served through
-//! the multi-query [`MatchSession`] layer.
+//! Case study 2 (paper §5.3): encrypted database search, served the way
+//! a tenant of the match server is.
 //!
-//! A key-value store is flattened, packed and encrypted; point queries
-//! for keys are submitted as one batch, which the session fans out across
-//! its worker pool (`threads` is the session's batch width; each worker
-//! searches serially) and answers with per-query bit offsets plus
-//! aggregated statistics. Mirrors the paper's 1000-query setup at laptop
-//! scale.
+//! A key-value store is flattened, packed and encrypted once; point
+//! queries for keys arrive from four concurrent clients (a
+//! [`WorkerPool`]), each checking one of four matchers out of a
+//! [`MatcherPool`] whose members share the one encrypted database, and
+//! come back as per-query bit offsets with exact per-query statistics.
+//! Mirrors the paper's 1000-query setup at laptop scale.
 //!
 //! Run with: `cargo run --release --example encrypted_db_search`
 
-use cm_core::{Backend, BitString, MatchSession, MatcherConfig};
+use cm_core::{wait_all, Backend, BitString, MatchStats, MatcherConfig, MatcherPool, WorkerPool};
 use cm_workloads::KvDatabase;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Concurrent clients, and matchers for them to check out.
+const WORKERS: usize = 4;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -30,28 +34,42 @@ fn main() {
         flat.len()
     );
 
-    // The paper's parameters (n = 1024, 32-bit q), four batch workers.
-    let config = MatcherConfig::new(Backend::Ciphermatch).seed(99).threads(4);
-    let mut session = MatchSession::new(&config).expect("valid configuration");
-    session.load_database(&data).expect("database encrypts");
+    // The paper's parameters (n = 1024, 32-bit q).
+    let mut matcher = MatcherConfig::new(Backend::Ciphermatch)
+        .seed(99)
+        .build()
+        .expect("valid configuration");
+    matcher.load_database(&data).expect("database encrypts");
+    let encrypted = matcher.database_bytes().unwrap();
     println!(
-        "encrypted once into {} B ({}x the plain size)",
-        session.database_bytes().unwrap(),
-        session.database_bytes().unwrap() as usize / flat.len()
+        "encrypted once into {encrypted} B ({}x the plain size)",
+        encrypted as usize / flat.len()
     );
+    let pool = Arc::new(MatcherPool::new(matcher, WORKERS, 99).expect("positive pool size"));
+    let clients = WorkerPool::new(WORKERS).expect("positive client count");
 
     // Point queries for existing keys (the paper simulates 1000; we run a
-    // deterministic handful and verify every answer), submitted as one
-    // batch.
+    // deterministic handful and verify every answer), all in flight at
+    // once.
     let keys = kv.sample_queries(16, &mut rng);
-    let queries: Vec<BitString> = keys.iter().map(|k| BitString::from_ascii(k)).collect();
     let t0 = Instant::now();
-    let report = session.run_batch(&queries).expect("batch runs");
+    let handles: Vec<_> = keys
+        .iter()
+        .map(|key| {
+            let pool = Arc::clone(&pool);
+            let query = BitString::from_ascii(key);
+            clients.submit(move || pool.try_run(|m| m.find_all(&query)))
+        })
+        .collect();
+    let outcomes = wait_all(handles).expect("no client panicked");
     let elapsed = t0.elapsed();
 
     let record_bits = kv.record_bytes() * 8;
-    for (key, result) in keys.iter().zip(&report.per_query) {
-        let matches = result.as_ref().expect("query searches cleanly");
+    let mut stats = MatchStats::default();
+    for (key, outcome) in keys.iter().zip(outcomes) {
+        let outcome = outcome.expect("no query panicked");
+        stats.merge(&outcome.stats);
+        let matches = outcome.result.expect("query searches cleanly");
         // The key occupies the first 8 bytes of its record; a hit at a
         // record boundary identifies the record.
         let record_hit = matches
@@ -62,23 +80,25 @@ fn main() {
         assert_eq!(record_hit, expect, "key {key} must resolve to its record");
     }
     println!(
-        "resolved {}/{} point queries correctly in {elapsed:.2?} across 4 workers \
+        "resolved {}/{} point queries correctly in {elapsed:.2?} across {WORKERS} workers \
          ({} Hom-Adds, {} encrypted query bytes moved)",
         keys.len(),
         keys.len(),
-        report.stats.hom_adds,
-        report.stats.bytes_moved
+        stats.hom_adds,
+        stats.bytes_moved
     );
 
-    // A missing key returns no record-aligned match (still through the
-    // session, still counted in its aggregate statistics).
-    let missing = session
-        .find_all(&BitString::from_ascii("NOSUCHKY"))
-        .expect("query searches cleanly");
+    // A missing key returns no record-aligned match.
+    let missing = pool
+        .try_run(|m| m.find_all(&BitString::from_ascii("NOSUCHKY")))
+        .expect("no panic");
+    stats.merge(&missing.stats);
+    let missing = missing.result.expect("query searches cleanly");
     assert!(missing.iter().all(|&bit| bit % record_bits != 0));
     println!("missing key correctly yields no record-aligned match");
+    assert_eq!(stats.hom_muls + stats.rotations + stats.bootstraps, 0);
     println!(
-        "session totals: {} Hom-Adds and zero multiplications/rotations/bootstraps",
-        session.stats().hom_adds
+        "totals: {} Hom-Adds and zero multiplications/rotations/bootstraps",
+        stats.hom_adds
     );
 }

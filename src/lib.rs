@@ -12,8 +12,8 @@
 //! * [`bfv`] — the BFV scheme (Hom-Add, Hom-Mul, rotations, batching);
 //! * [`tfhe`] — TFHE-style Boolean FHE with gate bootstrapping (the
 //!   Boolean baseline's substrate);
-//! * [`core`] — the CIPHERMATCH algorithm, its baselines and the
-//!   client–server protocol;
+//! * [`core`] — the CIPHERMATCH algorithm, its baselines, the unified
+//!   matcher API and the work-pool runtime;
 //! * [`server`] — the sharded, multi-tenant serving subsystem: binary
 //!   wire protocol over TCP, thread-per-shard execution, and the CM-IFP
 //!   engine as a first-class backend;
@@ -21,8 +21,9 @@
 //!   in-flash adder and `CM-search` command;
 //! * [`telemetry`] — lock-free metrics (counters, gauges, log₂
 //!   histograms) and per-frame request tracing for the serving stack;
-//! * [`pum`] — the SIMDRAM-style processing-using-memory model;
-//! * [`sim`] — the analytical models reproducing the paper's figures;
+//! * [`sim`] — the analytical models reproducing the paper's figures,
+//!   with the SIMDRAM-style processing-using-memory model
+//!   ([`sim::pum`]);
 //! * [`workloads`] — DNA and key-value workload generators;
 //! * [`aes`] — the AES engine for secure index transmission.
 //!
@@ -31,32 +32,36 @@
 //! Every secure-matching engine sits behind the unified
 //! [`SecureMatcher`](core::SecureMatcher) API: pick a
 //! [`Backend`](core::Backend), build it with
-//! [`MatcherConfig`](core::MatcherConfig), load a database, search. Batch
-//! traffic goes through a [`MatchSession`](core::MatchSession):
+//! [`MatcherConfig`](core::MatcherConfig), load a database, search:
 //!
 //! ```
-//! use ciphermatch::core::{Backend, BitString, MatchSession, MatcherConfig};
+//! use ciphermatch::core::{Backend, BitString, MatcherConfig};
 //!
-//! let config = MatcherConfig::new(Backend::Ciphermatch)
+//! let mut matcher = MatcherConfig::new(Backend::Ciphermatch)
 //!     .insecure_test() // small test parameters; drop for the paper's set
 //!     .seed(42)
-//!     .threads(2);
-//! let mut session = MatchSession::new(&config).unwrap();
-//! session
+//!     .build()
+//!     .unwrap();
+//! matcher
 //!     .load_database(&BitString::from_ascii("secure string matching in storage"))
 //!     .unwrap();
-//! let queries = [BitString::from_ascii("string"), BitString::from_ascii("storage")];
-//! let report = session.run_batch(&queries).unwrap();
-//! assert_eq!(report.per_query[0].as_ref().unwrap(), &vec![7 * 8]);
-//! assert_eq!(report.per_query[1].as_ref().unwrap(), &vec![26 * 8]);
+//! let hits = matcher.find_all(&BitString::from_ascii("string")).unwrap();
+//! assert_eq!(hits, vec![7 * 8]);
+//! let hits = matcher.find_all(&BitString::from_ascii("storage")).unwrap();
+//! assert_eq!(hits, vec![26 * 8]);
+//! // CM-SW's server side ran additions only.
+//! assert_eq!(matcher.stats().hom_muls + matcher.stats().rotations, 0);
 //! ```
+//!
+//! Concurrent queries on one database check matchers out of a
+//! [`MatcherPool`](core::MatcherPool) (`examples/encrypted_db_search.rs`);
+//! over TCP, [`server`] does the same per tenant.
 
 pub use cm_aes as aes;
 pub use cm_bfv as bfv;
 pub use cm_core as core;
 pub use cm_flash as flash;
 pub use cm_hemath as hemath;
-pub use cm_pum as pum;
 pub use cm_server as server;
 pub use cm_sim as sim;
 pub use cm_ssd as ssd;

@@ -2,10 +2,15 @@
 //! function drives a backend over shared fixtures (empty-match,
 //! multi-match, query == database, 1-bit query) and asserts its
 //! `find_all` agrees with the `BitString::find_all` ground truth; it is
-//! instantiated once per backend. Plus heterogeneous-registry and batch
-//! session coverage that only the erased API makes possible.
+//! instantiated once per backend. Plus heterogeneous-registry and
+//! matcher-pool coverage that only the erased API makes possible.
 
-use cm_core::{Backend, BitString, ErasedMatcher, MatchSession, MatcherConfig};
+use std::sync::Arc;
+
+use cm_core::{
+    wait_all, Backend, BitString, ErasedMatcher, MatchError, MatchStats, MatcherConfig,
+    MatcherPool, WorkerPool,
+};
 
 /// The shared fixtures: `(database, query, label)`. Sizes are small
 /// enough that even the Boolean backend (every bootstrap run for real on
@@ -141,26 +146,61 @@ fn heterogeneous_registry_serves_every_backend() {
     }
 }
 
-/// A batch session over a non-CM backend: the service layer is genuinely
-/// backend-agnostic.
+/// A rejected query is an answer, not a state change: the same matcher
+/// keeps answering correctly after a [`MatchError::WindowMismatch`].
 #[test]
-fn session_batches_over_the_batched_backend() {
-    let data = BitString::from_ascii("sessions fan out over any backend");
+fn a_window_mismatch_leaves_the_matcher_answering() {
+    let mut matcher = MatcherConfig::new(Backend::Yasuda)
+        .insecure_test()
+        .window(16)
+        .build()
+        .unwrap();
+    let data = BitString::from_ascii("window mismatch handling");
+    matcher.load_database(&data).unwrap();
+    let good = data.slice(8, 16);
+    let bad = data.slice(0, 9); // wrong length for the fixed window
+    assert_eq!(matcher.find_all(&good).unwrap(), data.find_all(&good));
+    assert_eq!(
+        matcher.find_all(&bad),
+        Err(MatchError::WindowMismatch {
+            expected: 16,
+            got: 9
+        })
+    );
+    assert_eq!(matcher.find_all(&good).unwrap(), data.find_all(&good));
+}
+
+/// Concurrent clients over a non-CM backend: the matcher pool the server
+/// gives every tenant is genuinely backend-agnostic.
+#[test]
+fn a_matcher_pool_serves_concurrent_clients_over_the_batched_backend() {
+    let data = BitString::from_ascii("pools check out clones of any backend");
+    let mut matcher = MatcherConfig::new(Backend::Batched)
+        .insecure_test()
+        .window(16)
+        .seed(11)
+        .build()
+        .unwrap();
+    matcher.load_database(&data).unwrap();
+    let pool = Arc::new(MatcherPool::new(matcher, 3, 11).unwrap());
+    let clients = WorkerPool::new(3).unwrap();
     let queries: Vec<BitString> = [8usize, 48, 96]
         .iter()
         .map(|&start| data.slice(start, 16))
         .collect();
-    let config = MatcherConfig::new(Backend::Batched)
-        .insecure_test()
-        .window(16)
-        .threads(3)
-        .seed(11);
-    let mut session = MatchSession::new(&config).unwrap();
-    session.load_database(&data).unwrap();
-    let report = session.run_batch(&queries).unwrap();
-    let got = report.into_indices().expect("no per-query errors");
-    for (q, indices) in queries.iter().zip(&got) {
-        assert_eq!(indices, &data.find_all(q));
+    let handles: Vec<_> = queries
+        .iter()
+        .cloned()
+        .map(|q| {
+            let pool = Arc::clone(&pool);
+            clients.submit(move || pool.try_run(|m| m.find_all(&q)))
+        })
+        .collect();
+    let mut stats = MatchStats::default();
+    for (q, outcome) in queries.iter().zip(wait_all(handles).unwrap()) {
+        let outcome = outcome.unwrap();
+        assert_eq!(outcome.result.unwrap(), data.find_all(q));
+        stats.merge(&outcome.stats);
     }
-    assert!(session.stats().rotations > 0);
+    assert!(stats.rotations > 0);
 }

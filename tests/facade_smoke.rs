@@ -3,31 +3,31 @@
 //! manifest or re-export regression in the facade is caught by tier-1
 //! (`cargo test -q`) even if the underlying crates still build on their own.
 
-use ciphermatch::bfv::{BfvContext, BfvParams};
-use ciphermatch::core::{bitwise_find_all, BitString, Client, Server};
+use ciphermatch::bfv::BfvParams;
+use ciphermatch::core::{bitwise_find_all, BitString, CiphermatchMatcher, Erased, ErasedMatcher};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// End-to-end through the facade: encrypt a database, run the CM-SW search
-/// on the server, and recover plaintext match indices.
+/// End-to-end through the facade: encrypt a database, encrypt a query with
+/// the public kit, run the CM-SW search on the server side, and recover
+/// plaintext match indices.
 #[test]
 fn facade_encrypt_search_decrypt_roundtrip() {
-    let ctx = BfvContext::new(BfvParams::insecure_test_add());
     let mut rng = StdRng::seed_from_u64(2025);
-    let client = Client::new(&ctx, &mut rng);
+    let mut server =
+        Erased::<CiphermatchMatcher>::new(BfvParams::insecure_test_add(), 1, 2025).unwrap();
+    let kit = server.query_kit();
 
     let haystack = "in-flash processing pairs well with data packing";
     let needle = "data packing";
-    let data = BitString::from_ascii(haystack);
-    let mut server = Server::new(&ctx, client.encrypt_database(&data, &mut rng));
-    server.install_index_generator(client.delegate_index_generation());
+    server
+        .load_database(&BitString::from_ascii(haystack))
+        .unwrap();
 
-    let query = client
-        .prepare_query(&BitString::from_ascii(needle), &mut rng)
+    let query = kit
+        .encode_query(&BitString::from_ascii(needle), &mut rng)
         .expect("non-empty query");
-    let got = server
-        .search_indices(&query)
-        .expect("index generator installed");
+    let got = server.find_all_wire(&query).expect("well-formed query");
 
     let expect = bitwise_find_all(
         &BitString::from_ascii(haystack),
