@@ -278,21 +278,13 @@ impl Decryptor {
         self.ctx.rq().mul_prepared(c1, &self.s_prepared, out);
     }
 
-    /// `out[i] = round(t · (c0[i] + x[i] + y[i] mod q) / q) mod t`: the
-    /// rounding step of decryption applied to a phase assembled from
-    /// [`Self::key_product_into`] outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub fn round_phase_into(&self, c0: &[u64], x: &[u64], y: &[u64], out: &mut [u64]) {
-        let q = *self.ctx.rq().modulus();
-        let t = self.ctx.params().t;
-        kernels::add_slices(&q, c0, x, out);
-        kernels::add_assign_slices(&q, out, y);
-        for o in out.iter_mut() {
-            *o = round_to_t(&q, t, *o);
-        }
+    /// `round(t · v / q) mod t` of one reduced phase coefficient `v`: the
+    /// rounding step of decryption, for a caller that assembles the phase
+    /// `c0 + s·c1` from [`Self::key_product_into`] outputs and needs the
+    /// plaintext of only some coefficients.
+    #[inline]
+    pub fn round_phase(&self, v: u64) -> u64 {
+        round_to_t(self.ctx.rq().modulus(), self.ctx.params().t, v)
     }
 
     /// Computes `v = c0 + c1 s + c2 s^2 + ...` in `R_q`.
@@ -848,10 +840,13 @@ mod tests {
             let a = enc.encrypt(&pt_from(&ctx, &[200, 3]), &mut rng);
             let b = enc.encrypt(&pt_from(&ctx, &[100, 4]), &mut rng);
             let sum = ev.add(&a, &b);
-            let (mut x, mut y, mut out) = (vec![0u64; n], vec![0u64; n], vec![0u64; n]);
+            let (mut x, mut y) = (vec![0u64; n], vec![0u64; n]);
             dec.key_product_into(a.part(1).coeffs(), &mut x);
             dec.key_product_into(b.part(1).coeffs(), &mut y);
-            dec.round_phase_into(sum.part(0).coeffs(), &x, &y, &mut out);
+            let q = ctx.rq().modulus();
+            let out: Vec<u64> = (0..n)
+                .map(|i| dec.round_phase(q.add(q.add(sum.part(0).coeffs()[i], x[i]), y[i])))
+                .collect();
             assert_eq!(out, dec.decrypt(&sum).coeffs());
         }
     }

@@ -146,20 +146,41 @@ pub fn decode_ciphertext(data: &[u8]) -> Result<Ciphertext, DecodeError> {
         (1u64 << q_bits) - 1
     };
     let mut parts = Vec::with_capacity(size);
-    for _ in 0..size {
-        let mut coeffs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut raw = [0u8; 8];
-            buf.copy_to_slice(&mut raw[..cb]);
-            let c = u64::from_le_bytes(raw);
-            if c > limit {
-                return Err(DecodeError::CoefficientOverflow);
-            }
-            coeffs.push(c);
-        }
-        parts.push(Poly::from_coeffs(coeffs));
+    for src in buf.chunks_exact(n * cb) {
+        // A constant width per loop, as on the encode side.
+        parts.push(Poly::from_coeffs(match cb {
+            1 => unpack_coeffs::<1>(src, limit)?,
+            2 => unpack_coeffs::<2>(src, limit)?,
+            3 => unpack_coeffs::<3>(src, limit)?,
+            4 => unpack_coeffs::<4>(src, limit)?,
+            5 => unpack_coeffs::<5>(src, limit)?,
+            6 => unpack_coeffs::<6>(src, limit)?,
+            7 => unpack_coeffs::<7>(src, limit)?,
+            _ => unpack_coeffs::<8>(src, limit)?,
+        }));
     }
     Ok(Ciphertext::from_parts(parts))
+}
+
+/// Reads `src.len() / CB` coefficients of `CB` little-endian bytes each,
+/// refusing the lot if any exceeds `limit` (`2^q_bits − 1`, so a bit set
+/// above it in the OR of all coefficients is a coefficient above it).
+fn unpack_coeffs<const CB: usize>(src: &[u8], limit: u64) -> Result<Vec<u64>, DecodeError> {
+    let mut seen = 0;
+    let coeffs = src
+        .chunks_exact(CB)
+        .map(|bytes| {
+            let mut raw = [0u8; 8];
+            raw[..CB].copy_from_slice(bytes);
+            let c = u64::from_le_bytes(raw);
+            seen |= c;
+            c
+        })
+        .collect();
+    if seen > limit {
+        return Err(DecodeError::CoefficientOverflow);
+    }
+    Ok(coeffs)
 }
 
 #[cfg(test)]

@@ -5,6 +5,16 @@
 //! coefficients into the list of matching bit offsets. It is shared by
 //! the software matcher (`CM-SW`) and the SSD controller's index
 //! generation unit (`CM-IFP`), which both see the same sum values.
+//!
+//! Two forms of the same test: [`MatchTable`] + [`generate_indices`] work
+//! on a whole table of decrypted sums (the reference), `PhaseScan` on
+//! one entry's un-rounded decryption phase at a time, next to the sweep
+//! that produced it (what runs).
+
+use std::ops::RangeInclusive;
+
+use cm_bfv::{BfvContext, Decryptor};
+use cm_hemath::Modulus;
 
 use crate::query::{segment_matches, AlignmentClass};
 
@@ -21,6 +31,13 @@ use crate::query::{segment_matches, AlignmentClass};
 /// polynomial `j` are the `⌈n/64⌉` words of window `slot * polys + j`.
 /// It is sized once per query shape with [`Self::reset`] and rewritten in
 /// place from then on.
+///
+/// No serving path builds one: a served job tests each variant's sums in
+/// the tile the sweep left them in (`PhaseScan`) and keeps `s − 1`
+/// bits per entry end, not a bit per sum. The table is what the
+/// per-ciphertext reference fills — the oracle every faster path is
+/// tested against, and the fallback for a result that arrives from
+/// outside and is not the outer sum the faster path decrypts by.
 #[derive(Debug, Clone, Default)]
 pub struct MatchTable {
     /// First slot of class `r` (`len = classes + 1`); class `r` has
@@ -180,6 +197,242 @@ pub fn generate_indices(table: &MatchTable, total_bits: usize, k: usize) -> Vec<
     matches
 }
 
+/// The un-rounded decryption phases `v ∈ [0, q)` whose plaintext
+/// `round(t·v/q) mod t`, `t = 2^seg_bits`, is all ones above `dont_care`
+/// low don't-care bits — one interval, so that test needs no rounding.
+///
+/// Rounding is `y = ⌊(t·v + ⌊q/2⌋)/q⌋ ∈ [0, t]` with `y = t` wrapping to
+/// 0. All ones above the low `w` bits is `t − 2^w ≤ y ≤ t − 1` (`y = t`
+/// has no one at all), and `y ≥ a ⇔ t·v + ⌊q/2⌋ ≥ a·q`, so both ends
+/// are one exact ceiling division by `t`. With every bit don't-care the
+/// interval is the whole ring.
+fn ones_phase_interval(q: u64, seg_bits: usize, dont_care: usize) -> RangeInclusive<u64> {
+    if dont_care >= seg_bits {
+        return 0..=q - 1;
+    }
+    let (q, half) = (u128::from(q), u128::from(q / 2));
+    // The least v with t·v + ⌊q/2⌋ ≥ y·q.
+    let first_rounding_to = |y: u128| ((y * q - half + (1 << seg_bits) - 1) >> seg_bits) as u64;
+    let t = 1u128 << seg_bits;
+    first_rounding_to(t - (1 << dont_care))..=first_rounding_to(t) - 1
+}
+
+/// Reusable memory of a [`PhaseScan`]. Capacity, not state: every scan
+/// rewrites it before reading it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PhaseScratch {
+    /// Per class, the phases that pass the filter segment's test, when
+    /// its mask is a run of low don't-care bits.
+    filters: Vec<Option<RangeInclusive<u64>>>,
+    /// First word of each class's edge bits in `edges`.
+    edge_base: Vec<usize>,
+    /// Per (class, phase, polynomial): whether each of the `s − 1`
+    /// coefficients at either end matched — head bits, then tail bits.
+    edges: Vec<u64>,
+}
+
+/// Index generation straight from decryption *phases*, one result entry
+/// (query variant × database polynomial) at a time, so a sweep can hand
+/// over each entry while it is still in cache and keep none of them.
+///
+/// Variant `(r, p)` holds every window of class `r` that starts at a
+/// coefficient `≡ p (mod s)` as `s` consecutive coefficients carrying
+/// window segments `0..s`. [`Self::entry`] tests those windows where they
+/// lie: the filter segment `s/2` first — as an interval compare on the
+/// un-rounded phase `c0 + row + col` when its mask allows
+/// ([`ones_phase_interval`]), so almost every window costs two additions
+/// and a compare — then the exact rounding of the other segments.
+/// Windows that straddle a polynomial seam read two entries; for those
+/// each entry leaves the exact match bits of its first and last `s − 1`
+/// coefficients behind, and [`Self::finish`] resolves them.
+///
+/// The answer is [`generate_indices`]' on the [`MatchTable`] of the same
+/// sums, bit for bit.
+pub(crate) struct PhaseScan<'a> {
+    scratch: &'a mut PhaseScratch,
+    dec: &'a Decryptor,
+    q: Modulus,
+    classes: &'a [AlignmentClass],
+    seg_bits: usize,
+    polys: usize,
+    n: usize,
+    /// The last bit offset a window may start at.
+    last: usize,
+    matches: Vec<usize>,
+}
+
+/// Coefficients at each end of an entry a seam-straddling window of `s`
+/// segments can reach.
+fn edge_len(s: usize, n: usize) -> usize {
+    s.saturating_sub(1).min(n)
+}
+
+/// Words of edge bits per entry.
+fn edge_words(s: usize, n: usize) -> usize {
+    (2 * edge_len(s, n)).div_ceil(64)
+}
+
+impl<'a> PhaseScan<'a> {
+    /// Starts the scan of a `k`-bit query with alignment geometry
+    /// `classes` over `polys` polynomials holding `total_bits` bits.
+    /// `dec` must belong to `ctx`.
+    pub(crate) fn begin(
+        scratch: &'a mut PhaseScratch,
+        dec: &'a Decryptor,
+        ctx: &BfvContext,
+        classes: &'a [AlignmentClass],
+        polys: usize,
+        total_bits: usize,
+        k: usize,
+    ) -> Self {
+        let params = ctx.params();
+        let (n, seg_bits) = (params.n, params.t.trailing_zeros() as usize);
+        // Class `r` tests offsets `≡ r (mod seg_bits)`: there are no more,
+        // and none at all when no window fits the database.
+        let last = total_bits.checked_sub(k).filter(|_| k > 0);
+        let classes = &classes[..last.map_or(0, |_| classes.len().min(seg_bits))];
+        scratch.filters.clear();
+        scratch.edge_base.clear();
+        let mut words = 0;
+        for class in classes {
+            let s = class.window_segs;
+            let filter = class.masks.get(s / 2).and_then(|&mask| {
+                (mask & mask.wrapping_add(1) == 0)
+                    .then(|| ones_phase_interval(params.q, seg_bits, mask.count_ones() as usize))
+            });
+            scratch.filters.push(filter);
+            scratch.edge_base.push(words);
+            words += s * polys * edge_words(s, n);
+        }
+        scratch.edges.clear();
+        scratch.edges.resize(words, 0);
+        Self {
+            scratch,
+            dec,
+            q: *ctx.rq().modulus(),
+            classes,
+            seg_bits,
+            polys,
+            n,
+            last: last.unwrap_or(0),
+            matches: Vec::new(),
+        }
+    }
+
+    /// First edge word of entry `(r, phase, poly)`.
+    fn edge_at(&self, r: usize, phase: usize, poly: usize) -> usize {
+        let words = edge_words(self.classes[r].window_segs, self.n);
+        self.scratch.edge_base[r] + (phase * self.polys + poly) * words
+    }
+
+    /// Tests the entry of variant `(r, phase)` against polynomial `poly`,
+    /// given as its decryption phase `c0 + row + col` (reduced mod `q`,
+    /// `n` coefficients each): emits the windows that lie inside the
+    /// polynomial and records the edge bits. An entry the geometry has no
+    /// place for is ignored — no window could read it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slice does not hold `n` coefficients.
+    pub(crate) fn entry(
+        &mut self,
+        (r, phase): (usize, usize),
+        poly: usize,
+        c0: &[u64],
+        row: &[u64],
+        col: &[u64],
+    ) {
+        let (n, seg_bits, q, dec, last) = (self.n, self.seg_bits, self.q, self.dec, self.last);
+        assert!(
+            c0.len() == n && row.len() == n && col.len() == n,
+            "one phase term per coefficient"
+        );
+        let Some(class) = self.classes.get(r) else {
+            return;
+        };
+        let s = class.window_segs;
+        if phase >= s || poly >= self.polys {
+            return;
+        }
+        let masks = &class.masks[..s];
+        let phase_at = |c: usize| q.add(q.add(c0[c], row[c]), col[c]);
+        let hit =
+            |c: usize, mask: u64| segment_matches(dec.round_phase(phase_at(c)), mask, seg_bits);
+
+        // Windows inside the polynomial start at `phase`, `phase + s`, …
+        // and coefficient `start + i` carries window segment `i`.
+        let filter = self.scratch.filters[r].as_ref();
+        let mid = s / 2;
+        let mut start = phase;
+        while start + s <= n {
+            let offset = (poly * n + start) * seg_bits + r;
+            if offset > last {
+                break;
+            }
+            let passes = match filter {
+                Some(ones) => ones.contains(&phase_at(start + mid)),
+                None => hit(start + mid, masks[mid]),
+            };
+            if passes && (0..s).all(|i| i == mid || hit(start + i, masks[i])) {
+                self.matches.push(offset);
+            }
+            start += s;
+        }
+
+        // Coefficient `c` carries window segment `(c − phase) mod s`.
+        let edge = edge_len(s, n);
+        let at = self.edge_at(r, phase, poly);
+        for (bit, c) in (0..edge).chain(n - edge..n).enumerate() {
+            if hit(c, masks[(c + s - phase) % s]) {
+                self.scratch.edges[at + bit / 64] |= 1 << (bit % 64);
+            }
+        }
+    }
+
+    /// Whether coefficient `c` of entry `(r, phase, poly)` matched; `c`
+    /// must lie within [`edge_len`] of either end.
+    fn edge_hit(&self, r: usize, phase: usize, poly: usize, c: usize) -> bool {
+        let edge = edge_len(self.classes[r].window_segs, self.n);
+        let bit = if c < edge {
+            c
+        } else {
+            edge + c - (self.n - edge)
+        };
+        self.scratch.edges[self.edge_at(r, phase, poly) + bit / 64] >> (bit % 64) & 1 == 1
+    }
+
+    /// Resolves the windows that straddle a polynomial seam and returns
+    /// every matching bit offset, ascending.
+    pub(crate) fn finish(mut self) -> Vec<usize> {
+        let (n, polys) = (self.n, self.polys);
+        for (r, class) in self.classes.iter().enumerate() {
+            let s = class.window_segs;
+            for poly in 0..polys {
+                for start in n - edge_len(s, n)..n {
+                    let offset = (poly * n + start) * self.seg_bits + r;
+                    if offset > self.last {
+                        break;
+                    }
+                    // Window segment `i` lies `start + i` coefficients
+                    // into `poly`, in the variant that put segment `i`
+                    // at that coefficient.
+                    let seg = |i: usize| {
+                        let (p, c) = (poly + (start + i) / n, (start + i) % n);
+                        p < polys && self.edge_hit(r, (c + s - i) % s, p, c)
+                    };
+                    if (0..s).all(seg) {
+                        self.matches.push(offset);
+                    }
+                }
+            }
+        }
+        self.matches.sort_unstable();
+        // A hand-built table may list a variant twice.
+        self.matches.dedup();
+        self.matches
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,6 +530,48 @@ mod tests {
         let db = BitString::from_bits(&[true; 40]);
         let query = BitString::from_bits(&[true; 16]);
         check(&db, &query, 4, 16); // every offset 0..24 matches
+    }
+
+    #[test]
+    fn phase_interval_equals_rounding_under_low_dont_care_masks() {
+        use cm_bfv::{BfvParams, KeyGenerator};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for params in [
+            BfvParams::ciphermatch_1024(),
+            BfvParams::ciphermatch_ifp_1024(),
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
+        ] {
+            let ctx = BfvContext::new(params);
+            let mut rng = StdRng::seed_from_u64(0x1A7E);
+            let dec = Decryptor::new(&ctx, KeyGenerator::new(&ctx, &mut rng).secret_key());
+            let (q, name) = (ctx.params().q, ctx.params().name);
+            let seg_bits = ctx.params().t.trailing_zeros() as usize;
+            for dont_care in 0..=seg_bits {
+                let ones = ones_phase_interval(q, seg_bits, dont_care);
+                let (lo, hi) = (*ones.start(), *ones.end());
+                assert!(lo <= hi && hi < q, "{name} w={dont_care}: {lo}..={hi}");
+                // Both ends of the ring (where `y = t` wraps to 0), both
+                // ends of the interval, and the ring at random.
+                let near = |x: u64| (x.saturating_sub(2)..=x.saturating_add(2)).filter(|&v| v < q);
+                let random: Vec<u64> = (0..2000).map(|_| rng.gen_range(0..q)).collect();
+                for v in [0, q - 1]
+                    .into_iter()
+                    .chain(near(lo))
+                    .chain(near(hi))
+                    .chain(random)
+                {
+                    let exact = segment_matches(dec.round_phase(v), (1 << dont_care) - 1, seg_bits);
+                    assert_eq!(ones.contains(&v), exact, "{name} w={dont_care} v={v}");
+                }
+            }
+            // The wrap itself: the top of the ring rounds to t ≡ 0,
+            // which is all ones under no mask but the full one.
+            assert_eq!(dec.round_phase(q - 1), 0, "{name}");
+            assert!(!ones_phase_interval(q, seg_bits, seg_bits - 1).contains(&(q - 1)));
+            assert!(ones_phase_interval(q, seg_bits, seg_bits).contains(&(q - 1)));
+        }
     }
 
     #[test]

@@ -43,8 +43,16 @@
 //! The client/server split of Algorithm 1 is [`QueryKit`] (the client
 //! half: [`Erased::query_kit`] hands out the public key material,
 //! [`QueryKit::encode_query`] packs and encrypts a query) and
-//! [`ErasedMatcher::find_all_wire`] (the server half: sweep, then index
-//! generation by the [`TrustedIndexGenerator`] next to the data).
+//! [`ErasedMatcher::find_all_wire`] (the server half, one
+//! [`ShardScratch::run`] per polynomial range: each query variant is
+//! Hom-Added over the range into one reused tile of `P` ciphertexts and
+//! tested there by the [`TrustedIndexGenerator`] next to the data, so no
+//! `V × P` result table is ever written out. A result that arrives
+//! whole from somewhere else — the conservative flow's
+//! [`CiphermatchEngine::search`], the in-flash pipeline — goes through
+//! [`CiphermatchEngine::generate_indices_with`], which runs the same
+//! per-entry test after checking that the table really is row plus
+//! column, a check a job that just added the sums itself has no use for).
 //! Concurrent queries on one database check matchers out of an
 //! [`exec::MatcherPool`]; [`exec`] is the work-pool runtime every
 //! concurrent layer of the stack (tenant matcher pools, CM-SW range jobs,

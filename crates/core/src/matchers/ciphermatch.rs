@@ -15,7 +15,7 @@ use rand::Rng;
 
 use crate::api::MatchStats;
 use crate::bits::BitString;
-use crate::index_gen::{generate_indices, MatchTable};
+use crate::index_gen::{generate_indices, MatchTable, PhaseScan, PhaseScratch};
 use crate::packing::DensePacking;
 use crate::query::{
     alignment_classes, alignment_geometry, stream_variants, variant_count, AlignmentClass,
@@ -579,21 +579,24 @@ impl SearchResult {
 }
 
 /// Reusable working memory of index generation
-/// ([`CiphermatchEngine::generate_indices_with`]): the match table plus
-/// the row and column key products of the batched path. It is capacity,
-/// not a cache: every buffer is rewritten before it is read, so nothing
-/// computed for one result is reused for the next.
-#[derive(Debug, Default)]
+/// ([`CiphermatchEngine::generate_indices_with`]): the row and column key
+/// products and the phase scan's edge bits of the batched path, and the
+/// match table of the per-ciphertext fallback (empty until a table takes
+/// it). It is capacity, not a cache: every buffer is rewritten before it
+/// is read, so nothing computed for one result is reused for the next.
+#[derive(Debug, Clone, Default)]
 pub struct IndexScratch {
     table: MatchTable,
-    /// `s·c1[v][0]` per variant.
+    phases: PhaseScratch,
+    /// `s·c1[v][0]` — per variant for a table that arrives whole, the one
+    /// variant in the tile for a served job.
     rows: Vec<u64>,
     /// `s·(c1[0][j] − c1[0][0])` per polynomial.
     cols: Vec<u64>,
     /// `c1[0][j] − c1[0][0]` per polynomial, the additivity reference.
     deltas: Vec<u64>,
-    /// One polynomial of working space: the additivity check, then the
-    /// decrypted sums on their way into the table.
+    /// One polynomial of working space: the additivity check, or the
+    /// difference a column product is taken of.
     line: Vec<u64>,
     key_muls: u64,
 }
@@ -729,14 +732,15 @@ impl CiphermatchEngine {
     ///
     /// The allocating one-shot convenience over [`Self::search_into`] for
     /// library callers and measurements; every serving path runs
-    /// [`ShardScratch::run`] on reused arenas instead.
+    /// [`ShardScratch::run`], which keeps one variant's sums at a time.
     pub fn search(&mut self, db: &EncryptedDatabase, query: &EncryptedQuery) -> SearchResult {
         let mut out = SearchResult::default();
         self.search_into(db, query, &mut out);
         out
     }
 
-    /// The one CM-SW sweep, into a caller-owned result: the whole sweep
+    /// The CM-SW sweep into a caller-owned result that keeps every sum
+    /// (for a key holder elsewhere to decrypt): the whole sweep
     /// for a variant writes into one flat coefficient arena
     /// ([`VariantSums`]) via [`Evaluator::add_into`], so the vectorized
     /// slice kernels run over long contiguous spans, and when `out` comes
@@ -763,7 +767,6 @@ impl CiphermatchEngine {
         out: &mut SearchResult,
     ) -> MatchStats {
         let mut stats = MatchStats::default();
-        let n = self.ctx.params().n;
         let db_cts = db.ciphertexts();
         let db_size = db_cts.iter().map(Ciphertext::size).max().unwrap_or(0);
         out.per_variant
@@ -774,30 +777,43 @@ impl CiphermatchEngine {
                 n: 0,
             });
         for (v, sums) in query.variants.iter().zip(&mut out.per_variant) {
-            let ct_size = db_size.max(v.ct.size());
-            let stride = ct_size * n;
-            let t0 = Instant::now();
             sums.key = (v.r, v.phase);
-            sums.ct_size = ct_size;
-            sums.n = n;
-            sums.arena.resize(db_cts.len() * stride, 0);
-            for (dbct, slot) in db_cts
-                .iter()
-                .zip(sums.arena.chunks_exact_mut(stride.max(1)))
-            {
-                let pair = dbct.size().max(v.ct.size()) * n;
-                self.evaluator.add_into(dbct, &v.ct, &mut slot[..pair]);
-                // Padding components past the pair width must read as
-                // zero even when the arena is being reused.
-                slot[pair..].fill(0);
-            }
-            stats.add_time += t0.elapsed();
-            stats.hom_adds += db_cts.len() as u64;
+            sums.ct_size = db_size.max(v.ct.size());
+            sums.n = self.ctx.params().n;
+            self.sweep_variant(db_cts, &v.ct, sums.ct_size, &mut sums.arena, &mut stats);
         }
         out.total_bits = db.total_bits;
         out.k = query.k;
         out.classes.clone_from(&query.classes);
         stats
+    }
+
+    /// The Hom-Adds of one query variant: `db_cts[j] + variant`, every
+    /// component of it, into `arena[j * ct_size * n ..]` — the one sweep
+    /// body, whether the arena is a result kept per variant
+    /// ([`Self::search_into`]) or the tile a served job reuses for the
+    /// next ([`ShardScratch::run`]).
+    fn sweep_variant(
+        &self,
+        db_cts: &[Ciphertext],
+        variant: &Ciphertext,
+        ct_size: usize,
+        arena: &mut Vec<u64>,
+        stats: &mut MatchStats,
+    ) {
+        let n = self.ctx.params().n;
+        let stride = ct_size * n;
+        let t0 = Instant::now();
+        arena.resize(db_cts.len() * stride, 0);
+        for (dbct, slot) in db_cts.iter().zip(arena.chunks_exact_mut(stride.max(1))) {
+            let pair = dbct.size().max(variant.size()) * n;
+            self.evaluator.add_into(dbct, variant, &mut slot[..pair]);
+            // Padding components past the pair width must read as
+            // zero even when the arena is being reused.
+            slot[pair..].fill(0);
+        }
+        stats.add_time += t0.elapsed();
+        stats.hom_adds += db_cts.len() as u64;
     }
 
     /// Index generation with a decryption capability (the paper's
@@ -815,86 +831,65 @@ impl CiphermatchEngine {
     /// A CM-SW result table is an outer sum — entry `(v, j)` is
     /// `query variant v + database polynomial j` — and `s · c1` is linear,
     /// so `s·c1[v][j] = s·c1[v][0] + s·(c1[0][j] − c1[0][0])`: `V + P − 1`
-    /// key multiplications decrypt all `V × P` entries, each of the rest
-    /// costing two vector additions and a rounding. That path is taken
-    /// only when the table itself proves the structure (every ciphertext
-    /// fresh two-component, every `c1` the sum of its row and column —
-    /// checked as `c1` streams by); anything else decrypts ciphertext by
-    /// ciphertext as [`Self::generate_indices_reference`] does. Nothing
-    /// here outlives the call except `scratch`'s buffers.
+    /// key multiplications give the decryption phase of all `V × P`
+    /// entries, which a `PhaseScan` tests entry by entry — the test a
+    /// served job runs on its tile ([`ShardScratch::run`]). That path is
+    /// taken only when the table itself proves the structure (every
+    /// ciphertext fresh two-component, every `c1` the sum of its row and
+    /// column — checked as `c1` streams by, because this table was built
+    /// by someone else); anything else decrypts ciphertext by ciphertext
+    /// as [`Self::generate_indices_reference`] does. Nothing here
+    /// outlives the call except `scratch`'s buffers.
     pub fn generate_indices_with(
         &self,
         dec: &Decryptor,
         result: &SearchResult,
         scratch: &mut IndexScratch,
     ) -> Vec<usize> {
-        self.reset_scratch(result, scratch);
-        if !self.fill_table_batched(dec, result, scratch) {
-            Self::fill_table_per_ciphertext(dec, result, scratch);
-        }
-        Self::scan(result, scratch)
-    }
-
-    /// Index generation that decrypts every result ciphertext on its own:
-    /// the fallback of [`Self::generate_indices_with`] for tables that are
-    /// not a two-component outer sum, and the oracle the batched path is
-    /// tested against. One key multiplication per ciphertext component
-    /// past the first — do not optimize.
-    pub fn generate_indices_reference(&self, dec: &Decryptor, result: &SearchResult) -> Vec<usize> {
-        let mut scratch = IndexScratch::default();
-        self.reset_scratch(result, &mut scratch);
-        Self::fill_table_per_ciphertext(dec, result, &mut scratch);
-        Self::scan(result, &scratch)
-    }
-
-    fn reset_scratch(&self, result: &SearchResult, scratch: &mut IndexScratch) {
-        let polys = result
-            .per_variant
-            .iter()
-            .map(VariantSums::ciphertext_count)
-            .max()
-            .unwrap_or(0);
-        scratch.table.reset(
-            &result.classes,
-            self.packing.seg_bits(),
-            polys,
-            self.ctx.params().n,
-        );
         scratch.key_muls = 0;
+        if let Some(indices) = self.scan_batched(dec, result, scratch) {
+            return indices;
+        }
+        self.scan_per_ciphertext(dec, result, scratch)
     }
 
-    fn scan(result: &SearchResult, scratch: &IndexScratch) -> Vec<usize> {
-        generate_indices(&scratch.table, result.total_bits, result.k)
+    /// Index generation that decrypts every result ciphertext on its own
+    /// into a [`MatchTable`]: the fallback of
+    /// [`Self::generate_indices_with`] for tables that are not a
+    /// two-component outer sum, and the oracle the batched path and the
+    /// served job are tested against. One key multiplication per
+    /// ciphertext component past the first — do not optimize.
+    pub fn generate_indices_reference(&self, dec: &Decryptor, result: &SearchResult) -> Vec<usize> {
+        self.scan_per_ciphertext(dec, result, &mut IndexScratch::default())
     }
 
-    /// Decrypts the whole table with one key multiplication per row and
-    /// per column. Returns `false` — possibly after partial work — when
-    /// the table is not a two-component outer sum over this ring.
-    fn fill_table_batched(
+    /// Scans the whole table with one key multiplication per row and per
+    /// column. Returns `None` — possibly after partial work — when the
+    /// table is not a two-component outer sum over this ring.
+    fn scan_batched(
         &self,
         dec: &Decryptor,
         result: &SearchResult,
         scratch: &mut IndexScratch,
-    ) -> bool {
+    ) -> Option<Vec<usize>> {
         let n = self.ctx.params().n;
         let q = self.ctx.rq().modulus();
         let variants = &result.per_variant;
-        let Some(first) = variants.first() else {
-            return false;
-        };
+        let first = variants.first()?;
         let polys = first.ciphertext_count();
         let fresh = |v: &VariantSums| v.ct_size == 2 && v.n == n && v.arena.len() == polys * 2 * n;
         if polys == 0 || !variants.iter().all(fresh) {
-            return false;
+            return None;
         }
 
         let IndexScratch {
-            table,
+            phases,
             rows,
             cols,
             deltas,
             line,
             key_muls,
+            ..
         } = scratch;
         rows.resize(variants.len() * n, 0);
         cols.resize(polys * n, 0);
@@ -913,6 +908,15 @@ impl CiphermatchEngine {
         }
         *key_muls += (variants.len() + polys - 1) as u64;
 
+        let mut scan = PhaseScan::begin(
+            phases,
+            dec,
+            &self.ctx,
+            &result.classes,
+            polys,
+            result.total_bits,
+            result.k,
+        );
         for (i, (v, row)) in variants.iter().zip(rows.chunks_exact(n)).enumerate() {
             for j in 0..polys {
                 // Row 0 and column 0 define the decomposition; every
@@ -920,23 +924,36 @@ impl CiphermatchEngine {
                 if i > 0 && j > 0 {
                     kernels::add_slices(q, v.part(0, 1), &deltas[j * n..][..n], line);
                     if line[..] != *v.part(j, 1) {
-                        return false;
+                        return None;
                     }
                 }
-                dec.round_phase_into(v.part(j, 0), row, &cols[j * n..][..n], line);
-                table.store(v.key.0, v.key.1, j, line);
+                scan.entry(v.key, j, v.part(j, 0), row, &cols[j * n..][..n]);
             }
         }
-        true
+        Some(scan.finish())
     }
 
     /// Decrypts every stored result ciphertext on its own, straight out
-    /// of the flat arenas via [`Decryptor::decrypt_slices`].
-    fn fill_table_per_ciphertext(
+    /// of the flat arenas via [`Decryptor::decrypt_slices`], into the
+    /// match table, and scans that.
+    fn scan_per_ciphertext(
+        &self,
         dec: &Decryptor,
         result: &SearchResult,
         scratch: &mut IndexScratch,
-    ) {
+    ) -> Vec<usize> {
+        let polys = result
+            .per_variant
+            .iter()
+            .map(VariantSums::ciphertext_count)
+            .max()
+            .unwrap_or(0);
+        scratch.table.reset(
+            &result.classes,
+            self.packing.seg_bits(),
+            polys,
+            self.ctx.params().n,
+        );
         for v in &result.per_variant {
             let stride = v.ct_size * v.n;
             if stride == 0 {
@@ -949,6 +966,7 @@ impl CiphermatchEngine {
                 scratch.table.store(v.key.0, v.key.1, j, sums.coeffs());
             }
         }
+        generate_indices(&scratch.table, result.total_bits, result.k)
     }
 
     /// Convenience end-to-end search (encrypt query → search → index gen).
@@ -1016,22 +1034,21 @@ impl TrustedIndexGenerator {
     pub fn generate(&self, result: &SearchResult) -> Vec<usize> {
         self.engine.generate_indices(&self.dec, result)
     }
-
-    /// [`Self::generate`] on caller-owned working memory (see
-    /// [`CiphermatchEngine::generate_indices_with`]).
-    pub fn generate_with(&self, result: &SearchResult, scratch: &mut IndexScratch) -> Vec<usize> {
-        self.engine
-            .generate_indices_with(&self.dec, result, scratch)
-    }
 }
 
-/// Everything one served CM-SW job works in, kept between jobs: the
-/// result arenas of the sweep and the tables of index generation. It is
-/// capacity, not state — every buffer is rewritten before it is read —
-/// so a scratch that served one parameter set is safe for any other.
+/// Everything one served CM-SW job works in, kept between jobs: one
+/// *tile* — a single query variant's Hom-Add sums over the job's
+/// polynomials, rewritten by every variant — and the key products and
+/// edge bits of index generation. No table of all `V × P` result
+/// ciphertexts exists: each variant's sums are tested where the sweep
+/// left them and overwritten by the next, so what a job retains is `P`
+/// ciphertexts however many variants the query has. It is capacity, not
+/// state — every buffer is rewritten before it is read — so a scratch
+/// that served one parameter set is safe for any other.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
-    result: SearchResult,
+    /// `P × 2 × n` words: result ciphertext `j` of the variant in hand.
+    tile: Vec<u64>,
     index: IndexScratch,
 }
 
@@ -1042,10 +1059,18 @@ pub struct ShardScratch {
 static FREE_SCRATCHES: Mutex<Vec<ShardScratch>> = Mutex::new(Vec::new());
 
 impl ShardScratch {
-    /// The way a CM-SW query executes on every serving path: sweep
-    /// `shard` (a whole database, or one polynomial-range shard of it)
-    /// with `query`, then generate the shard-local indices with
-    /// `index_gen`. The returned statistics are this job's alone. Once
+    /// The way a CM-SW query executes on every serving path, index
+    /// generation next to the sweep (paper §4.2.2): per query variant,
+    /// Hom-Add it over `shard` (a whole database, or one polynomial-range
+    /// shard of it) into the tile — both components of every sum, the
+    /// sweep of [`CiphermatchEngine::search_into`] — and test the tile
+    /// against `index_gen`'s key while it is in cache, with the phase
+    /// scan of [`CiphermatchEngine::generate_indices_with`]. The row
+    /// product `s·c1[v][0]` comes from the tile, the column products
+    /// `s·(db_j.c1 − db_0.c1)` once per job from the shard. The
+    /// additivity check of a table that arrives from outside is not
+    /// repeated: these sums are row plus column because this job just
+    /// added them. The returned statistics are this job's alone. Once
     /// the scratch has seen the shape, the index list is the only
     /// allocation.
     pub fn run(
@@ -1054,9 +1079,62 @@ impl ShardScratch {
         query: &EncryptedQuery,
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
-        let stats = index_gen.engine().sweep(shard, query, &mut self.result);
-        let indices = index_gen.generate_with(&self.result, &mut self.index);
-        (indices, stats)
+        let (engine, dec) = (index_gen.engine(), &index_gen.dec);
+        let db_cts = shard.ciphertexts();
+        let mut operands = db_cts.iter().chain(query.variants.iter().map(|v| &v.ct));
+        if db_cts.is_empty() || !operands.all(|ct| ct.size() == 2) {
+            // Not fresh two-component sums (nothing validated on a
+            // serving path gets here): there are no rows and columns to
+            // decrypt by, so sweep the table out and decrypt that.
+            let mut result = SearchResult::default();
+            let stats = engine.sweep(shard, query, &mut result);
+            let indices = engine.generate_indices_with(dec, &result, &mut self.index);
+            return (indices, stats);
+        }
+
+        let mut stats = MatchStats::default();
+        let n = engine.ctx.params().n;
+        let q = engine.ctx.rq().modulus();
+        let IndexScratch {
+            phases,
+            rows: row,
+            cols,
+            line,
+            key_muls,
+            ..
+        } = &mut self.index;
+        row.resize(n, 0);
+        cols.resize(db_cts.len() * n, 0);
+        line.resize(n, 0);
+        cols[..n].fill(0);
+        for (dbct, col) in db_cts.iter().zip(cols.chunks_exact_mut(n)).skip(1) {
+            kernels::sub_slices(q, dbct.part(1).coeffs(), db_cts[0].part(1).coeffs(), line);
+            dec.key_product_into(line, col);
+        }
+        *key_muls = (query.variants.len() + db_cts.len() - 1) as u64;
+
+        let mut scan = PhaseScan::begin(
+            phases,
+            dec,
+            &engine.ctx,
+            &query.classes,
+            db_cts.len(),
+            shard.total_bits,
+            query.k,
+        );
+        for v in &query.variants {
+            engine.sweep_variant(db_cts, &v.ct, 2, &mut self.tile, &mut stats);
+            dec.key_product_into(&self.tile[n..2 * n], row);
+            for (j, (sum, col)) in self
+                .tile
+                .chunks_exact(2 * n)
+                .zip(cols.chunks_exact(n))
+                .enumerate()
+            {
+                scan.entry((v.r, v.phase), j, &sum[..n], row, col);
+            }
+        }
+        (scan.finish(), stats)
     }
 
     /// [`Self::run`] on a scratch from the process-wide free list (or a
@@ -1236,6 +1314,39 @@ mod tests {
             engine.generate_indices(&dec, &reused),
             data.find_all(&BitString::from_ascii("arenas"))
         );
+    }
+
+    #[test]
+    fn served_job_retains_one_tile_whatever_the_variant_count() {
+        let ctx = BfvContext::new(BfvParams::ciphermatch_1024());
+        let mut rng = StdRng::seed_from_u64(0x711E);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let enc = Encryptor::new(&ctx, kg.public_key(&mut rng));
+        let index_gen = TrustedIndexGenerator::from_secret(&ctx, kg.secret_key());
+        let engine = CiphermatchEngine::new(&ctx);
+        let (n, bpp) = (ctx.params().n, engine.packing().bits_per_poly());
+        let bits: Vec<bool> = (0..2 * bpp + 100).map(|_| rng.gen()).collect();
+        let data = BitString::from_bits(&bits);
+        let db = engine.encrypt_database(&enc, &data, &mut rng);
+        let polys = db.poly_count();
+        assert_eq!(polys, 3);
+
+        let mut scratch = ShardScratch::default();
+        for (k, variants) in [(32usize, 47usize), (200, 16 * 13 + 7)] {
+            let pattern = data.slice(bpp - 5, k);
+            let query = engine.prepare_query(&enc, &pattern, &mut rng);
+            assert_eq!(query.variant_count(), variants);
+            let (indices, stats) = scratch.run(&db, &query, &index_gen);
+            assert_eq!(indices, data.find_all(&pattern));
+            assert_eq!(stats.hom_adds, (variants * polys) as u64);
+            // P result ciphertexts of two components, one row, P columns:
+            // nothing the job keeps grows with V.
+            assert_eq!(scratch.tile.len(), polys * 2 * n, "k={k}");
+            assert_eq!(scratch.index.rows.len(), n, "k={k}");
+            assert_eq!(scratch.index.cols.len(), polys * n, "k={k}");
+            assert!(scratch.index.deltas.is_empty(), "no additivity reference");
+            assert_eq!(scratch.index.key_muls(), (variants + polys - 1) as u64);
+        }
     }
 
     #[test]

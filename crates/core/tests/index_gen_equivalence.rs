@@ -2,15 +2,17 @@
 //! per-ciphertext reference (`V × P`) and against `BitString::find_all`,
 //! across the NTT presets and the power-of-two-`q` in-flash preset, on
 //! random inputs and on the boundary shapes a sliding-window matcher
-//! hides bugs in. One [`IndexScratch`] serves every call of a fixture, so
-//! stale state from a previous shape would show as a mismatch.
+//! hides bugs in — and, wherever the table came out of a sweep, against
+//! the served job ([`ShardScratch::run`]), which never builds the table.
+//! One [`IndexScratch`] and one [`ShardScratch`] serve every call of a
+//! fixture, so stale state from a previous shape would show as a mismatch.
 
 use cm_bfv::{
     BfvContext, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, PublicKey,
 };
 use cm_core::{
     alignment_classes, build_variants, BitString, CiphermatchEngine, EncryptedDatabase,
-    EncryptedQuery, IndexScratch, SearchResult,
+    EncryptedQuery, IndexScratch, SearchResult, ShardScratch, TrustedIndexGenerator,
 };
 use cm_hemath::Poly;
 use proptest::prelude::*;
@@ -23,6 +25,8 @@ struct Fixture {
     dec: Decryptor,
     engine: CiphermatchEngine,
     scratch: IndexScratch,
+    index_gen: TrustedIndexGenerator,
+    job: ShardScratch,
     rng: StdRng,
 }
 
@@ -36,6 +40,8 @@ impl Fixture {
             dec: Decryptor::new(&ctx, kg.secret_key()),
             engine: CiphermatchEngine::new(&ctx),
             scratch: IndexScratch::default(),
+            index_gen: TrustedIndexGenerator::from_secret(&ctx, kg.secret_key()),
+            job: ShardScratch::default(),
             ctx,
             pk,
             rng,
@@ -72,6 +78,18 @@ impl Fixture {
         (batched, reference, self.scratch.key_muls())
     }
 
+    /// The served job's index list for `query` over `db`; asserts it ran
+    /// every Hom-Add of the table it did not keep.
+    fn served(&mut self, db: &EncryptedDatabase, query: &EncryptedQuery) -> Vec<usize> {
+        let (indices, stats) = self.job.run(db, query, &self.index_gen);
+        assert_eq!(
+            stats.hom_adds,
+            (query.variant_count() * db.poly_count()) as u64,
+            "one Hom-Add per variant and polynomial"
+        );
+        indices
+    }
+
     /// Encrypt → sweep → both index generations; asserts the batched path
     /// ran (exactly `V + P − 1` multiplications) and that batched,
     /// reference and the plaintext oracle agree. Returns the indices.
@@ -87,6 +105,7 @@ impl Fixture {
         );
         assert_eq!(batched, reference, "{name}: batched vs per-ciphertext");
         assert_eq!(batched, data.find_all(pattern), "{name}: vs plaintext");
+        assert_eq!(self.served(&db, &query), batched, "{name}: served job");
         batched
     }
 
@@ -174,6 +193,20 @@ fn boundary_shapes_agree() {
 }
 
 #[test]
+fn windows_longer_than_a_polynomial_agree() {
+    // A one-range matcher takes any query the database can hold: with
+    // more window segments than a polynomial has coefficients, every
+    // window crosses a seam — some of them two — and every coefficient
+    // of an entry is within a window's reach of its ends.
+    let mut f = Fixture::new(BfvParams::insecure_test_add(), 0x10C);
+    let bpp = f.bits_per_poly();
+    let data = f.random_bits(3 * bpp + 50);
+    for (start, k) in [(bpp - 3, bpp + 77), (40, 2 * bpp + 9)] {
+        assert_eq!(f.check(&data, &data.slice(start, k)), vec![start]);
+    }
+}
+
+#[test]
 fn shard_seams_agree() {
     // Two shards at polynomial granularity with one polynomial of overlap,
     // as `cm_server::ShardPlan` cuts them: shard 0 holds polynomials 0..2,
@@ -193,6 +226,7 @@ fn shard_seams_agree() {
                 let (batched, reference, _) = f.both(&result);
                 assert_eq!(batched, reference);
                 assert_eq!(batched, local.find_all(&pattern), "shard {held:?}");
+                assert_eq!(f.served(&shard, &query), batched, "served {held:?}");
             }
         }
     }
@@ -324,4 +358,23 @@ fn three_component_table_takes_the_fallback() {
         assert_eq!(batched, reference);
         assert_eq!(batched, data.find_all(&pattern));
     }
+}
+
+#[test]
+fn served_job_on_a_three_component_database_sweeps_the_table_out() {
+    // The same padding on the database itself: the served job has no
+    // rows and columns to decrypt such sums by, and answers as the table
+    // drivers do.
+    let mut f = Fixture::new(BfvParams::insecure_test_add(), 0x334);
+    let (bpp, n) = (f.bits_per_poly(), f.ctx.params().n);
+    let data = f.random_bits(bpp + 40);
+    let pattern = data.slice(bpp - 5, 21);
+    let (db, query) = f.encrypt(&data, &pattern);
+    let widened = db.ciphertexts().iter().map(|ct| {
+        let mut parts = ct.clone().into_parts();
+        parts.push(Poly::zero(n));
+        Ciphertext::from_parts(parts)
+    });
+    let wide = EncryptedDatabase::from_ciphertexts(widened.collect(), data.len());
+    assert_eq!(f.served(&wide, &query), data.find_all(&pattern));
 }

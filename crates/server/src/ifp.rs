@@ -18,8 +18,8 @@ use std::sync::{Arc, Mutex};
 
 use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator};
 use cm_core::{
-    Backend, BitString, CiphermatchEngine, EncryptedDatabase, EncryptedQuery, MatchError,
-    MatchStats, QueryKit, SecureMatcher,
+    Backend, BitString, CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch,
+    MatchError, MatchStats, QueryKit, SecureMatcher,
 };
 use cm_flash::{FlashGeometry, FlashLedger};
 use cm_ssd::{CmIfpServer, Ssd, TransposeMode};
@@ -69,6 +69,8 @@ pub struct IfpMatcher {
     engine: CiphermatchEngine,
     enc: Encryptor,
     dec: Decryptor,
+    /// Index generation's working memory, kept between queries.
+    index: IndexScratch,
     q_bits: u32,
     geometry: FlashGeometry,
     mode: TransposeMode,
@@ -119,6 +121,7 @@ impl IfpMatcher {
             engine: CiphermatchEngine::new(&ctx),
             enc: Encryptor::new(&ctx, pk),
             dec,
+            index: IndexScratch::default(),
             ctx,
             q_bits,
             geometry,
@@ -215,7 +218,9 @@ impl SecureMatcher for IfpMatcher {
         // the same count CM-SW's software sweep reports.
         self.stats.hom_adds += (reports.len() * db.poly_count) as u64;
         self.stats.flash_wear += reports.iter().map(|r| r.ledger.wear()).sum::<u64>();
-        Ok(self.engine.generate_indices(&self.dec, &result))
+        Ok(self
+            .engine
+            .generate_indices_with(&self.dec, &result, &mut self.index))
     }
 
     fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
