@@ -24,7 +24,7 @@ use crate::kit::QueryKit;
 use crate::matchers::batched::{BatchedDatabase, BatchedEngine};
 use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 use crate::matchers::ciphermatch::{
-    EncryptedDatabase, EncryptedQuery, ShardScratch, TrustedIndexGenerator,
+    EncryptedDatabase, PackedQuery, ShardScratch, TrustedIndexGenerator,
 };
 use crate::matchers::plain::PackedBits;
 use crate::matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
@@ -133,9 +133,10 @@ impl CiphermatchMatcher {
     }
 
     /// The public query-encryption material a remote client needs to ship
-    /// wire queries to this matcher.
+    /// wire queries to this matcher — in the packed form, the one
+    /// [`Self::decode_query`] takes.
     pub fn query_kit(&self) -> QueryKit {
-        QueryKit::new(self.index_gen.engine().clone(), self.keys.enc.clone())
+        QueryKit::packed(self.index_gen.engine().clone(), self.keys.enc.clone())
     }
 
     fn bits_per_poly(&self) -> usize {
@@ -150,7 +151,7 @@ impl CiphermatchMatcher {
     }
 
     /// Books one range job: its own counters plus the query broadcast to
-    /// it (every range receives the encrypted variants).
+    /// it (every range receives the packed query's ciphertexts).
     fn record(&mut self, range: usize, query_bytes: u64, swept: &MatchStats) {
         if self.per_range.len() <= range {
             self.per_range.resize(range + 1, MatchStats::default());
@@ -162,8 +163,9 @@ impl CiphermatchMatcher {
 
 impl SecureMatcher for CiphermatchMatcher {
     type Database = EncryptedDatabase;
-    /// Shared, so every range job of a search holds the one query.
-    type Query = Arc<EncryptedQuery>;
+    /// Shared, so every range job of a search holds the one query — in
+    /// the packed form, whose variants each job derives for itself.
+    type Query = Arc<PackedQuery>;
     type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
@@ -192,13 +194,13 @@ impl SecureMatcher for CiphermatchMatcher {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        // Refused before any variant is encrypted; `find_all` holds wire
+        // Refused before anything is encrypted; `find_all` holds wire
         // queries to the same limit through the plan.
         let (max, got) = (self.bits_per_poly(), query.len());
         if self.shards > 1 && got > max {
             return Err(MatchError::QueryTooLong { max, got });
         }
-        Ok(Arc::new(self.index_gen.engine().prepare_query(
+        Ok(Arc::new(self.index_gen.engine().pack_query(
             self.keys.encryptor(),
             query,
             rng,
@@ -239,7 +241,7 @@ impl SecureMatcher for CiphermatchMatcher {
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
-        Ok(Arc::new(EncryptedQuery::decode_validated(
+        Ok(Arc::new(PackedQuery::decode(
             encoded,
             self.keys.ctx.params().n,
             self.index_gen.engine().packing().seg_bits(),

@@ -660,9 +660,15 @@ mod tests {
         let engine = CiphermatchEngine::new(&ctx);
         let q_bits = 64 - ctx.params().q.leading_zeros();
         let pattern = BitString::from_ascii("engine");
-        let encoded = engine
+        let encoded = engine.pack_query(&enc, &pattern, &mut rng).encode(q_bits);
+        // The explicit form is for matchers that decrypt results elsewhere.
+        let explicit = engine
             .prepare_query(&enc, &pattern, &mut rng)
             .encode(q_bits);
+        assert_eq!(
+            m.find_all_wire(&explicit).unwrap_err(),
+            MatchError::Decode(cm_bfv::DecodeError::BadMagic)
+        );
 
         // Encrypted under a *different* key pair the decode path still
         // accepts the bytes (they are well-formed); the indices are then

@@ -44,15 +44,31 @@
 //! half: [`Erased::query_kit`] hands out the public key material,
 //! [`QueryKit::encode_query`] packs and encrypts a query) and
 //! [`ErasedMatcher::find_all_wire`] (the server half, one
-//! [`ShardScratch::run`] per polynomial range: each query variant is
-//! Hom-Added over the range into one reused tile of `P` ciphertexts and
-//! tested there by the [`TrustedIndexGenerator`] next to the data, so no
-//! `V × P` result table is ever written out. A result that arrives
-//! whole from somewhere else — the conservative flow's
-//! [`CiphermatchEngine::search`], the in-flash pipeline — goes through
+//! [`ShardScratch::run`] per polynomial range).
+//!
+//! The served path departs from Algorithm 1 lines 4–9 in one place, and
+//! says so: the client does not encrypt the `V` shifted, replicated
+//! variants (47 ciphertexts for a 32-bit query, every one a replication
+//! of the same 47 segment values) but the segments themselves, once —
+//! a [`PackedQuery`] of `⌈V/n⌉` ciphertexts, one up to `k ≈ n` bits —
+//! and the *server* replicates: each range job gathers variant `(r, p)`
+//! out of the packed ciphertext's coefficients, Hom-Adds it over the
+//! range into one reused tile of `P` ciphertexts, and the
+//! [`TrustedIndexGenerator`] next to the data tests the tile there, so
+//! neither the `V` variants nor a `V × P` result table is ever written
+//! out. Replicating after encryption is valid because that test reads
+//! decryption *phases* coefficient by coefficient and a phase is linear
+//! and coefficient-wise; the gathered `c1` is not a ring element anyone
+//! could decrypt by, so whoever decrypts result ciphertexts somewhere
+//! else uses the explicit [`EncryptedQuery`] (Algorithm 1 to the letter:
+//! the conservative flow's [`CiphermatchEngine::search`], the in-flash
+//! pipeline, every test oracle). The derived variants are a public
+//! function of what the client sent: the server learns nothing 47 fresh
+//! encryptions would have hidden. A result that arrives whole from
+//! somewhere else goes through
 //! [`CiphermatchEngine::generate_indices_with`], which runs the same
 //! per-entry test after checking that the table really is row plus
-//! column, a check a job that just added the sums itself has no use for).
+//! column, a check a job that just added the sums itself has no use for.
 //! Concurrent queries on one database check matchers out of an
 //! [`exec::MatcherPool`]; [`exec`] is the work-pool runtime every
 //! concurrent layer of the stack (tenant matcher pools, CM-SW range jobs,
@@ -83,15 +99,15 @@ pub use kit::QueryKit;
 pub use matchers::batched::{BatchedDatabase, BatchedEngine};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, SearchResult, ShardScratch,
-    TrustedIndexGenerator, VariantSums,
+    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, PackedQuery, SearchResult,
+    ShardScratch, TrustedIndexGenerator, VariantSums,
 };
 pub use matchers::plain::{bitwise_find_all, PackedBits};
 pub use matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
 pub use matchers::{table1_profiles, ApproachProfile, CostClass};
 pub use packing::{DensePacking, SingleBitPacking};
 pub use query::{
-    alignment_classes, alignment_geometry, build_variants, segment_matches, stream_variants,
-    variant_count, AlignmentClass, NegatedClass, QueryVariant,
+    alignment_classes, alignment_geometry, build_variants, pack_segments, segment_matches,
+    stream_variants, variant_count, AlignmentClass, NegatedClass, QueryVariant,
 };
 pub use shard::{ShardPlan, ShardRange};

@@ -18,7 +18,8 @@ use crate::bits::BitString;
 use crate::index_gen::{generate_indices, MatchTable, PhaseScan, PhaseScratch};
 use crate::packing::DensePacking;
 use crate::query::{
-    alignment_classes, alignment_geometry, stream_variants, variant_count, AlignmentClass,
+    alignment_classes, alignment_geometry, pack_segments, stream_variants, variant_count,
+    AlignmentClass,
 };
 
 /// The encrypted, densely packed database stored on the server
@@ -133,17 +134,7 @@ impl EncryptedDatabase {
             return Err(DecodeError::BadHeader("bit count vs ciphertext count"));
         }
         for ct in cts {
-            if ct.size() != 2 {
-                return Err(DecodeError::BadHeader("database ciphertext size"));
-            }
-            for part in ct.parts() {
-                if part.len() != n {
-                    return Err(DecodeError::BadHeader("database ring degree"));
-                }
-                if part.coeffs().iter().any(|&c| c >= q) {
-                    return Err(DecodeError::CoefficientOverflow);
-                }
-            }
+            check_fresh(ct, n, q, "database ciphertext size", "database ring degree")?;
         }
         Ok(())
     }
@@ -207,12 +198,21 @@ impl EncryptedDatabase {
     }
 }
 
-/// The encrypted query: all shifted/replicated variants
-/// (Algorithm 1 lines 4–9).
+/// The encrypted query in its *explicit* form: all shifted/replicated
+/// variants, one fresh ciphertext each (Algorithm 1 lines 4–9, to the
+/// letter).
 ///
 /// Besides the ciphertexts it holds the query *length* `k` and the
 /// alignment geometry that follows from it ([`alignment_geometry`]) —
 /// nothing else about the pattern exists outside the ciphertexts.
+///
+/// Every Hom-Add result of this form is a decryptable ciphertext, so it
+/// is the form of whoever decrypts results somewhere else: the
+/// conservative flow ([`CiphermatchEngine::search`] +
+/// [`CiphermatchEngine::generate_indices`]), the in-flash path (which
+/// decrypts a result table by rows taken from the table), and the oracle
+/// the served job is tested against. The served CM-SW path takes a
+/// [`PackedQuery`] instead.
 #[derive(Debug, Clone)]
 pub struct EncryptedQuery {
     pub(crate) variants: Vec<EncryptedVariant>,
@@ -227,11 +227,38 @@ pub(crate) struct EncryptedVariant {
     pub ct: Ciphertext,
 }
 
-/// Appends the wire header of a `k`-bit query with `variants` variants.
-fn put_query_header(out: &mut Vec<u8>, k: usize, variants: usize) {
-    out.extend_from_slice(&QUERY_MAGIC.to_be_bytes());
+/// Checks that `ct` is a fresh two-component ciphertext over ring degree
+/// `n` with coefficients below `q` — what every untrusted ciphertext is
+/// held to before it can reach the sweep or index generation. The two
+/// labels name the violated invariant for the caller's container.
+fn check_fresh(
+    ct: &Ciphertext,
+    n: usize,
+    q: u64,
+    size_err: &'static str,
+    degree_err: &'static str,
+) -> Result<(), cm_bfv::DecodeError> {
+    use cm_bfv::DecodeError;
+    if ct.size() != 2 {
+        return Err(DecodeError::BadHeader(size_err));
+    }
+    for part in ct.parts() {
+        if part.len() != n {
+            return Err(DecodeError::BadHeader(degree_err));
+        }
+        if part.coeffs().iter().any(|&c| c >= q) {
+            return Err(DecodeError::CoefficientOverflow);
+        }
+    }
+    Ok(())
+}
+
+/// Appends the wire header of a `k`-bit query in the form `magic` names,
+/// with `count` ciphertexts.
+fn put_query_header(out: &mut Vec<u8>, magic: u32, k: usize, count: usize) {
+    out.extend_from_slice(&magic.to_be_bytes());
     out.extend_from_slice(&(k as u64).to_le_bytes());
-    out.extend_from_slice(&(variants as u32).to_le_bytes());
+    out.extend_from_slice(&(count as u32).to_le_bytes());
 }
 
 /// Appends one length-prefixed ciphertext in the compact `cm-bfv`
@@ -289,7 +316,7 @@ impl EncryptedQuery {
     /// query preparation.
     pub fn encode(&self, q_bits: u32) -> Vec<u8> {
         let mut out = Vec::new();
-        put_query_header(&mut out, self.k, self.variants.len());
+        put_query_header(&mut out, QUERY_MAGIC, self.k, self.variants.len());
         for v in &self.variants {
             put_query_variant(&mut out, v.r, v.phase, &v.ct, q_bits);
         }
@@ -415,26 +442,169 @@ impl EncryptedQuery {
             if v.phase >= s || !seen.insert((v.r, v.phase)) {
                 return Err(DecodeError::BadHeader("variant phase"));
             }
-            if v.ct.size() != 2 {
-                return Err(DecodeError::BadHeader("variant ciphertext size"));
-            }
-            for part in v.ct.parts() {
-                if part.len() != n {
-                    return Err(DecodeError::BadHeader("variant ring degree"));
-                }
-                if part.coeffs().iter().any(|&c| c >= q) {
-                    return Err(DecodeError::CoefficientOverflow);
-                }
-            }
+            check_fresh(
+                &v.ct,
+                n,
+                q,
+                "variant ciphertext size",
+                "variant ring degree",
+            )?;
         }
         Ok(())
     }
 }
 
-/// Magic bytes identifying the serialized-query format ("CMQ2"). `CMQ1`
-/// carried the alignment classes — the negated pattern included — in the
-/// clear next to the ciphertexts; it is refused.
+/// The encrypted query in its *packed* form, the one the served CM-SW
+/// path takes: the `V = Σ_r s_r` negated segments encrypted once, laid
+/// out class-major over `⌈V/n⌉` ciphertexts ([`pack_segments`]) — one
+/// ciphertext up to `k ≈ n` bits — instead of `V` ciphertexts that each
+/// replicate the same `V` values across all coefficients.
+///
+/// This departs from Algorithm 1 lines 4–9: the replication happens on
+/// the server, after encryption, on ciphertext coefficients
+/// ([`ShardScratch::run`]). That is valid *because* the trusted index
+/// generator tests decryption phases coefficient by coefficient — a phase
+/// `c0 + s·c1` is linear and coefficient-wise, so gathering the
+/// coefficients of `c0` and of `s·c1` gives exactly the phase a fresh
+/// encryption of the replicated plaintext would have, noise included. The
+/// gathered `c1` itself is not a ring element anyone can decrypt by;
+/// whoever must decrypt result ciphertexts elsewhere uses
+/// [`EncryptedQuery`]. Every derived variant is a public function of what
+/// the client sent, so the server learns nothing `V` fresh encryptions
+/// would have hidden.
+///
+/// A value exists only as [`CiphermatchEngine::pack_query`] or
+/// [`Self::decode`] made it: two-component ciphertexts of one ring
+/// degree, their count the one `k` implies.
+#[derive(Debug, Clone)]
+pub struct PackedQuery {
+    cts: Vec<Ciphertext>,
+    classes: Vec<AlignmentClass>,
+    k: usize,
+}
+
+impl PackedQuery {
+    /// Query length in bits.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of ciphertexts, `⌈V/n⌉`.
+    pub fn ciphertext_count(&self) -> usize {
+        self.cts.len()
+    }
+
+    /// Number of variants the server derives (`sum_r ceil((r+k)/seg_bits)`),
+    /// one Hom-Add per database polynomial each.
+    pub fn variant_count(&self) -> usize {
+        self.classes.iter().map(|c| c.window_segs).sum()
+    }
+
+    /// Total encrypted footprint in bytes.
+    pub fn byte_size(&self, q_bits: u32) -> usize {
+        self.cts.iter().map(|ct| ct.byte_size(q_bits)).sum()
+    }
+
+    /// Serializes the query for the wire (`CMQ3`): the magic, the query
+    /// length `k`, the ciphertext count, and every ciphertext
+    /// length-prefixed in the compact `cm-bfv` format. Outside the
+    /// ciphertext bodies every byte is a function of `k` and the parameter
+    /// set.
+    pub fn encode(&self, q_bits: u32) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16 + self.cts.len() * 16 + self.byte_size(q_bits));
+        put_query_header(&mut out, PACKED_QUERY_MAGIC, self.k, self.cts.len());
+        for ct in &self.cts {
+            put_ciphertext(&mut out, ct, q_bits);
+        }
+        out
+    }
+
+    /// Decodes and validates a query serialized with [`Self::encode`] for
+    /// ring degree `n`, segments of `seg_bits` bits and modulus `q`,
+    /// rebuilding the alignment geometry from the encoded length.
+    ///
+    /// Nothing is sized by a header field before the buffer vouches for
+    /// it: the ciphertext count must fit the bytes that follow, `k` must
+    /// fit the count (`V(k) ≥ k` segments need `k ≤ count·n`), and only
+    /// then is the geometry of `k` derived and the count held to
+    /// `⌈V(k)/n⌉`. Every ciphertext must be two-component over degree `n`
+    /// with coefficients below `q` — all of them, the unused tail of the
+    /// last one included, because the key product `s·c1` runs over the
+    /// whole polynomial; what those tail coefficients *hold* is never read.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`cm_bfv::DecodeError`] on malformed input — the
+    /// explicit `CMQ2` form and the retired `CMQ1` are
+    /// [`cm_bfv::DecodeError::BadMagic`]; never panics.
+    pub fn decode(
+        data: &[u8],
+        n: usize,
+        seg_bits: usize,
+        q: u64,
+    ) -> Result<Self, cm_bfv::DecodeError> {
+        use cm_bfv::DecodeError;
+        // A segment is a coefficient of at most 63 bits.
+        if !(1..=63).contains(&seg_bits) {
+            return Err(DecodeError::BadHeader("segment width"));
+        }
+        let mut cur = Cursor { data, pos: 0 };
+        if cur.u32_be()? != PACKED_QUERY_MAGIC {
+            return Err(DecodeError::BadMagic);
+        }
+        let k = usize::try_from(cur.u64()?).map_err(|_| DecodeError::BadHeader("query length"))?;
+        let count =
+            usize::try_from(cur.u32()?).map_err(|_| DecodeError::BadHeader("ciphertext count"))?;
+        // A two-component degree-`n` ciphertext is at least its 4-byte
+        // length prefix, its 12-byte header and one byte per coefficient.
+        let min_ct_bytes = n.saturating_mul(2).saturating_add(16);
+        let held = count.checked_mul(min_ct_bytes);
+        if count == 0 || held.is_none_or(|bytes| bytes > cur.remaining()) {
+            return Err(DecodeError::BadHeader("ciphertext count"));
+        }
+        if k == 0 {
+            return Err(DecodeError::BadHeader("empty query"));
+        }
+        // `count · n` is below the buffer length by now, so neither it nor
+        // anything derived from a `k` it bounds can overflow or outgrow
+        // the message by more than a constant factor.
+        if k > count * n || variant_count(k, seg_bits).div_ceil(n) != count {
+            return Err(DecodeError::BadHeader("ciphertext count vs query length"));
+        }
+        let mut cts = Vec::with_capacity(count);
+        for _ in 0..count {
+            let len = usize::try_from(cur.u32()?).map_err(|_| DecodeError::Truncated)?;
+            let ct = cm_bfv::decode_ciphertext(cur.take(len)?)?;
+            check_fresh(&ct, n, q, "query ciphertext size", "query ring degree")?;
+            cts.push(ct);
+        }
+        if cur.remaining() != 0 {
+            return Err(DecodeError::BadHeader(
+                "trailing bytes after the ciphertexts",
+            ));
+        }
+        Ok(Self {
+            cts,
+            classes: alignment_geometry(k, seg_bits),
+            k,
+        })
+    }
+
+    /// Coefficient `at % n` of component `part` of ciphertext `at / n`:
+    /// the packed layout read by flat segment index.
+    #[inline]
+    fn flat(&self, part: usize, at: usize, n: usize) -> u64 {
+        self.cts[at / n].part(part).coeffs()[at % n]
+    }
+}
+
+/// Magic bytes identifying the explicit serialized-query format ("CMQ2").
+/// `CMQ1` carried the alignment classes — the negated pattern included —
+/// in the clear next to the ciphertexts; it is refused.
 const QUERY_MAGIC: u32 = 0x434D_5132;
+
+/// Magic bytes of the packed serialized-query format ("CMQ3").
+const PACKED_QUERY_MAGIC: u32 = 0x434D_5133;
 
 /// Minimal bounds-checked reader over a byte slice (decode helper).
 struct Cursor<'a> {
@@ -588,15 +758,17 @@ impl SearchResult {
 pub struct IndexScratch {
     table: MatchTable,
     phases: PhaseScratch,
-    /// `s·c1[v][0]` — per variant for a table that arrives whole, the one
-    /// variant in the tile for a served job.
+    /// The query's share of each entry's key part: `s·c1[v][0]` per
+    /// variant for a table that arrives whole; for a served job the one
+    /// variant in hand, gathered from the packed query's products.
     rows: Vec<u64>,
-    /// `s·(c1[0][j] − c1[0][0])` per polynomial.
+    /// The database's share per polynomial: `s·(c1[0][j] − c1[0][0])` for
+    /// a table, the key part of `db_j`'s own phase for a served job.
     cols: Vec<u64>,
     /// `c1[0][j] − c1[0][0]` per polynomial, the additivity reference.
     deltas: Vec<u64>,
     /// One polynomial of working space: the additivity check, or the
-    /// difference a column product is taken of.
+    /// operand a key product is taken of.
     line: Vec<u64>,
     key_muls: u64,
 }
@@ -605,7 +777,8 @@ impl IndexScratch {
     /// Secret-key multiplications the last index generation performed:
     /// `V + P − 1` on the batched path, one per ciphertext component past
     /// the first on the per-ciphertext path (plus the batched attempt's,
-    /// when a table failed the additivity check midway).
+    /// when a table failed the additivity check midway), and `⌈V/n⌉ + P`
+    /// in a served job on fresh ciphertexts ([`ShardScratch::run`]).
     pub fn key_muls(&self) -> u64 {
         self.key_muls
     }
@@ -714,7 +887,7 @@ impl CiphermatchEngine {
         let count = variant_count(query.len(), seg_bits);
         let mut ct = Ciphertext::zero(2, params.n);
         let mut out = Vec::with_capacity(16 + count * (20 + ct.byte_size(q_bits)));
-        put_query_header(&mut out, query.len(), count);
+        put_query_header(&mut out, QUERY_MAGIC, query.len(), count);
         let mut scratch = EncryptScratch::default();
         stream_variants(
             &alignment_classes(query, seg_bits),
@@ -725,6 +898,34 @@ impl CiphermatchEngine {
             },
         );
         out
+    }
+
+    /// Packs and encrypts a query for the served path (client side, per
+    /// query): the negated segments of every alignment class once, in
+    /// `⌈V/n⌉` fresh ciphertexts — one for any query up to about `n` bits
+    /// — instead of [`Self::prepare_query`]'s `V`. See [`PackedQuery`] for
+    /// why the server can derive the variants from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query is empty.
+    pub fn pack_query<R: Rng + ?Sized>(
+        &self,
+        enc: &Encryptor,
+        query: &BitString,
+        rng: &mut R,
+    ) -> PackedQuery {
+        let seg_bits = self.packing.seg_bits();
+        let classes = alignment_classes(query, seg_bits);
+        let cts = pack_segments(&classes, self.ctx.params().n)
+            .iter()
+            .map(|pt| enc.encrypt(pt, rng))
+            .collect();
+        PackedQuery {
+            cts,
+            classes: alignment_geometry(query.len(), seg_bits),
+            k: query.len(),
+        }
     }
 
     /// Server-side secure search: one `Hom-Add` per (variant, polynomial).
@@ -754,18 +955,6 @@ impl CiphermatchEngine {
         query: &EncryptedQuery,
         out: &mut SearchResult,
     ) {
-        let swept = self.sweep(db, query, out);
-        self.stats.merge(&swept);
-    }
-
-    /// [`Self::search_into`] without the engine's counters: returns the
-    /// statistics of this one sweep, so a shared engine can serve it.
-    fn sweep(
-        &self,
-        db: &EncryptedDatabase,
-        query: &EncryptedQuery,
-        out: &mut SearchResult,
-    ) -> MatchStats {
         let mut stats = MatchStats::default();
         let db_cts = db.ciphertexts();
         let db_size = db_cts.iter().map(Ciphertext::size).max().unwrap_or(0);
@@ -785,7 +974,7 @@ impl CiphermatchEngine {
         out.total_bits = db.total_bits;
         out.k = query.k;
         out.classes.clone_from(&query.classes);
-        stats
+        self.stats.merge(&stats);
     }
 
     /// The Hom-Adds of one query variant: `db_cts[j] + variant`, every
@@ -1037,18 +1226,26 @@ impl TrustedIndexGenerator {
 }
 
 /// Everything one served CM-SW job works in, kept between jobs: one
-/// *tile* — a single query variant's Hom-Add sums over the job's
-/// polynomials, rewritten by every variant — and the key products and
+/// *variant* — a ciphertext-sized buffer the packed query is gathered
+/// into, rewritten for every `(r, phase)` — one *tile* — that variant's
+/// Hom-Add sums over the job's polynomials — and the key products and
 /// edge bits of index generation. No table of all `V × P` result
-/// ciphertexts exists: each variant's sums are tested where the sweep
-/// left them and overwritten by the next, so what a job retains is `P`
-/// ciphertexts however many variants the query has. It is capacity, not
-/// state — every buffer is rewritten before it is read — so a scratch
-/// that served one parameter set is safe for any other.
+/// ciphertexts exists, and no list of the `V` variants either: each
+/// variant's sums are tested where the sweep left them and overwritten by
+/// the next, so what a job retains is `P + 1` ciphertexts and
+/// `⌈V/n⌉ + P + 1` product rows however many variants the query has. It
+/// is capacity, not state — every buffer is rewritten before it is read —
+/// so a scratch that served one parameter set is safe for any other.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
-    /// `P × 2 × n` words: result ciphertext `j` of the variant in hand.
+    /// The query variant in hand, replicated from the packed query.
+    variant: Option<Ciphertext>,
+    /// `P × size × n` words: result ciphertext `j` of the variant in hand
+    /// (`size` is 2 on fresh ciphertexts).
     tile: Vec<u64>,
+    /// `⌈V/n⌉ × n` words: the key part `s·c1` of every packed query
+    /// ciphertext, in the flat segment layout of [`pack_segments`].
+    psi: Vec<u64>,
     index: IndexScratch,
 }
 
@@ -1058,43 +1255,90 @@ pub struct ShardScratch {
 /// ranges.
 static FREE_SCRATCHES: Mutex<Vec<ShardScratch>> = Mutex::new(Vec::new());
 
+/// `out = Σ_{i ≥ 1} s^i · ct_i`, the key part of `ct`'s decryption phase
+/// (`phase(ct) − ct_0`; `s·c1` for a fresh ciphertext), by Horner's rule
+/// through one polynomial of working space. Returns the key
+/// multiplications it took: one per component past the first.
+fn key_part_into(
+    dec: &Decryptor,
+    q: &cm_hemath::Modulus,
+    ct: &Ciphertext,
+    line: &mut [u64],
+    out: &mut [u64],
+) -> u64 {
+    let (last, inner) = ct.parts()[1..]
+        .split_last()
+        .expect("a ciphertext has at least two components");
+    dec.key_product_into(last.coeffs(), out);
+    for part in inner.iter().rev() {
+        kernels::add_slices(q, out, part.coeffs(), line);
+        dec.key_product_into(line, out);
+    }
+    (ct.size() - 1) as u64
+}
+
+/// `dst[c] = src((c − phase) mod s)` for every coefficient `c`: window
+/// segment `i` of a class replicated with period `s`, as
+/// [`crate::query::build_variants`] lays a variant out — the first period
+/// gathered, the rest doubled from it. `phase < s`.
+fn replicate(dst: &mut [u64], s: usize, phase: usize, src: impl Fn(usize) -> u64) {
+    let n = dst.len();
+    let period = s.min(n);
+    let mut i = (s - phase) % s;
+    for d in &mut dst[..period] {
+        *d = src(i);
+        i = if i + 1 == s { 0 } else { i + 1 };
+    }
+    // `filled` stays a multiple of the period, so what is copied lands
+    // one whole number of periods further on.
+    let mut filled = period;
+    while filled < n {
+        let len = filled.min(n - filled);
+        dst.copy_within(..len, filled);
+        filled += len;
+    }
+}
+
 impl ShardScratch {
     /// The way a CM-SW query executes on every serving path, index
-    /// generation next to the sweep (paper §4.2.2): per query variant,
-    /// Hom-Add it over `shard` (a whole database, or one polynomial-range
-    /// shard of it) into the tile — both components of every sum, the
-    /// sweep of [`CiphermatchEngine::search_into`] — and test the tile
-    /// against `index_gen`'s key while it is in cache, with the phase
-    /// scan of [`CiphermatchEngine::generate_indices_with`]. The row
-    /// product `s·c1[v][0]` comes from the tile, the column products
-    /// `s·(db_j.c1 − db_0.c1)` once per job from the shard. The
-    /// additivity check of a table that arrives from outside is not
-    /// repeated: these sums are row plus column because this job just
-    /// added them. The returned statistics are this job's alone. Once
-    /// the scratch has seen the shape, the index list is the only
-    /// allocation.
+    /// generation next to the sweep (paper §4.2.2) and query replication
+    /// next to both: per variant `(r, p)`, gather it out of the packed
+    /// query — coefficient `c` of both components takes flat segment
+    /// `base_r + (c − p) mod s_r` — Hom-Add it over `shard` (a whole
+    /// database, or one polynomial-range shard of it) into the tile, both
+    /// components of every sum, the sweep of
+    /// [`CiphermatchEngine::search_into`], and test the tile against
+    /// `index_gen`'s key while it is in cache, with the phase scan of
+    /// [`CiphermatchEngine::generate_indices_with`].
+    ///
+    /// The phase of entry `(v, j)` at coefficient `c` is
+    /// `tile.c0 + row + col`: `row[c] = (s·Q.c1)[gather(c)]` from the
+    /// `⌈V/n⌉` products taken once of the packed query, `col = s·db_j.c1`
+    /// (the key part of `db_j`'s phase, whatever its size) once per job —
+    /// `⌈V/n⌉ + P` key multiplications where `V` explicit variants took
+    /// `V + P − 1`. The gathered `c1` in the tile is not a ring element
+    /// anyone could multiply by `s`; nothing here does. The additivity
+    /// check of a table that arrives from outside is not repeated: these
+    /// sums are row plus column because this job just added them. The
+    /// returned statistics are this job's alone. Once the scratch has
+    /// seen the shape, the index list is the only allocation.
     pub fn run(
         &mut self,
         shard: &EncryptedDatabase,
-        query: &EncryptedQuery,
+        query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
         let (engine, dec) = (index_gen.engine(), &index_gen.dec);
         let db_cts = shard.ciphertexts();
-        let mut operands = db_cts.iter().chain(query.variants.iter().map(|v| &v.ct));
-        if db_cts.is_empty() || !operands.all(|ct| ct.size() == 2) {
-            // Not fresh two-component sums (nothing validated on a
-            // serving path gets here): there are no rows and columns to
-            // decrypt by, so sweep the table out and decrypt that.
-            let mut result = SearchResult::default();
-            let stats = engine.sweep(shard, query, &mut result);
-            let indices = engine.generate_indices_with(dec, &result, &mut self.index);
-            return (indices, stats);
-        }
-
-        let mut stats = MatchStats::default();
         let n = engine.ctx.params().n;
         let q = engine.ctx.rq().modulus();
+        let ct_size = db_cts.iter().map(Ciphertext::size).fold(2, usize::max);
+        let Self {
+            variant,
+            tile,
+            psi,
+            index,
+        } = self;
         let IndexScratch {
             phases,
             rows: row,
@@ -1102,17 +1346,24 @@ impl ShardScratch {
             line,
             key_muls,
             ..
-        } = &mut self.index;
+        } = index;
         row.resize(n, 0);
         cols.resize(db_cts.len() * n, 0);
+        psi.resize(query.cts.len() * n, 0);
         line.resize(n, 0);
-        cols[..n].fill(0);
-        for (dbct, col) in db_cts.iter().zip(cols.chunks_exact_mut(n)).skip(1) {
-            kernels::sub_slices(q, dbct.part(1).coeffs(), db_cts[0].part(1).coeffs(), line);
-            dec.key_product_into(line, col);
+        *key_muls = 0;
+        for (ct, col) in db_cts.iter().zip(cols.chunks_exact_mut(n)) {
+            *key_muls += key_part_into(dec, q, ct, line, col);
         }
-        *key_muls = (query.variants.len() + db_cts.len() - 1) as u64;
+        for (ct, products) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
+            *key_muls += key_part_into(dec, q, ct, line, products);
+        }
+        let variant = match variant {
+            Some(v) if v.part(0).len() == n => v,
+            stale => stale.insert(Ciphertext::zero(2, n)),
+        };
 
+        let mut stats = MatchStats::default();
         let mut scan = PhaseScan::begin(
             phases,
             dec,
@@ -1122,17 +1373,23 @@ impl ShardScratch {
             shard.total_bits,
             query.k,
         );
-        for v in &query.variants {
-            engine.sweep_variant(db_cts, &v.ct, 2, &mut self.tile, &mut stats);
-            dec.key_product_into(&self.tile[n..2 * n], row);
-            for (j, (sum, col)) in self
-                .tile
-                .chunks_exact(2 * n)
-                .zip(cols.chunks_exact(n))
-                .enumerate()
-            {
-                scan.entry((v.r, v.phase), j, &sum[..n], row, col);
+        // First flat segment index of the class in hand.
+        let mut base = 0;
+        for class in &query.classes {
+            let s = class.window_segs;
+            for phase in 0..s {
+                for (part, poly) in variant.parts_mut().iter_mut().enumerate() {
+                    let segment = |i| query.flat(part, base + i, n);
+                    replicate(poly.coeffs_mut(), s, phase, segment);
+                }
+                replicate(row, s, phase, |i| psi[base + i]);
+                engine.sweep_variant(db_cts, variant, ct_size, tile, &mut stats);
+                let sums = tile.chunks_exact(ct_size * n);
+                for (j, (sum, col)) in sums.zip(cols.chunks_exact(n)).enumerate() {
+                    scan.entry((class.r, phase), j, &sum[..n], row, col);
+                }
             }
+            base += s;
         }
         (scan.finish(), stats)
     }
@@ -1142,7 +1399,7 @@ impl ShardScratch {
     /// the list is full. A job that panics drops its scratch instead.
     pub fn run_pooled(
         shard: &EncryptedDatabase,
-        query: &EncryptedQuery,
+        query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
         // A poisoned list (a panic inside a one-line critical section,
@@ -1334,19 +1591,36 @@ mod tests {
         let mut scratch = ShardScratch::default();
         for (k, variants) in [(32usize, 47usize), (200, 16 * 13 + 7)] {
             let pattern = data.slice(bpp - 5, k);
-            let query = engine.prepare_query(&enc, &pattern, &mut rng);
+            let query = engine.pack_query(&enc, &pattern, &mut rng);
             assert_eq!(query.variant_count(), variants);
+            assert_eq!(query.ciphertext_count(), 1, "V <= n: one ciphertext");
             let (indices, stats) = scratch.run(&db, &query, &index_gen);
             assert_eq!(indices, data.find_all(&pattern));
             assert_eq!(stats.hom_adds, (variants * polys) as u64);
-            // P result ciphertexts of two components, one row, P columns:
+            // P result ciphertexts of two components, one variant buffer,
+            // one gathered row, P columns and ⌈V/n⌉ query products:
             // nothing the job keeps grows with V.
             assert_eq!(scratch.tile.len(), polys * 2 * n, "k={k}");
+            let variant = scratch.variant.as_ref().expect("one variant buffer");
+            assert_eq!((variant.size(), variant.part(0).len()), (2, n), "k={k}");
+            assert_eq!(scratch.psi.len(), n, "k={k}: one row of query products");
             assert_eq!(scratch.index.rows.len(), n, "k={k}");
             assert_eq!(scratch.index.cols.len(), polys * n, "k={k}");
             assert!(scratch.index.deltas.is_empty(), "no additivity reference");
-            assert_eq!(scratch.index.key_muls(), (variants + polys - 1) as u64);
+            // ⌈V/n⌉ + P, where the explicit form's table takes V + P − 1.
+            assert_eq!(scratch.index.key_muls(), (1 + polys) as u64);
         }
+
+        // V past n: a second ciphertext, a second row of products.
+        let k = 16 * 64 + 1;
+        let pattern = data.slice(bpp - 5, k);
+        let query = engine.pack_query(&enc, &pattern, &mut rng);
+        assert_eq!((query.variant_count(), query.ciphertext_count()), (1040, 2));
+        let (indices, _) = scratch.run(&db, &query, &index_gen);
+        assert_eq!(indices, data.find_all(&pattern));
+        assert_eq!(scratch.psi.len(), 2 * n);
+        assert_eq!(scratch.tile.len(), polys * 2 * n);
+        assert_eq!(scratch.index.key_muls(), (2 + polys) as u64);
     }
 
     #[test]
@@ -1498,6 +1772,31 @@ mod tests {
                 assert_eq!(bodies, query.byte_size(q_bits));
             }
         }
+
+        // The packed form: header, then per ciphertext a length prefix and
+        // the 12-byte ciphertext header — 16 bytes each before the body.
+        let (n, q) = (f.ctx.params().n, f.ctx.params().q);
+        for k in [1usize, 7, 8, 9, 29, 64, 300] {
+            let mut clear: Vec<Vec<u8>> = Vec::new();
+            for _ in 0..4 {
+                let bits: Vec<bool> = (0..k).map(|_| rng.gen()).collect();
+                let query = engine.pack_query(&enc, &BitString::from_bits(&bits), &mut rng);
+                let bytes = query.encode(q_bits);
+                let restored = PackedQuery::decode(&bytes, n, seg_bits, q).unwrap();
+                assert_eq!(restored.classes, alignment_geometry(k, seg_bits));
+                assert_eq!(restored.cts, query.cts);
+                let count = variant_count(k, seg_bits).div_ceil(n);
+                let body = query.byte_size(q_bits) / count;
+                assert_eq!(bytes.len(), 16 + count * (16 + body), "k={k}");
+                let mut kept = bytes[..16].to_vec();
+                for i in 0..count {
+                    let at = 16 + i * (16 + body);
+                    kept.extend_from_slice(&bytes[at..at + 16]);
+                }
+                clear.push(kept);
+                assert_eq!(clear[0], clear[clear.len() - 1], "k={k}");
+            }
+        }
     }
 
     #[test]
@@ -1550,6 +1849,73 @@ mod tests {
         // Decoded for another segment width, the same bytes describe a
         // different variant set.
         assert!(EncryptedQuery::decode(&good, seg_bits * 2).is_err());
+
+        // The packed form (CMQ3), held to the parameter set as it decodes.
+        let (n, q) = (f.ctx.params().n, f.ctx.params().q);
+        let decode = |bytes: &[u8]| PackedQuery::decode(bytes, n, seg_bits, q);
+        let header = |bytes: &[u8]| matches!(decode(bytes), Err(DecodeError::BadHeader(_)));
+        let packed = engine.pack_query(&enc, &pattern, &mut rng).encode(q_bits);
+        assert_eq!(decode(&packed).unwrap().k(), pattern.len());
+        // Each matcher refuses the other's form, and both the retired one.
+        assert_eq!(decode(&good).unwrap_err(), DecodeError::BadMagic);
+        assert_eq!(decode(&retired).unwrap_err(), DecodeError::BadMagic);
+        assert_eq!(
+            EncryptedQuery::decode(&packed, seg_bits).unwrap_err(),
+            DecodeError::BadMagic
+        );
+        // One ciphertext holds up to n segments: a length past that, one
+        // whose segments would need a second ciphertext, and lengths
+        // whose geometry would be astronomically large are all refused
+        // before any geometry is built.
+        let fits = (1..)
+            .take_while(|&k| variant_count(k, seg_bits) <= n)
+            .count();
+        for k in [0, n + 1, fits + 1, 1 << 40, u64::MAX as usize] {
+            let mut lying = packed.clone();
+            lying[4..12].copy_from_slice(&(k as u64).to_le_bytes());
+            assert!(header(&lying), "k={k}");
+        }
+        // Any length that does fit one ciphertext decodes: the bodies say
+        // nothing about `k`.
+        let mut other = packed.clone();
+        other[4..12].copy_from_slice(&(fits as u64).to_le_bytes());
+        assert_eq!(decode(&other).unwrap().k(), fits);
+        // No ciphertexts, more than the query needs, more than the buffer
+        // holds.
+        for count in [0, 2, u32::MAX] {
+            let mut lying = packed.clone();
+            lying[12..16].copy_from_slice(&count.to_le_bytes());
+            assert!(header(&lying), "count={count}");
+        }
+        // Nine ciphertexts, well-formed, behind a length that asks for one.
+        let long = engine
+            .pack_query(&enc, &BitString::from_bits(&vec![true; 8 * n]), &mut rng)
+            .encode(q_bits);
+        assert_eq!(decode(&long).unwrap().ciphertext_count(), 9);
+        let mut lying = long.clone();
+        lying[4..12].copy_from_slice(&(pattern.len() as u64).to_le_bytes());
+        assert!(header(&lying));
+        let mut trailing = packed.clone();
+        trailing.push(0);
+        assert!(header(&trailing));
+        // Another ring degree, segment width or modulus than the sender's.
+        assert!(PackedQuery::decode(&packed, n * 2, seg_bits, q).is_err());
+        assert!(PackedQuery::decode(&packed, n / 2, seg_bits, q).is_err());
+        assert!(PackedQuery::decode(&packed, n, 0, q).is_err());
+        assert!(PackedQuery::decode(&packed, n, 64, q).is_err());
+        assert_eq!(
+            PackedQuery::decode(&packed, n, seg_bits, 2).unwrap_err(),
+            DecodeError::CoefficientOverflow
+        );
+        // A three-component ciphertext is not a fresh query.
+        let wide = {
+            let mut ct = Ciphertext::zero(3, n);
+            ct.parts_mut()[0] = Poly::from_coeffs(vec![1; n]);
+            let mut out = packed[..16].to_vec();
+            put_ciphertext(&mut out, &ct, q_bits);
+            out
+        };
+        assert!(header(&wide));
     }
 
     #[test]
@@ -1753,6 +2119,43 @@ mod tests {
         for len in [0usize, 1, 11, 12, 13, 64, 257] {
             let garbage: Vec<u8> = (0..len).map(|i| (i * 131 + 17) as u8).collect();
             let _ = EncryptedDatabase::decode(&garbage);
+        }
+
+        // The packed query, one ciphertext and three: every cut point
+        // fails cleanly, every flip decodes or fails but never panics,
+        // and so does garbage behind a good magic.
+        let (n, q, seg_bits) = (
+            f.ctx.params().n,
+            f.ctx.params().q,
+            engine.packing().seg_bits(),
+        );
+        let decode = |bytes: &[u8]| PackedQuery::decode(bytes, n, seg_bits, q);
+        for k in [13usize, 2 * n] {
+            let pattern = BitString::from_bits(&vec![false; k]);
+            let good = engine.pack_query(&enc, &pattern, &mut rng).encode(q_bits);
+            assert_eq!(decode(&good).unwrap().k(), k);
+            for cut in 0..good.len() {
+                assert!(
+                    decode(&good[..cut]).is_err(),
+                    "k={k}: prefix of {cut} bytes"
+                );
+            }
+            for i in (0..good.len()).step_by(7) {
+                let mut flipped = good.clone();
+                flipped[i] ^= 0xA5;
+                let _ = decode(&flipped);
+            }
+            // A length prefix pointing far past the end.
+            let mut lying_len = good.clone();
+            lying_len[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode(&lying_len).is_err());
+        }
+        for len in [0usize, 3, 4, 11, 12, 15, 16, 17, 64, 5000] {
+            let mut garbage: Vec<u8> = (0..len).map(|i| (i * 131 + 17) as u8).collect();
+            for (byte, magic) in garbage.iter_mut().zip(b"CMQ3") {
+                *byte = *magic;
+            }
+            assert!(decode(&garbage).is_err(), "{len} bytes of garbage");
         }
     }
 

@@ -5,6 +5,16 @@
 //! "shifted variants"), and replicates each variant across all polynomial
 //! coefficients so one `Hom-Add` tests every coefficient position at once.
 //!
+//! That is the *explicit* form ([`build_variants`] / [`stream_variants`]),
+//! Algorithm 1 to the letter: `V = Σ_r s_r` plaintexts, each of which
+//! replicates the same `V` segment values. The served path ships the
+//! *packed* form instead ([`pack_segments`]): every negated segment once,
+//! `⌈V/n⌉` plaintexts, and the server gathers each variant's coefficients
+//! out of the encryption of that — replication moved from the client's
+//! plaintexts to the server's ciphertext coefficients, which the
+//! coefficient-wise phase test of index generation makes exact (see
+//! [`crate::PackedQuery`]).
+//!
 //! A query of length `k` at bit offset `o = seg_bits * G + r` covers
 //! `s_r = ceil((r + k) / seg_bits)` consecutive segments; segments it only
 //! partially covers carry a *don't-care mask*. Don't-care bits of the
@@ -208,6 +218,32 @@ pub fn variant_count(k: usize, seg_bits: usize) -> usize {
     (0..seg_bits).map(|r| (r + k).div_ceil(seg_bits)).sum()
 }
 
+/// The packed form of a query: the `V = Σ_r s_r` negated segments of
+/// `classes` laid out once, class-major — segment `i` of class `r` at flat
+/// index `base_r + i`, `base_r = Σ_{r' < r} s_{r'}` — over `⌈V/n⌉`
+/// plaintexts of degree `n` (flat index `f` is coefficient `f mod n` of
+/// plaintext `f / n`; the tail of the last one is zero).
+///
+/// Every variant of [`build_variants`] is a gather of this layout —
+/// variant `(r, p)` reads flat index `base_r + (c − p) mod s_r` at
+/// coefficient `c` — so a server holding its encryption can replicate the
+/// variants itself, coefficient by coefficient (see
+/// [`crate::ShardScratch::run`]).
+pub fn pack_segments(classes: &[NegatedClass], n: usize) -> Vec<Plaintext> {
+    let flat: Vec<u64> = classes
+        .iter()
+        .flat_map(|class| &class.neg_segments[..class.window_segs])
+        .copied()
+        .collect();
+    flat.chunks(n)
+        .map(|chunk| {
+            let mut coeffs = chunk.to_vec();
+            coeffs.resize(n, 0);
+            Plaintext::from_poly(Poly::from_coeffs(coeffs))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,6 +371,45 @@ mod tests {
             for (want, (r, phase, pt)) in listed.iter().zip(&streamed) {
                 assert_eq!((want.r, want.phase), (*r, *phase), "k={k}");
                 assert_eq!(&want.plaintext, pt, "k={k} r={r} phase={phase}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_variant_is_a_gather_of_the_packed_segments() {
+        for (k, seg_bits, n) in [
+            (1usize, 16usize, 8usize),
+            (15, 16, 8),
+            (17, 16, 64),
+            (32, 16, 1024),
+            (257, 16, 32),
+            (13, 8, 256),
+            (300, 8, 256),
+        ] {
+            let bits: Vec<bool> = (0..k).map(|i| (i * 5 + i / 7) % 3 == 0).collect();
+            let classes = alignment_classes(&BitString::from_bits(&bits), seg_bits);
+            let packed = pack_segments(&classes, n);
+            let v = variant_count(k, seg_bits);
+            assert_eq!(packed.len(), v.div_ceil(n), "k={k}");
+            let flat: Vec<u64> = packed.iter().flat_map(|pt| pt.coeffs().to_vec()).collect();
+            assert!(flat[v..].iter().all(|&c| c == 0), "the tail is zero");
+            let mut base = 0;
+            for class in &classes {
+                let s = class.window_segs;
+                assert_eq!(flat[base..base + s], class.neg_segments[..]);
+                base += s;
+            }
+            assert_eq!(base, v);
+            // Variant (r, p) at coefficient c is flat[base_r + (c − p) mod s_r].
+            let bases: Vec<usize> = classes
+                .iter()
+                .scan(0, |at, c| Some(std::mem::replace(at, *at + c.window_segs)))
+                .collect();
+            for variant in build_variants(&classes, n) {
+                let (s, p) = (variant.window_segs, variant.phase);
+                for (c, &coeff) in variant.plaintext.coeffs().iter().enumerate() {
+                    assert_eq!(coeff, flat[bases[variant.r] + (c + s - p) % s]);
+                }
             }
         }
     }

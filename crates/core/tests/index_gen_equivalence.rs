@@ -3,8 +3,10 @@
 //! across the NTT presets and the power-of-two-`q` in-flash preset, on
 //! random inputs and on the boundary shapes a sliding-window matcher
 //! hides bugs in — and, wherever the table came out of a sweep, against
-//! the served job ([`ShardScratch::run`]), which never builds the table.
-//! One [`IndexScratch`] and one [`ShardScratch`] serve every call of a
+//! the served job ([`ShardScratch::run`]), which never builds the table
+//! and never sees the explicit query: it takes the *packed* encryption of
+//! the same pattern and replicates the variants itself. One
+//! [`IndexScratch`] and one [`ShardScratch`] serve every call of a
 //! fixture, so stale state from a previous shape would show as a mismatch.
 
 use cm_bfv::{
@@ -12,7 +14,7 @@ use cm_bfv::{
 };
 use cm_core::{
     alignment_classes, build_variants, BitString, CiphermatchEngine, EncryptedDatabase,
-    EncryptedQuery, IndexScratch, SearchResult, ShardScratch, TrustedIndexGenerator,
+    EncryptedQuery, IndexScratch, SearchResult, ShardPlan, ShardScratch, TrustedIndexGenerator,
 };
 use cm_hemath::Poly;
 use proptest::prelude::*;
@@ -78,15 +80,36 @@ impl Fixture {
         (batched, reference, self.scratch.key_muls())
     }
 
-    /// The served job's index list for `query` over `db`; asserts it ran
-    /// every Hom-Add of the table it did not keep.
-    fn served(&mut self, db: &EncryptedDatabase, query: &EncryptedQuery) -> Vec<usize> {
-        let (indices, stats) = self.job.run(db, query, &self.index_gen);
+    /// The served job's index list for a fresh packed encryption of
+    /// `pattern` over `db`; asserts it ran every Hom-Add of the table it
+    /// did not keep, from `⌈V/n⌉` ciphertexts.
+    fn served(&mut self, db: &EncryptedDatabase, pattern: &BitString) -> Vec<usize> {
+        let enc = Encryptor::new(&self.ctx, self.pk.clone());
+        let query = self.engine.pack_query(&enc, pattern, &mut self.rng);
+        let seg_bits = self.engine.packing().seg_bits();
+        let variants = cm_core::variant_count(pattern.len(), seg_bits);
+        assert_eq!(query.variant_count(), variants);
+        assert_eq!(
+            query.ciphertext_count(),
+            variants.div_ceil(self.ctx.params().n)
+        );
+        let (indices, stats) = self.job.run(db, &query, &self.index_gen);
         assert_eq!(
             stats.hom_adds,
-            (query.variant_count() * db.poly_count()) as u64,
+            (variants * db.poly_count()) as u64,
             "one Hom-Add per variant and polynomial"
         );
+        indices
+    }
+
+    /// The served job on the packed query against the plaintext oracle
+    /// alone — for grids too dense to sweep a table out per point.
+    fn check_served(&mut self, data: &BitString, pattern: &BitString) -> Vec<usize> {
+        let enc = Encryptor::new(&self.ctx, self.pk.clone());
+        let db = self.engine.encrypt_database(&enc, data, &mut self.rng);
+        let indices = self.served(&db, pattern);
+        let name = self.ctx.params().name;
+        assert_eq!(indices, data.find_all(pattern), "{name}: served job");
         indices
     }
 
@@ -105,7 +128,7 @@ impl Fixture {
         );
         assert_eq!(batched, reference, "{name}: batched vs per-ciphertext");
         assert_eq!(batched, data.find_all(pattern), "{name}: vs plaintext");
-        assert_eq!(self.served(&db, &query), batched, "{name}: served job");
+        assert_eq!(self.served(&db, pattern), batched, "{name}: served job");
         batched
     }
 
@@ -156,6 +179,38 @@ proptest! {
             let absent = f.random_bits(k);
             f.check(&data, &absent);
         }
+    }
+
+    /// The pattern planted where a sliding-window matcher hides bugs —
+    /// first bit, last bit, and around every polynomial seam, `back` bits
+    /// before it — in a database of arbitrary length: the served job on
+    /// the packed query finds exactly what the plaintext search does.
+    #[test]
+    fn planted_seam_hits_agree(
+        seed in any::<u64>(),
+        preset in 0usize..3,
+        extra_bits in 0usize..5000,
+        k in 1usize..400,
+        backs in proptest::collection::vec(0usize..450, 1..4),
+    ) {
+        let mut f = Fixture::new(presets()[preset].clone(), seed);
+        let bpp = f.bits_per_poly();
+        let len = 2 * bpp + 1 + extra_bits.max(k);
+        let pattern = f.random_bits(k);
+        let mut bits = f.random_bits(len).bits().to_vec();
+        let seams = (1..=len / bpp).map(|j| j * bpp);
+        let around = seams.flat_map(|seam| backs.iter().map(move |back| seam.saturating_sub(*back)));
+        let mut planted = Vec::new();
+        for at in [0, len - k].into_iter().chain(around) {
+            // Later plants may overwrite earlier ones; the last always stands.
+            if at + k <= len {
+                bits[at..at + k].copy_from_slice(pattern.bits());
+                planted.push(at);
+            }
+        }
+        let data = BitString::from_bits(&bits);
+        let hits = f.check_served(&data, &pattern);
+        prop_assert!(hits.contains(planted.last().unwrap()));
     }
 }
 
@@ -208,26 +263,136 @@ fn windows_longer_than_a_polynomial_agree() {
 
 #[test]
 fn shard_seams_agree() {
-    // Two shards at polynomial granularity with one polynomial of overlap,
-    // as `cm_server::ShardPlan` cuts them: shard 0 holds polynomials 0..2,
-    // shard 1 holds 1..3. Each shard's local result must equal the
-    // plaintext search of exactly the bits it holds.
+    // Ranges at polynomial granularity with one polynomial of overlap, as
+    // `ShardPlan` cuts them — two ranges over three polynomials (0..2 and
+    // 1..3), three over four (0..3, 2..4 and 3..4). Each range's local
+    // result must equal the plaintext search of exactly the bits it
+    // holds, and the merged lists the search of the whole database: a
+    // window that starts in the last polynomial a range owns ends in its
+    // overlap, and is reported once.
     for params in presets() {
         let mut f = Fixture::new(params, 0x5EA);
         let bpp = f.bits_per_poly();
-        let data = f.random_bits(3 * bpp - 11);
-        for start in [bpp - 9, 2 * bpp - 17, 2 * bpp] {
-            let pattern = data.slice(start, 33);
-            let (db, query) = f.encrypt(&data, &pattern);
-            for held in [0..2usize, 1..3] {
-                let shard = db.subrange(held.clone(), bpp);
-                let local = data.slice(held.start * bpp, shard.total_bits());
-                let result = f.engine.search(&shard, &query);
-                let (batched, reference, _) = f.both(&result);
-                assert_eq!(batched, reference);
-                assert_eq!(batched, local.find_all(&pattern), "shard {held:?}");
-                assert_eq!(f.served(&shard, &query), batched, "served {held:?}");
+        for (polys, shards) in [(3usize, 2usize), (4, 3)] {
+            let data = f.random_bits(polys * bpp - 11);
+            let seams = (1..polys).map(|j| j * bpp);
+            for start in seams.flat_map(|seam| [seam - 9, seam - 32, seam]) {
+                let pattern = data.slice(start, 33);
+                let (db, query) = f.encrypt(&data, &pattern);
+                let plan = ShardPlan::new(polys, data.len(), bpp, shards, 1).unwrap();
+                assert_eq!(plan.shard_count(), shards);
+                let mut per_range = Vec::new();
+                for range in plan.ranges() {
+                    let held = range.held;
+                    let shard = db.subrange(held.clone(), bpp);
+                    let local = data.slice(held.start * bpp, shard.total_bits());
+                    let result = f.engine.search(&shard, &query);
+                    let (batched, reference, _) = f.both(&result);
+                    assert_eq!(batched, reference);
+                    assert_eq!(batched, local.find_all(&pattern), "shard {held:?}");
+                    assert_eq!(f.served(&shard, &pattern), batched, "served {held:?}");
+                    per_range.push(batched);
+                }
+                let merged = plan.merge_indices(&per_range);
+                assert_eq!(merged, data.find_all(&pattern), "{shards} ranges");
+                assert!(merged.contains(&start));
             }
+        }
+    }
+}
+
+#[test]
+fn hits_at_every_class_and_seam_tail_agree() {
+    // One hit per `(r, a)`: bit-offset class `r`, and `a` of the window's
+    // `s` segments lying past a polynomial seam — none (the window ends on
+    // the seam) up to all (it starts on it). `k = seg·(s − 1) + 1` gives
+    // every class exactly `s` window segments. Small windows take the
+    // whole grid through every index generation; windows about as long
+    // as a polynomial and longer (two seams inside one window) take every
+    // class at the tails where the seam logic changes, through the served
+    // job, and one point through everything. An unoptimized build keeps
+    // the first and last class of those (each such window is thousands of
+    // variants); CI runs the whole grid in release.
+    let mut f = Fixture::new(BfvParams::insecure_test_add(), 0x5EA3);
+    let (n, seg) = (f.ctx.params().n, f.engine.packing().seg_bits());
+    assert_eq!(n, 256);
+    for s in [2, 3, n - 1, n, n + 1, 2 * n + 1] {
+        let k = seg * (s - 1) + 1;
+        // The seam the tail crosses is the first one a window can reach.
+        let seam = s.div_ceil(n) * n;
+        let data = f.random_bits((seam + s + 2) * seg);
+        let mut tails: Vec<usize> = if s <= 3 {
+            (0..=s).collect()
+        } else {
+            vec![0, 1, s / 2, s - n.min(s) + 1, s - 1, s]
+        };
+        tails.sort_unstable();
+        tails.dedup();
+        for (i, &a) in tails.iter().enumerate() {
+            let thin = s > 3 && cfg!(debug_assertions);
+            for r in (0..seg).filter(|r| !thin || [0, seg - 1].contains(r)) {
+                let start = (seam + a - s) * seg + r;
+                let pattern = data.slice(start, k);
+                let hits = if s <= 3 || (i, r) == (1, seg - 1) {
+                    f.check(&data, &pattern)
+                } else {
+                    f.check_served(&data, &pattern)
+                };
+                assert!(hits.contains(&start), "s={s} r={r} a={a}");
+            }
+        }
+    }
+}
+
+#[test]
+fn first_bit_last_bit_and_one_bit_queries_agree() {
+    for params in presets() {
+        let mut f = Fixture::new(params, 0xF1A5);
+        let (bpp, seg) = (f.bits_per_poly(), f.engine.packing().seg_bits());
+        // A partly filled last polynomial, and one filled to its last bit.
+        for len in [bpp + 3 * seg + 5, 2 * bpp] {
+            let data = f.random_bits(len);
+            for k in [1, 2, seg, seg + 1, 3 * seg + 1] {
+                let hits = f.check(&data, &data.slice(0, k));
+                assert_eq!(hits.first(), Some(&0), "first bit, k = {k}");
+                let hits = f.check(&data, &data.slice(len - k, k));
+                assert_eq!(hits.last(), Some(&(len - k)), "last bit, k = {k}");
+            }
+            // k = 1: every bit of the database is a window.
+            let ones = f.check(&data, &BitString::from_bits(&[true]));
+            let zeros = f.check(&data, &BitString::from_bits(&[false]));
+            assert_eq!(ones.len() + zeros.len(), len);
+        }
+    }
+}
+
+#[test]
+fn queries_packed_into_two_ciphertexts_agree() {
+    // `V` crosses `n`: the packed query is two ciphertexts, and the
+    // class whose segments straddle them is gathered from both.
+    for params in [
+        BfvParams::insecure_test_add(),
+        BfvParams::ciphermatch_1024(),
+    ] {
+        let mut f = Fixture::new(params, 0x2C7);
+        let (n, seg, bpp) = (
+            f.ctx.params().n,
+            f.engine.packing().seg_bits(),
+            f.bits_per_poly(),
+        );
+        // s = n/seg + 1 segments per class: V = seg·s = n + seg.
+        let k = seg * (n / seg) + 1;
+        let s = n / seg + 1;
+        assert_eq!(cm_core::variant_count(k, seg), n + seg);
+        let split = (0..seg).find(|r| r * s < n && (r + 1) * s > n);
+        assert!(split.is_some(), "a class lies across the two ciphertexts");
+        let data = f.random_bits(2 * bpp + 77);
+        for start in [0, bpp - k / 2, bpp - 3, data.len() - k] {
+            let pattern = data.slice(start, k);
+            let enc = Encryptor::new(&f.ctx, f.pk.clone());
+            let packed = f.engine.pack_query(&enc, &pattern, &mut f.rng);
+            assert_eq!(packed.ciphertext_count(), 2);
+            assert_eq!(f.check(&data, &pattern), vec![start]);
         }
     }
 }
@@ -361,20 +526,43 @@ fn three_component_table_takes_the_fallback() {
 }
 
 #[test]
-fn served_job_on_a_three_component_database_sweeps_the_table_out() {
-    // The same padding on the database itself: the served job has no
-    // rows and columns to decrypt such sums by, and answers as the table
-    // drivers do.
+fn served_job_on_a_three_component_database_uses_its_whole_key_part() {
+    // The same padding on the database itself: the column of a polynomial
+    // is the key part of its phase whatever its size (two key products
+    // here), so the served job answers as the table drivers do on its one
+    // path.
     let mut f = Fixture::new(BfvParams::insecure_test_add(), 0x334);
     let (bpp, n) = (f.bits_per_poly(), f.ctx.params().n);
     let data = f.random_bits(bpp + 40);
     let pattern = data.slice(bpp - 5, 21);
-    let (db, query) = f.encrypt(&data, &pattern);
+    let (db, _) = f.encrypt(&data, &pattern);
     let widened = db.ciphertexts().iter().map(|ct| {
         let mut parts = ct.clone().into_parts();
         parts.push(Poly::zero(n));
         Ciphertext::from_parts(parts)
     });
     let wide = EncryptedDatabase::from_ciphertexts(widened.collect(), data.len());
-    assert_eq!(f.served(&wide, &query), data.find_all(&pattern));
+    assert_eq!(f.served(&wide, &pattern), data.find_all(&pattern));
+
+    // A third component that is not zero, on every other polynomial
+    // (mixed sizes in one shard): `(c0 − s²·u, c1, u)` has the phase of
+    // `(c0, c1)`, and only a column that includes `s²·c2` finds it.
+    let q = f.ctx.rq().modulus();
+    let mixed = db.ciphertexts().iter().enumerate().map(|(j, ct)| {
+        if j % 2 == 1 {
+            return ct.clone();
+        }
+        let u: Vec<u64> = (0..n).map(|_| f.rng.gen_range(0..q.value())).collect();
+        let (mut su, mut ssu, mut c0) = (vec![0; n], vec![0; n], vec![0; n]);
+        f.dec.key_product_into(&u, &mut su);
+        f.dec.key_product_into(&su, &mut ssu);
+        cm_hemath::kernels::sub_slices(q, ct.part(0).coeffs(), &ssu, &mut c0);
+        Ciphertext::from_parts(vec![
+            Poly::from_coeffs(c0),
+            ct.part(1).clone(),
+            Poly::from_coeffs(u),
+        ])
+    });
+    let mixed = EncryptedDatabase::from_ciphertexts(mixed.collect(), data.len());
+    assert_eq!(f.served(&mixed, &pattern), data.find_all(&pattern));
 }

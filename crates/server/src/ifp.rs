@@ -149,7 +149,10 @@ impl IfpMatcher {
     }
 
     /// The public query-encryption material a remote client needs to ship
-    /// wire queries to this matcher.
+    /// wire queries to this matcher — in the explicit form, one
+    /// ciphertext per variant: index generation here decrypts a result
+    /// table by rows taken from the table, which needs every variant's
+    /// `c1` to be a ring element (a packed query's gathered `c1` is not).
     pub fn query_kit(&self) -> QueryKit {
         QueryKit::new(self.engine.clone(), self.enc.clone())
     }
@@ -334,6 +337,15 @@ mod tests {
             erased.find_all_wire(&encoded[..7]).unwrap_err(),
             MatchError::Decode(_)
         ));
+        // The packed form belongs to CM-SW tenants.
+        let sender = new_matcher(6);
+        let packed = QueryKit::packed(sender.engine.clone(), sender.enc.clone())
+            .encode_query(&pattern, &mut rng)
+            .unwrap();
+        assert_eq!(
+            erased.find_all_wire(&packed).unwrap_err(),
+            MatchError::Decode(cm_bfv::DecodeError::BadMagic)
+        );
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //!   nothing — and runs one [`cm_core::ShardScratch::run_pooled`] job per
 //!   range, a one-range plan inline, more on the process-wide
 //!   [`cm_core::compute_pool`]; per-range [`cm_core::MatchStats`] sum to
-//!   the total, and loading a database spawns nothing;
+//!   the total, and loading a database spawns nothing. Its queries are
+//!   *packed* ([`cm_core::PackedQuery`], wire form `CMQ3`): every negated
+//!   segment once, in `⌈V/n⌉` ciphertexts, and each range job replicates
+//!   the `V` shifted variants itself, on ciphertext coefficients;
 //! * [`ShardedCmMatcher`] — that matcher behind
 //!   [`cm_core::ErasedMatcher`] under its serving name, built with a
 //!   shard count: what an operator registers in-process. Uploaded
@@ -62,7 +65,10 @@
 //!   [`cm_core::MatchError::ServerBusy`] rejection past either cap,
 //!   drain-then-join shutdown) — plus the blocking client, with
 //!   [`QueryKit`] carrying the public material a remote key owner needs
-//!   to encrypt queries. Both ends set `TCP_NODELAY` on every socket,
+//!   to encrypt queries, in the form the tenant's matcher takes (packed
+//!   for CM-SW; one ciphertext per variant, `CMQ2`, for [`IfpMatcher`],
+//!   which decrypts a result table by rows taken from the table — the
+//!   other form's bytes are a typed `BadMagic`). Both ends set `TCP_NODELAY` on every socket,
 //!   unconditionally: each message is one whole frame in one write, so
 //!   there is nothing for Nagle's algorithm to coalesce and a delayed ACK
 //!   (≈ 40 ms per call) to lose.

@@ -66,6 +66,19 @@ mod tests {
             sum.merge(s);
         }
         assert_eq!(sum, m.stats());
+        // Each range is charged the packed query it received, twice: at
+        // n = 256 and a 32-bit q a ciphertext is 2 · 256 · 4 = 2 048
+        // bytes, and the 39 and 25 variants of a 32- and an 18-bit query
+        // (Σ_r ⌈(r + k)/8⌉) fit one ciphertext each — where one
+        // ciphertext per variant would have booked 64 · 2 048.
+        assert!(shard_stats.iter().all(|s| s.bytes_moved == 2 * 2048));
+        // The variants themselves are still all swept: 39 + 25 Hom-Adds
+        // per polynomial a range holds (2 + 2 + 1 of the database's 5,
+        // and one of overlap for the first two ranges).
+        let held = [3, 3, 1];
+        for (s, polys) in shard_stats.iter().zip(held) {
+            assert_eq!(s.hom_adds, 64 * polys);
+        }
     }
 
     #[test]
@@ -78,6 +91,11 @@ mod tests {
         let pattern = data.slice(2040, 24);
         let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
         assert_eq!(m.find_all_wire(&encoded).unwrap(), data.find_all(&pattern));
+        // The kit of a CM-SW matcher packs: a 16-byte header, then one
+        // length-prefixed ciphertext (4 + 12 + 2 048 bytes) for the 32
+        // variants of a 24-bit query.
+        assert_eq!(encoded.len(), 16 + 4 + 12 + 2048);
+        assert_eq!(&encoded[..4], b"CMQ3");
         // Truncated wire bytes are a typed decode error.
         assert!(matches!(
             m.find_all_wire(&encoded[..encoded.len() / 2]).unwrap_err(),

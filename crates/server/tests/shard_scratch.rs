@@ -151,14 +151,14 @@ fn third_query_of_a_shape_allocates_only_its_index_list() {
     let mut scratch = ShardScratch::default();
     for start in [40, 1000] {
         let pattern = data.slice(start, 24);
-        let query = engine.prepare_query(&enc, &pattern, &mut rng);
+        let query = engine.pack_query(&enc, &pattern, &mut rng);
         let (indices, _) = scratch.run(&shard, &query, &index_gen);
         assert_eq!(indices, held.find_all(&pattern), "warm-up at {start}");
     }
 
     // Same shape, new query, one hit: exactly the index list's allocation.
     let pattern = data.slice(777, 24);
-    let query = engine.prepare_query(&enc, &pattern, &mut rng);
+    let query = engine.pack_query(&enc, &pattern, &mut rng);
     let ((indices, stats), allocations) =
         allocations_during(|| scratch.run(&shard, &query, &index_gen));
     assert_eq!(indices, held.find_all(&pattern));
@@ -176,7 +176,7 @@ fn third_query_of_a_shape_allocates_only_its_index_list() {
     // A pattern this shard does not hold: an empty list, no allocation.
     let absent = BitString::from_bits(&[true; 24]);
     assert!(held.find_all(&absent).is_empty());
-    let query = engine.prepare_query(&enc, &absent, &mut rng);
+    let query = engine.pack_query(&enc, &absent, &mut rng);
     let ((indices, _), allocations) =
         allocations_during(|| scratch.run(&shard, &query, &index_gen));
     assert!(indices.is_empty());

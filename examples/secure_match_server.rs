@@ -8,9 +8,11 @@
 //! Per tenant, the flow is the paper's Figure 6: the key owner encrypts
 //! the database once and provisions the server (delegated index
 //! generation + AES channel key, the offline step); queries are encrypted
-//! client-side with the tenant's [`QueryKit`], travel as binary wire
-//! frames, run sharded on the host or inside the simulated SSD, and only
-//! AES-sealed index lists come back.
+//! client-side with the tenant's [`QueryKit`] — packed into one
+//! ciphertext for the CM-SW tenant, which replicates the shifted variants
+//! itself; one ciphertext per variant for the in-flash tenant — travel as
+//! binary wire frames, run sharded on the host or inside the simulated
+//! SSD, and only AES-sealed index lists come back.
 //!
 //! Run with: `cargo run --release --example secure_match_server`
 
@@ -150,8 +152,9 @@ fn main() {
             let per_shard: Vec<u64> = reply.shard_stats.iter().map(|s| s.hom_adds).collect();
             println!(
                 "alice: {len:2}-bit query at {start:5} -> {} match(es), \
-                 hom-adds per shard {per_shard:?}",
-                reply.indices.len()
+                 {} wire bytes (packed), hom-adds per shard {per_shard:?}",
+                reply.indices.len(),
+                encoded.len()
             );
         }));
     }
@@ -169,9 +172,10 @@ fn main() {
             assert_eq!(reply.stats.flash_wear, 0);
             println!(
                 "bob:   {:2}-bit query in-flash   -> {} match(es), \
-                 {} hom-adds, flash wear {}",
+                 {} wire bytes (one ciphertext per variant), {} hom-adds, flash wear {}",
                 pattern.len(),
                 reply.indices.len(),
+                encoded.len(),
                 reply.stats.hom_adds,
                 reply.stats.flash_wear
             );

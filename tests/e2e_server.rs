@@ -226,7 +226,19 @@ fn concurrent_multi_tenant_serving_over_tcp() {
             .unwrap_err(),
         MatchError::Decode(_)
     ));
-    // The connection survives all three rejections.
+    // Each CIPHERMATCH tenant takes one wire form — packed for CM-SW,
+    // one ciphertext per variant in flash — and refuses the other's.
+    assert_eq!(&valid[..4], b"CMQ3");
+    let explicit = bob_kit
+        .encode_query(&b_data.slice(8, 16), &mut rng)
+        .unwrap();
+    assert_eq!(&explicit[..4], b"CMQ2");
+    let bad_magic = Some(MatchError::Decode(cm_bfv::DecodeError::BadMagic));
+    let to_alice = probe.search_encoded(&TenantAccess::new("alice", &ALICE_KEY), &explicit);
+    assert_eq!(to_alice.err(), bad_magic);
+    let to_bob = probe.search_encoded(&TenantAccess::new("bob", &BOB_KEY), &valid);
+    assert_eq!(to_bob.err(), bad_magic);
+    // The connection survives every rejection.
     assert_eq!(probe.tenants().unwrap().len(), 3);
 
     server.shutdown();
