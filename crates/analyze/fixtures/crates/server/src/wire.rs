@@ -1,6 +1,6 @@
 //! Fixture for the `wire-tags` rule: a tag registry with a duplicate
-//! value in one family, an unreferenced constant, and a codec matching
-//! on a raw integer.
+//! value in one family, an unreferenced constant, a codec matching on a
+//! raw integer, and an `impl Wire` body pushing one.
 
 pub mod tags {
     pub const REQ_PING: u8 = 0;
@@ -22,5 +22,17 @@ pub fn decode(data: &[u8]) -> &'static str {
         tags::REQ_MATCH => "match",
         7 => "raw integer arm",
         _ => "unknown",
+    }
+}
+
+pub struct Pong;
+
+trait Wire {
+    fn put(&self, out: &mut Vec<u8>);
+}
+
+impl Wire for Pong {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(9); // raw tag inside an `impl Wire` body
     }
 }

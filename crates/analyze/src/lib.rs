@@ -548,10 +548,6 @@ fn parse_int(text: &str) -> Option<u64> {
     u64::from_str_radix(&digits[..end], radix).ok()
 }
 
-/// Codec functions in `wire.rs` that must route every tag through the
-/// registry rather than raw integer literals.
-const CODEC_FNS: &[&str] = &["encode", "decode", "put_error", "read_error"];
-
 fn rule_wire_tags(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violation>) {
     let Some((start, end)) = find_tags_region(tokens) else {
         out.push(Violation {
@@ -603,35 +599,16 @@ fn rule_wire_tags(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Viol
             });
         }
     }
-    // Codec bodies must not match on or push raw integer tags.
-    let mut i = 0;
-    while i + 1 < tokens.len() {
-        if !(is_ident(&tokens[i], "fn")
-            && tokens[i + 1].kind == TokenKind::Ident
-            && CODEC_FNS.contains(&tokens[i + 1].text.as_str())
-            && !mask[i + 1])
-        {
-            i += 1;
+    // No function body — a codec's `encode`/`decode`, an `impl Wire`
+    // `put`/`read`, or any helper — may match on or push a raw integer
+    // tag. Nested bodies lie inside their parent's and are scanned once.
+    let mut scanned_to = 0;
+    for (name, open, close) in fn_bodies(tokens, mask) {
+        if open < scanned_to || (open > start && open < end) {
             continue;
         }
-        let fn_name = tokens[i + 1].text.clone();
-        // Find the body: first `{` after the signature, then its match.
-        let Some(open) = (i + 2..tokens.len()).find(|&j| is_punct(&tokens[j], "{")) else {
-            break;
-        };
-        let mut depth = 0usize;
-        let mut close = open;
-        for (j, t) in tokens.iter().enumerate().skip(open) {
-            if is_punct(t, "{") {
-                depth += 1;
-            } else if is_punct(t, "}") {
-                depth -= 1;
-                if depth == 0 {
-                    close = j;
-                    break;
-                }
-            }
-        }
+        scanned_to = close;
+        let fn_name = &tokens[name].text;
         for j in open..close {
             if tokens[j].kind != TokenKind::Int {
                 continue;
@@ -653,7 +630,6 @@ fn rule_wire_tags(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Viol
                 });
             }
         }
-        i = close.max(i + 1);
     }
 }
 
@@ -753,18 +729,29 @@ fn rule_metric_names_adhoc(rel: &str, tokens: &[Token], mask: &[bool], out: &mut
 // Rule: socket-stall
 // ---------------------------------------------------------------------
 
-/// The braced bodies of the non-test `fn` items in `tokens`, as
-/// `(open, close)` token indices of the braces. A bodiless declaration
+/// The braced bodies of the non-test `fn` items in `tokens`, as token
+/// indices `(name, open, close)` of the fn's name and the body's braces.
+/// A bodiless declaration
 /// (`fn f();` in a trait) yields nothing; a nested `fn` yields its own
-/// range as well as lying inside its parent's.
-fn fn_bodies(tokens: &[Token], mask: &[bool]) -> Vec<(usize, usize)> {
+/// range as well as lying inside its parent's. A `;` inside the
+/// signature's brackets (`key: &[u8; 32]`) does not end it.
+fn fn_bodies(tokens: &[Token], mask: &[bool]) -> Vec<(usize, usize, usize)> {
     let mut bodies = Vec::new();
     for i in 0..tokens.len().saturating_sub(1) {
         if !(is_ident(&tokens[i], "fn") && tokens[i + 1].kind == TokenKind::Ident && !mask[i]) {
             continue;
         }
+        let mut brackets = 0usize;
         let Some(open) = (i + 2..tokens.len())
-            .find(|&j| is_punct(&tokens[j], "{") || is_punct(&tokens[j], ";"))
+            .find(|&j| {
+                let t = &tokens[j];
+                if is_punct(t, "[") {
+                    brackets += 1;
+                } else if is_punct(t, "]") {
+                    brackets = brackets.saturating_sub(1);
+                }
+                brackets == 0 && (is_punct(t, "{") || is_punct(t, ";"))
+            })
             .filter(|&j| is_punct(&tokens[j], "{"))
         else {
             continue;
@@ -776,7 +763,7 @@ fn fn_bodies(tokens: &[Token], mask: &[bool]) -> Vec<(usize, usize)> {
             } else if is_punct(t, "}") {
                 depth -= 1;
                 if depth == 0 {
-                    bodies.push((open, j));
+                    bodies.push((i + 1, open, j));
                     break;
                 }
             }
@@ -786,7 +773,7 @@ fn fn_bodies(tokens: &[Token], mask: &[bool]) -> Vec<(usize, usize)> {
 }
 
 fn rule_socket_stall(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violation>) {
-    for (open, close) in fn_bodies(tokens, mask) {
+    for (_, open, close) in fn_bodies(tokens, mask) {
         let body = &tokens[open..close];
         // Where the function gets a stream from the network.
         let obtained = body.windows(3).find(|w| {
@@ -1258,6 +1245,35 @@ impl Request {
         assert!(found.iter().any(|v| v.message.contains("duplicate")));
         assert!(found.iter().any(|v| v.message.contains("REQ_UNUSED")));
         assert!(found.iter().any(|v| v.message.contains("raw integer `7`")));
+    }
+
+    #[test]
+    fn wire_tags_scans_every_fn_body_not_just_encode_and_decode() {
+        // Codec bodies living in `impl Wire` methods and free helpers are
+        // held to the registry like `encode`/`decode` — including behind a
+        // signature with a `;` inside brackets — while test code is not.
+        let src = "\
+pub mod tags { pub const RESP_PONG: u8 = 0; }
+impl Wire for Pong {
+    fn put(&self, out: &mut Vec<u8>) { out.push(tags::RESP_PONG); out.push(9); }
+    fn read(r: &mut Reader<'_>) -> Result<Self, E> {
+        match r.byte() { tags::RESP_PONG => Ok(Pong), 4 => Ok(Pong), _ => Err(E) }
+    }
+}
+fn keyed(key: &[u8; 32]) -> u8 { match key[0] { 5 => 1, _ => 0 } }
+#[cfg(test)]
+mod tests { fn t(out: &mut Vec<u8>) { out.push(6); } }
+";
+        let found = analyze_rust_source(super::WIRE_FILE, src);
+        let raw: Vec<&str> = found
+            .iter()
+            .filter(|v| v.message.starts_with("raw integer"))
+            .map(|v| v.message.as_str())
+            .collect();
+        assert_eq!(raw.len(), 3, "{raw:?}");
+        assert!(raw[0].contains("`9` used as a wire tag in `put`"));
+        assert!(raw[1].contains("`4` used as a wire tag in `read`"));
+        assert!(raw[2].contains("`5` used as a wire tag in `keyed`"));
     }
 
     #[test]

@@ -62,6 +62,11 @@ fn fixture_violations_carry_file_and_line() {
     assert!(!has(RULE_EXEC_THREADS, "crates/reactor/src/reactor.rs"));
     assert!(has(RULE_CT_SECRECY, "crates/server/src/secrecy_cmp.rs"));
     assert!(has(RULE_WIRE_TAGS, "crates/server/src/wire.rs"));
+    // The raw tag pushed in an `impl Wire` body fires as well as the one
+    // matched on in `decode`.
+    assert!(report.unwaived().iter().any(|v| v.rule == RULE_WIRE_TAGS
+        && v.message
+            .contains("raw integer `9` used as a wire tag in `put`")));
     assert!(has(
         RULE_LOCK_ACROSS_SUBMIT,
         "crates/core/src/lock_submit.rs"

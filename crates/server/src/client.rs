@@ -4,11 +4,11 @@
 //! connection. Queries go out either as plaintext bits (hosted-key
 //! tenants: the server sees the pattern, by design) or as pre-encrypted
 //! CIPHERMATCH wire bytes produced by a [`crate::QueryKit`] (client-key
-//! tenants: what travels is the query's *length* and its variant
-//! ciphertexts — no alignment class, mask or segment derived from the
-//! pattern); sealed index lists come back and are opened with the
-//! tenant's AES channel key ([`TenantAccess`]) — the client never sees
-//! another tenant's results in the clear.
+//! tenants: what travels is the query's *length* and its ciphertexts —
+//! no alignment class, mask or segment derived from the pattern); sealed
+//! index lists come back and are opened with the tenant's AES channel
+//! key ([`TenantAccess`]) — the client never sees another tenant's
+//! results in the clear.
 //!
 //! Every request is encoded once, behind its frame header, into a send
 //! buffer the client keeps, and leaves in one write on a socket with
@@ -137,17 +137,20 @@ impl MatchClient {
     /// payload to the send buffer, behind the reserved frame header.
     fn roundtrip_with(
         &mut self,
-        encode: impl FnOnce(&mut Vec<u8>),
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), MatchError>,
     ) -> Result<Response, MatchError> {
         begin_frame(&mut self.send);
-        encode(&mut self.send);
+        // A request that does not encode or frame (a length past its
+        // prefix, a payload past the frame cap) fails here, typed, with
+        // nothing written: the connection stays at a frame boundary.
+        encode(&mut self.send)?;
+        finish_frame(&mut self.send)?;
         // The server may reject the connection outright (e.g. a typed
         // `ServerBusy` past its connection cap) by sending one error frame
         // and closing before ever reading a request — which can break this
         // write. Always try to read the pending frame: a typed rejection
         // beats a bare broken-pipe transport error.
-        let wrote =
-            finish_frame(&mut self.send).and_then(|()| write_framed(&mut self.stream, &self.send));
+        let wrote = write_framed(&mut self.stream, &self.send);
         match read_frame_into(&mut self.stream, &mut self.recv) {
             Ok(true) => Response::decode(&self.recv),
             // The server hung up instead of answering — whether our write
@@ -276,13 +279,14 @@ impl MatchClient {
                 },
                 spec: spec.clone(),
                 total_bytes,
-                chunk_count: chunks.len() as u32,
+                chunk_count: u32::try_from(chunks.len())
+                    .map_err(|_| MatchError::Frame("upload chunk count exceeds the wire u32"))?,
             },
         };
         Self::expect_progress(self.roundtrip(&begin)?)?;
-        for (index, chunk) in chunks.iter().enumerate() {
+        for (index, chunk) in (0..).zip(&chunks) {
             let sent =
-                self.roundtrip_with(|out| put_upload_chunk(out, &access.id, index as u32, chunk))?;
+                self.roundtrip_with(|out| put_upload_chunk(out, &access.id, index, chunk))?;
             Self::expect_progress(sent)?;
         }
         let commit = Request::LoadDatabase {
@@ -393,13 +397,8 @@ impl MatchClient {
     fn search(
         &mut self,
         access: &TenantAccess,
-        encode: impl FnOnce(&mut Vec<u8>),
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), MatchError>,
     ) -> Result<MatchReply, MatchError> {
-        if access.id.is_empty() || access.id.len() > crate::wire::MAX_TENANT_ID {
-            // Fail fast with a clear error: `put_str`'s u16 length prefix
-            // cannot carry an over-long id.
-            return Err(MatchError::Frame("tenant id length out of range"));
-        }
         match self.roundtrip_with(encode)? {
             Response::Matched {
                 nonce,
@@ -438,5 +437,41 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let client = MatchClient::connect(listener.local_addr().unwrap()).unwrap();
         assert!(client.stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn over_long_tenant_ids_fail_typed_and_send_nothing() {
+        let server = crate::MatchServer::new(crate::TenantRegistry::new())
+            .spawn("127.0.0.1:0")
+            .unwrap();
+        let mut client = MatchClient::connect(server.addr()).unwrap();
+        // Past the u16 length prefix: no id check of the client's own,
+        // only the codec's width rule.
+        let id = "x".repeat(70_000);
+        let access = TenantAccess::new(&id, &[7; 32]);
+        let spec = TenantSpec {
+            backend: "plain".into(),
+            seed: 1,
+            window: 8,
+            threads: 1,
+            insecure: true,
+            workers: 1,
+        };
+        let frame_error = |result: Result<(), MatchError>| {
+            assert!(matches!(result, Err(MatchError::Frame(_))), "{result:?}");
+        };
+        frame_error(client.tenant_stats(&id).map(drop));
+        frame_error(client.database_info(&id).map(drop));
+        frame_error(client.upload_database(&access, &spec, b"db", 1).map(drop));
+        frame_error(client.evict_database(&access, 1).map(drop));
+        frame_error(
+            client
+                .search_bits(&access, &BitString::from_ascii("q"))
+                .map(drop),
+        );
+        // Nothing reached the socket: the connection is still at a frame
+        // boundary and answers the next request.
+        client.ping().unwrap();
+        server.shutdown();
     }
 }

@@ -52,10 +52,12 @@
 //! * [`wire`] — the length-prefixed binary protocol (encrypted queries
 //!   in, AES-sealed index lists out), hardened against truncated,
 //!   oversized, and garbage frames. A client-key query is its length `k`
-//!   and its variant ciphertexts and nothing else: the alignment geometry
-//!   is rebuilt from `k` on arrival, and no class, mask or segment
-//!   derived from the pattern is ever serialized. A frame is encoded
-//!   once, behind its reserved header, and sent in one write;
+//!   and ciphertexts and nothing else — packed (`CMQ3`, every negated
+//!   segment once) for CM-SW, one per variant (`CMQ2`) for
+//!   [`IfpMatcher`]: the alignment geometry is rebuilt from `k` on
+//!   arrival, and no class, mask or segment derived from the pattern is
+//!   ever serialized. A frame is encoded once, behind its reserved header,
+//!   and sent in one write — requests and replies alike;
 //! * [`MatchServer`] / [`MatchClient`] — a readiness-driven
 //!   `cm_reactor` front-end that admits *frames, not connections*: one
 //!   reactor thread owns every socket (thousands of cheap idle

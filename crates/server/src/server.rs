@@ -44,7 +44,7 @@ use cm_telemetry::{MetricsRegistry, Stage, Trace};
 use crate::telemetry::{tag_index, ServerTelemetry, TAG_INVALID};
 use crate::tenant::TenantRegistry;
 use crate::wire::{
-    frame_bytes, FrameBuffer, Request, Response, TenantSpec, UploadAuth, UploadPhase,
+    begin_frame, finish_frame, FrameBuffer, Request, Response, TenantSpec, UploadAuth, UploadPhase,
     MAX_FRAME_BYTES,
 };
 
@@ -221,16 +221,27 @@ impl MatchServer {
     }
 }
 
+/// Frames `response` in one buffer, encoded in place behind the reserved
+/// header. A reply too large to frame degrades to a typed error frame
+/// rather than silence (or a panic).
+fn reply_frame(response: &Response) -> Vec<u8> {
+    let framed = |response: &Response| {
+        let mut frame = Vec::new();
+        begin_frame(&mut frame);
+        response.encode_into(&mut frame);
+        finish_frame(&mut frame).map(|()| frame)
+    };
+    framed(response)
+        .or_else(|e| framed(&Response::Error(e)))
+        .unwrap_or_default()
+}
+
 /// Encodes the typed over-capacity rejection, reporting whichever cap
 /// (`max_open_sockets` or `max_inflight_frames`) turned the work away.
-fn busy_frame(cap: usize) -> Option<Vec<u8>> {
-    frame_bytes(
-        &Response::Error(MatchError::ServerBusy {
-            max_open_sockets: cap,
-        })
-        .encode(),
-    )
-    .ok()
+fn busy_frame(cap: usize) -> Vec<u8> {
+    reply_frame(&Response::Error(MatchError::ServerBusy {
+        max_open_sockets: cap,
+    }))
 }
 
 /// Per-connection serving state, owned by the front-end table.
@@ -359,9 +370,7 @@ impl Events for FrontEnd {
             .is_ok();
         if !admitted {
             self.telemetry.count_frame_rejection();
-            if let Some(bytes) = busy_frame(self.max_inflight) {
-                self.handle.send(conn, bytes);
-            }
+            self.handle.send(conn, busy_frame(self.max_inflight));
             return;
         }
         self.telemetry.inflight_add(1);
@@ -388,13 +397,13 @@ impl Events for FrontEnd {
 
     fn on_reject(&mut self) -> Option<Vec<u8>> {
         self.telemetry.count_socket_rejection();
-        busy_frame(self.max_open_sockets)
+        Some(busy_frame(self.max_open_sockets))
     }
 
     fn on_violation(&mut self, _conn: ConnId, reason: &'static str) -> Option<Vec<u8>> {
         // Framing violation: report it once, typed, then the reactor
         // hangs up (the stream is no longer at a frame boundary).
-        frame_bytes(&Response::Error(MatchError::Frame(reason)).encode()).ok()
+        Some(reply_frame(&Response::Error(MatchError::Frame(reason))))
     }
 
     fn on_close(&mut self, conn: ConnId, _reason: cm_reactor::CloseReason) {
@@ -460,12 +469,7 @@ fn run_pump(ctx: &PumpCtx, conn: ConnId) {
             Err(e) => Response::Error(e),
         };
         trace.mark(Stage::Matched);
-        let bytes = match frame_bytes(&response.encode()) {
-            Ok(bytes) => bytes,
-            // A reply too large to frame degrades to a typed error
-            // frame rather than silence (or a panic).
-            Err(e) => frame_bytes(&Response::Error(e).encode()).unwrap_or_default(),
-        };
+        let bytes = reply_frame(&response);
         // The reply is fully assembled: stamp it and record the frame's
         // series *before* the slot release and hand-off, so a client
         // that has its answer can never observe a snapshot that missed

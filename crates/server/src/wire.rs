@@ -8,17 +8,24 @@
 //! leaves in one write, so a small request is one TCP segment and never
 //! waits on the peer's delayed ACK. Payloads are tag-discriminated
 //! [`Request`]/[`Response`] messages encoded with fixed-width
-//! little-endian integers; encrypted queries ride in the `cm-bfv`-backed
-//! [`cm_core::EncryptedQuery::encode`] format (the query length and the
-//! variant ciphertexts, nothing else) and match results return as
+//! little-endian integers. A client-key query rides as the opaque bytes
+//! of the form its tenant's matcher takes — packed for CM-SW
+//! ([`cm_core::PackedQuery`], `CMQ3`: the query length and `⌈V/n⌉`
+//! ciphertexts holding every negated segment once), explicit for the
+//! in-flash matcher ([`cm_core::EncryptedQuery`], `CMQ2`: the query
+//! length and one ciphertext per variant) — and match results return as
 //! AES-sealed index lists ([`cm_ssd::SecureIndexChannel`]), so neither
 //! queries nor results cross the socket in the clear for
 //! CIPHERMATCH-family tenants.
 //!
-//! Every decode path returns a typed [`MatchError`] — truncated,
-//! oversized, or garbage bytes must never panic the peer (extending the
-//! `EncryptedDatabase::decode` hardening to the whole wire surface; the
-//! crate's proptests fuzz exactly this contract).
+//! Each wire type has one codec, encoder and decoder side by side, under
+//! three rules: a length or count that does not fit its prefix is a typed
+//! [`MatchError::Frame`] on encode, never a truncating cast; a declared
+//! count is bounded by what the rest of the message could hold before it
+//! sizes an allocation; and every decode path returns a typed
+//! [`MatchError`] — truncated, oversized, or garbage bytes must never
+//! panic the peer (the crate's proptests fuzz exactly this contract, and
+//! `tests/wire_golden.rs` pins every message byte for byte).
 
 use std::io::{Read, Write};
 use std::time::Duration;
@@ -211,8 +218,8 @@ pub fn auth_tag(
     // Length-prefixed message: no two distinct (op, tenant, extra,
     // nonce, context) tuples serialize to the same byte stream.
     let mut message = Vec::with_capacity(64 + tenant.len() + context.len());
-    message.extend_from_slice(&(tenant.len() as u64).to_le_bytes());
-    message.extend_from_slice(&(context.len() as u64).to_le_bytes());
+    message.extend_from_slice(&widen(tenant.len()).to_le_bytes());
+    message.extend_from_slice(&widen(context.len()).to_le_bytes());
     message.push(op);
     message.extend_from_slice(tenant.as_bytes());
     message.extend_from_slice(&extra.to_le_bytes());
@@ -232,7 +239,7 @@ pub fn auth_tag(
 /// the `Begin` tag so the committed bytes cannot be substituted
 /// mid-upload.
 pub fn content_digest(channel_key: &[u8; 32], data: &[u8]) -> [u8; 16] {
-    auth_tag(channel_key, OP_CONTENT, "", data.len() as u64, 0, data)
+    auth_tag(channel_key, OP_CONTENT, "", widen(data.len()), 0, data)
 }
 
 /// The `Begin` authorization tag: binds the tenant id, nonce, declared
@@ -247,7 +254,10 @@ pub fn upload_tag(
     content: &[u8; 16],
 ) -> [u8; 16] {
     let mut context = Vec::new();
-    put_spec(&mut context, spec);
+    // A spec that does not encode (a backend name past the u16 prefix)
+    // has no `Begin` frame either — the client refuses it before sending
+    // — so its tag is never checked.
+    let _ = spec.put(&mut context);
     context.extend_from_slice(content);
     auth_tag(channel_key, OP_UPLOAD, tenant, total_bytes, nonce, &context)
 }
@@ -402,11 +412,13 @@ impl TenantSpec {
     /// the hot tier; operators pin server-side with
     /// `TenantRegistry::set_pinned`.
     pub fn from_config(config: &cm_core::MatcherConfig, workers: u32) -> Self {
+        // Saturating: a count past u32 arrives out of range, not wrapped.
+        let saturate = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         Self {
             backend: config.backend().name().to_string(),
             seed: config.seed_value(),
-            window: config.window_bits() as u32,
-            threads: config.thread_count() as u32,
+            window: saturate(config.window_bits()),
+            threads: saturate(config.thread_count()),
             insecure: config.is_insecure_test(),
             workers,
         }
@@ -434,8 +446,8 @@ impl TenantSpec {
     pub fn to_config(&self) -> Result<cm_core::MatcherConfig, MatchError> {
         let mut config = cm_core::MatcherConfig::new(Backend::parse(&self.backend)?)
             .seed(self.seed)
-            .window(self.window as usize)
-            .threads(self.threads as usize);
+            .window(narrow(self.window.into()))
+            .threads(narrow(self.threads.into()));
         if self.insecure {
             config = config.insecure_test();
         }
@@ -474,11 +486,12 @@ pub enum QueryPayload {
     /// matcher owns the keys and encrypts the query itself (every
     /// [`Backend`] supports this mode).
     Bits(BitString),
-    /// An already-encrypted query in the CIPHERMATCH wire format
-    /// ([`cm_core::EncryptedQuery::encode`]: the query length and the
-    /// variant ciphertexts), for client-key tenants: the server learns
-    /// the pattern's length and nothing else about it (`ciphermatch` and
-    /// `ifp`).
+    /// An already-encrypted query, for client-key tenants, in the form the
+    /// tenant's [`cm_core::QueryKit`] builds: packed for `ciphermatch`
+    /// ([`cm_core::PackedQuery`], `CMQ3`: the query length and `⌈V/n⌉`
+    /// ciphertexts), one ciphertext per variant for `ifp`
+    /// ([`cm_core::EncryptedQuery`], `CMQ2`). Either way the server learns
+    /// the pattern's length and nothing else about it.
     CmWire(Vec<u8>),
 }
 
@@ -589,12 +602,28 @@ pub fn finish_frame(buf: &mut [u8]) -> Result<(), MatchError> {
         .len()
         .checked_sub(FRAME_HEADER_BYTES)
         .ok_or(MatchError::Frame("frame buffer holds no header"))?;
-    if payload > MAX_FRAME_BYTES {
-        return Err(MatchError::Frame("payload exceeds the frame size cap"));
-    }
+    let len = u32::try_from(payload)
+        .ok()
+        .filter(|_| payload <= MAX_FRAME_BYTES)
+        .ok_or(MatchError::Frame("payload exceeds the frame size cap"))?;
     buf[..4].copy_from_slice(&FRAME_MAGIC);
-    buf[4..FRAME_HEADER_BYTES].copy_from_slice(&(payload as u32).to_le_bytes());
+    buf[4..FRAME_HEADER_BYTES].copy_from_slice(&len.to_le_bytes());
     Ok(())
+}
+
+/// Validates a frame header — magic, then the declared length against
+/// [`MAX_FRAME_BYTES`] — and returns the payload length. The one check
+/// [`read_frame`] and [`FrameBuffer`] both apply, before a single payload
+/// byte is accepted. `header` holds at least [`FRAME_HEADER_BYTES`].
+fn payload_len(header: &[u8]) -> Result<usize, &'static str> {
+    if header[..4] != FRAME_MAGIC {
+        return Err("bad frame magic");
+    }
+    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    usize::try_from(len)
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or("frame length exceeds the size cap")
 }
 
 /// Writes one frame as a single `write_all` of header and payload
@@ -669,14 +698,7 @@ pub(crate) fn read_frame_into<R: Read>(
     if !read_fully(r, &mut header, true)? {
         return Ok(false);
     }
-    if header[..4] != FRAME_MAGIC {
-        return Err(MatchError::Frame("bad frame magic"));
-    }
-    let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(MatchError::Frame("frame length exceeds the size cap"));
-    }
-    payload.resize(len, 0);
+    payload.resize(payload_len(&header).map_err(MatchError::Frame)?, 0);
     read_fully(r, payload, false)?;
     Ok(true)
 }
@@ -734,40 +756,29 @@ impl FrameBuffer {
             return Err(MatchError::Frame(reason));
         }
         let mut rest = bytes;
+        // Moves bytes from `rest` into the frame until it holds `target`;
+        // whether it does.
+        let fill = |buf: &mut Vec<u8>, rest: &mut &[u8], target: usize| {
+            let (head, tail) = rest.split_at(target.saturating_sub(buf.len()).min(rest.len()));
+            buf.extend_from_slice(head);
+            *rest = tail;
+            buf.len() >= target
+        };
         loop {
-            // Complete the 8-byte header first; validate it before a
-            // single payload byte is accepted.
-            if self.buf.len() < 8 {
-                let need = 8 - self.buf.len();
-                let take = need.min(rest.len());
-                self.buf.extend_from_slice(&rest[..take]);
-                rest = &rest[take..];
-                if self.buf.len() < 8 {
-                    return Ok(());
-                }
-                if self.buf[..4] != FRAME_MAGIC {
-                    return Err(self.fail("bad frame magic"));
-                }
-                let len = u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]);
-                if len as usize > MAX_FRAME_BYTES {
-                    return Err(self.fail("frame length exceeds the size cap"));
-                }
-            }
-            let len =
-                u32::from_le_bytes([self.buf[4], self.buf[5], self.buf[6], self.buf[7]]) as usize;
-            let need = len - (self.buf.len() - 8);
-            let take = need.min(rest.len());
-            self.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if self.buf.len() - 8 < len {
+            // The header first, validated before a payload byte is taken.
+            if !fill(&mut self.buf, &mut rest, FRAME_HEADER_BYTES) {
                 return Ok(());
             }
-            let payload = self.buf.split_off(8);
+            let len = match payload_len(&self.buf) {
+                Ok(len) => len,
+                Err(reason) => return Err(self.fail(reason)),
+            };
+            if !fill(&mut self.buf, &mut rest, FRAME_HEADER_BYTES + len) {
+                return Ok(());
+            }
+            let payload = self.buf.split_off(FRAME_HEADER_BYTES);
             self.buf.clear();
             self.ready.push_back(payload);
-            if rest.is_empty() {
-                return Ok(());
-            }
         }
     }
 
@@ -804,318 +815,352 @@ impl cm_reactor::FrameDecoder for FrameBuffer {
 }
 
 // ---------------------------------------------------------------------------
-// Message encoding primitives
+// The message codec
 // ---------------------------------------------------------------------------
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// One wire type's codec, encoder and decoder side by side.
+trait Wire: Sized {
+    /// The fewest bytes one encoded value occupies (at least 1):
+    /// [`read_list`] bounds a declared count by it.
+    const MIN_BYTES: usize;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError>;
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError>;
 }
 
-fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(data);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize);
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bits(out: &mut Vec<u8>, bits: &BitString) {
-    put_u64(out, bits.len() as u64);
-    let start = out.len();
-    out.resize(start + bits.len().div_ceil(8), 0);
-    for (i, &b) in bits.bits().iter().enumerate() {
-        if b {
-            out[start + i / 8] |= 1 << (7 - i % 8);
-        }
-    }
-}
-
-fn put_stats(out: &mut Vec<u8>, s: &MatchStats) {
-    for v in [
-        s.hom_adds,
-        s.hom_muls,
-        s.rotations,
-        s.bootstraps,
-        s.bytes_moved,
-        s.flash_wear,
-        s.add_time.as_nanos() as u64,
-        s.mul_time.as_nanos() as u64,
-    ] {
-        put_u64(out, v);
-    }
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &TenantSpec) {
-    put_str(out, &spec.backend);
-    put_u64(out, spec.seed);
-    out.extend_from_slice(&spec.window.to_le_bytes());
-    out.extend_from_slice(&spec.threads.to_le_bytes());
-    out.push(spec.insecure as u8);
-    out.extend_from_slice(&spec.workers.to_le_bytes());
-}
-
-fn read_spec(r: &mut Reader<'_>) -> Result<TenantSpec, MatchError> {
-    let backend = r.str()?;
-    if backend.is_empty() || backend.len() > 32 {
-        return Err(MatchError::Frame("backend name length out of range"));
-    }
-    let seed = r.u64()?;
-    let window = r.u32()?;
-    let threads = r.u32()?;
-    let insecure = r.bool()?;
-    let workers = r.u32()?;
-    let spec = TenantSpec {
-        backend,
-        seed,
-        window,
-        threads,
-        insecure,
-        workers,
-    };
-    match spec.out_of_range() {
-        Some(why) => Err(MatchError::Frame(why)),
-        None => Ok(spec),
-    }
-}
-
-/// Bounds-checked message reader; every failure is a typed
-/// [`MatchError::Frame`].
+/// The unread rest of a message; running short is a typed
+/// [`MatchError::Frame`], never a slice panic.
 struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
     fn take(&mut self, len: usize) -> Result<&'a [u8], MatchError> {
-        if len > self.remaining() {
-            return Err(MatchError::Frame("message truncated"));
+        let (head, tail) = self
+            .rest
+            .split_at_checked(len)
+            .ok_or(MatchError::Frame("message truncated"))?;
+        self.rest = tail;
+        Ok(head)
+    }
+
+    fn read<T: Wire>(&mut self) -> Result<T, MatchError> {
+        T::read(self)
+    }
+}
+
+/// Decodes one whole message; bytes left over are an error.
+fn decode_message<T: Wire>(data: &[u8]) -> Result<T, MatchError> {
+    let mut r = Reader { rest: data };
+    let message = r.read()?;
+    if !r.rest.is_empty() {
+        return Err(MatchError::Frame("trailing bytes after message"));
+    }
+    Ok(message)
+}
+
+/// The width of a length or count prefix: `u16` (strings, short lists),
+/// `u32` (byte strings, long lists) or `u64` (bit lengths).
+trait Width: Wire + TryFrom<usize> + TryInto<usize> {}
+
+impl Width for u16 {}
+impl Width for u32 {}
+impl Width for u64 {}
+
+/// Writes `len` as a `W`. A length that does not fit is a typed error
+/// that writes nothing, never a truncating cast — a wrapped count would
+/// desync the decoder from whatever follows it.
+fn put_len<W: Width>(out: &mut Vec<u8>, len: usize) -> Result<(), MatchError> {
+    W::try_from(len)
+        .map_err(|_| MatchError::Frame("length or count exceeds its wire width"))?
+        .put(out)
+}
+
+fn read_len<W: Width>(r: &mut Reader<'_>) -> Result<usize, MatchError> {
+    r.read::<W>()?
+        .try_into()
+        .map_err(|_| MatchError::Frame("length exceeds the address space"))
+}
+
+/// Writes a list behind its `W` count.
+fn put_list<W: Width, T: Wire>(out: &mut Vec<u8>, items: &[T]) -> Result<(), MatchError> {
+    put_len::<W>(out, items.len())?;
+    items.iter().try_for_each(|item| item.put(out))
+}
+
+/// Reads a `W`-counted list. The declared count is bounded by what the
+/// rest of the message could hold before it sizes an allocation, so a
+/// lying count is a typed error, never a huge `Vec`.
+fn read_list<W: Width, T: Wire>(r: &mut Reader<'_>) -> Result<Vec<T>, MatchError> {
+    let count = read_len::<W>(r)?;
+    if count > r.rest.len() / T::MIN_BYTES {
+        return Err(MatchError::Frame("declared count exceeds the message"));
+    }
+    let mut items = Vec::with_capacity(count);
+    for _ in 0..count {
+        items.push(r.read()?);
+    }
+    Ok(items)
+}
+
+/// Writes a byte string behind its `W` length.
+fn put_bytes<W: Width>(out: &mut Vec<u8>, bytes: &[u8]) -> Result<(), MatchError> {
+    put_len::<W>(out, bytes.len())?;
+    out.extend_from_slice(bytes);
+    Ok(())
+}
+
+fn read_bytes<'a, W: Width>(r: &mut Reader<'a>) -> Result<&'a [u8], MatchError> {
+    let len = read_len::<W>(r)?;
+    r.take(len)
+}
+
+/// A `usize` operand as the wire's u64: lossless on every target this
+/// builds for, saturating otherwise.
+fn widen(n: usize) -> u64 {
+    u64::try_from(n).unwrap_or(u64::MAX)
+}
+
+/// A wire u64 as a `usize` operand, saturating where `usize` is narrower.
+fn narrow(n: u64) -> usize {
+    usize::try_from(n).unwrap_or(usize::MAX)
+}
+
+macro_rules! little_endian {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            const MIN_BYTES: usize = std::mem::size_of::<$int>();
+
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+                out.extend_from_slice(&self.to_le_bytes());
+                Ok(())
+            }
+
+            fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+                r.read().map(<$int>::from_le_bytes)
+            }
         }
-        let out = &self.data[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
+    )*};
+}
+
+// An i64 travels as its two's-complement bits.
+little_endian!(u8, u16, u32, u64, i64);
+
+impl<const N: usize> Wire for [u8; N] {
+    const MIN_BYTES: usize = N;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        out.extend_from_slice(self);
+        Ok(())
     }
 
-    fn u8(&mut self) -> Result<u8, MatchError> {
-        Ok(self.take(1)?[0])
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        let mut array = [0; N];
+        array.copy_from_slice(r.take(N)?);
+        Ok(array)
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        u8::from(*self).put(out)
     }
 
-    /// Reads a fixed-width byte array; a short message is a typed
-    /// [`MatchError::Frame`], never a slice-conversion panic.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], MatchError> {
-        let mut out = [0u8; N];
-        out.copy_from_slice(self.take(N)?);
-        Ok(out)
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        let byte: u8 = r.read()?;
+        (byte <= 1)
+            .then_some(byte == 1)
+            .ok_or(MatchError::Frame("boolean byte out of range"))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        self.0.put(out)?;
+        self.1.put(out)
     }
 
-    fn u16(&mut self) -> Result<u16, MatchError> {
-        Ok(u16::from_le_bytes(self.array()?))
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        Ok((r.read()?, r.read()?))
+    }
+}
+
+/// UTF-8 behind a u16 length.
+impl Wire for String {
+    const MIN_BYTES: usize = u16::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        put_bytes::<u16>(out, self.as_bytes())
     }
 
-    fn bool(&mut self) -> Result<bool, MatchError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(MatchError::Frame("boolean byte out of range")),
-        }
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        let bytes = read_bytes::<u16>(r)?.to_vec();
+        String::from_utf8(bytes).map_err(|_| MatchError::Frame("string is not UTF-8"))
+    }
+}
+
+/// A byte string, behind a u32 length.
+impl Wire for Vec<u8> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        put_bytes::<u32>(out, self)
     }
 
-    fn u32(&mut self) -> Result<u32, MatchError> {
-        Ok(u32::from_le_bytes(self.array()?))
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        read_bytes::<u32>(r).map(<[u8]>::to_vec)
+    }
+}
+
+/// Whole nanoseconds as a u64 (saturating past ≈ 584 years).
+impl Wire for Duration {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).put(out)
     }
 
-    fn u64(&mut self) -> Result<u64, MatchError> {
-        Ok(u64::from_le_bytes(self.array()?))
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        r.read().map(Duration::from_nanos)
     }
+}
 
-    fn bytes(&mut self) -> Result<Vec<u8>, MatchError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
+/// The bit length as a u64, then the bits packed most-significant first.
+impl Wire for BitString {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
 
-    fn str(&mut self) -> Result<String, MatchError> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| MatchError::Frame("string is not UTF-8"))
-    }
-
-    fn tenant_id(&mut self) -> Result<String, MatchError> {
-        let id = self.str()?;
-        if id.is_empty() || id.len() > MAX_TENANT_ID {
-            return Err(MatchError::Frame("tenant id length out of range"));
-        }
-        Ok(id)
-    }
-
-    fn bits(&mut self) -> Result<BitString, MatchError> {
-        let bit_len = self.u64()? as usize;
-        let byte_len = bit_len.div_ceil(8);
-        if byte_len > self.remaining() {
-            return Err(MatchError::Frame("bit string longer than its frame"));
-        }
-        let packed = self.take(byte_len)?;
-        let mut out = BitString::new();
-        for i in 0..bit_len {
-            out.push(packed[i / 8] >> (7 - i % 8) & 1 == 1);
-        }
-        Ok(out)
-    }
-
-    fn stats(&mut self) -> Result<MatchStats, MatchError> {
-        Ok(MatchStats {
-            hom_adds: self.u64()?,
-            hom_muls: self.u64()?,
-            rotations: self.u64()?,
-            bootstraps: self.u64()?,
-            bytes_moved: self.u64()?,
-            flash_wear: self.u64()?,
-            add_time: Duration::from_nanos(self.u64()?),
-            mul_time: Duration::from_nanos(self.u64()?),
-        })
-    }
-
-    fn finish(self) -> Result<(), MatchError> {
-        if self.remaining() != 0 {
-            return Err(MatchError::Frame("trailing bytes after message"));
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        put_len::<u64>(out, self.len())?;
+        let start = out.len();
+        out.resize(start + self.len().div_ceil(8), 0);
+        for (i, &bit) in self.bits().iter().enumerate() {
+            if bit {
+                out[start + i / 8] |= 1 << (7 - i % 8);
+            }
         }
         Ok(())
     }
-}
 
-// ---------------------------------------------------------------------------
-// Telemetry snapshot codec
-// ---------------------------------------------------------------------------
-
-fn put_labels(out: &mut Vec<u8>, labels: &[(String, String)]) {
-    out.extend_from_slice(&(labels.len() as u16).to_le_bytes());
-    for (k, v) in labels {
-        put_str(out, k);
-        put_str(out, v);
-    }
-}
-
-fn read_labels(r: &mut Reader<'_>) -> Result<Vec<(String, String)>, MatchError> {
-    let count = r.u16()? as usize;
-    // Each label pair costs at least its two length prefixes.
-    if count > r.remaining() / 4 {
-        return Err(MatchError::Frame("implausible label count"));
-    }
-    let mut labels = Vec::with_capacity(count);
-    for _ in 0..count {
-        labels.push((r.str()?, r.str()?));
-    }
-    Ok(labels)
-}
-
-fn put_snapshot(out: &mut Vec<u8>, snap: &MetricsSnapshot) {
-    out.extend_from_slice(&(snap.counters.len() as u32).to_le_bytes());
-    for c in &snap.counters {
-        put_str(out, &c.name);
-        put_labels(out, &c.labels);
-        put_u64(out, c.value);
-    }
-    out.extend_from_slice(&(snap.gauges.len() as u32).to_le_bytes());
-    for g in &snap.gauges {
-        put_str(out, &g.name);
-        put_labels(out, &g.labels);
-        // Two's-complement round trip: i64 travels as its u64 bits.
-        put_u64(out, g.value as u64);
-    }
-    out.extend_from_slice(&(snap.histograms.len() as u32).to_le_bytes());
-    for h in &snap.histograms {
-        put_str(out, &h.name);
-        put_labels(out, &h.labels);
-        put_u64(out, h.count);
-        put_u64(out, h.sum);
-        out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
-        for &(index, count) in &h.buckets {
-            out.extend_from_slice(&index.to_le_bytes());
-            put_u64(out, count);
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        let len = read_len::<u64>(r)?;
+        let packed = r.take(len.div_ceil(8))?;
+        let mut bits = BitString::new();
+        for i in 0..len {
+            bits.push(packed[i / 8] >> (7 - i % 8) & 1 == 1);
         }
+        Ok(bits)
     }
 }
 
-fn read_snapshot(r: &mut Reader<'_>) -> Result<MetricsSnapshot, MatchError> {
-    // A counter or gauge sample costs at least its name prefix, label
-    // count, and fixed-width value (12 bytes); a histogram header costs
-    // 24 and each sparse bucket 12. Bounding every count by the actual
-    // payload keeps a lying header from driving an allocation.
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 12 {
-        return Err(MatchError::Frame("implausible counter count"));
-    }
-    let mut counters = Vec::with_capacity(count);
-    for _ in 0..count {
-        counters.push(CounterSample {
-            name: r.str()?,
-            labels: read_labels(r)?,
-            value: r.u64()?,
-        });
-    }
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 12 {
-        return Err(MatchError::Frame("implausible gauge count"));
-    }
-    let mut gauges = Vec::with_capacity(count);
-    for _ in 0..count {
-        gauges.push(GaugeSample {
-            name: r.str()?,
-            labels: read_labels(r)?,
-            value: r.u64()? as i64,
-        });
-    }
-    let count = r.u32()? as usize;
-    if count > r.remaining() / 24 {
-        return Err(MatchError::Frame("implausible histogram count"));
-    }
-    let mut histograms = Vec::with_capacity(count);
-    for _ in 0..count {
-        let name = r.str()?;
-        let labels = read_labels(r)?;
-        let total = r.u64()?;
-        let sum = r.u64()?;
-        let bucket_count = r.u32()? as usize;
-        if bucket_count > r.remaining() / 12 {
-            return Err(MatchError::Frame("implausible bucket count"));
-        }
-        let mut buckets: Vec<(u32, u64)> = Vec::with_capacity(bucket_count);
-        for _ in 0..bucket_count {
-            let index = r.u32()?;
-            // Out-of-range or out-of-order indices would break the
-            // bucket-geometry functions downstream (`bucket_lo` shifts
-            // by the bucket's magnitude) and the sparse-merge
-            // invariant; reject them structurally.
-            if index >= cm_telemetry::HISTOGRAM_BUCKETS as u32 {
-                return Err(MatchError::Frame("histogram bucket index out of range"));
+/// Implements [`Wire`] for a struct as its fields in declaration order:
+/// each by its type's codec or — written `field: Vec<T> as W` — as a
+/// `W`-counted list. `check` names a test the decoded value must pass.
+macro_rules! wire_struct {
+    (@min $ty:ty) => { <$ty as Wire>::MIN_BYTES };
+    (@min $ty:ty, $width:ty) => { <$width as Wire>::MIN_BYTES };
+    (@put $out:ident, $field:expr) => { $field.put($out)? };
+    (@put $out:ident, $field:expr, $width:ty) => { put_list::<$width, _>($out, $field)? };
+    (@read $r:ident, $ty:ty) => { $r.read::<$ty>()? };
+    (@read $r:ident, $ty:ty, $width:ty) => { read_list::<$width, _>($r)? };
+    ($name:ident { $($field:ident: $ty:ty $(as $width:ty)?),+ $(,)? } $(check $check:path)?) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ wire_struct!(@min $ty $(, $width)?))+;
+
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+                $(wire_struct!(@put out, &self.$field $(, $width)?);)+
+                Ok(())
             }
-            if buckets.last().is_some_and(|&(prev, _)| prev >= index) {
-                return Err(MatchError::Frame("histogram buckets out of order"));
+
+            fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+                let value = $name { $($field: wire_struct!(@read r, $ty $(, $width)?)),+ };
+                $($check(&value)?;)?
+                Ok(value)
             }
-            buckets.push((index, r.u64()?));
         }
-        histograms.push(HistogramSample {
-            name,
-            labels,
-            count: total,
-            sum,
-            buckets,
-        });
+    };
+}
+
+wire_struct! { TenantInfo { id: String, backend: String } }
+
+wire_struct! {
+    MatchStats {
+        hom_adds: u64, hom_muls: u64, rotations: u64, bootstraps: u64, bytes_moved: u64,
+        flash_wear: u64, add_time: Duration, mul_time: Duration,
     }
-    Ok(MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    })
+}
+
+wire_struct! {
+    TenantSpec {
+        backend: String, seed: u64, window: u32, threads: u32, insecure: bool, workers: u32,
+    } check check_spec
+}
+
+wire_struct! {
+    UploadAuth { nonce: u64, channel_key: [u8; 32], content: [u8; 16], tag: [u8; 16] }
+}
+
+wire_struct! { EvictAuth { nonce: u64, tag: [u8; 16] } }
+
+wire_struct! {
+    DatabaseInfoReply {
+        backend: String, resident: bool, pinned: bool, bytes: u64, workers: u32, queries: u64,
+        tier: String,
+    }
+}
+
+// Telemetry: every list u32-counted, labels u16-counted.
+wire_struct! {
+    CounterSample { name: String, labels: Vec<(String, String)> as u16, value: u64 }
+}
+
+wire_struct! {
+    GaugeSample { name: String, labels: Vec<(String, String)> as u16, value: i64 }
+}
+
+wire_struct! {
+    HistogramSample {
+        name: String, labels: Vec<(String, String)> as u16, count: u64, sum: u64,
+        buckets: Vec<(u32, u64)> as u32,
+    } check check_buckets
+}
+
+wire_struct! {
+    MetricsSnapshot {
+        counters: Vec<CounterSample> as u32, gauges: Vec<GaugeSample> as u32,
+        histograms: Vec<HistogramSample> as u32,
+    }
+}
+
+/// A spec arrives with a plausible backend name and its counts in range.
+fn check_spec(spec: &TenantSpec) -> Result<(), MatchError> {
+    if spec.backend.is_empty() || spec.backend.len() > 32 {
+        return Err(MatchError::Frame("backend name length out of range"));
+    }
+    spec.out_of_range()
+        .map_or(Ok(()), |why| Err(MatchError::Frame(why)))
+}
+
+/// Buckets travel sparse, as (index, count) pairs. Out-of-order or
+/// out-of-range indices would break the sparse-merge invariant and the
+/// bucket-geometry functions downstream (`bucket_lo` shifts by the
+/// bucket's magnitude); in ascending order, only the last can be too big.
+fn check_buckets(sample: &HistogramSample) -> Result<(), MatchError> {
+    let buckets = &sample.buckets;
+    if buckets.windows(2).any(|pair| pair[0].0 >= pair[1].0) {
+        return Err(MatchError::Frame("histogram buckets out of order"));
+    }
+    if buckets
+        .last()
+        .is_some_and(|&(index, _)| narrow(index.into()) >= cm_telemetry::HISTOGRAM_BUCKETS)
+    {
+        return Err(MatchError::Frame("histogram bucket index out of range"));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1126,153 +1171,424 @@ fn read_snapshot(r: &mut Reader<'_>) -> Result<MetricsSnapshot, MatchError> {
 /// the client as this placeholder.
 const REMOTE: &str = "remote";
 
-fn put_error(out: &mut Vec<u8>, e: &MatchError) {
-    use cm_bfv::DecodeError;
-    let (tag, a, b, text): (u8, u64, u64, &str) = match e {
-        MatchError::NoIndexGenerator => (tags::ERR_NO_INDEX_GENERATOR, 0, 0, ""),
-        MatchError::NoDatabase => (tags::ERR_NO_DATABASE, 0, 0, ""),
-        MatchError::EmptyQuery => (tags::ERR_EMPTY_QUERY, 0, 0, ""),
-        MatchError::QueryTooLong { max, got } => {
-            (tags::ERR_QUERY_TOO_LONG, *max as u64, *got as u64, "")
-        }
-        MatchError::WindowMismatch { expected, got } => {
-            (tags::ERR_WINDOW_MISMATCH, *expected as u64, *got as u64, "")
-        }
-        MatchError::WorkerPanicked => (tags::ERR_WORKER_PANICKED, 0, 0, ""),
-        MatchError::InvalidConfig(what) => (tags::ERR_INVALID_CONFIG, 0, 0, *what),
-        MatchError::Decode(d) => {
-            let code = match d {
-                DecodeError::Truncated => tags::DECODE_TRUNCATED,
-                DecodeError::BadMagic => tags::DECODE_BAD_MAGIC,
-                DecodeError::BadHeader(_) => tags::DECODE_BAD_HEADER,
-                DecodeError::CoefficientOverflow => tags::DECODE_COEFFICIENT_OVERFLOW,
-            };
-            (tags::ERR_DECODE, u64::from(code), 0, "")
-        }
-        MatchError::WireQueryUnsupported(backend) => {
-            (tags::ERR_WIRE_QUERY_UNSUPPORTED, 0, 0, backend.name())
-        }
-        MatchError::UnknownBackend(name) => (tags::ERR_UNKNOWN_BACKEND, 0, 0, name.as_str()),
-        MatchError::UnknownTenant(id) => (tags::ERR_UNKNOWN_TENANT, 0, 0, id.as_str()),
-        MatchError::Frame(what) => (tags::ERR_FRAME, 0, 0, *what),
-        MatchError::Transport(what) => (tags::ERR_TRANSPORT, 0, 0, what.as_str()),
-        MatchError::ServerBusy { max_open_sockets } => {
-            (tags::ERR_SERVER_BUSY, *max_open_sockets as u64, 0, "")
-        }
-        MatchError::Unauthorized(what) => (tags::ERR_UNAUTHORIZED, 0, 0, *what),
-        MatchError::QuotaExceeded { budget, required } => {
-            (tags::ERR_QUOTA_EXCEEDED, *budget, *required, "")
-        }
-        MatchError::UploadIncomplete(what) => (tags::ERR_UPLOAD_INCOMPLETE, 0, 0, *what),
-        MatchError::WireDatabaseUnsupported(backend) => {
-            (tags::ERR_WIRE_DATABASE_UNSUPPORTED, 0, 0, backend.name())
-        }
-        MatchError::ConnectionClosed => (tags::ERR_CONNECTION_CLOSED, 0, 0, ""),
-        MatchError::Internal(what) => (tags::ERR_INTERNAL, 0, 0, *what),
-    };
-    out.push(tag);
-    put_u64(out, a);
-    put_u64(out, b);
-    // Never slice mid-codepoint: an overlong message is summarized.
-    let text = if text.len() <= u16::MAX as usize {
-        text
-    } else {
-        "error message too long for the wire"
-    };
-    put_str(out, text);
-}
+/// An error travels as its tag, two u64 operands and a text.
+impl Wire for MatchError {
+    const MIN_BYTES: usize = 1 + 8 + 8 + String::MIN_BYTES;
 
-fn read_error(r: &mut Reader<'_>) -> Result<MatchError, MatchError> {
-    use cm_bfv::DecodeError;
-    let tag = r.u8()?;
-    let a = r.u64()? as usize;
-    let b = r.u64()? as usize;
-    let text = r.str()?;
-    Ok(match tag {
-        tags::ERR_NO_INDEX_GENERATOR => MatchError::NoIndexGenerator,
-        tags::ERR_NO_DATABASE => MatchError::NoDatabase,
-        tags::ERR_EMPTY_QUERY => MatchError::EmptyQuery,
-        tags::ERR_QUERY_TOO_LONG => MatchError::QueryTooLong { max: a, got: b },
-        tags::ERR_WINDOW_MISMATCH => MatchError::WindowMismatch {
-            expected: a,
-            got: b,
-        },
-        tags::ERR_WORKER_PANICKED => MatchError::WorkerPanicked,
-        tags::ERR_INVALID_CONFIG => MatchError::InvalidConfig(REMOTE),
-        tags::ERR_DECODE => MatchError::Decode(match a as u8 {
-            tags::DECODE_TRUNCATED => DecodeError::Truncated,
-            tags::DECODE_BAD_MAGIC => DecodeError::BadMagic,
-            tags::DECODE_BAD_HEADER => DecodeError::BadHeader(REMOTE),
-            tags::DECODE_COEFFICIENT_OVERFLOW => DecodeError::CoefficientOverflow,
-            // An unknown sub-code still decodes; overflow is the most
-            // conservative reading of a corrupt ciphertext.
-            _ => DecodeError::CoefficientOverflow,
-        }),
-        tags::ERR_WIRE_QUERY_UNSUPPORTED => MatchError::WireQueryUnsupported(
-            Backend::parse(&text).map_err(|_| MatchError::Frame("unknown backend in error"))?,
-        ),
-        tags::ERR_UNKNOWN_BACKEND => MatchError::UnknownBackend(text),
-        tags::ERR_UNKNOWN_TENANT => MatchError::UnknownTenant(text),
-        tags::ERR_FRAME => MatchError::Frame(REMOTE),
-        tags::ERR_TRANSPORT => MatchError::Transport(text),
-        tags::ERR_SERVER_BUSY => MatchError::ServerBusy {
-            max_open_sockets: a,
-        },
-        tags::ERR_UNAUTHORIZED => MatchError::Unauthorized(REMOTE),
-        tags::ERR_QUOTA_EXCEEDED => MatchError::QuotaExceeded {
-            budget: a as u64,
-            required: b as u64,
-        },
-        tags::ERR_UPLOAD_INCOMPLETE => MatchError::UploadIncomplete(REMOTE),
-        tags::ERR_WIRE_DATABASE_UNSUPPORTED => MatchError::WireDatabaseUnsupported(
-            Backend::parse(&text).map_err(|_| MatchError::Frame("unknown backend in error"))?,
-        ),
-        tags::ERR_CONNECTION_CLOSED => MatchError::ConnectionClosed,
-        tags::ERR_INTERNAL => MatchError::Internal(REMOTE),
-        _ => return Err(MatchError::Frame("unknown error tag")),
-    })
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        use cm_bfv::DecodeError;
+        let (tag, a, b, text): (u8, u64, u64, &str) = match self {
+            MatchError::NoIndexGenerator => (tags::ERR_NO_INDEX_GENERATOR, 0, 0, ""),
+            MatchError::NoDatabase => (tags::ERR_NO_DATABASE, 0, 0, ""),
+            MatchError::EmptyQuery => (tags::ERR_EMPTY_QUERY, 0, 0, ""),
+            MatchError::QueryTooLong { max, got } => {
+                (tags::ERR_QUERY_TOO_LONG, widen(*max), widen(*got), "")
+            }
+            MatchError::WindowMismatch { expected, got } => {
+                (tags::ERR_WINDOW_MISMATCH, widen(*expected), widen(*got), "")
+            }
+            MatchError::WorkerPanicked => (tags::ERR_WORKER_PANICKED, 0, 0, ""),
+            MatchError::InvalidConfig(what) => (tags::ERR_INVALID_CONFIG, 0, 0, *what),
+            MatchError::Decode(d) => {
+                let code = match d {
+                    DecodeError::Truncated => tags::DECODE_TRUNCATED,
+                    DecodeError::BadMagic => tags::DECODE_BAD_MAGIC,
+                    DecodeError::BadHeader(_) => tags::DECODE_BAD_HEADER,
+                    DecodeError::CoefficientOverflow => tags::DECODE_COEFFICIENT_OVERFLOW,
+                };
+                (tags::ERR_DECODE, u64::from(code), 0, "")
+            }
+            MatchError::WireQueryUnsupported(backend) => {
+                (tags::ERR_WIRE_QUERY_UNSUPPORTED, 0, 0, backend.name())
+            }
+            MatchError::UnknownBackend(name) => (tags::ERR_UNKNOWN_BACKEND, 0, 0, name.as_str()),
+            MatchError::UnknownTenant(id) => (tags::ERR_UNKNOWN_TENANT, 0, 0, id.as_str()),
+            MatchError::Frame(what) => (tags::ERR_FRAME, 0, 0, *what),
+            MatchError::Transport(what) => (tags::ERR_TRANSPORT, 0, 0, what.as_str()),
+            MatchError::ServerBusy { max_open_sockets } => {
+                (tags::ERR_SERVER_BUSY, widen(*max_open_sockets), 0, "")
+            }
+            MatchError::Unauthorized(what) => (tags::ERR_UNAUTHORIZED, 0, 0, *what),
+            MatchError::QuotaExceeded { budget, required } => {
+                (tags::ERR_QUOTA_EXCEEDED, *budget, *required, "")
+            }
+            MatchError::UploadIncomplete(what) => (tags::ERR_UPLOAD_INCOMPLETE, 0, 0, *what),
+            MatchError::WireDatabaseUnsupported(backend) => {
+                (tags::ERR_WIRE_DATABASE_UNSUPPORTED, 0, 0, backend.name())
+            }
+            MatchError::ConnectionClosed => (tags::ERR_CONNECTION_CLOSED, 0, 0, ""),
+            MatchError::Internal(what) => (tags::ERR_INTERNAL, 0, 0, *what),
+        };
+        tag.put(out)?;
+        a.put(out)?;
+        b.put(out)?;
+        // Never slice mid-codepoint: a message past the u16 prefix is
+        // summarized, so an error always encodes.
+        put_bytes::<u16>(out, text.as_bytes())
+            .or_else(|_| put_bytes::<u16>(out, b"error message too long for the wire"))
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        use cm_bfv::DecodeError;
+        let tag: u8 = r.read()?;
+        let a: u64 = r.read()?;
+        let b: u64 = r.read()?;
+        let text: String = r.read()?;
+        let backend = |name: &str| {
+            Backend::parse(name).map_err(|_| MatchError::Frame("unknown backend in error"))
+        };
+        Ok(match tag {
+            tags::ERR_NO_INDEX_GENERATOR => MatchError::NoIndexGenerator,
+            tags::ERR_NO_DATABASE => MatchError::NoDatabase,
+            tags::ERR_EMPTY_QUERY => MatchError::EmptyQuery,
+            tags::ERR_QUERY_TOO_LONG => MatchError::QueryTooLong {
+                max: narrow(a),
+                got: narrow(b),
+            },
+            tags::ERR_WINDOW_MISMATCH => MatchError::WindowMismatch {
+                expected: narrow(a),
+                got: narrow(b),
+            },
+            tags::ERR_WORKER_PANICKED => MatchError::WorkerPanicked,
+            tags::ERR_INVALID_CONFIG => MatchError::InvalidConfig(REMOTE),
+            tags::ERR_DECODE => MatchError::Decode(match u8::try_from(a) {
+                Ok(tags::DECODE_TRUNCATED) => DecodeError::Truncated,
+                Ok(tags::DECODE_BAD_MAGIC) => DecodeError::BadMagic,
+                Ok(tags::DECODE_BAD_HEADER) => DecodeError::BadHeader(REMOTE),
+                Ok(tags::DECODE_COEFFICIENT_OVERFLOW) => DecodeError::CoefficientOverflow,
+                // An unknown sub-code — one past a byte included — still
+                // decodes; overflow is the most conservative reading of a
+                // corrupt ciphertext.
+                _ => DecodeError::CoefficientOverflow,
+            }),
+            tags::ERR_WIRE_QUERY_UNSUPPORTED => MatchError::WireQueryUnsupported(backend(&text)?),
+            tags::ERR_UNKNOWN_BACKEND => MatchError::UnknownBackend(text),
+            tags::ERR_UNKNOWN_TENANT => MatchError::UnknownTenant(text),
+            tags::ERR_FRAME => MatchError::Frame(REMOTE),
+            tags::ERR_TRANSPORT => MatchError::Transport(text),
+            tags::ERR_SERVER_BUSY => MatchError::ServerBusy {
+                max_open_sockets: narrow(a),
+            },
+            tags::ERR_UNAUTHORIZED => MatchError::Unauthorized(REMOTE),
+            tags::ERR_QUOTA_EXCEEDED => MatchError::QuotaExceeded {
+                budget: a,
+                required: b,
+            },
+            tags::ERR_UPLOAD_INCOMPLETE => MatchError::UploadIncomplete(REMOTE),
+            tags::ERR_WIRE_DATABASE_UNSUPPORTED => {
+                MatchError::WireDatabaseUnsupported(backend(&text)?)
+            }
+            tags::ERR_CONNECTION_CLOSED => MatchError::ConnectionClosed,
+            tags::ERR_INTERNAL => MatchError::Internal(REMOTE),
+            _ => return Err(MatchError::Frame("unknown error tag")),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Request / Response codecs
 // ---------------------------------------------------------------------------
 
+/// The part every tenant-addressed request starts with: its tag and the
+/// tenant id.
+fn put_head(out: &mut Vec<u8>, tag: u8, tenant: &str) -> Result<(), MatchError> {
+    tag.put(out)?;
+    put_bytes::<u16>(out, tenant.as_bytes())
+}
+
+/// Reads a tenant id, held to the length the registry accepts.
+fn read_tenant(r: &mut Reader<'_>) -> Result<String, MatchError> {
+    let id: String = r.read()?;
+    if id.is_empty() || id.len() > MAX_TENANT_ID {
+        return Err(MatchError::Frame("tenant id length out of range"));
+    }
+    Ok(id)
+}
+
 /// Appends a [`Request::Match`] carrying [`QueryPayload::Bits`], from
 /// borrowed parts.
-pub(crate) fn put_match_bits(out: &mut Vec<u8>, tenant: &str, bits: &BitString) {
-    out.push(tags::REQ_MATCH);
-    put_str(out, tenant);
+pub(crate) fn put_match_bits(
+    out: &mut Vec<u8>,
+    tenant: &str,
+    bits: &BitString,
+) -> Result<(), MatchError> {
+    put_head(out, tags::REQ_MATCH, tenant)?;
     out.push(tags::QUERY_BITS);
-    put_bits(out, bits);
+    bits.put(out)
 }
 
 /// Appends a [`Request::Match`] carrying [`QueryPayload::CmWire`], from
 /// borrowed parts.
-pub(crate) fn put_match_wire(out: &mut Vec<u8>, tenant: &str, encoded_query: &[u8]) {
-    out.push(tags::REQ_MATCH);
-    put_str(out, tenant);
+pub(crate) fn put_match_wire(
+    out: &mut Vec<u8>,
+    tenant: &str,
+    encoded_query: &[u8],
+) -> Result<(), MatchError> {
+    put_head(out, tags::REQ_MATCH, tenant)?;
     out.push(tags::QUERY_CM_WIRE);
-    put_bytes(out, encoded_query);
-}
-
-/// Appends the part every [`Request::LoadDatabase`] starts with: request
-/// tag, tenant, phase tag.
-fn put_upload_phase(out: &mut Vec<u8>, tenant: &str, phase_tag: u8) {
-    out.push(tags::REQ_LOAD_DATABASE);
-    put_str(out, tenant);
-    out.push(phase_tag);
+    put_bytes::<u32>(out, encoded_query)
 }
 
 /// Appends a [`Request::LoadDatabase`] in [`UploadPhase::Chunk`], from
 /// borrowed parts.
-pub(crate) fn put_upload_chunk(out: &mut Vec<u8>, tenant: &str, index: u32, data: &[u8]) {
-    put_upload_phase(out, tenant, tags::PHASE_CHUNK);
-    out.extend_from_slice(&index.to_le_bytes());
-    put_bytes(out, data);
+pub(crate) fn put_upload_chunk(
+    out: &mut Vec<u8>,
+    tenant: &str,
+    index: u32,
+    data: &[u8],
+) -> Result<(), MatchError> {
+    put_head(out, tags::REQ_LOAD_DATABASE, tenant)?;
+    out.push(tags::PHASE_CHUNK);
+    index.put(out)?;
+    put_bytes::<u32>(out, data)
+}
+
+impl Wire for Request {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        match self {
+            Request::Ping => tags::REQ_PING.put(out),
+            Request::ListTenants => tags::REQ_LIST_TENANTS.put(out),
+            Request::Match { tenant, query } => match query {
+                QueryPayload::Bits(bits) => put_match_bits(out, tenant, bits),
+                QueryPayload::CmWire(bytes) => put_match_wire(out, tenant, bytes),
+            },
+            Request::TenantStats { tenant } => put_head(out, tags::REQ_TENANT_STATS, tenant),
+            Request::LoadDatabase { tenant, phase } => match phase {
+                UploadPhase::Begin {
+                    auth,
+                    spec,
+                    total_bytes,
+                    chunk_count,
+                } => {
+                    put_head(out, tags::REQ_LOAD_DATABASE, tenant)?;
+                    out.push(tags::PHASE_BEGIN);
+                    auth.put(out)?;
+                    spec.put(out)?;
+                    total_bytes.put(out)?;
+                    chunk_count.put(out)
+                }
+                UploadPhase::Chunk { index, data } => put_upload_chunk(out, tenant, *index, data),
+                UploadPhase::Commit => {
+                    put_head(out, tags::REQ_LOAD_DATABASE, tenant)?;
+                    tags::PHASE_COMMIT.put(out)
+                }
+            },
+            Request::EvictDatabase { tenant, auth } => {
+                put_head(out, tags::REQ_EVICT_DATABASE, tenant)?;
+                auth.put(out)
+            }
+            Request::DatabaseInfo { tenant } => put_head(out, tags::REQ_DATABASE_INFO, tenant),
+            Request::Metrics => tags::REQ_METRICS.put(out),
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        Ok(match r.read::<u8>()? {
+            tags::REQ_PING => Request::Ping,
+            tags::REQ_LIST_TENANTS => Request::ListTenants,
+            tags::REQ_MATCH => {
+                let tenant = read_tenant(r)?;
+                let query = match r.read::<u8>()? {
+                    tags::QUERY_BITS => QueryPayload::Bits(r.read()?),
+                    tags::QUERY_CM_WIRE => QueryPayload::CmWire(r.read()?),
+                    _ => return Err(MatchError::Frame("unknown query payload tag")),
+                };
+                Request::Match { tenant, query }
+            }
+            tags::REQ_TENANT_STATS => Request::TenantStats {
+                tenant: read_tenant(r)?,
+            },
+            tags::REQ_LOAD_DATABASE => {
+                let tenant = read_tenant(r)?;
+                let phase = match r.read::<u8>()? {
+                    tags::PHASE_BEGIN => {
+                        let auth = r.read()?;
+                        let spec = r.read()?;
+                        let total_bytes = r.read()?;
+                        if total_bytes > MAX_DATABASE_BYTES {
+                            return Err(MatchError::Frame(
+                                "declared database size exceeds the cap",
+                            ));
+                        }
+                        let chunk_count = r.read()?;
+                        if !(1..=MAX_UPLOAD_CHUNKS).contains(&chunk_count) {
+                            return Err(MatchError::Frame("chunk count out of range"));
+                        }
+                        UploadPhase::Begin {
+                            auth,
+                            spec,
+                            total_bytes,
+                            chunk_count,
+                        }
+                    }
+                    tags::PHASE_CHUNK => UploadPhase::Chunk {
+                        index: r.read()?,
+                        data: r.read()?,
+                    },
+                    tags::PHASE_COMMIT => UploadPhase::Commit,
+                    _ => return Err(MatchError::Frame("unknown upload phase tag")),
+                };
+                Request::LoadDatabase { tenant, phase }
+            }
+            tags::REQ_EVICT_DATABASE => Request::EvictDatabase {
+                tenant: read_tenant(r)?,
+                auth: r.read()?,
+            },
+            tags::REQ_DATABASE_INFO => Request::DatabaseInfo {
+                tenant: read_tenant(r)?,
+            },
+            tags::REQ_METRICS => Request::Metrics,
+            _ => return Err(MatchError::Frame("unknown request tag")),
+        })
+    }
 }
 
 impl Request {
     /// Serializes the request into a frame payload.
+    ///
+    /// A request that cannot be encoded — a tenant id, query or chunk
+    /// longer than its length prefix can count — encodes as the empty
+    /// payload, which [`Self::decode`] refuses; [`crate::MatchClient`]
+    /// reports such a request as [`MatchError::Frame`] and sends nothing.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        if self.put(&mut out).is_err() {
+            out.clear();
+        }
+        out
+    }
+
+    /// Appends [`Self::encode`]'s bytes to `out` (behind a reserved frame
+    /// header, typically).
+    ///
+    /// # Errors
+    ///
+    /// [`MatchError::Frame`] if a length does not fit its prefix; `out`
+    /// then holds a partial payload that must not be sent.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        self.put(out)
+    }
+
+    /// Decodes a frame payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatchError::Frame`] on truncated, oversized, or garbage
+    /// bytes; never panics.
+    pub fn decode(data: &[u8]) -> Result<Self, MatchError> {
+        decode_message(data)
+    }
+}
+
+impl Wire for Response {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+        match self {
+            Response::Pong { backends } => {
+                out.push(tags::RESP_PONG);
+                put_list::<u16, _>(out, backends)
+            }
+            Response::Tenants(tenants) => {
+                out.push(tags::RESP_TENANTS);
+                put_list::<u16, _>(out, tenants)
+            }
+            Response::Matched {
+                nonce,
+                sealed_indices,
+                stats,
+                shard_stats,
+                seal_latency,
+            } => {
+                out.push(tags::RESP_MATCHED);
+                nonce.put(out)?;
+                sealed_indices.put(out)?;
+                stats.put(out)?;
+                put_list::<u16, _>(out, shard_stats)?;
+                seal_latency.put(out)
+            }
+            Response::TenantStats { stats, queries } => {
+                out.push(tags::RESP_TENANT_STATS);
+                stats.put(out)?;
+                queries.put(out)
+            }
+            Response::Error(e) => {
+                out.push(tags::RESP_ERROR);
+                e.put(out)
+            }
+            Response::UploadProgress { received, expected } => {
+                out.push(tags::RESP_UPLOAD_PROGRESS);
+                received.put(out)?;
+                expected.put(out)
+            }
+            // u32: one admission can demote more tenants than a u16 counts.
+            Response::DatabaseLoaded { bytes, demoted } => {
+                out.push(tags::RESP_DATABASE_LOADED);
+                bytes.put(out)?;
+                put_list::<u32, _>(out, demoted)
+            }
+            Response::Evicted { freed_bytes } => {
+                out.push(tags::RESP_EVICTED);
+                freed_bytes.put(out)
+            }
+            Response::DatabaseInfo(info) => {
+                out.push(tags::RESP_DATABASE_INFO);
+                info.put(out)
+            }
+            Response::Metrics(snapshot) => {
+                out.push(tags::RESP_METRICS);
+                snapshot.put(out)
+            }
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+        Ok(match r.read::<u8>()? {
+            tags::RESP_PONG => {
+                let backends: Vec<String> = read_list::<u16, _>(r)?;
+                if backends.len() > Backend::WIRE.len() * 4 {
+                    return Err(MatchError::Frame("implausible backend count"));
+                }
+                Response::Pong { backends }
+            }
+            tags::RESP_TENANTS => Response::Tenants(read_list::<u16, _>(r)?),
+            tags::RESP_MATCHED => Response::Matched {
+                nonce: r.read()?,
+                sealed_indices: r.read()?,
+                stats: r.read()?,
+                shard_stats: read_list::<u16, _>(r)?,
+                seal_latency: r.read()?,
+            },
+            tags::RESP_TENANT_STATS => Response::TenantStats {
+                stats: r.read()?,
+                queries: r.read()?,
+            },
+            tags::RESP_ERROR => Response::Error(r.read()?),
+            tags::RESP_UPLOAD_PROGRESS => Response::UploadProgress {
+                received: r.read()?,
+                expected: r.read()?,
+            },
+            tags::RESP_DATABASE_LOADED => Response::DatabaseLoaded {
+                bytes: r.read()?,
+                demoted: read_list::<u32, _>(r)?,
+            },
+            tags::RESP_EVICTED => Response::Evicted {
+                freed_bytes: r.read()?,
+            },
+            tags::RESP_DATABASE_INFO => Response::DatabaseInfo(r.read()?),
+            tags::RESP_METRICS => Response::Metrics(r.read()?),
+            _ => return Err(MatchError::Frame("unknown response tag")),
+        })
+    }
+}
+
+impl Response {
+    /// Serializes the response into a frame payload. A response that
+    /// cannot be encoded — a list or string longer than its prefix can
+    /// count — encodes as [`Response::Error`] with the
+    /// [`MatchError::Frame`] that says so.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode_into(&mut out);
@@ -1282,47 +1598,12 @@ impl Request {
     /// Appends [`Self::encode`]'s bytes to `out` (behind a reserved frame
     /// header, typically).
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::Ping => out.push(tags::REQ_PING),
-            Request::ListTenants => out.push(tags::REQ_LIST_TENANTS),
-            Request::Match { tenant, query } => match query {
-                QueryPayload::Bits(bits) => put_match_bits(out, tenant, bits),
-                QueryPayload::CmWire(bytes) => put_match_wire(out, tenant, bytes),
-            },
-            Request::TenantStats { tenant } => {
-                out.push(tags::REQ_TENANT_STATS);
-                put_str(out, tenant);
-            }
-            Request::LoadDatabase { tenant, phase } => match phase {
-                UploadPhase::Begin {
-                    auth,
-                    spec,
-                    total_bytes,
-                    chunk_count,
-                } => {
-                    put_upload_phase(out, tenant, tags::PHASE_BEGIN);
-                    put_u64(out, auth.nonce);
-                    out.extend_from_slice(&auth.channel_key);
-                    out.extend_from_slice(&auth.content);
-                    out.extend_from_slice(&auth.tag);
-                    put_spec(out, spec);
-                    put_u64(out, *total_bytes);
-                    out.extend_from_slice(&chunk_count.to_le_bytes());
-                }
-                UploadPhase::Chunk { index, data } => put_upload_chunk(out, tenant, *index, data),
-                UploadPhase::Commit => put_upload_phase(out, tenant, tags::PHASE_COMMIT),
-            },
-            Request::EvictDatabase { tenant, auth } => {
-                out.push(tags::REQ_EVICT_DATABASE);
-                put_str(out, tenant);
-                put_u64(out, auth.nonce);
-                out.extend_from_slice(&auth.tag);
-            }
-            Request::DatabaseInfo { tenant } => {
-                out.push(tags::REQ_DATABASE_INFO);
-                put_str(out, tenant);
-            }
-            Request::Metrics => out.push(tags::REQ_METRICS),
+        let start = out.len();
+        if let Err(e) = self.put(out) {
+            out.truncate(start);
+            // An error always encodes: its text is summarized past the
+            // u16 prefix.
+            let _ = Response::Error(e).put(out);
         }
     }
 
@@ -1333,293 +1614,7 @@ impl Request {
     /// Returns [`MatchError::Frame`] on truncated, oversized, or garbage
     /// bytes; never panics.
     pub fn decode(data: &[u8]) -> Result<Self, MatchError> {
-        let mut r = Reader::new(data);
-        let req = match r.u8()? {
-            tags::REQ_PING => Request::Ping,
-            tags::REQ_LIST_TENANTS => Request::ListTenants,
-            tags::REQ_MATCH => {
-                let tenant = r.tenant_id()?;
-                let query = match r.u8()? {
-                    tags::QUERY_BITS => QueryPayload::Bits(r.bits()?),
-                    tags::QUERY_CM_WIRE => QueryPayload::CmWire(r.bytes()?),
-                    _ => return Err(MatchError::Frame("unknown query payload tag")),
-                };
-                Request::Match { tenant, query }
-            }
-            tags::REQ_TENANT_STATS => Request::TenantStats {
-                tenant: r.tenant_id()?,
-            },
-            tags::REQ_LOAD_DATABASE => {
-                let tenant = r.tenant_id()?;
-                let phase = match r.u8()? {
-                    tags::PHASE_BEGIN => {
-                        let nonce = r.u64()?;
-                        let channel_key: [u8; 32] = r.array()?;
-                        let content: [u8; 16] = r.array()?;
-                        let tag: [u8; 16] = r.array()?;
-                        let spec = read_spec(&mut r)?;
-                        let total_bytes = r.u64()?;
-                        if total_bytes > MAX_DATABASE_BYTES {
-                            return Err(MatchError::Frame(
-                                "declared database size exceeds the cap",
-                            ));
-                        }
-                        let chunk_count = r.u32()?;
-                        if chunk_count == 0 || chunk_count > MAX_UPLOAD_CHUNKS {
-                            return Err(MatchError::Frame("chunk count out of range"));
-                        }
-                        UploadPhase::Begin {
-                            auth: UploadAuth {
-                                nonce,
-                                channel_key,
-                                content,
-                                tag,
-                            },
-                            spec,
-                            total_bytes,
-                            chunk_count,
-                        }
-                    }
-                    tags::PHASE_CHUNK => UploadPhase::Chunk {
-                        index: r.u32()?,
-                        data: r.bytes()?,
-                    },
-                    tags::PHASE_COMMIT => UploadPhase::Commit,
-                    _ => return Err(MatchError::Frame("unknown upload phase tag")),
-                };
-                Request::LoadDatabase { tenant, phase }
-            }
-            tags::REQ_EVICT_DATABASE => Request::EvictDatabase {
-                tenant: r.tenant_id()?,
-                auth: EvictAuth {
-                    nonce: r.u64()?,
-                    tag: r.array()?,
-                },
-            },
-            tags::REQ_DATABASE_INFO => Request::DatabaseInfo {
-                tenant: r.tenant_id()?,
-            },
-            tags::REQ_METRICS => Request::Metrics,
-            _ => return Err(MatchError::Frame("unknown request tag")),
-        };
-        r.finish()?;
-        Ok(req)
-    }
-}
-
-/// The `DatabaseLoaded` demoted-tenant count as the wire's `u32`, or a
-/// typed [`MatchError::Frame`] when the list is too long to count —
-/// mirroring the decoder, which already rejects implausible counts. The
-/// encoder must never cast-truncate: a wrong count desyncs the decoder
-/// from the ids that follow it.
-fn demoted_count(len: usize) -> Result<u32, MatchError> {
-    u32::try_from(len).map_err(|_| MatchError::Frame("demoted-tenant count exceeds the wire u32"))
-}
-
-impl Response {
-    /// Serializes the response into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Response::Pong { backends } => {
-                out.push(tags::RESP_PONG);
-                out.extend_from_slice(&(backends.len() as u16).to_le_bytes());
-                for b in backends {
-                    put_str(&mut out, b);
-                }
-            }
-            // The registry has no tenant cap, so the list can outgrow
-            // the wire's u16 count; like `DatabaseLoaded` below, such a
-            // reply degrades to a typed Frame error instead of a wrapped
-            // count the decoder would desync on.
-            Response::Tenants(tenants) => match u16::try_from(tenants.len()) {
-                Ok(count) => {
-                    out.push(tags::RESP_TENANTS);
-                    out.extend_from_slice(&count.to_le_bytes());
-                    for t in tenants {
-                        put_str(&mut out, &t.id);
-                        put_str(&mut out, &t.backend);
-                    }
-                }
-                Err(_) => {
-                    out.push(tags::RESP_ERROR);
-                    put_error(
-                        &mut out,
-                        &MatchError::Frame("tenant count exceeds the wire u16"),
-                    );
-                }
-            },
-            Response::Matched {
-                nonce,
-                sealed_indices,
-                stats,
-                shard_stats,
-                seal_latency,
-            } => {
-                out.push(tags::RESP_MATCHED);
-                put_u64(&mut out, *nonce);
-                put_bytes(&mut out, sealed_indices);
-                put_stats(&mut out, stats);
-                out.extend_from_slice(&(shard_stats.len() as u16).to_le_bytes());
-                for s in shard_stats {
-                    put_stats(&mut out, s);
-                }
-                put_u64(&mut out, seal_latency.as_nanos() as u64);
-            }
-            Response::TenantStats { stats, queries } => {
-                out.push(tags::RESP_TENANT_STATS);
-                put_stats(&mut out, stats);
-                put_u64(&mut out, *queries);
-            }
-            Response::Error(e) => {
-                out.push(tags::RESP_ERROR);
-                put_error(&mut out, e);
-            }
-            Response::UploadProgress { received, expected } => {
-                out.push(tags::RESP_UPLOAD_PROGRESS);
-                put_u64(&mut out, *received);
-                put_u64(&mut out, *expected);
-            }
-            Response::DatabaseLoaded { bytes, demoted } => {
-                // u32: one admission can demote far more tenants than a
-                // u16 could count. A count past u32 must not be cast
-                // down — a silently truncated count would desync the
-                // decoder from the ids that follow — so an overflowing
-                // reply degrades to a typed Frame error instead.
-                match demoted_count(demoted.len()) {
-                    Ok(count) => {
-                        out.push(tags::RESP_DATABASE_LOADED);
-                        put_u64(&mut out, *bytes);
-                        out.extend_from_slice(&count.to_le_bytes());
-                        for id in demoted {
-                            put_str(&mut out, id);
-                        }
-                    }
-                    Err(e) => {
-                        out.push(tags::RESP_ERROR);
-                        put_error(&mut out, &e);
-                    }
-                }
-            }
-            Response::Evicted { freed_bytes } => {
-                out.push(tags::RESP_EVICTED);
-                put_u64(&mut out, *freed_bytes);
-            }
-            Response::DatabaseInfo(info) => {
-                out.push(tags::RESP_DATABASE_INFO);
-                put_str(&mut out, &info.backend);
-                out.push(info.resident as u8);
-                out.push(info.pinned as u8);
-                put_u64(&mut out, info.bytes);
-                out.extend_from_slice(&info.workers.to_le_bytes());
-                put_u64(&mut out, info.queries);
-                put_str(&mut out, &info.tier);
-            }
-            Response::Metrics(snapshot) => {
-                out.push(tags::RESP_METRICS);
-                put_snapshot(&mut out, snapshot);
-            }
-        }
-        out
-    }
-
-    /// Decodes a frame payload.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatchError::Frame`] on truncated, oversized, or garbage
-    /// bytes; never panics.
-    pub fn decode(data: &[u8]) -> Result<Self, MatchError> {
-        let mut r = Reader::new(data);
-        let resp = match r.u8()? {
-            tags::RESP_PONG => {
-                let count = r.u16()? as usize;
-                if count > Backend::WIRE.len() * 4 {
-                    return Err(MatchError::Frame("implausible backend count"));
-                }
-                let mut backends = Vec::with_capacity(count);
-                for _ in 0..count {
-                    backends.push(r.str()?);
-                }
-                Response::Pong { backends }
-            }
-            tags::RESP_TENANTS => {
-                let count = r.u16()? as usize;
-                // Each listed tenant costs at least its two length
-                // prefixes; bound the allocation by the actual payload.
-                if count > r.remaining() / 4 {
-                    return Err(MatchError::Frame("implausible tenant count"));
-                }
-                let mut tenants = Vec::with_capacity(count);
-                for _ in 0..count {
-                    tenants.push(TenantInfo {
-                        id: r.str()?,
-                        backend: r.str()?,
-                    });
-                }
-                Response::Tenants(tenants)
-            }
-            tags::RESP_MATCHED => {
-                let nonce = r.u64()?;
-                let sealed_indices = r.bytes()?;
-                let stats = r.stats()?;
-                let count = r.u16()? as usize;
-                // One serialized MatchStats is 64 bytes.
-                if count > r.remaining() / 64 {
-                    return Err(MatchError::Frame("implausible shard count"));
-                }
-                let mut shard_stats = Vec::with_capacity(count);
-                for _ in 0..count {
-                    shard_stats.push(r.stats()?);
-                }
-                let seal_latency = Duration::from_nanos(r.u64()?);
-                Response::Matched {
-                    nonce,
-                    sealed_indices,
-                    stats,
-                    shard_stats,
-                    seal_latency,
-                }
-            }
-            tags::RESP_TENANT_STATS => Response::TenantStats {
-                stats: r.stats()?,
-                queries: r.u64()?,
-            },
-            tags::RESP_ERROR => Response::Error(read_error(&mut r)?),
-            tags::RESP_UPLOAD_PROGRESS => Response::UploadProgress {
-                received: r.u64()?,
-                expected: r.u64()?,
-            },
-            tags::RESP_DATABASE_LOADED => {
-                let bytes = r.u64()?;
-                let count = r.u32()? as usize;
-                // Each demoted id costs at least its length prefix.
-                if count > r.remaining() / 2 {
-                    return Err(MatchError::Frame("implausible demoted-tenant count"));
-                }
-                let mut demoted = Vec::with_capacity(count);
-                for _ in 0..count {
-                    demoted.push(r.str()?);
-                }
-                Response::DatabaseLoaded { bytes, demoted }
-            }
-            tags::RESP_EVICTED => Response::Evicted {
-                freed_bytes: r.u64()?,
-            },
-            tags::RESP_DATABASE_INFO => Response::DatabaseInfo(DatabaseInfoReply {
-                backend: r.str()?,
-                resident: r.bool()?,
-                pinned: r.bool()?,
-                bytes: r.u64()?,
-                workers: r.u32()?,
-                queries: r.u64()?,
-                tier: r.str()?,
-            }),
-            tags::RESP_METRICS => Response::Metrics(read_snapshot(&mut r)?),
-            _ => return Err(MatchError::Frame("unknown response tag")),
-        };
-        r.finish()?;
-        Ok(resp)
+        decode_message(data)
     }
 }
 
@@ -1703,10 +1698,10 @@ mod tests {
 
     #[test]
     fn borrowed_encoders_equal_the_owned_requests() {
-        let framed = |encode: &dyn Fn(&mut Vec<u8>)| {
+        let framed = |encode: &dyn Fn(&mut Vec<u8>) -> Result<(), MatchError>| {
             let mut buf = vec![0xEE; 5]; // stale contents are dropped
             begin_frame(&mut buf);
-            encode(&mut buf);
+            encode(&mut buf).unwrap();
             finish_frame(&mut buf).unwrap();
             buf
         };
@@ -2002,21 +1997,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn demoted_counts_past_u32_become_frame_errors_not_truncation() {
-        assert_eq!(demoted_count(0).unwrap(), 0);
-        assert_eq!(demoted_count(u32::MAX as usize).unwrap(), u32::MAX);
-        // One past u32::MAX must refuse, not wrap to 0 — a wrapped count
-        // would desync the decoder from the ids that follow it.
-        let overflowing = u32::MAX as usize + 1;
+    /// The width check every length and count goes through: `MAX` fits,
+    /// `MAX + 1` is a typed error that writes nothing — never a wrapped
+    /// count that desyncs the decoder from what follows it.
+    fn assert_width<W: Width>(max: usize) {
+        let mut out = vec![0xEE];
+        put_len::<W>(&mut out, max).unwrap();
+        assert_eq!(out.len(), 1 + W::MIN_BYTES);
+        assert_eq!(read_len::<W>(&mut Reader { rest: &out[1..] }).unwrap(), max);
         assert!(matches!(
-            demoted_count(overflowing),
+            put_len::<W>(&mut out, max + 1),
             Err(MatchError::Frame(_))
         ));
+        assert_eq!(out.len(), 1 + W::MIN_BYTES, "a refused length wrote bytes");
+    }
+
+    #[test]
+    fn demoted_counts_past_u32_become_frame_errors_not_truncation() {
+        assert_width::<u32>(u32::MAX as usize);
+        // `DatabaseLoaded` counts its demoted ids with that u32.
+        let reply = Response::DatabaseLoaded {
+            bytes: 1,
+            demoted: vec!["a".into(); 3],
+        };
+        assert_eq!(reply.encode()[1 + 8..1 + 8 + 4], 3u32.to_le_bytes());
     }
 
     #[test]
     fn tenant_lists_past_u16_become_frame_errors_not_truncation() {
+        assert_width::<u16>(u16::MAX as usize);
         let list = |n: usize| {
             Response::Tenants(
                 (0..n)
@@ -2035,6 +2044,78 @@ mod tests {
             Response::decode(&list(u16::MAX as usize + 1).encode()),
             Ok(Response::Error(MatchError::Frame(_)))
         ));
+    }
+
+    #[test]
+    fn over_long_strings_are_typed_errors_not_wrapped_prefixes() {
+        let long = "x".repeat(70_000);
+        // A request refuses to encode: `encode_into` says why, and
+        // `encode` hands back the empty payload `decode` refuses.
+        let request = Request::TenantStats {
+            tenant: long.clone(),
+        };
+        assert!(matches!(
+            request.encode_into(&mut Vec::new()),
+            Err(MatchError::Frame(_))
+        ));
+        assert!(request.encode().is_empty());
+        assert!(Request::decode(&request.encode()).is_err());
+        // A reply degrades to a typed error frame.
+        for reply in [
+            Response::Tenants(vec![TenantInfo {
+                id: long.clone(),
+                backend: "plain".into(),
+            }]),
+            Response::DatabaseLoaded {
+                bytes: 1,
+                demoted: vec![long],
+            },
+        ] {
+            assert!(matches!(
+                Response::decode(&reply.encode()),
+                Ok(Response::Error(MatchError::Frame(_)))
+            ));
+        }
+    }
+
+    #[test]
+    fn decode_sub_codes_past_a_byte_read_as_coefficient_overflow() {
+        use cm_bfv::DecodeError;
+        let error_with_sub_code = |code: u64| {
+            let mut bytes = vec![tags::RESP_ERROR, tags::ERR_DECODE];
+            bytes.extend_from_slice(&code.to_le_bytes());
+            bytes.extend_from_slice(&[0; 8 + 2]); // b, empty text
+            Response::decode(&bytes).unwrap()
+        };
+        assert_eq!(
+            error_with_sub_code(1),
+            Response::Error(MatchError::Decode(DecodeError::BadMagic))
+        );
+        // 256 and 257 are 0 and 1 in their low byte: a truncating cast
+        // reads them as `Truncated` and `BadMagic`.
+        for code in [256, 257, u64::MAX] {
+            assert_eq!(
+                error_with_sub_code(code),
+                Response::Error(MatchError::Decode(DecodeError::CoefficientOverflow)),
+                "sub-code {code}"
+            );
+        }
+    }
+
+    #[test]
+    fn declared_counts_are_bounded_by_the_message() {
+        // Each declares more entries than the bytes behind it could hold:
+        // refused before anything is allocated for them.
+        for lying in [
+            [&[tags::RESP_TENANTS][..], &[0xFF; 2], &[0; 4]].concat(),
+            [&[tags::RESP_DATABASE_LOADED][..], &[0; 8], &[0xFF; 4]].concat(),
+            [&[tags::RESP_METRICS][..], &[0xFF; 4], &[0; 4]].concat(),
+        ] {
+            assert!(matches!(
+                Response::decode(&lying),
+                Err(MatchError::Frame("declared count exceeds the message"))
+            ));
+        }
     }
 
     #[test]
