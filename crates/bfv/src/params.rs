@@ -151,12 +151,20 @@ impl BfvParams {
         qbits.div_ceil(self.decomp_log2) as usize
     }
 
+    /// Bits a reduced ciphertext coefficient takes, the width of `q − 1`:
+    /// what every serializer packs coefficients at. It is the width of `q`
+    /// itself except for a power of two — `q = 2^32` has 32-bit
+    /// coefficients, not 33.
+    pub fn coeff_bits(&self) -> u32 {
+        64 - (self.q - 1).leading_zeros()
+    }
+
     /// Expanded plaintext size of one ciphertext in bytes, assuming each
-    /// coefficient is stored in `ceil(bits(q)/8)` bytes: `2 * n * bytes(q)`.
-    /// This is the quantity behind the paper's 4x memory-blow-up claim.
+    /// coefficient is stored in `ceil(coeff_bits/8)` bytes:
+    /// `2 * n * bytes(q − 1)`. This is the quantity behind the paper's 4x
+    /// memory-blow-up claim.
     pub fn ciphertext_bytes(&self) -> usize {
-        let qbytes = (64 - self.q.leading_zeros()).div_ceil(8) as usize;
-        2 * self.n * qbytes
+        2 * self.n * self.coeff_bits().div_ceil(8) as usize
     }
 
     /// Plaintext capacity of one polynomial in bytes when every coefficient
@@ -270,6 +278,16 @@ mod tests {
         assert_eq!(p.t, 65536, "t must be 16-bit");
         // Paper §4.2.1: ciphertext is 4x the packed plaintext (2 polys x 2x
         // coefficient width).
+        assert_eq!(p.ciphertext_bytes(), 4 * p.plaintext_capacity_bytes());
+    }
+
+    #[test]
+    fn ifp_params_keep_the_paper_footprint() {
+        // q = 2^32 is 33 bits wide, but its coefficients are below 2^32:
+        // four bytes each, so the in-flash preset is 4x like the prime one.
+        let p = BfvParams::ciphermatch_ifp_1024();
+        assert_eq!(p.coeff_bits(), 32);
+        assert_eq!(BfvParams::ciphermatch_1024().coeff_bits(), 32);
         assert_eq!(p.ciphertext_bytes(), 4 * p.plaintext_capacity_bytes());
     }
 

@@ -193,7 +193,7 @@ mod tests {
 
     fn sample_ct(params: BfvParams) -> (BfvContext, Ciphertext, u32) {
         let ctx = BfvContext::new(params);
-        let q_bits = 64 - ctx.params().q.leading_zeros();
+        let q_bits = ctx.params().coeff_bits();
         let mut rng = StdRng::seed_from_u64(9);
         let kg = KeyGenerator::new(&ctx, &mut rng);
         let pk = kg.public_key(&mut rng);

@@ -50,7 +50,7 @@ impl BfvKeys {
         let kg = KeyGenerator::new(&ctx, rng);
         let sk = kg.secret_key();
         let pk = kg.public_key(rng);
-        let q_bits = 64 - ctx.params().q.leading_zeros();
+        let q_bits = ctx.params().coeff_bits();
         Self {
             enc: Encryptor::new(&ctx, pk),
             dec: Decryptor::new(&ctx, sk.clone()),
@@ -136,7 +136,7 @@ impl CiphermatchMatcher {
     /// wire queries to this matcher — in the packed form, the one
     /// [`Self::decode_query`] takes.
     pub fn query_kit(&self) -> QueryKit {
-        QueryKit::packed(self.index_gen.engine().clone(), self.keys.enc.clone())
+        QueryKit::new(self.index_gen.engine().clone(), self.keys.enc.clone())
     }
 
     fn bits_per_poly(&self) -> usize {

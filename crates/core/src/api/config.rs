@@ -658,10 +658,10 @@ mod tests {
         let pk = kg.public_key(&mut rng);
         let enc = Encryptor::new(&ctx, pk);
         let engine = CiphermatchEngine::new(&ctx);
-        let q_bits = 64 - ctx.params().q.leading_zeros();
+        let q_bits = ctx.params().coeff_bits();
         let pattern = BitString::from_ascii("engine");
         let encoded = engine.pack_query(&enc, &pattern, &mut rng).encode(q_bits);
-        // The explicit form is for matchers that decrypt results elsewhere.
+        // The explicit form is Algorithm 1's oracle; no tenant takes it.
         let explicit = engine
             .prepare_query(&enc, &pattern, &mut rng)
             .encode(q_bits);

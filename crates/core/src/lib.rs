@@ -51,24 +51,27 @@
 //! variants (47 ciphertexts for a 32-bit query, every one a replication
 //! of the same 47 segment values) but the segments themselves, once —
 //! a [`PackedQuery`] of `⌈V/n⌉` ciphertexts, one up to `k ≈ n` bits —
-//! and the *server* replicates: each range job gathers variant `(r, p)`
-//! out of the packed ciphertext's coefficients, Hom-Adds it over the
-//! range into one reused tile of `P` ciphertexts, and the
-//! [`TrustedIndexGenerator`] next to the data tests the tile there, so
-//! neither the `V` variants nor a `V × P` result table is ever written
-//! out. Replicating after encryption is valid because that test reads
-//! decryption *phases* coefficient by coefficient and a phase is linear
-//! and coefficient-wise; the gathered `c1` is not a ring element anyone
-//! could decrypt by, so whoever decrypts result ciphertexts somewhere
-//! else uses the explicit [`EncryptedQuery`] (Algorithm 1 to the letter:
-//! the conservative flow's [`CiphermatchEngine::search`], the in-flash
-//! pipeline, every test oracle). The derived variants are a public
-//! function of what the client sent: the server learns nothing 47 fresh
-//! encryptions would have hidden. A result that arrives whole from
-//! somewhere else goes through
+//! and the *server* replicates: one served driver gathers variant
+//! `(r, p)` out of the packed ciphertext's coefficients, has it
+//! Hom-Added over the database into one reused tile of `P` ciphertexts —
+//! by the range's sweep ([`ShardScratch::run`]) or by the flash array, the
+//! SSD controller streaming the variant into the latches
+//! ([`ShardScratch::run_with_adder`]) — and the [`TrustedIndexGenerator`]
+//! next to the data tests the tile there, so neither the `V` variants nor
+//! a `V × P` result table is ever written out. Replicating after
+//! encryption is valid because that test reads decryption *phases*
+//! coefficient by coefficient and a phase is linear and coefficient-wise;
+//! the gathered `c1` is not a ring element anyone could decrypt by, so
+//! whoever decrypts result ciphertexts somewhere else uses the explicit
+//! [`EncryptedQuery`] (Algorithm 1 to the letter: the conservative flow's
+//! [`CiphermatchEngine::search`] and every test oracle). The derived
+//! variants are a public function of what the client sent: the server
+//! learns nothing 47 fresh encryptions would have hidden. A result that
+//! arrives whole from somewhere else goes through
 //! [`CiphermatchEngine::generate_indices_with`], which runs the same
 //! per-entry test after checking that the table really is row plus
-//! column, a check a job that just added the sums itself has no use for.
+//! column; sums the flash added are held to the same check variant by
+//! variant, and a range job that just added its sums itself skips it.
 //! Concurrent queries on one database check matchers out of an
 //! [`exec::MatcherPool`]; [`exec`] is the work-pool runtime every
 //! concurrent layer of the stack (tenant matcher pools, CM-SW range jobs,

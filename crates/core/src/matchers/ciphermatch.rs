@@ -13,7 +13,7 @@ use cm_bfv::{BfvContext, Ciphertext, Decryptor, EncryptScratch, Encryptor, Evalu
 use cm_hemath::kernels;
 use rand::Rng;
 
-use crate::api::MatchStats;
+use crate::api::{MatchError, MatchStats};
 use crate::bits::BitString;
 use crate::index_gen::{generate_indices, MatchTable, PhaseScan, PhaseScratch};
 use crate::packing::DensePacking;
@@ -207,12 +207,11 @@ impl EncryptedDatabase {
 /// nothing else about the pattern exists outside the ciphertexts.
 ///
 /// Every Hom-Add result of this form is a decryptable ciphertext, so it
-/// is the form of whoever decrypts results somewhere else: the
+/// is the form of whoever decrypts results somewhere else — the
 /// conservative flow ([`CiphermatchEngine::search`] +
-/// [`CiphermatchEngine::generate_indices`]), the in-flash path (which
-/// decrypts a result table by rows taken from the table), and the oracle
-/// the served job is tested against. The served CM-SW path takes a
-/// [`PackedQuery`] instead.
+/// [`CiphermatchEngine::generate_indices`]) — and the oracle both served
+/// paths are tested against. No serving path takes it: CM-SW and the
+/// in-flash controller both take a [`PackedQuery`].
 #[derive(Debug, Clone)]
 pub struct EncryptedQuery {
     pub(crate) variants: Vec<EncryptedVariant>,
@@ -271,13 +270,6 @@ fn put_ciphertext(out: &mut Vec<u8>, ct: &Ciphertext, q_bits: u32) {
     out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Appends one variant: its `(r, phase)` key, then its ciphertext.
-fn put_query_variant(out: &mut Vec<u8>, r: usize, phase: usize, ct: &Ciphertext, q_bits: u32) {
-    out.extend_from_slice(&(r as u16).to_le_bytes());
-    out.extend_from_slice(&(phase as u16).to_le_bytes());
-    put_ciphertext(out, ct, q_bits);
-}
-
 impl EncryptedQuery {
     /// Number of encrypted variants (`sum_r ceil((r+k)/seg_bits)`).
     pub fn variant_count(&self) -> usize {
@@ -306,19 +298,21 @@ impl EncryptedQuery {
         &self.classes
     }
 
-    /// Serializes the query for the wire: the magic, the query length `k`,
-    /// and every variant ciphertext in the compact `cm-bfv` format. This
-    /// is what a remote key owner ships to a `cm_server` tenant. Outside
-    /// the ciphertext bodies every byte is a function of `k` and the
-    /// parameter set: the alignment geometry is not sent — the receiver
-    /// derives it from `k` — and the negated pattern segments the
-    /// variants were built from never leave [`CiphermatchEngine`]'s
-    /// query preparation.
+    /// Serializes the query (`CMQ2`): the magic, the query length `k`, and
+    /// every variant ciphertext in the compact `cm-bfv` format behind its
+    /// `(r, phase)` key. Outside the ciphertext bodies every byte is a
+    /// function of `k` and the parameter set: the alignment geometry is
+    /// not sent — the receiver derives it from `k` — and the negated
+    /// pattern segments the variants were built from never leave
+    /// [`CiphermatchEngine`]'s query preparation. No tenant takes these
+    /// bytes; they exist for the oracle's own round trips.
     pub fn encode(&self, q_bits: u32) -> Vec<u8> {
         let mut out = Vec::new();
         put_query_header(&mut out, QUERY_MAGIC, self.k, self.variants.len());
         for v in &self.variants {
-            put_query_variant(&mut out, v.r, v.phase, &v.ct, q_bits);
+            out.extend_from_slice(&(v.r as u16).to_le_bytes());
+            out.extend_from_slice(&(v.phase as u16).to_le_bytes());
+            put_ciphertext(&mut out, &v.ct, q_bits);
         }
         out
     }
@@ -379,24 +373,6 @@ impl EncryptedQuery {
         })
     }
 
-    /// Decodes and validates in one step — the form every serving-side
-    /// wire path should use ([`Self::decode`] + [`Self::validate`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`cm_bfv::DecodeError`] on malformed bytes or a query
-    /// that does not fit the given parameter set.
-    pub fn decode_validated(
-        data: &[u8],
-        n: usize,
-        seg_bits: usize,
-        q: u64,
-    ) -> Result<Self, cm_bfv::DecodeError> {
-        let query = Self::decode(data, seg_bits)?;
-        query.validate(n, seg_bits, q)?;
-        Ok(query)
-    }
-
     /// Checks that a decoded query is well-formed *for this parameter set*:
     /// the alignment classes cover every bit offset of a `seg_bits`-wide
     /// segment consistently with `k`, every `(r, phase)` variant the index
@@ -454,21 +430,23 @@ impl EncryptedQuery {
     }
 }
 
-/// The encrypted query in its *packed* form, the one the served CM-SW
-/// path takes: the `V = Σ_r s_r` negated segments encrypted once, laid
-/// out class-major over `⌈V/n⌉` ciphertexts ([`pack_segments`]) — one
-/// ciphertext up to `k ≈ n` bits — instead of `V` ciphertexts that each
-/// replicate the same `V` values across all coefficients.
+/// The encrypted query in its *packed* form, the one every serving path
+/// takes — CM-SW's range jobs and the in-flash controller alike: the
+/// `V = Σ_r s_r` negated segments encrypted once, laid out class-major
+/// over `⌈V/n⌉` ciphertexts ([`pack_segments`]) — one ciphertext up to
+/// `k ≈ n` bits — instead of `V` ciphertexts that each replicate the same
+/// `V` values across all coefficients.
 ///
 /// This departs from Algorithm 1 lines 4–9: the replication happens on
-/// the server, after encryption, on ciphertext coefficients
-/// ([`ShardScratch::run`]). That is valid *because* the trusted index
-/// generator tests decryption phases coefficient by coefficient — a phase
-/// `c0 + s·c1` is linear and coefficient-wise, so gathering the
-/// coefficients of `c0` and of `s·c1` gives exactly the phase a fresh
-/// encryption of the replicated plaintext would have, noise included. The
-/// gathered `c1` itself is not a ring element anyone can decrypt by;
-/// whoever must decrypt result ciphertexts elsewhere uses
+/// the server, after encryption, on ciphertext coefficients — in a range
+/// job's memory ([`ShardScratch::run`]) or on its way into the flash
+/// latches ([`ShardScratch::run_with_adder`]). That is valid *because*
+/// the trusted index generator tests decryption phases coefficient by
+/// coefficient — a phase `c0 + s·c1` is linear and coefficient-wise, so
+/// gathering the coefficients of `c0` and of `s·c1` gives exactly the
+/// phase a fresh encryption of the replicated plaintext would have, noise
+/// included. The gathered `c1` itself is not a ring element anyone can
+/// decrypt by; whoever must decrypt result ciphertexts elsewhere uses
 /// [`EncryptedQuery`]. Every derived variant is a public function of what
 /// the client sent, so the server learns nothing `V` fresh encryptions
 /// would have hidden.
@@ -536,7 +514,10 @@ impl PackedQuery {
     ///
     /// Returns a [`cm_bfv::DecodeError`] on malformed input — the
     /// explicit `CMQ2` form and the retired `CMQ1` are
-    /// [`cm_bfv::DecodeError::BadMagic`]; never panics.
+    /// [`cm_bfv::DecodeError::BadMagic`]; never panics. Ciphertexts
+    /// encoded at any coefficient width decode (each carries its own), so
+    /// a `q = 2³²` query packed at 33 bits, as before
+    /// [`cm_bfv::BfvParams::coeff_bits`], is still accepted.
     pub fn decode(
         data: &[u8],
         n: usize,
@@ -598,9 +579,10 @@ impl PackedQuery {
     }
 }
 
-/// Magic bytes identifying the explicit serialized-query format ("CMQ2").
-/// `CMQ1` carried the alignment classes — the negated pattern included —
-/// in the clear next to the ciphertexts; it is refused.
+/// Magic bytes identifying the explicit serialized-query format ("CMQ2"),
+/// which no tenant accepts. `CMQ1` carried the alignment classes — the
+/// negated pattern included — in the clear next to the ciphertexts; it is
+/// refused.
 const QUERY_MAGIC: u32 = 0x434D_5132;
 
 /// Magic bytes of the packed serialized-query format ("CMQ3").
@@ -763,9 +745,11 @@ pub struct IndexScratch {
     /// variant in hand, gathered from the packed query's products.
     rows: Vec<u64>,
     /// The database's share per polynomial: `s·(c1[0][j] − c1[0][0])` for
-    /// a table, the key part of `db_j`'s own phase for a served job.
+    /// a table, `s·deltas[j]` for sums added elsewhere, the key part of
+    /// `db_j`'s own phase for a CM-SW job.
     cols: Vec<u64>,
-    /// `c1[0][j] − c1[0][0]` per polynomial, the additivity reference.
+    /// The additivity reference per polynomial: `c1[0][j] − c1[0][0]` for
+    /// a table, `sum.c1[v₀][j] − v₀.c1` for sums added elsewhere.
     deltas: Vec<u64>,
     /// One polynomial of working space: the additivity check, or the
     /// operand a key product is taken of.
@@ -778,7 +762,8 @@ impl IndexScratch {
     /// `V + P − 1` on the batched path, one per ciphertext component past
     /// the first on the per-ciphertext path (plus the batched attempt's,
     /// when a table failed the additivity check midway), and `⌈V/n⌉ + P`
-    /// in a served job on fresh ciphertexts ([`ShardScratch::run`]).
+    /// in a served job on fresh ciphertexts ([`ShardScratch::run`],
+    /// [`ShardScratch::run_with_adder`]).
     pub fn key_muls(&self) -> u64 {
         self.key_muls
     }
@@ -867,39 +852,6 @@ impl CiphermatchEngine {
         }
     }
 
-    /// [`Self::prepare_query`] followed by [`EncryptedQuery::encode`],
-    /// byte for byte on the same `rng` stream, without the query in
-    /// between: every variant is encrypted into one reused ciphertext and
-    /// serialized straight into the output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the query is empty.
-    pub fn prepare_query_encoded<R: Rng + ?Sized>(
-        &self,
-        enc: &Encryptor,
-        query: &BitString,
-        rng: &mut R,
-    ) -> Vec<u8> {
-        let params = self.ctx.params();
-        let q_bits = 64 - params.q.leading_zeros();
-        let seg_bits = self.packing.seg_bits();
-        let count = variant_count(query.len(), seg_bits);
-        let mut ct = Ciphertext::zero(2, params.n);
-        let mut out = Vec::with_capacity(16 + count * (20 + ct.byte_size(q_bits)));
-        put_query_header(&mut out, QUERY_MAGIC, query.len(), count);
-        let mut scratch = EncryptScratch::default();
-        stream_variants(
-            &alignment_classes(query, seg_bits),
-            params.n,
-            |r, phase, pt| {
-                enc.encrypt_into(pt, rng, &mut scratch, &mut ct);
-                put_query_variant(&mut out, r, phase, &ct, q_bits);
-            },
-        );
-        out
-    }
-
     /// Packs and encrypts a query for the served path (client side, per
     /// query): the negated segments of every alignment class once, in
     /// `⌈V/n⌉` fresh ciphertexts — one for any query up to about `n` bits
@@ -969,6 +921,7 @@ impl CiphermatchEngine {
             sums.key = (v.r, v.phase);
             sums.ct_size = db_size.max(v.ct.size());
             sums.n = self.ctx.params().n;
+            sums.arena.resize(db_cts.len() * sums.ct_size * sums.n, 0);
             self.sweep_variant(db_cts, &v.ct, sums.ct_size, &mut sums.arena, &mut stats);
         }
         out.total_bits = db.total_bits;
@@ -978,22 +931,21 @@ impl CiphermatchEngine {
     }
 
     /// The Hom-Adds of one query variant: `db_cts[j] + variant`, every
-    /// component of it, into `arena[j * ct_size * n ..]` — the one sweep
-    /// body, whether the arena is a result kept per variant
-    /// ([`Self::search_into`]) or the tile a served job reuses for the
-    /// next ([`ShardScratch::run`]).
+    /// component of it, into `arena[j * ct_size * n ..]` (`db_cts.len()`
+    /// sums of `ct_size` components) — the one sweep body, whether the
+    /// arena is a result kept per variant ([`Self::search_into`]) or the
+    /// tile a served job reuses for the next ([`ShardScratch::run`]).
     fn sweep_variant(
         &self,
         db_cts: &[Ciphertext],
         variant: &Ciphertext,
         ct_size: usize,
-        arena: &mut Vec<u64>,
+        arena: &mut [u64],
         stats: &mut MatchStats,
     ) {
         let n = self.ctx.params().n;
         let stride = ct_size * n;
         let t0 = Instant::now();
-        arena.resize(db_cts.len() * stride, 0);
         for (dbct, slot) in db_cts.iter().zip(arena.chunks_exact_mut(stride.max(1))) {
             let pair = dbct.size().max(variant.size()) * n;
             self.evaluator.add_into(dbct, variant, &mut slot[..pair]);
@@ -1213,35 +1165,31 @@ impl TrustedIndexGenerator {
     }
 
     /// The engine of the capability's parameter set (it runs the sweep of
-    /// a served job, see [`ShardScratch::run`]).
-    pub(crate) fn engine(&self) -> &CiphermatchEngine {
+    /// a served CM-SW job, see [`ShardScratch::run`], and packs and
+    /// encrypts for whoever holds the capability).
+    pub fn engine(&self) -> &CiphermatchEngine {
         &self.engine
-    }
-
-    /// Runs index generation on a search result, returning matching bit
-    /// offsets.
-    pub fn generate(&self, result: &SearchResult) -> Vec<usize> {
-        self.engine.generate_indices(&self.dec, result)
     }
 }
 
-/// Everything one served CM-SW job works in, kept between jobs: one
-/// *variant* — a ciphertext-sized buffer the packed query is gathered
-/// into, rewritten for every `(r, phase)` — one *tile* — that variant's
-/// Hom-Add sums over the job's polynomials — and the key products and
-/// edge bits of index generation. No table of all `V × P` result
-/// ciphertexts exists, and no list of the `V` variants either: each
-/// variant's sums are tested where the sweep left them and overwritten by
-/// the next, so what a job retains is `P + 1` ciphertexts and
-/// `⌈V/n⌉ + P + 1` product rows however many variants the query has. It
-/// is capacity, not state — every buffer is rewritten before it is read —
-/// so a scratch that served one parameter set is safe for any other.
+/// Everything one served job works in, kept between jobs: one *variant*
+/// — a ciphertext-sized buffer the packed query is gathered into,
+/// rewritten for every `(r, phase)` — one *tile* — that variant's Hom-Add
+/// sums over the job's polynomials, added in memory or in flash — and the
+/// key products and edge bits of index generation. No table of all
+/// `V × P` result ciphertexts exists, and no list of the `V` variants
+/// either: each variant's sums are tested where the adder left them and
+/// overwritten by the next, so what a job retains is `P + 1` ciphertexts
+/// and `⌈V/n⌉ + P + 1` product rows however many variants the query has.
+/// It is capacity, not state — every buffer is rewritten before it is
+/// read — so a scratch that served one parameter set is safe for any
+/// other.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     /// The query variant in hand, replicated from the packed query.
     variant: Option<Ciphertext>,
-    /// `P × size × n` words: result ciphertext `j` of the variant in hand
-    /// (`size` is 2 on fresh ciphertexts).
+    /// `P × size × n` words: result ciphertext `j` of the variant in hand,
+    /// `c0` first (`size` is 2 on fresh ciphertexts).
     tile: Vec<u64>,
     /// `⌈V/n⌉ × n` words: the key part `s·c1` of every packed query
     /// ciphertext, in the flat segment layout of [`pack_segments`].
@@ -1299,40 +1247,133 @@ fn replicate(dst: &mut [u64], s: usize, phase: usize, src: impl Fn(usize) -> u64
     }
 }
 
+/// Where a served job's columns come from: `col_j`, the key part of
+/// database polynomial `j`'s phase, which entry `(v, j)` adds to its `c0`
+/// and row.
+#[derive(Clone, Copy)]
+enum Columns<'a> {
+    /// From the range's own ciphertexts, `s·db_j.c1` (the whole key part,
+    /// whatever the size): the job holds the database and adds the sums
+    /// itself, so they are row plus column by construction.
+    Database(&'a [Ciphertext]),
+    /// From the first variant's sums over this many polynomials,
+    /// `s·(sum[v₀][j].c1 − v₀.c1)` — `s·db_j.c1` exactly, as the adder
+    /// works mod `q` — with every later sum held to the same difference:
+    /// they were added where the job cannot see the database.
+    FirstSums(usize),
+}
+
+impl Columns<'_> {
+    /// Polynomials, and components per sum in the tile.
+    fn shape(self) -> (usize, usize) {
+        match self {
+            Columns::Database(db_cts) => {
+                let size = db_cts.iter().map(Ciphertext::size).fold(2, usize::max);
+                (db_cts.len(), size)
+            }
+            Columns::FirstSums(polys) => (polys, 2),
+        }
+    }
+}
+
 impl ShardScratch {
     /// The way a CM-SW query executes on every serving path, index
     /// generation next to the sweep (paper §4.2.2) and query replication
-    /// next to both: per variant `(r, p)`, gather it out of the packed
-    /// query — coefficient `c` of both components takes flat segment
-    /// `base_r + (c − p) mod s_r` — Hom-Add it over `shard` (a whole
-    /// database, or one polynomial-range shard of it) into the tile, both
-    /// components of every sum, the sweep of
-    /// [`CiphermatchEngine::search_into`], and test the tile against
-    /// `index_gen`'s key while it is in cache, with the phase scan of
-    /// [`CiphermatchEngine::generate_indices_with`].
+    /// next to both: the served driver [`Self::run_with_adder`] runs too,
+    /// with the sweep of [`CiphermatchEngine::search_into`] as its adder —
+    /// each variant Hom-Added over `shard` (a whole database, or one
+    /// polynomial-range shard of it) into the tile, both components of
+    /// every sum.
     ///
-    /// The phase of entry `(v, j)` at coefficient `c` is
-    /// `tile.c0 + row + col`: `row[c] = (s·Q.c1)[gather(c)]` from the
-    /// `⌈V/n⌉` products taken once of the packed query, `col = s·db_j.c1`
-    /// (the key part of `db_j`'s phase, whatever its size) once per job —
-    /// `⌈V/n⌉ + P` key multiplications where `V` explicit variants took
-    /// `V + P − 1`. The gathered `c1` in the tile is not a ring element
-    /// anyone could multiply by `s`; nothing here does. The additivity
-    /// check of a table that arrives from outside is not repeated: these
-    /// sums are row plus column because this job just added them. The
-    /// returned statistics are this job's alone. Once the scratch has
-    /// seen the shape, the index list is the only allocation.
+    /// The columns are the key parts of `shard`'s own ciphertexts,
+    /// `s·db_j.c1` (whatever their size), taken once per job — with the
+    /// `⌈V/n⌉` products of the packed query, `⌈V/n⌉ + P` key
+    /// multiplications where `V` explicit variants took `V + P − 1`. The
+    /// additivity check of sums that arrive from outside is not run:
+    /// these are row plus column because this job just added them. The
+    /// returned statistics are this job's alone. Once the scratch has seen
+    /// the shape, the index list is the only allocation.
     pub fn run(
         &mut self,
         shard: &EncryptedDatabase,
         query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
+        let (engine, db_cts) = (index_gen.engine(), shard.ciphertexts());
+        let columns = Columns::Database(db_cts);
+        let (_, ct_size) = columns.shape();
+        let mut stats = MatchStats::default();
+        let indices = self.drive(
+            query,
+            index_gen,
+            shard.total_bits,
+            columns,
+            |variant, tile| {
+                engine.sweep_variant(db_cts, variant, ct_size, tile, &mut stats);
+            },
+        );
+        let indices = indices.expect("database columns take no additivity check");
+        (indices, stats)
+    }
+
+    /// The served job for sums added where this process cannot see the
+    /// database — the in-flash controller, whose `add` streams each
+    /// variant through the device's `bop_add`s and writes the `polys`
+    /// two-component sums into the tile, `c0` then `c1` per polynomial.
+    ///
+    /// The columns come from the first variant's sums,
+    /// `s·(sum[v₀][j].c1 − v₀.c1)`, which is `s·db_j.c1` exactly because
+    /// the adder works mod `q` (for `q = 2³²`, wrapping 32-bit addition
+    /// *is* that) — `⌈V/n⌉ + P` key multiplications, as for CM-SW. Every
+    /// later sum is checked against them: for each `(v, j)`,
+    /// `sum[v][j].c1 = v.c1 + (sum[v₀][j].c1 − v₀.c1)`. The job wrote each
+    /// variant itself, so that proves two things: the adder added one and
+    /// the same column to every variant, and what it added to variant `v`
+    /// is exactly `v`. It does not prove the column is the stored database
+    /// polynomial: a corrupted stored coefficient is corrupted the same way
+    /// under every variant, as a corrupted word of a CM-SW range would be
+    /// in DRAM. Only `c1` can be checked: a wrong `c0` changes a phase,
+    /// which is what the test reads. The gathered `c1` is not a ring
+    /// element, so there is no per-ciphertext decryption to fall back to.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatchError::Internal`] when a sum fails the check —
+    /// never an index list computed from it.
+    pub fn run_with_adder(
+        &mut self,
+        query: &PackedQuery,
+        index_gen: &TrustedIndexGenerator,
+        polys: usize,
+        total_bits: usize,
+        add: impl FnMut(&Ciphertext, &mut [u64]),
+    ) -> Result<Vec<usize>, MatchError> {
+        let columns = Columns::FirstSums(polys);
+        self.drive(query, index_gen, total_bits, columns, add)
+    }
+
+    /// The one served index-generation driver. Per variant `(r, p)`:
+    /// gather it out of the packed query — coefficient `c` of both
+    /// components takes flat segment `base_r + (c − p) mod s_r` — and its
+    /// row the same way out of `Ψ = s·Q.c1`, let `add` fill the tile with
+    /// its sums, and test the tile against `index_gen`'s key while it is
+    /// in cache with the phase scan of
+    /// [`CiphermatchEngine::generate_indices_with`]: the phase of entry
+    /// `(v, j)` at coefficient `c` is `tile.c0 + row + col`. The gathered
+    /// `c1` in the tile is not a ring element anyone could multiply by
+    /// `s`; nothing here does.
+    fn drive(
+        &mut self,
+        query: &PackedQuery,
+        index_gen: &TrustedIndexGenerator,
+        total_bits: usize,
+        columns: Columns<'_>,
+        mut add: impl FnMut(&Ciphertext, &mut [u64]),
+    ) -> Result<Vec<usize>, MatchError> {
         let (engine, dec) = (index_gen.engine(), &index_gen.dec);
-        let db_cts = shard.ciphertexts();
         let n = engine.ctx.params().n;
         let q = engine.ctx.rq().modulus();
-        let ct_size = db_cts.iter().map(Ciphertext::size).fold(2, usize::max);
+        let (polys, ct_size) = columns.shape();
         let Self {
             variant,
             tile,
@@ -1343,17 +1384,24 @@ impl ShardScratch {
             phases,
             rows: row,
             cols,
+            deltas,
             line,
             key_muls,
             ..
         } = index;
         row.resize(n, 0);
-        cols.resize(db_cts.len() * n, 0);
+        cols.resize(polys * n, 0);
         psi.resize(query.cts.len() * n, 0);
         line.resize(n, 0);
+        tile.resize(polys * ct_size * n, 0);
         *key_muls = 0;
-        for (ct, col) in db_cts.iter().zip(cols.chunks_exact_mut(n)) {
-            *key_muls += key_part_into(dec, q, ct, line, col);
+        match columns {
+            Columns::Database(db_cts) => {
+                for (ct, col) in db_cts.iter().zip(cols.chunks_exact_mut(n)) {
+                    *key_muls += key_part_into(dec, q, ct, line, col);
+                }
+            }
+            Columns::FirstSums(_) => deltas.resize(polys * n, 0),
         }
         for (ct, products) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
             *key_muls += key_part_into(dec, q, ct, line, products);
@@ -1363,18 +1411,18 @@ impl ShardScratch {
             stale => stale.insert(Ciphertext::zero(2, n)),
         };
 
-        let mut stats = MatchStats::default();
         let mut scan = PhaseScan::begin(
             phases,
             dec,
             &engine.ctx,
             &query.classes,
-            db_cts.len(),
-            shard.total_bits,
+            polys,
+            total_bits,
             query.k,
         );
         // First flat segment index of the class in hand.
         let mut base = 0;
+        let mut first = true;
         for class in &query.classes {
             let s = class.window_segs;
             for phase in 0..s {
@@ -1383,7 +1431,27 @@ impl ShardScratch {
                     replicate(poly.coeffs_mut(), s, phase, segment);
                 }
                 replicate(row, s, phase, |i| psi[base + i]);
-                engine.sweep_variant(db_cts, variant, ct_size, tile, &mut stats);
+                add(variant, tile);
+                if let Columns::FirstSums(_) = columns {
+                    let c1 = variant.part(1).coeffs();
+                    let sums = tile.chunks_exact(2 * n).map(|sum| &sum[n..]);
+                    let refs = deltas.chunks_exact_mut(n).zip(cols.chunks_exact_mut(n));
+                    for (sum_c1, (delta, col)) in sums.zip(refs) {
+                        if first {
+                            kernels::sub_slices(q, sum_c1, c1, delta);
+                            dec.key_product_into(delta, col);
+                            *key_muls += 1;
+                            continue;
+                        }
+                        kernels::add_slices(q, c1, delta, line);
+                        if line[..] != *sum_c1 {
+                            return Err(MatchError::Internal(
+                                "a sum is not its variant plus the column every other variant got",
+                            ));
+                        }
+                    }
+                    first = false;
+                }
                 let sums = tile.chunks_exact(ct_size * n);
                 for (j, (sum, col)) in sums.zip(cols.chunks_exact(n)).enumerate() {
                     scan.entry((class.r, phase), j, &sum[..n], row, col);
@@ -1391,7 +1459,7 @@ impl ShardScratch {
             }
             base += s;
         }
-        (scan.finish(), stats)
+        Ok(scan.finish())
     }
 
     /// [`Self::run`] on a scratch from the process-wide free list (or a
@@ -1647,7 +1715,7 @@ mod tests {
         let mut engine = CiphermatchEngine::new(&f.ctx);
         let data = BitString::from_ascii("persist the encrypted database to disk and back");
         let db = engine.encrypt_database(&enc, &data, &mut rng);
-        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let q_bits = f.ctx.params().coeff_bits();
         let bytes = db.encode(q_bits);
         let restored = EncryptedDatabase::decode(&bytes).expect("roundtrip");
         assert_eq!(restored.total_bits(), db.total_bits());
@@ -1676,7 +1744,7 @@ mod tests {
         let db = engine.encrypt_database(&enc, &data, &mut rng);
         let pattern = BitString::from_ascii("wire");
         let query = engine.prepare_query(&enc, &pattern, &mut rng);
-        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let q_bits = f.ctx.params().coeff_bits();
         let n = f.ctx.params().n;
         let seg_bits = engine.packing().seg_bits();
 
@@ -1752,7 +1820,7 @@ mod tests {
         let pk = KeyGenerator::new(&f.ctx, &mut rng).public_key(&mut rng);
         let enc = Encryptor::new(&f.ctx, pk);
         let engine = CiphermatchEngine::new(&f.ctx);
-        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let q_bits = f.ctx.params().coeff_bits();
         let seg_bits = engine.packing().seg_bits();
         for k in [1usize, 7, 8, 9, 29, 64] {
             let mut clear = Vec::new();
@@ -1807,7 +1875,7 @@ mod tests {
         let pk = KeyGenerator::new(&f.ctx, &mut rng).public_key(&mut rng);
         let enc = Encryptor::new(&f.ctx, pk);
         let engine = CiphermatchEngine::new(&f.ctx);
-        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let q_bits = f.ctx.params().coeff_bits();
         let seg_bits = engine.packing().seg_bits();
         let pattern = BitString::from_ascii("ab");
         let good = engine
@@ -1945,31 +2013,107 @@ mod tests {
         }
     }
 
+    /// Keys, a three-polynomial database of random bits, and its
+    /// plaintext, under `params`.
+    fn served_fixture(
+        params: BfvParams,
+        seed: u64,
+    ) -> (
+        Encryptor,
+        TrustedIndexGenerator,
+        EncryptedDatabase,
+        BitString,
+        StdRng,
+    ) {
+        let ctx = BfvContext::new(params);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let enc = Encryptor::new(&ctx, kg.public_key(&mut rng));
+        let index_gen = TrustedIndexGenerator::from_secret(&ctx, kg.secret_key());
+        let bpp = index_gen.engine().packing().bits_per_poly();
+        let bits: Vec<bool> = (0..2 * bpp + 77).map(|_| rng.gen()).collect();
+        let data = BitString::from_bits(&bits);
+        let db = index_gen.engine().encrypt_database(&enc, &data, &mut rng);
+        assert_eq!(db.poly_count(), 3);
+        (enc, index_gen, db, data, rng)
+    }
+
     #[test]
-    fn encoding_while_encrypting_equals_encrypt_then_encode() {
+    fn sums_added_elsewhere_answer_like_the_served_job() {
+        // The sweep as the adder: what a device that adds faithfully
+        // writes into the tile.
         for params in [
-            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
             BfvParams::ciphermatch_1024(),
         ] {
-            let ctx = BfvContext::new(params);
-            let mut rng = StdRng::seed_from_u64(8484);
-            let pk = KeyGenerator::new(&ctx, &mut rng).public_key(&mut rng);
-            let enc = Encryptor::new(&ctx, pk);
-            let engine = CiphermatchEngine::new(&ctx);
-            let q_bits = 64 - ctx.params().q.leading_zeros();
-            for k in [1usize, 16, 32, 45] {
-                let pattern = BitString::from_bits(&vec![true; k]);
-                let listed = engine
-                    .prepare_query(&enc, &pattern, &mut StdRng::seed_from_u64(k as u64))
-                    .encode(q_bits);
-                let streamed = engine.prepare_query_encoded(
-                    &enc,
-                    &pattern,
-                    &mut StdRng::seed_from_u64(k as u64),
-                );
-                assert_eq!(streamed, listed, "{} k={k}", ctx.params().name);
+            let (enc, index_gen, db, data, mut rng) = served_fixture(params, 0xADD5);
+            let engine = index_gen.engine();
+            let (n, bpp) = (engine.ctx.params().n, engine.packing().bits_per_poly());
+            let polys = db.poly_count();
+            let mut scratch = ShardScratch::default();
+            for (start, k) in [(bpp - 13, 29), (0, 1), (2 * bpp - 3, 40)] {
+                let pattern = data.slice(start, k);
+                let query = engine.pack_query(&enc, &pattern, &mut rng);
+                let mut adds = 0;
+                let got =
+                    scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
+                        engine.sweep_variant(
+                            db.ciphertexts(),
+                            v,
+                            2,
+                            tile,
+                            &mut MatchStats::default(),
+                        );
+                        adds += 1;
+                    });
+                assert_eq!(got, Ok(data.find_all(&pattern)), "k={k}");
+                assert_eq!(adds, query.variant_count());
+                // The first variant's sums give the columns: ⌈V/n⌉ + P.
+                assert_eq!(scratch.index.key_muls(), (1 + polys) as u64);
+                assert_eq!(scratch.index.deltas.len(), polys * n);
+                assert_eq!(scratch.run(&db, &query, &index_gen).0, got.unwrap());
             }
         }
+    }
+
+    #[test]
+    fn a_sum_the_controller_did_not_send_is_a_typed_error() {
+        let (enc, index_gen, db, data, mut rng) =
+            served_fixture(BfvParams::insecure_test_pow2(), 0xF11B);
+        let engine = index_gen.engine();
+        let (n, polys) = (engine.ctx.params().n, db.poly_count());
+        let pattern = data.slice(100, 29);
+        let query = engine.pack_query(&enc, &pattern, &mut rng);
+        let variants = query.variant_count();
+        let mut scratch = ShardScratch::default();
+        let mut run = |db_cts: &[Ciphertext], bad: Option<usize>| {
+            let mut call = 0;
+            scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
+                engine.sweep_variant(db_cts, v, 2, tile, &mut MatchStats::default());
+                if Some(call) == bad {
+                    // Sum 1's `c1` half, one word.
+                    tile[2 * n + n + 7] ^= 1;
+                }
+                call += 1;
+            })
+        };
+        // One c1 word of one variant: the first (which fixes the columns),
+        // one in the middle, the last.
+        for bad in [0, variants / 2, variants - 1] {
+            assert!(
+                matches!(
+                    run(db.ciphertexts(), Some(bad)),
+                    Err(MatchError::Internal(_))
+                ),
+                "variant {bad}"
+            );
+        }
+        assert_eq!(run(db.ciphertexts(), None), Ok(data.find_all(&pattern)));
+        // A corrupted *stored* coefficient reads the same under every
+        // variant: the check cannot see it, as it cannot see DRAM's.
+        let mut stored = db.ciphertexts().to_vec();
+        stored[1].parts_mut()[1].coeffs_mut()[7] ^= 1;
+        assert!(run(&stored, None).is_ok());
     }
 
     #[test]
@@ -2024,7 +2168,7 @@ mod tests {
         };
         let enc = Encryptor::new(&f.ctx, pk);
         let engine = CiphermatchEngine::new(&f.ctx);
-        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let q_bits = f.ctx.params().coeff_bits();
         let n = f.ctx.params().n;
         let q = f.ctx.params().q;
         let bpp = engine.packing().bits_per_poly();
@@ -2084,7 +2228,7 @@ mod tests {
         let engine = CiphermatchEngine::new(&f.ctx);
         let data = BitString::from_ascii("decode must never panic");
         let db = engine.encrypt_database(&enc, &data, &mut rng);
-        let q_bits = 64 - f.ctx.params().q.leading_zeros();
+        let q_bits = f.ctx.params().coeff_bits();
         let good = db.encode(q_bits);
 
         // Every proper prefix (includes the sub-header cases) fails cleanly.
@@ -2176,7 +2320,7 @@ mod tests {
         let bits_per_poly = engine.packing().bits_per_poly();
         let db_bits = BitString::from_bits(&vec![true; bits_per_poly]);
         let db = engine.encrypt_database(&enc, &db_bits, &mut rng);
-        let q_bits = 64 - ctx.params().q.leading_zeros();
+        let q_bits = ctx.params().coeff_bits();
         let plain_bytes = bits_per_poly / 8;
         assert_eq!(db.byte_size(q_bits), 4 * plain_bytes);
     }

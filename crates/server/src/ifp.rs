@@ -8,6 +8,14 @@
 //! dependency arrow pointing the right way: the algorithm crate knows the
 //! [`Backend::Ifp`] *name*, the serving crate owns the SSD device.
 //!
+//! Queries arrive *packed* ([`PackedQuery`], `CMQ3`), as they do for
+//! CM-SW: one ciphertext holding every negated segment once. The
+//! controller replicates each shifted variant out of it into the latches
+//! and index generation tests the sums as they come back
+//! ([`CmIfpServer::cm_search_command`]), with its columns taken from the
+//! first variant's sums and every later sum checked against them (what
+//! that check proves is stated at [`cm_core::ShardScratch::run_with_adder`]).
+//!
 //! The matcher's [`MatchStats`] gain meaning here: `hom_adds` counts the
 //! additions executed *inside the flash array* (one per variant ×
 //! polynomial, exactly like CM-SW), and `flash_wear` counts program/erase
@@ -16,10 +24,10 @@
 
 use std::sync::{Arc, Mutex};
 
-use cm_bfv::{BfvContext, BfvParams, Decryptor, Encryptor, KeyGenerator};
+use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
 use cm_core::{
-    Backend, BitString, CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch,
-    MatchError, MatchStats, QueryKit, SecureMatcher,
+    Backend, BitString, EncryptedDatabase, MatchError, MatchStats, PackedQuery, QueryKit,
+    SecureMatcher, TrustedIndexGenerator,
 };
 use cm_flash::{FlashGeometry, FlashLedger};
 use cm_ssd::{CmIfpServer, Ssd, TransposeMode};
@@ -65,12 +73,10 @@ impl IfpDatabase {
 #[derive(Clone)]
 pub struct IfpMatcher {
     ctx: BfvContext,
-    /// Engine, encryptor and decryptor are prepared once with the keys.
-    engine: CiphermatchEngine,
+    /// The controller's index-generation capability (engine and
+    /// decryptor) and the encryptor, prepared once with the keys.
+    index_gen: TrustedIndexGenerator,
     enc: Encryptor,
-    dec: Decryptor,
-    /// Index generation's working memory, kept between queries.
-    index: IndexScratch,
     q_bits: u32,
     geometry: FlashGeometry,
     mode: TransposeMode,
@@ -114,16 +120,13 @@ impl IfpMatcher {
         }
         let ctx = BfvContext::new(params);
         let kg = KeyGenerator::new(&ctx, rng);
-        let dec = Decryptor::new(&ctx, kg.secret_key());
+        let index_gen = TrustedIndexGenerator::from_secret(&ctx, kg.secret_key());
         let pk = kg.public_key(rng);
-        let q_bits = 64 - ctx.params().q.leading_zeros();
         Ok(Self {
-            engine: CiphermatchEngine::new(&ctx),
+            index_gen,
             enc: Encryptor::new(&ctx, pk),
-            dec,
-            index: IndexScratch::default(),
+            q_bits: ctx.params().coeff_bits(),
             ctx,
-            q_bits,
             geometry,
             mode,
             stats: MatchStats::default(),
@@ -149,18 +152,18 @@ impl IfpMatcher {
     }
 
     /// The public query-encryption material a remote client needs to ship
-    /// wire queries to this matcher — in the explicit form, one
-    /// ciphertext per variant: index generation here decrypts a result
-    /// table by rows taken from the table, which needs every variant's
-    /// `c1` to be a ring element (a packed query's gathered `c1` is not).
+    /// wire queries to this matcher — in the packed form, as for CM-SW:
+    /// one ciphertext for a query of up to about `n` bits, every shifted
+    /// variant of which the controller replicates on its way into the
+    /// latches.
     pub fn query_kit(&self) -> QueryKit {
-        QueryKit::new(self.engine.clone(), self.enc.clone())
+        QueryKit::new(self.index_gen.engine().clone(), self.enc.clone())
     }
 }
 
 impl SecureMatcher for IfpMatcher {
     type Database = IfpDatabase;
-    type Query = EncryptedQuery;
+    type Query = PackedQuery;
     type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
@@ -175,7 +178,10 @@ impl SecureMatcher for IfpMatcher {
         if data.is_empty() {
             return Err(MatchError::InvalidConfig("cannot serve an empty database"));
         }
-        let db = self.engine.encrypt_database(&self.enc, data, rng);
+        let db = self
+            .index_gen
+            .engine()
+            .encrypt_database(&self.enc, data, rng);
         let bytes = db.byte_size(self.q_bits) as u64;
         let server = CmIfpServer::new(&self.ctx, self.geometry.clone(), self.mode, &db);
         Ok(IfpDatabase {
@@ -194,14 +200,14 @@ impl SecureMatcher for IfpMatcher {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        Ok(self.engine.prepare_query(&self.enc, query, rng))
+        Ok(self.index_gen.engine().pack_query(&self.enc, query, rng))
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
-        Ok(EncryptedQuery::decode_validated(
+        Ok(PackedQuery::decode(
             encoded,
             self.ctx.params().n,
-            self.engine.packing().seg_bits(),
+            self.index_gen.engine().packing().seg_bits(),
             self.ctx.params().q,
         )?)
     }
@@ -213,17 +219,15 @@ impl SecureMatcher for IfpMatcher {
         _rng: &mut R,
     ) -> Result<Vec<usize>, MatchError> {
         self.stats.bytes_moved += query.byte_size(self.q_bits) as u64;
-        let (result, reports) = {
+        let (indices, reports) = {
             let mut server = db.server.lock().map_err(|_| MatchError::WorkerPanicked)?;
-            server.search(query)
+            server.cm_search_command(query, &self.index_gen)?
         };
         // In-flash additions are Hom-Adds: one per variant × polynomial,
         // the same count CM-SW's software sweep reports.
         self.stats.hom_adds += (reports.len() * db.poly_count) as u64;
         self.stats.flash_wear += reports.iter().map(|r| r.ledger.wear()).sum::<u64>();
-        Ok(self
-            .engine
-            .generate_indices_with(&self.dec, &result, &mut self.index))
+        Ok(indices)
     }
 
     fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
@@ -239,7 +243,7 @@ impl SecureMatcher for IfpMatcher {
         db.validate(
             self.ctx.params().n,
             self.ctx.params().q,
-            self.engine.packing().bits_per_poly(),
+            self.index_gen.engine().packing().bits_per_poly(),
         )?;
         if db.total_bits() == 0 {
             return Err(MatchError::InvalidConfig("cannot serve an empty database"));
@@ -337,15 +341,51 @@ mod tests {
             erased.find_all_wire(&encoded[..7]).unwrap_err(),
             MatchError::Decode(_)
         ));
-        // The packed form belongs to CM-SW tenants.
+        // The kit packs: one ciphertext, where Algorithm 1's explicit form
+        // is one per variant — and that form is refused.
         let sender = new_matcher(6);
-        let packed = QueryKit::packed(sender.engine.clone(), sender.enc.clone())
-            .encode_query(&pattern, &mut rng)
-            .unwrap();
+        assert_eq!(sender.decode_query(&encoded).unwrap().ciphertext_count(), 1);
+        let explicit = sender
+            .index_gen
+            .engine()
+            .prepare_query(&sender.enc, &pattern, &mut rng)
+            .encode(sender.q_bits);
         assert_eq!(
-            erased.find_all_wire(&packed).unwrap_err(),
+            erased.find_all_wire(&explicit).unwrap_err(),
             MatchError::Decode(cm_bfv::DecodeError::BadMagic)
         );
+    }
+
+    #[test]
+    fn coefficients_take_four_bytes_and_old_encodings_still_decode() {
+        // q = 2^32: every coefficient is below 2^32 and ships in 4 bytes.
+        let mut owner = erase(IfpMatcher::for_spec(44, true).unwrap(), 44);
+        let data = BitString::from_ascii("four bytes a coefficient, not five");
+        owner.load_database(&data).unwrap();
+        let encoded = owner.export_database().unwrap();
+        let db = EncryptedDatabase::decode(&encoded).unwrap();
+        let n = 256;
+        assert_eq!(encoded.len(), 12 + db.poly_count() * (16 + 2 * n * 4));
+        assert_eq!(owner.database_bytes(), Some(db.byte_size(32) as u64));
+
+        // Encodings at the 33-bit width used before are self-describing:
+        // the database and a packed query both decode and search.
+        let mut server = erase(IfpMatcher::for_spec(44, true).unwrap(), 45);
+        server.load_database_wire(&db.encode(33)).unwrap();
+        let pattern = BitString::from_ascii("bytes");
+        let client = IfpMatcher::for_spec(44, true).unwrap();
+        let mut rng = StdRng::seed_from_u64(46);
+        let old_query = client
+            .index_gen
+            .engine()
+            .pack_query(&client.enc, &pattern, &mut rng)
+            .encode(33);
+        assert_eq!(
+            server.find_all_wire(&old_query).unwrap(),
+            data.find_all(&pattern)
+        );
+        // Re-exported, the database takes the 4-byte width.
+        assert_eq!(server.export_database().unwrap(), encoded);
     }
 
     #[test]
@@ -382,7 +422,7 @@ mod tests {
             .unwrap();
         let small = EncryptedDatabase::decode(&seeded.export_database().unwrap()).unwrap();
         let cts = vec![small.ciphertexts()[0].clone(); polys];
-        let bits_per_poly = matcher.engine.packing().bits_per_poly();
+        let bits_per_poly = matcher.index_gen.engine().packing().bits_per_poly();
         let big = EncryptedDatabase::from_ciphertexts(cts, polys * bits_per_poly);
         let encoded = big.encode(matcher.q_bits);
         assert!(matches!(

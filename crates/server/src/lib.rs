@@ -34,7 +34,10 @@
 //! * [`IfpMatcher`] — the paper's in-flash engine
 //!   ([`cm_ssd::CmIfpServer`]) behind [`cm_core::SecureMatcher`],
 //!   registered *from this crate* so the `cm_core`↔`cm_ssd` dependency
-//!   arrow stays inverted; `stats().flash_wear` stays zero because
+//!   arrow stays inverted. It takes the same packed query: the
+//!   controller replicates each variant into the latches and runs the
+//!   served index-generation driver ([`cm_core::ShardScratch`]) on the
+//!   sums the flash adds; `stats().flash_wear` stays zero because
 //!   `bop_add` never programs or erases;
 //! * [`TenantRegistry`] / [`Tenant`] — tenant id → a
 //!   [`cm_core::MatcherPool`] of K `boxed_clone`'d matchers + key
@@ -53,11 +56,11 @@
 //!   in, AES-sealed index lists out), hardened against truncated,
 //!   oversized, and garbage frames. A client-key query is its length `k`
 //!   and ciphertexts and nothing else — packed (`CMQ3`, every negated
-//!   segment once) for CM-SW, one per variant (`CMQ2`) for
-//!   [`IfpMatcher`]: the alignment geometry is rebuilt from `k` on
-//!   arrival, and no class, mask or segment derived from the pattern is
-//!   ever serialized. A frame is encoded once, behind its reserved header,
-//!   and sent in one write — requests and replies alike;
+//!   segment once), for CM-SW and [`IfpMatcher`] alike: the alignment
+//!   geometry is rebuilt from `k` on arrival, and no class, mask or
+//!   segment derived from the pattern is ever serialized. A frame is
+//!   encoded once, behind its reserved header, and sent in one write —
+//!   requests and replies alike;
 //! * [`MatchServer`] / [`MatchClient`] — a readiness-driven
 //!   `cm_reactor` front-end that admits *frames, not connections*: one
 //!   reactor thread owns every socket (thousands of cheap idle
@@ -67,10 +70,9 @@
 //!   [`cm_core::MatchError::ServerBusy`] rejection past either cap,
 //!   drain-then-join shutdown) — plus the blocking client, with
 //!   [`QueryKit`] carrying the public material a remote key owner needs
-//!   to encrypt queries, in the form the tenant's matcher takes (packed
-//!   for CM-SW; one ciphertext per variant, `CMQ2`, for [`IfpMatcher`],
-//!   which decrypts a result table by rows taken from the table — the
-//!   other form's bytes are a typed `BadMagic`). Both ends set `TCP_NODELAY` on every socket,
+//!   to pack and encrypt queries (Algorithm 1's explicit form, `CMQ2`,
+//!   one ciphertext per variant, is the test oracle and a typed
+//!   `BadMagic` on the wire). Both ends set `TCP_NODELAY` on every socket,
 //!   unconditionally: each message is one whole frame in one write, so
 //!   there is nothing for Nagle's algorithm to coalesce and a delayed ACK
 //!   (≈ 40 ms per call) to lose.

@@ -8,12 +8,10 @@
 //! leaves in one write, so a small request is one TCP segment and never
 //! waits on the peer's delayed ACK. Payloads are tag-discriminated
 //! [`Request`]/[`Response`] messages encoded with fixed-width
-//! little-endian integers. A client-key query rides as the opaque bytes
-//! of the form its tenant's matcher takes — packed for CM-SW
-//! ([`cm_core::PackedQuery`], `CMQ3`: the query length and `⌈V/n⌉`
-//! ciphertexts holding every negated segment once), explicit for the
-//! in-flash matcher ([`cm_core::EncryptedQuery`], `CMQ2`: the query
-//! length and one ciphertext per variant) — and match results return as
+//! little-endian integers. A client-key query rides as opaque packed
+//! bytes ([`cm_core::PackedQuery`], `CMQ3`: the query length and `⌈V/n⌉`
+//! ciphertexts holding every negated segment once), the one form CM-SW
+//! and in-flash tenants both take — and match results return as
 //! AES-sealed index lists ([`cm_ssd::SecureIndexChannel`]), so neither
 //! queries nor results cross the socket in the clear for
 //! CIPHERMATCH-family tenants.
@@ -486,12 +484,11 @@ pub enum QueryPayload {
     /// matcher owns the keys and encrypts the query itself (every
     /// [`Backend`] supports this mode).
     Bits(BitString),
-    /// An already-encrypted query, for client-key tenants, in the form the
-    /// tenant's [`cm_core::QueryKit`] builds: packed for `ciphermatch`
-    /// ([`cm_core::PackedQuery`], `CMQ3`: the query length and `⌈V/n⌉`
-    /// ciphertexts), one ciphertext per variant for `ifp`
-    /// ([`cm_core::EncryptedQuery`], `CMQ2`). Either way the server learns
-    /// the pattern's length and nothing else about it.
+    /// An already-encrypted query, for client-key tenants, as the tenant's
+    /// [`cm_core::QueryKit`] builds it: packed ([`cm_core::PackedQuery`],
+    /// `CMQ3`: the query length and `⌈V/n⌉` ciphertexts) for `ciphermatch`
+    /// and `ifp` alike, whose servers replicate the variants themselves.
+    /// The server learns the pattern's length and nothing else about it.
     CmWire(Vec<u8>),
 }
 

@@ -83,7 +83,8 @@ pub fn submit(ssd: &mut Ssd, cmd: HostCommand) -> HostResponse {
             HostResponse::Ack
         }
         HostCommand::CmSearch { query_words } => {
-            let (sums, report) = ssd.cm_search(&query_words);
+            let mut sums = Vec::with_capacity(ssd.stored_words());
+            let report = ssd.cm_search(&query_words, |group| sums.extend_from_slice(group));
             HostResponse::SearchResult { sums, report }
         }
     }

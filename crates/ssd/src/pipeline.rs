@@ -1,38 +1,53 @@
 //! The end-to-end CM-IFP pipeline (paper Fig. 6).
 //!
-//! ① the client prepares the encrypted query, ② sends it to the server,
-//! ③ the server forwards it to the SSD and triggers the `bop_add`
+//! ① the client packs and encrypts the query — one ciphertext holding
+//! every negated segment once ([`PackedQuery`], `CMQ3`), ② sends it to the
+//! server, ③ the server forwards it to the SSD, whose controller
+//! replicates each shifted variant out of it (a public coefficient
+//! permutation; no key) into the latches and triggers the `bop_add`
 //! µ-program, ④ the flash array executes the homomorphic additions with
 //! array- and bit-level parallelism, ⑤ the controller's index-generation
-//! unit locates matches, ⑥ the AES-encrypted index list returns to the
-//! client.
+//! unit tests each variant's sums as they leave the latches, ⑥ the
+//! AES-encrypted index list returns to the client
+//! ([`CmIfpServer::cm_search_command`]).
 //!
-//! The pipeline is bit-exact: the in-flash adder output is reassembled
-//! into BFV ciphertexts and must decrypt to the same sums CM-SW computes
-//! (enforced by the integration tests). This requires the power-of-two
-//! modulus parameters ([`cm_bfv::BfvParams::ciphermatch_ifp_1024`]), under
-//! which wrapping 32-bit addition *is* `Hom-Add`.
+//! The pipeline is bit-exact: the in-flash adder output is the same sum
+//! CM-SW computes, coefficient for coefficient (enforced by the
+//! integration tests). This requires the power-of-two modulus parameters
+//! ([`cm_bfv::BfvParams::ciphermatch_ifp_1024`]), under which wrapping
+//! 32-bit addition *is* `Hom-Add`. [`CmIfpServer::search`] runs Algorithm 1
+//! to the letter on the explicit query form and returns every sum — the
+//! oracle the served command is tested against.
 
 use cm_bfv::{BfvContext, Ciphertext};
-use cm_core::{EncryptedDatabase, EncryptedQuery, SearchResult, TrustedIndexGenerator};
+use cm_core::{
+    EncryptedDatabase, EncryptedQuery, MatchError, PackedQuery, SearchResult, ShardScratch,
+    TrustedIndexGenerator,
+};
 use cm_flash::FlashGeometry;
 use cm_hemath::Poly;
 
 use crate::ssd::{IfpReport, Ssd};
 use crate::transpose::TransposeMode;
 
+/// Appends a fresh ciphertext to a flat `u32` coefficient stream, the
+/// layout of the CIPHERMATCH region: `c0` coefficients then `c1`.
+fn put_words(words: &mut Vec<u32>, ct: &Ciphertext) {
+    assert_eq!(ct.size(), 2, "only fresh (size-2) ciphertexts are stored");
+    for part in ct.parts() {
+        words.extend(part.coeffs().iter().map(|&c| {
+            debug_assert!(c < (1 << 32), "coefficient exceeds 32 bits");
+            c as u32
+        }));
+    }
+}
+
 /// Serializes ciphertexts into the flat `u32` coefficient stream stored in
-/// the CIPHERMATCH region (`c0` coefficients then `c1`, per ciphertext).
+/// the CIPHERMATCH region.
 fn ct_stream(cts: &[Ciphertext]) -> Vec<u32> {
     let mut words = Vec::new();
     for ct in cts {
-        assert_eq!(ct.size(), 2, "only fresh (size-2) ciphertexts are stored");
-        for part in ct.parts() {
-            words.extend(part.coeffs().iter().map(|&c| {
-                debug_assert!(c < (1 << 32), "coefficient exceeds 32 bits");
-                c as u32
-            }));
-        }
+        put_words(&mut words, ct);
     }
     words
 }
@@ -51,13 +66,17 @@ fn stream_to_cts(words: &[u32], n: usize) -> Vec<Ciphertext> {
 }
 
 /// The CM-IFP server: an SSD whose CIPHERMATCH region holds the encrypted
-/// database.
+/// database, and the controller's working memory.
 pub struct CmIfpServer {
     ssd: Ssd,
     ctx: BfvContext,
     total_bits: usize,
     poly_count: usize,
     stream_words: usize,
+    /// Index generation's tile, rows and columns, kept between commands.
+    scratch: ShardScratch,
+    /// The variant in hand as the `u32` stream the latches take.
+    variant_words: Vec<u32>,
 }
 
 impl std::fmt::Debug for CmIfpServer {
@@ -101,6 +120,8 @@ impl CmIfpServer {
             total_bits: db.total_bits(),
             poly_count: db.poly_count(),
             stream_words,
+            scratch: ShardScratch::default(),
+            variant_words: Vec::new(),
         }
     }
 
@@ -139,15 +160,20 @@ impl CmIfpServer {
         db.poly_count() * 2 * n
     }
 
-    /// Runs the in-flash search for every query variant, returning the
-    /// reassembled search result and the accumulated cost report.
+    /// Algorithm 1 to the letter: runs the in-flash search for every
+    /// variant of an explicit query and returns every sum as a search
+    /// result, with one cost report per variant. The oracle of
+    /// [`Self::cm_search_command`]; no serving path calls it.
     pub fn search(&mut self, query: &EncryptedQuery) -> (SearchResult, Vec<IfpReport>) {
         let n = self.ctx.params().n;
         let mut per_variant = Vec::new();
         let mut reports = Vec::new();
         for (r, phase, ct) in query.variant_cts() {
             let qstream = ct_stream(std::slice::from_ref(ct));
-            let (sums, report) = self.ssd.cm_search(&qstream);
+            let mut sums = Vec::with_capacity(self.ssd.stored_words());
+            let report = self
+                .ssd
+                .cm_search(&qstream, |group| sums.extend_from_slice(group));
             let cts = stream_to_cts(&sums[..self.stream_words], n);
             assert_eq!(cts.len(), self.poly_count);
             per_variant.push(((r, phase), cts));
@@ -162,15 +188,52 @@ impl CmIfpServer {
         (result, reports)
     }
 
-    /// Full `CM-search` command: in-flash additions + controller index
-    /// generation (paper trust model), returning matching bit offsets.
+    /// The full `CM-search` command on a packed query: for each variant
+    /// `(r, phase)` the controller gathers it out of the packed ciphertext
+    /// (the public coefficient permutation a CM-SW range job applies),
+    /// streams it into the latches for the same `bop_add`s an explicit
+    /// variant gets, and index generation tests the sums as they come back
+    /// ([`ShardScratch::run_with_adder`]) — one cost report per variant,
+    /// and the matching bit offsets (the paper's trust model).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatchError::Internal`] when the sums fail the additivity
+    /// check: some variant did not get the column every other one got,
+    /// or got something other than what the controller sent.
     pub fn cm_search_command(
         &mut self,
-        query: &EncryptedQuery,
+        query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
-    ) -> (Vec<usize>, Vec<IfpReport>) {
-        let (result, reports) = self.search(query);
-        (index_gen.generate(&result), reports)
+    ) -> Result<(Vec<usize>, Vec<IfpReport>), MatchError> {
+        let Self {
+            ssd,
+            scratch,
+            variant_words,
+            poly_count,
+            total_bits,
+            ..
+        } = self;
+        let mut reports = Vec::with_capacity(query.variant_count());
+        let indices = scratch.run_with_adder(
+            query,
+            index_gen,
+            *poly_count,
+            *total_bits,
+            |variant, tile| {
+                variant_words.clear();
+                put_words(variant_words, variant);
+                // The region is padded to whole groups; the tile ends at
+                // the last stored coefficient.
+                let mut slots = tile.iter_mut();
+                reports.push(ssd.cm_search(variant_words, |sums| {
+                    for (&sum, slot) in sums.iter().zip(slots.by_ref()) {
+                        *slot = u64::from(sum);
+                    }
+                }));
+            },
+        )?;
+        Ok((indices, reports))
     }
 }
 
@@ -180,7 +243,7 @@ mod tests {
     use cm_bfv::{BfvParams, Decryptor, Encryptor, KeyGenerator};
     use cm_core::{BitString, CiphermatchEngine};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn stream_roundtrip() {
@@ -233,6 +296,62 @@ mod tests {
     }
 
     #[test]
+    fn packed_command_equals_the_explicit_oracle_across_seams() {
+        // Four polynomials, four groups of tiny_test's 512 bitlines. Per
+        // query length the pattern is planted across every polynomial
+        // seam, then repeatedly at a stride of `8·⌈(k+1)/8⌉ + 1` bits, so
+        // the plants walk through every bit-offset class and, a segment
+        // further each time, through the phases of each class. The packed
+        // command, the explicit oracle and the plaintext search must agree
+        // on the whole list, and the flash does the same work either way.
+        let ctx = BfvContext::new(BfvParams::insecure_test_pow2());
+        let mut rng = StdRng::seed_from_u64(0x5EA);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let enc = Encryptor::new(&ctx, kg.public_key(&mut rng));
+        let dec = Decryptor::new(&ctx, kg.secret_key());
+        let index_gen = TrustedIndexGenerator::from_secret(&ctx, kg.secret_key());
+        let engine = CiphermatchEngine::new(&ctx);
+        let (n, bpp) = (ctx.params().n, engine.packing().bits_per_poly());
+        // k = 260 has V = 267 > n segments: two packed ciphertexts.
+        for k in [1usize, 9, 33, 260] {
+            let pattern: Vec<bool> = (0..k).map(|_| rng.gen()).collect();
+            let mut bits: Vec<bool> = (0..4 * bpp).map(|_| rng.gen()).collect();
+            let step = 8 * (k + 1).div_ceil(8) + 1;
+            let walk = (0..8 * k.div_ceil(8) + 8).map(|i| 5 + i * step);
+            for at in (1..4).map(|j| j * bpp - k / 2).chain(walk) {
+                if at + k <= bits.len() {
+                    bits[at..at + k].copy_from_slice(&pattern);
+                }
+            }
+            let (data, pattern) = (BitString::from_bits(&bits), BitString::from_bits(&pattern));
+            let db = engine.encrypt_database(&enc, &data, &mut rng);
+            assert_eq!(db.poly_count(), 4);
+            let mut server = CmIfpServer::new(
+                &ctx,
+                FlashGeometry::tiny_test(),
+                TransposeMode::Software,
+                &db,
+            );
+
+            let explicit = engine.prepare_query(&enc, &pattern, &mut rng);
+            let (result, oracle_reports) = server.search(&explicit);
+            let oracle = engine.generate_indices_reference(&dec, &result);
+            let packed = engine.pack_query(&enc, &pattern, &mut rng);
+            let v = packed.variant_count();
+            assert_eq!(packed.ciphertext_count(), v.div_ceil(n), "k={k}");
+            let (indices, reports) = server.cm_search_command(&packed, &index_gen).unwrap();
+            assert_eq!(indices, oracle, "k={k}: packed vs explicit");
+            assert_eq!(indices, data.find_all(&pattern), "k={k}: vs plaintext");
+            assert!(indices.len() > 3, "k={k}: the plants are found");
+            assert_eq!(reports.len(), v);
+            for (packed, explicit) in reports.iter().zip(&oracle_reports) {
+                assert_eq!(packed.ledger, explicit.ledger, "k={k}");
+                assert_eq!(packed.bop_adds, 4);
+            }
+        }
+    }
+
+    #[test]
     fn export_reads_the_database_back_from_flash() {
         let ctx = BfvContext::new(BfvParams::insecure_test_pow2());
         let mut rng = StdRng::seed_from_u64(77);
@@ -254,7 +373,7 @@ mod tests {
         assert_eq!(server.ssd().ledger().wear(), wear_before);
         assert_eq!(exported.total_bits(), db.total_bits());
         assert_eq!(exported.poly_count(), db.poly_count());
-        let q_bits = 64 - ctx.params().q.leading_zeros();
+        let q_bits = ctx.params().coeff_bits();
         assert_eq!(
             exported.encode(q_bits),
             db.encode(q_bits),

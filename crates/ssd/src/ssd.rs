@@ -321,16 +321,23 @@ impl Ssd {
 
     /// `CM-search`: homomorphically adds the (periodic) query coefficient
     /// stream to every stored coefficient using in-flash bit-serial
-    /// addition, returning the sums and a cost report.
+    /// addition, handing each group's sums to `sink` in storage order as
+    /// they leave the latches, and returns the cost report.
     ///
     /// `query_words` is one period of the encrypted query stream (the
     /// paper's replicated query polynomial pair); the stream tiles across
-    /// the stored coefficients.
+    /// the stored coefficients. A group whose window of it starts where
+    /// the previous group's did holds the same window, so its bit-planes
+    /// are not transposed again — every group when the period divides
+    /// the page width, as one ciphertext pair does on every preset
+    /// geometry. The [`TranspositionUnit`] still books every group's
+    /// window: the modelled controller streams one per group, whatever
+    /// the host reuses.
     ///
     /// # Panics
     ///
     /// Panics if the query is empty or nothing is stored.
-    pub fn cm_search(&mut self, query_words: &[u32]) -> (Vec<u32>, IfpReport) {
+    pub fn cm_search(&mut self, query_words: &[u32], mut sink: impl FnMut(&[u32])) -> IfpReport {
         assert!(!query_words.is_empty(), "empty query stream");
         assert!(self.stored_words > 0, "no CIPHERMATCH data stored");
         let bitlines = self.ftl.geometry().page_bits();
@@ -345,7 +352,8 @@ impl Ssd {
             words,
         } = &mut self.buffers;
         window.resize(bitlines, 0);
-        let mut sums = Vec::with_capacity(self.stored_words);
+        // Where in the query stream the window `query_planes` holds starts.
+        let mut planes_at = None;
         let mut bop_adds = 0u64;
         for (g, group) in self.ftl.groups().iter().enumerate() {
             let offset = g * bitlines;
@@ -353,14 +361,20 @@ impl Ssd {
                 break;
             }
             // This group's bitline window of the periodic query stream.
-            let (mut at, mut rest) = (offset % qlen, window.as_mut_slice());
-            while !rest.is_empty() {
-                let (run, tail) = rest.split_at_mut((qlen - at).min(rest.len()));
-                run.copy_from_slice(&query_words[at..at + run.len()]);
-                (at, rest) = (0, tail);
+            let start = offset % qlen;
+            if planes_at == Some(start) {
+                self.transpose.account(bitlines * 4);
+            } else {
+                let (mut at, mut rest) = (start, window.as_mut_slice());
+                while !rest.is_empty() {
+                    let (run, tail) = rest.split_at_mut((qlen - at).min(rest.len()));
+                    run.copy_from_slice(&query_words[at..at + run.len()]);
+                    (at, rest) = (0, tail);
+                }
+                self.transpose
+                    .to_vertical_into(window, GROUP_WORDLINES, query_planes);
+                planes_at = Some(start);
             }
-            self.transpose
-                .to_vertical_into(window, GROUP_WORDLINES, query_planes);
             bop_add_into(
                 &mut self.flash,
                 group.plane,
@@ -372,11 +386,11 @@ impl Ssd {
             bop_adds += 1;
             self.transpose.to_horizontal_into(array_planes, words);
             let take = bitlines.min(self.stored_words - offset);
-            sums.extend_from_slice(&words[..take]);
+            sink(&words[..take]);
         }
 
         let ledger_after = self.flash.ledger();
-        let report = IfpReport {
+        IfpReport {
             ledger: FlashLedger {
                 reads: ledger_after.reads - ledger_before.reads,
                 latch_transfers: ledger_after.latch_transfers - ledger_before.latch_transfers,
@@ -388,8 +402,7 @@ impl Ssd {
             },
             bop_adds,
             transpose_time: self.transpose.busy_time() - transpose_before,
-        };
-        (sums, report)
+        }
     }
 }
 
@@ -401,6 +414,13 @@ mod tests {
 
     fn ssd() -> Ssd {
         Ssd::new(FlashGeometry::tiny_test(), TransposeMode::Software)
+    }
+
+    /// `CM-search` with every group's sums collected.
+    fn search(s: &mut Ssd, query: &[u32]) -> (Vec<u32>, IfpReport) {
+        let mut sums = Vec::new();
+        let report = s.cm_search(query, |group| sums.extend_from_slice(group));
+        (sums, report)
     }
 
     #[test]
@@ -453,23 +473,25 @@ mod tests {
     }
 
     /// The simulated device's ledger, transposition accounting and cost
-    /// report for one fixed search, as literals recorded before the host
-    /// path was made word-parallel: host speed must not leak into the
-    /// model.
-    #[test]
-    fn the_model_does_not_see_the_host() {
+    /// report for one fixed search — 600 random bytes in three
+    /// polynomials, the 40-bit pattern "flash" (47 variants) — sent in
+    /// the packed form when `packed`, in the explicit one otherwise, as
+    /// literals recorded before the host path was made word-parallel:
+    /// neither host speed nor the form the query arrived in may leak into
+    /// the model.
+    fn pinned_search(packed: bool) {
         use crate::pipeline::CmIfpServer;
         use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
-        use cm_core::{BitString, CiphermatchEngine};
+        use cm_core::{BitString, CiphermatchEngine, TrustedIndexGenerator};
 
         let ctx = BfvContext::new(BfvParams::insecure_test_pow2());
         let mut rng = StdRng::seed_from_u64(20);
-        let pk = KeyGenerator::new(&ctx, &mut rng).public_key(&mut rng);
-        let enc = Encryptor::new(&ctx, pk);
+        let kg = KeyGenerator::new(&ctx, &mut rng);
+        let enc = Encryptor::new(&ctx, kg.public_key(&mut rng));
         let engine = CiphermatchEngine::new(&ctx);
         let data: Vec<u8> = (0..600).map(|_| rng.gen()).collect();
-        let db = engine.encrypt_database(&enc, &BitString::from_bytes(&data), &mut rng);
-        let query = engine.prepare_query(&enc, &BitString::from_ascii("flash"), &mut rng);
+        let data = BitString::from_bytes(&data);
+        let db = engine.encrypt_database(&enc, &data, &mut rng);
         let geom = FlashGeometry::tiny_test();
         let mut server = CmIfpServer::new(&ctx, geom.clone(), TransposeMode::Software, &db);
         assert_eq!(db.poly_count(), 3);
@@ -479,7 +501,17 @@ mod tests {
         assert_eq!(server.ssd().transpose.busy_time(), 2.04e-5);
         assert_eq!(server.ssd().transpose.bytes_transposed(), 6144);
 
-        let (_, reports) = server.search(&query);
+        let pattern = BitString::from_ascii("flash");
+        let reports = if packed {
+            let query = engine.pack_query(&enc, &pattern, &mut rng);
+            let index_gen = TrustedIndexGenerator::from_secret(&ctx, kg.secret_key());
+            let (indices, reports) = server.cm_search_command(&query, &index_gen).unwrap();
+            assert_eq!(indices, data.find_all(&pattern));
+            reports
+        } else {
+            let query = engine.prepare_query(&enc, &pattern, &mut rng);
+            server.search(&query).1
+        };
         assert_eq!(reports.len(), 47);
         let total = server.ssd().ledger();
         let want_total = FlashLedger {
@@ -516,6 +548,19 @@ mod tests {
     }
 
     #[test]
+    fn the_model_does_not_see_the_host() {
+        pinned_search(false);
+    }
+
+    /// The packed twin: the controller replicates each variant into the
+    /// latches itself, and the flash does exactly the explicit query's
+    /// work.
+    #[test]
+    fn the_model_does_not_see_the_query_form() {
+        pinned_search(true);
+    }
+
+    #[test]
     fn cm_write_read_roundtrip() {
         let mut s = ssd();
         let bitlines = 64 * 8;
@@ -531,18 +576,26 @@ mod tests {
         let mut s = ssd();
         let bitlines = 64 * 8; // 512 bitlines per page
         let mut rng = StdRng::seed_from_u64(12);
-        // Two groups of data, query period 128 words.
-        let words: Vec<u32> = (0..2 * bitlines).map(|_| rng.gen()).collect();
+        // Three groups of data; query periods that divide the page width
+        // (every group's window is the first one), that do not (each
+        // window starts somewhere else), and that exceed it (windows
+        // alternate).
+        let words: Vec<u32> = (0..3 * bitlines).map(|_| rng.gen()).collect();
         s.cm_write_words(&words);
-        let query: Vec<u32> = (0..128).map(|_| rng.gen()).collect();
-        let (sums, report) = s.cm_search(&query);
-        assert_eq!(sums.len(), words.len());
-        for (i, (&sum, &w)) in sums.iter().zip(&words).enumerate() {
-            assert_eq!(sum, w.wrapping_add(query[i % 128]), "word {i}");
+        for period in [128, 300, 2 * bitlines] {
+            let query: Vec<u32> = (0..period).map(|_| rng.gen()).collect();
+            let (sums, report) = search(&mut s, &query);
+            assert_eq!(sums.len(), words.len());
+            for (i, (&sum, &w)) in sums.iter().zip(&words).enumerate() {
+                assert_eq!(sum, w.wrapping_add(query[i % period]), "word {i}");
+            }
+            assert_eq!(report.bop_adds, 3);
+            assert_eq!(report.ledger.wear(), 0, "search must not wear the flash");
+            // Every group books its 2 KiB window in and 2 KiB of sums out,
+            // whether the host reused the window's bit-planes or not.
+            let per_group = TransposeMode::Software.latency_per_4kb();
+            assert!((report.transpose_time - 3.0 * per_group).abs() < 1e-12);
         }
-        assert_eq!(report.bop_adds, 2);
-        assert_eq!(report.ledger.wear(), 0, "search must not wear the flash");
-        assert!(report.transpose_time > 0.0);
     }
 
     #[test]
@@ -554,7 +607,7 @@ mod tests {
         let mut padded = words.clone();
         padded.resize(2 * bitlines, 0);
         s.cm_write_words(&padded);
-        let (sums, _) = s.cm_search(&[5u32]);
+        let (sums, _) = search(&mut s, &[5u32]);
         assert_eq!(sums.len(), 2 * bitlines);
         assert_eq!(sums[0], 5);
         assert_eq!(sums[bitlines + 99], words[bitlines + 99].wrapping_add(5));
@@ -566,7 +619,7 @@ mod tests {
         let bitlines = 64 * 8;
         let words: Vec<u32> = (0..4 * bitlines).map(|i| i as u32 * 3).collect();
         s.cm_write_words(&words);
-        let (_, report) = s.cm_search(&[1u32, 2, 3, 4]);
+        let (_, report) = search(&mut s, &[1u32, 2, 3, 4]);
         let geom = FlashGeometry::tiny_test();
         let t = FlashTimings::paper_default();
         let eq9 = report.time_eq9(&geom, &t);

@@ -76,7 +76,10 @@ impl TranspositionUnit {
         self.bytes_transposed
     }
 
-    fn account(&mut self, bytes: usize) {
+    /// Books the modelled controller's time for transposing `bytes`,
+    /// whether or not the host transposes them again (a query window the
+    /// host already holds as bit-planes is still the controller's work).
+    pub(crate) fn account(&mut self, bytes: usize) {
         self.bytes_transposed += bytes as u64;
         self.busy_time += self.mode.latency_per_4kb() * (bytes as f64 / 4096.0);
     }

@@ -74,9 +74,22 @@ fn main() {
         t.t_bit_add() * 1e6
     );
 
-    // §7.2: the index list returns AES-256-sealed.
+    // The served command: the client sends one packed ciphertext, the
+    // controller replicates every variant into the latches, and index
+    // generation tests the sums as they come back. §7.2: the index list
+    // returns AES-256-sealed.
     let index_gen = TrustedIndexGenerator::from_secret(&ctx, sk);
-    let (indices, _) = server.cm_search_command(&query, &index_gen);
+    let packed = engine.pack_query(&enc, &pattern, &mut rng);
+    let (indices, served) = server
+        .cm_search_command(&packed, &index_gen)
+        .expect("the device added what the controller sent");
+    assert_eq!(indices, ifp_indices);
+    println!(
+        "served: {} ciphertext for {} variants, {} bop_adds, the same matches",
+        packed.ciphertext_count(),
+        packed.variant_count(),
+        served.iter().map(|r| r.bop_adds).sum::<u64>()
+    );
     let channel = SecureIndexChannel::new(&[0x42; 32]);
     let (sealed, latency) = channel.seal(&indices, 7);
     println!(
@@ -92,8 +105,9 @@ fn main() {
 }
 
 /// One 32-bit query over one polynomial at `ciphermatch_ifp_1024` on the
-/// Table 3 geometry: host milliseconds beside simulated device
-/// microseconds.
+/// Table 3 geometry, served as a remote client's would be (packed query,
+/// controller-side replication and index generation): host milliseconds
+/// beside simulated device microseconds.
 fn paper_parameter_query() {
     let ctx = BfvContext::new(BfvParams::ciphermatch_ifp_1024());
     let mut rng = StdRng::seed_from_u64(4321);
@@ -102,8 +116,8 @@ fn paper_parameter_query() {
         (kg.secret_key(), kg.public_key(&mut rng))
     };
     let enc = Encryptor::new(&ctx, pk);
-    let dec = Decryptor::new(&ctx, sk);
-    let engine = CiphermatchEngine::new(&ctx);
+    let index_gen = TrustedIndexGenerator::from_secret(&ctx, sk);
+    let engine = index_gen.engine();
     let geometry = FlashGeometry::paper_default();
 
     let data = BitString::from_ascii("one polynomial of the paper's parameter set, in flash");
@@ -113,14 +127,13 @@ fn paper_parameter_query() {
 
     let ms = |since: Instant| since.elapsed().as_secs_f64() * 1e3;
     let start = Instant::now();
-    let query = engine.prepare_query(&enc, &pattern, &mut rng);
+    let query = engine.pack_query(&enc, &pattern, &mut rng);
     let encrypt_ms = ms(start);
     let start = Instant::now();
-    let (result, reports) = server.search(&query);
-    let search_ms = ms(start);
-    let start = Instant::now();
-    let indices = engine.generate_indices(&dec, &result);
-    let index_ms = ms(start);
+    let (indices, reports) = server
+        .cm_search_command(&query, &index_gen)
+        .expect("the device added what the controller sent");
+    let command_ms = ms(start);
     assert_eq!(indices, data.find_all(&pattern));
 
     let t = FlashTimings::paper_default();
@@ -130,12 +143,13 @@ fn paper_parameter_query() {
         .sum::<f64>()
         * 1e6;
     println!(
-        "paper parameters ({}, {} variants x {} polynomial): host {:.2} ms \
-         (encrypt {encrypt_ms:.2} + in-flash search {search_ms:.2} + index generation \
-         {index_ms:.2}); simulated device {device_us:.1} us (Eq. 9)",
+        "paper parameters ({}, {} variants x {} polynomial from {} packed ciphertext): \
+         host {:.2} ms (encrypt {encrypt_ms:.2} + in-flash search with index generation \
+         {command_ms:.2}); simulated device {device_us:.1} us (Eq. 9)",
         ctx.params().name,
         reports.len(),
         db.poly_count(),
-        encrypt_ms + search_ms + index_ms,
+        query.ciphertext_count(),
+        encrypt_ms + command_ms,
     );
 }

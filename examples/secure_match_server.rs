@@ -9,10 +9,11 @@
 //! the database once and provisions the server (delegated index
 //! generation + AES channel key, the offline step); queries are encrypted
 //! client-side with the tenant's [`QueryKit`] — packed into one
-//! ciphertext for the CM-SW tenant, which replicates the shifted variants
-//! itself; one ciphertext per variant for the in-flash tenant — travel as
-//! binary wire frames, run sharded on the host or inside the simulated
-//! SSD, and only AES-sealed index lists come back.
+//! ciphertext, whose shifted variants the server replicates itself: in
+//! the CM-SW tenant's range jobs, or on their way into the flash latches
+//! for the in-flash tenant — travel as binary wire frames, run sharded on
+//! the host or inside the simulated SSD, and only AES-sealed index lists
+//! come back.
 //!
 //! Run with: `cargo run --release --example secure_match_server`
 
@@ -172,7 +173,7 @@ fn main() {
             assert_eq!(reply.stats.flash_wear, 0);
             println!(
                 "bob:   {:2}-bit query in-flash   -> {} match(es), \
-                 {} wire bytes (one ciphertext per variant), {} hom-adds, flash wear {}",
+                 {} wire bytes (packed), {} hom-adds, flash wear {}",
                 pattern.len(),
                 reply.indices.len(),
                 encoded.len(),

@@ -79,12 +79,15 @@ fn cm_search_command_with_sealed_indices() {
         &db,
     );
 
+    // The served command takes the packed query: one ciphertext, every
+    // variant replicated by the controller on its way into the latches.
     let pattern = BitString::from_ascii("client");
-    let query = engine.prepare_query(&enc, &pattern, &mut rng);
+    let query = engine.pack_query(&enc, &pattern, &mut rng);
+    assert_eq!(query.ciphertext_count(), 1);
     let index_gen = TrustedIndexGenerator::from_secret(&f.ctx, f.sk.clone());
-    let (indices, reports) = server.cm_search_command(&query, &index_gen);
+    let (indices, reports) = server.cm_search_command(&query, &index_gen).unwrap();
     assert_eq!(indices, data.find_all(&pattern));
-    assert!(!reports.is_empty());
+    assert_eq!(reports.len(), query.variant_count());
 
     // §7.2: seal on the SSD, open at the client.
     let key = [9u8; 32];

@@ -78,6 +78,8 @@ fn served_ifp_at_paper_parameters_finds_patterns_across_polynomial_seams() {
         let before = (matcher.stats(), db.ledger().unwrap());
         let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
         let query = matcher.decode_query(&encoded).unwrap();
+        // Packed: the controller replicates the variants into the latches.
+        assert_eq!(query.ciphertext_count(), 1);
         let got = matcher.find_all(&db, &query, &mut rng).unwrap();
         assert_eq!(got, expect, "pattern at bit {start}");
 

@@ -226,17 +226,20 @@ fn concurrent_multi_tenant_serving_over_tcp() {
             .unwrap_err(),
         MatchError::Decode(_)
     ));
-    // Each CIPHERMATCH tenant takes one wire form — packed for CM-SW,
-    // one ciphertext per variant in flash — and refuses the other's.
+    // Both CIPHERMATCH tenants take the one packed wire form; Algorithm
+    // 1's explicit form (one ciphertext per variant) is refused by its
+    // magic alone.
     assert_eq!(&valid[..4], b"CMQ3");
-    let explicit = bob_kit
+    let packed = bob_kit
         .encode_query(&b_data.slice(8, 16), &mut rng)
         .unwrap();
-    assert_eq!(&explicit[..4], b"CMQ2");
+    assert_eq!(&packed[..4], b"CMQ3");
+    let mut explicit = packed.clone();
+    explicit[..4].copy_from_slice(b"CMQ2");
     let bad_magic = Some(MatchError::Decode(cm_bfv::DecodeError::BadMagic));
     let to_alice = probe.search_encoded(&TenantAccess::new("alice", &ALICE_KEY), &explicit);
     assert_eq!(to_alice.err(), bad_magic);
-    let to_bob = probe.search_encoded(&TenantAccess::new("bob", &BOB_KEY), &valid);
+    let to_bob = probe.search_encoded(&TenantAccess::new("bob", &BOB_KEY), &explicit);
     assert_eq!(to_bob.err(), bad_magic);
     // The connection survives every rejection.
     assert_eq!(probe.tenants().unwrap().len(), 3);
