@@ -14,7 +14,10 @@ use std::time::Duration;
 /// comparison the paper draws.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Homomorphic additions (ciphertext or plaintext operand).
+    /// Homomorphic additions (ciphertext or plaintext operand). A served
+    /// CM-SW job counts one per `(variant, polynomial)` though it computes
+    /// only the `c0` half of each, the half its test reads
+    /// ([`crate::ShardScratch::run`]).
     pub hom_adds: u64,
     /// Homomorphic ciphertext-ciphertext multiplications (squarings
     /// included).

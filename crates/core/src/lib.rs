@@ -53,8 +53,9 @@
 //! a [`PackedQuery`] of `⌈V/n⌉` ciphertexts, one up to `k ≈ n` bits —
 //! and the *server* replicates: one served driver gathers variant
 //! `(r, p)` out of the packed ciphertext's coefficients, has it
-//! Hom-Added over the database into one reused tile of `P` ciphertexts —
-//! by the range's sweep ([`ShardScratch::run`]) or by the flash array, the
+//! Hom-Added over the database into one reused tile of `P` sums —
+//! their `c0` halves by the range's sweep ([`ShardScratch::run`]), the
+//! half the test reads, or both halves by the flash array, the
 //! SSD controller streaming the variant into the latches
 //! ([`ShardScratch::run_with_adder`]) — and the [`TrustedIndexGenerator`]
 //! next to the data tests the tile there, so neither the `V` variants nor

@@ -932,9 +932,10 @@ impl CiphermatchEngine {
 
     /// The Hom-Adds of one query variant: `db_cts[j] + variant`, every
     /// component of it, into `arena[j * ct_size * n ..]` (`db_cts.len()`
-    /// sums of `ct_size` components) — the one sweep body, whether the
-    /// arena is a result kept per variant ([`Self::search_into`]) or the
-    /// tile a served job reuses for the next ([`ShardScratch::run`]).
+    /// sums of `ct_size` components) — the sweep of a result whose every
+    /// sum is kept for a key holder to decrypt ([`Self::search_into`]: the
+    /// conservative flow, and the oracle the served job is held to). A
+    /// served job ([`ShardScratch::run`]) adds the `c0` half alone.
     fn sweep_variant(
         &self,
         db_cts: &[Ciphertext],
@@ -1164,9 +1165,9 @@ impl TrustedIndexGenerator {
         }
     }
 
-    /// The engine of the capability's parameter set (it runs the sweep of
-    /// a served CM-SW job, see [`ShardScratch::run`], and packs and
-    /// encrypts for whoever holds the capability).
+    /// The engine of the capability's parameter set (its ring is the one
+    /// a served CM-SW job adds and tests in, see [`ShardScratch::run`],
+    /// and it packs and encrypts for whoever holds the capability).
     pub fn engine(&self) -> &CiphermatchEngine {
         &self.engine
     }
@@ -1179,17 +1180,20 @@ impl TrustedIndexGenerator {
 /// key products and edge bits of index generation. No table of all
 /// `V × P` result ciphertexts exists, and no list of the `V` variants
 /// either: each variant's sums are tested where the adder left them and
-/// overwritten by the next, so what a job retains is `P + 1` ciphertexts
-/// and `⌈V/n⌉ + P + 1` product rows however many variants the query has.
+/// overwritten by the next, so what a job retains is one variant, a tile
+/// of `P` polynomials (`2P` for sums added in flash) and `⌈V/n⌉ + P + 1`
+/// product rows however many variants the query has.
 /// It is capacity, not state — every buffer is rewritten before it is
 /// read — so a scratch that served one parameter set is safe for any
 /// other.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
-    /// The query variant in hand, replicated from the packed query.
+    /// The query variant in hand, replicated from the packed query: `c0`
+    /// alone for a CM-SW job, both components for sums added in flash.
     variant: Option<Ciphertext>,
-    /// `P × size × n` words: result ciphertext `j` of the variant in hand,
-    /// `c0` first (`size` is 2 on fresh ciphertexts).
+    /// The variant's sums over the job's polynomials: `P × n` words of
+    /// `c0` for a CM-SW job ([`Self::run`]), `P × 2 × n` of `c0` then `c1`
+    /// per polynomial for sums added in flash ([`Self::run_with_adder`]).
     tile: Vec<u64>,
     /// `⌈V/n⌉ × n` words: the key part `s·c1` of every packed query
     /// ciphertext, in the flat segment layout of [`pack_segments`].
@@ -1253,8 +1257,9 @@ fn replicate(dst: &mut [u64], s: usize, phase: usize, src: impl Fn(usize) -> u64
 #[derive(Clone, Copy)]
 enum Columns<'a> {
     /// From the range's own ciphertexts, `s·db_j.c1` (the whole key part,
-    /// whatever the size): the job holds the database and adds the sums
-    /// itself, so they are row plus column by construction.
+    /// whatever the size): the job holds the database and adds the `c0`
+    /// halves itself, so every key part is row plus column by
+    /// construction.
     Database(&'a [Ciphertext]),
     /// From the first variant's sums over this many polynomials,
     /// `s·(sum[v₀][j].c1 − v₀.c1)` — `s·db_j.c1` exactly, as the adder
@@ -1264,13 +1269,13 @@ enum Columns<'a> {
 }
 
 impl Columns<'_> {
-    /// Polynomials, and components per sum in the tile.
+    /// Polynomials, and components per sum in the tile — also the
+    /// components of the variant that are gathered. A job that holds the
+    /// database adds `c0` alone, the half its test reads; sums added
+    /// elsewhere keep `c1` for the columns and the additivity check.
     fn shape(self) -> (usize, usize) {
         match self {
-            Columns::Database(db_cts) => {
-                let size = db_cts.iter().map(Ciphertext::size).fold(2, usize::max);
-                (db_cts.len(), size)
-            }
+            Columns::Database(db_cts) => (db_cts.len(), 1),
             Columns::FirstSums(polys) => (polys, 2),
         }
     }
@@ -1280,10 +1285,14 @@ impl ShardScratch {
     /// The way a CM-SW query executes on every serving path, index
     /// generation next to the sweep (paper §4.2.2) and query replication
     /// next to both: the served driver [`Self::run_with_adder`] runs too,
-    /// with the sweep of [`CiphermatchEngine::search_into`] as its adder —
-    /// each variant Hom-Added over `shard` (a whole database, or one
-    /// polynomial-range shard of it) into the tile, both components of
-    /// every sum.
+    /// with this job's own sweep as its adder — each variant Hom-Added
+    /// over `shard` (a whole database, or one polynomial-range shard of
+    /// it) into the tile, `db_j.c0 + variant.c0` per polynomial and
+    /// nothing else. The test reads only that half: the phase of a sum is
+    /// `c0 + s·(db_j.c1 + variant.c1)`, and the key part is linear, so it
+    /// arrives as the variant's row plus the polynomial's column instead
+    /// of being added per entry. Each `(variant, polynomial)` still counts
+    /// as one Hom-Add.
     ///
     /// The columns are the key parts of `shard`'s own ciphertexts,
     /// `s·db_j.c1` (whatever their size), taken once per job — with the
@@ -1300,16 +1309,21 @@ impl ShardScratch {
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
         let (engine, db_cts) = (index_gen.engine(), shard.ciphertexts());
-        let columns = Columns::Database(db_cts);
-        let (_, ct_size) = columns.shape();
+        let (n, q) = (engine.ctx.params().n, engine.ctx.rq().modulus());
         let mut stats = MatchStats::default();
         let indices = self.drive(
             query,
             index_gen,
             shard.total_bits,
-            columns,
+            Columns::Database(db_cts),
             |variant, tile| {
-                engine.sweep_variant(db_cts, variant, ct_size, tile, &mut stats);
+                let t0 = Instant::now();
+                let c0 = variant.part(0).coeffs();
+                for (dbct, sum) in db_cts.iter().zip(tile.chunks_exact_mut(n)) {
+                    kernels::add_slices(q, dbct.part(0).coeffs(), c0, sum);
+                }
+                stats.add_time += t0.elapsed();
+                stats.hom_adds += db_cts.len() as u64;
             },
         );
         let indices = indices.expect("database columns take no additivity check");
@@ -1353,15 +1367,16 @@ impl ShardScratch {
     }
 
     /// The one served index-generation driver. Per variant `(r, p)`:
-    /// gather it out of the packed query — coefficient `c` of both
-    /// components takes flat segment `base_r + (c − p) mod s_r` — and its
-    /// row the same way out of `Ψ = s·Q.c1`, let `add` fill the tile with
-    /// its sums, and test the tile against `index_gen`'s key while it is
-    /// in cache with the phase scan of
+    /// gather it out of the packed query — coefficient `c` of each
+    /// component the tile holds (`c0` alone for [`Columns::Database`])
+    /// takes flat segment `base_r + (c − p) mod s_r` — and its row the
+    /// same way out of `Ψ = s·Q.c1`, let `add` fill the tile with its
+    /// sums, and test the tile against `index_gen`'s key while it is in
+    /// cache with the phase scan of
     /// [`CiphermatchEngine::generate_indices_with`]: the phase of entry
-    /// `(v, j)` at coefficient `c` is `tile.c0 + row + col`. The gathered
-    /// `c1` in the tile is not a ring element anyone could multiply by
-    /// `s`; nothing here does.
+    /// `(v, j)` at coefficient `c` is `tile.c0 + row + col`. A gathered
+    /// `c1` is not a ring element anyone could multiply by `s`; nothing
+    /// here does.
     fn drive(
         &mut self,
         query: &PackedQuery,
@@ -1426,7 +1441,7 @@ impl ShardScratch {
         for class in &query.classes {
             let s = class.window_segs;
             for phase in 0..s {
-                for (part, poly) in variant.parts_mut().iter_mut().enumerate() {
+                for (part, poly) in variant.parts_mut()[..ct_size].iter_mut().enumerate() {
                     let segment = |i| query.flat(part, base + i, n);
                     replicate(poly.coeffs_mut(), s, phase, segment);
                 }
@@ -1665,10 +1680,10 @@ mod tests {
             let (indices, stats) = scratch.run(&db, &query, &index_gen);
             assert_eq!(indices, data.find_all(&pattern));
             assert_eq!(stats.hom_adds, (variants * polys) as u64);
-            // P result ciphertexts of two components, one variant buffer,
-            // one gathered row, P columns and ⌈V/n⌉ query products:
-            // nothing the job keeps grows with V.
-            assert_eq!(scratch.tile.len(), polys * 2 * n, "k={k}");
+            // P sums of one component, one variant buffer, one gathered
+            // row, P columns and ⌈V/n⌉ query products: nothing the job
+            // keeps grows with V.
+            assert_eq!(scratch.tile.len(), polys * n, "k={k}");
             let variant = scratch.variant.as_ref().expect("one variant buffer");
             assert_eq!((variant.size(), variant.part(0).len()), (2, n), "k={k}");
             assert_eq!(scratch.psi.len(), n, "k={k}: one row of query products");
@@ -1687,8 +1702,36 @@ mod tests {
         let (indices, _) = scratch.run(&db, &query, &index_gen);
         assert_eq!(indices, data.find_all(&pattern));
         assert_eq!(scratch.psi.len(), 2 * n);
-        assert_eq!(scratch.tile.len(), polys * 2 * n);
+        assert_eq!(scratch.tile.len(), polys * n);
         assert_eq!(scratch.index.key_muls(), (2 + polys) as u64);
+    }
+
+    #[test]
+    fn served_job_adds_only_the_half_its_test_reads() {
+        let (enc, index_gen, db, data, mut rng) =
+            served_fixture(BfvParams::insecure_test_pow2(), 0xC0C0);
+        let engine = index_gen.engine();
+        let (n, polys) = (engine.ctx.params().n, db.poly_count());
+        let pattern = data.slice(300, 29);
+        let query = engine.pack_query(&enc, &pattern, &mut rng);
+        let mut scratch = ShardScratch::default();
+
+        // A CM-SW job: one `c0` per polynomial, and the variant's `c1`
+        // never gathered.
+        let (indices, stats) = scratch.run(&db, &query, &index_gen);
+        assert_eq!(indices, data.find_all(&pattern));
+        assert_eq!(stats.hom_adds, (query.variant_count() * polys) as u64);
+        assert_eq!(scratch.tile.len(), polys * n);
+        let variant = scratch.variant.as_ref().expect("one variant buffer");
+        assert!(variant.part(0).coeffs().iter().any(|&c| c != 0));
+        assert!(variant.part(1).coeffs().iter().all(|&c| c == 0));
+
+        // Sums added elsewhere on the same scratch keep both halves.
+        let got = scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
+            engine.sweep_variant(db.ciphertexts(), v, 2, tile, &mut MatchStats::default());
+        });
+        assert_eq!(got, Ok(indices));
+        assert_eq!(scratch.tile.len(), 2 * polys * n);
     }
 
     #[test]

@@ -3,18 +3,22 @@
 //!
 //! CIPHERMATCH's dense packing reduces secure matching to *nothing but
 //! wide modular additions*, so the add sweep is the serving hot path.
-//! These kernels take plain `&[u64]` slices and use branchless
-//! select/min idioms (`s.min(s.wrapping_sub(q))` instead of
-//! `if s >= q { s - q }`) in `chunks_exact` bodies, which LLVM
-//! autovectorizes into full-width SIMD compares and selects. The
-//! wrapping tricks are sound because every modulus is below `2^63`
-//! (see [`Modulus::new`]), leaving a slack bit for `a + b`.
+//! These kernels take plain `&[u64]` slices and close every modular
+//! correction with a sign-mask select — `d = s − q` wrapping, then
+//! `d + (q & 0u64.wrapping_sub(d >> 63))` instead of
+//! `if s >= q { s - q }` — in `chunks_exact` bodies. That is a
+//! subtract, a shift, an and and an add per word, all of which SSE2
+//! has for 64-bit lanes, so LLVM vectorizes it on the default x86-64
+//! target; a `min` or compare-select of `u64` would need a 64-bit
+//! unsigned compare SSE2 lacks and stays scalar there. The trick is
+//! sound because every modulus is below `2^63` (see [`Modulus::new`]):
+//! a reduced result has its top bit clear and an underflow past zero
+//! has it set, and `a + b < 2q` leaves a slack bit.
 //!
 //! [`scalar_ref`] keeps the obvious one-coefficient-at-a-time versions
 //! built on [`Modulus`]'s branchy primitives. They are the equivalence
-//! oracle for the proptests in `tests/kernel_equivalence.rs` and the
-//! baseline the `hot_path` bench measures speedups against; they must
-//! never be "optimized".
+//! oracle for the proptests and the boundary grid in
+//! `tests/kernel_equivalence.rs`; they must never be "optimized".
 
 use crate::modulus::Modulus;
 
@@ -31,22 +35,26 @@ fn check_binary(a: &[u64], b: &[u64], out: &[u64]) {
     assert_eq!(a.len(), out.len(), "kernel output length differs");
 }
 
+/// `d mod q` for a `d` in `[-q, q)` held as a wrapping `u64`: adds `q`
+/// back exactly when `d` went below zero, which for `q < 2^63` is
+/// exactly when its top bit is set.
+#[inline(always)]
+fn add_q_if_negative(q: u64, d: u64) -> u64 {
+    d.wrapping_add(q & 0u64.wrapping_sub(d >> 63))
+}
+
 /// Branchless `x + y mod q` for reduced operands.
 ///
-/// `x + y < 2q < 2^64` cannot overflow; when the sum is below `q` the
-/// wrapping subtraction underflows to a huge value and `min` keeps the
-/// sum, otherwise it keeps the reduced difference.
+/// `x + y < 2q < 2^64` cannot overflow; `x + y − q` lies in `[-q, q)`.
 #[inline(always)]
 fn add_mod(q: u64, x: u64, y: u64) -> u64 {
-    let s = x + y;
-    s.min(s.wrapping_sub(q))
+    add_q_if_negative(q, (x + y).wrapping_sub(q))
 }
 
 /// Branchless `x - y mod q` for reduced operands.
 #[inline(always)]
 fn sub_mod(q: u64, x: u64, y: u64) -> u64 {
-    let d = x.wrapping_sub(y);
-    d.min(d.wrapping_add(q))
+    add_q_if_negative(q, x.wrapping_sub(y))
 }
 
 /// Branchless `-x mod q` for a reduced operand: `q - x` masked to zero
@@ -63,7 +71,7 @@ fn neg_mod(q: u64, x: u64) -> u64 {
 fn mul_shoup_mod(q: u64, x: u64, c: u64, c_shoup: u64) -> u64 {
     let quot = ((x as u128 * c_shoup as u128) >> 64) as u64;
     let r = x.wrapping_mul(c).wrapping_sub(quot.wrapping_mul(q));
-    r.min(r.wrapping_sub(q))
+    add_q_if_negative(q, r.wrapping_sub(q))
 }
 
 /// `out[i] = a[i] + b[i] mod q`, element-wise over reduced slices.
@@ -184,10 +192,8 @@ pub fn scalar_mul_slice(modulus: &Modulus, a: &[u64], c: u64, out: &mut [u64]) {
 /// The one-coefficient-at-a-time reference kernels, built directly on
 /// [`Modulus`]'s branchy scalar primitives.
 ///
-/// These mirror the vectorized kernels' signatures exactly, serve as
-/// the oracle in the kernel-equivalence proptests, and are the baseline
-/// the `hot_path` bench measures the vectorized sweep against. Keep
-/// them boring.
+/// These mirror the vectorized kernels' signatures exactly and serve as
+/// the oracle in the kernel-equivalence tests. Keep them boring.
 pub mod scalar_ref {
     use crate::modulus::Modulus;
 

@@ -157,6 +157,51 @@ proptest! {
     }
 }
 
+/// The sign-mask select's boundary, pair by pair: every `(x, y)` from
+/// `{0, 1, q/2, q/2 + 1, q − 2, q − 1}²` (the values below `q`) at
+/// every modulus, so `x + y` lands exactly on `q − 1`, `q` and `q + 1`
+/// and `x − y` on `−1`, `0` and `1`, and the Shoup product's `[0, 2q)`
+/// result on both sides of `q`. Each pair fills a slice of odd length,
+/// eight words through the unrolled body and three through the
+/// remainder loop.
+#[test]
+fn boundary_grid_matches_scalar_reference() {
+    const LEN: usize = 11;
+    for modulus in moduli() {
+        let q = modulus.value();
+        let edges: Vec<u64> = [0, 1, q / 2, q / 2 + 1, q - 2, q - 1]
+            .into_iter()
+            .filter(|&x| x < q)
+            .collect();
+        for &x in &edges {
+            for &y in &edges {
+                let tag = format!("q = {q}, x = {x}, y = {y}");
+                let (a, b) = (vec![x; LEN], vec![y; LEN]);
+                let mut fast = vec![0u64; LEN];
+                let mut slow = vec![0u64; LEN];
+
+                kernels::add_slices(&modulus, &a, &b, &mut fast);
+                scalar_ref::add_slices(&modulus, &a, &b, &mut slow);
+                assert_eq!(fast, slow, "add, {tag}");
+
+                let mut acc_fast = a.clone();
+                let mut acc_slow = a.clone();
+                kernels::add_assign_slices(&modulus, &mut acc_fast, &b);
+                scalar_ref::add_assign_slices(&modulus, &mut acc_slow, &b);
+                assert_eq!(acc_fast, acc_slow, "add_assign, {tag}");
+
+                kernels::sub_slices(&modulus, &a, &b, &mut fast);
+                scalar_ref::sub_slices(&modulus, &a, &b, &mut slow);
+                assert_eq!(fast, slow, "sub, {tag}");
+
+                kernels::scalar_mul_slice(&modulus, &a, y, &mut fast);
+                scalar_ref::scalar_mul_slice(&modulus, &a, y, &mut slow);
+                assert_eq!(fast, slow, "scalar_mul, {tag}");
+            }
+        }
+    }
+}
+
 /// A ring whose modulus has no NTT multiplies exactly through auxiliary
 /// primes: every entry point equals the schoolbook oracle, on random
 /// operands and on the extreme ones that bound the CRT range (all
