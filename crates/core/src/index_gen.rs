@@ -229,6 +229,39 @@ pub(crate) struct PhaseScratch {
     /// Per (class, phase, polynomial): whether each of the `s − 1`
     /// coefficients at either end matched — head bits, then tail bits.
     edges: Vec<u64>,
+    /// The windows of the entry in hand that passed [`filter_windows`].
+    passed: Vec<usize>,
+}
+
+/// The filter test of one entry's windows, out of line so it compiles to
+/// one tight loop: window `i` has its filter coefficient at `i · stride`
+/// of `c0` and `col` (the slices end after the last one), and is pushed
+/// onto `passed` iff `(c0 + col + k) mod q ≤ width`.
+///
+/// With `k = (row − lo) mod q` that is `lo ≤ c0 + row + col ≤ lo + width`
+/// mod `q`: the phase interval test with the row folded into a constant.
+/// Every term is below `q`, so `x = c0 + col + k < 3q` and the test is
+/// three unsigned compares on `x`, `x − q` and `x − 2q` (a subtraction
+/// that wraps lands above `width`): no reduction, and no branch until a
+/// window passes.
+#[inline(never)]
+fn filter_windows(
+    c0: &[u64],
+    col: &[u64],
+    stride: usize,
+    k: u64,
+    q: u64,
+    width: u64,
+    passed: &mut Vec<usize>,
+) {
+    let two_q = 2 * q;
+    let terms = c0.chunks(stride).zip(col.chunks(stride));
+    for (i, (a, b)) in terms.enumerate() {
+        let x = a[0] + b[0] + k;
+        if (x <= width) | (x.wrapping_sub(q) <= width) | (x.wrapping_sub(two_q) <= width) {
+            passed.push(i);
+        }
+    }
 }
 
 /// Index generation straight from decryption *phases*, one result entry
@@ -238,13 +271,15 @@ pub(crate) struct PhaseScratch {
 /// Variant `(r, p)` holds every window of class `r` that starts at a
 /// coefficient `≡ p (mod s)` as `s` consecutive coefficients carrying
 /// window segments `0..s`. [`Self::entry`] tests those windows where they
-/// lie: the filter segment `s/2` first — as an interval compare on the
-/// un-rounded phase `c0 + row + col` when its mask allows
-/// ([`ones_phase_interval`]), so almost every window costs two additions
-/// and a compare — then the exact rounding of the other segments.
-/// Windows that straddle a polynomial seam read two entries; for those
-/// each entry leaves the exact match bits of its first and last `s − 1`
-/// coefficients behind, and [`Self::finish`] resolves them.
+/// lie: the filter segment `s/2` of every window first, in one
+/// [`filter_windows`] pass — an interval compare on the un-rounded phase
+/// `c0 + row + col` when its mask allows ([`ones_phase_interval`]), with
+/// the row, which is the same on every filter coefficient, folded into a
+/// constant — then the exact rounding of the other segments of the few
+/// windows that pass. Windows that straddle a polynomial seam read two
+/// entries; for those each entry leaves the exact match bits of its first
+/// and last `s − 1` coefficients behind, and [`Self::finish`] resolves
+/// them.
 ///
 /// The answer is [`generate_indices`]' on the [`MatchTable`] of the same
 /// sums, bit for bit.
@@ -287,6 +322,7 @@ impl<'a> PhaseScan<'a> {
     ) -> Self {
         let params = ctx.params();
         let (n, seg_bits) = (params.n, params.t.trailing_zeros() as usize);
+        assert!(params.q <= u64::MAX / 3, "filter sums below 3q fit a word");
         // Class `r` tests offsets `≡ r (mod seg_bits)`: there are no more,
         // and none at all when no window fits the database.
         let last = total_bits.checked_sub(k).filter(|_| k > 0);
@@ -331,6 +367,10 @@ impl<'a> PhaseScan<'a> {
     /// polynomial and records the edge bits. An entry the geometry has no
     /// place for is ignored — no window could read it.
     ///
+    /// `row` must take one value on the filter coefficients
+    /// `phase + s/2 + i·s`: the key part of a variant replicated with
+    /// period `s`, or zero with the whole key part in `col`.
+    ///
     /// # Panics
     ///
     /// Panics if a slice does not hold `n` coefficients.
@@ -359,32 +399,58 @@ impl<'a> PhaseScan<'a> {
         let hit =
             |c: usize, mask: u64| segment_matches(dec.round_phase(phase_at(c)), mask, seg_bits);
 
-        // Windows inside the polynomial start at `phase`, `phase + s`, …
-        // and coefficient `start + i` carries window segment `i`.
-        let filter = self.scratch.filters[r].as_ref();
+        // Windows inside the polynomial start at `phase`, `phase + s`, …,
+        // coefficient `start + i` carries window segment `i`, and a window
+        // must end by `n` and start at a bit offset
+        // `(poly·n + start)·seg_bits + r` of at most `last`.
+        let windows = |room: Option<usize>| room.map_or(0, |room| room / s + 1);
+        let count = windows(n.checked_sub(phase + s)).min(windows(
+            last.checked_sub(r)
+                .and_then(|g| (g / seg_bits).checked_sub(poly * n + phase)),
+        ));
+        // A class without an interval filters through the whole ring and
+        // tests its filter segment exactly with the others.
         let mid = s / 2;
-        let mut start = phase;
-        while start + s <= n {
-            let offset = (poly * n + start) * seg_bits + r;
-            if offset > last {
-                break;
+        let (lo, width, exact) = match &self.scratch.filters[r] {
+            Some(ones) => (*ones.start(), ones.end() - ones.start(), true),
+            None => (0, q.value() - 1, false),
+        };
+        let passed = &mut self.scratch.passed;
+        passed.clear();
+        if count > 0 {
+            let first = phase + mid;
+            let filtered = first..first + (count - 1) * s + 1;
+            debug_assert!(
+                filtered.clone().step_by(s).all(|c| row[c] == row[first]),
+                "the row takes one value on the filter coefficients"
+            );
+            // Sized by the shape, not by what passes: a warm job never
+            // grows it.
+            passed.reserve(count);
+            let k = q.sub(row[first], lo);
+            let (c0, col) = (&c0[filtered.clone()], &col[filtered]);
+            filter_windows(c0, col, s, k, q.value(), width, passed);
+        }
+        for &window in &self.scratch.passed {
+            let start = phase + window * s;
+            if (0..s).all(|i| (exact && i == mid) || hit(start + i, masks[i])) {
+                self.matches.push((poly * n + start) * seg_bits + r);
             }
-            let passes = match filter {
-                Some(ones) => ones.contains(&phase_at(start + mid)),
-                None => hit(start + mid, masks[mid]),
-            };
-            if passes && (0..s).all(|i| i == mid || hit(start + i, masks[i])) {
-                self.matches.push(offset);
-            }
-            start += s;
         }
 
-        // Coefficient `c` carries window segment `(c − phase) mod s`.
+        // Coefficient `c` carries window segment `(c − phase) mod s`: one
+        // division at the head and one at the tail, then counted on.
         let edge = edge_len(s, n);
         let at = self.edge_at(r, phase, poly);
-        for (bit, c) in (0..edge).chain(n - edge..n).enumerate() {
-            if hit(c, masks[(c + s - phase) % s]) {
-                self.scratch.edges[at + bit / 64] |= 1 << (bit % 64);
+        let mut bit = 0;
+        for from in [0, n - edge] {
+            let mut i = (from + s - phase) % s;
+            for c in from..from + edge {
+                if hit(c, masks[i]) {
+                    self.scratch.edges[at + bit / 64] |= 1 << (bit % 64);
+                }
+                bit += 1;
+                i = if i + 1 == s { 0 } else { i + 1 };
             }
         }
     }
@@ -571,6 +637,77 @@ mod tests {
             assert_eq!(dec.round_phase(q - 1), 0, "{name}");
             assert!(!ones_phase_interval(q, seg_bits, seg_bits - 1).contains(&(q - 1)));
             assert!(ones_phase_interval(q, seg_bits, seg_bits).contains(&(q - 1)));
+        }
+    }
+
+    #[test]
+    fn filter_kernel_passes_what_the_phase_interval_contains() {
+        use cm_bfv::BfvParams;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xF117);
+        for params in [
+            BfvParams::ciphermatch_1024(),
+            BfvParams::ciphermatch_ifp_1024(),
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
+        ] {
+            let (q, n, name) = (params.q, params.n, params.name);
+            let (modulus, seg_bits) = (Modulus::new(q), params.t.trailing_zeros() as usize);
+            for dont_care in 0..=seg_bits {
+                let ones = ones_phase_interval(q, seg_bits, dont_care);
+                let (lo, width) = (*ones.start(), ones.end() - ones.start());
+                // The kernel's sum `x = c0 + col + k` at each wrap of its
+                // compares, and at both interval ends ± 2 on every level.
+                let mut targets = vec![0, width, q - 1, q, q + width, 2 * q - 1, 2 * q];
+                targets.extend([2 * q + width, 3 * q - 3]);
+                for level in [0, q, 2 * q] {
+                    for end in [level, level + width] {
+                        targets.extend(end.saturating_sub(2)..=end + 2);
+                    }
+                }
+                // Rows for `k = 0`, `k = q − 1` and at random.
+                for row in [lo, modulus.sub(lo, 1), rng.gen_range(0..q)] {
+                    let k = modulus.sub(row, lo);
+                    let passes = |(c0, col): (u64, u64)| {
+                        ones.contains(&modulus.add(modulus.add(c0, row), col))
+                    };
+                    // Every target this `k` reaches as a pair of reduced
+                    // terms, then random pairs.
+                    let mut terms: Vec<(u64, u64)> = targets
+                        .iter()
+                        .filter(|&&x| (k..=k + 2 * (q - 1)).contains(&x))
+                        .map(|&x| ((x - k).min(q - 1), x - k - (x - k).min(q - 1)))
+                        .collect();
+                    let targeted = terms.len();
+                    assert!(terms.iter().all(|&(c0, col)| c0 < q && col < q));
+                    terms.extend((0..n).map(|_| (rng.gen_range(0..q), rng.gen_range(0..q))));
+                    // Between filter coefficients, a pair that would pass.
+                    let decoy = ((q - k) % q, 0);
+                    assert!(passes(decoy));
+                    for stride in [1, 2, 3, 5] {
+                        // No window, each target alone, and all of them.
+                        let single = terms[..targeted].iter().map(std::slice::from_ref);
+                        for windows in [&[][..], &terms[..]].into_iter().chain(single) {
+                            let len = (windows.len() * stride).saturating_sub(stride - 1);
+                            let (mut c0, mut col) = (vec![decoy.0; len], vec![decoy.1; len]);
+                            for (i, &(a, b)) in windows.iter().enumerate() {
+                                (c0[i * stride], col[i * stride]) = (a, b);
+                            }
+                            let mut got = Vec::new();
+                            filter_windows(&c0, &col, stride, k, q, width, &mut got);
+                            let want: Vec<usize> =
+                                (0..windows.len()).filter(|&i| passes(windows[i])).collect();
+                            assert_eq!(
+                                got,
+                                want,
+                                "{name} w={dont_care} row={row} stride={stride} windows={}",
+                                windows.len()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -751,8 +751,9 @@ pub struct IndexScratch {
     /// The additivity reference per polynomial: `c1[0][j] − c1[0][0]` for
     /// a table, `sum.c1[v₀][j] − v₀.c1` for sums added elsewhere.
     deltas: Vec<u64>,
-    /// One polynomial of working space: the additivity check, or the
-    /// operand a key product is taken of.
+    /// One polynomial of working space: the additivity check, the
+    /// operand a key product is taken of, or a table entry's row plus
+    /// column.
     line: Vec<u64>,
     key_muls: u64,
 }
@@ -1059,6 +1060,10 @@ impl CiphermatchEngine {
             result.total_bits,
             result.k,
         );
+        // These rows differ from coefficient to coefficient, so each entry
+        // hands the scan its whole key part as the column, beside column
+        // 0 as a zero row.
+        let zero = &cols[..n];
         for (i, (v, row)) in variants.iter().zip(rows.chunks_exact(n)).enumerate() {
             for j in 0..polys {
                 // Row 0 and column 0 define the decomposition; every
@@ -1069,7 +1074,8 @@ impl CiphermatchEngine {
                         return None;
                     }
                 }
-                scan.entry(v.key, j, v.part(j, 0), row, &cols[j * n..][..n]);
+                kernels::add_slices(q, row, &cols[j * n..][..n], line);
+                scan.entry(v.key, j, v.part(j, 0), zero, line);
             }
         }
         Some(scan.finish())
@@ -1184,8 +1190,9 @@ impl TrustedIndexGenerator {
 /// of `P` polynomials (`2P` for sums added in flash) and `⌈V/n⌉ + P + 1`
 /// product rows however many variants the query has.
 /// It is capacity, not state — every buffer is rewritten before it is
-/// read — so a scratch that served one parameter set is safe for any
-/// other.
+/// read, and the key products are zeroed when a job ends, however it
+/// ends — so a scratch that served one parameter set is safe for any
+/// other, and a parked one holds no part of a decryption.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     /// The query variant in hand, replicated from the packed query: `c0`
@@ -1426,55 +1433,63 @@ impl ShardScratch {
             stale => stale.insert(Ciphertext::zero(2, n)),
         };
 
-        let mut scan = PhaseScan::begin(
-            phases,
-            dec,
-            &engine.ctx,
-            &query.classes,
-            polys,
-            total_bits,
-            query.k,
-        );
-        // First flat segment index of the class in hand.
-        let mut base = 0;
-        let mut first = true;
-        for class in &query.classes {
-            let s = class.window_segs;
-            for phase in 0..s {
-                for (part, poly) in variant.parts_mut()[..ct_size].iter_mut().enumerate() {
-                    let segment = |i| query.flat(part, base + i, n);
-                    replicate(poly.coeffs_mut(), s, phase, segment);
-                }
-                replicate(row, s, phase, |i| psi[base + i]);
-                add(variant, tile);
-                if let Columns::FirstSums(_) = columns {
-                    let c1 = variant.part(1).coeffs();
-                    let sums = tile.chunks_exact(2 * n).map(|sum| &sum[n..]);
-                    let refs = deltas.chunks_exact_mut(n).zip(cols.chunks_exact_mut(n));
-                    for (sum_c1, (delta, col)) in sums.zip(refs) {
-                        if first {
-                            kernels::sub_slices(q, sum_c1, c1, delta);
-                            dec.key_product_into(delta, col);
-                            *key_muls += 1;
-                            continue;
-                        }
-                        kernels::add_slices(q, c1, delta, line);
-                        if line[..] != *sum_c1 {
-                            return Err(MatchError::Internal(
-                                "a sum is not its variant plus the column every other variant got",
-                            ));
-                        }
+        let indices = 'scan: {
+            let mut scan = PhaseScan::begin(
+                phases,
+                dec,
+                &engine.ctx,
+                &query.classes,
+                polys,
+                total_bits,
+                query.k,
+            );
+            // First flat segment index of the class in hand.
+            let mut base = 0;
+            let mut first = true;
+            for class in &query.classes {
+                let s = class.window_segs;
+                for phase in 0..s {
+                    for (part, poly) in variant.parts_mut()[..ct_size].iter_mut().enumerate() {
+                        let segment = |i| query.flat(part, base + i, n);
+                        replicate(poly.coeffs_mut(), s, phase, segment);
                     }
-                    first = false;
+                    replicate(row, s, phase, |i| psi[base + i]);
+                    add(variant, tile);
+                    if let Columns::FirstSums(_) = columns {
+                        let c1 = variant.part(1).coeffs();
+                        let sums = tile.chunks_exact(2 * n).map(|sum| &sum[n..]);
+                        let refs = deltas.chunks_exact_mut(n).zip(cols.chunks_exact_mut(n));
+                        for (sum_c1, (delta, col)) in sums.zip(refs) {
+                            if first {
+                                kernels::sub_slices(q, sum_c1, c1, delta);
+                                dec.key_product_into(delta, col);
+                                *key_muls += 1;
+                                continue;
+                            }
+                            kernels::add_slices(q, c1, delta, line);
+                            if line[..] != *sum_c1 {
+                                break 'scan Err(MatchError::Internal(
+                                    "a sum is not its variant plus the column every other variant got",
+                                ));
+                            }
+                        }
+                        first = false;
+                    }
+                    let sums = tile.chunks_exact(ct_size * n);
+                    for (j, (sum, col)) in sums.zip(cols.chunks_exact(n)).enumerate() {
+                        scan.entry((class.r, phase), j, &sum[..n], row, col);
+                    }
                 }
-                let sums = tile.chunks_exact(ct_size * n);
-                for (j, (sum, col)) in sums.zip(cols.chunks_exact(n)).enumerate() {
-                    scan.entry((class.r, phase), j, &sum[..n], row, col);
-                }
+                base += s;
             }
-            base += s;
+            Ok(scan.finish())
+        };
+        // With the resident `c0`s the key products are the range's and the
+        // query's phases: a scratch parked after the job keeps none.
+        for products in [row, cols, psi] {
+            products.fill(0);
         }
-        Ok(scan.finish())
+        indices
     }
 
     /// [`Self::run`] on a scratch from the process-wide free list (or a
@@ -2157,6 +2172,45 @@ mod tests {
         let mut stored = db.ciphertexts().to_vec();
         stored[1].parts_mut()[1].coeffs_mut()[7] ^= 1;
         assert!(run(&stored, None).is_ok());
+    }
+
+    #[test]
+    fn a_finished_job_leaves_no_key_product_behind() {
+        let (enc, index_gen, db, data, mut rng) =
+            served_fixture(BfvParams::insecure_test_pow2(), 0x2E40);
+        let engine = index_gen.engine();
+        let (n, polys) = (engine.ctx.params().n, db.poly_count());
+        let pattern = data.slice(200, 29);
+        let query = engine.pack_query(&enc, &pattern, &mut rng);
+        let mut scratch = ShardScratch::default();
+        let cleared = |scratch: &ShardScratch| {
+            let products = [&scratch.index.rows, &scratch.index.cols, &scratch.psi];
+            products
+                .iter()
+                .all(|words| !words.is_empty() && words.iter().all(|&w| w == 0))
+        };
+
+        let (indices, _) = scratch.run(&db, &query, &index_gen);
+        assert_eq!(indices, data.find_all(&pattern));
+        assert!(cleared(&scratch), "CM-SW job");
+
+        // Sums added elsewhere: a faithful adder, then one that corrupts
+        // the second variant's sums after the columns were taken.
+        for bad in [None, Some(1)] {
+            let mut call = 0;
+            let got = scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
+                engine.sweep_variant(db.ciphertexts(), v, 2, tile, &mut MatchStats::default());
+                if Some(call) == bad {
+                    tile[n + 7] ^= 1;
+                }
+                call += 1;
+            });
+            match bad {
+                None => assert_eq!(got, Ok(indices.clone())),
+                Some(_) => assert!(matches!(got, Err(MatchError::Internal(_)))),
+            }
+            assert!(cleared(&scratch), "in-flash job, corrupted variant {bad:?}");
+        }
     }
 
     #[test]
