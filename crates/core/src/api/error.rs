@@ -89,10 +89,10 @@ pub enum MatchError {
     /// The peer closed the connection before answering the in-flight
     /// request (e.g. the server hung up mid-upload).
     ConnectionClosed,
-    /// A server-side internal invariant did not hold (the typed stand-in
-    /// for what would otherwise be a panic on the serving path: request
-    /// handling must answer with a wire error frame, never unwind a
-    /// worker).
+    /// A server-side internal invariant did not hold, or the OS refused
+    /// a worker thread (the typed stand-in for what would otherwise be a
+    /// panic on the serving path: request handling must answer with a
+    /// wire error frame, never unwind a worker).
     Internal(&'static str),
 }
 

@@ -258,29 +258,30 @@ impl WorkerPool {
     ///
     /// # Errors
     ///
-    /// [`MatchError::InvalidConfig`] for a zero worker count.
+    /// [`MatchError::InvalidConfig`] for a zero worker count;
+    /// [`MatchError::Internal`] when the OS refuses a thread.
     pub fn new(workers: usize) -> Result<Self, MatchError> {
         if workers == 0 {
             return Err(MatchError::InvalidConfig("worker count must be positive"));
         }
-        let queue = Arc::new(Queue {
-            jobs: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                std::thread::Builder::new()
-                    .name(format!("cm-exec-{i}"))
-                    .spawn(move || worker_loop(&queue))
-                    .expect("spawning a pool worker thread")
-            })
-            .collect();
-        Ok(Self {
-            queue,
-            workers: handles,
+        let mut pool = Self {
+            queue: Arc::new(Queue {
+                jobs: Mutex::new((VecDeque::new(), false)),
+                cv: Condvar::new(),
+            }),
+            workers: Vec::with_capacity(workers),
             metrics: PoolMetrics::default(),
-        })
+        };
+        for i in 0..workers {
+            let queue = Arc::clone(&pool.queue);
+            // On failure, dropping `pool` joins the workers spawned so far.
+            let worker = std::thread::Builder::new()
+                .name(format!("cm-exec-{i}"))
+                .spawn(move || worker_loop(&queue))
+                .map_err(|_| MatchError::Internal("the OS refused a pool worker thread"))?;
+            pool.workers.push(worker);
+        }
+        Ok(pool)
     }
 
     /// Installs telemetry handles for this pool (call before sharing the
@@ -402,11 +403,11 @@ fn worker_loop(queue: &Queue) {
 // The compute pool
 // ---------------------------------------------------------------------------
 
-/// Worker count of the [`compute_pool`]: the machine's available
-/// parallelism, read once. There is no option to set it — CM-SW's
-/// Hom-Add stream is memory-bound, so more workers than cores buy
-/// nothing.
-pub(crate) fn compute_workers() -> usize {
+/// The machine's available parallelism, read once: the size of the
+/// [`compute_pool`] and of every core-sized pool. There is no option to
+/// set it — CM-SW's Hom-Add stream is memory-bound, so more workers
+/// than cores buy nothing.
+pub fn compute_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -417,7 +418,7 @@ pub(crate) fn compute_workers() -> usize {
 /// threads. Jobs must not wait on other jobs of this pool.
 pub fn compute_pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkerPool::new(compute_workers()).expect("available parallelism >= 1"))
+    POOL.get_or_init(|| WorkerPool::new(compute_workers()).expect("starting the compute pool"))
 }
 
 // ---------------------------------------------------------------------------

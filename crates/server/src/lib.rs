@@ -50,7 +50,7 @@
 //!   the channel key), accounted byte-exactly against a host memory
 //!   budget ([`ServerConfig::memory_budget`]), demoted to a cold tier in
 //!   LRU order when the budget fills (pinned tenants exempt),
-//!   re-materialized on demand through the shared exec runtime, and
+//!   re-materialized on demand on the requesting frame worker, and
 //!   retired with [`Request::EvictDatabase`];
 //! * [`wire`] — the length-prefixed binary protocol (encrypted queries
 //!   in, AES-sealed index lists out), hardened against truncated,
@@ -65,10 +65,10 @@
 //!   `cm_reactor` front-end that admits *frames, not connections*: one
 //!   reactor thread owns every socket (thousands of cheap idle
 //!   connections under [`ServerConfig::max_open_sockets`]) and submits
-//!   each complete request frame to a bounded frame pool
-//!   ([`ServerConfig::max_inflight_frames`]; typed
-//!   [`cm_core::MatchError::ServerBusy`] rejection past either cap,
-//!   drain-then-join shutdown) — plus the blocking client, with
+//!   each complete request frame to a frame pool of one worker per core
+//!   (admission is a counter, [`ServerConfig::max_inflight_frames`];
+//!   typed [`cm_core::MatchError::ServerBusy`] rejection past either
+//!   cap, drain-then-join shutdown) — plus the blocking client, with
 //!   [`QueryKit`] carrying the public material a remote key owner needs
 //!   to pack and encrypt queries (Algorithm 1's explicit form, `CMQ2`,
 //!   one ciphertext per variant, is the test oracle and a typed

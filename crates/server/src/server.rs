@@ -4,12 +4,10 @@
 //! One [`cm_reactor::Reactor`] thread owns every socket: it accepts
 //! connections, reassembles length-prefixed frames incrementally
 //! ([`crate::wire::FrameBuffer`]), and submits each *complete request
-//! frame* as a job on a [`WorkerPool`] of `max_inflight_frames` workers
-//! (the same `cm_core::exec` runtime the sessions, the registry's
-//! builders and CM-SW's range jobs run on). Reply frames travel back
-//! over the reactor's command queue + wakeup pipe
-//! ([`cm_reactor::ReactorHandle::send`]), with per-connection write
-//! backpressure.
+//! frame* as a job on the frame pool, one worker per core and at least
+//! [`MIN_FRAME_WORKERS`]. Replies travel back over the reactor's command
+//! queue + wakeup pipe ([`cm_reactor::ReactorHandle::send`]), with
+//! per-connection write backpressure.
 //!
 //! Admission is split in two, because sockets and work cost differently:
 //!
@@ -17,16 +15,19 @@
 //!   are fine, since an idle socket costs one fd and a decode buffer,
 //!   no thread, no pool slot. Arrivals past the cap get a typed
 //!   [`MatchError::ServerBusy`] frame and are closed.
-//! * [`ServerConfig::max_inflight_frames`] caps *work* — request frames
-//!   admitted to the pool but not yet answered. A frame past the cap
-//!   gets the same typed rejection without occupying a worker.
+//! * [`ServerConfig::max_inflight_frames`] caps *work*, a counter of
+//!   request frames admitted but not yet answered. A frame past the cap
+//!   gets the same typed rejection; one under it queues for a worker.
 //!
 //! Frames from one connection are processed strictly in order (a
 //! per-connection pump job drains its queue serially), which preserves
-//! upload-session affinity: a chunked database upload lives and dies
-//! with its connection. Request handling errors travel back as
-//! [`Response::Error`] frames; framing violations get one typed
-//! farewell frame before the connection closes. Shutdown
+//! upload-session affinity. A blocked pump need not *help* (run queued
+//! jobs instead of parking): nothing it waits for needs a pump. Range
+//! jobs run on the disjoint `cm_core::compute_pool` and wait on nothing,
+//! a checked-out matcher is held by a running pump, registry and
+//! cold-store locks are short, and builds run inline. Request handling
+//! errors travel back as [`Response::Error`] frames; framing violations
+//! get one typed farewell frame before the connection closes. Shutdown
 //! ([`RunningServer::shutdown`]) stops the reactor (force-closing every
 //! tracked socket), then drains and joins the frame pool.
 
@@ -48,6 +49,10 @@ use crate::wire::{
     MAX_FRAME_BYTES,
 };
 
+/// The frame pool's floor: one long request (a paper-scale in-flash
+/// Match, a large upload's commit) must not hold up every connection.
+pub const MIN_FRAME_WORKERS: usize = 2;
+
 /// Front-end knobs for a serving process.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -57,7 +62,7 @@ pub struct ServerConfig {
     /// closed without being admitted.
     pub max_open_sockets: usize,
     /// Hard cap on request frames in flight (admitted to the frame
-    /// pool but not yet answered) — and the size of that worker pool.
+    /// pool but not yet answered) — a counter, not the pool's size.
     /// A frame past the cap is answered with a typed
     /// [`MatchError::ServerBusy`] instead of queueing unboundedly.
     pub max_inflight_frames: usize,
@@ -172,7 +177,8 @@ impl MatchServer {
     ///
     /// # Errors
     ///
-    /// [`MatchError::Transport`] if the bind or reactor setup fails.
+    /// [`MatchError::Transport`] if the bind or reactor setup fails;
+    /// [`MatchError::Internal`] if the OS refuses a frame-pool thread.
     pub fn spawn<A: ToSocketAddrs>(self, addr: A) -> Result<RunningServer, MatchError> {
         let listener =
             TcpListener::bind(addr).map_err(|e| MatchError::Transport(format!("bind: {e}")))?;
@@ -206,7 +212,7 @@ impl MatchServer {
             return;
         };
         let Ok(pool) = self.frame_pool().map(Arc::new) else {
-            return; // zero cap is rejected in with_config; defensive only
+            return; // the OS refused a worker thread
         };
         let front = FrontEnd::new(&self, reactor.handle(), Arc::clone(&pool));
         reactor.run(front);
@@ -215,7 +221,7 @@ impl MatchServer {
     /// Builds the frame pool with its queue-depth/wait/run-time metrics
     /// installed before any handle is shared.
     fn frame_pool(&self) -> Result<WorkerPool, MatchError> {
-        let mut pool = WorkerPool::new(self.config.max_inflight_frames)?;
+        let mut pool = WorkerPool::new(cm_core::exec::compute_workers().max(MIN_FRAME_WORKERS))?;
         pool.set_metrics(PoolMetrics::register(self.telemetry.registry(), "frames"));
         Ok(pool)
     }
@@ -361,7 +367,7 @@ impl Events for FrontEnd {
         // everything from here to the reply is on the server's clock.
         let trace = Trace::begin();
         // Admission against the in-flight cap, before any queueing: the
-        // pool must never owe more answers than it has room to compute.
+        // server must never owe more answers than the cap.
         let admitted = self
             .inflight
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {

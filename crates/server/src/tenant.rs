@@ -21,9 +21,9 @@
 //! or — CM-SW built with a shard count, [`crate::ShardedCmMatcher`] —
 //! submits one job per range, each over a view of the one ciphertext
 //! allocation, to the process-wide [`cm_core::compute_pool`].
-//! Nothing is spawned per query and no tenant owns threads: the
-//! registry's only pool of its own is the two-worker `builders` pool,
-//! which bounds concurrent rebuilds and never runs a query.
+//! Nothing is spawned per query, and neither a tenant nor the registry
+//! owns threads: a rebuild (an upload's commit, a promotion) runs on the
+//! calling thread.
 //!
 //! ## The four states and the memory budget
 //!
@@ -39,7 +39,7 @@
 //! |---|---|---|---|---|
 //! | **in-process** (`register*`) | live pool with its key material; charged the matcher's `database_bytes` | nothing | its pool | evict only — live keys cannot be rebuilt from bytes, so it is never demoted |
 //! | **hot** (`register_remote`) | live pool plus the serialized upload; charged the serialized length | nothing | its pool | **demote** (budget pressure, LRU-first among unpinned) → cold, or → parked for `ifp`: one program per page to `flash_wear`, the length to `bytes_moved`, both charged to the victim; re-upload or evict: free |
-//! | **cold** | nothing — the flash pages are the only copy | the master copy | nobody: a Match promotes first | **promote** → hot: pages read back and the pool rebuilt on the build pool; reads are wear-free (`flash_wear` + 0), the length to `bytes_moved`, charged once at install; re-upload or evict: pages released, no charge |
+//! | **cold** | nothing — the flash pages are the only copy | the master copy | nobody: a Match promotes first | **promote** → hot: pages read back and the pool rebuilt on the calling thread; reads are wear-free (`flash_wear` + 0), the length to `bytes_moved`, charged once at install; re-upload or evict: pages released, no charge |
 //! | **parked** (`ifp` only) | the parked pool — small key material and the SSD device handle, not charged | the master copy | the parked pool, straight from its device (a *cold hit*: no rebuild, no promotion) | [`TenantRegistry::get`] promotes like cold but reuses the parked pool, so its nonce counter stays monotone; re-upload or evict as cold |
 //!
 //! Admitting a database past the budget demotes least-recently-used
@@ -67,13 +67,13 @@
 //! [`MatchError::Unauthorized`] and leave the registry untouched.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use cm_core::{
     Backend, BitString, ErasedMatcher, MatchError, MatchStats, MatcherPool, StatsAccumulator,
-    WorkerPool,
 };
 use cm_ssd::{ColdSlot, ColdStore, SecureIndexChannel};
 use cm_telemetry::{metric_names, Counter, Gauge, MetricsRegistry};
@@ -88,10 +88,6 @@ use crate::wire::{
 /// caller does not choose one ([`TenantRegistry::register_with_workers`]
 /// does): up to this many queries per tenant run concurrently.
 pub const DEFAULT_TENANT_WORKERS: usize = 4;
-
-/// Workers on the registry's build pool: how many cold tenants can
-/// re-materialize (or remote uploads finish registering) concurrently.
-const BUILD_WORKERS: usize = 2;
 
 /// The result of one tenant query, ready to serialize.
 #[derive(Debug, Clone)]
@@ -524,11 +520,8 @@ pub struct TenantRegistry {
     /// The flash-backed cold tier: demoted databases live here as pages
     /// in a simulated SSD's conventional region, and nowhere else. Lock
     /// order is `inner` → `cold` (never the reverse), and neither lock
-    /// is ever held across a build-pool submit.
+    /// is ever held across a matcher build.
     cold: Mutex<ColdStore>,
-    /// Remote matcher builds (uploads and cold-tier re-materializations)
-    /// run as jobs on this shared-runtime pool, never on ad-hoc threads.
-    builders: WorkerPool,
 }
 
 impl std::fmt::Debug for TenantRegistry {
@@ -584,10 +577,6 @@ struct Rebuilt {
 impl TenantRegistry {
     /// An empty registry with an unbounded memory budget.
     pub fn new() -> Self {
-        #[allow(clippy::expect_used)] // infallible: BUILD_WORKERS is a non-zero constant
-        let builders = WorkerPool::new(BUILD_WORKERS)
-            // cm_analyze::allow(no-panic): BUILD_WORKERS is a non-zero constant
-            .expect("non-zero build pool");
         Self {
             inner: Mutex::new(Inner {
                 tenants: HashMap::new(),
@@ -598,7 +587,6 @@ impl TenantRegistry {
                 metrics: RegistryMetrics::default(),
             }),
             cold: Mutex::new(ColdStore::with_default_geometry()),
-            builders,
         }
     }
 
@@ -821,8 +809,8 @@ impl TenantRegistry {
     /// Admits a fully uploaded remote database: verifies the upload
     /// authorization end to end (tag, key binding, nonce freshness, and
     /// that the bytes hash to the authorized [`content_digest`]),
-    /// rebuilds the matcher from `spec` on the registry's build pool,
-    /// loads the serialized database, accounts `encoded.len()` bytes
+    /// rebuilds the matcher from `spec` on the calling thread, loads the
+    /// serialized database, accounts `encoded.len()` bytes
     /// against the budget (demoting LRU unpinned remote tenants as
     /// needed), and registers the tenant hot. Re-uploading over an
     /// existing id (same channel key) replaces the database and keeps
@@ -864,7 +852,7 @@ impl TenantRegistry {
         let channel_key = &auth.channel_key;
         let encoded = Arc::new(encoded);
         let bytes = encoded.len() as u64;
-        let (backend, pool) = self.build_remote(id, spec, Arc::clone(&encoded))?;
+        let (backend, pool) = Self::build_remote(id, spec, &encoded)?;
 
         let mut inner = self.lock();
         // Re-check under the final lock (the build ran unlocked): the
@@ -975,8 +963,8 @@ impl TenantRegistry {
     /// Looks a tenant up by id, transparently re-materializing a
     /// cold-tier tenant: the serialized master copy is read back out of
     /// the flash-backed cold store (wear-free), the matcher pool rebuilt
-    /// from it on the registry's build pool (flash-native `ifp` tenants
-    /// skip the rebuild and unpark their pool), other tenants demoted if
+    /// from it on the calling thread (flash-native `ifp` tenants skip
+    /// the rebuild and unpark their pool), other tenants demoted if
     /// the budget requires it, and the read's `bytes_moved` charged to
     /// the tenant at install time. Bumps the tenant's LRU stamp.
     ///
@@ -1054,7 +1042,7 @@ impl TenantRegistry {
         // the undemotable (pinned or in-process) resident bytes cannot
         // hold this database, fail now instead of building a matcher
         // pool only to discard it — a repeated query for an unplaceable
-        // cold tenant must not clog the build pool.
+        // cold tenant must not hold a frame worker in rebuilds.
         let required = ticket.slot.len() as u64;
         let undemotable: u64 = inner
             .tenants
@@ -1075,16 +1063,16 @@ impl TenantRegistry {
     /// flash (non-destructive — the slot stays live until the install
     /// commits, so a lost race just retries) and makes it servable. A
     /// parked pool already holds its device, so it is reused as is, which
-    /// also keeps its nonce counter monotone; anything else is rebuilt on
-    /// the build pool. A stale ticket may read pages that now hold
-    /// another tenant's bytes; [`Self::install`] judges the result.
+    /// also keeps its nonce counter monotone; anything else is rebuilt.
+    /// A stale ticket may read pages that now hold another tenant's
+    /// bytes; [`Self::install`] judges the result.
     fn rebuild(&self, id: &str, ticket: &Ticket) -> Result<Rebuilt, MatchError> {
         let read = self.lock_cold().get(&ticket.slot)?;
         let encoded = Arc::new(read.bytes);
         let tenant = match &ticket.parked {
             Some(parked) => Arc::clone(parked),
             None => {
-                let (backend, pool) = self.build_remote(id, &ticket.spec, Arc::clone(&encoded))?;
+                let (backend, pool) = Self::build_remote(id, &ticket.spec, &encoded)?;
                 let totals = Arc::clone(&ticket.totals);
                 Tenant::assemble(id, backend, pool, &ticket.channel_key, totals)
             }
@@ -1161,32 +1149,28 @@ impl TenantRegistry {
     }
 
     /// Rebuilds a remote tenant's matcher pool from its spec and
-    /// serialized database, as a job on the registry's build pool (the
-    /// shared `cm_core::exec` runtime). `ifp` specs build through
+    /// serialized database on the calling thread (a panicking build
+    /// answers [`MatchError::WorkerPanicked`]). `ifp` specs build through
     /// [`IfpMatcher::for_spec`] (the backend `MatcherConfig` cannot
     /// construct — it needs an SSD device), which re-creates the flash
     /// array and writes the database into its CIPHERMATCH region.
     fn build_remote(
-        &self,
         id: &str,
         spec: &TenantSpec,
-        encoded: Arc<Vec<u8>>,
+        encoded: &[u8],
     ) -> Result<(Backend, MatcherPool), MatchError> {
         let config = spec.to_config()?;
         let ifp = Backend::parse(&spec.backend)? == Backend::Ifp;
-        let (seed, insecure) = (spec.seed, spec.insecure);
-        let matcher = self
-            .builders
-            .submit(move || {
-                let mut matcher = if ifp {
-                    cm_core::erase(IfpMatcher::for_spec(seed, insecure)?, seed)
-                } else {
-                    config.build()?
-                };
-                matcher.load_database_wire(&encoded)?;
-                Ok::<_, MatchError>(matcher)
-            })
-            .wait()??;
+        let matcher = catch_unwind(AssertUnwindSafe(|| {
+            let mut matcher = if ifp {
+                cm_core::erase(IfpMatcher::for_spec(spec.seed, spec.insecure)?, spec.seed)
+            } else {
+                config.build()?
+            };
+            matcher.load_database_wire(encoded)?;
+            Ok::<_, MatchError>(matcher)
+        }))
+        .map_err(|_| MatchError::WorkerPanicked)??;
         let backend = matcher.backend();
         let pool = MatcherPool::new(matcher, spec.workers as usize, tenant_seed(id))?;
         Ok((backend, pool))

@@ -1,7 +1,11 @@
 //! A process's thread count is independent of how many databases it
-//! serves: shard jobs run on the one process-wide compute pool, so
-//! loading a sharded database spawns nothing. (With a worker pool per
-//! loaded database, eight two-shard tenants grew the count by sixteen.)
+//! serves and of how much work a server admits: shard jobs run on the
+//! one process-wide compute pool, so loading a sharded database spawns
+//! nothing (with a worker pool per loaded database, eight two-shard
+//! tenants grew the count by sixteen); a server adds its reactor and a
+//! core-sized frame pool whatever `max_inflight_frames` says (it used to
+//! add one worker per admissible frame, 64 by default); and a registry,
+//! and every step of a database's lifecycle, spawns nothing.
 //!
 //! This file holds a single test on purpose — the count is read from
 //! `/proc/self/status`, and a sibling test's threads would move it.
@@ -9,8 +13,13 @@
 #![cfg(target_os = "linux")]
 
 use cm_bfv::BfvParams;
-use cm_core::{wait_all, BitString, ErasedMatcher, WorkerPool};
-use cm_server::ShardedCmMatcher;
+use cm_core::exec::compute_workers;
+use cm_core::{wait_all, Backend, BitString, ErasedMatcher, MatcherConfig, WorkerPool};
+use cm_server::server::MIN_FRAME_WORKERS;
+use cm_server::{
+    MatchServer, RunningServer, ServerConfig, ShardedCmMatcher, TenantAccess, TenantRegistry,
+    TenantSpec,
+};
 
 fn thread_count() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").unwrap();
@@ -33,6 +42,47 @@ fn tenant(seed: u64) -> (ShardedCmMatcher, BitString) {
     (matcher, data)
 }
 
+fn serve(max_inflight_frames: usize, memory_budget: Option<u64>) -> RunningServer {
+    let config = ServerConfig {
+        max_inflight_frames,
+        memory_budget,
+        ..ServerConfig::default()
+    };
+    MatchServer::with_config(TenantRegistry::new(), config)
+        .unwrap()
+        .spawn("127.0.0.1:0")
+        .unwrap()
+}
+
+/// A plain-backend database of `text`, serialized for upload.
+fn plain_upload(text: &str) -> (TenantSpec, Vec<u8>, BitString) {
+    let data = BitString::from_ascii(text);
+    let config = MatcherConfig::new(Backend::Plain);
+    let mut owner = config.build().unwrap();
+    owner.load_database(&data).unwrap();
+    let encoded = owner.export_database().unwrap();
+    (TenantSpec::from_config(&config, 1), encoded, data)
+}
+
+/// Upload → demote → promote → evict over TCP, checking every answer.
+fn lifecycle_cycle(server: &RunningServer) {
+    let mut client = cm_server::MatchClient::connect(server.addr()).unwrap();
+    let a = TenantAccess::new("a", &[0xA0; 32]);
+    let b = TenantAccess::new("b", &[0xB0; 32]);
+    let (spec, a_bytes, a_data) = plain_upload(&"needle in a ".repeat(40));
+    let (_, b_bytes, _) = plain_upload(&"haystack b  ".repeat(40));
+    client.upload_database(&a, &spec, &a_bytes, 1).unwrap();
+    let (_, demoted) = client.upload_database(&b, &spec, &b_bytes, 1).unwrap();
+    assert_eq!(demoted, ["a"], "the budget holds one database");
+    let needle = BitString::from_ascii("needle");
+    let reply = client.search_bits(&a, &needle).unwrap();
+    assert_eq!(reply.indices, a_data.find_all(&needle));
+    assert!(client.database_info("a").unwrap().resident, "promoted");
+    assert!(!client.database_info("b").unwrap().resident, "demoted");
+    client.evict_database(&a, 2).unwrap();
+    client.evict_database(&b, 2).unwrap();
+}
+
 #[test]
 fn thread_count_is_independent_of_tenant_count() {
     // One sharded query first, so the compute pool exists.
@@ -51,6 +101,31 @@ fn thread_count_is_independent_of_tenant_count() {
         before,
         "loading eight two-shard databases must not spawn threads"
     );
+
+    drop(TenantRegistry::new());
+    assert_eq!(thread_count(), before, "a registry spawns no threads");
+
+    // A server is its reactor plus a core-sized frame pool, whatever
+    // its admission cap. Both stay up so no exiting thread is counted.
+    let per_server = 1 + compute_workers().max(MIN_FRAME_WORKERS);
+    let one = serve(1, None);
+    assert_eq!(thread_count(), before + per_server, "max_inflight_frames 1");
+    let budget = plain_upload(&"x".repeat(480)).1.len() as u64 + 100;
+    let many = serve(64, Some(budget));
+    assert_eq!(
+        thread_count(),
+        before + 2 * per_server,
+        "max_inflight_frames 64 adds the same threads as 1"
+    );
+
+    lifecycle_cycle(&many);
+    assert_eq!(
+        thread_count(),
+        before + 2 * per_server,
+        "upload, demote, promote and evict spawn no threads"
+    );
+    many.shutdown();
+    one.shutdown();
 
     // All nine queried at once (the clients' own pool is started only
     // now), every reply checked against the plaintext oracle.

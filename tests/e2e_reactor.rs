@@ -20,9 +20,12 @@
 //!   shutdown force-closes every tracked socket (drain-then-join).
 
 use std::net::SocketAddr;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
+use cm_core::exec::compute_workers;
 use cm_core::{wait_all, Backend, BitString, MatcherConfig, WorkerPool};
+use cm_server::server::MIN_FRAME_WORKERS;
 use cm_server::{MatchClient, MatchServer, ServerConfig, TenantAccess, TenantRegistry};
 
 const KEY: [u8; 32] = [0x1D; 32];
@@ -187,5 +190,58 @@ fn inflight_cap_rejects_typed_while_sockets_stay_cheap() {
         client.ping().unwrap();
     }
     drop(many);
+    server.shutdown();
+}
+
+#[test]
+fn blocked_requests_that_outnumber_the_frame_workers_all_finish() {
+    // One matcher, four clients per frame worker: at any moment most
+    // admitted Matches wait for that matcher, more of them than there
+    // are workers. They must all finish, correct, and a ping on its own
+    // connection must answer while they run.
+    const ROUNDS: usize = 40;
+    let data = haystack();
+    let mut registry = TenantRegistry::new();
+    registry
+        .register_with_workers(
+            "one",
+            MatcherConfig::new(Backend::Plain).build().unwrap(),
+            1,
+            &KEY,
+            &data,
+        )
+        .unwrap();
+    let server = MatchServer::new(registry).spawn("127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    let batches = 4 * compute_workers().max(MIN_FRAME_WORKERS);
+    // Every client has its first answer before the ping is sent.
+    let started = Arc::new(Barrier::new(batches + 1));
+    let clients = WorkerPool::new(batches).unwrap();
+    let handles: Vec<_> = (0..batches)
+        .map(|i| {
+            let (data, started) = (data.clone(), Arc::clone(&started));
+            clients.submit(move || {
+                let mut client = MatchClient::connect(addr).unwrap();
+                let access = TenantAccess::new("one", &KEY);
+                let needles = ["frames", "not", "reactor", "the "];
+                for round in 0..ROUNDS {
+                    let needle = BitString::from_ascii(needles[(i + round) % needles.len()]);
+                    let reply = client.search_bits(&access, &needle).unwrap();
+                    assert_eq!(reply.indices, data.find_all(&needle), "client {i}");
+                    if round == 0 {
+                        started.wait();
+                    }
+                }
+            })
+        })
+        .collect();
+    let mut pinger = MatchClient::connect(addr).unwrap();
+    started.wait();
+    pinger.ping().unwrap();
+    assert!(
+        handles.iter().any(|h| !h.is_finished()),
+        "the ping answered only after every client was done"
+    );
+    wait_all(handles).unwrap();
     server.shutdown();
 }
