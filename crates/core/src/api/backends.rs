@@ -108,7 +108,9 @@ impl CiphermatchMatcher {
     /// # Errors
     ///
     /// Returns [`MatchError::InvalidConfig`] for a zero shard count or a
-    /// parameter set dense packing cannot use (non-power-of-two `t`).
+    /// parameter set a served job cannot use: a non-power-of-two `t`
+    /// (dense packing), or `q` above `2³²` (a job holds its phases in
+    /// 32-bit words, see [`ShardScratch::run`]).
     pub fn new<R: Rng + ?Sized>(
         params: BfvParams,
         shards: usize,
@@ -120,6 +122,11 @@ impl CiphermatchMatcher {
         if !params.t.is_power_of_two() {
             return Err(MatchError::InvalidConfig(
                 "dense packing requires a power-of-two plaintext modulus",
+            ));
+        }
+        if params.q > 1 << 32 {
+            return Err(MatchError::InvalidConfig(
+                "a served job holds phases in 32-bit words: q must be at most 2^32",
             ));
         }
         let keys = BfvKeys::generate(params, rng);

@@ -15,9 +15,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Homomorphic additions (ciphertext or plaintext operand). A served
-    /// CM-SW job counts one per `(variant, polynomial)` though it computes
-    /// only the `c0` half of each, the half its test reads
-    /// ([`crate::ShardScratch::run`]).
+    /// CM-SW job counts one per `(variant, polynomial)` — the entries it
+    /// tests, the paper's count — though it adds no variant to a
+    /// polynomial: it tests each entry's phase as the polynomial's phase
+    /// plus the variant's ([`crate::ShardScratch::run`]).
     pub hom_adds: u64,
     /// Homomorphic ciphertext-ciphertext multiplications (squarings
     /// included).

@@ -32,9 +32,9 @@ use crate::query::{segment_matches, AlignmentClass};
 /// It is sized once per query shape with [`Self::reset`] and rewritten in
 /// place from then on.
 ///
-/// No serving path builds one: a served job tests each variant's sums in
-/// the tile the sweep left them in (`PhaseScan`) and keeps `s − 1`
-/// bits per entry end, not a bit per sum. The table is what the
+/// No serving path builds one: a served job tests its entries' phases
+/// where they lie (`PhaseScan`) and keeps `s − 1` bits per entry end,
+/// not a bit per sum. The table is what the
 /// per-ciphertext reference fills — the oracle every faster path is
 /// tested against, and the fallback for a result that arrives from
 /// outside and is not the outer sum the faster path decrypts by.
@@ -229,7 +229,9 @@ pub(crate) struct PhaseScratch {
     /// Per (class, phase, polynomial): whether each of the `s − 1`
     /// coefficients at either end matched — head bits, then tail bits.
     edges: Vec<u64>,
-    /// The windows of the entry in hand that passed [`filter_windows`].
+    /// The windows of the entry in hand that passed [`filter_windows`],
+    /// or the window starts of the class in hand that
+    /// [`filter_candidates`] let through.
     passed: Vec<usize>,
 }
 
@@ -264,6 +266,37 @@ fn filter_windows(
     }
 }
 
+/// Words per any-reduction of [`filter_candidates`].
+const CANDIDATE_BLOCK: usize = 64;
+
+/// The candidate test of one alignment class over one polynomial's
+/// phases `d` (each below `q ≤ 2³²`), out of line so it compiles to one
+/// tight loop: `i` is pushed onto `out` when `y = d[i] − a` or `y + q`,
+/// in wrapping 32-bit arithmetic (`q` passed as `q mod 2³²`), is at most
+/// `width`.
+///
+/// With `a = (lo − ψ) mod q` every `d` with `d + ψ mod q` in
+/// `[lo, lo + width]` passes: when `d ≥ a`, `y` is `(d − a) mod q`; when
+/// `d < a`, `y + q` is. Some words pass that lie outside (a `y + q` that
+/// wraps on the way), so a candidate still takes the exact test. Each
+/// block of [`CANDIDATE_BLOCK`] words is tested with one any-reduction,
+/// which vectorizes under plain SSE2, and walked only when something in
+/// it passed.
+#[inline(never)]
+fn filter_candidates(d: &[u32], a: u32, q: u32, width: u32, out: &mut Vec<usize>) {
+    let pass = |x: u32| {
+        let y = x.wrapping_sub(a);
+        (y <= width) | (y.wrapping_add(q) <= width)
+    };
+    for (block, words) in d.chunks(CANDIDATE_BLOCK).enumerate() {
+        if words.iter().fold(false, |any, &x| any | pass(x)) {
+            let at = block * CANDIDATE_BLOCK;
+            let passing = words.iter().enumerate().filter(|&(_, &x)| pass(x));
+            out.extend(passing.map(|(i, _)| at + i));
+        }
+    }
+}
+
 /// Index generation straight from decryption *phases*, one result entry
 /// (query variant × database polynomial) at a time, so a sweep can hand
 /// over each entry while it is still in cache and keep none of them.
@@ -280,6 +313,11 @@ fn filter_windows(
 /// entries; for those each entry leaves the exact match bits of its first
 /// and last `s − 1` coefficients behind, and [`Self::finish`] resolves
 /// them.
+///
+/// Where the phases are a database polynomial's own plus the query's,
+/// [`Self::class`] tests every variant of a class in one pass instead: the
+/// variants of class `r` read disjoint coefficients and all add segment
+/// `s/2` at their filter coefficients.
 ///
 /// The answer is [`generate_indices`]' on the [`MatchTable`] of the same
 /// sums, bit for bit.
@@ -387,7 +425,8 @@ impl<'a> PhaseScan<'a> {
             c0.len() == n && row.len() == n && col.len() == n,
             "one phase term per coefficient"
         );
-        let Some(class) = self.classes.get(r) else {
+        let classes = self.classes;
+        let Some(class) = classes.get(r) else {
             return;
         };
         let s = class.window_segs;
@@ -438,15 +477,100 @@ impl<'a> PhaseScan<'a> {
             }
         }
 
-        // Coefficient `c` carries window segment `(c − phase) mod s`: one
-        // division at the head and one at the tail, then counted on.
+        self.record_edges((r, phase), poly, |c, i| hit(c, masks[i]));
+    }
+
+    /// Tests every variant of class `r` against polynomial `poly` at once,
+    /// given the polynomial's decryption phases `d` (`db.c0 + s·db.c1`,
+    /// narrowed to 32 bits: `q ≤ 2³²`) and the class's `s` segment phases
+    /// `segs` (`Q.c0 + s·Q.c1` of its negated query segments, reduced). The
+    /// phase of entry `(r, p, poly)` at coefficient `c` is
+    /// `d[c] + segs[(c − p) mod s]`: a phase is linear, so this is the
+    /// phase of the Hom-Add sum, with the additions grouped differently.
+    ///
+    /// A window may start at any coefficient `start`, and every variant
+    /// reads segment `s/2` at `start + s/2`, so one [`filter_candidates`]
+    /// pass over `d` against one constant finds the candidate windows of
+    /// all `s` variants; each is confirmed by the exact rounding of all `s`
+    /// segments. Then the edge bits of all `s` variants are recorded, as
+    /// [`Self::entry`] records them. A class or polynomial the geometry
+    /// has no place for is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` does not hold `n` phases or `segs` not `s`.
+    pub(crate) fn class(&mut self, r: usize, poly: usize, d: &[u32], segs: &[u64]) {
+        let (n, seg_bits, q, dec, last) = (self.n, self.seg_bits, self.q, self.dec, self.last);
+        assert!(q.value() <= 1 << 32, "phases narrowed to 32 bits");
+        assert_eq!(d.len(), n, "one phase per coefficient");
+        let classes = self.classes;
+        let Some(class) = classes.get(r) else {
+            return;
+        };
+        let s = class.window_segs;
+        assert_eq!(segs.len(), s, "one phase per window segment");
+        if poly >= self.polys {
+            return;
+        }
+        let masks = &class.masks[..s];
+        let hit = |c: usize, i: usize| {
+            let phase = q.add(u64::from(d[c]), segs[i]);
+            segment_matches(dec.round_phase(phase), masks[i], seg_bits)
+        };
+
+        // A window starts at `start ≤ n − s` and at a bit offset
+        // `(poly·n + start)·seg_bits + r` of at most `last`.
+        let count = n.checked_sub(s).map_or(0, |room| room + 1).min(
+            last.checked_sub(r)
+                .and_then(|g| (g / seg_bits + 1).checked_sub(poly * n))
+                .unwrap_or(0),
+        );
+        // A class without an interval passes every word to the exact test.
+        let mid = s / 2;
+        let (lo, width) = match &self.scratch.filters[r] {
+            Some(ones) => (*ones.start(), ones.end() - ones.start()),
+            None => (0, q.value() - 1),
+        };
+        let candidates = &mut self.scratch.passed;
+        candidates.clear();
+        if count > 0 {
+            // Sized by the shape, not by what passes: a warm job never
+            // grows it. `q ≤ 2³²`, so every operand fits 32 bits.
+            candidates.reserve(count);
+            let a = q.sub(lo, segs[mid]) as u32;
+            let words = &d[mid..mid + count];
+            filter_candidates(words, a, q.value() as u32, width as u32, candidates);
+        }
+        for &start in &self.scratch.passed {
+            if (0..s).all(|i| hit(start + i, i)) {
+                self.matches.push((poly * n + start) * seg_bits + r);
+            }
+        }
+
+        for phase in 0..s {
+            self.record_edges((r, phase), poly, hit);
+        }
+    }
+
+    /// Records the edge bits of entry `(r, phase, poly)`: whether each of
+    /// its first and last [`edge_len`] coefficients matched, where
+    /// `hit(c, i)` tests coefficient `c` as window segment `i`.
+    /// Coefficient `c` carries window segment `(c − phase) mod s`: one
+    /// division at the head and one at the tail, then counted on.
+    fn record_edges(
+        &mut self,
+        (r, phase): (usize, usize),
+        poly: usize,
+        hit: impl Fn(usize, usize) -> bool,
+    ) {
+        let (n, s) = (self.n, self.classes[r].window_segs);
         let edge = edge_len(s, n);
         let at = self.edge_at(r, phase, poly);
         let mut bit = 0;
         for from in [0, n - edge] {
             let mut i = (from + s - phase) % s;
             for c in from..from + edge {
-                if hit(c, masks[i]) {
+                if hit(c, i) {
                     self.scratch.edges[at + bit / 64] |= 1 << (bit % 64);
                 }
                 bit += 1;
@@ -705,6 +829,74 @@ mod tests {
                                 windows.len()
                             );
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_kernel_keeps_every_phase_the_interval_contains() {
+        use cm_bfv::{BfvParams, KeyGenerator};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xCA4D);
+        for params in [
+            BfvParams::ciphermatch_1024(),
+            BfvParams::ciphermatch_ifp_1024(),
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
+        ] {
+            let ctx = BfvContext::new(params);
+            let dec = Decryptor::new(&ctx, KeyGenerator::new(&ctx, &mut rng).secret_key());
+            let (q, n, name) = (ctx.params().q, ctx.params().n, ctx.params().name);
+            let modulus = Modulus::new(q);
+            let seg_bits = ctx.params().t.trailing_zeros() as usize;
+            for dont_care in 0..=seg_bits {
+                let ones = ones_phase_interval(q, seg_bits, dont_care);
+                let (lo, width) = (*ones.start(), ones.end() - ones.start());
+                let mask = (1 << dont_care) - 1;
+                // `a = (lo − ψ) mod q` at the bottom of the ring, at its top
+                // (the interval `[a, a + width]` wraps), straddling the top
+                // by half the width, and at random.
+                for a in [0, q - 1, (q - width / 2) % q, rng.gen_range(0..q)] {
+                    let psi = modulus.sub(lo, a);
+                    let exact = |d: u32| {
+                        let phase = modulus.add(u64::from(d), psi);
+                        segment_matches(dec.round_phase(phase), mask, seg_bits)
+                    };
+                    let word = |x: u64| (x % q) as u32;
+                    // Both ends of the interval and one past each, both
+                    // ends of the ring, then the ring at random.
+                    let targets: Vec<u32> = [a + q - 1, a, a + width, a + width + 1, 0, q - 1]
+                        .into_iter()
+                        .map(word)
+                        .collect();
+                    let random = (0..n).map(|_| word(rng.gen_range(0..q)));
+                    let all: Vec<u32> = targets.iter().copied().chain(random).collect();
+                    // Each target alone among decoys, at both ends of an
+                    // any-reduction block, past it and at a ragged end.
+                    let decoy = word(a + width + 1);
+                    let mut cases = vec![all];
+                    for &target in &targets {
+                        for at in [0, 63, 64, 129] {
+                            let mut words = vec![decoy; 130];
+                            words[at] = target;
+                            cases.push(words);
+                        }
+                    }
+                    for words in &cases {
+                        let mut got = Vec::new();
+                        // `q` goes in mod 2³²: zero for `q = 2³²`.
+                        filter_candidates(words, word(a), q as u32, word(width), &mut got);
+                        let passes: Vec<usize> =
+                            (0..words.len()).filter(|&i| exact(words[i])).collect();
+                        let confirmed: Vec<usize> =
+                            got.iter().copied().filter(|&i| exact(words[i])).collect();
+                        let case = format!("{name} w={dont_care} a={a} len={}", words.len());
+                        assert!(got.windows(2).all(|p| p[0] < p[1]), "{case}");
+                        assert!(got.last().is_none_or(|&i| i < words.len()), "{case}");
+                        assert_eq!(confirmed, passes, "{case}");
                     }
                 }
             }

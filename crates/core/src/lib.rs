@@ -51,19 +51,22 @@
 //! variants (47 ciphertexts for a 32-bit query, every one a replication
 //! of the same 47 segment values) but the segments themselves, once —
 //! a [`PackedQuery`] of `⌈V/n⌉` ciphertexts, one up to `k ≈ n` bits —
-//! and the *server* replicates: one served driver gathers variant
-//! `(r, p)` out of the packed ciphertext's coefficients, has it
-//! Hom-Added over the database into one reused tile of `P` sums —
-//! their `c0` halves by the range's sweep ([`ShardScratch::run`]), the
-//! half the test reads, or both halves by the flash array, the
-//! SSD controller streaming the variant into the latches
-//! ([`ShardScratch::run_with_adder`]) — and the [`TrustedIndexGenerator`]
-//! next to the data tests the tile there, so neither the `V` variants nor
-//! a `V × P` result table is ever written out. Replicating after
-//! encryption is valid because that test reads decryption *phases*
-//! coefficient by coefficient and a phase is linear and coefficient-wise;
-//! the gathered `c1` is not a ring element anyone could decrypt by, so
-//! whoever decrypts result ciphertexts somewhere else uses the explicit
+//! and the *server* derives the variants next to the data, where the
+//! [`TrustedIndexGenerator`] tests them. A CM-SW range job
+//! ([`ShardScratch::run`]) takes the decryption phase of each range
+//! polynomial and of each packed segment once, and tests every variant of
+//! an alignment class in one pass over the range's phases: entry
+//! `(v, j)`'s phase is `phase(db_j) + phase(v)`, and the variants of a
+//! class read disjoint coefficients. In flash
+//! ([`ShardScratch::run_with_adder`]) the controller gathers variant
+//! `(r, p)` out of the packed ciphertext's coefficients and streams it
+//! into the latches, and the test reads the flash's sums in one reused
+//! tile. Neither writes out the `V` variants or a `V × P` result table.
+//! Deriving variants after encryption is valid because that test reads
+//! decryption *phases* coefficient by coefficient and a phase is linear
+//! and coefficient-wise; a gathered `c1` is not a ring element anyone
+//! could decrypt by, so whoever decrypts result ciphertexts somewhere
+//! else uses the explicit
 //! [`EncryptedQuery`] (Algorithm 1 to the letter: the conservative flow's
 //! [`CiphermatchEngine::search`] and every test oracle). The derived
 //! variants are a public function of what the client sent: the server
@@ -72,7 +75,7 @@
 //! [`CiphermatchEngine::generate_indices_with`], which runs the same
 //! per-entry test after checking that the table really is row plus
 //! column; sums the flash added are held to the same check variant by
-//! variant, and a range job that just added its sums itself skips it.
+//! variant, and a range job that reads its own database needs none.
 //! Concurrent queries on one database check matchers out of an
 //! [`exec::MatcherPool`]; [`exec`] is the work-pool runtime every
 //! concurrent layer of the stack (tenant matcher pools, CM-SW range jobs,

@@ -439,7 +439,7 @@ impl EncryptedQuery {
 ///
 /// This departs from Algorithm 1 lines 4–9: the replication happens on
 /// the server, after encryption, on ciphertext coefficients — in a range
-/// job's memory ([`ShardScratch::run`]) or on its way into the flash
+/// job's phase scan ([`ShardScratch::run`]) or on its way into the flash
 /// latches ([`ShardScratch::run_with_adder`]). That is valid *because*
 /// the trusted index generator tests decryption phases coefficient by
 /// coefficient — a phase `c0 + s·c1` is linear and coefficient-wise, so
@@ -741,19 +741,20 @@ pub struct IndexScratch {
     table: MatchTable,
     phases: PhaseScratch,
     /// The query's share of each entry's key part: `s·c1[v][0]` per
-    /// variant for a table that arrives whole; for a served job the one
-    /// variant in hand, gathered from the packed query's products.
+    /// variant for a table that arrives whole; for sums added in flash
+    /// the one variant in hand, gathered from the packed query's
+    /// products. A CM-SW job uses it only as Horner's working space for a
+    /// database ciphertext past two components.
     rows: Vec<u64>,
     /// The database's share per polynomial: `s·(c1[0][j] − c1[0][0])` for
-    /// a table, `s·deltas[j]` for sums added elsewhere, the key part of
-    /// `db_j`'s own phase for a CM-SW job.
+    /// a table, `s·deltas[j]` for sums added in flash.
     cols: Vec<u64>,
     /// The additivity reference per polynomial: `c1[0][j] − c1[0][0]` for
     /// a table, `sum.c1[v₀][j] − v₀.c1` for sums added elsewhere.
     deltas: Vec<u64>,
     /// One polynomial of working space: the additivity check, the
-    /// operand a key product is taken of, or a table entry's row plus
-    /// column.
+    /// operand a key product is taken of, a table entry's row plus
+    /// column, or a CM-SW job's key product of the polynomial in hand.
     line: Vec<u64>,
     key_muls: u64,
 }
@@ -886,7 +887,7 @@ impl CiphermatchEngine {
     ///
     /// The allocating one-shot convenience over [`Self::search_into`] for
     /// library callers and measurements; every serving path runs
-    /// [`ShardScratch::run`], which keeps one variant's sums at a time.
+    /// [`ShardScratch::run`], which keeps no sum at all.
     pub fn search(&mut self, db: &EncryptedDatabase, query: &EncryptedQuery) -> SearchResult {
         let mut out = SearchResult::default();
         self.search_into(db, query, &mut out);
@@ -936,7 +937,7 @@ impl CiphermatchEngine {
     /// sums of `ct_size` components) — the sweep of a result whose every
     /// sum is kept for a key holder to decrypt ([`Self::search_into`]: the
     /// conservative flow, and the oracle the served job is held to). A
-    /// served job ([`ShardScratch::run`]) adds the `c0` half alone.
+    /// served CM-SW job ([`ShardScratch::run`]) adds phases instead.
     fn sweep_variant(
         &self,
         db_cts: &[Ciphertext],
@@ -976,7 +977,8 @@ impl CiphermatchEngine {
     /// so `s·c1[v][j] = s·c1[v][0] + s·(c1[0][j] − c1[0][0])`: `V + P − 1`
     /// key multiplications give the decryption phase of all `V × P`
     /// entries, which a `PhaseScan` tests entry by entry — the test a
-    /// served job runs on its tile ([`ShardScratch::run`]). That path is
+    /// served job runs on sums added in flash
+    /// ([`ShardScratch::run_with_adder`]). That path is
     /// taken only when the table itself proves the structure (every
     /// ciphertext fresh two-component, every `c1` the sum of its row and
     /// column — checked as `c1` streams by, because this table was built
@@ -1179,32 +1181,38 @@ impl TrustedIndexGenerator {
     }
 }
 
-/// Everything one served job works in, kept between jobs: one *variant*
-/// — a ciphertext-sized buffer the packed query is gathered into,
-/// rewritten for every `(r, phase)` — one *tile* — that variant's Hom-Add
-/// sums over the job's polynomials, added in memory or in flash — and the
-/// key products and edge bits of index generation. No table of all
-/// `V × P` result ciphertexts exists, and no list of the `V` variants
-/// either: each variant's sums are tested where the adder left them and
-/// overwritten by the next, so what a job retains is one variant, a tile
-/// of `P` polynomials (`2P` for sums added in flash) and `⌈V/n⌉ + P + 1`
-/// product rows however many variants the query has.
+/// Everything one served job works in, kept between jobs. A CM-SW job
+/// ([`Self::run`]) holds the decryption *phases* of its range —
+/// `db_j.c0 + s·db_j.c1` per polynomial, `P × n` 32-bit words — and of the
+/// packed query's segments, `⌈V/n⌉ × n` words, and tests every variant of
+/// an alignment class in one pass over them: it gathers no variant and
+/// keeps no sum. A job whose sums are added in flash
+/// ([`Self::run_with_adder`]) holds one *variant* — a ciphertext-sized
+/// buffer the packed query is gathered into, rewritten for every
+/// `(r, phase)` — and one *tile* of that variant's `P` two-component sums,
+/// tested where the adder left them and overwritten by the next. Neither
+/// keeps a table of all `V × P` results or a list of the `V` variants, so
+/// what a job retains does not grow with `V`.
 /// It is capacity, not state — every buffer is rewritten before it is
-/// read, and the key products are zeroed when a job ends, however it
-/// ends — so a scratch that served one parameter set is safe for any
-/// other, and a parked one holds no part of a decryption.
+/// read, and the key products and phases are zeroed when a job ends,
+/// however it ends (a drop guard does it, on return and on unwind) — so
+/// a scratch that served one parameter set is safe for any other, and a
+/// parked one holds no part of a decryption.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
-    /// The query variant in hand, replicated from the packed query: `c0`
-    /// alone for a CM-SW job, both components for sums added in flash.
+    /// The variant in hand of a job whose sums are added in flash,
+    /// replicated from the packed query, both components.
     variant: Option<Ciphertext>,
-    /// The variant's sums over the job's polynomials: `P × n` words of
-    /// `c0` for a CM-SW job ([`Self::run`]), `P × 2 × n` of `c0` then `c1`
-    /// per polynomial for sums added in flash ([`Self::run_with_adder`]).
+    /// That variant's sums over the job's polynomials: `P × 2 × n` words,
+    /// `c0` then `c1` per polynomial.
     tile: Vec<u64>,
-    /// `⌈V/n⌉ × n` words: the key part `s·c1` of every packed query
-    /// ciphertext, in the flat segment layout of [`pack_segments`].
+    /// `⌈V/n⌉ × n` words in the flat segment layout of [`pack_segments`]:
+    /// the packed query's segment phases `c0 + s·c1` for a CM-SW job, its
+    /// key parts `s·c1` for sums added in flash.
     psi: Vec<u64>,
+    /// A CM-SW job's range phases `db_j.c0 + s·db_j.c1`, `P × n` words of
+    /// 32 bits: every served `q` is at most `2³²`.
+    phases: Vec<u32>,
     index: IndexScratch,
 }
 
@@ -1214,15 +1222,32 @@ pub struct ShardScratch {
 /// ranges.
 static FREE_SCRATCHES: Mutex<Vec<ShardScratch>> = Mutex::new(Vec::new());
 
+/// A job's hold on its scratch: when it drops — the job returned or
+/// unwound — every key product and phase the job took is zeroed.
+struct Job<'a>(&'a mut ShardScratch);
+
+impl Drop for Job<'_> {
+    fn drop(&mut self) {
+        let ShardScratch {
+            psi, phases, index, ..
+        } = &mut *self.0;
+        for products in [psi, &mut index.rows, &mut index.cols, &mut index.line] {
+            products.fill(0);
+        }
+        phases.fill(0);
+    }
+}
+
 /// `out = Σ_{i ≥ 1} s^i · ct_i`, the key part of `ct`'s decryption phase
 /// (`phase(ct) − ct_0`; `s·c1` for a fresh ciphertext), by Horner's rule
-/// through one polynomial of working space. Returns the key
-/// multiplications it took: one per component past the first.
+/// through `work`, one polynomial of working space that only a ciphertext
+/// past two components sizes. Returns the key multiplications it took:
+/// one per component past the first.
 fn key_part_into(
     dec: &Decryptor,
     q: &cm_hemath::Modulus,
     ct: &Ciphertext,
-    line: &mut [u64],
+    work: &mut Vec<u64>,
     out: &mut [u64],
 ) -> u64 {
     let (last, inner) = ct.parts()[1..]
@@ -1230,8 +1255,9 @@ fn key_part_into(
         .expect("a ciphertext has at least two components");
     dec.key_product_into(last.coeffs(), out);
     for part in inner.iter().rev() {
-        kernels::add_slices(q, out, part.coeffs(), line);
-        dec.key_product_into(line, out);
+        work.resize(out.len(), 0);
+        kernels::add_slices(q, out, part.coeffs(), work);
+        dec.key_product_into(work, out);
     }
     (ct.size() - 1) as u64
 }
@@ -1258,83 +1284,93 @@ fn replicate(dst: &mut [u64], s: usize, phase: usize, src: impl Fn(usize) -> u64
     }
 }
 
-/// Where a served job's columns come from: `col_j`, the key part of
-/// database polynomial `j`'s phase, which entry `(v, j)` adds to its `c0`
-/// and row.
-#[derive(Clone, Copy)]
-enum Columns<'a> {
-    /// From the range's own ciphertexts, `s·db_j.c1` (the whole key part,
-    /// whatever the size): the job holds the database and adds the `c0`
-    /// halves itself, so every key part is row plus column by
-    /// construction.
-    Database(&'a [Ciphertext]),
-    /// From the first variant's sums over this many polynomials,
-    /// `s·(sum[v₀][j].c1 − v₀.c1)` — `s·db_j.c1` exactly, as the adder
-    /// works mod `q` — with every later sum held to the same difference:
-    /// they were added where the job cannot see the database.
-    FirstSums(usize),
-}
-
-impl Columns<'_> {
-    /// Polynomials, and components per sum in the tile — also the
-    /// components of the variant that are gathered. A job that holds the
-    /// database adds `c0` alone, the half its test reads; sums added
-    /// elsewhere keep `c1` for the columns and the additivity check.
-    fn shape(self) -> (usize, usize) {
-        match self {
-            Columns::Database(db_cts) => (db_cts.len(), 1),
-            Columns::FirstSums(polys) => (polys, 2),
-        }
-    }
-}
-
 impl ShardScratch {
-    /// The way a CM-SW query executes on every serving path, index
-    /// generation next to the sweep (paper §4.2.2) and query replication
-    /// next to both: the served driver [`Self::run_with_adder`] runs too,
-    /// with this job's own sweep as its adder — each variant Hom-Added
-    /// over `shard` (a whole database, or one polynomial-range shard of
-    /// it) into the tile, `db_j.c0 + variant.c0` per polynomial and
-    /// nothing else. The test reads only that half: the phase of a sum is
-    /// `c0 + s·(db_j.c1 + variant.c1)`, and the key part is linear, so it
-    /// arrives as the variant's row plus the polynomial's column instead
-    /// of being added per entry. Each `(variant, polynomial)` still counts
-    /// as one Hom-Add.
+    /// The way a CM-SW query executes on every serving path: index
+    /// generation next to the data (paper §4.2.2), over `shard` (a whole
+    /// database, or one polynomial-range shard of it), with the variants
+    /// derived from the packed query where they are tested.
     ///
-    /// The columns are the key parts of `shard`'s own ciphertexts,
-    /// `s·db_j.c1` (whatever their size), taken once per job — with the
-    /// `⌈V/n⌉` products of the packed query, `⌈V/n⌉ + P` key
-    /// multiplications where `V` explicit variants took `V + P − 1`. The
-    /// additivity check of sums that arrive from outside is not run:
-    /// these are row plus column because this job just added them. The
-    /// returned statistics are this job's alone. Once the scratch has seen
-    /// the shape, the index list is the only allocation.
+    /// The test reads decryption phases, and a phase is linear: entry
+    /// `(v, j)`, variant `v` Hom-Added to polynomial `j`, has the phase
+    /// `(db_j.c0 + s·db_j.c1) + (v.c0 + s·v.c1)`, and variant `v`'s
+    /// coefficients are packed-query segments. So the job takes the key
+    /// part of every polynomial of `shard` (`s·db_j.c1`, whatever the
+    /// size) and of every packed-query ciphertext once — `⌈V/n⌉ + P` key
+    /// multiplications where `V` explicit variants took `V + P − 1` —
+    /// folds each `c0` into its product, and tests all variants of a class
+    /// in one pass over each polynomial's phases: the variants of class
+    /// `r` read disjoint coefficients and add the same segment at their
+    /// filter coefficients. Each `(variant, polynomial)` still counts as
+    /// one Hom-Add, and `add_time` times the fold. The returned statistics
+    /// are this job's alone. Once the scratch has seen the shape, the
+    /// index list is the only allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ciphertext modulus exceeds `2³²`: the phases are held
+    /// in 32-bit words.
     pub fn run(
         &mut self,
         shard: &EncryptedDatabase,
         query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
-        let (engine, db_cts) = (index_gen.engine(), shard.ciphertexts());
+        let (engine, dec) = (index_gen.engine(), &index_gen.dec);
         let (n, q) = (engine.ctx.params().n, engine.ctx.rq().modulus());
-        let mut stats = MatchStats::default();
-        let indices = self.drive(
-            query,
-            index_gen,
+        assert!(q.value() <= 1 << 32, "served phases are 32-bit words");
+        let db_cts = shard.ciphertexts();
+        let job = Job(self);
+        let ShardScratch {
+            psi, phases, index, ..
+        } = &mut *job.0;
+        let IndexScratch {
+            phases: scan,
+            rows: work,
+            line,
+            key_muls,
+            ..
+        } = index;
+        line.resize(n, 0);
+        psi.resize(query.cts.len() * n, 0);
+        phases.resize(db_cts.len() * n, 0);
+        *key_muls = 0;
+        let mut stats = MatchStats {
+            hom_adds: (query.variant_count() * db_cts.len()) as u64,
+            ..MatchStats::default()
+        };
+        for (ct, d) in db_cts.iter().zip(phases.chunks_exact_mut(n)) {
+            *key_muls += key_part_into(dec, q, ct, work, line);
+            let t0 = Instant::now();
+            kernels::add_assign_slices(q, line, ct.part(0).coeffs());
+            for (d, &phase) in d.iter_mut().zip(line.iter()) {
+                *d = phase as u32;
+            }
+            stats.add_time += t0.elapsed();
+        }
+        for (ct, segs) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
+            *key_muls += key_part_into(dec, q, ct, work, segs);
+            kernels::add_assign_slices(q, segs, ct.part(0).coeffs());
+        }
+
+        let mut scan = PhaseScan::begin(
+            scan,
+            dec,
+            &engine.ctx,
+            &query.classes,
+            db_cts.len(),
             shard.total_bits,
-            Columns::Database(db_cts),
-            |variant, tile| {
-                let t0 = Instant::now();
-                let c0 = variant.part(0).coeffs();
-                for (dbct, sum) in db_cts.iter().zip(tile.chunks_exact_mut(n)) {
-                    kernels::add_slices(q, dbct.part(0).coeffs(), c0, sum);
-                }
-                stats.add_time += t0.elapsed();
-                stats.hom_adds += db_cts.len() as u64;
-            },
+            query.k,
         );
-        let indices = indices.expect("database columns take no additivity check");
-        (indices, stats)
+        // First flat segment index of the class in hand.
+        let mut base = 0;
+        for class in &query.classes {
+            let segs = &psi[base..base + class.window_segs];
+            for (j, d) in phases.chunks_exact(n).enumerate() {
+                scan.class(class.r, j, d, segs);
+            }
+            base += class.window_segs;
+        }
+        (scan.finish(), stats)
     }
 
     /// The served job for sums added where this process cannot see the
@@ -1369,17 +1405,15 @@ impl ShardScratch {
         total_bits: usize,
         add: impl FnMut(&Ciphertext, &mut [u64]),
     ) -> Result<Vec<usize>, MatchError> {
-        let columns = Columns::FirstSums(polys);
-        self.drive(query, index_gen, total_bits, columns, add)
+        self.drive(query, index_gen, polys, total_bits, add)
     }
 
-    /// The one served index-generation driver. Per variant `(r, p)`:
-    /// gather it out of the packed query — coefficient `c` of each
-    /// component the tile holds (`c0` alone for [`Columns::Database`])
-    /// takes flat segment `base_r + (c − p) mod s_r` — and its row the
-    /// same way out of `Ψ = s·Q.c1`, let `add` fill the tile with its
-    /// sums, and test the tile against `index_gen`'s key while it is in
-    /// cache with the phase scan of
+    /// The in-flash driver. Per variant `(r, p)`: gather both components
+    /// out of the packed query — coefficient `c` takes flat segment
+    /// `base_r + (c − p) mod s_r` — and its row the same way out of
+    /// `Ψ = s·Q.c1`, let `add` fill the tile with its sums, hold their
+    /// `c1` halves to the columns, and test the tile against `index_gen`'s
+    /// key while it is in cache with the phase scan of
     /// [`CiphermatchEngine::generate_indices_with`]: the phase of entry
     /// `(v, j)` at coefficient `c` is `tile.c0 + row + col`. A gathered
     /// `c1` is not a ring element anyone could multiply by `s`; nothing
@@ -1388,20 +1422,21 @@ impl ShardScratch {
         &mut self,
         query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
+        polys: usize,
         total_bits: usize,
-        columns: Columns<'_>,
         mut add: impl FnMut(&Ciphertext, &mut [u64]),
     ) -> Result<Vec<usize>, MatchError> {
         let (engine, dec) = (index_gen.engine(), &index_gen.dec);
         let n = engine.ctx.params().n;
         let q = engine.ctx.rq().modulus();
-        let (polys, ct_size) = columns.shape();
-        let Self {
+        let job = Job(self);
+        let ShardScratch {
             variant,
             tile,
             psi,
             index,
-        } = self;
+            ..
+        } = &mut *job.0;
         let IndexScratch {
             phases,
             rows: row,
@@ -1413,18 +1448,11 @@ impl ShardScratch {
         } = index;
         row.resize(n, 0);
         cols.resize(polys * n, 0);
+        deltas.resize(polys * n, 0);
         psi.resize(query.cts.len() * n, 0);
         line.resize(n, 0);
-        tile.resize(polys * ct_size * n, 0);
+        tile.resize(polys * 2 * n, 0);
         *key_muls = 0;
-        match columns {
-            Columns::Database(db_cts) => {
-                for (ct, col) in db_cts.iter().zip(cols.chunks_exact_mut(n)) {
-                    *key_muls += key_part_into(dec, q, ct, line, col);
-                }
-            }
-            Columns::FirstSums(_) => deltas.resize(polys * n, 0),
-        }
         for (ct, products) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
             *key_muls += key_part_into(dec, q, ct, line, products);
         }
@@ -1433,63 +1461,53 @@ impl ShardScratch {
             stale => stale.insert(Ciphertext::zero(2, n)),
         };
 
-        let indices = 'scan: {
-            let mut scan = PhaseScan::begin(
-                phases,
-                dec,
-                &engine.ctx,
-                &query.classes,
-                polys,
-                total_bits,
-                query.k,
-            );
-            // First flat segment index of the class in hand.
-            let mut base = 0;
-            let mut first = true;
-            for class in &query.classes {
-                let s = class.window_segs;
-                for phase in 0..s {
-                    for (part, poly) in variant.parts_mut()[..ct_size].iter_mut().enumerate() {
-                        let segment = |i| query.flat(part, base + i, n);
-                        replicate(poly.coeffs_mut(), s, phase, segment);
+        let mut scan = PhaseScan::begin(
+            phases,
+            dec,
+            &engine.ctx,
+            &query.classes,
+            polys,
+            total_bits,
+            query.k,
+        );
+        // First flat segment index of the class in hand.
+        let mut base = 0;
+        let mut first = true;
+        for class in &query.classes {
+            let s = class.window_segs;
+            for phase in 0..s {
+                for (part, poly) in variant.parts_mut().iter_mut().enumerate() {
+                    let segment = |i| query.flat(part, base + i, n);
+                    replicate(poly.coeffs_mut(), s, phase, segment);
+                }
+                replicate(row, s, phase, |i| psi[base + i]);
+                add(variant, tile);
+                let c1 = variant.part(1).coeffs();
+                let sums = tile.chunks_exact(2 * n).map(|sum| &sum[n..]);
+                let refs = deltas.chunks_exact_mut(n).zip(cols.chunks_exact_mut(n));
+                for (sum_c1, (delta, col)) in sums.zip(refs) {
+                    if first {
+                        kernels::sub_slices(q, sum_c1, c1, delta);
+                        dec.key_product_into(delta, col);
+                        *key_muls += 1;
+                        continue;
                     }
-                    replicate(row, s, phase, |i| psi[base + i]);
-                    add(variant, tile);
-                    if let Columns::FirstSums(_) = columns {
-                        let c1 = variant.part(1).coeffs();
-                        let sums = tile.chunks_exact(2 * n).map(|sum| &sum[n..]);
-                        let refs = deltas.chunks_exact_mut(n).zip(cols.chunks_exact_mut(n));
-                        for (sum_c1, (delta, col)) in sums.zip(refs) {
-                            if first {
-                                kernels::sub_slices(q, sum_c1, c1, delta);
-                                dec.key_product_into(delta, col);
-                                *key_muls += 1;
-                                continue;
-                            }
-                            kernels::add_slices(q, c1, delta, line);
-                            if line[..] != *sum_c1 {
-                                break 'scan Err(MatchError::Internal(
-                                    "a sum is not its variant plus the column every other variant got",
-                                ));
-                            }
-                        }
-                        first = false;
-                    }
-                    let sums = tile.chunks_exact(ct_size * n);
-                    for (j, (sum, col)) in sums.zip(cols.chunks_exact(n)).enumerate() {
-                        scan.entry((class.r, phase), j, &sum[..n], row, col);
+                    kernels::add_slices(q, c1, delta, line);
+                    if line[..] != *sum_c1 {
+                        return Err(MatchError::Internal(
+                            "a sum is not its variant plus the column every other variant got",
+                        ));
                     }
                 }
-                base += s;
+                first = false;
+                let sums = tile.chunks_exact(2 * n);
+                for (j, (sum, col)) in sums.zip(cols.chunks_exact(n)).enumerate() {
+                    scan.entry((class.r, phase), j, &sum[..n], row, col);
+                }
             }
-            Ok(scan.finish())
-        };
-        // With the resident `c0`s the key products are the range's and the
-        // query's phases: a scratch parked after the job keeps none.
-        for products in [row, cols, psi] {
-            products.fill(0);
+            base += s;
         }
-        indices
+        Ok(scan.finish())
     }
 
     /// [`Self::run`] on a scratch from the process-wide free list (or a
@@ -1672,7 +1690,7 @@ mod tests {
     }
 
     #[test]
-    fn served_job_retains_one_tile_whatever_the_variant_count() {
+    fn served_job_retains_one_phase_plane_whatever_the_variant_count() {
         let ctx = BfvContext::new(BfvParams::ciphermatch_1024());
         let mut rng = StdRng::seed_from_u64(0x711E);
         let kg = KeyGenerator::new(&ctx, &mut rng);
@@ -1687,6 +1705,28 @@ mod tests {
         assert_eq!(polys, 3);
 
         let mut scratch = ShardScratch::default();
+        let retained = |scratch: &ShardScratch, cts: usize, k: usize| {
+            // P × n 32-bit phases, ⌈V/n⌉ × n query phases and one line:
+            // nothing the job keeps grows with V.
+            assert_eq!(scratch.phases.len(), polys * n, "k={k}");
+            assert_eq!(
+                scratch.psi.len(),
+                cts * n,
+                "k={k}: a row of query phases per ciphertext"
+            );
+            assert_eq!(scratch.index.line.len(), n, "k={k}");
+            // No variant gathered, no tile, row, column or additivity
+            // reference.
+            assert!(
+                scratch.variant.is_none() && scratch.tile.is_empty(),
+                "k={k}"
+            );
+            let index = &scratch.index;
+            assert!(index.rows.is_empty() && index.cols.is_empty(), "k={k}");
+            assert!(index.deltas.is_empty(), "k={k}");
+            // ⌈V/n⌉ + P, where the explicit form's table takes V + P − 1.
+            assert_eq!(index.key_muls(), (cts + polys) as u64, "k={k}");
+        };
         for (k, variants) in [(32usize, 47usize), (200, 16 * 13 + 7)] {
             let pattern = data.slice(bpp - 5, k);
             let query = engine.pack_query(&enc, &pattern, &mut rng);
@@ -1695,34 +1735,22 @@ mod tests {
             let (indices, stats) = scratch.run(&db, &query, &index_gen);
             assert_eq!(indices, data.find_all(&pattern));
             assert_eq!(stats.hom_adds, (variants * polys) as u64);
-            // P sums of one component, one variant buffer, one gathered
-            // row, P columns and ⌈V/n⌉ query products: nothing the job
-            // keeps grows with V.
-            assert_eq!(scratch.tile.len(), polys * n, "k={k}");
-            let variant = scratch.variant.as_ref().expect("one variant buffer");
-            assert_eq!((variant.size(), variant.part(0).len()), (2, n), "k={k}");
-            assert_eq!(scratch.psi.len(), n, "k={k}: one row of query products");
-            assert_eq!(scratch.index.rows.len(), n, "k={k}");
-            assert_eq!(scratch.index.cols.len(), polys * n, "k={k}");
-            assert!(scratch.index.deltas.is_empty(), "no additivity reference");
-            // ⌈V/n⌉ + P, where the explicit form's table takes V + P − 1.
-            assert_eq!(scratch.index.key_muls(), (1 + polys) as u64);
+            retained(&scratch, 1, k);
         }
 
-        // V past n: a second ciphertext, a second row of products.
+        // V past n: a second ciphertext, a second row of query phases.
         let k = 16 * 64 + 1;
         let pattern = data.slice(bpp - 5, k);
         let query = engine.pack_query(&enc, &pattern, &mut rng);
         assert_eq!((query.variant_count(), query.ciphertext_count()), (1040, 2));
-        let (indices, _) = scratch.run(&db, &query, &index_gen);
+        let (indices, stats) = scratch.run(&db, &query, &index_gen);
         assert_eq!(indices, data.find_all(&pattern));
-        assert_eq!(scratch.psi.len(), 2 * n);
-        assert_eq!(scratch.tile.len(), polys * n);
-        assert_eq!(scratch.index.key_muls(), (2 + polys) as u64);
+        assert_eq!(stats.hom_adds, (1040 * polys) as u64);
+        retained(&scratch, 2, k);
     }
 
     #[test]
-    fn served_job_adds_only_the_half_its_test_reads() {
+    fn served_job_gathers_no_variant() {
         let (enc, index_gen, db, data, mut rng) =
             served_fixture(BfvParams::insecure_test_pow2(), 0xC0C0);
         let engine = index_gen.engine();
@@ -1731,22 +1759,29 @@ mod tests {
         let query = engine.pack_query(&enc, &pattern, &mut rng);
         let mut scratch = ShardScratch::default();
 
-        // A CM-SW job: one `c0` per polynomial, and the variant's `c1`
-        // never gathered.
+        // A CM-SW job: the range's phases and the query's, folded once;
+        // every entry still counts as one Hom-Add, and the fold is timed.
         let (indices, stats) = scratch.run(&db, &query, &index_gen);
         assert_eq!(indices, data.find_all(&pattern));
         assert_eq!(stats.hom_adds, (query.variant_count() * polys) as u64);
-        assert_eq!(scratch.tile.len(), polys * n);
-        let variant = scratch.variant.as_ref().expect("one variant buffer");
-        assert!(variant.part(0).coeffs().iter().any(|&c| c != 0));
-        assert!(variant.part(1).coeffs().iter().all(|&c| c == 0));
+        assert!(stats.add_time > std::time::Duration::ZERO);
+        assert_eq!(scratch.phases.len(), polys * n);
+        assert!(scratch.variant.is_none() && scratch.tile.is_empty());
 
-        // Sums added elsewhere on the same scratch keep both halves.
+        // Sums added elsewhere on the same scratch gather both halves of
+        // every variant into a tile of two-component sums.
         let got = scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
             engine.sweep_variant(db.ciphertexts(), v, 2, tile, &mut MatchStats::default());
         });
-        assert_eq!(got, Ok(indices));
+        assert_eq!(got, Ok(indices.clone()));
         assert_eq!(scratch.tile.len(), 2 * polys * n);
+        let variant = scratch.variant.as_ref().expect("one variant buffer");
+        assert!(variant
+            .parts()
+            .iter()
+            .all(|p| p.coeffs().iter().any(|&c| c != 0)));
+        // And a CM-SW job after it reads none of what that left.
+        assert_eq!(scratch.run(&db, &query, &index_gen).0, indices);
     }
 
     #[test]
@@ -2174,6 +2209,15 @@ mod tests {
         assert!(run(&stored, None).is_ok());
     }
 
+    /// Whether every key product and phase a job can leave in `scratch`
+    /// is zero.
+    fn cleared(scratch: &ShardScratch) -> bool {
+        let index = &scratch.index;
+        let products = [&index.rows, &index.cols, &index.line, &scratch.psi];
+        products.iter().all(|words| words.iter().all(|&w| w == 0))
+            && scratch.phases.iter().all(|&w| w == 0)
+    }
+
     #[test]
     fn a_finished_job_leaves_no_key_product_behind() {
         let (enc, index_gen, db, data, mut rng) =
@@ -2183,15 +2227,15 @@ mod tests {
         let pattern = data.slice(200, 29);
         let query = engine.pack_query(&enc, &pattern, &mut rng);
         let mut scratch = ShardScratch::default();
-        let cleared = |scratch: &ShardScratch| {
-            let products = [&scratch.index.rows, &scratch.index.cols, &scratch.psi];
-            products
-                .iter()
-                .all(|words| !words.is_empty() && words.iter().all(|&w| w == 0))
-        };
 
         let (indices, _) = scratch.run(&db, &query, &index_gen);
         assert_eq!(indices, data.find_all(&pattern));
+        assert_eq!(
+            scratch.phases.len(),
+            polys * n,
+            "the range's phases were taken"
+        );
+        assert!(!scratch.psi.is_empty() && !scratch.index.line.is_empty());
         assert!(cleared(&scratch), "CM-SW job");
 
         // Sums added elsewhere: a faithful adder, then one that corrupts
@@ -2209,8 +2253,41 @@ mod tests {
                 None => assert_eq!(got, Ok(indices.clone())),
                 Some(_) => assert!(matches!(got, Err(MatchError::Internal(_)))),
             }
+            assert_eq!(
+                scratch.index.cols.len(),
+                polys * n,
+                "the columns were taken"
+            );
             assert!(cleared(&scratch), "in-flash job, corrupted variant {bad:?}");
         }
+    }
+
+    #[test]
+    fn an_unwound_job_leaves_no_key_product_behind() {
+        // An adder that panics on its second call: the columns and the
+        // query's products are taken by then, and the job unwinds past
+        // its own return.
+        let (enc, index_gen, db, data, mut rng) =
+            served_fixture(BfvParams::insecure_test_pow2(), 0x0D1E);
+        let engine = index_gen.engine();
+        let (n, polys) = (engine.ctx.params().n, db.poly_count());
+        let query = engine.pack_query(&enc, &data.slice(120, 29), &mut rng);
+        let mut scratch = ShardScratch::default();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut call = 0;
+            scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
+                assert!(call < 1, "the device failed mid-command");
+                engine.sweep_variant(db.ciphertexts(), v, 2, tile, &mut MatchStats::default());
+                call += 1;
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(
+            scratch.index.cols.len(),
+            polys * n,
+            "the columns were taken"
+        );
+        assert!(cleared(&scratch));
     }
 
     #[test]

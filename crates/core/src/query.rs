@@ -228,7 +228,9 @@ pub fn variant_count(k: usize, seg_bits: usize) -> usize {
 /// variant `(r, p)` reads flat index `base_r + (c − p) mod s_r` at
 /// coefficient `c` — so a server holding its encryption can replicate the
 /// variants itself, coefficient by coefficient (see
-/// [`crate::ShardScratch::run`]).
+/// [`crate::ShardScratch::run_with_adder`]), or read segment `i` of every
+/// variant of class `r` at flat index `base_r + i`
+/// ([`crate::ShardScratch::run`]).
 pub fn pack_segments(classes: &[NegatedClass], n: usize) -> Vec<Plaintext> {
     let flat: Vec<u64> = classes
         .iter()

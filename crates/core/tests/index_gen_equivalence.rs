@@ -566,3 +566,90 @@ fn served_job_on_a_three_component_database_uses_its_whole_key_part() {
     let mixed = EncryptedDatabase::from_ciphertexts(mixed.collect(), data.len());
     assert_eq!(f.served(&mixed, &pattern), data.find_all(&pattern));
 }
+
+#[test]
+fn class_boundaries_agree_on_the_served_job() {
+    // The served job tests every variant of a class in one pass over the
+    // window starts `0..=n − s_r` of a polynomial. Plant one pattern per
+    // class `r` at the first start and at the last, `n − s_r` (the window
+    // ends on the seam or just before it), in the first polynomial and in
+    // the second, for lengths on both sides of one and two segments and
+    // one past two ciphertexts' worth of variants at n = 256 (k = 257).
+    // The four plants are disjoint, so each must be found. An unoptimized
+    // build thins the classes of the paper preset; CI runs the whole grid
+    // in release.
+    for params in presets() {
+        let mut f = Fixture::new(params, 0xC1A5);
+        let (n, seg, bpp) = (
+            f.ctx.params().n,
+            f.engine.packing().seg_bits(),
+            f.bits_per_poly(),
+        );
+        let thin = n > 256 && cfg!(debug_assertions);
+        for k in [1, 15, 16, 17, 31, 32, 33, 257] {
+            let classes = (0..seg).filter(|r| !thin || [0, 1, seg / 2, seg - 1].contains(r));
+            for r in classes {
+                let s = (r + k).div_ceil(seg);
+                let starts = [0, n - s, n, 2 * n - s].map(|c| c * seg + r);
+                let pattern = f.random_bits(k);
+                let mut bits = f.random_bits(2 * bpp + 3 * seg + 1).bits().to_vec();
+                for at in starts {
+                    bits[at..at + k].copy_from_slice(pattern.bits());
+                }
+                let data = BitString::from_bits(&bits);
+                let hits = f.check(&data, &pattern);
+                for at in starts {
+                    assert!(hits.contains(&at), "k={k} r={r} at={at}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_range_whose_last_window_starts_mid_polynomial_agrees() {
+    // The last range of a plan over a half-filled polynomial: the bound on
+    // its window starts, `total_bits − k`, falls in the middle of a
+    // polynomial. For every class, plant the pattern at the last start of
+    // that class the database allows; each range answers what the
+    // plaintext search of its bits and the per-ciphertext reference do,
+    // and the merged list what the search of the whole database does.
+    for params in presets() {
+        let mut f = Fixture::new(params, 0x1A57);
+        let (seg, bpp) = (f.engine.packing().seg_bits(), f.bits_per_poly());
+        let thin = bpp > 2048 && cfg!(debug_assertions);
+        let len = 2 * bpp + bpp / 2 + 5;
+        for k in [1, 17, 33] {
+            let classes = (0..seg).filter(|r| !thin || [0, seg - 1].contains(r));
+            for r in classes {
+                let last = len - k;
+                let at = last - (last % seg + seg - r) % seg;
+                let pattern = f.random_bits(k);
+                let mut bits = f.random_bits(len).bits().to_vec();
+                bits[at..at + k].copy_from_slice(pattern.bits());
+                let data = BitString::from_bits(&bits);
+                let (db, query) = f.encrypt(&data, &pattern);
+                let plan = ShardPlan::new(3, len, bpp, 2, 1).unwrap();
+                let mut per_range = Vec::new();
+                for range in plan.ranges() {
+                    let held = range.held;
+                    let shard = db.subrange(held.clone(), bpp);
+                    let local = data.slice(held.start * bpp, shard.total_bits());
+                    let result = f.engine.search(&shard, &query);
+                    let (batched, reference, _) = f.both(&result);
+                    assert_eq!(reference, local.find_all(&pattern), "k={k} r={r} {held:?}");
+                    assert_eq!(batched, reference, "k={k} r={r} {held:?}");
+                    assert_eq!(
+                        f.served(&shard, &pattern),
+                        reference,
+                        "k={k} r={r} {held:?}"
+                    );
+                    per_range.push(reference);
+                }
+                let merged = plan.merge_indices(&per_range);
+                assert_eq!(merged, data.find_all(&pattern), "k={k} r={r}");
+                assert!(merged.contains(&at), "k={k} r={r}");
+            }
+        }
+    }
+}

@@ -25,8 +25,9 @@
 //!   [`cm_core::compute_pool`]; per-range [`cm_core::MatchStats`] sum to
 //!   the total, and loading a database spawns nothing. Its queries are
 //!   *packed* ([`cm_core::PackedQuery`], wire form `CMQ3`): every negated
-//!   segment once, in `⌈V/n⌉` ciphertexts, and each range job replicates
-//!   the `V` shifted variants itself, on ciphertext coefficients;
+//!   segment once, in `⌈V/n⌉` ciphertexts, and each range job tests the
+//!   `V` shifted variants itself, one alignment class per pass over the
+//!   range's decryption phases;
 //! * [`ShardedCmMatcher`] — that matcher behind
 //!   [`cm_core::ErasedMatcher`] under its serving name, built with a
 //!   shard count: what an operator registers in-process. Uploaded
@@ -36,8 +37,9 @@
 //!   registered *from this crate* so the `cm_core`↔`cm_ssd` dependency
 //!   arrow stays inverted. It takes the same packed query: the
 //!   controller replicates each variant into the latches and runs the
-//!   served index-generation driver ([`cm_core::ShardScratch`]) on the
-//!   sums the flash adds; `stats().flash_wear` stays zero because
+//!   in-flash index-generation driver
+//!   ([`cm_core::ShardScratch::run_with_adder`]) on the sums the flash
+//!   adds; `stats().flash_wear` stays zero because
 //!   `bop_add` never programs or erases;
 //! * [`TenantRegistry`] / [`Tenant`] — tenant id → a
 //!   [`cm_core::MatcherPool`] of K `boxed_clone`'d matchers + key

@@ -73,7 +73,8 @@ pub struct CmIfpServer {
     total_bits: usize,
     poly_count: usize,
     stream_words: usize,
-    /// Index generation's tile, rows and columns, kept between commands.
+    /// Index generation's variant, tile, rows and columns, kept between
+    /// commands.
     scratch: ShardScratch,
     /// The variant in hand as the `u32` stream the latches take.
     variant_words: Vec<u32>,
