@@ -13,7 +13,9 @@
 
 use cm_bench::{fmt_bytes, fmt_time, random_bits, time_per_iter, BfvFixture};
 use cm_bfv::BfvParams;
-use cm_core::{table1_profiles, Backend, BooleanGateCount, CiphermatchEngine, MatcherConfig};
+use cm_core::{
+    table1_profiles, Backend, BooleanGateCount, CiphermatchEngine, MatchStats, MatcherConfig,
+};
 use cm_sim::{
     area_overheads, fig10, fig11, fig12, fig3, fig7, fig8, fig9, storage_overheads,
     CalibrationProfile, HostProfile, SystemConstants,
@@ -212,8 +214,8 @@ fn fig2c() {
         .build()
         .expect("valid config");
     ya.load_database(&db_bits).expect("database encrypts");
-    let _ = ya.find_all(&query).expect("query fits window");
-    let stats = ya.stats();
+    let (_, per_range) = ya.find_all(&query).expect("query fits window");
+    let stats: MatchStats = per_range.iter().sum();
     println!(
         "Hom-Mult: {:>6.1}%  ({} ops, {})",
         100.0 * stats.mult_fraction(),
@@ -591,16 +593,15 @@ fn case_studies() {
     for bases in [8usize, 16, 32, 64, 128] {
         let (read, pos) = genome.sample_read(bases, 0, &mut rng);
         let read_bits = cm_core::BitString::from_dna(&read);
-        matcher.reset_stats();
         let t0 = std::time::Instant::now();
-        let matches = matcher.find_all(&read_bits).expect("read searches");
+        let (matches, per_range) = matcher.find_all(&read_bits).expect("read searches");
         let dt = t0.elapsed().as_secs_f64();
         assert!(matches.contains(&(pos * 2)));
         println!(
             "{:<10} {:>12} {:>10} {:>10}",
             format!("{bases} bp"),
             fmt_time(dt),
-            matcher.stats().hom_adds,
+            per_range.iter().sum::<MatchStats>().hom_adds,
             matches.len()
         );
     }
@@ -617,12 +618,16 @@ fn case_studies() {
     matcher.load_database(&bits).expect("database encrypts");
     let keys = kv.sample_queries(100, &mut rng);
     let t0 = std::time::Instant::now();
+    let mut hom_adds = 0;
     let resolved = keys
         .iter()
         .filter(|key| {
             matcher
                 .find_all(&cm_core::BitString::from_ascii(key))
-                .is_ok_and(|got| got.contains(&(kv.find_record(key).unwrap() * 8)))
+                .is_ok_and(|(got, per_range)| {
+                    hom_adds += per_range.iter().map(|s| s.hom_adds).sum::<u64>();
+                    got.contains(&(kv.find_record(key).unwrap() * 8))
+                })
         })
         .count();
     let dt = t0.elapsed().as_secs_f64();
@@ -630,7 +635,7 @@ fn case_studies() {
         "resolved {resolved}/100 queries in {} ({} per query, {} Hom-Adds total)",
         fmt_time(dt),
         fmt_time(dt / 100.0),
-        matcher.stats().hom_adds
+        hom_adds
     );
     assert_eq!(resolved, 100);
 }

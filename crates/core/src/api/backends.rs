@@ -21,7 +21,7 @@ use crate::api::{Backend, MatchError, MatchStats, SecureMatcher};
 use crate::bits::BitString;
 use crate::exec::{compute_pool, wait_all};
 use crate::kit::QueryKit;
-use crate::matchers::batched::{BatchedDatabase, BatchedEngine};
+use crate::matchers::batched::{BatchedDatabase, BatchedEngine, BatchedQuery};
 use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 use crate::matchers::ciphermatch::{
     EncryptedDatabase, PackedQuery, ShardScratch, TrustedIndexGenerator,
@@ -69,13 +69,6 @@ impl BfvKeys {
     }
 }
 
-/// Engine counters plus the adapter-level extras, in one value.
-fn merged(engine_stats: MatchStats, extra: &MatchStats) -> MatchStats {
-    let mut s = engine_stats;
-    s.merge(extra);
-    s
-}
-
 /// CM-SW behind the unified API: dense packing, `Hom-Add`-only search,
 /// arbitrary query lengths and bit offsets (the paper's contribution) —
 /// the one CM-SW matcher, hosted or sharded.
@@ -87,16 +80,15 @@ fn merged(engine_stats: MatchStats, extra: &MatchStats) -> MatchStats {
 /// ([`EncryptedDatabase::subrange`]): a one-range plan — all
 /// [`crate::MatcherConfig::build`] makes — inline on the calling thread,
 /// more as one job each on the process-wide [`compute_pool`], CM-SW's
-/// one intra-query parallel mechanism. Statistics are kept per range.
+/// one intra-query parallel mechanism. A search reports one
+/// [`MatchStats`] per range.
 #[derive(Debug, Clone)]
 pub struct CiphermatchMatcher {
     keys: BfvKeys,
     /// The engine and the prepared decryptor, as the served job takes
-    /// them; shared with the range jobs in flight and with every clone.
+    /// them; shared with the range jobs in flight.
     index_gen: Arc<TrustedIndexGenerator>,
     shards: usize,
-    /// One entry per range searched so far, never empty.
-    per_range: Vec<MatchStats>,
 }
 
 impl CiphermatchMatcher {
@@ -135,7 +127,6 @@ impl CiphermatchMatcher {
             index_gen: Arc::new(index_gen),
             keys,
             shards,
-            per_range: vec![MatchStats::default()],
         })
     }
 
@@ -156,16 +147,6 @@ impl CiphermatchMatcher {
         let bpp = self.bits_per_poly();
         ShardPlan::new(db.poly_count(), db.total_bits(), bpp, self.shards, 1)
     }
-
-    /// Books one range job: its own counters plus the query broadcast to
-    /// it (every range receives the packed query's ciphertexts).
-    fn record(&mut self, range: usize, query_bytes: u64, swept: &MatchStats) {
-        if self.per_range.len() <= range {
-            self.per_range.resize(range + 1, MatchStats::default());
-        }
-        self.per_range[range].bytes_moved += query_bytes;
-        self.per_range[range].merge(swept);
-    }
 }
 
 impl SecureMatcher for CiphermatchMatcher {
@@ -173,14 +154,13 @@ impl SecureMatcher for CiphermatchMatcher {
     /// Shared, so every range job of a search holds the one query — in
     /// the packed form, whose variants each job derives for itself.
     type Query = Arc<PackedQuery>;
-    type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
         Backend::Ciphermatch
     }
 
     fn encrypt_database<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
@@ -194,7 +174,7 @@ impl SecureMatcher for CiphermatchMatcher {
     }
 
     fn prepare_query<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         query: &BitString,
         rng: &mut R,
     ) -> Result<Self::Query, MatchError> {
@@ -214,21 +194,27 @@ impl SecureMatcher for CiphermatchMatcher {
         )))
     }
 
-    fn find_all<R: Rng + ?Sized>(
-        &mut self,
+    fn find_all(
+        &self,
         db: &Self::Database,
         query: &Self::Query,
-        _rng: &mut R,
+        stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError> {
         let plan = self.plan(db)?;
         let query_bytes = query.byte_size(self.keys.q_bits) as u64;
+        // A range job's own counters plus the query broadcast to it (every
+        // range receives the packed query's ciphertexts).
         let job = |shard: EncryptedDatabase| {
             let (query, index_gen) = (Arc::clone(query), Arc::clone(&self.index_gen));
-            move || ShardScratch::run_pooled(&shard, &query, &index_gen)
+            move || {
+                let (indices, mut swept) = ShardScratch::run_pooled(&shard, &query, &index_gen);
+                swept.bytes_moved += query_bytes;
+                (indices, swept)
+            }
         };
         if plan.shard_count() == 1 {
             let (indices, swept) = job(db.clone())();
-            self.record(0, query_bytes, &swept);
+            stats.push(swept);
             return Ok(indices);
         }
         let (max, got, bpp) = (plan.max_query_bits(), query.k(), self.bits_per_poly());
@@ -240,8 +226,8 @@ impl SecureMatcher for CiphermatchMatcher {
             .map(|r| compute_pool().submit(job(db.subrange(r.held, bpp))))
             .collect();
         let mut per_range = Vec::with_capacity(plan.shard_count());
-        for (range, (indices, swept)) in wait_all(handles)?.into_iter().enumerate() {
-            self.record(range, query_bytes, &swept);
+        for (indices, swept) in wait_all(handles)? {
+            stats.push(swept);
             per_range.push(indices);
         }
         Ok(plan.merge_indices(&per_range))
@@ -274,22 +260,6 @@ impl SecureMatcher for CiphermatchMatcher {
     fn database_bytes(&self, db: &Self::Database) -> u64 {
         db.byte_size(self.keys.q_bits) as u64
     }
-
-    fn stats(&self) -> MatchStats {
-        let mut total = MatchStats::default();
-        for s in &self.per_range {
-            total.merge(s);
-        }
-        total
-    }
-
-    fn shard_stats(&self) -> Vec<MatchStats> {
-        self.per_range.clone()
-    }
-
-    fn reset_stats(&mut self) {
-        self.per_range.fill(MatchStats::default());
-    }
 }
 
 /// Yasuda et al. \[27\] behind the unified API: Hamming-distance matching
@@ -300,7 +270,6 @@ pub struct YasudaMatcher {
     keys: BfvKeys,
     engine: YasudaEngine,
     window: usize,
-    extra: MatchStats,
 }
 
 impl YasudaMatcher {
@@ -322,7 +291,6 @@ impl YasudaMatcher {
             engine: YasudaEngine::new(&keys.ctx),
             keys,
             window,
-            extra: MatchStats::default(),
         })
     }
 }
@@ -330,14 +298,13 @@ impl YasudaMatcher {
 impl SecureMatcher for YasudaMatcher {
     type Database = YasudaDatabase;
     type Query = YasudaQuery;
-    type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
         Backend::Yasuda
     }
 
     fn encrypt_database<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
@@ -347,7 +314,7 @@ impl SecureMatcher for YasudaMatcher {
     }
 
     fn prepare_query<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         query: &BitString,
         rng: &mut R,
     ) -> Result<Self::Query, MatchError> {
@@ -363,11 +330,11 @@ impl SecureMatcher for YasudaMatcher {
         Ok(self.engine.prepare_query(self.keys.encryptor(), query, rng))
     }
 
-    fn find_all<R: Rng + ?Sized>(
-        &mut self,
+    fn find_all(
+        &self,
         db: &Self::Database,
         query: &Self::Query,
-        _rng: &mut R,
+        stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError> {
         if query.k() != db.window() {
             return Err(MatchError::WindowMismatch {
@@ -375,26 +342,16 @@ impl SecureMatcher for YasudaMatcher {
                 got: query.k(),
             });
         }
-        self.extra.bytes_moved += query.byte_size(self.keys.q_bits) as u64;
-        Ok(self
+        let (hits, mut searched) = self
             .engine
-            .search_prepared(self.keys.decryptor(), db, query, 0)
-            .into_iter()
-            .map(|(offset, _)| offset)
-            .collect())
+            .search_prepared(self.keys.decryptor(), db, query, 0);
+        searched.bytes_moved += query.byte_size(self.keys.q_bits) as u64;
+        stats.push(searched);
+        Ok(hits.into_iter().map(|(offset, _)| offset).collect())
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {
         db.byte_size(self.keys.q_bits) as u64
-    }
-
-    fn stats(&self) -> MatchStats {
-        merged(self.engine.stats(), &self.extra)
-    }
-
-    fn reset_stats(&mut self) {
-        self.engine.reset_stats();
-        self.extra = MatchStats::default();
     }
 }
 
@@ -413,7 +370,6 @@ pub struct BatchedMatcher {
     gk: GaloisKeys,
     engine: BatchedEngine,
     window: usize,
-    extra: MatchStats,
 }
 
 impl BatchedMatcher {
@@ -443,22 +399,20 @@ impl BatchedMatcher {
             rk,
             gk,
             window,
-            extra: MatchStats::default(),
         })
     }
 }
 
 impl SecureMatcher for BatchedMatcher {
     type Database = BatchedDatabase;
-    type Query = Vec<u64>;
-    type Stats = MatchStats;
+    type Query = BatchedQuery;
 
     fn backend(&self) -> Backend {
         Backend::Batched
     }
 
     fn encrypt_database<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
@@ -469,9 +423,9 @@ impl SecureMatcher for BatchedMatcher {
     }
 
     fn prepare_query<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         query: &BitString,
-        _rng: &mut R,
+        rng: &mut R,
     ) -> Result<Self::Query, MatchError> {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
@@ -484,14 +438,15 @@ impl SecureMatcher for BatchedMatcher {
         }
         // In this baseline the query stays plaintext on the server (the
         // scheme hides the database, not the pattern).
-        Ok(query.bits().iter().map(|&b| b as u64).collect())
+        let symbols: Vec<u64> = query.bits().iter().map(|&b| b as u64).collect();
+        Ok(self.engine.prepare_query(&symbols, rng))
     }
 
-    fn find_all<R: Rng + ?Sized>(
-        &mut self,
+    fn find_all(
+        &self,
         db: &Self::Database,
         query: &Self::Query,
-        rng: &mut R,
+        stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError> {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
@@ -502,40 +457,27 @@ impl SecureMatcher for BatchedMatcher {
                 got: query.len(),
             });
         }
-        let enc = self.keys.encryptor();
         let dec = self.keys.decryptor();
-        Ok(self
-            .engine
-            .find_all(enc, dec, &self.rk, &self.gk, db, query, rng))
+        let (hits, searched) = self.engine.search(dec, &self.rk, &self.gk, db, query);
+        stats.push(searched);
+        Ok(hits)
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {
         db.byte_size(self.keys.q_bits) as u64
-    }
-
-    fn stats(&self) -> MatchStats {
-        merged(self.engine.stats(), &self.extra)
-    }
-
-    fn reset_stats(&mut self) {
-        self.engine.reset_stats();
-        self.extra = MatchStats::default();
     }
 }
 
 /// The Boolean TFHE baseline \[17, 33\] behind the unified API: one LWE
 /// ciphertext per bit, `2k - 1` bootstrapped gates per window.
 ///
-/// Key material is shared behind [`Arc`] so cloned workers reuse the same
-/// (expensive) bootstrapping key; `bootstraps` is counted analytically via
-/// [`BooleanGateCount`], which the engine's tests pin to the executed gate
-/// count.
-#[derive(Debug, Clone)]
+/// `bootstraps` is counted analytically via [`BooleanGateCount`], which
+/// the engine's tests pin to the executed gate count.
+#[derive(Debug)]
 pub struct BooleanMatcher {
-    client: Arc<ClientKey>,
-    server: Arc<ServerKey>,
+    client: ClientKey,
+    server: ServerKey,
     threads: usize,
-    stats: MatchStats,
 }
 
 impl BooleanMatcher {
@@ -552,10 +494,9 @@ impl BooleanMatcher {
         let client = ClientKey::generate(params, rng);
         let server = ServerKey::generate(&client, rng);
         Ok(Self {
-            client: Arc::new(client),
-            server: Arc::new(server),
+            client,
+            server,
             threads,
-            stats: MatchStats::default(),
         })
     }
 }
@@ -563,23 +504,22 @@ impl BooleanMatcher {
 impl SecureMatcher for BooleanMatcher {
     type Database = BooleanDatabase;
     type Query = Vec<BitCiphertext>;
-    type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
         Backend::Boolean
     }
 
     fn encrypt_database<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
-        let engine = BooleanEngine::new(self.client.as_ref(), self.server.as_ref());
+        let engine = BooleanEngine::new(&self.client, &self.server);
         Ok(engine.encrypt_database(data, rng))
     }
 
     fn prepare_query<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         query: &BitString,
         rng: &mut R,
     ) -> Result<Self::Query, MatchError> {
@@ -589,23 +529,26 @@ impl SecureMatcher for BooleanMatcher {
         Ok(self.client.encrypt_bits(query.bits(), rng))
     }
 
-    fn find_all<R: Rng + ?Sized>(
-        &mut self,
+    fn find_all(
+        &self,
         db: &Self::Database,
         query: &Self::Query,
-        _rng: &mut R,
+        stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError> {
         let k = query.len();
         if k == 0 {
             return Err(MatchError::EmptyQuery);
         }
         if db.len() < k {
+            stats.push(MatchStats::default());
             return Ok(Vec::new());
         }
-        self.stats.bytes_moved +=
-            (query.len() * self.client.params().lwe_ciphertext_bytes()) as u64;
-        self.stats.bootstraps += BooleanGateCount::for_search(db.len(), k).total();
-        let engine = BooleanEngine::new(self.client.as_ref(), self.server.as_ref());
+        stats.push(MatchStats {
+            bytes_moved: (query.len() * self.client.params().lwe_ciphertext_bytes()) as u64,
+            bootstraps: BooleanGateCount::for_search(db.len(), k).total(),
+            ..MatchStats::default()
+        });
+        let engine = BooleanEngine::new(&self.client, &self.server);
         let windows: Vec<usize> = (0..=db.len() - k).collect();
         if self.threads <= 1 {
             return Ok(windows
@@ -632,27 +575,17 @@ impl SecureMatcher for BooleanMatcher {
     fn database_bytes(&self, db: &Self::Database) -> u64 {
         db.byte_size(self.client.params().lwe_dim) as u64
     }
-
-    fn stats(&self) -> MatchStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
-    }
 }
 
 /// The unencrypted word-packed reference matcher (§2.2 / §3.1's "5.9 µs
 /// unencrypted" comparison point) behind the unified API.
 #[derive(Debug, Clone, Default)]
-pub struct PlainMatcher {
-    stats: MatchStats,
-}
+pub struct PlainMatcher;
 
 impl PlainMatcher {
     /// Creates the reference matcher (no keys, no parameters).
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -660,14 +593,13 @@ impl SecureMatcher for PlainMatcher {
     /// Packed once here, scanned by every query.
     type Database = PackedBits;
     type Query = BitString;
-    type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
         Backend::Plain
     }
 
     fn encrypt_database<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         data: &BitString,
         _rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
@@ -675,7 +607,7 @@ impl SecureMatcher for PlainMatcher {
     }
 
     fn prepare_query<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         query: &BitString,
         _rng: &mut R,
     ) -> Result<Self::Query, MatchError> {
@@ -685,13 +617,16 @@ impl SecureMatcher for PlainMatcher {
         Ok(query.clone())
     }
 
-    fn find_all<R: Rng + ?Sized>(
-        &mut self,
+    fn find_all(
+        &self,
         db: &Self::Database,
         query: &Self::Query,
-        _rng: &mut R,
+        stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError> {
-        self.stats.bytes_moved += db.len().div_ceil(8) as u64;
+        stats.push(MatchStats {
+            bytes_moved: db.len().div_ceil(8) as u64,
+            ..MatchStats::default()
+        });
         Ok(db.find_all(query))
     }
 
@@ -724,13 +659,5 @@ impl SecureMatcher for PlainMatcher {
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {
         db.len().div_ceil(8) as u64
-    }
-
-    fn stats(&self) -> MatchStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
     }
 }

@@ -1,14 +1,14 @@
 //! Dynamic backend selection: the [`Backend`] enum, the [`MatcherConfig`]
 //! builder, and the object-safe [`ErasedMatcher`] wrapper that lets
 //! heterogeneous matchers live in one registry (`Vec<Box<dyn
-//! ErasedMatcher>>`) or a [`crate::exec::MatcherPool`].
+//! ErasedMatcher>>`), each shared by every query that reaches it.
 
-use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
 use cm_bfv::BfvParams;
 use cm_tfhe::TfheParams;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::api::backends::{
     BatchedMatcher, BooleanMatcher, CiphermatchMatcher, PlainMatcher, YasudaMatcher,
@@ -120,7 +120,7 @@ impl std::fmt::Display for Backend {
 /// matcher
 ///     .load_database(&BitString::from_ascii("abcabc"))
 ///     .unwrap();
-/// let hits = matcher.find_all(&BitString::from_ascii("bc")).unwrap();
+/// let (hits, _stats) = matcher.find_all(&BitString::from_ascii("bc")).unwrap();
 /// assert_eq!(hits, vec![8, 32]);
 /// ```
 #[derive(Debug, Clone)]
@@ -291,8 +291,9 @@ impl MatcherConfig {
 
 /// The object-safe face of a [`SecureMatcher`]: database and query types
 /// erased, randomness owned, so heterogeneous backends can share a
-/// registry or a [`crate::exec::MatcherPool`].
-pub trait ErasedMatcher: Send {
+/// registry. Searches take `&self` and return their own statistics, so
+/// one matcher answers every concurrent query of its tenant.
+pub trait ErasedMatcher: Send + Sync {
     /// Which backend this matcher is.
     fn backend(&self) -> Backend;
 
@@ -308,15 +309,21 @@ pub trait ErasedMatcher: Send {
     fn database_bytes(&self) -> Option<u64>;
 
     /// Prepares (encrypts) `query` and searches the loaded database,
-    /// returning the matching bit offsets.
-    fn find_all(&mut self, query: &BitString) -> Result<Vec<usize>, MatchError>;
+    /// returning the matching bit offsets with this search's statistics:
+    /// one entry per range it ran on ([`SecureMatcher::find_all`]),
+    /// summing field-wise to its total.
+    fn find_all(&self, query: &BitString) -> Result<(Vec<usize>, Vec<MatchStats>), MatchError>;
 
     /// Searches the loaded database with a query that is *already
     /// encrypted* in the backend's native wire format (the serving path:
     /// the key-owning client encrypted the query remotely and shipped the
-    /// bytes). Backends without a native wire format return
+    /// bytes), returning what [`Self::find_all`] returns. Backends
+    /// without a native wire format return
     /// [`MatchError::WireQueryUnsupported`].
-    fn find_all_wire(&mut self, encoded_query: &[u8]) -> Result<Vec<usize>, MatchError> {
+    fn find_all_wire(
+        &self,
+        encoded_query: &[u8],
+    ) -> Result<(Vec<usize>, Vec<MatchStats>), MatchError> {
         let _ = encoded_query;
         Err(MatchError::WireQueryUnsupported(self.backend()))
     }
@@ -342,49 +349,13 @@ pub trait ErasedMatcher: Send {
         let _ = encoded;
         Err(MatchError::WireDatabaseUnsupported(self.backend()))
     }
-
-    /// Statistics accumulated since construction or the last reset.
-    fn stats(&self) -> MatchStats;
-
-    /// Per-shard statistics, for matchers that split their database across
-    /// execution units. Unsharded matchers report one entry equal to
-    /// [`Self::stats`]; sharded ones report one entry per shard whose
-    /// field-wise sum equals [`Self::stats`].
-    fn shard_stats(&self) -> Vec<MatchStats> {
-        vec![self.stats()]
-    }
-
-    /// An opaque identity token for the loaded database *allocation*
-    /// (`None` when no database is loaded or the matcher does not share
-    /// its database). Two matchers reporting the same token share one
-    /// database in memory — the property a [`crate::exec::MatcherPool`]
-    /// relies on to hold K members without K ciphertext copies.
-    fn database_fingerprint(&self) -> Option<usize> {
-        None
-    }
-
-    /// Resets the statistics counters.
-    fn reset_stats(&mut self);
-
-    /// Replaces the matcher's query-encryption randomness stream (workers
-    /// cloned from one template must not share a stream).
-    fn reseed(&mut self, seed: u64);
-
-    /// Clones this matcher — keys, loaded database, statistics — into a
-    /// new boxed worker. The loaded database is *shared* (same allocation,
-    /// see [`Self::database_fingerprint`]), not deep-copied.
-    fn boxed_clone(&self) -> Box<dyn ErasedMatcher>;
 }
 
-/// Boxes a [`SecureMatcher`] behind [`ErasedMatcher`].
-///
-/// The loaded database lives behind an [`Arc`]: [`ErasedMatcher::boxed_clone`]
-/// shares the same encrypted-database allocation with every worker instead
-/// of deep-copying the ciphertexts (the per-worker clone the ROADMAP
-/// flagged), which [`ErasedMatcher::database_fingerprint`] makes testable.
+/// Boxes a [`SecureMatcher`] behind [`ErasedMatcher`]; `seed` starts the
+/// randomness the matcher encrypts with.
 pub fn erase<M>(matcher: M, seed: u64) -> Box<dyn ErasedMatcher>
 where
-    M: SecureMatcher<Stats = MatchStats> + Clone + Send + 'static,
+    M: SecureMatcher + Send + Sync + 'static,
     M::Database: Send + Sync,
 {
     Box::new(Erased::wrap(matcher, seed))
@@ -392,10 +363,15 @@ where
 
 /// A [`SecureMatcher`] with its loaded database and its randomness: the
 /// concrete [`ErasedMatcher`] behind [`erase`].
+///
+/// The randomness is one stream behind a lock. A database load draws from
+/// it directly; a [`ErasedMatcher::find_all`] query takes the lock only
+/// to draw the seed of a fresh stream of its own, so concurrent queries
+/// never share randomness. A wire query arrives encrypted and draws none.
 pub struct Erased<M: SecureMatcher> {
     matcher: M,
-    db: Option<Arc<M::Database>>,
-    rng: StdRng,
+    db: Option<M::Database>,
+    rng: Mutex<StdRng>,
 }
 
 impl<M: SecureMatcher> Erased<M> {
@@ -403,8 +379,18 @@ impl<M: SecureMatcher> Erased<M> {
         Self {
             matcher,
             db: None,
-            rng: StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15),
+            rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15)),
         }
+    }
+
+    fn database(&self) -> Result<&M::Database, MatchError> {
+        self.db.as_ref().ok_or(MatchError::NoDatabase)
+    }
+
+    fn search(&self, query: &M::Query) -> Result<(Vec<usize>, Vec<MatchStats>), MatchError> {
+        let mut stats = Vec::new();
+        let indices = self.matcher.find_all(self.database()?, query, &mut stats)?;
+        Ok((indices, stats))
     }
 }
 
@@ -435,14 +421,14 @@ impl Erased<CiphermatchMatcher> {
     /// How many ranges a search of the loaded database runs, if one is
     /// loaded.
     pub fn shard_count(&self) -> Option<usize> {
-        let plan = self.matcher.plan(self.db.as_deref()?).ok()?;
+        let plan = self.matcher.plan(self.db.as_ref()?).ok()?;
         Some(plan.shard_count())
     }
 }
 
 impl<M> ErasedMatcher for Erased<M>
 where
-    M: SecureMatcher<Stats = MatchStats> + Clone + Send + 'static,
+    M: SecureMatcher + Send + Sync + 'static,
     M::Database: Send + Sync,
 {
     fn backend(&self) -> Backend {
@@ -450,8 +436,8 @@ where
     }
 
     fn load_database(&mut self, data: &BitString) -> Result<(), MatchError> {
-        let db = self.matcher.encrypt_database(data, &mut self.rng)?;
-        self.db = Some(Arc::new(db));
+        let rng = self.rng.get_mut().unwrap_or_else(PoisonError::into_inner);
+        self.db = Some(self.matcher.encrypt_database(data, rng)?);
         Ok(())
     }
 
@@ -463,60 +449,34 @@ where
         self.db.as_ref().map(|db| self.matcher.database_bytes(db))
     }
 
-    fn find_all(&mut self, query: &BitString) -> Result<Vec<usize>, MatchError> {
-        if self.db.is_none() {
-            return Err(MatchError::NoDatabase);
-        }
-        let q = self.matcher.prepare_query(query, &mut self.rng)?;
-        let db = self.db.clone().ok_or(MatchError::NoDatabase)?;
-        self.matcher.find_all(&db, &q, &mut self.rng)
+    fn find_all(&self, query: &BitString) -> Result<(Vec<usize>, Vec<MatchStats>), MatchError> {
+        // Refused before a query is encrypted for nothing.
+        self.database()?;
+        let seed = self
+            .rng
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .gen();
+        let q = self
+            .matcher
+            .prepare_query(query, &mut StdRng::seed_from_u64(seed))?;
+        self.search(&q)
     }
 
-    fn find_all_wire(&mut self, encoded_query: &[u8]) -> Result<Vec<usize>, MatchError> {
-        let q = self.matcher.decode_query(encoded_query)?;
-        let db = self.db.clone().ok_or(MatchError::NoDatabase)?;
-        self.matcher.find_all(&db, &q, &mut self.rng)
+    fn find_all_wire(
+        &self,
+        encoded_query: &[u8],
+    ) -> Result<(Vec<usize>, Vec<MatchStats>), MatchError> {
+        self.search(&self.matcher.decode_query(encoded_query)?)
     }
 
     fn export_database(&self) -> Result<Vec<u8>, MatchError> {
-        let db = self.db.as_ref().ok_or(MatchError::NoDatabase)?;
-        self.matcher.encode_database(db)
+        self.matcher.encode_database(self.database()?)
     }
 
     fn load_database_wire(&mut self, encoded: &[u8]) -> Result<(), MatchError> {
-        let db = self.matcher.decode_database(encoded)?;
-        self.db = Some(Arc::new(db));
+        self.db = Some(self.matcher.decode_database(encoded)?);
         Ok(())
-    }
-
-    fn database_fingerprint(&self) -> Option<usize> {
-        self.db.as_ref().map(|db| Arc::as_ptr(db) as usize)
-    }
-
-    fn stats(&self) -> MatchStats {
-        self.matcher.stats()
-    }
-
-    fn shard_stats(&self) -> Vec<MatchStats> {
-        self.matcher.shard_stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.matcher.reset_stats();
-    }
-
-    fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-    }
-
-    fn boxed_clone(&self) -> Box<dyn ErasedMatcher> {
-        Box::new(Erased {
-            matcher: self.matcher.clone(),
-            // Clones the Arc, not the ciphertexts: every worker shares one
-            // encrypted-database allocation.
-            db: self.db.clone(),
-            rng: self.rng.clone(),
-        })
     }
 }
 
@@ -554,7 +514,7 @@ mod tests {
 
     #[test]
     fn searching_before_loading_is_a_typed_error() {
-        let mut m = MatcherConfig::new(Backend::Plain).build().unwrap();
+        let m = MatcherConfig::new(Backend::Plain).build().unwrap();
         assert_eq!(
             m.find_all(&BitString::from_ascii("x")).err(),
             Some(MatchError::NoDatabase)
@@ -602,23 +562,6 @@ mod tests {
             MatcherConfig::new(Backend::Ifp).insecure_test().build(),
             Err(MatchError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn cloned_workers_share_one_database_allocation() {
-        // The ROADMAP-flagged inefficiency: session workers used to deep-
-        // copy the whole encrypted database. The fingerprint (allocation
-        // address) proves a clone shares the original's ciphertexts.
-        let mut m = MatcherConfig::new(Backend::Ciphermatch)
-            .insecure_test()
-            .build()
-            .unwrap();
-        assert_eq!(m.database_fingerprint(), None);
-        m.load_database(&BitString::from_ascii("shared, not copied"))
-            .unwrap();
-        let original = m.database_fingerprint().expect("database loaded");
-        let worker = m.boxed_clone();
-        assert_eq!(worker.database_fingerprint(), Some(original));
     }
 
     #[test]
@@ -721,8 +664,12 @@ mod tests {
             host.load_database_wire(&encoded).unwrap();
             assert!(host.has_database());
             for q in [BitString::from_ascii("reload"), data.slice(2040, 24)] {
-                assert_eq!(host.find_all(&q).unwrap(), data.find_all(&q), "{backend}");
-                assert_eq!(owner.find_all(&q).unwrap(), data.find_all(&q), "{backend}");
+                assert_eq!(host.find_all(&q).unwrap().0, data.find_all(&q), "{backend}");
+                assert_eq!(
+                    owner.find_all(&q).unwrap().0,
+                    data.find_all(&q),
+                    "{backend}"
+                );
             }
             // Re-export round-trips byte-exact: the registry's accounting
             // charge is stable across reloads.
@@ -757,18 +704,94 @@ mod tests {
     }
 
     #[test]
-    fn cloned_workers_search_independently() {
+    fn a_shared_matcher_reports_exact_per_query_stats() {
         let mut m = MatcherConfig::new(Backend::Ciphermatch)
             .insecure_test()
-            .seed(3)
+            .seed(9)
             .build()
             .unwrap();
-        let data = BitString::from_ascii("clone me and search");
+        let data = BitString::from_ascii("exact per-query attribution");
         m.load_database(&data).unwrap();
-        let mut w = m.boxed_clone();
-        w.reseed(99);
-        let q = BitString::from_ascii("search");
-        assert_eq!(m.find_all(&q).unwrap(), data.find_all(&q));
-        assert_eq!(w.find_all(&q).unwrap(), data.find_all(&q));
+        let q = BitString::from_ascii("query");
+        let (first, first_stats) = m.find_all(&q).unwrap();
+        let (second, second_stats) = m.find_all(&q).unwrap();
+        assert_eq!(first, data.find_all(&q));
+        assert_eq!(second, data.find_all(&q));
+        // Same query, each search's own figures: identical exact stats,
+        // not an ever-growing lifetime aggregate.
+        let adds = |stats: &[MatchStats]| stats.iter().sum::<MatchStats>().hom_adds;
+        assert!(adds(&first_stats) > 0);
+        assert_eq!(adds(&first_stats), adds(&second_stats));
+    }
+
+    /// CM-SW that keeps the wire bytes of every query it prepares.
+    struct Recording {
+        inner: CiphermatchMatcher,
+        prepared: Mutex<Vec<Vec<u8>>>,
+    }
+
+    impl SecureMatcher for Recording {
+        type Database = <CiphermatchMatcher as SecureMatcher>::Database;
+        type Query = <CiphermatchMatcher as SecureMatcher>::Query;
+
+        fn backend(&self) -> Backend {
+            self.inner.backend()
+        }
+
+        fn encrypt_database<R: Rng + ?Sized>(
+            &self,
+            data: &BitString,
+            rng: &mut R,
+        ) -> Result<Self::Database, MatchError> {
+            self.inner.encrypt_database(data, rng)
+        }
+
+        fn prepare_query<R: Rng + ?Sized>(
+            &self,
+            query: &BitString,
+            rng: &mut R,
+        ) -> Result<Self::Query, MatchError> {
+            let q = self.inner.prepare_query(query, rng)?;
+            self.prepared.lock().unwrap().push(q.encode(32));
+            Ok(q)
+        }
+
+        fn find_all(
+            &self,
+            db: &Self::Database,
+            query: &Self::Query,
+            stats: &mut Vec<MatchStats>,
+        ) -> Result<Vec<usize>, MatchError> {
+            self.inner.find_all(db, query, stats)
+        }
+
+        fn database_bytes(&self, db: &Self::Database) -> u64 {
+            self.inner.database_bytes(db)
+        }
+    }
+
+    #[test]
+    fn shared_bits_queries_draw_their_own_query_streams() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let inner = CiphermatchMatcher::new(BfvParams::insecure_test_add(), 1, &mut rng).unwrap();
+        let prepared = Mutex::default();
+        let mut m = Erased::wrap(Recording { inner, prepared }, 3);
+        let data = BitString::from_ascii("one matcher, two queries, two streams");
+        m.load_database(&data).unwrap();
+        let q = BitString::from_ascii("streams");
+        let m = &m;
+        std::thread::scope(|scope| {
+            let searches: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| m.find_all(&q).unwrap().0))
+                .collect();
+            for search in searches {
+                assert_eq!(search.join().unwrap(), data.find_all(&q));
+            }
+        });
+        // The same pattern encrypted twice: under one reused stream the
+        // two ciphertexts would be byte-identical.
+        let prepared = m.matcher.prepared.lock().unwrap();
+        assert_eq!(prepared.len(), 2);
+        assert_ne!(prepared[0], prepared[1]);
     }
 }

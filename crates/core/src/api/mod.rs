@@ -5,8 +5,8 @@
 //! the unencrypted reference) one surface:
 //!
 //! * [`SecureMatcher`] — the backend-agnostic trait: encrypt a database,
-//!   prepare a query, find all matching bit offsets, report unified
-//!   [`MatchStats`];
+//!   prepare a query, find all matching bit offsets with the unified
+//!   [`MatchStats`] that search spent;
 //! * the key-owning adapters in [`backends`] ([`CiphermatchMatcher`],
 //!   [`YasudaMatcher`], [`BatchedMatcher`], [`BooleanMatcher`],
 //!   [`PlainMatcher`]) implementing it for every engine;
@@ -18,8 +18,8 @@
 //!   panics on malformed input or misconfiguration);
 //! * [`MatchStats`] — one statistics shape for every backend.
 //!
-//! Concurrent queries over one loaded database go through
-//! [`crate::exec::MatcherPool`], as the serving stack does.
+//! One erased matcher serves concurrent queries over its loaded
+//! database: every search takes `&self` and returns its own statistics.
 //!
 //! ```
 //! use cm_core::{Backend, BitString, MatcherConfig};
@@ -28,7 +28,7 @@
 //! for backend in [Backend::Ciphermatch, Backend::Plain] {
 //!     let mut m = MatcherConfig::new(backend).insecure_test().build().unwrap();
 //!     m.load_database(&BitString::from_ascii("needle in haystack")).unwrap();
-//!     let hits = m.find_all(&BitString::from_ascii("needle")).unwrap();
+//!     let (hits, _stats) = m.find_all(&BitString::from_ascii("needle")).unwrap();
 //!     assert_eq!(hits, vec![0]);
 //! }
 //! ```
@@ -58,6 +58,10 @@ use crate::bits::BitString;
 /// strings and all results are **bit offsets** into the database,
 /// whatever the backend's native alphabet.
 ///
+/// Every method takes `&self`: a search is a function of the encrypted
+/// database and one prepared query, and returns the statistics it spent,
+/// so one matcher serves any number of concurrent searches.
+///
 /// The trait is not object-safe (the methods are generic over the RNG);
 /// [`ErasedMatcher`] is the object-safe wrapper for heterogeneous
 /// registries — see [`erase`] and [`MatcherConfig::build`].
@@ -66,34 +70,35 @@ pub trait SecureMatcher {
     type Database;
     /// The backend's prepared-query representation.
     type Query;
-    /// The statistics type; unified to [`MatchStats`] by every
-    /// implementation in this crate.
-    type Stats: Into<MatchStats>;
 
     /// Which [`Backend`] this matcher implements.
     fn backend(&self) -> Backend;
 
     /// Packs and encrypts `data` (client side, done once per database).
     fn encrypt_database<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError>;
 
-    /// Prepares (encrypts) one query (client side, per query).
+    /// Prepares (encrypts) one query (client side, per query). Whatever
+    /// randomness the search needs is drawn here.
     fn prepare_query<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         query: &BitString,
         rng: &mut R,
     ) -> Result<Self::Query, MatchError>;
 
     /// Searches `db` for `query`, returning all matching bit offsets in
-    /// ascending order.
-    fn find_all<R: Rng + ?Sized>(
-        &mut self,
+    /// ascending order, and appends this search's statistics to `stats`:
+    /// one entry per polynomial range for CM-SW, one entry for every
+    /// other backend. The entries sum field-wise to the search's total;
+    /// a caller that reuses `stats` allocates nothing for them.
+    fn find_all(
+        &self,
         db: &Self::Database,
         query: &Self::Query,
-        rng: &mut R,
+        stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError>;
 
     /// Decodes a query that arrived in this backend's native wire format
@@ -127,17 +132,4 @@ pub trait SecureMatcher {
 
     /// Encrypted footprint of `db` in bytes (Fig. 2a's y-axis).
     fn database_bytes(&self, db: &Self::Database) -> u64;
-
-    /// Statistics accumulated since construction or the last reset.
-    fn stats(&self) -> Self::Stats;
-
-    /// Per-shard statistics, for matchers that split a search across
-    /// execution units: one entry per unit, summing field-wise to
-    /// [`Self::stats`]. Everything else reports that total as one entry.
-    fn shard_stats(&self) -> Vec<MatchStats> {
-        vec![self.stats().into()]
-    }
-
-    /// Resets the statistics counters.
-    fn reset_stats(&mut self);
 }

@@ -73,6 +73,17 @@ impl MatchStats {
     }
 }
 
+/// Field-wise total, as [`MatchStats::merge`] accumulates it: one
+/// search's per-range entries sum to its total.
+impl<'a> std::iter::Sum<&'a MatchStats> for MatchStats {
+    fn sum<I: Iterator<Item = &'a MatchStats>>(iter: I) -> Self {
+        iter.fold(MatchStats::default(), |mut total, s| {
+            total.merge(s);
+            total
+        })
+    }
+}
+
 impl std::fmt::Display for MatchStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -86,10 +97,8 @@ impl std::fmt::Display for MatchStats {
 /// Lock-free lifetime totals: per-field atomic accumulation of per-query
 /// [`MatchStats`] plus a query counter.
 ///
-/// This replaces the racy pattern of reset-then-read deltas on one shared
-/// matcher guarded by a mutex: callers take exact per-query stats from an
-/// executor outcome ([`crate::exec::ExecOutcome`]) and [`Self::record`]
-/// them here. A [`Self::snapshot`] taken while queries are in flight is
+/// A search returns its own stats ([`crate::ErasedMatcher::find_all`]),
+/// so callers [`Self::record`] each query's exact figures here. A [`Self::snapshot`] taken while queries are in flight is
 /// field-wise consistent with *some* interleaving of whole-query records
 /// only after the writers quiesce; individual fields are always exact
 /// sums of recorded values.

@@ -14,13 +14,7 @@
 //!   process's thread count does not grow with its tenants;
 //! * [`CompletionHandle`] — a future-without-async for one submitted job:
 //!   block on [`CompletionHandle::wait`], poll with
-//!   [`CompletionHandle::is_finished`], or drop it to detach the job;
-//! * [`ExecOutcome`] — one executed job's result bundled with the
-//!   [`MatchStats`] it accumulated and its wall-clock `elapsed` time, so
-//!   per-query accounting comes from job outcomes instead of racy
-//!   reset/read deltas on shared state;
-//! * [`MatcherPool`] — K `boxed_clone`'d matchers checked out per query,
-//!   the primitive that lets one tenant's queries run concurrently.
+//!   [`CompletionHandle::is_finished`], or drop it to detach the job.
 //!
 //! Worker threads never die with the jobs they run: a panicking job is
 //! caught, reported as [`MatchError::WorkerPanicked`] through its handle,
@@ -30,11 +24,11 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cm_telemetry::{metric_names, Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::api::{ErasedMatcher, MatchError, MatchStats};
+use crate::api::MatchError;
 
 /// A type-erased unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -79,19 +73,6 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // ---------------------------------------------------------------------------
 // Completion handles
 // ---------------------------------------------------------------------------
-
-/// One executed job's result, with the statistics it accumulated and the
-/// wall time it took on its worker.
-#[derive(Debug, Clone)]
-pub struct ExecOutcome<T> {
-    /// What the job returned.
-    pub result: T,
-    /// The [`MatchStats`] this one job accumulated (exact per-job
-    /// attribution — no reset/read delta on shared state).
-    pub stats: MatchStats,
-    /// Wall-clock time the job spent executing on its worker.
-    pub elapsed: Duration,
-}
 
 enum SlotState<T> {
     Pending,
@@ -421,156 +402,11 @@ pub fn compute_pool() -> &'static WorkerPool {
     POOL.get_or_init(|| WorkerPool::new(compute_workers()).expect("starting the compute pool"))
 }
 
-// ---------------------------------------------------------------------------
-// Matcher checkout pools
-// ---------------------------------------------------------------------------
-
-/// K `boxed_clone`'d matchers checked out one per in-flight query.
-///
-/// Clones share the encrypted database (an `Arc` — see
-/// [`ErasedMatcher::database_fingerprint`]), so a pool costs K copies of
-/// the *key material and engine state only*, not K ciphertext copies.
-/// [`MatcherPool::try_run`] checks a matcher out (blocking while all K
-/// are busy), runs the query on the calling thread, and returns the exact
-/// per-query [`MatchStats`] as an [`ExecOutcome`] — the matcher is
-/// exclusively held, so the stats delta cannot race.
-pub struct MatcherPool {
-    idle: Mutex<Vec<Box<dyn ErasedMatcher>>>,
-    cv: Condvar,
-    size: usize,
-}
-
-impl std::fmt::Debug for MatcherPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MatcherPool")
-            .field("size", &self.size)
-            .finish()
-    }
-}
-
-impl MatcherPool {
-    /// Builds a pool of `workers` matchers: the template plus
-    /// `workers - 1` [`ErasedMatcher::boxed_clone`]s, each reseeded with a
-    /// distinct randomness stream derived from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// [`MatchError::InvalidConfig`] for a zero worker count.
-    pub fn new(
-        template: Box<dyn ErasedMatcher>,
-        workers: usize,
-        seed: u64,
-    ) -> Result<Self, MatchError> {
-        if workers == 0 {
-            return Err(MatchError::InvalidConfig("worker count must be positive"));
-        }
-        let mut matchers = Vec::with_capacity(workers);
-        for i in 1..workers {
-            let mut clone = template.boxed_clone();
-            clone.reseed(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            matchers.push(clone);
-        }
-        matchers.push(template);
-        Ok(Self {
-            idle: Mutex::new(matchers),
-            cv: Condvar::new(),
-            size: workers,
-        })
-    }
-
-    /// The pool size K.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Checks a matcher out, blocking while all K are busy. The guard
-    /// returns it to the pool on drop (including during unwinding).
-    pub fn checkout(&self) -> MatcherGuard<'_> {
-        let mut idle = lock_unpoisoned(&self.idle);
-        let matcher = loop {
-            if let Some(m) = idle.pop() {
-                break m;
-            }
-            idle = self
-                .cv
-                .wait(idle)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        };
-        MatcherGuard {
-            pool: self,
-            matcher: Some(matcher),
-        }
-    }
-
-    /// Checks a matcher out, zeroes its counters, runs `f` on it, and
-    /// returns `f`'s result with the exact stats and wall time of this one
-    /// call. A panic inside `f` is caught and surfaced as
-    /// [`MatchError::WorkerPanicked`] instead of unwinding through the
-    /// caller — the serving path's guarantee that a hostile query can
-    /// kill neither its connection worker nor the tenant's pool. The
-    /// checked-out matcher is returned to the pool either way.
-    ///
-    /// # Errors
-    ///
-    /// [`MatchError::WorkerPanicked`] if `f` panicked.
-    pub fn try_run<T>(
-        &self,
-        f: impl FnOnce(&mut dyn ErasedMatcher) -> T,
-    ) -> Result<ExecOutcome<T>, MatchError> {
-        let mut guard = self.checkout();
-        guard.reset_stats();
-        let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| f(&mut *guard)))
-            .map_err(|_| MatchError::WorkerPanicked)?;
-        Ok(ExecOutcome {
-            result,
-            stats: guard.stats(),
-            elapsed: start.elapsed(),
-        })
-    }
-
-    fn give_back(&self, matcher: Box<dyn ErasedMatcher>) {
-        lock_unpoisoned(&self.idle).push(matcher);
-        self.cv.notify_one();
-    }
-}
-
-/// An exclusively checked-out matcher; returns to its pool on drop.
-pub struct MatcherGuard<'a> {
-    pool: &'a MatcherPool,
-    matcher: Option<Box<dyn ErasedMatcher>>,
-}
-
-impl std::ops::Deref for MatcherGuard<'_> {
-    type Target = dyn ErasedMatcher;
-
-    fn deref(&self) -> &Self::Target {
-        self.matcher.as_deref().expect("matcher present until drop")
-    }
-}
-
-impl std::ops::DerefMut for MatcherGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.matcher
-            .as_deref_mut()
-            .expect("matcher present until drop")
-    }
-}
-
-impl Drop for MatcherGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(matcher) = self.matcher.take() {
-            self.pool.give_back(matcher);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Backend, MatcherConfig};
-    use crate::bits::BitString;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn pool_runs_jobs_and_returns_results_in_order() {
@@ -709,60 +545,5 @@ mod tests {
             })
             .collect();
         wait_all(handles).unwrap();
-    }
-
-    #[test]
-    fn matcher_pool_checkout_blocks_until_a_matcher_returns() {
-        let template = MatcherConfig::new(Backend::Plain).build().unwrap();
-        let pool = Arc::new(MatcherPool::new(template, 1, 0).unwrap());
-        let guard = pool.checkout();
-        let pool2 = Arc::clone(&pool);
-        let waiter = std::thread::spawn(move || {
-            let _second = pool2.checkout(); // blocks until the guard drops
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!waiter.is_finished(), "checkout must block while K=1 busy");
-        drop(guard);
-        waiter.join().unwrap();
-    }
-
-    #[test]
-    fn matcher_pool_run_reports_exact_per_query_stats() {
-        let mut template = MatcherConfig::new(Backend::Ciphermatch)
-            .insecure_test()
-            .seed(9)
-            .build()
-            .unwrap();
-        let data = BitString::from_ascii("exact per-query attribution");
-        template.load_database(&data).unwrap();
-        let pool = MatcherPool::new(template, 2, 9).unwrap();
-        let q = BitString::from_ascii("query");
-        let first = pool.try_run(|m| m.find_all(&q).unwrap()).unwrap();
-        let second = pool.try_run(|m| m.find_all(&q).unwrap()).unwrap();
-        assert_eq!(first.result, data.find_all(&q));
-        assert_eq!(second.result, data.find_all(&q));
-        // Same query, zeroed counters each time: identical exact stats,
-        // not an ever-growing lifetime aggregate.
-        assert!(first.stats.hom_adds > 0);
-        assert_eq!(first.stats.hom_adds, second.stats.hom_adds);
-    }
-
-    #[test]
-    fn matcher_pool_clones_share_the_database_allocation() {
-        let mut template = MatcherConfig::new(Backend::Ciphermatch)
-            .insecure_test()
-            .build()
-            .unwrap();
-        template
-            .load_database(&BitString::from_ascii("shared among K workers"))
-            .unwrap();
-        let fingerprint = template.database_fingerprint().unwrap();
-        let pool = MatcherPool::new(template, 3, 1).unwrap();
-        // Hold all three checkouts at once so every distinct pool member
-        // is inspected.
-        let guards = [pool.checkout(), pool.checkout(), pool.checkout()];
-        for guard in &guards {
-            assert_eq!(guard.database_fingerprint(), Some(fingerprint));
-        }
     }
 }

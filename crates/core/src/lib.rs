@@ -32,10 +32,10 @@
 //!     .unwrap();
 //! let data = BitString::from_ascii("find the needle in this haystack");
 //! matcher.load_database(&data).unwrap();
-//! let hits = matcher.find_all(&BitString::from_ascii("needle")).unwrap();
+//! let (hits, per_range) = matcher.find_all(&BitString::from_ascii("needle")).unwrap();
 //! assert_eq!(hits, vec![9 * 8]);
-//! // CM-SW's server ran additions only — visible in the unified stats.
-//! let stats = matcher.stats();
+//! // CM-SW's server ran additions only — visible in the search's stats.
+//! let stats: cm_core::MatchStats = per_range.iter().sum();
 //! assert!(stats.hom_adds > 0);
 //! assert_eq!(stats.hom_muls + stats.rotations + stats.bootstraps, 0);
 //! ```
@@ -76,10 +76,10 @@
 //! per-entry test after checking that the table really is row plus
 //! column; sums the flash added are held to the same check variant by
 //! variant, and a range job that reads its own database needs none.
-//! Concurrent queries on one database check matchers out of an
-//! [`exec::MatcherPool`]; [`exec`] is the work-pool runtime every
-//! concurrent layer of the stack (tenant matcher pools, CM-SW range jobs,
-//! connection handling) runs on.
+//! A search takes `&self` and returns its own [`MatchStats`], so one
+//! matcher answers every concurrent query on its database; [`exec`] is
+//! the work-pool runtime every concurrent layer of the stack (CM-SW
+//! range jobs, connection handling) runs on.
 
 pub mod api;
 mod bits;
@@ -97,13 +97,10 @@ pub use api::{
     YasudaMatcher,
 };
 pub use bits::BitString;
-pub use exec::{
-    compute_pool, fan_out, wait_all, CompletionHandle, ExecOutcome, MatcherGuard, MatcherPool,
-    PoolMetrics, WorkerPool,
-};
+pub use exec::{compute_pool, fan_out, wait_all, CompletionHandle, PoolMetrics, WorkerPool};
 pub use index_gen::{generate_indices, MatchTable};
 pub use kit::QueryKit;
-pub use matchers::batched::{BatchedDatabase, BatchedEngine};
+pub use matchers::batched::{BatchedDatabase, BatchedEngine, BatchedQuery};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
     CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, PackedQuery, SearchResult,

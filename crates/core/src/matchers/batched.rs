@@ -50,13 +50,33 @@ impl BatchedDatabase {
     }
 }
 
+/// A query ready to search: its symbols (plaintext on the server — the
+/// scheme hides the database, not the pattern) and the two random weight
+/// vectors its scores use, drawn when the query is prepared.
+#[derive(Debug, Clone)]
+pub struct BatchedQuery {
+    symbols: Vec<u64>,
+    weights: [Vec<i64>; 2],
+}
+
+impl BatchedQuery {
+    /// Query length in symbols.
+    pub fn len(&self) -> usize {
+        self.symbols.len()
+    }
+
+    /// Whether the query has no symbols.
+    pub fn is_empty(&self) -> bool {
+        self.symbols.is_empty()
+    }
+}
+
 /// The SIMD-batched matching engine.
 #[derive(Debug, Clone)]
 pub struct BatchedEngine {
     ctx: BfvContext,
     encoder: BatchEncoder,
     evaluator: Evaluator,
-    stats: MatchStats,
 }
 
 impl BatchedEngine {
@@ -71,20 +91,7 @@ impl BatchedEngine {
             ctx: ctx.clone(),
             encoder: BatchEncoder::new(ctx),
             evaluator: Evaluator::new(ctx),
-            stats: MatchStats::default(),
         }
-    }
-
-    /// Statistics accumulated so far: `hom_muls` (squarings), `rotations`,
-    /// and `hom_adds` — the "expensive homomorphic operations" Table 1
-    /// attributes to the SIMD-batched approaches.
-    pub fn stats(&self) -> MatchStats {
-        self.stats
-    }
-
-    /// Resets the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
     }
 
     /// Usable slots per block: rotations act within one batching row, so
@@ -148,12 +155,13 @@ impl BatchedEngine {
     /// to ~`1/t^2` (the standard amplification for mod-`t` score
     /// collisions).
     fn block_scores(
-        &mut self,
+        &self,
         block: &Ciphertext,
         query: &[u64],
         weights: &[i64],
         rk: &RelinKey,
         gk: &GaloisKeys,
+        stats: &mut MatchStats,
     ) -> Ciphertext {
         let ev = &self.evaluator;
         let slots = self.encoder.slot_count();
@@ -165,68 +173,78 @@ impl BatchedEngine {
             let broadcast = self.encoder.encode(&vec![qj; slots]);
             let t0 = Instant::now();
             let diff = ev.sub_plain(block, &broadcast);
-            self.stats.add_time += t0.elapsed();
-            self.stats.hom_adds += 1;
+            stats.add_time += t0.elapsed();
+            stats.hom_adds += 1;
             let t1 = Instant::now();
             let sq = ev.relinearize(&ev.multiply(&diff, &diff), rk);
             let weighted = ev.scale_signed(&sq, weights[j]);
             let rotated = ev.rotate_rows(&weighted, j as i64, gk);
-            self.stats.mul_time += t1.elapsed();
-            self.stats.hom_muls += 1;
-            self.stats.rotations += 1;
+            stats.mul_time += t1.elapsed();
+            stats.hom_muls += 1;
+            stats.rotations += 1;
             let t2 = Instant::now();
             acc = Some(match acc {
                 None => rotated,
                 Some(a) => {
-                    self.stats.hom_adds += 1;
+                    stats.hom_adds += 1;
                     ev.add(&a, &rotated)
                 }
             });
-            self.stats.add_time += t2.elapsed();
+            stats.add_time += t2.elapsed();
         }
         acc.expect("query must be non-empty")
     }
 
-    /// Full search: returns the symbol offsets where `query` occurs.
+    /// Prepares `query` for [`Self::search`]: two independent small
+    /// weight vectors drawn from `rng`, so a non-match passes both zero
+    /// tests with probability ~1/t^2.
+    pub fn prepare_query<R: Rng + ?Sized>(&self, query: &[u64], rng: &mut R) -> BatchedQuery {
+        let mut draw = || -> Vec<i64> { (0..query.len()).map(|_| rng.gen_range(1..=7)).collect() };
+        let weights = [draw(), draw()];
+        BatchedQuery {
+            symbols: query.to_vec(),
+            weights,
+        }
+    }
+
+    /// Returns the symbol offsets where `query` occurs, with the search's
+    /// statistics: `hom_muls` (squarings), `rotations`, and `hom_adds` —
+    /// the "expensive homomorphic operations" Table 1 attributes to the
+    /// SIMD-batched approaches.
     ///
     /// # Panics
     ///
     /// Panics if the query is empty or longer than the database blocks
     /// were provisioned for (`max_query`) — the fixed-query-size
     /// restriction of Table 1.
-    #[allow(clippy::too_many_arguments)]
-    pub fn find_all<R: Rng + ?Sized>(
-        &mut self,
-        _enc: &Encryptor,
+    pub fn search(
+        &self,
         dec: &Decryptor,
         rk: &RelinKey,
         gk: &GaloisKeys,
         db: &BatchedDatabase,
-        query: &[u64],
-        rng: &mut R,
-    ) -> Vec<usize> {
-        assert!(!query.is_empty(), "query must be non-empty");
+        query: &BatchedQuery,
+    ) -> (Vec<usize>, MatchStats) {
+        let (symbols, [w1, w2]) = (&query.symbols, &query.weights);
+        assert!(!symbols.is_empty(), "query must be non-empty");
         assert!(
-            query.len() <= db.max_query,
+            symbols.len() <= db.max_query,
             "blocks were provisioned for queries up to {} symbols (Table 1: \
              arithmetic approaches fix the query size)",
             db.max_query
         );
-        // Two independent small weight vectors: a non-match passes both
-        // zero tests with probability ~1/t^2.
-        let w1: Vec<i64> = (0..query.len()).map(|_| rng.gen_range(1..=7)).collect();
-        let w2: Vec<i64> = (0..query.len()).map(|_| rng.gen_range(1..=7)).collect();
         let slots = self.slots_per_block();
         let mut matches = Vec::new();
+        let mut stats = MatchStats::default();
         for (block, &start) in db.blocks.iter().zip(&db.block_starts) {
-            let score1 = self.block_scores(block, query, &w1, rk, gk);
+            let score1 = self.block_scores(block, symbols, w1, rk, gk, &mut stats);
             let s1 = self.encoder.decode(&dec.decrypt(&score1));
-            let score2 = self.block_scores(block, query, &w2, rk, gk);
+            let score2 = self.block_scores(block, symbols, w2, rk, gk, &mut stats);
             let s2 = self.encoder.decode(&dec.decrypt(&score2));
-            let span = slots - query.len() + 1;
+            let span = slots - symbols.len() + 1;
             for a in 0..span {
                 let global = start + a;
-                if global + query.len() > db.total_symbols {
+                if global + symbols.len() > db.total_symbols {
                     break;
                 }
                 if s1[a] == 0 && s2[a] == 0 {
@@ -236,7 +254,7 @@ impl BatchedEngine {
         }
         matches.sort_unstable();
         matches.dedup();
-        matches
+        (matches, stats)
     }
 }
 
@@ -292,12 +310,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let enc = Encryptor::new(&f.ctx, f.pk.clone());
         let dec = Decryptor::new(&f.ctx, f.sk.clone());
-        let mut engine = BatchedEngine::new(&f.ctx);
+        let engine = BatchedEngine::new(&f.ctx);
         let symbols = ascii_symbols("the batched matcher rotates and squares the batch");
         let db = engine.encrypt_database(&enc, &symbols, 8, &mut rng);
         for needle in ["batch", "the", "squares", "absent!"] {
             let q = ascii_symbols(needle);
-            let got = engine.find_all(&enc, &dec, &f.rk, &f.gk, &db, &q, &mut rng);
+            let (got, _) =
+                engine.search(&dec, &f.rk, &f.gk, &db, &engine.prepare_query(&q, &mut rng));
             assert_eq!(got, plain_find(&symbols, &q), "needle {needle}");
         }
     }
@@ -308,7 +327,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let enc = Encryptor::new(&f.ctx, f.pk.clone());
         let dec = Decryptor::new(&f.ctx, f.sk.clone());
-        let mut engine = BatchedEngine::new(&f.ctx);
+        let engine = BatchedEngine::new(&f.ctx);
         // Longer than one block (128 usable slots with n = 256).
         let text: String = (0..300)
             .map(|i| (b'a' + (i * 7 % 26) as u8) as char)
@@ -318,7 +337,7 @@ mod tests {
         assert!(db.block_count() >= 2, "must span blocks");
         // A needle straddling the first block boundary.
         let q: Vec<u64> = symbols[125..131].to_vec();
-        let got = engine.find_all(&enc, &dec, &f.rk, &f.gk, &db, &q, &mut rng);
+        let (got, _) = engine.search(&dec, &f.rk, &f.gk, &db, &engine.prepare_query(&q, &mut rng));
         assert_eq!(got, plain_find(&symbols, &q));
     }
 
@@ -329,10 +348,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let enc = Encryptor::new(&f.ctx, f.pk.clone());
         let dec = Decryptor::new(&f.ctx, f.sk.clone());
-        let mut engine = BatchedEngine::new(&f.ctx);
+        let engine = BatchedEngine::new(&f.ctx);
         let symbols = ascii_symbols("short provision");
         let db = engine.encrypt_database(&enc, &symbols, 4, &mut rng);
         let q = ascii_symbols("toolong");
-        let _ = engine.find_all(&enc, &dec, &f.rk, &f.gk, &db, &q, &mut rng);
+        let _ = engine.search(&dec, &f.rk, &f.gk, &db, &engine.prepare_query(&q, &mut rng));
     }
 }

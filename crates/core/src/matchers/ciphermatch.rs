@@ -1136,8 +1136,8 @@ impl CiphermatchEngine {
 
 /// The trusted index-generation capability living next to the data
 /// (the SSD controller in CM-IFP): an engine and a decryptor prepared
-/// once when the key is provisioned, not per query; the pool members of a
-/// hosted tenant and their range jobs share one.
+/// once when the key is provisioned, not per query; a hosted tenant's
+/// matcher and its range jobs share one.
 ///
 /// Index generation requires seeing whether result coefficients equal the
 /// match polynomial, which randomized HE ciphertexts do not reveal. The
@@ -1218,7 +1218,7 @@ pub struct ShardScratch {
 
 /// Scratches parked between jobs, process-wide: at most one per
 /// worker of [`crate::exec::compute_pool`], so retained
-/// memory is bounded by cores, not by tenants, pool members or
+/// memory is bounded by cores, not by tenants, queries or
 /// ranges.
 static FREE_SCRATCHES: Mutex<Vec<ShardScratch>> = Mutex::new(Vec::new());
 

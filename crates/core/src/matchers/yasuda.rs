@@ -71,7 +71,6 @@ pub struct YasudaEngine {
     ctx: BfvContext,
     packing: SingleBitPacking,
     evaluator: Evaluator,
-    stats: MatchStats,
 }
 
 impl YasudaEngine {
@@ -82,19 +81,7 @@ impl YasudaEngine {
             ctx: ctx.clone(),
             packing: SingleBitPacking::new(ctx),
             evaluator: Evaluator::new(ctx),
-            stats: MatchStats::default(),
         }
-    }
-
-    /// Statistics accumulated so far: `hom_muls`/`mul_time` dominate
-    /// (Fig. 2c's 98.2%), `hom_adds`/`add_time` carry the rest.
-    pub fn stats(&self) -> MatchStats {
-        self.stats
-    }
-
-    /// Resets the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
     }
 
     /// Encrypts the database as overlapping single-bit-packed blocks sized
@@ -146,14 +133,19 @@ impl YasudaEngine {
 
     /// Computes the encrypted Hamming-distance polynomial of one block:
     /// `HD = M (x) Ones + HW(q) - 2 * (M (x) Q)`.
-    fn block_hd(&mut self, block: &Ciphertext, query: &YasudaQuery) -> Ciphertext {
+    fn block_hd(
+        &self,
+        block: &Ciphertext,
+        query: &YasudaQuery,
+        stats: &mut MatchStats,
+    ) -> Ciphertext {
         let ev = &self.evaluator;
 
         let t0 = Instant::now();
         let ip = ev.multiply(block, &query.query_ct);
         let hw_win = ev.multiply(block, &query.ones_ct);
-        self.stats.mul_time += t0.elapsed();
-        self.stats.hom_muls += 2;
+        stats.mul_time += t0.elapsed();
+        stats.hom_muls += 2;
 
         let t1 = Instant::now();
         let neg2ip = ev.scale_signed(&ip, -2);
@@ -168,25 +160,25 @@ impl YasudaEngine {
             c
         }));
         let hd = ev.add_plain(&sum, &hw_q);
-        self.stats.add_time += t1.elapsed();
-        self.stats.hom_adds += 3;
+        stats.add_time += t1.elapsed();
+        stats.hom_adds += 3;
         hd
     }
 
     /// Full secure search: per block, 2 Hom-Mul + 3 Hom-Add, then decrypt
-    /// the HD polynomial and report zero-distance alignments.
+    /// the HD polynomial and report zero-distance alignments, with the
+    /// search's statistics: `hom_muls`/`mul_time` dominate (Fig. 2c's
+    /// 98.2%), `hom_adds`/`add_time` carry the rest.
     pub fn find_all<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         enc: &Encryptor,
         dec: &Decryptor,
         db: &YasudaDatabase,
         query: &BitString,
         rng: &mut R,
-    ) -> Vec<usize> {
-        self.find_within_distance(enc, dec, db, query, 0, rng)
-            .into_iter()
-            .map(|(offset, _)| offset)
-            .collect()
+    ) -> (Vec<usize>, MatchStats) {
+        let (hits, stats) = self.find_within_distance(enc, dec, db, query, 0, rng);
+        (hits.into_iter().map(|(offset, _)| offset).collect(), stats)
     }
 
     /// Approximate secure search: alignments whose Hamming distance to the
@@ -201,14 +193,14 @@ impl YasudaEngine {
     /// Panics if the query length differs from the database layout, or
     /// `max_distance` is not representable below the plaintext modulus.
     pub fn find_within_distance<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         enc: &Encryptor,
         dec: &Decryptor,
         db: &YasudaDatabase,
         query: &BitString,
         max_distance: u64,
         rng: &mut R,
-    ) -> Vec<(usize, u64)> {
+    ) -> (Vec<(usize, u64)>, MatchStats) {
         assert_eq!(
             query.len(),
             db.k,
@@ -222,19 +214,19 @@ impl YasudaEngine {
     /// Distance search over an already-encrypted query (the server/worker
     /// half of [`Self::find_within_distance`]): per block, 2 Hom-Mul +
     /// 3 Hom-Add, then decrypt the HD polynomial and keep alignments
-    /// within `max_distance`.
+    /// within `max_distance`. Returns them with the search's statistics.
     ///
     /// # Panics
     ///
     /// Panics if the query length differs from the database layout, or
     /// `max_distance` is not representable below the plaintext modulus.
     pub fn search_prepared(
-        &mut self,
+        &self,
         dec: &Decryptor,
         db: &YasudaDatabase,
         q: &YasudaQuery,
         max_distance: u64,
-    ) -> Vec<(usize, u64)> {
+    ) -> (Vec<(usize, u64)>, MatchStats) {
         assert_eq!(q.k, db.k, "database blocks were laid out for k = {}", db.k);
         assert!(
             max_distance < self.ctx.params().t / 2,
@@ -242,8 +234,9 @@ impl YasudaEngine {
         );
         let n = self.ctx.params().n;
         let mut matches = Vec::new();
+        let mut stats = MatchStats::default();
         for (b, block) in db.blocks.iter().enumerate() {
-            let hd_ct = self.block_hd(block, q);
+            let hd_ct = self.block_hd(block, q, &mut stats);
             let hd = dec.decrypt(&hd_ct);
             let start = self.packing.block_start(b, q.k);
             let span = (n - q.k + 1).min(db.total_bits.saturating_sub(start + q.k) + 1);
@@ -255,7 +248,7 @@ impl YasudaEngine {
         }
         matches.sort_unstable();
         matches.dedup();
-        matches
+        (matches, stats)
     }
 }
 
@@ -275,10 +268,9 @@ mod tests {
         };
         let enc = Encryptor::new(&ctx, pk);
         let dec = Decryptor::new(&ctx, sk);
-        let mut engine = YasudaEngine::new(&ctx);
+        let engine = YasudaEngine::new(&ctx);
         let db = engine.encrypt_database(&enc, db_bits, query_bits.len(), &mut rng);
-        let got = engine.find_all(&enc, &dec, &db, query_bits, &mut rng);
-        (got, engine.stats())
+        engine.find_all(&enc, &dec, &db, query_bits, &mut rng)
     }
 
     #[test]
@@ -332,7 +324,7 @@ mod tests {
         };
         let enc = Encryptor::new(&ctx, pk);
         let dec = Decryptor::new(&ctx, sk);
-        let mut engine = YasudaEngine::new(&ctx);
+        let engine = YasudaEngine::new(&ctx);
 
         let db = BitString::from_ascii("approximate hamming distance search");
         let mut noisy: Vec<bool> = db.slice(2 * 8, 24).bits().to_vec();
@@ -341,12 +333,12 @@ mod tests {
         let q = BitString::from_bits(&noisy);
 
         let ydb = engine.encrypt_database(&enc, &db, q.len(), &mut rng);
-        let exact = engine.find_all(&enc, &dec, &ydb, &q, &mut rng);
+        let (exact, _) = engine.find_all(&enc, &dec, &ydb, &q, &mut rng);
         assert!(exact.is_empty(), "corrupted query must not match exactly");
-        let approx = engine.find_within_distance(&enc, &dec, &ydb, &q, 2, &mut rng);
+        let (approx, _) = engine.find_within_distance(&enc, &dec, &ydb, &q, 2, &mut rng);
         assert!(approx.contains(&(16, 2)), "expected (16, 2) in {approx:?}");
         // Tightening the threshold excludes it again.
-        let tight = engine.find_within_distance(&enc, &dec, &ydb, &q, 1, &mut rng);
+        let (tight, _) = engine.find_within_distance(&enc, &dec, &ydb, &q, 1, &mut rng);
         assert!(!tight.iter().any(|&(o, _)| o == 16));
     }
 

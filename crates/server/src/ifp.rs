@@ -16,7 +16,7 @@
 //! first variant's sums and every later sum checked against them (what
 //! that check proves is stated at [`cm_core::ShardScratch::run_with_adder`]).
 //!
-//! The matcher's [`MatchStats`] gain meaning here: `hom_adds` counts the
+//! A search's [`MatchStats`] gain meaning here: `hom_adds` counts the
 //! additions executed *inside the flash array* (one per variant ×
 //! polynomial, exactly like CM-SW), and `flash_wear` counts program/erase
 //! cycles — which the latch-only `bop_add` µ-program keeps at **zero**,
@@ -80,7 +80,6 @@ pub struct IfpMatcher {
     q_bits: u32,
     geometry: FlashGeometry,
     mode: TransposeMode,
-    stats: MatchStats,
 }
 
 impl std::fmt::Debug for IfpMatcher {
@@ -129,7 +128,6 @@ impl IfpMatcher {
             ctx,
             geometry,
             mode,
-            stats: MatchStats::default(),
         })
     }
 
@@ -164,14 +162,13 @@ impl IfpMatcher {
 impl SecureMatcher for IfpMatcher {
     type Database = IfpDatabase;
     type Query = PackedQuery;
-    type Stats = MatchStats;
 
     fn backend(&self) -> Backend {
         Backend::Ifp
     }
 
     fn encrypt_database<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
@@ -193,7 +190,7 @@ impl SecureMatcher for IfpMatcher {
     }
 
     fn prepare_query<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         query: &BitString,
         rng: &mut R,
     ) -> Result<Self::Query, MatchError> {
@@ -212,21 +209,24 @@ impl SecureMatcher for IfpMatcher {
         )?)
     }
 
-    fn find_all<R: Rng + ?Sized>(
-        &mut self,
+    fn find_all(
+        &self,
         db: &Self::Database,
         query: &Self::Query,
-        _rng: &mut R,
+        stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError> {
-        self.stats.bytes_moved += query.byte_size(self.q_bits) as u64;
         let (indices, reports) = {
             let mut server = db.server.lock().map_err(|_| MatchError::WorkerPanicked)?;
             server.cm_search_command(query, &self.index_gen)?
         };
-        // In-flash additions are Hom-Adds: one per variant × polynomial,
-        // the same count CM-SW's software sweep reports.
-        self.stats.hom_adds += (reports.len() * db.poly_count) as u64;
-        self.stats.flash_wear += reports.iter().map(|r| r.ledger.wear()).sum::<u64>();
+        stats.push(MatchStats {
+            bytes_moved: query.byte_size(self.q_bits) as u64,
+            // In-flash additions are Hom-Adds: one per variant ×
+            // polynomial, the same count CM-SW's software sweep reports.
+            hom_adds: (reports.len() * db.poly_count) as u64,
+            flash_wear: reports.iter().map(|r| r.ledger.wear()).sum(),
+            ..MatchStats::default()
+        });
         Ok(indices)
     }
 
@@ -266,14 +266,6 @@ impl SecureMatcher for IfpMatcher {
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {
         db.bytes
-    }
-
-    fn stats(&self) -> MatchStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
     }
 }
 
@@ -316,8 +308,11 @@ mod tests {
         let data = BitString::from_ascii("the flash array adds without wearing out");
         erased.load_database(&data).unwrap();
         let pattern = BitString::from_ascii("without");
-        assert_eq!(erased.find_all(&pattern).unwrap(), data.find_all(&pattern));
-        let stats = erased.stats();
+        let (hits, per_range) = erased.find_all(&pattern).unwrap();
+        assert_eq!(hits, data.find_all(&pattern));
+        let [stats] = per_range[..] else {
+            panic!("one device, one entry: {per_range:?}")
+        };
         assert!(stats.hom_adds > 0, "in-flash additions are counted");
         assert_eq!(stats.flash_wear, 0, "bop_add must not program or erase");
         assert_eq!(stats.hom_muls + stats.rotations + stats.bootstraps, 0);
@@ -334,7 +329,7 @@ mod tests {
         let pattern = BitString::from_ascii("flash");
         let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
         assert_eq!(
-            erased.find_all_wire(&encoded).unwrap(),
+            erased.find_all_wire(&encoded).unwrap().0,
             data.find_all(&pattern)
         );
         assert!(matches!(
@@ -381,7 +376,7 @@ mod tests {
             .pack_query(&client.enc, &pattern, &mut rng)
             .encode(33);
         assert_eq!(
-            server.find_all_wire(&old_query).unwrap(),
+            server.find_all_wire(&old_query).unwrap().0,
             data.find_all(&pattern)
         );
         // Re-exported, the database takes the 4-byte width.
@@ -401,7 +396,10 @@ mod tests {
         let mut server = erase(IfpMatcher::for_spec(42, true).unwrap(), 43);
         server.load_database_wire(&encoded).unwrap();
         let pattern = BitString::from_ascii("master");
-        assert_eq!(server.find_all(&pattern).unwrap(), data.find_all(&pattern));
+        assert_eq!(
+            server.find_all(&pattern).unwrap().0,
+            data.find_all(&pattern)
+        );
         // Re-export is bit-identical: the read-back path is lossless.
         assert_eq!(server.export_database().unwrap(), encoded);
     }
@@ -429,16 +427,5 @@ mod tests {
             matcher.decode_database(&encoded).unwrap_err(),
             MatchError::InvalidConfig(_)
         ));
-    }
-
-    #[test]
-    fn erased_clones_share_the_ssd_device() {
-        let mut erased = erase(new_matcher(7), 7);
-        erased
-            .load_database(&BitString::from_ascii("one drive, many workers"))
-            .unwrap();
-        let clone = erased.boxed_clone();
-        assert_eq!(erased.database_fingerprint(), clone.database_fingerprint());
-        assert!(erased.database_fingerprint().is_some());
     }
 }

@@ -39,13 +39,13 @@
 //!   controller replicates each variant into the latches and runs the
 //!   in-flash index-generation driver
 //!   ([`cm_core::ShardScratch::run_with_adder`]) on the sums the flash
-//!   adds; `stats().flash_wear` stays zero because
+//!   adds; a search's `flash_wear` stays zero because
 //!   `bop_add` never programs or erases;
-//! * [`TenantRegistry`] / [`Tenant`] — tenant id → a
-//!   [`cm_core::MatcherPool`] of K `boxed_clone`'d matchers + key
-//!   material ([`cm_ssd::SecureIndexChannel`]), one key domain per
-//!   tenant, many tenants per process; up to K queries per tenant run
-//!   concurrently, each on an exclusively checked-out matcher. The
+//! * [`TenantRegistry`] / [`Tenant`] — tenant id → one shared erased
+//!   matcher + key material ([`cm_ssd::SecureIndexChannel`]), one key
+//!   domain per tenant, many tenants per process; up to K queries per
+//!   tenant run concurrently on that matcher (a counting limit — a
+//!   search takes `&self` and returns its own stats). The
 //!   registry owns the **remote database lifecycle**: serialized
 //!   encrypted databases are uploaded chunked over the wire
 //!   ([`Request::LoadDatabase`], authorized by proof-of-possession of

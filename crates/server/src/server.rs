@@ -24,7 +24,7 @@
 //! upload-session affinity. A blocked pump need not *help* (run queued
 //! jobs instead of parking): nothing it waits for needs a pump. Range
 //! jobs run on the disjoint `cm_core::compute_pool` and wait on nothing,
-//! a checked-out matcher is held by a running pump, registry and
+//! a tenant's query slot is held by a running pump, registry and
 //! cold-store locks are short, and builds run inline. Request handling
 //! errors travel back as [`Response::Error`] frames; framing violations
 //! get one typed farewell frame before the connection closes. Shutdown

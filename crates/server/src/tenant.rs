@@ -1,21 +1,21 @@
 //! Multi-tenant state: one key domain per tenant, many tenants per
 //! process — with a full remote database lifecycle.
 //!
-//! Each [`Tenant`] bundles a [`MatcherPool`] of K `boxed_clone`'d erased
-//! matchers (which share the tenant's encrypted database by `Arc` and own
-//! its HE key material) with the tenant's AES index channel
-//! ([`cm_ssd::SecureIndexChannel`]) and lock-free lifetime statistics
-//! ([`cm_core::StatsAccumulator`]). The [`TenantRegistry`] maps tenant
-//! ids to tenants and is shared by every connection worker. Queries for
-//! *different* tenants never contend, and up to K queries for the *same*
-//! tenant run concurrently — each one checks a matcher out of the pool
-//! for its exclusive use, so per-query [`MatchStats`] come from the job's
-//! [`cm_core::ExecOutcome`] instead of a racy reset/read delta on one
-//! shared matcher behind a mutex.
+//! Each [`Tenant`] bundles one erased matcher (which holds the tenant's
+//! encrypted database and its HE key material) with the tenant's AES
+//! index channel ([`cm_ssd::SecureIndexChannel`]) and lock-free lifetime
+//! statistics ([`cm_core::StatsAccumulator`]). The [`TenantRegistry`]
+//! maps tenant ids to tenants and is shared by every connection worker.
+//! Queries for *different* tenants never contend, and up to K queries
+//! for the *same* tenant run concurrently on its one matcher — a search
+//! takes `&self` and returns its own [`MatchStats`], so per-query
+//! figures are exact however queries overlap. K is a counter: the
+//! K + 1st query waits for one of the K to finish.
 //!
-//! That checkout is the middle of a Match's three stages: a frame-pool
-//! worker (`crate::server`) decodes the request and blocks here for a
-//! matcher; the matcher then runs the query inline on that same thread
+//! That wait is the middle of a Match's three stages: a frame-pool
+//! worker (`crate::server`) decodes the request and, if K of the
+//! tenant's queries are running, blocks here; the matcher then runs the
+//! query inline on that same thread
 //! (every backend; CM-SW's one matcher, [`cm_core::CiphermatchMatcher`],
 //! when its plan is one polynomial range, as every uploaded tenant's is)
 //! or — CM-SW built with a shard count, [`crate::ShardedCmMatcher`] —
@@ -37,19 +37,19 @@
 //!
 //! | state | in host RAM | in `ColdStore` | answers a Match | leaves by |
 //! |---|---|---|---|---|
-//! | **in-process** (`register*`) | live pool with its key material; charged the matcher's `database_bytes` | nothing | its pool | evict only — live keys cannot be rebuilt from bytes, so it is never demoted |
-//! | **hot** (`register_remote`) | live pool plus the serialized upload; charged the serialized length | nothing | its pool | **demote** (budget pressure, LRU-first among unpinned) → cold, or → parked for `ifp`: one program per page to `flash_wear`, the length to `bytes_moved`, both charged to the victim; re-upload or evict: free |
-//! | **cold** | nothing — the flash pages are the only copy | the master copy | nobody: a Match promotes first | **promote** → hot: pages read back and the pool rebuilt on the calling thread; reads are wear-free (`flash_wear` + 0), the length to `bytes_moved`, charged once at install; re-upload or evict: pages released, no charge |
-//! | **parked** (`ifp` only) | the parked pool — small key material and the SSD device handle, not charged | the master copy | the parked pool, straight from its device (a *cold hit*: no rebuild, no promotion) | [`TenantRegistry::get`] promotes like cold but reuses the parked pool, so its nonce counter stays monotone; re-upload or evict as cold |
+//! | **in-process** (`register*`) | live matcher with its key material; charged the matcher's `database_bytes` | nothing | its matcher | evict only — live keys cannot be rebuilt from bytes, so it is never demoted |
+//! | **hot** (`register_remote`) | live matcher plus the serialized upload; charged the serialized length | nothing | its matcher | **demote** (budget pressure, LRU-first among unpinned) → cold, or → parked for `ifp`: one program per page to `flash_wear`, the length to `bytes_moved`, both charged to the victim; re-upload or evict: free |
+//! | **cold** | nothing — the flash pages are the only copy | the master copy | nobody: a Match promotes first | **promote** → hot: pages read back and the matcher rebuilt on the calling thread; reads are wear-free (`flash_wear` + 0), the length to `bytes_moved`, charged once at install; re-upload or evict: pages released, no charge |
+//! | **parked** (`ifp` only) | the parked matcher — small key material and the SSD device handle, not charged | the master copy | the parked matcher, straight from its device (a *cold hit*: no rebuild, no promotion) | [`TenantRegistry::get`] promotes like cold but reuses the parked tenant, so its nonce counter stays monotone; re-upload or evict as cold |
 //!
 //! Admitting a database past the budget demotes least-recently-used
 //! unpinned hot tenants until it fits. In-flight queries on a demoted
 //! tenant finish on their own `Arc` clone unharmed, and each rebuilt
-//! pool seals replies under a fresh nonce prefix, so demotion cycles
+//! tenant seals replies under a fresh nonce prefix, so demotion cycles
 //! never reuse an AES-CTR keystream. [`Backend::Ifp`] tenants are
 //! **flash-native** — their database already lives in a simulated SSD's
-//! CIPHERMATCH region — which is why demotion parks their pool instead
-//! of dropping it: cold is IFP's native tier, not a penalty.
+//! CIPHERMATCH region — which is why demotion parks their matcher
+//! instead of dropping it: cold is IFP's native tier, not a penalty.
 //!
 //! ## Authorization
 //!
@@ -69,12 +69,10 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-use cm_core::{
-    Backend, BitString, ErasedMatcher, MatchError, MatchStats, MatcherPool, StatsAccumulator,
-};
+use cm_core::{Backend, BitString, ErasedMatcher, MatchError, MatchStats, StatsAccumulator};
 use cm_ssd::{ColdSlot, ColdStore, SecureIndexChannel};
 use cm_telemetry::{metric_names, Counter, Gauge, MetricsRegistry};
 
@@ -84,9 +82,9 @@ use crate::wire::{
     QueryPayload, TenantInfo, TenantSpec, UploadAuth, OP_EVICT,
 };
 
-/// Matcher-pool size [`TenantRegistry::register`] provisions when the
-/// caller does not choose one ([`TenantRegistry::register_with_workers`]
-/// does): up to this many queries per tenant run concurrently.
+/// The K [`TenantRegistry::register`] provisions when the caller does not
+/// choose one ([`TenantRegistry::register_with_workers`] does): up to
+/// this many queries per tenant run concurrently.
 pub const DEFAULT_TENANT_WORKERS: usize = 4;
 
 /// The result of one tenant query, ready to serialize.
@@ -100,7 +98,7 @@ pub struct MatchedReply {
     pub stats: MatchStats,
     /// Per-shard breakdown of `stats`.
     pub shard_stats: Vec<MatchStats>,
-    /// Wall-clock time the query spent on its checked-out matcher.
+    /// Wall-clock time the query spent in its matcher.
     pub elapsed: Duration,
     /// Modeled hardware latency of the sealing step.
     pub seal_latency: Duration,
@@ -117,11 +115,60 @@ pub struct RemoteLoad {
     pub demoted: Vec<String>,
 }
 
+/// At most K of a tenant's queries run at once; the next one waits.
+struct Limit {
+    running: Mutex<usize>,
+    freed: Condvar,
+    k: usize,
+}
+
+impl Limit {
+    /// A limit of `k` queries at once.
+    ///
+    /// # Errors
+    ///
+    /// [`MatchError::InvalidConfig`] for a zero `k`.
+    fn new(k: usize) -> Result<Self, MatchError> {
+        if k == 0 {
+            return Err(MatchError::InvalidConfig("worker count must be positive"));
+        }
+        Ok(Self {
+            running: Mutex::new(0),
+            freed: Condvar::new(),
+            k,
+        })
+    }
+
+    /// Blocks while K queries run; the permit frees its slot when it
+    /// drops, on unwind too.
+    fn enter(&self) -> Permit<'_> {
+        let mut running = lock_unpoisoned(&self.running);
+        while *running == self.k {
+            running = self
+                .freed
+                .wait(running)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        *running += 1;
+        Permit(self)
+    }
+}
+
+/// One running query's slot in its tenant's [`Limit`].
+struct Permit<'a>(&'a Limit);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock_unpoisoned(&self.0.running) -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
 /// One registered key owner.
 pub struct Tenant {
     id: String,
-    backend: Backend,
-    pool: MatcherPool,
+    matcher: Box<dyn ErasedMatcher>,
+    limit: Limit,
     channel: SecureIndexChannel,
     // AES-CTR keystreams must never repeat under one channel key: the
     // nonce is a tenant-wide monotonic counter, never client input. Its
@@ -146,24 +193,12 @@ fn nonce_prefix() -> u64 {
     mixed << 32
 }
 
-/// A deterministic per-tenant seed so pool members get distinct
-/// randomness streams that differ between tenants too.
-fn tenant_seed(id: &str) -> u64 {
-    // FNV-1a over the id bytes.
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in id.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 impl std::fmt::Debug for Tenant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tenant")
             .field("id", &self.id)
-            .field("backend", &self.backend)
-            .field("workers", &self.pool.size())
+            .field("backend", &self.backend())
+            .field("workers", &self.limit.k)
             .finish()
     }
 }
@@ -171,15 +206,15 @@ impl std::fmt::Debug for Tenant {
 impl Tenant {
     fn assemble(
         id: &str,
-        backend: Backend,
-        pool: MatcherPool,
+        matcher: Box<dyn ErasedMatcher>,
+        limit: Limit,
         channel_key: &[u8; 32],
         totals: Arc<StatsAccumulator>,
     ) -> Arc<Self> {
         Arc::new(Self {
             id: id.to_string(),
-            backend,
-            pool,
+            matcher,
+            limit,
             channel: SecureIndexChannel::new(channel_key),
             next_nonce: AtomicU64::new(nonce_prefix() | 1),
             totals,
@@ -193,18 +228,17 @@ impl Tenant {
 
     /// The backend serving this tenant.
     pub fn backend(&self) -> Backend {
-        self.backend
+        self.matcher.backend()
     }
 
-    /// The matcher-pool size K: how many of this tenant's queries can run
-    /// concurrently.
+    /// K: how many of this tenant's queries can run concurrently.
     pub fn workers(&self) -> usize {
-        self.pool.size()
+        self.limit.k
     }
 
-    /// Runs one query on a matcher checked out of the tenant's pool
-    /// (blocking while all K are busy) and seals the resulting index list
-    /// under a fresh server-assigned nonce (returned in the reply).
+    /// Runs one query on the tenant's matcher (blocking while K queries
+    /// run) and seals the resulting index list under a fresh
+    /// server-assigned nonce (returned in the reply).
     ///
     /// # Errors
     ///
@@ -213,25 +247,24 @@ impl Tenant {
     /// [`MatchError::WorkerPanicked`] instead of unwinding the serving
     /// thread.
     pub fn run(&self, query: &QueryPayload) -> Result<MatchedReply, MatchError> {
-        let outcome = self.pool.try_run(|matcher| {
-            let indices = match query {
-                QueryPayload::Bits(bits) => matcher.find_all(bits),
-                QueryPayload::CmWire(bytes) => matcher.find_all_wire(bytes),
-            };
-            let shard_stats = matcher.shard_stats();
-            (indices, shard_stats)
-        })?;
-        let (indices, shard_stats) = outcome.result;
-        let indices = indices?;
+        let _permit = self.limit.enter();
+        let start = Instant::now();
+        let (indices, shard_stats) = catch_unwind(AssertUnwindSafe(|| match query {
+            QueryPayload::Bits(bits) => self.matcher.find_all(bits),
+            QueryPayload::CmWire(bytes) => self.matcher.find_all_wire(bytes),
+        }))
+        .map_err(|_| MatchError::WorkerPanicked)??;
+        let elapsed = start.elapsed();
+        let stats = shard_stats.iter().sum();
         let nonce = self.next_nonce.fetch_add(1, Ordering::Relaxed);
         let (sealed_indices, latency) = self.channel.seal(&indices, nonce);
-        self.totals.record(&outcome.stats);
+        self.totals.record(&stats);
         Ok(MatchedReply {
             nonce,
             sealed_indices,
-            stats: outcome.stats,
+            stats,
             shard_stats,
-            elapsed: outcome.elapsed,
+            elapsed,
             seal_latency: Duration::from_secs_f64(latency),
         })
     }
@@ -253,8 +286,8 @@ struct AuthRecord {
     last_nonce: u64,
 }
 
-/// A hot remote tenant: its live pool, the spec to rebuild it from, and
-/// the serialized upload staged for a demotion.
+/// A hot remote tenant: its live matcher, the spec to rebuild it from,
+/// and the serialized upload staged for a demotion.
 struct HotRemote {
     tenant: Arc<Tenant>,
     spec: TenantSpec,
@@ -263,7 +296,7 @@ struct HotRemote {
 
 impl HotRemote {
     /// The tier this tenant demotes to once `slot` holds its bytes: a
-    /// flash-native pool is parked, any other is dropped (in-flight
+    /// flash-native tenant is parked, any other is dropped (in-flight
     /// queries finish on their own `Arc` clone).
     fn demoted(&self, slot: ColdSlot) -> Tier {
         let spec = self.spec.clone();
@@ -288,7 +321,7 @@ enum Tier {
     Hot(HotRemote),
     /// Demoted: `slot` names the flash pages holding the only copy.
     Cold { spec: TenantSpec, slot: ColdSlot },
-    /// A demoted `ifp` tenant: as `Cold`, plus the parked pool that
+    /// A demoted `ifp` tenant: as `Cold`, plus the parked tenant that
     /// keeps answering from its device.
     Parked {
         tenant: Arc<Tenant>,
@@ -339,8 +372,7 @@ impl Tier {
         }
     }
 
-    /// Matcher-pool size K (of the pool a promotion would rebuild, while
-    /// cold).
+    /// K (of the tenant a promotion would rebuild, while cold).
     fn workers(&self) -> usize {
         match self {
             Self::InProcess { tenant, .. } => tenant.workers(),
@@ -557,7 +589,7 @@ enum Lookup {
 struct Ticket {
     spec: TenantSpec,
     slot: ColdSlot,
-    /// The parked pool, which a promotion reuses instead of rebuilding.
+    /// The parked tenant, which a promotion reuses instead of rebuilding.
     parked: Option<Arc<Tenant>>,
     /// The entry's generation when the ticket was cut.
     generation: u64,
@@ -677,8 +709,8 @@ impl TenantRegistry {
         })
     }
 
-    /// Registers a tenant with [`DEFAULT_TENANT_WORKERS`] pool members:
-    /// loads `database` into `matcher` (encrypting it under the matcher's
+    /// Registers a tenant whose K is [`DEFAULT_TENANT_WORKERS`]: loads
+    /// `database` into `matcher` (encrypting it under the matcher's
     /// keys) and provisions the AES-256 index channel with `channel_key` —
     /// the key the paper delivers to the client in its offline step.
     ///
@@ -697,9 +729,9 @@ impl TenantRegistry {
         self.register_with_workers(id, matcher, DEFAULT_TENANT_WORKERS, channel_key, database)
     }
 
-    /// Registers a tenant whose matcher pool holds `workers` members, so
-    /// up to `workers` of its queries run concurrently. The database is
-    /// encrypted once; the pool members share it by `Arc`.
+    /// Registers a tenant whose K is `workers`: up to `workers` of its
+    /// queries run concurrently, all on `matcher`, which encrypts the
+    /// database once.
     ///
     /// In-process tenants hold live key material that cannot be rebuilt
     /// from serialized bytes, so they are never demoted to the cold tier
@@ -726,12 +758,12 @@ impl TenantRegistry {
         if self.lock().tenants.contains_key(id) {
             return Err(MatchError::InvalidConfig("duplicate tenant id"));
         }
+        let limit = Limit::new(workers)?;
         matcher.load_database(database)?;
         let backend = matcher.backend();
         let bytes = matcher.database_bytes().unwrap_or(0);
-        let pool = MatcherPool::new(matcher, workers, tenant_seed(id))?;
         let totals = Arc::new(StatsAccumulator::new());
-        let tenant = Tenant::assemble(id, backend, pool, channel_key, Arc::clone(&totals));
+        let tenant = Tenant::assemble(id, matcher, limit, channel_key, Arc::clone(&totals));
         // `&mut self`: nothing can have registered `id` since the check.
         let mut inner = self.lock();
         Self::ensure_capacity(&mut inner, &self.cold, bytes, id)?;
@@ -852,7 +884,9 @@ impl TenantRegistry {
         let channel_key = &auth.channel_key;
         let encoded = Arc::new(encoded);
         let bytes = encoded.len() as u64;
-        let (backend, pool) = Self::build_remote(id, spec, &encoded)?;
+        let matcher = Self::build_remote(spec, &encoded)?;
+        let backend = matcher.backend();
+        let limit = Limit::new(spec.workers as usize)?;
 
         let mut inner = self.lock();
         // Re-check under the final lock (the build ran unlocked): the
@@ -868,7 +902,7 @@ impl TenantRegistry {
             Some(old) => (old.pinned, Arc::clone(&old.totals)),
             None => (false, Arc::new(StatsAccumulator::new())),
         };
-        let tenant = Tenant::assemble(id, backend, pool, channel_key, Arc::clone(&totals));
+        let tenant = Tenant::assemble(id, matcher, limit, channel_key, Arc::clone(&totals));
         let spec = spec.clone();
         let hot = Tier::Hot(HotRemote {
             tenant,
@@ -922,8 +956,8 @@ impl TenantRegistry {
         Ok(())
     }
 
-    /// Whether the tenant's database is hot (a live matcher pool holds
-    /// it) rather than demoted to the cold tier.
+    /// Whether the tenant's database is hot (a live matcher holds it)
+    /// rather than demoted to the cold tier.
     ///
     /// # Errors
     ///
@@ -962,9 +996,9 @@ impl TenantRegistry {
 
     /// Looks a tenant up by id, transparently re-materializing a
     /// cold-tier tenant: the serialized master copy is read back out of
-    /// the flash-backed cold store (wear-free), the matcher pool rebuilt
-    /// from it on the calling thread (flash-native `ifp` tenants skip
-    /// the rebuild and unpark their pool), other tenants demoted if
+    /// the flash-backed cold store (wear-free), the matcher rebuilt from
+    /// it on the calling thread (flash-native `ifp` tenants skip the
+    /// rebuild and unpark their matcher), other tenants demoted if
     /// the budget requires it, and the read's `bytes_moved` charged to
     /// the tenant at install time. Bumps the tenant's LRU stamp.
     ///
@@ -978,7 +1012,7 @@ impl TenantRegistry {
     }
 
     /// Runs one Match query with tier-aware routing: a hot tenant serves
-    /// from its pool; a cold flash-native (`ifp`) tenant serves straight
+    /// from its matcher; a cold flash-native (`ifp`) tenant serves straight
     /// from its parked device — no re-materialization, no promotion, no
     /// host-memory rebuild (cold is IFP's native tier); any other cold
     /// tenant re-materializes first, as in [`Self::get`].
@@ -1041,7 +1075,7 @@ impl TenantRegistry {
         // Feasibility before the expensive rebuild: if the budget minus
         // the undemotable (pinned or in-process) resident bytes cannot
         // hold this database, fail now instead of building a matcher
-        // pool only to discard it — a repeated query for an unplaceable
+        // only to discard it — a repeated query for an unplaceable
         // cold tenant must not hold a frame worker in rebuilds.
         let required = ticket.slot.len() as u64;
         let undemotable: u64 = inner
@@ -1062,8 +1096,9 @@ impl TenantRegistry {
     /// Off the registry lock: reads the ticket's master copy back out of
     /// flash (non-destructive — the slot stays live until the install
     /// commits, so a lost race just retries) and makes it servable. A
-    /// parked pool already holds its device, so it is reused as is, which
-    /// also keeps its nonce counter monotone; anything else is rebuilt.
+    /// parked tenant already holds its device, so it is reused as is,
+    /// which also keeps its nonce counter monotone; anything else is
+    /// rebuilt.
     /// A stale ticket may read pages that now hold another tenant's
     /// bytes; [`Self::install`] judges the result.
     fn rebuild(&self, id: &str, ticket: &Ticket) -> Result<Rebuilt, MatchError> {
@@ -1072,9 +1107,10 @@ impl TenantRegistry {
         let tenant = match &ticket.parked {
             Some(parked) => Arc::clone(parked),
             None => {
-                let (backend, pool) = Self::build_remote(id, &ticket.spec, &encoded)?;
+                let matcher = Self::build_remote(&ticket.spec, &encoded)?;
+                let limit = Limit::new(ticket.spec.workers as usize)?;
                 let totals = Arc::clone(&ticket.totals);
-                Tenant::assemble(id, backend, pool, &ticket.channel_key, totals)
+                Tenant::assemble(id, matcher, limit, &ticket.channel_key, totals)
             }
         };
         Ok(Rebuilt {
@@ -1148,20 +1184,19 @@ impl TenantRegistry {
         self.lock().tenants.is_empty()
     }
 
-    /// Rebuilds a remote tenant's matcher pool from its spec and
-    /// serialized database on the calling thread (a panicking build
+    /// Rebuilds a remote tenant's matcher from its spec and serialized
+    /// database on the calling thread (a panicking build
     /// answers [`MatchError::WorkerPanicked`]). `ifp` specs build through
     /// [`IfpMatcher::for_spec`] (the backend `MatcherConfig` cannot
     /// construct — it needs an SSD device), which re-creates the flash
     /// array and writes the database into its CIPHERMATCH region.
     fn build_remote(
-        id: &str,
         spec: &TenantSpec,
         encoded: &[u8],
-    ) -> Result<(Backend, MatcherPool), MatchError> {
+    ) -> Result<Box<dyn ErasedMatcher>, MatchError> {
         let config = spec.to_config()?;
         let ifp = Backend::parse(&spec.backend)? == Backend::Ifp;
-        let matcher = catch_unwind(AssertUnwindSafe(|| {
+        catch_unwind(AssertUnwindSafe(|| {
             let mut matcher = if ifp {
                 cm_core::erase(IfpMatcher::for_spec(spec.seed, spec.insecure)?, spec.seed)
             } else {
@@ -1170,10 +1205,7 @@ impl TenantRegistry {
             matcher.load_database_wire(encoded)?;
             Ok::<_, MatchError>(matcher)
         }))
-        .map_err(|_| MatchError::WorkerPanicked)??;
-        let backend = matcher.backend();
-        let pool = MatcherPool::new(matcher, spec.workers as usize, tenant_seed(id))?;
-        Ok((backend, pool))
+        .map_err(|_| MatchError::WorkerPanicked)?
     }
 
     /// Demotes least-recently-used unpinned hot tenants until `needed`
@@ -1440,8 +1472,8 @@ mod tests {
     /// The regression test for the old tenant stats race: totals used to
     /// come from a reset/read delta on *one* shared matcher, so two
     /// queries interleaving their resets corrupted the lifetime counters.
-    /// With per-query stats taken from exclusively checked-out pool
-    /// members and accumulated atomically, the totals must equal the sum
+    /// With per-query stats returned by each search of the one shared
+    /// matcher and accumulated atomically, the totals must equal the sum
     /// of the per-query replies exactly — under real contention.
     #[test]
     fn totals_equal_the_sum_of_per_query_stats_under_contention() {

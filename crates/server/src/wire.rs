@@ -50,7 +50,7 @@ pub const MAX_DATABASE_BYTES: u64 = 1 << 30;
 /// Hard cap on the number of chunks one upload may declare.
 pub const MAX_UPLOAD_CHUNKS: u32 = 1 << 16;
 
-/// Widest matcher pool a remote tenant may request.
+/// Most concurrent queries (K) a remote tenant may request.
 pub const MAX_TENANT_WORKERS: u32 = 64;
 
 /// A client→server message.
@@ -396,13 +396,13 @@ pub struct TenantSpec {
     pub threads: u32,
     /// Whether the insecure test parameter sets are selected.
     pub insecure: bool,
-    /// Matcher-pool size K (how many of the tenant's queries run
-    /// concurrently); at most [`MAX_TENANT_WORKERS`].
+    /// K: how many of the tenant's queries run concurrently on its one
+    /// matcher; at most [`MAX_TENANT_WORKERS`].
     pub workers: u32,
 }
 
 impl TenantSpec {
-    /// Describes `config` with a pool of `workers`.
+    /// Describes `config` with a K of `workers`.
     ///
     /// Pinning (exemption from budget-driven demotion) is an
     /// operator-level resource decision and deliberately *not* part of
@@ -459,14 +459,14 @@ impl TenantSpec {
 pub struct DatabaseInfoReply {
     /// The backend serving this tenant (a [`Backend::name`] string).
     pub backend: String,
-    /// Whether the database is hot (a live matcher pool holds it) or
+    /// Whether the database is hot (a live matcher holds it) or
     /// demoted to the cold tier awaiting re-materialization.
     pub resident: bool,
     /// Whether the tenant is exempt from budget-driven demotion.
     pub pinned: bool,
     /// The registry's accounting charge for this database in bytes.
     pub bytes: u64,
-    /// Matcher-pool size K when hot.
+    /// K: how many of the tenant's queries may run at once.
     pub workers: u32,
     /// Queries served over the tenant's lifetime (survives demotion).
     pub queries: u64,

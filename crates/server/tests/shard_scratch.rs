@@ -16,7 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
 use cm_core::{
@@ -80,10 +80,11 @@ fn three_polys(params: &BfvParams, rng: &mut StdRng) -> BitString {
 }
 
 /// A two-range tenant over three polynomials of some parameter set, its
-/// plaintext, and a pool for the clients that query it at once.
+/// plaintext, and a pool for the clients that query its one matcher at
+/// once.
 struct World {
     data: BitString,
-    matcher: ShardedCmMatcher,
+    matcher: Arc<ShardedCmMatcher>,
     clients: WorkerPool,
 }
 
@@ -99,21 +100,24 @@ impl World {
         assert_eq!(matcher.shard_count(), Some(2));
         Self {
             data,
-            matcher,
+            matcher: Arc::new(matcher),
             clients: WorkerPool::new(8).unwrap(),
         }
     }
 
-    /// Starts a search for the 24 database bits at `start` on a pool
-    /// member of its own: two range jobs on the compute pool, gathered by
-    /// the returned waiter, which also checks the answer.
+    /// Starts a search for the 24 database bits at `start` on a client
+    /// of its own: two range jobs on the compute pool, gathered by the
+    /// returned waiter, which also checks the answer and that both ranges
+    /// did their work.
     fn search_at(&self, start: usize) -> CompletionHandle<()> {
         let pattern = self.data.slice(start, 24);
         let truth = self.data.find_all(&pattern);
-        let mut member = self.matcher.boxed_clone();
+        let matcher = Arc::clone(&self.matcher);
         self.clients.submit(move || {
-            assert_eq!(member.find_all(&pattern).unwrap(), truth, "at {start}");
-            assert!(member.shard_stats().iter().all(|s| s.hom_adds > 0));
+            let (indices, shard_stats) = matcher.find_all(&pattern).unwrap();
+            assert_eq!(indices, truth, "at {start}");
+            assert_eq!(shard_stats.len(), 2);
+            assert!(shard_stats.iter().all(|s| s.hom_adds > 0));
         })
     }
 }
@@ -187,29 +191,38 @@ fn third_query_of_a_shape_allocates_only_its_index_list() {
 fn hosted_matcher_third_query_allocates_only_its_index_list() {
     let _turn = FREE_LIST_TURN.lock().unwrap();
     let mut rng = StdRng::seed_from_u64(0x4057);
-    let mut matcher = CiphermatchMatcher::new(BfvParams::insecure_test_add(), 1, &mut rng).unwrap();
+    let matcher = CiphermatchMatcher::new(BfvParams::insecure_test_add(), 1, &mut rng).unwrap();
     let bytes: Vec<u8> = (0..700).map(|_| rng.gen()).collect();
     let data = BitString::from_bytes(&bytes);
     let db = matcher.encrypt_database(&data, &mut rng).unwrap();
     assert_eq!(matcher.plan(&db).unwrap().shard_count(), 1);
+    let mut stats = Vec::new();
     for start in [40, 1000] {
         let pattern = data.slice(start, 24);
         let query = matcher.prepare_query(&pattern, &mut rng).unwrap();
-        let indices = matcher.find_all(&db, &query, &mut rng).unwrap();
+        stats.clear();
+        let indices = matcher.find_all(&db, &query, &mut stats).unwrap();
         assert_eq!(indices, data.find_all(&pattern), "warm-up at {start}");
     }
 
     // Same shape, new query, one hit: planning allocates nothing, the
-    // scratch comes off the free list warm and goes back, and only the
-    // index list is allocated.
+    // scratch comes off the free list warm and goes back, the search's
+    // one-range stats land in the caller's buffer, and only the index
+    // list is allocated.
     let pattern = data.slice(777, 24);
     let query = matcher.prepare_query(&pattern, &mut rng).unwrap();
-    let (indices, allocations) = allocations_during(|| matcher.find_all(&db, &query, &mut rng));
+    stats.clear();
+    let (indices, allocations) = allocations_during(|| matcher.find_all(&db, &query, &mut stats));
     assert_eq!(indices.unwrap(), data.find_all(&pattern));
     assert_eq!(data.find_all(&pattern).len(), 1);
     assert_eq!(
         allocations, 1,
         "the one-range path must reuse pooled scratch"
+    );
+    assert_eq!(stats.len(), 1);
+    assert_eq!(
+        stats[0].hom_adds,
+        (query.variant_count() * db.poly_count()) as u64
     );
 }
 
@@ -269,7 +282,7 @@ fn scratches_cross_parameter_sets_and_stay_bounded_by_workers() {
             let params = params();
             clients.submit(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut matcher = CiphermatchMatcher::new(params, 1, &mut rng).unwrap();
+                let matcher = CiphermatchMatcher::new(params, 1, &mut rng).unwrap();
                 let bytes: Vec<u8> = (0..700).map(|_| rng.gen()).collect();
                 let data = BitString::from_bytes(&bytes);
                 let db = matcher.encrypt_database(&data, &mut rng).unwrap();
@@ -277,7 +290,7 @@ fn scratches_cross_parameter_sets_and_stay_bounded_by_workers() {
                     let pattern = data.slice(start, 24);
                     let query = matcher.prepare_query(&pattern, &mut rng).unwrap();
                     assert_eq!(
-                        matcher.find_all(&db, &query, &mut rng).unwrap(),
+                        matcher.find_all(&db, &query, &mut Vec::new()).unwrap(),
                         data.find_all(&pattern),
                         "one range, seed {seed}, start {start}"
                     );

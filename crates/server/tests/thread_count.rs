@@ -86,10 +86,10 @@ fn lifecycle_cycle(server: &RunningServer) {
 #[test]
 fn thread_count_is_independent_of_tenant_count() {
     // One sharded query first, so the compute pool exists.
-    let (mut first, first_data) = tenant(0);
+    let (first, first_data) = tenant(0);
     let pattern = first_data.slice(2040, 24);
     assert_eq!(
-        first.find_all(&pattern).unwrap(),
+        first.find_all(&pattern).unwrap().0,
         first_data.find_all(&pattern)
     );
 
@@ -133,11 +133,11 @@ fn thread_count_is_independent_of_tenant_count() {
     let handles = tenants
         .into_iter()
         .enumerate()
-        .map(|(i, (mut matcher, data))| {
+        .map(|(i, (matcher, data))| {
             clients.submit(move || {
                 let pattern = data.slice(100 + 411 * i, 24);
                 assert_eq!(
-                    matcher.find_all(&pattern).unwrap(),
+                    matcher.find_all(&pattern).unwrap().0,
                     data.find_all(&pattern),
                     "tenant {i}"
                 );

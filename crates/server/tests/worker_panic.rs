@@ -1,7 +1,7 @@
 //! Regression: a panic inside a tenant's matcher worker must cross the
 //! wire as a typed [`MatchError::WorkerPanicked`] error frame — it must
-//! not unwind the connection worker, poison the tenant's matcher pool,
-//! or take the server down. The serving path is lint-enforced
+//! not unwind the connection worker, leak one of the tenant's K query
+//! slots, or take the server down. The serving path is lint-enforced
 //! panic-free (`cm_analyze`'s `no-panic` rule), so the only panics left
 //! are the ones a matcher backend itself raises; this test injects one.
 
@@ -16,9 +16,8 @@ fn trigger() -> BitString {
 }
 
 /// A plaintext matcher that panics on one specific query and behaves
-/// normally otherwise, so the same tenant can prove the pool still
-/// serves after a worker unwound.
-#[derive(Clone)]
+/// normally otherwise, so the same tenant can prove it still serves
+/// after a query unwound.
 struct PanicMatcher {
     db: Option<BitString>,
 }
@@ -41,24 +40,12 @@ impl ErasedMatcher for PanicMatcher {
         self.db.as_ref().map(|d| d.len().div_ceil(8) as u64)
     }
 
-    fn find_all(&mut self, query: &BitString) -> Result<Vec<usize>, MatchError> {
+    fn find_all(&self, query: &BitString) -> Result<(Vec<usize>, Vec<MatchStats>), MatchError> {
         let db = self.db.as_ref().ok_or(MatchError::NoDatabase)?;
         if *query == trigger() {
             panic!("injected matcher fault");
         }
-        Ok(db.find_all(query))
-    }
-
-    fn stats(&self) -> MatchStats {
-        MatchStats::default()
-    }
-
-    fn reset_stats(&mut self) {}
-
-    fn reseed(&mut self, _seed: u64) {}
-
-    fn boxed_clone(&self) -> Box<dyn ErasedMatcher> {
-        Box::new(self.clone())
+        Ok((db.find_all(query), vec![MatchStats::default()]))
     }
 }
 
@@ -92,9 +79,9 @@ fn a_panicking_worker_answers_with_a_wire_error_not_a_dead_connection() {
     let reply = client.search_bits(&access, &pattern).unwrap();
     assert_eq!(reply.indices, database.find_all(&pattern));
 
-    // The checked-out matcher went back to the pool after the unwind: a
-    // second detonation still reports the typed error (nothing leaked),
-    // and the pool still has workers for good queries after that.
+    // The unwound query gave its slot back (K = 2): a second detonation
+    // still reports the typed error (nothing leaked), and good queries
+    // still find a free slot after that.
     let err = client.search_bits(&access, &trigger()).unwrap_err();
     assert_eq!(err, MatchError::WorkerPanicked);
     let reply = client.search_bits(&access, &pattern).unwrap();

@@ -17,7 +17,7 @@
 //!
 //! Run with: `cargo run --release --example baseline_comparison`
 
-use cm_core::{Backend, BitString, BooleanGateCount, MatcherConfig, YasudaEngine};
+use cm_core::{Backend, BitString, BooleanGateCount, MatchStats, MatcherConfig, YasudaEngine};
 use std::time::Instant;
 
 fn main() {
@@ -55,12 +55,12 @@ fn main() {
         matcher.load_database(db_data).expect("database encrypts");
         let t_load = t0.elapsed();
         let t1 = Instant::now();
-        let got = matcher
+        let (got, per_range) = matcher
             .find_all(&needle_bits)
             .expect("query fits the window");
         let t_find = t1.elapsed();
         assert_eq!(&got, expect, "{backend} must agree with the ground truth");
-        let stats = matcher.stats();
+        let stats: MatchStats = per_range.iter().sum();
         let note = match backend {
             Backend::Boolean => " (fast insecure params, 96-bit DB slice)",
             _ => "",
@@ -91,11 +91,11 @@ fn main() {
     let (sk, pk) = (kg.secret_key(), kg.public_key(&mut rng));
     let enc = cm_bfv::Encryptor::new(&ctx, pk);
     let dec = cm_bfv::Decryptor::new(&ctx, sk);
-    let mut ya = YasudaEngine::new(&ctx);
+    let ya = YasudaEngine::new(&ctx);
     let ydb = ya.encrypt_database(&enc, &data, needle_bits.len(), &mut rng);
     let mut corrupted: Vec<bool> = needle_bits.bits().to_vec();
     corrupted[5] = !corrupted[5];
-    let approx = ya.find_within_distance(
+    let (approx, _) = ya.find_within_distance(
         &enc,
         &dec,
         &ydb,

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example dna_read_mapping`
 
-use cm_core::{Backend, BitString, MatcherConfig};
+use cm_core::{Backend, BitString, MatchStats, MatcherConfig};
 use cm_workloads::DnaGenome;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,12 +42,14 @@ fn main() {
     );
 
     // Paper query sweep: 8..128 base pairs.
+    let mut stats = MatchStats::default();
     for bases in [8usize, 16, 32, 64, 128] {
         let (read, pos) = genome.sample_read(bases, 0, &mut rng);
         let read_bits = BitString::from_dna(&read);
         let t = Instant::now();
-        let matches = matcher.find_all(&read_bits).expect("read searches cleanly");
+        let (matches, per_range) = matcher.find_all(&read_bits).expect("read searches cleanly");
         let elapsed = t.elapsed();
+        stats.merge(&per_range.iter().sum());
         let expect_bit = pos * 2;
         assert!(
             matches.contains(&expect_bit),
@@ -64,12 +66,12 @@ fn main() {
     // Negative control: a corrupted read must not match exactly.
     let (bad_read, _) = genome.sample_read(32, 4, &mut rng);
     let bad_bits = BitString::from_dna(&bad_read);
-    let matches = matcher.find_all(&bad_bits).expect("read searches cleanly");
+    let (matches, per_range) = matcher.find_all(&bad_bits).expect("read searches cleanly");
+    stats.merge(&per_range.iter().sum());
     println!(
         "corrupted 32 bp read: {} exact occurrence(s) (expected usually 0)",
         matches.len()
     );
-    let stats = matcher.stats();
     println!(
         "server work: {} homomorphic additions, {:.2?} total add time — and zero \
          multiplications ({} muls, {} rotations, {} bootstraps)",

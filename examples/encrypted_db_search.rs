@@ -3,21 +3,20 @@
 //!
 //! A key-value store is flattened, packed and encrypted once; point
 //! queries for keys arrive from four concurrent clients (a
-//! [`WorkerPool`]), each checking one of four matchers out of a
-//! [`MatcherPool`] whose members share the one encrypted database, and
-//! come back as per-query bit offsets with exact per-query statistics.
+//! [`WorkerPool`]), all searching the one shared matcher, and come back
+//! as per-query bit offsets with exact per-query statistics.
 //! Mirrors the paper's 1000-query setup at laptop scale.
 //!
 //! Run with: `cargo run --release --example encrypted_db_search`
 
-use cm_core::{wait_all, Backend, BitString, MatchStats, MatcherConfig, MatcherPool, WorkerPool};
+use cm_core::{wait_all, Backend, BitString, MatchStats, MatcherConfig, WorkerPool};
 use cm_workloads::KvDatabase;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Concurrent clients, and matchers for them to check out.
+/// Concurrent clients of the one matcher.
 const WORKERS: usize = 4;
 
 fn main() {
@@ -45,7 +44,7 @@ fn main() {
         "encrypted once into {encrypted} B ({}x the plain size)",
         encrypted as usize / flat.len()
     );
-    let pool = Arc::new(MatcherPool::new(matcher, WORKERS, 99).expect("positive pool size"));
+    let matcher = Arc::new(matcher);
     let clients = WorkerPool::new(WORKERS).expect("positive client count");
 
     // Point queries for existing keys (the paper simulates 1000; we run a
@@ -56,9 +55,9 @@ fn main() {
     let handles: Vec<_> = keys
         .iter()
         .map(|key| {
-            let pool = Arc::clone(&pool);
+            let matcher = Arc::clone(&matcher);
             let query = BitString::from_ascii(key);
-            clients.submit(move || pool.try_run(|m| m.find_all(&query)))
+            clients.submit(move || matcher.find_all(&query))
         })
         .collect();
     let outcomes = wait_all(handles).expect("no client panicked");
@@ -67,9 +66,8 @@ fn main() {
     let record_bits = kv.record_bytes() * 8;
     let mut stats = MatchStats::default();
     for (key, outcome) in keys.iter().zip(outcomes) {
-        let outcome = outcome.expect("no query panicked");
-        stats.merge(&outcome.stats);
-        let matches = outcome.result.expect("query searches cleanly");
+        let (matches, per_range) = outcome.expect("query searches cleanly");
+        stats.merge(&per_range.iter().sum());
         // The key occupies the first 8 bytes of its record; a hit at a
         // record boundary identifies the record.
         let record_hit = matches
@@ -89,11 +87,10 @@ fn main() {
     );
 
     // A missing key returns no record-aligned match.
-    let missing = pool
-        .try_run(|m| m.find_all(&BitString::from_ascii("NOSUCHKY")))
-        .expect("no panic");
-    stats.merge(&missing.stats);
-    let missing = missing.result.expect("query searches cleanly");
+    let (missing, per_range) = matcher
+        .find_all(&BitString::from_ascii("NOSUCHKY"))
+        .expect("query searches cleanly");
+    stats.merge(&per_range.iter().sum());
     assert!(missing.iter().all(|&bit| bit % record_bits != 0));
     println!("missing key correctly yields no record-aligned match");
     assert_eq!(stats.hom_muls + stats.rotations + stats.bootstraps, 0);

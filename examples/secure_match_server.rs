@@ -63,9 +63,8 @@ fn main() {
     .unwrap();
     let bob_kit = bob.query_kit();
 
-    // Alice gets a matcher pool of 2 (two of her queries run at once,
-    // sharing one encrypted database and the compute pool); bob keeps
-    // the default pool size.
+    // Alice gets K = 2 (two of her queries run at once, on her one
+    // matcher and the compute pool); bob keeps the default K.
     let mut registry = TenantRegistry::new();
     registry
         .register_with_workers("alice", Box::new(alice), 2, &ALICE_KEY, &alice_data)

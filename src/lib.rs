@@ -45,17 +45,18 @@
 //! matcher
 //!     .load_database(&BitString::from_ascii("secure string matching in storage"))
 //!     .unwrap();
-//! let hits = matcher.find_all(&BitString::from_ascii("string")).unwrap();
+//! let (hits, _) = matcher.find_all(&BitString::from_ascii("string")).unwrap();
 //! assert_eq!(hits, vec![7 * 8]);
-//! let hits = matcher.find_all(&BitString::from_ascii("storage")).unwrap();
+//! let (hits, per_range) = matcher.find_all(&BitString::from_ascii("storage")).unwrap();
 //! assert_eq!(hits, vec![26 * 8]);
-//! // CM-SW's server side ran additions only.
-//! assert_eq!(matcher.stats().hom_muls + matcher.stats().rotations, 0);
+//! // CM-SW's server side ran additions only: each search returns its stats.
+//! let stats: ciphermatch::core::MatchStats = per_range.iter().sum();
+//! assert_eq!(stats.hom_muls + stats.rotations, 0);
 //! ```
 //!
-//! Concurrent queries on one database check matchers out of a
-//! [`MatcherPool`](core::MatcherPool) (`examples/encrypted_db_search.rs`);
-//! over TCP, [`server`] does the same per tenant.
+//! A search takes `&self`, so concurrent queries share one matcher
+//! (`examples/encrypted_db_search.rs`); over TCP, [`server`] gives each
+//! tenant one matcher and a limit of K queries at once.
 
 pub use cm_aes as aes;
 pub use cm_bfv as bfv;

@@ -3,13 +3,12 @@
 //! multi-match, query == database, 1-bit query) and asserts its
 //! `find_all` agrees with the `BitString::find_all` ground truth; it is
 //! instantiated once per backend. Plus heterogeneous-registry and
-//! matcher-pool coverage that only the erased API makes possible.
+//! shared-matcher coverage that only the erased API makes possible.
 
 use std::sync::Arc;
 
 use cm_core::{
-    wait_all, Backend, BitString, ErasedMatcher, MatchError, MatchStats, MatcherConfig,
-    MatcherPool, WorkerPool,
+    wait_all, Backend, BitString, ErasedMatcher, MatchError, MatchStats, MatcherConfig, WorkerPool,
 };
 
 /// The shared fixtures: `(database, query, label)`. Sizes are small
@@ -60,14 +59,14 @@ fn check_backend_agrees(backend: Backend) {
         assert!(!matcher.has_database());
         matcher.load_database(&db).expect("database encrypts");
         assert!(matcher.has_database());
-        let got = matcher.find_all(&q).expect("query fits the window");
+        let (got, per_range) = matcher.find_all(&q).expect("query fits the window");
         assert_eq!(got, db.find_all(&q), "{backend}: {label}");
         // Repeat searches against the same loaded database stay correct
         // (fresh query randomness, same keys).
-        let again = matcher.find_all(&q).expect("query fits the window");
+        let (again, _) = matcher.find_all(&q).expect("query fits the window");
         assert_eq!(again, got, "{backend}: {label} (repeat)");
         assert!(
-            matcher.stats().total_ops() > 0 || backend == Backend::Plain,
+            per_range.iter().sum::<MatchStats>().total_ops() > 0 || backend == Backend::Plain,
             "{backend} must report homomorphic work"
         );
     }
@@ -117,19 +116,13 @@ fn heterogeneous_registry_serves_every_backend() {
                 .expect("valid configuration")
         })
         .collect();
-    for matcher in &mut registry {
-        matcher.load_database(&data).expect("database encrypts");
-        assert_eq!(
-            matcher.find_all(&query).expect("query fits the window"),
-            truth,
-            "backend {}",
-            matcher.backend()
-        );
-    }
     // The per-backend cost profiles split exactly as Table 1 says: only
     // CM-SW avoids every expensive operation.
-    for matcher in &registry {
-        let stats = matcher.stats();
+    for matcher in &mut registry {
+        matcher.load_database(&data).expect("database encrypts");
+        let (hits, per_range) = matcher.find_all(&query).expect("query fits the window");
+        assert_eq!(hits, truth, "backend {}", matcher.backend());
+        let stats: MatchStats = per_range.iter().sum();
         match matcher.backend() {
             Backend::Ciphermatch => {
                 assert!(stats.hom_adds > 0);
@@ -159,7 +152,7 @@ fn a_window_mismatch_leaves_the_matcher_answering() {
     matcher.load_database(&data).unwrap();
     let good = data.slice(8, 16);
     let bad = data.slice(0, 9); // wrong length for the fixed window
-    assert_eq!(matcher.find_all(&good).unwrap(), data.find_all(&good));
+    assert_eq!(matcher.find_all(&good).unwrap().0, data.find_all(&good));
     assert_eq!(
         matcher.find_all(&bad),
         Err(MatchError::WindowMismatch {
@@ -167,14 +160,14 @@ fn a_window_mismatch_leaves_the_matcher_answering() {
             got: 9
         })
     );
-    assert_eq!(matcher.find_all(&good).unwrap(), data.find_all(&good));
+    assert_eq!(matcher.find_all(&good).unwrap().0, data.find_all(&good));
 }
 
-/// Concurrent clients over a non-CM backend: the matcher pool the server
-/// gives every tenant is genuinely backend-agnostic.
+/// Concurrent clients over a non-CM backend: a tenant's one matcher,
+/// shared by every query, is genuinely backend-agnostic.
 #[test]
-fn a_matcher_pool_serves_concurrent_clients_over_the_batched_backend() {
-    let data = BitString::from_ascii("pools check out clones of any backend");
+fn one_shared_matcher_serves_concurrent_clients_over_the_batched_backend() {
+    let data = BitString::from_ascii("one matcher serves queries of any backend");
     let mut matcher = MatcherConfig::new(Backend::Batched)
         .insecure_test()
         .window(16)
@@ -182,7 +175,7 @@ fn a_matcher_pool_serves_concurrent_clients_over_the_batched_backend() {
         .build()
         .unwrap();
     matcher.load_database(&data).unwrap();
-    let pool = Arc::new(MatcherPool::new(matcher, 3, 11).unwrap());
+    let matcher: Arc<dyn ErasedMatcher> = Arc::from(matcher);
     let clients = WorkerPool::new(3).unwrap();
     let queries: Vec<BitString> = [8usize, 48, 96]
         .iter()
@@ -192,15 +185,18 @@ fn a_matcher_pool_serves_concurrent_clients_over_the_batched_backend() {
         .iter()
         .cloned()
         .map(|q| {
-            let pool = Arc::clone(&pool);
-            clients.submit(move || pool.try_run(|m| m.find_all(&q)))
+            let matcher = Arc::clone(&matcher);
+            clients.submit(move || matcher.find_all(&q))
         })
         .collect();
-    let mut stats = MatchStats::default();
-    for (q, outcome) in queries.iter().zip(wait_all(handles).unwrap()) {
-        let outcome = outcome.unwrap();
-        assert_eq!(outcome.result.unwrap(), data.find_all(q));
-        stats.merge(&outcome.stats);
+    for (q, search) in queries.iter().zip(wait_all(handles).unwrap()) {
+        let (hits, per_range) = search.unwrap();
+        assert_eq!(hits, data.find_all(q));
+        // Each search reports its own rotations: one per query bit per
+        // block, twice (two weighted scores).
+        let [stats] = per_range[..] else {
+            panic!("one entry per search: {per_range:?}")
+        };
+        assert!(stats.rotations > 0 && stats.rotations % 32 == 0);
     }
-    assert!(stats.rotations > 0);
 }

@@ -34,7 +34,7 @@ fn cmsw_and_yasuda_agree_on_dna_reads() {
     let (ya_ctx, ya_sk, ya_pk) = bfv_fixture(BfvParams::insecure_test_mul(), 3);
     let ya_enc = Encryptor::new(&ya_ctx, ya_pk);
     let ya_dec = Decryptor::new(&ya_ctx, ya_sk);
-    let mut ya = YasudaEngine::new(&ya_ctx);
+    let ya = YasudaEngine::new(&ya_ctx);
 
     for bases in [8usize, 16, 24] {
         let (read, pos) = genome.sample_read(bases, 0, &mut rng);
@@ -47,7 +47,7 @@ fn cmsw_and_yasuda_agree_on_dna_reads() {
         assert_eq!(got_cm, truth, "CM-SW, {bases} bp read");
 
         let ya_db = ya.encrypt_database(&ya_enc, &bits, read_bits.len(), &mut rng);
-        let got_ya = ya.find_all(&ya_enc, &ya_dec, &ya_db, &read_bits, &mut rng);
+        let (got_ya, _) = ya.find_all(&ya_enc, &ya_dec, &ya_db, &read_bits, &mut rng);
         assert_eq!(got_ya, truth, "Yasuda, {bases} bp read");
     }
 }

@@ -49,7 +49,7 @@ fn served_ifp_at_paper_parameters_finds_patterns_across_polynomial_seams() {
     // The matcher a remote `TenantSpec { backend: "ifp", insecure: false }`
     // describes: `ciphermatch_ifp_1024` on the Table 3 geometry, queried
     // the way a remote client does — public kit, wire-encoded query.
-    let mut matcher = IfpMatcher::for_spec(3004, false).unwrap();
+    let matcher = IfpMatcher::for_spec(3004, false).unwrap();
     let kit = matcher.query_kit();
     let mut rng = StdRng::seed_from_u64(3005);
 
@@ -75,22 +75,25 @@ fn served_ifp_at_paper_parameters_finds_patterns_across_polynomial_seams() {
         let expect = data.find_all(&pattern);
         assert!(expect.contains(&start));
 
-        let before = (matcher.stats(), db.ledger().unwrap());
+        let before = db.ledger().unwrap();
         let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
         let query = matcher.decode_query(&encoded).unwrap();
         // Packed: the controller replicates the variants into the latches.
         assert_eq!(query.ciphertext_count(), 1);
-        let got = matcher.find_all(&db, &query, &mut rng).unwrap();
+        let mut per_range = Vec::new();
+        let got = matcher.find_all(&db, &query, &mut per_range).unwrap();
         assert_eq!(got, expect, "pattern at bit {start}");
 
-        let (stats, ledger) = (matcher.stats(), db.ledger().unwrap());
+        let ([stats], ledger) = (&per_range[..], db.ledger().unwrap()) else {
+            panic!("one device, one entry: {per_range:?}")
+        };
         assert_eq!(stats.flash_wear, 0, "searching must not wear the flash");
         assert_eq!(ledger.wear(), loaded.wear());
         // One in-flash addition per variant and polynomial; every variant
         // senses each of the group's 32 wordlines once.
-        let variants = (stats.hom_adds - before.0.hom_adds) / 3;
+        let variants = stats.hom_adds / 3;
         assert!(variants > 0);
-        assert_eq!(ledger.reads - before.1.reads, variants * 32 * groups);
+        assert_eq!(ledger.reads - before.reads, variants * 32 * groups);
     }
 }
 

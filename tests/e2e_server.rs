@@ -17,8 +17,9 @@
 //!   without a wire format, truncated encrypted queries) surface as typed
 //!   errors, never hangs or panics;
 //! * two queries for the *same* tenant are in flight simultaneously
-//!   (a barrier inside a gated backend proves the overlap) — the
-//!   per-tenant matcher pool, not a per-tenant mutex;
+//!   (a barrier inside a gated backend proves the overlap) on its one
+//!   shared matcher, not behind a per-tenant mutex — and with K = 1
+//!   they are not: the tenant's limit blocks the second;
 //! * connections past the configured `max_open_sockets` cap receive a
 //!   typed `ServerBusy` rejection instead of an unbounded thread spawn,
 //!   and a freed slot readmits new connections;
@@ -252,19 +253,21 @@ fn concurrent_multi_tenant_serving_over_tcp() {
 // ---------------------------------------------------------------------------
 
 /// Counts overlapping `find_all` calls; each call blocks until a second
-/// call is in flight (or a timeout passes), so the test deadlock-freely
-/// distinguishes "the tenant pool ran us concurrently" from "queries for
-/// one tenant still serialize".
+/// call is in flight (or `hold` passes), so the test deadlock-freely
+/// distinguishes "the tenant ran us concurrently" from "queries for one
+/// tenant serialize".
 struct Gate {
     state: Mutex<(usize, usize)>, // (in flight now, peak overlap)
     cv: Condvar,
+    hold: std::time::Duration,
 }
 
 impl Gate {
-    fn new() -> Self {
+    fn new(hold: std::time::Duration) -> Self {
         Self {
             state: Mutex::new((0, 0)),
             cv: Condvar::new(),
+            hold,
         }
     }
 
@@ -273,7 +276,7 @@ impl Gate {
         s.0 += 1;
         s.1 = s.1.max(s.0);
         self.cv.notify_all();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let deadline = std::time::Instant::now() + self.hold;
         while s.1 < 2 {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             if left.is_zero() {
@@ -292,8 +295,7 @@ impl Gate {
     }
 }
 
-/// A plaintext matcher whose searches rendezvous on a shared [`Gate`];
-/// clones share the gate, exactly like pool members share a database.
+/// A plaintext matcher whose searches rendezvous on a [`Gate`].
 struct GatedPlainMatcher {
     data: Option<BitString>,
     gate: Arc<Gate>,
@@ -317,78 +319,68 @@ impl cm_core::ErasedMatcher for GatedPlainMatcher {
         self.data.as_ref().map(|d| d.len().div_ceil(8) as u64)
     }
 
-    fn find_all(&mut self, query: &BitString) -> Result<Vec<usize>, MatchError> {
+    fn find_all(&self, query: &BitString) -> Result<(Vec<usize>, Vec<MatchStats>), MatchError> {
         let data = self.data.as_ref().ok_or(MatchError::NoDatabase)?;
         self.gate.enter();
         let hits = data.find_all(query);
         self.gate.exit();
-        Ok(hits)
-    }
-
-    fn stats(&self) -> MatchStats {
-        MatchStats::default()
-    }
-
-    fn reset_stats(&mut self) {}
-
-    fn reseed(&mut self, _seed: u64) {}
-
-    fn boxed_clone(&self) -> Box<dyn cm_core::ErasedMatcher> {
-        Box::new(GatedPlainMatcher {
-            data: self.data.clone(),
-            gate: Arc::clone(&self.gate),
-        })
+        Ok((hits, vec![MatchStats::default()]))
     }
 }
 
-/// The ROADMAP-flagged serialization is gone: with a matcher pool of K=2,
-/// two TCP queries for the *same* tenant overlap inside the backend
-/// (proved by a barrier both must pass), instead of queueing on one
-/// matcher mutex.
+/// The ROADMAP-flagged serialization is gone: with K = 2, two TCP queries
+/// for the *same* tenant overlap inside its one matcher (proved by a
+/// barrier both must pass), instead of queueing on a matcher mutex. With
+/// K = 1 the second waits for the first, though the gate holds the first
+/// long enough for the second to arrive.
 #[test]
 fn one_tenants_queries_run_concurrently() {
-    let gate = Arc::new(Gate::new());
-    let data = BitString::from_ascii("two queries, one tenant, zero serialization");
-    let mut registry = TenantRegistry::new();
-    registry
-        .register_with_workers(
-            "solo",
-            Box::new(GatedPlainMatcher {
-                data: None,
-                gate: Arc::clone(&gate),
-            }),
-            2,
-            &CAROL_KEY,
-            &data,
-        )
-        .unwrap();
-    let server = MatchServer::new(registry).spawn("127.0.0.1:0").unwrap();
-    let addr = server.addr();
+    let hold = |ms| std::time::Duration::from_millis(ms);
+    for (workers, hold, peak) in [(2, hold(10_000), 2), (1, hold(500), 1)] {
+        let gate = Arc::new(Gate::new(hold));
+        let data = BitString::from_ascii("two queries, one tenant, zero serialization");
+        let mut registry = TenantRegistry::new();
+        registry
+            .register_with_workers(
+                "solo",
+                Box::new(GatedPlainMatcher {
+                    data: None,
+                    gate: Arc::clone(&gate),
+                }),
+                workers,
+                &CAROL_KEY,
+                &data,
+            )
+            .unwrap();
+        let server = MatchServer::new(registry).spawn("127.0.0.1:0").unwrap();
+        let addr = server.addr();
 
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for pattern in ["queries", "tenant"] {
-            let data = &data;
-            handles.push(scope.spawn(move || {
-                let mut client = MatchClient::connect(addr).unwrap();
-                let pattern = BitString::from_ascii(pattern);
-                let reply = client
-                    .search_bits(&TenantAccess::new("solo", &CAROL_KEY), &pattern)
-                    .unwrap();
-                assert_eq!(reply.indices, data.find_all(&pattern));
-            }));
-        }
-        for handle in handles {
-            handle.join().expect("client thread panicked");
-        }
-    });
-    assert!(
-        gate.peak() >= 2,
-        "two queries for one tenant must be in flight simultaneously, \
-         saw a peak overlap of {}",
-        gate.peak()
-    );
-    server.shutdown();
+        std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for pattern in ["queries", "tenant"] {
+                let data = &data;
+                handles.push(scope.spawn(move || {
+                    let mut client = MatchClient::connect(addr).unwrap();
+                    let pattern = BitString::from_ascii(pattern);
+                    let reply = client
+                        .search_bits(&TenantAccess::new("solo", &CAROL_KEY), &pattern)
+                        .unwrap();
+                    assert_eq!(reply.indices, data.find_all(&pattern));
+                }));
+            }
+            for handle in handles {
+                handle.join().expect("client thread panicked");
+            }
+        });
+        assert_eq!(
+            gate.peak(),
+            peak,
+            "K = {workers}: two queries for one tenant must overlap exactly \
+             up to K, saw a peak overlap of {}",
+            gate.peak()
+        );
+        server.shutdown();
+    }
 }
 
 // ---------------------------------------------------------------------------

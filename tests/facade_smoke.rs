@@ -27,7 +27,7 @@ fn facade_encrypt_search_decrypt_roundtrip() {
     let query = kit
         .encode_query(&BitString::from_ascii(needle), &mut rng)
         .expect("non-empty query");
-    let got = server.find_all_wire(&query).expect("well-formed query");
+    let (got, _) = server.find_all_wire(&query).expect("well-formed query");
 
     let expect = bitwise_find_all(
         &BitString::from_ascii(haystack),
@@ -67,7 +67,7 @@ fn facade_reexports_are_wired() {
         .unwrap();
     let facade_q = ciphermatch::core::BitString::from_ascii("b");
     assert_eq!(
-        matcher.find_all(&facade_q).unwrap(),
+        matcher.find_all(&facade_q).unwrap().0,
         ciphermatch::core::BitString::from_ascii("abc").find_all(&facade_q)
     );
 
