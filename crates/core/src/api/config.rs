@@ -604,10 +604,10 @@ mod tests {
         let q_bits = ctx.params().coeff_bits();
         let pattern = BitString::from_ascii("engine");
         let encoded = engine.pack_query(&enc, &pattern, &mut rng).encode(q_bits);
-        // The explicit form is Algorithm 1's oracle; no tenant takes it.
-        let explicit = engine
-            .prepare_query(&enc, &pattern, &mut rng)
-            .encode(q_bits);
+        // The explicit form is Algorithm 1's oracle; no tenant takes its
+        // magic.
+        let mut explicit = encoded.clone();
+        explicit[..4].copy_from_slice(b"CMQ2");
         assert_eq!(
             m.find_all_wire(&explicit).unwrap_err(),
             MatchError::Decode(cm_bfv::DecodeError::BadMagic)

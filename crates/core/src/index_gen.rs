@@ -7,9 +7,10 @@
 //! generation unit (`CM-IFP`), which both see the same sum values.
 //!
 //! Two forms of the same test: [`MatchTable`] + [`generate_indices`] work
-//! on a whole table of decrypted sums (the reference), `PhaseScan` on
-//! one entry's un-rounded decryption phase at a time, next to the sweep
-//! that produced it (what runs).
+//! on a whole table of decrypted sums — every explicit result, however it
+//! was decrypted — and `PhaseScan` on the un-rounded decryption phases of
+//! a served range, one pass per alignment class over each polynomial's
+//! phases, which CM-SW and the in-flash controller both run.
 
 use std::ops::RangeInclusive;
 
@@ -32,12 +33,11 @@ use crate::query::{segment_matches, AlignmentClass};
 /// It is sized once per query shape with [`Self::reset`] and rewritten in
 /// place from then on.
 ///
-/// No serving path builds one: a served job tests its entries' phases
-/// where they lie (`PhaseScan`) and keeps `s − 1` bits per entry end,
-/// not a bit per sum. The table is what the
-/// per-ciphertext reference fills — the oracle every faster path is
-/// tested against, and the fallback for a result that arrives from
-/// outside and is not the outer sum the faster path decrypts by.
+/// No serving path builds one: a served job tests its range's phases
+/// class by class (`PhaseScan`) and keeps `s − 1` bits per entry end,
+/// not a bit per sum. The table is where an explicit result lands,
+/// decrypted in a batch or ciphertext by ciphertext — the oracle every
+/// served job is tested against.
 #[derive(Debug, Clone, Default)]
 pub struct MatchTable {
     /// First slot of class `r` (`len = classes + 1`); class `r` has
@@ -229,41 +229,9 @@ pub(crate) struct PhaseScratch {
     /// Per (class, phase, polynomial): whether each of the `s − 1`
     /// coefficients at either end matched — head bits, then tail bits.
     edges: Vec<u64>,
-    /// The windows of the entry in hand that passed [`filter_windows`],
-    /// or the window starts of the class in hand that
-    /// [`filter_candidates`] let through.
+    /// The window starts of the class in hand that [`filter_candidates`]
+    /// let through.
     passed: Vec<usize>,
-}
-
-/// The filter test of one entry's windows, out of line so it compiles to
-/// one tight loop: window `i` has its filter coefficient at `i · stride`
-/// of `c0` and `col` (the slices end after the last one), and is pushed
-/// onto `passed` iff `(c0 + col + k) mod q ≤ width`.
-///
-/// With `k = (row − lo) mod q` that is `lo ≤ c0 + row + col ≤ lo + width`
-/// mod `q`: the phase interval test with the row folded into a constant.
-/// Every term is below `q`, so `x = c0 + col + k < 3q` and the test is
-/// three unsigned compares on `x`, `x − q` and `x − 2q` (a subtraction
-/// that wraps lands above `width`): no reduction, and no branch until a
-/// window passes.
-#[inline(never)]
-fn filter_windows(
-    c0: &[u64],
-    col: &[u64],
-    stride: usize,
-    k: u64,
-    q: u64,
-    width: u64,
-    passed: &mut Vec<usize>,
-) {
-    let two_q = 2 * q;
-    let terms = c0.chunks(stride).zip(col.chunks(stride));
-    for (i, (a, b)) in terms.enumerate() {
-        let x = a[0] + b[0] + k;
-        if (x <= width) | (x.wrapping_sub(q) <= width) | (x.wrapping_sub(two_q) <= width) {
-            passed.push(i);
-        }
-    }
 }
 
 /// Words per any-reduction of [`filter_candidates`].
@@ -297,27 +265,23 @@ fn filter_candidates(d: &[u32], a: u32, q: u32, width: u32, out: &mut Vec<usize>
     }
 }
 
-/// Index generation straight from decryption *phases*, one result entry
-/// (query variant × database polynomial) at a time, so a sweep can hand
-/// over each entry while it is still in cache and keep none of them.
+/// Index generation straight from decryption *phases*: a served range's
+/// polynomial phases and the query's segment phases, whose sums are the
+/// phases of every result entry (query variant × database polynomial),
+/// so no entry is ever formed.
 ///
 /// Variant `(r, p)` holds every window of class `r` that starts at a
 /// coefficient `≡ p (mod s)` as `s` consecutive coefficients carrying
-/// window segments `0..s`. [`Self::entry`] tests those windows where they
-/// lie: the filter segment `s/2` of every window first, in one
-/// [`filter_windows`] pass — an interval compare on the un-rounded phase
-/// `c0 + row + col` when its mask allows ([`ones_phase_interval`]), with
-/// the row, which is the same on every filter coefficient, folded into a
-/// constant — then the exact rounding of the other segments of the few
-/// windows that pass. Windows that straddle a polynomial seam read two
-/// entries; for those each entry leaves the exact match bits of its first
-/// and last `s − 1` coefficients behind, and [`Self::finish`] resolves
-/// them.
-///
-/// Where the phases are a database polynomial's own plus the query's,
-/// [`Self::class`] tests every variant of a class in one pass instead: the
-/// variants of class `r` read disjoint coefficients and all add segment
-/// `s/2` at their filter coefficients.
+/// window segments `0..s`. The variants of class `r` read disjoint
+/// coefficients and all add segment `s/2` at their filter coefficients,
+/// so [`Self::class`] tests all of them in one pass: the filter segment
+/// of every window first, in one [`filter_candidates`] pass — an interval
+/// compare on the un-rounded phase when its mask allows
+/// ([`ones_phase_interval`]) — then the exact rounding of every segment
+/// of the few windows that pass. Windows that straddle a polynomial seam
+/// read two entries; for those each entry leaves the exact match bits of
+/// its first and last `s − 1` coefficients behind, and [`Self::finish`]
+/// resolves them.
 ///
 /// The answer is [`generate_indices`]' on the [`MatchTable`] of the same
 /// sums, bit for bit.
@@ -360,7 +324,6 @@ impl<'a> PhaseScan<'a> {
     ) -> Self {
         let params = ctx.params();
         let (n, seg_bits) = (params.n, params.t.trailing_zeros() as usize);
-        assert!(params.q <= u64::MAX / 3, "filter sums below 3q fit a word");
         // Class `r` tests offsets `≡ r (mod seg_bits)`: there are no more,
         // and none at all when no window fits the database.
         let last = total_bits.checked_sub(k).filter(|_| k > 0);
@@ -399,87 +362,6 @@ impl<'a> PhaseScan<'a> {
         self.scratch.edge_base[r] + (phase * self.polys + poly) * words
     }
 
-    /// Tests the entry of variant `(r, phase)` against polynomial `poly`,
-    /// given as its decryption phase `c0 + row + col` (reduced mod `q`,
-    /// `n` coefficients each): emits the windows that lie inside the
-    /// polynomial and records the edge bits. An entry the geometry has no
-    /// place for is ignored — no window could read it.
-    ///
-    /// `row` must take one value on the filter coefficients
-    /// `phase + s/2 + i·s`: the key part of a variant replicated with
-    /// period `s`, or zero with the whole key part in `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a slice does not hold `n` coefficients.
-    pub(crate) fn entry(
-        &mut self,
-        (r, phase): (usize, usize),
-        poly: usize,
-        c0: &[u64],
-        row: &[u64],
-        col: &[u64],
-    ) {
-        let (n, seg_bits, q, dec, last) = (self.n, self.seg_bits, self.q, self.dec, self.last);
-        assert!(
-            c0.len() == n && row.len() == n && col.len() == n,
-            "one phase term per coefficient"
-        );
-        let classes = self.classes;
-        let Some(class) = classes.get(r) else {
-            return;
-        };
-        let s = class.window_segs;
-        if phase >= s || poly >= self.polys {
-            return;
-        }
-        let masks = &class.masks[..s];
-        let phase_at = |c: usize| q.add(q.add(c0[c], row[c]), col[c]);
-        let hit =
-            |c: usize, mask: u64| segment_matches(dec.round_phase(phase_at(c)), mask, seg_bits);
-
-        // Windows inside the polynomial start at `phase`, `phase + s`, …,
-        // coefficient `start + i` carries window segment `i`, and a window
-        // must end by `n` and start at a bit offset
-        // `(poly·n + start)·seg_bits + r` of at most `last`.
-        let windows = |room: Option<usize>| room.map_or(0, |room| room / s + 1);
-        let count = windows(n.checked_sub(phase + s)).min(windows(
-            last.checked_sub(r)
-                .and_then(|g| (g / seg_bits).checked_sub(poly * n + phase)),
-        ));
-        // A class without an interval filters through the whole ring and
-        // tests its filter segment exactly with the others.
-        let mid = s / 2;
-        let (lo, width, exact) = match &self.scratch.filters[r] {
-            Some(ones) => (*ones.start(), ones.end() - ones.start(), true),
-            None => (0, q.value() - 1, false),
-        };
-        let passed = &mut self.scratch.passed;
-        passed.clear();
-        if count > 0 {
-            let first = phase + mid;
-            let filtered = first..first + (count - 1) * s + 1;
-            debug_assert!(
-                filtered.clone().step_by(s).all(|c| row[c] == row[first]),
-                "the row takes one value on the filter coefficients"
-            );
-            // Sized by the shape, not by what passes: a warm job never
-            // grows it.
-            passed.reserve(count);
-            let k = q.sub(row[first], lo);
-            let (c0, col) = (&c0[filtered.clone()], &col[filtered]);
-            filter_windows(c0, col, s, k, q.value(), width, passed);
-        }
-        for &window in &self.scratch.passed {
-            let start = phase + window * s;
-            if (0..s).all(|i| (exact && i == mid) || hit(start + i, masks[i])) {
-                self.matches.push((poly * n + start) * seg_bits + r);
-            }
-        }
-
-        self.record_edges((r, phase), poly, |c, i| hit(c, masks[i]));
-    }
-
     /// Tests every variant of class `r` against polynomial `poly` at once,
     /// given the polynomial's decryption phases `d` (`db.c0 + s·db.c1`,
     /// narrowed to 32 bits: `q ≤ 2³²`) and the class's `s` segment phases
@@ -492,9 +374,9 @@ impl<'a> PhaseScan<'a> {
     /// reads segment `s/2` at `start + s/2`, so one [`filter_candidates`]
     /// pass over `d` against one constant finds the candidate windows of
     /// all `s` variants; each is confirmed by the exact rounding of all `s`
-    /// segments. Then the edge bits of all `s` variants are recorded, as
-    /// [`Self::entry`] records them. A class or polynomial the geometry
-    /// has no place for is ignored.
+    /// segments. Then the edge bits of all `s` variants are recorded
+    /// ([`Self::record_edges`]). A class or polynomial the geometry has no
+    /// place for is ignored.
     ///
     /// # Panics
     ///
@@ -616,9 +498,9 @@ impl<'a> PhaseScan<'a> {
                 }
             }
         }
+        // Each window was found once: by its class's pass when it lies in
+        // one polynomial, here when it straddles a seam.
         self.matches.sort_unstable();
-        // A hand-built table may list a variant twice.
-        self.matches.dedup();
         self.matches
     }
 }
@@ -761,77 +643,6 @@ mod tests {
             assert_eq!(dec.round_phase(q - 1), 0, "{name}");
             assert!(!ones_phase_interval(q, seg_bits, seg_bits - 1).contains(&(q - 1)));
             assert!(ones_phase_interval(q, seg_bits, seg_bits).contains(&(q - 1)));
-        }
-    }
-
-    #[test]
-    fn filter_kernel_passes_what_the_phase_interval_contains() {
-        use cm_bfv::BfvParams;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xF117);
-        for params in [
-            BfvParams::ciphermatch_1024(),
-            BfvParams::ciphermatch_ifp_1024(),
-            BfvParams::insecure_test_add(),
-            BfvParams::insecure_test_pow2(),
-        ] {
-            let (q, n, name) = (params.q, params.n, params.name);
-            let (modulus, seg_bits) = (Modulus::new(q), params.t.trailing_zeros() as usize);
-            for dont_care in 0..=seg_bits {
-                let ones = ones_phase_interval(q, seg_bits, dont_care);
-                let (lo, width) = (*ones.start(), ones.end() - ones.start());
-                // The kernel's sum `x = c0 + col + k` at each wrap of its
-                // compares, and at both interval ends ± 2 on every level.
-                let mut targets = vec![0, width, q - 1, q, q + width, 2 * q - 1, 2 * q];
-                targets.extend([2 * q + width, 3 * q - 3]);
-                for level in [0, q, 2 * q] {
-                    for end in [level, level + width] {
-                        targets.extend(end.saturating_sub(2)..=end + 2);
-                    }
-                }
-                // Rows for `k = 0`, `k = q − 1` and at random.
-                for row in [lo, modulus.sub(lo, 1), rng.gen_range(0..q)] {
-                    let k = modulus.sub(row, lo);
-                    let passes = |(c0, col): (u64, u64)| {
-                        ones.contains(&modulus.add(modulus.add(c0, row), col))
-                    };
-                    // Every target this `k` reaches as a pair of reduced
-                    // terms, then random pairs.
-                    let mut terms: Vec<(u64, u64)> = targets
-                        .iter()
-                        .filter(|&&x| (k..=k + 2 * (q - 1)).contains(&x))
-                        .map(|&x| ((x - k).min(q - 1), x - k - (x - k).min(q - 1)))
-                        .collect();
-                    let targeted = terms.len();
-                    assert!(terms.iter().all(|&(c0, col)| c0 < q && col < q));
-                    terms.extend((0..n).map(|_| (rng.gen_range(0..q), rng.gen_range(0..q))));
-                    // Between filter coefficients, a pair that would pass.
-                    let decoy = ((q - k) % q, 0);
-                    assert!(passes(decoy));
-                    for stride in [1, 2, 3, 5] {
-                        // No window, each target alone, and all of them.
-                        let single = terms[..targeted].iter().map(std::slice::from_ref);
-                        for windows in [&[][..], &terms[..]].into_iter().chain(single) {
-                            let len = (windows.len() * stride).saturating_sub(stride - 1);
-                            let (mut c0, mut col) = (vec![decoy.0; len], vec![decoy.1; len]);
-                            for (i, &(a, b)) in windows.iter().enumerate() {
-                                (c0[i * stride], col[i * stride]) = (a, b);
-                            }
-                            let mut got = Vec::new();
-                            filter_windows(&c0, &col, stride, k, q, width, &mut got);
-                            let want: Vec<usize> =
-                                (0..windows.len()).filter(|&i| passes(windows[i])).collect();
-                            assert_eq!(
-                                got,
-                                want,
-                                "{name} w={dont_care} row={row} stride={stride} windows={}",
-                                windows.len()
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 

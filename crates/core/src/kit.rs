@@ -25,9 +25,10 @@
 //! The alignment geometry the server needs is a function of `k` and is
 //! rebuilt there; the negated pattern segments exist only inside the
 //! call, on this side. Algorithm 1's explicit form
-//! ([`crate::EncryptedQuery`], `CMQ2`, one fresh ciphertext per shifted
-//! variant) is the test oracle and travels to no tenant: its bytes are a
-//! [`cm_bfv::DecodeError::BadMagic`] like the retired `CMQ1`.
+//! ([`crate::EncryptedQuery`], one fresh ciphertext per shifted variant)
+//! is the test oracle and has no wire encoding: any magic but `CMQ3` —
+//! its old `CMQ2` and the retired `CMQ1` included — is a
+//! [`cm_bfv::DecodeError::BadMagic`].
 
 use cm_bfv::Encryptor;
 use rand::Rng;

@@ -60,22 +60,23 @@
 //! class read disjoint coefficients. In flash
 //! ([`ShardScratch::run_with_adder`]) the controller gathers variant
 //! `(r, p)` out of the packed ciphertext's coefficients and streams it
-//! into the latches, and the test reads the flash's sums in one reused
-//! tile. Neither writes out the `V` variants or a `V × P` result table.
-//! Deriving variants after encryption is valid because that test reads
-//! decryption *phases* coefficient by coefficient and a phase is linear
-//! and coefficient-wise; a gathered `c1` is not a ring element anyone
-//! could decrypt by, so whoever decrypts result ciphertexts somewhere
-//! else uses the explicit
-//! [`EncryptedQuery`] (Algorithm 1 to the letter: the conservative flow's
-//! [`CiphermatchEngine::search`] and every test oracle). The derived
-//! variants are a public function of what the client sent: the server
-//! learns nothing 47 fresh encryptions would have hidden. A result that
-//! arrives whole from somewhere else goes through
-//! [`CiphermatchEngine::generate_indices_with`], which runs the same
-//! per-entry test after checking that the table really is row plus
-//! column; sums the flash added are held to the same check variant by
-//! variant, and a range job that reads its own database needs none.
+//! into the latches, so the flash runs every Hom-Add; the range's phases
+//! come from the first variant's sums, every later sum is checked on both
+//! halves against them, and the range is scanned exactly as a CM-SW range
+//! job scans its own. Neither writes out the `V` variants or a `V × P`
+//! result table. Deriving variants after encryption is valid because
+//! that test reads decryption *phases* coefficient by coefficient and a
+//! phase is linear and coefficient-wise; a gathered `c1` is not a ring
+//! element anyone could decrypt by, so whoever decrypts result
+//! ciphertexts somewhere else uses the explicit [`EncryptedQuery`]
+//! (Algorithm 1 to the letter: the conservative flow's
+//! [`CiphermatchEngine::search`] and every test oracle; it has no wire
+//! form). The derived variants are a public function of what the client
+//! sent: the server learns nothing 47 fresh encryptions would have
+//! hidden. A result that arrives whole from somewhere else goes through
+//! [`CiphermatchEngine::generate_indices_with`], which decrypts it into
+//! a [`MatchTable`] — in a batch after checking that the table really is
+//! row plus column, else ciphertext by ciphertext — and scans that.
 //! A search takes `&self` and returns its own [`MatchStats`], so one
 //! matcher answers every concurrent query on its database; [`exec`] is
 //! the work-pool runtime every concurrent layer of the stack (CM-SW

@@ -211,7 +211,8 @@ impl EncryptedDatabase {
 /// conservative flow ([`CiphermatchEngine::search`] +
 /// [`CiphermatchEngine::generate_indices`]) — and the oracle both served
 /// paths are tested against. No serving path takes it: CM-SW and the
-/// in-flash controller both take a [`PackedQuery`].
+/// in-flash controller both take a [`PackedQuery`], and this form has no
+/// wire encoding — it lives in the process that made it.
 #[derive(Debug, Clone)]
 pub struct EncryptedQuery {
     pub(crate) variants: Vec<EncryptedVariant>,
@@ -252,14 +253,6 @@ fn check_fresh(
     Ok(())
 }
 
-/// Appends the wire header of a `k`-bit query in the form `magic` names,
-/// with `count` ciphertexts.
-fn put_query_header(out: &mut Vec<u8>, magic: u32, k: usize, count: usize) {
-    out.extend_from_slice(&magic.to_be_bytes());
-    out.extend_from_slice(&(k as u64).to_le_bytes());
-    out.extend_from_slice(&(count as u32).to_le_bytes());
-}
-
 /// Appends one length-prefixed ciphertext in the compact `cm-bfv`
 /// format, serialized in place (the prefix is patched in afterwards).
 fn put_ciphertext(out: &mut Vec<u8>, ct: &Ciphertext, q_bits: u32) {
@@ -296,137 +289,6 @@ impl EncryptedQuery {
     /// [`SearchResult`] from externally computed sums).
     pub fn classes(&self) -> &[AlignmentClass] {
         &self.classes
-    }
-
-    /// Serializes the query (`CMQ2`): the magic, the query length `k`, and
-    /// every variant ciphertext in the compact `cm-bfv` format behind its
-    /// `(r, phase)` key. Outside the ciphertext bodies every byte is a
-    /// function of `k` and the parameter set: the alignment geometry is
-    /// not sent — the receiver derives it from `k` — and the negated
-    /// pattern segments the variants were built from never leave
-    /// [`CiphermatchEngine`]'s query preparation. No tenant takes these
-    /// bytes; they exist for the oracle's own round trips.
-    pub fn encode(&self, q_bits: u32) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_query_header(&mut out, QUERY_MAGIC, self.k, self.variants.len());
-        for v in &self.variants {
-            out.extend_from_slice(&(v.r as u16).to_le_bytes());
-            out.extend_from_slice(&(v.phase as u16).to_le_bytes());
-            put_ciphertext(&mut out, &v.ct, q_bits);
-        }
-        out
-    }
-
-    /// Decodes a query serialized with [`Self::encode`] for segments of
-    /// `seg_bits` bits, rebuilding the alignment geometry from the encoded
-    /// length.
-    ///
-    /// Decoding alone does not prove the query fits a particular parameter
-    /// set — run [`Self::validate`] against the server's context before
-    /// searching with untrusted bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`cm_bfv::DecodeError`] on malformed input (including the
-    /// retired `CMQ1` format, which is [`cm_bfv::DecodeError::BadMagic`]);
-    /// never panics.
-    pub fn decode(data: &[u8], seg_bits: usize) -> Result<Self, cm_bfv::DecodeError> {
-        use cm_bfv::DecodeError;
-        // A segment is a coefficient of at most 63 bits.
-        if !(1..=63).contains(&seg_bits) {
-            return Err(DecodeError::BadHeader("segment width"));
-        }
-        let mut cur = Cursor { data, pos: 0 };
-        if cur.u32_be()? != QUERY_MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let k = usize::try_from(cur.u64()?).map_err(|_| DecodeError::BadHeader("query length"))?;
-        if k == 0 {
-            return Err(DecodeError::BadHeader("empty query"));
-        }
-        let count = cur.u32()? as usize;
-        // Each variant costs at least its 8-byte preamble, and a `k`-bit
-        // query has at least `k` variants: a count the buffer cannot hold,
-        // or a length the count does not fit, is a lie told by the header
-        // — rejected before either sizes an allocation.
-        if count > cur.remaining() / 8 {
-            return Err(DecodeError::BadHeader("variant count"));
-        }
-        if k > count || variant_count(k, seg_bits) != count {
-            return Err(DecodeError::BadHeader("variant count vs query length"));
-        }
-        let mut variants = Vec::with_capacity(count);
-        for _ in 0..count {
-            let r = cur.u16()? as usize;
-            let phase = cur.u16()? as usize;
-            let len = cur.u32()? as usize;
-            let ct = cm_bfv::decode_ciphertext(cur.take(len)?)?;
-            variants.push(EncryptedVariant { r, phase, ct });
-        }
-        if cur.remaining() != 0 {
-            return Err(DecodeError::BadHeader("trailing bytes after the variants"));
-        }
-        Ok(Self {
-            variants,
-            classes: alignment_geometry(k, seg_bits),
-            k,
-        })
-    }
-
-    /// Checks that a decoded query is well-formed *for this parameter set*:
-    /// the alignment classes cover every bit offset of a `seg_bits`-wide
-    /// segment consistently with `k`, every `(r, phase)` variant the index
-    /// generator will look up is present, and every variant ciphertext is a
-    /// fresh size-2 ciphertext over ring degree `n` with coefficients below
-    /// `q`. Rejecting anything else keeps a hostile wire query from
-    /// panicking the search or index-generation paths.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`cm_bfv::DecodeError`] naming the violated invariant.
-    pub fn validate(&self, n: usize, seg_bits: usize, q: u64) -> Result<(), cm_bfv::DecodeError> {
-        use cm_bfv::DecodeError;
-        if self.k == 0 {
-            return Err(DecodeError::BadHeader("empty query"));
-        }
-        if self.classes.len() != seg_bits {
-            return Err(DecodeError::BadHeader("alignment class count"));
-        }
-        let full = (1u64 << seg_bits) - 1;
-        for (r, class) in self.classes.iter().enumerate() {
-            if class.r != r || class.window_segs != (r + self.k).div_ceil(seg_bits) {
-                return Err(DecodeError::BadHeader("alignment class geometry"));
-            }
-            if class.masks.len() != class.window_segs {
-                return Err(DecodeError::BadHeader("alignment class lengths"));
-            }
-            if class.masks.iter().any(|&mask| mask > full) {
-                return Err(DecodeError::BadHeader("alignment class segments"));
-            }
-        }
-        let expected: usize = self.classes.iter().map(|c| c.window_segs).sum();
-        if self.variants.len() != expected {
-            return Err(DecodeError::BadHeader("variant count"));
-        }
-        let mut seen = std::collections::HashSet::new();
-        for v in &self.variants {
-            let s = self
-                .classes
-                .get(v.r)
-                .map(|c| c.window_segs)
-                .ok_or(DecodeError::BadHeader("variant class"))?;
-            if v.phase >= s || !seen.insert((v.r, v.phase)) {
-                return Err(DecodeError::BadHeader("variant phase"));
-            }
-            check_fresh(
-                &v.ct,
-                n,
-                q,
-                "variant ciphertext size",
-                "variant ring degree",
-            )?;
-        }
-        Ok(())
     }
 }
 
@@ -490,7 +352,9 @@ impl PackedQuery {
     /// set.
     pub fn encode(&self, q_bits: u32) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.cts.len() * 16 + self.byte_size(q_bits));
-        put_query_header(&mut out, PACKED_QUERY_MAGIC, self.k, self.cts.len());
+        out.extend_from_slice(&PACKED_MAGIC.to_be_bytes());
+        out.extend_from_slice(&(self.k as u64).to_le_bytes());
+        out.extend_from_slice(&(self.cts.len() as u32).to_le_bytes());
         for ct in &self.cts {
             put_ciphertext(&mut out, ct, q_bits);
         }
@@ -530,7 +394,7 @@ impl PackedQuery {
             return Err(DecodeError::BadHeader("segment width"));
         }
         let mut cur = Cursor { data, pos: 0 };
-        if cur.u32_be()? != PACKED_QUERY_MAGIC {
+        if cur.u32_be()? != PACKED_MAGIC {
             return Err(DecodeError::BadMagic);
         }
         let k = usize::try_from(cur.u64()?).map_err(|_| DecodeError::BadHeader("query length"))?;
@@ -579,14 +443,11 @@ impl PackedQuery {
     }
 }
 
-/// Magic bytes identifying the explicit serialized-query format ("CMQ2"),
-/// which no tenant accepts. `CMQ1` carried the alignment classes — the
-/// negated pattern included — in the clear next to the ciphertexts; it is
-/// refused.
-const QUERY_MAGIC: u32 = 0x434D_5132;
-
-/// Magic bytes of the packed serialized-query format ("CMQ3").
-const PACKED_QUERY_MAGIC: u32 = 0x434D_5133;
+/// Magic bytes of the packed serialized-query format ("CMQ3"), the only
+/// one a server decodes: the retired `CMQ1` carried the alignment classes
+/// — the negated pattern included — in the clear next to the ciphertexts,
+/// and the explicit form's `CMQ2` codec is gone.
+const PACKED_MAGIC: u32 = 0x434D_5133;
 
 /// Minimal bounds-checked reader over a byte slice (decode helper).
 struct Cursor<'a> {
@@ -608,10 +469,6 @@ impl<'a> Cursor<'a> {
         let out = &self.data[self.pos..end];
         self.pos = end;
         Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16, cm_bfv::DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     fn u32(&mut self) -> Result<u32, cm_bfv::DecodeError> {
@@ -731,30 +588,30 @@ impl SearchResult {
 }
 
 /// Reusable working memory of index generation
-/// ([`CiphermatchEngine::generate_indices_with`]): the row and column key
-/// products and the phase scan's edge bits of the batched path, and the
-/// match table of the per-ciphertext fallback (empty until a table takes
-/// it). It is capacity, not a cache: every buffer is rewritten before it
-/// is read, so nothing computed for one result is reused for the next.
+/// ([`CiphermatchEngine::generate_indices_with`]) and of a served job
+/// ([`ShardScratch`]): the match table every explicit result is decrypted
+/// into, the row and column key products of its batched path, and the
+/// phase scan's edge bits of a served job. It is capacity, not a cache:
+/// every buffer is rewritten before it is read, so nothing computed for
+/// one result is reused for the next.
 #[derive(Debug, Clone, Default)]
 pub struct IndexScratch {
     table: MatchTable,
     phases: PhaseScratch,
-    /// The query's share of each entry's key part: `s·c1[v][0]` per
-    /// variant for a table that arrives whole; for sums added in flash
-    /// the one variant in hand, gathered from the packed query's
-    /// products. A CM-SW job uses it only as Horner's working space for a
-    /// database ciphertext past two components.
+    /// The query's share of each entry's key part, `s·c1[v][0]` per
+    /// variant of a table. A served job uses it only as Horner's working
+    /// space for a ciphertext past two components.
     rows: Vec<u64>,
-    /// The database's share per polynomial: `s·(c1[0][j] − c1[0][0])` for
-    /// a table, `s·deltas[j]` for sums added in flash.
+    /// The database's share per polynomial of a table,
+    /// `s·(c1[0][j] − c1[0][0])`.
     cols: Vec<u64>,
     /// The additivity reference per polynomial: `c1[0][j] − c1[0][0]` for
-    /// a table, `sum.c1[v₀][j] − v₀.c1` for sums added elsewhere.
+    /// a table; for sums added in flash both halves of
+    /// `sum[v₀][j] − v₀`, `c0` then `c1`.
     deltas: Vec<u64>,
     /// One polynomial of working space: the additivity check, the
-    /// operand a key product is taken of, a table entry's row plus
-    /// column, or a CM-SW job's key product of the polynomial in hand.
+    /// operand a key product is taken of, a table entry's phase, or a
+    /// served job's key product of the polynomial in hand.
     line: Vec<u64>,
     key_muls: u64,
 }
@@ -976,15 +833,14 @@ impl CiphermatchEngine {
     /// `query variant v + database polynomial j` — and `s · c1` is linear,
     /// so `s·c1[v][j] = s·c1[v][0] + s·(c1[0][j] − c1[0][0])`: `V + P − 1`
     /// key multiplications give the decryption phase of all `V × P`
-    /// entries, which a `PhaseScan` tests entry by entry — the test a
-    /// served job runs on sums added in flash
-    /// ([`ShardScratch::run_with_adder`]). That path is
-    /// taken only when the table itself proves the structure (every
-    /// ciphertext fresh two-component, every `c1` the sum of its row and
-    /// column — checked as `c1` streams by, because this table was built
-    /// by someone else); anything else decrypts ciphertext by ciphertext
-    /// as [`Self::generate_indices_reference`] does. Nothing here
-    /// outlives the call except `scratch`'s buffers.
+    /// entries, each rounded into the [`MatchTable`]. That path is taken
+    /// only when the table itself proves the structure (every ciphertext
+    /// fresh two-component, every `c1` the sum of its row and column —
+    /// checked as `c1` streams by, because this table was built by
+    /// someone else); anything else decrypts ciphertext by ciphertext as
+    /// [`Self::generate_indices_reference`] does. Either way the one
+    /// [`generate_indices`] scans the table. Nothing here outlives the
+    /// call except `scratch`'s buffers.
     pub fn generate_indices_with(
         &self,
         dec: &Decryptor,
@@ -992,10 +848,10 @@ impl CiphermatchEngine {
         scratch: &mut IndexScratch,
     ) -> Vec<usize> {
         scratch.key_muls = 0;
-        if let Some(indices) = self.scan_batched(dec, result, scratch) {
-            return indices;
+        if !self.decrypt_batched(dec, result, scratch) {
+            self.decrypt_per_ciphertext(dec, result, scratch);
         }
-        self.scan_per_ciphertext(dec, result, scratch)
+        generate_indices(&scratch.table, result.total_bits, result.k)
     }
 
     /// Index generation that decrypts every result ciphertext on its own
@@ -1005,30 +861,35 @@ impl CiphermatchEngine {
     /// served job are tested against. One key multiplication per
     /// ciphertext component past the first — do not optimize.
     pub fn generate_indices_reference(&self, dec: &Decryptor, result: &SearchResult) -> Vec<usize> {
-        self.scan_per_ciphertext(dec, result, &mut IndexScratch::default())
+        let mut scratch = IndexScratch::default();
+        self.decrypt_per_ciphertext(dec, result, &mut scratch);
+        generate_indices(&scratch.table, result.total_bits, result.k)
     }
 
-    /// Scans the whole table with one key multiplication per row and per
-    /// column. Returns `None` — possibly after partial work — when the
-    /// table is not a two-component outer sum over this ring.
-    fn scan_batched(
+    /// Decrypts the whole table into `scratch.table` with one key
+    /// multiplication per row and per column. Returns `false` — possibly
+    /// after partial work — when the table is not a two-component outer
+    /// sum over this ring.
+    fn decrypt_batched(
         &self,
         dec: &Decryptor,
         result: &SearchResult,
         scratch: &mut IndexScratch,
-    ) -> Option<Vec<usize>> {
+    ) -> bool {
         let n = self.ctx.params().n;
         let q = self.ctx.rq().modulus();
         let variants = &result.per_variant;
-        let first = variants.first()?;
+        let Some(first) = variants.first() else {
+            return false;
+        };
         let polys = first.ciphertext_count();
         let fresh = |v: &VariantSums| v.ct_size == 2 && v.n == n && v.arena.len() == polys * 2 * n;
         if polys == 0 || !variants.iter().all(fresh) {
-            return None;
+            return false;
         }
 
         let IndexScratch {
-            phases,
+            table,
             rows,
             cols,
             deltas,
@@ -1053,19 +914,7 @@ impl CiphermatchEngine {
         }
         *key_muls += (variants.len() + polys - 1) as u64;
 
-        let mut scan = PhaseScan::begin(
-            phases,
-            dec,
-            &self.ctx,
-            &result.classes,
-            polys,
-            result.total_bits,
-            result.k,
-        );
-        // These rows differ from coefficient to coefficient, so each entry
-        // hands the scan its whole key part as the column, beside column
-        // 0 as a zero row.
-        let zero = &cols[..n];
+        table.reset(&result.classes, self.packing.seg_bits(), polys, n);
         for (i, (v, row)) in variants.iter().zip(rows.chunks_exact(n)).enumerate() {
             for j in 0..polys {
                 // Row 0 and column 0 define the decomposition; every
@@ -1073,25 +922,29 @@ impl CiphermatchEngine {
                 if i > 0 && j > 0 {
                     kernels::add_slices(q, v.part(0, 1), &deltas[j * n..][..n], line);
                     if line[..] != *v.part(j, 1) {
-                        return None;
+                        return false;
                     }
                 }
                 kernels::add_slices(q, row, &cols[j * n..][..n], line);
-                scan.entry(v.key, j, v.part(j, 0), zero, line);
+                kernels::add_assign_slices(q, line, v.part(j, 0));
+                for phase in line.iter_mut() {
+                    *phase = dec.round_phase(*phase);
+                }
+                table.store(v.key.0, v.key.1, j, line);
             }
         }
-        Some(scan.finish())
+        true
     }
 
     /// Decrypts every stored result ciphertext on its own, straight out
     /// of the flat arenas via [`Decryptor::decrypt_slices`], into the
-    /// match table, and scans that.
-    fn scan_per_ciphertext(
+    /// match table.
+    fn decrypt_per_ciphertext(
         &self,
         dec: &Decryptor,
         result: &SearchResult,
         scratch: &mut IndexScratch,
-    ) -> Vec<usize> {
+    ) {
         let polys = result
             .per_variant
             .iter()
@@ -1116,7 +969,6 @@ impl CiphermatchEngine {
                 scratch.table.store(v.key.0, v.key.1, j, sums.coeffs());
             }
         }
-        generate_indices(&scratch.table, result.total_bits, result.k)
     }
 
     /// Convenience end-to-end search (encrypt query → search → index gen).
@@ -1181,18 +1033,21 @@ impl TrustedIndexGenerator {
     }
 }
 
-/// Everything one served job works in, kept between jobs. A CM-SW job
-/// ([`Self::run`]) holds the decryption *phases* of its range —
-/// `db_j.c0 + s·db_j.c1` per polynomial, `P × n` 32-bit words — and of the
-/// packed query's segments, `⌈V/n⌉ × n` words, and tests every variant of
-/// an alignment class in one pass over them: it gathers no variant and
-/// keeps no sum. A job whose sums are added in flash
-/// ([`Self::run_with_adder`]) holds one *variant* — a ciphertext-sized
-/// buffer the packed query is gathered into, rewritten for every
-/// `(r, phase)` — and one *tile* of that variant's `P` two-component sums,
-/// tested where the adder left them and overwritten by the next. Neither
-/// keeps a table of all `V × P` results or a list of the `V` variants, so
-/// what a job retains does not grow with `V`.
+/// Everything one served job works in, kept between jobs. Every job holds
+/// the decryption *phases* of its range — `db_j.c0 + s·db_j.c1` per
+/// polynomial, `P × n` 32-bit words — and of the packed query's segments,
+/// `⌈V/n⌉ × n` words, and ends in the same scan: one pass over them per
+/// alignment class, which tests every variant of the class. A CM-SW job
+/// ([`Self::run`]) takes the range's phases from its ciphertexts and
+/// gathers no variant. A job whose sums are added in flash
+/// ([`Self::run_with_adder`]) takes them from the first variant's sums,
+/// and also holds one *variant* — a ciphertext-sized buffer the packed
+/// query is gathered into, rewritten for every `(r, phase)` — one *tile*
+/// of that variant's `P` two-component sums, checked where the adder left
+/// them and overwritten by the next, and the first variant's `P`
+/// differences the check holds them to. No job keeps a table of all
+/// `V × P` results or a list of the `V` variants, so what a job retains
+/// does not grow with `V`.
 /// It is capacity, not state — every buffer is rewritten before it is
 /// read, and the key products and phases are zeroed when a job ends,
 /// however it ends (a drop guard does it, on return and on unwind) — so
@@ -1206,12 +1061,11 @@ pub struct ShardScratch {
     /// That variant's sums over the job's polynomials: `P × 2 × n` words,
     /// `c0` then `c1` per polynomial.
     tile: Vec<u64>,
-    /// `⌈V/n⌉ × n` words in the flat segment layout of [`pack_segments`]:
-    /// the packed query's segment phases `c0 + s·c1` for a CM-SW job, its
-    /// key parts `s·c1` for sums added in flash.
+    /// The packed query's segment phases `c0 + s·c1`, `⌈V/n⌉ × n` words
+    /// in the flat segment layout of [`pack_segments`].
     psi: Vec<u64>,
-    /// A CM-SW job's range phases `db_j.c0 + s·db_j.c1`, `P × n` words of
-    /// 32 bits: every served `q` is at most `2³²`.
+    /// The range's phases `db_j.c0 + s·db_j.c1`, `P × n` words of 32 bits:
+    /// every served `q` is at most `2³²`.
     phases: Vec<u32>,
     index: IndexScratch,
 }
@@ -1231,7 +1085,7 @@ impl Drop for Job<'_> {
         let ShardScratch {
             psi, phases, index, ..
         } = &mut *self.0;
-        for products in [psi, &mut index.rows, &mut index.cols, &mut index.line] {
+        for products in [psi, &mut index.rows, &mut index.line] {
             products.fill(0);
         }
         phases.fill(0);
@@ -1260,6 +1114,58 @@ fn key_part_into(
         dec.key_product_into(work, out);
     }
     (ct.size() - 1) as u64
+}
+
+/// `d = key + c0 mod q`, narrowed to 32 bits: a polynomial's decryption
+/// phase from its `c0` and its key part (`key` is overwritten).
+fn fold_phase(q: &cm_hemath::Modulus, key: &mut [u64], c0: &[u64], d: &mut [u32]) {
+    kernels::add_assign_slices(q, key, c0);
+    for (d, &phase) in d.iter_mut().zip(key.iter()) {
+        *d = phase as u32;
+    }
+}
+
+/// The phase scan every served job ends in: takes the packed query's
+/// segment phases `Q.c0 + s·Q.c1` into `psi` (`⌈V/n⌉` key
+/// multiplications), then tests every alignment class in one pass over
+/// each of the range's polynomial phases `phases` ([`PhaseScan::class`]).
+/// The phase of entry `(v, j)` is `phases[j] + ψ` gathered as variant `v`
+/// is: a phase is linear and coefficient-wise.
+fn scan_range(
+    index_gen: &TrustedIndexGenerator,
+    query: &PackedQuery,
+    total_bits: usize,
+    phases: &[u32],
+    psi: &mut Vec<u64>,
+    index: &mut IndexScratch,
+) -> Vec<usize> {
+    let (ctx, dec) = (&index_gen.engine.ctx, &index_gen.dec);
+    let (n, q) = (ctx.params().n, ctx.rq().modulus());
+    psi.resize(query.cts.len() * n, 0);
+    for (ct, segs) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
+        index.key_muls += key_part_into(dec, q, ct, &mut index.rows, segs);
+        kernels::add_assign_slices(q, segs, ct.part(0).coeffs());
+    }
+    let polys = phases.len() / n;
+    let mut scan = PhaseScan::begin(
+        &mut index.phases,
+        dec,
+        ctx,
+        &query.classes,
+        polys,
+        total_bits,
+        query.k,
+    );
+    // First flat segment index of the class in hand.
+    let mut base = 0;
+    for class in &query.classes {
+        let segs = &psi[base..base + class.window_segs];
+        for (j, d) in phases.chunks_exact(n).enumerate() {
+            scan.class(class.r, j, d, segs);
+        }
+        base += class.window_segs;
+    }
+    scan.finish()
 }
 
 /// `dst[c] = src((c − phase) mod s)` for every coefficient `c`: window
@@ -1323,54 +1229,21 @@ impl ShardScratch {
         let ShardScratch {
             psi, phases, index, ..
         } = &mut *job.0;
-        let IndexScratch {
-            phases: scan,
-            rows: work,
-            line,
-            key_muls,
-            ..
-        } = index;
-        line.resize(n, 0);
-        psi.resize(query.cts.len() * n, 0);
+        index.key_muls = 0;
+        index.line.resize(n, 0);
         phases.resize(db_cts.len() * n, 0);
-        *key_muls = 0;
         let mut stats = MatchStats {
             hom_adds: (query.variant_count() * db_cts.len()) as u64,
             ..MatchStats::default()
         };
         for (ct, d) in db_cts.iter().zip(phases.chunks_exact_mut(n)) {
-            *key_muls += key_part_into(dec, q, ct, work, line);
+            index.key_muls += key_part_into(dec, q, ct, &mut index.rows, &mut index.line);
             let t0 = Instant::now();
-            kernels::add_assign_slices(q, line, ct.part(0).coeffs());
-            for (d, &phase) in d.iter_mut().zip(line.iter()) {
-                *d = phase as u32;
-            }
+            fold_phase(q, &mut index.line, ct.part(0).coeffs(), d);
             stats.add_time += t0.elapsed();
         }
-        for (ct, segs) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
-            *key_muls += key_part_into(dec, q, ct, work, segs);
-            kernels::add_assign_slices(q, segs, ct.part(0).coeffs());
-        }
-
-        let mut scan = PhaseScan::begin(
-            scan,
-            dec,
-            &engine.ctx,
-            &query.classes,
-            db_cts.len(),
-            shard.total_bits,
-            query.k,
-        );
-        // First flat segment index of the class in hand.
-        let mut base = 0;
-        for class in &query.classes {
-            let segs = &psi[base..base + class.window_segs];
-            for (j, d) in phases.chunks_exact(n).enumerate() {
-                scan.class(class.r, j, d, segs);
-            }
-            base += class.window_segs;
-        }
-        (scan.finish(), stats)
+        let indices = scan_range(index_gen, query, shard.total_bits, phases, psi, index);
+        (indices, stats)
     }
 
     /// The served job for sums added where this process cannot see the
@@ -1378,47 +1251,35 @@ impl ShardScratch {
     /// variant through the device's `bop_add`s and writes the `polys`
     /// two-component sums into the tile, `c0` then `c1` per polynomial.
     ///
-    /// The columns come from the first variant's sums,
-    /// `s·(sum[v₀][j].c1 − v₀.c1)`, which is `s·db_j.c1` exactly because
-    /// the adder works mod `q` (for `q = 2³²`, wrapping 32-bit addition
-    /// *is* that) — `⌈V/n⌉ + P` key multiplications, as for CM-SW. Every
-    /// later sum is checked against them: for each `(v, j)`,
-    /// `sum[v][j].c1 = v.c1 + (sum[v₀][j].c1 − v₀.c1)`. The job wrote each
-    /// variant itself, so that proves two things: the adder added one and
-    /// the same column to every variant, and what it added to variant `v`
-    /// is exactly `v`. It does not prove the column is the stored database
-    /// polynomial: a corrupted stored coefficient is corrupted the same way
-    /// under every variant, as a corrupted word of a CM-SW range would be
-    /// in DRAM. Only `c1` can be checked: a wrong `c0` changes a phase,
-    /// which is what the test reads. The gathered `c1` is not a ring
-    /// element, so there is no per-ciphertext decryption to fall back to.
+    /// Per variant `(r, p)` the job gathers both components out of the
+    /// packed query — coefficient `c` takes flat segment
+    /// `base_r + (c − p) mod s_r` — and hands them to `add`, so the device
+    /// runs every one of the `V × P` Hom-Adds. The first variant's sums
+    /// give the columns `sum[v₀][j] − v₀`, which are the stored database
+    /// polynomials exactly because the adder works mod `q` (for `q = 2³²`,
+    /// wrapping 32-bit addition *is* that), and from them the range's
+    /// phases `(sum.c0 − v₀.c0) + s·(sum.c1 − v₀.c1)`: `P` key
+    /// multiplications, `⌈V/n⌉ + P` with the query's, as for CM-SW. Every
+    /// later sum is checked on both halves against them:
+    /// `sum[v][j] = v + (sum[v₀][j] − v₀)`. The job wrote each variant
+    /// itself, so that proves two things: the adder added one and the
+    /// same column to every variant, and what it added to variant `v` is
+    /// exactly `v`. It does not prove the column is the stored database
+    /// polynomial: a corrupted stored coefficient is corrupted the same
+    /// way under every variant, as a corrupted word of a CM-SW range
+    /// would be in DRAM. Then the range is scanned as a CM-SW job scans
+    /// its own, by the same code, so the answer is a function of checked
+    /// sums only, and the same as [`Self::run`]'s on the same range.
     ///
     /// # Errors
     ///
     /// Returns [`MatchError::Internal`] when a sum fails the check —
     /// never an index list computed from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ciphertext modulus exceeds `2³²`, as [`Self::run`].
     pub fn run_with_adder(
-        &mut self,
-        query: &PackedQuery,
-        index_gen: &TrustedIndexGenerator,
-        polys: usize,
-        total_bits: usize,
-        add: impl FnMut(&Ciphertext, &mut [u64]),
-    ) -> Result<Vec<usize>, MatchError> {
-        self.drive(query, index_gen, polys, total_bits, add)
-    }
-
-    /// The in-flash driver. Per variant `(r, p)`: gather both components
-    /// out of the packed query — coefficient `c` takes flat segment
-    /// `base_r + (c − p) mod s_r` — and its row the same way out of
-    /// `Ψ = s·Q.c1`, let `add` fill the tile with its sums, hold their
-    /// `c1` halves to the columns, and test the tile against `index_gen`'s
-    /// key while it is in cache with the phase scan of
-    /// [`CiphermatchEngine::generate_indices_with`]: the phase of entry
-    /// `(v, j)` at coefficient `c` is `tile.c0 + row + col`. A gathered
-    /// `c1` is not a ring element anyone could multiply by `s`; nothing
-    /// here does.
-    fn drive(
         &mut self,
         query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
@@ -1427,49 +1288,26 @@ impl ShardScratch {
         mut add: impl FnMut(&Ciphertext, &mut [u64]),
     ) -> Result<Vec<usize>, MatchError> {
         let (engine, dec) = (index_gen.engine(), &index_gen.dec);
-        let n = engine.ctx.params().n;
-        let q = engine.ctx.rq().modulus();
+        let (n, q) = (engine.ctx.params().n, engine.ctx.rq().modulus());
+        assert!(q.value() <= 1 << 32, "served phases are 32-bit words");
         let job = Job(self);
         let ShardScratch {
             variant,
             tile,
             psi,
-            index,
-            ..
-        } = &mut *job.0;
-        let IndexScratch {
             phases,
-            rows: row,
-            cols,
-            deltas,
-            line,
-            key_muls,
-            ..
-        } = index;
-        row.resize(n, 0);
-        cols.resize(polys * n, 0);
-        deltas.resize(polys * n, 0);
-        psi.resize(query.cts.len() * n, 0);
-        line.resize(n, 0);
+            index,
+        } = &mut *job.0;
+        index.key_muls = 0;
+        index.line.resize(n, 0);
+        index.deltas.resize(polys * 2 * n, 0);
         tile.resize(polys * 2 * n, 0);
-        *key_muls = 0;
-        for (ct, products) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
-            *key_muls += key_part_into(dec, q, ct, line, products);
-        }
+        phases.resize(polys * n, 0);
         let variant = match variant {
             Some(v) if v.part(0).len() == n => v,
             stale => stale.insert(Ciphertext::zero(2, n)),
         };
 
-        let mut scan = PhaseScan::begin(
-            phases,
-            dec,
-            &engine.ctx,
-            &query.classes,
-            polys,
-            total_bits,
-            query.k,
-        );
         // First flat segment index of the class in hand.
         let mut base = 0;
         let mut first = true;
@@ -1480,34 +1318,35 @@ impl ShardScratch {
                     let segment = |i| query.flat(part, base + i, n);
                     replicate(poly.coeffs_mut(), s, phase, segment);
                 }
-                replicate(row, s, phase, |i| psi[base + i]);
                 add(variant, tile);
-                let c1 = variant.part(1).coeffs();
-                let sums = tile.chunks_exact(2 * n).map(|sum| &sum[n..]);
-                let refs = deltas.chunks_exact_mut(n).zip(cols.chunks_exact_mut(n));
-                for (sum_c1, (delta, col)) in sums.zip(refs) {
+                // Tile and columns alike alternate `c0` and `c1` halves.
+                let halves = tile.chunks_exact(n).zip(index.deltas.chunks_exact_mut(n));
+                for (h, (sum, column)) in halves.enumerate() {
+                    let v = variant.part(h % 2).coeffs();
                     if first {
-                        kernels::sub_slices(q, sum_c1, c1, delta);
-                        dec.key_product_into(delta, col);
-                        *key_muls += 1;
+                        kernels::sub_slices(q, sum, v, column);
                         continue;
                     }
-                    kernels::add_slices(q, c1, delta, line);
-                    if line[..] != *sum_c1 {
+                    kernels::add_slices(q, v, column, &mut index.line);
+                    if index.line[..] != *sum {
                         return Err(MatchError::Internal(
                             "a sum is not its variant plus the column every other variant got",
                         ));
                     }
                 }
-                first = false;
-                let sums = tile.chunks_exact(2 * n);
-                for (j, (sum, col)) in sums.zip(cols.chunks_exact(n)).enumerate() {
-                    scan.entry((class.r, phase), j, &sum[..n], row, col);
+                if first {
+                    let columns = index.deltas.chunks_exact(2 * n);
+                    for (column, d) in columns.zip(phases.chunks_exact_mut(n)) {
+                        dec.key_product_into(&column[n..], &mut index.line);
+                        fold_phase(q, &mut index.line, &column[..n], d);
+                    }
+                    index.key_muls += polys as u64;
+                    first = false;
                 }
             }
             base += s;
         }
-        Ok(scan.finish())
+        Ok(scan_range(index_gen, query, total_bits, phases, psi, index))
     }
 
     /// [`Self::run`] on a scratch from the process-wide free list (or a
@@ -1769,7 +1608,8 @@ mod tests {
         assert!(scratch.variant.is_none() && scratch.tile.is_empty());
 
         // Sums added elsewhere on the same scratch gather both halves of
-        // every variant into a tile of two-component sums.
+        // every variant into a tile of two-component sums, and then scan
+        // the range's phases as the CM-SW job does: no row.
         let got = scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
             engine.sweep_variant(db.ciphertexts(), v, 2, tile, &mut MatchStats::default());
         });
@@ -1780,6 +1620,8 @@ mod tests {
             .parts()
             .iter()
             .all(|p| p.coeffs().iter().any(|&c| c != 0)));
+        assert_eq!(scratch.phases.len(), polys * n);
+        assert!(scratch.index.rows.is_empty());
         // And a CM-SW job after it reads none of what that left.
         assert_eq!(scratch.run(&db, &query, &index_gen).0, indices);
     }
@@ -1823,90 +1665,6 @@ mod tests {
     }
 
     #[test]
-    fn query_serialization_roundtrips_and_validates() {
-        let f = Fixture::new();
-        let mut rng = StdRng::seed_from_u64(4242);
-        let (sk, pk) = {
-            let kg = KeyGenerator::new(&f.ctx, &mut rng);
-            (kg.secret_key(), kg.public_key(&mut rng))
-        };
-        let enc = Encryptor::new(&f.ctx, pk);
-        let dec = Decryptor::new(&f.ctx, sk);
-        let mut engine = CiphermatchEngine::new(&f.ctx);
-        let data = BitString::from_ascii("queries cross the wire as bytes");
-        let db = engine.encrypt_database(&enc, &data, &mut rng);
-        let pattern = BitString::from_ascii("wire");
-        let query = engine.prepare_query(&enc, &pattern, &mut rng);
-        let q_bits = f.ctx.params().coeff_bits();
-        let n = f.ctx.params().n;
-        let seg_bits = engine.packing().seg_bits();
-
-        let bytes = query.encode(q_bits);
-        let restored = EncryptedQuery::decode(&bytes, seg_bits).expect("roundtrip");
-        restored
-            .validate(n, seg_bits, f.ctx.params().q)
-            .expect("well-formed");
-        assert_eq!(restored.k(), query.k());
-        assert_eq!(restored.classes(), query.classes());
-        assert_eq!(
-            restored.classes(),
-            alignment_geometry(pattern.len(), seg_bits)
-        );
-        assert_eq!(restored.variant_count(), query.variant_count());
-
-        // The restored query searches identically.
-        let result = engine.search(&db, &restored);
-        assert_eq!(
-            engine.generate_indices(&dec, &result),
-            data.find_all(&pattern)
-        );
-
-        // Every truncation fails cleanly; garbage never panics.
-        for cut in 0..bytes.len() {
-            assert!(
-                EncryptedQuery::decode(&bytes[..cut], seg_bits).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
-        }
-        for i in (0..bytes.len()).step_by(11) {
-            let mut flipped = bytes.clone();
-            flipped[i] ^= 0x5A;
-            if let Ok(q) = EncryptedQuery::decode(&flipped, seg_bits) {
-                // A decodable flip must still be caught by validation or
-                // search safely (validation bounds everything index
-                // generation touches).
-                let _ = q.validate(n, seg_bits, f.ctx.params().q);
-            }
-        }
-
-        // Validation pins the geometry: a query for the wrong ring degree
-        // or segment width is rejected before it can reach the engine.
-        assert!(restored
-            .validate(n * 2, seg_bits, f.ctx.params().q)
-            .is_err());
-        assert!(restored
-            .validate(n, seg_bits + 1, f.ctx.params().q)
-            .is_err());
-        assert!(restored.validate(n, seg_bits, 2).is_err());
-    }
-
-    /// Everything of an encoded query outside the ciphertext bodies: the
-    /// header, and each variant's key, length prefix and 12-byte
-    /// ciphertext header.
-    fn outside_ciphertext_bodies(bytes: &[u8]) -> Vec<u8> {
-        let mut kept = bytes[..16].to_vec();
-        let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-        let mut at = 16;
-        for _ in 0..count {
-            let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
-            kept.extend_from_slice(&bytes[at..at + 8 + 12]);
-            at += 8 + len;
-        }
-        assert_eq!(at, bytes.len(), "the walk covers the whole encoding");
-        kept
-    }
-
-    #[test]
     fn nothing_outside_the_ciphertexts_depends_on_the_pattern() {
         let f = Fixture::new();
         let mut rng = StdRng::seed_from_u64(8181);
@@ -1915,26 +1673,7 @@ mod tests {
         let engine = CiphermatchEngine::new(&f.ctx);
         let q_bits = f.ctx.params().coeff_bits();
         let seg_bits = engine.packing().seg_bits();
-        for k in [1usize, 7, 8, 9, 29, 64] {
-            let mut clear = Vec::new();
-            for trial in 0..4u64 {
-                let bits: Vec<bool> = (0..k).map(|_| rng.gen()).collect();
-                let pattern = BitString::from_bits(&bits);
-                let query = engine.prepare_query(&enc, &pattern, &mut rng);
-                let bytes = query.encode(q_bits);
-                // What decode hands the server is the geometry of k.
-                let restored = EncryptedQuery::decode(&bytes, seg_bits).unwrap();
-                assert_eq!(restored.classes(), alignment_geometry(k, seg_bits));
-                assert_eq!(restored.classes(), query.classes());
-                clear.push(outside_ciphertext_bodies(&bytes));
-                assert_eq!(clear[0], clear[trial as usize], "k={k}");
-                // The ciphertext bodies are all the rest of the message.
-                let bodies = bytes.len() - clear[0].len();
-                assert_eq!(bodies, query.byte_size(q_bits));
-            }
-        }
-
-        // The packed form: header, then per ciphertext a length prefix and
+        // The wire form: header, then per ciphertext a length prefix and
         // the 12-byte ciphertext header — 16 bytes each before the body.
         let (n, q) = (f.ctx.params().n, f.ctx.params().q);
         for k in [1usize, 7, 8, 9, 29, 64, 300] {
@@ -1971,59 +1710,19 @@ mod tests {
         let q_bits = f.ctx.params().coeff_bits();
         let seg_bits = engine.packing().seg_bits();
         let pattern = BitString::from_ascii("ab");
-        let good = engine
-            .prepare_query(&enc, &pattern, &mut rng)
-            .encode(q_bits);
-        assert!(EncryptedQuery::decode(&good, seg_bits).is_ok());
-
-        // The format that carried the negated pattern in the clear.
-        let mut retired = good.clone();
-        retired[..4].copy_from_slice(b"CMQ1");
-        assert_eq!(
-            EncryptedQuery::decode(&retired, seg_bits).unwrap_err(),
-            DecodeError::BadMagic
-        );
-        // A length the variant count does not fit — including ones whose
-        // geometry would be astronomically large — is refused before any
-        // geometry is built.
-        for k in [0u64, 15, 17, 1 << 40, u64::MAX] {
-            let mut lying = good.clone();
-            lying[4..12].copy_from_slice(&k.to_le_bytes());
-            assert!(
-                matches!(
-                    EncryptedQuery::decode(&lying, seg_bits),
-                    Err(DecodeError::BadHeader(_))
-                ),
-                "k={k}"
-            );
-        }
-        let mut lying = good.clone();
-        lying[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(EncryptedQuery::decode(&lying, seg_bits).is_err());
-        // Bytes past the last variant, and a segment width no
-        // coefficient can have.
-        let mut trailing = good.clone();
-        trailing.push(0);
-        assert!(EncryptedQuery::decode(&trailing, seg_bits).is_err());
-        assert!(EncryptedQuery::decode(&good, 0).is_err());
-        assert!(EncryptedQuery::decode(&good, 64).is_err());
-        // Decoded for another segment width, the same bytes describe a
-        // different variant set.
-        assert!(EncryptedQuery::decode(&good, seg_bits * 2).is_err());
-
-        // The packed form (CMQ3), held to the parameter set as it decodes.
+        // The wire form (CMQ3), held to the parameter set as it decodes.
         let (n, q) = (f.ctx.params().n, f.ctx.params().q);
         let decode = |bytes: &[u8]| PackedQuery::decode(bytes, n, seg_bits, q);
         let header = |bytes: &[u8]| matches!(decode(bytes), Err(DecodeError::BadHeader(_)));
         let packed = engine.pack_query(&enc, &pattern, &mut rng).encode(q_bits);
         assert_eq!(decode(&packed).unwrap().k(), pattern.len());
-        // Each matcher refuses the other's form, and both the retired one.
-        assert_eq!(decode(&good).unwrap_err(), DecodeError::BadMagic);
-        assert_eq!(decode(&retired).unwrap_err(), DecodeError::BadMagic);
-        assert_eq!(
-            EncryptedQuery::decode(&packed, seg_bits).unwrap_err(),
-            DecodeError::BadMagic
-        );
+        // The format that carried the negated pattern in the clear, and
+        // the explicit form's, are refused by their magic alone.
+        for magic in [b"CMQ1", b"CMQ2"] {
+            let mut retired = packed.clone();
+            retired[..4].copy_from_slice(magic);
+            assert_eq!(decode(&retired).unwrap_err(), DecodeError::BadMagic);
+        }
         // One ciphertext holds up to n segments: a length past that, one
         // whose segments would need a second ciphertext, and lengths
         // whose geometry would be astronomically large are all refused
@@ -2161,9 +1860,10 @@ mod tests {
                     });
                 assert_eq!(got, Ok(data.find_all(&pattern)), "k={k}");
                 assert_eq!(adds, query.variant_count());
-                // The first variant's sums give the columns: ⌈V/n⌉ + P.
+                // The first variant's sums give the columns, both halves:
+                // ⌈V/n⌉ + P.
                 assert_eq!(scratch.index.key_muls(), (1 + polys) as u64);
-                assert_eq!(scratch.index.deltas.len(), polys * n);
+                assert_eq!(scratch.index.deltas.len(), 2 * polys * n);
                 assert_eq!(scratch.run(&db, &query, &index_gen).0, got.unwrap());
             }
         }
@@ -2179,34 +1879,40 @@ mod tests {
         let query = engine.pack_query(&enc, &pattern, &mut rng);
         let variants = query.variant_count();
         let mut scratch = ShardScratch::default();
-        let mut run = |db_cts: &[Ciphertext], bad: Option<usize>| {
+        // `bad` flips one tile word of one variant's sums.
+        let mut run = |db_cts: &[Ciphertext], bad: Option<(usize, usize)>| {
             let mut call = 0;
             scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
                 engine.sweep_variant(db_cts, v, 2, tile, &mut MatchStats::default());
-                if Some(call) == bad {
-                    // Sum 1's `c1` half, one word.
-                    tile[2 * n + n + 7] ^= 1;
+                if let Some((_, word)) = bad.filter(|&(variant, _)| variant == call) {
+                    tile[word] ^= 1;
                 }
                 call += 1;
             })
         };
-        // One c1 word of one variant: the first (which fixes the columns),
-        // one in the middle, the last.
-        for bad in [0, variants / 2, variants - 1] {
-            assert!(
-                matches!(
-                    run(db.ciphertexts(), Some(bad)),
-                    Err(MatchError::Internal(_))
-                ),
-                "variant {bad}"
-            );
+        // One word of sum 1, in its `c0` half and in its `c1` half, of one
+        // variant: the first (which fixes the columns), one in the
+        // middle, the last.
+        for word in [2 * n + 7, 2 * n + n + 7] {
+            for variant in [0, variants / 2, variants - 1] {
+                assert!(
+                    matches!(
+                        run(db.ciphertexts(), Some((variant, word))),
+                        Err(MatchError::Internal(_))
+                    ),
+                    "variant {variant}, word {word}"
+                );
+            }
         }
         assert_eq!(run(db.ciphertexts(), None), Ok(data.find_all(&pattern)));
-        // A corrupted *stored* coefficient reads the same under every
-        // variant: the check cannot see it, as it cannot see DRAM's.
-        let mut stored = db.ciphertexts().to_vec();
-        stored[1].parts_mut()[1].coeffs_mut()[7] ^= 1;
-        assert!(run(&stored, None).is_ok());
+        // A corrupted *stored* coefficient, in either half, reads the same
+        // under every variant: the check cannot see it, as it cannot see
+        // DRAM's.
+        for part in [0, 1] {
+            let mut stored = db.ciphertexts().to_vec();
+            stored[1].parts_mut()[part].coeffs_mut()[7] ^= 1;
+            assert!(run(&stored, None).is_ok(), "part {part}");
+        }
     }
 
     /// Whether every key product and phase a job can leave in `scratch`
@@ -2253,20 +1959,17 @@ mod tests {
                 None => assert_eq!(got, Ok(indices.clone())),
                 Some(_) => assert!(matches!(got, Err(MatchError::Internal(_)))),
             }
-            assert_eq!(
-                scratch.index.cols.len(),
-                polys * n,
-                "the columns were taken"
-            );
+            // The range's phases were taken, and no row.
+            assert_eq!(scratch.phases.len(), polys * n, "{bad:?}");
+            assert!(scratch.index.rows.is_empty(), "{bad:?}");
             assert!(cleared(&scratch), "in-flash job, corrupted variant {bad:?}");
         }
     }
 
     #[test]
     fn an_unwound_job_leaves_no_key_product_behind() {
-        // An adder that panics on its second call: the columns and the
-        // query's products are taken by then, and the job unwinds past
-        // its own return.
+        // An adder that panics on its second call: the range's phases are
+        // taken by then, and the job unwinds past its own return.
         let (enc, index_gen, db, data, mut rng) =
             served_fixture(BfvParams::insecure_test_pow2(), 0x0D1E);
         let engine = index_gen.engine();
@@ -2283,9 +1986,9 @@ mod tests {
         }));
         assert!(unwound.is_err());
         assert_eq!(
-            scratch.index.cols.len(),
+            scratch.phases.len(),
             polys * n,
-            "the columns were taken"
+            "the range's phases were taken"
         );
         assert!(cleared(&scratch));
     }

@@ -11,10 +11,11 @@
 //! Queries arrive *packed* ([`PackedQuery`], `CMQ3`), as they do for
 //! CM-SW: one ciphertext holding every negated segment once. The
 //! controller replicates each shifted variant out of it into the latches
-//! and index generation tests the sums as they come back
-//! ([`CmIfpServer::cm_search_command`]), with its columns taken from the
-//! first variant's sums and every later sum checked against them (what
-//! that check proves is stated at [`cm_core::ShardScratch::run_with_adder`]).
+//! ([`CmIfpServer::cm_search_command`]). Index generation takes the
+//! range's phases from the first variant's sums, checks both halves of
+//! every later sum against them (what that check proves is stated at
+//! [`cm_core::ShardScratch::run_with_adder`]), and tests the range one
+//! pass per alignment class, as a CM-SW range job does.
 //!
 //! A search's [`MatchStats`] gain meaning here: `hom_adds` counts the
 //! additions executed *inside the flash array* (one per variant ×
@@ -340,11 +341,8 @@ mod tests {
         // is one per variant — and that form is refused.
         let sender = new_matcher(6);
         assert_eq!(sender.decode_query(&encoded).unwrap().ciphertext_count(), 1);
-        let explicit = sender
-            .index_gen
-            .engine()
-            .prepare_query(&sender.enc, &pattern, &mut rng)
-            .encode(sender.q_bits);
+        let mut explicit = encoded.clone();
+        explicit[..4].copy_from_slice(b"CMQ2");
         assert_eq!(
             erased.find_all_wire(&explicit).unwrap_err(),
             MatchError::Decode(cm_bfv::DecodeError::BadMagic)

@@ -36,10 +36,10 @@
 //!   ([`cm_ssd::CmIfpServer`]) behind [`cm_core::SecureMatcher`],
 //!   registered *from this crate* so the `cm_core`↔`cm_ssd` dependency
 //!   arrow stays inverted. It takes the same packed query: the
-//!   controller replicates each variant into the latches and runs the
-//!   in-flash index-generation driver
-//!   ([`cm_core::ShardScratch::run_with_adder`]) on the sums the flash
-//!   adds; a search's `flash_wear` stays zero because
+//!   controller replicates each variant into the latches, checks the
+//!   sums the flash adds, and scans the range's phases as a CM-SW range
+//!   job does ([`cm_core::ShardScratch::run_with_adder`]); a search's
+//!   `flash_wear` stays zero because
 //!   `bop_add` never programs or erases;
 //! * [`TenantRegistry`] / [`Tenant`] — tenant id → one shared erased
 //!   matcher + key material ([`cm_ssd::SecureIndexChannel`]), one key
@@ -72,12 +72,12 @@
 //!   typed [`cm_core::MatchError::ServerBusy`] rejection past either
 //!   cap, drain-then-join shutdown) — plus the blocking client, with
 //!   [`QueryKit`] carrying the public material a remote key owner needs
-//!   to pack and encrypt queries (Algorithm 1's explicit form, `CMQ2`,
-//!   one ciphertext per variant, is the test oracle and a typed
-//!   `BadMagic` on the wire). Both ends set `TCP_NODELAY` on every socket,
-//!   unconditionally: each message is one whole frame in one write, so
-//!   there is nothing for Nagle's algorithm to coalesce and a delayed ACK
-//!   (≈ 40 ms per call) to lose.
+//!   to pack and encrypt queries (Algorithm 1's explicit form, one
+//!   ciphertext per variant, is the test oracle and has no wire form: a
+//!   `CMQ2` magic is a typed `BadMagic`). Both ends set `TCP_NODELAY` on
+//!   every socket, unconditionally: each message is one whole frame in
+//!   one write, so there is nothing for Nagle's algorithm to coalesce and
+//!   a delayed ACK (≈ 40 ms per call) to lose.
 //!
 //! ## Example
 //!

@@ -18,11 +18,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
-use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
+use cm_bfv::{BfvContext, BfvParams, Ciphertext, Encryptor, Evaluator, KeyGenerator};
 use cm_core::{
     compute_pool, wait_all, BitString, CiphermatchEngine, CiphermatchMatcher, CompletionHandle,
-    ErasedMatcher, MatchError, SecureMatcher, ShardPlan, ShardScratch, TrustedIndexGenerator,
-    WorkerPool,
+    ErasedMatcher, MatchError, PackedQuery, SecureMatcher, ShardPlan, ShardScratch,
+    TrustedIndexGenerator, WorkerPool,
 };
 use cm_server::ShardedCmMatcher;
 use rand::rngs::StdRng;
@@ -152,39 +152,65 @@ fn third_query_of_a_shape_allocates_only_its_index_list() {
     assert_eq!((range.owned, range.held.clone()), (0..2, 0..3));
     let shard = db.subrange(range.held, bits_per_poly);
     let held = data.slice(0, shard.total_bits());
-    let mut scratch = ShardScratch::default();
-    for start in [40, 1000] {
-        let pattern = data.slice(start, 24);
+
+    // Both served jobs over the range: the CM-SW job, and the in-flash
+    // job with the sweep as its adder.
+    let cm_sw = |scratch: &mut ShardScratch, query: &PackedQuery| {
+        let (indices, stats) = scratch.run(&shard, query, &index_gen);
+        assert_eq!(
+            stats.hom_adds,
+            (query.variant_count() * shard.poly_count()) as u64,
+            "the job's statistics are its own, not the scratch's lifetime"
+        );
+        indices
+    };
+    let (evaluator, n) = (Evaluator::new(&ctx), ctx.params().n);
+    let in_flash = |scratch: &mut ShardScratch, query: &PackedQuery| {
+        let (polys, bits) = (shard.poly_count(), shard.total_bits());
+        let sweep = |variant: &Ciphertext, tile: &mut [u64]| {
+            for (db, sums) in shard.ciphertexts().iter().zip(tile.chunks_exact_mut(2 * n)) {
+                evaluator.add_into(db, variant, sums);
+            }
+        };
+        scratch
+            .run_with_adder(query, &index_gen, polys, bits, sweep)
+            .unwrap()
+    };
+    type Job<'a> = &'a dyn Fn(&mut ShardScratch, &PackedQuery) -> Vec<usize>;
+    let jobs: [(&str, Job); 2] = [("CM-SW", &cm_sw), ("in-flash", &in_flash)];
+    for (name, job) in jobs {
+        let mut scratch = ShardScratch::default();
+        for start in [40, 1000] {
+            let pattern = data.slice(start, 24);
+            let query = engine.pack_query(&enc, &pattern, &mut rng);
+            let indices = job(&mut scratch, &query);
+            assert_eq!(
+                indices,
+                held.find_all(&pattern),
+                "{name}: warm-up at {start}"
+            );
+        }
+
+        // Same shape, new query, one hit: exactly the index list's
+        // allocation.
+        let pattern = data.slice(777, 24);
         let query = engine.pack_query(&enc, &pattern, &mut rng);
-        let (indices, _) = scratch.run(&shard, &query, &index_gen);
-        assert_eq!(indices, held.find_all(&pattern), "warm-up at {start}");
+        let (indices, allocations) = allocations_during(|| job(&mut scratch, &query));
+        assert_eq!(indices, held.find_all(&pattern), "{name}");
+        assert_eq!(indices.len(), 1, "a 24-bit window of random data is unique");
+        assert_eq!(
+            allocations, 1,
+            "{name}: sweep + index generation must reuse scratch"
+        );
+
+        // A pattern this shard does not hold: an empty list, no allocation.
+        let absent = BitString::from_bits(&[true; 24]);
+        assert!(held.find_all(&absent).is_empty());
+        let query = engine.pack_query(&enc, &absent, &mut rng);
+        let (indices, allocations) = allocations_during(|| job(&mut scratch, &query));
+        assert!(indices.is_empty(), "{name}");
+        assert_eq!(allocations, 0, "{name}");
     }
-
-    // Same shape, new query, one hit: exactly the index list's allocation.
-    let pattern = data.slice(777, 24);
-    let query = engine.pack_query(&enc, &pattern, &mut rng);
-    let ((indices, stats), allocations) =
-        allocations_during(|| scratch.run(&shard, &query, &index_gen));
-    assert_eq!(indices, held.find_all(&pattern));
-    assert_eq!(indices.len(), 1, "a 24-bit window of random data is unique");
-    assert_eq!(
-        allocations, 1,
-        "sweep + index generation must reuse scratch"
-    );
-    assert_eq!(
-        stats.hom_adds,
-        (query.variant_count() * shard.poly_count()) as u64,
-        "the job's statistics are its own, not the scratch's lifetime"
-    );
-
-    // A pattern this shard does not hold: an empty list, no allocation.
-    let absent = BitString::from_bits(&[true; 24]);
-    assert!(held.find_all(&absent).is_empty());
-    let query = engine.pack_query(&enc, &absent, &mut rng);
-    let ((indices, _), allocations) =
-        allocations_during(|| scratch.run(&shard, &query, &index_gen));
-    assert!(indices.is_empty());
-    assert_eq!(allocations, 0);
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! permutation; no key) into the latches and triggers the `bop_add`
 //! µ-program, ④ the flash array executes the homomorphic additions with
 //! array- and bit-level parallelism, ⑤ the controller's index-generation
-//! unit tests each variant's sums as they leave the latches, ⑥ the
+//! unit checks each variant's sums as they leave the latches and, once
+//! all are in, tests the range's phases — taken from the first variant's
+//! sums — one pass per alignment class, as a CM-SW range job does, ⑥ the
 //! AES-encrypted index list returns to the client
 //! ([`CmIfpServer::cm_search_command`]).
 //!
@@ -191,9 +193,10 @@ impl CmIfpServer {
 
     /// The full `CM-search` command on a packed query: for each variant
     /// `(r, phase)` the controller gathers it out of the packed ciphertext
-    /// (the public coefficient permutation a CM-SW range job applies),
+    /// (the public coefficient permutation a CM-SW range job applies) and
     /// streams it into the latches for the same `bop_add`s an explicit
-    /// variant gets, and index generation tests the sums as they come back
+    /// variant gets; index generation checks the sums as they come back
+    /// and tests the range's phases, taken from the first variant's sums
     /// ([`ShardScratch::run_with_adder`]) — one cost report per variant,
     /// and the matching bit offsets (the paper's trust model).
     ///
