@@ -2212,6 +2212,65 @@ mod tests {
     }
 
     #[test]
+    fn decoders_refuse_unknown_tags_bad_tenant_ids_and_long_pongs() {
+        let refused = |bytes: &[u8], response: bool| {
+            let err = if response {
+                Response::decode(bytes).err()
+            } else {
+                Request::decode(bytes).err()
+            };
+            assert!(matches!(err, Some(MatchError::Frame(_))), "{bytes:?}");
+        };
+        // The byte one past each family's last tag.
+        refused(&[8], false);
+        refused(&[10], true);
+        let mut query = Request::Match {
+            tenant: "t".into(),
+            query: QueryPayload::CmWire(vec![]),
+        }
+        .encode();
+        query[1 + 2 + 1] = 2;
+        refused(&query, false);
+        let mut phase = Request::LoadDatabase {
+            tenant: "t".into(),
+            phase: UploadPhase::Commit,
+        }
+        .encode();
+        phase[1 + 2 + 1] = 3;
+        refused(&phase, false);
+        let mut error = Response::Error(MatchError::NoDatabase).encode();
+        error[1] = 20;
+        refused(&error, true);
+        // Tenant ids outside 1..=MAX_TENANT_ID, on both request shapes
+        // that carry one first; the bounds themselves decode.
+        for len in [0, MAX_TENANT_ID + 1, 1, MAX_TENANT_ID] {
+            let tenant = "x".repeat(len);
+            let requests = [
+                Request::Match {
+                    tenant: tenant.clone(),
+                    query: QueryPayload::Bits(BitString::from_ascii("q")),
+                },
+                Request::TenantStats { tenant },
+            ];
+            for request in requests {
+                let bytes = request.encode();
+                if (1..=MAX_TENANT_ID).contains(&len) {
+                    assert_eq!(Request::decode(&bytes).unwrap(), request);
+                } else {
+                    refused(&bytes, false);
+                }
+            }
+        }
+        // A Pong lists at most four names per servable backend.
+        let pong = |n: usize| Response::Pong {
+            backends: vec!["plain".to_string(); n],
+        };
+        let cap = 4 * Backend::WIRE.len();
+        assert_eq!(Response::decode(&pong(cap).encode()).unwrap(), pong(cap));
+        refused(&pong(cap + 1).encode(), true);
+    }
+
+    #[test]
     fn message_decoders_reject_trailing_garbage() {
         let mut bytes = Request::Ping.encode();
         bytes.push(0);
