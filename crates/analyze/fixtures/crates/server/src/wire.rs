@@ -1,25 +1,23 @@
-//! Fixture for the `wire-tags` rule: a tag registry with a duplicate
-//! value in one family, an unreferenced constant, a codec matching on a
-//! raw integer, and an `impl Wire` body pushing one.
+//! Fixture for the `wire-tags` rule: a declaration with a duplicate
+//! value in one family, a tag declared twice, a codec matching on a raw
+//! integer, and an `impl Wire` body pushing one.
 
-pub mod tags {
-    pub const REQ_PING: u8 = 0;
-    pub const REQ_MATCH: u8 = 0; // duplicate of REQ_PING in the REQ family
-    pub const REQ_ORPHAN: u8 = 2; // referenced by no codec
+wire_enum! {
+    pub enum Request {
+        Ping = REQ_PING: 0,
+        Match { tenant: String } = REQ_MATCH: 0, // duplicate of REQ_PING's value
+    }
 }
 
-pub fn encode(out: &mut Vec<u8>, ping: bool) {
-    if ping {
-        out.push(tags::REQ_PING);
-    } else {
-        out.push(tags::REQ_MATCH);
+wire_enum! {
+    pub enum Reply {
+        Ping = REQ_PING: 2, // REQ_PING declared a second time
     }
 }
 
 pub fn decode(data: &[u8]) -> &'static str {
     match data[0] {
-        tags::REQ_PING => "ping",
-        tags::REQ_MATCH => "match",
+        Request::REQ_PING => "ping",
         7 => "raw integer arm",
         _ => "unknown",
     }

@@ -6,8 +6,8 @@
 //! ([`lexer`]) plus a registry of lexical rules that enforce the
 //! invariants the CIPHERMATCH codebase is built around — concurrency
 //! only through the shared `cm_core::exec` runtime, constant-time
-//! comparison of secret material, no panics on serving paths, a
-//! duplicate-free and fully-used wire-tag registry, no lock guards held
+//! comparison of secret material, no panics on serving paths, every
+//! wire tag declared once with its message, no lock guards held
 //! across work-pool submission, sockets and frame writers that cannot
 //! stall on a delayed ACK, and manifests that resolve shimmed crates to
 //! the in-tree shims.
@@ -49,9 +49,10 @@ pub const RULE_CT_SECRECY: &str = "ct-secrecy";
 /// or `cm_reactor` non-test code; serving paths return typed
 /// `MatchError`s.
 pub const RULE_NO_PANIC: &str = "no-panic";
-/// Rule: the `wire.rs` tag registry is duplicate-free per family, every
-/// constant is used on both codec paths, and codecs never match or push
-/// raw integer tags.
+/// Rule: every wire tag in `wire.rs` is in exactly one declaration (a
+/// `wire_enum!` or `wire_errors!` variant's `= NAME: value`), distinct
+/// within its family, and no codec body matches or pushes a raw integer
+/// tag.
 pub const RULE_WIRE_TAGS: &str = "wire-tags";
 /// Rule: no `.lock()` / `lock_unpoisoned` guard lexically live across a
 /// `submit` call.
@@ -93,7 +94,7 @@ const EXEC_FILE: &str = "crates/core/src/exec.rs";
 const REACTOR_FILE: &str = "crates/reactor/src/reactor.rs";
 /// The one module allowed to compare secret bytes (in constant time).
 const SECRECY_FILE: &str = "crates/server/src/secrecy.rs";
-/// The wire codec whose tag registry [`RULE_WIRE_TAGS`] audits.
+/// The wire codec whose tag declarations [`RULE_WIRE_TAGS`] audits.
 const WIRE_FILE: &str = "crates/server/src/wire.rs";
 /// The metric-name table whose values [`RULE_METRIC_NAMES`] audits for
 /// duplicates — and the one place a metric-name string literal may live.
@@ -165,17 +166,18 @@ pub struct MetricNameConst {
     pub line: usize,
 }
 
-/// One constant parsed from the `mod tags` registry in `wire.rs`.
+/// One tag declared in `wire.rs`: a `wire_enum!` or `wire_errors!`
+/// variant's `= NAME: value`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TagConst {
     /// Tag family: the name's prefix up to the first `_` (`REQ`,
     /// `RESP`, `ERR`, …). Values must be unique per family.
     pub family: String,
-    /// The constant's name.
+    /// The tag's name.
     pub name: String,
-    /// The constant's value.
+    /// The tag's value.
     pub value: u64,
-    /// Line the constant is declared on.
+    /// Line the tag is declared on.
     pub line: usize,
 }
 
@@ -465,68 +467,66 @@ fn rule_no_panic(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Viola
 // Rule: wire-tags
 // ---------------------------------------------------------------------
 
-/// Parses the `mod tags { ... }` registry out of `wire.rs` source.
-/// Returns an empty table when the module is missing (which
+/// The macros whose invocations declare wire tags.
+const TAG_DECLARATIONS: &[&str] = &["wire_enum", "wire_errors"];
+
+/// Parses every tag declared in `wire.rs` source: each `= NAME: value`
+/// inside a `wire_enum! { .. }` or `wire_errors! { .. }` invocation, in
+/// source order. Returns an empty table when there is none (which
 /// [`RULE_WIRE_TAGS`] reports as its own violation).
 pub fn wire_tag_table(source: &str) -> Vec<TagConst> {
     let (tokens, _) = lex(source);
-    match find_tags_region(&tokens) {
-        Some((start, end)) => parse_tag_consts(&tokens[start..end]),
-        None => Vec::new(),
-    }
+    parse_tag_declarations(&tokens)
 }
 
-/// Locates the token range strictly inside `mod tags { ... }`.
-fn find_tags_region(tokens: &[Token]) -> Option<(usize, usize)> {
+fn parse_tag_declarations(tokens: &[Token]) -> Vec<TagConst> {
+    let mut consts = Vec::new();
+    for (start, end) in declaration_regions(tokens) {
+        for w in tokens[start..end].windows(4) {
+            if !(is_punct(&w[0], "=")
+                && w[1].kind == TokenKind::Ident
+                && is_punct(&w[2], ":")
+                && w[3].kind == TokenKind::Int)
+            {
+                continue;
+            }
+            if let Some(value) = parse_int(&w[3].text) {
+                let name = w[1].text.clone();
+                consts.push(TagConst {
+                    family: name.split('_').next().unwrap_or(&name).to_string(),
+                    name,
+                    value,
+                    line: w[1].line,
+                });
+            }
+        }
+    }
+    consts
+}
+
+/// The token ranges strictly inside each tag-declaring invocation
+/// (`wire_enum! { .. }`, not the `macro_rules!` that defines it).
+fn declaration_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut regions = Vec::new();
     for i in 0..tokens.len().saturating_sub(2) {
-        if is_ident(&tokens[i], "mod")
-            && is_ident(&tokens[i + 1], "tags")
-            && is_punct(&tokens[i + 2], "{")
-        {
-            let mut depth = 0usize;
-            for (j, t) in tokens.iter().enumerate().skip(i + 2) {
-                if is_punct(t, "{") {
-                    depth += 1;
-                } else if is_punct(t, "}") {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((i + 3, j));
-                    }
+        let declares = TAG_DECLARATIONS.iter().any(|m| is_ident(&tokens[i], m));
+        if !(declares && is_punct(&tokens[i + 1], "!") && is_punct(&tokens[i + 2], "{")) {
+            continue;
+        }
+        let mut depth = 0usize;
+        for (j, t) in tokens.iter().enumerate().skip(i + 2) {
+            if is_punct(t, "{") {
+                depth += 1;
+            } else if is_punct(t, "}") {
+                depth -= 1;
+                if depth == 0 {
+                    regions.push((i + 3, j));
+                    break;
                 }
             }
         }
     }
-    None
-}
-
-fn parse_tag_consts(tokens: &[Token]) -> Vec<TagConst> {
-    let mut consts = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if is_ident(&tokens[i], "const")
-            && i + 5 < tokens.len()
-            && tokens[i + 1].kind == TokenKind::Ident
-            && is_punct(&tokens[i + 2], ":")
-            && tokens[i + 3].kind == TokenKind::Ident
-            && is_punct(&tokens[i + 4], "=")
-            && tokens[i + 5].kind == TokenKind::Int
-        {
-            let name = tokens[i + 1].text.clone();
-            if let Some(value) = parse_int(&tokens[i + 5].text) {
-                let family = name.split('_').next().unwrap_or(&name).to_string();
-                consts.push(TagConst {
-                    family,
-                    name,
-                    value,
-                    line: tokens[i + 1].line,
-                });
-            }
-            i += 6;
-        } else {
-            i += 1;
-        }
-    }
-    consts
+    regions
 }
 
 /// Parses a Rust integer literal (decimal/hex/octal/binary, `_`
@@ -549,62 +549,53 @@ fn parse_int(text: &str) -> Option<u64> {
 }
 
 fn rule_wire_tags(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Violation>) {
-    let Some((start, end)) = find_tags_region(tokens) else {
+    let consts = parse_tag_declarations(tokens);
+    if consts.is_empty() {
         out.push(Violation {
             file: rel.to_string(),
             line: 1,
             rule: RULE_WIRE_TAGS,
-            message: "wire.rs has no `mod tags` registry — wire tags must be named constants"
+            message: "wire.rs declares no wire tags — each message variant declares its tag \
+                      as `= NAME: value` in a `wire_enum!` or `wire_errors!`"
                 .to_string(),
             waived: None,
         });
         return;
-    };
-    let consts = parse_tag_consts(&tokens[start..end]);
-    // Duplicate values within a family.
-    let mut seen: HashMap<(String, u64), String> = HashMap::new();
-    for c in &consts {
-        if let Some(prev) = seen.insert((c.family.clone(), c.value), c.name.clone()) {
-            out.push(Violation {
-                file: rel.to_string(),
-                line: c.line,
-                rule: RULE_WIRE_TAGS,
-                message: format!(
-                    "duplicate wire tag: `{}` = {} collides with `{}` in the `{}` family",
-                    c.name, c.value, prev, c.family
-                ),
-                waived: None,
-            });
-        }
     }
-    // Every constant must appear on both codec paths: at least two uses
-    // outside the registry itself.
+    // One declaration per name, one name per value within a family. The
+    // macros write both codec directions from the declaration, so a
+    // declared tag is used by construction.
+    let mut names: HashMap<&str, usize> = HashMap::new();
+    let mut values: HashMap<(&str, u64), &str> = HashMap::new();
     for c in &consts {
-        let uses = tokens
-            .iter()
-            .enumerate()
-            .filter(|&(j, t)| (j < start || j >= end) && is_ident(t, &c.name) && !mask[j])
-            .count();
-        if uses < 2 {
-            out.push(Violation {
-                file: rel.to_string(),
-                line: c.line,
-                rule: RULE_WIRE_TAGS,
-                message: format!(
-                    "wire tag `{}` is referenced {uses} time(s) outside the registry — \
-                     a registered tag must be used on both the encode and decode paths",
-                    c.name
-                ),
-                waived: None,
-            });
-        }
+        let message = if let Some(first) = names.insert(&c.name, c.line) {
+            format!(
+                "wire tag `{}` is declared twice (first on line {first}) — a tag \
+                 belongs to exactly one declaration",
+                c.name
+            )
+        } else if let Some(prev) = values.insert((&c.family, c.value), &c.name) {
+            format!(
+                "duplicate wire tag: `{}` = {} collides with `{}` in the `{}` family",
+                c.name, c.value, prev, c.family
+            )
+        } else {
+            continue;
+        };
+        out.push(Violation {
+            file: rel.to_string(),
+            line: c.line,
+            rule: RULE_WIRE_TAGS,
+            message,
+            waived: None,
+        });
     }
     // No function body — a codec's `encode`/`decode`, an `impl Wire`
     // `put`/`read`, or any helper — may match on or push a raw integer
     // tag. Nested bodies lie inside their parent's and are scanned once.
     let mut scanned_to = 0;
     for (name, open, close) in fn_bodies(tokens, mask) {
-        if open < scanned_to || (open > start && open < end) {
+        if open < scanned_to {
             continue;
         }
         scanned_to = close;
@@ -622,8 +613,8 @@ fn rule_wire_tags(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<Viol
                     line: tokens[j].line,
                     rule: RULE_WIRE_TAGS,
                     message: format!(
-                        "raw integer `{}` used as a wire tag in `{fn_name}` — name it in \
-                         the `tags::` registry",
+                        "raw integer `{}` used as a wire tag in `{fn_name}` — declare it \
+                         with its variant in a `wire_enum!` or `wire_errors!`",
                         tokens[j].text
                     ),
                     waived: None,
@@ -1220,19 +1211,21 @@ mod tests {
     }
 
     #[test]
-    fn wire_tags_catches_duplicates_unused_and_raw_ints() {
+    fn wire_tags_catches_duplicates_and_raw_ints() {
         let src = "\
-pub mod tags {
-    pub const REQ_PING: u8 = 0;
-    pub const REQ_MATCH: u8 = 0;
-    pub const REQ_UNUSED: u8 = 2;
+wire_enum! {
+    pub enum Request {
+        Ping = REQ_PING: 0,
+        Match { tenant: String } = REQ_MATCH: 0,
+    }
+}
+wire_enum! {
+    pub enum Reply { Ping = REQ_PING: 2 }
 }
 impl Request {
-    pub fn encode(&self) { out.push(tags::REQ_PING); out.push(tags::REQ_MATCH); }
     pub fn decode(d: &[u8]) {
         match d[0] {
-            tags::REQ_PING => {}
-            tags::REQ_MATCH => {}
+            Self::REQ_PING => {}
             7 => {}
             _ => {}
         }
@@ -1242,9 +1235,18 @@ impl Request {
         let found = analyze_rust_source(super::WIRE_FILE, src);
         let fired = rules_fired(&found);
         assert_eq!(fired.iter().filter(|r| **r == RULE_WIRE_TAGS).count(), 3);
-        assert!(found.iter().any(|v| v.message.contains("duplicate")));
-        assert!(found.iter().any(|v| v.message.contains("REQ_UNUSED")));
+        assert!(found
+            .iter()
+            .any(|v| v.line == 4 && v.message.contains("duplicate wire tag: `REQ_MATCH` = 0")));
+        assert!(found
+            .iter()
+            .any(|v| v.line == 8 && v.message.contains("`REQ_PING` is declared twice")));
         assert!(found.iter().any(|v| v.message.contains("raw integer `7`")));
+        // A declaration without any tag, or no declaration at all, is
+        // reported once.
+        let bare = analyze_rust_source(super::WIRE_FILE, "fn f() {}");
+        assert_eq!(rules_fired(&bare), [RULE_WIRE_TAGS]);
+        assert!(bare[0].message.contains("declares no wire tags"));
     }
 
     #[test]
@@ -1253,11 +1255,11 @@ impl Request {
         // held to the registry like `encode`/`decode` — including behind a
         // signature with a `;` inside brackets — while test code is not.
         let src = "\
-pub mod tags { pub const RESP_PONG: u8 = 0; }
+wire_enum! { pub enum Response { Pong = RESP_PONG: 0 } }
 impl Wire for Pong {
-    fn put(&self, out: &mut Vec<u8>) { out.push(tags::RESP_PONG); out.push(9); }
+    fn put(&self, out: &mut Vec<u8>) { out.push(Self::RESP_PONG); out.push(9); }
     fn read(r: &mut Reader<'_>) -> Result<Self, E> {
-        match r.byte() { tags::RESP_PONG => Ok(Pong), 4 => Ok(Pong), _ => Err(E) }
+        match r.byte() { Self::RESP_PONG => Ok(Pong), 4 => Ok(Pong), _ => Err(E) }
     }
 }
 fn keyed(key: &[u8; 32]) -> u8 { match key[0] { 5 => 1, _ => 0 } }
@@ -1278,11 +1280,20 @@ mod tests { fn t(out: &mut Vec<u8>) { out.push(6); } }
 
     #[test]
     fn wire_tag_table_parses_families() {
-        let src = "pub mod tags { pub const REQ_PING: u8 = 0; pub const ERR_DECODE: u8 = 7; }";
+        let src = "\
+macro_rules! wire_enum { ($($t:tt)*) => { x = NOT_A_TAG: 1 } }
+wire_enum! { pub enum Request { Ping = REQ_PING: 0, Match { tenant: String } = REQ_MATCH: 2 } }
+wire_errors! { MatchError { Decode(a) = ERR_DECODE: 0x7 } }
+const OUTSIDE = STRAY: 3;
+";
         let table = wire_tag_table(src);
-        assert_eq!(table.len(), 2);
+        let names: Vec<&str> = table.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["REQ_PING", "REQ_MATCH", "ERR_DECODE"]);
         assert_eq!(table[0].family, "REQ");
-        assert_eq!(table[1].value, 7);
+        assert_eq!(table[1].value, 2);
+        assert_eq!(table[2].family, "ERR");
+        assert_eq!(table[2].value, 7);
+        assert_eq!(table[2].line, 3);
     }
 
     #[test]

@@ -548,28 +548,7 @@ impl SecureMatcher for BooleanMatcher {
             bootstraps: BooleanGateCount::for_search(db.len(), k).total(),
             ..MatchStats::default()
         });
-        let engine = BooleanEngine::new(&self.client, &self.server);
-        let windows: Vec<usize> = (0..=db.len() - k).collect();
-        if self.threads <= 1 {
-            return Ok(windows
-                .into_iter()
-                .filter(|&o| self.client.decrypt(&engine.match_window(db, query, o)))
-                .collect());
-        }
-        let engine = &engine;
-        let client = &self.client;
-        let mut matches: Vec<usize> = crate::exec::fan_out(&windows, self.threads, |chunk| {
-            chunk
-                .iter()
-                .filter(|&&o| client.decrypt(&engine.match_window(db, query, o)))
-                .copied()
-                .collect::<Vec<_>>()
-        })?
-        .into_iter()
-        .flatten()
-        .collect();
-        matches.sort_unstable();
-        Ok(matches)
+        BooleanEngine::new(&self.client, &self.server).find_all(db, query, self.threads)
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {

@@ -11,6 +11,7 @@ use cm_tfhe::{BitCiphertext, ClientKey, ServerKey};
 use rand::Rng;
 
 use crate::bits::BitString;
+use crate::MatchError;
 
 /// A per-bit-encrypted database.
 #[derive(Debug, Clone)]
@@ -115,61 +116,38 @@ impl<'k> BooleanEngine<'k> {
         self.server.and_reduce(&eqs)
     }
 
-    /// Full search: evaluates every window and decrypts the match flags.
-    /// Exhaustive traversal of the encrypted database — the latency
-    /// bottleneck the paper attributes to the Boolean approach.
-    pub fn find_all<R: Rng + ?Sized>(
+    /// Full search: evaluates every window of `db` against the encrypted
+    /// `query` and decrypts the match flags. Exhaustive traversal of the
+    /// encrypted database — the latency bottleneck the paper attributes
+    /// to the Boolean approach. The windows are split over up to
+    /// `threads` workers (`1` runs inline): the "SIMD batching" that
+    /// distinguishes Aziz et al. \[17\] from Pradel et al. \[33\] in
+    /// Table 1 — the gate count is unchanged, only wall time improves.
+    ///
+    /// # Errors
+    ///
+    /// [`MatchError::InvalidConfig`] for zero threads;
+    /// [`MatchError::WorkerPanicked`] if a worker panicked.
+    pub fn find_all(
         &self,
         db: &BooleanDatabase,
-        query: &BitString,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        let k = query.len();
-        if k == 0 || db.len() < k {
-            return Vec::new();
-        }
-        let q = self.encrypt_query(query, rng);
-        (0..=db.len() - k)
-            .filter(|&o| self.client.decrypt(&self.match_window(db, &q, o)))
-            .collect()
-    }
-
-    /// Batched search: windows evaluated concurrently across worker
-    /// threads — the "SIMD batching" that distinguishes Aziz et al. \[17\]
-    /// from Pradel et al. \[33\] in Table 1 (gate *count* is unchanged;
-    /// only wall time improves).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn find_all_batched<R: Rng + ?Sized>(
-        &self,
-        db: &BooleanDatabase,
-        query: &BitString,
+        query: &[BitCiphertext],
         threads: usize,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        assert!(threads > 0, "at least one thread required");
+    ) -> Result<Vec<usize>, MatchError> {
         let k = query.len();
         if k == 0 || db.len() < k {
-            return Vec::new();
+            return Ok(Vec::new());
         }
-        let q = self.encrypt_query(query, rng);
         let windows: Vec<usize> = (0..=db.len() - k).collect();
-        let q = &q;
-        let mut matches: Vec<usize> = crate::exec::fan_out(&windows, threads, |chunk| {
+        let matches = crate::exec::fan_out(&windows, threads, |chunk| {
             chunk
                 .iter()
-                .filter(|&&o| self.client.decrypt(&self.match_window(db, q, o)))
                 .copied()
+                .filter(|&o| self.client.decrypt(&self.match_window(db, query, o)))
                 .collect::<Vec<_>>()
-        })
-        .expect("boolean worker panicked")
-        .into_iter()
-        .flatten()
-        .collect();
-        matches.sort_unstable();
-        matches
+        })?;
+        // Chunks come back in order, so the offsets stay ascending.
+        Ok(matches.into_iter().flatten().collect())
     }
 }
 
@@ -196,8 +174,11 @@ mod tests {
         ]);
         let query = BitString::from_bits(&[true, true, false]);
         let db = engine.encrypt_database(&db_bits, &mut rng);
-        let got = engine.find_all(&db, &query, &mut rng);
-        assert_eq!(got, db_bits.find_all(&query));
+        let q = engine.encrypt_query(&query, &mut rng);
+        assert_eq!(
+            engine.find_all(&db, &q, 1).unwrap(),
+            db_bits.find_all(&query)
+        );
     }
 
     #[test]
@@ -207,12 +188,17 @@ mod tests {
         let db_bits = BitString::from_bytes(&[0xDE, 0xAD]);
         let query = BitString::from_bits(&[true, false, true]);
         let db = engine.encrypt_database(&db_bits, &mut rng);
-        let serial = engine.find_all(&db, &query, &mut StdRng::seed_from_u64(1));
-        for threads in [1usize, 3, 8] {
-            let got = engine.find_all_batched(&db, &query, threads, &mut StdRng::seed_from_u64(1));
+        let q = engine.encrypt_query(&query, &mut rng);
+        let serial = engine.find_all(&db, &q, 1).unwrap();
+        for threads in [3usize, 8, 64] {
+            let got = engine.find_all(&db, &q, threads).unwrap();
             assert_eq!(got, serial, "threads = {threads}");
         }
         assert_eq!(serial, db_bits.find_all(&query));
+        assert!(matches!(
+            engine.find_all(&db, &q, 0),
+            Err(MatchError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -222,8 +208,9 @@ mod tests {
         let db_bits = BitString::from_bits(&[true; 10]);
         let query = BitString::from_bits(&[true, true, true, true]);
         let db = engine.encrypt_database(&db_bits, &mut rng);
+        let q = engine.encrypt_query(&query, &mut rng);
         let before = sk.bootstrap_count();
-        let _ = engine.find_all(&db, &query, &mut rng);
+        engine.find_all(&db, &q, 1).unwrap();
         let used = sk.bootstrap_count() - before;
         let model = BooleanGateCount::for_search(10, 4);
         assert_eq!(used, model.total());

@@ -177,7 +177,8 @@ impl EncryptedDatabase {
     ///
     /// # Errors
     ///
-    /// Returns a [`cm_bfv::DecodeError`] on malformed input.
+    /// Returns a [`cm_bfv::DecodeError`] on malformed input, bytes left
+    /// after the last ciphertext included.
     pub fn decode(data: &[u8]) -> Result<Self, cm_bfv::DecodeError> {
         use cm_bfv::DecodeError;
         let mut cur = Cursor { data, pos: 0 };
@@ -193,6 +194,11 @@ impl EncryptedDatabase {
         for _ in 0..count {
             let len = cur.u32()? as usize;
             cts.push(cm_bfv::decode_ciphertext(cur.take(len)?)?);
+        }
+        if cur.remaining() != 0 {
+            return Err(DecodeError::BadHeader(
+                "trailing bytes after the ciphertexts",
+            ));
         }
         Ok(Self::from_ciphertexts(cts, total_bits))
     }
@@ -2126,6 +2132,16 @@ mod tests {
         let mut lying_len = good.clone();
         lying_len[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(EncryptedDatabase::decode(&lying_len).is_err());
+
+        // Junk after the last ciphertext is refused, not carried along.
+        let mut padded = good.clone();
+        padded.push(0);
+        assert!(matches!(
+            EncryptedDatabase::decode(&padded),
+            Err(cm_bfv::DecodeError::BadHeader(
+                "trailing bytes after the ciphertexts"
+            ))
+        ));
 
         // Deterministic byte flips across the whole buffer: decoding
         // either fails cleanly or (for flips in ciphertext payload bytes

@@ -158,6 +158,33 @@ impl IfpMatcher {
     pub fn query_kit(&self) -> QueryKit {
         QueryKit::new(self.index_gen.engine().clone(), self.enc.clone())
     }
+
+    /// Programs `db` into a fresh device: the one way a database reaches
+    /// flash, whether encrypted in-process or decoded from an upload.
+    ///
+    /// # Errors
+    ///
+    /// [`MatchError::InvalidConfig`] for an empty database, or one larger
+    /// than the SSD's CIPHERMATCH region — refused before the device
+    /// model would run out of blocks.
+    fn program(&self, db: &EncryptedDatabase) -> Result<IfpDatabase, MatchError> {
+        if db.total_bits() == 0 {
+            return Err(MatchError::InvalidConfig("cannot serve an empty database"));
+        }
+        let needed = CmIfpServer::required_words(db, self.ctx.params().n);
+        if needed > Ssd::cm_capacity_words(&self.geometry) {
+            return Err(MatchError::InvalidConfig(
+                "database exceeds the SSD's CIPHERMATCH region",
+            ));
+        }
+        let server = CmIfpServer::new(&self.ctx, self.geometry.clone(), self.mode, db);
+        Ok(IfpDatabase {
+            server: Arc::new(Mutex::new(server)),
+            total_bits: db.total_bits(),
+            poly_count: db.poly_count(),
+            bytes: db.byte_size(self.q_bits) as u64,
+        })
+    }
 }
 
 impl SecureMatcher for IfpMatcher {
@@ -173,21 +200,12 @@ impl SecureMatcher for IfpMatcher {
         data: &BitString,
         rng: &mut R,
     ) -> Result<Self::Database, MatchError> {
-        if data.is_empty() {
-            return Err(MatchError::InvalidConfig("cannot serve an empty database"));
-        }
-        let db = self
-            .index_gen
-            .engine()
-            .encrypt_database(&self.enc, data, rng);
-        let bytes = db.byte_size(self.q_bits) as u64;
-        let server = CmIfpServer::new(&self.ctx, self.geometry.clone(), self.mode, &db);
-        Ok(IfpDatabase {
-            server: Arc::new(Mutex::new(server)),
-            total_bits: db.total_bits(),
-            poly_count: db.poly_count(),
-            bytes,
-        })
+        self.program(
+            &self
+                .index_gen
+                .engine()
+                .encrypt_database(&self.enc, data, rng),
+        )
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -246,23 +264,7 @@ impl SecureMatcher for IfpMatcher {
             self.ctx.params().q,
             self.index_gen.engine().packing().bits_per_poly(),
         )?;
-        if db.total_bits() == 0 {
-            return Err(MatchError::InvalidConfig("cannot serve an empty database"));
-        }
-        let needed = CmIfpServer::required_words(&db, self.ctx.params().n);
-        if needed > Ssd::cm_capacity_words(&self.geometry) {
-            return Err(MatchError::InvalidConfig(
-                "database exceeds the SSD's CIPHERMATCH region",
-            ));
-        }
-        let bytes = db.byte_size(self.q_bits) as u64;
-        let server = CmIfpServer::new(&self.ctx, self.geometry.clone(), self.mode, &db);
-        Ok(IfpDatabase {
-            server: Arc::new(Mutex::new(server)),
-            total_bits: db.total_bits(),
-            poly_count: db.poly_count(),
-            bytes,
-        })
+        self.program(&db)
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {
@@ -423,6 +425,12 @@ mod tests {
         let encoded = big.encode(matcher.q_bits);
         assert!(matches!(
             matcher.decode_database(&encoded).unwrap_err(),
+            MatchError::InvalidConfig(_)
+        ));
+        // The same size loaded in-process is refused alike.
+        let bits = BitString::from_bits(&vec![true; polys * bits_per_poly]);
+        assert!(matches!(
+            seeded.load_database(&bits).unwrap_err(),
             MatchError::InvalidConfig(_)
         ));
     }

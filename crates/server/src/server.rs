@@ -42,7 +42,7 @@ use cm_reactor::{
 };
 use cm_telemetry::{MetricsRegistry, Stage, Trace};
 
-use crate::telemetry::{tag_index, ServerTelemetry, TAG_INVALID};
+use crate::telemetry::{ServerTelemetry, TAG_INVALID};
 use crate::tenant::TenantRegistry;
 use crate::wire::{
     begin_frame, finish_frame, FrameBuffer, Request, Response, TenantSpec, UploadAuth, UploadPhase,
@@ -460,7 +460,7 @@ fn run_pump(ctx: &PumpCtx, conn: ConnId) {
         let decoded = Request::decode(&frame);
         trace.mark(Stage::Decoded);
         let (tag, tenant) = match &decoded {
-            Ok(request) => (tag_index(request), request_tenant(request)),
+            Ok(request) => (usize::from(request.tag()), request.tenant()),
             Err(_) => (TAG_INVALID, None),
         };
         let tenant = tenant.map(str::to_string);
@@ -487,19 +487,6 @@ fn run_pump(ctx: &PumpCtx, conn: ConnId) {
         ctx.inflight.fetch_sub(1, Ordering::SeqCst);
         ctx.telemetry.inflight_add(-1);
         ctx.handle.send(conn, bytes);
-    }
-}
-
-/// The tenant a request targets, for the per-tenant counter and the
-/// slow-query line (`None` for tenant-less requests).
-fn request_tenant(request: &Request) -> Option<&str> {
-    match request {
-        Request::Match { tenant, .. }
-        | Request::TenantStats { tenant }
-        | Request::LoadDatabase { tenant, .. }
-        | Request::EvictDatabase { tenant, .. }
-        | Request::DatabaseInfo { tenant } => Some(tenant),
-        Request::Ping | Request::ListTenants | Request::Metrics => None,
     }
 }
 

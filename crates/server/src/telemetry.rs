@@ -15,10 +15,9 @@ use cm_telemetry::{
     metric_names, Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, Trace,
 };
 
-use crate::wire::Request;
-
-/// `tag` label values, one per request kind plus `invalid` for frames
-/// that fail [`Request::decode`]. Order matches [`tag_index`].
+/// `tag` label values, indexed by the request's wire tag
+/// ([`Request::tag`](crate::wire::Request::tag)), plus `invalid` for
+/// frames that fail [`Request::decode`](crate::wire::Request::decode).
 pub(crate) const REQUEST_TAGS: [&str; 9] = [
     "ping",
     "list_tenants",
@@ -33,20 +32,6 @@ pub(crate) const REQUEST_TAGS: [&str; 9] = [
 
 /// Index into [`REQUEST_TAGS`] for frames that failed to decode.
 pub(crate) const TAG_INVALID: usize = REQUEST_TAGS.len() - 1;
-
-/// The `tag` label index for a decoded request.
-pub(crate) fn tag_index(request: &Request) -> usize {
-    match request {
-        Request::Ping => 0,
-        Request::ListTenants => 1,
-        Request::Match { .. } => 2,
-        Request::TenantStats { .. } => 3,
-        Request::LoadDatabase { .. } => 4,
-        Request::EvictDatabase { .. } => 5,
-        Request::DatabaseInfo { .. } => 6,
-        Request::Metrics => 7,
-    }
-}
 
 /// Shortest interval the derived `Hom-Add` throughput gauge will divide
 /// by. A snapshot taken sooner keeps the previous value: a near-zero

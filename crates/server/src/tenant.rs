@@ -1378,6 +1378,50 @@ mod tests {
         data
     }
 
+    /// A CM-SW or `ifp` upload with junk behind its last ciphertext is
+    /// refused by the decoder — its tag and digest cover the junk, so no
+    /// other check could — and the registry is left as it was.
+    #[test]
+    fn a_padded_upload_is_refused_at_decode_and_charges_nothing() {
+        let registry = TenantRegistry::new();
+        upload_plain(&registry, "p", "resident", 1);
+        let hot = registry.hot_bytes();
+        for backend in [Backend::Ciphermatch, Backend::Ifp] {
+            let config = MatcherConfig::new(backend).seed(3).insecure_test();
+            let mut owner = match backend {
+                Backend::Ifp => cm_core::erase(IfpMatcher::for_spec(3, true).unwrap(), 3),
+                _ => config.build().unwrap(),
+            };
+            owner
+                .load_database(&BitString::from_ascii("a padded database"))
+                .unwrap();
+            let mut encoded = owner.export_database().unwrap();
+            encoded.extend_from_slice(&[0xAB; 16]);
+            let spec = TenantSpec::from_config(&config, 1);
+            let key = [7; 32];
+            let content = content_digest(&key, &encoded);
+            let total = encoded.len() as u64;
+            let auth = UploadAuth {
+                nonce: 1,
+                channel_key: key,
+                content,
+                tag: upload_tag(&key, "padded", 1, total, &spec, &content),
+            };
+            assert_eq!(
+                registry
+                    .register_remote("padded", &spec, encoded, &auth)
+                    .err(),
+                Some(MatchError::Decode(cm_bfv::DecodeError::BadHeader(
+                    "trailing bytes after the ciphertexts"
+                ))),
+                "{backend:?}"
+            );
+            assert_eq!(registry.hot_bytes(), hot);
+            let ids: Vec<String> = registry.list().into_iter().map(|t| t.id).collect();
+            assert_eq!(ids, ["p"]);
+        }
+    }
+
     fn cold_ticket(registry: &TenantRegistry, id: &str) -> Ticket {
         match registry.lookup(id, true).unwrap() {
             Lookup::Rebuild(ticket) => ticket,

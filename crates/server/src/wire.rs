@@ -16,6 +16,16 @@
 //! queries nor results cross the socket in the clear for
 //! CIPHERMATCH-family tenants.
 //!
+//! Each message is one declaration. A `wire_enum!` declares [`Request`],
+//! [`Response`], [`QueryPayload`] and [`UploadPhase`]: every variant with
+//! its fields, list widths and tag (`Ping = REQ_PING: 0`), written once,
+//! from which the macro builds both codec directions. A `wire_errors!`
+//! table does the same for [`MatchError`] and [`cm_bfv::DecodeError`],
+//! and `wire_struct!` for the structs a message carries. The workspace
+//! lint (`cargo run -p cm_analyze`, rule `wire-tags`) holds every tag to
+//! exactly one declaration, distinct within its family, and no codec
+//! body to a raw integer tag.
+//!
 //! Each wire type has one codec, encoder and decoder side by side, under
 //! three rules: a length or count that does not fit its prefix is a typed
 //! [`MatchError::Frame`] on encode, never a truncating cast; a declared
@@ -28,6 +38,7 @@
 use std::io::{Read, Write};
 use std::time::Duration;
 
+use cm_bfv::DecodeError;
 use cm_core::{Backend, BitString, MatchError, MatchStats};
 use cm_telemetry::{CounterSample, GaugeSample, HistogramSample, MetricsSnapshot};
 
@@ -52,98 +63,6 @@ pub const MAX_UPLOAD_CHUNKS: u32 = 1 << 16;
 
 /// Most concurrent queries (K) a remote tenant may request.
 pub const MAX_TENANT_WORKERS: u32 = 64;
-
-/// A client→server message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Liveness + capability probe; answered by [`Response::Pong`] with
-    /// the full [`Backend::WIRE`] listing.
-    Ping,
-    /// Lists the registered tenants; answered by [`Response::Tenants`].
-    ListTenants,
-    /// Runs one match query for `tenant`; answered by
-    /// [`Response::Matched`]. The AES-CTR nonce sealing the index list is
-    /// *server-assigned* (monotonic per tenant) and returned in the
-    /// response — client-chosen nonces would let two connections reuse
-    /// one keystream.
-    Match {
-        /// Target tenant id.
-        tenant: String,
-        /// The query itself.
-        query: QueryPayload,
-    },
-    /// Reads a tenant's lifetime statistics; answered by
-    /// [`Response::TenantStats`].
-    TenantStats {
-        /// Target tenant id.
-        tenant: String,
-    },
-    /// One step of a chunked encrypted-database upload (the remote
-    /// lifecycle's placement path). The three phases travel on one
-    /// connection: `Begin` (authorization + declared shape), `Chunk`
-    /// (payload, strictly in order), `Commit` (registers the tenant).
-    /// `Begin`/`Chunk` are answered by [`Response::UploadProgress`],
-    /// `Commit` by [`Response::DatabaseLoaded`].
-    LoadDatabase {
-        /// Target tenant id.
-        tenant: String,
-        /// Which upload step this frame carries.
-        phase: UploadPhase,
-    },
-    /// Retires a tenant's database from the serving host entirely (hot
-    /// tier, cold tier, and accounting); answered by
-    /// [`Response::Evicted`]. Authorized by proof-of-possession of the
-    /// tenant's channel key — a non-owner cannot evict.
-    EvictDatabase {
-        /// Target tenant id.
-        tenant: String,
-        /// The owner's proof of possession.
-        auth: EvictAuth,
-    },
-    /// Reads a tenant database's lifecycle state (tier, accounting
-    /// charge, pinning); answered by [`Response::DatabaseInfo`].
-    DatabaseInfo {
-        /// Target tenant id.
-        tenant: String,
-    },
-    /// Reads the server's full telemetry snapshot — every counter,
-    /// gauge, and histogram the process has registered, from the
-    /// reactor event loop down to the compute pool; answered by
-    /// [`Response::Metrics`].
-    Metrics,
-}
-
-/// One step of a chunked [`Request::LoadDatabase`] upload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UploadPhase {
-    /// Opens an upload: authorization, the matcher description the server
-    /// will rebuild the tenant from, and the declared payload shape.
-    /// A `Begin` abandons any upload already in progress on the
-    /// connection.
-    Begin {
-        /// Proof of possession of the tenant's channel key.
-        auth: UploadAuth,
-        /// How to rebuild the tenant's matcher (backend, seed, knobs).
-        spec: TenantSpec,
-        /// Total serialized-database bytes the chunks will carry.
-        total_bytes: u64,
-        /// How many chunks will follow, in order, before `Commit`.
-        chunk_count: u32,
-    },
-    /// One chunk of the serialized database. Chunks must arrive strictly
-    /// in index order; a duplicate or out-of-order index aborts the
-    /// upload with a typed [`MatchError::UploadIncomplete`].
-    Chunk {
-        /// Zero-based chunk index.
-        index: u32,
-        /// The chunk's bytes.
-        data: Vec<u8>,
-    },
-    /// Closes the upload: every declared chunk must have arrived and the
-    /// received bytes must equal the declared total, or the upload fails
-    /// with [`MatchError::UploadIncomplete`] and nothing is registered.
-    Commit,
-}
 
 /// Authorization for [`UploadPhase::Begin`].
 ///
@@ -262,119 +181,6 @@ pub fn upload_tag(
 
 pub use crate::secrecy::{keys_match, tags_match};
 
-/// The wire-tag registry: every discriminant byte the codecs emit or
-/// accept, by family (`REQ_` request tags, `RESP_` response tags,
-/// `QUERY_` query-payload sub-tags, `PHASE_` upload-phase sub-tags,
-/// `ERR_` error tags, `DECODE_` [`cm_bfv::DecodeError`] sub-codes).
-///
-/// The codecs below use these constants exclusively — a raw integer tag
-/// in an encoder or decoder fails the workspace lint (`cargo run -p
-/// cm_analyze`, rule `wire-tags`), which also checks each family for
-/// duplicate values and each constant for use on both the encode and
-/// decode side.
-pub mod tags {
-    /// [`super::Request::Ping`].
-    pub const REQ_PING: u8 = 0;
-    /// [`super::Request::ListTenants`].
-    pub const REQ_LIST_TENANTS: u8 = 1;
-    /// [`super::Request::Match`].
-    pub const REQ_MATCH: u8 = 2;
-    /// [`super::Request::TenantStats`].
-    pub const REQ_TENANT_STATS: u8 = 3;
-    /// [`super::Request::LoadDatabase`].
-    pub const REQ_LOAD_DATABASE: u8 = 4;
-    /// [`super::Request::EvictDatabase`].
-    pub const REQ_EVICT_DATABASE: u8 = 5;
-    /// [`super::Request::DatabaseInfo`].
-    pub const REQ_DATABASE_INFO: u8 = 6;
-    /// [`super::Request::Metrics`].
-    pub const REQ_METRICS: u8 = 7;
-
-    /// [`super::Response::Pong`].
-    pub const RESP_PONG: u8 = 0;
-    /// [`super::Response::Tenants`].
-    pub const RESP_TENANTS: u8 = 1;
-    /// [`super::Response::Matched`].
-    pub const RESP_MATCHED: u8 = 2;
-    /// [`super::Response::TenantStats`].
-    pub const RESP_TENANT_STATS: u8 = 3;
-    /// [`super::Response::Error`].
-    pub const RESP_ERROR: u8 = 4;
-    /// [`super::Response::UploadProgress`].
-    pub const RESP_UPLOAD_PROGRESS: u8 = 5;
-    /// [`super::Response::DatabaseLoaded`].
-    pub const RESP_DATABASE_LOADED: u8 = 6;
-    /// [`super::Response::Evicted`].
-    pub const RESP_EVICTED: u8 = 7;
-    /// [`super::Response::DatabaseInfo`].
-    pub const RESP_DATABASE_INFO: u8 = 8;
-    /// [`super::Response::Metrics`].
-    pub const RESP_METRICS: u8 = 9;
-
-    /// [`super::QueryPayload::Bits`].
-    pub const QUERY_BITS: u8 = 0;
-    /// [`super::QueryPayload::CmWire`].
-    pub const QUERY_CM_WIRE: u8 = 1;
-
-    /// [`super::UploadPhase::Begin`].
-    pub const PHASE_BEGIN: u8 = 0;
-    /// [`super::UploadPhase::Chunk`].
-    pub const PHASE_CHUNK: u8 = 1;
-    /// [`super::UploadPhase::Commit`].
-    pub const PHASE_COMMIT: u8 = 2;
-
-    /// [`cm_core::MatchError::NoIndexGenerator`].
-    pub const ERR_NO_INDEX_GENERATOR: u8 = 0;
-    /// [`cm_core::MatchError::NoDatabase`].
-    pub const ERR_NO_DATABASE: u8 = 1;
-    /// [`cm_core::MatchError::EmptyQuery`].
-    pub const ERR_EMPTY_QUERY: u8 = 2;
-    /// [`cm_core::MatchError::QueryTooLong`].
-    pub const ERR_QUERY_TOO_LONG: u8 = 3;
-    /// [`cm_core::MatchError::WindowMismatch`].
-    pub const ERR_WINDOW_MISMATCH: u8 = 4;
-    /// [`cm_core::MatchError::WorkerPanicked`].
-    pub const ERR_WORKER_PANICKED: u8 = 5;
-    /// [`cm_core::MatchError::InvalidConfig`].
-    pub const ERR_INVALID_CONFIG: u8 = 6;
-    /// [`cm_core::MatchError::Decode`] (sub-code in `a`, one of the
-    /// `DECODE_` constants).
-    pub const ERR_DECODE: u8 = 7;
-    /// [`cm_core::MatchError::WireQueryUnsupported`].
-    pub const ERR_WIRE_QUERY_UNSUPPORTED: u8 = 8;
-    /// [`cm_core::MatchError::UnknownBackend`].
-    pub const ERR_UNKNOWN_BACKEND: u8 = 9;
-    /// [`cm_core::MatchError::UnknownTenant`].
-    pub const ERR_UNKNOWN_TENANT: u8 = 10;
-    /// [`cm_core::MatchError::Frame`].
-    pub const ERR_FRAME: u8 = 11;
-    /// [`cm_core::MatchError::Transport`].
-    pub const ERR_TRANSPORT: u8 = 12;
-    /// [`cm_core::MatchError::ServerBusy`].
-    pub const ERR_SERVER_BUSY: u8 = 13;
-    /// [`cm_core::MatchError::Unauthorized`].
-    pub const ERR_UNAUTHORIZED: u8 = 14;
-    /// [`cm_core::MatchError::QuotaExceeded`].
-    pub const ERR_QUOTA_EXCEEDED: u8 = 15;
-    /// [`cm_core::MatchError::UploadIncomplete`].
-    pub const ERR_UPLOAD_INCOMPLETE: u8 = 16;
-    /// [`cm_core::MatchError::WireDatabaseUnsupported`].
-    pub const ERR_WIRE_DATABASE_UNSUPPORTED: u8 = 17;
-    /// [`cm_core::MatchError::ConnectionClosed`].
-    pub const ERR_CONNECTION_CLOSED: u8 = 18;
-    /// [`cm_core::MatchError::Internal`].
-    pub const ERR_INTERNAL: u8 = 19;
-
-    /// [`cm_bfv::DecodeError::Truncated`].
-    pub const DECODE_TRUNCATED: u8 = 0;
-    /// [`cm_bfv::DecodeError::BadMagic`].
-    pub const DECODE_BAD_MAGIC: u8 = 1;
-    /// [`cm_bfv::DecodeError::BadHeader`].
-    pub const DECODE_BAD_HEADER: u8 = 2;
-    /// [`cm_bfv::DecodeError::CoefficientOverflow`].
-    pub const DECODE_COEFFICIENT_OVERFLOW: u8 = 3;
-}
-
 /// How a serving host rebuilds a remote tenant's matcher: the
 /// wire-transportable subset of [`cm_core::MatcherConfig`]. Key
 /// generation is deterministic in `seed`, so a client that built its
@@ -477,21 +283,6 @@ pub struct DatabaseInfoReply {
     pub tier: String,
 }
 
-/// How a query travels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueryPayload {
-    /// Plaintext query bits, for hosted-key tenants: the server-side
-    /// matcher owns the keys and encrypts the query itself (every
-    /// [`Backend`] supports this mode).
-    Bits(BitString),
-    /// An already-encrypted query, for client-key tenants, as the tenant's
-    /// [`cm_core::QueryKit`] builds it: packed ([`cm_core::PackedQuery`],
-    /// `CMQ3`: the query length and `⌈V/n⌉` ciphertexts) for `ciphermatch`
-    /// and `ifp` alike, whose servers replicate the variants themselves.
-    /// The server learns the pattern's length and nothing else about it.
-    CmWire(Vec<u8>),
-}
-
 /// Identity and backend of a registered tenant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TenantInfo {
@@ -499,72 +290,6 @@ pub struct TenantInfo {
     pub id: String,
     /// The backend serving this tenant (a [`Backend::name`] string).
     pub backend: String,
-}
-
-/// A server→client message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Liveness answer: every backend this server build can serve.
-    Pong {
-        /// [`Backend::WIRE`] names.
-        backends: Vec<String>,
-    },
-    /// The registered tenants.
-    Tenants(Vec<TenantInfo>),
-    /// One query's result.
-    Matched {
-        /// The server-assigned AES-CTR nonce the index list was sealed
-        /// with — unique per tenant, so no two replies under one channel
-        /// key ever share a keystream.
-        nonce: u64,
-        /// The AES-sealed index list
-        /// ([`cm_ssd::SecureIndexChannel::seal`] under `nonce`).
-        sealed_indices: Vec<u8>,
-        /// Statistics this query added to the tenant's matcher.
-        stats: MatchStats,
-        /// Per-shard breakdown; field-wise sums to `stats` for sharded
-        /// tenants, a single entry equal to `stats` otherwise.
-        shard_stats: Vec<MatchStats>,
-        /// Modeled hardware latency of sealing the index list.
-        seal_latency: Duration,
-    },
-    /// A tenant's lifetime statistics.
-    TenantStats {
-        /// Field-wise totals since registration.
-        stats: MatchStats,
-        /// Queries served.
-        queries: u64,
-    },
-    /// Acknowledges an upload `Begin` or `Chunk` step.
-    UploadProgress {
-        /// Bytes received so far in this upload.
-        received: u64,
-        /// The declared total from `Begin`.
-        expected: u64,
-    },
-    /// An upload `Commit` succeeded: the tenant is registered and hot.
-    DatabaseLoaded {
-        /// The registry's accounting charge for the database in bytes.
-        bytes: u64,
-        /// Tenants the admission demoted to the cold tier (LRU order).
-        demoted: Vec<String>,
-    },
-    /// An [`Request::EvictDatabase`] succeeded.
-    Evicted {
-        /// Hot-tier bytes the eviction released from the accounting (0
-        /// if the database was already cold).
-        freed_bytes: u64,
-    },
-    /// A tenant database's lifecycle state.
-    DatabaseInfo(DatabaseInfoReply),
-    /// The server's telemetry snapshot ([`Request::Metrics`]): every
-    /// registered counter, gauge, and histogram at one instant, sorted
-    /// by name then labels. Histogram buckets travel sparse (index,
-    /// count), so an idle server's snapshot stays small.
-    Metrics(cm_telemetry::MetricsSnapshot),
-    /// The request failed; `error` is the server-side [`MatchError`]
-    /// (static-string payloads survive as `"remote"`).
-    Error(MatchError),
 }
 
 // ---------------------------------------------------------------------------
@@ -1168,138 +893,442 @@ fn check_buckets(sample: &HistogramSample) -> Result<(), MatchError> {
 /// the client as this placeholder.
 const REMOTE: &str = "remote";
 
-/// An error travels as its tag, two u64 operands and a text.
+/// An error's wire form behind its tag: two u64 operands and a text.
+#[derive(Default)]
+struct ErrorParts {
+    a: u64,
+    b: u64,
+    text: String,
+}
+
+wire_struct! { ErrorParts { a: u64, b: u64, text: String } }
+
+/// An error enum's codec: its tag and [`ErrorParts`], both ways.
+trait ErrorCodec: Sized {
+    fn to_parts(&self) -> (u8, ErrorParts);
+
+    fn from_parts(tag: u8, parts: ErrorParts) -> Result<Self, MatchError>;
+}
+
+/// How an error field rides in the [`ErrorParts`] slot of type `S` that
+/// its declaration names, both ways.
+trait Slot<S>: Sized {
+    fn to_slot(&self) -> S;
+
+    fn from_slot(slot: S) -> Result<Self, MatchError>;
+}
+
+/// Implements [`Slot`] for each `field type: slot type`, from its two
+/// conversions.
+macro_rules! slots {
+    ($($ty:ty: $slot:ty = |$x:ident| $to:expr, |$y:pat_param| $from:expr;)+) => {$(
+        impl Slot<$slot> for $ty {
+            fn to_slot(&self) -> $slot {
+                let $x = self;
+                $to
+            }
+
+            fn from_slot($y: $slot) -> Result<Self, MatchError> {
+                $from
+            }
+        }
+    )+};
+}
+
+slots! {
+    usize: u64 = |n| widen(*n), |n| Ok(narrow(n));
+    u64: u64 = |n| *n, |n| Ok(n);
+    &'static str: String = |s| s.to_string(), |_| Ok(REMOTE);
+    String: String = |s| s.clone(), |s| Ok(s);
+    Backend: String = |backend| backend.name().to_string(), |name| {
+        Backend::parse(&name).map_err(|_| MatchError::Frame("unknown backend in error"))
+    };
+    // A decode error crosses as its tag alone. An unknown sub-code — one
+    // past a byte included — still decodes: overflow is the most
+    // conservative reading of a corrupt ciphertext.
+    DecodeError: u64 = |error| error.to_parts().0.into(), |code| {
+        let known = u8::try_from(code).map(|tag| DecodeError::from_parts(tag, Default::default()));
+        Ok(known.ok().and_then(Result::ok).unwrap_or(DecodeError::CoefficientOverflow))
+    };
+}
+
+/// Implements [`ErrorCodec`] for each error enum from one table: every
+/// variant's tag, declared once (`Variant = NAME: value`), and the
+/// [`ErrorParts`] slot (`a`, `b` or `text`) each of its fields rides in.
+macro_rules! wire_errors {
+    ($($name:ident {
+        $($variant:ident $({ $($field:ident: $slot:ident),+ })? $(($only:ident))?
+            = $tag:ident: $value:literal),+ $(,)?
+    })+) => {$(
+        impl ErrorCodec for $name {
+            fn to_parts(&self) -> (u8, ErrorParts) {
+                match self {
+                    $($name::$variant { $($($field: $slot),+)? $(0: $only)? } => ($value, ErrorParts {
+                        $($($slot: Slot::to_slot($slot),)+)? $($only: Slot::to_slot($only),)?
+                        ..ErrorParts::default()
+                    }),)+
+                }
+            }
+
+            fn from_parts(tag: u8, parts: ErrorParts) -> Result<Self, MatchError> {
+                Ok(match tag {
+                    $($value => $name::$variant {
+                        $($($field: Slot::from_slot(parts.$slot)?),+)?
+                        $(0: Slot::from_slot(parts.$only)?)?
+                    },)+
+                    _ => return Err(MatchError::Frame(concat!("unknown ", stringify!($name), " tag"))),
+                })
+            }
+        }
+    )+};
+}
+
+wire_errors! {
+    MatchError {
+        NoIndexGenerator = ERR_NO_INDEX_GENERATOR: 0,
+        NoDatabase = ERR_NO_DATABASE: 1,
+        EmptyQuery = ERR_EMPTY_QUERY: 2,
+        QueryTooLong { max: a, got: b } = ERR_QUERY_TOO_LONG: 3,
+        WindowMismatch { expected: a, got: b } = ERR_WINDOW_MISMATCH: 4,
+        WorkerPanicked = ERR_WORKER_PANICKED: 5,
+        InvalidConfig(text) = ERR_INVALID_CONFIG: 6,
+        Decode(a) = ERR_DECODE: 7,
+        WireQueryUnsupported(text) = ERR_WIRE_QUERY_UNSUPPORTED: 8,
+        UnknownBackend(text) = ERR_UNKNOWN_BACKEND: 9,
+        UnknownTenant(text) = ERR_UNKNOWN_TENANT: 10,
+        Frame(text) = ERR_FRAME: 11,
+        Transport(text) = ERR_TRANSPORT: 12,
+        ServerBusy { max_open_sockets: a } = ERR_SERVER_BUSY: 13,
+        Unauthorized(text) = ERR_UNAUTHORIZED: 14,
+        QuotaExceeded { budget: a, required: b } = ERR_QUOTA_EXCEEDED: 15,
+        UploadIncomplete(text) = ERR_UPLOAD_INCOMPLETE: 16,
+        WireDatabaseUnsupported(text) = ERR_WIRE_DATABASE_UNSUPPORTED: 17,
+        ConnectionClosed = ERR_CONNECTION_CLOSED: 18,
+        Internal(text) = ERR_INTERNAL: 19,
+    }
+    DecodeError {
+        Truncated = DECODE_TRUNCATED: 0,
+        BadMagic = DECODE_BAD_MAGIC: 1,
+        BadHeader(text) = DECODE_BAD_HEADER: 2,
+        CoefficientOverflow = DECODE_COEFFICIENT_OVERFLOW: 3,
+    }
+}
+
+/// An error travels as its tag, then its [`ErrorParts`].
 impl Wire for MatchError {
-    const MIN_BYTES: usize = 1 + 8 + 8 + String::MIN_BYTES;
+    const MIN_BYTES: usize = <(u8, ErrorParts)>::MIN_BYTES;
 
     fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
-        use cm_bfv::DecodeError;
-        let (tag, a, b, text): (u8, u64, u64, &str) = match self {
-            MatchError::NoIndexGenerator => (tags::ERR_NO_INDEX_GENERATOR, 0, 0, ""),
-            MatchError::NoDatabase => (tags::ERR_NO_DATABASE, 0, 0, ""),
-            MatchError::EmptyQuery => (tags::ERR_EMPTY_QUERY, 0, 0, ""),
-            MatchError::QueryTooLong { max, got } => {
-                (tags::ERR_QUERY_TOO_LONG, widen(*max), widen(*got), "")
-            }
-            MatchError::WindowMismatch { expected, got } => {
-                (tags::ERR_WINDOW_MISMATCH, widen(*expected), widen(*got), "")
-            }
-            MatchError::WorkerPanicked => (tags::ERR_WORKER_PANICKED, 0, 0, ""),
-            MatchError::InvalidConfig(what) => (tags::ERR_INVALID_CONFIG, 0, 0, *what),
-            MatchError::Decode(d) => {
-                let code = match d {
-                    DecodeError::Truncated => tags::DECODE_TRUNCATED,
-                    DecodeError::BadMagic => tags::DECODE_BAD_MAGIC,
-                    DecodeError::BadHeader(_) => tags::DECODE_BAD_HEADER,
-                    DecodeError::CoefficientOverflow => tags::DECODE_COEFFICIENT_OVERFLOW,
-                };
-                (tags::ERR_DECODE, u64::from(code), 0, "")
-            }
-            MatchError::WireQueryUnsupported(backend) => {
-                (tags::ERR_WIRE_QUERY_UNSUPPORTED, 0, 0, backend.name())
-            }
-            MatchError::UnknownBackend(name) => (tags::ERR_UNKNOWN_BACKEND, 0, 0, name.as_str()),
-            MatchError::UnknownTenant(id) => (tags::ERR_UNKNOWN_TENANT, 0, 0, id.as_str()),
-            MatchError::Frame(what) => (tags::ERR_FRAME, 0, 0, *what),
-            MatchError::Transport(what) => (tags::ERR_TRANSPORT, 0, 0, what.as_str()),
-            MatchError::ServerBusy { max_open_sockets } => {
-                (tags::ERR_SERVER_BUSY, widen(*max_open_sockets), 0, "")
-            }
-            MatchError::Unauthorized(what) => (tags::ERR_UNAUTHORIZED, 0, 0, *what),
-            MatchError::QuotaExceeded { budget, required } => {
-                (tags::ERR_QUOTA_EXCEEDED, *budget, *required, "")
-            }
-            MatchError::UploadIncomplete(what) => (tags::ERR_UPLOAD_INCOMPLETE, 0, 0, *what),
-            MatchError::WireDatabaseUnsupported(backend) => {
-                (tags::ERR_WIRE_DATABASE_UNSUPPORTED, 0, 0, backend.name())
-            }
-            MatchError::ConnectionClosed => (tags::ERR_CONNECTION_CLOSED, 0, 0, ""),
-            MatchError::Internal(what) => (tags::ERR_INTERNAL, 0, 0, *what),
-        };
-        tag.put(out)?;
-        a.put(out)?;
-        b.put(out)?;
-        // Never slice mid-codepoint: a message past the u16 prefix is
-        // summarized, so an error always encodes.
-        put_bytes::<u16>(out, text.as_bytes())
-            .or_else(|_| put_bytes::<u16>(out, b"error message too long for the wire"))
+        let (tag, mut parts) = self.to_parts();
+        // A message past the u16 prefix is summarized, so an error
+        // always encodes.
+        if parts.text.len() > usize::from(u16::MAX) {
+            parts.text = "error message too long for the wire".into();
+        }
+        (tag, parts).put(out)
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
-        use cm_bfv::DecodeError;
-        let tag: u8 = r.read()?;
-        let a: u64 = r.read()?;
-        let b: u64 = r.read()?;
-        let text: String = r.read()?;
-        let backend = |name: &str| {
-            Backend::parse(name).map_err(|_| MatchError::Frame("unknown backend in error"))
-        };
-        Ok(match tag {
-            tags::ERR_NO_INDEX_GENERATOR => MatchError::NoIndexGenerator,
-            tags::ERR_NO_DATABASE => MatchError::NoDatabase,
-            tags::ERR_EMPTY_QUERY => MatchError::EmptyQuery,
-            tags::ERR_QUERY_TOO_LONG => MatchError::QueryTooLong {
-                max: narrow(a),
-                got: narrow(b),
-            },
-            tags::ERR_WINDOW_MISMATCH => MatchError::WindowMismatch {
-                expected: narrow(a),
-                got: narrow(b),
-            },
-            tags::ERR_WORKER_PANICKED => MatchError::WorkerPanicked,
-            tags::ERR_INVALID_CONFIG => MatchError::InvalidConfig(REMOTE),
-            tags::ERR_DECODE => MatchError::Decode(match u8::try_from(a) {
-                Ok(tags::DECODE_TRUNCATED) => DecodeError::Truncated,
-                Ok(tags::DECODE_BAD_MAGIC) => DecodeError::BadMagic,
-                Ok(tags::DECODE_BAD_HEADER) => DecodeError::BadHeader(REMOTE),
-                Ok(tags::DECODE_COEFFICIENT_OVERFLOW) => DecodeError::CoefficientOverflow,
-                // An unknown sub-code — one past a byte included — still
-                // decodes; overflow is the most conservative reading of a
-                // corrupt ciphertext.
-                _ => DecodeError::CoefficientOverflow,
-            }),
-            tags::ERR_WIRE_QUERY_UNSUPPORTED => MatchError::WireQueryUnsupported(backend(&text)?),
-            tags::ERR_UNKNOWN_BACKEND => MatchError::UnknownBackend(text),
-            tags::ERR_UNKNOWN_TENANT => MatchError::UnknownTenant(text),
-            tags::ERR_FRAME => MatchError::Frame(REMOTE),
-            tags::ERR_TRANSPORT => MatchError::Transport(text),
-            tags::ERR_SERVER_BUSY => MatchError::ServerBusy {
-                max_open_sockets: narrow(a),
-            },
-            tags::ERR_UNAUTHORIZED => MatchError::Unauthorized(REMOTE),
-            tags::ERR_QUOTA_EXCEEDED => MatchError::QuotaExceeded {
-                budget: a,
-                required: b,
-            },
-            tags::ERR_UPLOAD_INCOMPLETE => MatchError::UploadIncomplete(REMOTE),
-            tags::ERR_WIRE_DATABASE_UNSUPPORTED => {
-                MatchError::WireDatabaseUnsupported(backend(&text)?)
-            }
-            tags::ERR_CONNECTION_CLOSED => MatchError::ConnectionClosed,
-            tags::ERR_INTERNAL => MatchError::Internal(REMOTE),
-            _ => return Err(MatchError::Frame("unknown error tag")),
-        })
+        let (tag, parts) = r.read()?;
+        Self::from_parts(tag, parts)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Request / Response codecs
+// Messages
 // ---------------------------------------------------------------------------
+
+/// Declares a message enum and implements [`Wire`] for it. A variant is
+/// its tag byte — declared once, as `Variant = NAME: value`, which also
+/// makes `NAME` an associated constant — then its fields in declaration
+/// order, each by its type's codec or — written `Vec<T> as W` — as a
+/// `W`-counted list. `check` names a test the decoded value must pass.
+macro_rules! wire_enum {
+    (@codec $name:ident $(check $check:path)? [$(
+        $variant:ident { $($key:tt: $bind:ident: $ty:ty $(as $width:ty)?),* } = $tag:ident
+    ),+]) => {
+        impl Wire for $name {
+            const MIN_BYTES: usize = 1;
+
+            fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+                self.tag().put(out)?;
+                match self {
+                    $(Self::$variant { $($key: $bind),* } => {
+                        $(wire_struct!(@put out, $bind $(, $width)?);)*
+                    })+
+                }
+                Ok(())
+            }
+
+            fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
+                let message = match r.read::<u8>()? {
+                    $(Self::$tag => Self::$variant {
+                        $($key: wire_struct!(@read r, $ty $(, $width)?)),*
+                    },)+
+                    _ => return Err(MatchError::Frame(concat!("unknown ", stringify!($name), " tag"))),
+                };
+                $($check(&message)?;)?
+                Ok(message)
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {$(
+            $(#[$doc:meta])*
+            $variant:ident
+            $({ $($(#[$field_doc:meta])* $field:ident: $field_ty:ty $(as $field_width:ty)?),+ $(,)? })?
+            $(($ty:ty $(as $width:ty)?))?
+            = $tag:ident: $value:literal
+        ),+ $(,)?} $(check $check:path)?
+    ) => {
+        $(#[$meta])*
+        pub enum $name {$(
+            $(#[$doc])*
+            $variant $({ $($(#[$field_doc])* $field: $field_ty),+ })? $(($ty))?,
+        )+}
+
+        impl $name {
+            $(const $tag: u8 = $value;)+
+
+            /// The message's wire tag.
+            pub(crate) fn tag(&self) -> u8 {
+                match self {
+                    $(Self::$variant { .. } => Self::$tag,)+
+                }
+            }
+        }
+
+        wire_enum!(@codec $name $(check $check)? [$($variant {
+            $($($field: $field: $field_ty $(as $field_width)?),+)? $(0: value: $ty $(as $width)?)?
+        } = $tag),+]);
+    };
+}
+
+wire_enum! {
+    /// A client→server message.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request {
+        /// Liveness + capability probe; answered by [`Response::Pong`] with
+        /// the full [`Backend::WIRE`] listing.
+        Ping = REQ_PING: 0,
+        /// Lists the registered tenants; answered by [`Response::Tenants`].
+        ListTenants = REQ_LIST_TENANTS: 1,
+        /// Runs one match query for `tenant`; answered by
+        /// [`Response::Matched`]. The AES-CTR nonce sealing the index list is
+        /// *server-assigned* (monotonic per tenant) and returned in the
+        /// response — client-chosen nonces would let two connections reuse
+        /// one keystream.
+        Match {
+            /// Target tenant id.
+            tenant: String,
+            /// The query itself.
+            query: QueryPayload,
+        } = REQ_MATCH: 2,
+        /// Reads a tenant's lifetime statistics; answered by
+        /// [`Response::TenantStats`].
+        TenantStats {
+            /// Target tenant id.
+            tenant: String,
+        } = REQ_TENANT_STATS: 3,
+        /// One step of a chunked encrypted-database upload (the remote
+        /// lifecycle's placement path). The three phases travel on one
+        /// connection: `Begin` (authorization + declared shape), `Chunk`
+        /// (payload, strictly in order), `Commit` (registers the tenant).
+        /// `Begin`/`Chunk` are answered by [`Response::UploadProgress`],
+        /// `Commit` by [`Response::DatabaseLoaded`].
+        LoadDatabase {
+            /// Target tenant id.
+            tenant: String,
+            /// Which upload step this frame carries.
+            phase: UploadPhase,
+        } = REQ_LOAD_DATABASE: 4,
+        /// Retires a tenant's database from the serving host entirely (hot
+        /// tier, cold tier, and accounting); answered by
+        /// [`Response::Evicted`]. Authorized by proof-of-possession of the
+        /// tenant's channel key — a non-owner cannot evict.
+        EvictDatabase {
+            /// Target tenant id.
+            tenant: String,
+            /// The owner's proof of possession.
+            auth: EvictAuth,
+        } = REQ_EVICT_DATABASE: 5,
+        /// Reads a tenant database's lifecycle state (tier, accounting
+        /// charge, pinning); answered by [`Response::DatabaseInfo`].
+        DatabaseInfo {
+            /// Target tenant id.
+            tenant: String,
+        } = REQ_DATABASE_INFO: 6,
+        /// Reads the server's full telemetry snapshot — every counter,
+        /// gauge, and histogram the process has registered, from the
+        /// reactor event loop down to the compute pool; answered by
+        /// [`Response::Metrics`].
+        Metrics = REQ_METRICS: 7,
+    } check check_request
+}
+
+/// A tenant-addressed request names an id the registry could hold.
+fn check_request(request: &Request) -> Result<(), MatchError> {
+    match request.tenant() {
+        Some(id) if id.is_empty() || id.len() > MAX_TENANT_ID => {
+            Err(MatchError::Frame("tenant id length out of range"))
+        }
+        _ => Ok(()),
+    }
+}
+
+wire_enum! {
+    /// One step of a chunked [`Request::LoadDatabase`] upload.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum UploadPhase {
+        /// Opens an upload: authorization, the matcher description the server
+        /// will rebuild the tenant from, and the declared payload shape.
+        /// A `Begin` abandons any upload already in progress on the
+        /// connection.
+        Begin {
+            /// Proof of possession of the tenant's channel key.
+            auth: UploadAuth,
+            /// How to rebuild the tenant's matcher (backend, seed, knobs).
+            spec: TenantSpec,
+            /// Total serialized-database bytes the chunks will carry.
+            total_bytes: u64,
+            /// How many chunks will follow, in order, before `Commit`.
+            chunk_count: u32,
+        } = PHASE_BEGIN: 0,
+        /// One chunk of the serialized database. Chunks must arrive strictly
+        /// in index order; a duplicate or out-of-order index aborts the
+        /// upload with a typed [`MatchError::UploadIncomplete`].
+        Chunk {
+            /// Zero-based chunk index.
+            index: u32,
+            /// The chunk's bytes.
+            data: Vec<u8>,
+        } = PHASE_CHUNK: 1,
+        /// Closes the upload: every declared chunk must have arrived and the
+        /// received bytes must equal the declared total, or the upload fails
+        /// with [`MatchError::UploadIncomplete`] and nothing is registered.
+        Commit = PHASE_COMMIT: 2,
+    } check check_phase
+}
+
+/// A `Begin` declares a size and a chunk count within the caps — refused
+/// before any buffer for the upload exists.
+fn check_phase(phase: &UploadPhase) -> Result<(), MatchError> {
+    match phase {
+        UploadPhase::Begin { total_bytes, .. } if *total_bytes > MAX_DATABASE_BYTES => {
+            Err(MatchError::Frame("declared database size exceeds the cap"))
+        }
+        UploadPhase::Begin { chunk_count, .. }
+            if !(1..=MAX_UPLOAD_CHUNKS).contains(chunk_count) =>
+        {
+            Err(MatchError::Frame("chunk count out of range"))
+        }
+        _ => Ok(()),
+    }
+}
+
+wire_enum! {
+    /// How a query travels.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum QueryPayload {
+        /// Plaintext query bits, for hosted-key tenants: the server-side
+        /// matcher owns the keys and encrypts the query itself (every
+        /// [`Backend`] supports this mode).
+        Bits(BitString) = QUERY_BITS: 0,
+        /// An already-encrypted query, for client-key tenants, as the tenant's
+        /// [`cm_core::QueryKit`] builds it: packed ([`cm_core::PackedQuery`],
+        /// `CMQ3`: the query length and `⌈V/n⌉` ciphertexts) for `ciphermatch`
+        /// and `ifp` alike, whose servers replicate the variants themselves.
+        /// The server learns the pattern's length and nothing else about it.
+        CmWire(Vec<u8>) = QUERY_CM_WIRE: 1,
+    }
+}
+
+wire_enum! {
+    /// A server→client message.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Liveness answer: every backend this server build can serve.
+        Pong {
+            /// [`Backend::WIRE`] names.
+            backends: Vec<String> as u16,
+        } = RESP_PONG: 0,
+        /// The registered tenants.
+        Tenants(Vec<TenantInfo> as u16) = RESP_TENANTS: 1,
+        /// One query's result.
+        Matched {
+            /// The server-assigned AES-CTR nonce the index list was sealed
+            /// with — unique per tenant, so no two replies under one channel
+            /// key ever share a keystream.
+            nonce: u64,
+            /// The AES-sealed index list
+            /// ([`cm_ssd::SecureIndexChannel::seal`] under `nonce`).
+            sealed_indices: Vec<u8>,
+            /// Statistics this query added to the tenant's matcher.
+            stats: MatchStats,
+            /// Per-shard breakdown; field-wise sums to `stats` for sharded
+            /// tenants, a single entry equal to `stats` otherwise.
+            shard_stats: Vec<MatchStats> as u16,
+            /// Modeled hardware latency of sealing the index list.
+            seal_latency: Duration,
+        } = RESP_MATCHED: 2,
+        /// A tenant's lifetime statistics.
+        TenantStats {
+            /// Field-wise totals since registration.
+            stats: MatchStats,
+            /// Queries served.
+            queries: u64,
+        } = RESP_TENANT_STATS: 3,
+        /// Acknowledges an upload `Begin` or `Chunk` step.
+        UploadProgress {
+            /// Bytes received so far in this upload.
+            received: u64,
+            /// The declared total from `Begin`.
+            expected: u64,
+        } = RESP_UPLOAD_PROGRESS: 5,
+        /// An upload `Commit` succeeded: the tenant is registered and hot.
+        DatabaseLoaded {
+            /// The registry's accounting charge for the database in bytes.
+            bytes: u64,
+            /// Tenants the admission demoted to the cold tier (LRU order).
+            /// Counted in a u32: one admission can demote more tenants
+            /// than a u16 counts.
+            demoted: Vec<String> as u32,
+        } = RESP_DATABASE_LOADED: 6,
+        /// An [`Request::EvictDatabase`] succeeded.
+        Evicted {
+            /// Hot-tier bytes the eviction released from the accounting (0
+            /// if the database was already cold).
+            freed_bytes: u64,
+        } = RESP_EVICTED: 7,
+        /// A tenant database's lifecycle state.
+        DatabaseInfo(DatabaseInfoReply) = RESP_DATABASE_INFO: 8,
+        /// The server's telemetry snapshot ([`Request::Metrics`]): every
+        /// registered counter, gauge, and histogram at one instant, sorted
+        /// by name then labels. Histogram buckets travel sparse (index,
+        /// count), so an idle server's snapshot stays small.
+        Metrics(cm_telemetry::MetricsSnapshot) = RESP_METRICS: 9,
+        /// The request failed; `error` is the server-side [`MatchError`]
+        /// (static-string payloads survive as `"remote"`).
+        Error(MatchError) = RESP_ERROR: 4,
+    } check check_response
+}
+
+/// A `Pong` lists no more names than a server build could serve.
+fn check_response(response: &Response) -> Result<(), MatchError> {
+    match response {
+        Response::Pong { backends } if backends.len() > 4 * Backend::WIRE.len() => {
+            Err(MatchError::Frame("implausible backend count"))
+        }
+        _ => Ok(()),
+    }
+}
 
 /// The part every tenant-addressed request starts with: its tag and the
 /// tenant id.
 fn put_head(out: &mut Vec<u8>, tag: u8, tenant: &str) -> Result<(), MatchError> {
     tag.put(out)?;
     put_bytes::<u16>(out, tenant.as_bytes())
-}
-
-/// Reads a tenant id, held to the length the registry accepts.
-fn read_tenant(r: &mut Reader<'_>) -> Result<String, MatchError> {
-    let id: String = r.read()?;
-    if id.is_empty() || id.len() > MAX_TENANT_ID {
-        return Err(MatchError::Frame("tenant id length out of range"));
-    }
-    Ok(id)
 }
 
 /// Appends a [`Request::Match`] carrying [`QueryPayload::Bits`], from
@@ -1309,8 +1338,8 @@ pub(crate) fn put_match_bits(
     tenant: &str,
     bits: &BitString,
 ) -> Result<(), MatchError> {
-    put_head(out, tags::REQ_MATCH, tenant)?;
-    out.push(tags::QUERY_BITS);
+    put_head(out, Request::REQ_MATCH, tenant)?;
+    QueryPayload::QUERY_BITS.put(out)?;
     bits.put(out)
 }
 
@@ -1321,8 +1350,8 @@ pub(crate) fn put_match_wire(
     tenant: &str,
     encoded_query: &[u8],
 ) -> Result<(), MatchError> {
-    put_head(out, tags::REQ_MATCH, tenant)?;
-    out.push(tags::QUERY_CM_WIRE);
+    put_head(out, Request::REQ_MATCH, tenant)?;
+    QueryPayload::QUERY_CM_WIRE.put(out)?;
     put_bytes::<u32>(out, encoded_query)
 }
 
@@ -1334,115 +1363,25 @@ pub(crate) fn put_upload_chunk(
     index: u32,
     data: &[u8],
 ) -> Result<(), MatchError> {
-    put_head(out, tags::REQ_LOAD_DATABASE, tenant)?;
-    out.push(tags::PHASE_CHUNK);
+    put_head(out, Request::REQ_LOAD_DATABASE, tenant)?;
+    UploadPhase::PHASE_CHUNK.put(out)?;
     index.put(out)?;
     put_bytes::<u32>(out, data)
 }
 
-impl Wire for Request {
-    const MIN_BYTES: usize = 1;
-
-    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
+impl Request {
+    /// The tenant the request addresses, if it addresses one.
+    pub(crate) fn tenant(&self) -> Option<&str> {
         match self {
-            Request::Ping => tags::REQ_PING.put(out),
-            Request::ListTenants => tags::REQ_LIST_TENANTS.put(out),
-            Request::Match { tenant, query } => match query {
-                QueryPayload::Bits(bits) => put_match_bits(out, tenant, bits),
-                QueryPayload::CmWire(bytes) => put_match_wire(out, tenant, bytes),
-            },
-            Request::TenantStats { tenant } => put_head(out, tags::REQ_TENANT_STATS, tenant),
-            Request::LoadDatabase { tenant, phase } => match phase {
-                UploadPhase::Begin {
-                    auth,
-                    spec,
-                    total_bytes,
-                    chunk_count,
-                } => {
-                    put_head(out, tags::REQ_LOAD_DATABASE, tenant)?;
-                    out.push(tags::PHASE_BEGIN);
-                    auth.put(out)?;
-                    spec.put(out)?;
-                    total_bytes.put(out)?;
-                    chunk_count.put(out)
-                }
-                UploadPhase::Chunk { index, data } => put_upload_chunk(out, tenant, *index, data),
-                UploadPhase::Commit => {
-                    put_head(out, tags::REQ_LOAD_DATABASE, tenant)?;
-                    tags::PHASE_COMMIT.put(out)
-                }
-            },
-            Request::EvictDatabase { tenant, auth } => {
-                put_head(out, tags::REQ_EVICT_DATABASE, tenant)?;
-                auth.put(out)
-            }
-            Request::DatabaseInfo { tenant } => put_head(out, tags::REQ_DATABASE_INFO, tenant),
-            Request::Metrics => tags::REQ_METRICS.put(out),
+            Request::Match { tenant, .. }
+            | Request::TenantStats { tenant }
+            | Request::LoadDatabase { tenant, .. }
+            | Request::EvictDatabase { tenant, .. }
+            | Request::DatabaseInfo { tenant } => Some(tenant),
+            Request::Ping | Request::ListTenants | Request::Metrics => None,
         }
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
-        Ok(match r.read::<u8>()? {
-            tags::REQ_PING => Request::Ping,
-            tags::REQ_LIST_TENANTS => Request::ListTenants,
-            tags::REQ_MATCH => {
-                let tenant = read_tenant(r)?;
-                let query = match r.read::<u8>()? {
-                    tags::QUERY_BITS => QueryPayload::Bits(r.read()?),
-                    tags::QUERY_CM_WIRE => QueryPayload::CmWire(r.read()?),
-                    _ => return Err(MatchError::Frame("unknown query payload tag")),
-                };
-                Request::Match { tenant, query }
-            }
-            tags::REQ_TENANT_STATS => Request::TenantStats {
-                tenant: read_tenant(r)?,
-            },
-            tags::REQ_LOAD_DATABASE => {
-                let tenant = read_tenant(r)?;
-                let phase = match r.read::<u8>()? {
-                    tags::PHASE_BEGIN => {
-                        let auth = r.read()?;
-                        let spec = r.read()?;
-                        let total_bytes = r.read()?;
-                        if total_bytes > MAX_DATABASE_BYTES {
-                            return Err(MatchError::Frame(
-                                "declared database size exceeds the cap",
-                            ));
-                        }
-                        let chunk_count = r.read()?;
-                        if !(1..=MAX_UPLOAD_CHUNKS).contains(&chunk_count) {
-                            return Err(MatchError::Frame("chunk count out of range"));
-                        }
-                        UploadPhase::Begin {
-                            auth,
-                            spec,
-                            total_bytes,
-                            chunk_count,
-                        }
-                    }
-                    tags::PHASE_CHUNK => UploadPhase::Chunk {
-                        index: r.read()?,
-                        data: r.read()?,
-                    },
-                    tags::PHASE_COMMIT => UploadPhase::Commit,
-                    _ => return Err(MatchError::Frame("unknown upload phase tag")),
-                };
-                Request::LoadDatabase { tenant, phase }
-            }
-            tags::REQ_EVICT_DATABASE => Request::EvictDatabase {
-                tenant: read_tenant(r)?,
-                auth: r.read()?,
-            },
-            tags::REQ_DATABASE_INFO => Request::DatabaseInfo {
-                tenant: read_tenant(r)?,
-            },
-            tags::REQ_METRICS => Request::Metrics,
-            _ => return Err(MatchError::Frame("unknown request tag")),
-        })
-    }
-}
-
-impl Request {
     /// Serializes the request into a frame payload.
     ///
     /// A request that cannot be encoded — a tenant id, query or chunk
@@ -1476,108 +1415,6 @@ impl Request {
     /// bytes; never panics.
     pub fn decode(data: &[u8]) -> Result<Self, MatchError> {
         decode_message(data)
-    }
-}
-
-impl Wire for Response {
-    const MIN_BYTES: usize = 1;
-
-    fn put(&self, out: &mut Vec<u8>) -> Result<(), MatchError> {
-        match self {
-            Response::Pong { backends } => {
-                out.push(tags::RESP_PONG);
-                put_list::<u16, _>(out, backends)
-            }
-            Response::Tenants(tenants) => {
-                out.push(tags::RESP_TENANTS);
-                put_list::<u16, _>(out, tenants)
-            }
-            Response::Matched {
-                nonce,
-                sealed_indices,
-                stats,
-                shard_stats,
-                seal_latency,
-            } => {
-                out.push(tags::RESP_MATCHED);
-                nonce.put(out)?;
-                sealed_indices.put(out)?;
-                stats.put(out)?;
-                put_list::<u16, _>(out, shard_stats)?;
-                seal_latency.put(out)
-            }
-            Response::TenantStats { stats, queries } => {
-                out.push(tags::RESP_TENANT_STATS);
-                stats.put(out)?;
-                queries.put(out)
-            }
-            Response::Error(e) => {
-                out.push(tags::RESP_ERROR);
-                e.put(out)
-            }
-            Response::UploadProgress { received, expected } => {
-                out.push(tags::RESP_UPLOAD_PROGRESS);
-                received.put(out)?;
-                expected.put(out)
-            }
-            // u32: one admission can demote more tenants than a u16 counts.
-            Response::DatabaseLoaded { bytes, demoted } => {
-                out.push(tags::RESP_DATABASE_LOADED);
-                bytes.put(out)?;
-                put_list::<u32, _>(out, demoted)
-            }
-            Response::Evicted { freed_bytes } => {
-                out.push(tags::RESP_EVICTED);
-                freed_bytes.put(out)
-            }
-            Response::DatabaseInfo(info) => {
-                out.push(tags::RESP_DATABASE_INFO);
-                info.put(out)
-            }
-            Response::Metrics(snapshot) => {
-                out.push(tags::RESP_METRICS);
-                snapshot.put(out)
-            }
-        }
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<Self, MatchError> {
-        Ok(match r.read::<u8>()? {
-            tags::RESP_PONG => {
-                let backends: Vec<String> = read_list::<u16, _>(r)?;
-                if backends.len() > Backend::WIRE.len() * 4 {
-                    return Err(MatchError::Frame("implausible backend count"));
-                }
-                Response::Pong { backends }
-            }
-            tags::RESP_TENANTS => Response::Tenants(read_list::<u16, _>(r)?),
-            tags::RESP_MATCHED => Response::Matched {
-                nonce: r.read()?,
-                sealed_indices: r.read()?,
-                stats: r.read()?,
-                shard_stats: read_list::<u16, _>(r)?,
-                seal_latency: r.read()?,
-            },
-            tags::RESP_TENANT_STATS => Response::TenantStats {
-                stats: r.read()?,
-                queries: r.read()?,
-            },
-            tags::RESP_ERROR => Response::Error(r.read()?),
-            tags::RESP_UPLOAD_PROGRESS => Response::UploadProgress {
-                received: r.read()?,
-                expected: r.read()?,
-            },
-            tags::RESP_DATABASE_LOADED => Response::DatabaseLoaded {
-                bytes: r.read()?,
-                demoted: read_list::<u32, _>(r)?,
-            },
-            tags::RESP_EVICTED => Response::Evicted {
-                freed_bytes: r.read()?,
-            },
-            tags::RESP_DATABASE_INFO => Response::DatabaseInfo(r.read()?),
-            tags::RESP_METRICS => Response::Metrics(r.read()?),
-            _ => return Err(MatchError::Frame("unknown response tag")),
-        })
     }
 }
 
@@ -2077,9 +1914,9 @@ mod tests {
 
     #[test]
     fn decode_sub_codes_past_a_byte_read_as_coefficient_overflow() {
-        use cm_bfv::DecodeError;
         let error_with_sub_code = |code: u64| {
-            let mut bytes = vec![tags::RESP_ERROR, tags::ERR_DECODE];
+            let mut bytes = Response::Error(MatchError::Decode(DecodeError::Truncated)).encode();
+            bytes.truncate(2);
             bytes.extend_from_slice(&code.to_le_bytes());
             bytes.extend_from_slice(&[0; 8 + 2]); // b, empty text
             Response::decode(&bytes).unwrap()
@@ -2104,9 +1941,9 @@ mod tests {
         // Each declares more entries than the bytes behind it could hold:
         // refused before anything is allocated for them.
         for lying in [
-            [&[tags::RESP_TENANTS][..], &[0xFF; 2], &[0; 4]].concat(),
-            [&[tags::RESP_DATABASE_LOADED][..], &[0; 8], &[0xFF; 4]].concat(),
-            [&[tags::RESP_METRICS][..], &[0xFF; 4], &[0; 4]].concat(),
+            [&[Response::RESP_TENANTS][..], &[0xFF; 2], &[0; 4]].concat(),
+            [&[Response::RESP_DATABASE_LOADED][..], &[0; 8], &[0xFF; 4]].concat(),
+            [&[Response::RESP_METRICS][..], &[0xFF; 4], &[0; 4]].concat(),
         ] {
             assert!(matches!(
                 Response::decode(&lying),

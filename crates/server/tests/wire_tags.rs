@@ -1,8 +1,9 @@
 //! Exhaustive wire-tag coverage: every [`Request`] and [`Response`]
 //! variant round-trips through the codec, every [`MatchError`] variant
 //! crosses the wire as an error frame, and the tag byte each one
-//! actually emits is cross-checked against the `mod tags` registry in
-//! `wire.rs` as parsed by the `cm_analyze` lint — so the lint's tag
+//! actually emits is cross-checked against the tags `wire.rs` declares
+//! (`Variant = NAME: value` in its `wire_enum!` and `wire_errors!`
+//! invocations) as parsed by the `cm_analyze` lint — so the lint's tag
 //! table, the codec, and this test can never silently disagree.
 
 use std::collections::BTreeMap;
@@ -15,8 +16,8 @@ use cm_server::{
     UploadAuth, UploadPhase,
 };
 
-/// The registry parsed straight out of this crate's `wire.rs` source,
-/// exactly as the `wire-tags` lint rule sees it.
+/// The tags declared in this crate's `wire.rs` source, parsed exactly
+/// as the `wire-tags` lint rule sees them.
 fn tag_table() -> BTreeMap<String, u64> {
     cm_analyze::wire_tag_table(include_str!("../src/wire.rs"))
         .into_iter()

@@ -75,8 +75,9 @@ pub struct CmIfpServer {
     total_bits: usize,
     poly_count: usize,
     stream_words: usize,
-    /// Index generation's variant, tile, rows and columns, kept between
-    /// commands.
+    /// Index generation's working memory, kept between commands: the
+    /// variant in hand, its tile of sums, the query's segment phases and
+    /// the range's phases.
     scratch: ShardScratch,
     /// The variant in hand as the `u32` stream the latches take.
     variant_words: Vec<u32>,

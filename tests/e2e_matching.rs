@@ -63,7 +63,8 @@ fn boolean_matcher_agrees_on_small_inputs() {
     let db = engine.encrypt_database(&db_bits, &mut rng);
     for (start, len) in [(0usize, 4usize), (3, 5), (9, 6)] {
         let q = db_bits.slice(start, len);
-        let got = engine.find_all(&db, &q, &mut rng);
+        let encrypted = engine.encrypt_query(&q, &mut rng);
+        let got = engine.find_all(&db, &encrypted, 1).unwrap();
         assert_eq!(got, db_bits.find_all(&q), "window ({start},{len})");
     }
 }
