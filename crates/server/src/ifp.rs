@@ -427,11 +427,14 @@ mod tests {
             matcher.decode_database(&encoded).unwrap_err(),
             MatchError::InvalidConfig(_)
         ));
-        // The same size loaded in-process is refused alike.
+        // The same size loaded in-process is refused alike, as is an
+        // empty database.
         let bits = BitString::from_bits(&vec![true; polys * bits_per_poly]);
-        assert!(matches!(
-            seeded.load_database(&bits).unwrap_err(),
-            MatchError::InvalidConfig(_)
-        ));
+        for data in [bits, BitString::new()] {
+            assert!(matches!(
+                seeded.load_database(&data).unwrap_err(),
+                MatchError::InvalidConfig(_)
+            ));
+        }
     }
 }

@@ -1291,8 +1291,7 @@ wire_enum! {
             /// The registry's accounting charge for the database in bytes.
             bytes: u64,
             /// Tenants the admission demoted to the cold tier (LRU order).
-            /// Counted in a u32: one admission can demote more tenants
-            /// than a u16 counts.
+            // u32: one admission can demote more tenants than a u16 counts.
             demoted: Vec<String> as u32,
         } = RESP_DATABASE_LOADED: 6,
         /// An [`Request::EvictDatabase`] succeeded.
