@@ -35,6 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use cm_core::{Backend, MatchError, PoolMetrics, WorkerPool};
 use cm_reactor::{
@@ -269,9 +270,7 @@ struct ConnState {
 /// so each use-site documents the rule the serving path lives by:
 /// the guard is scoped tightly and NEVER held across a pool submit or
 /// a reactor send.
-fn lock_table(
-    table: &Mutex<HashMap<ConnId, ConnState>>,
-) -> MutexGuard<'_, HashMap<ConnId, ConnState>> {
+fn lock_table<K>(table: &Mutex<HashMap<K, ConnState>>) -> MutexGuard<'_, HashMap<K, ConnState>> {
     table
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -469,6 +468,7 @@ fn run_pump(ctx: &PumpCtx, conn: ConnId) {
                 &request,
                 &ctx.registry,
                 &ctx.staging,
+                &ctx.table,
                 &mut upload,
                 &ctx.telemetry,
             ),
@@ -554,7 +554,7 @@ impl Drop for StagingLease {
 /// How long one upload may take from `Begin` to `Commit` before its
 /// session (and staging reservation) is reclaimed: a peer must not be
 /// able to hold a large reservation open indefinitely by dribbling
-/// bytes.
+/// bytes, or by sending none at all.
 const UPLOAD_DEADLINE: std::time::Duration = std::time::Duration::from_secs(600);
 
 /// One in-flight chunked database upload, staged entirely in connection
@@ -567,7 +567,10 @@ struct UploadSession {
     tenant: String,
     spec: TenantSpec,
     auth: UploadAuth,
-    started: std::time::Instant,
+    /// `Begin` + [`UPLOAD_DEADLINE`]: from then on the session is refused
+    /// on its own connection and reclaimed by any `Begin` the staging cap
+    /// would refuse.
+    expires: Instant,
     expected_bytes: u64,
     chunk_count: u32,
     next_chunk: u32,
@@ -580,11 +583,12 @@ struct UploadSession {
 /// upload session. Any violation of the declared shape aborts the
 /// session (the next upload must start over at `Begin`) and returns a
 /// typed error.
-fn dispatch_upload(
+fn dispatch_upload<K>(
     tenant: &str,
     phase: &UploadPhase,
     registry: &TenantRegistry,
     staging: &Arc<Staging>,
+    table: &Mutex<HashMap<K, ConnState>>,
     upload: &mut Option<UploadSession>,
     telemetry: &ServerTelemetry,
 ) -> Response {
@@ -613,8 +617,14 @@ fn dispatch_upload(
             }
             // Reserve the declared size against the *server-wide*
             // staging cap: many connections declaring large uploads are
-            // bounded collectively, not just per upload.
-            let lease = match staging.reserve(*total_bytes) {
+            // bounded collectively, not just per upload. Room held by
+            // expired sessions parked on idle connections is reclaimed
+            // first — nothing else ends them.
+            let reserved = staging.reserve(*total_bytes).or_else(|_| {
+                drop_expired(table);
+                staging.reserve(*total_bytes)
+            });
+            let lease = match reserved {
                 Ok(lease) => lease,
                 Err(e) => return Response::Error(e),
             };
@@ -622,7 +632,7 @@ fn dispatch_upload(
                 tenant: tenant.to_string(),
                 spec: spec.clone(),
                 auth: auth.clone(),
-                started: std::time::Instant::now(),
+                expires: Instant::now() + UPLOAD_DEADLINE,
                 expected_bytes: *total_bytes,
                 chunk_count: *chunk_count,
                 next_chunk: 0,
@@ -643,7 +653,7 @@ fn dispatch_upload(
                     "chunk without an upload in progress",
                 ));
             };
-            if session.started.elapsed() > UPLOAD_DEADLINE {
+            if session.expires <= Instant::now() {
                 *upload = None;
                 return Response::Error(MatchError::UploadIncomplete("upload deadline exceeded"));
             }
@@ -685,7 +695,7 @@ fn dispatch_upload(
                     "commit without an upload in progress",
                 ));
             };
-            if session.started.elapsed() > UPLOAD_DEADLINE {
+            if session.expires <= Instant::now() {
                 return Response::Error(MatchError::UploadIncomplete("upload deadline exceeded"));
             }
             if session.tenant != tenant {
@@ -711,11 +721,24 @@ fn dispatch_upload(
     }
 }
 
+/// Drops every upload session parked in `table` that is past its
+/// deadline, its received bytes and staging reservation included. The
+/// sessions leave the table under its lock and are dropped after it.
+fn drop_expired<K>(table: &Mutex<HashMap<K, ConnState>>) {
+    let now = Instant::now();
+    let expired: Vec<UploadSession> = lock_table(table)
+        .values_mut()
+        .filter_map(|conn| conn.upload.take_if(|session| session.expires <= now))
+        .collect();
+    drop(expired);
+}
+
 /// Maps one request to its response; never panics on hostile input.
-fn dispatch(
+fn dispatch<K>(
     request: &Request,
     registry: &TenantRegistry,
     staging: &Arc<Staging>,
+    table: &Mutex<HashMap<K, ConnState>>,
     upload: &mut Option<UploadSession>,
     telemetry: &ServerTelemetry,
 ) -> Response {
@@ -755,7 +778,7 @@ fn dispatch(
             Err(e) => Response::Error(e),
         },
         Request::LoadDatabase { tenant, phase } => {
-            dispatch_upload(tenant, phase, registry, staging, upload, telemetry)
+            dispatch_upload(tenant, phase, registry, staging, table, upload, telemetry)
         }
         Request::EvictDatabase { tenant, auth } => match registry.evict(tenant, auth) {
             Ok(freed_bytes) => Response::Evicted { freed_bytes },
@@ -823,5 +846,167 @@ impl RunningServer {
 impl Drop for RunningServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{content_digest, upload_tag};
+    use cm_core::MatcherConfig;
+
+    const KEY: [u8; 32] = [0x5A; 32];
+
+    fn spec() -> TenantSpec {
+        TenantSpec::from_config(&MatcherConfig::new(Backend::Plain), 1)
+    }
+
+    /// An authorized `Begin` of `total` bytes in one chunk for `tenant`.
+    fn begin(tenant: &str, total: u64) -> UploadPhase {
+        let content = content_digest(&KEY, b"never committed");
+        UploadPhase::Begin {
+            auth: UploadAuth {
+                nonce: 1,
+                channel_key: KEY,
+                content,
+                tag: upload_tag(&KEY, tenant, 1, total, &spec(), &content),
+            },
+            spec: spec(),
+            total_bytes: total,
+            chunk_count: 1,
+        }
+    }
+
+    /// A session for `tenant` with all of its `bytes` received, holding
+    /// their staging room, that expires at `expires`.
+    fn session(
+        staging: &Arc<Staging>,
+        tenant: &str,
+        bytes: u64,
+        expires: Instant,
+    ) -> UploadSession {
+        UploadSession {
+            tenant: tenant.to_string(),
+            spec: spec(),
+            auth: UploadAuth {
+                nonce: 1,
+                channel_key: KEY,
+                content: [0; 16],
+                tag: [0; 16],
+            },
+            expires,
+            expected_bytes: bytes,
+            chunk_count: 1,
+            next_chunk: 1,
+            data: vec![7; bytes as usize],
+            _lease: staging.reserve(bytes).expect("staging room"),
+        }
+    }
+
+    struct Fixture {
+        registry: TenantRegistry,
+        staging: Arc<Staging>,
+        /// One idle connection, 1, and the upload it parked.
+        table: Mutex<HashMap<u32, ConnState>>,
+        telemetry: ServerTelemetry,
+    }
+
+    impl Fixture {
+        fn new(cap: u64) -> Self {
+            Self {
+                registry: TenantRegistry::new(),
+                staging: Arc::new(Staging::new(Some(cap))),
+                table: Mutex::new(HashMap::from([(1, ConnState::default())])),
+                telemetry: ServerTelemetry::new(false, None),
+            }
+        }
+
+        fn parked<T>(&self, f: impl FnOnce(&mut Option<UploadSession>) -> T) -> T {
+            f(&mut lock_table(&self.table).get_mut(&1).unwrap().upload)
+        }
+
+        /// One upload step on another connection, whose session is `upload`.
+        fn step(
+            &self,
+            tenant: &str,
+            phase: &UploadPhase,
+            upload: &mut Option<UploadSession>,
+        ) -> Response {
+            let Self {
+                registry,
+                staging,
+                table,
+                telemetry,
+            } = self;
+            dispatch_upload(tenant, phase, registry, staging, table, upload, telemetry)
+        }
+
+        fn used(&self) -> u64 {
+            self.staging.used.load(Ordering::SeqCst)
+        }
+    }
+
+    #[test]
+    fn an_expired_parked_upload_no_longer_holds_the_staging_cap() {
+        let f = Fixture::new(64);
+        let mut upload = None;
+
+        // An idle connection's live session holds the whole cap: another
+        // Begin is refused, and the session stays.
+        let live = session(&f.staging, "a", 64, Instant::now() + UPLOAD_DEADLINE);
+        f.parked(|parked| *parked = Some(live));
+        let refused = MatchError::QuotaExceeded {
+            budget: 64,
+            required: 8,
+        };
+        let got = f.step("b", &begin("b", 8), &mut upload);
+        assert_eq!(got, Response::Error(refused));
+        assert!(f.parked(|parked| parked.is_some()) && upload.is_none());
+        assert_eq!(f.used(), 64);
+
+        // Past its deadline, the same session gives the cap back to the
+        // next Begin that needs it, received bytes and all.
+        f.parked(|parked| parked.as_mut().unwrap().expires = Instant::now());
+        let got = f.step("b", &begin("b", 8), &mut upload);
+        let started = Response::UploadProgress {
+            received: 0,
+            expected: 8,
+        };
+        assert_eq!(got, started);
+        assert!(f.parked(|parked| parked.is_none()) && upload.is_some());
+        assert_eq!(f.used(), 8);
+    }
+
+    #[test]
+    fn a_session_past_its_deadline_is_refused_on_chunk_and_commit() {
+        let f = Fixture::new(64);
+        let expired = MatchError::UploadIncomplete("upload deadline exceeded");
+        let chunk = UploadPhase::Chunk {
+            index: 0,
+            data: vec![7; 8],
+        };
+        for phase in [chunk, UploadPhase::Commit] {
+            let mut upload = Some(session(&f.staging, "a", 8, Instant::now()));
+            let got = f.step("a", &phase, &mut upload);
+            assert_eq!(got, Response::Error(expired.clone()), "{phase:?}");
+            assert!(upload.is_none(), "{phase:?}");
+            assert_eq!(f.used(), 0, "{phase:?}: the staging room is back");
+        }
+        assert!(f.registry.list().is_empty());
+
+        // Before its deadline the same session reaches the registry, which
+        // refuses its made-up authorization.
+        let mut upload = Some(session(
+            &f.staging,
+            "a",
+            8,
+            Instant::now() + UPLOAD_DEADLINE,
+        ));
+        let got = f.step("a", &UploadPhase::Commit, &mut upload);
+        assert!(
+            matches!(got, Response::Error(MatchError::Unauthorized(_))),
+            "{got:?}"
+        );
+        assert!(f.registry.list().is_empty());
     }
 }

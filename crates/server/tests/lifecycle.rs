@@ -11,7 +11,8 @@
 //! * **Upload abuse over the wire** — out-of-order, duplicate, and
 //!   overrunning chunks, plus commits without (or with incomplete)
 //!   uploads, all surface as typed `UploadIncomplete` errors on a
-//!   connection that stays usable.
+//!   connection that stays usable; concurrent uploads share one staging
+//!   cap.
 //! * **The half-written-chunk regression** — a server hanging up
 //!   mid-upload surfaces as the typed `ConnectionClosed`, not a raw io
 //!   error.
@@ -917,6 +918,49 @@ fn chunk_abuse_over_tcp_is_typed_and_never_registers() {
     match raw_roundtrip(&mut stream, &Request::ListTenants) {
         Response::Tenants(tenants) => assert!(tenants.is_empty()),
         other => panic!("unexpected response: {other:?}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn two_connections_share_one_staging_cap() {
+    // The staging cap is the registry's budget, server-wide: while one
+    // connection's upload holds all of it, another's Begin is refused,
+    // and once that connection closes the room is there again.
+    let registry = TenantRegistry::new();
+    registry.set_memory_budget(Some(64));
+    let server = MatchServer::new(registry).spawn("127.0.0.1:0").unwrap();
+    let mut a = TcpStream::connect(server.addr()).unwrap();
+    let mut b = TcpStream::connect(server.addr()).unwrap();
+
+    assert_eq!(
+        raw_roundtrip(&mut a, &begin("a", &KEY_A, 64, 1, 1)),
+        Response::UploadProgress {
+            received: 0,
+            expected: 64
+        }
+    );
+    assert_eq!(
+        raw_roundtrip(&mut b, &begin("b", &KEY_B, 8, 1, 1)),
+        Response::Error(MatchError::QuotaExceeded {
+            budget: 64,
+            required: 8
+        })
+    );
+
+    // The close reaches the server on its own schedule.
+    drop(a);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        match raw_roundtrip(&mut b, &begin("b", &KEY_B, 8, 1, 1)) {
+            Response::UploadProgress { expected: 8, .. } => break,
+            Response::Error(MatchError::QuotaExceeded { .. })
+                if std::time::Instant::now() < deadline =>
+            {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            other => panic!("B's Begin after A closed: {other:?}"),
+        }
     }
     server.shutdown();
 }
