@@ -181,7 +181,7 @@ fn fig2b() {
         });
         // CM-SW server-side Hom-Add sweep alone (engine-level, below the
         // unified API on purpose: the API has no search-only entry).
-        let mut ceng = CiphermatchEngine::new(&cm_fix.ctx);
+        let ceng = CiphermatchEngine::new(&cm_fix.ctx);
         let cdb = ceng.encrypt_database(&cm_fix.encryptor(), &db_bits, &mut rng);
         let eq = ceng.prepare_query(&cm_fix.encryptor(), &query, &mut rng);
         let t_server = time_per_iter(5, || {
@@ -457,7 +457,7 @@ fn ablation() {
     let bits = random_bits(16 * 1024, 13);
     let query = bits.slice(999, 32);
     let cm = BfvFixture::new(BfvParams::ciphermatch_1024(), 61);
-    let mut ceng = CiphermatchEngine::new(&cm.ctx);
+    let ceng = CiphermatchEngine::new(&cm.ctx);
     let cdb = ceng.encrypt_database(&cm.encryptor(), &bits, &mut rng);
     let cq = ceng.prepare_query(&cm.encryptor(), &query, &mut rng);
     let t_dense = time_per_iter(50, || {

@@ -7,10 +7,11 @@
 //! generation unit (`CM-IFP`), which both see the same sum values.
 //!
 //! Two forms of the same test: [`MatchTable`] + [`generate_indices`] work
-//! on a whole table of decrypted sums — every explicit result, however it
-//! was decrypted — and `PhaseScan` on the un-rounded decryption phases of
-//! a served range, one pass per alignment class over each polynomial's
-//! phases, which CM-SW and the in-flash controller both run.
+//! on a whole table of decrypted sums — an explicit result, decrypted
+//! ciphertext by ciphertext — and `PhaseScan` on the un-rounded
+//! decryption phases of a served range, one pass per alignment class over
+//! each polynomial's phases, which CM-SW and the in-flash controller both
+//! run.
 
 use std::ops::RangeInclusive;
 
@@ -36,8 +37,8 @@ use crate::query::{segment_matches, AlignmentClass};
 /// No serving path builds one: a served job tests its range's phases
 /// class by class (`PhaseScan`) and keeps `s − 1` bits per entry end,
 /// not a bit per sum. The table is where an explicit result lands,
-/// decrypted in a batch or ciphertext by ciphertext — the oracle every
-/// served job is tested against.
+/// decrypted ciphertext by ciphertext — the oracle every served job is
+/// tested against.
 #[derive(Debug, Clone, Default)]
 pub struct MatchTable {
     /// First slot of class `r` (`len = classes + 1`); class `r` has

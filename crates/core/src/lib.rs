@@ -74,9 +74,8 @@
 //! form). The derived variants are a public function of what the client
 //! sent: the server learns nothing 47 fresh encryptions would have
 //! hidden. A result that arrives whole from somewhere else goes through
-//! [`CiphermatchEngine::generate_indices_with`], which decrypts it into
-//! a [`MatchTable`] — in a batch after checking that the table really is
-//! row plus column, else ciphertext by ciphertext — and scans that.
+//! [`CiphermatchEngine::generate_indices`], which decrypts it ciphertext
+//! by ciphertext into a [`MatchTable`] and scans that.
 //! A search takes `&self` and returns its own [`MatchStats`], so one
 //! matcher answers every concurrent query on its database; [`exec`] is
 //! the work-pool runtime every concurrent layer of the stack (CM-SW
@@ -104,8 +103,8 @@ pub use kit::QueryKit;
 pub use matchers::batched::{BatchedDatabase, BatchedEngine, BatchedQuery};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, IndexScratch, PackedQuery, SearchResult,
-    ShardScratch, TrustedIndexGenerator, VariantSums,
+    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, PackedQuery, SearchResult, ShardScratch,
+    TrustedIndexGenerator,
 };
 pub use matchers::plain::{bitwise_find_all, PackedBits};
 pub use matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};

@@ -499,15 +499,15 @@ impl<'a> Cursor<'a> {
 /// lets the search sweep write every Hom-Add straight into one
 /// allocation that the next query of the same shape rewrites in place.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VariantSums {
+pub(crate) struct VariantSums {
     /// The variant's `(r, phase)` alignment key.
-    pub(crate) key: (usize, usize),
+    key: (usize, usize),
     /// `ct_count * ct_size * n` reduced coefficients.
-    pub(crate) arena: Vec<u64>,
+    arena: Vec<u64>,
     /// Components per result ciphertext (2 for fresh CM-SW results).
-    pub(crate) ct_size: usize,
+    ct_size: usize,
     /// Ring degree.
-    pub(crate) n: usize,
+    n: usize,
 }
 
 impl VariantSums {
@@ -531,28 +531,15 @@ impl VariantSums {
         }
     }
 
-    /// The variant's `(r, phase)` alignment key.
-    pub fn key(&self) -> (usize, usize) {
-        self.key
-    }
-
-    /// Component `p` of result ciphertext `j`.
-    fn part(&self, j: usize, p: usize) -> &[u64] {
-        &self.arena[(j * self.ct_size + p) * self.n..][..self.n]
-    }
-
-    /// Number of result ciphertexts held in the arena.
-    pub fn ciphertext_count(&self) -> usize {
-        self.arena
-            .len()
-            .checked_div(self.ct_size * self.n)
-            .unwrap_or(0)
+    /// The result ciphertexts in the arena, `ct_size × n` words each.
+    fn ciphertexts(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.arena.chunks_exact((self.ct_size * self.n).max(1))
     }
 }
 
 /// The server's raw search output: one result ciphertext per
 /// (variant, database polynomial) pair (Algorithm 1 lines 10–11),
-/// held as one flat coefficient arena per variant ([`VariantSums`]).
+/// held as one flat coefficient arena per variant.
 /// The default value is the empty result [`CiphermatchEngine::search_into`]
 /// grows on first use.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -566,10 +553,7 @@ pub struct SearchResult {
 impl SearchResult {
     /// Number of result ciphertexts.
     pub fn ciphertext_count(&self) -> usize {
-        self.per_variant
-            .iter()
-            .map(VariantSums::ciphertext_count)
-            .sum()
+        self.per_variant.iter().map(|v| v.ciphertexts().len()).sum()
     }
 
     /// Assembles a search result from externally computed Hom-Add outputs
@@ -593,54 +577,12 @@ impl SearchResult {
     }
 }
 
-/// Reusable working memory of index generation
-/// ([`CiphermatchEngine::generate_indices_with`]) and of a served job
-/// ([`ShardScratch`]): the match table every explicit result is decrypted
-/// into, the row and column key products of its batched path, and the
-/// phase scan's edge bits of a served job. It is capacity, not a cache:
-/// every buffer is rewritten before it is read, so nothing computed for
-/// one result is reused for the next.
-#[derive(Debug, Clone, Default)]
-pub struct IndexScratch {
-    table: MatchTable,
-    phases: PhaseScratch,
-    /// The query's share of each entry's key part, `s·c1[v][0]` per
-    /// variant of a table. A served job uses it only as Horner's working
-    /// space for a ciphertext past two components.
-    rows: Vec<u64>,
-    /// The database's share per polynomial of a table,
-    /// `s·(c1[0][j] − c1[0][0])`.
-    cols: Vec<u64>,
-    /// The additivity reference per polynomial: `c1[0][j] − c1[0][0]` for
-    /// a table; for sums added in flash both halves of
-    /// `sum[v₀][j] − v₀`, `c0` then `c1`.
-    deltas: Vec<u64>,
-    /// One polynomial of working space: the additivity check, the
-    /// operand a key product is taken of, a table entry's phase, or a
-    /// served job's key product of the polynomial in hand.
-    line: Vec<u64>,
-    key_muls: u64,
-}
-
-impl IndexScratch {
-    /// Secret-key multiplications the last index generation performed:
-    /// `V + P − 1` on the batched path, one per ciphertext component past
-    /// the first on the per-ciphertext path (plus the batched attempt's,
-    /// when a table failed the additivity check midway), and `⌈V/n⌉ + P`
-    /// in a served job on fresh ciphertexts ([`ShardScratch::run`],
-    /// [`ShardScratch::run_with_adder`]).
-    pub fn key_muls(&self) -> u64 {
-        self.key_muls
-    }
-}
-
 /// The CM-SW engine: packing + addition-only matching.
 #[derive(Debug, Clone)]
 pub struct CiphermatchEngine {
     ctx: BfvContext,
     packing: DensePacking,
     evaluator: Evaluator,
-    stats: MatchStats,
 }
 
 impl CiphermatchEngine {
@@ -651,25 +593,12 @@ impl CiphermatchEngine {
             ctx: ctx.clone(),
             packing: DensePacking::new(ctx),
             evaluator: Evaluator::new(ctx),
-            stats: MatchStats::default(),
         }
     }
 
     /// The packing scheme.
     pub fn packing(&self) -> &DensePacking {
         &self.packing
-    }
-
-    /// Statistics accumulated so far. Only `hom_adds` and `add_time` are
-    /// ever non-zero: CM-SW's server runs no other homomorphic operation,
-    /// which is the paper's core claim.
-    pub fn stats(&self) -> MatchStats {
-        self.stats
-    }
-
-    /// Resets the statistics counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = MatchStats::default();
     }
 
     /// Packs and encrypts a database (client side, done once).
@@ -751,27 +680,30 @@ impl CiphermatchEngine {
     /// The allocating one-shot convenience over [`Self::search_into`] for
     /// library callers and measurements; every serving path runs
     /// [`ShardScratch::run`], which keeps no sum at all.
-    pub fn search(&mut self, db: &EncryptedDatabase, query: &EncryptedQuery) -> SearchResult {
+    pub fn search(&self, db: &EncryptedDatabase, query: &EncryptedQuery) -> SearchResult {
         let mut out = SearchResult::default();
         self.search_into(db, query, &mut out);
         out
     }
 
     /// The CM-SW sweep into a caller-owned result that keeps every sum
-    /// (for a key holder elsewhere to decrypt): the whole sweep
-    /// for a variant writes into one flat coefficient arena
-    /// ([`VariantSums`]) via [`Evaluator::add_into`], so the vectorized
-    /// slice kernels run over long contiguous spans, and when `out` comes
+    /// (for a key holder elsewhere to decrypt): the whole sweep for a
+    /// variant writes into one flat coefficient arena via
+    /// [`Evaluator::add_into`], so the vectorized slice kernels run over
+    /// long contiguous spans, and when `out` comes
     /// from a previous search of the same shape its arenas are rewritten
     /// in place with **zero** heap allocations — a per-query
     /// multi-megabyte allocate/zero/fault/free cycle would otherwise
-    /// rival the Hom-Add work itself.
+    /// rival the Hom-Add work itself. Returns the sweep's statistics:
+    /// only `hom_adds` and `add_time` are ever non-zero, because CM-SW's
+    /// server runs no other homomorphic operation — the paper's core
+    /// claim.
     pub fn search_into(
-        &mut self,
+        &self,
         db: &EncryptedDatabase,
         query: &EncryptedQuery,
         out: &mut SearchResult,
-    ) {
+    ) -> MatchStats {
         let mut stats = MatchStats::default();
         let db_cts = db.ciphertexts();
         let db_size = db_cts.iter().map(Ciphertext::size).max().unwrap_or(0);
@@ -792,7 +724,7 @@ impl CiphermatchEngine {
         out.total_bits = db.total_bits;
         out.k = query.k;
         out.classes.clone_from(&query.classes);
-        self.stats.merge(&stats);
+        stats
     }
 
     /// The Hom-Adds of one query variant: `db_cts[j] + variant`, every
@@ -825,161 +757,31 @@ impl CiphermatchEngine {
 
     /// Index generation with a decryption capability (the paper's
     /// trusted-controller model, or the client after receiving results):
-    /// decrypt sums, compare against the match polynomial under masks, and
-    /// emit matching bit offsets. See [`Self::generate_indices_with`].
+    /// decrypt every result ciphertext on its own, straight out of the
+    /// flat arenas via [`Decryptor::decrypt_slices`] — one key
+    /// multiplication per component past the first — into a
+    /// [`MatchTable`], then scan the table once with [`generate_indices`].
+    /// This is the explicit form's one decrypt path and the oracle the
+    /// served jobs are tested against; do not optimize.
     pub fn generate_indices(&self, dec: &Decryptor, result: &SearchResult) -> Vec<usize> {
-        self.generate_indices_with(dec, result, &mut IndexScratch::default())
-    }
-
-    /// [`Self::generate_indices`] on caller-owned working memory: with a
-    /// scratch that has served a result of the same shape, the returned
-    /// index list is the only allocation.
-    ///
-    /// A CM-SW result table is an outer sum — entry `(v, j)` is
-    /// `query variant v + database polynomial j` — and `s · c1` is linear,
-    /// so `s·c1[v][j] = s·c1[v][0] + s·(c1[0][j] − c1[0][0])`: `V + P − 1`
-    /// key multiplications give the decryption phase of all `V × P`
-    /// entries, each rounded into the [`MatchTable`]. That path is taken
-    /// only when the table itself proves the structure (every ciphertext
-    /// fresh two-component, every `c1` the sum of its row and column —
-    /// checked as `c1` streams by, because this table was built by
-    /// someone else); anything else decrypts ciphertext by ciphertext as
-    /// [`Self::generate_indices_reference`] does. Either way the one
-    /// [`generate_indices`] scans the table. Nothing here outlives the
-    /// call except `scratch`'s buffers.
-    pub fn generate_indices_with(
-        &self,
-        dec: &Decryptor,
-        result: &SearchResult,
-        scratch: &mut IndexScratch,
-    ) -> Vec<usize> {
-        scratch.key_muls = 0;
-        if !self.decrypt_batched(dec, result, scratch) {
-            self.decrypt_per_ciphertext(dec, result, scratch);
-        }
-        generate_indices(&scratch.table, result.total_bits, result.k)
-    }
-
-    /// Index generation that decrypts every result ciphertext on its own
-    /// into a [`MatchTable`]: the fallback of
-    /// [`Self::generate_indices_with`] for tables that are not a
-    /// two-component outer sum, and the oracle the batched path and the
-    /// served job are tested against. One key multiplication per
-    /// ciphertext component past the first — do not optimize.
-    pub fn generate_indices_reference(&self, dec: &Decryptor, result: &SearchResult) -> Vec<usize> {
-        let mut scratch = IndexScratch::default();
-        self.decrypt_per_ciphertext(dec, result, &mut scratch);
-        generate_indices(&scratch.table, result.total_bits, result.k)
-    }
-
-    /// Decrypts the whole table into `scratch.table` with one key
-    /// multiplication per row and per column. Returns `false` — possibly
-    /// after partial work — when the table is not a two-component outer
-    /// sum over this ring.
-    fn decrypt_batched(
-        &self,
-        dec: &Decryptor,
-        result: &SearchResult,
-        scratch: &mut IndexScratch,
-    ) -> bool {
-        let n = self.ctx.params().n;
-        let q = self.ctx.rq().modulus();
-        let variants = &result.per_variant;
-        let Some(first) = variants.first() else {
-            return false;
-        };
-        let polys = first.ciphertext_count();
-        let fresh = |v: &VariantSums| v.ct_size == 2 && v.n == n && v.arena.len() == polys * 2 * n;
-        if polys == 0 || !variants.iter().all(fresh) {
-            return false;
-        }
-
-        let IndexScratch {
-            table,
-            rows,
-            cols,
-            deltas,
-            line,
-            key_muls,
-            ..
-        } = scratch;
-        rows.resize(variants.len() * n, 0);
-        cols.resize(polys * n, 0);
-        deltas.resize(polys * n, 0);
-        line.resize(n, 0);
-        // Rows: s·c1[v][0]. Columns, relative to ciphertext (0, 0):
-        // s·(c1[0][j] − c1[0][0]), zero for j = 0.
-        for (v, row) in variants.iter().zip(rows.chunks_exact_mut(n)) {
-            dec.key_product_into(v.part(0, 1), row);
-        }
-        cols[..n].fill(0);
-        for j in 1..polys {
-            let delta = &mut deltas[j * n..][..n];
-            kernels::sub_slices(q, first.part(j, 1), first.part(0, 1), delta);
-            dec.key_product_into(delta, &mut cols[j * n..][..n]);
-        }
-        *key_muls += (variants.len() + polys - 1) as u64;
-
-        table.reset(&result.classes, self.packing.seg_bits(), polys, n);
-        for (i, (v, row)) in variants.iter().zip(rows.chunks_exact(n)).enumerate() {
-            for j in 0..polys {
-                // Row 0 and column 0 define the decomposition; every
-                // other c1 must equal its row plus its column.
-                if i > 0 && j > 0 {
-                    kernels::add_slices(q, v.part(0, 1), &deltas[j * n..][..n], line);
-                    if line[..] != *v.part(j, 1) {
-                        return false;
-                    }
-                }
-                kernels::add_slices(q, row, &cols[j * n..][..n], line);
-                kernels::add_assign_slices(q, line, v.part(j, 0));
-                for phase in line.iter_mut() {
-                    *phase = dec.round_phase(*phase);
-                }
-                table.store(v.key.0, v.key.1, j, line);
-            }
-        }
-        true
-    }
-
-    /// Decrypts every stored result ciphertext on its own, straight out
-    /// of the flat arenas via [`Decryptor::decrypt_slices`], into the
-    /// match table.
-    fn decrypt_per_ciphertext(
-        &self,
-        dec: &Decryptor,
-        result: &SearchResult,
-        scratch: &mut IndexScratch,
-    ) {
-        let polys = result
-            .per_variant
-            .iter()
-            .map(VariantSums::ciphertext_count)
-            .max()
-            .unwrap_or(0);
-        scratch.table.reset(
-            &result.classes,
-            self.packing.seg_bits(),
-            polys,
-            self.ctx.params().n,
-        );
+        let polys = result.per_variant.iter().map(|v| v.ciphertexts().len());
+        let polys = polys.max().unwrap_or(0);
+        let mut table = MatchTable::new();
+        let (seg_bits, n) = (self.packing.seg_bits(), self.ctx.params().n);
+        table.reset(&result.classes, seg_bits, polys, n);
         for v in &result.per_variant {
-            let stride = v.ct_size * v.n;
-            if stride == 0 {
-                continue;
-            }
-            for (j, ct) in v.arena.chunks_exact(stride).enumerate() {
+            for (j, ct) in v.ciphertexts().enumerate() {
                 let parts: Vec<&[u64]> = ct.chunks_exact(v.n).collect();
                 let sums = dec.decrypt_slices(&parts);
-                scratch.key_muls += (v.ct_size - 1) as u64;
-                scratch.table.store(v.key.0, v.key.1, j, sums.coeffs());
+                table.store(v.key.0, v.key.1, j, sums.coeffs());
             }
         }
+        generate_indices(&table, result.total_bits, result.k)
     }
 
     /// Convenience end-to-end search (encrypt query → search → index gen).
     pub fn find_all<R: Rng + ?Sized>(
-        &mut self,
+        &self,
         enc: &Encryptor,
         dec: &Decryptor,
         db: &EncryptedDatabase,
@@ -1073,7 +875,18 @@ pub struct ShardScratch {
     /// The range's phases `db_j.c0 + s·db_j.c1`, `P × n` words of 32 bits:
     /// every served `q` is at most `2³²`.
     phases: Vec<u32>,
-    index: IndexScratch,
+    /// The phase scan's edge bits.
+    scan: PhaseScratch,
+    /// Horner's working space, sized only by a ciphertext past two
+    /// components ([`key_part_into`]).
+    horner: Vec<u64>,
+    /// One polynomial of working space: the key product of the polynomial
+    /// in hand, or a sum the in-flash check rebuilds.
+    line: Vec<u64>,
+    /// The in-flash job's columns `sum[v₀][j] − v₀`, both halves, `c0`
+    /// then `c1` per polynomial.
+    columns: Vec<u64>,
+    key_muls: u64,
 }
 
 /// Scratches parked between jobs, process-wide: at most one per
@@ -1089,9 +902,13 @@ struct Job<'a>(&'a mut ShardScratch);
 impl Drop for Job<'_> {
     fn drop(&mut self) {
         let ShardScratch {
-            psi, phases, index, ..
+            psi,
+            phases,
+            horner,
+            line,
+            ..
         } = &mut *self.0;
-        for products in [psi, &mut index.rows, &mut index.line] {
+        for products in [psi, horner, line] {
             products.fill(0);
         }
         phases.fill(0);
@@ -1141,27 +958,25 @@ fn scan_range(
     index_gen: &TrustedIndexGenerator,
     query: &PackedQuery,
     total_bits: usize,
-    phases: &[u32],
-    psi: &mut Vec<u64>,
-    index: &mut IndexScratch,
+    scratch: &mut ShardScratch,
 ) -> Vec<usize> {
     let (ctx, dec) = (&index_gen.engine.ctx, &index_gen.dec);
     let (n, q) = (ctx.params().n, ctx.rq().modulus());
+    let ShardScratch {
+        psi,
+        phases,
+        scan: edges,
+        horner,
+        key_muls,
+        ..
+    } = scratch;
     psi.resize(query.cts.len() * n, 0);
     for (ct, segs) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
-        index.key_muls += key_part_into(dec, q, ct, &mut index.rows, segs);
+        *key_muls += key_part_into(dec, q, ct, horner, segs);
         kernels::add_assign_slices(q, segs, ct.part(0).coeffs());
     }
     let polys = phases.len() / n;
-    let mut scan = PhaseScan::begin(
-        &mut index.phases,
-        dec,
-        ctx,
-        &query.classes,
-        polys,
-        total_bits,
-        query.k,
-    );
+    let mut scan = PhaseScan::begin(edges, dec, ctx, &query.classes, polys, total_bits, query.k);
     // First flat segment index of the class in hand.
     let mut base = 0;
     for class in &query.classes {
@@ -1208,8 +1023,9 @@ impl ShardScratch {
     /// coefficients are packed-query segments. So the job takes the key
     /// part of every polynomial of `shard` (`s·db_j.c1`, whatever the
     /// size) and of every packed-query ciphertext once — `⌈V/n⌉ + P` key
-    /// multiplications where `V` explicit variants took `V + P − 1` —
-    /// folds each `c0` into its product, and tests all variants of a class
+    /// multiplications where the explicit form's `V × P` result
+    /// ciphertexts take one each ([`Self::key_muls`]) — folds each
+    /// `c0` into its product, and tests all variants of a class
     /// in one pass over each polynomial's phases: the variants of class
     /// `r` read disjoint coefficients and add the same segment at their
     /// filter coefficients. Each `(variant, polynomial)` still counts as
@@ -1233,22 +1049,26 @@ impl ShardScratch {
         let db_cts = shard.ciphertexts();
         let job = Job(self);
         let ShardScratch {
-            psi, phases, index, ..
+            phases,
+            horner,
+            line,
+            key_muls,
+            ..
         } = &mut *job.0;
-        index.key_muls = 0;
-        index.line.resize(n, 0);
+        *key_muls = 0;
+        line.resize(n, 0);
         phases.resize(db_cts.len() * n, 0);
         let mut stats = MatchStats {
             hom_adds: (query.variant_count() * db_cts.len()) as u64,
             ..MatchStats::default()
         };
         for (ct, d) in db_cts.iter().zip(phases.chunks_exact_mut(n)) {
-            index.key_muls += key_part_into(dec, q, ct, &mut index.rows, &mut index.line);
+            *key_muls += key_part_into(dec, q, ct, horner, line);
             let t0 = Instant::now();
-            fold_phase(q, &mut index.line, ct.part(0).coeffs(), d);
+            fold_phase(q, line, ct.part(0).coeffs(), d);
             stats.add_time += t0.elapsed();
         }
-        let indices = scan_range(index_gen, query, shard.total_bits, phases, psi, index);
+        let indices = scan_range(index_gen, query, shard.total_bits, job.0);
         (indices, stats)
     }
 
@@ -1300,13 +1120,15 @@ impl ShardScratch {
         let ShardScratch {
             variant,
             tile,
-            psi,
             phases,
-            index,
+            line,
+            columns,
+            key_muls,
+            ..
         } = &mut *job.0;
-        index.key_muls = 0;
-        index.line.resize(n, 0);
-        index.deltas.resize(polys * 2 * n, 0);
+        *key_muls = 0;
+        line.resize(n, 0);
+        columns.resize(polys * 2 * n, 0);
         tile.resize(polys * 2 * n, 0);
         phases.resize(polys * n, 0);
         let variant = match variant {
@@ -1326,33 +1148,32 @@ impl ShardScratch {
                 }
                 add(variant, tile);
                 // Tile and columns alike alternate `c0` and `c1` halves.
-                let halves = tile.chunks_exact(n).zip(index.deltas.chunks_exact_mut(n));
+                let halves = tile.chunks_exact(n).zip(columns.chunks_exact_mut(n));
                 for (h, (sum, column)) in halves.enumerate() {
                     let v = variant.part(h % 2).coeffs();
                     if first {
                         kernels::sub_slices(q, sum, v, column);
                         continue;
                     }
-                    kernels::add_slices(q, v, column, &mut index.line);
-                    if index.line[..] != *sum {
+                    kernels::add_slices(q, v, column, line);
+                    if line[..] != *sum {
                         return Err(MatchError::Internal(
                             "a sum is not its variant plus the column every other variant got",
                         ));
                     }
                 }
                 if first {
-                    let columns = index.deltas.chunks_exact(2 * n);
-                    for (column, d) in columns.zip(phases.chunks_exact_mut(n)) {
-                        dec.key_product_into(&column[n..], &mut index.line);
-                        fold_phase(q, &mut index.line, &column[..n], d);
+                    for (column, d) in columns.chunks_exact(2 * n).zip(phases.chunks_exact_mut(n)) {
+                        dec.key_product_into(&column[n..], line);
+                        fold_phase(q, line, &column[..n], d);
                     }
-                    index.key_muls += polys as u64;
+                    *key_muls += polys as u64;
                     first = false;
                 }
             }
             base += s;
         }
-        Ok(scan_range(index_gen, query, total_bits, phases, psi, index))
+        Ok(scan_range(index_gen, query, total_bits, job.0))
     }
 
     /// [`Self::run`] on a scratch from the process-wide free list (or a
@@ -1379,6 +1200,12 @@ impl ShardScratch {
     /// Scratches currently parked in the process-wide free list.
     pub fn parked() -> usize {
         FREE_SCRATCHES.lock().map_or(0, |free| free.len())
+    }
+
+    /// Secret-key multiplications the last job took: `⌈V/n⌉ + P` on
+    /// fresh ciphertexts, one per ciphertext component past the first.
+    pub fn key_muls(&self) -> u64 {
+        self.key_muls
     }
 }
 
@@ -1411,10 +1238,12 @@ mod tests {
         };
         let enc = Encryptor::new(&f.ctx, pk);
         let dec = Decryptor::new(&f.ctx, sk);
-        let mut engine = CiphermatchEngine::new(&f.ctx);
+        let engine = CiphermatchEngine::new(&f.ctx);
         let db = engine.encrypt_database(&enc, db_bits, &mut rng);
-        let got = engine.find_all(&enc, &dec, &db, query_bits, &mut rng);
-        (got, engine.stats())
+        let query = engine.prepare_query(&enc, query_bits, &mut rng);
+        let mut result = SearchResult::default();
+        let stats = engine.search_into(&db, &query, &mut result);
+        (engine.generate_indices(&dec, &result), stats)
     }
 
     #[test]
@@ -1499,7 +1328,7 @@ mod tests {
             kg.public_key(&mut rng)
         };
         let enc = Encryptor::new(&f.ctx, pk);
-        let mut engine = CiphermatchEngine::new(&f.ctx);
+        let engine = CiphermatchEngine::new(&f.ctx);
         let data = BitString::from_ascii("scalar baseline must agree with the fast path");
         let db = engine.encrypt_database(&enc, &data, &mut rng);
         let query = engine.prepare_query(&enc, &BitString::from_ascii("fast"), &mut rng);
@@ -1518,7 +1347,7 @@ mod tests {
         };
         let enc = Encryptor::new(&f.ctx, pk);
         let dec = Decryptor::new(&f.ctx, sk);
-        let mut engine = CiphermatchEngine::new(&f.ctx);
+        let engine = CiphermatchEngine::new(&f.ctx);
         let data = BitString::from_ascii("reused arenas must not leak stale coefficients");
         let db = engine.encrypt_database(&enc, &data, &mut rng);
         let q1 = engine.prepare_query(&enc, &BitString::from_ascii("stale"), &mut rng);
@@ -1559,18 +1388,17 @@ mod tests {
                 cts * n,
                 "k={k}: a row of query phases per ciphertext"
             );
-            assert_eq!(scratch.index.line.len(), n, "k={k}");
-            // No variant gathered, no tile, row, column or additivity
-            // reference.
+            assert_eq!(scratch.line.len(), n, "k={k}");
+            // No variant gathered, no tile, no Horner space (fresh
+            // ciphertexts) and no in-flash columns.
             assert!(
                 scratch.variant.is_none() && scratch.tile.is_empty(),
                 "k={k}"
             );
-            let index = &scratch.index;
-            assert!(index.rows.is_empty() && index.cols.is_empty(), "k={k}");
-            assert!(index.deltas.is_empty(), "k={k}");
-            // ⌈V/n⌉ + P, where the explicit form's table takes V + P − 1.
-            assert_eq!(index.key_muls(), (cts + polys) as u64, "k={k}");
+            assert!(scratch.horner.is_empty(), "k={k}");
+            assert!(scratch.columns.is_empty(), "k={k}");
+            // ⌈V/n⌉ + P, where the explicit form's table takes V × P.
+            assert_eq!(scratch.key_muls(), (cts + polys) as u64, "k={k}");
         };
         for (k, variants) in [(32usize, 47usize), (200, 16 * 13 + 7)] {
             let pattern = data.slice(bpp - 5, k);
@@ -1615,7 +1443,7 @@ mod tests {
 
         // Sums added elsewhere on the same scratch gather both halves of
         // every variant into a tile of two-component sums, and then scan
-        // the range's phases as the CM-SW job does: no row.
+        // the range's phases as the CM-SW job does: no Horner space.
         let got = scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
             engine.sweep_variant(db.ciphertexts(), v, 2, tile, &mut MatchStats::default());
         });
@@ -1627,7 +1455,7 @@ mod tests {
             .iter()
             .all(|p| p.coeffs().iter().any(|&c| c != 0)));
         assert_eq!(scratch.phases.len(), polys * n);
-        assert!(scratch.index.rows.is_empty());
+        assert!(scratch.horner.is_empty());
         // And a CM-SW job after it reads none of what that left.
         assert_eq!(scratch.run(&db, &query, &index_gen).0, indices);
     }
@@ -1653,7 +1481,7 @@ mod tests {
         };
         let enc = Encryptor::new(&f.ctx, pk);
         let dec = Decryptor::new(&f.ctx, sk);
-        let mut engine = CiphermatchEngine::new(&f.ctx);
+        let engine = CiphermatchEngine::new(&f.ctx);
         let data = BitString::from_ascii("persist the encrypted database to disk and back");
         let db = engine.encrypt_database(&enc, &data, &mut rng);
         let q_bits = f.ctx.params().coeff_bits();
@@ -1868,8 +1696,8 @@ mod tests {
                 assert_eq!(adds, query.variant_count());
                 // The first variant's sums give the columns, both halves:
                 // ⌈V/n⌉ + P.
-                assert_eq!(scratch.index.key_muls(), (1 + polys) as u64);
-                assert_eq!(scratch.index.deltas.len(), 2 * polys * n);
+                assert_eq!(scratch.key_muls(), (1 + polys) as u64);
+                assert_eq!(scratch.columns.len(), 2 * polys * n);
                 assert_eq!(scratch.run(&db, &query, &index_gen).0, got.unwrap());
             }
         }
@@ -1924,8 +1752,7 @@ mod tests {
     /// Whether every key product and phase a job can leave in `scratch`
     /// is zero.
     fn cleared(scratch: &ShardScratch) -> bool {
-        let index = &scratch.index;
-        let products = [&index.rows, &index.cols, &index.line, &scratch.psi];
+        let products = [&scratch.horner, &scratch.line, &scratch.psi];
         products.iter().all(|words| words.iter().all(|&w| w == 0))
             && scratch.phases.iter().all(|&w| w == 0)
     }
@@ -1947,7 +1774,7 @@ mod tests {
             polys * n,
             "the range's phases were taken"
         );
-        assert!(!scratch.psi.is_empty() && !scratch.index.line.is_empty());
+        assert!(!scratch.psi.is_empty() && !scratch.line.is_empty());
         assert!(cleared(&scratch), "CM-SW job");
 
         // Sums added elsewhere: a faithful adder, then one that corrupts
@@ -1965,9 +1792,9 @@ mod tests {
                 None => assert_eq!(got, Ok(indices.clone())),
                 Some(_) => assert!(matches!(got, Err(MatchError::Internal(_)))),
             }
-            // The range's phases were taken, and no row.
+            // The range's phases were taken, and no Horner space.
             assert_eq!(scratch.phases.len(), polys * n, "{bad:?}");
-            assert!(scratch.index.rows.is_empty(), "{bad:?}");
+            assert!(scratch.horner.is_empty(), "{bad:?}");
             assert!(cleared(&scratch), "in-flash job, corrupted variant {bad:?}");
         }
     }
@@ -2012,7 +1839,7 @@ mod tests {
         };
         let enc = Encryptor::new(&f.ctx, pk);
         let dec = Decryptor::new(&f.ctx, sk);
-        let mut engine = CiphermatchEngine::new(&f.ctx);
+        let engine = CiphermatchEngine::new(&f.ctx);
         let bpp = engine.packing().bits_per_poly();
         let bytes: Vec<u8> = (0..(bpp / 8) * 2 + 100)
             .map(|i| (i * 37 % 251) as u8)

@@ -1,20 +1,21 @@
-//! Batched index generation (`V + P − 1` key multiplications) against the
-//! per-ciphertext reference (`V × P`) and against `BitString::find_all`,
-//! across the NTT presets and the power-of-two-`q` in-flash preset, on
-//! random inputs and on the boundary shapes a sliding-window matcher
-//! hides bugs in — and, wherever the table came out of a sweep, against
-//! the served job ([`ShardScratch::run`]), which never builds the table
-//! and never sees the explicit query: it takes the *packed* encryption of
-//! the same pattern and replicates the variants itself. One
-//! [`IndexScratch`] and one [`ShardScratch`] serve every call of a
-//! fixture, so stale state from a previous shape would show as a mismatch.
+//! The explicit form's index generation (every result ciphertext
+//! decrypted on its own, `V × P` key multiplications) against
+//! `BitString::find_all`, across the NTT presets and the power-of-two-`q`
+//! in-flash preset, on random inputs and on the boundary shapes a
+//! sliding-window matcher hides bugs in — and, wherever the table came
+//! out of a sweep, against the served job ([`ShardScratch::run`]), which
+//! never builds the table and never sees the explicit query: it takes the
+//! *packed* encryption of the same pattern and replicates the variants
+//! itself, with `⌈V/n⌉ + P` key multiplications on fresh ciphertexts. One
+//! [`ShardScratch`] serves every call of a fixture, so stale state from a
+//! previous shape would show as a mismatch.
 
 use cm_bfv::{
     BfvContext, BfvParams, Ciphertext, Decryptor, Encryptor, Evaluator, KeyGenerator, PublicKey,
 };
 use cm_core::{
     alignment_classes, build_variants, BitString, CiphermatchEngine, EncryptedDatabase,
-    EncryptedQuery, IndexScratch, SearchResult, ShardPlan, ShardScratch, TrustedIndexGenerator,
+    EncryptedQuery, SearchResult, ShardPlan, ShardScratch, TrustedIndexGenerator,
 };
 use cm_hemath::Poly;
 use proptest::prelude::*;
@@ -26,7 +27,6 @@ struct Fixture {
     pk: PublicKey,
     dec: Decryptor,
     engine: CiphermatchEngine,
-    scratch: IndexScratch,
     index_gen: TrustedIndexGenerator,
     job: ShardScratch,
     rng: StdRng,
@@ -41,7 +41,6 @@ impl Fixture {
         Self {
             dec: Decryptor::new(&ctx, kg.secret_key()),
             engine: CiphermatchEngine::new(&ctx),
-            scratch: IndexScratch::default(),
             index_gen: TrustedIndexGenerator::from_secret(&ctx, kg.secret_key()),
             job: ShardScratch::default(),
             ctx,
@@ -70,19 +69,16 @@ impl Fixture {
         (db, query)
     }
 
-    /// Batched and reference index lists of `result`, with the number of
-    /// key multiplications the batched call performed.
-    fn both(&mut self, result: &SearchResult) -> (Vec<usize>, Vec<usize>, u64) {
-        let batched = self
-            .engine
-            .generate_indices_with(&self.dec, result, &mut self.scratch);
-        let reference = self.engine.generate_indices_reference(&self.dec, result);
-        (batched, reference, self.scratch.key_muls())
+    /// The explicit form's index list of `result`.
+    fn explicit(&self, result: &SearchResult) -> Vec<usize> {
+        self.engine.generate_indices(&self.dec, result)
     }
 
     /// The served job's index list for a fresh packed encryption of
     /// `pattern` over `db`; asserts it ran every Hom-Add of the table it
-    /// did not keep, from `⌈V/n⌉` ciphertexts.
+    /// did not keep, from `⌈V/n⌉` ciphertexts, and took one key product
+    /// per ciphertext component past the first: `⌈V/n⌉ + P` on fresh
+    /// ciphertexts.
     fn served(&mut self, db: &EncryptedDatabase, pattern: &BitString) -> Vec<usize> {
         let enc = Encryptor::new(&self.ctx, self.pk.clone());
         let query = self.engine.pack_query(&enc, pattern, &mut self.rng);
@@ -99,6 +95,11 @@ impl Fixture {
             (variants * db.poly_count()) as u64,
             "one Hom-Add per variant and polynomial"
         );
+        let key_parts: usize = db.ciphertexts().iter().map(|ct| ct.size() - 1).sum();
+        assert_eq!(
+            self.job.key_muls(),
+            (query.ciphertext_count() + key_parts) as u64
+        );
         indices
     }
 
@@ -113,23 +114,17 @@ impl Fixture {
         indices
     }
 
-    /// Encrypt → sweep → both index generations; asserts the batched path
-    /// ran (exactly `V + P − 1` multiplications) and that batched,
-    /// reference and the plaintext oracle agree. Returns the indices.
+    /// Encrypt → sweep → explicit index generation, and the served job on
+    /// the packed query; asserts that both agree with the plaintext
+    /// oracle. Returns the indices.
     fn check(&mut self, data: &BitString, pattern: &BitString) -> Vec<usize> {
         let (db, query) = self.encrypt(data, pattern);
         let result = self.engine.search(&db, &query);
-        let (batched, reference, key_muls) = self.both(&result);
+        let explicit = self.explicit(&result);
         let name = self.ctx.params().name;
-        assert_eq!(
-            key_muls,
-            (query.variant_count() + db.poly_count() - 1) as u64,
-            "{name}: V + P - 1 key multiplications"
-        );
-        assert_eq!(batched, reference, "{name}: batched vs per-ciphertext");
-        assert_eq!(batched, data.find_all(pattern), "{name}: vs plaintext");
-        assert_eq!(self.served(&db, pattern), batched, "{name}: served job");
-        batched
+        assert_eq!(explicit, data.find_all(pattern), "{name}: vs plaintext");
+        assert_eq!(self.served(&db, pattern), explicit, "{name}: served job");
+        explicit
     }
 
     /// The sweep's table as explicit ciphertexts, for hand-built results.
@@ -161,7 +156,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn batched_equals_reference_equals_plaintext(
+    fn explicit_equals_served_equals_plaintext(
         seed in any::<u64>(),
         extra_bits in 0usize..3000,
         polys in 1usize..4,
@@ -287,11 +282,10 @@ fn shard_seams_agree() {
                     let shard = db.subrange(held.clone(), bpp);
                     let local = data.slice(held.start * bpp, shard.total_bits());
                     let result = f.engine.search(&shard, &query);
-                    let (batched, reference, _) = f.both(&result);
-                    assert_eq!(batched, reference);
-                    assert_eq!(batched, local.find_all(&pattern), "shard {held:?}");
-                    assert_eq!(f.served(&shard, &pattern), batched, "served {held:?}");
-                    per_range.push(batched);
+                    let explicit = f.explicit(&result);
+                    assert_eq!(explicit, local.find_all(&pattern), "shard {held:?}");
+                    assert_eq!(f.served(&shard, &pattern), explicit, "served {held:?}");
+                    per_range.push(explicit);
                 }
                 let merged = plan.merge_indices(&per_range);
                 assert_eq!(merged, data.find_all(&pattern), "{shards} ranges");
@@ -400,8 +394,7 @@ fn queries_packed_into_two_ciphertexts_agree() {
 #[test]
 fn single_variant_and_single_polynomial_tables() {
     // V = 1 cannot come out of `prepare_query`; a hand-built table of one
-    // variant must still decrypt identically on both paths, with `P`
-    // multiplications (and 1 when P = 1 too).
+    // variant must still decrypt to the answers that variant can give.
     let mut f = Fixture::new(BfvParams::insecure_test_add(), 0x51);
     let bpp = f.bits_per_poly();
     for polys in [1usize, 3] {
@@ -413,24 +406,22 @@ fn single_variant_and_single_polynomial_tables() {
         assert_eq!(table[0].0, (0, 0));
         let result =
             SearchResult::from_raw(table, data.len(), pattern.len(), query.classes().to_vec());
-        let (batched, reference, key_muls) = f.both(&result);
-        assert_eq!(key_muls, polys as u64);
-        assert_eq!(batched, reference);
         // Only byte-aligned windows are answerable from variant (0, 0).
         let aligned: Vec<usize> = data
             .find_all(&pattern)
             .into_iter()
             .filter(|o| o % 8 == 0)
             .collect();
-        assert_eq!(batched, aligned);
+        assert_eq!(f.explicit(&result), aligned);
     }
 }
 
 #[test]
-fn non_additive_table_takes_the_fallback() {
+fn non_additive_table_decrypts_to_the_plaintext_answer() {
     // One entry is replaced by a Hom-Add against a *fresh* encryption of
     // the same variant: it decrypts to the same sums, but its c1 is no
-    // longer row + column, so the outer-sum shortcut would be wrong.
+    // longer row + column, so no decomposition of the table into rows
+    // and columns may stand in for decrypting it.
     for params in presets() {
         let mut f = Fixture::new(params, 0xADD);
         let bpp = f.bits_per_poly();
@@ -461,38 +452,14 @@ fn non_additive_table_takes_the_fallback() {
         let fresh = enc.encrypt(&variant.plaintext, &mut f.rng);
         table[v].1[j] = Evaluator::new(&f.ctx).add(&db.ciphertexts()[j], &fresh);
 
-        let (vs, ps) = (table.len() as u64, db.poly_count() as u64);
         let result =
             SearchResult::from_raw(table, data.len(), pattern.len(), query.classes().to_vec());
-        let (batched, reference, key_muls) = f.both(&result);
-        // The abandoned batched attempt, then one per ciphertext.
-        assert_eq!(key_muls, vs + ps - 1 + vs * ps, "fallback ran");
-        assert_eq!(batched, reference);
-        assert_eq!(batched, data.find_all(&pattern));
+        assert_eq!(f.explicit(&result), data.find_all(&pattern));
     }
 }
 
 #[test]
-fn corrupted_entry_decrypts_like_the_reference() {
-    // A c1 overwritten with noise: the entry is garbage, and both paths
-    // must read the same garbage.
-    let mut f = Fixture::new(BfvParams::insecure_test_add(), 0xBAD);
-    let bpp = f.bits_per_poly();
-    let data = f.random_bits(2 * bpp);
-    let pattern = data.slice(100, 24);
-    let (db, query) = f.encrypt(&data, &pattern);
-    let mut table = f.raw_table(&db, &query);
-    let q = f.ctx.params().q;
-    for c in table[3].1[1].parts_mut()[1].coeffs_mut() {
-        *c = f.rng.gen_range(0..q);
-    }
-    let result = SearchResult::from_raw(table, data.len(), pattern.len(), query.classes().to_vec());
-    let (batched, reference, _) = f.both(&result);
-    assert_eq!(batched, reference);
-}
-
-#[test]
-fn three_component_table_takes_the_fallback() {
+fn three_component_table_decrypts_to_the_plaintext_answer() {
     // Every ciphertext padded with a zero third component (what a
     // multiplication leaves before relinearization): s²·0 changes no
     // plaintext, but the table is no longer fresh two-component.
@@ -515,13 +482,9 @@ fn three_component_table_takes_the_fallback() {
                 (key, row.into_iter().map(widen).collect::<Vec<_>>())
             })
             .collect();
-        let entries = (table.len() * db.poly_count()) as u64;
         let result =
             SearchResult::from_raw(table, data.len(), pattern.len(), query.classes().to_vec());
-        let (batched, reference, key_muls) = f.both(&result);
-        assert_eq!(key_muls, 2 * entries, "two components past the first");
-        assert_eq!(batched, reference);
-        assert_eq!(batched, data.find_all(&pattern));
+        assert_eq!(f.explicit(&result), data.find_all(&pattern));
     }
 }
 
@@ -529,8 +492,8 @@ fn three_component_table_takes_the_fallback() {
 fn served_job_on_a_three_component_database_uses_its_whole_key_part() {
     // The same padding on the database itself: the column of a polynomial
     // is the key part of its phase whatever its size (two key products
-    // here), so the served job answers as the table drivers do on its one
-    // path.
+    // here), so the served job answers as the explicit form does on its
+    // one path.
     let mut f = Fixture::new(BfvParams::insecure_test_add(), 0x334);
     let (bpp, n) = (f.bits_per_poly(), f.ctx.params().n);
     let data = f.random_bits(bpp + 40);
@@ -612,7 +575,7 @@ fn a_range_whose_last_window_starts_mid_polynomial_agrees() {
     // its window starts, `total_bits − k`, falls in the middle of a
     // polynomial. For every class, plant the pattern at the last start of
     // that class the database allows; each range answers what the
-    // plaintext search of its bits and the per-ciphertext reference do,
+    // plaintext search of its bits and the explicit form do,
     // and the merged list what the search of the whole database does.
     for params in presets() {
         let mut f = Fixture::new(params, 0x1A57);
@@ -636,15 +599,10 @@ fn a_range_whose_last_window_starts_mid_polynomial_agrees() {
                     let shard = db.subrange(held.clone(), bpp);
                     let local = data.slice(held.start * bpp, shard.total_bits());
                     let result = f.engine.search(&shard, &query);
-                    let (batched, reference, _) = f.both(&result);
-                    assert_eq!(reference, local.find_all(&pattern), "k={k} r={r} {held:?}");
-                    assert_eq!(batched, reference, "k={k} r={r} {held:?}");
-                    assert_eq!(
-                        f.served(&shard, &pattern),
-                        reference,
-                        "k={k} r={r} {held:?}"
-                    );
-                    per_range.push(reference);
+                    let explicit = f.explicit(&result);
+                    assert_eq!(explicit, local.find_all(&pattern), "k={k} r={r} {held:?}");
+                    assert_eq!(f.served(&shard, &pattern), explicit, "k={k} r={r} {held:?}");
+                    per_range.push(explicit);
                 }
                 let merged = plan.merge_indices(&per_range);
                 assert_eq!(merged, data.find_all(&pattern), "k={k} r={r}");

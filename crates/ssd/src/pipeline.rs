@@ -271,7 +271,7 @@ mod tests {
         };
         let enc = Encryptor::new(&ctx, pk);
         let dec = Decryptor::new(&ctx, sk.clone());
-        let mut engine = CiphermatchEngine::new(&ctx);
+        let engine = CiphermatchEngine::new(&ctx);
 
         let data = BitString::from_ascii("in flash processing equals software");
         let db = engine.encrypt_database(&enc, &data, &mut rng);
@@ -340,7 +340,7 @@ mod tests {
 
             let explicit = engine.prepare_query(&enc, &pattern, &mut rng);
             let (result, oracle_reports) = server.search(&explicit);
-            let oracle = engine.generate_indices_reference(&dec, &result);
+            let oracle = engine.generate_indices(&dec, &result);
             let packed = engine.pack_query(&enc, &pattern, &mut rng);
             let v = packed.variant_count();
             assert_eq!(packed.ciphertext_count(), v.div_ceil(n), "k={k}");

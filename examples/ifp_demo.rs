@@ -31,7 +31,7 @@ fn main() {
     };
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk.clone());
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
 
     let data = BitString::from_ascii("computation happens inside the NAND flash latches");
     let pattern = BitString::from_ascii("NAND flash");

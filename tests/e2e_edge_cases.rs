@@ -22,7 +22,7 @@ fn query_longer_than_database_yields_nothing() {
     let mut rng = StdRng::seed_from_u64(61);
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk);
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
     let data = BitString::from_ascii("tiny");
     let db = engine.encrypt_database(&enc, &data, &mut rng);
     let q = BitString::from_ascii("much longer than the database");
@@ -35,7 +35,7 @@ fn single_bit_queries_work() {
     let mut rng = StdRng::seed_from_u64(62);
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk);
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
     let data = BitString::from_bits(&[true, false, false, true, false, true]);
     let db = engine.encrypt_database(&enc, &data, &mut rng);
     for bit in [true, false] {
@@ -52,7 +52,7 @@ fn sub_segment_database() {
     let mut rng = StdRng::seed_from_u64(63);
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk);
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
     let data = BitString::from_bits(&[true, true, false, true, true]);
     let db = engine.encrypt_database(&enc, &data, &mut rng);
     let q = data.slice(1, 3);
@@ -66,7 +66,7 @@ fn query_equal_to_database_matches_once() {
     let mut rng = StdRng::seed_from_u64(64);
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk);
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
     let data = BitString::from_ascii("exact");
     let db = engine.encrypt_database(&enc, &data, &mut rng);
     let got = engine.find_all(&enc, &dec, &db, &data, &mut rng);
@@ -81,7 +81,7 @@ fn all_zero_and_all_one_databases() {
     let mut rng = StdRng::seed_from_u64(65);
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk);
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
     for fill in [false, true] {
         let data = BitString::from_bits(&[fill; 64]);
         let db = engine.encrypt_database(&enc, &data, &mut rng);

@@ -32,7 +32,7 @@ fn ifp_pipeline_equals_software_on_dna_workload() {
     let mut rng = StdRng::seed_from_u64(11);
     let enc = Encryptor::new(&f.ctx, f.pk.clone());
     let dec = Decryptor::new(&f.ctx, f.sk.clone());
-    let mut engine = CiphermatchEngine::new(&f.ctx);
+    let engine = CiphermatchEngine::new(&f.ctx);
 
     let genome = DnaGenome::random(2000, &mut rng);
     let bits = BitString::from_dna(&genome.to_string_seq());
@@ -106,7 +106,7 @@ fn corrupted_stored_ciphertext_is_detected_by_comparison() {
     let f = fixture(40);
     let mut rng = StdRng::seed_from_u64(41);
     let enc = Encryptor::new(&f.ctx, f.pk.clone());
-    let mut engine = CiphermatchEngine::new(&f.ctx);
+    let engine = CiphermatchEngine::new(&f.ctx);
 
     let data = BitString::from_ascii("a single flipped bit must be visible downstream");
     let db = engine.encrypt_database(&enc, &data, &mut rng);

@@ -28,7 +28,7 @@ fn cmsw_and_yasuda_agree_on_dna_reads() {
     let (cm_ctx, cm_sk, cm_pk) = bfv_fixture(BfvParams::insecure_test_add(), 2);
     let cm_enc = Encryptor::new(&cm_ctx, cm_pk);
     let cm_dec = Decryptor::new(&cm_ctx, cm_sk);
-    let mut cm = CiphermatchEngine::new(&cm_ctx);
+    let cm = CiphermatchEngine::new(&cm_ctx);
     let cm_db = cm.encrypt_database(&cm_enc, &bits, &mut rng);
 
     let (ya_ctx, ya_sk, ya_pk) = bfv_fixture(BfvParams::insecure_test_mul(), 3);
@@ -78,7 +78,7 @@ fn kv_search_resolves_records_end_to_end() {
     let (ctx, sk, pk) = bfv_fixture(BfvParams::insecure_test_add(), 6);
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk);
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
     let db = engine.encrypt_database(&enc, &bits, &mut rng);
 
     for key in kv.sample_queries(5, &mut rng) {
@@ -97,7 +97,7 @@ fn cmsw_matches_across_every_bit_offset() {
     let (ctx, sk, pk) = bfv_fixture(BfvParams::insecure_test_add(), 8);
     let enc = Encryptor::new(&ctx, pk);
     let dec = Decryptor::new(&ctx, sk);
-    let mut engine = CiphermatchEngine::new(&ctx);
+    let engine = CiphermatchEngine::new(&ctx);
 
     let db_bits = BitString::from_bytes(&[0x3C, 0xA5, 0x3C, 0xA5, 0x3C, 0x99]);
     let db = engine.encrypt_database(&enc, &db_bits, &mut rng);
