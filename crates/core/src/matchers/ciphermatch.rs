@@ -1023,12 +1023,12 @@ impl ShardScratch {
     /// coefficients are packed-query segments. So the job takes the key
     /// part of every polynomial of `shard` (`s·db_j.c1`, whatever the
     /// size) and of every packed-query ciphertext once — `⌈V/n⌉ + P` key
-    /// multiplications where the explicit form's `V × P` result
-    /// ciphertexts take one each ([`Self::key_muls`]) — folds each
-    /// `c0` into its product, and tests all variants of a class
-    /// in one pass over each polynomial's phases: the variants of class
-    /// `r` read disjoint coefficients and add the same segment at their
-    /// filter coefficients. Each `(variant, polynomial)` still counts as
+    /// multiplications ([`Self::key_muls`]) where the explicit form's
+    /// `V × P` result ciphertexts take one each — folds each `c0` into
+    /// its product, and tests all variants of a class in one pass over
+    /// each polynomial's phases: the variants of class `r` read disjoint
+    /// coefficients and add the same segment at their filter
+    /// coefficients. Each `(variant, polynomial)` still counts as
     /// one Hom-Add, and `add_time` times the fold. The returned statistics
     /// are this job's alone. Once the scratch has seen the shape, the
     /// index list is the only allocation.
