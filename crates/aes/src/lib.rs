@@ -2,7 +2,8 @@
 
 //! # cm-aes
 //!
-//! A from-scratch AES-128/256 block cipher with a CTR stream mode.
+//! A from-scratch AES-256 block cipher, forward direction only, with a
+//! CTR stream mode.
 //!
 //! CIPHERMATCH (§7.2) returns match indices from the SSD to the client
 //! over an untrusted channel and protects them with the hardware 256-bit
@@ -19,28 +20,26 @@
 //! use cm_aes::Aes;
 //! let key = [0x42u8; 32];
 //! let aes = Aes::new_256(&key);
-//! let ct = aes.encrypt_block(&[0u8; 16]);
-//! assert_eq!(aes.decrypt_block(&ct), [0u8; 16]);
+//! let mut buf = *b"match at 4242";
+//! aes.ctr_apply(7, &mut buf);
+//! assert_ne!(&buf, b"match at 4242");
+//! aes.ctr_apply(7, &mut buf);
+//! assert_eq!(&buf, b"match at 4242");
 //! ```
 
 mod tables;
 
-use tables::{INV_SBOX, SBOX};
+use tables::SBOX;
 
-/// Key sizes supported by the cipher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeySize {
-    /// AES-128 (10 rounds).
-    Aes128,
-    /// AES-256 (14 rounds).
-    Aes256,
-}
+/// AES-256 key length in 32-bit words.
+const NK: usize = 8;
+/// AES-256 round count.
+const ROUNDS: usize = 14;
 
-/// An expanded-key AES cipher.
+/// An expanded-key AES-256 cipher.
 #[derive(Debug, Clone)]
 pub struct Aes {
     round_keys: Vec<[u8; 16]>,
-    rounds: usize,
 }
 
 fn xtime(x: u8) -> u8 {
@@ -61,43 +60,29 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 }
 
 impl Aes {
-    /// Creates an AES-128 cipher.
-    pub fn new_128(key: &[u8; 16]) -> Self {
-        Self::expand(key, KeySize::Aes128)
-    }
-
     /// Creates an AES-256 cipher (the paper's SSD engine).
     pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::expand(key, KeySize::Aes256)
-    }
-
-    fn expand(key: &[u8], size: KeySize) -> Self {
-        let (nk, rounds) = match size {
-            KeySize::Aes128 => (4usize, 10usize),
-            KeySize::Aes256 => (8, 14),
-        };
-        assert_eq!(key.len(), nk * 4);
-        let total_words = 4 * (rounds + 1);
+        let total_words = 4 * (ROUNDS + 1);
         let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..nk {
+        for i in 0..NK {
             w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
         }
         let mut rcon = 1u8;
-        for i in nk..total_words {
+        for i in NK..total_words {
             let mut temp = w[i - 1];
-            if i % nk == 0 {
+            if i % NK == 0 {
                 temp.rotate_left(1);
                 for t in &mut temp {
                     *t = SBOX[*t as usize];
                 }
                 temp[0] ^= rcon;
                 rcon = xtime(rcon);
-            } else if nk > 6 && i % nk == 4 {
+            } else if i % NK == 4 {
                 for t in &mut temp {
                     *t = SBOX[*t as usize];
                 }
             }
-            let prev = w[i - nk];
+            let prev = w[i - NK];
             w.push([
                 prev[0] ^ temp[0],
                 prev[1] ^ temp[1],
@@ -105,7 +90,7 @@ impl Aes {
                 prev[3] ^ temp[3],
             ]);
         }
-        let round_keys = (0..=rounds)
+        let round_keys = (0..=ROUNDS)
             .map(|r| {
                 let mut rk = [0u8; 16];
                 for c in 0..4 {
@@ -114,7 +99,7 @@ impl Aes {
                 rk
             })
             .collect();
-        Self { round_keys, rounds }
+        Self { round_keys }
     }
 
     fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
@@ -129,25 +114,10 @@ impl Aes {
         }
     }
 
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        for s in state.iter_mut() {
-            *s = INV_SBOX[*s as usize];
-        }
-    }
-
     fn shift_rows(state: &mut [u8; 16]) {
         // state[4c + r] is row r, column c.
         for r in 1..4 {
             let row: Vec<u8> = (0..4).map(|c| state[4 * ((c + r) % 4) + r]).collect();
-            for c in 0..4 {
-                state[4 * c + r] = row[c];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        for r in 1..4 {
-            let row: Vec<u8> = (0..4).map(|c| state[4 * ((c + 4 - r) % 4) + r]).collect();
             for c in 0..4 {
                 state[4 * c + r] = row[c];
             }
@@ -169,29 +139,11 @@ impl Aes {
         }
     }
 
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-            state[4 * c + 1] =
-                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-            state[4 * c + 2] =
-                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-            state[4 * c + 3] =
-                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-        }
-    }
-
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut state = *block;
         Self::add_round_key(&mut state, &self.round_keys[0]);
-        for r in 1..self.rounds {
+        for r in 1..ROUNDS {
             Self::sub_bytes(&mut state);
             Self::shift_rows(&mut state);
             Self::mix_columns(&mut state);
@@ -199,23 +151,7 @@ impl Aes {
         }
         Self::sub_bytes(&mut state);
         Self::shift_rows(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[self.rounds]);
-        state
-    }
-
-    /// Decrypts one 16-byte block.
-    pub fn decrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        Self::add_round_key(&mut state, &self.round_keys[self.rounds]);
-        for r in (1..self.rounds).rev() {
-            Self::inv_shift_rows(&mut state);
-            Self::inv_sub_bytes(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[r]);
-            Self::inv_mix_columns(&mut state);
-        }
-        Self::inv_shift_rows(&mut state);
-        Self::inv_sub_bytes(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[0]);
+        Self::add_round_key(&mut state, &self.round_keys[ROUNDS]);
         state
     }
 
@@ -245,17 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn fips197_aes128_vector() {
-        let key: [u8; 16] = hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
-        let pt: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        let aes = Aes::new_128(&key);
-        assert_eq!(
-            aes.encrypt_block(&pt).to_vec(),
-            hex("69c4e0d86a7b0430d8cdb78070b4c55a")
-        );
-    }
-
-    #[test]
     fn fips197_aes256_vector() {
         let key: [u8; 32] = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
             .try_into()
@@ -266,18 +191,6 @@ mod tests {
             aes.encrypt_block(&pt).to_vec(),
             hex("8ea2b7ca516745bfeafc49904b496089")
         );
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip() {
-        let aes = Aes::new_256(&[7u8; 32]);
-        for seed in 0..32u8 {
-            let block = [seed.wrapping_mul(13); 16];
-            assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
-        }
-        let aes128 = Aes::new_128(&[3u8; 16]);
-        let block = [0xA5u8; 16];
-        assert_eq!(aes128.decrypt_block(&aes128.encrypt_block(&block)), block);
     }
 
     #[test]

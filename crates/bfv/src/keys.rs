@@ -175,24 +175,6 @@ impl<'a> KeyGenerator<'a> {
         }
         elems
     }
-
-    /// Galois elements needed for all power-of-two row rotations plus the
-    /// column swap, mirroring SEAL's default key set.
-    pub fn default_galois_elements(&self) -> Vec<usize> {
-        let n = self.ctx.params().n;
-        let two_n = 2 * n;
-        let mut elems = Vec::new();
-        let mut g = 3usize;
-        let mut step = 1usize;
-        while step < n / 2 {
-            elems.push(g);
-            // 3^(2*step) for the next power-of-two rotation
-            g = (g * g) % two_n;
-            step *= 2;
-        }
-        elems.push(two_n - 1); // column swap
-        elems
-    }
 }
 
 #[cfg(test)]
@@ -232,16 +214,5 @@ mod tests {
             kg.galois_keys(&[2], &mut rng)
         }));
         assert!(result.is_err());
-    }
-
-    #[test]
-    fn default_galois_elements_are_odd_and_nonempty() {
-        let ctx = BfvContext::new(BfvParams::insecure_test_batch());
-        let mut rng = StdRng::seed_from_u64(1);
-        let kg = KeyGenerator::new(&ctx, &mut rng);
-        let elems = kg.default_galois_elements();
-        assert!(!elems.is_empty());
-        assert!(elems.iter().all(|g| g % 2 == 1));
-        assert!(elems.contains(&(2 * ctx.params().n - 1)));
     }
 }

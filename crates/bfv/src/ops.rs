@@ -113,11 +113,6 @@ impl Encryptor {
         errors.add_assign(q, c1, rng);
         scratch.u = u.into_coeffs();
     }
-
-    /// Encrypts the zero plaintext (useful for padding and benchmarks).
-    pub fn encrypt_zero<R: Rng + ?Sized>(&self, rng: &mut R) -> Ciphertext {
-        self.encrypt(&Plaintext::zero(self.ctx.params().n), rng)
-    }
 }
 
 /// Secret-key encryption: `(-(a s + e) + Δ m, a)`.
@@ -439,30 +434,6 @@ impl Evaluator {
         Ciphertext::from_parts(a.parts().iter().map(|p| rq.neg(p)).collect())
     }
 
-    /// Sums many ciphertexts by accumulating in place into one clone of
-    /// the first — linear in the total coefficient count, where a naive
-    /// `fold` over [`Self::add`] re-allocates a full ciphertext per
-    /// step. A rare size mismatch falls back to the padding add.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iterator is empty.
-    pub fn add_many<'c>(&self, cts: impl IntoIterator<Item = &'c Ciphertext>) -> Ciphertext {
-        let mut iter = cts.into_iter();
-        let mut acc = iter
-            .next()
-            .expect("add_many requires at least one ciphertext")
-            .clone();
-        for ct in iter {
-            if ct.size() == acc.size() {
-                self.add_assign(&mut acc, ct);
-            } else {
-                acc = self.add(&acc, ct);
-            }
-        }
-        acc
-    }
-
     /// Adds a plaintext: `c0 += Δ m`.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let rq = self.ctx.rq();
@@ -484,23 +455,11 @@ impl Evaluator {
     /// Multiplies by a small signed integer scalar (coefficient-wise).
     ///
     /// Homomorphically scales the message by `s mod t` while growing noise
-    /// only by `|s|` — much cheaper than [`Self::mul_plain`] with a
-    /// constant polynomial, whose noise grows with the encoded constant.
+    /// only by `|s|`.
     pub fn scale_signed(&self, a: &Ciphertext, s: i64) -> Ciphertext {
         let rq = self.ctx.rq();
         let c = rq.modulus().from_signed(s);
         Ciphertext::from_parts(a.parts().iter().map(|p| rq.scalar_mul(p, c)).collect())
-    }
-
-    /// Multiplies by a plaintext polynomial (each component times `m` in
-    /// `R_q`).
-    pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let rq = self.ctx.rq();
-        assert!(
-            !pt.poly().is_zero(),
-            "transparent result: multiplying by the zero plaintext"
-        );
-        Ciphertext::from_parts(a.parts().iter().map(|p| rq.mul(p, pt.poly())).collect())
     }
 
     /// Ciphertext-ciphertext multiplication producing a size-3 ciphertext.
@@ -627,11 +586,6 @@ impl Evaluator {
             g = g * 3 % two_n;
         }
         self.apply_galois(ct, g as usize, gk)
-    }
-
-    /// Swaps the two batched rows (Galois element `2n - 1`).
-    pub fn rotate_columns(&self, ct: &Ciphertext, gk: &GaloisKeys) -> Ciphertext {
-        self.apply_galois(ct, 2 * self.ctx.params().n - 1, gk)
     }
 }
 
@@ -913,30 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn add_many_sums_a_hundred_ciphertexts() {
-        let (ctx, sk, pk) = setup(BfvParams::ciphermatch_1024(), 113);
-        let mut rng = StdRng::seed_from_u64(114);
-        let enc = Encryptor::new(&ctx, pk);
-        let dec = Decryptor::new(&ctx, sk);
-        let ev = Evaluator::new(&ctx);
-        let count = 120u64;
-        let cts: Vec<Ciphertext> = (0..count)
-            .map(|i| enc.encrypt(&pt_from(&ctx, &[i, 2 * i]), &mut rng))
-            .collect();
-        let sum = ev.add_many(&cts);
-        assert_eq!(sum.size(), 2, "equal-size inputs accumulate in place");
-        let got = dec.decrypt(&sum);
-        let t = ctx.params().t;
-        assert_eq!(got.coeffs()[0], (0..count).sum::<u64>() % t);
-        assert_eq!(got.coeffs()[1], (0..count).map(|i| 2 * i).sum::<u64>() % t);
-        // The in-place accumulation is exactly the fold it replaced.
-        let folded = cts[1..]
-            .iter()
-            .fold(cts[0].clone(), |acc, ct| ev.add(&acc, ct));
-        assert_eq!(sum, folded);
-    }
-
-    #[test]
     fn add_into_matches_add() {
         let (ctx, _sk, pk) = setup(BfvParams::insecure_test_add(), 115);
         let mut rng = StdRng::seed_from_u64(116);
@@ -994,11 +924,6 @@ mod tests {
             dec.decrypt(&ev.sub_plain(&ct, &pt_from(&ctx, &[2])))
                 .coeffs()[0],
             38
-        );
-        assert_eq!(
-            dec.decrypt(&ev.mul_plain(&ct, &pt_from(&ctx, &[3])))
-                .coeffs()[0],
-            120
         );
     }
 

@@ -241,11 +241,6 @@ impl BfvContext {
     pub fn error_sampler(&self) -> &GaussianSampler {
         &self.errors
     }
-
-    /// Plaintext modulus as a [`Modulus`].
-    pub fn t_modulus(&self) -> Modulus {
-        Modulus::new(self.params.t)
-    }
 }
 
 #[cfg(test)]

@@ -78,8 +78,7 @@ fn row_rotation_permutes_slots_cyclically() {
     let mut rng = StdRng::seed_from_u64(102);
     let kg = KeyGenerator::new(&f.ctx, &mut rng);
     let pk = kg.public_key(&mut rng);
-    let elems = kg.default_galois_elements();
-    let gk = kg.galois_keys(&elems, &mut rng);
+    let gk = kg.galois_keys(&kg.galois_elements_for_rotations(2), &mut rng);
     let enc = Encryptor::new(&f.ctx, pk);
     let dec = Decryptor::new(&f.ctx, kg.secret_key());
     let ev = Evaluator::new(&f.ctx);
@@ -126,7 +125,7 @@ fn column_swap_exchanges_rows() {
     let half = n / 2;
     let values: Vec<u64> = (0..n as u64).collect();
     let ct = enc.encrypt(&coder.encode(&values), &mut rng);
-    let swapped = ev.rotate_columns(&ct, &gk);
+    let swapped = ev.apply_galois(&ct, 2 * n - 1, &gk);
     let got = coder.decode(&dec.decrypt(&swapped));
     let expect: Vec<u64> = values[half..]
         .iter()
@@ -142,7 +141,7 @@ fn rotation_by_zero_is_identity() {
     let mut rng = StdRng::seed_from_u64(104);
     let kg = KeyGenerator::new(&f.ctx, &mut rng);
     let pk = kg.public_key(&mut rng);
-    let gk = kg.galois_keys(&kg.default_galois_elements(), &mut rng);
+    let gk = kg.galois_keys(&kg.galois_elements_for_rotations(2), &mut rng);
     let enc = Encryptor::new(&f.ctx, pk);
     let ev = Evaluator::new(&f.ctx);
     let coder = BatchEncoder::new(&f.ctx);

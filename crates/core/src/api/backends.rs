@@ -477,27 +477,15 @@ impl SecureMatcher for BatchedMatcher {
 pub struct BooleanMatcher {
     client: ClientKey,
     server: ServerKey,
-    threads: usize,
 }
 
 impl BooleanMatcher {
-    /// Generates client and server TFHE keys; `threads > 1` evaluates
-    /// windows on that many scoped worker threads.
-    pub fn new<R: Rng + ?Sized>(
-        params: TfheParams,
-        threads: usize,
-        rng: &mut R,
-    ) -> Result<Self, MatchError> {
-        if threads == 0 {
-            return Err(MatchError::InvalidConfig("threads must be positive"));
-        }
+    /// Generates client and server TFHE keys. A search evaluates its
+    /// windows on [`crate::exec::compute_workers`] scoped threads.
+    pub fn new<R: Rng + ?Sized>(params: TfheParams, rng: &mut R) -> Self {
         let client = ClientKey::generate(params, rng);
         let server = ServerKey::generate(&client, rng);
-        Ok(Self {
-            client,
-            server,
-            threads,
-        })
+        Self { client, server }
     }
 }
 
@@ -548,7 +536,11 @@ impl SecureMatcher for BooleanMatcher {
             bootstraps: BooleanGateCount::for_search(db.len(), k).total(),
             ..MatchStats::default()
         });
-        BooleanEngine::new(&self.client, &self.server).find_all(db, query, self.threads)
+        BooleanEngine::new(&self.client, &self.server).find_all(
+            db,
+            query,
+            crate::exec::compute_workers(),
+        )
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {

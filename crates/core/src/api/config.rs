@@ -78,6 +78,15 @@ impl Backend {
         }
     }
 
+    /// Whether the backend has a serialized-database format, so its
+    /// database can be exported by a key owner and uploaded over the
+    /// wire. The others answer [`ErasedMatcher::export_database`] and
+    /// [`ErasedMatcher::load_database_wire`] with
+    /// [`MatchError::WireDatabaseUnsupported`].
+    pub fn has_wire_database(self) -> bool {
+        matches!(self, Backend::Ciphermatch | Backend::Plain | Backend::Ifp)
+    }
+
     /// Parses the identifiers produced by [`Backend::name`]
     /// (case-insensitive).
     ///
@@ -128,7 +137,6 @@ pub struct MatcherConfig {
     backend: Backend,
     seed: u64,
     window: usize,
-    threads: usize,
     insecure: bool,
     bfv_params: Option<BfvParams>,
     tfhe_params: Option<TfheParams>,
@@ -136,13 +144,12 @@ pub struct MatcherConfig {
 
 impl MatcherConfig {
     /// Starts a configuration for `backend` with the defaults: seed 0,
-    /// a 32-bit query window, one thread, and the paper's parameter sets.
+    /// a 32-bit query window, and the paper's parameter sets.
     pub fn new(backend: Backend) -> Self {
         Self {
             backend,
             seed: 0,
             window: 32,
-            threads: 1,
             insecure: false,
             bfv_params: None,
             tfhe_params: None,
@@ -164,15 +171,12 @@ impl MatcherConfig {
         self
     }
 
-    /// Thread budget of the Boolean backend's window fan-out, and of
-    /// nothing else: a Boolean matcher fans one search's TFHE windows out
-    /// over this many scoped threads. No other backend reads it. In
-    /// particular it does not apply to CM-SW: a hosted Ciphermatch query
-    /// runs inline on the calling thread, and CM-SW's one intra-query
-    /// parallel mechanism is polynomial-range shards on the process-wide
-    /// [`crate::exec::compute_pool`], sized to the machine.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Sets nothing: no backend takes a thread count. The Boolean
+    /// backend fans a search's TFHE windows out over
+    /// [`crate::exec::compute_workers`], and CM-SW parallelises by
+    /// polynomial-range shards on [`crate::exec::compute_pool`], both
+    /// sized to the machine. Kept so existing callers still compile.
+    pub fn threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -205,11 +209,6 @@ impl MatcherConfig {
         self.seed
     }
 
-    /// The configured per-search thread count.
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
     /// The configured query window in bits (see [`Self::window`]).
     pub fn window_bits(&self) -> usize {
         self.window
@@ -228,12 +227,9 @@ impl MatcherConfig {
     /// # Errors
     ///
     /// Returns [`MatchError::InvalidConfig`] when a knob is out of range
-    /// for the selected backend (zero threads, zero window, window larger
-    /// than the ring/slot capacity).
+    /// for the selected backend (zero window, window larger than the
+    /// ring/slot capacity).
     pub fn build(&self) -> Result<Box<dyn ErasedMatcher>, MatchError> {
-        if self.threads == 0 {
-            return Err(MatchError::InvalidConfig("threads must be positive"));
-        }
         if self.window == 0 {
             return Err(MatchError::InvalidConfig("window must be positive"));
         }
@@ -274,10 +270,7 @@ impl MatcherConfig {
                 } else {
                     TfheParams::boolean_default
                 });
-                erase(
-                    BooleanMatcher::new(params, self.threads, &mut rng)?,
-                    self.seed,
-                )
+                erase(BooleanMatcher::new(params, &mut rng), self.seed)
             }
             Backend::Plain => erase(PlainMatcher::new(), self.seed),
             Backend::Ifp => {
@@ -487,13 +480,6 @@ mod tests {
     #[test]
     fn invalid_knobs_are_rejected() {
         assert_eq!(
-            MatcherConfig::new(Backend::Ciphermatch)
-                .threads(0)
-                .build()
-                .err(),
-            Some(MatchError::InvalidConfig("threads must be positive"))
-        );
-        assert_eq!(
             MatcherConfig::new(Backend::Yasuda)
                 .insecure_test()
                 .window(0)
@@ -701,6 +687,29 @@ mod tests {
             m.load_database_wire(&[1, 2, 3]).err(),
             Some(MatchError::WireDatabaseUnsupported(Backend::Boolean))
         );
+    }
+
+    /// [`Backend::has_wire_database`] is exactly the set of backends
+    /// whose database exports; the in-flash engine, built outside
+    /// `cm_core`, exports through the SSD's read-back.
+    #[test]
+    fn has_wire_database_is_exactly_the_exporting_backends() {
+        let data = BitString::from_ascii("wire");
+        for backend in Backend::ALL {
+            let mut m = MatcherConfig::new(backend)
+                .insecure_test()
+                .window(8)
+                .build()
+                .unwrap();
+            m.load_database(&data).unwrap();
+            let unsupported = Some(MatchError::WireDatabaseUnsupported(backend));
+            assert_eq!(
+                m.export_database().err() == unsupported,
+                !backend.has_wire_database(),
+                "{backend}"
+            );
+        }
+        assert!(Backend::Ifp.has_wire_database());
     }
 
     #[test]

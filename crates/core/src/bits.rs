@@ -91,14 +91,6 @@ impl BitString {
         self.bits.push(bit);
     }
 
-    /// Pads with zero bits to a multiple of `align` bits.
-    pub fn pad_to_multiple(&mut self, align: usize) {
-        assert!(align > 0);
-        while !self.bits.len().is_multiple_of(align) {
-            self.bits.push(false);
-        }
-    }
-
     /// A sub-range as a new bit string.
     ///
     /// # Panics
@@ -205,15 +197,6 @@ mod tests {
         assert_eq!(hay.find_all(&exact), vec![0]);
         let too_long = BitString::from_bytes(&[0xFF, 0xFF]);
         assert!(hay.find_all(&too_long).is_empty());
-    }
-
-    #[test]
-    fn pad_and_slice() {
-        let mut b = BitString::from_bits(&[true, true, true]);
-        b.pad_to_multiple(8);
-        assert_eq!(b.len(), 8);
-        assert_eq!(b.slice(0, 3).bits(), &[true, true, true]);
-        assert!(!b.get(3));
     }
 
     #[test]

@@ -163,8 +163,9 @@ pub fn wait_all<T>(handles: Vec<CompletionHandle<T>>) -> Result<Vec<T>, MatchErr
 /// chunk order.
 ///
 /// This is the runtime's primitive for compute-bound fan-out over
-/// *borrowed* state (the Boolean backend's TFHE windows, its only user):
-/// such jobs cannot ride the `'static` [`WorkerPool`] queue, so this is
+/// *borrowed* state (the Boolean backend's TFHE windows, its only user,
+/// which passes [`compute_workers`] as `workers`): such jobs cannot ride
+/// the `'static` [`WorkerPool`] queue, so this is
 /// the one blessed home for scoped threads — every other module submits
 /// to a pool or calls this. CM-SW does not come here: its Hom-Add sweep
 /// is memory-bound and parallelises by polynomial-range shards on the

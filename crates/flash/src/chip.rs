@@ -133,24 +133,6 @@ impl FlashArray {
         self.pages.insert(addr, data);
     }
 
-    /// Erases a block: all its pages revert to the erased (all-zero in our
-    /// SLC convention) state. Costs one erase of P/E wear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is out of range.
-    pub fn erase_block(&mut self, plane: PlaneAddr, block: usize) {
-        let probe = PageAddr {
-            plane,
-            block,
-            wordline: 0,
-        };
-        self.check(&probe);
-        self.ledger.erases += 1;
-        self.pages
-            .retain(|addr, _| !(addr.plane == plane && addr.block == block));
-    }
-
     /// Reads a page into the plane's S-latch (ESP SLC read).
     ///
     /// Unwritten pages read as all-zero (erased cells in SLC convention).
@@ -230,65 +212,6 @@ impl FlashArray {
         assert!(d < D_LATCHES);
         self.ledger.dmas += 1;
         &self.latch(plane).d[d]
-    }
-
-    /// Multi-wordline sensing within one block (Flash-Cosmos \[60\], used
-    /// by §4.3.1): applying the read voltage to several wordlines of the
-    /// same NAND string senses the **AND** of their cells — the string
-    /// conducts only if every selected cell does — in a *single* read
-    /// operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wordlines` is empty or any address is out of range.
-    pub fn read_and_multi_to_slatch(
-        &mut self,
-        plane: PlaneAddr,
-        block: usize,
-        wordlines: &[usize],
-    ) {
-        assert!(!wordlines.is_empty(), "at least one wordline required");
-        self.ledger.reads += 1; // one sensing operation regardless of count
-        let s = &mut latch(&mut self.latches, &self.geometry, plane).s;
-        s.fill_ones();
-        for &wordline in wordlines {
-            let addr = PageAddr {
-                plane,
-                block,
-                wordline,
-            };
-            check_page(&self.geometry, &addr);
-            match self.pages.get(&addr) {
-                Some(page) => s.and_assign(page),
-                None => s.clear(),
-            }
-        }
-    }
-
-    /// Multi-block sensing across blocks of one plane (Flash-Cosmos):
-    /// NAND strings of different blocks share the bitlines in parallel, so
-    /// selecting the same wordline position in several blocks senses the
-    /// **OR** of their cells in a single read.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `blocks` is empty or any address is out of range.
-    pub fn read_or_multi_to_slatch(&mut self, plane: PlaneAddr, blocks: &[usize], wordline: usize) {
-        assert!(!blocks.is_empty(), "at least one block required");
-        self.ledger.reads += 1;
-        let s = &mut latch(&mut self.latches, &self.geometry, plane).s;
-        s.clear();
-        for &block in blocks {
-            let addr = PageAddr {
-                plane,
-                block,
-                wordline,
-            };
-            check_page(&self.geometry, &addr);
-            if let Some(page) = self.pages.get(&addr) {
-                s.or_assign(page);
-            }
-        }
     }
 
     /// Direct page read (conventional I/O path: read + DMA). The page on
@@ -436,101 +359,6 @@ mod tests {
             0,
             "latch compute must not wear the array"
         );
-    }
-
-    #[test]
-    fn erase_clears_block_and_counts_wear() {
-        let (mut fa, plane, addr) = setup();
-        let bits = fa.geometry().page_bits();
-        fa.program_page(addr, BitBuf::ones(bits));
-        let other_block = PageAddr {
-            plane,
-            block: 1,
-            wordline: 2,
-        };
-        fa.program_page(other_block, BitBuf::ones(bits));
-        fa.erase_block(plane, 0);
-        fa.read_to_slatch(addr);
-        assert!(
-            fa.peek_slatch(plane).iter().all(|b| !b),
-            "erased page must read zero"
-        );
-        // Other blocks untouched.
-        fa.read_to_slatch(other_block);
-        assert!(fa.peek_slatch(plane).iter().all(|b| b));
-        assert_eq!(fa.ledger().erases, 1);
-        assert_eq!(fa.ledger().wear(), 3); // 2 programs + 1 erase
-    }
-
-    #[test]
-    fn multi_wordline_sensing_computes_and() {
-        let (mut fa, plane, _) = setup();
-        let bits = fa.geometry().page_bits();
-        let a = pattern(bits, |i| i % 2 == 0);
-        let b = pattern(bits, |i| i % 3 == 0);
-        let c = pattern(bits, |i| i % 5 != 4);
-        fa.program_page(
-            PageAddr {
-                plane,
-                block: 1,
-                wordline: 0,
-            },
-            a.clone(),
-        );
-        fa.program_page(
-            PageAddr {
-                plane,
-                block: 1,
-                wordline: 5,
-            },
-            b.clone(),
-        );
-        fa.program_page(
-            PageAddr {
-                plane,
-                block: 1,
-                wordline: 9,
-            },
-            c.clone(),
-        );
-        fa.reset_ledger();
-        fa.read_and_multi_to_slatch(plane, 1, &[0, 5, 9]);
-        let mut expect = a;
-        expect.and_assign(&b);
-        expect.and_assign(&c);
-        assert_eq!(fa.peek_slatch(plane), expect);
-        // One sensing operation for a 3-operand AND: the Flash-Cosmos win.
-        assert_eq!(fa.ledger().reads, 1);
-    }
-
-    #[test]
-    fn multi_block_sensing_computes_or() {
-        let (mut fa, plane, _) = setup();
-        let bits = fa.geometry().page_bits();
-        let a = pattern(bits, |i| i % 7 == 0);
-        let b = pattern(bits, |i| i % 11 == 0);
-        fa.program_page(
-            PageAddr {
-                plane,
-                block: 0,
-                wordline: 3,
-            },
-            a.clone(),
-        );
-        fa.program_page(
-            PageAddr {
-                plane,
-                block: 2,
-                wordline: 3,
-            },
-            b.clone(),
-        );
-        fa.reset_ledger();
-        fa.read_or_multi_to_slatch(plane, &[0, 2, 3], 3); // block 3 unwritten
-        let mut expect = a;
-        expect.or_assign(&b);
-        assert_eq!(fa.peek_slatch(plane), expect);
-        assert_eq!(fa.ledger().reads, 1);
     }
 
     #[test]

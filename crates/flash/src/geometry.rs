@@ -60,19 +60,6 @@ impl FlashGeometry {
     pub fn planes_per_channel(&self) -> usize {
         self.dies_per_channel * self.planes_per_die
     }
-
-    /// Raw SLC-mode capacity in bytes.
-    pub fn slc_capacity_bytes(&self) -> u64 {
-        self.total_planes() as u64
-            * self.blocks_per_plane as u64
-            * self.wordlines_per_block as u64
-            * self.page_bytes as u64
-    }
-
-    /// Raw TLC-mode capacity in bytes (3 bits per cell).
-    pub fn tlc_capacity_bytes(&self) -> u64 {
-        3 * self.slc_capacity_bytes()
-    }
 }
 
 /// Address of a plane (the latch-set granularity).
@@ -125,21 +112,6 @@ impl FlashGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_geometry_capacity_is_2tb_class() {
-        let g = FlashGeometry::paper_default();
-        assert_eq!(g.total_planes(), 128);
-        // 128 planes x 2048 blocks x 196 WL x 4 KiB ≈ 196 GiB SLC,
-        // ≈ 588 GiB TLC raw — the 48-WL-layer slice of a 2 TB drive that
-        // Table 3 models (capacity per layer group).
-        let slc = g.slc_capacity_bytes();
-        assert!(
-            slc > 190 * (1 << 30) && slc < 220 * (1 << 30),
-            "slc = {slc}"
-        );
-        assert_eq!(g.tlc_capacity_bytes(), 3 * slc);
-    }
 
     #[test]
     fn page_addressing_bounds() {

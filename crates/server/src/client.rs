@@ -453,7 +453,6 @@ mod tests {
             backend: "plain".into(),
             seed: 1,
             window: 8,
-            threads: 1,
             insecure: true,
             workers: 1,
         };

@@ -78,12 +78,6 @@ pub struct ServerConfig {
     /// tag, tenant, and per-stage timings, so queue wait and serve time
     /// are separable at a glance.
     pub slow_query_micros: Option<u64>,
-    /// Whether the server records telemetry (the default). With `false`
-    /// every metric handle is a no-op, [`Request::Metrics`] answers with
-    /// an empty snapshot, and the serving path pays only dead atomics.
-    /// What the enabled path costs a traced Match is `benchmark/`'s
-    /// `trace.overhead_pct`.
-    pub telemetry: bool,
 }
 
 impl Default for ServerConfig {
@@ -93,7 +87,6 @@ impl Default for ServerConfig {
             max_inflight_frames: 64,
             memory_budget: None,
             slow_query_micros: None,
-            telemetry: true,
         }
     }
 }
@@ -151,10 +144,7 @@ impl MatchServer {
     }
 
     fn assemble(registry: TenantRegistry, config: ServerConfig) -> Self {
-        let telemetry = Arc::new(ServerTelemetry::new(
-            config.telemetry,
-            config.slow_query_micros,
-        ));
+        let telemetry = Arc::new(ServerTelemetry::new(config.slow_query_micros));
         // The registry's lifecycle metrics (demotions,
         // re-materializations, hot-tier occupancy) join the same
         // exposition as the front-end's.
@@ -863,15 +853,27 @@ mod tests {
 
     /// An authorized `Begin` of `total` bytes in one chunk for `tenant`.
     fn begin(tenant: &str, total: u64) -> UploadPhase {
-        let content = content_digest(&KEY, b"never committed");
+        begin_for(tenant, &spec(), &KEY, b"never committed", total)
+    }
+
+    /// An authorized `Begin` of `total` bytes in one chunk for `tenant`,
+    /// whose tag binds `spec` and the digest of `payload`.
+    fn begin_for(
+        tenant: &str,
+        spec: &TenantSpec,
+        key: &[u8; 32],
+        payload: &[u8],
+        total: u64,
+    ) -> UploadPhase {
+        let content = content_digest(key, payload);
         UploadPhase::Begin {
             auth: UploadAuth {
                 nonce: 1,
-                channel_key: KEY,
+                channel_key: *key,
                 content,
-                tag: upload_tag(&KEY, tenant, 1, total, &spec(), &content),
+                tag: upload_tag(key, tenant, 1, total, spec, &content),
             },
-            spec: spec(),
+            spec: spec.clone(),
             total_bytes: total,
             chunk_count: 1,
         }
@@ -917,7 +919,7 @@ mod tests {
                 registry: TenantRegistry::new(),
                 staging: Arc::new(Staging::new(Some(cap))),
                 table: Mutex::new(HashMap::from([(1, ConnState::default())])),
-                telemetry: ServerTelemetry::new(false, None),
+                telemetry: ServerTelemetry::new(None),
             }
         }
 
@@ -1008,5 +1010,67 @@ mod tests {
             "{got:?}"
         );
         assert!(f.registry.list().is_empty());
+    }
+
+    /// A `Begin` whose backend could never load a wire database is
+    /// refused before it reserves staging room or a `Commit` could
+    /// generate the backend's keys, and it binds nothing.
+    #[test]
+    fn a_begin_for_a_backend_without_a_wire_database_stages_and_binds_nothing() {
+        let f = Fixture::new(1 << 16);
+        let refusals = [
+            (
+                "boolean",
+                MatchError::WireDatabaseUnsupported(Backend::Boolean),
+            ),
+            (
+                "batched",
+                MatchError::WireDatabaseUnsupported(Backend::Batched),
+            ),
+            (
+                "yasuda",
+                MatchError::WireDatabaseUnsupported(Backend::Yasuda),
+            ),
+            ("nosuch", MatchError::UnknownBackend("nosuch".into())),
+        ];
+        for (backend, refused) in refusals {
+            let spec = TenantSpec {
+                backend: backend.into(),
+                ..spec()
+            };
+            let mut upload = None;
+            let got = f.step("t", &begin_for("t", &spec, &KEY, b"db", 8), &mut upload);
+            assert_eq!(got, Response::Error(refused), "{backend}");
+            assert!(upload.is_none(), "{backend}");
+            assert_eq!(f.used(), 0, "{backend}: nothing staged");
+        }
+        assert!(f.registry.list().is_empty());
+
+        // No binding either: another key's CM-SW upload claims the id.
+        let config = MatcherConfig::new(Backend::Ciphermatch).insecure_test();
+        let mut owner = config.build().unwrap();
+        owner
+            .load_database(&cm_core::BitString::from_ascii("after the refusals"))
+            .unwrap();
+        let encoded = owner.export_database().unwrap();
+        let spec = TenantSpec::from_config(&config, 1);
+        let other = [0xA7; 32];
+        let total = encoded.len() as u64;
+        let mut upload = None;
+        let begin = begin_for("t", &spec, &other, &encoded, total);
+        let chunk = UploadPhase::Chunk {
+            index: 0,
+            data: encoded,
+        };
+        for phase in [begin, chunk] {
+            let got = f.step("t", &phase, &mut upload);
+            assert!(matches!(got, Response::UploadProgress { .. }), "{got:?}");
+        }
+        let got = f.step("t", &UploadPhase::Commit, &mut upload);
+        assert!(
+            matches!(got, Response::DatabaseLoaded { bytes, .. } if bytes == total),
+            "{got:?}"
+        );
+        assert_eq!(f.used(), 0);
     }
 }

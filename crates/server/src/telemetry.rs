@@ -82,21 +82,15 @@ pub(crate) struct ServerTelemetry {
 impl std::fmt::Debug for ServerTelemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerTelemetry")
-            .field("enabled", &self.registry.is_enabled())
+            .field("registry", &self.registry)
             .finish()
     }
 }
 
 impl ServerTelemetry {
-    /// Builds the telemetry for one server. With `enabled` false every
-    /// handle is a no-op and snapshots are empty — the configuration
-    /// for measuring the instrumentation's own overhead.
-    pub(crate) fn new(enabled: bool, slow_query_micros: Option<u64>) -> Self {
-        let registry = if enabled {
-            MetricsRegistry::new()
-        } else {
-            MetricsRegistry::disabled()
-        };
+    /// Builds the telemetry for one server.
+    pub(crate) fn new(slow_query_micros: Option<u64>) -> Self {
+        let registry = MetricsRegistry::new();
         let per_tag = REQUEST_TAGS
             .iter()
             .map(|tag| PerTag {
@@ -256,7 +250,7 @@ mod tests {
 
     #[test]
     fn first_snapshot_within_the_guard_window_is_not_a_spike() {
-        let telemetry = ServerTelemetry::new(true, None);
+        let telemetry = ServerTelemetry::new(None);
         // A burst lands immediately after startup; the old
         // total-over-uptime derivation divided it by microseconds.
         telemetry.record_hom_adds(1_000_000);
@@ -270,7 +264,7 @@ mod tests {
 
     #[test]
     fn rate_is_windowed_and_idle_gaps_decay_to_zero() {
-        let telemetry = ServerTelemetry::new(true, None);
+        let telemetry = ServerTelemetry::new(None);
         telemetry.record_hom_adds(50_000);
         std::thread::sleep(MIN_RATE_INTERVAL * 2);
         telemetry.snapshot();

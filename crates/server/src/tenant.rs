@@ -783,6 +783,10 @@ impl TenantRegistry {
     /// existing binding the key must match and the nonce must strictly
     /// exceed the tenant's high-water mark.
     ///
+    /// The spec must also name a backend with a serialized-database
+    /// format ([`Backend::has_wire_database`]), so an upload that could
+    /// never load is refused before it stages a byte or generates a key.
+    ///
     /// This check mutates **nothing** — in particular it creates no
     /// binding for an unknown id (an unauthenticated `Begin` must not be
     /// able to squat ids or grow server state). The nonce is consumed,
@@ -791,7 +795,8 @@ impl TenantRegistry {
     ///
     /// # Errors
     ///
-    /// [`MatchError::Unauthorized`].
+    /// [`MatchError::Unauthorized`]; [`MatchError::UnknownBackend`] or
+    /// [`MatchError::WireDatabaseUnsupported`] for the spec's backend.
     pub fn authorize_upload(
         &self,
         id: &str,
@@ -809,6 +814,10 @@ impl TenantRegistry {
         );
         if !tags_match(&expected, &auth.tag) {
             return Err(MatchError::Unauthorized("upload tag does not verify"));
+        }
+        let backend = Backend::parse(&spec.backend)?;
+        if !backend.has_wire_database() {
+            return Err(MatchError::WireDatabaseUnsupported(backend));
         }
         let inner = self.lock();
         Self::check_binding(&inner, id, &auth.channel_key, auth.nonce)
@@ -856,9 +865,10 @@ impl TenantRegistry {
     /// [`MatchError::Unauthorized`] on a bad tag, key mismatch, replayed
     /// nonce, or content-digest mismatch; [`MatchError::QuotaExceeded`]
     /// when the database cannot fit even after demotions;
-    /// [`MatchError::InvalidConfig`] / [`MatchError::UnknownBackend`]
-    /// for a bad spec; decode errors for malformed database bytes. All
-    /// failures leave the registry untouched.
+    /// [`MatchError::InvalidConfig`] / [`MatchError::UnknownBackend`] /
+    /// [`MatchError::WireDatabaseUnsupported`] for a bad spec; decode
+    /// errors for malformed database bytes. All failures leave the
+    /// registry untouched.
     pub fn register_remote(
         &self,
         id: &str,

@@ -195,11 +195,6 @@ pub struct TenantSpec {
     pub seed: u64,
     /// Query window in bits (window-bound backends).
     pub window: u32,
-    /// [`cm_core::MatcherConfig::threads`]: the Boolean backend's
-    /// per-search window fan-out, in `1..=`[`MAX_TENANT_WORKERS`]. It
-    /// does not apply to CM-SW, whose intra-query parallelism is
-    /// polynomial-range shards on the compute pool.
-    pub threads: u32,
     /// Whether the insecure test parameter sets are selected.
     pub insecure: bool,
     /// K: how many of the tenant's queries run concurrently on its one
@@ -222,24 +217,17 @@ impl TenantSpec {
             backend: config.backend().name().to_string(),
             seed: config.seed_value(),
             window: saturate(config.window_bits()),
-            threads: saturate(config.thread_count()),
             insecure: config.is_insecure_test(),
             workers,
         }
     }
 
-    /// Names the count, if any, outside `1..=`[`MAX_TENANT_WORKERS`]:
-    /// the one bound both entry points of a spec — the wire decoder and
+    /// Names K if it is outside `1..=`[`MAX_TENANT_WORKERS`]: the one
+    /// bound both entry points of a spec — the wire decoder and
     /// `TenantRegistry::register_remote` — refuse it by.
     pub(crate) fn out_of_range(&self) -> Option<&'static str> {
-        let in_range = |count: u32| (1..=MAX_TENANT_WORKERS).contains(&count);
-        if !in_range(self.workers) {
-            Some("tenant worker count out of range")
-        } else if !in_range(self.threads) {
-            Some("tenant thread count out of range")
-        } else {
-            None
-        }
+        (!(1..=MAX_TENANT_WORKERS).contains(&self.workers))
+            .then_some("tenant worker count out of range")
     }
 
     /// Rebuilds the [`cm_core::MatcherConfig`] this spec describes.
@@ -250,8 +238,7 @@ impl TenantSpec {
     pub fn to_config(&self) -> Result<cm_core::MatcherConfig, MatchError> {
         let mut config = cm_core::MatcherConfig::new(Backend::parse(&self.backend)?)
             .seed(self.seed)
-            .window(narrow(self.window.into()))
-            .threads(narrow(self.threads.into()));
+            .window(narrow(self.window.into()));
         if self.insecure {
             config = config.insecure_test();
         }
@@ -818,7 +805,7 @@ wire_struct! {
 
 wire_struct! {
     TenantSpec {
-        backend: String, seed: u64, window: u32, threads: u32, insecure: bool, workers: u32,
+        backend: String, seed: u64, window: u32, insecure: bool, workers: u32,
     } check check_spec
 }
 
@@ -858,7 +845,7 @@ wire_struct! {
     }
 }
 
-/// A spec arrives with a plausible backend name and its counts in range.
+/// A spec arrives with a plausible backend name and K in range.
 fn check_spec(spec: &TenantSpec) -> Result<(), MatchError> {
     if spec.backend.is_empty() || spec.backend.len() > 32 {
         return Err(MatchError::Frame("backend name length out of range"));
@@ -1722,7 +1709,6 @@ mod tests {
             backend: "ciphermatch".into(),
             seed: 0xDEAD_BEEF,
             window: 32,
-            threads: 2,
             insecure: true,
             workers: 4,
         }

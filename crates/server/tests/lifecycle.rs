@@ -352,7 +352,6 @@ fn ifp_payload(seed: u64, text: &str) -> (TenantSpec, Vec<u8>, BitString) {
         backend: "ifp".into(),
         seed,
         window: 0,
-        threads: 1,
         insecure: true,
         workers: 1,
     };
@@ -659,12 +658,12 @@ fn replayed_upload_nonces_are_unauthorized() {
         .unwrap();
 }
 
-/// `TenantSpec.threads` comes off the wire and used to reach the search
-/// fan-out unbounded. An authorized upload asking for `u32::MAX` (or
-/// zero) threads is refused before any build job is submitted: it binds
-/// nothing, consumes no nonce and accounts no bytes.
+/// `TenantSpec.workers` (K) comes off the wire and sizes the tenant's
+/// query limit. An authorized upload asking for `u32::MAX` (or zero) is
+/// refused before any build job is submitted: it binds nothing, consumes
+/// no nonce and accounts no bytes.
 #[test]
-fn out_of_range_thread_counts_are_refused_and_leave_state_untouched() {
+fn out_of_range_worker_counts_are_refused_and_leave_state_untouched() {
     let registry = TenantRegistry::new();
     let config = MatcherConfig::new(Backend::Ciphermatch).insecure_test();
     let mut owner = config.build().unwrap();
@@ -674,9 +673,9 @@ fn out_of_range_thread_counts_are_refused_and_leave_state_untouched() {
     let encoded = owner.export_database().unwrap();
     let good = TenantSpec::from_config(&config, 1);
 
-    for threads in [u32::MAX, cm_server::MAX_TENANT_WORKERS + 1, 0] {
+    for workers in [u32::MAX, cm_server::MAX_TENANT_WORKERS + 1, 0] {
         let hostile = TenantSpec {
-            threads,
+            workers,
             ..good.clone()
         };
         // The tag authorizes exactly this spec: only the bound refuses it.
@@ -685,8 +684,8 @@ fn out_of_range_thread_counts_are_refused_and_leave_state_untouched() {
             registry
                 .register_remote("t", &hostile, encoded.clone(), &auth)
                 .unwrap_err(),
-            MatchError::InvalidConfig("tenant thread count out of range"),
-            "threads = {threads}"
+            MatchError::InvalidConfig("tenant worker count out of range"),
+            "workers = {workers}"
         );
         assert!(registry.is_empty());
         assert_eq!(registry.hot_bytes(), 0);

@@ -50,7 +50,6 @@ fn spec() -> TenantSpec {
         backend: "ciphermatch".into(),
         seed: 0xDEAD_BEEF,
         window: 32,
-        threads: 2,
         insecure: true,
         workers: 4,
     }
@@ -166,8 +165,8 @@ fn requests() -> Vec<(&'static str, Request, String)> {
     ]
 }
 
-/// [`spec`]: backend, seed, window, threads, insecure, workers.
-const SPEC: &str = "0b00 6369706865726d61746368 efbeadde00000000 20000000 02000000 01 04000000";
+/// [`spec`]: backend, seed, window, insecure, workers.
+const SPEC: &str = "0b00 6369706865726d61746368 efbeadde00000000 20000000 01 04000000";
 
 /// Labels on a counter and a gauge, a negative gauge, sparse buckets.
 fn snapshot() -> MetricsSnapshot {
@@ -471,5 +470,5 @@ fn every_error_encodes_to_its_golden_bytes() {
 #[test]
 fn the_upload_tag_over_a_fixed_spec_is_pinned() {
     let tag = upload_tag(&[0x42; 32], "alice", 7, 1_000, &spec(), &[0x1B; 16]);
-    assert_golden("upload_tag", &tag, "5d403abb0ae4294413f309c94ed566b2");
+    assert_golden("upload_tag", &tag, "0ee9b5ee7f4fc95233b759d913be6853");
 }

@@ -194,7 +194,6 @@ fn spec_from(seed: u64) -> TenantSpec {
         backend: backends[(seed % 6) as usize].to_string(),
         seed,
         window: (seed % 1024) as u32 + 1,
-        threads: (seed % 8) as u32 + 1,
         insecure: seed.is_multiple_of(2),
         workers: (seed % u64::from(MAX_TENANT_WORKERS)) as u32 + 1,
     }
@@ -355,9 +354,9 @@ proptest! {
     /// A `Begin` lying about its declared size (past the database cap) or
     /// chunk shape must be rejected at decode time — before any upload
     /// buffer could exist, so a hostile header can never drive an
-    /// allocation — and so must one whose spec asks for zero or more than
-    /// `MAX_TENANT_WORKERS` per-search threads (up to `u32::MAX`), before
-    /// any matcher could be built from it.
+    /// allocation — and so must one whose spec asks for a K of zero or
+    /// more than `MAX_TENANT_WORKERS` (up to `u32::MAX`), before any
+    /// matcher could be built from it.
     #[test]
     fn out_of_range_upload_declarations_are_typed_errors(
         seed in 0u64..u64::MAX,
@@ -371,7 +370,7 @@ proptest! {
             0 => (seed % MAX_DATABASE_BYTES, MAX_UPLOAD_CHUNKS + (excess % u64::from(u32::MAX - MAX_UPLOAD_CHUNKS)) as u32 + 1),
             1 => (MAX_DATABASE_BYTES + excess, 1),
             _ => {
-                spec.threads = match seed % 3 {
+                spec.workers = match seed % 3 {
                     0 => 0,
                     1 => u32::MAX,
                     _ => MAX_TENANT_WORKERS + (excess % u64::from(u32::MAX - MAX_TENANT_WORKERS)) as u32 + 1,

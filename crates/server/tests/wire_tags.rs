@@ -39,7 +39,6 @@ fn spec() -> TenantSpec {
         backend: "plain".to_string(),
         seed: 7,
         window: 16,
-        threads: 2,
         insecure: true,
         workers: 3,
     }

@@ -150,12 +150,6 @@ impl Ftl {
     pub fn groups(&self) -> &[GroupAddr] {
         &self.cm_groups
     }
-
-    /// L2P mapping-table DRAM overhead in bytes (~8 B per entry), which the
-    /// paper bounds at ~0.1% of capacity (§2.3).
-    pub fn mapping_overhead_bytes(&self) -> usize {
-        (self.conventional.len() + self.cm_groups.len()) * 8
-    }
 }
 
 #[cfg(test)]

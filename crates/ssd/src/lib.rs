@@ -5,8 +5,11 @@
 //! The SSD system model for CM-IFP (paper §4.3.2): a two-region FTL
 //! (conventional TLC / vertical-layout SLC CIPHERMATCH region), the
 //! software/hardware data transposition unit, the `CM-read` / `CM-write` /
-//! `CM-search` host commands, controller-side index generation, and the
+//! `CM-search` operations, controller-side index generation, and the
 //! AES-protected index return channel of §7.2.
+//!
+//! There is no separate host-command layer: [`CmIfpServer`] and
+//! [`ColdStore`] call the [`Ssd`] methods that implement each command.
 //!
 //! The headline integration property, enforced by tests: running
 //! `CM-search` through the simulated flash latches produces **bit-identical
@@ -14,7 +17,6 @@
 //! zero program/erase cycles.
 
 mod cold;
-mod commands;
 mod ftl;
 mod pipeline;
 mod secure_index;
@@ -22,7 +24,6 @@ mod ssd;
 mod transpose;
 
 pub use cold::{ColdRead, ColdSlot, ColdStore, ColdWrite};
-pub use commands::{submit, HostCommand, HostResponse};
 pub use ftl::{Ftl, GroupAddr, GROUP_WORDLINES};
 pub use pipeline::CmIfpServer;
 pub use secure_index::{MalformedIndexList, SecureIndexChannel, AES_AREA_MM2, AES_BLOCK_LATENCY};

@@ -134,8 +134,8 @@ impl CmIfpServer {
         &self.ssd
     }
 
-    /// Mutable access to the underlying SSD (fault injection, maintenance
-    /// paths like page faults and writebacks).
+    /// Mutable access to the underlying SSD (fault injection through
+    /// [`Ssd::handle_dirty_writeback`]).
     pub fn ssd_mut(&mut self) -> &mut Ssd {
         &mut self.ssd
     }

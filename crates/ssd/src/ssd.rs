@@ -56,20 +56,6 @@ impl IfpReport {
         rounds * GROUP_WORDLINES as f64 * timings.t_bit_add()
     }
 
-    /// Execution time with per-channel DMA serialization: each bit-step
-    /// needs 2 page DMAs per plane and the dies on a channel share the bus,
-    /// so the per-bit cost is `max(T_bop_add, planes/channel × 2 × T_DMA)`.
-    pub fn time_with_channel_contention(
-        &self,
-        geometry: &FlashGeometry,
-        timings: &FlashTimings,
-    ) -> f64 {
-        let rounds = (self.bop_adds as f64 / geometry.total_planes() as f64).ceil();
-        let dma_per_bit = geometry.planes_per_channel() as f64 * 2.0 * timings.t_dma;
-        let per_bit = timings.t_bop_add().max(dma_per_bit);
-        rounds * GROUP_WORDLINES as f64 * per_bit
-    }
-
     /// Energy from the op ledger (Eq. 11 components).
     pub fn energy(&self, geometry: &FlashGeometry, energy: &FlashEnergy) -> f64 {
         let page_kb = geometry.page_bytes as f64 / 1024.0;
@@ -273,22 +259,6 @@ impl Ssd {
     /// Number of `u32` coefficients stored in the CIPHERMATCH region.
     pub fn stored_words(&self) -> usize {
         self.stored_words
-    }
-
-    /// Page-fault service from the CIPHERMATCH region (§4.3.2 item 2):
-    /// the host touched vertical-layout data, so the controller reads all
-    /// 32 wordlines of the group and transposes back. Returns the data and
-    /// the modeled latency — the reads dominate; software transposition
-    /// overlaps with them (the paper's pipelining argument).
-    pub fn handle_page_fault(&mut self, group_idx: usize) -> (Vec<u32>, f64) {
-        let words = self.cm_read_group(group_idx);
-        let read_time = GROUP_WORDLINES as f64 * self.timings.t_read_slc;
-        let transpose_time =
-            self.transpose.mode().latency_per_4kb() * (words.len() * 4) as f64 / 4096.0;
-        // Transposition pipelines behind the flash reads; only the excess
-        // (if any — e.g. Z-NAND-class reads) shows up.
-        let latency = read_time + (transpose_time - read_time).max(0.0);
-        (words, latency)
     }
 
     /// Dirty-writeback service (§4.3.2 item 3): the host evicted modified
@@ -541,7 +511,6 @@ mod tests {
             assert_eq!(report.ledger, per_variant);
             assert_eq!(report.bop_adds, 3);
             assert_eq!(report.time_eq9(&geom, &t), 0.00093888);
-            assert_eq!(report.time_with_channel_contention(&geom, &t), 0.0008448);
             assert_eq!(report.energy(&geom, &e), 0.003456013875);
         }
         assert_eq!(reports[0].transpose_time, 4.080000000000001e-5);
@@ -569,6 +538,17 @@ mod tests {
         let groups = s.cm_write_words(&words);
         assert_eq!(groups.len(), 1);
         assert_eq!(s.cm_read_group(0), words);
+    }
+
+    #[test]
+    fn dirty_writeback_roundtrip() {
+        let mut s = ssd();
+        let words: Vec<u32> = (0..512u32).collect();
+        s.cm_write_words(&words);
+        let modified: Vec<u32> = words.iter().map(|&w| w + 1).collect();
+        let latency = s.handle_dirty_writeback(0, &modified);
+        assert!(latency > 0.0);
+        assert_eq!(s.cm_read_group(0), modified);
     }
 
     #[test]
@@ -622,13 +602,7 @@ mod tests {
         let (_, report) = search(&mut s, &[1u32, 2, 3, 4]);
         let geom = FlashGeometry::tiny_test();
         let t = FlashTimings::paper_default();
-        let eq9 = report.time_eq9(&geom, &t);
-        let contended = report.time_with_channel_contention(&geom, &t);
-        assert!(eq9 > 0.0);
-        assert!(
-            contended >= eq9 * 0.3,
-            "contention model should be same order"
-        );
+        assert!(report.time_eq9(&geom, &t) > 0.0);
         let e = FlashEnergy::paper_default();
         assert!(report.energy(&geom, &e) > 0.0);
     }

@@ -8,10 +8,11 @@
 //!   (once, at setup or first sight of a label value); recording into
 //!   one is a relaxed atomic add. Handles ([`Counter`], [`Gauge`],
 //!   [`Histogram`]) are cheap clones that can be stashed in every layer.
-//! * **Disabled means free.** [`MetricsRegistry::disabled`] hands out
-//!   handles backed by nothing; `inc`/`record` compile to a branch on a
-//!   `None`. What the enabled path costs on top of this floor is
-//!   measured end to end, as `benchmark/`'s `trace.overhead_pct`.
+//! * **Recording is measured, not switchable.** A registry always
+//!   records; the only no-op handle is a handle's own `Default`, for
+//!   layers built without a registry. What recording costs a traced
+//!   Match is measured end to end, as `benchmark/`'s
+//!   `trace.overhead_pct`.
 //! * **No dependencies.** Only `std`; the crate sits below `cm_core`,
 //!   `cm_reactor`, and `cm_server` in the workspace graph.
 //!
@@ -229,41 +230,34 @@ struct RegistryState {
     metrics: Vec<(MetricKey, MetricCell)>,
 }
 
-/// The process-wide metric registry. Cloning shares the registry;
-/// [`MetricsRegistry::disabled`] yields a registry whose handles are
-/// all no-ops (for overhead baselines and telemetry-off deployments).
-#[derive(Clone, Default)]
+/// The process-wide metric registry. Cloning shares the registry.
+#[derive(Clone)]
 pub struct MetricsRegistry {
-    inner: Option<Arc<Mutex<RegistryState>>>,
+    inner: Arc<Mutex<RegistryState>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MetricsRegistry {
-    /// A live registry.
+    /// An empty registry.
     pub fn new() -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(RegistryState {
+            inner: Arc::new(Mutex::new(RegistryState {
                 by_key: HashMap::new(),
                 metrics: Vec::new(),
-            }))),
+            })),
         }
     }
 
-    /// A registry that records nothing: every handle it returns is a
-    /// no-op and [`MetricsRegistry::snapshot`] is empty.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    fn lock(state: &Arc<Mutex<RegistryState>>) -> MutexGuard<'_, RegistryState> {
+    fn lock(&self) -> MutexGuard<'_, RegistryState> {
         // A panic while holding the registry lock cannot corrupt the
         // state (all mutations are single push/insert), so poisoning is
         // recoverable.
-        state.lock().unwrap_or_else(|e| e.into_inner())
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn key(name: &'static str, labels: &[(&'static str, &str)]) -> MetricKey {
@@ -277,11 +271,8 @@ impl MetricsRegistry {
     /// Registration on one (name, labels) pair is idempotent: every
     /// caller gets a handle to the same cell.
     pub fn register_counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
-        let Some(state) = &self.inner else {
-            return Counter(None);
-        };
         let key = Self::key(name, labels);
-        let mut guard = Self::lock(state);
+        let mut guard = self.lock();
         if let Some(&at) = guard.by_key.get(&key) {
             if let (_, MetricCell::Counter(cell)) = &guard.metrics[at] {
                 return Counter(Some(Arc::clone(cell)));
@@ -298,11 +289,8 @@ impl MetricsRegistry {
 
     /// Registers (or re-fetches) the gauge `name` with `labels`.
     pub fn register_gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
-        let Some(state) = &self.inner else {
-            return Gauge(None);
-        };
         let key = Self::key(name, labels);
-        let mut guard = Self::lock(state);
+        let mut guard = self.lock();
         if let Some(&at) = guard.by_key.get(&key) {
             if let (_, MetricCell::Gauge(cell)) = &guard.metrics[at] {
                 return Gauge(Some(Arc::clone(cell)));
@@ -323,11 +311,8 @@ impl MetricsRegistry {
         name: &'static str,
         labels: &[(&'static str, &str)],
     ) -> Histogram {
-        let Some(state) = &self.inner else {
-            return Histogram(None);
-        };
         let key = Self::key(name, labels);
-        let mut guard = Self::lock(state);
+        let mut guard = self.lock();
         if let Some(&at) = guard.by_key.get(&key) {
             if let (_, MetricCell::Histogram(core)) = &guard.metrics[at] {
                 return Histogram(Some(Arc::clone(core)));
@@ -346,10 +331,7 @@ impl MetricsRegistry {
     /// (name, labels) so snapshots are stable across calls.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        let Some(state) = &self.inner else {
-            return snap;
-        };
-        let guard = Self::lock(state);
+        let guard = self.lock();
         for (key, cell) in &guard.metrics {
             let labels: Vec<(String, String)> = key
                 .labels
@@ -407,14 +389,7 @@ impl MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Some(state) => write!(
-                f,
-                "MetricsRegistry({} metrics)",
-                Self::lock(state).metrics.len()
-            ),
-            None => f.write_str("MetricsRegistry(disabled)"),
-        }
+        write!(f, "MetricsRegistry({} metrics)", self.lock().metrics.len())
     }
 }
 
@@ -854,17 +829,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_is_a_no_op() {
-        let registry = MetricsRegistry::disabled();
-        assert!(!registry.is_enabled());
-        let c = registry.register_counter(metric_names::SERVER_REQUESTS, &[]);
+    fn default_handles_are_no_ops() {
+        let c = Counter::default();
         c.inc();
         assert_eq!(c.value(), 0);
-        let h = registry.register_histogram(metric_names::SERVER_SERVE_TIME_US, &[]);
+        let g = Gauge::default();
+        g.set(5);
+        assert_eq!(g.value(), 0);
+        let h = Histogram::default();
         h.record(9);
         assert_eq!(h.count(), 0);
-        assert_eq!(registry.snapshot(), MetricsSnapshot::default());
-        assert!(registry.render_text().is_empty());
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl ClientKey {
     pub fn decrypt(&self, ct: &BitCiphertext) -> bool {
         decode_bit(ct.phase(&self.lwe_key))
     }
-
-    /// Decrypts a slice of bits.
-    pub fn decrypt_bits(&self, cts: &[BitCiphertext]) -> Vec<bool> {
-        cts.iter().map(|ct| self.decrypt(ct)).collect()
-    }
 }
 
 /// Server-side evaluation key: bootstrapping + key-switching keys.

@@ -40,8 +40,7 @@ fn main() {
 
     for backend in Backend::ALL {
         let config = match backend {
-            // Only Boolean reads `threads` (its TFHE window fan-out).
-            Backend::Boolean => MatcherConfig::new(backend).insecure_test().threads(4),
+            Backend::Boolean => MatcherConfig::new(backend).insecure_test(),
             _ => MatcherConfig::new(backend)
                 .window(needle_bits.len())
                 .seed(1),

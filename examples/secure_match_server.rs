@@ -83,7 +83,6 @@ fn main() {
             // Any request slower than 50 ms end-to-end prints a
             // structured slow_query line with per-stage timings.
             slow_query_micros: Some(50_000),
-            ..ServerConfig::default()
         },
     )
     .unwrap()

@@ -51,7 +51,6 @@ fn check_backend_agrees(backend: Backend) {
         let mut matcher = MatcherConfig::new(backend)
             .insecure_test()
             .window(q.len())
-            .threads(2) // Boolean fans its windows out; every other backend ignores it
             .seed(2025)
             .build()
             .expect("valid configuration");
@@ -110,7 +109,6 @@ fn heterogeneous_registry_serves_every_backend() {
             MatcherConfig::new(backend)
                 .insecure_test()
                 .window(query.len())
-                .threads(4)
                 .seed(7)
                 .build()
                 .expect("valid configuration")

@@ -37,7 +37,6 @@ fn export_ifp(seed: u64, text: &str) -> (TenantSpec, Vec<u8>, BitString) {
         backend: "ifp".into(),
         seed,
         window: 0,
-        threads: 1,
         insecure: true,
         workers: 1,
     };

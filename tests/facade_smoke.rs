@@ -48,11 +48,13 @@ fn facade_reexports_are_wired() {
     let ring = ciphermatch::hemath::RingContext::new(ciphermatch::hemath::Modulus::new(q), 32);
     assert_eq!(ring.n(), 32);
 
-    // aes: block encrypt/decrypt roundtrip.
-    let aes = ciphermatch::aes::Aes::new_128(&[0x2b; 16]);
-    let block = *b"ciphermatch-asplo";
-    let block: [u8; 16] = block[..16].try_into().unwrap();
-    assert_eq!(aes.decrypt_block(&aes.encrypt_block(&block)), block);
+    // aes: the CTR keystream is its own inverse.
+    let aes = ciphermatch::aes::Aes::new_256(&[0x2b; 32]);
+    let mut buf = *b"ciphermatch-asplos";
+    aes.ctr_apply(1, &mut buf);
+    assert_ne!(&buf, b"ciphermatch-asplos");
+    aes.ctr_apply(1, &mut buf);
+    assert_eq!(&buf, b"ciphermatch-asplos");
 
     // workloads: deterministic DNA genome generation.
     let genome = ciphermatch::workloads::DnaGenome::random(64, &mut rng);
