@@ -11,8 +11,15 @@
 //! model of that engine (16-byte granularity, as in the paper's synthesis
 //! estimate: 12.6 ns per block in 22 nm hardware).
 //!
+//! The cipher runs at table speed: one 32-bit column per state word,
+//! and each middle round is sixteen lookups into one 256-entry `u32`
+//! table that fuses `SubBytes`, `ShiftRows` and `MixColumns` (the other
+//! three column positions read it rotated), with the round keys held as
+//! words. The table is built from the S-box at compile time.
+//!
 //! This is a research artifact: the implementation is table-based and not
-//! constant-time; do not reuse it outside the simulator.
+//! constant-time — lookups are indexed by key-dependent bytes, so cache
+//! timing leaks the key; do not reuse it outside the simulator.
 //!
 //! ## Example
 //!
@@ -35,124 +42,112 @@ use tables::SBOX;
 const NK: usize = 8;
 /// AES-256 round count.
 const ROUNDS: usize = 14;
+/// Expanded key length in 32-bit words.
+const KEY_WORDS: usize = 4 * (ROUNDS + 1);
 
 /// An expanded-key AES-256 cipher.
 #[derive(Debug, Clone)]
 pub struct Aes {
-    round_keys: Vec<[u8; 16]>,
+    /// Round `r`'s key is `round_keys[4r..4r + 4]`, one big-endian word
+    /// per state column.
+    round_keys: [u32; KEY_WORDS],
 }
 
-fn xtime(x: u8) -> u8 {
+const fn xtime(x: u8) -> u8 {
     (x << 1) ^ (((x >> 7) & 1) * 0x1B)
 }
 
 /// GF(2^8) multiplication.
-fn gmul(mut a: u8, mut b: u8) -> u8 {
+const fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
-    for _ in 0..8 {
+    let mut i = 0;
+    while i < 8 {
         if b & 1 == 1 {
             p ^= a;
         }
         a = xtime(a);
         b >>= 1;
+        i += 1;
     }
     p
+}
+
+/// The round table: `T[x]` is the column `MixColumns` makes of
+/// `(S[x], 0, 0, 0)`, rows 0–3 from the high byte down —
+/// `(2·S[x], S[x], S[x], 3·S[x])`. A byte in row `r` of a column
+/// contributes `T[x]` rotated right by `8r` bits.
+const T: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        t[x] = u32::from_be_bytes([gmul(s, 2), s, s, gmul(s, 3)]);
+        x += 1;
+    }
+    t
+};
+
+/// `SubWord`: the S-box on each byte of a word.
+fn sub_word(w: u32) -> u32 {
+    u32::from_be_bytes(w.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
+/// Byte `row` (0 = the high byte) of a column word, as a table index.
+#[inline(always)]
+fn byte(w: u32, row: u32) -> usize {
+    (w >> (24 - 8 * row)) as u8 as usize
 }
 
 impl Aes {
     /// Creates an AES-256 cipher (the paper's SSD engine).
     pub fn new_256(key: &[u8; 32]) -> Self {
-        let total_words = 4 * (ROUNDS + 1);
-        let mut w: Vec<[u8; 4]> = Vec::with_capacity(total_words);
-        for i in 0..NK {
-            w.push([key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]]);
+        let mut w = [0u32; KEY_WORDS];
+        for (word, chunk) in w.iter_mut().zip(key.chunks_exact(4)) {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
         let mut rcon = 1u8;
-        for i in NK..total_words {
+        for i in NK..KEY_WORDS {
             let mut temp = w[i - 1];
             if i % NK == 0 {
-                temp.rotate_left(1);
-                for t in &mut temp {
-                    *t = SBOX[*t as usize];
-                }
-                temp[0] ^= rcon;
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(rcon) << 24);
                 rcon = xtime(rcon);
             } else if i % NK == 4 {
-                for t in &mut temp {
-                    *t = SBOX[*t as usize];
-                }
+                temp = sub_word(temp);
             }
-            let prev = w[i - NK];
-            w.push([
-                prev[0] ^ temp[0],
-                prev[1] ^ temp[1],
-                prev[2] ^ temp[2],
-                prev[3] ^ temp[3],
-            ]);
+            w[i] = w[i - NK] ^ temp;
         }
-        let round_keys = (0..=ROUNDS)
-            .map(|r| {
-                let mut rk = [0u8; 16];
-                for c in 0..4 {
-                    rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-                }
-                rk
-            })
-            .collect();
-        Self { round_keys }
-    }
-
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for (s, k) in state.iter_mut().zip(rk) {
-            *s ^= k;
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for s in state.iter_mut() {
-            *s = SBOX[*s as usize];
-        }
-    }
-
-    fn shift_rows(state: &mut [u8; 16]) {
-        // state[4c + r] is row r, column c.
-        for r in 1..4 {
-            let row: Vec<u8> = (0..4).map(|c| state[4 * ((c + r) % 4) + r]).collect();
-            for c in 0..4 {
-                state[4 * c + r] = row[c];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-        }
+        Self { round_keys: w }
     }
 
     /// Encrypts one 16-byte block.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let mut state = *block;
-        Self::add_round_key(&mut state, &self.round_keys[0]);
-        for r in 1..ROUNDS {
-            Self::sub_bytes(&mut state);
-            Self::shift_rows(&mut state);
-            Self::mix_columns(&mut state);
-            Self::add_round_key(&mut state, &self.round_keys[r]);
+        let rk = &self.round_keys;
+        let mut s = [0u32; 4];
+        for (c, (word, chunk)) in s.iter_mut().zip(block.chunks_exact(4)).enumerate() {
+            *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ rk[c];
         }
-        Self::sub_bytes(&mut state);
-        Self::shift_rows(&mut state);
-        Self::add_round_key(&mut state, &self.round_keys[ROUNDS]);
-        state
+        // `ShiftRows` moves row `r` left by `r` columns, so output column
+        // `c` reads row `r` from column `c + r`.
+        for round in 1..ROUNDS {
+            let k = &rk[4 * round..4 * round + 4];
+            s = std::array::from_fn(|c| {
+                T[byte(s[c], 0)]
+                    ^ T[byte(s[(c + 1) % 4], 1)].rotate_right(8)
+                    ^ T[byte(s[(c + 2) % 4], 2)].rotate_right(16)
+                    ^ T[byte(s[(c + 3) % 4], 3)].rotate_right(24)
+                    ^ k[c]
+            });
+        }
+        // The last round has no `MixColumns`: S-box bytes, shifted.
+        let k = &rk[4 * ROUNDS..];
+        let mut out = [0u8; 16];
+        for (c, chunk) in out.chunks_exact_mut(4).enumerate() {
+            let word = u32::from_be_bytes(std::array::from_fn(|r| {
+                SBOX[byte(s[(c + r) % 4], r as u32)]
+            }));
+            chunk.copy_from_slice(&(word ^ k[c]).to_be_bytes());
+        }
+        out
     }
 
     /// CTR-mode keystream XOR (encryption == decryption). Used to protect
@@ -207,6 +202,34 @@ mod tests {
         let mut buf2 = msg.clone();
         aes.ctr_apply(0xDEADBEF0, &mut buf2);
         assert_ne!(buf2, cipher_a);
+    }
+
+    #[test]
+    fn multi_block_ctr_output_is_pinned() {
+        // Seven keystream blocks, the last one partial: the stream the
+        // byte-wise textbook cipher produced for this key, nonce and
+        // message.
+        let aes = Aes::new_256(&[0x42u8; 32]);
+        let mut buf: Vec<u8> = (0..100u32).map(|i| (i * 7 + 3) as u8).collect();
+        aes.ctr_apply(0x0123_4567_89AB_CDEF, &mut buf);
+        assert_eq!(
+            buf,
+            hex(concat!(
+                "0e375f135017569435c4f9c1bfe0d66387f1e83aad95272dab5c82ad303e995f",
+                "117520a19281aa3fcda7b77dbf845e850ce7358787ef757635d38b8ac3cfdfa0",
+                "b515d47d94aac2e92c09caf36d64768ead8714b2627bc3a1ff660d41b765d024",
+                "5add4ad9"
+            ))
+        );
+    }
+
+    #[test]
+    fn round_table_is_mix_columns_of_the_s_box() {
+        for x in 0..=255u8 {
+            let s = SBOX[x as usize];
+            let [r0, r1, r2, r3] = T[x as usize].to_be_bytes();
+            assert_eq!((r0, r1, r2, r3), (gmul(s, 2), s, s, gmul(s, 3)), "x = {x}");
+        }
     }
 
     #[test]

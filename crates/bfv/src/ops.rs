@@ -214,7 +214,8 @@ impl SeededCiphertext {
 /// multiplication ([`cm_hemath::RingContext::prepare`]), so one
 /// decryptor built at key-provisioning time serves every later query: a
 /// fresh two-component decryption is one forward and one inverse NTT,
-/// one vector and no integer division.
+/// one vector and no integer division — and no forward NTT when `c1` is
+/// kept prepared too ([`Self::key_product_prepared_into`]).
 #[derive(Debug, Clone)]
 pub struct Decryptor {
     ctx: BfvContext,
@@ -261,16 +262,30 @@ impl Decryptor {
         }
     }
 
-    /// `out = c1 · s` in `R_q`: the one key multiplication of a fresh
-    /// decryption, exposed so a caller decrypting a *sum table* (every
-    /// entry `b_v + a_j`) can multiply once per row and once per column
-    /// instead of once per entry — `s · (b + a) = s·b + s·a`.
+    /// `out = c1 · s` in `R_q` for a coefficient-form `c1`: the one key
+    /// multiplication of a fresh decryption — forward transform,
+    /// point-wise product against the prepared key, inverse transform —
+    /// exposed so a caller that needs only the phase `c0 + s·c1`
+    /// assembles it itself.
     ///
     /// # Panics
     ///
     /// Panics if a slice length differs from the ring degree.
     pub fn key_product_into(&self, c1: &[u64], out: &mut [u64]) {
         self.ctx.rq().mul_prepared(c1, &self.s_prepared, out);
+    }
+
+    /// [`Self::key_product_into`] for a `c1` kept in the evaluation
+    /// domain ([`cm_hemath::RingContext::prepare`]): a point-wise product
+    /// and an inverse transform, no forward transform — the product of a
+    /// stored, public `c1` that is transformed once and multiplied many
+    /// times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out`'s length differs from the ring degree.
+    pub fn key_product_prepared_into(&self, c1: &PreparedPoly, out: &mut [u64]) {
+        self.ctx.rq().mul_prepared_pair(c1, &self.s_prepared, out);
     }
 
     /// `round(t · v / q) mod t` of one reduced phase coefficient `v`: the
@@ -797,6 +812,10 @@ mod tests {
             let (mut x, mut y) = (vec![0u64; n], vec![0u64; n]);
             dec.key_product_into(a.part(1).coeffs(), &mut x);
             dec.key_product_into(b.part(1).coeffs(), &mut y);
+            // A `c1` kept in the evaluation domain has the same product.
+            let mut y_prepared = vec![0u64; n];
+            dec.key_product_prepared_into(&ctx.rq().prepare(b.part(1).clone()), &mut y_prepared);
+            assert_eq!(y_prepared, y);
             let q = ctx.rq().modulus();
             let out: Vec<u64> = (0..n)
                 .map(|i| dec.round_phase(q.add(q.add(sum.part(0).coeffs()[i], x[i]), y[i])))

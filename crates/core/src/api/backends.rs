@@ -24,7 +24,7 @@ use crate::kit::QueryKit;
 use crate::matchers::batched::{BatchedDatabase, BatchedEngine, BatchedQuery};
 use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 use crate::matchers::ciphermatch::{
-    EncryptedDatabase, PackedQuery, ShardScratch, TrustedIndexGenerator,
+    EncryptedDatabase, PackedQuery, ResidentDatabase, ShardScratch, TrustedIndexGenerator,
 };
 use crate::matchers::plain::PackedBits;
 use crate::matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
@@ -77,10 +77,12 @@ impl BfvKeys {
 /// polynomial ranges ([`ShardPlan`], one polynomial of overlap) and runs
 /// the served job ([`ShardScratch::run_pooled`]) once per range, each
 /// over a view of the one ciphertext allocation
-/// ([`EncryptedDatabase::subrange`]): a one-range plan — all
-/// [`crate::MatcherConfig::build`] makes — inline on the calling thread,
-/// more as one job each on the process-wide [`compute_pool`], CM-SW's
-/// one intra-query parallel mechanism. A search reports one
+/// ([`EncryptedDatabase::subrange`]). The database is held in its
+/// resident form ([`ResidentDatabase`]) only: the wire bytes are the
+/// explicit form's, transformed at load and back at export. A one-range
+/// plan — all [`crate::MatcherConfig::build`] makes — runs inline on the
+/// calling thread, more as one job each on the process-wide
+/// [`compute_pool`], CM-SW's one intra-query parallel mechanism. A search reports one
 /// [`MatchStats`] per range.
 #[derive(Debug, Clone)]
 pub struct CiphermatchMatcher {
@@ -143,14 +145,17 @@ impl CiphermatchMatcher {
 
     /// How a search cuts `db` into ranges; an empty database has no plan
     /// ([`MatchError::InvalidConfig`]) and is refused when it is loaded.
-    pub fn plan(&self, db: &EncryptedDatabase) -> Result<ShardPlan, MatchError> {
+    pub fn plan<C>(&self, db: &EncryptedDatabase<C>) -> Result<ShardPlan, MatchError> {
         let bpp = self.bits_per_poly();
         ShardPlan::new(db.poly_count(), db.total_bits(), bpp, self.shards, 1)
     }
 }
 
 impl SecureMatcher for CiphermatchMatcher {
-    type Database = EncryptedDatabase;
+    /// The resident form: `c0` in coefficients, `c1` in the evaluation
+    /// domain, transformed once when the database is encrypted or
+    /// decoded and back only when it is encoded.
+    type Database = ResidentDatabase;
     /// Shared, so every range job of a search holds the one query — in
     /// the packed form, whose variants each job derives for itself.
     type Query = Arc<PackedQuery>;
@@ -170,7 +175,7 @@ impl SecureMatcher for CiphermatchMatcher {
             .encrypt_database(self.keys.encryptor(), data, rng);
         // An empty database is refused here, not at every search.
         self.plan(&db)?;
-        Ok(db)
+        Ok(db.into_resident(&self.keys.ctx))
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -204,7 +209,7 @@ impl SecureMatcher for CiphermatchMatcher {
         let query_bytes = query.byte_size(self.keys.q_bits) as u64;
         // A range job's own counters plus the query broadcast to it (every
         // range receives the packed query's ciphertexts).
-        let job = |shard: EncryptedDatabase| {
+        let job = |shard: ResidentDatabase| {
             let (query, index_gen) = (Arc::clone(query), Arc::clone(&self.index_gen));
             move || {
                 let (indices, mut swept) = ShardScratch::run_pooled(&shard, &query, &index_gen);
@@ -243,7 +248,7 @@ impl SecureMatcher for CiphermatchMatcher {
     }
 
     fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
-        Ok(db.encode(self.keys.q_bits))
+        Ok(db.encode(&self.keys.ctx, self.keys.q_bits))
     }
 
     fn decode_database(&self, encoded: &[u8]) -> Result<Self::Database, MatchError> {
@@ -254,7 +259,7 @@ impl SecureMatcher for CiphermatchMatcher {
             self.bits_per_poly(),
         )?;
         self.plan(&db)?;
-        Ok(db)
+        Ok(db.into_resident(&self.keys.ctx))
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {

@@ -689,6 +689,37 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_resident_database_exports_the_bytes_it_was_loaded_from() {
+        // CM-SW holds `c1` only in the evaluation domain: the bytes come
+        // from the explicit engine, never through that form, and must
+        // come back out of a load and an export unchanged — on an NTT
+        // ring at paper and test size, and on a ring without an NTT.
+        use crate::CiphermatchEngine;
+        use cm_bfv::{BfvContext, Encryptor, KeyGenerator};
+        for params in [
+            BfvParams::ciphermatch_1024(),
+            BfvParams::insecure_test_add(),
+            BfvParams::insecure_test_pow2(),
+        ] {
+            let name = params.name;
+            let ctx = BfvContext::new(params.clone());
+            let mut rng = StdRng::seed_from_u64(0xB17E5);
+            let kg = KeyGenerator::new(&ctx, &mut rng);
+            let enc = Encryptor::new(&ctx, kg.public_key(&mut rng));
+            let engine = CiphermatchEngine::new(&ctx);
+            let bits = 2 * engine.packing().bits_per_poly() + 77;
+            let data = BitString::from_bits(&(0..bits).map(|i| i % 3 == 0).collect::<Vec<_>>());
+            let bytes = engine
+                .encrypt_database(&enc, &data, &mut rng)
+                .encode(ctx.params().coeff_bits());
+
+            let mut m = Erased::<CiphermatchMatcher>::new(params, 1, 5).unwrap();
+            m.load_database_wire(&bytes).unwrap();
+            assert!(m.export_database().unwrap() == bytes, "{name}");
+        }
+    }
+
     /// [`Backend::has_wire_database`] is exactly the set of backends
     /// whose database exports; the in-flash engine, built outside
     /// `cm_core`, exports through the SSD's read-back.

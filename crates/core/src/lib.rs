@@ -54,7 +54,9 @@
 //! and the *server* derives the variants next to the data, where the
 //! [`TrustedIndexGenerator`] tests them. A CM-SW range job
 //! ([`ShardScratch::run`]) takes the decryption phase of each range
-//! polynomial and of each packed segment once, and tests every variant of
+//! polynomial — its `c1` kept in the evaluation domain since load
+//! ([`ResidentDatabase`]), so that is a point-wise product and one
+//! inverse transform — and of each packed segment once, and tests every variant of
 //! an alignment class in one pass over the range's phases: entry
 //! `(v, j)`'s phase is `phase(db_j) + phase(v)`, and the variants of a
 //! class read disjoint coefficients. In flash
@@ -103,8 +105,8 @@ pub use kit::QueryKit;
 pub use matchers::batched::{BatchedDatabase, BatchedEngine, BatchedQuery};
 pub use matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 pub use matchers::ciphermatch::{
-    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, PackedQuery, SearchResult, ShardScratch,
-    TrustedIndexGenerator,
+    CiphermatchEngine, EncryptedDatabase, EncryptedQuery, PackedQuery, ResidentCiphertext,
+    ResidentDatabase, SearchResult, ShardScratch, TrustedIndexGenerator,
 };
 pub use matchers::plain::{bitwise_find_all, PackedBits};
 pub use matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};

@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use cm_bfv::{BfvContext, Ciphertext, Decryptor, EncryptScratch, Encryptor, Evaluator, SecretKey};
-use cm_hemath::kernels;
+use cm_hemath::{kernels, Poly, PreparedPoly, RingContext};
 use rand::Rng;
 
 use crate::api::{MatchError, MatchStats};
@@ -23,26 +23,89 @@ use crate::query::{
 };
 
 /// The encrypted, densely packed database stored on the server
-/// (Algorithm 1 lines 1–3).
+/// (Algorithm 1 lines 1–3), one ciphertext per polynomial.
 ///
 /// A value is a *view*: a contiguous polynomial range of one shared,
 /// immutable ciphertext allocation. [`Clone`] and [`Self::subrange`] hand
 /// out further views — no ciphertext is copied — and a view owns its
 /// share of the allocation, so a pool job can hold one.
+///
+/// The ciphertexts come in one of two forms. The *explicit* form `C =`
+/// [`Ciphertext`], every component in coefficients, is what the wire
+/// carries, the flash stores and the explicit engine
+/// ([`CiphermatchEngine`]) takes. The *resident* form
+/// ([`ResidentDatabase`]) is what a served CM-SW job reads
+/// ([`ShardScratch::run`]); [`Self::into_resident`] converts one way
+/// and [`ResidentDatabase::encode`] writes the explicit bytes back,
+/// exactly.
 #[derive(Debug, Clone)]
-pub struct EncryptedDatabase {
+pub struct EncryptedDatabase<C = Ciphertext> {
     /// The allocation every view cut from this database shares.
-    cts: Arc<[Ciphertext]>,
+    cts: Arc<[C]>,
     /// The polynomials of `cts` this view covers.
     polys: Range<usize>,
     pub(crate) total_bits: usize,
 }
 
-impl EncryptedDatabase {
+/// A database in the form a served CM-SW job reads: every ciphertext a
+/// [`ResidentCiphertext`]. A CM-SW matcher holds nothing else — no
+/// coefficient copy of a component past `c0`.
+pub type ResidentDatabase = EncryptedDatabase<ResidentCiphertext>;
+
+/// One database polynomial as a served job reads it: `c0` in
+/// coefficients, every later component kept in the evaluation domain
+/// ([`cm_hemath::RingContext::prepare`]). Those components are public,
+/// never change, and only ever meet the secret key in a product, so
+/// they are transformed once, at load, and each key product is then a
+/// point-wise product and one inverse transform
+/// ([`Decryptor::key_product_prepared_into`]). On a ring whose modulus
+/// has no NTT of its own a prepared component is `2n` words.
+#[derive(Debug, Clone)]
+pub struct ResidentCiphertext {
+    c0: Poly,
+    key_parts: Vec<PreparedPoly>,
+}
+
+impl ResidentCiphertext {
+    /// Number of components, `c0` included.
+    fn size(&self) -> usize {
+        1 + self.key_parts.len()
+    }
+
+    /// Takes the buffers of a ciphertext's components: `c0` as is, every
+    /// later one transformed in place.
+    fn take(rq: &RingContext, parts: &mut [Poly]) -> Self {
+        let (c0, rest) = parts
+            .split_first_mut()
+            .expect("a ciphertext has at least two components");
+        Self {
+            c0: std::mem::take(c0),
+            key_parts: rest
+                .iter_mut()
+                .map(|part| rq.prepare(std::mem::take(part)))
+                .collect(),
+        }
+    }
+
+    /// The explicit ciphertext: every prepared component transformed
+    /// back.
+    fn to_explicit(&self, rq: &RingContext) -> Ciphertext {
+        let mut parts = Vec::with_capacity(self.size());
+        parts.push(self.c0.clone());
+        for part in &self.key_parts {
+            let mut coeffs = vec![0; rq.n()];
+            rq.unprepare_into(part, &mut coeffs);
+            parts.push(Poly::from_coeffs(coeffs));
+        }
+        Ciphertext::from_parts(parts)
+    }
+}
+
+impl<C> EncryptedDatabase<C> {
     /// Reassembles a database from raw ciphertexts — the inverse of the
     /// coefficient-stream flattening the SSD pipeline performs, so an
     /// in-flash copy can be read back as the canonical representation.
-    pub fn from_ciphertexts(cts: Vec<Ciphertext>, total_bits: usize) -> Self {
+    pub fn from_ciphertexts(cts: Vec<C>, total_bits: usize) -> Self {
         Self {
             polys: 0..cts.len(),
             cts: cts.into(),
@@ -60,30 +123,119 @@ impl EncryptedDatabase {
         self.total_bits
     }
 
+    /// The database ciphertexts in storage order (used by the SSD pipeline
+    /// to lay the coefficient stream out in flash).
+    pub fn ciphertexts(&self) -> &[C] {
+        &self.cts[self.polys.clone()]
+    }
+
+    /// The contiguous polynomial sub-range `polys` as a database of its
+    /// own — the shard primitive of the serving layer. The result is a
+    /// view of this database's allocation, not a copy of it.
+    ///
+    /// `bits_per_poly` is the packing density
+    /// ([`crate::DensePacking::bits_per_poly`]); the shard's bit count is
+    /// clipped so the final shard does not claim padding bits beyond
+    /// [`Self::total_bits`]. Index offsets within the shard are relative
+    /// to `polys.start * bits_per_poly`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `polys` is empty, out of range, or starts beyond the
+    /// database's bit length (programmer error in the shard planner).
+    pub fn subrange(&self, polys: Range<usize>, bits_per_poly: usize) -> Self {
+        assert!(
+            !polys.is_empty() && polys.end <= self.poly_count(),
+            "shard polynomial range {polys:?} outside 0..{}",
+            self.poly_count()
+        );
+        let start_bit = polys.start * bits_per_poly;
+        assert!(
+            start_bit < self.total_bits,
+            "shard starts at bit {start_bit} beyond the {}-bit database",
+            self.total_bits
+        );
+        let span = polys.len() * bits_per_poly;
+        Self {
+            cts: Arc::clone(&self.cts),
+            polys: self.polys.start + polys.start..self.polys.start + polys.end,
+            total_bits: span.min(self.total_bits - start_bit),
+        }
+    }
+
+    /// The wire encoding's frame: the bit count and the ciphertext count,
+    /// then `put` once per ciphertext. `len` is the exact output length.
+    fn encode_with(&self, len: usize, mut put: impl FnMut(&mut Vec<u8>, &C)) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&(self.total_bits as u64).to_le_bytes());
+        out.extend_from_slice(&(self.poly_count() as u32).to_le_bytes());
+        for ct in self.ciphertexts() {
+            put(&mut out, ct);
+        }
+        debug_assert_eq!(out.len(), len);
+        out
+    }
+}
+
+impl ResidentDatabase {
+    /// [`EncryptedDatabase::encode`] of the explicit form, byte for byte:
+    /// the bytes the database was loaded from. Each ciphertext is
+    /// transformed back on its own as it is written, so the database is
+    /// never held twice.
+    pub fn encode(&self, ctx: &BfvContext, q_bits: u32) -> Vec<u8> {
+        let rq = ctx.rq();
+        let len = 12 + 16 * self.poly_count() + self.byte_size(q_bits);
+        self.encode_with(len, |out, ct| {
+            put_ciphertext(out, &ct.to_explicit(rq), q_bits);
+        })
+    }
+
+    /// Total encrypted footprint in bytes, as the explicit form counts it
+    /// ([`EncryptedDatabase::byte_size`]): what the database holds, not
+    /// the working form it is held in.
+    pub fn byte_size(&self, q_bits: u32) -> usize {
+        let bytes = q_bits.div_ceil(8) as usize;
+        let cts = self.ciphertexts();
+        cts.iter().map(|ct| ct.size() * ct.c0.len() * bytes).sum()
+    }
+}
+
+impl EncryptedDatabase {
     /// Total encrypted footprint in bytes (Fig. 2a's y-axis).
     pub fn byte_size(&self, q_bits: u32) -> usize {
         let cts = self.ciphertexts();
         cts.iter().map(|ct| ct.byte_size(q_bits)).sum()
     }
 
-    /// The database ciphertexts in storage order (used by the SSD pipeline
-    /// to lay the coefficient stream out in flash).
-    pub fn ciphertexts(&self) -> &[Ciphertext] {
-        &self.cts[self.polys.clone()]
+    /// The resident form of this view ([`ResidentDatabase`]): `c0` as is,
+    /// every later component transformed once; [`ResidentDatabase::encode`]
+    /// gives the explicit form's bytes back exactly. A view that is alone
+    /// on its allocation gives its buffers up and they are transformed
+    /// where they lie, so the database is never held twice; a shared one
+    /// is copied.
+    pub fn into_resident(mut self, ctx: &BfvContext) -> ResidentDatabase {
+        let rq = ctx.rq();
+        let total_bits = self.total_bits;
+        let cts = match Arc::get_mut(&mut self.cts) {
+            Some(cts) => cts[self.polys.clone()]
+                .iter_mut()
+                .map(|ct| ResidentCiphertext::take(rq, ct.parts_mut()))
+                .collect(),
+            None => self
+                .ciphertexts()
+                .iter()
+                .map(|ct| ResidentCiphertext::take(rq, &mut ct.parts().to_vec()))
+                .collect(),
+        };
+        EncryptedDatabase::from_ciphertexts(cts, total_bits)
     }
 
     /// Serializes the database for upload/storage: a small header plus
     /// every ciphertext in the compact `cm-bfv` wire format. The output is
     /// exactly [`Self::encoded_len`] bytes.
     pub fn encode(&self, q_bits: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len(q_bits));
-        out.extend_from_slice(&(self.total_bits as u64).to_le_bytes());
-        out.extend_from_slice(&(self.poly_count() as u32).to_le_bytes());
-        for ct in self.ciphertexts() {
-            put_ciphertext(&mut out, ct, q_bits);
-        }
-        debug_assert_eq!(out.len(), self.encoded_len(q_bits));
-        out
+        let len = self.encoded_len(q_bits);
+        self.encode_with(len, |out, ct| put_ciphertext(out, ct, q_bits))
     }
 
     /// Exact byte length of [`Self::encode`]'s output, computed without
@@ -137,40 +289,6 @@ impl EncryptedDatabase {
             check_fresh(ct, n, q, "database ciphertext size", "database ring degree")?;
         }
         Ok(())
-    }
-
-    /// The contiguous polynomial sub-range `polys` as a database of its
-    /// own — the shard primitive of the serving layer. The result is a
-    /// view of this database's allocation, not a copy of it.
-    ///
-    /// `bits_per_poly` is the packing density
-    /// ([`crate::DensePacking::bits_per_poly`]); the shard's bit count is
-    /// clipped so the final shard does not claim padding bits beyond
-    /// [`Self::total_bits`]. Index offsets within the shard are relative
-    /// to `polys.start * bits_per_poly`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `polys` is empty, out of range, or starts beyond the
-    /// database's bit length (programmer error in the shard planner).
-    pub fn subrange(&self, polys: std::ops::Range<usize>, bits_per_poly: usize) -> Self {
-        assert!(
-            !polys.is_empty() && polys.end <= self.poly_count(),
-            "shard polynomial range {polys:?} outside 0..{}",
-            self.poly_count()
-        );
-        let start_bit = polys.start * bits_per_poly;
-        assert!(
-            start_bit < self.total_bits,
-            "shard starts at bit {start_bit} beyond the {}-bit database",
-            self.total_bits
-        );
-        let span = polys.len() * bits_per_poly;
-        Self {
-            cts: Arc::clone(&self.cts),
-            polys: self.polys.start + polys.start..self.polys.start + polys.end,
-            total_bits: span.min(self.total_bits - start_bit),
-        }
     }
 
     /// Decodes a database serialized with [`Self::encode`].
@@ -878,7 +996,7 @@ pub struct ShardScratch {
     /// The phase scan's edge bits.
     scan: PhaseScratch,
     /// Horner's working space, sized only by a ciphertext past two
-    /// components ([`key_part_into`]).
+    /// components ([`key_part_into`], [`resident_key_part_into`]).
     horner: Vec<u64>,
     /// One polynomial of working space: the key product of the polynomial
     /// in hand, or a sum the in-flash check rebuilds.
@@ -918,8 +1036,13 @@ impl Drop for Job<'_> {
 /// `out = Σ_{i ≥ 1} s^i · ct_i`, the key part of `ct`'s decryption phase
 /// (`phase(ct) − ct_0`; `s·c1` for a fresh ciphertext), by Horner's rule
 /// through `work`, one polynomial of working space that only a ciphertext
-/// past two components sizes. Returns the key multiplications it took:
-/// one per component past the first.
+/// past two components sizes. For a ciphertext seen once — a packed
+/// query's, an in-flash column — whose components are in coefficients:
+/// each key product is a forward transform, a point-wise product against
+/// the prepared key and an inverse transform
+/// ([`Decryptor::key_product_into`]). A database the job serves keeps its
+/// components transformed instead ([`resident_key_part_into`]). Returns
+/// the key multiplications it took: one per component past the first.
 fn key_part_into(
     dec: &Decryptor,
     q: &cm_hemath::Modulus,
@@ -934,6 +1057,36 @@ fn key_part_into(
     for part in inner.iter().rev() {
         work.resize(out.len(), 0);
         kernels::add_slices(q, out, part.coeffs(), work);
+        dec.key_product_into(work, out);
+    }
+    (ct.size() - 1) as u64
+}
+
+/// [`key_part_into`] of a resident ciphertext. The last component's key
+/// product is taken where the component is kept, in the evaluation
+/// domain ([`Decryptor::key_product_prepared_into`]): for a fresh
+/// ciphertext — every one a load accepts — that is the whole key part,
+/// one point-wise product and one inverse transform. Each component
+/// before it (a ciphertext past two) is transformed back, added, and the
+/// sum multiplied in coefficients: on a ring without an NTT of its own
+/// a product is exact only on reduced coefficients, so Horner's rule
+/// cannot stay point-wise there.
+fn resident_key_part_into(
+    dec: &Decryptor,
+    rq: &RingContext,
+    ct: &ResidentCiphertext,
+    work: &mut Vec<u64>,
+    out: &mut [u64],
+) -> u64 {
+    let (last, inner) = ct
+        .key_parts
+        .split_last()
+        .expect("a ciphertext has at least two components");
+    dec.key_product_prepared_into(last, out);
+    for part in inner.iter().rev() {
+        work.resize(out.len(), 0);
+        rq.unprepare_into(part, work);
+        kernels::add_assign_slices(rq.modulus(), work, out);
         dec.key_product_into(work, out);
     }
     (ct.size() - 1) as u64
@@ -1024,7 +1177,12 @@ impl ShardScratch {
     /// part of every polynomial of `shard` (`s·db_j.c1`, whatever the
     /// size) and of every packed-query ciphertext once — `⌈V/n⌉ + P` key
     /// multiplications ([`Self::key_muls`]) where the explicit form's
-    /// `V × P` result ciphertexts take one each — folds each `c0` into
+    /// `V × P` result ciphertexts take one each. `shard` is in the
+    /// resident form, `db_j.c1` already in the evaluation domain, so each
+    /// polynomial's phase costs a point-wise product against the
+    /// prepared key and one inverse transform; only the
+    /// query's `⌈V/n⌉` ciphertexts, which arrive in coefficients, are
+    /// transformed forward as well. The job folds each `c0` into
     /// its product, and tests all variants of a class in one pass over
     /// each polynomial's phases: the variants of class `r` read disjoint
     /// coefficients and add the same segment at their filter
@@ -1039,12 +1197,13 @@ impl ShardScratch {
     /// in 32-bit words.
     pub fn run(
         &mut self,
-        shard: &EncryptedDatabase,
+        shard: &ResidentDatabase,
         query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
         let (engine, dec) = (index_gen.engine(), &index_gen.dec);
-        let (n, q) = (engine.ctx.params().n, engine.ctx.rq().modulus());
+        let rq = engine.ctx.rq();
+        let (n, q) = (engine.ctx.params().n, rq.modulus());
         assert!(q.value() <= 1 << 32, "served phases are 32-bit words");
         let db_cts = shard.ciphertexts();
         let job = Job(self);
@@ -1063,9 +1222,9 @@ impl ShardScratch {
             ..MatchStats::default()
         };
         for (ct, d) in db_cts.iter().zip(phases.chunks_exact_mut(n)) {
-            *key_muls += key_part_into(dec, q, ct, horner, line);
+            *key_muls += resident_key_part_into(dec, rq, ct, horner, line);
             let t0 = Instant::now();
-            fold_phase(q, line, ct.part(0).coeffs(), d);
+            fold_phase(q, line, ct.c0.coeffs(), d);
             stats.add_time += t0.elapsed();
         }
         let indices = scan_range(index_gen, query, shard.total_bits, job.0);
@@ -1180,7 +1339,7 @@ impl ShardScratch {
     /// fresh one when none is parked), checked back in afterwards unless
     /// the list is full. A job that panics drops its scratch instead.
     pub fn run_pooled(
-        shard: &EncryptedDatabase,
+        shard: &ResidentDatabase,
         query: &PackedQuery,
         index_gen: &TrustedIndexGenerator,
     ) -> (Vec<usize>, MatchStats) {
@@ -1405,7 +1564,8 @@ mod tests {
             let query = engine.pack_query(&enc, &pattern, &mut rng);
             assert_eq!(query.variant_count(), variants);
             assert_eq!(query.ciphertext_count(), 1, "V <= n: one ciphertext");
-            let (indices, stats) = scratch.run(&db, &query, &index_gen);
+            let (indices, stats) =
+                scratch.run(&db.clone().into_resident(&engine.ctx), &query, &index_gen);
             assert_eq!(indices, data.find_all(&pattern));
             assert_eq!(stats.hom_adds, (variants * polys) as u64);
             retained(&scratch, 1, k);
@@ -1416,7 +1576,8 @@ mod tests {
         let pattern = data.slice(bpp - 5, k);
         let query = engine.pack_query(&enc, &pattern, &mut rng);
         assert_eq!((query.variant_count(), query.ciphertext_count()), (1040, 2));
-        let (indices, stats) = scratch.run(&db, &query, &index_gen);
+        let (indices, stats) =
+            scratch.run(&db.clone().into_resident(&engine.ctx), &query, &index_gen);
         assert_eq!(indices, data.find_all(&pattern));
         assert_eq!(stats.hom_adds, (1040 * polys) as u64);
         retained(&scratch, 2, k);
@@ -1434,7 +1595,8 @@ mod tests {
 
         // A CM-SW job: the range's phases and the query's, folded once;
         // every entry still counts as one Hom-Add, and the fold is timed.
-        let (indices, stats) = scratch.run(&db, &query, &index_gen);
+        let (indices, stats) =
+            scratch.run(&db.clone().into_resident(&engine.ctx), &query, &index_gen);
         assert_eq!(indices, data.find_all(&pattern));
         assert_eq!(stats.hom_adds, (query.variant_count() * polys) as u64);
         assert!(stats.add_time > std::time::Duration::ZERO);
@@ -1457,7 +1619,12 @@ mod tests {
         assert_eq!(scratch.phases.len(), polys * n);
         assert!(scratch.horner.is_empty());
         // And a CM-SW job after it reads none of what that left.
-        assert_eq!(scratch.run(&db, &query, &index_gen).0, indices);
+        assert_eq!(
+            scratch
+                .run(&db.clone().into_resident(&engine.ctx), &query, &index_gen)
+                .0,
+            indices
+        );
     }
 
     #[test]
@@ -1698,7 +1865,12 @@ mod tests {
                 // ⌈V/n⌉ + P.
                 assert_eq!(scratch.key_muls(), (1 + polys) as u64);
                 assert_eq!(scratch.columns.len(), 2 * polys * n);
-                assert_eq!(scratch.run(&db, &query, &index_gen).0, got.unwrap());
+                assert_eq!(
+                    scratch
+                        .run(&db.clone().into_resident(&engine.ctx), &query, &index_gen)
+                        .0,
+                    got.unwrap()
+                );
             }
         }
     }
@@ -1767,7 +1939,7 @@ mod tests {
         let query = engine.pack_query(&enc, &pattern, &mut rng);
         let mut scratch = ShardScratch::default();
 
-        let (indices, _) = scratch.run(&db, &query, &index_gen);
+        let (indices, _) = scratch.run(&db.clone().into_resident(&engine.ctx), &query, &index_gen);
         assert_eq!(indices, data.find_all(&pattern));
         assert_eq!(
             scratch.phases.len(),

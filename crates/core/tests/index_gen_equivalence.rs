@@ -75,7 +75,9 @@ impl Fixture {
     }
 
     /// The served job's index list for a fresh packed encryption of
-    /// `pattern` over `db`; asserts it ran every Hom-Add of the table it
+    /// `pattern` over `db`, which it reads in the resident form a
+    /// matcher holds (`c1` in the NTT domain); asserts it ran every
+    /// Hom-Add of the table it
     /// did not keep, from `⌈V/n⌉` ciphertexts, and took one key product
     /// per ciphertext component past the first: `⌈V/n⌉ + P` on fresh
     /// ciphertexts.
@@ -89,7 +91,11 @@ impl Fixture {
             query.ciphertext_count(),
             variants.div_ceil(self.ctx.params().n)
         );
-        let (indices, stats) = self.job.run(db, &query, &self.index_gen);
+        let (indices, stats) = self.job.run(
+            &db.clone().into_resident(&self.ctx),
+            &query,
+            &self.index_gen,
+        );
         assert_eq!(
             stats.hom_adds,
             (variants * db.poly_count()) as u64,

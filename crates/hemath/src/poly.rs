@@ -330,6 +330,22 @@ impl RingContext {
         }
     }
 
+    /// The coefficients of a prepared polynomial: the inverse of
+    /// [`Self::prepare`], written into `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not the ring degree long.
+    pub fn unprepare_into(&self, a: &PreparedPoly, out: &mut [u64]) {
+        match &self.tables {
+            Tables::Ntt(t) => {
+                out.copy_from_slice(&a.0);
+                t.inverse(out);
+            }
+            Tables::Crt(w) => w.inverse_residues(&a.0, out),
+        }
+    }
+
     /// Applies the Galois automorphism `x -> x^g` for odd `g`.
     ///
     /// # Panics

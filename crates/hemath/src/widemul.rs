@@ -171,6 +171,19 @@ impl WideMultiplier {
             *x1 = q.from_signed_i128(self.lift(*x1, x2));
         }
     }
+
+    /// The coefficients of a [`Self::forward_residues`] form: its first
+    /// residue transformed back, which is exact because the coefficients
+    /// are below the prime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fa` is not `2n` long or `out` not `n`.
+    pub fn inverse_residues(&self, fa: &[u64], out: &mut [u64]) {
+        assert_eq!(fa.len(), 2 * self.n, "operand not in residue form");
+        out.copy_from_slice(&fa[..self.n]);
+        self.ntt1.inverse(out);
+    }
 }
 
 /// Reference exact negacyclic multiplication with `i128` accumulation,

@@ -240,3 +240,43 @@ fn ring_product_without_an_ntt_matches_schoolbook() {
         }
     }
 }
+
+/// A prepared operand ([`RingContext::prepare`]) is the operand a served
+/// database keeps: on NTT rings in the lazy and the exact butterfly
+/// ranges and on rings without an NTT, for every pair from the all-zero,
+/// all-`(q − 1)` and random operands, its product against a prepared key
+/// ([`RingContext::mul_prepared_pair`]) equals [`RingContext::mul_prepared`]
+/// on its coefficients, and [`RingContext::unprepare_into`] gives those
+/// coefficients back exactly.
+#[test]
+fn prepared_operands_multiply_and_come_back_exactly() {
+    let mut rng = StdRng::seed_from_u64(0xF01D);
+    for n in [64usize, 1024] {
+        let rings = [
+            RingContext::new(Modulus::new(find_ntt_prime(30, n)), n),
+            RingContext::new(Modulus::new(find_ntt_prime(50, n)), n),
+            RingContext::new(Modulus::new(find_ntt_prime(63, n)), n),
+            RingContext::new(Modulus::new(1 << 32), n),
+            RingContext::new(Modulus::new(1 << 16), n),
+        ];
+        for ring in rings {
+            let q = ring.modulus().value();
+            let grid = [vec![0; n], vec![q - 1; n], edgy_slice(&mut rng, q, n)];
+            for (i, a) in grid.iter().enumerate() {
+                let a_prep = ring.prepare(Poly::from_coeffs(a.clone()));
+                let mut coeffs = vec![u64::MAX; n];
+                ring.unprepare_into(&a_prep, &mut coeffs);
+                assert_eq!(&coeffs, a, "unprepare, q = {q}, n = {n}, a = {i}");
+                for (j, b) in grid.iter().enumerate() {
+                    let tag = format!("q = {q}, n = {n}, a = {i}, b = {j}");
+                    let b_prep = ring.prepare(Poly::from_coeffs(b.clone()));
+                    let mut want = vec![u64::MAX; n];
+                    ring.mul_prepared(a, &b_prep, &mut want);
+                    let mut out = vec![u64::MAX; n]; // stale contents must not leak
+                    ring.mul_prepared_pair(&a_prep, &b_prep, &mut out);
+                    assert_eq!(out, want, "mul_prepared_pair, {tag}");
+                }
+            }
+        }
+    }
+}

@@ -131,25 +131,59 @@ pub fn auth_tag(
     nonce: u64,
     context: &[u8],
 ) -> [u8; 16] {
-    let aes = cm_aes::Aes::new_256(channel_key);
     // Length-prefixed message: no two distinct (op, tenant, extra,
-    // nonce, context) tuples serialize to the same byte stream.
-    let mut message = Vec::with_capacity(64 + tenant.len() + context.len());
-    message.extend_from_slice(&widen(tenant.len()).to_le_bytes());
-    message.extend_from_slice(&widen(context.len()).to_le_bytes());
-    message.push(op);
-    message.extend_from_slice(tenant.as_bytes());
-    message.extend_from_slice(&extra.to_le_bytes());
-    message.extend_from_slice(&nonce.to_le_bytes());
-    message.extend_from_slice(context);
-    let mut state = [0u8; 16];
-    for block in message.chunks(16) {
-        for (s, b) in state.iter_mut().zip(block) {
-            *s ^= b;
+    // nonce, context) tuples serialize to the same byte stream. The
+    // header is assembled; the context, which may be a whole upload, is
+    // streamed into the MAC where it lies.
+    let mut header = Vec::with_capacity(33 + tenant.len());
+    header.extend_from_slice(&widen(tenant.len()).to_le_bytes());
+    header.extend_from_slice(&widen(context.len()).to_le_bytes());
+    header.push(op);
+    header.extend_from_slice(tenant.as_bytes());
+    header.extend_from_slice(&extra.to_le_bytes());
+    header.extend_from_slice(&nonce.to_le_bytes());
+    let mut mac = CbcMac {
+        aes: cm_aes::Aes::new_256(channel_key),
+        state: [0; 16],
+        filled: 0,
+    };
+    mac.absorb(&header);
+    mac.absorb(context);
+    mac.finish()
+}
+
+/// An AES-256 CBC-MAC over a message fed in pieces: the same tag as
+/// over the pieces concatenated, the final partial block zero-padded.
+struct CbcMac {
+    aes: cm_aes::Aes,
+    state: [u8; 16],
+    /// Bytes of the current block already XORed into `state`.
+    filled: usize,
+}
+
+impl CbcMac {
+    fn absorb(&mut self, mut data: &[u8]) {
+        while !data.is_empty() {
+            let take = (16 - self.filled).min(data.len());
+            let (block, rest) = data.split_at(take);
+            for (s, b) in self.state[self.filled..].iter_mut().zip(block) {
+                *s ^= b;
+            }
+            self.filled += take;
+            if self.filled == 16 {
+                self.state = self.aes.encrypt_block(&self.state);
+                self.filled = 0;
+            }
+            data = rest;
         }
-        state = aes.encrypt_block(&state);
     }
-    state
+
+    fn finish(mut self) -> [u8; 16] {
+        if self.filled > 0 {
+            self.state = self.aes.encrypt_block(&self.state);
+        }
+        self.state
+    }
 }
 
 /// The keyed digest of an upload's full serialized database, bound into

@@ -152,11 +152,12 @@ fn third_query_of_a_shape_allocates_only_its_index_list() {
     assert_eq!((range.owned, range.held.clone()), (0..2, 0..3));
     let shard = db.subrange(range.held, bits_per_poly);
     let held = data.slice(0, shard.total_bits());
+    let resident = shard.clone().into_resident(&ctx);
 
-    // Both served jobs over the range: the CM-SW job, and the in-flash
-    // job with the sweep as its adder.
+    // Both served jobs over the range: the CM-SW job on the range's
+    // resident form, and the in-flash job with the sweep as its adder.
     let cm_sw = |scratch: &mut ShardScratch, query: &PackedQuery| {
-        let (indices, stats) = scratch.run(&shard, query, &index_gen);
+        let (indices, stats) = scratch.run(&resident, query, &index_gen);
         assert_eq!(
             stats.hom_adds,
             (query.variant_count() * shard.poly_count()) as u64,

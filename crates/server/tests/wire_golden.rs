@@ -4,7 +4,10 @@
 //! everything else, so a codec rewrite that reorders a field, widens a
 //! prefix or renumbers a sub-code fails here. `upload_tag` is pinned
 //! too: the `TenantSpec` encoding is its MAC context, so a reordered
-//! spec would silently change every upload tag.
+//! spec would silently change every upload tag. So is the
+//! `content_digest` of a multi-kilobyte payload, which an upload's
+//! client and server both compute over every byte: a cipher or MAC
+//! rewrite that changes one block of that stream fails here.
 //!
 //! Expected strings group bytes by field (integers are little-endian,
 //! strings carry a u16 length, byte strings a u32 one); whitespace is
@@ -14,7 +17,7 @@ use std::time::Duration;
 
 use cm_bfv::DecodeError;
 use cm_core::{Backend, BitString, MatchError, MatchStats};
-use cm_server::wire::upload_tag;
+use cm_server::wire::{content_digest, upload_tag};
 use cm_server::{
     DatabaseInfoReply, EvictAuth, QueryPayload, Request, Response, TenantInfo, TenantSpec,
     UploadAuth, UploadPhase,
@@ -471,4 +474,17 @@ fn every_error_encodes_to_its_golden_bytes() {
 fn the_upload_tag_over_a_fixed_spec_is_pinned() {
     let tag = upload_tag(&[0x42; 32], "alice", 7, 1_000, &spec(), &[0x1B; 16]);
     assert_golden("upload_tag", &tag, "0ee9b5ee7f4fc95233b759d913be6853");
+}
+
+#[test]
+fn the_content_digest_of_a_multi_kilobyte_payload_is_pinned() {
+    // 4 099 bytes after the 33-byte header: 258 whole blocks and a
+    // partial one.
+    let data: Vec<u8> = (0..4099u32).map(|i| (i * 131 % 251) as u8).collect();
+    let digest = content_digest(&[0x5A; 32], &data);
+    assert_golden(
+        "content_digest",
+        &digest,
+        "31cea915bbd88cc00d8ec549be4e48ba",
+    );
 }

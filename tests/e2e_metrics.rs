@@ -133,6 +133,11 @@ fn wire_snapshot_counts_match_the_workload_exactly() {
     drop(holder);
 
     // --- The snapshot, read over the wire ------------------------------
+    // The first snapshot must close a Hom-Add rate window for the idle
+    // re-snapshot below to hold or decay: a snapshot within the guard
+    // interval (`MIN_RATE_INTERVAL`, 10 ms) of server start keeps the
+    // window open, and the workload can finish inside it.
+    std::thread::sleep(std::time::Duration::from_millis(10));
     let snapshot = client.metrics().unwrap();
 
     let counter = |name, labels: &[(&str, &str)]| {
