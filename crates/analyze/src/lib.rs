@@ -9,8 +9,9 @@
 //! comparison of secret material, no panics on serving paths, every
 //! wire tag declared once with its message, no lock guards held
 //! across work-pool submission, sockets and frame writers that cannot
-//! stall on a delayed ACK, and manifests that resolve shimmed crates to
-//! the in-tree shims.
+//! stall on a delayed ACK, `unsafe` only in two audited files and
+//! each use under its `// SAFETY:` argument, and manifests that resolve
+//! shimmed crates to the in-tree shims.
 //!
 //! Run it as `cargo run -p cm_analyze` (from anywhere in the workspace):
 //! it walks `crates/`, `src/`, `examples/`, and `tests/` under the
@@ -73,6 +74,11 @@ pub const RULE_METRIC_NAMES: &str = "metric-names";
 /// write (`wire::begin_frame` / `finish_frame`), or one `write_vectored`.
 pub const RULE_SOCKET_STALL: &str = "socket-stall";
 
+/// Rule: non-test `unsafe` lives only in `crates/reactor/src/sys.rs`
+/// and `crates/hemath/src/ntt.rs`, and each use there sits directly
+/// under a `// SAFETY:` comment that says why it is sound.
+pub const RULE_UNSAFE_SITES: &str = "unsafe-sites";
+
 /// Every rule this analyzer evaluates.
 pub const RULES: &[&str] = &[
     RULE_EXEC_THREADS,
@@ -83,6 +89,7 @@ pub const RULES: &[&str] = &[
     RULE_SHIM_HYGIENE,
     RULE_METRIC_NAMES,
     RULE_SOCKET_STALL,
+    RULE_UNSAFE_SITES,
 ];
 
 /// The one module allowed to touch raw scoped/spawned threads.
@@ -99,6 +106,10 @@ const WIRE_FILE: &str = "crates/server/src/wire.rs";
 /// The metric-name table whose values [`RULE_METRIC_NAMES`] audits for
 /// duplicates — and the one place a metric-name string literal may live.
 const METRIC_NAMES_FILE: &str = "crates/telemetry/src/metric_names.rs";
+/// The files whose non-test code may use `unsafe`: the reactor's
+/// `extern "C"` system calls, and the NTT's call into its AVX2-compiled
+/// inverse.
+const UNSAFE_FILES: &[&str] = &["crates/reactor/src/sys.rs", "crates/hemath/src/ntt.rs"];
 /// The no-panic serving surface: the dispatch layer…
 const SERVER_SRC: &str = "crates/server/src/";
 /// …and the reactor, which owns every socket — a panic there drops all
@@ -310,6 +321,7 @@ pub fn analyze_rust_source(rel_path: &str, source: &str) -> Vec<Violation> {
         if rel_path.starts_with("crates/") && rel_path.contains("/src/") {
             rule_socket_stall(rel_path, &tokens, &mask, &mut out);
         }
+        rule_unsafe_sites(rel_path, source, &tokens, &mask, &mut out);
     }
     if rel_path == WIRE_FILE {
         rule_wire_tags(rel_path, &tokens, &mask, &mut out);
@@ -820,6 +832,54 @@ fn rule_socket_stall(rel: &str, tokens: &[Token], mask: &[bool], out: &mut Vec<V
 }
 
 // ---------------------------------------------------------------------
+// Rule: unsafe-sites
+// ---------------------------------------------------------------------
+
+fn rule_unsafe_sites(
+    rel: &str,
+    source: &str,
+    tokens: &[Token],
+    mask: &[bool],
+    out: &mut Vec<Violation>,
+) {
+    let lines: Vec<&str> = source.lines().collect();
+    for (t, &masked) in tokens.iter().zip(mask) {
+        if masked || !is_ident(t, "unsafe") {
+            continue;
+        }
+        let message = if !UNSAFE_FILES.contains(&rel) {
+            format!(
+                "`unsafe` outside {} — keep it in those audited files behind a safe API",
+                UNSAFE_FILES.join(" and ")
+            )
+        } else if !has_safety_comment(&lines, t.line) {
+            "`unsafe` without a `// SAFETY:` comment directly above it saying why it is sound"
+                .to_string()
+        } else {
+            continue;
+        };
+        out.push(Violation {
+            file: rel.to_string(),
+            line: t.line,
+            rule: RULE_UNSAFE_SITES,
+            message,
+            waived: None,
+        });
+    }
+}
+
+/// Whether the run of `//` comment lines directly above the 1-based
+/// `line` holds one that begins `// SAFETY:`.
+fn has_safety_comment(lines: &[&str], line: usize) -> bool {
+    lines[..line - 1]
+        .iter()
+        .rev()
+        .map(|l| l.trim_start())
+        .take_while(|l| l.starts_with("//"))
+        .any(|l| l.starts_with("// SAFETY:"))
+}
+
+// ---------------------------------------------------------------------
 // Rule: lock-across-submit
 // ---------------------------------------------------------------------
 
@@ -1190,6 +1250,42 @@ mod tests {
         let declared =
             "trait Dial { fn dial(&self); }\nfn f(s: TcpStream) { s.set_nodelay(true); }";
         assert!(analyze_rust_source("crates/core/src/x.rs", declared).is_empty());
+    }
+
+    #[test]
+    fn unsafe_sites_are_two_files_each_use_under_its_safety_comment() {
+        let argued = "fn f() {\n    // SAFETY: the call has no preconditions.\n    \
+                      unsafe { g() }\n}";
+        let bare = "fn f() {\n    // Calls g.\n    unsafe { g() }\n}";
+        let sys = "crates/reactor/src/sys.rs";
+        let ntt = "crates/hemath/src/ntt.rs";
+        assert!(analyze_rust_source(sys, argued).is_empty());
+        assert!(analyze_rust_source(ntt, argued).is_empty());
+        // A comment run counts when its `// SAFETY:` line opens it.
+        let long = "// SAFETY: the call has no\n// preconditions.\nunsafe fn f() {}";
+        assert!(analyze_rust_source(sys, long).is_empty());
+        assert_eq!(
+            rules_fired(&analyze_rust_source(sys, bare)),
+            [RULE_UNSAFE_SITES]
+        );
+        // A blank line or code between the comment and the use breaks it.
+        let detached = "// SAFETY: the call has no preconditions.\n\nunsafe fn f() {}";
+        assert_eq!(
+            rules_fired(&analyze_rust_source(ntt, detached)),
+            [RULE_UNSAFE_SITES]
+        );
+        // Anywhere else, even argued, it fires — but never in test code.
+        let found = analyze_rust_source("crates/core/src/x.rs", argued);
+        assert_eq!(rules_fired(&found), [RULE_UNSAFE_SITES]);
+        assert!(found[0]
+            .message
+            .contains("outside crates/reactor/src/sys.rs"));
+        assert!(analyze_rust_source("crates/server/tests/x.rs", bare).is_empty());
+        let gated = format!("#[cfg(test)]\nmod tests {{ {bare} }}");
+        assert!(analyze_rust_source("crates/core/src/x.rs", &gated).is_empty());
+        // The word in a comment or a string is not a use.
+        let words = "// unsafe\nfn f() -> &'static str { \"unsafe\" }";
+        assert!(analyze_rust_source("crates/core/src/x.rs", words).is_empty());
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::path::PathBuf;
 
 use cm_analyze::{
     analyze_root, Report, RULES, RULE_CT_SECRECY, RULE_EXEC_THREADS, RULE_LOCK_ACROSS_SUBMIT,
-    RULE_METRIC_NAMES, RULE_NO_PANIC, RULE_SHIM_HYGIENE, RULE_SOCKET_STALL, RULE_WIRE_TAGS,
+    RULE_METRIC_NAMES, RULE_NO_PANIC, RULE_SHIM_HYGIENE, RULE_SOCKET_STALL, RULE_UNSAFE_SITES,
+    RULE_WIRE_TAGS,
 };
 
 fn fixtures_root() -> PathBuf {
@@ -94,6 +95,16 @@ fn fixture_violations_carry_file_and_line() {
         .violations
         .iter()
         .any(|v| v.file == "crates/server/src/no_stall.rs"));
+    // `unsafe` in a file not allowed it fires though argued; in an
+    // allowed file only the use without its `// SAFETY:` comment does.
+    assert!(has(RULE_UNSAFE_SITES, "crates/core/src/unsafe_site.rs"));
+    let unsafe_lines: Vec<usize> = report
+        .unwaived()
+        .iter()
+        .filter(|v| v.rule == RULE_UNSAFE_SITES && v.file == "crates/hemath/src/ntt.rs")
+        .map(|v| v.line)
+        .collect();
+    assert_eq!(unsafe_lines, [10]);
 }
 
 #[test]

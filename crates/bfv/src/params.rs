@@ -11,6 +11,21 @@ use std::sync::Arc;
 
 use cm_hemath::{find_prime_1_mod, GaussianSampler, Modulus, RingContext, WideMultiplier};
 
+/// The largest `log2 q` the Homomorphic Encryption Standard allows at
+/// each ring degree for 128-, 192- and 256-bit security: its table for a
+/// ternary secret against classical attacks (Albrecht et al., 2018).
+const HE_STANDARD_MAX_LOG_Q: [(usize, [u32; 3]); 6] = [
+    (1024, [27, 19, 14]),
+    (2048, [54, 37, 29]),
+    (4096, [109, 75, 58]),
+    (8192, [218, 152, 118]),
+    (16384, [438, 305, 237]),
+    (32768, [881, 611, 476]),
+];
+
+/// The security levels of [`HE_STANDARD_MAX_LOG_Q`]'s columns, in bits.
+const HE_STANDARD_LEVELS: [u32; 3] = [128, 192, 256];
+
 /// Static parameters of a BFV instantiation.
 #[derive(Debug, Clone)]
 pub struct BfvParams {
@@ -159,6 +174,24 @@ impl BfvParams {
         64 - (self.q - 1).leading_zeros()
     }
 
+    /// The security level this parameter set reaches, in bits, by the
+    /// Homomorphic Encryption Standard's table for a ternary secret
+    /// against classical attacks: the highest of 128, 192 and 256 whose
+    /// largest `log2 q` at this `n` is at least `log2 q`. `None` when `q`
+    /// is too wide even for 128 bits, or `n` is not in the table (below
+    /// 1024 or above 32768).
+    pub fn security_bits(&self) -> Option<u32> {
+        let (_, max_log_q) = HE_STANDARD_MAX_LOG_Q.iter().find(|(n, _)| *n == self.n)?;
+        // `q ≤ 2^b` exactly when `q − 1` has at most `b` bits.
+        let log_q = self.coeff_bits();
+        HE_STANDARD_LEVELS
+            .iter()
+            .zip(max_log_q)
+            .rev()
+            .find(|&(_, &max)| log_q <= max)
+            .map(|(&level, _)| level)
+    }
+
     /// Expanded plaintext size of one ciphertext in bytes, assuming each
     /// coefficient is stored in `ceil(coeff_bits/8)` bytes:
     /// `2 * n * bytes(q − 1)`. This is the quantity behind the paper's 4x
@@ -294,6 +327,53 @@ mod tests {
         let p = BfvParams::insecure_test_batch();
         assert_eq!(p.t % (2 * p.n as u64), 1);
         assert!(cm_hemath::is_prime(p.t));
+    }
+
+    #[test]
+    fn every_preset_states_its_security_level() {
+        // No preset reaches 128 bits: the n = 1024 ones need log q ≤ 27
+        // and have 32 or more, arithmetic_2048 needs ≤ 54 and has 56,
+        // and the test presets' n = 256 is below the table.
+        for (p, log_q) in [
+            (BfvParams::ciphermatch_1024(), 32),
+            (BfvParams::ciphermatch_ifp_1024(), 32),
+            (BfvParams::arithmetic_2048(), 56),
+            (BfvParams::batching_1024(), 55),
+            (BfvParams::insecure_test_add(), 32),
+            (BfvParams::insecure_test_pow2(), 32),
+            (BfvParams::insecure_test_mul(), 48),
+            (BfvParams::insecure_test_batch(), 52),
+        ] {
+            assert_eq!(p.coeff_bits(), log_q, "{}", p.name);
+            assert_eq!(p.security_bits(), None, "{}", p.name);
+        }
+    }
+
+    #[test]
+    fn security_level_follows_the_he_standard_table() {
+        let at = |n: usize, q: u64| {
+            BfvParams {
+                n,
+                q,
+                ..BfvParams::ciphermatch_1024()
+            }
+            .security_bits()
+        };
+        // Each column's edge: log q at the bound keeps the level, one bit
+        // more drops it.
+        assert_eq!(at(1024, 1 << 27), Some(128));
+        assert_eq!(at(1024, (1 << 27) + 1), None);
+        assert_eq!(at(1024, 1 << 19), Some(192));
+        assert_eq!(at(1024, (1 << 19) + 1), Some(128));
+        assert_eq!(at(1024, 1 << 14), Some(256));
+        assert_eq!(at(1024, (1 << 14) + 1), Some(192));
+        assert_eq!(at(2048, 1 << 54), Some(128));
+        assert_eq!(at(2048, 1 << 55), None);
+        assert_eq!(at(4096, 1 << 58), Some(256));
+        assert_eq!(at(8192, u64::MAX >> 1), Some(256));
+        // Degrees the table does not list.
+        assert_eq!(at(512, 1 << 10), None);
+        assert_eq!(at(65536, 1 << 10), None);
     }
 
     #[test]

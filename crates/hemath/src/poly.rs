@@ -127,7 +127,8 @@ impl RingContext {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is not a power of two at least 2, or if the modulus
+    /// Panics if `n` is not a power of two at least 2, if the modulus is
+    /// an NTT-friendly prime `q ≥ 2^62` (see [`NttTable::new`]), or if it
     /// has no NTT and is too wide for the auxiliary primes' exact range.
     pub fn new(modulus: Modulus, n: usize) -> Self {
         Self::build(modulus, n, || Arc::new(WideMultiplier::new(n)))

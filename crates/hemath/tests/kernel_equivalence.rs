@@ -1,5 +1,5 @@
 //! Property tests pinning the vectorized slice kernels to the scalar
-//! reference, the lazy-reduction NTT to its algebraic definition, and the
+//! reference, both inverse NTT bodies to their algebraic definition, and the
 //! ring product of a modulus without an NTT (exact through two auxiliary
 //! primes) to the schoolbook convolution.
 //!
@@ -15,9 +15,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Moduli spanning the interesting regimes: tiny, NTT-friendly for
-/// n = 1024 in both the lazy (< 2^62) and exact (>= 2^62) butterfly
-/// ranges, an even non-prime, and the largest supported odd value.
+/// Moduli spanning the interesting regimes for the element-wise kernels:
+/// tiny, NTT-friendly for n = 1024 at 30, 50 and 63 bits, an even
+/// non-prime, and the largest supported odd value.
 fn moduli() -> Vec<Modulus> {
     vec![
         Modulus::new(2),
@@ -29,6 +29,17 @@ fn moduli() -> Vec<Modulus> {
         Modulus::new(1 << 40), // even, non-prime
         Modulus::new((1u64 << 63) - 1),
     ]
+}
+
+/// NTT moduli for ring degree `n` (at most 1024): the largest and a
+/// 27-bit prime below `2^32`, which take the 32-bit inverse, and primes
+/// of `wide_bits`, which take the lazy one (every bit count below 62).
+fn ntt_moduli(n: usize, wide_bits: &[u32]) -> Vec<Modulus> {
+    [4_293_918_721, find_ntt_prime(27, 1024)]
+        .into_iter()
+        .chain(wide_bits.iter().map(|&bits| find_ntt_prime(bits, n)))
+        .map(Modulus::new)
+        .collect()
 }
 
 /// A random reduced slice with edge values salted in: positions are
@@ -117,9 +128,8 @@ proptest! {
     fn ntt_round_trips_on_random_slices(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 64;
-        // Lazy-butterfly range and exact-butterfly range.
-        for bits in [14u32, 45, 63] {
-            let modulus = Modulus::new(find_ntt_prime(bits, n));
+        // Both inverse bodies, up to the largest NTT modulus.
+        for modulus in ntt_moduli(n, &[14, 45, 62]) {
             let q = modulus.value();
             let table = NttTable::new(modulus, n);
             for _ in 0..4 {
@@ -137,8 +147,7 @@ proptest! {
     fn ntt_multiply_matches_schoolbook(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = 32;
-        for bits in [20u32, 58, 63] {
-            let modulus = Modulus::new(find_ntt_prime(bits, n));
+        for modulus in ntt_moduli(n, &[20, 58, 62]) {
             let q = modulus.value();
             let table = NttTable::new(modulus, n);
             let a = edgy_slice(&mut rng, q, n);
@@ -147,7 +156,7 @@ proptest! {
             let slow = schoolbook_negacyclic_mul(&modulus, &a, &b);
             prop_assert_eq!(&fast, &slow, "negacyclic mul, q = {}", q);
             // The in-place product against a pre-transformed operand is
-            // the same function, on the lazy and the exact butterflies.
+            // the same function, on the 32-bit and the lazy inverse.
             let mut b_ntt = b.clone();
             table.forward(&mut b_ntt);
             let mut prepared = a.clone();
@@ -242,8 +251,8 @@ fn ring_product_without_an_ntt_matches_schoolbook() {
 }
 
 /// A prepared operand ([`RingContext::prepare`]) is the operand a served
-/// database keeps: on NTT rings in the lazy and the exact butterfly
-/// ranges and on rings without an NTT, for every pair from the all-zero,
+/// database keeps: on NTT rings of the 32-bit and the lazy inverse
+/// and on rings without an NTT, for every pair from the all-zero,
 /// all-`(q − 1)` and random operands, its product against a prepared key
 /// ([`RingContext::mul_prepared_pair`]) equals [`RingContext::mul_prepared`]
 /// on its coefficients, and [`RingContext::unprepare_into`] gives those
@@ -252,14 +261,10 @@ fn ring_product_without_an_ntt_matches_schoolbook() {
 fn prepared_operands_multiply_and_come_back_exactly() {
     let mut rng = StdRng::seed_from_u64(0xF01D);
     for n in [64usize, 1024] {
-        let rings = [
-            RingContext::new(Modulus::new(find_ntt_prime(30, n)), n),
-            RingContext::new(Modulus::new(find_ntt_prime(50, n)), n),
-            RingContext::new(Modulus::new(find_ntt_prime(63, n)), n),
-            RingContext::new(Modulus::new(1 << 32), n),
-            RingContext::new(Modulus::new(1 << 16), n),
-        ];
-        for ring in rings {
+        let ntt_rings = ntt_moduli(n, &[30, 50, 62]).into_iter();
+        let crt_rings = [1 << 32, 1 << 16].into_iter().map(Modulus::new);
+        for modulus in ntt_rings.chain(crt_rings) {
+            let ring = RingContext::new(modulus, n);
             let q = ring.modulus().value();
             let grid = [vec![0; n], vec![q - 1; n], edgy_slice(&mut rng, q, n)];
             for (i, a) in grid.iter().enumerate() {

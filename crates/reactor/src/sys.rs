@@ -82,6 +82,8 @@ pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
         rlim_cur: 0,
         rlim_max: 0,
     };
+    // SAFETY: `lim` is a live, writable `RLimit`, laid out as the C
+    // `struct rlimit` the call fills.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -89,6 +91,8 @@ pub fn raise_nofile_limit(target: u64) -> io::Result<u64> {
         return Ok(lim.rlim_cur);
     }
     lim.rlim_cur = target.min(lim.rlim_max);
+    // SAFETY: `lim` is a live `RLimit`, laid out as the C `struct
+    // rlimit` the call only reads.
     if unsafe { setrlimit(RLIMIT_NOFILE, &lim) } != 0 {
         return Err(io::Error::last_os_error());
     }
@@ -108,6 +112,8 @@ impl Epoll {
     ///
     /// The `epoll_create1` failure.
     pub fn new() -> io::Result<Self> {
+        // SAFETY: the call takes no pointers; a failure is a negative
+        // return, checked below.
         let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
@@ -120,6 +126,8 @@ impl Epoll {
             events: interest,
             data: token,
         };
+        // SAFETY: `event` is a live `EpollEvent` laid out as the C
+        // `struct epoll_event`; the kernel copies it and keeps no pointer.
         if unsafe { epoll_ctl(self.fd, op, fd, &mut event) } != 0 {
             return Err(io::Error::last_os_error());
         }
@@ -165,6 +173,9 @@ impl Epoll {
     /// Any other `epoll_wait` failure.
     pub fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> io::Result<usize> {
         loop {
+            // SAFETY: `events` is a live, writable slice and the count
+            // passed is at most its length, so the kernel writes only
+            // inside it.
             let n = unsafe {
                 epoll_wait(
                     self.fd,
@@ -186,6 +197,8 @@ impl Epoll {
 
 impl Drop for Epoll {
     fn drop(&mut self) {
+        // SAFETY: `self` owns `fd` and this drop is its last use, so no
+        // other handle is closed or left dangling.
         unsafe {
             close(self.fd);
         }
