@@ -189,12 +189,17 @@ fn the_real_wire_registry_parses_and_is_consistent() {
         );
     }
     // Families are dense from zero: values 0..n with no gaps, which is
-    // what keeps `_ => unknown tag` decode arms honest.
+    // what keeps `_ => unknown tag` decode arms honest. The one exception
+    // is a tag retired with its variant: it stays unknown and is never
+    // declared again (error tags 4 and 17, the unserved baselines' window
+    // and wire-database errors).
+    let retired = [("ERR", 4), ("ERR", 17)];
     for family in ["REQ", "RESP", "ERR", "QUERY", "PHASE", "DECODE"] {
         let mut values: Vec<u64> = table
             .iter()
             .filter(|c| c.family == family)
             .map(|c| c.value)
+            .chain(retired.iter().filter(|r| r.0 == family).map(|r| r.1))
             .collect();
         values.sort_unstable();
         let expected: Vec<u64> = (0..values.len() as u64).collect();

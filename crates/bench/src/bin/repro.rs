@@ -15,6 +15,7 @@ use cm_bench::{fmt_bytes, fmt_time, random_bits, time_per_iter, BfvFixture};
 use cm_bfv::BfvParams;
 use cm_core::{
     table1_profiles, Backend, BooleanGateCount, CiphermatchEngine, MatchStats, MatcherConfig,
+    YasudaEngine,
 };
 use cm_sim::{
     area_overheads, fig10, fig11, fig12, fig3, fig7, fig8, fig9, storage_overheads,
@@ -87,18 +88,16 @@ fn table1() {
 }
 
 /// Fig. 2a: measured memory footprint after encryption (tiny databases).
-/// Both BFV approaches are driven through the unified backend API; the
-/// Boolean footprint is the analytic one-LWE-per-bit count at full
-/// parameters.
+/// CM-SW is driven through the unified backend API and the arithmetic
+/// baseline through its engine; the Boolean footprint is the analytic
+/// one-LWE-per-bit count at full parameters.
 fn fig2a() {
-    let tfhe_params = TfheParams::boolean_default();
-    // One matcher (one key set) per approach, reloaded per database size.
-    let mut ya = MatcherConfig::new(Backend::Yasuda)
-        .bfv_params(BfvParams::arithmetic_2048())
-        .window(32)
-        .seed(2)
-        .build()
-        .expect("valid config");
+    let boolean_params = TfheParams::boolean_default();
+    let mut rng = StdRng::seed_from_u64(2);
+    // One key set per approach, reused for every database size.
+    let ya_fix = BfvFixture::new(BfvParams::arithmetic_2048(), 2);
+    let ya = YasudaEngine::new(&ya_fix.ctx);
+    let ya_enc = ya_fix.encryptor();
     let mut cm = MatcherConfig::new(Backend::Ciphermatch)
         .bfv_params(BfvParams::ciphermatch_1024())
         .seed(1)
@@ -111,14 +110,14 @@ fn fig2a() {
     for plain_bytes in [8usize, 16, 32, 64, 128, 256] {
         let bits = random_bits(plain_bytes * 8, 42);
         // Boolean: one LWE ciphertext per bit.
-        let boolean = bits.len() * tfhe_params.lwe_ciphertext_bytes();
-        ya.load_database(&bits).expect("database encrypts");
+        let boolean = bits.len() * boolean_params.lwe_ciphertext_bytes();
+        let ydb = ya.encrypt_database(&ya_enc, &bits, 32, &mut rng);
         cm.load_database(&bits).expect("database encrypts");
         println!(
             "{:<10} {:>14} {:>14} {:>14}",
             fmt_bytes(plain_bytes as f64),
             fmt_bytes(boolean as f64),
-            fmt_bytes(ya.database_bytes().unwrap() as f64),
+            fmt_bytes(ydb.byte_size(ya_fix.ctx.params().coeff_bits()) as f64),
             fmt_bytes(cm.database_bytes().unwrap() as f64),
         );
     }
@@ -149,6 +148,9 @@ fn fig2b() {
         .build()
         .expect("valid config");
     cm.load_database(&db_bits).expect("database encrypts");
+    let ya_fix = BfvFixture::new(BfvParams::arithmetic_2048(), 4);
+    let ya = YasudaEngine::new(&ya_fix.ctx);
+    let (ya_enc, ya_dec) = (ya_fix.encryptor(), ya_fix.decryptor());
 
     println!(
         "{:<8} {:>14} {:>14} {:>14} {:>16}",
@@ -161,18 +163,12 @@ fn fig2b() {
         // point).
         let gates = BooleanGateCount::for_search(db_bits.len(), k).total();
         let t_boolean = gates as f64 * t_gate;
-        // Arithmetic through the unified API: a fresh matcher per k (the
-        // window is fixed at database-layout time — Table 1's
-        // inflexibility).
-        let mut ya = MatcherConfig::new(Backend::Yasuda)
-            .bfv_params(BfvParams::arithmetic_2048())
-            .window(k)
-            .seed(4)
-            .build()
-            .expect("valid config");
-        ya.load_database(&db_bits).expect("database encrypts");
+        // Arithmetic at engine level: the database is laid out afresh per
+        // k (the window is fixed at database-layout time — Table 1's
+        // inflexibility); a search encrypts its query too.
+        let ydb = ya.encrypt_database(&ya_enc, &db_bits, k, &mut rng);
         let t_yasuda = time_per_iter(1, || {
-            let _ = ya.find_all(&query).expect("query fits window");
+            let _ = ya.find_all(&ya_enc, &ya_dec, &ydb, &query, &mut rng);
         });
         // CM-SW through the unified API: end-to-end (client-side query
         // encryption included).
@@ -203,19 +199,16 @@ fn fig2b() {
 }
 
 /// Fig. 2c: measured latency breakdown of the arithmetic approach,
-/// read off the unified `MatchStats`.
+/// read off the `MatchStats` its engine returns.
 fn fig2c() {
+    let mut rng = StdRng::seed_from_u64(5);
     let db_bits = random_bits(6000, 9);
     let query = db_bits.slice(100, 32);
-    let mut ya = MatcherConfig::new(Backend::Yasuda)
-        .bfv_params(BfvParams::arithmetic_2048())
-        .window(32)
-        .seed(5)
-        .build()
-        .expect("valid config");
-    ya.load_database(&db_bits).expect("database encrypts");
-    let (_, per_range) = ya.find_all(&query).expect("query fits window");
-    let stats: MatchStats = per_range.iter().sum();
+    let ya_fix = BfvFixture::new(BfvParams::arithmetic_2048(), 5);
+    let ya = YasudaEngine::new(&ya_fix.ctx);
+    let ya_enc = ya_fix.encryptor();
+    let ydb = ya.encrypt_database(&ya_enc, &db_bits, 32, &mut rng);
+    let (_, stats) = ya.find_all(&ya_enc, &ya_fix.decryptor(), &ydb, &query, &mut rng);
     println!(
         "Hom-Mult: {:>6.1}%  ({} ops, {})",
         100.0 * stats.mult_fraction(),
@@ -463,15 +456,12 @@ fn ablation() {
     let t_dense = time_per_iter(50, || {
         let _ = ceng.search(&cdb, &cq);
     });
-    let mut ya = MatcherConfig::new(Backend::Yasuda)
-        .bfv_params(BfvParams::arithmetic_2048())
-        .window(32)
-        .seed(62)
-        .build()
-        .expect("valid config");
-    ya.load_database(&bits).expect("database encrypts");
+    let ya_fix = BfvFixture::new(BfvParams::arithmetic_2048(), 62);
+    let ya = YasudaEngine::new(&ya_fix.ctx);
+    let (ya_enc, ya_dec) = (ya_fix.encryptor(), ya_fix.decryptor());
+    let ydb = ya.encrypt_database(&ya_enc, &bits, 32, &mut rng);
     let t_single = time_per_iter(3, || {
-        let _ = ya.find_all(&query).expect("query fits window");
+        let _ = ya.find_all(&ya_enc, &ya_dec, &ydb, &query, &mut rng);
     });
     println!(
         "dense packing    : footprint {} | search {}",
@@ -480,7 +470,7 @@ fn ablation() {
     );
     println!(
         "single-bit [27]  : footprint {} | search {}  ({:.1}x slower)",
-        fmt_bytes(ya.database_bytes().unwrap() as f64),
+        fmt_bytes(ydb.byte_size(ya_fix.ctx.params().coeff_bits()) as f64),
         fmt_time(t_single),
         t_single / t_dense
     );

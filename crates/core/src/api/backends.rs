@@ -1,73 +1,30 @@
-//! Key-owning adapters implementing [`SecureMatcher`] for every engine.
+//! The two key-owning adapters implementing [`SecureMatcher`]: the
+//! served in-process backends.
 //!
 //! Each adapter bundles an engine with the key material its protocol role
-//! needs (mirroring how TFHE-style libraries expose one client/server-key
-//! API over interchangeable ciphertext backends), normalizes every input
-//! and output to *bit* strings and *bit* offsets, and converts the
-//! engine-specific failure modes into [`MatchError`] values.
-//! One adapter per engine: [`CiphermatchMatcher`] is the only CM-SW
-//! matcher, on one polynomial range for hosted tenants and on several
-//! (`cm_server::ShardedCmMatcher`, the same type) for in-process ones.
+//! needs, normalizes every input and output to *bit* strings and *bit*
+//! offsets, and converts the engine's failure modes into [`MatchError`]
+//! values. [`CiphermatchMatcher`] is the only CM-SW matcher, on one
+//! polynomial range for hosted tenants and on several
+//! (`cm_server::ShardedCmMatcher`, the same type) for in-process ones;
+//! [`PlainMatcher`] is the unencrypted reference. The paper's baselines
+//! (Yasuda, Batched, Boolean) are engines only, in [`crate::matchers`]:
+//! nothing serves them.
 
 use std::sync::Arc;
 
-use cm_bfv::{
-    BfvContext, BfvParams, Decryptor, Encryptor, GaloisKeys, KeyGenerator, RelinKey, SecretKey,
-};
-use cm_tfhe::{BitCiphertext, ClientKey, ServerKey, TfheParams};
+use cm_bfv::{BfvContext, BfvParams, Encryptor, KeyGenerator};
 use rand::Rng;
 
 use crate::api::{Backend, MatchError, MatchStats, SecureMatcher};
 use crate::bits::BitString;
 use crate::exec::{compute_pool, wait_all};
 use crate::kit::QueryKit;
-use crate::matchers::batched::{BatchedDatabase, BatchedEngine, BatchedQuery};
-use crate::matchers::boolean::{BooleanDatabase, BooleanEngine, BooleanGateCount};
 use crate::matchers::ciphermatch::{
     EncryptedDatabase, PackedQuery, ResidentDatabase, ShardScratch, TrustedIndexGenerator,
 };
 use crate::matchers::plain::PackedBits;
-use crate::matchers::yasuda::{YasudaDatabase, YasudaEngine, YasudaQuery};
 use crate::shard::ShardPlan;
-
-/// The BFV key bundle shared by the three BFV-based adapters: context,
-/// secret key, the two prepared key holders, and the modulus width used
-/// for footprint accounting.
-#[derive(Debug, Clone)]
-struct BfvKeys {
-    ctx: BfvContext,
-    sk: SecretKey,
-    /// Prepared once with the keys; every query encrypts through it …
-    enc: Encryptor,
-    /// … and decrypts through this.
-    dec: Decryptor,
-    q_bits: u32,
-}
-
-impl BfvKeys {
-    fn generate<R: Rng + ?Sized>(params: BfvParams, rng: &mut R) -> Self {
-        let ctx = BfvContext::new(params);
-        let kg = KeyGenerator::new(&ctx, rng);
-        let sk = kg.secret_key();
-        let pk = kg.public_key(rng);
-        let q_bits = ctx.params().coeff_bits();
-        Self {
-            enc: Encryptor::new(&ctx, pk),
-            dec: Decryptor::new(&ctx, sk.clone()),
-            ctx,
-            sk,
-            q_bits,
-        }
-    }
-
-    fn encryptor(&self) -> &Encryptor {
-        &self.enc
-    }
-
-    fn decryptor(&self) -> &Decryptor {
-        &self.dec
-    }
-}
 
 /// CM-SW behind the unified API: dense packing, `Hom-Add`-only search,
 /// arbitrary query lengths and bit offsets (the paper's contribution) —
@@ -86,7 +43,10 @@ impl BfvKeys {
 /// [`MatchStats`] per range.
 #[derive(Debug, Clone)]
 pub struct CiphermatchMatcher {
-    keys: BfvKeys,
+    ctx: BfvContext,
+    /// Prepared once with the keys; every client-side encryption goes
+    /// through it.
+    enc: Encryptor,
     /// The engine and the prepared decryptor, as the served job takes
     /// them; shared with the range jobs in flight.
     index_gen: Arc<TrustedIndexGenerator>,
@@ -123,11 +83,14 @@ impl CiphermatchMatcher {
                 "a served job holds phases in 32-bit words: q must be at most 2^32",
             ));
         }
-        let keys = BfvKeys::generate(params, rng);
-        let index_gen = TrustedIndexGenerator::from_secret(&keys.ctx, keys.sk.clone());
+        let ctx = BfvContext::new(params);
+        let kg = KeyGenerator::new(&ctx, rng);
+        let pk = kg.public_key(rng);
+        let index_gen = TrustedIndexGenerator::from_secret(&ctx, kg.secret_key());
         Ok(Self {
+            enc: Encryptor::new(&ctx, pk),
             index_gen: Arc::new(index_gen),
-            keys,
+            ctx,
             shards,
         })
     }
@@ -136,7 +99,7 @@ impl CiphermatchMatcher {
     /// wire queries to this matcher — in the packed form, the one
     /// [`Self::decode_query`] takes.
     pub fn query_kit(&self) -> QueryKit {
-        QueryKit::new(self.index_gen.engine().clone(), self.keys.enc.clone())
+        QueryKit::new(self.index_gen.engine().clone(), self.enc.clone())
     }
 
     fn bits_per_poly(&self) -> usize {
@@ -172,10 +135,10 @@ impl SecureMatcher for CiphermatchMatcher {
         let db = self
             .index_gen
             .engine()
-            .encrypt_database(self.keys.encryptor(), data, rng);
+            .encrypt_database(&self.enc, data, rng);
         // An empty database is refused here, not at every search.
         self.plan(&db)?;
-        Ok(db.into_resident(&self.keys.ctx))
+        Ok(db.into_resident(&self.ctx))
     }
 
     fn prepare_query<R: Rng + ?Sized>(
@@ -192,11 +155,9 @@ impl SecureMatcher for CiphermatchMatcher {
         if self.shards > 1 && got > max {
             return Err(MatchError::QueryTooLong { max, got });
         }
-        Ok(Arc::new(self.index_gen.engine().pack_query(
-            self.keys.encryptor(),
-            query,
-            rng,
-        )))
+        Ok(Arc::new(
+            self.index_gen.engine().pack_query(&self.enc, query, rng),
+        ))
     }
 
     fn find_all(
@@ -206,7 +167,7 @@ impl SecureMatcher for CiphermatchMatcher {
         stats: &mut Vec<MatchStats>,
     ) -> Result<Vec<usize>, MatchError> {
         let plan = self.plan(db)?;
-        let query_bytes = query.byte_size(self.keys.q_bits) as u64;
+        let query_bytes = query.byte_size(self.ctx.params().coeff_bits()) as u64;
         // A range job's own counters plus the query broadcast to it (every
         // range receives the packed query's ciphertexts).
         let job = |shard: ResidentDatabase| {
@@ -241,315 +202,29 @@ impl SecureMatcher for CiphermatchMatcher {
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
         Ok(Arc::new(PackedQuery::decode(
             encoded,
-            self.keys.ctx.params().n,
+            self.ctx.params().n,
             self.index_gen.engine().packing().seg_bits(),
-            self.keys.ctx.params().q,
+            self.ctx.params().q,
         )?))
     }
 
     fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
-        Ok(db.encode(&self.keys.ctx, self.keys.q_bits))
+        Ok(db.encode(&self.ctx, self.ctx.params().coeff_bits()))
     }
 
     fn decode_database(&self, encoded: &[u8]) -> Result<Self::Database, MatchError> {
         let db = EncryptedDatabase::decode(encoded)?;
         db.validate(
-            self.keys.ctx.params().n,
-            self.keys.ctx.params().q,
+            self.ctx.params().n,
+            self.ctx.params().q,
             self.bits_per_poly(),
         )?;
         self.plan(&db)?;
-        Ok(db.into_resident(&self.keys.ctx))
+        Ok(db.into_resident(&self.ctx))
     }
 
     fn database_bytes(&self, db: &Self::Database) -> u64 {
-        db.byte_size(self.keys.q_bits) as u64
-    }
-}
-
-/// Yasuda et al. \[27\] behind the unified API: Hamming-distance matching
-/// with a *fixed* query window — queries of any other length return
-/// [`MatchError::WindowMismatch`], the Table 1 inflexibility made typed.
-#[derive(Debug, Clone)]
-pub struct YasudaMatcher {
-    keys: BfvKeys,
-    engine: YasudaEngine,
-    window: usize,
-}
-
-impl YasudaMatcher {
-    /// Generates keys and an engine; database blocks will be laid out for
-    /// queries of exactly `window` bits.
-    pub fn new<R: Rng + ?Sized>(
-        params: BfvParams,
-        window: usize,
-        rng: &mut R,
-    ) -> Result<Self, MatchError> {
-        if window == 0 {
-            return Err(MatchError::InvalidConfig("window must be positive"));
-        }
-        if window > params.n {
-            return Err(MatchError::InvalidConfig("window exceeds the ring degree"));
-        }
-        let keys = BfvKeys::generate(params, rng);
-        Ok(Self {
-            engine: YasudaEngine::new(&keys.ctx),
-            keys,
-            window,
-        })
-    }
-}
-
-impl SecureMatcher for YasudaMatcher {
-    type Database = YasudaDatabase;
-    type Query = YasudaQuery;
-
-    fn backend(&self) -> Backend {
-        Backend::Yasuda
-    }
-
-    fn encrypt_database<R: Rng + ?Sized>(
-        &self,
-        data: &BitString,
-        rng: &mut R,
-    ) -> Result<Self::Database, MatchError> {
-        Ok(self
-            .engine
-            .encrypt_database(self.keys.encryptor(), data, self.window, rng))
-    }
-
-    fn prepare_query<R: Rng + ?Sized>(
-        &self,
-        query: &BitString,
-        rng: &mut R,
-    ) -> Result<Self::Query, MatchError> {
-        if query.is_empty() {
-            return Err(MatchError::EmptyQuery);
-        }
-        if query.len() != self.window {
-            return Err(MatchError::WindowMismatch {
-                expected: self.window,
-                got: query.len(),
-            });
-        }
-        Ok(self.engine.prepare_query(self.keys.encryptor(), query, rng))
-    }
-
-    fn find_all(
-        &self,
-        db: &Self::Database,
-        query: &Self::Query,
-        stats: &mut Vec<MatchStats>,
-    ) -> Result<Vec<usize>, MatchError> {
-        if query.k() != db.window() {
-            return Err(MatchError::WindowMismatch {
-                expected: db.window(),
-                got: query.k(),
-            });
-        }
-        let (hits, mut searched) = self
-            .engine
-            .search_prepared(self.keys.decryptor(), db, query, 0);
-        searched.bytes_moved += query.byte_size(self.keys.q_bits) as u64;
-        stats.push(searched);
-        Ok(hits.into_iter().map(|(offset, _)| offset).collect())
-    }
-
-    fn database_bytes(&self, db: &Self::Database) -> u64 {
-        db.byte_size(self.keys.q_bits) as u64
-    }
-}
-
-/// The SIMD-batched baseline \[34, 29\] behind the unified API.
-///
-/// The adapter runs the engine at **bit granularity** (one slot symbol per
-/// database bit) so that, like every other backend, it returns exact bit
-/// offsets for arbitrary bit patterns up to the provisioned window. The
-/// symbol-level engine remains available directly for byte-alphabet
-/// workloads. Cost profile is unchanged in kind: one rotation + one
-/// squaring per query bit per block.
-#[derive(Debug, Clone)]
-pub struct BatchedMatcher {
-    keys: BfvKeys,
-    rk: RelinKey,
-    gk: GaloisKeys,
-    engine: BatchedEngine,
-    window: usize,
-}
-
-impl BatchedMatcher {
-    /// Generates keys (relinearization plus Galois keys for rotations
-    /// `1..window`) and an engine; queries may be up to `window` bits.
-    pub fn new<R: Rng + ?Sized>(
-        params: BfvParams,
-        window: usize,
-        rng: &mut R,
-    ) -> Result<Self, MatchError> {
-        let keys = BfvKeys::generate(params, rng);
-        let slots = keys.ctx.params().n / 2;
-        if window == 0 {
-            return Err(MatchError::InvalidConfig("window must be positive"));
-        }
-        if window > slots {
-            return Err(MatchError::InvalidConfig(
-                "window exceeds the usable slots per block",
-            ));
-        }
-        let kg = KeyGenerator::from_secret(&keys.ctx, keys.sk.clone());
-        let rk = kg.relin_key(rng);
-        let gk = kg.galois_keys(&kg.galois_elements_for_rotations(window), rng);
-        Ok(Self {
-            engine: BatchedEngine::new(&keys.ctx),
-            keys,
-            rk,
-            gk,
-            window,
-        })
-    }
-}
-
-impl SecureMatcher for BatchedMatcher {
-    type Database = BatchedDatabase;
-    type Query = BatchedQuery;
-
-    fn backend(&self) -> Backend {
-        Backend::Batched
-    }
-
-    fn encrypt_database<R: Rng + ?Sized>(
-        &self,
-        data: &BitString,
-        rng: &mut R,
-    ) -> Result<Self::Database, MatchError> {
-        let symbols: Vec<u64> = data.bits().iter().map(|&b| b as u64).collect();
-        Ok(self
-            .engine
-            .encrypt_database(self.keys.encryptor(), &symbols, self.window, rng))
-    }
-
-    fn prepare_query<R: Rng + ?Sized>(
-        &self,
-        query: &BitString,
-        rng: &mut R,
-    ) -> Result<Self::Query, MatchError> {
-        if query.is_empty() {
-            return Err(MatchError::EmptyQuery);
-        }
-        if query.len() > self.window {
-            return Err(MatchError::QueryTooLong {
-                max: self.window,
-                got: query.len(),
-            });
-        }
-        // In this baseline the query stays plaintext on the server (the
-        // scheme hides the database, not the pattern).
-        let symbols: Vec<u64> = query.bits().iter().map(|&b| b as u64).collect();
-        Ok(self.engine.prepare_query(&symbols, rng))
-    }
-
-    fn find_all(
-        &self,
-        db: &Self::Database,
-        query: &Self::Query,
-        stats: &mut Vec<MatchStats>,
-    ) -> Result<Vec<usize>, MatchError> {
-        if query.is_empty() {
-            return Err(MatchError::EmptyQuery);
-        }
-        if query.len() > db.max_query() {
-            return Err(MatchError::QueryTooLong {
-                max: db.max_query(),
-                got: query.len(),
-            });
-        }
-        let dec = self.keys.decryptor();
-        let (hits, searched) = self.engine.search(dec, &self.rk, &self.gk, db, query);
-        stats.push(searched);
-        Ok(hits)
-    }
-
-    fn database_bytes(&self, db: &Self::Database) -> u64 {
-        db.byte_size(self.keys.q_bits) as u64
-    }
-}
-
-/// The Boolean TFHE baseline \[17, 33\] behind the unified API: one LWE
-/// ciphertext per bit, `2k - 1` bootstrapped gates per window.
-///
-/// `bootstraps` is counted analytically via [`BooleanGateCount`], which
-/// the engine's tests pin to the executed gate count.
-#[derive(Debug)]
-pub struct BooleanMatcher {
-    client: ClientKey,
-    server: ServerKey,
-}
-
-impl BooleanMatcher {
-    /// Generates client and server TFHE keys. A search evaluates its
-    /// windows on [`crate::exec::compute_workers`] scoped threads.
-    pub fn new<R: Rng + ?Sized>(params: TfheParams, rng: &mut R) -> Self {
-        let client = ClientKey::generate(params, rng);
-        let server = ServerKey::generate(&client, rng);
-        Self { client, server }
-    }
-}
-
-impl SecureMatcher for BooleanMatcher {
-    type Database = BooleanDatabase;
-    type Query = Vec<BitCiphertext>;
-
-    fn backend(&self) -> Backend {
-        Backend::Boolean
-    }
-
-    fn encrypt_database<R: Rng + ?Sized>(
-        &self,
-        data: &BitString,
-        rng: &mut R,
-    ) -> Result<Self::Database, MatchError> {
-        let engine = BooleanEngine::new(&self.client, &self.server);
-        Ok(engine.encrypt_database(data, rng))
-    }
-
-    fn prepare_query<R: Rng + ?Sized>(
-        &self,
-        query: &BitString,
-        rng: &mut R,
-    ) -> Result<Self::Query, MatchError> {
-        if query.is_empty() {
-            return Err(MatchError::EmptyQuery);
-        }
-        Ok(self.client.encrypt_bits(query.bits(), rng))
-    }
-
-    fn find_all(
-        &self,
-        db: &Self::Database,
-        query: &Self::Query,
-        stats: &mut Vec<MatchStats>,
-    ) -> Result<Vec<usize>, MatchError> {
-        let k = query.len();
-        if k == 0 {
-            return Err(MatchError::EmptyQuery);
-        }
-        if db.len() < k {
-            stats.push(MatchStats::default());
-            return Ok(Vec::new());
-        }
-        stats.push(MatchStats {
-            bytes_moved: (query.len() * self.client.params().lwe_ciphertext_bytes()) as u64,
-            bootstraps: BooleanGateCount::for_search(db.len(), k).total(),
-            ..MatchStats::default()
-        });
-        BooleanEngine::new(&self.client, &self.server).find_all(
-            db,
-            query,
-            crate::exec::compute_workers(),
-        )
-    }
-
-    fn database_bytes(&self, db: &Self::Database) -> u64 {
-        db.byte_size(self.client.params().lwe_dim) as u64
+        db.byte_size(self.ctx.params().coeff_bits()) as u64
     }
 }
 

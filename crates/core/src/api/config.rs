@@ -6,32 +6,21 @@
 use std::sync::{Mutex, PoisonError};
 
 use cm_bfv::BfvParams;
-use cm_tfhe::TfheParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::api::backends::{
-    BatchedMatcher, BooleanMatcher, CiphermatchMatcher, PlainMatcher, YasudaMatcher,
-};
+use crate::api::backends::{CiphermatchMatcher, PlainMatcher};
 use crate::api::{MatchError, MatchStats, SecureMatcher};
 use crate::bits::BitString;
 use crate::kit::QueryKit;
 
-/// The implemented secure-matching approaches (the rows of Table 1 that
-/// this repository reproduces, plus the unencrypted reference).
+/// The served matching backends: the paper's two engines plus the
+/// unencrypted reference. The paper's baselines (Yasuda, Batched,
+/// Boolean) are not served; they are engines in [`crate::matchers`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
     /// CM-SW: dense packing + `Hom-Add`-only search (this paper).
     Ciphermatch,
-    /// Yasuda et al. \[27\]: Hamming distance, 2 Hom-Mul + 3 Hom-Add per
-    /// block, fixed query window.
-    Yasuda,
-    /// Kim \[34\] / Bonte \[29\]-style SIMD batching: rotations +
-    /// squarings over slots, bounded query window.
-    Batched,
-    /// Aziz \[17\] / Pradel \[33\]-style Boolean TFHE: per-bit LWE,
-    /// `2k - 1` bootstrapped gates per window.
-    Boolean,
     /// The unencrypted word-packed reference.
     Plain,
     /// CM-IFP: the paper's in-flash engine (§4.3). Constructed by
@@ -42,49 +31,19 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Every backend [`MatcherConfig::build`] can construct in-process, in
-    /// the paper's comparison order. [`Backend::Ifp`] is excluded: the
-    /// in-flash engine is registered by the serving layer (`cm_server`),
-    /// which owns the SSD device. Use [`Backend::WIRE`] for the complete
-    /// listing a CLI or wire endpoint should advertise.
-    pub const ALL: [Backend; 5] = [
-        Backend::Ciphermatch,
-        Backend::Yasuda,
-        Backend::Batched,
-        Backend::Boolean,
-        Backend::Plain,
-    ];
-
-    /// Every implemented backend including [`Backend::Ifp`] — the listing
-    /// CLI flags and wire `ListBackends` responses should use.
-    pub const WIRE: [Backend; 6] = [
-        Backend::Ciphermatch,
-        Backend::Yasuda,
-        Backend::Batched,
-        Backend::Boolean,
-        Backend::Plain,
-        Backend::Ifp,
-    ];
+    /// Every backend: what [`Backend::parse`] accepts and a wire
+    /// `ListBackends` reply lists. [`MatcherConfig::build`] makes the
+    /// first two; the serving layer (`cm_server`), which owns the SSD
+    /// device, makes [`Backend::Ifp`].
+    pub const ALL: [Backend; 3] = [Backend::Ciphermatch, Backend::Plain, Backend::Ifp];
 
     /// A short stable identifier (usable in CLI arguments and bench IDs).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Ciphermatch => "ciphermatch",
-            Backend::Yasuda => "yasuda",
-            Backend::Batched => "batched",
-            Backend::Boolean => "boolean",
             Backend::Plain => "plain",
             Backend::Ifp => "ifp",
         }
-    }
-
-    /// Whether the backend has a serialized-database format, so its
-    /// database can be exported by a key owner and uploaded over the
-    /// wire. The others answer [`ErasedMatcher::export_database`] and
-    /// [`ErasedMatcher::load_database_wire`] with
-    /// [`MatchError::WireDatabaseUnsupported`].
-    pub fn has_wire_database(self) -> bool {
-        matches!(self, Backend::Ciphermatch | Backend::Plain | Backend::Ifp)
     }
 
     /// Parses the identifiers produced by [`Backend::name`]
@@ -95,7 +54,7 @@ impl Backend {
     /// Returns [`MatchError::UnknownBackend`] for any other string.
     pub fn parse(name: &str) -> Result<Backend, MatchError> {
         let lower = name.to_ascii_lowercase();
-        Backend::WIRE
+        Backend::ALL
             .into_iter()
             .find(|b| b.name() == lower)
             .ok_or_else(|| MatchError::UnknownBackend(name.to_string()))
@@ -136,23 +95,19 @@ impl std::fmt::Display for Backend {
 pub struct MatcherConfig {
     backend: Backend,
     seed: u64,
-    window: usize,
     insecure: bool,
     bfv_params: Option<BfvParams>,
-    tfhe_params: Option<TfheParams>,
 }
 
 impl MatcherConfig {
-    /// Starts a configuration for `backend` with the defaults: seed 0,
-    /// a 32-bit query window, and the paper's parameter sets.
+    /// Starts a configuration for `backend` with the defaults: seed 0
+    /// and the paper's parameter set.
     pub fn new(backend: Backend) -> Self {
         Self {
             backend,
             seed: 0,
-            window: 32,
             insecure: false,
             bfv_params: None,
-            tfhe_params: None,
         }
     }
 
@@ -163,19 +118,9 @@ impl MatcherConfig {
         self
     }
 
-    /// Fixed/maximum query length in bits for the window-bound backends:
-    /// Yasuda requires queries of *exactly* this length, Batched accepts
-    /// *up to* this length. Ignored by the flexible-query backends.
-    pub fn window(mut self, bits: usize) -> Self {
-        self.window = bits;
-        self
-    }
-
-    /// Sets nothing: no backend takes a thread count. The Boolean
-    /// backend fans a search's TFHE windows out over
-    /// [`crate::exec::compute_workers`], and CM-SW parallelises by
-    /// polynomial-range shards on [`crate::exec::compute_pool`], both
-    /// sized to the machine. Kept so existing callers still compile.
+    /// Sets nothing: no backend takes a thread count. CM-SW parallelises
+    /// by polynomial-range shards on [`crate::exec::compute_pool`], sized
+    /// to the machine. Kept so existing callers still compile.
     pub fn threads(self, _threads: usize) -> Self {
         self
     }
@@ -187,15 +132,9 @@ impl MatcherConfig {
         self
     }
 
-    /// Overrides the BFV parameter set (Ciphermatch/Yasuda/Batched).
+    /// Overrides the BFV parameter set (Ciphermatch).
     pub fn bfv_params(mut self, params: BfvParams) -> Self {
         self.bfv_params = Some(params);
-        self
-    }
-
-    /// Overrides the TFHE parameter set (Boolean).
-    pub fn tfhe_params(mut self, params: TfheParams) -> Self {
-        self.tfhe_params = Some(params);
         self
     }
 
@@ -207,11 +146,6 @@ impl MatcherConfig {
     /// The configured seed.
     pub fn seed_value(&self) -> u64 {
         self.seed
-    }
-
-    /// The configured query window in bits (see [`Self::window`]).
-    pub fn window_bits(&self) -> usize {
-        self.window
     }
 
     /// Whether [`Self::insecure_test`] parameter sets are selected —
@@ -226,51 +160,17 @@ impl MatcherConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`MatchError::InvalidConfig`] when a knob is out of range
-    /// for the selected backend (zero window, window larger than the
-    /// ring/slot capacity).
+    /// Returns [`MatchError::InvalidConfig`] for [`Backend::Ifp`] and for
+    /// a BFV parameter set CM-SW cannot serve ([`CiphermatchMatcher::new`]).
     pub fn build(&self) -> Result<Box<dyn ErasedMatcher>, MatchError> {
-        if self.window == 0 {
-            return Err(MatchError::InvalidConfig("window must be positive"));
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let bfv = |default: fn() -> BfvParams, test: fn() -> BfvParams| {
-            self.bfv_params
-                .clone()
-                .unwrap_or_else(if self.insecure { test } else { default })
-        };
         Ok(match self.backend {
-            Backend::Ciphermatch => erase(
-                CiphermatchMatcher::new(
-                    bfv(BfvParams::ciphermatch_1024, BfvParams::insecure_test_add),
-                    1,
-                    &mut rng,
-                )?,
-                self.seed,
-            ),
-            Backend::Yasuda => erase(
-                YasudaMatcher::new(
-                    bfv(BfvParams::arithmetic_2048, BfvParams::insecure_test_mul),
-                    self.window,
-                    &mut rng,
-                )?,
-                self.seed,
-            ),
-            Backend::Batched => erase(
-                BatchedMatcher::new(
-                    bfv(BfvParams::batching_1024, BfvParams::insecure_test_batch),
-                    self.window,
-                    &mut rng,
-                )?,
-                self.seed,
-            ),
-            Backend::Boolean => {
-                let params = self.tfhe_params.clone().unwrap_or_else(if self.insecure {
-                    TfheParams::fast_insecure_test
+            Backend::Ciphermatch => {
+                let params = self.bfv_params.clone().unwrap_or_else(if self.insecure {
+                    BfvParams::insecure_test_add
                 } else {
-                    TfheParams::boolean_default
+                    BfvParams::ciphermatch_1024
                 });
-                erase(BooleanMatcher::new(params, &mut rng), self.seed)
+                Box::new(Erased::<CiphermatchMatcher>::new(params, 1, self.seed)?)
             }
             Backend::Plain => erase(PlainMatcher::new(), self.seed),
             Backend::Ifp => {
@@ -311,7 +211,7 @@ pub trait ErasedMatcher: Send + Sync {
     /// encrypted* in the backend's native wire format (the serving path:
     /// the key-owning client encrypted the query remotely and shipped the
     /// bytes), returning what [`Self::find_all`] returns. Backends
-    /// without a native wire format return
+    /// without a native wire format (Plain) return
     /// [`MatchError::WireQueryUnsupported`].
     fn find_all_wire(
         &self,
@@ -324,24 +224,15 @@ pub trait ErasedMatcher: Send + Sync {
     /// Serializes the loaded database into the backend's native
     /// wire/storage format — the bytes a key owner uploads with
     /// `Request::LoadDatabase`, and the cold-tier representation of an
-    /// evicted tenant. Backends without a serialized-database format
-    /// return [`MatchError::WireDatabaseUnsupported`];
-    /// [`MatchError::NoDatabase`] if nothing is loaded.
-    fn export_database(&self) -> Result<Vec<u8>, MatchError> {
-        Err(MatchError::WireDatabaseUnsupported(self.backend()))
-    }
+    /// evicted tenant; [`MatchError::NoDatabase`] if nothing is loaded.
+    fn export_database(&self) -> Result<Vec<u8>, MatchError>;
 
     /// Loads a database that is *already encrypted* in the backend's
     /// native wire format (the remote-lifecycle path: the key owner
     /// encrypted the database offline and shipped the bytes). The bytes
     /// are validated against this matcher's parameter set before any
-    /// ciphertext can reach the search path. Backends without a
-    /// serialized-database format return
-    /// [`MatchError::WireDatabaseUnsupported`].
-    fn load_database_wire(&mut self, encoded: &[u8]) -> Result<(), MatchError> {
-        let _ = encoded;
-        Err(MatchError::WireDatabaseUnsupported(self.backend()))
-    }
+    /// ciphertext can reach the search path.
+    fn load_database_wire(&mut self, encoded: &[u8]) -> Result<(), MatchError>;
 }
 
 /// Boxes a [`SecureMatcher`] behind [`ErasedMatcher`]; `seed` starts the
@@ -479,23 +370,24 @@ mod tests {
 
     #[test]
     fn invalid_knobs_are_rejected() {
-        assert_eq!(
-            MatcherConfig::new(Backend::Yasuda)
-                .insecure_test()
-                .window(0)
-                .build()
-                .err(),
-            Some(MatchError::InvalidConfig("window must be positive"))
-        );
-        // The test ring has n = 256: a 100k-bit window cannot fit.
-        assert!(matches!(
-            MatcherConfig::new(Backend::Batched)
-                .insecure_test()
-                .window(100_000)
-                .build()
-                .err(),
-            Some(MatchError::InvalidConfig(_))
-        ));
+        // Dense packing needs a power-of-two `t`; a served job holds its
+        // phases in 32-bit words, so `q` must be at most 2^32.
+        for params in [
+            BfvParams::insecure_test_batch(),
+            BfvParams::insecure_test_mul(),
+        ] {
+            let name = params.name;
+            assert!(
+                matches!(
+                    MatcherConfig::new(Backend::Ciphermatch)
+                        .bfv_params(params)
+                        .build()
+                        .err(),
+                    Some(MatchError::InvalidConfig(_))
+                ),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -509,12 +401,8 @@ mod tests {
 
     #[test]
     fn empty_queries_are_a_typed_error_on_every_backend() {
-        for backend in Backend::ALL {
-            let mut m = MatcherConfig::new(backend)
-                .insecure_test()
-                .window(8)
-                .build()
-                .unwrap();
+        for backend in [Backend::Ciphermatch, Backend::Plain] {
+            let mut m = MatcherConfig::new(backend).insecure_test().build().unwrap();
             m.load_database(&BitString::from_ascii("ab")).unwrap();
             assert_eq!(
                 m.find_all(&BitString::new()).err(),
@@ -526,7 +414,7 @@ mod tests {
 
     #[test]
     fn backend_names_round_trip_including_ifp() {
-        for backend in Backend::WIRE {
+        for backend in Backend::ALL {
             assert_eq!(Backend::parse(backend.name()), Ok(backend));
             assert_eq!(backend.name().parse::<Backend>(), Ok(backend));
             assert_eq!(
@@ -534,12 +422,14 @@ mod tests {
                 Ok(backend)
             );
         }
-        assert!(Backend::WIRE.contains(&Backend::Ifp));
-        assert!(!Backend::ALL.contains(&Backend::Ifp));
-        assert_eq!(
-            Backend::parse("not-a-backend"),
-            Err(MatchError::UnknownBackend("not-a-backend".to_string()))
-        );
+        assert!(Backend::ALL.contains(&Backend::Ifp));
+        // The paper's baselines are engines, not served backends.
+        for name in ["not-a-backend", "yasuda", "batched", "boolean"] {
+            assert_eq!(
+                Backend::parse(name),
+                Err(MatchError::UnknownBackend(name.to_string()))
+            );
+        }
     }
 
     #[test]
@@ -672,21 +562,6 @@ mod tests {
             lying[..8].copy_from_slice(&u64::MAX.to_le_bytes());
             assert!(host.load_database_wire(&lying).is_err());
         }
-
-        // Backends without a serialized-database format say so, typed.
-        let mut m = MatcherConfig::new(Backend::Boolean)
-            .insecure_test()
-            .build()
-            .unwrap();
-        m.load_database(&BitString::from_ascii("ab")).unwrap();
-        assert_eq!(
-            m.export_database().err(),
-            Some(MatchError::WireDatabaseUnsupported(Backend::Boolean))
-        );
-        assert_eq!(
-            m.load_database_wire(&[1, 2, 3]).err(),
-            Some(MatchError::WireDatabaseUnsupported(Backend::Boolean))
-        );
     }
 
     #[test]
@@ -718,29 +593,6 @@ mod tests {
             m.load_database_wire(&bytes).unwrap();
             assert!(m.export_database().unwrap() == bytes, "{name}");
         }
-    }
-
-    /// [`Backend::has_wire_database`] is exactly the set of backends
-    /// whose database exports; the in-flash engine, built outside
-    /// `cm_core`, exports through the SSD's read-back.
-    #[test]
-    fn has_wire_database_is_exactly_the_exporting_backends() {
-        let data = BitString::from_ascii("wire");
-        for backend in Backend::ALL {
-            let mut m = MatcherConfig::new(backend)
-                .insecure_test()
-                .window(8)
-                .build()
-                .unwrap();
-            m.load_database(&data).unwrap();
-            let unsupported = Some(MatchError::WireDatabaseUnsupported(backend));
-            assert_eq!(
-                m.export_database().err() == unsupported,
-                !backend.has_wire_database(),
-                "{backend}"
-            );
-        }
-        assert!(Backend::Ifp.has_wire_database());
     }
 
     #[test]
@@ -803,6 +655,14 @@ mod tests {
             stats: &mut Vec<MatchStats>,
         ) -> Result<Vec<usize>, MatchError> {
             self.inner.find_all(db, query, stats)
+        }
+
+        fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
+            self.inner.encode_database(db)
+        }
+
+        fn decode_database(&self, encoded: &[u8]) -> Result<Self::Database, MatchError> {
+            self.inner.decode_database(encoded)
         }
 
         fn database_bytes(&self, db: &Self::Database) -> u64 {

@@ -24,19 +24,11 @@ pub enum MatchError {
     Decode(DecodeError),
     /// The query is empty; an empty pattern has no well-defined matches.
     EmptyQuery,
-    /// The query exceeds the length the database was provisioned for
-    /// (Table 1: arithmetic baselines fix the query size at layout time).
+    /// The query exceeds the length a search supports (a CM-SW search
+    /// over several polynomial ranges: one polynomial's worth of bits).
     QueryTooLong {
-        /// Maximum query length (bits) the database layout supports.
+        /// Maximum query length (bits) the search supports.
         max: usize,
-        /// Length of the offending query in bits.
-        got: usize,
-    },
-    /// The query length does not equal the fixed window the database
-    /// blocks were laid out for (the Yasuda \[27\] restriction).
-    WindowMismatch {
-        /// Window width (bits) the database was laid out for.
-        expected: usize,
         /// Length of the offending query in bits.
         got: usize,
     },
@@ -45,7 +37,8 @@ pub enum MatchError {
     /// A search worker thread panicked; the batch cannot be trusted.
     WorkerPanicked,
     /// A query arrived in a backend's native wire format, but this backend
-    /// defines no such format (only the CIPHERMATCH family does).
+    /// defines no such format (only the CIPHERMATCH family does; Plain
+    /// takes its query as bits).
     WireQueryUnsupported(Backend),
     /// A backend name failed to parse (see [`Backend::parse`]).
     UnknownBackend(String),
@@ -82,10 +75,6 @@ pub enum MatchError {
     /// of order or duplicated, data overrunning the declared size, or a
     /// commit before every declared chunk arrived.
     UploadIncomplete(&'static str),
-    /// A database arrived in a backend's native serialized format, but
-    /// this backend defines no such format (only the CIPHERMATCH family
-    /// and the plaintext reference do).
-    WireDatabaseUnsupported(Backend),
     /// The peer closed the connection before answering the in-flight
     /// request (e.g. the server hung up mid-upload).
     ConnectionClosed,
@@ -111,11 +100,6 @@ impl std::fmt::Display for MatchError {
                 f,
                 "query of {got} bits exceeds the provisioned maximum of {max} bits"
             ),
-            MatchError::WindowMismatch { expected, got } => write!(
-                f,
-                "query of {got} bits does not match the fixed {expected}-bit window \
-                 the database was laid out for"
-            ),
             MatchError::InvalidConfig(what) => write!(f, "invalid matcher configuration: {what}"),
             MatchError::WorkerPanicked => write!(f, "a search worker thread panicked"),
             MatchError::WireQueryUnsupported(backend) => write!(
@@ -136,10 +120,6 @@ impl std::fmt::Display for MatchError {
                 "database of {required} bytes exceeds the {budget}-byte host memory budget"
             ),
             MatchError::UploadIncomplete(what) => write!(f, "incomplete upload: {what}"),
-            MatchError::WireDatabaseUnsupported(backend) => write!(
-                f,
-                "backend {backend} has no serialized-database wire format"
-            ),
             MatchError::ConnectionClosed => {
                 write!(f, "the peer closed the connection mid-request")
             }

@@ -1,15 +1,17 @@
-//! The unified backend API: one trait over every secure-matching engine.
+//! The serving API: one trait over the backends the serving stack
+//! serves.
 //!
-//! The paper's evaluation is a head-to-head comparison of CM-SW against
-//! three secure-matching baselines; this module gives all of them (plus
-//! the unencrypted reference) one surface:
+//! The paper serves CM-SW and CM-IFP; this module gives them (plus the
+//! unencrypted reference) one surface. The paper's three baselines
+//! (Yasuda, Batched, Boolean) are only its comparison points: their
+//! engines in [`crate::matchers`] are called directly.
 //!
 //! * [`SecureMatcher`] — the backend-agnostic trait: encrypt a database,
 //!   prepare a query, find all matching bit offsets with the unified
 //!   [`MatchStats`] that search spent;
 //! * the key-owning adapters in [`backends`] ([`CiphermatchMatcher`],
-//!   [`YasudaMatcher`], [`BatchedMatcher`], [`BooleanMatcher`],
-//!   [`PlainMatcher`]) implementing it for every engine;
+//!   [`PlainMatcher`]) implementing it; `cm_server::IfpMatcher`
+//!   implements it for the in-flash engine;
 //! * [`Backend`] + [`MatcherConfig`] — dynamic selection and
 //!   construction, yielding a `Box<dyn `[`ErasedMatcher`]`>` whose
 //!   database/query types are erased so heterogeneous backends fit one
@@ -38,9 +40,7 @@ mod config;
 mod error;
 mod stats;
 
-pub use backends::{
-    BatchedMatcher, BooleanMatcher, CiphermatchMatcher, PlainMatcher, YasudaMatcher,
-};
+pub use backends::{CiphermatchMatcher, PlainMatcher};
 pub use config::{erase, Backend, Erased, ErasedMatcher, MatcherConfig};
 pub use error::MatchError;
 pub use stats::{MatchStats, StatsAccumulator};
@@ -102,8 +102,8 @@ pub trait SecureMatcher {
     ) -> Result<Vec<usize>, MatchError>;
 
     /// Decodes a query that arrived in this backend's native wire format
-    /// (already encrypted by the remote key owner). Backends without a
-    /// wire format — all but the CIPHERMATCH family — return
+    /// (already encrypted by the remote key owner). Plain has no such
+    /// format and keeps this default, which returns
     /// [`MatchError::WireQueryUnsupported`].
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {
         let _ = encoded;
@@ -113,22 +113,13 @@ pub trait SecureMatcher {
     /// Serializes `db` into this backend's native wire/storage format —
     /// what a key owner ships to a serving host with
     /// `Request::LoadDatabase`, and what the host's cold tier stores for
-    /// an evicted tenant. Backends without a serialized-database format
-    /// return [`MatchError::WireDatabaseUnsupported`].
-    fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError> {
-        let _ = db;
-        Err(MatchError::WireDatabaseUnsupported(self.backend()))
-    }
+    /// an evicted tenant.
+    fn encode_database(&self, db: &Self::Database) -> Result<Vec<u8>, MatchError>;
 
     /// Decodes **and validates** a database that arrived in this backend's
     /// native wire format: hostile bytes must surface as a typed error
-    /// before any ciphertext can reach the search path. Backends without a
-    /// serialized-database format return
-    /// [`MatchError::WireDatabaseUnsupported`].
-    fn decode_database(&self, encoded: &[u8]) -> Result<Self::Database, MatchError> {
-        let _ = encoded;
-        Err(MatchError::WireDatabaseUnsupported(self.backend()))
-    }
+    /// before any ciphertext can reach the search path.
+    fn decode_database(&self, encoded: &[u8]) -> Result<Self::Database, MatchError>;
 
     /// Encrypted footprint of `db` in bytes (Fig. 2a's y-axis).
     fn database_bytes(&self, db: &Self::Database) -> u64;

@@ -163,8 +163,8 @@ pub fn wait_all<T>(handles: Vec<CompletionHandle<T>>) -> Result<Vec<T>, MatchErr
 /// chunk order.
 ///
 /// This is the runtime's primitive for compute-bound fan-out over
-/// *borrowed* state (the Boolean backend's TFHE windows, its only user,
-/// which passes [`compute_workers`] as `workers`): such jobs cannot ride
+/// *borrowed* state (the Boolean engine's TFHE windows, its only user;
+/// its callers pass [`compute_workers`] as `workers`): such jobs cannot ride
 /// the `'static` [`WorkerPool`] queue, so this is
 /// the one blessed home for scoped threads — every other module submits
 /// to a pool or calls this. CM-SW does not come here: its Hom-Add sweep

@@ -19,8 +19,11 @@
 //!
 //! ## Example
 //!
-//! Every engine sits behind the unified [`SecureMatcher`] API: pick a
-//! [`Backend`], build it with [`MatcherConfig`], load a database, search.
+//! Every served backend sits behind the unified [`SecureMatcher`] API:
+//! pick a [`Backend`], build it with [`MatcherConfig`], load a database,
+//! search. The baselines ([`YasudaEngine`], [`BatchedEngine`],
+//! [`BooleanEngine`]) are the paper's comparison points, not served
+//! backends: callers drive those engines directly with their own keys.
 //!
 //! ```
 //! use cm_core::{Backend, BitString, MatcherConfig};
@@ -94,9 +97,8 @@ mod query;
 mod shard;
 
 pub use api::{
-    erase, Backend, BatchedMatcher, BooleanMatcher, CiphermatchMatcher, Erased, ErasedMatcher,
-    MatchError, MatchStats, MatcherConfig, PlainMatcher, SecureMatcher, StatsAccumulator,
-    YasudaMatcher,
+    erase, Backend, CiphermatchMatcher, Erased, ErasedMatcher, MatchError, MatchStats,
+    MatcherConfig, PlainMatcher, SecureMatcher, StatsAccumulator,
 };
 pub use bits::BitString;
 pub use exec::{compute_pool, fan_out, wait_all, CompletionHandle, PoolMetrics, WorkerPool};

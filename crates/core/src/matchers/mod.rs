@@ -11,9 +11,11 @@
 //! [`ApproachProfile`] captures the qualitative comparison of Table 1.
 //!
 //! These are the *engines* — the low-level, key-borrowing implementations.
-//! The unified, key-owning API over all of them (one trait, one stats
-//! shape, typed errors, dynamic backend selection) lives in
-//! [`crate::api`].
+//! The unified, key-owning API over the served ones, CM-SW and Plain (one
+//! trait, one stats shape, typed errors, dynamic backend selection),
+//! lives in [`crate::api`]. The three baselines are the paper's
+//! comparison points only: `repro`, the examples and the tests call
+//! their engines directly.
 
 pub mod batched;
 pub mod boolean;

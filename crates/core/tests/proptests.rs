@@ -37,7 +37,7 @@ proptest! {
     }
 
     #[test]
-    fn alignment_masks_partition_window_bits(qbits in arb_bits(80)) {
+    fn alignment_masks_partition_each_window(qbits in arb_bits(80)) {
         let q = BitString::from_bits(&qbits);
         let geometry = alignment_geometry(q.len(), 16);
         for (class, shape) in alignment_classes(&q, 16).iter().zip(&geometry) {

@@ -171,7 +171,7 @@ impl MatchClient {
     }
 
     /// Pings the server, returning the backends it can serve (the
-    /// [`cm_core::Backend::WIRE`] names, `ifp` included).
+    /// [`cm_core::Backend::ALL`] names, `ifp` included).
     ///
     /// # Errors
     ///
@@ -452,7 +452,6 @@ mod tests {
         let spec = TenantSpec {
             backend: "plain".into(),
             seed: 1,
-            window: 8,
             insecure: true,
             workers: 1,
         };

@@ -2,7 +2,7 @@
 //! a first-class backend.
 //!
 //! [`IfpMatcher`] wraps [`cm_ssd::CmIfpServer`] in a [`SecureMatcher`], so
-//! the in-flash pipeline is selectable wherever the other five backends
+//! the in-flash pipeline is selectable wherever the other two backends
 //! are — erased registries, sessions, and the `cm_server` wire protocol.
 //! Registering it from this crate (rather than `cm_core`) keeps the
 //! dependency arrow pointing the right way: the algorithm crate knows the

@@ -742,7 +742,7 @@ fn dispatch<K>(
     }
     match request {
         Request::Ping => Response::Pong {
-            backends: Backend::WIRE.iter().map(|b| b.name().to_string()).collect(),
+            backends: Backend::ALL.iter().map(|b| b.name().to_string()).collect(),
         },
         Request::ListTenants => Response::Tenants(registry.list()),
         // Tier-aware routing: a cold flash-native (`ifp`) tenant answers
@@ -1012,34 +1012,21 @@ mod tests {
         assert!(f.registry.list().is_empty());
     }
 
-    /// A `Begin` whose backend could never load a wire database is
-    /// refused before it reserves staging room or a `Commit` could
-    /// generate the backend's keys, and it binds nothing.
+    /// A `Begin` naming a backend without a wire database — a paper
+    /// baseline, which is not served, or no backend at all — is refused
+    /// as an unknown backend before it reserves staging room or a
+    /// `Commit` could generate keys, and it binds nothing.
     #[test]
     fn a_begin_for_a_backend_without_a_wire_database_stages_and_binds_nothing() {
         let f = Fixture::new(1 << 16);
-        let refusals = [
-            (
-                "boolean",
-                MatchError::WireDatabaseUnsupported(Backend::Boolean),
-            ),
-            (
-                "batched",
-                MatchError::WireDatabaseUnsupported(Backend::Batched),
-            ),
-            (
-                "yasuda",
-                MatchError::WireDatabaseUnsupported(Backend::Yasuda),
-            ),
-            ("nosuch", MatchError::UnknownBackend("nosuch".into())),
-        ];
-        for (backend, refused) in refusals {
+        for backend in ["yasuda", "batched", "boolean", "nosuch"] {
             let spec = TenantSpec {
                 backend: backend.into(),
                 ..spec()
             };
             let mut upload = None;
             let got = f.step("t", &begin_for("t", &spec, &KEY, b"db", 8), &mut upload);
+            let refused = MatchError::UnknownBackend(backend.into());
             assert_eq!(got, Response::Error(refused), "{backend}");
             assert!(upload.is_none(), "{backend}");
             assert_eq!(f.used(), 0, "{backend}: nothing staged");

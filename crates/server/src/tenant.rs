@@ -783,9 +783,10 @@ impl TenantRegistry {
     /// existing binding the key must match and the nonce must strictly
     /// exceed the tenant's high-water mark.
     ///
-    /// The spec must also name a backend with a serialized-database
-    /// format ([`Backend::has_wire_database`]), so an upload that could
-    /// never load is refused before it stages a byte or generates a key.
+    /// The spec must also name a served backend ([`Backend::parse`]), so
+    /// an upload that could never load — one naming a paper baseline
+    /// (`yasuda`, `batched`, `boolean`) or no backend at all — is refused
+    /// before it stages a byte or generates a key.
     ///
     /// This check mutates **nothing** — in particular it creates no
     /// binding for an unknown id (an unauthenticated `Begin` must not be
@@ -795,8 +796,8 @@ impl TenantRegistry {
     ///
     /// # Errors
     ///
-    /// [`MatchError::Unauthorized`]; [`MatchError::UnknownBackend`] or
-    /// [`MatchError::WireDatabaseUnsupported`] for the spec's backend.
+    /// [`MatchError::Unauthorized`]; [`MatchError::UnknownBackend`] for
+    /// the spec's backend.
     pub fn authorize_upload(
         &self,
         id: &str,
@@ -815,10 +816,7 @@ impl TenantRegistry {
         if !tags_match(&expected, &auth.tag) {
             return Err(MatchError::Unauthorized("upload tag does not verify"));
         }
-        let backend = Backend::parse(&spec.backend)?;
-        if !backend.has_wire_database() {
-            return Err(MatchError::WireDatabaseUnsupported(backend));
-        }
+        Backend::parse(&spec.backend)?;
         let inner = self.lock();
         Self::check_binding(&inner, id, &auth.channel_key, auth.nonce)
     }
@@ -865,10 +863,9 @@ impl TenantRegistry {
     /// [`MatchError::Unauthorized`] on a bad tag, key mismatch, replayed
     /// nonce, or content-digest mismatch; [`MatchError::QuotaExceeded`]
     /// when the database cannot fit even after demotions;
-    /// [`MatchError::InvalidConfig`] / [`MatchError::UnknownBackend`] /
-    /// [`MatchError::WireDatabaseUnsupported`] for a bad spec; decode
-    /// errors for malformed database bytes. All failures leave the
-    /// registry untouched.
+    /// [`MatchError::InvalidConfig`] / [`MatchError::UnknownBackend`] for
+    /// a bad spec; decode errors for malformed database bytes. All
+    /// failures leave the registry untouched.
     pub fn register_remote(
         &self,
         id: &str,

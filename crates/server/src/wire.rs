@@ -227,8 +227,6 @@ pub struct TenantSpec {
     pub backend: String,
     /// Key-generation / query-encryption seed.
     pub seed: u64,
-    /// Query window in bits (window-bound backends).
-    pub window: u32,
     /// Whether the insecure test parameter sets are selected.
     pub insecure: bool,
     /// K: how many of the tenant's queries run concurrently on its one
@@ -245,12 +243,9 @@ impl TenantSpec {
     /// the hot tier; operators pin server-side with
     /// `TenantRegistry::set_pinned`.
     pub fn from_config(config: &cm_core::MatcherConfig, workers: u32) -> Self {
-        // Saturating: a count past u32 arrives out of range, not wrapped.
-        let saturate = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         Self {
             backend: config.backend().name().to_string(),
             seed: config.seed_value(),
-            window: saturate(config.window_bits()),
             insecure: config.is_insecure_test(),
             workers,
         }
@@ -270,9 +265,8 @@ impl TenantSpec {
     ///
     /// [`MatchError::UnknownBackend`] for an unparseable backend name.
     pub fn to_config(&self) -> Result<cm_core::MatcherConfig, MatchError> {
-        let mut config = cm_core::MatcherConfig::new(Backend::parse(&self.backend)?)
-            .seed(self.seed)
-            .window(narrow(self.window.into()));
+        let mut config =
+            cm_core::MatcherConfig::new(Backend::parse(&self.backend)?).seed(self.seed);
         if self.insecure {
             config = config.insecure_test();
         }
@@ -839,7 +833,7 @@ wire_struct! {
 
 wire_struct! {
     TenantSpec {
-        backend: String, seed: u64, window: u32, insecure: bool, workers: u32,
+        backend: String, seed: u64, insecure: bool, workers: u32,
     } check check_spec
 }
 
@@ -1004,13 +998,15 @@ macro_rules! wire_errors {
     )+};
 }
 
+// Tags 4 (a query off a fixed window) and 17 (a backend without a
+// wire database) were the unserved baselines' errors. They are retired:
+// they decode as unknown and are never reused.
 wire_errors! {
     MatchError {
         NoIndexGenerator = ERR_NO_INDEX_GENERATOR: 0,
         NoDatabase = ERR_NO_DATABASE: 1,
         EmptyQuery = ERR_EMPTY_QUERY: 2,
         QueryTooLong { max: a, got: b } = ERR_QUERY_TOO_LONG: 3,
-        WindowMismatch { expected: a, got: b } = ERR_WINDOW_MISMATCH: 4,
         WorkerPanicked = ERR_WORKER_PANICKED: 5,
         InvalidConfig(text) = ERR_INVALID_CONFIG: 6,
         Decode(a) = ERR_DECODE: 7,
@@ -1023,7 +1019,6 @@ wire_errors! {
         Unauthorized(text) = ERR_UNAUTHORIZED: 14,
         QuotaExceeded { budget: a, required: b } = ERR_QUOTA_EXCEEDED: 15,
         UploadIncomplete(text) = ERR_UPLOAD_INCOMPLETE: 16,
-        WireDatabaseUnsupported(text) = ERR_WIRE_DATABASE_UNSUPPORTED: 17,
         ConnectionClosed = ERR_CONNECTION_CLOSED: 18,
         Internal(text) = ERR_INTERNAL: 19,
     }
@@ -1131,7 +1126,7 @@ wire_enum! {
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Request {
         /// Liveness + capability probe; answered by [`Response::Pong`] with
-        /// the full [`Backend::WIRE`] listing.
+        /// the full [`Backend::ALL`] listing.
         Ping = REQ_PING: 0,
         /// Lists the registered tenants; answered by [`Response::Tenants`].
         ListTenants = REQ_LIST_TENANTS: 1,
@@ -1271,7 +1266,7 @@ wire_enum! {
     pub enum Response {
         /// Liveness answer: every backend this server build can serve.
         Pong {
-            /// [`Backend::WIRE`] names.
+            /// [`Backend::ALL`] names.
             backends: Vec<String> as u16,
         } = RESP_PONG: 0,
         /// The registered tenants.
@@ -1337,7 +1332,7 @@ wire_enum! {
 /// A `Pong` lists no more names than a server build could serve.
 fn check_response(response: &Response) -> Result<(), MatchError> {
     match response {
-        Response::Pong { backends } if backends.len() > 4 * Backend::WIRE.len() => {
+        Response::Pong { backends } if backends.len() > 4 * Backend::ALL.len() => {
             Err(MatchError::Frame("implausible backend count"))
         }
         _ => Ok(()),
@@ -1657,7 +1652,7 @@ mod tests {
         };
         let samples = [
             Response::Pong {
-                backends: Backend::WIRE.iter().map(|b| b.name().to_string()).collect(),
+                backends: Backend::ALL.iter().map(|b| b.name().to_string()).collect(),
             },
             Response::Tenants(vec![TenantInfo {
                 id: "alice".into(),
@@ -1742,7 +1737,6 @@ mod tests {
         TenantSpec {
             backend: "ciphermatch".into(),
             seed: 0xDEAD_BEEF,
-            window: 32,
             insecure: true,
             workers: 4,
         }
@@ -1830,7 +1824,7 @@ mod tests {
                 required: 1 << 21,
             }),
             Response::Error(MatchError::UploadIncomplete("missing chunks")),
-            Response::Error(MatchError::WireDatabaseUnsupported(Backend::Boolean)),
+            Response::Error(MatchError::WireQueryUnsupported(Backend::Plain)),
             Response::Error(MatchError::ConnectionClosed),
         ];
         for resp in samples {
@@ -2094,9 +2088,16 @@ mod tests {
         .encode();
         phase[1 + 2 + 1] = 3;
         refused(&phase, false);
-        let mut error = Response::Error(MatchError::NoDatabase).encode();
-        error[1] = 20;
-        refused(&error, true);
+        // One past the last error tag, and the two retired ones.
+        for tag in [20, 4, 17] {
+            let mut error = Response::Error(MatchError::NoDatabase).encode();
+            error[1] = tag;
+            assert_eq!(
+                Response::decode(&error),
+                Err(MatchError::Frame("unknown MatchError tag")),
+                "{tag}"
+            );
+        }
         // Tenant ids outside 1..=MAX_TENANT_ID, on both request shapes
         // that carry one first; the bounds themselves decode.
         for len in [0, MAX_TENANT_ID + 1, 1, MAX_TENANT_ID] {
@@ -2121,7 +2122,7 @@ mod tests {
         let pong = |n: usize| Response::Pong {
             backends: vec!["plain".to_string(); n],
         };
-        let cap = 4 * Backend::WIRE.len();
+        let cap = 4 * Backend::ALL.len();
         assert_eq!(Response::decode(&pong(cap).encode()).unwrap(), pong(cap));
         refused(&pong(cap + 1).encode(), true);
     }

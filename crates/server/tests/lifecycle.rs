@@ -351,7 +351,6 @@ fn ifp_payload(seed: u64, text: &str) -> (TenantSpec, Vec<u8>, BitString) {
     let spec = TenantSpec {
         backend: "ifp".into(),
         seed,
-        window: 0,
         insecure: true,
         workers: 1,
     };

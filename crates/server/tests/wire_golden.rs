@@ -52,7 +52,6 @@ fn spec() -> TenantSpec {
     TenantSpec {
         backend: "ciphermatch".into(),
         seed: 0xDEAD_BEEF,
-        window: 32,
         insecure: true,
         workers: 4,
     }
@@ -168,8 +167,8 @@ fn requests() -> Vec<(&'static str, Request, String)> {
     ]
 }
 
-/// [`spec`]: backend, seed, window, insecure, workers.
-const SPEC: &str = "0b00 6369706865726d61746368 efbeadde00000000 20000000 01 04000000";
+/// [`spec`]: backend, seed, insecure, workers.
+const SPEC: &str = "0b00 6369706865726d61746368 efbeadde00000000 01 04000000";
 
 /// Labels on a counter and a gauge, a negative gauge, sparse buckets.
 fn snapshot() -> MetricsSnapshot {
@@ -328,14 +327,6 @@ fn errors() -> Vec<(&'static str, MatchError, String)> {
             error("03", 128, 300, ""),
         ),
         (
-            "window_mismatch",
-            MatchError::WindowMismatch {
-                expected: 16,
-                got: 24,
-            },
-            error("04", 16, 24, ""),
-        ),
-        (
             "worker_panicked",
             MatchError::WorkerPanicked,
             error("05", 0, 0, ""),
@@ -367,8 +358,8 @@ fn errors() -> Vec<(&'static str, MatchError, String)> {
         ),
         (
             "wire_query_unsupported",
-            MatchError::WireQueryUnsupported(Backend::Boolean),
-            error("08", 0, 0, "boolean"),
+            MatchError::WireQueryUnsupported(Backend::Plain),
+            error("08", 0, 0, "plain"),
         ),
         (
             "unknown_backend",
@@ -421,11 +412,6 @@ fn errors() -> Vec<(&'static str, MatchError, String)> {
             error("10", 0, 0, "gap"),
         ),
         (
-            "wire_database_unsupported",
-            MatchError::WireDatabaseUnsupported(Backend::Yasuda),
-            error("11", 0, 0, "yasuda"),
-        ),
-        (
             "connection_closed",
             MatchError::ConnectionClosed,
             error("12", 0, 0, ""),
@@ -473,7 +459,7 @@ fn every_error_encodes_to_its_golden_bytes() {
 #[test]
 fn the_upload_tag_over_a_fixed_spec_is_pinned() {
     let tag = upload_tag(&[0x42; 32], "alice", 7, 1_000, &spec(), &[0x1B; 16]);
-    assert_golden("upload_tag", &tag, "0ee9b5ee7f4fc95233b759d913be6853");
+    assert_golden("upload_tag", &tag, "9f6193863af65a45d7283a36790e2865");
 }
 
 #[test]

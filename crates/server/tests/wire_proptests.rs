@@ -182,18 +182,10 @@ fn key_from(seed: u64) -> [u8; 32] {
 }
 
 fn spec_from(seed: u64) -> TenantSpec {
-    let backends = [
-        "ciphermatch",
-        "yasuda",
-        "batched",
-        "boolean",
-        "plain",
-        "ifp",
-    ];
+    let backends = ["ciphermatch", "plain", "ifp"];
     TenantSpec {
-        backend: backends[(seed % 6) as usize].to_string(),
+        backend: backends[(seed % 3) as usize].to_string(),
         seed,
-        window: (seed % 1024) as u32 + 1,
         insecure: seed.is_multiple_of(2),
         workers: (seed % u64::from(MAX_TENANT_WORKERS)) as u32 + 1,
     }

@@ -38,7 +38,6 @@ fn spec() -> TenantSpec {
     TenantSpec {
         backend: "plain".to_string(),
         seed: 7,
-        window: 16,
         insecure: true,
         workers: 3,
     }
@@ -250,18 +249,11 @@ fn error_cases() -> Vec<(MatchError, &'static str)> {
             MatchError::QueryTooLong { max: 128, got: 256 },
             "ERR_QUERY_TOO_LONG",
         ),
-        (
-            MatchError::WindowMismatch {
-                expected: 16,
-                got: 24,
-            },
-            "ERR_WINDOW_MISMATCH",
-        ),
         (MatchError::WorkerPanicked, "ERR_WORKER_PANICKED"),
         (MatchError::InvalidConfig("remote"), "ERR_INVALID_CONFIG"),
         (MatchError::Decode(DecodeError::Truncated), "ERR_DECODE"),
         (
-            MatchError::WireQueryUnsupported(Backend::Boolean),
+            MatchError::WireQueryUnsupported(Backend::Plain),
             "ERR_WIRE_QUERY_UNSUPPORTED",
         ),
         (
@@ -294,10 +286,6 @@ fn error_cases() -> Vec<(MatchError, &'static str)> {
         (
             MatchError::UploadIncomplete("remote"),
             "ERR_UPLOAD_INCOMPLETE",
-        ),
-        (
-            MatchError::WireDatabaseUnsupported(Backend::Yasuda),
-            "ERR_WIRE_DATABASE_UNSUPPORTED",
         ),
         (MatchError::ConnectionClosed, "ERR_CONNECTION_CLOSED"),
         (MatchError::Internal("remote"), "ERR_INTERNAL"),

@@ -47,6 +47,19 @@ impl ErasedMatcher for PanicMatcher {
         }
         Ok((db.find_all(query), vec![MatchStats::default()]))
     }
+
+    // Registered in-process and never demoted: no wire form is needed.
+    fn export_database(&self) -> Result<Vec<u8>, MatchError> {
+        Err(MatchError::Internal(
+            "the test matcher has no wire database",
+        ))
+    }
+
+    fn load_database_wire(&mut self, _encoded: &[u8]) -> Result<(), MatchError> {
+        Err(MatchError::Internal(
+            "the test matcher has no wire database",
+        ))
+    }
 }
 
 #[test]

@@ -36,7 +36,6 @@ fn export_ifp(seed: u64, text: &str) -> (TenantSpec, Vec<u8>, BitString) {
     let spec = TenantSpec {
         backend: "ifp".into(),
         seed,
-        window: 0,
         insecure: true,
         workers: 1,
     };
