@@ -10,6 +10,11 @@
 //! a full `width`-bit addition costs `width` flash reads and `2 * width`
 //! DMAs but **zero program/erase cycles**.
 //!
+//! The µ-program resolves its plane's latches and its block's pages once
+//! per call and runs all of its steps against that one view; each step is
+//! still one latch primitive booking its own ledger entry, exactly as the
+//! per-call `FlashArray` methods book it.
+//!
 //! Addition is modulo `2^width`, which equals BFV `Hom-Add` exactly when
 //! the ciphertext modulus is `2^width` (see
 //! `cm_bfv::BfvParams::ciphermatch_ifp_1024`).
@@ -199,46 +204,44 @@ pub fn bop_add_into(
         "width must be 1..=32"
     );
     reshape(sums, b_planes.len(), fa.geometry().page_bits());
+    let mut view = fa.view(plane, Some(block));
     // Carry-in = 0.
-    fa.reset_dlatch(plane, 2);
+    view.reset_dlatch(2);
     for (i, (b_i, sum_i)) in b_planes.iter().zip(sums.iter_mut()).enumerate() {
         // ① stream B_i from the controller into the S-latch.
-        fa.io_load_slatch(plane, b_i);
+        view.io_load_slatch(b_i);
         // ② copy it to D-latch 1.
-        fa.slatch_to_dlatch(plane, 1);
+        view.slatch_to_dlatch(1);
         // ③ AND with the carry (D2): S = B·C.
-        fa.and_dlatch_into_slatch(plane, 2);
+        view.and_dlatch_into_slatch(2);
         // ④ XOR D1 ⊕ D2: D1 = B ⊕ C.
-        fa.xor_d1_d2_into_d1(plane);
+        view.xor_d1_d2_into_d1();
         // ⑤ park B·C in D-latch 0.
-        fa.slatch_to_dlatch(plane, 0);
+        view.slatch_to_dlatch(0);
         // ⑥ read the stored bit A_i from the flash cell.
-        fa.read_to_slatch(PageAddr {
-            plane,
-            block,
-            wordline: wl_base + i,
-        });
+        view.read_to_slatch(wl_base + i);
         // ⑦ copy A to D-latch 2 (the carry value is no longer needed).
-        fa.slatch_to_dlatch(plane, 2);
+        view.slatch_to_dlatch(2);
         // ⑧ move B ⊕ C to the S-latch and AND with A: S = (B⊕C)·A.
-        fa.dlatch_to_slatch(plane, 1);
-        fa.and_dlatch_into_slatch(plane, 2);
+        view.dlatch_to_slatch(1);
+        view.and_dlatch_into_slatch(2);
         // ⑨ XOR D1 ⊕ D2: D1 = B ⊕ C ⊕ A = sum bit.
-        fa.xor_d1_d2_into_d1(plane);
+        view.xor_d1_d2_into_d1();
         // ⑩ park (B⊕C)·A in D-latch 2.
-        fa.slatch_to_dlatch(plane, 2);
+        view.slatch_to_dlatch(2);
         // ⑪ recall B·C into the S-latch.
-        fa.dlatch_to_slatch(plane, 0);
+        view.dlatch_to_slatch(0);
         // ⑫ OR into D2: carry-out = (B⊕C)·A + B·C.
-        fa.or_slatch_into_dlatch(plane, 2);
+        view.or_slatch_into_dlatch(2);
         // ⑬ ship the sum bit-plane to the controller.
-        sum_i.copy_from(fa.io_read_dlatch(plane, 1));
+        sum_i.copy_from(view.reborrow().io_read_dlatch(1));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chip::D_LATCHES;
     use crate::geometry::FlashGeometry;
     use crate::timing::FlashTimings;
     use rand::rngs::StdRng;
@@ -304,6 +307,132 @@ mod tests {
         assert!(bitplanes_to_words(&sums).iter().all(|&x| x == 0));
     }
 
+    /// The µ-program as one per-call `FlashArray` primitive per step,
+    /// each resolving its plane (and the read its page) again.
+    fn bop_add_into_oracle(
+        fa: &mut FlashArray,
+        plane: PlaneAddr,
+        block: usize,
+        wl_base: usize,
+        b_planes: &[BitBuf],
+        sums: &mut Vec<BitBuf>,
+    ) {
+        reshape(sums, b_planes.len(), fa.geometry().page_bits());
+        fa.reset_dlatch(plane, 2);
+        for (i, (b_i, sum_i)) in b_planes.iter().zip(sums.iter_mut()).enumerate() {
+            fa.io_load_slatch(plane, b_i);
+            fa.slatch_to_dlatch(plane, 1);
+            fa.and_dlatch_into_slatch(plane, 2);
+            fa.xor_d1_d2_into_d1(plane);
+            fa.slatch_to_dlatch(plane, 0);
+            fa.read_to_slatch(PageAddr {
+                plane,
+                block,
+                wordline: wl_base + i,
+            });
+            fa.slatch_to_dlatch(plane, 2);
+            fa.dlatch_to_slatch(plane, 1);
+            fa.and_dlatch_into_slatch(plane, 2);
+            fa.xor_d1_d2_into_d1(plane);
+            fa.slatch_to_dlatch(plane, 2);
+            fa.dlatch_to_slatch(plane, 0);
+            fa.or_slatch_into_dlatch(plane, 2);
+            sum_i.copy_from(fa.io_read_dlatch(plane, 1));
+        }
+    }
+
+    #[test]
+    fn bop_add_into_equals_the_per_call_oracle() {
+        let geometry = FlashGeometry::tiny_test();
+        let bits = geometry.page_bits();
+        let wordlines = geometry.wordlines_per_block;
+        let planes = [
+            PlaneAddr {
+                channel: 0,
+                die: 1,
+                plane: 0,
+            },
+            PlaneAddr {
+                channel: 1,
+                die: 0,
+                plane: 1,
+            },
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        for round in 0..24 {
+            // Two arrays holding the same pages and latches: blocks 0 and
+            // 1 of each plane programmed on about two wordlines in three,
+            // block 2 of the second plane never.
+            let mut pages = Vec::new();
+            for plane in planes {
+                for block in 0..2 {
+                    for wordline in 0..wordlines {
+                        if rng.gen_range(0..3u32) != 0 {
+                            let bits: Vec<bool> = (0..bits).map(|_| rng.gen()).collect();
+                            let addr = PageAddr {
+                                plane,
+                                block,
+                                wordline,
+                            };
+                            pages.push((addr, BitBuf::from_bits(&bits)));
+                        }
+                    }
+                }
+            }
+            let latch_pages: Vec<BitBuf> = (0..2 * 4)
+                .map(|_| BitBuf::from_bits(&(0..bits).map(|_| rng.gen()).collect::<Vec<_>>()))
+                .collect();
+            let build = || {
+                let mut fa = FlashArray::new(geometry.clone());
+                for (addr, page) in &pages {
+                    fa.program_page(*addr, page.clone());
+                }
+                for (plane, loads) in planes.iter().zip(latch_pages.chunks(4)) {
+                    for (d, page) in loads[1..].iter().enumerate() {
+                        fa.io_load_slatch(*plane, page);
+                        fa.slatch_to_dlatch(*plane, d);
+                    }
+                    fa.io_load_slatch(*plane, &loads[0]);
+                }
+                fa.reset_ledger();
+                fa
+            };
+            let (mut fast, mut oracle) = (build(), build());
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for _ in 0..3 {
+                let width = rng.gen_range(1..=32);
+                let wl_base = rng.gen_range(0..=wordlines - width);
+                let plane = planes[rng.gen_range(0..2usize)];
+                let block = if plane == planes[1] {
+                    rng.gen_range(0..3)
+                } else {
+                    rng.gen_range(0..2)
+                };
+                let b: Vec<u32> = (0..bits).map(|_| rng.gen()).collect();
+                let b_planes = words_to_bitplanes(&b, width);
+                bop_add_into(&mut fast, plane, block, wl_base, &b_planes, &mut got);
+                bop_add_into_oracle(&mut oracle, plane, block, wl_base, &b_planes, &mut want);
+                let at = format!("round {round} width {width} wl_base {wl_base} block {block}");
+                assert_eq!(got, want, "sums differ at {at}");
+                for plane in planes {
+                    assert_eq!(
+                        fast.peek_slatch(plane),
+                        oracle.peek_slatch(plane),
+                        "S at {at}"
+                    );
+                    for d in 0..D_LATCHES {
+                        assert_eq!(
+                            fast.peek_dlatch(plane, d),
+                            oracle.peek_dlatch(plane, d),
+                            "D{d} at {at}"
+                        );
+                    }
+                }
+                assert_eq!(fast.ledger(), oracle.ledger(), "ledger at {at}");
+            }
+        }
+    }
+
     #[test]
     fn per_bit_cost_matches_equation_9() {
         let (mut fa, plane) = setup();
@@ -326,6 +455,8 @@ mod tests {
         // µ-program does 6 transfers + 3 AND/OR (plus one carry reset per
         // call) — same op count and identical time because the two op
         // classes share the 20 ns latch cost.
+        assert_eq!(ledger.latch_transfers, 6 * width as u64 + 1);
+        assert_eq!(ledger.and_or_ops, 3 * width as u64);
         let t = FlashTimings::paper_default();
         let per_bit = ledger.serial_time(&t) / width as f64;
         let eq9 = t.t_bit_add();

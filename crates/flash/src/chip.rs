@@ -12,6 +12,14 @@
 //! * `XOR` between D1 and D2 into D1 (the existing randomizer circuit),
 //! * page DMA between latches and the channel.
 //!
+//! Programmed pages are kept per block: a `(plane, block)` key maps to
+//! that block's wordline slots, created on the block's first program, and
+//! a slot never programmed reads as all-zero. Each primitive has one body,
+//! on a [`PlaneView`] — one plane's latches and one block's pages,
+//! resolved together — and books its own ledger field. The per-call
+//! methods of [`FlashArray`] open a view for one primitive; a µ-program
+//! such as `bop_add` opens one for all of its steps.
+//!
 //! Every call logs into the [`FlashLedger`], and computation never touches
 //! a program/erase path (the paper's endurance argument).
 
@@ -44,46 +52,140 @@ impl LatchSet {
     }
 }
 
-/// The functional flash array: sparse SLC page store + per-plane latches.
+/// The functional flash array: SLC pages stored by block, plus per-plane
+/// latches.
 #[derive(Debug)]
 pub struct FlashArray {
     geometry: FlashGeometry,
-    pages: HashMap<PageAddr, BitBuf>,
+    /// Each programmed block's wordline slots, created by the block's
+    /// first [`FlashArray::program_page`]; `None` is a wordline never
+    /// programmed.
+    blocks: HashMap<(PlaneAddr, usize), Vec<Option<BitBuf>>>,
     /// One slot per plane in canonical (channel, die, plane) order, filled
     /// when the plane's latches are first touched.
     latches: Vec<Option<LatchSet>>,
     ledger: FlashLedger,
 }
 
-/// Panics unless `addr` lies inside `geometry`.
-fn check_page(geometry: &FlashGeometry, addr: &PageAddr) {
-    assert!(
-        geometry.check_page(addr),
-        "page address out of geometry: {addr:?}"
-    );
+/// One plane's latch set and one block's pages, resolved once, with the
+/// ledger every primitive books into. Each latch primitive has its one
+/// body here.
+pub(crate) struct PlaneView<'a> {
+    latches: &'a mut LatchSet,
+    /// The open block's wordline slots: empty when the view opened no
+    /// block or the block was never programmed.
+    pages: &'a [Option<BitBuf>],
+    wordlines: usize,
+    ledger: &'a mut FlashLedger,
 }
 
-/// The latch set of `plane`, created all-zero on first use. A free
-/// function over the two fields it needs, so callers can hold it beside a
-/// borrow of the page store.
-///
-/// # Panics
-///
-/// Panics if the plane is outside the geometry.
-fn latch<'a>(
-    latches: &'a mut [Option<LatchSet>],
-    geometry: &FlashGeometry,
-    plane: PlaneAddr,
-) -> &'a mut LatchSet {
-    assert!(
-        plane.channel < geometry.channels
-            && plane.die < geometry.dies_per_channel
-            && plane.plane < geometry.planes_per_die,
-        "plane address out of geometry: {plane:?}"
-    );
-    let index = (plane.channel * geometry.dies_per_channel + plane.die) * geometry.planes_per_die
-        + plane.plane;
-    latches[index].get_or_insert_with(|| LatchSet::new(geometry.page_bits()))
+impl PlaneView<'_> {
+    /// The same view for a shorter borrow, so that a step handing out a
+    /// latch (a DMA out) leaves the view usable.
+    pub(crate) fn reborrow(&mut self) -> PlaneView<'_> {
+        PlaneView {
+            latches: &mut *self.latches,
+            pages: self.pages,
+            wordlines: self.wordlines,
+            ledger: &mut *self.ledger,
+        }
+    }
+
+    /// Reads wordline `wordline` of the open block into the S-latch (ESP
+    /// SLC read). Unwritten pages read as all-zero (erased cells in SLC
+    /// convention).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the wordline is outside the block.
+    pub(crate) fn read_to_slatch(&mut self, wordline: usize) {
+        assert!(
+            wordline < self.wordlines,
+            "page address out of geometry: wordline {wordline}"
+        );
+        self.ledger.reads += 1;
+        match self.pages.get(wordline) {
+            Some(Some(page)) => self.latches.s.copy_from(page),
+            _ => self.latches.s.clear(),
+        }
+    }
+
+    /// Copies the S-latch into D-latch `d` (Fig. 4 step ②③: reset then
+    /// conditional set).
+    pub(crate) fn slatch_to_dlatch(&mut self, d: usize) {
+        assert!(d < D_LATCHES);
+        self.ledger.latch_transfers += 1;
+        let LatchSet { s, d: dl } = &mut *self.latches;
+        dl[d].copy_from(s);
+    }
+
+    /// Copies D-latch `d` into the S-latch (reverse path via M7/M8).
+    pub(crate) fn dlatch_to_slatch(&mut self, d: usize) {
+        assert!(d < D_LATCHES);
+        self.ledger.latch_transfers += 1;
+        let LatchSet { s, d: dl } = &mut *self.latches;
+        s.copy_from(&dl[d]);
+    }
+
+    /// Bitwise AND of the S-latch with D-latch `d`, result in the S-latch
+    /// (Fig. 4, "Bitwise AND" sequence).
+    pub(crate) fn and_dlatch_into_slatch(&mut self, d: usize) {
+        assert!(d < D_LATCHES);
+        self.ledger.and_or_ops += 1;
+        let LatchSet { s, d: dl } = &mut *self.latches;
+        s.and_assign(&dl[d]);
+    }
+
+    /// Bitwise OR of the S-latch into D-latch `d` (transfer without reset).
+    pub(crate) fn or_slatch_into_dlatch(&mut self, d: usize) {
+        assert!(d < D_LATCHES);
+        self.ledger.and_or_ops += 1;
+        let LatchSet { s, d: dl } = &mut *self.latches;
+        dl[d].or_assign(s);
+    }
+
+    /// XOR between D-latch 1 and D-latch 2, result in D-latch 1 (the
+    /// on-chip randomizer circuit, §4.3.1 item 4).
+    pub(crate) fn xor_d1_d2_into_d1(&mut self) {
+        self.ledger.xor_ops += 1;
+        let [_, d1, d2] = &mut self.latches.d;
+        d1.xor_assign(d2);
+    }
+
+    /// Resets D-latch `d` to all zeros.
+    pub(crate) fn reset_dlatch(&mut self, d: usize) {
+        assert!(d < D_LATCHES);
+        self.ledger.latch_transfers += 1;
+        self.latches.d[d].clear();
+    }
+
+    /// DMA: loads a page from the channel into the S-latch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer width is not a page.
+    pub(crate) fn io_load_slatch(&mut self, data: &BitBuf) {
+        assert_eq!(data.len(), self.latches.s.len(), "page width mismatch");
+        self.ledger.dmas += 1;
+        self.latches.s.copy_from(data);
+    }
+}
+
+impl<'a> PlaneView<'a> {
+    /// DMA: reads D-latch `d` out to the channel. The page on the wire is
+    /// a view of the latch; the receiver copies it into its own buffer.
+    pub(crate) fn io_read_dlatch(self, d: usize) -> &'a BitBuf {
+        assert!(d < D_LATCHES);
+        self.ledger.dmas += 1;
+        &self.latches.d[d]
+    }
+
+    /// DMA: reads the S-latch out to the channel, as
+    /// [`Self::io_read_dlatch`].
+    fn io_read_slatch(self) -> &'a BitBuf {
+        self.ledger.dmas += 1;
+        &self.latches.s
+    }
 }
 
 impl FlashArray {
@@ -92,7 +194,7 @@ impl FlashArray {
         Self {
             latches: (0..geometry.total_planes()).map(|_| None).collect(),
             geometry,
-            pages: HashMap::new(),
+            blocks: HashMap::new(),
             ledger: FlashLedger::default(),
         }
     }
@@ -112,12 +214,41 @@ impl FlashArray {
         self.ledger = FlashLedger::default();
     }
 
-    fn latch(&mut self, plane: PlaneAddr) -> &mut LatchSet {
-        latch(&mut self.latches, &self.geometry, plane)
-    }
-
-    fn check(&self, addr: &PageAddr) {
-        check_page(&self.geometry, addr);
+    /// Opens `plane`'s latch set (created all-zero on first use) and, if
+    /// `block` is given, that block's pages: one view per primitive for
+    /// the per-call methods, one per call for a µ-program.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plane or the block is outside the geometry.
+    pub(crate) fn view(&mut self, plane: PlaneAddr, block: Option<usize>) -> PlaneView<'_> {
+        let g = &self.geometry;
+        assert!(
+            plane.channel < g.channels
+                && plane.die < g.dies_per_channel
+                && plane.plane < g.planes_per_die,
+            "plane address out of geometry: {plane:?}"
+        );
+        let pages = match block {
+            Some(block) => {
+                assert!(
+                    block < g.blocks_per_plane,
+                    "page address out of geometry: {plane:?} block {block}"
+                );
+                self.blocks
+                    .get(&(plane, block))
+                    .map_or(&[][..], Vec::as_slice)
+            }
+            None => &[],
+        };
+        let index =
+            (plane.channel * g.dies_per_channel + plane.die) * g.planes_per_die + plane.plane;
+        PlaneView {
+            latches: self.latches[index].get_or_insert_with(|| LatchSet::new(g.page_bits())),
+            pages,
+            wordlines: g.wordlines_per_block,
+            ledger: &mut self.ledger,
+        }
     }
 
     /// Programs a page (SLC write) — data load path, costs P/E wear.
@@ -127,72 +258,57 @@ impl FlashArray {
     /// Panics if the address is out of range or the buffer width is not a
     /// page.
     pub fn program_page(&mut self, addr: PageAddr, data: BitBuf) {
-        self.check(&addr);
+        assert!(
+            self.geometry.check_page(&addr),
+            "page address out of geometry: {addr:?}"
+        );
         assert_eq!(data.len(), self.geometry.page_bits(), "page width mismatch");
         self.ledger.programs += 1;
-        self.pages.insert(addr, data);
+        let wordlines = self.geometry.wordlines_per_block;
+        self.blocks
+            .entry((addr.plane, addr.block))
+            .or_insert_with(|| vec![None; wordlines])[addr.wordline] = Some(data);
     }
 
     /// Reads a page into the plane's S-latch (ESP SLC read).
     ///
     /// Unwritten pages read as all-zero (erased cells in SLC convention).
     pub fn read_to_slatch(&mut self, addr: PageAddr) {
-        self.check(&addr);
-        self.ledger.reads += 1;
-        let set = latch(&mut self.latches, &self.geometry, addr.plane);
-        match self.pages.get(&addr) {
-            Some(page) => set.s.copy_from(page),
-            None => set.s.clear(),
-        }
+        self.view(addr.plane, Some(addr.block))
+            .read_to_slatch(addr.wordline);
     }
 
     /// Copies the S-latch into D-latch `d` (Fig. 4 step ②③: reset then
     /// conditional set).
     pub fn slatch_to_dlatch(&mut self, plane: PlaneAddr, d: usize) {
-        assert!(d < D_LATCHES);
-        self.ledger.latch_transfers += 1;
-        let LatchSet { s, d: dl } = self.latch(plane);
-        dl[d].copy_from(s);
+        self.view(plane, None).slatch_to_dlatch(d);
     }
 
     /// Copies D-latch `d` into the S-latch (reverse path via M7/M8).
     pub fn dlatch_to_slatch(&mut self, plane: PlaneAddr, d: usize) {
-        assert!(d < D_LATCHES);
-        self.ledger.latch_transfers += 1;
-        let LatchSet { s, d: dl } = self.latch(plane);
-        s.copy_from(&dl[d]);
+        self.view(plane, None).dlatch_to_slatch(d);
     }
 
     /// Bitwise AND of the S-latch with D-latch `d`, result in the S-latch
     /// (Fig. 4, "Bitwise AND" sequence).
     pub fn and_dlatch_into_slatch(&mut self, plane: PlaneAddr, d: usize) {
-        assert!(d < D_LATCHES);
-        self.ledger.and_or_ops += 1;
-        let LatchSet { s, d: dl } = self.latch(plane);
-        s.and_assign(&dl[d]);
+        self.view(plane, None).and_dlatch_into_slatch(d);
     }
 
     /// Bitwise OR of the S-latch into D-latch `d` (transfer without reset).
     pub fn or_slatch_into_dlatch(&mut self, plane: PlaneAddr, d: usize) {
-        assert!(d < D_LATCHES);
-        self.ledger.and_or_ops += 1;
-        let LatchSet { s, d: dl } = self.latch(plane);
-        dl[d].or_assign(s);
+        self.view(plane, None).or_slatch_into_dlatch(d);
     }
 
     /// XOR between D-latch 1 and D-latch 2, result in D-latch 1 (the
     /// on-chip randomizer circuit, §4.3.1 item 4).
     pub fn xor_d1_d2_into_d1(&mut self, plane: PlaneAddr) {
-        self.ledger.xor_ops += 1;
-        let [_, d1, d2] = &mut self.latch(plane).d;
-        d1.xor_assign(d2);
+        self.view(plane, None).xor_d1_d2_into_d1();
     }
 
     /// Resets D-latch `d` to all zeros.
     pub fn reset_dlatch(&mut self, plane: PlaneAddr, d: usize) {
-        assert!(d < D_LATCHES);
-        self.ledger.latch_transfers += 1;
-        self.latch(plane).d[d].clear();
+        self.view(plane, None).reset_dlatch(d);
     }
 
     /// DMA: loads a page from the channel into the S-latch.
@@ -201,38 +317,34 @@ impl FlashArray {
     ///
     /// Panics if the buffer width is not a page.
     pub fn io_load_slatch(&mut self, plane: PlaneAddr, data: &BitBuf) {
-        assert_eq!(data.len(), self.geometry.page_bits(), "page width mismatch");
-        self.ledger.dmas += 1;
-        self.latch(plane).s.copy_from(data);
+        self.view(plane, None).io_load_slatch(data);
     }
 
     /// DMA: reads D-latch `d` out to the channel. The page on the wire is
     /// a view of the latch; the receiver copies it into its own buffer.
     pub fn io_read_dlatch(&mut self, plane: PlaneAddr, d: usize) -> &BitBuf {
-        assert!(d < D_LATCHES);
-        self.ledger.dmas += 1;
-        &self.latch(plane).d[d]
+        self.view(plane, None).io_read_dlatch(d)
     }
 
     /// Direct page read (conventional I/O path: read + DMA). The page on
     /// the wire is a view of the S-latch.
     pub fn read_page(&mut self, addr: PageAddr) -> &BitBuf {
-        self.read_to_slatch(addr);
-        self.ledger.dmas += 1;
-        &self.latch(addr.plane).s
+        let mut view = self.view(addr.plane, Some(addr.block));
+        view.read_to_slatch(addr.wordline);
+        view.io_read_slatch()
     }
 
     /// Test accessor for the S-latch contents.
     #[cfg(test)]
     pub(crate) fn peek_slatch(&mut self, plane: PlaneAddr) -> BitBuf {
-        self.latch(plane).s.clone()
+        self.view(plane, None).latches.s.clone()
     }
 
     /// Test accessor for a D-latch's contents.
     #[cfg(test)]
     pub(crate) fn peek_dlatch(&mut self, plane: PlaneAddr, d: usize) -> BitBuf {
         assert!(d < D_LATCHES);
-        self.latch(plane).d[d].clone()
+        self.view(plane, None).latches.d[d].clone()
     }
 }
 

@@ -20,7 +20,7 @@
 //!   shutdown force-closes every tracked socket (drain-then-join).
 
 use std::net::SocketAddr;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cm_core::exec::compute_workers;
@@ -32,6 +32,16 @@ const KEY: [u8; 32] = [0x1D; 32];
 const IDLE_CONNECTIONS: usize = 1024;
 const ACTIVE_CONNECTIONS: usize = 8;
 const ROUNDS_PER_CLIENT: usize = 25;
+
+/// Held by each test for its whole run. The soak compares throughput
+/// with and without idle connections, and a sibling test loading the
+/// same cores meanwhile would be measured as well; a failed test's
+/// poison is ignored so the others still run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn haystack() -> BitString {
     BitString::from_ascii(&"the reactor serves frames not connections ".repeat(40))
@@ -61,6 +71,7 @@ fn saturate(addr: SocketAddr, clients: &WorkerPool, expected: &[usize]) -> f64 {
 
 #[test]
 fn a_thousand_idle_connections_stay_live_while_queries_saturate() {
+    let _serial = serial();
     // GitHub runners default the soft fd limit to 1024; the soak needs
     // one fd per idle client plus server-side accepts and headroom.
     let limit = cm_reactor::sys::raise_nofile_limit(4 * IDLE_CONNECTIONS as u64)
@@ -153,6 +164,7 @@ fn a_thousand_idle_connections_stay_live_while_queries_saturate() {
 
 #[test]
 fn inflight_cap_rejects_typed_while_sockets_stay_cheap() {
+    let _serial = serial();
     // A server with room for many sockets but exactly one in-flight
     // frame: connections are cheap, *work* is the scarce resource.
     let data = haystack();
@@ -195,6 +207,7 @@ fn inflight_cap_rejects_typed_while_sockets_stay_cheap() {
 
 #[test]
 fn blocked_requests_that_outnumber_the_frame_workers_all_finish() {
+    let _serial = serial();
     // One matcher, four clients per frame worker: at any moment most
     // admitted Matches wait for that matcher, more of them than there
     // are workers. They must all finish, correct, and a ping on its own
