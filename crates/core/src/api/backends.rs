@@ -110,7 +110,7 @@ impl CiphermatchMatcher {
     /// ([`MatchError::InvalidConfig`]) and is refused when it is loaded.
     pub fn plan<C>(&self, db: &EncryptedDatabase<C>) -> Result<ShardPlan, MatchError> {
         let bpp = self.bits_per_poly();
-        ShardPlan::new(db.poly_count(), db.total_bits(), bpp, self.shards, 1)
+        ShardPlan::new(db.poly_count(), db.total_bits(), bpp, self.shards)
     }
 }
 

@@ -8,15 +8,14 @@
 //!
 //! Two forms of the same test: [`MatchTable`] + [`generate_indices`] work
 //! on a whole table of decrypted sums — an explicit result, decrypted
-//! ciphertext by ciphertext — and `PhaseScan` on the un-rounded
+//! ciphertext by ciphertext — and [`scan_phases`] on the un-rounded
 //! decryption phases of a served range, one pass per alignment class over
-//! each polynomial's phases, which CM-SW and the in-flash controller both
-//! run.
+//! the range's phases, seams and all, which CM-SW and the in-flash
+//! controller both run.
 
 use std::ops::RangeInclusive;
 
 use cm_bfv::{BfvContext, Decryptor};
-use cm_hemath::Modulus;
 
 use crate::query::{segment_matches, AlignmentClass};
 
@@ -35,10 +34,9 @@ use crate::query::{segment_matches, AlignmentClass};
 /// place from then on.
 ///
 /// No serving path builds one: a served job tests its range's phases
-/// class by class (`PhaseScan`) and keeps `s − 1` bits per entry end,
-/// not a bit per sum. The table is where an explicit result lands,
-/// decrypted ciphertext by ciphertext — the oracle every served job is
-/// tested against.
+/// class by class (`scan_phases`) and keeps no bit per sum. The table
+/// is where an explicit result lands, decrypted ciphertext by
+/// ciphertext — the oracle every served job is tested against.
 #[derive(Debug, Clone, Default)]
 pub struct MatchTable {
     /// First slot of class `r` (`len = classes + 1`); class `r` has
@@ -218,31 +216,13 @@ fn ones_phase_interval(q: u64, seg_bits: usize, dont_care: usize) -> RangeInclus
     first_rounding_to(t - (1 << dont_care))..=first_rounding_to(t) - 1
 }
 
-/// Reusable memory of a [`PhaseScan`]. Capacity, not state: every scan
-/// rewrites it before reading it.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PhaseScratch {
-    /// Per class, the phases that pass the filter segment's test, when
-    /// its mask is a run of low don't-care bits.
-    filters: Vec<Option<RangeInclusive<u64>>>,
-    /// First word of each class's edge bits in `edges`.
-    edge_base: Vec<usize>,
-    /// Per (class, phase, polynomial): whether each of the `s − 1`
-    /// coefficients at either end matched — head bits, then tail bits.
-    edges: Vec<u64>,
-    /// The window starts of the class in hand that [`filter_candidates`]
-    /// let through.
-    passed: Vec<usize>,
-}
-
 /// Words per any-reduction of [`filter_candidates`].
 const CANDIDATE_BLOCK: usize = 64;
 
-/// The candidate test of one alignment class over one polynomial's
-/// phases `d` (each below `q ≤ 2³²`), out of line so it compiles to one
-/// tight loop: `i` is pushed onto `out` when `y = d[i] − a` or `y + q`,
-/// in wrapping 32-bit arithmetic (`q` passed as `q mod 2³²`), is at most
-/// `width`.
+/// The candidate test of one alignment class over a range's phases `d`
+/// (each below `q ≤ 2³²`), out of line so it compiles to one tight loop:
+/// `i` is pushed onto `out` when `y = d[i] − a` or `y + q`, in wrapping
+/// 32-bit arithmetic (`q` passed as `q mod 2³²`), is at most `width`.
 ///
 /// With `a = (lo − ψ) mod q` every `d` with `d + ψ mod q` in
 /// `[lo, lo + width]` passes: when `d ≥ a`, `y` is `(d − a) mod q`; when
@@ -266,244 +246,81 @@ fn filter_candidates(d: &[u32], a: u32, q: u32, width: u32, out: &mut Vec<usize>
     }
 }
 
-/// Index generation straight from decryption *phases*: a served range's
-/// polynomial phases and the query's segment phases, whose sums are the
-/// phases of every result entry (query variant × database polynomial),
-/// so no entry is ever formed.
+/// Index generation straight from decryption *phases*: every matching bit
+/// offset of a `k`-bit query with alignment geometry `classes` in a range
+/// of `total_bits` bits, ascending, given the range's phases `d`
+/// (`db_j.c0 + s·db_j.c1` of each polynomial in turn, `P × n` words,
+/// narrowed to 32 bits: `q ≤ 2³²`) and the query's segment phases `psi`
+/// (`Q.c0 + s·Q.c1` of its negated segments, class after class). `dec`
+/// must belong to `ctx`.
 ///
-/// Variant `(r, p)` holds every window of class `r` that starts at a
-/// coefficient `≡ p (mod s)` as `s` consecutive coefficients carrying
-/// window segments `0..s`. The variants of class `r` read disjoint
-/// coefficients and all add segment `s/2` at their filter coefficients,
-/// so [`Self::class`] tests all of them in one pass: the filter segment
-/// of every window first, in one [`filter_candidates`] pass — an interval
-/// compare on the un-rounded phase when its mask allows
-/// ([`ones_phase_interval`]) — then the exact rounding of every segment
-/// of the few windows that pass. Windows that straddle a polynomial seam
-/// read two entries; for those each entry leaves the exact match bits of
-/// its first and last `s − 1` coefficients behind, and [`Self::finish`]
-/// resolves them.
+/// Window segment `i` of the window starting at coefficient `f` of the
+/// range is tested by the variant that put negated segment `i` at
+/// coefficient `f + i`, whichever polynomial that falls in, so its phase
+/// is `d[f + i] + psi_i`: a phase is linear, so this is the phase of the
+/// Hom-Add sum, with the additions grouped differently. A window that
+/// crosses one seam or two is `s` consecutive phases like any other. Per
+/// class the filter segment `s/2` of every window start goes through one
+/// [`filter_candidates`] pass against one constant — an interval compare
+/// on the un-rounded phase when its mask allows ([`ones_phase_interval`])
+/// — and the few starts that pass, kept in `candidates`, take the exact
+/// rounding of all `s` segments.
 ///
 /// The answer is [`generate_indices`]' on the [`MatchTable`] of the same
 /// sums, bit for bit.
-pub(crate) struct PhaseScan<'a> {
-    scratch: &'a mut PhaseScratch,
-    dec: &'a Decryptor,
-    q: Modulus,
-    classes: &'a [AlignmentClass],
-    seg_bits: usize,
-    polys: usize,
-    n: usize,
-    /// The last bit offset a window may start at.
-    last: usize,
-    matches: Vec<usize>,
-}
-
-/// Coefficients at each end of an entry a seam-straddling window of `s`
-/// segments can reach.
-fn edge_len(s: usize, n: usize) -> usize {
-    s.saturating_sub(1).min(n)
-}
-
-/// Words of edge bits per entry.
-fn edge_words(s: usize, n: usize) -> usize {
-    (2 * edge_len(s, n)).div_ceil(64)
-}
-
-impl<'a> PhaseScan<'a> {
-    /// Starts the scan of a `k`-bit query with alignment geometry
-    /// `classes` over `polys` polynomials holding `total_bits` bits.
-    /// `dec` must belong to `ctx`.
-    pub(crate) fn begin(
-        scratch: &'a mut PhaseScratch,
-        dec: &'a Decryptor,
-        ctx: &BfvContext,
-        classes: &'a [AlignmentClass],
-        polys: usize,
-        total_bits: usize,
-        k: usize,
-    ) -> Self {
-        let params = ctx.params();
-        let (n, seg_bits) = (params.n, params.t.trailing_zeros() as usize);
-        // Class `r` tests offsets `≡ r (mod seg_bits)`: there are no more,
-        // and none at all when no window fits the database.
-        let last = total_bits.checked_sub(k).filter(|_| k > 0);
-        let classes = &classes[..last.map_or(0, |_| classes.len().min(seg_bits))];
-        scratch.filters.clear();
-        scratch.edge_base.clear();
-        let mut words = 0;
-        for class in classes {
-            let s = class.window_segs;
-            let filter = class.masks.get(s / 2).and_then(|&mask| {
-                (mask & mask.wrapping_add(1) == 0)
-                    .then(|| ones_phase_interval(params.q, seg_bits, mask.count_ones() as usize))
-            });
-            scratch.filters.push(filter);
-            scratch.edge_base.push(words);
-            words += s * polys * edge_words(s, n);
-        }
-        scratch.edges.clear();
-        scratch.edges.resize(words, 0);
-        Self {
-            scratch,
-            dec,
-            q: *ctx.rq().modulus(),
-            classes,
-            seg_bits,
-            polys,
-            n,
-            last: last.unwrap_or(0),
-            matches: Vec::new(),
-        }
-    }
-
-    /// First edge word of entry `(r, phase, poly)`.
-    fn edge_at(&self, r: usize, phase: usize, poly: usize) -> usize {
-        let words = edge_words(self.classes[r].window_segs, self.n);
-        self.scratch.edge_base[r] + (phase * self.polys + poly) * words
-    }
-
-    /// Tests every variant of class `r` against polynomial `poly` at once,
-    /// given the polynomial's decryption phases `d` (`db.c0 + s·db.c1`,
-    /// narrowed to 32 bits: `q ≤ 2³²`) and the class's `s` segment phases
-    /// `segs` (`Q.c0 + s·Q.c1` of its negated query segments, reduced). The
-    /// phase of entry `(r, p, poly)` at coefficient `c` is
-    /// `d[c] + segs[(c − p) mod s]`: a phase is linear, so this is the
-    /// phase of the Hom-Add sum, with the additions grouped differently.
-    ///
-    /// A window may start at any coefficient `start`, and every variant
-    /// reads segment `s/2` at `start + s/2`, so one [`filter_candidates`]
-    /// pass over `d` against one constant finds the candidate windows of
-    /// all `s` variants; each is confirmed by the exact rounding of all `s`
-    /// segments. Then the edge bits of all `s` variants are recorded
-    /// ([`Self::record_edges`]). A class or polynomial the geometry has no
-    /// place for is ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` does not hold `n` phases or `segs` not `s`.
-    pub(crate) fn class(&mut self, r: usize, poly: usize, d: &[u32], segs: &[u64]) {
-        let (n, seg_bits, q, dec, last) = (self.n, self.seg_bits, self.q, self.dec, self.last);
-        assert!(q.value() <= 1 << 32, "phases narrowed to 32 bits");
-        assert_eq!(d.len(), n, "one phase per coefficient");
-        let classes = self.classes;
-        let Some(class) = classes.get(r) else {
-            return;
+pub(crate) fn scan_phases(
+    dec: &Decryptor,
+    ctx: &BfvContext,
+    classes: &[AlignmentClass],
+    (d, psi): (&[u32], &[u64]),
+    (total_bits, k): (usize, usize),
+    candidates: &mut Vec<usize>,
+) -> Vec<usize> {
+    let (seg_bits, q) = (ctx.params().t.trailing_zeros() as usize, ctx.rq().modulus());
+    let mut matches = Vec::new();
+    let Some(last) = total_bits.checked_sub(k).filter(|_| k > 0) else {
+        return matches;
+    };
+    // First flat segment index of the class in hand.
+    let mut base = 0;
+    // Class `r` tests offsets `≡ r (mod seg_bits)`: there are no more.
+    for class in classes.iter().take(seg_bits) {
+        let (r, s) = (class.r, class.window_segs);
+        let (segs, masks) = (&psi[base..base + s], &class.masks[..s]);
+        base += s;
+        // A window starts at `f ≤ P·n − s`, at a bit offset
+        // `f·seg_bits + r` of at most `last`.
+        let (Some(room), Some(g)) = (d.len().checked_sub(s), last.checked_sub(r)) else {
+            continue;
         };
-        let s = class.window_segs;
-        assert_eq!(segs.len(), s, "one phase per window segment");
-        if poly >= self.polys {
-            return;
-        }
-        let masks = &class.masks[..s];
+        let count = room.min(g / seg_bits) + 1;
+        // A class without an interval passes every word to the exact test.
+        let mid = s / 2;
+        let (lo, width) = if masks[mid] & masks[mid].wrapping_add(1) == 0 {
+            let ones = ones_phase_interval(q.value(), seg_bits, masks[mid].count_ones() as usize);
+            (*ones.start(), ones.end() - ones.start())
+        } else {
+            (0, q.value() - 1)
+        };
+        candidates.clear();
+        // Sized by the shape, not by what passes: a warm job never grows
+        // it. `q ≤ 2³²`, so every operand fits 32 bits.
+        candidates.reserve(count);
+        let a = q.sub(lo, segs[mid]) as u32;
+        let words = &d[mid..mid + count];
+        filter_candidates(words, a, q.value() as u32, width as u32, candidates);
         let hit = |c: usize, i: usize| {
             let phase = q.add(u64::from(d[c]), segs[i]);
             segment_matches(dec.round_phase(phase), masks[i], seg_bits)
         };
-
-        // A window starts at `start ≤ n − s` and at a bit offset
-        // `(poly·n + start)·seg_bits + r` of at most `last`.
-        let count = n.checked_sub(s).map_or(0, |room| room + 1).min(
-            last.checked_sub(r)
-                .and_then(|g| (g / seg_bits + 1).checked_sub(poly * n))
-                .unwrap_or(0),
-        );
-        // A class without an interval passes every word to the exact test.
-        let mid = s / 2;
-        let (lo, width) = match &self.scratch.filters[r] {
-            Some(ones) => (*ones.start(), ones.end() - ones.start()),
-            None => (0, q.value() - 1),
-        };
-        let candidates = &mut self.scratch.passed;
-        candidates.clear();
-        if count > 0 {
-            // Sized by the shape, not by what passes: a warm job never
-            // grows it. `q ≤ 2³²`, so every operand fits 32 bits.
-            candidates.reserve(count);
-            let a = q.sub(lo, segs[mid]) as u32;
-            let words = &d[mid..mid + count];
-            filter_candidates(words, a, q.value() as u32, width as u32, candidates);
-        }
-        for &start in &self.scratch.passed {
-            if (0..s).all(|i| hit(start + i, i)) {
-                self.matches.push((poly * n + start) * seg_bits + r);
-            }
-        }
-
-        for phase in 0..s {
-            self.record_edges((r, phase), poly, hit);
-        }
-    }
-
-    /// Records the edge bits of entry `(r, phase, poly)`: whether each of
-    /// its first and last [`edge_len`] coefficients matched, where
-    /// `hit(c, i)` tests coefficient `c` as window segment `i`.
-    /// Coefficient `c` carries window segment `(c − phase) mod s`: one
-    /// division at the head and one at the tail, then counted on.
-    fn record_edges(
-        &mut self,
-        (r, phase): (usize, usize),
-        poly: usize,
-        hit: impl Fn(usize, usize) -> bool,
-    ) {
-        let (n, s) = (self.n, self.classes[r].window_segs);
-        let edge = edge_len(s, n);
-        let at = self.edge_at(r, phase, poly);
-        let mut bit = 0;
-        for from in [0, n - edge] {
-            let mut i = (from + s - phase) % s;
-            for c in from..from + edge {
-                if hit(c, i) {
-                    self.scratch.edges[at + bit / 64] |= 1 << (bit % 64);
-                }
-                bit += 1;
-                i = if i + 1 == s { 0 } else { i + 1 };
+        for &f in candidates.iter() {
+            if (0..s).all(|i| hit(f + i, i)) {
+                matches.push(f * seg_bits + r);
             }
         }
     }
-
-    /// Whether coefficient `c` of entry `(r, phase, poly)` matched; `c`
-    /// must lie within [`edge_len`] of either end.
-    fn edge_hit(&self, r: usize, phase: usize, poly: usize, c: usize) -> bool {
-        let edge = edge_len(self.classes[r].window_segs, self.n);
-        let bit = if c < edge {
-            c
-        } else {
-            edge + c - (self.n - edge)
-        };
-        self.scratch.edges[self.edge_at(r, phase, poly) + bit / 64] >> (bit % 64) & 1 == 1
-    }
-
-    /// Resolves the windows that straddle a polynomial seam and returns
-    /// every matching bit offset, ascending.
-    pub(crate) fn finish(mut self) -> Vec<usize> {
-        let (n, polys) = (self.n, self.polys);
-        for (r, class) in self.classes.iter().enumerate() {
-            let s = class.window_segs;
-            for poly in 0..polys {
-                for start in n - edge_len(s, n)..n {
-                    let offset = (poly * n + start) * self.seg_bits + r;
-                    if offset > self.last {
-                        break;
-                    }
-                    // Window segment `i` lies `start + i` coefficients
-                    // into `poly`, in the variant that put segment `i`
-                    // at that coefficient.
-                    let seg = |i: usize| {
-                        let (p, c) = (poly + (start + i) / n, (start + i) % n);
-                        p < polys && self.edge_hit(r, (c + s - i) % s, p, c)
-                    };
-                    if (0..s).all(seg) {
-                        self.matches.push(offset);
-                    }
-                }
-            }
-        }
-        // Each window was found once: by its class's pass when it lies in
-        // one polynomial, here when it straddles a seam.
-        self.matches.sort_unstable();
-        self.matches
-    }
+    matches.sort_unstable();
+    matches
 }
 
 #[cfg(test)]
@@ -511,6 +328,10 @@ mod tests {
     use super::*;
     use crate::bits::BitString;
     use crate::query::{alignment_classes, alignment_geometry, build_variants};
+    use cm_bfv::{BfvParams, KeyGenerator};
+    use cm_hemath::{find_prime_1_mod, Modulus};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Computes the plaintext sum table the way the server would (segment
     /// value + negated query segment, mod 2^seg_bits), without encryption.
@@ -540,11 +361,45 @@ mod tests {
         table
     }
 
+    /// [`scan_phases`] on noise-free phases of the same sums: database
+    /// segment `m` has the phase `Δ·m` and negated query segment `x` the
+    /// phase `Δ·x`, in a ring of the same `n` and `t = 2^seg_bits` whose
+    /// `q ≡ 1 (mod t)` rounds every sum exactly. Every window start is
+    /// tested, across one seam or two as well.
+    fn scan_noise_free(db: &BitString, query: &BitString, n: usize, seg_bits: usize) -> Vec<usize> {
+        let t = 1u64 << seg_bits;
+        let ctx = BfvContext::new(BfvParams {
+            n,
+            q: find_prime_1_mod(32, t.max(2 * n as u64)),
+            t,
+            sigma: 3.2,
+            decomp_log2: 16,
+            name: "noise_free",
+        });
+        let sk = KeyGenerator::new(&ctx, &mut StdRng::seed_from_u64(0x5CA7)).secret_key();
+        let delta = ctx.params().delta();
+        let polys = db.segment_count(seg_bits).div_ceil(n).max(1);
+        let d: Vec<u32> = (0..polys * n)
+            .map(|c| (delta * db.segment_value(c, seg_bits)) as u32)
+            .collect();
+        let classes = alignment_classes(query, seg_bits);
+        let psi: Vec<u64> = classes
+            .iter()
+            .flat_map(|class| class.neg_segments.iter().map(|&x| delta * x))
+            .collect();
+        let shape = (db.len(), query.len());
+        let geometry = alignment_geometry(query.len(), seg_bits);
+        let dec = Decryptor::new(&ctx, sk);
+        scan_phases(&dec, &ctx, &geometry, (&d, &psi), shape, &mut Vec::new())
+    }
+
     fn check(db: &BitString, query: &BitString, n: usize, seg_bits: usize) {
         let table = plain_sum_table(db, query, n, seg_bits);
         let got = generate_indices(&table, db.len(), query.len());
         let expect = db.find_all(query);
         assert_eq!(got, expect, "db len {} query len {}", db.len(), query.len());
+        let scanned = scan_noise_free(db, query, n, seg_bits);
+        assert_eq!(scanned, expect, "phase scan, query len {}", query.len());
     }
 
     #[test]
@@ -563,10 +418,8 @@ mod tests {
                 break;
             }
             let query = db.slice(off, 11);
-            let table = plain_sum_table(&db, &query, 4, 16);
-            let got = generate_indices(&table, db.len(), query.len());
-            assert!(got.contains(&off), "offset {off} missing: {got:?}");
-            assert_eq!(got, db.find_all(&query), "offset {off}");
+            assert!(db.find_all(&query).contains(&off), "offset {off}");
+            check(&db, &query, 4, 16);
         }
     }
 
@@ -587,6 +440,10 @@ mod tests {
         let db = BitString::from_bytes(&[0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08]);
         let query = db.slice(24, 32); // crosses the poly boundary at segment 2
         check(&db, &query, 2, 16);
+        // Four segments from an odd coefficient cross two seams.
+        let db =
+            BitString::from_bytes(&[0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xAA]);
+        check(&db, &db.slice(24, 48), 2, 16);
     }
 
     #[test]
@@ -607,9 +464,6 @@ mod tests {
 
     #[test]
     fn phase_interval_equals_rounding_under_low_dont_care_masks() {
-        use cm_bfv::{BfvParams, KeyGenerator};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         for params in [
             BfvParams::ciphermatch_1024(),
             BfvParams::ciphermatch_ifp_1024(),
@@ -649,9 +503,6 @@ mod tests {
 
     #[test]
     fn candidate_kernel_keeps_every_phase_the_interval_contains() {
-        use cm_bfv::{BfvParams, KeyGenerator};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xCA4D);
         for params in [
             BfvParams::ciphermatch_1024(),

@@ -15,7 +15,7 @@ use rand::Rng;
 
 use crate::api::{MatchError, MatchStats};
 use crate::bits::BitString;
-use crate::index_gen::{generate_indices, MatchTable, PhaseScan, PhaseScratch};
+use crate::index_gen::{generate_indices, scan_phases, MatchTable};
 use crate::packing::DensePacking;
 use crate::query::{
     alignment_classes, alignment_geometry, pack_segments, stream_variants, variant_count,
@@ -962,8 +962,9 @@ impl TrustedIndexGenerator {
 /// Everything one served job works in, kept between jobs. Every job holds
 /// the decryption *phases* of its range — `db_j.c0 + s·db_j.c1` per
 /// polynomial, `P × n` 32-bit words — and of the packed query's segments,
-/// `⌈V/n⌉ × n` words, and ends in the same scan: one pass over them per
-/// alignment class, which tests every variant of the class. A CM-SW job
+/// `⌈V/n⌉ × n` words, and ends in the same scan: one pass over the
+/// range's phases per alignment class, which tests every variant of the
+/// class, across the polynomial seams too. A CM-SW job
 /// ([`Self::run`]) takes the range's phases from its ciphertexts and
 /// gathers no variant. A job whose sums are added in flash
 /// ([`Self::run_with_adder`]) takes them from the first variant's sums,
@@ -975,10 +976,11 @@ impl TrustedIndexGenerator {
 /// `V × P` results or a list of the `V` variants, so what a job retains
 /// does not grow with `V`.
 /// It is capacity, not state — every buffer is rewritten before it is
-/// read, and the key products and phases are zeroed when a job ends,
-/// however it ends (a drop guard does it, on return and on unwind) — so
-/// a scratch that served one parameter set is safe for any other, and a
-/// parked one holds no part of a decryption.
+/// read, and the key products, phases and the scan's candidate window
+/// starts are zeroed when a job ends, however it ends (a drop guard does
+/// it, on return and on unwind) — so a scratch that served one parameter
+/// set is safe for any other, and a parked one holds no part of a
+/// decryption.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
     /// The variant in hand of a job whose sums are added in flash,
@@ -993,8 +995,10 @@ pub struct ShardScratch {
     /// The range's phases `db_j.c0 + s·db_j.c1`, `P × n` words of 32 bits:
     /// every served `q` is at most `2³²`.
     phases: Vec<u32>,
-    /// The phase scan's edge bits.
-    scan: PhaseScratch,
+    /// The window starts of the class in hand whose filter segment passed
+    /// ([`scan_phases`]): which windows nearly match, so zeroed with the
+    /// phases.
+    candidates: Vec<usize>,
     /// Horner's working space, sized only by a ciphertext past two
     /// components ([`key_part_into`], [`resident_key_part_into`]).
     horner: Vec<u64>,
@@ -1014,7 +1018,8 @@ pub struct ShardScratch {
 static FREE_SCRATCHES: Mutex<Vec<ShardScratch>> = Mutex::new(Vec::new());
 
 /// A job's hold on its scratch: when it drops — the job returned or
-/// unwound — every key product and phase the job took is zeroed.
+/// unwound — every key product, phase and candidate the job took is
+/// zeroed.
 struct Job<'a>(&'a mut ShardScratch);
 
 impl Drop for Job<'_> {
@@ -1022,6 +1027,7 @@ impl Drop for Job<'_> {
         let ShardScratch {
             psi,
             phases,
+            candidates,
             horner,
             line,
             ..
@@ -1030,6 +1036,7 @@ impl Drop for Job<'_> {
             products.fill(0);
         }
         phases.fill(0);
+        candidates.fill(0);
     }
 }
 
@@ -1104,9 +1111,9 @@ fn fold_phase(q: &cm_hemath::Modulus, key: &mut [u64], c0: &[u64], d: &mut [u32]
 /// The phase scan every served job ends in: takes the packed query's
 /// segment phases `Q.c0 + s·Q.c1` into `psi` (`⌈V/n⌉` key
 /// multiplications), then tests every alignment class in one pass over
-/// each of the range's polynomial phases `phases` ([`PhaseScan::class`]).
-/// The phase of entry `(v, j)` is `phases[j] + ψ` gathered as variant `v`
-/// is: a phase is linear and coefficient-wise.
+/// the range's phases `phases` ([`scan_phases`]). The phase of entry
+/// `(v, j)` is `phases[j] + ψ` gathered as variant `v` is: a phase is
+/// linear and coefficient-wise.
 fn scan_range(
     index_gen: &TrustedIndexGenerator,
     query: &PackedQuery,
@@ -1118,7 +1125,7 @@ fn scan_range(
     let ShardScratch {
         psi,
         phases,
-        scan: edges,
+        candidates,
         horner,
         key_muls,
         ..
@@ -1128,18 +1135,8 @@ fn scan_range(
         *key_muls += key_part_into(dec, q, ct, horner, segs);
         kernels::add_assign_slices(q, segs, ct.part(0).coeffs());
     }
-    let polys = phases.len() / n;
-    let mut scan = PhaseScan::begin(edges, dec, ctx, &query.classes, polys, total_bits, query.k);
-    // First flat segment index of the class in hand.
-    let mut base = 0;
-    for class in &query.classes {
-        let segs = &psi[base..base + class.window_segs];
-        for (j, d) in phases.chunks_exact(n).enumerate() {
-            scan.class(class.r, j, d, segs);
-        }
-        base += class.window_segs;
-    }
-    scan.finish()
+    let shape = (total_bits, query.k);
+    scan_phases(dec, ctx, &query.classes, (phases, psi), shape, candidates)
 }
 
 /// `dst[c] = src((c − phase) mod s)` for every coefficient `c`: window
@@ -1184,9 +1181,10 @@ impl ShardScratch {
     /// query's `⌈V/n⌉` ciphertexts, which arrive in coefficients, are
     /// transformed forward as well. The job folds each `c0` into
     /// its product, and tests all variants of a class in one pass over
-    /// each polynomial's phases: the variants of class `r` read disjoint
+    /// the range's phases: the variants of class `r` read disjoint
     /// coefficients and add the same segment at their filter
-    /// coefficients. Each `(variant, polynomial)` still counts as
+    /// coefficients, and a window across a seam reads consecutive phases
+    /// like any other. Each `(variant, polynomial)` still counts as
     /// one Hom-Add, and `add_time` times the fold. The returned statistics
     /// are this job's alone. Once the scratch has seen the shape, the
     /// index list is the only allocation.
@@ -1921,12 +1919,13 @@ mod tests {
         }
     }
 
-    /// Whether every key product and phase a job can leave in `scratch`
-    /// is zero.
+    /// Whether every key product, phase and candidate window start a job
+    /// can leave in `scratch` is zero.
     fn cleared(scratch: &ShardScratch) -> bool {
         let products = [&scratch.horner, &scratch.line, &scratch.psi];
         products.iter().all(|words| words.iter().all(|&w| w == 0))
             && scratch.phases.iter().all(|&w| w == 0)
+            && scratch.candidates.iter().all(|&w| w == 0)
     }
 
     #[test]
@@ -1935,7 +1934,9 @@ mod tests {
             served_fixture(BfvParams::insecure_test_pow2(), 0x2E40);
         let engine = index_gen.engine();
         let (n, polys) = (engine.ctx.params().n, db.poly_count());
-        let pattern = data.slice(200, 29);
+        // A match in the last alignment class scanned (offset ≡ 7 mod 8):
+        // the job ends holding at least that window start as a candidate.
+        let pattern = data.slice(199, 29);
         let query = engine.pack_query(&enc, &pattern, &mut rng);
         let mut scratch = ShardScratch::default();
 
@@ -1947,6 +1948,10 @@ mod tests {
             "the range's phases were taken"
         );
         assert!(!scratch.psi.is_empty() && !scratch.line.is_empty());
+        assert!(
+            !scratch.candidates.is_empty(),
+            "the last class had candidates"
+        );
         assert!(cleared(&scratch), "CM-SW job");
 
         // Sums added elsewhere: a faithful adder, then one that corrupts

@@ -4,15 +4,15 @@
 //! The unit of sharding is the ciphertext polynomial: CIPHERMATCH's
 //! `Hom-Add` sweep is independent per (variant, polynomial) pair, so a
 //! contiguous polynomial range is a self-contained sub-database. Because a
-//! match window may straddle a polynomial boundary, every shard *holds* a
-//! small overlap tail beyond the polynomials it *owns*: with an overlap of
-//! `v` polynomials, any query of at most `v * bits_per_poly` bits that
-//! starts in a shard's owned range ends inside the polynomials that shard
-//! holds, so the union of per-shard results (after remapping and
-//! de-duplication) equals the unsharded result — the invariant the module
-//! tests pin down. A plan is arithmetic only: the ranges it names are cut
-//! with `EncryptedDatabase::subrange`, as views of the one ciphertext
-//! allocation, so overlap tails cost no memory either.
+//! match window may straddle a polynomial boundary, every shard *holds*
+//! one polynomial past the polynomials it *owns*: any query of at most
+//! `bits_per_poly` bits that starts in a shard's owned range ends inside
+//! the polynomials that shard holds, so the union of per-shard results
+//! (after remapping and de-duplication) equals the unsharded result — the
+//! invariant the module tests pin down. A plan is arithmetic only: the
+//! ranges it names are cut with `EncryptedDatabase::subrange`, as views
+//! of the one ciphertext allocation, so overlap tails cost no memory
+//! either.
 
 use std::ops::Range;
 
@@ -24,8 +24,9 @@ pub struct ShardRange {
     /// Polynomials this shard *owns*: match windows starting here are this
     /// shard's responsibility.
     pub owned: Range<usize>,
-    /// Polynomials this shard *holds*: the owned range plus the overlap
-    /// tail that lets boundary-straddling windows complete.
+    /// Polynomials this shard *holds*: the owned range plus the one
+    /// polynomial of overlap that lets boundary-straddling windows
+    /// complete.
     pub held: Range<usize>,
     /// Global bit offset of the shard's first held polynomial — the remap
     /// term added to every shard-local match offset.
@@ -38,33 +39,28 @@ pub struct ShardPlan {
     poly_count: usize,
     total_bits: usize,
     bits_per_poly: usize,
-    overlap_polys: usize,
     shards: usize,
 }
 
 impl ShardPlan {
     /// Plans `shards` near-equal contiguous polynomial ranges over a
     /// database of `poly_count` polynomials and `total_bits` bits, each
-    /// shard holding `overlap_polys` extra polynomials past its owned
-    /// range (clipped at the database end). The shard count is capped at
-    /// `poly_count` — a polynomial is never split.
+    /// shard holding one polynomial past its owned range (clipped at the
+    /// database end). The shard count is capped at `poly_count` — a
+    /// polynomial is never split.
     ///
     /// # Errors
     ///
-    /// Returns [`MatchError::InvalidConfig`] when any knob is zero or the
-    /// database is empty.
+    /// Returns [`MatchError::InvalidConfig`] when the shard count is zero
+    /// or the database is empty.
     pub fn new(
         poly_count: usize,
         total_bits: usize,
         bits_per_poly: usize,
         shards: usize,
-        overlap_polys: usize,
     ) -> Result<Self, MatchError> {
         if shards == 0 {
             return Err(MatchError::InvalidConfig("shard count must be positive"));
-        }
-        if overlap_polys == 0 {
-            return Err(MatchError::InvalidConfig("shard overlap must be positive"));
         }
         if poly_count == 0 || total_bits == 0 || bits_per_poly == 0 {
             return Err(MatchError::InvalidConfig("cannot shard an empty database"));
@@ -73,7 +69,6 @@ impl ShardPlan {
             poly_count,
             total_bits,
             bits_per_poly,
-            overlap_polys,
             shards: shards.min(poly_count),
         })
     }
@@ -93,7 +88,7 @@ impl ShardPlan {
             let owned = start..start + base + usize::from(s < rem);
             ShardRange {
                 start_bit: start * self.bits_per_poly,
-                held: start..(owned.end + self.overlap_polys).min(self.poly_count),
+                held: start..(owned.end + 1).min(self.poly_count),
                 owned,
             }
         })
@@ -107,7 +102,7 @@ impl ShardPlan {
         if self.shards == 1 {
             self.total_bits
         } else {
-            self.overlap_polys * self.bits_per_poly
+            self.bits_per_poly
         }
     }
 
@@ -147,9 +142,8 @@ mod tests {
 
     #[test]
     fn plan_partitions_owned_polys_exactly_once() {
-        for (polys, shards, overlap) in [(7usize, 3usize, 1usize), (4, 4, 2), (9, 2, 1), (3, 8, 1)]
-        {
-            let plan = ShardPlan::new(polys, polys * 64, 64, shards, overlap).unwrap();
+        for (polys, shards) in [(7usize, 3usize), (9, 2), (3, 8)] {
+            let plan = ShardPlan::new(polys, polys * 64, 64, shards).unwrap();
             assert_eq!(plan.shard_count(), shards.min(polys));
             assert_eq!(plan.ranges().count(), plan.shard_count());
             let mut covered = 0;
@@ -161,7 +155,7 @@ mod tests {
                 assert!(!r.owned.is_empty(), "shard {i} owns something");
                 assert_eq!(r.start_bit, r.held.start * 64);
                 assert!(r.held.start == r.owned.start && r.held.end >= r.owned.end);
-                assert_eq!(r.held.end, (r.owned.end + overlap).min(polys));
+                assert_eq!(r.held.end, (r.owned.end + 1).min(polys));
                 covered = r.owned.end;
             }
             assert_eq!(covered, polys, "every polynomial is owned exactly once");
@@ -170,9 +164,8 @@ mod tests {
 
     #[test]
     fn degenerate_plans_are_rejected() {
-        assert!(ShardPlan::new(4, 256, 64, 0, 1).is_err());
-        assert!(ShardPlan::new(4, 256, 64, 2, 0).is_err());
-        assert!(ShardPlan::new(0, 0, 64, 2, 1).is_err());
+        assert!(ShardPlan::new(4, 256, 64, 0).is_err());
+        assert!(ShardPlan::new(0, 0, 64, 2).is_err());
     }
 
     /// Four-and-a-bit polynomials of pseudo-random data under the test
@@ -227,7 +220,7 @@ mod tests {
         // Every range of every plan — overlap tails included — is a slice
         // of the database's own allocation, at the polynomials it names.
         for shards in [1usize, 2, 3, 5] {
-            let plan = ShardPlan::new(db.poly_count(), db.total_bits(), bpp, shards, 1).unwrap();
+            let plan = ShardPlan::new(db.poly_count(), db.total_bits(), bpp, shards).unwrap();
             for range in plan.ranges() {
                 let shard = db.subrange(range.held.clone(), bpp);
                 assert_eq!(shard.poly_count(), range.held.len());

@@ -280,7 +280,7 @@ fn shard_seams_agree() {
             for start in seams.flat_map(|seam| [seam - 9, seam - 32, seam]) {
                 let pattern = data.slice(start, 33);
                 let (db, query) = f.encrypt(&data, &pattern);
-                let plan = ShardPlan::new(polys, data.len(), bpp, shards, 1).unwrap();
+                let plan = ShardPlan::new(polys, data.len(), bpp, shards).unwrap();
                 assert_eq!(plan.shard_count(), shards);
                 let mut per_range = Vec::new();
                 for range in plan.ranges() {
@@ -598,7 +598,7 @@ fn a_range_whose_last_window_starts_mid_polynomial_agrees() {
                 bits[at..at + k].copy_from_slice(pattern.bits());
                 let data = BitString::from_bits(&bits);
                 let (db, query) = f.encrypt(&data, &pattern);
-                let plan = ShardPlan::new(3, len, bpp, 2, 1).unwrap();
+                let plan = ShardPlan::new(3, len, bpp, 2).unwrap();
                 let mut per_range = Vec::new();
                 for range in plan.ranges() {
                     let held = range.held;

@@ -147,7 +147,7 @@ fn third_query_of_a_shape_allocates_only_its_index_list() {
 
     // Range 0 of a two-range plan holds polynomials 0..3 of which it owns
     // 0..2; its local offsets are global offsets.
-    let plan = ShardPlan::new(db.poly_count(), db.total_bits(), bits_per_poly, 2, 1).unwrap();
+    let plan = ShardPlan::new(db.poly_count(), db.total_bits(), bits_per_poly, 2).unwrap();
     let range = plan.ranges().next().unwrap();
     assert_eq!((range.owned, range.held.clone()), (0..2, 0..3));
     let shard = db.subrange(range.held, bits_per_poly);
