@@ -192,8 +192,9 @@ fn the_real_wire_registry_parses_and_is_consistent() {
     // what keeps `_ => unknown tag` decode arms honest. The one exception
     // is a tag retired with its variant: it stays unknown and is never
     // declared again (error tags 4 and 17, the unserved baselines' window
-    // and wire-database errors).
-    let retired = [("ERR", 4), ("ERR", 17)];
+    // and wire-database errors; 0, no index generator, and 3, a query
+    // too long for a sharded search).
+    let retired = [("ERR", 0), ("ERR", 3), ("ERR", 4), ("ERR", 17)];
     for family in ["REQ", "RESP", "ERR", "QUERY", "PHASE", "DECODE"] {
         let mut values: Vec<u64> = table
             .iter()

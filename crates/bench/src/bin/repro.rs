@@ -99,7 +99,6 @@ fn fig2a() {
     let ya = YasudaEngine::new(&ya_fix.ctx);
     let ya_enc = ya_fix.encryptor();
     let mut cm = MatcherConfig::new(Backend::Ciphermatch)
-        .bfv_params(BfvParams::ciphermatch_1024())
         .seed(1)
         .build()
         .expect("valid config");
@@ -143,7 +142,6 @@ fn fig2b() {
 
     let cm_fix = BfvFixture::new(BfvParams::ciphermatch_1024(), 3);
     let mut cm = MatcherConfig::new(Backend::Ciphermatch)
-        .bfv_params(BfvParams::ciphermatch_1024())
         .seed(3)
         .build()
         .expect("valid config");
@@ -569,7 +567,6 @@ fn case_studies() {
     let genome = DnaGenome::random(8192, &mut rng);
     let genome_bits = cm_core::BitString::from_dna(&genome.to_string_seq());
     let mut matcher = MatcherConfig::new(Backend::Ciphermatch)
-        .bfv_params(BfvParams::ciphermatch_1024())
         .seed(71)
         .build()
         .expect("valid config");
@@ -601,7 +598,6 @@ fn case_studies() {
     let kv = KvDatabase::random(256, 8, 8, &mut rng);
     let bits = cm_core::BitString::from_ascii(&kv.flatten());
     let mut matcher = MatcherConfig::new(Backend::Ciphermatch)
-        .bfv_params(BfvParams::ciphermatch_1024())
         .seed(72)
         .build()
         .expect("valid config");

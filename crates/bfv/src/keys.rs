@@ -60,11 +60,6 @@ pub struct GaloisKeys {
 }
 
 impl GaloisKeys {
-    /// The Galois elements this key set supports.
-    pub fn elements(&self) -> impl Iterator<Item = usize> + '_ {
-        self.keys.keys().copied()
-    }
-
     /// Whether the element `g` is available.
     pub fn contains(&self, g: usize) -> bool {
         self.keys.contains_key(&g)

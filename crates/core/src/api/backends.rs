@@ -24,23 +24,25 @@ use crate::matchers::ciphermatch::{
     EncryptedDatabase, PackedQuery, ResidentDatabase, ShardScratch, TrustedIndexGenerator,
 };
 use crate::matchers::plain::PackedBits;
-use crate::shard::ShardPlan;
+use crate::shard::{ShardPlan, ShardRange};
 
 /// CM-SW behind the unified API: dense packing, `Hom-Add`-only search,
 /// arbitrary query lengths and bit offsets (the paper's contribution) —
 /// the one CM-SW matcher, hosted or sharded.
 ///
 /// A search plans the database into at most `shards` contiguous
-/// polynomial ranges ([`ShardPlan`], one polynomial of overlap) and runs
-/// the served job ([`ShardScratch::run_pooled`]) once per range, each
-/// over a view of the one ciphertext allocation
-/// ([`EncryptedDatabase::subrange`]). The database is held in its
-/// resident form ([`ResidentDatabase`]) only: the wire bytes are the
-/// explicit form's, transformed at load and back at export. A one-range
-/// plan — all [`crate::MatcherConfig::build`] makes — runs inline on the
-/// calling thread, more as one job each on the process-wide
-/// [`compute_pool`], CM-SW's one intra-query parallel mechanism. A search reports one
-/// [`MatchStats`] per range.
+/// polynomial ranges for the query's length ([`ShardPlan::ranges`]) and
+/// runs the served job ([`ShardScratch::run_pooled`]) once per range,
+/// each over a view of the one ciphertext allocation
+/// ([`EncryptedDatabase::subrange`]) that reaches `k − 1` bits past the
+/// range's owned bits. A range reports exactly the windows that start
+/// in its owned bits, so the search concatenates the remapped lists.
+/// The database is held in its resident form ([`ResidentDatabase`])
+/// only: the wire bytes are the explicit form's, transformed at load and
+/// back at export. A one-range plan — all [`crate::MatcherConfig::build`]
+/// makes — runs inline on the calling thread, more as one job each on
+/// the process-wide [`compute_pool`], CM-SW's one intra-query parallel
+/// mechanism. A search reports one [`MatchStats`] per range.
 #[derive(Debug, Clone)]
 pub struct CiphermatchMatcher {
     ctx: BfvContext,
@@ -55,9 +57,7 @@ pub struct CiphermatchMatcher {
 
 impl CiphermatchMatcher {
     /// Generates keys and an engine for `params`; a search runs on at
-    /// most `shards` polynomial ranges. With more than one, a window must
-    /// end inside the polynomial of overlap a range holds past those it
-    /// owns, so queries are limited to one polynomial's worth of bits.
+    /// most `shards` polynomial ranges, for a query of any length.
     ///
     /// # Errors
     ///
@@ -149,12 +149,6 @@ impl SecureMatcher for CiphermatchMatcher {
         if query.is_empty() {
             return Err(MatchError::EmptyQuery);
         }
-        // Refused before anything is encrypted; `find_all` holds wire
-        // queries to the same limit through the plan.
-        let (max, got) = (self.bits_per_poly(), query.len());
-        if self.shards > 1 && got > max {
-            return Err(MatchError::QueryTooLong { max, got });
-        }
         Ok(Arc::new(
             self.index_gen.engine().pack_query(&self.enc, query, rng),
         ))
@@ -168,35 +162,34 @@ impl SecureMatcher for CiphermatchMatcher {
     ) -> Result<Vec<usize>, MatchError> {
         let plan = self.plan(db)?;
         let query_bytes = query.byte_size(self.ctx.params().coeff_bits()) as u64;
-        // A range job's own counters plus the query broadcast to it (every
-        // range receives the packed query's ciphertexts).
-        let job = |shard: ResidentDatabase| {
+        // A range job's global match offsets and its own counters plus the
+        // query broadcast to it (every range receives the packed query's
+        // ciphertexts).
+        let job = |range: ShardRange| {
+            let shard = db.subrange(range.held, range.bits);
             let (query, index_gen) = (Arc::clone(query), Arc::clone(&self.index_gen));
             move || {
-                let (indices, mut swept) = ShardScratch::run_pooled(&shard, &query, &index_gen);
+                let (mut indices, mut swept) = ShardScratch::run_pooled(&shard, &query, &index_gen);
+                indices.iter_mut().for_each(|i| *i += range.start_bit);
                 swept.bytes_moved += query_bytes;
                 (indices, swept)
             }
         };
+        let mut ranges = plan.ranges(query.k());
         if plan.shard_count() == 1 {
-            let (indices, swept) = job(db.clone())();
+            let (indices, swept) = job(ranges.next().expect("a plan has a range"))();
             stats.push(swept);
             return Ok(indices);
         }
-        let (max, got, bpp) = (plan.max_query_bits(), query.k(), self.bits_per_poly());
-        if got > max {
-            return Err(MatchError::QueryTooLong { max, got });
-        }
-        let handles = plan
-            .ranges()
-            .map(|r| compute_pool().submit(job(db.subrange(r.held, bpp))))
-            .collect();
-        let mut per_range = Vec::with_capacity(plan.shard_count());
-        for (indices, swept) in wait_all(handles)? {
+        let handles = ranges.map(|r| compute_pool().submit(job(r))).collect();
+        // Each range reports the windows starting in its owned bits: the
+        // lists are disjoint and, in range order, ascending.
+        let mut indices = Vec::new();
+        for (hits, swept) in wait_all(handles)? {
             stats.push(swept);
-            per_range.push(indices);
+            indices.extend(hits);
         }
-        Ok(plan.merge_indices(&per_range))
+        Ok(indices)
     }
 
     fn decode_query(&self, encoded: &[u8]) -> Result<Self::Query, MatchError> {

@@ -96,7 +96,6 @@ pub struct MatcherConfig {
     backend: Backend,
     seed: u64,
     insecure: bool,
-    bfv_params: Option<BfvParams>,
 }
 
 impl MatcherConfig {
@@ -107,7 +106,6 @@ impl MatcherConfig {
             backend,
             seed: 0,
             insecure: false,
-            bfv_params: None,
         }
     }
 
@@ -129,12 +127,6 @@ impl MatcherConfig {
     /// for unit tests and CI only.
     pub fn insecure_test(mut self) -> Self {
         self.insecure = true;
-        self
-    }
-
-    /// Overrides the BFV parameter set (Ciphermatch).
-    pub fn bfv_params(mut self, params: BfvParams) -> Self {
-        self.bfv_params = Some(params);
         self
     }
 
@@ -160,16 +152,15 @@ impl MatcherConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`MatchError::InvalidConfig`] for [`Backend::Ifp`] and for
-    /// a BFV parameter set CM-SW cannot serve ([`CiphermatchMatcher::new`]).
+    /// Returns [`MatchError::InvalidConfig`] for [`Backend::Ifp`].
     pub fn build(&self) -> Result<Box<dyn ErasedMatcher>, MatchError> {
         Ok(match self.backend {
             Backend::Ciphermatch => {
-                let params = self.bfv_params.clone().unwrap_or_else(if self.insecure {
-                    BfvParams::insecure_test_add
+                let params = if self.insecure {
+                    BfvParams::insecure_test_add()
                 } else {
-                    BfvParams::ciphermatch_1024
-                });
+                    BfvParams::ciphermatch_1024()
+                };
                 Box::new(Erased::<CiphermatchMatcher>::new(params, 1, self.seed)?)
             }
             Backend::Plain => erase(PlainMatcher::new(), self.seed),
@@ -379,10 +370,7 @@ mod tests {
             let name = params.name;
             assert!(
                 matches!(
-                    MatcherConfig::new(Backend::Ciphermatch)
-                        .bfv_params(params)
-                        .build()
-                        .err(),
+                    Erased::<CiphermatchMatcher>::new(params, 1, 0).err(),
                     Some(MatchError::InvalidConfig(_))
                 ),
                 "{name}"

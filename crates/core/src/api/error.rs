@@ -12,26 +12,12 @@ use crate::api::Backend;
 /// Everything that can go wrong on the secure-matching protocol path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MatchError {
-    /// Reserved: server-side index generation was requested where no
-    /// [`crate::TrustedIndexGenerator`] was installed. Nothing in the
-    /// workspace returns it any more (every matcher is built with its
-    /// generator); the variant keeps its wire tag so the code is never
-    /// reused.
-    NoIndexGenerator,
     /// No database has been loaded into the matcher yet.
     NoDatabase,
     /// A serialized database or ciphertext failed to decode.
     Decode(DecodeError),
     /// The query is empty; an empty pattern has no well-defined matches.
     EmptyQuery,
-    /// The query exceeds the length a search supports (a CM-SW search
-    /// over several polynomial ranges: one polynomial's worth of bits).
-    QueryTooLong {
-        /// Maximum query length (bits) the search supports.
-        max: usize,
-        /// Length of the offending query in bits.
-        got: usize,
-    },
     /// A configuration value is invalid for the selected backend.
     InvalidConfig(&'static str),
     /// A search worker thread panicked; the batch cannot be trusted.
@@ -88,18 +74,11 @@ pub enum MatchError {
 impl std::fmt::Display for MatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            MatchError::NoIndexGenerator => {
-                write!(f, "TrustedController mode requires install_index_generator")
-            }
             MatchError::NoDatabase => {
                 write!(f, "no database loaded; call load_database first")
             }
             MatchError::Decode(e) => write!(f, "malformed encrypted database: {e}"),
             MatchError::EmptyQuery => write!(f, "query must be non-empty"),
-            MatchError::QueryTooLong { max, got } => write!(
-                f,
-                "query of {got} bits exceeds the provisioned maximum of {max} bits"
-            ),
             MatchError::InvalidConfig(what) => write!(f, "invalid matcher configuration: {what}"),
             MatchError::WorkerPanicked => write!(f, "a search worker thread panicked"),
             MatchError::WireQueryUnsupported(backend) => write!(
@@ -151,12 +130,12 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(MatchError::NoIndexGenerator
-            .to_string()
-            .contains("install_index_generator"));
-        assert!(MatchError::QueryTooLong { max: 8, got: 9 }
-            .to_string()
-            .contains("9 bits"));
+        assert!(MatchError::QuotaExceeded {
+            budget: 8,
+            required: 9
+        }
+        .to_string()
+        .contains("9 bytes"));
         let e: MatchError = DecodeError::Truncated.into();
         assert!(e.to_string().contains("truncated"));
         assert!(std::error::Error::source(&e).is_some());

@@ -52,52 +52,43 @@ pub struct EncryptedDatabase<C = Ciphertext> {
 /// coefficient copy of a component past `c0`.
 pub type ResidentDatabase = EncryptedDatabase<ResidentCiphertext>;
 
-/// One database polynomial as a served job reads it: `c0` in
-/// coefficients, every later component kept in the evaluation domain
-/// ([`cm_hemath::RingContext::prepare`]). Those components are public,
-/// never change, and only ever meet the secret key in a product, so
-/// they are transformed once, at load, and each key product is then a
-/// point-wise product and one inverse transform
+/// One database polynomial as a served job reads it: a fresh pair, `c0`
+/// in coefficients and `c1` kept in the evaluation domain
+/// ([`cm_hemath::RingContext::prepare`]). `c1` is public, never changes,
+/// and only ever meets the secret key in a product, so it is
+/// transformed once, at load, and each key product is then a point-wise
+/// product and one inverse transform
 /// ([`Decryptor::key_product_prepared_into`]). On a ring whose modulus
-/// has no NTT of its own a prepared component is `2n` words.
+/// has no NTT of its own a prepared `c1` is `2n` words.
 #[derive(Debug, Clone)]
 pub struct ResidentCiphertext {
     c0: Poly,
-    key_parts: Vec<PreparedPoly>,
+    c1: PreparedPoly,
 }
 
 impl ResidentCiphertext {
-    /// Number of components, `c0` included.
-    fn size(&self) -> usize {
-        1 + self.key_parts.len()
-    }
-
-    /// Takes the buffers of a ciphertext's components: `c0` as is, every
-    /// later one transformed in place.
+    /// Takes the buffers of a ciphertext's two components: `c0` as is,
+    /// `c1` transformed in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `parts` is a pair: every ciphertext a database is
+    /// encrypted or decoded into is ([`check_fresh`]).
     fn take(rq: &RingContext, parts: &mut [Poly]) -> Self {
-        let (c0, rest) = parts
-            .split_first_mut()
-            .expect("a ciphertext has at least two components");
+        let [c0, c1] = parts else {
+            panic!("a served ciphertext is a pair, not {} parts", parts.len());
+        };
         Self {
             c0: std::mem::take(c0),
-            key_parts: rest
-                .iter_mut()
-                .map(|part| rq.prepare(std::mem::take(part)))
-                .collect(),
+            c1: rq.prepare(std::mem::take(c1)),
         }
     }
 
-    /// The explicit ciphertext: every prepared component transformed
-    /// back.
+    /// The explicit ciphertext: `c1` transformed back.
     fn to_explicit(&self, rq: &RingContext) -> Ciphertext {
-        let mut parts = Vec::with_capacity(self.size());
-        parts.push(self.c0.clone());
-        for part in &self.key_parts {
-            let mut coeffs = vec![0; rq.n()];
-            rq.unprepare_into(part, &mut coeffs);
-            parts.push(Poly::from_coeffs(coeffs));
-        }
-        Ciphertext::from_parts(parts)
+        let mut c1 = vec![0; rq.n()];
+        rq.unprepare_into(&self.c1, &mut c1);
+        Ciphertext::from_parts(vec![self.c0.clone(), Poly::from_coeffs(c1)])
     }
 }
 
@@ -130,36 +121,31 @@ impl<C> EncryptedDatabase<C> {
     }
 
     /// The contiguous polynomial sub-range `polys` as a database of its
-    /// own — the shard primitive of the serving layer. The result is a
-    /// view of this database's allocation, not a copy of it.
+    /// own, `total_bits` long — the shard primitive of the serving layer.
+    /// The result is a view of this database's allocation, not a copy of
+    /// it.
     ///
-    /// `bits_per_poly` is the packing density
-    /// ([`crate::DensePacking::bits_per_poly`]); the shard's bit count is
-    /// clipped so the final shard does not claim padding bits beyond
-    /// [`Self::total_bits`]. Index offsets within the shard are relative
-    /// to `polys.start * bits_per_poly`.
+    /// `total_bits` counts from the first bit of `polys` and is at most
+    /// what those polynomials hold of this database: a search of the view
+    /// reports the windows that fit in it, at offsets relative to that
+    /// first bit. [`crate::ShardPlan::ranges`] gives both arguments for a
+    /// query length ([`crate::ShardRange::held`] and
+    /// [`crate::ShardRange::bits`]).
     ///
     /// # Panics
     ///
-    /// Panics if `polys` is empty, out of range, or starts beyond the
-    /// database's bit length (programmer error in the shard planner).
-    pub fn subrange(&self, polys: Range<usize>, bits_per_poly: usize) -> Self {
+    /// Panics if `polys` is empty or out of range (programmer error in
+    /// the shard planner).
+    pub fn subrange(&self, polys: Range<usize>, total_bits: usize) -> Self {
         assert!(
             !polys.is_empty() && polys.end <= self.poly_count(),
             "shard polynomial range {polys:?} outside 0..{}",
             self.poly_count()
         );
-        let start_bit = polys.start * bits_per_poly;
-        assert!(
-            start_bit < self.total_bits,
-            "shard starts at bit {start_bit} beyond the {}-bit database",
-            self.total_bits
-        );
-        let span = polys.len() * bits_per_poly;
         Self {
             cts: Arc::clone(&self.cts),
             polys: self.polys.start + polys.start..self.polys.start + polys.end,
-            total_bits: span.min(self.total_bits - start_bit),
+            total_bits,
         }
     }
 
@@ -196,7 +182,7 @@ impl ResidentDatabase {
     pub fn byte_size(&self, q_bits: u32) -> usize {
         let bytes = q_bits.div_ceil(8) as usize;
         let cts = self.ciphertexts();
-        cts.iter().map(|ct| ct.size() * ct.c0.len() * bytes).sum()
+        cts.iter().map(|ct| 2 * ct.c0.len() * bytes).sum()
     }
 }
 
@@ -999,9 +985,6 @@ pub struct ShardScratch {
     /// ([`scan_phases`]): which windows nearly match, so zeroed with the
     /// phases.
     candidates: Vec<usize>,
-    /// Horner's working space, sized only by a ciphertext past two
-    /// components ([`key_part_into`], [`resident_key_part_into`]).
-    horner: Vec<u64>,
     /// One polynomial of working space: the key product of the polynomial
     /// in hand, or a sum the in-flash check rebuilds.
     line: Vec<u64>,
@@ -1028,75 +1011,14 @@ impl Drop for Job<'_> {
             psi,
             phases,
             candidates,
-            horner,
             line,
             ..
         } = &mut *self.0;
-        for products in [psi, horner, line] {
-            products.fill(0);
-        }
+        psi.fill(0);
+        line.fill(0);
         phases.fill(0);
         candidates.fill(0);
     }
-}
-
-/// `out = Σ_{i ≥ 1} s^i · ct_i`, the key part of `ct`'s decryption phase
-/// (`phase(ct) − ct_0`; `s·c1` for a fresh ciphertext), by Horner's rule
-/// through `work`, one polynomial of working space that only a ciphertext
-/// past two components sizes. For a ciphertext seen once — a packed
-/// query's, an in-flash column — whose components are in coefficients:
-/// each key product is a forward transform, a point-wise product against
-/// the prepared key and an inverse transform
-/// ([`Decryptor::key_product_into`]). A database the job serves keeps its
-/// components transformed instead ([`resident_key_part_into`]). Returns
-/// the key multiplications it took: one per component past the first.
-fn key_part_into(
-    dec: &Decryptor,
-    q: &cm_hemath::Modulus,
-    ct: &Ciphertext,
-    work: &mut Vec<u64>,
-    out: &mut [u64],
-) -> u64 {
-    let (last, inner) = ct.parts()[1..]
-        .split_last()
-        .expect("a ciphertext has at least two components");
-    dec.key_product_into(last.coeffs(), out);
-    for part in inner.iter().rev() {
-        work.resize(out.len(), 0);
-        kernels::add_slices(q, out, part.coeffs(), work);
-        dec.key_product_into(work, out);
-    }
-    (ct.size() - 1) as u64
-}
-
-/// [`key_part_into`] of a resident ciphertext. The last component's key
-/// product is taken where the component is kept, in the evaluation
-/// domain ([`Decryptor::key_product_prepared_into`]): for a fresh
-/// ciphertext — every one a load accepts — that is the whole key part,
-/// one point-wise product and one inverse transform. Each component
-/// before it (a ciphertext past two) is transformed back, added, and the
-/// sum multiplied in coefficients: on a ring without an NTT of its own
-/// a product is exact only on reduced coefficients, so Horner's rule
-/// cannot stay point-wise there.
-fn resident_key_part_into(
-    dec: &Decryptor,
-    rq: &RingContext,
-    ct: &ResidentCiphertext,
-    work: &mut Vec<u64>,
-    out: &mut [u64],
-) -> u64 {
-    let (last, inner) = ct
-        .key_parts
-        .split_last()
-        .expect("a ciphertext has at least two components");
-    dec.key_product_prepared_into(last, out);
-    for part in inner.iter().rev() {
-        work.resize(out.len(), 0);
-        rq.unprepare_into(part, work);
-        kernels::add_assign_slices(rq.modulus(), work, out);
-        dec.key_product_into(work, out);
-    }
-    (ct.size() - 1) as u64
 }
 
 /// `d = key + c0 mod q`, narrowed to 32 bits: a polynomial's decryption
@@ -1110,7 +1032,9 @@ fn fold_phase(q: &cm_hemath::Modulus, key: &mut [u64], c0: &[u64], d: &mut [u32]
 
 /// The phase scan every served job ends in: takes the packed query's
 /// segment phases `Q.c0 + s·Q.c1` into `psi` (`⌈V/n⌉` key
-/// multiplications), then tests every alignment class in one pass over
+/// multiplications, each a forward transform, a point-wise product
+/// against the prepared key and an inverse transform: the query arrives
+/// in coefficients), then tests every alignment class in one pass over
 /// the range's phases `phases` ([`scan_phases`]). The phase of entry
 /// `(v, j)` is `phases[j] + ψ` gathered as variant `v` is: a phase is
 /// linear and coefficient-wise.
@@ -1126,15 +1050,15 @@ fn scan_range(
         psi,
         phases,
         candidates,
-        horner,
         key_muls,
         ..
     } = scratch;
     psi.resize(query.cts.len() * n, 0);
     for (ct, segs) in query.cts.iter().zip(psi.chunks_exact_mut(n)) {
-        *key_muls += key_part_into(dec, q, ct, horner, segs);
+        dec.key_product_into(ct.part(1).coeffs(), segs);
         kernels::add_assign_slices(q, segs, ct.part(0).coeffs());
     }
+    *key_muls += query.cts.len() as u64;
     let shape = (total_bits, query.k);
     scan_phases(dec, ctx, &query.classes, (phases, psi), shape, candidates)
 }
@@ -1171,8 +1095,8 @@ impl ShardScratch {
     /// `(v, j)`, variant `v` Hom-Added to polynomial `j`, has the phase
     /// `(db_j.c0 + s·db_j.c1) + (v.c0 + s·v.c1)`, and variant `v`'s
     /// coefficients are packed-query segments. So the job takes the key
-    /// part of every polynomial of `shard` (`s·db_j.c1`, whatever the
-    /// size) and of every packed-query ciphertext once — `⌈V/n⌉ + P` key
+    /// product of every polynomial of `shard` (`s·db_j.c1`) and of every
+    /// packed-query ciphertext once — `⌈V/n⌉ + P` key
     /// multiplications ([`Self::key_muls`]) where the explicit form's
     /// `V × P` result ciphertexts take one each. `shard` is in the
     /// resident form, `db_j.c1` already in the evaluation domain, so each
@@ -1207,12 +1131,11 @@ impl ShardScratch {
         let job = Job(self);
         let ShardScratch {
             phases,
-            horner,
             line,
             key_muls,
             ..
         } = &mut *job.0;
-        *key_muls = 0;
+        *key_muls = db_cts.len() as u64;
         line.resize(n, 0);
         phases.resize(db_cts.len() * n, 0);
         let mut stats = MatchStats {
@@ -1220,7 +1143,7 @@ impl ShardScratch {
             ..MatchStats::default()
         };
         for (ct, d) in db_cts.iter().zip(phases.chunks_exact_mut(n)) {
-            *key_muls += resident_key_part_into(dec, rq, ct, horner, line);
+            dec.key_product_prepared_into(&ct.c1, line);
             let t0 = Instant::now();
             fold_phase(q, line, ct.c0.coeffs(), d);
             stats.add_time += t0.elapsed();
@@ -1359,8 +1282,8 @@ impl ShardScratch {
         FREE_SCRATCHES.lock().map_or(0, |free| free.len())
     }
 
-    /// Secret-key multiplications the last job took: `⌈V/n⌉ + P` on
-    /// fresh ciphertexts, one per ciphertext component past the first.
+    /// Secret-key multiplications the last job took: `⌈V/n⌉ + P`, one per
+    /// query ciphertext and one per database polynomial.
     pub fn key_muls(&self) -> u64 {
         self.key_muls
     }
@@ -1546,13 +1469,11 @@ mod tests {
                 "k={k}: a row of query phases per ciphertext"
             );
             assert_eq!(scratch.line.len(), n, "k={k}");
-            // No variant gathered, no tile, no Horner space (fresh
-            // ciphertexts) and no in-flash columns.
+            // No variant gathered, no tile and no in-flash columns.
             assert!(
                 scratch.variant.is_none() && scratch.tile.is_empty(),
                 "k={k}"
             );
-            assert!(scratch.horner.is_empty(), "k={k}");
             assert!(scratch.columns.is_empty(), "k={k}");
             // ⌈V/n⌉ + P, where the explicit form's table takes V × P.
             assert_eq!(scratch.key_muls(), (cts + polys) as u64, "k={k}");
@@ -1603,7 +1524,7 @@ mod tests {
 
         // Sums added elsewhere on the same scratch gather both halves of
         // every variant into a tile of two-component sums, and then scan
-        // the range's phases as the CM-SW job does: no Horner space.
+        // the range's phases as the CM-SW job does.
         let got = scratch.run_with_adder(&query, &index_gen, polys, data.len(), |v, tile| {
             engine.sweep_variant(db.ciphertexts(), v, 2, tile, &mut MatchStats::default());
         });
@@ -1615,7 +1536,6 @@ mod tests {
             .iter()
             .all(|p| p.coeffs().iter().any(|&c| c != 0)));
         assert_eq!(scratch.phases.len(), polys * n);
-        assert!(scratch.horner.is_empty());
         // And a CM-SW job after it reads none of what that left.
         assert_eq!(
             scratch
@@ -1922,7 +1842,7 @@ mod tests {
     /// Whether every key product, phase and candidate window start a job
     /// can leave in `scratch` is zero.
     fn cleared(scratch: &ShardScratch) -> bool {
-        let products = [&scratch.horner, &scratch.line, &scratch.psi];
+        let products = [&scratch.line, &scratch.psi];
         products.iter().all(|words| words.iter().all(|&w| w == 0))
             && scratch.phases.iter().all(|&w| w == 0)
             && scratch.candidates.iter().all(|&w| w == 0)
@@ -1969,9 +1889,8 @@ mod tests {
                 None => assert_eq!(got, Ok(indices.clone())),
                 Some(_) => assert!(matches!(got, Err(MatchError::Internal(_)))),
             }
-            // The range's phases were taken, and no Horner space.
+            // The range's phases were taken.
             assert_eq!(scratch.phases.len(), polys * n, "{bad:?}");
-            assert!(scratch.horner.is_empty(), "{bad:?}");
             assert!(cleared(&scratch), "in-flash job, corrupted variant {bad:?}");
         }
     }
@@ -2006,8 +1925,8 @@ mod tests {
     #[test]
     fn subrange_extracts_searchable_shards() {
         // A database spanning several polynomials, split at polynomial
-        // granularity: each shard must be independently searchable and the
-        // final shard must not claim padding bits.
+        // granularity: each shard must be independently searchable. How
+        // long a view is comes from the plan (`shard.rs`'s tests).
         let f = Fixture::new();
         let mut rng = StdRng::seed_from_u64(5353);
         let (sk, pk) = {
@@ -2028,12 +1947,6 @@ mod tests {
         let shard = db.subrange(1..2, bpp);
         assert_eq!(shard.poly_count(), 1);
         assert_eq!(shard.total_bits(), bpp);
-        let last = db.subrange(db.poly_count() - 1..db.poly_count(), bpp);
-        assert_eq!(
-            last.total_bits(),
-            data.len() - (db.poly_count() - 1) * bpp,
-            "final shard is clipped to the real bit length"
-        );
 
         // Searching the shard finds exactly the shard-local occurrences.
         let pattern = data.slice(bpp + 40, 24);

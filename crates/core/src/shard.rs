@@ -1,36 +1,46 @@
 //! Shard geometry: how one encrypted database is cut into polynomial
-//! ranges, and how range-local results map back to global bit offsets.
+//! ranges for a query, and how range-local results map back to global
+//! bit offsets.
 //!
 //! The unit of sharding is the ciphertext polynomial: CIPHERMATCH's
 //! `Hom-Add` sweep is independent per (variant, polynomial) pair, so a
-//! contiguous polynomial range is a self-contained sub-database. Because a
-//! match window may straddle a polynomial boundary, every shard *holds*
-//! one polynomial past the polynomials it *owns*: any query of at most
-//! `bits_per_poly` bits that starts in a shard's owned range ends inside
-//! the polynomials that shard holds, so the union of per-shard results
-//! (after remapping and de-duplication) equals the unsharded result — the
-//! invariant the module tests pin down. A plan is arithmetic only: the
-//! ranges it names are cut with `EncryptedDatabase::subrange`, as views
-//! of the one ciphertext allocation, so overlap tails cost no memory
-//! either.
+//! contiguous polynomial range is a self-contained sub-database. A range
+//! *owns* a contiguous run of polynomials, and the windows that start in
+//! its owned bits are its to report, no other range's. A window that
+//! starts at the last owned bit of a `k`-bit query reads `k − 1` bits
+//! further, so for that query a range also *holds* the
+//! `⌈(k − 1)/bits_per_poly⌉` polynomials past those it owns, and its view
+//! is `k − 1` bits longer than its owned bits (both clipped at the
+//! database end). A search of a view stops at the last window that fits
+//! in it, so each range reports exactly the windows that start in its
+//! owned bits: the remapped per-range lists are disjoint and ascending,
+//! and their concatenation is the unsharded result — the invariant the
+//! module tests pin down. A plan is arithmetic only: the ranges it names
+//! are cut with `EncryptedDatabase::subrange`, as views of the one
+//! ciphertext allocation, so the polynomials a range holds past those it
+//! owns cost no memory either.
 
 use std::ops::Range;
 
 use crate::api::MatchError;
 
-/// The geometry of one shard within the global database.
+/// The geometry of one shard within the global database, for one query
+/// length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRange {
     /// Polynomials this shard *owns*: match windows starting here are this
     /// shard's responsibility.
     pub owned: Range<usize>,
-    /// Polynomials this shard *holds*: the owned range plus the one
-    /// polynomial of overlap that lets boundary-straddling windows
-    /// complete.
+    /// Polynomials this shard *holds*: the owned range plus those a
+    /// window starting at its last owned bit reaches.
     pub held: Range<usize>,
     /// Global bit offset of the shard's first held polynomial — the remap
     /// term added to every shard-local match offset.
     pub start_bit: usize,
+    /// Bit length of the shard's view: its owned bits plus `k − 1`,
+    /// clipped at the database end. The last window that fits starts at
+    /// its last owned bit.
+    pub bits: usize,
 }
 
 /// How a database of `poly_count` polynomials is split into shards.
@@ -44,10 +54,9 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Plans `shards` near-equal contiguous polynomial ranges over a
-    /// database of `poly_count` polynomials and `total_bits` bits, each
-    /// shard holding one polynomial past its owned range (clipped at the
-    /// database end). The shard count is capped at `poly_count` — a
-    /// polynomial is never split.
+    /// database of `poly_count` polynomials and `total_bits` bits. The
+    /// shard count is capped at `poly_count` — a polynomial is never
+    /// owned by two shards.
     ///
     /// # Errors
     ///
@@ -78,56 +87,27 @@ impl ShardPlan {
         self.shards
     }
 
-    /// The per-shard geometry, in shard order: the first
-    /// `poly_count % shards` shards own one polynomial more than the rest.
-    pub fn ranges(&self) -> impl Iterator<Item = ShardRange> + '_ {
+    /// The per-shard geometry for a `k`-bit query, in shard order: the
+    /// first `poly_count % shards` shards own one polynomial more than
+    /// the rest.
+    pub fn ranges(&self, k: usize) -> impl Iterator<Item = ShardRange> + '_ {
         let base = self.poly_count / self.shards;
         let rem = self.poly_count % self.shards;
+        // How far past its last owned bit a range's last window reads.
+        let reach = k.saturating_sub(1);
         (0..self.shards).map(move |s| {
             let start = s * base + s.min(rem);
             let owned = start..start + base + usize::from(s < rem);
+            let start_bit = start * self.bits_per_poly;
+            let held_end = owned.end + reach.div_ceil(self.bits_per_poly);
+            let bits = owned.len() * self.bits_per_poly + reach;
             ShardRange {
-                start_bit: start * self.bits_per_poly,
-                held: start..(owned.end + 1).min(self.poly_count),
+                held: start..held_end.min(self.poly_count),
+                bits: bits.min(self.total_bits.saturating_sub(start_bit)),
+                start_bit,
                 owned,
             }
         })
-    }
-
-    /// The longest query (in bits) sharded execution supports: a window
-    /// starting in a shard's owned range must end inside the polynomials
-    /// it holds. A single-shard plan holds everything, so it has no limit
-    /// beyond the database itself.
-    pub fn max_query_bits(&self) -> usize {
-        if self.shards == 1 {
-            self.total_bits
-        } else {
-            self.bits_per_poly
-        }
-    }
-
-    /// Remaps per-shard local match offsets to global bit offsets and
-    /// merges them into one ascending, de-duplicated list. `per_shard[i]`
-    /// must be shard `i`'s local result; overlap regions report a match in
-    /// up to two shards, which the dedup collapses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_shard` does not have one entry per shard.
-    pub fn merge_indices(&self, per_shard: &[Vec<usize>]) -> Vec<usize> {
-        assert_eq!(
-            per_shard.len(),
-            self.shards,
-            "one result list per shard required"
-        );
-        let mut all: Vec<usize> = per_shard
-            .iter()
-            .zip(self.ranges())
-            .flat_map(|(hits, range)| hits.iter().map(move |&h| h + range.start_bit))
-            .collect();
-        all.sort_unstable();
-        all.dedup();
-        all
     }
 }
 
@@ -142,23 +122,38 @@ mod tests {
 
     #[test]
     fn plan_partitions_owned_polys_exactly_once() {
+        // 64 bits per polynomial, the last one 5 bits short.
         for (polys, shards) in [(7usize, 3usize), (9, 2), (3, 8)] {
-            let plan = ShardPlan::new(polys, polys * 64, 64, shards).unwrap();
+            let total = polys * 64 - 5;
+            let plan = ShardPlan::new(polys, total, 64, shards).unwrap();
             assert_eq!(plan.shard_count(), shards.min(polys));
-            assert_eq!(plan.ranges().count(), plan.shard_count());
-            let mut covered = 0;
-            for (i, r) in plan.ranges().enumerate() {
-                assert_eq!(
-                    r.owned.start, covered,
-                    "shard {i} owned range is contiguous"
-                );
-                assert!(!r.owned.is_empty(), "shard {i} owns something");
-                assert_eq!(r.start_bit, r.held.start * 64);
-                assert!(r.held.start == r.owned.start && r.held.end >= r.owned.end);
-                assert_eq!(r.held.end, (r.owned.end + 1).min(polys));
-                covered = r.owned.end;
+            for k in [1usize, 2, 33, 64, 65, 130] {
+                assert_eq!(plan.ranges(k).count(), plan.shard_count());
+                // Every window start, as one range after another reports them.
+                let windows = total + 1 - k;
+                let (mut covered, mut first_window) = (0, 0);
+                for (i, r) in plan.ranges(k).enumerate() {
+                    assert_eq!(
+                        r.owned.start, covered,
+                        "shard {i} owned range is contiguous"
+                    );
+                    assert!(!r.owned.is_empty(), "shard {i} owns something");
+                    assert_eq!(r.start_bit, r.held.start * 64);
+                    assert_eq!(r.held.start, r.owned.start);
+                    // Owned bits plus k − 1, clipped at the database end.
+                    let bits = (r.owned.len() * 64 + k - 1).min(total - r.start_bit);
+                    assert_eq!(r.bits, bits, "shard {i}, k = {k}");
+                    // The view's polynomials, and not one more.
+                    assert_eq!(r.held.end, (r.start_bit + r.bits).div_ceil(64));
+                    // Its windows start right after the previous range's,
+                    // or there are none left.
+                    assert_eq!(r.start_bit.min(windows), first_window, "shard {i}, k = {k}");
+                    first_window = (r.start_bit + (r.bits + 1).saturating_sub(k)).min(windows);
+                    covered = r.owned.end;
+                }
+                assert_eq!(covered, polys, "every polynomial is owned exactly once");
+                assert_eq!(first_window, windows, "every window, k = {k}");
             }
-            assert_eq!(covered, polys, "every polynomial is owned exactly once");
         }
     }
 
@@ -181,12 +176,15 @@ mod tests {
     #[test]
     fn sharded_search_equals_unsharded_search() {
         let (data, bpp) = seam_data();
-        // Patterns that land inside shards and straddle shard boundaries.
+        // Patterns that land inside shards and straddle shard boundaries,
+        // and two longer than a polynomial: across one seam and two.
         let patterns = [
             data.slice(10, 24),
             data.slice(bpp - 11, 30), // straddles the poly-0/1 boundary
             data.slice(2 * bpp - 3, 16),
             data.slice(data.len() - 40, 33),
+            data.slice(bpp - 11, bpp + 8),
+            data.slice(bpp / 2, 2 * bpp + 3),
         ];
         for shards in [1usize, 2, 3, 5] {
             let mut rng = StdRng::seed_from_u64(31337);
@@ -198,8 +196,10 @@ mod tests {
             for pattern in &patterns {
                 let query = matcher.prepare_query(pattern, &mut rng).unwrap();
                 let mut stats = Vec::new();
+                let hits = matcher.find_all(&db, &query, &mut stats).unwrap();
+                assert!(!hits.is_empty());
                 assert_eq!(
-                    matcher.find_all(&db, &query, &mut stats).unwrap(),
+                    hits,
                     data.find_all(pattern),
                     "shards = {shards}, pattern of {} bits",
                     pattern.len()
@@ -217,13 +217,15 @@ mod tests {
         let db = matcher.encrypt_database(&data, &mut rng).unwrap();
         let whole = db.ciphertexts().as_ptr_range();
 
-        // Every range of every plan — overlap tails included — is a slice
-        // of the database's own allocation, at the polynomials it names.
+        // Every range of every plan — held polynomials past the owned ones
+        // included — is a slice of the database's own allocation, at the
+        // polynomials it names.
         for shards in [1usize, 2, 3, 5] {
             let plan = ShardPlan::new(db.poly_count(), db.total_bits(), bpp, shards).unwrap();
-            for range in plan.ranges() {
-                let shard = db.subrange(range.held.clone(), bpp);
+            for range in plan.ranges(bpp + 8) {
+                let shard = db.subrange(range.held.clone(), range.bits);
                 assert_eq!(shard.poly_count(), range.held.len());
+                assert_eq!(shard.total_bits(), range.bits);
                 assert!(
                     std::ptr::eq(
                         shard.ciphertexts().as_ptr(),
@@ -233,7 +235,9 @@ mod tests {
                 );
                 assert!(shard.ciphertexts().as_ptr_range().end <= whole.end);
                 // A range of a range is still the same allocation.
-                let last = shard.subrange(shard.poly_count() - 1..shard.poly_count(), bpp);
+                let polys = shard.poly_count();
+                let tail = shard.total_bits() - (polys - 1) * bpp;
+                let last = shard.subrange(polys - 1..polys, tail);
                 assert!(std::ptr::eq(
                     last.ciphertexts().as_ptr(),
                     &db.ciphertexts()[range.held.end - 1]

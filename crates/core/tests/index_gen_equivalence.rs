@@ -79,8 +79,7 @@ impl Fixture {
     /// matcher holds (`c1` in the NTT domain); asserts it ran every
     /// Hom-Add of the table it
     /// did not keep, from `⌈V/n⌉` ciphertexts, and took one key product
-    /// per ciphertext component past the first: `⌈V/n⌉ + P` on fresh
-    /// ciphertexts.
+    /// per query ciphertext and per database polynomial: `⌈V/n⌉ + P`.
     fn served(&mut self, db: &EncryptedDatabase, pattern: &BitString) -> Vec<usize> {
         let enc = Encryptor::new(&self.ctx, self.pk.clone());
         let query = self.engine.pack_query(&enc, pattern, &mut self.rng);
@@ -101,10 +100,9 @@ impl Fixture {
             (variants * db.poly_count()) as u64,
             "one Hom-Add per variant and polynomial"
         );
-        let key_parts: usize = db.ciphertexts().iter().map(|ct| ct.size() - 1).sum();
         assert_eq!(
             self.job.key_muls(),
-            (query.ciphertext_count() + key_parts) as u64
+            (query.ciphertext_count() + db.poly_count()) as u64
         );
         indices
     }
@@ -264,13 +262,14 @@ fn windows_longer_than_a_polynomial_agree() {
 
 #[test]
 fn shard_seams_agree() {
-    // Ranges at polynomial granularity with one polynomial of overlap, as
-    // `ShardPlan` cuts them — two ranges over three polynomials (0..2 and
-    // 1..3), three over four (0..3, 2..4 and 3..4). Each range's local
-    // result must equal the plaintext search of exactly the bits it
-    // holds, and the merged lists the search of the whole database: a
-    // window that starts in the last polynomial a range owns ends in its
-    // overlap, and is reported once.
+    // Ranges at polynomial granularity as `ShardPlan` cuts them for a
+    // 33-bit query, each holding the one polynomial past those it owns —
+    // two ranges over three polynomials (0..3 and 2..3), three over four
+    // (0..3, 2..4 and 3..4) — and viewing 32 bits past its owned bits.
+    // Each range's local result must equal the plaintext search of its
+    // view, and the concatenated lists the search of the whole database:
+    // a window that starts in the last polynomial a range owns ends in
+    // the one past it, and is reported by that range alone.
     for params in presets() {
         let mut f = Fixture::new(params, 0x5EA);
         let bpp = f.bits_per_poly();
@@ -282,20 +281,19 @@ fn shard_seams_agree() {
                 let (db, query) = f.encrypt(&data, &pattern);
                 let plan = ShardPlan::new(polys, data.len(), bpp, shards).unwrap();
                 assert_eq!(plan.shard_count(), shards);
-                let mut per_range = Vec::new();
-                for range in plan.ranges() {
+                let mut all = Vec::new();
+                for range in plan.ranges(pattern.len()) {
                     let held = range.held;
-                    let shard = db.subrange(held.clone(), bpp);
-                    let local = data.slice(held.start * bpp, shard.total_bits());
+                    let shard = db.subrange(held.clone(), range.bits);
+                    let local = data.slice(range.start_bit, range.bits);
                     let result = f.engine.search(&shard, &query);
                     let explicit = f.explicit(&result);
                     assert_eq!(explicit, local.find_all(&pattern), "shard {held:?}");
                     assert_eq!(f.served(&shard, &pattern), explicit, "served {held:?}");
-                    per_range.push(explicit);
+                    all.extend(explicit.iter().map(|&i| i + range.start_bit));
                 }
-                let merged = plan.merge_indices(&per_range);
-                assert_eq!(merged, data.find_all(&pattern), "{shards} ranges");
-                assert!(merged.contains(&start));
+                assert_eq!(all, data.find_all(&pattern), "{shards} ranges");
+                assert!(all.contains(&start));
             }
         }
     }
@@ -495,48 +493,6 @@ fn three_component_table_decrypts_to_the_plaintext_answer() {
 }
 
 #[test]
-fn served_job_on_a_three_component_database_uses_its_whole_key_part() {
-    // The same padding on the database itself: the column of a polynomial
-    // is the key part of its phase whatever its size (two key products
-    // here), so the served job answers as the explicit form does on its
-    // one path.
-    let mut f = Fixture::new(BfvParams::insecure_test_add(), 0x334);
-    let (bpp, n) = (f.bits_per_poly(), f.ctx.params().n);
-    let data = f.random_bits(bpp + 40);
-    let pattern = data.slice(bpp - 5, 21);
-    let (db, _) = f.encrypt(&data, &pattern);
-    let widened = db.ciphertexts().iter().map(|ct| {
-        let mut parts = ct.clone().into_parts();
-        parts.push(Poly::zero(n));
-        Ciphertext::from_parts(parts)
-    });
-    let wide = EncryptedDatabase::from_ciphertexts(widened.collect(), data.len());
-    assert_eq!(f.served(&wide, &pattern), data.find_all(&pattern));
-
-    // A third component that is not zero, on every other polynomial
-    // (mixed sizes in one shard): `(c0 − s²·u, c1, u)` has the phase of
-    // `(c0, c1)`, and only a column that includes `s²·c2` finds it.
-    let q = f.ctx.rq().modulus();
-    let mixed = db.ciphertexts().iter().enumerate().map(|(j, ct)| {
-        if j % 2 == 1 {
-            return ct.clone();
-        }
-        let u: Vec<u64> = (0..n).map(|_| f.rng.gen_range(0..q.value())).collect();
-        let (mut su, mut ssu, mut c0) = (vec![0; n], vec![0; n], vec![0; n]);
-        f.dec.key_product_into(&u, &mut su);
-        f.dec.key_product_into(&su, &mut ssu);
-        cm_hemath::kernels::sub_slices(q, ct.part(0).coeffs(), &ssu, &mut c0);
-        Ciphertext::from_parts(vec![
-            Poly::from_coeffs(c0),
-            ct.part(1).clone(),
-            Poly::from_coeffs(u),
-        ])
-    });
-    let mixed = EncryptedDatabase::from_ciphertexts(mixed.collect(), data.len());
-    assert_eq!(f.served(&mixed, &pattern), data.find_all(&pattern));
-}
-
-#[test]
 fn class_boundaries_agree_on_the_served_job() {
     // The served job tests every variant of a class in one pass over the
     // window starts `0..=n − s_r` of a polynomial. Plant one pattern per
@@ -581,8 +537,8 @@ fn a_range_whose_last_window_starts_mid_polynomial_agrees() {
     // its window starts, `total_bits − k`, falls in the middle of a
     // polynomial. For every class, plant the pattern at the last start of
     // that class the database allows; each range answers what the
-    // plaintext search of its bits and the explicit form do,
-    // and the merged list what the search of the whole database does.
+    // plaintext search of its view and the explicit form do, and the
+    // concatenated lists what the search of the whole database does.
     for params in presets() {
         let mut f = Fixture::new(params, 0x1A57);
         let (seg, bpp) = (f.engine.packing().seg_bits(), f.bits_per_poly());
@@ -599,20 +555,19 @@ fn a_range_whose_last_window_starts_mid_polynomial_agrees() {
                 let data = BitString::from_bits(&bits);
                 let (db, query) = f.encrypt(&data, &pattern);
                 let plan = ShardPlan::new(3, len, bpp, 2).unwrap();
-                let mut per_range = Vec::new();
-                for range in plan.ranges() {
+                let mut all = Vec::new();
+                for range in plan.ranges(k) {
                     let held = range.held;
-                    let shard = db.subrange(held.clone(), bpp);
-                    let local = data.slice(held.start * bpp, shard.total_bits());
+                    let shard = db.subrange(held.clone(), range.bits);
+                    let local = data.slice(range.start_bit, range.bits);
                     let result = f.engine.search(&shard, &query);
                     let explicit = f.explicit(&result);
                     assert_eq!(explicit, local.find_all(&pattern), "k={k} r={r} {held:?}");
                     assert_eq!(f.served(&shard, &pattern), explicit, "k={k} r={r} {held:?}");
-                    per_range.push(explicit);
+                    all.extend(explicit.iter().map(|&i| i + range.start_bit));
                 }
-                let merged = plan.merge_indices(&per_range);
-                assert_eq!(merged, data.find_all(&pattern), "k={k} r={r}");
-                assert!(merged.contains(&at), "k={k} r={r}");
+                assert_eq!(all, data.find_all(&pattern), "k={k} r={r}");
+                assert!(all.contains(&at), "k={k} r={r}");
             }
         }
     }

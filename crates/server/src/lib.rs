@@ -17,8 +17,9 @@
 //!
 //! * [`cm_core::CiphermatchMatcher`] — the one CM-SW matcher: a search
 //!   plans the database into contiguous polynomial ranges
-//!   ([`cm_core::ShardPlan`]: overlap tails make boundary-straddling
-//!   windows exact, a range→global remap merges the results), cuts each
+//!   for the query ([`cm_core::ShardPlan`]: a range's view reaches
+//!   `k − 1` bits past the polynomials it owns and reports the windows
+//!   that start in them, so the remapped lists concatenate), cuts each
 //!   as a view of the one ciphertext allocation — sharding copies
 //!   nothing — and runs one [`cm_core::ShardScratch::run_pooled`] job per
 //!   range, a one-range plan inline, more on the process-wide

@@ -191,24 +191,6 @@ impl MatchServer {
         })
     }
 
-    /// Serves `listener` on the calling thread until the process exits
-    /// (the production entry point; tests use [`Self::spawn`]).
-    pub fn serve(self, listener: &TcpListener) {
-        let Ok(listener) = listener.try_clone() else {
-            return;
-        };
-        let Ok(reactor) =
-            Reactor::from_listener(listener, self.config.reactor(self.telemetry.registry()))
-        else {
-            return;
-        };
-        let Ok(pool) = self.frame_pool().map(Arc::new) else {
-            return; // the OS refused a worker thread
-        };
-        let front = FrontEnd::new(&self, reactor.handle(), Arc::clone(&pool));
-        reactor.run(front);
-    }
-
     /// Builds the frame pool with its queue-depth/wait/run-time metrics
     /// installed before any handle is shared.
     fn frame_pool(&self) -> Result<WorkerPool, MatchError> {

@@ -6,9 +6,10 @@
 //! `shards` polynomial ranges per search, `query_kit()` for the remote
 //! key owner. A search runs one [`cm_core::ShardScratch::run_pooled`]
 //! job per range on the process-wide [`cm_core::compute_pool`], each over
-//! a view of the one ciphertext allocation, and merges the remapped
-//! range-local index lists; per-range [`cm_core::MatchStats`] sum to the
-//! matcher total. [`cm_core::MatcherConfig::build`] — every uploaded or
+//! a view of the one ciphertext allocation that reaches as far past the
+//! range's owned bits as the query is long, and concatenates the
+//! remapped range-local index lists, which are disjoint; per-range
+//! [`cm_core::MatchStats`] sum to the matcher total. [`cm_core::MatcherConfig::build`] — every uploaded or
 //! re-materialized tenant — makes the same type with one range, run on
 //! the calling thread, and the same keys for the same seed.
 
@@ -67,7 +68,8 @@ mod tests {
         // would have booked 39 · 2 048 to each range. The variants
         // themselves are still all swept: 39 (then 25) Hom-Adds per
         // polynomial a range holds (2 + 2 + 1 of the database's 5, and
-        // one of overlap for the first two ranges).
+        // for the first two ranges the one past them that their last
+        // windows reach).
         let held = [3, 3, 1];
         for (shard_stats, variants) in [(&first, 39), (&second, 25)] {
             assert_eq!(shard_stats.len(), 3);
@@ -106,42 +108,38 @@ mod tests {
     }
 
     #[test]
-    fn oversized_queries_are_rejected_not_wrong() {
+    fn queries_longer_than_a_polynomial_are_answered_exactly() {
+        // A range's view reaches k − 1 bits past its owned bits, however
+        // many polynomials that is: one polynomial's worth of bits, one
+        // across a range seam and one across two, as bits and as wire
+        // queries the kit encrypted.
         let data = long_data();
-        let mut m = matcher(4);
-        m.load_database(&data).unwrap();
         let bpp = 2048; // insecure_test_add: 256 coefficients of 8 bits
-        let too_long = data.slice(0, bpp + 8);
-        assert_eq!(
-            m.find_all(&too_long).unwrap_err(),
-            MatchError::QueryTooLong {
-                max: bpp,
-                got: bpp + 8
+        let patterns = [
+            (3, bpp),
+            (2 * bpp - 11, bpp + 8),
+            (2 * bpp - 5, 2 * bpp + 3),
+        ];
+        for shards in [1usize, 2, 4] {
+            let mut m = matcher(shards);
+            m.load_database(&data).unwrap();
+            let kit = m.query_kit();
+            let mut rng = StdRng::seed_from_u64(5);
+            for (start, len) in patterns {
+                let pattern = data.slice(start, len);
+                let expected = data.find_all(&pattern);
+                assert!(expected.contains(&start));
+                let (hits, stats) = m.find_all(&pattern).unwrap();
+                assert_eq!(hits, expected, "shards={shards} slice=({start},{len})");
+                assert_eq!(stats.len(), shards);
+                let encoded = kit.encode_query(&pattern, &mut rng).unwrap();
+                assert_eq!(
+                    m.find_all_wire(&encoded).unwrap().0,
+                    expected,
+                    "wire, shards={shards} slice=({start},{len})"
+                );
             }
-        );
-        // The same limit holds for a query that arrives encrypted.
-        let encoded = matcher(1)
-            .query_kit()
-            .encode_query(&too_long, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        assert_eq!(
-            m.find_all_wire(&encoded).unwrap_err(),
-            MatchError::QueryTooLong {
-                max: bpp,
-                got: bpp + 8
-            }
-        );
-        // One polynomial's worth of bits is still answered.
-        let longest = data.slice(3, bpp);
-        assert_eq!(m.find_all(&longest).unwrap().0, data.find_all(&longest));
-
-        // A one-range matcher has no such limit.
-        let mut single = matcher(1);
-        single.load_database(&data).unwrap();
-        assert_eq!(
-            single.find_all(&too_long).unwrap().0,
-            data.find_all(&too_long)
-        );
+        }
     }
 
     #[test]

@@ -999,14 +999,15 @@ macro_rules! wire_errors {
 }
 
 // Tags 4 (a query off a fixed window) and 17 (a backend without a
-// wire database) were the unserved baselines' errors. They are retired:
-// they decode as unknown and are never reused.
+// wire database) were the unserved baselines' errors; tag 0 (no index
+// generator installed) had no constructor left, and tag 3 (a query
+// longer than a sharded search took) went when every range came to
+// reach as far past its owned bits as the query needs. They are
+// retired: they decode as unknown and are never reused.
 wire_errors! {
     MatchError {
-        NoIndexGenerator = ERR_NO_INDEX_GENERATOR: 0,
         NoDatabase = ERR_NO_DATABASE: 1,
         EmptyQuery = ERR_EMPTY_QUERY: 2,
-        QueryTooLong { max: a, got: b } = ERR_QUERY_TOO_LONG: 3,
         WorkerPanicked = ERR_WORKER_PANICKED: 5,
         InvalidConfig(text) = ERR_INVALID_CONFIG: 6,
         Decode(a) = ERR_DECODE: 7,
@@ -1666,7 +1667,10 @@ mod tests {
                 seal_latency: Duration::from_nanos(126),
             },
             Response::TenantStats { stats, queries: 3 },
-            Response::Error(MatchError::QueryTooLong { max: 8, got: 99 }),
+            Response::Error(MatchError::QuotaExceeded {
+                budget: 8,
+                required: 99,
+            }),
             Response::Error(MatchError::UnknownTenant("mallory".into())),
             Response::Error(MatchError::ServerBusy {
                 max_open_sockets: 64,
@@ -2088,8 +2092,8 @@ mod tests {
         .encode();
         phase[1 + 2 + 1] = 3;
         refused(&phase, false);
-        // One past the last error tag, and the two retired ones.
-        for tag in [20, 4, 17] {
+        // One past the last error tag, and the four retired ones.
+        for tag in [20, 0, 3, 4, 17] {
             let mut error = Response::Error(MatchError::NoDatabase).encode();
             error[1] = tag;
             assert_eq!(

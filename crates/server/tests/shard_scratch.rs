@@ -145,12 +145,14 @@ fn third_query_of_a_shape_allocates_only_its_index_list() {
     let data = three_polys(&params, &mut rng);
     let db = engine.encrypt_database(&enc, &data, &mut rng);
 
-    // Range 0 of a two-range plan holds polynomials 0..3 of which it owns
-    // 0..2; its local offsets are global offsets.
+    // Range 0 of a two-range plan for 24-bit queries holds polynomials
+    // 0..3 of which it owns 0..2, and its view ends 23 bits into the
+    // third; its local offsets are global offsets.
     let plan = ShardPlan::new(db.poly_count(), db.total_bits(), bits_per_poly, 2).unwrap();
-    let range = plan.ranges().next().unwrap();
+    let range = plan.ranges(24).next().unwrap();
     assert_eq!((range.owned, range.held.clone()), (0..2, 0..3));
-    let shard = db.subrange(range.held, bits_per_poly);
+    assert_eq!(range.bits, 2 * bits_per_poly + 23);
+    let shard = db.subrange(range.held, range.bits);
     let held = data.slice(0, shard.total_bits());
     let resident = shard.clone().into_resident(&ctx);
 

@@ -314,18 +314,8 @@ fn errors() -> Vec<(&'static str, MatchError, String)> {
         )
     };
     vec![
-        (
-            "no_index_generator",
-            MatchError::NoIndexGenerator,
-            error("00", 0, 0, ""),
-        ),
         ("no_database", MatchError::NoDatabase, error("01", 0, 0, "")),
         ("empty_query", MatchError::EmptyQuery, error("02", 0, 0, "")),
-        (
-            "query_too_long",
-            MatchError::QueryTooLong { max: 128, got: 300 },
-            error("03", 128, 300, ""),
-        ),
         (
             "worker_panicked",
             MatchError::WorkerPanicked,

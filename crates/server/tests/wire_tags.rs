@@ -242,13 +242,8 @@ fn response_cases() -> Vec<(Response, &'static str)> {
 /// its `ERR_*` registry name.
 fn error_cases() -> Vec<(MatchError, &'static str)> {
     vec![
-        (MatchError::NoIndexGenerator, "ERR_NO_INDEX_GENERATOR"),
         (MatchError::NoDatabase, "ERR_NO_DATABASE"),
         (MatchError::EmptyQuery, "ERR_EMPTY_QUERY"),
-        (
-            MatchError::QueryTooLong { max: 128, got: 256 },
-            "ERR_QUERY_TOO_LONG",
-        ),
         (MatchError::WorkerPanicked, "ERR_WORKER_PANICKED"),
         (MatchError::InvalidConfig("remote"), "ERR_INVALID_CONFIG"),
         (MatchError::Decode(DecodeError::Truncated), "ERR_DECODE"),
