@@ -74,27 +74,22 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 // Completion handles
 // ---------------------------------------------------------------------------
 
-enum SlotState<T> {
-    Pending,
-    Done(T),
-    Panicked,
-}
-
+/// One job's result, `None` until the job finishes.
 struct Slot<T> {
-    state: Mutex<SlotState<T>>,
+    state: Mutex<Option<Result<T, MatchError>>>,
     cv: Condvar,
 }
 
 impl<T> Slot<T> {
     fn new() -> Self {
         Self {
-            state: Mutex::new(SlotState::Pending),
+            state: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    fn fill(&self, state: SlotState<T>) {
-        *lock_unpoisoned(&self.state) = state;
+    fn fill(&self, result: Result<T, MatchError>) {
+        *lock_unpoisoned(&self.state) = Some(result);
         self.cv.notify_all();
     }
 }
@@ -118,7 +113,7 @@ impl<T> std::fmt::Debug for CompletionHandle<T> {
 impl<T> CompletionHandle<T> {
     /// Whether the job has finished (successfully or by panicking).
     pub fn is_finished(&self) -> bool {
-        !matches!(*lock_unpoisoned(&self.slot.state), SlotState::Pending)
+        lock_unpoisoned(&self.slot.state).is_some()
     }
 
     /// Blocks until the job finishes and returns its result.
@@ -129,16 +124,15 @@ impl<T> CompletionHandle<T> {
     pub fn wait(self) -> Result<T, MatchError> {
         let mut state = lock_unpoisoned(&self.slot.state);
         loop {
-            match std::mem::replace(&mut *state, SlotState::Pending) {
-                SlotState::Pending => {
+            match state.take() {
+                Some(result) => return result,
+                None => {
                     state = self
                         .slot
                         .cv
                         .wait(state)
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
-                SlotState::Done(value) => return Ok(value),
-                SlotState::Panicked => return Err(MatchError::WorkerPanicked),
             }
         }
     }
@@ -287,25 +281,7 @@ impl WorkerPool {
     {
         let slot = Arc::new(Slot::new());
         let fill = Arc::clone(&slot);
-        let metrics = self.metrics.clone();
-        let enqueued = Instant::now();
-        let run: Job = Box::new(move || {
-            metrics.queue_wait.record_micros(enqueued.elapsed());
-            metrics.queue_depth.add(-1);
-            let running = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(job));
-            // Record before filling the slot so a snapshot taken right
-            // after `wait` returns already sees this job.
-            metrics.run_time.record_micros(running.elapsed());
-            match result {
-                Ok(value) => fill.fill(SlotState::Done(value)),
-                Err(_) => {
-                    metrics.panics.inc();
-                    fill.fill(SlotState::Panicked);
-                }
-            }
-        });
-        self.enqueue(run);
+        self.submit_notify(job, move |result| fill.fill(result));
         CompletionHandle { slot }
     }
 
@@ -330,22 +306,16 @@ impl WorkerPool {
             let running = Instant::now();
             let result =
                 catch_unwind(AssertUnwindSafe(job)).map_err(|_| MatchError::WorkerPanicked);
+            // Record before notifying so a snapshot taken right after a
+            // `wait` returns already sees this job.
             metrics.run_time.record_micros(running.elapsed());
             if result.is_err() {
                 metrics.panics.inc();
             }
             let _ = catch_unwind(AssertUnwindSafe(move || notify(result)));
         });
-        self.enqueue(run);
-    }
-
-    /// Enqueues a wrapped job and wakes one worker.
-    fn enqueue(&self, run: Job) {
         self.metrics.queue_depth.add(1);
-        {
-            let mut guard = lock_unpoisoned(&self.queue.jobs);
-            guard.0.push_back(run);
-        }
+        lock_unpoisoned(&self.queue.jobs).0.push_back(run);
         self.queue.cv.notify_one();
     }
 }
@@ -500,19 +470,29 @@ mod tests {
         let good = pool.submit(|| 1usize);
         assert_eq!(bad.wait(), Err(MatchError::WorkerPanicked));
         assert_eq!(good.wait(), Ok(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx2 = tx.clone();
+        pool.submit_notify(
+            || -> usize { panic!("job dies") },
+            move |result| tx.send(result).unwrap(),
+        );
+        pool.submit_notify(|| 2usize, move |result| tx2.send(result).unwrap());
+        assert_eq!(rx.recv().unwrap(), Err(MatchError::WorkerPanicked));
+        assert_eq!(rx.recv().unwrap(), Ok(2));
         let snap = registry.snapshot();
         assert_eq!(
             snap.counter(metric_names::EXEC_WORKER_PANICS, &labels),
-            Some(1)
+            Some(2),
+            "each panic counts once, whichever way it was submitted"
         );
         let waits = snap
             .histogram(metric_names::EXEC_QUEUE_WAIT_US, &labels)
             .unwrap();
-        assert_eq!(waits.count, 2, "both jobs crossed the queue");
+        assert_eq!(waits.count, 4, "every job crossed the queue");
         let runs = snap
             .histogram(metric_names::EXEC_RUN_TIME_US, &labels)
             .unwrap();
-        assert_eq!(runs.count, 2, "run time recorded even for a panic");
+        assert_eq!(runs.count, 4, "run time recorded even for a panic");
         assert_eq!(
             snap.gauge(metric_names::EXEC_QUEUE_DEPTH, &labels),
             Some(0),

@@ -43,7 +43,7 @@ use cm_reactor::{
 };
 use cm_telemetry::{MetricsRegistry, Stage, Trace};
 
-use crate::telemetry::{ServerTelemetry, TAG_INVALID};
+use crate::telemetry::ServerTelemetry;
 use crate::tenant::TenantRegistry;
 use crate::wire::{
     begin_frame, finish_frame, FrameBuffer, Request, Response, TenantSpec, UploadAuth, UploadPhase,
@@ -373,7 +373,6 @@ impl Events for FrontEnd {
     }
 
     fn on_reject(&mut self) -> Option<Vec<u8>> {
-        self.telemetry.count_socket_rejection();
         Some(busy_frame(self.max_open_sockets))
     }
 
@@ -430,21 +429,16 @@ fn run_pump(ctx: &PumpCtx, conn: ConnId) {
         trace.mark(Stage::Dequeued);
         let decoded = Request::decode(&frame);
         trace.mark(Stage::Decoded);
-        let (tag, tenant) = match &decoded {
-            Ok(request) => (usize::from(request.tag()), request.tenant()),
-            Err(_) => (TAG_INVALID, None),
-        };
-        let tenant = tenant.map(str::to_string);
-        let response = match decoded {
+        let response = match &decoded {
             Ok(request) => dispatch(
-                &request,
+                request,
                 &ctx.registry,
                 &ctx.staging,
                 &ctx.table,
                 &mut upload,
                 &ctx.telemetry,
             ),
-            Err(e) => Response::Error(e),
+            Err(e) => Response::Error(e.clone()),
         };
         trace.mark(Stage::Matched);
         let bytes = reply_frame(&response);
@@ -453,7 +447,7 @@ fn run_pump(ctx: &PumpCtx, conn: ConnId) {
         // that has its answer can never observe a snapshot that missed
         // this request.
         trace.mark(Stage::Replied);
-        ctx.telemetry.record_frame(tag, &trace, tenant.as_deref());
+        ctx.telemetry.record_frame(&trace, decoded.as_ref().ok());
         // The answer exists: release the in-flight slot before the
         // hand-off so admission sees pool capacity, not send latency.
         ctx.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -760,10 +754,8 @@ fn dispatch<K>(
             Ok(info) => Response::DatabaseInfo(info),
             Err(e) => Response::Error(e),
         },
-        // A point-in-time copy of every registered series (empty when
-        // the server runs with telemetry off); refreshes the derived
-        // Hom-Add throughput gauge first.
-        Request::Metrics => Response::Metrics(telemetry.snapshot()),
+        // A point-in-time copy of every registered series.
+        Request::Metrics => Response::Metrics(telemetry.registry().snapshot()),
     }
 }
 

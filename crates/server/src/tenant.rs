@@ -70,7 +70,7 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cm_core::{Backend, BitString, ErasedMatcher, MatchError, MatchStats, StatsAccumulator};
 use cm_ssd::{ColdSlot, ColdStore, SecureIndexChannel};
@@ -98,8 +98,6 @@ pub struct MatchedReply {
     pub stats: MatchStats,
     /// Per-shard breakdown of `stats`.
     pub shard_stats: Vec<MatchStats>,
-    /// Wall-clock time the query spent in its matcher.
-    pub elapsed: Duration,
     /// Modeled hardware latency of the sealing step.
     pub seal_latency: Duration,
 }
@@ -248,13 +246,11 @@ impl Tenant {
     /// thread.
     pub fn run(&self, query: &QueryPayload) -> Result<MatchedReply, MatchError> {
         let _permit = self.limit.enter();
-        let start = Instant::now();
         let (indices, shard_stats) = catch_unwind(AssertUnwindSafe(|| match query {
             QueryPayload::Bits(bits) => self.matcher.find_all(bits),
             QueryPayload::CmWire(bytes) => self.matcher.find_all_wire(bytes),
         }))
         .map_err(|_| MatchError::WorkerPanicked)??;
-        let elapsed = start.elapsed();
         let stats = shard_stats.iter().sum();
         let nonce = self.next_nonce.fetch_add(1, Ordering::Relaxed);
         let (sealed_indices, latency) = self.channel.seal(&indices, nonce);
@@ -264,7 +260,6 @@ impl Tenant {
             sealed_indices,
             stats,
             shard_stats,
-            elapsed,
             seal_latency: Duration::from_secs_f64(latency),
         })
     }

@@ -1687,8 +1687,8 @@ mod tests {
         let registry = cm_telemetry::MetricsRegistry::new();
         registry
             .register_counter(
-                cm_telemetry::metric_names::SERVER_REQUESTS,
-                &[("tag", "match")],
+                cm_telemetry::metric_names::SERVER_BUSY_REJECTIONS,
+                &[("cap", "frames")],
             )
             .add(17);
         registry

@@ -141,7 +141,7 @@ fn snapshot() -> cm_telemetry::MetricsSnapshot {
     use cm_telemetry::metric_names;
     let registry = cm_telemetry::MetricsRegistry::new();
     registry
-        .register_counter(metric_names::SERVER_REQUESTS, &[("tag", "match")])
+        .register_counter(metric_names::SERVER_BUSY_REJECTIONS, &[("cap", "frames")])
         .add(17);
     registry
         .register_gauge(metric_names::EXEC_QUEUE_DEPTH, &[("pool", "frames")])

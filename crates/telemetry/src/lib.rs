@@ -792,10 +792,12 @@ mod tests {
     #[test]
     fn counters_gauges_and_histograms_record() {
         let registry = MetricsRegistry::new();
-        let c = registry.register_counter(metric_names::SERVER_REQUESTS, &[("tag", "ping")]);
+        let c =
+            registry.register_counter(metric_names::SERVER_BUSY_REJECTIONS, &[("cap", "frames")]);
         c.inc();
         c.add(2);
-        let again = registry.register_counter(metric_names::SERVER_REQUESTS, &[("tag", "ping")]);
+        let again =
+            registry.register_counter(metric_names::SERVER_BUSY_REJECTIONS, &[("cap", "frames")]);
         again.inc();
         assert_eq!(c.value(), 4, "registration is idempotent, cells shared");
 
@@ -811,7 +813,7 @@ mod tests {
         }
         let snap = registry.snapshot();
         assert_eq!(
-            snap.counter(metric_names::SERVER_REQUESTS, &[("tag", "ping")]),
+            snap.counter(metric_names::SERVER_BUSY_REJECTIONS, &[("cap", "frames")]),
             Some(4)
         );
         assert_eq!(
@@ -845,7 +847,7 @@ mod tests {
     fn render_text_is_prometheus_shaped() {
         let registry = MetricsRegistry::new();
         registry
-            .register_counter(metric_names::SERVER_REQUESTS, &[("tag", "match")])
+            .register_counter(metric_names::SERVER_BUSY_REJECTIONS, &[("cap", "frames")])
             .add(5);
         registry
             .register_gauge(metric_names::REGISTRY_HOT_BYTES, &[])
@@ -855,7 +857,7 @@ mod tests {
         h.record(200);
         let text = registry.render_text();
         assert!(
-            text.contains("cm_server_requests_total{tag=\"match\"} 5"),
+            text.contains("cm_server_busy_rejections_total{cap=\"frames\"} 5"),
             "{text}"
         );
         assert!(text.contains("cm_registry_hot_bytes 4096"), "{text}");

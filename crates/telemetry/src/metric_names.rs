@@ -44,9 +44,8 @@ pub const EXEC_RUN_TIME_US: &str = "cm_exec_run_time_us";
 /// Jobs that panicked on a worker (typed as `WorkerPanicked` upstream).
 pub const EXEC_WORKER_PANICS: &str = "cm_exec_worker_panics_total";
 
-/// Request frames answered, labeled `tag` with the request kind.
-pub const SERVER_REQUESTS: &str = "cm_server_requests_total";
-/// End-to-end per-frame latency (admitted → replied), µs, labeled `tag`.
+/// End-to-end per-frame latency (admitted → replied), µs, labeled `tag`
+/// with the request kind; its count is the number of frames answered.
 pub const SERVER_REQUEST_LATENCY_US: &str = "cm_server_request_latency_us";
 /// Queue wait per frame (admitted → dequeued by a pump worker), µs,
 /// labeled `tag`.
@@ -55,23 +54,17 @@ pub const SERVER_QUEUE_WAIT_US: &str = "cm_server_queue_wait_us";
 pub const SERVER_SERVE_TIME_US: &str = "cm_server_serve_time_us";
 /// Request frames currently admitted and not yet replied to.
 pub const SERVER_INFLIGHT_FRAMES: &str = "cm_server_inflight_frames";
-/// Typed `ServerBusy` rejections, labeled `cap` (`sockets` | `frames`).
+/// Typed `ServerBusy` rejections at the in-flight-frame cap, labeled
+/// `cap="frames"`. Rejections at the socket cap are
+/// [`REACTOR_REJECTS`].
 pub const SERVER_BUSY_REJECTIONS: &str = "cm_server_busy_rejections_total";
 /// Database upload payload bytes accepted from `LoadDatabase` chunks.
 pub const SERVER_UPLOAD_BYTES: &str = "cm_server_upload_bytes_total";
-/// Requests addressed to a tenant (match, stats, lifecycle), labeled
-/// `tenant`.
-pub const SERVER_TENANT_REQUESTS: &str = "cm_server_tenant_requests_total";
 /// `Hom-Add` operations per match request — the CM-SW server's only
 /// homomorphic work, so this histogram is its entire compute profile.
+/// Its sum is the total since startup; a rate is the difference of two
+/// snapshots' sums over the time between them.
 pub const SERVER_HOM_ADDS: &str = "cm_server_hom_adds";
-/// `Hom-Add` operations executed since startup.
-pub const SERVER_HOM_ADDS_TOTAL: &str = "cm_server_hom_adds_total";
-/// `Hom-Add` throughput derived at snapshot time: adds since the previous
-/// snapshot divided by the interval, with short intervals guarded (a
-/// snapshot taken within the guard window keeps the previous value
-/// instead of dividing by a near-zero denominator).
-pub const SERVER_HOM_ADDS_PER_SEC: &str = "cm_server_hom_adds_per_sec";
 
 /// Hot-tier databases demoted to the cold tier by budget pressure.
 pub const REGISTRY_DEMOTIONS: &str = "cm_registry_demotions_total";

@@ -211,15 +211,13 @@ fn main() {
     let text = snapshot.render_text();
     println!("--- metrics (cm_server_* excerpt) ---");
     for line in text.lines().filter(|l| {
-        l.starts_with("cm_server_requests_total")
-            || l.starts_with("cm_server_request_latency_us_count")
-            || l.starts_with("cm_registry_")
+        l.starts_with("cm_server_request_latency_us_count") || l.starts_with("cm_registry_")
     }) {
         println!("{line}");
     }
     let served = snapshot
-        .counter("cm_server_requests_total", &[("tag", "match")])
-        .unwrap_or(0);
+        .histogram("cm_server_request_latency_us", &[("tag", "match")])
+        .map_or(0, |latency| latency.count);
     println!("--- {served} match frames served ---");
 
     // --- Carla retires her database the way she placed it --------------

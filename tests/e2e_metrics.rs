@@ -6,10 +6,11 @@
 //! double-counts events under concurrency is worse than none.
 //!
 //! Checked properties:
-//! * `cm_server_requests_total{tag="match"}` equals the number of match
-//!   queries the client sent and got answers for;
-//! * `cm_server_busy_rejections_total{cap="sockets"}` is exactly 1 (one
-//!   connection past `max_open_sockets = 2`), `cap="frames"` exactly 0;
+//! * the count of `cm_server_request_latency_us{tag="match"}` equals the
+//!   number of match queries the client sent and got answers for;
+//! * `cm_reactor_rejects_total` is exactly 1 (one connection past
+//!   `max_open_sockets = 2`), `cm_server_busy_rejections_total
+//!   {cap="frames"}` exactly 0;
 //! * `cm_registry_demotions_total` is exactly 1 (the second upload
 //!   pushed the first tenant out of a budget sized for ~1.5 databases),
 //!   and the hot-bytes gauge equals the surviving database's bytes;
@@ -19,16 +20,23 @@
 //!   match tag, `queue_wait.sum + serve_time.sum <= latency.sum`, and
 //!   the server-side latency sum is bounded by the client-side
 //!   end-to-end sum (the server interval nests inside the client RTT);
+//! * the sum of `cm_server_hom_adds` equals the Hom-Adds the replies'
+//!   stats report;
 //! * the snapshot travels the wire: everything above is read via
 //!   [`MatchClient::metrics`], i.e. through the codec, not in-process.
+//!
+//! A second test sends frames for fresh, unknown tenant ids and checks
+//! that they add no series and no reply bytes.
 //!
 //! [`Request::Metrics`]: cm_server::Request
 
 use std::time::Instant;
 
 use cm_core::{Backend, BitString, MatchError, MatcherConfig};
-use cm_server::{MatchClient, MatchServer, ServerConfig, TenantAccess, TenantRegistry, TenantSpec};
-use cm_telemetry::metric_names;
+use cm_server::{
+    MatchClient, MatchServer, Response, ServerConfig, TenantAccess, TenantRegistry, TenantSpec,
+};
+use cm_telemetry::{metric_names, MetricsSnapshot};
 
 const KEY_ONE: [u8; 32] = [0xE1; 32];
 const KEY_TWO: [u8; 32] = [0xE2; 32];
@@ -133,11 +141,6 @@ fn wire_snapshot_counts_match_the_workload_exactly() {
     drop(holder);
 
     // --- The snapshot, read over the wire ------------------------------
-    // The first snapshot must close a Hom-Add rate window for the idle
-    // re-snapshot below to hold or decay: a snapshot within the guard
-    // interval (`MIN_RATE_INTERVAL`, 10 ms) of server start keeps the
-    // window open, and the workload can finish inside it.
-    std::thread::sleep(std::time::Duration::from_millis(10));
     let snapshot = client.metrics().unwrap();
 
     let counter = |name, labels: &[(&str, &str)]| {
@@ -146,12 +149,7 @@ fn wire_snapshot_counts_match_the_workload_exactly() {
             .unwrap_or_else(|| panic!("{name}{labels:?} missing from the snapshot"))
     };
     assert_eq!(
-        counter(metric_names::SERVER_REQUESTS, &[("tag", "match")]),
-        MATCH_QUERIES as u64,
-        "every answered match query is counted, none twice"
-    );
-    assert_eq!(
-        counter(metric_names::SERVER_BUSY_REJECTIONS, &[("cap", "sockets")]),
+        counter(metric_names::REACTOR_REJECTS, &[]),
         1,
         "exactly the straggler was rejected at the socket cap"
     );
@@ -190,7 +188,10 @@ fn wire_snapshot_counts_match_the_workload_exactly() {
     let latency = histogram(metric_names::SERVER_REQUEST_LATENCY_US);
     let queue_wait = histogram(metric_names::SERVER_QUEUE_WAIT_US);
     let serve_time = histogram(metric_names::SERVER_SERVE_TIME_US);
-    assert_eq!(latency.count, MATCH_QUERIES as u64);
+    assert_eq!(
+        latency.count, MATCH_QUERIES as u64,
+        "every answered match query is counted, none twice"
+    );
     assert_eq!(queue_wait.count, MATCH_QUERIES as u64);
     assert_eq!(serve_time.count, MATCH_QUERIES as u64);
     assert!(
@@ -210,43 +211,13 @@ fn wire_snapshot_counts_match_the_workload_exactly() {
     );
 
     // --- Hom-Add accounting matches the replies the client saw ----------
-    assert_eq!(
-        counter(metric_names::SERVER_HOM_ADDS_TOTAL, &[]),
-        hom_adds_sent,
-        "the Hom-Add total equals the sum of per-reply stats"
-    );
     let hom_adds = snapshot
         .histogram(metric_names::SERVER_HOM_ADDS, &[])
         .expect("per-request Hom-Add histogram missing from the snapshot");
     assert_eq!(hom_adds.count, MATCH_QUERIES as u64);
     assert_eq!(
         hom_adds.sum, hom_adds_sent,
-        "per-request histogram sum equals the total counter"
-    );
-    let adds_per_sec = snapshot
-        .gauge(metric_names::SERVER_HOM_ADDS_PER_SEC, &[])
-        .expect("derived Hom-Add throughput gauge missing from the snapshot");
-    assert!(
-        adds_per_sec >= 0,
-        "the derived adds/sec gauge is never negative"
-    );
-    // The rate is windowed with a >= 10ms minimum interval, so even the
-    // first snapshot is bounded by total-adds / 10ms — never the old
-    // total-over-microseconds-of-uptime garbage.
-    assert!(
-        adds_per_sec as u64 <= hom_adds_sent * 100,
-        "adds/sec ({adds_per_sec}) must respect the minimum rate window \
-         (total {hom_adds_sent} over >= 10ms)"
-    );
-
-    // The per-tenant counter sees every tenant-two frame: Begin + one
-    // chunk + Commit of the upload, then the match queries.
-    assert_eq!(
-        counter(
-            metric_names::SERVER_TENANT_REQUESTS,
-            &[("tenant", "tenant-two")]
-        ),
-        3 + MATCH_QUERIES as u64
+        "the Hom-Add sum equals the sum of per-reply stats"
     );
 
     // Lower layers registered into the same registry and saw traffic
@@ -257,26 +228,81 @@ fn wire_snapshot_counts_match_the_workload_exactly() {
     // A second snapshot counts the first one's Metrics frame.
     let again = client.metrics().unwrap();
     assert_eq!(
-        again.counter(metric_names::SERVER_REQUESTS, &[("tag", "metrics")]),
+        again
+            .histogram(
+                metric_names::SERVER_REQUEST_LATENCY_US,
+                &[("tag", "metrics")]
+            )
+            .map(|latency| latency.count),
         Some(1),
         "the first Metrics request is visible to the second"
-    );
-    // No Hom-Adds ran between the two snapshots, so the windowed rate
-    // either held its value (inside the guard interval) or decayed to
-    // the honest current throughput: zero. A whole-uptime average would
-    // instead report some in-between dilution.
-    let rate_again = again
-        .gauge(metric_names::SERVER_HOM_ADDS_PER_SEC, &[])
-        .expect("derived Hom-Add throughput gauge missing from the snapshot");
-    assert!(
-        rate_again == adds_per_sec || rate_again == 0,
-        "an idle re-snapshot must hold ({adds_per_sec}) or decay to 0, \
-         got {rate_again}"
     );
 
     // The text exposition renders every series the snapshot carries.
     let text = again.render_text();
-    assert!(text.contains("cm_server_requests_total{tag=\"match\"} 7"));
+    assert!(text.contains("cm_server_request_latency_us_count{tag=\"match\"} 7"));
     assert!(text.contains("cm_registry_demotions_total 1"));
+    server.shutdown();
+}
+
+/// Series in a snapshot, of every kind.
+fn series(snapshot: &MetricsSnapshot) -> usize {
+    snapshot.counters.len() + snapshot.gauges.len() + snapshot.histograms.len()
+}
+
+/// The encoded `Metrics` reply's length, less the histogram bucket lists:
+/// those hold one entry per occupied latency bucket, so they vary with the
+/// timings measured but not with the ids a client names (each is bounded
+/// by `cm_telemetry::HISTOGRAM_BUCKETS`).
+fn reply_len_without_buckets(snapshot: &MetricsSnapshot) -> usize {
+    let mut snapshot = snapshot.clone();
+    for histogram in &mut snapshot.histograms {
+        histogram.buckets.clear();
+    }
+    Response::Metrics(snapshot).encode().len()
+}
+
+#[test]
+fn fresh_tenant_ids_add_no_series() {
+    let server = MatchServer::with_config(TenantRegistry::new(), ServerConfig::default())
+        .unwrap()
+        .spawn("127.0.0.1:0")
+        .unwrap();
+    let mut client = MatchClient::connect(server.addr()).unwrap();
+    let pattern = BitString::from_ascii("id");
+    let before = client.metrics().unwrap();
+    for i in 0..100 {
+        let id = format!("fresh-{i}");
+        assert!(matches!(
+            client.tenant_stats(&id),
+            Err(MatchError::UnknownTenant(_))
+        ));
+        let access = TenantAccess::new(&id, &KEY_ONE);
+        assert!(matches!(
+            client.search_bits(&access, &pattern),
+            Err(MatchError::UnknownTenant(_))
+        ));
+    }
+    let after = client.metrics().unwrap();
+    assert_eq!(
+        after
+            .histogram(
+                metric_names::SERVER_REQUEST_LATENCY_US,
+                &[("tag", "tenant_stats")]
+            )
+            .map(|latency| latency.count),
+        Some(100),
+        "every fresh-id frame was answered"
+    );
+    assert_eq!(
+        series(&after),
+        series(&before),
+        "a client-chosen tenant id keys no series"
+    );
+    assert_eq!(
+        reply_len_without_buckets(&after),
+        reply_len_without_buckets(&before),
+        "the Metrics reply does not grow with fresh ids"
+    );
     server.shutdown();
 }
