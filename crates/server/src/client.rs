@@ -25,9 +25,9 @@ use cm_core::{BitString, MatchError, MatchStats};
 use cm_ssd::SecureIndexChannel;
 
 use crate::wire::{
-    auth_tag, begin_frame, content_digest, finish_frame, put_match_bits, put_match_wire,
-    put_upload_chunk, read_frame_into, upload_tag, write_framed, DatabaseInfoReply, EvictAuth,
-    Request, Response, TenantInfo, TenantSpec, UploadAuth, UploadPhase, OP_EVICT,
+    auth_tag, begin_frame, content_digest, finish_frame, read_frame_into, upload_tag, write_framed,
+    DatabaseInfoReply, EvictAuth, QueryPayload, Request, Response, TenantInfo, TenantSpec,
+    UploadAuth, UploadPhase, OP_EVICT,
 };
 
 /// A tenant's client-side credentials: the id plus the AES-256 channel
@@ -129,21 +129,14 @@ impl MatchClient {
             .map_err(|e| MatchError::Transport(format!("set timeout: {e}")))
     }
 
+    /// One request/response exchange: `request` is encoded into the send
+    /// buffer, behind the reserved frame header, and leaves in one write.
     fn roundtrip(&mut self, request: &Request) -> Result<Response, MatchError> {
-        self.roundtrip_with(|out| request.encode_into(out))
-    }
-
-    /// One request/response exchange; `encode` appends the request
-    /// payload to the send buffer, behind the reserved frame header.
-    fn roundtrip_with(
-        &mut self,
-        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), MatchError>,
-    ) -> Result<Response, MatchError> {
         begin_frame(&mut self.send);
         // A request that does not encode or frame (a length past its
         // prefix, a payload past the frame cap) fails here, typed, with
         // nothing written: the connection stays at a frame boundary.
-        encode(&mut self.send)?;
+        request.encode_into(&mut self.send)?;
         finish_frame(&mut self.send)?;
         // The server may reject the connection outright (e.g. a typed
         // `ServerBusy` past its connection cap) by sending one error frame
@@ -285,9 +278,14 @@ impl MatchClient {
         };
         Self::expect_progress(self.roundtrip(&begin)?)?;
         for (index, chunk) in (0..).zip(&chunks) {
-            let sent =
-                self.roundtrip_with(|out| put_upload_chunk(out, &access.id, index, chunk))?;
-            Self::expect_progress(sent)?;
+            let request = Request::LoadDatabase {
+                tenant: access.id.clone(),
+                phase: UploadPhase::Chunk {
+                    index,
+                    data: chunk.to_vec(),
+                },
+            };
+            Self::expect_progress(self.roundtrip(&request)?)?;
         }
         let commit = Request::LoadDatabase {
             tenant: access.id.clone(),
@@ -376,7 +374,7 @@ impl MatchClient {
         access: &TenantAccess,
         query: &BitString,
     ) -> Result<MatchReply, MatchError> {
-        self.search(access, |out| put_match_bits(out, &access.id, query))
+        self.search(access, QueryPayload::Bits(query.clone()))
     }
 
     /// Runs a pre-encrypted CIPHERMATCH wire query (built with a
@@ -390,16 +388,20 @@ impl MatchClient {
         access: &TenantAccess,
         encoded_query: &[u8],
     ) -> Result<MatchReply, MatchError> {
-        self.search(access, |out| put_match_wire(out, &access.id, encoded_query))
+        self.search(access, QueryPayload::CmWire(encoded_query.to_vec()))
     }
 
-    /// One Match exchange; `encode` appends the `Request::Match` payload.
+    /// One Match exchange for `query` against `access.id`.
     fn search(
         &mut self,
         access: &TenantAccess,
-        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), MatchError>,
+        query: QueryPayload,
     ) -> Result<MatchReply, MatchError> {
-        match self.roundtrip_with(encode)? {
+        let request = Request::Match {
+            tenant: access.id.clone(),
+            query,
+        };
+        match self.roundtrip(&request)? {
             Response::Matched {
                 nonce,
                 mut sealed_indices,

@@ -571,21 +571,13 @@ fn dispatch_upload<K>(
             if let Err(e) = registry.authorize_upload(tenant, auth, *total_bytes, spec) {
                 return Response::Error(e);
             }
-            if let Some(budget) = registry.memory_budget() {
-                if *total_bytes > budget {
-                    // Reject before any chunk buffer exists: a declared
-                    // size past the whole budget can never be admitted.
-                    return Response::Error(MatchError::QuotaExceeded {
-                        budget,
-                        required: *total_bytes,
-                    });
-                }
-            }
             // Reserve the declared size against the *server-wide*
             // staging cap: many connections declaring large uploads are
-            // bounded collectively, not just per upload. Room held by
-            // expired sessions parked on idle connections is reclaimed
-            // first — nothing else ends them.
+            // bounded collectively, not just per upload. The cap is the
+            // budget `spawn` read, which nothing changes afterwards, so a
+            // size past it is refused before any chunk buffer exists. Room
+            // held by expired sessions parked on idle connections is
+            // reclaimed first — nothing else ends them.
             let reserved = staging.reserve(*total_bytes).or_else(|_| {
                 drop_expired(table);
                 staging.reserve(*total_bytes)

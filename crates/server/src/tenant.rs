@@ -38,7 +38,7 @@
 //! | state | in host RAM | in `ColdStore` | answers a Match | leaves by |
 //! |---|---|---|---|---|
 //! | **in-process** (`register*`) | live matcher with its key material; charged the matcher's `database_bytes` | nothing | its matcher | evict only — live keys cannot be rebuilt from bytes, so it is never demoted |
-//! | **hot** (`register_remote`) | live matcher plus the serialized upload; charged the serialized length | nothing | its matcher | **demote** (budget pressure, LRU-first among unpinned) → cold, or → parked for `ifp`: one program per page to `flash_wear`, the length to `bytes_moved`, both charged to the victim; re-upload or evict: free |
+//! | **hot** (`register_remote`) | live matcher only, the upload dropped once it is built; charged the serialized length | nothing | its matcher | **demote** (budget pressure, LRU-first among unpinned) → cold, or → parked for `ifp`: the matcher's export written to flash, one program per page to `flash_wear`, the length to `bytes_moved`, both charged to the victim; re-upload or evict: free |
 //! | **cold** | nothing — the flash pages are the only copy | the master copy | nobody: a Match promotes first | **promote** → hot: pages read back and the matcher rebuilt on the calling thread; reads are wear-free (`flash_wear` + 0), the length to `bytes_moved`, charged once at install; re-upload or evict: pages released, no charge |
 //! | **parked** (`ifp` only) | the parked matcher — small key material and the SSD device handle, not charged | the master copy | the parked matcher, straight from its device (a *cold hit*: no rebuild, no promotion) | [`TenantRegistry::get`] promotes like cold but reuses the parked tenant, so its nonce counter stays monotone; re-upload or evict as cold |
 //!
@@ -281,12 +281,12 @@ struct AuthRecord {
     last_nonce: u64,
 }
 
-/// A hot remote tenant: its live matcher, the spec to rebuild it from,
-/// and the serialized upload staged for a demotion.
+/// A hot remote tenant: its live matcher (the only copy of its
+/// database), the spec to rebuild it from, and its charge ([`Tier::bytes`]).
 struct HotRemote {
     tenant: Arc<Tenant>,
     spec: TenantSpec,
-    encoded: Arc<Vec<u8>>,
+    bytes: u64,
 }
 
 impl HotRemote {
@@ -342,11 +342,13 @@ impl Tier {
         }
     }
 
-    /// The accounting charge in bytes, whichever tier holds it.
+    /// The accounting charge in bytes, whichever tier holds it. A hot
+    /// remote tenant's is its upload's length, or after a promotion its
+    /// slot's: the canonical export, which a hand-built upload in a
+    /// wider coefficient width is charged after a demote → promote.
     fn bytes(&self) -> u64 {
         match self {
-            Self::InProcess { bytes, .. } => *bytes,
-            Self::Hot(hot) => hot.encoded.len() as u64,
+            Self::InProcess { bytes, .. } | Self::Hot(HotRemote { bytes, .. }) => *bytes,
             Self::Cold { slot, .. } | Self::Parked { slot, .. } => slot.len() as u64,
         }
     }
@@ -546,8 +548,9 @@ pub struct TenantRegistry {
     inner: Mutex<Inner>,
     /// The flash-backed cold tier: demoted databases live here as pages
     /// in a simulated SSD's conventional region, and nowhere else. Lock
-    /// order is `inner` → `cold` (never the reverse), and neither lock
-    /// is ever held across a matcher build.
+    /// order is `inner` → (an `ifp` victim's device mutex, while a
+    /// demotion exports it) → `cold`, never the reverse, and neither
+    /// lock is ever held across a matcher build.
     cold: Mutex<ColdStore>,
 }
 
@@ -595,7 +598,6 @@ struct Ticket {
 /// A cold database read back and made servable, not yet installed.
 struct Rebuilt {
     tenant: Arc<Tenant>,
-    encoded: Arc<Vec<u8>>,
     /// Flash cost of the read-back, charged at install.
     flash_wear: u64,
     bytes_moved: u64,
@@ -687,21 +689,6 @@ impl TenantRegistry {
     /// against (demotions program pages; reads and searches are free).
     pub fn cold_store_wear(&self) -> u64 {
         self.lock_cold().device_wear()
-    }
-
-    /// Bytes of the tenant's serialized database currently held in host
-    /// RAM (0 while demoted — the flash pages are then the only copy).
-    /// Introspection for tests pinning the tiering invariant; in-process
-    /// tenants report 0 because they never stage serialized bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`MatchError::UnknownTenant`] if no such tenant is registered.
-    pub fn host_copy_bytes(&self, id: &str) -> Result<u64, MatchError> {
-        self.with_entry(id, |e| {
-            let hot = e.tier.demotable();
-            hot.map_or(0, |hot| hot.encoded.len() as u64)
-        })
     }
 
     /// Registers a tenant whose K is [`DEFAULT_TENANT_WORKERS`]: loads
@@ -844,7 +831,7 @@ impl TenantRegistry {
     /// authorization end to end (tag, key binding, nonce freshness, and
     /// that the bytes hash to the authorized [`content_digest`]),
     /// rebuilds the matcher from `spec` on the calling thread, loads the
-    /// serialized database, accounts `encoded.len()` bytes
+    /// serialized database (then dropped), accounts `encoded.len()` bytes
     /// against the budget (demoting LRU unpinned remote tenants as
     /// needed), and registers the tenant hot. Re-uploading over an
     /// existing id (same channel key) replaces the database and keeps
@@ -884,9 +871,9 @@ impl TenantRegistry {
             ));
         }
         let channel_key = &auth.channel_key;
-        let encoded = Arc::new(encoded);
         let bytes = encoded.len() as u64;
         let matcher = Self::build_remote(spec, &encoded)?;
+        drop(encoded);
         let backend = matcher.backend();
         let limit = Limit::new(spec.workers as usize)?;
 
@@ -909,7 +896,7 @@ impl TenantRegistry {
         let hot = Tier::Hot(HotRemote {
             tenant,
             spec,
-            encoded,
+            bytes,
         });
         let entry = TenantEntry::new(backend, pinned, totals, hot);
         inner.transition(&self.cold, id, Some(entry));
@@ -1105,11 +1092,10 @@ impl TenantRegistry {
     /// bytes; [`Self::install`] judges the result.
     fn rebuild(&self, id: &str, ticket: &Ticket) -> Result<Rebuilt, MatchError> {
         let read = self.lock_cold().get(&ticket.slot)?;
-        let encoded = Arc::new(read.bytes);
         let tenant = match &ticket.parked {
             Some(parked) => Arc::clone(parked),
             None => {
-                let matcher = Self::build_remote(&ticket.spec, &encoded)?;
+                let matcher = Self::build_remote(&ticket.spec, &read.bytes)?;
                 let limit = Limit::new(ticket.spec.workers as usize)?;
                 let totals = Arc::clone(&ticket.totals);
                 Tenant::assemble(id, matcher, limit, &ticket.channel_key, totals)
@@ -1117,7 +1103,6 @@ impl TenantRegistry {
         };
         Ok(Rebuilt {
             tenant,
-            encoded,
             flash_wear: read.flash_wear,
             bytes_moved: read.bytes_moved,
         })
@@ -1149,7 +1134,7 @@ impl TenantRegistry {
         let promoted = entry.with_tier(Tier::Hot(HotRemote {
             tenant: Arc::clone(&rebuilt.tenant),
             spec: ticket.spec,
-            encoded: rebuilt.encoded,
+            bytes: ticket.slot.len() as u64,
         }));
         Self::ensure_capacity(&mut inner, &self.cold, promoted.tier.bytes(), id)?;
         // The promotion's flash cost lands exactly once, at install — a
@@ -1216,17 +1201,18 @@ impl TenantRegistry {
     /// re-upload) its old charge does not count — installing the new
     /// database releases it.
     ///
-    /// Demotion writes each victim's serialized database into the
+    /// Demotion writes each victim's `export_database()` into the
     /// flash-backed cold store (the new master copy) and *then* drops the
-    /// host-RAM copy — the `flash_wear`/`bytes_moved` cost of the write
-    /// lands in the victim's own [`StatsAccumulator`].
+    /// matcher — the `flash_wear`/`bytes_moved` cost of the write lands
+    /// in the victim's own [`StatsAccumulator`].
     ///
     /// # Errors
     ///
     /// [`MatchError::QuotaExceeded`] when the bytes cannot fit even with
-    /// every demotable tenant cold, or when the cold store itself is full
-    /// (that victim stays hot). Demotions performed before the failure
-    /// stay demoted (they re-materialize on demand).
+    /// every demotable tenant cold, or when the cold store itself is full;
+    /// the export's own error if a victim cannot be exported. That victim
+    /// stays hot; demotions performed before the failure stay demoted
+    /// (they re-materialize on demand).
     fn ensure_capacity(
         inner: &mut Inner,
         cold: &Mutex<ColdStore>,
@@ -1256,19 +1242,21 @@ impl TenantRegistry {
             let Some((id, entry, hot)) = victim else {
                 return Err(quota_exceeded());
             };
-            // The master copy moves to flash BEFORE the host copy is
-            // released: a full cold store fails the admission here, with
-            // the victim intact. Lock order: `inner` (held by the caller)
-            // → `cold`, never the reverse.
-            let write = lock_unpoisoned(cold).put(&hot.encoded)?;
+            // The master copy moves to flash BEFORE the matcher is
+            // released: a failed export or a full cold store fails the
+            // admission here, with the victim intact. Lock order: `inner`
+            // (held by the caller) → an `ifp` victim's device (its export
+            // reads flash back, wear-free, so it waits for a query running
+            // on it; no Match takes `inner` holding a device) → `cold`.
+            let encoded = hot.tenant.matcher.export_database()?;
+            let write = lock_unpoisoned(cold).put(&encoded)?;
             inner
                 .metrics
                 .charge_flash(&entry.totals, write.flash_wear, write.bytes_moved);
             inner.metrics.demotions.inc();
             let id = id.clone();
             let entry = entry.with_tier(hot.demoted(write.slot));
-            // Replacing the hot tier drops `encoded`: from here the flash
-            // pages are the only copy of the serialized database.
+            // From here the flash pages are the only copy.
             inner.transition(cold, &id, Some(entry));
             demoted.push(id);
         }
